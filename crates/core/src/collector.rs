@@ -63,11 +63,11 @@ use rbat::hash::FxHashSet;
 use rbat::{Bat, Value};
 
 use crate::config::RecyclerConfig;
-use crate::entry::{EntryId, PoolEntry};
+use crate::entry::{EntryId, Payload, PoolEntry};
 use crate::eviction::{evict, policy_key, EvictTrigger};
 use crate::pool::RecyclePool;
 use crate::shared::SharedRecycler;
-use crate::tier::{CompressedBat, TierState};
+use crate::tier::CompressedBat;
 
 /// Sleep between wake-ups when no admission signals the collector — a
 /// safety net against lost notifications; pressure is normally
@@ -512,10 +512,10 @@ fn minor_round(shared: &SharedRecycler, need_bytes: usize, need_entries: usize) 
                 // spilled entries charge nothing against the cap: under
                 // pure byte pressure they are not minor-round victims
                 // (their last rung is the major round's layer peel)
-                if e.bytes == 0 && need_entries == 0 {
+                if e.bytes() == 0 && need_entries == 0 {
                     return;
                 }
-                candidates.push((policy_key(policy, e, tick), e.bytes, id));
+                candidates.push((policy_key(policy, e, tick), e.bytes(), id));
             }
         });
     }
@@ -576,11 +576,10 @@ fn major_round(shared: &SharedRecycler, need_bytes: usize, need_entries: usize) 
 /// decompress or a record read instead of a recomputation.
 ///
 /// All CPU (codec work) and IO (spill appends) run outside shard locks;
-/// [`RecyclePool::demote_compress`] / [`RecyclePool::demote_spill`]
-/// revalidate under the shard write lock and refuse entries that got
-/// pinned, re-parented or re-tiered meanwhile. Returns the resident bytes
-/// freed — the progress signal [`run_rounds`]'s escalation logic folds in
-/// next to eviction's.
+/// [`RecyclePool::retier`] revalidates under the shard write lock and
+/// refuses entries that got pinned, removed or re-tiered meanwhile.
+/// Returns the resident bytes freed — the progress signal [`run_rounds`]'s
+/// escalation logic folds in next to eviction's.
 fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
     let ctl = shared.collector_control();
     let pool = shared.pool_inner();
@@ -599,31 +598,24 @@ fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
         if e.pin_count() != 0 {
             return;
         }
-        match &e.tier {
-            TierState::Raw => {
-                // Operator-state artifacts are evict-only: their payload
-                // is a build structure, not a columnar BAT, so the codec
-                // rungs skip them entirely (their `result` is `Nil` too,
-                // but the gate is explicit — don't rely on that).
-                if e.artifact.is_some() {
-                    return;
-                }
+        match e.payload() {
+            Payload::Raw(Value::Bat(b)) => {
                 // `bind` results are Arc-shared with the catalog:
                 // demoting one frees no real memory, and rehydration
                 // would forge a second live copy of a base column.
-                if e.bytes < min_bytes || e.family == "bind" || ctl.is_incompressible(e.id) {
+                if e.bytes() < min_bytes || e.family == "bind" || ctl.is_incompressible(e.id) {
                     return;
                 }
-                if let Value::Bat(b) = &e.result {
-                    // views alias another BAT's buffers — nothing to free
-                    if !b.head().is_view() && !b.tail().is_view() {
-                        raw.push((e.last_used(), e.id, Arc::clone(b), e.bytes));
-                    }
+                // views alias another BAT's buffers — nothing to free
+                if !b.head().is_view() && !b.tail().is_view() {
+                    raw.push((e.last_used(), e.id, Arc::clone(b), e.bytes()));
                 }
             }
-            TierState::Compressed(blob) if spill_on => {
+            Payload::Compressed(blob) if spill_on => {
                 cold.push((e.last_used(), e.id, Arc::clone(blob)));
             }
+            // scalars, spilled records and operator state (evict-only:
+            // the codecs target columnar BATs) have no rung below them
             _ => {}
         }
     });
@@ -645,15 +637,21 @@ fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
         }
         let blob = Arc::new(CompressedBat::compress(&bat));
         drop(bat);
-        if blob.byte_size() >= bytes {
+        let blob_bytes = blob.byte_size();
+        if blob_bytes >= bytes {
             // even the best codec choice doesn't shrink this payload;
             // remember that instead of re-sampling it every round
             ctl.note_incompressible(id);
             continue;
         }
-        let got = pool.demote_compress(id, Arc::clone(&blob));
-        if got > 0 {
-            freed += got;
+        let was = pool.retier(
+            id,
+            Payload::Compressed(Arc::clone(&blob)),
+            blob_bytes,
+            |e| e.pin_count() == 0 && blob_bytes < e.bytes(),
+        );
+        if let Some(was) = was {
+            freed += was - blob_bytes;
             compressed_n += 1;
             // freshly compressed entries are the coldest on the ladder:
             // make them spill candidates *this* round, or continued
@@ -684,9 +682,13 @@ fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
                 // appending this round; eviction covers what remains
                 break;
             };
-            let got = pool.demote_spill(id, &blob, ticket);
-            if got > 0 {
-                freed += got;
+            // a spilled entry stops charging resident bytes entirely
+            let was = pool.retier(id, Payload::Spilled(ticket), 0, |e| {
+                e.pin_count() == 0
+                    && matches!(e.payload(), Payload::Compressed(b) if Arc::ptr_eq(b, &blob))
+            });
+            if let Some(was) = was {
+                freed += was;
                 spilled_n += 1;
             }
         }

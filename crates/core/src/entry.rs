@@ -2,10 +2,11 @@
 //!
 //! # Concurrency
 //!
-//! An entry's *identity* (signature, arguments, result, lineage) is fixed
+//! An entry's *identity* (signature, arguments, payload, lineage) is fixed
 //! at admission and only ever rewritten under a scoped pool write view
-//! holding its shard's write lock (delta propagation). Its *usage
-//! statistics* — reuse counters, the
+//! holding its shard's write lock (delta propagation), or — for the
+//! payload alone — by the pool's one residency transition under the same
+//! lock. Its *usage statistics* — reuse counters, the
 //! last-use stamp, the pin count, the saved-time tally and the
 //! credit-return flag — are plain atomics, so the exact-match hit path
 //! can update them while holding nothing stronger than a shard **read**
@@ -19,24 +20,53 @@ use std::time::Duration;
 
 use rbat::ops::{GroupMap, JoinBuild, SortedRun};
 use rbat::{BatId, Value};
+use rmal::Opcode;
 
 use crate::signature::{ArtifactKind, Sig};
-use crate::tier::TierState;
+use crate::tier::{CompressedBat, SpillTicket};
 
 /// Identifier of a pool entry.
 pub type EntryId = u64;
 
-/// An operator's exported internal structure, cached for reuse by a later
-/// probe over the same build side. `Arc`-wrapped so the hit path can hand
-/// out a payload clone under nothing stronger than a shard read lock.
+/// What a pool entry holds, and where it lives — the one notion of "an
+/// intermediate" the pool, the admission funnel, the hit path and the
+/// ledger share. `Arc`-wrapped (or `Copy`) throughout, so the hit path can
+/// hand out a clone under nothing stronger than a shard read lock.
 ///
-/// The `Result` kind of the artifact model is the entry's existing
-/// [`PoolEntry::result`] field (a whole result BAT); entries carrying one
-/// of these variants instead hold `Value::Nil` there. Artifacts are
-/// **evict-only** on the residency ladder: the compress/spill rungs target
-/// columnar BATs and skip entries whose `artifact` is set.
+/// # Transitions
+///
+/// A resident entry's payload changes only through the pool's single
+/// transition function, which consults [`Payload::may_become`] — the
+/// whole table. Its two entry points each perform one kind of move:
+/// [`crate::RecyclePool::retier`] the ladder moves (always a change of
+/// rung — a second promotion of an already-raw entry loses to the first),
+/// the scoped view's `set_raw` the in-place Raw → Raw rewrite:
+///
+/// ```text
+/// Raw ──compress──▶ Compressed ──spill──▶ Spilled
+///  ▲ ◀───promote───────┘                     │
+///  └──────────────promote────────────────────┘
+/// Raw ──resize / rewrite──▶ Raw      (delta propagation; rekey is Raw-only)
+/// JoinBuild, GroupMap, SortedRun: no transitions — evict-only
+/// any ──▶ gone                       (eviction, invalidation, repair)
+/// ```
+///
+/// Everything else (compressed → compressed, raw → spilled, spilled →
+/// resize, anything into or out of an operator-state variant) is refused
+/// and leaves the entry, every book and the spill file untouched. The
+/// codecs target columnar BATs, so operator state never leaves memory in
+/// any other form than eviction.
 #[derive(Debug, Clone)]
-pub enum Artifact {
+pub enum Payload {
+    /// Hot: the materialised result (BAT or scalar), reusable as is.
+    Raw(Value),
+    /// Cold: the result as an in-memory compressed blob. A hit
+    /// decompresses outside any lock and promotes back to raw.
+    Compressed(Arc<CompressedBat>),
+    /// Coldest: the blob lives in the spill block file; only the claim
+    /// ticket stays in memory. A hit reads the record back, decodes it and
+    /// promotes to raw.
+    Spilled(SpillTicket),
     /// A join's build side: the hash table over the build BAT's head.
     JoinBuild(Arc<JoinBuild>),
     /// A grouping's first-appearance group-id assignment.
@@ -45,34 +75,72 @@ pub enum Artifact {
     SortedRun(Arc<SortedRun>),
 }
 
-impl Artifact {
-    /// The signature-kind discriminant this artifact files under.
+impl Payload {
+    /// The signature-kind discriminant an entry holding this payload files
+    /// under; every residency of a result BAT is a `Result`.
     pub fn kind(&self) -> ArtifactKind {
         match self {
-            Artifact::JoinBuild(_) => ArtifactKind::JoinBuild,
-            Artifact::GroupMap(_) => ArtifactKind::GroupMap,
-            Artifact::SortedRun(_) => ArtifactKind::SortedRun,
+            Payload::Raw(_) | Payload::Compressed(_) | Payload::Spilled(_) => ArtifactKind::Result,
+            Payload::JoinBuild(_) => ArtifactKind::JoinBuild,
+            Payload::GroupMap(_) => ArtifactKind::GroupMap,
+            Payload::SortedRun(_) => ArtifactKind::SortedRun,
         }
     }
 
-    /// Approximate heap footprint — charged against the pool cap and the
-    /// admitting session's credit slice exactly like result bytes.
-    pub fn byte_size(&self) -> usize {
+    /// The raw result, when resident as such.
+    pub fn as_raw(&self) -> Option<&Value> {
         match self {
-            Artifact::JoinBuild(b) => b.byte_size(),
-            Artifact::GroupMap(m) => m.byte_size(),
-            Artifact::SortedRun(r) => r.byte_size(),
+            Payload::Raw(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The legal-transition table (see the type-level docs): may a resident
+    /// entry holding `self` be handed `to` instead?
+    pub fn may_become(&self, to: &Payload) -> bool {
+        matches!(
+            (self, to),
+            (Payload::Raw(_), Payload::Raw(_) | Payload::Compressed(_))
+                | (
+                    Payload::Compressed(_),
+                    Payload::Raw(_) | Payload::Spilled(_)
+                )
+                | (Payload::Spilled(_), Payload::Raw(_))
+        )
+    }
+
+    /// Bytes an entry holding this payload for `op` charges against the
+    /// pool cap (and, at admission, the session's credit slice). Raw
+    /// results pay only for what the instruction newly materialised: binds
+    /// reference persistent storage and zero-cost viewpoint instructions
+    /// share their operand's buffers (paper §2.3, Table III shows
+    /// bind/markT at 0 MB). A blob pays its size, a spilled record nothing
+    /// (it counts against the spill budget instead), operator state its
+    /// heap footprint.
+    pub fn charge_bytes(&self, op: Opcode) -> usize {
+        match self {
+            Payload::Raw(_) if matches!(op, Opcode::Bind | Opcode::BindIdx) || op.zero_cost() => 64,
+            Payload::Raw(v) => v
+                .as_bat()
+                .map(|b| b.resident_bytes())
+                .unwrap_or(std::mem::size_of::<Value>()),
+            Payload::Compressed(blob) => blob.byte_size(),
+            Payload::Spilled(_) => 0,
+            Payload::JoinBuild(b) => b.byte_size(),
+            Payload::GroupMap(m) => m.byte_size(),
+            Payload::SortedRun(r) => r.byte_size(),
         }
     }
 
     /// Instruction-family label for the pool-content breakdown (Table III
-    /// rows) — artifacts get their own rows instead of polluting the
+    /// rows) — operator state gets its own rows instead of polluting the
     /// result families.
-    pub fn family(&self) -> &'static str {
+    pub fn family(&self, op: Opcode) -> &'static str {
         match self {
-            Artifact::JoinBuild(_) => "join.build",
-            Artifact::GroupMap(_) => "group.map",
-            Artifact::SortedRun(_) => "sort.run",
+            Payload::JoinBuild(_) => "join.build",
+            Payload::GroupMap(_) => "group.map",
+            Payload::SortedRun(_) => "sort.run",
+            _ => op.family(),
         }
     }
 }
@@ -82,8 +150,30 @@ impl Artifact {
 /// the CREDIT policy accounts against (paper §4.2).
 pub type InstrKey = (u64, usize);
 
-/// A recycled intermediate: the instruction as executed, its materialised
-/// result, lineage links and the execution/reuse statistics that drive the
+/// Where an entry comes from in the pool's lineage graph.
+#[derive(Debug, Clone, Default)]
+pub struct Lineage {
+    /// Pool entries whose results feed this instruction.
+    pub parents: Vec<EntryId>,
+    /// Persistent `(table, column)` pairs it (transitively) derives from.
+    pub base_columns: BTreeSet<(String, String)>,
+}
+
+/// Who admitted an entry, and when.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Admitter {
+    /// Logical admission tick (also the initial last-use stamp).
+    pub tick: u64,
+    /// Invocation counter value at admission.
+    pub invocation: u64,
+    /// Admitting session.
+    pub session: u64,
+    /// Source instruction identity (for credit returns).
+    pub creator: InstrKey,
+}
+
+/// A recycled intermediate: the instruction as executed, its payload,
+/// lineage links and the execution/reuse statistics that drive the
 /// admission and eviction policies.
 #[derive(Debug)]
 pub struct PoolEntry {
@@ -94,24 +184,19 @@ pub struct PoolEntry {
     /// The evaluated argument values as executed — kept for delta
     /// propagation, which must re-run operators over update deltas (§6.3).
     pub args: Vec<Value>,
-    /// The materialised result (BAT or scalar).
-    pub result: Value,
-    /// Identity of the result BAT, when the result is one.
+    /// What the entry holds and where it lives. Private together with
+    /// `bytes`: the pair is what the pool's ledger books, so it moves only
+    /// through [`Self::swap_payload`], called by the pool's one transition
+    /// function under the shard write lock.
+    payload: Payload,
+    /// Identity of the result BAT, when the result is one. Survives
+    /// demotion: a compressed or spilled entry keeps its place in the
+    /// result index, so descendants stay matchable.
     pub result_id: Option<BatId>,
-    /// Cached operator state, when this entry holds a typed artifact
-    /// instead of a result BAT (`result` is `Value::Nil` then). `None` for
-    /// classic result entries.
-    pub artifact: Option<Artifact>,
-    /// Residency tier. Demoting an entry swaps `result` for `Value::Nil`
-    /// and parks the payload here (compressed blob or spill ticket);
-    /// promotion restores `result` under the shard write lock. `bytes`
-    /// always reflects the *current* tier's charge.
-    pub tier: TierState,
-    /// Resident bytes charged against the pool's memory budget — the raw
-    /// result's bytes while [`TierState::Raw`], the blob size while
-    /// compressed, zero while spilled (spilled bytes count against the
-    /// spill budget instead).
-    pub bytes: usize,
+    /// Resident bytes charged against the pool's memory budget for the
+    /// *current* payload ([`Payload::charge_bytes`] at admission and after
+    /// every transition).
+    bytes: usize,
     /// Measured CPU cost of computing the result — `Cost(I)` in eq. (1).
     pub cpu: Duration,
     /// Coarse instruction family (Table III breakdown).
@@ -170,10 +255,8 @@ impl Clone for PoolEntry {
             id: self.id,
             sig: self.sig.clone(),
             args: self.args.clone(),
-            result: self.result.clone(),
+            payload: self.payload.clone(),
             result_id: self.result_id,
-            artifact: self.artifact.clone(),
-            tier: self.tier.clone(),
             bytes: self.bytes,
             cpu: self.cpu,
             family: self.family,
@@ -195,6 +278,66 @@ impl Clone for PoolEntry {
 }
 
 impl PoolEntry {
+    /// A fresh entry as the admission funnel builds it: every statistic
+    /// zeroed, last use stamped with the admission tick, and **born
+    /// pinned** once on behalf of the admitting session. The result
+    /// identity and the family are read off the payload.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        id: EntryId,
+        sig: Sig,
+        args: Vec<Value>,
+        payload: Payload,
+        bytes: usize,
+        cpu: Duration,
+        lineage: Lineage,
+        admitter: Admitter,
+    ) -> PoolEntry {
+        PoolEntry {
+            id,
+            result_id: payload.as_raw().and_then(Value::as_bat).map(|b| b.id()),
+            family: payload.family(sig.op),
+            sig,
+            args,
+            payload,
+            bytes,
+            cpu,
+            parents: lineage.parents,
+            base_columns: lineage.base_columns,
+            admitted_tick: admitter.tick,
+            admitted_invocation: admitter.invocation,
+            admitted_session: admitter.session,
+            creator: admitter.creator,
+            last_used: AtomicU64::new(admitter.tick),
+            local_reuses: AtomicU64::new(0),
+            global_reuses: AtomicU64::new(0),
+            subsumption_uses: AtomicU64::new(0),
+            time_saved_ns: AtomicU64::new(0),
+            pins: AtomicU32::new(1),
+            credit_returned: AtomicBool::new(false),
+        }
+    }
+
+    /// What the entry holds and where it lives.
+    pub fn payload(&self) -> &Payload {
+        &self.payload
+    }
+
+    /// Resident bytes the entry currently charges against the pool cap.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Replace payload and charge, returning the old pair. Only the pool's
+    /// transition function calls this — it owns the legality check, the
+    /// ledger move and the spill-ticket retirement that must go with it.
+    pub(crate) fn swap_payload(&mut self, to: Payload, bytes: usize) -> (Payload, usize) {
+        (
+            std::mem::replace(&mut self.payload, to),
+            std::mem::replace(&mut self.bytes, bytes),
+        )
+    }
+
     /// Last computation-or-reuse tick.
     pub fn last_used(&self) -> u64 {
         self.last_used.load(Ordering::Relaxed)
@@ -264,74 +407,44 @@ impl PoolEntry {
         self.local_reuses() + self.global_reuses() > 0
     }
 
-    /// Test/bench support: a minimal select-family entry — signature and
-    /// scalar result keyed by `tag`, `last_used` stamped with it, every
-    /// statistic zeroed. Not part of the engine's admission path (which
-    /// builds entries from executed instructions); it exists so test
-    /// fixtures across the workspace don't each hand-roll the full field
-    /// list. Override individual fields after construction when a test
-    /// needs more.
+    /// Test/bench support: a minimal, unpinned select-family entry —
+    /// signature and scalar result keyed by `tag`, `last_used` stamped with
+    /// it, 1 ms of cost. Not part of the engine's admission path; it
+    /// exists so test fixtures across the workspace don't each spell out a
+    /// full [`Self::new`]. Override individual fields after construction
+    /// when a test needs more.
     #[doc(hidden)]
     pub fn test_stub(id: EntryId, tag: i64, parents: Vec<EntryId>, bytes: usize) -> PoolEntry {
-        PoolEntry {
+        let e = PoolEntry::new(
             id,
-            sig: Sig::of(rmal::Opcode::Select, &[Value::Int(tag)]),
-            args: vec![Value::Int(tag)],
-            result: Value::Int(tag),
-            result_id: None,
-            artifact: None,
-            tier: TierState::Raw,
+            Sig::of(Opcode::Select, &[Value::Int(tag)]),
+            vec![Value::Int(tag)],
+            Payload::Raw(Value::Int(tag)),
             bytes,
-            cpu: Duration::from_millis(1),
-            family: "select",
-            parents,
-            base_columns: BTreeSet::new(),
-            admitted_tick: 0,
-            admitted_invocation: 0,
-            admitted_session: 0,
-            creator: (0, 0),
-            last_used: AtomicU64::new(tag as u64),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        }
+            Duration::from_millis(1),
+            Lineage {
+                parents,
+                ..Lineage::default()
+            },
+            Admitter {
+                tick: tag as u64,
+                ..Admitter::default()
+            },
+        );
+        e.pins.store(0, Ordering::Relaxed);
+        e
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmal::Opcode;
 
     fn entry() -> PoolEntry {
-        PoolEntry {
-            id: 1,
-            sig: Sig::of(Opcode::Select, &[Value::Int(1)]),
-            args: vec![Value::Int(1)],
-            result: Value::Int(7),
-            result_id: None,
-            artifact: None,
-            tier: TierState::Raw,
-            bytes: 64,
-            cpu: Duration::from_millis(100),
-            family: "select",
-            parents: vec![],
-            base_columns: BTreeSet::new(),
-            admitted_tick: 10,
-            admitted_invocation: 1,
-            admitted_session: 1,
-            creator: (1, 0),
-            last_used: AtomicU64::new(10),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        }
+        let mut e = PoolEntry::test_stub(1, 1, vec![], 64);
+        e.cpu = Duration::from_millis(100);
+        e.admitted_tick = 10;
+        e
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn gather(pool: &RecyclePool, policy: EvictionPolicy, now_tick: u64) -> Vec<Cand
         if e.pin_count() == 0 {
             out.push(Candidate {
                 id: e.id,
-                bytes: e.bytes,
+                bytes: e.bytes(),
                 key: policy_key(policy, e, now_tick),
                 last_used: e.last_used(),
             });
@@ -222,7 +222,7 @@ fn evict_memory(
         let removed = pool.remove_batch_if_evictable(&victims);
         let progressed = !removed.is_empty();
         for e in removed {
-            freed += e.bytes;
+            freed += e.bytes();
             evicted.push(e);
         }
         if !progressed {
@@ -282,11 +282,7 @@ fn knapsack_victims(leaves: &[Candidate], capacity: usize) -> Vec<EntryId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signature::Sig;
-    use rbat::Value;
-    use rmal::Opcode;
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     fn put(
@@ -297,31 +293,10 @@ mod tests {
         global_reuses: u64,
         last_used: u64,
     ) -> EntryId {
-        let e = PoolEntry {
-            id: pool.alloc_id(),
-            sig: Sig::of(Opcode::Select, &[Value::Int(tag)]),
-            args: vec![Value::Int(tag)],
-            result: Value::Int(tag),
-            result_id: None,
-            artifact: None,
-            tier: crate::tier::TierState::Raw,
-            bytes,
-            cpu: Duration::from_millis(cpu_ms),
-            family: "select",
-            parents: vec![],
-            base_columns: BTreeSet::new(),
-            admitted_tick: 0,
-            admitted_invocation: 0,
-            admitted_session: 0,
-            creator: (0, 0),
-            last_used: AtomicU64::new(last_used),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(global_reuses),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        };
+        let mut e = PoolEntry::test_stub(pool.alloc_id(), tag, vec![], bytes);
+        e.cpu = Duration::from_millis(cpu_ms);
+        e.global_reuses.store(global_reuses, Ordering::Relaxed);
+        e.last_used.store(last_used, Ordering::Relaxed);
         pool.insert(e, None).id()
     }
 
@@ -359,7 +334,7 @@ mod tests {
             EvictTrigger::Memory(2500),
             100,
         );
-        let freed: usize = ev.iter().map(|e| e.bytes).sum();
+        let freed: usize = ev.iter().map(|e| e.bytes()).sum();
         assert!(freed >= 2500, "freed only {freed}");
         assert_eq!(pool.bytes(), before - freed);
         pool.check_invariants().unwrap();
@@ -483,31 +458,9 @@ mod tests {
         // parent <- child: child must go before parent can.
         let pool = RecyclePool::new();
         let parent = put(&pool, 1, 1000, 10, 5, 1);
-        let child = PoolEntry {
-            id: pool.alloc_id(),
-            sig: Sig::of(Opcode::Reverse, &[Value::Int(99)]),
-            args: vec![],
-            result: Value::Int(0),
-            result_id: None,
-            artifact: None,
-            tier: crate::tier::TierState::Raw,
-            bytes: 1000,
-            cpu: Duration::from_millis(1),
-            family: "view",
-            parents: vec![parent],
-            base_columns: BTreeSet::new(),
-            admitted_tick: 0,
-            admitted_invocation: 0,
-            admitted_session: 0,
-            creator: (0, 1),
-            last_used: AtomicU64::new(9),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        };
+        let mut child = PoolEntry::test_stub(pool.alloc_id(), 99, vec![parent], 1000);
+        child.family = "view";
+        child.last_used.store(9, Ordering::Relaxed);
         pool.insert(child, None);
         let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Memory(1500), 10);
         assert_eq!(ev.len(), 2);

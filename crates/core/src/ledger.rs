@@ -1,0 +1,257 @@
+//! The pool's one ledger: every byte and entry-count book, moved in one
+//! place.
+//!
+//! An entry charges exactly one [`Charge`], computed by [`charge`] from
+//! its payload and byte count. The books are sums of those charges —
+//! per shard and rung (raw / compressed / spilled, plus operator state as
+//! a sub-book of raw), the pool-wide resident total, the entry count and
+//! the per-session resident counts the admission budget slices — and
+//! [`Ledger::apply`] is the only code that moves any of them:
+//!
+//! | event                         | `before` → `after`            |
+//! |-------------------------------|-------------------------------|
+//! | insert                        | `None` → `Some`               |
+//! | remove (evict, invalidate)    | `Some` → `None`               |
+//! | compress, spill, promote, resize | `Some` → `Some`            |
+//! | shard migration (rekey)       | insert at the new shard, then remove at the old |
+//!
+//! The caller holds the write lock of the shard it names, so each shard's
+//! books change under that shard's lock; the pool-wide totals are plain
+//! atomics read lock-free by the admission gate. Because every book is a
+//! pure function of the resident entries, [`Ledger::recompute`] re-derives
+//! all of them from the slabs: quarantine repair stores that image,
+//! `check_invariants` and the scoped view's debug drop compare against it.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use crate::entry::{Payload, PoolEntry};
+use crate::pool::ShardedIndex;
+
+/// What one entry charges to each book of its shard.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Charge {
+    /// Resident bytes of raw payloads (results and operator state).
+    pub raw: usize,
+    /// Resident bytes of compressed blobs.
+    pub compressed: usize,
+    /// Bytes of spilled records — off the memory cap, counted against the
+    /// spill budget.
+    pub spilled: usize,
+    /// The part of `raw` held by operator-state artifacts.
+    pub artifact: usize,
+}
+
+impl Charge {
+    /// Bytes counted against the memory cap.
+    pub fn resident(&self) -> usize {
+        self.raw + self.compressed
+    }
+}
+
+impl std::ops::AddAssign for Charge {
+    fn add_assign(&mut self, c: Charge) {
+        self.raw += c.raw;
+        self.compressed += c.compressed;
+        self.spilled += c.spilled;
+        self.artifact += c.artifact;
+    }
+}
+
+/// Classify an entry: which books its `bytes` belong in.
+pub fn charge(payload: &Payload, bytes: usize) -> Charge {
+    match payload {
+        Payload::Raw(_) => Charge {
+            raw: bytes,
+            ..Charge::default()
+        },
+        Payload::Compressed(_) => Charge {
+            compressed: bytes,
+            ..Charge::default()
+        },
+        Payload::Spilled(ticket) => Charge {
+            spilled: ticket.len as usize,
+            ..Charge::default()
+        },
+        Payload::JoinBuild(_) | Payload::GroupMap(_) | Payload::SortedRun(_) => Charge {
+            raw: bytes,
+            artifact: bytes,
+            ..Charge::default()
+        },
+    }
+}
+
+/// A plain-number image of every book: what [`Ledger::recompute`] derives
+/// from the slabs and [`Ledger::books`] reads off the live counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Books {
+    /// Per-shard sums of the resident entries' charges.
+    pub shards: Vec<Charge>,
+    /// Pool-wide resident bytes (`Σ shards.resident()`).
+    pub bytes: usize,
+    /// Resident entries.
+    pub entries: usize,
+    /// Resident entries per admitting session (sessions with none absent).
+    pub by_session: BTreeMap<u64, u64>,
+}
+
+/// One shard's live books, in the field order of [`Charge`].
+type ShardBooks = [AtomicUsize; 4];
+
+fn fields(c: Charge) -> [usize; 4] {
+    [c.raw, c.compressed, c.spilled, c.artifact]
+}
+
+/// Move one book from `from` to `to`; a book the charge does not touch
+/// (most of them, for any one entry) costs no atomic write.
+fn shift(cell: &AtomicUsize, from: usize, to: usize) {
+    if to > from {
+        cell.fetch_add(to - from, Ordering::Relaxed);
+    } else if to < from {
+        cell.fetch_sub(from - to, Ordering::Relaxed);
+    }
+}
+
+/// The live books (see the module docs).
+pub(crate) struct Ledger {
+    shards: Box<[ShardBooks]>,
+    bytes: AtomicUsize,
+    entries: AtomicUsize,
+    by_session: ShardedIndex<u64, u64>,
+}
+
+impl Ledger {
+    pub(crate) fn new(shards: usize) -> Ledger {
+        Ledger {
+            shards: (0..shards).map(|_| ShardBooks::default()).collect(),
+            bytes: AtomicUsize::new(0),
+            entries: AtomicUsize::new(0),
+            by_session: ShardedIndex::new(shards),
+        }
+    }
+
+    /// Move the books for one entry of `session` in `shard` from the
+    /// `before` charge to the `after` charge (`None` = not resident).
+    pub(crate) fn apply(
+        &self,
+        shard: usize,
+        session: u64,
+        before: Option<Charge>,
+        after: Option<Charge>,
+    ) {
+        let (b, a) = (before.unwrap_or_default(), after.unwrap_or_default());
+        for (cell, (from, to)) in self.shards[shard]
+            .iter()
+            .zip(fields(b).into_iter().zip(fields(a)))
+        {
+            shift(cell, from, to);
+        }
+        shift(&self.bytes, b.resident(), a.resident());
+        match (before.is_some(), after.is_some()) {
+            (false, true) => {
+                self.entries.fetch_add(1, Ordering::Relaxed);
+                self.by_session.alter(&session, |m| {
+                    *m.entry(session).or_insert(0) += 1;
+                });
+            }
+            (true, false) => {
+                self.entries.fetch_sub(1, Ordering::Relaxed);
+                self.by_session.alter(&session, |m| {
+                    if let Some(n) = m.get_mut(&session) {
+                        *n = n.saturating_sub(1);
+                        if *n == 0 {
+                            m.remove(&session);
+                        }
+                    }
+                });
+            }
+            _ => {}
+        }
+    }
+
+    /// Pool-wide resident bytes.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    /// Resident entries.
+    pub(crate) fn entries(&self) -> usize {
+        self.entries.load(Ordering::Relaxed)
+    }
+
+    /// Resident entries admitted by `session`.
+    pub(crate) fn resident_of_session(&self, session: u64) -> u64 {
+        self.by_session.with(&session, |n| n.copied().unwrap_or(0))
+    }
+
+    /// One shard's books.
+    pub(crate) fn shard(&self, shard: usize) -> Charge {
+        let [raw, compressed, spilled, artifact] = self.shards[shard]
+            .each_ref()
+            .map(|c| c.load(Ordering::Relaxed));
+        Charge {
+            raw,
+            compressed,
+            spilled,
+            artifact,
+        }
+    }
+
+    /// All shards' books summed.
+    pub(crate) fn totals(&self) -> Charge {
+        let mut total = Charge::default();
+        for i in 0..self.shards.len() {
+            total += self.shard(i);
+        }
+        total
+    }
+
+    /// The live counters as a plain image.
+    pub(crate) fn books(&self) -> Books {
+        let mut by_session = BTreeMap::new();
+        self.by_session.for_each(|s, n| {
+            by_session.insert(*s, *n);
+        });
+        Books {
+            shards: (0..self.shards.len()).map(|i| self.shard(i)).collect(),
+            bytes: self.bytes(),
+            entries: self.entries(),
+            by_session,
+        }
+    }
+
+    /// The single sum: every book re-derived from `(shard, entry)` pairs.
+    pub(crate) fn recompute<'a>(
+        shards: usize,
+        slabs: impl Iterator<Item = (usize, &'a PoolEntry)>,
+    ) -> Books {
+        let mut books = Books {
+            shards: vec![Charge::default(); shards],
+            ..Books::default()
+        };
+        for (si, e) in slabs {
+            let c = charge(e.payload(), e.bytes());
+            books.shards[si] += c;
+            books.bytes += c.resident();
+            books.entries += 1;
+            *books.by_session.entry(e.admitted_session).or_insert(0) += 1;
+        }
+        books
+    }
+
+    /// Overwrite every counter with `books` (quarantine repair, `clear`).
+    /// The caller holds every shard write lock.
+    pub(crate) fn store(&self, books: &Books) {
+        for (live, want) in self.shards.iter().zip(&books.shards) {
+            for (cell, v) in live.iter().zip(fields(*want)) {
+                cell.store(v, Ordering::Relaxed);
+            }
+        }
+        self.bytes.store(books.bytes, Ordering::Relaxed);
+        self.entries.store(books.entries, Ordering::Relaxed);
+        self.by_session.clear();
+        for (s, n) in &books.by_session {
+            self.by_session.insert(*s, *n);
+        }
+    }
+}

@@ -89,6 +89,7 @@ pub mod entry;
 pub mod eviction;
 #[cfg(feature = "failpoints")]
 pub mod fault;
+pub mod ledger;
 pub mod mark;
 pub mod pool;
 pub mod propagate;
@@ -100,9 +101,9 @@ pub mod subsume;
 pub mod tier;
 
 pub use config::{AdmissionPolicy, EvictionPolicy, RecyclerConfig, UpdateMode};
-pub use entry::{EntryId, PoolEntry};
+pub use entry::{EntryId, Payload, PoolEntry};
 pub use mark::RecycleMark;
-pub use pool::{Admitted, PoolScopedView, PoolWriteView, RecyclePool, RepairReport};
+pub use pool::{Admitted, PoolScopedView, RecyclePool, RepairReport};
 pub use runtime::Recycler;
 pub use shared::{MaintenanceGuard, PoolRef, SharedRecycler};
 pub use stats::{FamilyRow, PoolSnapshot, QueryRecord, RecyclerStats};

@@ -15,7 +15,8 @@ use rbat::hash::{FxHashMap, FxHashSet, FxHasher};
 use rbat::BatId;
 use rmal::Opcode;
 
-use crate::entry::{EntryId, PoolEntry};
+use crate::entry::{EntryId, Payload, PoolEntry};
+use crate::ledger::{charge, Books, Ledger};
 use crate::signature::{ArgSig, ArtifactKind, Sig};
 
 /// Outcome of [`RecyclePool::insert`].
@@ -217,22 +218,18 @@ fn default_shard_count() -> usize {
 /// shard observes fully wired, quiescent lineage for those entries.
 pub struct RecyclePool {
     shards: Box<[RwLock<Shard>]>,
-    /// Resident bytes per shard (diagnostics + eviction targeting without
-    /// locks).
-    shard_bytes: Box<[AtomicUsize]>,
-    /// Per-shard byte books split by residency tier. Invariant (verified
-    /// by [`Self::check_invariants`]): `raw + compressed == shard_bytes`
-    /// per shard — spilled bytes live off-cap and are tracked for
-    /// observability and the spill budget only. Adjusted at the same
-    /// funnels as `shard_bytes` (insert/remove) plus the tier
-    /// transitions ([`Self::demote_compress`], [`Self::demote_spill`],
-    /// [`Self::promote`]), always under the owning shard's write lock.
-    tier_books: Box<[crate::tier::TierBook]>,
-    /// The spill block file backing [`crate::tier::TierState::Spilled`]
-    /// entries, when the database opted in via `spill_dir`.
+    /// Every byte and entry-count book (per-shard rung books, resident
+    /// totals, per-session resident counts — the book the per-session
+    /// admission budget reads). Moved only by [`Ledger::apply`], called
+    /// from the insert/remove funnels ([`Self::insert`] / `remove_locked`)
+    /// and the one residency transition, always under the owning shard's
+    /// write lock — so every removal path (eviction, invalidation,
+    /// propagation rekey clashes) releases the admitting session's budget
+    /// automatically.
+    ledger: Ledger,
+    /// The spill block file backing [`Payload::Spilled`] entries, when the
+    /// database opted in via `spill_dir`.
     spill: Option<Arc<crate::tier::SpillFile>>,
-    total_bytes: AtomicUsize,
-    total_entries: AtomicUsize,
     owner: ShardedIndex<EntryId, usize>,
     by_result: ShardedIndex<BatId, EntryId>,
     result_aliases: ShardedIndex<EntryId, Vec<BatId>>,
@@ -257,12 +254,6 @@ pub struct RecyclePool {
     /// opcode+operand scatter over the signature shards): a miss-path
     /// candidate probe takes ONE sub-map read lock, not N shard locks.
     by_op_arg0: ShardedIndex<(Opcode, ArgSig), Vec<EntryId>>,
-    /// Resident entries per admitting session — the book the per-session
-    /// admission budget reads. Maintained at the single insert/remove
-    /// funnels ([`Self::insert`] / `remove_locked`), so every removal path
-    /// (eviction, invalidation, propagation rekey clashes, `clear`)
-    /// releases the admitting session's budget automatically.
-    by_session: ShardedIndex<u64, u64>,
     next_id: AtomicU64,
     /// Shard write-lock acquisitions since construction — the probe for
     /// the "exact-match hits take no write lock" invariant.
@@ -322,9 +313,8 @@ pub struct RepairReport {
     /// Entries dropped: torn (half-wired) residents of repaired shards
     /// plus any entry whose lineage chain died with them.
     pub entries_dropped: usize,
-    /// Bytes of the dropped entries, refunded exactly from the byte
-    /// books (which are additionally recomputed from the surviving
-    /// slabs, healing any counter drift a mid-flight panic left).
+    /// Bytes of the dropped entries; the ledger is recomputed from the
+    /// surviving slabs, healing any counter drift a mid-flight panic left.
     pub bytes_dropped: usize,
 }
 
@@ -358,11 +348,8 @@ impl RecyclePool {
         let n = n.max(1).next_power_of_two();
         RecyclePool {
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            tier_books: (0..n).map(|_| crate::tier::TierBook::default()).collect(),
+            ledger: Ledger::new(n),
             spill: None,
-            total_bytes: AtomicUsize::new(0),
-            total_entries: AtomicUsize::new(0),
             owner: ShardedIndex::new(n),
             by_result: ShardedIndex::new(n),
             result_aliases: ShardedIndex::new(n),
@@ -371,7 +358,6 @@ impl RecyclePool {
             leaf_count: AtomicUsize::new(0),
             supersets: ShardedIndex::new(n),
             by_op_arg0: ShardedIndex::new(n),
-            by_session: ShardedIndex::new(n),
             next_id: AtomicU64::new(0),
             write_acquisitions: AtomicU64::new(0),
             shard_write_acquisitions: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -397,9 +383,9 @@ impl RecyclePool {
         (sig.fingerprint() as usize) & (self.shards.len() - 1)
     }
 
-    /// Resident bytes of one shard.
+    /// Resident bytes of one shard (its raw plus compressed books).
     pub fn shard_bytes(&self, shard: usize) -> usize {
-        self.shard_bytes[shard].load(Ordering::Relaxed)
+        self.ledger.shard(shard).resident()
     }
 
     /// Shard write-lock acquisitions since construction. The exact-match
@@ -508,7 +494,7 @@ impl RecyclePool {
 
     /// Number of entries ("cache lines").
     pub fn len(&self) -> usize {
-        self.total_entries.load(Ordering::Relaxed)
+        self.ledger.entries()
     }
 
     /// Is the pool empty?
@@ -518,7 +504,7 @@ impl RecyclePool {
 
     /// Total resident bytes of stored intermediates.
     pub fn bytes(&self) -> usize {
-        self.total_bytes.load(Ordering::Relaxed)
+        self.ledger.bytes()
     }
 
     /// Allocate the next entry id (monotone, never reused — also across
@@ -541,15 +527,12 @@ impl RecyclePool {
         let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = (0..self.shards.len())
             .map(|i| self.write_shard(i))
             .collect();
-        for (i, sh) in guards.iter_mut().enumerate() {
+        for sh in guards.iter_mut() {
             sh.entries.clear();
             sh.by_sig.clear();
-            self.shard_bytes[i].store(0, Ordering::Relaxed);
-            self.tier_books[i].raw.store(0, Ordering::Relaxed);
-            self.tier_books[i].compressed.store(0, Ordering::Relaxed);
-            self.tier_books[i].spilled.store(0, Ordering::Relaxed);
-            self.tier_books[i].artifact.store(0, Ordering::Relaxed);
         }
+        self.ledger
+            .store(&Ledger::recompute(guards.len(), std::iter::empty()));
         if let Some(spill) = &self.spill {
             spill.clear();
         }
@@ -562,9 +545,6 @@ impl RecyclePool {
         self.nursery.clear();
         self.supersets.clear();
         self.by_op_arg0.clear();
-        self.by_session.clear();
-        self.total_bytes.store(0, Ordering::Relaxed);
-        self.total_entries.store(0, Ordering::Relaxed);
         // A full wipe trivially restores every invariant: lift any
         // quarantine and un-poison the locks — while the write guards
         // are still held, so no probe can observe a poisoned lock with
@@ -596,12 +576,12 @@ impl RecyclePool {
     /// 3. entries whose lineage chain died (a dropped ancestor anywhere)
     ///    are cascaded out — a child may never outlive its parents;
     /// 4. the derived indexes (owner, children, evictable leaves,
-    ///    session books, subsumption candidates) are rebuilt from the
-    ///    surviving slabs, and the result/alias/subset maps pruned to
-    ///    surviving ids;
-    /// 5. byte books are recomputed exactly from the survivors (healing
-    ///    drift in either direction), lock poison is cleared and the
-    ///    quarantine bits lowered while the write guards are still held.
+    ///    subsumption candidates) are rebuilt from the surviving slabs,
+    ///    and the result/alias/subset maps pruned to surviving ids;
+    /// 5. the ledger is overwritten with [`Ledger::recompute`] over the
+    ///    survivors (healing drift in either direction), lock poison is
+    ///    cleared and the quarantine bits lowered while the write guards
+    ///    are still held.
     ///
     /// Afterwards [`Self::check_invariants`] holds again (tests assert
     /// it). Dropped entries cost misses, never wrong answers: their
@@ -689,7 +669,6 @@ impl RecyclePool {
         self.leaves.clear();
         self.leaf_count.store(0, Ordering::Relaxed);
         self.nursery.clear();
-        self.by_session.clear();
         self.by_op_arg0.clear();
         let mut leaf_total = 0usize;
         for (si, g) in guards.iter().enumerate() {
@@ -700,17 +679,7 @@ impl RecyclePool {
                         m.entry(*p).or_default().insert(*id);
                     });
                 }
-                self.by_session.alter(&e.admitted_session, |m| {
-                    *m.entry(e.admitted_session).or_insert(0) += 1;
-                });
-                if e.sig.kind == ArtifactKind::Result {
-                    if let Some(arg0) = e.sig.first_arg() {
-                        let key = (e.sig.op, arg0.clone());
-                        self.by_op_arg0.alter(&key, |m| {
-                            m.entry(key.clone()).or_default().push(*id);
-                        });
-                    }
-                }
+                self.wire_candidate(&e.sig, *id);
             }
         }
         for g in guards.iter() {
@@ -729,53 +698,15 @@ impl RecyclePool {
             live_results.insert(*b);
         });
         self.supersets.retain(|b, _| live_results.contains(b));
-        // 5. Exact byte books from the survivors; un-poison; unquarantine.
-        let mut total_bytes = 0usize;
-        let mut total_entries = 0usize;
-        for (si, g) in guards.iter().enumerate() {
-            let mut raw = 0usize;
-            let mut compressed = 0usize;
-            let mut spilled = 0usize;
-            let mut artifact = 0usize;
-            for e in g.entries.values() {
-                match &e.tier {
-                    crate::tier::TierState::Raw => {
-                        raw += e.bytes;
-                        if e.artifact.is_some() {
-                            artifact += e.bytes;
-                        }
-                    }
-                    crate::tier::TierState::Compressed(_) => compressed += e.bytes,
-                    crate::tier::TierState::Spilled(t) => spilled += t.len as usize,
-                }
-            }
-            let bytes = raw + compressed;
-            self.shard_bytes[si].store(bytes, Ordering::Relaxed);
-            self.tier_books[si].raw.store(raw, Ordering::Relaxed);
-            self.tier_books[si]
-                .compressed
-                .store(compressed, Ordering::Relaxed);
-            self.tier_books[si]
-                .spilled
-                .store(spilled, Ordering::Relaxed);
-            self.tier_books[si]
-                .artifact
-                .store(artifact, Ordering::Relaxed);
-            total_bytes += bytes;
-            total_entries += g.entries.len();
-        }
-        self.total_bytes.store(total_bytes, Ordering::Relaxed);
-        self.total_entries.store(total_entries, Ordering::Relaxed);
+        // 5. Exact ledger from the survivors; un-poison; unquarantine.
+        let survivors = self.recompute(guards.iter().map(|g| &**g).enumerate());
+        self.ledger.store(&survivors);
         // A torn demotion may have been dropped between appending the
         // spill record and wiring the ticket: retire every dropped
-        // entry's ticket so the spill file's live-byte book matches the
+        // entry's payload so the spill file's live-byte book matches the
         // surviving index.
-        if let Some(spill) = &self.spill {
-            for e in &dropped {
-                if let crate::tier::TierState::Spilled(t) = &e.tier {
-                    spill.mark_dead(*t);
-                }
-            }
+        for e in &dropped {
+            self.retire(e.payload());
         }
         for &si in &broken {
             self.shards[si].clear_poison();
@@ -788,14 +719,14 @@ impl RecyclePool {
         RepairReport {
             shards_repaired: broken,
             entries_dropped: dropped.len(),
-            bytes_dropped: dropped.iter().map(|e| e.bytes).sum(),
+            bytes_dropped: dropped.iter().map(|e| e.bytes()).sum(),
         }
     }
 
     /// Resident entries admitted by `session` (and not yet removed) — the
     /// per-session footprint the admission budget slices.
     pub fn resident_of_session(&self, session: u64) -> u64 {
-        self.by_session.with(&session, |n| n.copied().unwrap_or(0))
+        self.ledger.resident_of_session(session)
     }
 
     /// Exact-match lookup (shard read lock only). A quarantined shard
@@ -952,20 +883,9 @@ impl RecyclePool {
             }
         }
         let id = entry.id;
-        let bytes = entry.bytes;
-        let is_artifact = entry.artifact.is_some();
+        let admitted = charge(entry.payload(), entry.bytes());
         sh.by_sig.insert(entry.sig.clone(), id);
-        // Subsumption candidates are result entries only: an operator-state
-        // artifact is not a tuple superset of anything, so artifact-kind
-        // sigs stay out of the candidate side-map entirely.
-        if entry.sig.kind == ArtifactKind::Result {
-            if let Some(arg0) = entry.sig.first_arg() {
-                let key = (entry.sig.op, arg0.clone());
-                self.by_op_arg0.alter(&key, |m| {
-                    m.entry(key.clone()).or_default().push(id);
-                });
-            }
-        }
+        self.wire_candidate(&entry.sig, id);
         // A fresh entry has no dependents: it enters the evictable-leaf
         // index. Published BEFORE the owner mapping — no other session can
         // wire a child edge onto this entry until its parents resolve via
@@ -998,19 +918,7 @@ impl RecyclePool {
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert.wired");
         sh.entries.insert(id, entry);
-        self.by_session.alter(&session, |m| {
-            *m.entry(session).or_insert(0) += 1;
-        });
-        self.shard_bytes[si].fetch_add(bytes, Ordering::Relaxed);
-        // admissions always enter raw (demotion happens in place later)
-        self.tier_books[si].raw.fetch_add(bytes, Ordering::Relaxed);
-        if is_artifact {
-            self.tier_books[si]
-                .artifact
-                .fetch_add(bytes, Ordering::Relaxed);
-        }
-        self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.total_entries.fetch_add(1, Ordering::Relaxed);
+        self.ledger.apply(si, session, None, Some(admitted));
         Admitted::Inserted(id)
     }
 
@@ -1045,8 +953,24 @@ impl RecyclePool {
         }
     }
 
+    /// Wire `id` into the candidate side-map (caller holds a shard lock).
+    /// Subsumption candidates are result entries only: an operator-state
+    /// artifact is not a tuple superset of anything, so artifact-kind sigs
+    /// stay out of the side-map entirely.
+    fn wire_candidate(&self, sig: &Sig, id: EntryId) {
+        if sig.kind != ArtifactKind::Result {
+            return;
+        }
+        if let Some(arg0) = sig.first_arg() {
+            let key = (sig.op, arg0.clone());
+            self.by_op_arg0.alter(&key, |m| {
+                m.entry(key.clone()).or_default().push(id);
+            });
+        }
+    }
+
     /// Unwire `id` from the candidate side-map (caller holds a shard lock).
-    /// Artifact-kind sigs were never wired in (see [`Self::insert`]).
+    /// Artifact-kind sigs were never wired in (see [`Self::wire_candidate`]).
     fn unwire_candidate(&self, sig: &Sig, id: EntryId) {
         if sig.kind != ArtifactKind::Result {
             return;
@@ -1118,46 +1042,10 @@ impl RecyclePool {
         // re-inserted this entry into the leaf index serialised on the
         // `children` sub-map above, so this erase always lands last
         self.leaf_remove(&id);
-        let session = entry.admitted_session;
-        self.by_session.alter(&session, |m| {
-            if let Some(n) = m.get_mut(&session) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    m.remove(&session);
-                }
-            }
-        });
-        self.shard_bytes[si].fetch_sub(entry.bytes, Ordering::Relaxed);
-        match &entry.tier {
-            crate::tier::TierState::Raw => {
-                self.tier_books[si]
-                    .raw
-                    .fetch_sub(entry.bytes, Ordering::Relaxed);
-                if entry.artifact.is_some() {
-                    self.tier_books[si]
-                        .artifact
-                        .fetch_sub(entry.bytes, Ordering::Relaxed);
-                }
-            }
-            crate::tier::TierState::Compressed(_) => {
-                self.tier_books[si]
-                    .compressed
-                    .fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
-            crate::tier::TierState::Spilled(t) => {
-                self.tier_books[si]
-                    .spilled
-                    .fetch_sub(t.len as usize, Ordering::Relaxed);
-                // retire the on-disk record: a dead ticket frees spill
-                // budget immediately (and the block file truncates once
-                // no live records remain)
-                if let Some(spill) = &self.spill {
-                    spill.mark_dead(*t);
-                }
-            }
-        }
-        self.total_bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-        self.total_entries.fetch_sub(1, Ordering::Relaxed);
+        let leaving = charge(entry.payload(), entry.bytes());
+        self.ledger
+            .apply(si, entry.admitted_session, Some(leaving), None);
+        self.retire(entry.payload());
         Some(entry)
     }
 
@@ -1318,12 +1206,12 @@ impl RecyclePool {
     }
 
     // ------------------------------------------------------------------
-    // residency tiers (demotion ladder: raw → compressed → spilled)
+    // residency (the transition table is documented on `Payload`)
     // ------------------------------------------------------------------
 
     /// Attach the spill block file backing the coldest tier. Called once
     /// during construction (before the pool is shared); entries can only
-    /// reach [`crate::tier::TierState::Spilled`] when a file is attached.
+    /// reach [`Payload::Spilled`] when a file is attached.
     pub fn set_spill(&mut self, spill: Option<Arc<crate::tier::SpillFile>>) {
         self.spill = spill;
     }
@@ -1338,185 +1226,102 @@ impl RecyclePool {
     /// `raw + compressed == bytes()` at any quiescent instant; spilled
     /// bytes are off-cap (they count against the spill budget instead).
     pub fn tier_bytes(&self) -> (usize, usize, usize) {
-        let mut raw = 0usize;
-        let mut compressed = 0usize;
-        let mut spilled = 0usize;
-        for b in self.tier_books.iter() {
-            raw += b.raw.load(Ordering::Relaxed);
-            compressed += b.compressed.load(Ordering::Relaxed);
-            spilled += b.spilled.load(Ordering::Relaxed);
-        }
-        (raw, compressed, spilled)
+        let t = self.ledger.totals();
+        (t.raw, t.compressed, t.spilled)
     }
 
     /// Bytes currently charged by operator-state artifact entries (summed
     /// across shards — a subset of the raw book; artifacts never demote).
     pub fn artifact_bytes(&self) -> usize {
-        self.tier_books
-            .iter()
-            .map(|b| b.artifact.load(Ordering::Relaxed))
-            .sum()
+        self.ledger.totals().artifact
     }
 
-    /// Demote a raw entry to the in-memory compressed tier, swapping its
-    /// raw result for the pre-built blob *in place*. The caller (the
-    /// collector) compresses **outside** any lock and revalidation
-    /// happens here, inside the shard's write critical section: the
-    /// entry must still be resident, raw and unpinned — any concurrent
-    /// hit (pin) or removal since the candidate was gathered wins and the
-    /// demotion is dropped. Also refuses when the blob would not actually
-    /// shrink the charge. Entries with children are fair game: demotion
-    /// (unlike eviction) keeps the entry, its `result_id` and every index
-    /// alive, so descendants stay matchable and nothing is orphaned — in
-    /// chain-shaped plans the big early intermediates are precisely the
-    /// interior nodes. Returns the bytes freed (0 when skipped).
-    pub fn demote_compress(&self, id: EntryId, blob: Arc<crate::tier::CompressedBat>) -> usize {
-        let Some(si) = self.owner.get_clone(&id) else {
-            return 0;
-        };
-        if !self.shard_serviceable(si) {
-            return 0;
+    /// [`Ledger::recompute`] over the given `(shard index, slab)` pairs.
+    fn recompute<'a>(&self, slabs: impl Iterator<Item = (usize, &'a Shard)>) -> Books {
+        let entries = slabs.flat_map(|(si, sh)| sh.entries.values().map(move |e| (si, e)));
+        Ledger::recompute(self.shards.len(), entries)
+    }
+
+    /// A payload is leaving the pool for good — its entry was removed, a
+    /// transition replaced it, or (a candidate) it was refused: a spilled
+    /// record's ticket is retired, which frees spill budget immediately
+    /// (the block file truncates once no live record remains). The one
+    /// caller of [`crate::tier::SpillFile::mark_dead`].
+    fn retire(&self, payload: &Payload) {
+        if let (Payload::Spilled(ticket), Some(spill)) = (payload, &self.spill) {
+            spill.mark_dead(*ticket);
         }
-        let new_bytes = blob.byte_size();
-        let mut sh = self.write_shard(si);
-        let Some(e) = sh.entries.get_mut(&id) else {
-            return 0;
-        };
-        if !e.tier.is_raw() || e.pin_count() != 0 || new_bytes >= e.bytes {
-            return 0;
+    }
+
+    /// The one residency transition: hand the resident entry `e` (in shard
+    /// `si`, write lock held) the payload `to`, charging `bytes`, if the
+    /// table on [`Payload`] allows it. Swaps the payload, moves the ledger
+    /// and retires whichever payload lost — the old one on success, the
+    /// candidate on refusal (nothing else is touched then). Returns the
+    /// bytes charged before.
+    fn transition(&self, si: usize, e: &mut PoolEntry, to: Payload, bytes: usize) -> Option<usize> {
+        if !e.payload().may_become(&to) {
+            self.retire(&to);
+            return None;
         }
-        // Operator-state artifacts are evict-only: the codecs target
-        // columnar BATs and the build structure is not a `Value::Bat`, so
-        // an artifact entry never leaves the raw rung.
-        if e.artifact.is_some() {
-            return 0;
-        }
-        let old_bytes = e.bytes;
-        e.result = rbat::Value::Nil;
-        e.tier = crate::tier::TierState::Compressed(blob);
-        e.bytes = new_bytes;
+        let after = charge(&to, bytes);
+        let (old, old_bytes) = e.swap_payload(to, bytes);
         // Failpoint: the entry is re-tiered but no book has moved — the
         // most torn state a mid-demotion unwind can leave this shard in.
         #[cfg(feature = "failpoints")]
-        let _ = crate::fault::fire("pool.demote.wired");
-        let freed = old_bytes - new_bytes;
-        self.tier_books[si]
-            .raw
-            .fetch_sub(old_bytes, Ordering::Relaxed);
-        self.tier_books[si]
-            .compressed
-            .fetch_add(new_bytes, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_sub(freed, Ordering::Relaxed);
-        self.total_bytes.fetch_sub(freed, Ordering::Relaxed);
-        freed
+        if after.raw == 0 {
+            let _ = crate::fault::fire("pool.demote.wired");
+        }
+        self.ledger.apply(
+            si,
+            e.admitted_session,
+            Some(charge(&old, old_bytes)),
+            Some(after),
+        );
+        self.retire(&old);
+        Some(old_bytes)
     }
 
-    /// Demote a compressed entry to the spill tier: the caller already
-    /// appended the blob to the spill file (outside any lock) and passes
-    /// the claim ticket plus the blob it spilled. Revalidated under the
-    /// shard write lock — the entry must still hold *that exact blob*
-    /// (`Arc::ptr_eq`) and be unpinned; otherwise the ticket is
-    /// immediately retired (the record is garbage) and 0 is returned.
-    /// On success the entry stops charging resident bytes entirely.
-    /// Returns the resident bytes freed.
-    pub fn demote_spill(
+    /// Move entry `id` one step along the residency ladder: demote it to a
+    /// blob the caller compressed, or a ticket the caller appended to the
+    /// spill file, or promote it back to the raw result a hit rebuilt —
+    /// all of that work happens **outside** any lock, and the move is
+    /// revalidated here, inside the shard's write critical section. The
+    /// entry must still be resident in a serviceable shard, sit on a
+    /// *different* rung than `to` (a second promotion of an already-raw
+    /// entry loses to the first) and pass `still_ok` — the caller's
+    /// snapshot conditions: unpinned and actually shrinking for a
+    /// compression, still holding the exact blob that was spilled
+    /// (`Arc::ptr_eq`) for a spill; a promotion may be pinned, that is
+    /// what keeps eviction away while the payload is rebuilt. Any
+    /// concurrent hit (pin), removal or transition since the candidate was
+    /// gathered wins and the move is dropped; a refused spill ticket is
+    /// retired at once (its record is garbage). Entries with children are
+    /// fair game: demotion (unlike eviction) keeps the entry, its
+    /// `result_id` and every index alive, so descendants stay matchable
+    /// and nothing is orphaned — in chain-shaped plans the big early
+    /// intermediates are precisely the interior nodes. Returns the bytes
+    /// the entry charged before the move.
+    pub fn retier(
         &self,
         id: EntryId,
-        expected: &Arc<crate::tier::CompressedBat>,
-        ticket: crate::tier::SpillTicket,
-    ) -> usize {
-        let retire = |t: crate::tier::SpillTicket| {
-            if let Some(spill) = &self.spill {
-                spill.mark_dead(t);
-            }
-        };
-        let Some(si) = self.owner.get_clone(&id) else {
-            retire(ticket);
-            return 0;
-        };
-        if !self.shard_serviceable(si) {
-            retire(ticket);
-            return 0;
-        }
-        let mut sh = self.write_shard(si);
-        let Some(e) = sh.entries.get_mut(&id) else {
-            drop(sh);
-            retire(ticket);
-            return 0;
-        };
-        let holds_expected = matches!(&e.tier,
-            crate::tier::TierState::Compressed(b) if Arc::ptr_eq(b, expected));
-        if !holds_expected || e.pin_count() != 0 {
-            drop(sh);
-            retire(ticket);
-            return 0;
-        }
-        let old_bytes = e.bytes;
-        e.tier = crate::tier::TierState::Spilled(ticket);
-        e.bytes = 0;
-        self.tier_books[si]
-            .compressed
-            .fetch_sub(old_bytes, Ordering::Relaxed);
-        self.tier_books[si]
-            .spilled
-            .fetch_add(ticket.len as usize, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_sub(old_bytes, Ordering::Relaxed);
-        self.total_bytes.fetch_sub(old_bytes, Ordering::Relaxed);
-        old_bytes
-    }
-
-    /// Promote a demoted entry back to raw after a hit decompressed or
-    /// rehydrated its payload (outside any lock). The entry may be
-    /// pinned — the hitting session pinned it at probe time, which is
-    /// exactly what keeps eviction away while the payload is rebuilt.
-    /// Fails (returns false) when the entry vanished (invalidation wins
-    /// over retention) or was concurrently promoted by another session —
-    /// the caller treats either as a miss or uses the resident raw
-    /// result instead.
-    pub fn promote(&self, id: EntryId, value: rbat::Value, raw_bytes: usize) -> bool {
-        let Some(si) = self.owner.get_clone(&id) else {
-            return false;
-        };
-        if !self.shard_serviceable(si) {
-            return false;
-        }
-        let mut sh = self.write_shard(si);
-        let Some(e) = sh.entries.get_mut(&id) else {
-            return false;
-        };
-        let old_bytes = e.bytes;
-        match &e.tier {
-            crate::tier::TierState::Raw => return false,
-            crate::tier::TierState::Compressed(_) => {
-                self.tier_books[si]
-                    .compressed
-                    .fetch_sub(old_bytes, Ordering::Relaxed);
-            }
-            crate::tier::TierState::Spilled(t) => {
-                self.tier_books[si]
-                    .spilled
-                    .fetch_sub(t.len as usize, Ordering::Relaxed);
-                if let Some(spill) = &self.spill {
-                    spill.mark_dead(*t);
+        to: Payload,
+        bytes: usize,
+        still_ok: impl FnOnce(&PoolEntry) -> bool,
+    ) -> Option<usize> {
+        let target = self.owner.get_clone(&id);
+        if let Some(si) = target.filter(|&si| self.shard_serviceable(si)) {
+            let mut sh = self.write_shard(si);
+            if let Some(e) = sh.entries.get_mut(&id) {
+                let rung_changes =
+                    std::mem::discriminant(e.payload()) != std::mem::discriminant(&to);
+                if rung_changes && still_ok(e) {
+                    return self.transition(si, e, to, bytes);
                 }
             }
         }
-        e.result = value;
-        e.tier = crate::tier::TierState::Raw;
-        e.bytes = raw_bytes;
-        self.tier_books[si]
-            .raw
-            .fetch_add(raw_bytes, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_add(raw_bytes, Ordering::Relaxed);
-        self.shard_bytes[si].fetch_sub(old_bytes, Ordering::Relaxed);
-        if raw_bytes >= old_bytes {
-            self.total_bytes
-                .fetch_add(raw_bytes - old_bytes, Ordering::Relaxed);
-        } else {
-            self.total_bytes
-                .fetch_sub(old_bytes - raw_bytes, Ordering::Relaxed);
-        }
-        true
+        self.retire(&to);
+        None
     }
 
     /// Entries visited by eviction gathers since construction. With the
@@ -1640,7 +1445,7 @@ impl RecyclePool {
             s,
             "# recycle pool: {} entries, {} bytes, {} shards",
             entries.len(),
-            entries.iter().map(|e| e.bytes).sum::<usize>(),
+            entries.iter().map(|e| e.bytes()).sum::<usize>(),
             self.shard_count(),
         );
         let _ = writeln!(
@@ -1658,13 +1463,15 @@ impl RecyclePool {
                     ArgSig::Bat(b) => format!("bat#{}", b.0),
                 })
                 .collect();
-            let result = match &e.result {
-                rbat::Value::Bat(b) => format!("bat#{}", b.id().0),
-                v => v.to_string(),
+            let result = match (e.payload().as_raw(), e.result_id) {
+                (Some(v), None) => v.to_string(),
+                (_, Some(b)) => format!("bat#{}", b.0),
+                (None, None) => format!("<{}>", e.family),
             };
             let tuples = e
-                .result
-                .as_bat()
+                .payload()
+                .as_raw()
+                .and_then(|v| v.as_bat())
                 .map(|b| b.len().to_string())
                 .unwrap_or_else(|| "-".into());
             let instr = format!("{result} := {}({})", e.sig.op.name(), args.join(", "));
@@ -1674,7 +1481,7 @@ impl RecyclePool {
                 format!("E{}", e.id),
                 instr,
                 tuples,
-                e.bytes,
+                e.bytes(),
                 e.local_reuses(),
                 e.global_reuses()
             );
@@ -1685,8 +1492,8 @@ impl RecyclePool {
     /// Check the structural invariant across all shards (acquired
     /// together, so the view is consistent): signature indexes bijective
     /// and correctly sharded, owner index exact, parent/child links alive,
-    /// byte and entry counters consistent (`sum(shard_bytes) ==
-    /// total_bytes`), candidate and result indexes live. Test support —
+    /// the ledger equal to [`Ledger::recompute`] over the slabs, candidate
+    /// and result indexes live. Test support —
     /// call on a quiescent pool. Takes the update mutex so the all-shard
     /// read acquisition cannot interleave with a scoped writer's
     /// out-of-order lock extension.
@@ -1698,14 +1505,7 @@ impl RecyclePool {
         for g in &guards {
             all_ids.extend(g.entries.keys().copied());
         }
-        let mut total_bytes = 0usize;
-        let mut total_entries = 0usize;
         for (i, g) in guards.iter().enumerate() {
-            let mut shard_sum = 0usize;
-            let mut raw_sum = 0usize;
-            let mut compressed_sum = 0usize;
-            let mut spilled_sum = 0usize;
-            let mut artifact_sum = 0usize;
             for (id, e) in &g.entries {
                 if e.id != *id {
                     return Err(format!("entry {id} stored under wrong key {}", e.id));
@@ -1727,49 +1527,23 @@ impl RecyclePool {
                         return Err(format!("entry {id} has dangling parent {p}"));
                     }
                 }
-                shard_sum += e.bytes;
-                if let Some(a) = &e.artifact {
-                    if !e.tier.is_raw() {
-                        return Err(format!(
-                            "artifact entry {id} left the raw tier ({})",
-                            e.tier.label()
-                        ));
-                    }
-                    if e.sig.kind != a.kind() {
-                        return Err(format!(
-                            "artifact entry {id} filed under sig kind {:?}, holds {:?}",
-                            e.sig.kind,
-                            a.kind()
-                        ));
-                    }
-                    artifact_sum += e.bytes;
-                } else if e.sig.kind != ArtifactKind::Result {
+                if e.sig.kind != e.payload().kind() {
                     return Err(format!(
-                        "entry {id} keyed as {:?} artifact but carries none",
-                        e.sig.kind
+                        "entry {id} filed under sig kind {:?}, holds {:?}",
+                        e.sig.kind,
+                        e.payload().kind()
                     ));
                 }
-                match &e.tier {
-                    crate::tier::TierState::Raw => raw_sum += e.bytes,
-                    crate::tier::TierState::Compressed(b) => {
-                        if e.bytes != b.byte_size() {
-                            return Err(format!(
-                                "compressed entry {id} charges {} bytes, blob is {}",
-                                e.bytes,
-                                b.byte_size()
-                            ));
-                        }
-                        compressed_sum += e.bytes;
-                    }
-                    crate::tier::TierState::Spilled(t) => {
-                        if e.bytes != 0 {
-                            return Err(format!(
-                                "spilled entry {id} still charges {} resident bytes",
-                                e.bytes
-                            ));
-                        }
-                        spilled_sum += t.len as usize;
-                    }
+                // only a raw result's charge is the admitter's call (what
+                // the instruction newly materialised); every other payload
+                // has one size
+                let sized = e.payload().charge_bytes(e.sig.op);
+                if e.payload().as_raw().is_none() && e.bytes() != sized {
+                    return Err(format!(
+                        "entry {id} charges {} bytes, its {:?} payload is {sized}",
+                        e.bytes(),
+                        e.payload().kind()
+                    ));
                 }
             }
             if g.by_sig.len() != g.entries.len() {
@@ -1779,57 +1553,13 @@ impl RecyclePool {
                     g.entries.len()
                 ));
             }
-            if shard_sum != self.shard_bytes[i].load(Ordering::Relaxed) {
-                return Err(format!(
-                    "shard {i} byte counter {} != actual {shard_sum}",
-                    self.shard_bytes[i].load(Ordering::Relaxed)
-                ));
-            }
-            // per-tier books: raw + compressed must re-derive the shard
-            // total exactly (spilled is off-cap, tracked on its own book)
-            let book = &self.tier_books[i];
-            let (br, bc, bs, ba) = (
-                book.raw.load(Ordering::Relaxed),
-                book.compressed.load(Ordering::Relaxed),
-                book.spilled.load(Ordering::Relaxed),
-                book.artifact.load(Ordering::Relaxed),
-            );
-            if br != raw_sum || bc != compressed_sum || bs != spilled_sum {
-                return Err(format!(
-                    "shard {i} tier books raw={br}/compressed={bc}/spilled={bs} \
-                     != actual raw={raw_sum}/compressed={compressed_sum}/spilled={spilled_sum}"
-                ));
-            }
-            if ba != artifact_sum {
-                return Err(format!(
-                    "shard {i} artifact book {ba} != actual {artifact_sum}"
-                ));
-            }
-            if ba > br {
-                return Err(format!(
-                    "shard {i} artifact book {ba} exceeds raw book {br}"
-                ));
-            }
-            if br + bc != shard_sum {
-                return Err(format!(
-                    "shard {i} tier books raw {br} + compressed {bc} != shard bytes {shard_sum}"
-                ));
-            }
-            total_bytes += shard_sum;
-            total_entries += g.entries.len();
         }
-        if total_bytes != self.bytes() {
-            return Err(format!(
-                "byte counter {} != actual {total_bytes}",
-                self.bytes()
-            ));
+        let actual = self.recompute(guards.iter().map(|g| &**g).enumerate());
+        let booked = self.ledger.books();
+        if booked != actual {
+            return Err(format!("ledger {booked:?} != recomputed {actual:?}"));
         }
-        if total_entries != self.len() {
-            return Err(format!(
-                "entry counter {} != actual {total_entries}",
-                self.len()
-            ));
-        }
+        let total_entries = actual.entries;
         let mut err: Option<String> = None;
         self.by_result.for_each(|bat, id| {
             if err.is_none() && !all_ids.contains(id) {
@@ -1913,33 +1643,6 @@ impl RecyclePool {
                 expect_keys.len()
             ));
         }
-        // per-session resident books: by_session must equal a fresh count
-        // over the resident entries (budget fairness reads off it)
-        let mut session_counts: FxHashMap<u64, u64> = FxHashMap::default();
-        for g in &guards {
-            for e in g.entries.values() {
-                *session_counts.entry(e.admitted_session).or_insert(0) += 1;
-            }
-        }
-        let mut listed_sessions = 0usize;
-        self.by_session.for_each(|s, n| {
-            listed_sessions += 1;
-            if err.is_none() && session_counts.get(s).copied().unwrap_or(0) != *n {
-                err = Some(format!(
-                    "session {s} resident book {n} != actual {}",
-                    session_counts.get(s).copied().unwrap_or(0)
-                ));
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        if listed_sessions != session_counts.len() {
-            return Err(format!(
-                "session books list {listed_sessions} sessions, expected {}",
-                session_counts.len()
-            ));
-        }
         let mut owner_count = 0usize;
         self.owner.for_each(|id, _| {
             if err.is_none() && !all_ids.contains(id) {
@@ -1977,10 +1680,6 @@ pub struct PoolScopedView<'a> {
     guards: Vec<Option<RwLockWriteGuard<'a, Shard>>>,
 }
 
-/// The stop-the-world view is retired as a distinct type: it is now just
-/// a [`PoolScopedView`] over every shard (see [`RecyclePool::write_view`]).
-pub type PoolWriteView<'a> = PoolScopedView<'a>;
-
 impl PoolScopedView<'_> {
     fn shard_idx(&self, id: EntryId) -> Option<usize> {
         self.pool.owner.get_clone(&id)
@@ -2011,9 +1710,10 @@ impl PoolScopedView<'_> {
         self.guards[i].as_ref().and_then(|g| g.entries.get(&id))
     }
 
-    /// Borrow an entry mutably (delta propagation rewrites results and
-    /// signatures in place; call [`Self::rekey`] afterwards, and account
-    /// byte changes through [`Self::set_bytes`]).
+    /// Borrow an entry mutably (delta propagation rewrites signatures and
+    /// arguments in place; call [`Self::rekey`] afterwards). The payload
+    /// and its charge are not reachable this way — results are rewritten
+    /// through [`Self::set_raw`].
     pub fn get_mut(&mut self, id: EntryId) -> Option<&mut PoolEntry> {
         let i = self.shard_idx(id)?;
         self.ensure_shard(i);
@@ -2062,49 +1762,31 @@ impl PoolScopedView<'_> {
         removed
     }
 
-    /// Update an entry's charged bytes, keeping the per-shard and total
-    /// byte counters exact at every step (no deferred recount: the
-    /// `sum(shard_bytes) == total_bytes` invariant holds throughout).
-    pub fn set_bytes(&mut self, id: EntryId, new_bytes: usize) {
-        let Some(i) = self.shard_idx(id) else { return };
-        self.ensure_shard(i);
-        let pool = self.pool;
-        let Some(e) = self.guards[i].as_mut().and_then(|g| g.entries.get_mut(&id)) else {
-            return;
+    /// Rewrite a **raw** entry's result in place, charging `bytes` for it
+    /// (delta propagation, §6.3) — the Raw → Raw row of the transition
+    /// table on [`Payload`]. The ledger moves in the same step (no
+    /// deferred recount), so the books stay exact through a subsequent
+    /// [`Self::rekey`], which may migrate the entry to another shard.
+    /// Refused (false, nothing touched) for a missing entry or any
+    /// non-raw payload: a demoted entry has no materialised result to
+    /// rewrite and operator state is evict-only.
+    pub fn set_raw(&mut self, id: EntryId, value: rbat::Value, bytes: usize) -> bool {
+        let (pool, shard) = (self.pool, self.shard_idx(id));
+        let Some((si, e)) = shard.zip(self.get_mut(id)) else {
+            return false;
         };
-        // the tier book matching the entry's residency moves in lockstep
-        // with the shard total; spilled entries charge nothing resident
-        // (their book tracks the on-disk record length), so a resize is
-        // meaningless for them — propagation promotes or drops demoted
-        // entries before rewriting results
-        let book = match &e.tier {
-            crate::tier::TierState::Raw => &pool.tier_books[i].raw,
-            crate::tier::TierState::Compressed(_) => &pool.tier_books[i].compressed,
-            crate::tier::TierState::Spilled(_) => {
-                debug_assert!(false, "set_bytes on a spilled entry");
-                return;
-            }
-        };
-        let old = e.bytes;
-        e.bytes = new_bytes;
-        if new_bytes >= old {
-            let d = new_bytes - old;
-            pool.shard_bytes[i].fetch_add(d, Ordering::Relaxed);
-            book.fetch_add(d, Ordering::Relaxed);
-            pool.total_bytes.fetch_add(d, Ordering::Relaxed);
-        } else {
-            let d = old - new_bytes;
-            pool.shard_bytes[i].fetch_sub(d, Ordering::Relaxed);
-            book.fetch_sub(d, Ordering::Relaxed);
-            pool.total_bytes.fetch_sub(d, Ordering::Relaxed);
+        if e.payload().as_raw().is_none() {
+            return false;
         }
+        e.result_id = value.as_bat().map(|b| b.id());
+        pool.transition(si, e, Payload::Raw(value), bytes).is_some()
     }
 
     /// Re-key an entry's signature and result identity after delta
     /// propagation replaced its result BAT (§6.3). The caller updates the
     /// entry fields; this fixes the indexes — including migrating the
     /// entry to the shard its *new* signature hashes to (the view extends
-    /// to that shard on demand, and the entry's bytes move with it).
+    /// to that shard on demand, and the entry's charge moves with it).
     ///
     /// If another resident entry already owns the new signature — a
     /// session that re-pinned the post-commit epoch can probe, miss and
@@ -2150,44 +1832,15 @@ impl PoolScopedView<'_> {
                     .as_mut()
                     .and_then(|g| g.entries.remove(&id));
                 if let Some(e) = moved {
-                    pool.shard_bytes[old_idx].fetch_sub(e.bytes, Ordering::Relaxed);
-                    pool.shard_bytes[new_idx].fetch_add(e.bytes, Ordering::Relaxed);
-                    // the entry's tier book (and spilled record length)
-                    // migrate with it
-                    match &e.tier {
-                        crate::tier::TierState::Raw => {
-                            pool.tier_books[old_idx]
-                                .raw
-                                .fetch_sub(e.bytes, Ordering::Relaxed);
-                            pool.tier_books[new_idx]
-                                .raw
-                                .fetch_add(e.bytes, Ordering::Relaxed);
-                            if e.artifact.is_some() {
-                                pool.tier_books[old_idx]
-                                    .artifact
-                                    .fetch_sub(e.bytes, Ordering::Relaxed);
-                                pool.tier_books[new_idx]
-                                    .artifact
-                                    .fetch_add(e.bytes, Ordering::Relaxed);
-                            }
-                        }
-                        crate::tier::TierState::Compressed(_) => {
-                            pool.tier_books[old_idx]
-                                .compressed
-                                .fetch_sub(e.bytes, Ordering::Relaxed);
-                            pool.tier_books[new_idx]
-                                .compressed
-                                .fetch_add(e.bytes, Ordering::Relaxed);
-                        }
-                        crate::tier::TierState::Spilled(t) => {
-                            pool.tier_books[old_idx]
-                                .spilled
-                                .fetch_sub(t.len as usize, Ordering::Relaxed);
-                            pool.tier_books[new_idx]
-                                .spilled
-                                .fetch_add(t.len as usize, Ordering::Relaxed);
-                        }
-                    }
+                    // the charge migrates with the entry: booked at the new
+                    // shard before it leaves the old one, so the lock-free
+                    // totals can only over-count in between (the admission
+                    // gate over-rejects, never overshoots)
+                    let c = charge(e.payload(), e.bytes());
+                    pool.ledger
+                        .apply(new_idx, e.admitted_session, None, Some(c));
+                    pool.ledger
+                        .apply(old_idx, e.admitted_session, Some(c), None);
                     if let Some(g) = self.guards[new_idx].as_mut() {
                         g.entries.insert(id, e);
                     }
@@ -2197,14 +1850,7 @@ impl PoolScopedView<'_> {
             if let Some(sh) = self.guards[new_idx].as_mut() {
                 sh.by_sig.insert(new_sig.clone(), id);
             }
-            if new_sig.kind == ArtifactKind::Result {
-                if let Some(arg0) = new_sig.first_arg() {
-                    let key = (new_sig.op, arg0.clone());
-                    pool.by_op_arg0.alter(&key, |m| {
-                        m.entry(key.clone()).or_default().push(id);
-                    });
-                }
-            }
+            pool.wire_candidate(&new_sig, id);
         }
         if old_result != new_result {
             if let Some(o) = old_result {
@@ -2223,20 +1869,22 @@ impl PoolScopedView<'_> {
 }
 
 impl Drop for PoolScopedView<'_> {
-    /// Debug builds verify the byte books of every held shard on release:
-    /// the per-shard counter must equal the sum of resident entry bytes
-    /// after any sequence of rekeys, removals and in-place rewrites.
+    /// Debug builds verify the ledger on release: every held shard's
+    /// books must equal [`Ledger::recompute`] over its slab after any
+    /// sequence of rekeys, removals and in-place rewrites.
     fn drop(&mut self) {
         if cfg!(debug_assertions) {
-            for (i, g) in self.guards.iter().enumerate() {
-                if let Some(g) = g {
-                    let actual: usize = g.entries.values().map(|e| e.bytes).sum();
-                    let counted = self.pool.shard_bytes[i].load(Ordering::Relaxed);
-                    debug_assert_eq!(
-                        actual, counted,
-                        "shard {i} byte counter drifted from resident bytes"
-                    );
-                }
+            let held = || {
+                let slabs = self.guards.iter().enumerate();
+                slabs.filter_map(|(i, g)| Some((i, &**g.as_ref()?)))
+            };
+            let actual = self.pool.recompute(held());
+            for (i, _) in held() {
+                debug_assert_eq!(
+                    self.pool.ledger.shard(i),
+                    actual.shards[i],
+                    "shard {i} books drifted from its resident entries"
+                );
             }
         }
     }
@@ -2245,39 +1893,27 @@ impl Drop for PoolScopedView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{Admitter, Lineage};
     use rbat::{Bat, Column, Value};
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicBool, AtomicU32};
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn mk_entry(pool: &RecyclePool, parents: Vec<EntryId>, tag: i64) -> PoolEntry {
         let bat = Arc::new(Bat::from_tail(Column::from_ints(vec![tag])));
-        PoolEntry {
-            id: pool.alloc_id(),
-            sig: Sig::of(Opcode::Select, &[Value::Int(tag)]),
-            args: vec![Value::Int(tag)],
-            result: Value::Bat(Arc::clone(&bat)),
-            result_id: Some(bat.id()),
-            artifact: None,
-            tier: crate::tier::TierState::Raw,
-            bytes: 100,
-            cpu: Duration::from_millis(1),
-            family: "select",
-            parents,
-            base_columns: BTreeSet::new(),
-            admitted_tick: 0,
-            admitted_invocation: 0,
-            admitted_session: 0,
-            creator: (0, 0),
-            last_used: AtomicU64::new(0),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        }
+        let e = PoolEntry::new(
+            pool.alloc_id(),
+            Sig::of(Opcode::Select, &[Value::Int(tag)]),
+            vec![Value::Int(tag)],
+            Payload::Raw(Value::Bat(bat)),
+            100,
+            Duration::from_millis(1),
+            Lineage {
+                parents,
+                ..Lineage::default()
+            },
+            Admitter::default(),
+        );
+        e.pins.store(0, Ordering::Relaxed);
+        e
     }
 
     #[test]
@@ -2622,25 +2258,6 @@ mod tests {
         // and evicting the winner leaves a clean, empty index
         pool.remove(a_id);
         assert_eq!(pool.lookup(&fresh_sig), None);
-        pool.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn set_bytes_keeps_shard_books_exact_through_migration() {
-        let pool = RecyclePool::with_shards(8);
-        let e = mk_entry(&pool, vec![], 3);
-        let old_sig = e.sig.clone();
-        let id = pool.insert(e, None).id();
-        let new_sig = Sig::of(Opcode::Select, &[Value::Int(1000)]);
-        {
-            let mut view = pool.write_view();
-            view.get_mut(id).unwrap().sig = new_sig.clone();
-            view.set_bytes(id, 12_345);
-            view.rekey(id, &old_sig, None);
-        } // the view's Drop verifies per-shard books in debug builds
-        assert_eq!(pool.bytes(), 12_345);
-        let total: usize = (0..pool.shard_count()).map(|i| pool.shard_bytes(i)).sum();
-        assert_eq!(total, pool.bytes(), "sum(shard_bytes) == total_bytes");
         pool.check_invariants().unwrap();
     }
 

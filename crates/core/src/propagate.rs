@@ -162,7 +162,15 @@ pub fn propagate_commit(
                     doomed.push(e.id);
                     continue;
                 }
-                let old_len = e.result.as_bat().map(|b| b.len()).unwrap_or(0);
+                let Some(old_len) = e
+                    .payload()
+                    .as_raw()
+                    .and_then(|v| v.as_bat())
+                    .map(|b| b.len())
+                else {
+                    doomed.push(e.id);
+                    continue;
+                };
                 let delta = Arc::new(new_idx.slice(old_len, new_idx.len() - old_len));
                 deltas.insert(e.id, delta);
                 new_results.insert(e.id, Value::Bat(new_idx.clone()));
@@ -226,8 +234,7 @@ pub fn propagate_commit(
         }
         let root = new_results.contains_key(&id);
         let refreshed = if root {
-            apply_refresh(pool, catalog, id, new_results[&id].clone());
-            true
+            apply_refresh(pool, catalog, id, new_results[&id].clone())
         } else {
             propagate_entry(
                 pool,
@@ -255,17 +262,27 @@ pub fn propagate_commit(
 /// nominal 64 bytes because their results are persistent storage the
 /// catalog owns, not pool-resident copies (Table III shows binds at 0 MB)
 /// — that holds for the grown post-commit column exactly as it did for
-/// the pre-commit one.
-fn apply_refresh(pool: &mut PoolScopedView<'_>, catalog: &Catalog, id: EntryId, new_result: Value) {
-    let Some(entry) = pool.get(id) else { return };
+/// the pre-commit one. Returns false (nothing touched; the caller
+/// invalidates) when the root is not a raw entry.
+fn apply_refresh(
+    pool: &mut PoolScopedView<'_>,
+    catalog: &Catalog,
+    id: EntryId,
+    new_result: Value,
+) -> bool {
+    let Some(entry) = pool.get(id) else {
+        return false;
+    };
     let old_sig = entry.sig.clone();
     let old_result_id = entry.result_id;
-    let args = entry.args.clone();
+    let bytes = entry.bytes();
+    if !pool.set_raw(id, new_result, bytes) {
+        return false;
+    }
     let e = pool.get_mut(id).expect("entry exists");
-    e.sig = Sig::versioned(catalog, old_sig.op, &args);
-    e.result_id = new_result.as_bat().map(|b| b.id());
-    e.result = new_result;
+    e.sig = Sig::versioned(catalog, old_sig.op, &e.args);
     pool.rekey(id, &old_sig, old_result_id);
+    true
 }
 
 /// Propagate one non-root entry. Returns false when the entry (and its
@@ -279,25 +296,18 @@ fn propagate_entry(
     deltas: &mut FxHashMap<EntryId, Arc<Bat>>,
 ) -> bool {
     let entry = pool.get(id).expect("caller checked");
-    if !entry.tier.is_raw() {
-        // A demoted entry's `result` slot is `Value::Nil` — there is no
-        // materialised BAT to merge the delta into, and refreshing it in
-        // place would desync the per-tier byte books. Invalidate the
-        // subtree; correctness beats retention, exactly as for any other
-        // unpropagatable shape.
+    // Only a raw result can take a delta. A demoted entry has no
+    // materialised BAT to merge into, and operator state holds an
+    // operator's internal structure — rebuilding it is exactly the cost
+    // recycling avoided, and even if the build-side parent refreshes in
+    // place its result BAT is re-minted, so the artifact's identity key
+    // can never match a post-commit probe again. Invalidate the subtree;
+    // correctness beats retention, exactly as for any other
+    // unpropagatable shape.
+    let Some(old_result) = entry.payload().as_raw().cloned() else {
         return false;
-    }
-    if entry.artifact.is_some() {
-        // Operator-state artifacts hold an operator's internal structure,
-        // not a result BAT — there is no delta to merge and rebuilding the
-        // structure is exactly the cost recycling avoided. Invalidate:
-        // even if the build-side parent refreshes in place, its result BAT
-        // is re-minted, so this artifact's identity key can never match a
-        // post-commit probe again.
-        return false;
-    }
+    };
     let op = entry.sig.op;
-    let old_result = entry.result.clone();
     let old_sig = entry.sig.clone();
     let old_result_id = entry.result_id;
     let old_args = entry.args.clone();
@@ -442,17 +452,12 @@ fn propagate_entry(
     };
 
     let new_bytes = new_result.as_bat().map(|b| b.resident_bytes()).unwrap_or(0);
+    pool.set_raw(id, new_result.clone(), new_bytes);
     {
         let e = pool.get_mut(id).expect("entry exists");
         e.args = new_args.clone();
         e.sig = Sig::of(op, &new_args);
-        e.result_id = new_result.as_bat().map(|b| b.id());
-        e.result = new_result.clone();
     }
-    // account the size change immediately (no deferred recount): the
-    // per-shard byte books stay exact through the subsequent rekey, which
-    // may migrate the entry — and its bytes — to another shard
-    pool.set_bytes(id, new_bytes);
     pool.rekey(id, &old_sig, old_result_id);
     // refresh subset edges for filter-family results
     if matches!(

@@ -16,15 +16,16 @@
 //! The exact-match hit path — the hot path of every marked instruction —
 //! runs entirely under one shard **read** lock: probe, reuse counters,
 //! pinning and result cloning are a single [`RecyclePool::probe`] call
-//! over per-entry atomics. Admissions pin their parents (shard read
-//! locks, one at a time), then insert under the signature shard's write
-//! lock; see the locking invariants in [`crate::shared`].
+//! over per-entry atomics — the same probe serves results and operator
+//! state. Admissions of either go through one funnel: pin the parents
+//! (shard read locks, one at a time), then insert under the signature
+//! shard's write lock; see the locking invariants in [`crate::shared`].
 //!
 //! `Recycler::new` remains the one-line way to get a single-session
 //! engine: it creates a private `SharedRecycler` under the hood.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,22 +35,24 @@ use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
 use crate::config::{RecyclerConfig, UpdateMode};
-use crate::entry::{Artifact, EntryId, InstrKey, PoolEntry};
+use crate::entry::{Admitter, EntryId, InstrKey, Lineage, Payload, PoolEntry};
 use crate::pool::Admitted;
 use crate::shared::{PoolRef, SharedRecycler};
 use crate::signature::{ArgSig, ArtifactKind, Sig};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 use crate::subsume::{self, Subsumption};
-use crate::tier::{CompressedBat, SpillTicket, TierState};
+use crate::tier::CompressedBat;
 
 #[cfg(doc)]
 use crate::pool::RecyclePool;
 
 /// What one exact-match probe observed (computed under the shard read
-/// lock, consumed after it is released).
+/// lock, consumed after it is released). The payload is handed out as
+/// found: raw results and operator state clone an `Arc`; demoted entries
+/// hand out the blob or spill ticket for rehydration *outside* the lock.
 struct HitOutcome {
     id: EntryId,
-    payload: HitPayload,
+    payload: Payload,
     saved: Duration,
     creator: InstrKey,
     local: bool,
@@ -60,13 +63,20 @@ struct HitOutcome {
     newly_pinned: bool,
 }
 
-/// The hit's payload as found under the shard read lock: raw entries
-/// clone their `result` Arc; demoted entries hand out the tier payload
-/// (blob Arc or spill ticket) for rehydration *outside* the lock.
-enum HitPayload {
-    Raw(Value),
-    Compressed(Arc<CompressedBat>),
-    Spilled(SpillTicket),
+/// Capacity reserved for one in-flight admission (strict limits under
+/// concurrency), released when the insert settles, whatever its outcome —
+/// RAII, so a panic unwinding out of `insert` (which poisons and
+/// quarantines the shard) cannot leak the pending reservation and choke
+/// future admissions against the cap.
+struct Reservation<'a> {
+    shared: &'a SharedRecycler,
+    bytes: usize,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.shared.release_reservation(self.bytes);
+    }
 }
 
 /// Most recent per-query records a session retains (the log is trimmed
@@ -189,27 +199,16 @@ impl Recycler {
     // facade's `Database::maintenance()`), which serialises on the pool's
     // update mutex and is documented as affecting all sessions.
 
-    /// Bytes a result is charged for: only what the instruction newly
-    /// materialised. Binds reference persistent storage, zero-cost
-    /// viewpoint instructions share their operand's buffers (paper §2.3,
-    /// Table III shows bind/markT at 0 MB).
-    fn charge_bytes(op: Opcode, result: &Value) -> usize {
-        match op {
-            Opcode::Bind | Opcode::BindIdx => 64,
-            op if op.zero_cost() => 64,
-            _ => result
-                .as_bat()
-                .map(|b| b.resident_bytes())
-                .unwrap_or(std::mem::size_of::<Value>()),
-        }
-    }
-
-    /// The exact-match probe: one shard read lock, atomics only. On a hit
-    /// the reuse counters, last-use stamp, credit flag and pin are all
-    /// settled inside the lock; only the accounts/stats bookkeeping
-    /// happens after it is released (lock order: shard → accounts).
-    fn try_exact_hit(&mut self, sig: &Sig) -> Option<Value> {
-        let outcome = {
+    /// The exact-match probe — for a result or for operator state alike:
+    /// one shard read lock, atomics only. On a hit the reuse counters,
+    /// last-use stamp, credit flag and pin are all settled inside the
+    /// lock; only the accounts/stats bookkeeping happens after it is
+    /// released (lock order: shard → accounts). A demoted payload is
+    /// rehydrated (outside any lock) before it is handed out, so the
+    /// caller matches on `Raw` or on the operator-state variant its
+    /// signature keys; the `Duration` is the recorded cost the hit saved.
+    fn try_hit(&mut self, sig: &Sig) -> Option<(Payload, Duration)> {
+        let hit = {
             let pinned = &self.pinned;
             let shared = &self.shared;
             let invocation = self.invocation;
@@ -235,14 +234,9 @@ impl Recycler {
                 if newly_pinned {
                     e.pins.fetch_add(1, Ordering::Relaxed);
                 }
-                let payload = match &e.tier {
-                    TierState::Raw => HitPayload::Raw(e.result.clone()),
-                    TierState::Compressed(blob) => HitPayload::Compressed(Arc::clone(blob)),
-                    TierState::Spilled(t) => HitPayload::Spilled(*t),
-                };
                 HitOutcome {
                     id: e.id,
-                    payload,
+                    payload: e.payload().clone(),
                     saved: e.cpu,
                     creator: e.creator,
                     local,
@@ -252,72 +246,79 @@ impl Recycler {
                 }
             })
         }?;
-        let result = match outcome.payload {
-            HitPayload::Raw(v) => v,
-            payload => match self.rehydrate_hit(outcome.id, payload) {
-                Some(v) => v,
-                None => {
-                    // torn record or injected fault: degrade this probe to
-                    // a miss — the instruction recomputes, correctness is
-                    // untouched. Release the pin this probe took.
-                    if outcome.newly_pinned {
-                        self.shared.pool_inner().entry(outcome.id, |e| {
-                            e.pins.fetch_sub(1, Ordering::Relaxed);
-                        });
+        let payload = match hit.payload {
+            demoted @ (Payload::Compressed(_) | Payload::Spilled(_)) => {
+                match self.rehydrate_hit(hit.id, demoted) {
+                    Some(v) => Payload::Raw(v),
+                    None => {
+                        // torn record or injected fault: degrade this probe
+                        // to a miss — the instruction recomputes,
+                        // correctness is untouched. Release the pin this
+                        // probe took.
+                        if hit.newly_pinned {
+                            self.shared.pool_inner().entry(hit.id, |e| {
+                                e.pins.fetch_sub(1, Ordering::Relaxed);
+                            });
+                        }
+                        return None;
                     }
-                    return None;
                 }
-            },
+            }
+            resident => resident,
         };
-        self.pinned.insert(outcome.id);
-        self.shared
-            .note_reuse(outcome.creator, outcome.return_credit);
-        self.shared
-            .count_hit(outcome.local, outcome.cross_session, outcome.saved);
-        self.current.hits += 1;
-        self.current.saved += outcome.saved;
-        if outcome.local {
-            self.current.local_hits += 1;
+        self.pinned.insert(hit.id);
+        self.shared.note_reuse(hit.creator, hit.return_credit);
+        self.current.saved += hit.saved;
+        if payload.kind() == ArtifactKind::Result {
+            self.shared
+                .count_hit(hit.local, hit.cross_session, hit.saved);
+            self.current.hits += 1;
+            if hit.local {
+                self.current.local_hits += 1;
+            } else {
+                self.current.global_hits += 1;
+            }
         } else {
-            self.current.global_hits += 1;
+            self.shared.count_artifact_hit(hit.saved);
         }
-        Some(result)
+        Some((payload, hit.saved))
     }
 
     /// Rehydrate a demoted entry's payload on the hit path: decompress the
     /// blob (for spilled entries, first read the record back from the
     /// spill file), then promote the entry to raw so subsequent hits are
     /// cheap again. All of it runs *outside* shard locks —
-    /// [`RecyclePool::promote`] revalidates under the shard write lock.
+    /// [`RecyclePool::retier`] revalidates under the shard write lock.
     /// Returns `None` when rehydration fails (torn record, injected
     /// `tier.rehydrate` fault); the caller degrades the probe to a miss.
-    fn rehydrate_hit(&self, id: EntryId, payload: HitPayload) -> Option<Value> {
+    fn rehydrate_hit(&self, id: EntryId, demoted: Payload) -> Option<Value> {
         #[cfg(feature = "failpoints")]
         if crate::fault::fire("tier.rehydrate").is_some() {
             return None;
         }
         let pool = self.shared.pool_inner();
-        let (value, raw_bytes, decompress, rehydrate) = match payload {
-            HitPayload::Raw(v) => return Some(v),
-            HitPayload::Compressed(blob) => {
-                let t0 = Instant::now();
-                let bat = blob.decompress().ok()?;
-                let cost = t0.elapsed();
-                let bytes = bat.resident_bytes();
-                (Value::Bat(Arc::new(bat)), bytes, cost, Duration::ZERO)
-            }
-            HitPayload::Spilled(ticket) => {
-                let t0 = Instant::now();
+        let t0 = Instant::now();
+        let (bat, spilled) = match demoted {
+            Payload::Compressed(blob) => (blob.decompress().ok()?, false),
+            Payload::Spilled(ticket) => {
                 let record = pool.spill()?.read(ticket).ok()?;
-                let bat = CompressedBat::from_bytes(record).decompress().ok()?;
-                let cost = t0.elapsed();
-                let bytes = bat.resident_bytes();
-                (Value::Bat(Arc::new(bat)), bytes, Duration::ZERO, cost)
+                (CompressedBat::from_bytes(record).decompress().ok()?, true)
             }
+            _ => return None,
         };
-        // A concurrent hit may have promoted first — our value is equally
-        // correct either way; only the winner records the promotion.
-        if pool.promote(id, value.clone(), raw_bytes) {
+        let cost = t0.elapsed();
+        let raw_bytes = bat.resident_bytes();
+        let value = Value::Bat(Arc::new(bat));
+        // A concurrent hit may have promoted first (the entry is raw by
+        // now and the move is refused) — our value is equally correct
+        // either way; only the winner records the promotion.
+        let promoted = pool.retier(id, Payload::Raw(value.clone()), raw_bytes, |_| true);
+        if promoted.is_some() {
+            let (decompress, rehydrate) = if spilled {
+                (Duration::ZERO, cost)
+            } else {
+                (cost, Duration::ZERO)
+            };
             self.shared.count_tier_promotion(decompress, rehydrate);
         }
         Some(value)
@@ -378,195 +379,19 @@ impl Recycler {
         }
     }
 
-    /// The artifact-match probe: like [`Self::try_exact_hit`] but keyed by
-    /// an artifact signature and returning the typed operator state (plus
-    /// its stored build cost) instead of a result value. Artifacts are
-    /// evict-only raw entries, so there is no rehydration path: the probe
-    /// is one shard read lock, atomics only.
-    fn try_artifact_hit(&mut self, sig: &Sig) -> Option<(Artifact, Duration)> {
-        struct ArtifactHit {
-            id: EntryId,
-            artifact: Option<Artifact>,
-            saved: Duration,
-            creator: InstrKey,
-            return_credit: bool,
-        }
-        let outcome = {
-            let pinned = &self.pinned;
-            let shared = &self.shared;
-            let invocation = self.invocation;
-            shared.pool_inner().probe(sig, |e| {
-                e.last_used.store(shared.next_tick(), Ordering::Relaxed);
-                let local = e.admitted_invocation == invocation;
-                if local {
-                    e.local_reuses.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    e.global_reuses.fetch_add(1, Ordering::Relaxed);
-                }
-                e.time_saved_ns
-                    .fetch_add(e.cpu.as_nanos() as u64, Ordering::Relaxed);
-                let return_credit = local
-                    && e.credit_returned
-                        .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok();
-                if !pinned.contains(&e.id) {
-                    e.pins.fetch_add(1, Ordering::Relaxed);
-                }
-                ArtifactHit {
-                    id: e.id,
-                    artifact: e.artifact.clone(),
-                    saved: e.cpu,
-                    creator: e.creator,
-                    return_credit,
-                }
-            })
-        }?;
-        self.pinned.insert(outcome.id);
-        let artifact = outcome.artifact?;
-        self.shared
-            .note_reuse(outcome.creator, outcome.return_credit);
-        self.shared.count_artifact_hit(outcome.saved);
-        self.current.saved += outcome.saved;
-        Some((artifact, outcome.saved))
-    }
-
-    /// Admit an operator-state artifact under its build-side signature:
-    /// the same admission funnel as [`Self::admit`] — deadline shedding,
-    /// build-side lineage pinning, credit grant, per-session slice,
-    /// capacity reservation, four-way refund discipline — with the
-    /// artifact's heap footprint charged against the cap and the session's
-    /// credit slice exactly like result bytes. The entry carries
-    /// `result: Value::Nil` and no result id: artifacts never serve result
-    /// probes or subsumption and never demote — eviction and invalidation
-    /// are their only exits.
-    fn admit_artifact(
+    /// `recycleExit` for an instruction's result: the funnel, keyed by the
+    /// instruction's versioned signature.
+    fn admit_result(
         &mut self,
+        catalog: &Catalog,
         pc: usize,
-        sig: Sig,
-        build: &Value,
-        artifact: Artifact,
+        op: Opcode,
+        args: &[Value],
+        result: &Value,
         cpu: Duration,
     ) {
-        let shared = Arc::clone(&self.shared);
-        let pool = shared.pool_inner();
-        let key: InstrKey = (self.current_template, pc);
-        if self.past_deadline() {
-            shared.count_deadline_skip();
-            return;
-        }
-        let Value::Bat(b) = build else { return };
-        let min_admit = shared.config().min_admit_bytes;
-        if min_admit > 0 && artifact.byte_size() < min_admit {
-            shared.count_admission_reject();
-            return;
-        }
-        // Lineage: the artifact depends on exactly its build-side BAT. If
-        // that BAT is neither a live pool result (pinnable) nor a
-        // registered persistent column, coherence cannot be anchored —
-        // skip the admission (a future miss, never a wrong answer).
-        let mut base_columns: BTreeSet<(String, String)> = BTreeSet::new();
-        let mut parents: Vec<EntryId> = Vec::new();
-        if let Some(eid) = pool.entry_of_result(b.id()) {
-            if self.pin_live(eid, &mut base_columns) {
-                parents.push(eid);
-            }
-        }
-        if parents.is_empty() {
-            let known = shared.persistent().with(&b.id(), |cols| match cols {
-                Some(cols) => {
-                    base_columns.extend(cols.iter().cloned());
-                    true
-                }
-                None => false,
-            });
-            if !known {
-                shared.count_admission_reject();
-                return;
-            }
-        }
-        let grant = shared.admission_grant(key);
-        if !grant.allowed {
-            shared.count_admission_reject();
-            return;
-        }
-        if !shared.session_admission_allowed(self.session_id) {
-            shared.count_session_budget_reject();
-            shared.count_admission_reject();
-            shared.undo_admission_charge(key, grant);
-            return;
-        }
-        let bytes = artifact.byte_size();
-        if !shared.reserve_admission(bytes) {
-            shared.count_admission_reject();
-            shared.undo_admission_charge(key, grant);
-            return;
-        }
-        struct Reservation<'a> {
-            shared: &'a SharedRecycler,
-            bytes: usize,
-        }
-        impl Drop for Reservation<'_> {
-            fn drop(&mut self) {
-                self.shared.release_reservation(self.bytes);
-            }
-        }
-        let reservation = Reservation {
-            shared: &shared,
-            bytes,
-        };
-        let tick = shared.next_tick();
-        let family = artifact.family();
-        let entry = PoolEntry {
-            id: pool.alloc_id(),
-            sig,
-            args: vec![build.clone()],
-            result: Value::Nil,
-            result_id: None,
-            artifact: Some(artifact),
-            tier: crate::tier::TierState::Raw,
-            bytes,
-            cpu,
-            family,
-            parents,
-            base_columns,
-            admitted_tick: tick,
-            admitted_invocation: self.invocation,
-            admitted_session: self.session_id,
-            creator: key,
-            last_used: AtomicU64::new(tick),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            // born pinned by the admitting session
-            pins: AtomicU32::new(1),
-            credit_returned: AtomicBool::new(false),
-        };
-        let admitted = pool.insert(entry, None);
-        drop(reservation);
-        match admitted {
-            Admitted::Inserted(id) => {
-                self.pinned.insert(id);
-                shared.count_artifact_admission();
-                self.current.admitted += 1;
-                self.current.bytes_admitted += bytes as u64;
-            }
-            Admitted::Duplicate(existing) => {
-                // First writer wins, as for results; with no result BAT to
-                // alias the resolution is just the pin the pool took for us.
-                shared.count_duplicate_admission();
-                shared.undo_admission_charge(key, grant);
-                if !self.pinned.insert(existing) {
-                    pool.entry(existing, |e| {
-                        e.pins.fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-            }
-            Admitted::Orphaned | Admitted::Quarantined => {
-                shared.count_admission_reject();
-                shared.undo_admission_charge(key, grant);
-            }
-        }
+        let sig = Sig::versioned(catalog, op, args);
+        self.admit(catalog, pc, sig, args, Payload::Raw(result.clone()), cpu);
     }
 
     /// Operator-state recycling (`recycle_operator_state`): execute a
@@ -601,20 +426,15 @@ impl Recycler {
                     Opcode::Join,
                     vec![ArgSig::Bat(r.id())],
                 );
-                let (build, build_cost, built) = match self.try_artifact_hit(&asig) {
-                    Some((Artifact::JoinBuild(b), saved)) => (b, saved, Duration::ZERO),
+                let (build, build_cost, built) = match self.try_hit(&asig) {
+                    Some((Payload::JoinBuild(b), saved)) => (b, saved, Duration::ZERO),
                     Some(_) => return None,
                     None => {
                         let t = Instant::now();
                         let b = Arc::new(rbat::ops::join_build(r).ok()?);
                         let cpu = t.elapsed();
-                        self.admit_artifact(
-                            pc,
-                            asig,
-                            args.get(1)?,
-                            Artifact::JoinBuild(Arc::clone(&b)),
-                            cpu,
-                        );
+                        let state = Payload::JoinBuild(Arc::clone(&b));
+                        self.admit(catalog, pc, asig, &args[1..2], state, cpu);
                         (b, cpu, cpu)
                     }
                 };
@@ -630,20 +450,15 @@ impl Recycler {
                     Opcode::Group,
                     vec![ArgSig::Bat(b.id())],
                 );
-                let (map, build_cost, built) = match self.try_artifact_hit(&asig) {
-                    Some((Artifact::GroupMap(m), saved)) => (m, saved, Duration::ZERO),
+                let (map, build_cost, built) = match self.try_hit(&asig) {
+                    Some((Payload::GroupMap(m), saved)) => (m, saved, Duration::ZERO),
                     Some(_) => return None,
                     None => {
                         let t = Instant::now();
                         let m = Arc::new(rbat::ops::group_build(b).ok()?);
                         let cpu = t.elapsed();
-                        self.admit_artifact(
-                            pc,
-                            asig,
-                            args.first()?,
-                            Artifact::GroupMap(Arc::clone(&m)),
-                            cpu,
-                        );
+                        let state = Payload::GroupMap(Arc::clone(&m));
+                        self.admit(catalog, pc, asig, &args[..1], state, cpu);
                         (m, cpu, cpu)
                     }
                 };
@@ -670,20 +485,15 @@ impl Recycler {
                     Opcode::Sort,
                     vec![ArgSig::Bat(b.id()), ArgSig::Scalar(Value::Bool(asc))],
                 );
-                let (run, build_cost, built) = match self.try_artifact_hit(&asig) {
-                    Some((Artifact::SortedRun(r), saved)) => (r, saved, Duration::ZERO),
+                let (run, build_cost, built) = match self.try_hit(&asig) {
+                    Some((Payload::SortedRun(r), saved)) => (r, saved, Duration::ZERO),
                     Some(_) => return None,
                     None => {
                         let t = Instant::now();
                         let r = Arc::new(rbat::ops::sort_build(b, asc).ok()?);
                         let cpu = t.elapsed();
-                        self.admit_artifact(
-                            pc,
-                            asig,
-                            args.first()?,
-                            Artifact::SortedRun(Arc::clone(&r)),
-                            cpu,
-                        );
+                        let state = Payload::SortedRun(Arc::clone(&r));
+                        self.admit(catalog, pc, asig, &args[..1], state, cpu);
                         (r, cpu, cpu)
                     }
                 };
@@ -701,18 +511,28 @@ impl Recycler {
         // recycleExit for the assisted result, under the ORIGINAL
         // signature; its cpu is the cold recompute cost (build + probe),
         // so future exact hits account the full time they save.
-        self.admit(catalog, pc, instr, args, &result, cold_cpu);
+        self.admit_result(catalog, pc, instr.op, args, &result, cold_cpu);
         Some((result, spent))
     }
 
-    /// Admit an executed instruction's result (the body of `recycleExit`).
+    /// The admission funnel — the body of `recycleExit` (paper Algorithm
+    /// 1), for a result and for operator state alike: `payload` was
+    /// computed by `sig` over `args` at cost `cpu`. An executed
+    /// instruction admits its result under its versioned signature; a
+    /// build half admits its structure under the artifact signature with
+    /// the build-side BAT as its only argument. Either is charged
+    /// [`Payload::charge_bytes`] against the cap and the session's credit
+    /// slice, anchors its lineage in `args`, and leaves through exactly
+    /// one of the exits below — every one of which returns what it took
+    /// (credit, reservation), so a shed or lost admission costs a future
+    /// miss and nothing else.
     fn admit(
         &mut self,
         catalog: &Catalog,
         pc: usize,
-        instr: &Instr,
+        sig: Sig,
         args: &[Value],
-        result: &Value,
+        payload: Payload,
         cpu: Duration,
     ) {
         let shared = Arc::clone(&self.shared);
@@ -728,9 +548,9 @@ impl Recycler {
             shared.count_deadline_skip();
             return;
         }
-        // register persistent identities first: they anchor coherence
-        let is_bind = matches!(instr.op, Opcode::Bind | Opcode::BindIdx);
-        // Floor gate (`RecyclerConfig::min_admit_bytes`): results smaller
+        let bytes = payload.charge_bytes(sig.op);
+        let is_bind = matches!(sig.op, Opcode::Bind | Opcode::BindIdx);
+        // Floor gate (`RecyclerConfig::min_admit_bytes`): payloads smaller
         // than the floor are monitored but never admitted — on workloads
         // dominated by tiny intermediates the probe/bookkeeping overhead
         // exceeds what reusing them could save. Checked before any
@@ -739,41 +559,39 @@ impl Recycler {
         // lineage anchors whose absence would break whole-thread
         // coherence for every result downstream of them.
         let min_admit = shared.config().min_admit_bytes;
-        if min_admit > 0
-            && !is_bind
-            && !instr.op.zero_cost()
-            && Self::charge_bytes(instr.op, result) < min_admit
-        {
+        if min_admit > 0 && bytes < min_admit && !is_bind && !sig.op.zero_cost() {
             shared.count_admission_reject();
             return;
         }
-        let mut base_columns: BTreeSet<(String, String)> = if is_bind {
-            let cols = shared.base_columns_of(catalog, instr, args);
-            if let Value::Bat(b) = result {
-                shared.persistent().insert(b.id(), cols.clone());
+        // register persistent identities first: they anchor coherence
+        let mut lineage = Lineage::default();
+        if is_bind {
+            lineage.base_columns = shared.base_columns_of(catalog, sig.op, args);
+            if let Payload::Raw(Value::Bat(b)) = &payload {
+                shared
+                    .persistent()
+                    .insert(b.id(), lineage.base_columns.clone());
             }
-            cols
-        } else {
-            BTreeSet::new()
-        };
+        }
         // Bottom-up matching coherence (paper §4.1: keep whole threads
         // intact): every BAT argument must be reachable as a pool result
-        // or a persistent BAT. Pool-resident parents are *pinned* here, so
-        // eviction cannot take the prefix out from under this admission;
-        // `insert` revalidates them once more inside its critical section
-        // (a concurrent update may still invalidate — invariant 6).
-        let mut parents: Vec<EntryId> = Vec::new();
+        // or a persistent BAT — otherwise coherence cannot be anchored and
+        // the admission is skipped. Pool-resident parents are *pinned*
+        // here, so eviction cannot take the prefix out from under this
+        // admission; `insert` revalidates them once more inside its
+        // critical section (a concurrent update may still invalidate —
+        // invariant 6).
         for a in args {
             if let Value::Bat(b) = a {
                 if let Some(eid) = pool.entry_of_result(b.id()) {
-                    if self.pin_live(eid, &mut base_columns) {
-                        parents.push(eid);
+                    if self.pin_live(eid, &mut lineage.base_columns) {
+                        lineage.parents.push(eid);
                         continue;
                     }
                 }
                 let known = shared.persistent().with(&b.id(), |cols| match cols {
                     Some(cols) => {
-                        base_columns.extend(cols.iter().cloned());
+                        lineage.base_columns.extend(cols.iter().cloned());
                         true
                     }
                     None => false,
@@ -794,46 +612,28 @@ impl Recycler {
         // overflow lane closed — is turned away before any room-making
         // work, so one flooding session cannot starve the others'
         // admissions. The footprint charge itself is implicit: the pool's
-        // per-session resident books move at the insert/remove funnels.
+        // ledger moves the per-session count at the insert/remove funnels.
         if !shared.session_admission_allowed(self.session_id) {
             shared.count_session_budget_reject();
             shared.count_admission_reject();
             shared.undo_admission_charge(key, grant);
             return;
         }
-        let bytes = Self::charge_bytes(instr.op, result);
-        // reserve capacity (strict limits under concurrency); released
-        // when the insert settles, whatever its outcome — via an RAII
-        // guard, so a panic unwinding out of `insert` (which poisons and
-        // quarantines the shard) cannot leak the pending reservation and
-        // choke future admissions against the cap
         if !shared.reserve_admission(bytes) {
             shared.count_admission_reject();
             shared.undo_admission_charge(key, grant);
             return;
         }
-        struct Reservation<'a> {
-            shared: &'a SharedRecycler,
-            bytes: usize,
-        }
-        impl Drop for Reservation<'_> {
-            fn drop(&mut self) {
-                self.shared.release_reservation(self.bytes);
-            }
-        }
         let reservation = Reservation {
             shared: &shared,
             bytes,
         };
-        let sig = Sig::versioned(catalog, instr.op, args);
-        let tick = shared.next_tick();
-        let result_id = result.as_bat().map(|b| b.id());
         // subset semantics for the subsumption machinery (§5.1), recorded
         // atomically with the insert
-        let subset_of = match (result_id, args.first()) {
-            (Some(_), Some(Value::Bat(arg0)))
+        let subset_of = match (&payload, args.first()) {
+            (Payload::Raw(Value::Bat(_)), Some(Value::Bat(arg0)))
                 if matches!(
-                    instr.op,
+                    sig.op,
                     Opcode::Select
                         | Opcode::Uselect
                         | Opcode::Like
@@ -849,48 +649,43 @@ impl Recycler {
             }
             _ => None,
         };
-        let entry = PoolEntry {
-            id: pool.alloc_id(),
+        let is_result = payload.kind() == ArtifactKind::Result;
+        let entry = PoolEntry::new(
+            pool.alloc_id(),
             sig,
-            args: args.to_vec(),
-            result: result.clone(),
-            result_id,
-            artifact: None,
-            tier: crate::tier::TierState::Raw,
+            args.to_vec(),
+            payload,
             bytes,
             cpu,
-            family: instr.op.family(),
-            parents,
-            base_columns,
-            admitted_tick: tick,
-            admitted_invocation: self.invocation,
-            admitted_session: self.session_id,
-            creator: key,
-            last_used: AtomicU64::new(tick),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            // born pinned by the admitting session
-            pins: AtomicU32::new(1),
-            credit_returned: AtomicBool::new(false),
-        };
+            lineage,
+            Admitter {
+                tick: shared.next_tick(),
+                invocation: self.invocation,
+                session: self.session_id,
+                creator: key,
+            },
+        );
         let admitted = pool.insert(entry, subset_of);
         drop(reservation);
         match admitted {
             Admitted::Inserted(id) => {
+                // born pinned by this session (`PoolEntry::new`)
                 self.pinned.insert(id);
-                shared.count_admission();
+                if is_result {
+                    shared.count_admission();
+                } else {
+                    shared.count_artifact_admission();
+                }
                 self.current.admitted += 1;
                 self.current.bytes_admitted += bytes as u64;
             }
             Admitted::Duplicate(existing) => {
                 // Concurrent-admission resolution (first writer wins): the
                 // pool kept the resident instance, pinned it on our behalf
-                // and aliased our result BAT onto it — all inside the
-                // shard critical section. Return the credit and reconcile
-                // the pin with this session's pin set (we may have pinned
-                // the winner already earlier in the query).
+                // and aliased our result BAT (if any) onto it — all inside
+                // the shard critical section. Return the credit and
+                // reconcile the pin with this session's pin set (we may
+                // have pinned the winner already earlier in the query).
                 shared.count_duplicate_admission();
                 shared.undo_admission_charge(key, grant);
                 if !self.pinned.insert(existing) {
@@ -899,21 +694,17 @@ impl Recycler {
                     });
                 }
             }
-            Admitted::Orphaned => {
-                // An update invalidated a parent between resolution and
-                // insertion — the thread is broken, admitting would leave
-                // dangling lineage. The candidate never entered the pool,
+            Admitted::Orphaned | Admitted::Quarantined => {
+                // Orphaned: an update invalidated a parent between
+                // resolution and insertion — the thread is broken,
+                // admitting would leave dangling lineage. Quarantined:
+                // the target shard sits out after a poisoning panic and
+                // the pool refused the candidate without touching torn
+                // state. Either way the candidate never entered the pool,
                 // so no bytes were counted; the admission credit (when one
                 // was charged) goes back to the account so repeated
-                // orphaning cannot drain it.
-                shared.count_admission_reject();
-                shared.undo_admission_charge(key, grant);
-            }
-            Admitted::Quarantined => {
-                // The target shard is quarantined after a poisoning
-                // panic: the pool refused the candidate without touching
-                // torn state. Same refund discipline as a reject —
-                // degraded mode costs this session a miss, nothing more.
+                // orphaning cannot drain it — degraded mode costs this
+                // session a miss, nothing more.
                 shared.count_admission_reject();
                 shared.undo_admission_charge(key, grant);
             }
@@ -1023,7 +814,7 @@ impl ExecHook for Recycler {
 
         // Phase 1: exact match (paper §3.3) — one shard read lock, no
         // write lock ever (invariant 2 in `crate::shared`).
-        if let Some(result) = self.try_exact_hit(&sig) {
+        if let Some((Payload::Raw(result), _)) = self.try_hit(&sig) {
             self.shared.add_overhead(t0.elapsed());
             return HookAction::Reuse(result);
         }
@@ -1082,7 +873,7 @@ impl ExecHook for Recycler {
                     self.current.subsumed += 1;
                     // recycleExit for the pieced result, under the
                     // ORIGINAL signature.
-                    self.admit(catalog, pc, instr, args, &result, cpu);
+                    self.admit_result(catalog, pc, instr.op, args, &result, cpu);
                     self.shared.add_overhead(t0.elapsed());
                     return HookAction::Computed(result);
                 }
@@ -1123,7 +914,7 @@ impl ExecHook for Recycler {
         _subsumed: bool,
     ) {
         let t0 = Instant::now();
-        self.admit(catalog, pc, instr, args, result, cpu);
+        self.admit_result(catalog, pc, instr.op, args, result, cpu);
         self.shared.add_overhead(t0.elapsed());
     }
 
@@ -1392,91 +1183,306 @@ mod tests {
         gated.hook.pool().check_invariants().unwrap();
     }
 
+    // ----- the one funnel: every exit returns what it took -------------------
+
+    /// The two kinds of admission the funnel takes: a result, and operator
+    /// state (a join build side standing in for all three structures).
+    const KINDS: [ArtifactKind; 2] = [ArtifactKind::Result, ArtifactKind::JoinBuild];
+
+    /// Program counter (and so credit key `(0, PC)`) of every candidate.
+    const PC: usize = 1;
+
+    /// A shared service whose `t.x` bind was admitted by a *setup* session,
+    /// and a second session about to push candidates over that column
+    /// through [`Recycler::admit`] — so this session's own books start at
+    /// zero and only its own admissions can move them.
+    struct Funnel {
+        shared: Arc<SharedRecycler>,
+        cat: Catalog,
+        setup: Recycler,
+        session: Recycler,
+        col: Value,
+    }
+
+    type Candidate = (Sig, Vec<Value>, Payload);
+
+    const CPU: Duration = Duration::from_micros(5);
+
+    impl Funnel {
+        fn new(config: RecyclerConfig) -> Funnel {
+            let shared = SharedRecycler::new(config);
+            let cat = catalog(1000);
+            let bind_args = [Value::str("t"), Value::str("x")];
+            let col = rmal::execute_op(&cat, &Opcode::Bind, &bind_args).unwrap();
+            let mut f = Funnel {
+                setup: shared.session(),
+                session: shared.session(),
+                shared,
+                cat,
+                col,
+            };
+            f.admit_bind(0);
+            f
+        }
+
+        /// (Re-)admit the `t.x` bind from the setup session. Under
+        /// `Credit(0)` the bind itself is denied; its column is registered
+        /// persistent all the same and anchors the candidates' lineage.
+        fn admit_bind(&mut self, pc: usize) {
+            let args = [Value::str("t"), Value::str("x")];
+            self.setup
+                .admit_result(&self.cat, pc, Opcode::Bind, &args, &self.col, CPU);
+        }
+
+        /// One candidate of `kind` computed over `operand`: a range select
+        /// result, or a join build side (`tag` keeps signatures apart).
+        fn candidate(&self, kind: ArtifactKind, operand: &Value, tag: i64) -> Candidate {
+            match kind {
+                ArtifactKind::Result => {
+                    let args = vec![
+                        operand.clone(),
+                        Value::Int(tag),
+                        Value::Int(tag + 400),
+                        Value::Bool(true),
+                        Value::Bool(true),
+                    ];
+                    let result = rmal::execute_op(&self.cat, &Opcode::Select, &args).unwrap();
+                    let sig = Sig::versioned(&self.cat, Opcode::Select, &args);
+                    (sig, args, Payload::Raw(result))
+                }
+                _ => {
+                    let build = operand.as_bat().unwrap();
+                    let sig = Sig::artifact(
+                        kind,
+                        Opcode::Join,
+                        vec![ArgSig::Bat(build.id()), ArgSig::Scalar(Value::Int(tag))],
+                    );
+                    let state = Arc::new(rbat::ops::join_build(build).unwrap());
+                    (sig, vec![operand.clone()], Payload::JoinBuild(state))
+                }
+            }
+        }
+
+        fn admit(&mut self, (sig, args, payload): Candidate) {
+            self.session.admit(&self.cat, PC, sig, &args, payload, CPU);
+        }
+
+        /// The setup session admits an equivalent candidate first.
+        fn first_writer(&mut self, (sig, args, payload): &Candidate) {
+            self.setup
+                .admit(&self.cat, 9, sig.clone(), args, payload.clone(), CPU);
+        }
+
+        /// What an admission that does not land must leave untouched: the
+        /// candidate's credit balance, this session's resident book and
+        /// the pending `(bytes, entries)` reservations.
+        fn books(&self) -> (i64, u64, (usize, usize)) {
+            (
+                self.shared.credit_balance((0, PC)),
+                self.shared
+                    .pool_inner()
+                    .resident_of_session(self.session.session_id()),
+                self.shared.pending(),
+            )
+        }
+    }
+
+    fn credit(k: u32) -> RecyclerConfig {
+        RecyclerConfig::default().admission(AdmissionPolicy::Credit(k))
+    }
+
+    /// For a result and for operator state: `arrange` sets the funnel up
+    /// so that the candidate it returns leaves through one particular
+    /// exit; the books must read the same before and after the admission,
+    /// `counter` proves the intended exit was taken, and nothing lands.
+    fn assert_exit_refunds(
+        exit: &str,
+        config: RecyclerConfig,
+        counter: fn(&RecyclerStats) -> u64,
+        arrange: impl Fn(&mut Funnel, ArtifactKind) -> Candidate,
+    ) {
+        for kind in KINDS {
+            let mut f = Funnel::new(config);
+            let candidate = arrange(&mut f, kind);
+            let (books, stats) = (f.books(), f.shared.stats());
+            f.admit(candidate);
+            assert_eq!(f.books(), books, "{exit}, {kind:?}: books moved");
+            let after = f.shared.stats();
+            assert_eq!(
+                counter(&after),
+                counter(&stats) + 1,
+                "{exit}, {kind:?}: wrong exit"
+            );
+            assert_eq!(
+                after.admissions + after.artifact_admissions,
+                stats.admissions + stats.artifact_admissions,
+                "{exit}, {kind:?}: the candidate must not land"
+            );
+            f.shared.maintenance().repair_quarantined();
+            f.shared.pool().check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn every_funnel_exit_leaves_the_books_untouched() {
+        let rejects = |s: &RecyclerStats| s.admission_rejects;
+        assert_exit_refunds(
+            "past the soft deadline",
+            credit(5),
+            |s| s.deadline_skips,
+            |f, kind| {
+                f.session.set_deadline(Some(Instant::now()));
+                f.candidate(kind, &f.col, 1)
+            },
+        );
+        assert_exit_refunds(
+            "below the min_admit_bytes floor",
+            credit(5).min_admit_bytes(usize::MAX),
+            rejects,
+            |f, kind| f.candidate(kind, &f.col, 1),
+        );
+        // an operand that no pool entry and no persistent registration
+        // vouches for
+        assert_exit_refunds("unanchored lineage", credit(5), rejects, |f, kind| {
+            let stray =
+                rmal::execute_op(&f.cat, &Opcode::Reverse, std::slice::from_ref(&f.col)).unwrap();
+            f.candidate(kind, &stray, 1)
+        });
+        assert_exit_refunds("credit denied", credit(0), rejects, |f, kind| {
+            f.candidate(kind, &f.col, 1)
+        });
+        // slice used up (one resident entry of this session) with the
+        // overflow lane closed (the pool holds the whole budget)
+        assert_exit_refunds(
+            "per-session slice",
+            credit(5).session_credits(1),
+            |s| s.session_budget_rejects,
+            |f, kind| {
+                let pool = f.shared.pool_inner();
+                let mut own = PoolEntry::test_stub(pool.alloc_id(), -1, vec![], 8);
+                own.admitted_session = f.session.session_id();
+                assert!(pool.insert(own, None).inserted());
+                f.candidate(kind, &f.col, 1)
+            },
+        );
+        // no room beside the (pinned) 64-byte bind, whatever the size
+        assert_exit_refunds(
+            "cap reservation",
+            credit(5).mem_limit(70),
+            rejects,
+            |f, kind| f.candidate(kind, &f.col, 1),
+        );
+        // another session's equivalent admission landed first
+        assert_exit_refunds(
+            "duplicate",
+            credit(5),
+            |s| s.duplicate_admissions,
+            |f, kind| {
+                let candidate = f.candidate(kind, &f.col, 1);
+                f.first_writer(&candidate);
+                assert_eq!(f.shared.pool().len(), 2, "the first writer lands");
+                candidate
+            },
+        );
+        // a panic unwound through the write lock of the candidate's shard
+        assert_exit_refunds("quarantined", credit(5), rejects, |f, kind| {
+            let candidate = f.candidate(kind, &f.col, 1);
+            let pool = f.shared.pool_inner();
+            let si = pool.shard_of(&candidate.0);
+            let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _view = pool.scoped_view(&[si]);
+                panic!("poisoning shard {si} for the test");
+            }));
+            assert!(poison.is_err() && pool.is_quarantined(si));
+            candidate
+        });
+    }
+
     #[test]
     fn orphaned_admissions_never_drain_credits_or_bytes() {
-        // Regression: an admission whose parents were invalidated
-        // mid-flight resolves as `Admitted::Orphaned`. The sequence the
-        // hook performs — charge the credit, reserve, insert, refund on
-        // orphan — must leave the credit account and the byte counters
-        // exactly where they started, every time: repeated orphaning used
-        // to be able to drain an instruction's credits for good.
-        use crate::signature::Sig;
-        use std::collections::BTreeSet;
-        use std::time::Duration;
-
-        let shared =
-            SharedRecycler::new(RecyclerConfig::default().admission(AdmissionPolicy::Credit(2)));
-        let pool = shared.pool_inner();
-        let key: InstrKey = (7, 3);
-        let bytes_before = pool.bytes();
-        for round in 0..16u64 {
-            let grant = shared.admission_grant(key);
-            assert!(grant.allowed, "credits drained after {round} orphanings");
-            assert!(grant.charged);
-            assert!(shared.reserve_admission(100));
-            let entry = PoolEntry {
-                id: pool.alloc_id(),
-                sig: Sig::of(Opcode::Select, &[Value::Int(round as i64)]),
-                args: vec![Value::Int(round as i64)],
-                result: Value::Int(round as i64),
-                result_id: None,
-                artifact: None,
-                tier: crate::tier::TierState::Raw,
-                bytes: 100,
-                cpu: Duration::from_micros(1),
-                family: "select",
-                // a parent that an update invalidated between resolution
-                // and insertion
-                parents: vec![999_999],
-                base_columns: BTreeSet::new(),
-                admitted_tick: 0,
-                admitted_invocation: 0,
-                admitted_session: 0,
-                creator: key,
-                last_used: AtomicU64::new(0),
-                local_reuses: AtomicU64::new(0),
-                global_reuses: AtomicU64::new(0),
-                subsumption_uses: AtomicU64::new(0),
-                time_saved_ns: AtomicU64::new(0),
-                pins: AtomicU32::new(1),
-                credit_returned: AtomicBool::new(false),
-            };
-            assert_eq!(pool.insert(entry, None), Admitted::Orphaned);
-            shared.release_reservation(100);
-            shared.count_admission_reject();
-            shared.undo_admission_charge(key, grant);
-            // no byte may ever be double-counted for a dropped candidate
-            assert_eq!(pool.bytes(), bytes_before, "round {round}");
+        // Regression: an admission whose parent is invalidated between
+        // its resolution (parent pinned, credit charged, capacity
+        // reserved) and the insert comes back `Admitted::Orphaned`; the
+        // funnel must leave the credit account, the session book and the
+        // pending reservations exactly where they started, every time —
+        // repeated orphaning used to be able to drain an instruction's
+        // credits for good. The interleaving is forced: a "committer"
+        // holds the candidate's shard, so the admission blocks at the
+        // insert; it waits for the reservation to go pending, removes the
+        // parent (invalidation overrides pins) and lets go.
+        for kind in KINDS {
+            let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
+            let bytes_before = f.shared.pool().bytes();
+            for round in 0..8usize {
+                let pool = f.shared.pool_inner();
+                let parent = pool
+                    .entry_of_result(f.col.as_bat().unwrap().id())
+                    .expect("bind resident");
+                let parent_shard = pool.entry(parent, |e| pool.shard_of(&e.sig)).unwrap();
+                let candidate = (1..)
+                    .map(|tag| f.candidate(kind, &f.col, tag))
+                    .find(|c| pool.shard_of(&c.0) != parent_shard)
+                    .unwrap();
+                let si = pool.shard_of(&candidate.0);
+                let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
+                assert_eq!(
+                    books.0, 2,
+                    "{kind:?}: credits drained after {round} orphanings"
+                );
+                let committer = Arc::clone(&f.shared);
+                std::thread::scope(|s| {
+                    let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+                    s.spawn(move || {
+                        let mut view = committer.pool_inner().scoped_view(&[si]);
+                        locked_tx.send(()).unwrap();
+                        while committer.pending().1 == 0 {
+                            std::thread::yield_now();
+                        }
+                        assert!(view.remove(parent).is_some());
+                    });
+                    locked_rx.recv().unwrap();
+                    f.admit(candidate);
+                });
+                assert_eq!(f.books(), books, "{kind:?} round {round}");
+                assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
+                assert!(f.shared.pool().is_empty(), "the orphan never entered");
+                f.admit_bind(100 + round);
+                // no byte may ever be double-counted for a dropped candidate
+                assert_eq!(f.shared.pool().bytes(), bytes_before, "round {round}");
+            }
+            f.shared.pool().check_invariants().unwrap();
         }
-        assert!(pool.is_empty());
-        // the account still holds its full balance: two *kept* admissions
-        // in a row are granted without an intervening refund
-        assert!(shared.admission_grant(key).allowed);
-        assert!(shared.admission_grant(key).allowed);
     }
 
     #[test]
     fn uncharged_grants_refund_nothing() {
         // ADAPT promotes a reused instruction to unlimited admissions,
-        // which are *not* charged. A duplicate/orphan resolution of such
-        // an admission must not mint credits out of thin air: the refund
+        // which are *not* charged. A duplicate resolution of such an
+        // admission must not mint credits out of thin air: the refund
         // must be exactly what the grant charged.
-        let shared =
-            SharedRecycler::new(RecyclerConfig::default().admission(AdmissionPolicy::Adaptive(1)));
-        let key: InstrKey = (1, 0);
-        // burn the starting credit, record a reuse, pass the decision point
-        shared.note_invocation(1);
-        assert!(shared.admission_grant(key).charged);
-        shared.note_reuse(key, false);
-        shared.note_invocation(1);
-        shared.note_invocation(1);
-        let grant = shared.admission_grant(key);
-        assert!(grant.allowed && !grant.charged, "unlimited keys are free");
-        // an orphaned outcome of an uncharged grant refunds nothing; with
-        // the charged-amount discipline this is a no-op by construction
-        shared.undo_admission_charge(key, grant);
-        let again = shared.admission_grant(key);
-        assert!(again.allowed && !again.charged);
+        for kind in KINDS {
+            let mut f =
+                Funnel::new(RecyclerConfig::default().admission(AdmissionPolicy::Adaptive(1)));
+            let key: InstrKey = (0, PC);
+            // the first writer lands while its own key still has credit
+            let candidate = f.candidate(kind, &f.col, 1);
+            f.first_writer(&candidate);
+            // burn the starting credit, record a reuse, pass the decision
+            // point
+            f.shared.note_invocation(0);
+            assert!(f.shared.admission_grant(key).charged);
+            f.shared.note_reuse(key, false);
+            f.shared.note_invocation(0);
+            f.shared.note_invocation(0);
+            let grant = f.shared.admission_grant(key);
+            assert!(grant.allowed && !grant.charged, "unlimited keys are free");
+            let books = f.books();
+            f.admit(candidate);
+            assert_eq!(f.shared.stats().duplicate_admissions, 1, "{kind:?}");
+            assert_eq!(f.books(), books, "{kind:?}: a free grant refunds nothing");
+            let again = f.shared.admission_grant(key);
+            assert!(again.allowed && !again.charged);
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //!
 //! * the [`RecyclePool`] — since the sharding PR a concurrent structure
 //!   of its own: N signature-hash shards (N = next power of two ≥
-//!   2×cores), each an independent `RwLock` over its entry slab,
-//!   exact-match index and subsumption candidate index, with per-shard
-//!   byte totals in `AtomicUsize` and the cross-shard lineage indexes in
-//!   their own sharded locks;
+//!   2×cores), each an independent `RwLock` over its entry slab and
+//!   exact-match index, with the cross-shard lineage indexes in their own
+//!   sharded locks and every byte/entry book in one
+//!   [ledger](crate::ledger) moved only under the owning shard's write
+//!   lock;
 //! * the persistent-BAT registry (bound columns, join indices) in a
 //!   sharded index of its own;
 //! * the CREDIT/ADAPT accounts behind one [`Mutex`] — inherently global
@@ -72,7 +73,10 @@
 //!    every lock; only combined-subsumption piecing reads pooled BATs,
 //!    entry-by-entry under shard read locks, and `Arc`-shared results
 //!    stay valid regardless of eviction.
-//! 5. **First writer wins, atomically.** Racing duplicate admissions are
+//! 5. **One funnel; first writer wins, atomically.** Results and operator
+//!    state are admitted by the same funnel ([`Recycler`]'s `admit`) and
+//!    every exit of it returns what it took (credit, reservation). Racing
+//!    duplicate admissions are
 //!    resolved inside [`RecyclePool::insert`]'s shard critical section:
 //!    the resident entry stays and is pinned for the loser, the loser's
 //!    result BAT is aliased onto it, and the caller returns the admission
@@ -121,8 +125,16 @@
 //!    advisory, so the worst legal outcome is a cache miss.
 //!    [`MaintenanceGuard::repair_quarantined`] (update mutex + all shard
 //!    write locks, collector quiesced) rebuilds consistent state from
-//!    the surviving slabs, refunds the byte books exactly, clears the
-//!    lock poison and lifts the quarantine.
+//!    the surviving slabs, stores the ledger recomputed from them, clears
+//!    the lock poison and lifts the quarantine.
+//! 10. **One payload, one transition, one ledger.** What an entry holds is
+//!     a single [`Payload`](crate::entry::Payload); it changes only through
+//!     the pool's one transition function (table documented on `Payload`),
+//!     under the shard write lock, which moves the ledger in the same
+//!     step and is — with removal and repair — the only path that retires
+//!     a spill ticket. Every book is a pure function of the resident
+//!     entries, so `check_invariants` and repair need one sum
+//!     (`Ledger::recompute`), not one per book.
 
 use std::collections::BTreeSet;
 use std::ops::Deref;
@@ -133,7 +145,7 @@ use std::time::Duration;
 use rbat::hash::FxHashMap;
 use rbat::hash::FxHashSet;
 use rbat::{BatId, Catalog};
-use rmal::{Instr, Opcode};
+use rmal::Opcode;
 
 use crate::collector::{self, CollectorControl};
 use crate::config::{AdmissionPolicy, RecyclerConfig};
@@ -572,17 +584,17 @@ impl SharedRecycler {
 
     // ----- admission support ------------------------------------------------
 
-    /// Base `(table, column)` lineage of an instruction's arguments
-    /// (paper §6.4) — resolved against pooled producers and persistent
-    /// registrations.
+    /// Base `(table, column)` lineage a bind-family instruction anchors
+    /// (paper §6.4); every other opcode inherits its lineage from its
+    /// parents at admission.
     pub(crate) fn base_columns_of(
         &self,
         catalog: &Catalog,
-        instr: &Instr,
+        op: Opcode,
         args: &[rbat::Value],
     ) -> BTreeSet<(String, String)> {
         let mut cols = BTreeSet::new();
-        match instr.op {
+        match op {
             Opcode::Bind => {
                 if let (Some(t), Some(c)) = (
                     args.first().and_then(|v| v.as_str()),
@@ -599,23 +611,7 @@ impl SharedRecycler {
                     }
                 }
             }
-            _ => {
-                for a in args {
-                    if let rbat::Value::Bat(b) = a {
-                        if let Some(eid) = self.pool.entry_of_result(b.id()) {
-                            self.pool.entry(eid, |e| {
-                                cols.extend(e.base_columns.iter().cloned());
-                            });
-                        } else {
-                            self.persistent.with(&b.id(), |pcols| {
-                                if let Some(pcols) = pcols {
-                                    cols.extend(pcols.iter().cloned());
-                                }
-                            });
-                        }
-                    }
-                }
-            }
+            _ => {}
         }
         cols
     }
@@ -1003,6 +999,26 @@ impl SharedRecycler {
                 }
             }
         }
+    }
+
+    /// Test probe: `key`'s credit balance (the policy's starting credit
+    /// while the account is untouched).
+    #[cfg(test)]
+    pub(crate) fn credit_balance(&self, key: InstrKey) -> i64 {
+        let start = match self.config.admission {
+            AdmissionPolicy::KeepAll => 0,
+            AdmissionPolicy::Credit(k) | AdmissionPolicy::Adaptive(k) => k as i64,
+        };
+        *self.lock_accounts().credits.get(&key).unwrap_or(&start)
+    }
+
+    /// Test probe: `(bytes, entries)` reserved by in-flight admissions.
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> (usize, usize) {
+        (
+            self.pending_bytes.load(Ordering::Relaxed),
+            self.pending_entries.load(Ordering::Relaxed),
+        )
     }
 
     /// Return a charged credit after an admission that did not complete

@@ -223,11 +223,11 @@ impl PoolSnapshot {
             let reuses = e.local_reuses() + e.global_reuses();
             if reuses > 0 {
                 snap.reused_entries += 1;
-                snap.reused_bytes += e.bytes;
+                snap.reused_bytes += e.bytes();
             }
             let row = snap.by_family.entry(e.family).or_default();
             row.lines += 1;
-            row.bytes += e.bytes as u64;
+            row.bytes += e.bytes() as u64;
             row.reuses += reuses;
             if reuses > 0 {
                 row.reused_lines += 1;

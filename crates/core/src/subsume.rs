@@ -56,9 +56,7 @@ fn bounds_from_sig(pool: &RecyclePool, id: EntryId) -> Option<(EntryId, SelectBo
     pool.entry(id, |e| {
         // demoted entries hold no materialised result to rewrite over;
         // the hit path re-promotes them, subsumption just skips them
-        if !e.tier.is_raw() {
-            return None;
-        }
+        e.payload().as_raw()?;
         let scalar = |i: usize| -> Option<Value> {
             match e.sig.args.get(i)? {
                 ArgSig::Scalar(v) => Some(v.clone()),
@@ -76,16 +74,14 @@ fn bounds_from_sig(pool: &RecyclePool, id: EntryId) -> Option<(EntryId, SelectBo
 }
 
 fn result_len(pool: &RecyclePool, id: EntryId) -> usize {
-    pool.entry(id, |e| e.result.as_bat().map(|b| b.len()))
+    pool.entry(id, |e| e.payload().as_raw()?.as_bat().map(|b| b.len()))
         .flatten()
         .unwrap_or(usize::MAX)
 }
 
 fn result_of(pool: &RecyclePool, id: EntryId) -> Option<Value> {
-    // tier guard, not just a convenience: a demoted entry's `result` slot
-    // is `Value::Nil` — rewriting an operand to it would corrupt the plan
-    pool.entry(id, |e| e.tier.is_raw().then(|| e.result.clone()))
-        .flatten()
+    // only a raw payload is a materialised operand to rewrite over
+    pool.entry(id, |e| e.payload().as_raw().cloned()).flatten()
 }
 
 /// Singleton subsumption for `algebra.select`: find the smallest pool
@@ -487,11 +483,9 @@ pub fn execute_combined(pool: &RecyclePool, segments: &[(EntryId, SelectBounds)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::PoolEntry;
+    use crate::entry::{Admitter, Lineage, Payload, PoolEntry};
     use crate::signature::Sig;
     use rbat::Column;
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -505,45 +499,26 @@ mod tests {
         ]
     }
 
-    fn mk_entry(
-        pool: &RecyclePool,
-        op: Opcode,
-        args: Vec<Value>,
-        result: Arc<Bat>,
-        family: &'static str,
-    ) -> PoolEntry {
-        PoolEntry {
-            id: pool.alloc_id(),
-            sig: Sig::of(op, &args),
+    fn mk_entry(pool: &RecyclePool, op: Opcode, args: Vec<Value>, result: Arc<Bat>) -> PoolEntry {
+        let e = PoolEntry::new(
+            pool.alloc_id(),
+            Sig::of(op, &args),
             args,
-            result_id: Some(result.id()),
-            artifact: None,
-            tier: crate::tier::TierState::Raw,
-            bytes: result.resident_bytes(),
-            result: Value::Bat(result),
-            cpu: Duration::from_millis(5),
-            family,
-            parents: vec![],
-            base_columns: BTreeSet::new(),
-            admitted_tick: 0,
-            admitted_invocation: 0,
-            admitted_session: 0,
-            creator: (0, 0),
-            last_used: AtomicU64::new(0),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        }
+            Payload::Raw(Value::Bat(Arc::clone(&result))),
+            result.resident_bytes(),
+            Duration::from_millis(5),
+            Lineage::default(),
+            Admitter::default(),
+        );
+        e.pins.store(0, std::sync::atomic::Ordering::Relaxed);
+        e
     }
 
     fn admit_select(pool: &RecyclePool, base: &Arc<Bat>, lo: i64, hi: i64) -> EntryId {
         let args = select_args(base, lo, hi);
         let bounds = SelectBounds::closed(Value::Int(lo), Value::Int(hi));
         let result = Arc::new(ops::select(base, &bounds).unwrap());
-        let e = mk_entry(pool, Opcode::Select, args, result, "select");
+        let e = mk_entry(pool, Opcode::Select, args, result);
         pool.insert(e, Some(base.id())).id()
     }
 
@@ -673,15 +648,15 @@ mod tests {
         let sel_col = base_bat();
         let pool = RecyclePool::new();
         let v_id = admit_select(&pool, &sel_col, 0, 80);
-        let v_bat = pool.entry(v_id, |e| e.result.clone()).unwrap();
+        let v_bat = result_of(&pool, v_id).unwrap();
         // admit semijoin(X, V)
         let sj_args = vec![Value::Bat(Arc::clone(&x)), v_bat.clone()];
         let sj_res = Arc::new(ops::semijoin(&x, v_bat.as_bat().unwrap()).unwrap());
-        let e = mk_entry(&pool, Opcode::Semijoin, sj_args, sj_res, "join");
+        let e = mk_entry(&pool, Opcode::Semijoin, sj_args, sj_res);
         let sj_id = pool.insert(e, None).id();
         // W ⊂ V: a narrower selection, subset edge recorded vs V's result
         let w_id = admit_select(&pool, &sel_col, 20, 40);
-        let w_res = pool.entry(w_id, |e| e.result.clone()).unwrap();
+        let w_res = result_of(&pool, w_id).unwrap();
         let v_res_id = pool.entry(v_id, |e| e.result_id).unwrap().unwrap();
         let w_res_id = pool.entry(w_id, |e| e.result_id).unwrap().unwrap();
         pool.add_subset_edge(w_res_id, v_res_id);

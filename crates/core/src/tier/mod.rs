@@ -13,11 +13,13 @@
 //!   blob format shared by both cold tiers.
 //! - [`spill`] is the append-only block file plus in-memory index that
 //!   backs the coldest tier.
-//! - [`TierState`] is the per-entry residency marker carried by
-//!   `PoolEntry`; the pool's sharded accounting keeps one byte book per
-//!   tier so `check_invariants` can prove
-//!   `raw + compressed == shard bytes` at any instant (spilled bytes are
-//!   tracked separately and do not count against the memory cap).
+//! - Where an entry sits on the ladder is its
+//!   [`Payload`](crate::entry::Payload) variant (`Raw`, `Compressed`,
+//!   `Spilled`); the transition table is documented there, once. The
+//!   pool's [ledger](crate::ledger) books each rung separately, so
+//!   `check_invariants` can prove `raw + compressed == resident bytes` per
+//!   shard at any instant (spilled bytes are tracked off-cap, against the
+//!   spill budget).
 //!
 //! The background collector drives demotions generationally: minor
 //! rounds compress nursery-cold entries one rung before the evict path
@@ -30,74 +32,5 @@
 pub mod codec;
 pub mod spill;
 
-use std::sync::Arc;
-
 pub use codec::{Codec, CodecError, CompressedBat};
 pub use spill::{SpillFile, SpillTicket};
-
-/// Residency tier of one pool entry.
-///
-/// The tier decides where the entry's payload lives and what
-/// `PoolEntry::bytes` means: the bytes *currently charged* against the
-/// pool's memory cap. Raw entries charge their resident column bytes,
-/// compressed entries charge the blob size, and spilled entries charge
-/// zero (their bytes are accounted in the spill file's own budget).
-#[derive(Debug, Clone)]
-pub enum TierState {
-    /// Hot: the entry's `result` holds the raw BAT, reusable without any
-    /// promotion cost.
-    Raw,
-    /// Cold: the payload is a compressed blob held in memory; `result`
-    /// is `Value::Nil`. A hit decompresses and promotes back to raw.
-    Compressed(Arc<CompressedBat>),
-    /// Coldest: the blob lives in the spill block file; only the claim
-    /// ticket stays in memory. A hit reads the record back, decodes it,
-    /// and promotes to raw.
-    Spilled(SpillTicket),
-}
-
-impl TierState {
-    /// True when the entry is resident raw.
-    pub fn is_raw(&self) -> bool {
-        matches!(self, TierState::Raw)
-    }
-
-    /// True when the payload is in the in-memory compressed tier.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, TierState::Compressed(_))
-    }
-
-    /// True when the payload is on disk.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self, TierState::Spilled(_))
-    }
-
-    /// Short label for diagnostics and per-tier breakdowns.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TierState::Raw => "raw",
-            TierState::Compressed(_) => "compressed",
-            TierState::Spilled(_) => "spilled",
-        }
-    }
-}
-
-/// Per-shard byte book split by tier, kept next to the existing
-/// `shard_bytes` totals. Invariant (checked by `check_invariants`):
-/// `raw + compressed == shard_bytes` for every shard — spilled bytes are
-/// off-cap and tracked against the spill budget instead, so the book
-/// records them for observability only.
-#[derive(Debug, Default)]
-pub struct TierBook {
-    /// Bytes charged by raw entries in this shard.
-    pub raw: std::sync::atomic::AtomicUsize,
-    /// Bytes charged by compressed blobs in this shard.
-    pub compressed: std::sync::atomic::AtomicUsize,
-    /// Bytes of spilled records owned by entries in this shard (off-cap).
-    pub spilled: std::sync::atomic::AtomicUsize,
-    /// Bytes charged by operator-state artifact entries in this shard —
-    /// a *subset* of `raw` (artifacts are evict-only, never demoted), kept
-    /// so `check_invariants` and quarantine repair can prove a torn
-    /// build-side admission never leaks budget.
-    pub artifact: std::sync::atomic::AtomicUsize,
-}

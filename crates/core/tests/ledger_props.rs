@@ -1,0 +1,457 @@
+//! Property tests for the pool's ledger and the payload transition table.
+//!
+//! A random script of insert / remove / evict / compress / spill /
+//! promote / resize / rekey (with shard migration) / clear / tear-and-
+//! repair steps runs over entries of all six payload variants while the
+//! test keeps its *own* model of what is resident. After every step:
+//!
+//! * `check_invariants()` holds — which includes the live ledger being
+//!   equal to `Ledger::recompute` over the slabs, and
+//! * every public book (`len`, `bytes`, per-shard bytes, the raw /
+//!   compressed / spilled / artifact totals, the per-session resident
+//!   counts, the spill file's live bytes) equals what the model says.
+//!
+//! Every move the table on `Payload` forbids is attempted too, and must
+//! be refused with every one of those books untouched.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use proptest::prelude::*;
+use rbat::ops::{group_build, join_build, sort_build};
+use rbat::{Bat, Column, Value};
+use recycler::entry::{Admitter, Lineage};
+use recycler::signature::{ArgSig, ArtifactKind, Sig};
+use recycler::tier::{CompressedBat, SpillFile};
+use recycler::{EntryId, Payload, PoolEntry, RecyclePool};
+use rmal::Opcode;
+
+const SHARDS: usize = 4;
+const SESSIONS: u64 = 3;
+
+/// Which rung the model believes an entry sits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    Raw,
+    Compressed,
+    Spilled,
+    Artifact,
+}
+
+/// The test's own record of one resident entry.
+#[derive(Debug, Clone)]
+struct Live {
+    id: EntryId,
+    sig: Sig,
+    session: u64,
+    rung: Rung,
+    /// Bytes charged against the cap (0 while spilled).
+    bytes: usize,
+    /// Length of the spilled record (0 unless spilled).
+    spilled: usize,
+    /// The result BAT of a raw-born entry (what promotion restores).
+    bat: Option<Arc<Bat>>,
+}
+
+/// Every book the pool exposes, as one comparable value.
+#[derive(Debug, PartialEq, Eq)]
+struct Books {
+    entries: usize,
+    bytes: usize,
+    shard_bytes: Vec<usize>,
+    raw: usize,
+    compressed: usize,
+    spilled: usize,
+    artifact: usize,
+    by_session: Vec<u64>,
+    spill_live: usize,
+}
+
+struct Rig {
+    pool: RecyclePool,
+    spill: Arc<SpillFile>,
+    live: Vec<Live>,
+    next_tag: i64,
+    dir: std::path::PathBuf,
+}
+
+impl Drop for Rig {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn ints(seed: i64, n: usize) -> Arc<Bat> {
+    // low-cardinality runs: compressible, so blobs differ from raw sizes
+    let vals = (0..n as i64).map(|i| seed + i / 8).collect();
+    Arc::new(Bat::from_tail(Column::from_ints(vals)))
+}
+
+impl Rig {
+    fn new(name: &str) -> Rig {
+        let dir = std::env::temp_dir().join(format!("ledger-props-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spill = Arc::new(SpillFile::create(&dir, 64 << 20).expect("spill file"));
+        let mut pool = RecyclePool::with_shards(SHARDS);
+        pool.set_spill(Some(Arc::clone(&spill)));
+        Rig {
+            pool,
+            spill,
+            live: Vec::new(),
+            next_tag: 0,
+            dir,
+        }
+    }
+
+    fn fresh_sig(&mut self, kind: ArtifactKind) -> Sig {
+        self.next_tag += 1;
+        let tag = Value::Int(self.next_tag);
+        match kind {
+            ArtifactKind::Result => Sig::of(Opcode::Select, &[tag]),
+            ArtifactKind::JoinBuild => Sig::artifact(kind, Opcode::Join, vec![ArgSig::of(&tag)]),
+            ArtifactKind::GroupMap => Sig::artifact(kind, Opcode::Group, vec![ArgSig::of(&tag)]),
+            ArtifactKind::SortedRun => Sig::artifact(kind, Opcode::Sort, vec![ArgSig::of(&tag)]),
+        }
+    }
+
+    /// Insert an unpinned entry of the variant `pick` selects.
+    fn insert(&mut self, pick: usize, session: u64) {
+        let bat = ints(pick as i64, 64 + 16 * (pick % 7));
+        // a materialised (non-dense) head, so the join build is a real table
+        let keys = || Column::from_ints((0..48).map(|i| (i * 5 + pick as i64) % 31).collect());
+        let keyed = Bat::new(keys(), keys(), Default::default());
+        let payload = match pick % 4 {
+            0 => Payload::Raw(Value::Bat(Arc::clone(&bat))),
+            1 => Payload::JoinBuild(Arc::new(join_build(&keyed).unwrap())),
+            2 => Payload::GroupMap(Arc::new(group_build(&bat).unwrap())),
+            _ => Payload::SortedRun(Arc::new(sort_build(&bat, true).unwrap())),
+        };
+        let sig = self.fresh_sig(payload.kind());
+        let bytes = payload.charge_bytes(sig.op);
+        let raw = payload.as_raw().is_some();
+        let e = PoolEntry::new(
+            self.pool.alloc_id(),
+            sig.clone(),
+            vec![],
+            payload,
+            bytes,
+            Duration::from_micros(1),
+            Lineage::default(),
+            Admitter {
+                session,
+                ..Admitter::default()
+            },
+        );
+        e.pins.store(0, std::sync::atomic::Ordering::Relaxed);
+        let id = self.pool.insert(e, None).id();
+        self.live.push(Live {
+            id,
+            sig,
+            session,
+            rung: if raw { Rung::Raw } else { Rung::Artifact },
+            bytes,
+            spilled: 0,
+            bat: raw.then_some(bat),
+        });
+    }
+
+    /// A blob for entry `at`: its own result compressed, or — for an entry
+    /// that has none to offer — some other BAT's (the move is illegal
+    /// anyway and must be refused before the blob matters).
+    fn blob_for(&self, at: usize) -> Arc<CompressedBat> {
+        let held = self.pool.entry(self.live[at].id, |e| match e.payload() {
+            Payload::Compressed(blob) => Some(Arc::clone(blob)),
+            _ => None,
+        });
+        held.flatten().unwrap_or_else(|| {
+            let bat = self.live[at].bat.clone().unwrap_or_else(|| ints(7, 32));
+            Arc::new(CompressedBat::compress(&bat))
+        })
+    }
+
+    fn compress(&mut self, at: usize) -> bool {
+        let blob = self.blob_for(at);
+        let bytes = blob.byte_size();
+        let moved = self
+            .pool
+            .retier(self.live[at].id, Payload::Compressed(blob), bytes, |_| true)
+            .is_some();
+        if moved {
+            let l = &mut self.live[at];
+            (l.rung, l.bytes) = (Rung::Compressed, bytes);
+        }
+        moved
+    }
+
+    fn spill(&mut self, at: usize) -> bool {
+        let blob = self.blob_for(at);
+        let ticket = self.spill.append(blob.as_bytes()).expect("spill budget");
+        let moved = self
+            .pool
+            .retier(self.live[at].id, Payload::Spilled(ticket), 0, |_| true)
+            .is_some();
+        if moved {
+            let l = &mut self.live[at];
+            (l.rung, l.bytes, l.spilled) = (Rung::Spilled, 0, ticket.len as usize);
+        }
+        moved
+    }
+
+    fn promote(&mut self, at: usize) -> bool {
+        let bat = self.live[at].bat.clone().unwrap_or_else(|| ints(7, 32));
+        let bytes = bat.resident_bytes();
+        let moved = self
+            .pool
+            .retier(
+                self.live[at].id,
+                Payload::Raw(Value::Bat(bat)),
+                bytes,
+                |_| true,
+            )
+            .is_some();
+        if moved {
+            let l = &mut self.live[at];
+            (l.rung, l.bytes, l.spilled) = (Rung::Raw, bytes, 0);
+        }
+        moved
+    }
+
+    /// Delta propagation's in-place rewrite: same result, new charge.
+    fn resize(&mut self, at: usize, bytes: usize) -> bool {
+        let l = &self.live[at];
+        let value = Value::Bat(l.bat.clone().unwrap_or_else(|| ints(7, 32)));
+        let mut view = self.pool.scoped_view(&[self.pool.shard_of(&l.sig)]);
+        let moved = view.set_raw(l.id, value, bytes);
+        drop(view);
+        if moved {
+            self.live[at].bytes = bytes;
+        }
+        moved
+    }
+
+    /// Re-key under a scoped view holding only the current shard; the new
+    /// signature may hash elsewhere, in which case the charge migrates.
+    fn rekey(&mut self, at: usize) {
+        let new_sig = self.fresh_sig(self.live[at].sig.kind);
+        let l = &mut self.live[at];
+        let mut view = self.pool.scoped_view(&[self.pool.shard_of(&l.sig)]);
+        view.get_mut(l.id).expect("live").sig = new_sig.clone();
+        let result_id = view.get(l.id).expect("live").result_id;
+        view.rekey(l.id, &l.sig, result_id);
+        drop(view);
+        l.sig = new_sig;
+    }
+
+    /// Misfile one entry (signature edited, indexes not), let a panic
+    /// unwind through its shard's write lock, then repair: the misfiled
+    /// entry is dropped — never `apply`-ed out of the ledger, only the
+    /// stored recompute can account for it — and every book is exact again.
+    fn tear_and_repair(&mut self, at: usize) {
+        let stray = self.fresh_sig(self.live[at].sig.kind);
+        let l = self.live[at].clone();
+        let si = self.pool.shard_of(&l.sig);
+        let pool = &self.pool;
+        let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut view = pool.scoped_view(&[si]);
+            view.get_mut(l.id).expect("live").sig = stray;
+            panic!("ledger_props: tearing shard {si} on purpose");
+        }));
+        assert!(torn.is_err() && pool.is_quarantined(si));
+        let report = pool.repair();
+        assert_eq!(report.shards_repaired, vec![si]);
+        assert!(!pool.has_quarantined());
+        self.live.retain(|l| pool.entry(l.id, |_| ()).is_some());
+    }
+
+    fn expected(&self) -> Books {
+        let mut b = Books {
+            entries: self.live.len(),
+            bytes: 0,
+            shard_bytes: vec![0; SHARDS],
+            raw: 0,
+            compressed: 0,
+            spilled: 0,
+            artifact: 0,
+            by_session: vec![0; SESSIONS as usize],
+            spill_live: 0,
+        };
+        for l in &self.live {
+            b.bytes += l.bytes;
+            b.shard_bytes[self.pool.shard_of(&l.sig)] += l.bytes;
+            match l.rung {
+                Rung::Raw => b.raw += l.bytes,
+                Rung::Compressed => b.compressed += l.bytes,
+                Rung::Spilled => b.spilled += l.spilled,
+                Rung::Artifact => {
+                    b.raw += l.bytes;
+                    b.artifact += l.bytes;
+                }
+            }
+            b.by_session[l.session as usize] += 1;
+            b.spill_live += l.spilled;
+        }
+        b
+    }
+
+    fn observed(&self) -> Books {
+        let (raw, compressed, spilled) = self.pool.tier_bytes();
+        Books {
+            entries: self.pool.len(),
+            bytes: self.pool.bytes(),
+            shard_bytes: (0..SHARDS).map(|i| self.pool.shard_bytes(i)).collect(),
+            raw,
+            compressed,
+            spilled,
+            artifact: self.pool.artifact_bytes(),
+            by_session: (0..SESSIONS)
+                .map(|s| self.pool.resident_of_session(s))
+                .collect(),
+            spill_live: self.spill.live_bytes(),
+        }
+    }
+
+    fn settled(&self, step: &str) -> Result<(), TestCaseError> {
+        if let Err(e) = self.pool.check_invariants() {
+            return Err(TestCaseError::fail(format!("after {step}: {e}")));
+        }
+        let (observed, expected) = (self.observed(), self.expected());
+        prop_assert!(
+            observed == expected,
+            "after {}: pool says {:?}, model says {:?}",
+            step,
+            observed,
+            expected
+        );
+        Ok(())
+    }
+
+    /// Attempt `mv` on entry `at`; `legal` is what the table says about it.
+    /// A refusal must leave every book — the spill file's included — as
+    /// it was (a refused spill retires its freshly appended record).
+    fn attempt(
+        &mut self,
+        step: &str,
+        at: usize,
+        legal: bool,
+        mv: impl FnOnce(&mut Rig, usize) -> bool,
+    ) -> Result<(), TestCaseError> {
+        let before = self.observed();
+        let moved = mv(self, at);
+        prop_assert!(
+            moved == legal,
+            "{} from {:?}: moved={}, table says {}",
+            step,
+            self.live[at].rung,
+            moved,
+            legal
+        );
+        if !legal {
+            prop_assert!(
+                self.observed() == before,
+                "refused {} moved a book: {:?} -> {:?}",
+                step,
+                before,
+                self.observed()
+            );
+        }
+        self.settled(step)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn ledger_tracks_every_transition(
+        script in prop::collection::vec((0u8..14, 0usize..64, 0usize..5000), 1..48),
+    ) {
+        let mut rig = Rig::new("script");
+        for (op, a, b) in script {
+            if rig.live.is_empty() || op < 3 {
+                rig.insert(a, b as u64 % SESSIONS);
+                rig.settled("insert")?;
+                continue;
+            }
+            let at = a % rig.live.len();
+            let rung = rig.live[at].rung;
+            match op {
+                3 => {
+                    let gone = rig.live.swap_remove(at);
+                    prop_assert!(rig.pool.remove(gone.id).is_some());
+                    rig.settled("remove")?;
+                }
+                4 => {
+                    let gone = rig.live.swap_remove(at);
+                    prop_assert!(rig.pool.remove_if_evictable(gone.id).is_some());
+                    rig.settled("evict")?;
+                }
+                5 | 6 => rig.attempt("compress", at, rung == Rung::Raw, Rig::compress)?,
+                7 | 8 => rig.attempt("spill", at, rung == Rung::Compressed, Rig::spill)?,
+                9 | 10 => {
+                    let demoted = matches!(rung, Rung::Compressed | Rung::Spilled);
+                    rig.attempt("promote", at, demoted, Rig::promote)?
+                }
+                11 => rig.attempt("resize", at, rung == Rung::Raw, |r, at| r.resize(at, b))?,
+                12 => {
+                    rig.rekey(at);
+                    rig.settled("rekey")?;
+                }
+                _ if b % 4 == 0 => {
+                    rig.pool.clear();
+                    rig.live.clear();
+                    rig.settled("clear")?;
+                }
+                _ => {
+                    rig.tear_and_repair(at);
+                    rig.settled("tear and repair")?;
+                }
+            }
+        }
+        // drain: every book returns to zero
+        for l in std::mem::take(&mut rig.live) {
+            rig.pool.remove(l.id);
+        }
+        rig.settled("drain")?;
+        prop_assert_eq!(rig.pool.bytes(), 0);
+    }
+}
+
+/// The forbidden moves, one by one (the script above meets them only when
+/// the dice say so): each is refused and moves no book.
+#[test]
+fn illegal_transitions_are_refused_and_touch_nothing() {
+    let mut rig = Rig::new("illegal");
+    for pick in 0..4 {
+        rig.insert(pick, 0); // raw, join build, group map, sorted run
+    }
+    rig.insert(0, 1);
+    rig.insert(0, 2);
+    assert!(rig.compress(4), "raw -> compressed");
+    assert!(
+        rig.compress(5) && rig.spill(5),
+        "raw -> compressed -> spilled"
+    );
+    rig.settled("setup").unwrap();
+
+    type Move = fn(&mut Rig, usize) -> bool;
+    let resize: Move = |r, at| r.resize(at, 10);
+    let refused: [(&str, usize, Move); 11] = [
+        ("artifact -> compressed", 1, Rig::compress),
+        ("artifact -> spilled", 2, Rig::spill),
+        ("artifact -> raw", 3, Rig::promote),
+        ("artifact resize", 1, resize),
+        ("raw -> promote", 0, Rig::promote),
+        ("raw -> spilled", 0, Rig::spill),
+        ("compressed -> compressed", 4, Rig::compress),
+        ("compressed resize", 4, resize),
+        ("spilled -> compressed", 5, Rig::compress),
+        ("spilled -> spilled", 5, Rig::spill),
+        ("spilled resize", 5, resize),
+    ];
+    for (step, at, mv) in refused {
+        rig.attempt(step, at, false, mv).unwrap();
+    }
+    // the ladder still works end to end afterwards
+    assert!(rig.promote(4) && rig.promote(5));
+    rig.settled("promote back").unwrap();
+}

@@ -107,136 +107,11 @@ fn shard_placement_is_uniform_ish() {
     }
 }
 
-/// Byte conservation across every structural mutation: after any sequence
-/// of inserts, removals, evictions and rekeys (including cross-shard
-/// migrations under a scoped view), `sum(shard_bytes) == total_bytes ==
-/// actual resident bytes`. Rekey used to paper over per-shard drift with a
-/// deferred full recount; the books must now be exact at every step.
-mod bytes_conservation {
-    use super::*;
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
-    use std::time::Duration;
-
-    fn mk(pool: &RecyclePool, tag: i64, bytes: usize) -> recycler::PoolEntry {
-        recycler::PoolEntry {
-            id: pool.alloc_id(),
-            sig: Sig::of(Opcode::Select, &[Value::Int(tag)]),
-            args: vec![Value::Int(tag)],
-            result: Value::Int(tag),
-            result_id: None,
-            artifact: None,
-            tier: recycler::tier::TierState::Raw,
-            bytes,
-            cpu: Duration::from_micros(1),
-            family: "select",
-            parents: vec![],
-            base_columns: BTreeSet::new(),
-            admitted_tick: 0,
-            admitted_invocation: 0,
-            admitted_session: 0,
-            creator: (0, 0),
-            last_used: AtomicU64::new(0),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        }
-    }
-
-    fn conserved(pool: &RecyclePool, step: &str) -> Result<(), proptest::TestCaseError> {
-        let per_shard: usize = (0..pool.shard_count()).map(|i| pool.shard_bytes(i)).sum();
-        prop_assert!(
-            per_shard == pool.bytes(),
-            "sum(shard_bytes) {} != total_bytes {} after {}",
-            per_shard,
-            pool.bytes(),
-            step
-        );
-        if let Err(e) = pool.check_invariants() {
-            return Err(proptest::TestCaseError::fail(format!("after {step}: {e}")));
-        }
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn bytes_conserved_under_insert_remove_evict_rekey(
-            ops in prop::collection::vec((0u8..4, 0i64..64, 1usize..4000), 1..24),
-        ) {
-            let pool = RecyclePool::with_shards(8);
-            let mut live: Vec<recycler::EntryId> = Vec::new();
-            let mut next_tag = 1000i64;
-            for (op, tag, bytes) in ops {
-                match op {
-                    // insert
-                    0 => {
-                        if let recycler::Admitted::Inserted(id) =
-                            pool.insert(mk(&pool, tag, bytes), None)
-                        {
-                            live.push(id);
-                        }
-                        conserved(&pool, "insert")?;
-                    }
-                    // remove
-                    1 => {
-                        if let Some(id) = live.pop() {
-                            pool.remove(id);
-                        }
-                        conserved(&pool, "remove")?;
-                    }
-                    // evict
-                    2 => {
-                        if let Some(&id) = live.first() {
-                            if pool.remove_if_evictable(id).is_some() {
-                                live.remove(0);
-                            }
-                        }
-                        conserved(&pool, "evict")?;
-                    }
-                    // rekey (+ resize) under a scoped view — possibly a
-                    // cross-shard migration
-                    _ => {
-                        if let Some(&id) = live.last() {
-                            next_tag += 1;
-                            let old_sig = pool.entry(id, |e| e.sig.clone()).expect("live");
-                            let new_sig = Sig::of(Opcode::Select, &[Value::Int(next_tag)]);
-                            let shard = pool.shard_of(&old_sig);
-                            let mut view = pool.scoped_view(&[shard]);
-                            if let Some(e) = view.get_mut(id) {
-                                e.sig = new_sig;
-                            }
-                            view.set_bytes(id, bytes);
-                            view.rekey(id, &old_sig, None);
-                            drop(view);
-                            conserved(&pool, "rekey")?;
-                        }
-                    }
-                }
-            }
-            // drain everything: the books must return to zero
-            for id in live {
-                pool.remove(id);
-            }
-            prop_assert!(pool.bytes() == 0, "drained pool must hold zero bytes");
-            conserved(&pool, "drain")?;
-        }
-    }
-}
-
 /// The same corpus pushed through a live pool: entries must be resident in
 /// exactly the shard `shard_of` names (the invariant checker verifies
 /// placement), and every signature must remain findable.
 #[test]
 fn inserted_corpus_lands_on_its_shards() {
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
-    use std::time::Duration;
-
     let bats = shared_bats();
     let pool = RecyclePool::with_shards(8);
     let mut sigs = Vec::new();
@@ -245,31 +120,8 @@ fn inserted_corpus_lands_on_its_shards() {
         if sigs.contains(&sig) {
             continue;
         }
-        let entry = recycler::PoolEntry {
-            id: pool.alloc_id(),
-            sig: sig.clone(),
-            args: vec![],
-            result: Value::Int(i as i64),
-            result_id: None,
-            artifact: None,
-            tier: recycler::tier::TierState::Raw,
-            bytes: 10,
-            cpu: Duration::from_micros(1),
-            family: "select",
-            parents: vec![],
-            base_columns: BTreeSet::new(),
-            admitted_tick: 0,
-            admitted_invocation: 0,
-            admitted_session: 0,
-            creator: (0, 0),
-            last_used: AtomicU64::new(0),
-            local_reuses: AtomicU64::new(0),
-            global_reuses: AtomicU64::new(0),
-            subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(0),
-            credit_returned: AtomicBool::new(false),
-        };
+        let mut entry = recycler::PoolEntry::test_stub(pool.alloc_id(), i as i64, vec![], 10);
+        entry.sig = sig.clone();
         assert!(pool.insert(entry, None).inserted());
         sigs.push(sig);
     }
