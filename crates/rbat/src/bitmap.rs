@@ -22,6 +22,14 @@ impl Bitmap {
         Bitmap { words, len }
     }
 
+    /// An empty bitmap with room for `bits` bits.
+    pub fn with_capacity(bits: usize) -> Bitmap {
+        Bitmap {
+            words: Vec::with_capacity(bits.div_ceil(64)),
+            len: 0,
+        }
+    }
+
     /// Build from a boolean slice.
     pub fn from_bools(bits: &[bool]) -> Bitmap {
         let mut bm = Bitmap::new(bits.len(), false);
@@ -67,6 +75,27 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Up to 64 bits starting at bit `from`, right-aligned; bits past the
+    /// end of the bitmap read as 0.
+    #[inline]
+    fn word_at(&self, from: usize) -> u64 {
+        let (w, shift) = (from / 64, from % 64);
+        let lo = self.words.get(w).copied().unwrap_or(0) >> shift;
+        if shift == 0 {
+            lo
+        } else {
+            lo | self.words.get(w + 1).copied().unwrap_or(0) << (64 - shift)
+        }
+    }
+
+    /// Number of set bits in `[from, from + len)`, a word at a time.
+    pub fn count_ones_in(&self, from: usize, len: usize) -> usize {
+        assert!(from + len <= self.len, "bit range out of bounds");
+        word_steps(len)
+            .map(|(at, n)| (self.word_at(from + at) & low_mask(n)).count_ones() as usize)
+            .sum()
+    }
+
     /// Are all bits set?
     pub fn all_set(&self) -> bool {
         self.count_ones() == self.len
@@ -84,6 +113,38 @@ impl Bitmap {
         }
     }
 
+    /// Append `n` copies of `value`, a word at a time.
+    pub fn extend_fill(&mut self, value: bool, n: usize) {
+        let fill = if value { u64::MAX } else { 0 };
+        for (_, n) in word_steps(n) {
+            self.push_word(fill & low_mask(n), n);
+        }
+    }
+
+    /// Append bits `[from, from + len)` of `other`, a word at a time
+    /// whatever the two alignments are.
+    pub fn extend_from_range(&mut self, other: &Bitmap, from: usize, len: usize) {
+        assert!(from + len <= other.len, "bit range out of bounds");
+        for (at, n) in word_steps(len) {
+            self.push_word(other.word_at(from + at) & low_mask(n), n);
+        }
+    }
+
+    /// Append the low `n` (≤ 64) bits of `bits`; the bits above must be 0.
+    #[inline]
+    fn push_word(&mut self, bits: u64, n: usize) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.push(bits);
+        } else {
+            *self.words.last_mut().expect("partial last word") |= bits << shift;
+            if shift + n > 64 {
+                self.words.push(bits >> (64 - shift));
+            }
+        }
+        self.len += n;
+    }
+
     /// Heap bytes used by the bitmap.
     pub fn byte_size(&self) -> usize {
         self.words.len() * 8
@@ -92,6 +153,21 @@ impl Bitmap {
     /// Iterate over bits as booleans.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
+    }
+}
+
+/// `len` bits cut into `(offset, bits)` steps of 64 bits and a remainder.
+fn word_steps(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len).step_by(64).map(move |at| (at, (len - at).min(64)))
+}
+
+/// The low `n` (≤ 64) bits set.
+#[inline]
+fn low_mask(n: usize) -> u64 {
+    if n == 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
@@ -131,6 +207,54 @@ mod tests {
         }
         assert_eq!(bm.len(), 200);
         assert_eq!(bm.count_ones(), (0..200).filter(|i| i % 3 == 0).count());
+    }
+
+    /// A bitmap of `len` bits with an irregular but repeatable pattern.
+    fn pattern(len: usize, salt: usize) -> Bitmap {
+        Bitmap::from_bools(
+            &(0..len)
+                .map(|i| (i * 7 + salt) % 5 < 2 || i % 11 == salt % 11)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn range_append_equals_bitwise_push_at_every_alignment() {
+        let src = pattern(300, 3);
+        for head in [0usize, 1, 63, 64, 65, 127] {
+            for from in [0usize, 1, 5, 63, 64, 100] {
+                for len in [0usize, 1, 63, 64, 65, 130, 200] {
+                    let mut fast = pattern(head, 1);
+                    let mut slow = fast.clone();
+                    fast.extend_from_range(&src, from, len);
+                    for i in from..from + len {
+                        slow.push(src.get(i));
+                    }
+                    assert_eq!(fast, slow, "head {head} from {from} len {len}");
+                    assert_eq!(
+                        src.count_ones_in(from, len),
+                        (from..from + len).filter(|&i| src.get(i)).count()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extend_fill_equals_bitwise_push() {
+        for head in [0usize, 1, 63, 64, 70] {
+            for n in [0usize, 1, 63, 64, 65, 200] {
+                for value in [false, true] {
+                    let mut fast = pattern(head, 2);
+                    let mut slow = fast.clone();
+                    fast.extend_fill(value, n);
+                    for _ in 0..n {
+                        slow.push(value);
+                    }
+                    assert_eq!(fast, slow, "head {head} n {n} value {value}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,66 @@
 //! The SQL catalog: persistent tables, join indices and update processing.
+//!
+//! # What a commit costs
+//!
+//! [`Catalog::commit`] merges a table's staged delta the way MonetDB merges
+//! delta BATs: in bulk, column at a time. A commit of `d` staged rows into a
+//! table of `n` rows costs **one copy of each column plus O(d)**:
+//!
+//! * every column becomes *surviving row ranges ++ inserted rows* through
+//!   [`Column::concat_ranges`] — one exact-size allocation and one slice
+//!   copy per range, no value looked at. Boxed [`Value`]s exist only for
+//!   the `d` staged rows;
+//! * every join index touching the table is brought up to date from its
+//!   previous state (below) instead of being rebuilt with a fresh hash
+//!   table over both sides.
+//!
+//! Every column of the table and every maintained index is nevertheless a
+//! **fresh [`Bat`] with a new [`crate::BatId`]** after a commit, and every
+//! maintained index is listed in [`CommitReport::rebuilt_indices`]: the
+//! recycler's invalidation and versioned signatures key on exactly that.
+//!
+//! # Join-index upkeep
+//!
+//! An index maps each row of the *referencing* table to the OID of the row
+//! of the *referenced* table holding its key, or Nil. Beside the index the
+//! catalog keeps the referenced column's key → OID map (`Arc`-shared
+//! between catalog snapshots). The four ways a commit can touch an index:
+//!
+//! 1. **insert into the referencing table** — the old index is extended
+//!    by one map lookup per new row;
+//! 2. **delete from the referencing table** — the old index's surviving
+//!    row ranges are copied, like any column;
+//! 3. **insert into the referenced table** — the map is extended; only if
+//!    the index has dangling entries, or a new key repeats an old one, is
+//!    the referencing column scanned for the new keys; otherwise the old
+//!    index buffer is shared as it is;
+//! 4. **delete from the referenced table** — the map is rebuilt from the
+//!    compacted key column and the index is remapped in one pass: a target
+//!    OID drops by the number of deleted rows below it, and a deleted
+//!    target becomes Nil.
+//!
+//! **Dangling keys and repeated keys.** A foreign key with no matching row
+//! is *dangling*: its entry is Nil until a commit inserts the key (case 3).
+//! When several rows of the referenced table hold the same key the index
+//! points at the one with the highest OID — what building it from scratch
+//! does — so a newly inserted repeat takes over the entries (case 3) and a
+//! deleted target hands them to the highest surviving repeat (case 4).
+//! An index whose two sides are the same table is rebuilt from scratch.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use crate::bat::Bat;
+use crate::bitmap::Bitmap;
+use crate::buffer::TypedSlice;
 use crate::column::{Column, ColumnBuilder};
 use crate::delta::{Row, TableDelta};
 use crate::error::{BatError, Result};
 use crate::hash::FxHashMap;
-use crate::ops::u64_keys;
+use crate::ops::for_each_u64_key;
+use crate::props::Props;
 use crate::types::{LogicalType, Value};
 
 /// A persistent table: one BAT per column, all with identical dense heads.
@@ -61,7 +112,8 @@ impl Table {
 
 /// Declarative definition of a foreign-key join index: maps every row of
 /// `from_table` (via `from_column` values) to the OID of the row in
-/// `to_table` whose `to_key` column holds that value. Rebuilt on commit.
+/// `to_table` whose `to_key` column holds that value. Kept up to date by
+/// every commit to either table (see the module docs).
 #[derive(Debug, Clone)]
 pub struct JoinIndexDef {
     /// Index name used by `sql.bindIdxbat`.
@@ -146,6 +198,19 @@ pub struct CommitReport {
     pub rebuilt_indices: Vec<String>,
 }
 
+/// Key word (see [`for_each_u64_key`]) → OID of the highest row of a
+/// referenced key column that holds it.
+type KeyMap = FxHashMap<u64, u64>;
+
+/// A join index and the state it is maintained from.
+#[derive(Debug, Clone)]
+struct JoinIndex {
+    /// Referencing row → OID of the referenced row, or Nil.
+    bat: Arc<Bat>,
+    /// The referenced key column's map, as of `bat`.
+    keys: Arc<KeyMap>,
+}
+
 /// The catalog: named tables plus derived join indices.
 ///
 /// Cloning a catalog is cheap-ish (column BATs are `Arc`-shared) and gives
@@ -156,7 +221,7 @@ pub struct CommitReport {
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
     index_defs: Vec<JoinIndexDef>,
-    indices: FxHashMap<String, Arc<Bat>>,
+    indices: FxHashMap<String, JoinIndex>,
 }
 
 impl Catalog {
@@ -186,13 +251,13 @@ impl Catalog {
     /// instance — repeated binds of an unchanged column yield the same
     /// [`crate::BatId`], which is what instruction matching relies on.
     pub fn bind(&self, table: &str, column: &str) -> Result<Arc<Bat>> {
-        self.table(table)?.column(column)
+        bind_in(&self.tables, table, column)
     }
 
     /// Register and build a join index (`sql.bindIdxbat` source).
     pub fn add_join_index(&mut self, def: JoinIndexDef) -> Result<()> {
-        let bat = self.build_index(&def)?;
-        self.indices.insert(def.name.clone(), bat);
+        let index = build_index(&self.tables, &def)?;
+        self.indices.insert(def.name.clone(), index);
         self.index_defs.push(def);
         Ok(())
     }
@@ -201,37 +266,14 @@ impl Catalog {
     pub fn bind_idx(&self, name: &str) -> Result<Arc<Bat>> {
         self.indices
             .get(name)
-            .cloned()
+            .map(|index| Arc::clone(&index.bat))
             .ok_or_else(|| BatError::not_found("index", name))
     }
 
-    fn build_index(&self, def: &JoinIndexDef) -> Result<Arc<Bat>> {
-        let from = self.bind(&def.from_table, &def.from_column)?;
-        let to = self.bind(&def.to_table, &def.to_key)?;
-        // map key value -> target oid
-        let keys = u64_keys(to.tail()).ok_or_else(|| {
-            BatError::type_mismatch("join_index", "string keys unsupported for indices")
-        })?;
-        let mut table: FxHashMap<u64, u64> = FxHashMap::default();
-        for (i, k) in keys.iter().enumerate() {
-            if let Some(k) = k {
-                table.insert(*k, i as u64);
-            }
-        }
-        let fks = u64_keys(from.tail()).ok_or_else(|| {
-            BatError::type_mismatch("join_index", "string fk unsupported for indices")
-        })?;
-        let mut cb = ColumnBuilder::new(LogicalType::Oid);
-        for k in &fks {
-            match k.and_then(|k| table.get(&k)) {
-                Some(&oid) => cb.push(&Value::Oid(crate::types::Oid(oid))),
-                None => cb.push(&Value::Nil),
-            }
-        }
-        Ok(Arc::new(Bat::from_tail(cb.finish())))
-    }
-
-    /// Stage row inserts (takes effect at [`Catalog::commit`]).
+    /// Stage row inserts (takes effect at [`Catalog::commit`]). Every row
+    /// is checked against the schema first — arity, then each value's
+    /// type: the column's own, Nil, or an `Int` for a `Float` column
+    /// (widened at commit) — and nothing is staged unless all rows pass.
     pub fn append(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
         let t = self
             .tables
@@ -244,6 +286,13 @@ impl Catalog {
                     r.len(),
                     t.schema.len()
                 )));
+            }
+            for (v, (cname, cty)) in r.iter().zip(&t.schema) {
+                if !accepts(*cty, v) {
+                    return Err(BatError::InvalidUpdate(format!(
+                        "value {v} does not fit column {table}.{cname} of type {cty}"
+                    )));
+                }
             }
         }
         t.delta.inserts.extend(rows);
@@ -261,13 +310,24 @@ impl Catalog {
     }
 
     /// Merge the staged deltas of `table` into its persistent columns,
-    /// bump the version, rebuild dependent join indices and report what
-    /// changed. Deletions compact OIDs (documented engine policy; the
+    /// bump the version, bring dependent join indices up to date and report
+    /// what changed. Deletions compact OIDs (documented engine policy; the
     /// recycler's propagation mode therefore only engages for insert-only
     /// commits and falls back to invalidation otherwise).
+    ///
+    /// Cost: one bulk copy of each column of the table plus work
+    /// proportional to the staged delta; indices are maintained from their
+    /// previous state, not rebuilt (module docs: the cost model, the four
+    /// upkeep cases and the dangling-key rule). Every column of the table
+    /// and every index on it comes out as a fresh BAT with a new
+    /// [`crate::BatId`], whether or not its contents changed.
     pub fn commit(&mut self, table: &str) -> Result<CommitReport> {
-        let t = self
-            .tables
+        let Catalog {
+            tables,
+            index_defs,
+            indices,
+        } = self;
+        let t = tables
             .get_mut(table)
             .ok_or_else(|| BatError::not_found("table", table))?;
         if t.delta.is_empty() {
@@ -279,74 +339,74 @@ impl Catalog {
                 rebuilt_indices: Vec::new(),
             });
         }
-        let delta = std::mem::take(&mut t.delta);
-        let insert_base = t.next_oid;
+        let TableDelta {
+            inserts,
+            deletes: mut deleted,
+        } = std::mem::take(&mut t.delta);
+        deleted.sort_unstable();
+        deleted.dedup();
+        deleted.truncate(deleted.partition_point(|&o| o < t.nrows as u64));
+        let survivors = surviving_runs(t.nrows, &deleted);
+        let kept = t.nrows - deleted.len();
 
-        // Build per-column BATs of the inserted rows (for the report).
+        // Per-column BATs of the inserted rows (for the report): the only
+        // place boxed values are looked at.
+        let insert_base = t.next_oid;
         let mut inserted: Vec<(String, Arc<Bat>)> = Vec::new();
-        if !delta.inserts.is_empty() {
-            for (ci, (cname, cty)) in t.schema.clone().iter().enumerate() {
+        if !inserts.is_empty() {
+            for (ci, (cname, cty)) in t.schema.iter().enumerate() {
                 let mut cb = ColumnBuilder::new(*cty);
-                for row in &delta.inserts {
+                for row in &inserts {
                     cb.push(&row[ci]);
                 }
                 let tail = cb.finish();
-                let len = tail.len();
-                let bat = Bat::new(
-                    Column::dense(insert_base, len),
-                    tail,
-                    crate::props::Props::base_column(true),
-                );
+                let head = Column::dense(insert_base, tail.len());
+                let bat = Bat::new(head, tail, Props::base_column(true));
                 inserted.push((cname.clone(), Arc::new(bat)));
             }
         }
 
-        // Rebuild each column: survivors (non-deleted) + inserts.
-        let mut deleted: Vec<u64> = delta.deletes.clone();
-        deleted.sort_unstable();
-        deleted.dedup();
-        deleted.retain(|&o| (o as usize) < t.nrows);
-        let keep: Vec<u32> = (0..t.nrows as u32)
-            .filter(|i| deleted.binary_search(&(*i as u64)).is_err())
-            .collect();
-        let compacting = !deleted.is_empty();
-
-        for (cname, _) in t.schema.clone() {
-            let old = t.columns.get(&cname).expect("schema/columns in sync");
-            let survivors = if compacting {
-                old.tail().gather(&keep)
-            } else {
-                old.tail().to_owned_column()
-            };
-            let mut cb = ColumnBuilder::new(survivors.logical_type());
-            for v in survivors.iter_values() {
-                cb.push(&v);
-            }
-            if let Some((_, ins)) = inserted.iter().find(|(n, _)| *n == cname) {
-                for v in ins.tail().iter_values() {
-                    cb.push(&v);
-                }
-            }
-            let new_bat = Arc::new(Bat::from_tail(cb.finish()));
-            t.columns.insert(cname, new_bat);
+        // Each column: surviving ranges of the old one ++ its inserted rows.
+        let mut columns = BTreeMap::new();
+        for (ci, (cname, _)) in t.schema.iter().enumerate() {
+            let old = t.columns.get(cname).expect("schema/columns in sync");
+            let appended = inserted.get(ci).map(|(_, ins)| ins.tail());
+            let tail = merge_column(old.tail(), &survivors, appended);
+            columns.insert(cname.clone(), Arc::new(Bat::from_tail(tail)));
         }
-        t.nrows = keep.len() + delta.inserts.len();
+        let old_columns = std::mem::replace(&mut t.columns, columns);
+        t.nrows = kept + inserts.len();
         t.next_oid = t.nrows as u64;
         t.version += 1;
         let version = t.version;
 
-        // Rebuild join indices that reference this table on either side.
-        let defs: Vec<JoinIndexDef> = self
-            .index_defs
-            .iter()
-            .filter(|d| d.from_table == table || d.to_table == table)
-            .cloned()
-            .collect();
+        // Bring the join indices on either side of this table up to date.
         let mut rebuilt = Vec::new();
-        for def in defs {
-            let bat = self.build_index(&def)?;
-            self.indices.insert(def.name.clone(), bat);
-            rebuilt.push(def.name);
+        for def in index_defs.iter() {
+            let index = if def.from_table == table && def.to_table == table {
+                build_index(tables, def)?
+            } else if def.from_table == table {
+                let old = indices.get(&def.name).expect("defs/indices in sync");
+                let new_fks = inserted.iter().find(|(n, _)| *n == def.from_column);
+                index_after_referencing_change(old, &survivors, new_fks.map(|(_, b)| b.tail()))?
+            } else if def.to_table == table {
+                let old = indices.get(&def.name).expect("defs/indices in sync");
+                let old_keys = old_columns.get(&def.to_key).ok_or_else(|| {
+                    BatError::not_found("column", format!("{table}.{}", def.to_key))
+                })?;
+                index_after_referenced_change(
+                    old,
+                    bind_in(tables, &def.from_table, &def.from_column)?.tail(),
+                    old_keys.tail(),
+                    bind_in(tables, table, &def.to_key)?.tail(),
+                    &deleted,
+                    &survivors,
+                )?
+            } else {
+                continue;
+            };
+            indices.insert(def.name.clone(), index);
+            rebuilt.push(def.name.clone());
         }
 
         Ok(CommitReport {
@@ -379,6 +439,228 @@ impl Catalog {
             .column_type(column)
             .ok_or_else(|| BatError::not_found("column", format!("{table}.{column}")))
     }
+}
+
+fn bind_in(tables: &BTreeMap<String, Table>, table: &str, column: &str) -> Result<Arc<Bat>> {
+    tables
+        .get(table)
+        .ok_or_else(|| BatError::not_found("table", table))?
+        .column(column)
+}
+
+/// May `v` be staged into a column of type `ty`?
+fn accepts(ty: LogicalType, v: &Value) -> bool {
+    match v.logical_type() {
+        Some(vty) => vty == ty || (vty == LogicalType::Int && ty == LogicalType::Float),
+        None => v.is_nil(),
+    }
+}
+
+/// The maximal row ranges of `0..nrows` that avoid `deleted` (sorted,
+/// distinct, in range).
+fn surviving_runs(nrows: usize, deleted: &[u64]) -> Vec<Range<usize>> {
+    let mut runs = Vec::with_capacity(deleted.len() + 1);
+    let mut next = 0;
+    for &d in deleted {
+        let d = d as usize;
+        if d > next {
+            runs.push(next..d);
+        }
+        next = d + 1;
+    }
+    if nrows > next {
+        runs.push(next..nrows);
+    }
+    runs
+}
+
+/// `survivors` of `old`, then `appended`: the post-commit state of a column.
+fn merge_column(old: &Column, survivors: &[Range<usize>], appended: Option<&Column>) -> Column {
+    let mut parts: Vec<(&Column, Range<usize>)> =
+        survivors.iter().map(|run| (old, run.clone())).collect();
+    if let Some(appended) = appended {
+        parts.push((appended, 0..appended.len()));
+    }
+    Column::concat_ranges(old.logical_type(), &parts)
+}
+
+/// The stand-in for Nil while index targets are plain words.
+const NO_TARGET: u64 = u64::MAX;
+
+/// An index tail as plain words, Nil as [`NO_TARGET`].
+fn targets_of(index_tail: &Column) -> Vec<u64> {
+    let mut targets = match index_tail.typed() {
+        TypedSlice::Oid(s) => s.to_vec(),
+        TypedSlice::Dense { start, len } => (start..start + len as u64).collect(),
+        _ => unreachable!("index tails are OID columns"),
+    };
+    if index_tail.has_nulls() {
+        for (i, target) in targets.iter_mut().enumerate() {
+            if !index_tail.is_valid(i) {
+                *target = NO_TARGET;
+            }
+        }
+    }
+    targets
+}
+
+/// The inverse of [`targets_of`].
+fn targets_column(mut targets: Vec<u64>) -> Column {
+    if !targets.contains(&NO_TARGET) {
+        return Column::from_oids(targets);
+    }
+    let mut valid = Bitmap::new(targets.len(), true);
+    for (i, target) in targets.iter_mut().enumerate() {
+        if *target == NO_TARGET {
+            valid.set(i, false);
+            *target = 0;
+        }
+    }
+    Column::from_oids(targets).with_validity(valid)
+}
+
+/// [`for_each_u64_key`] over one side of a join index; string columns
+/// (`what` says which side) cannot be indexed.
+fn each_key(column: &Column, what: &'static str, f: impl FnMut(usize, u64)) -> Result<()> {
+    if for_each_u64_key(column, f) {
+        Ok(())
+    } else {
+        Err(BatError::type_mismatch(
+            "join_index",
+            format!("string {what} unsupported for indices"),
+        ))
+    }
+}
+
+/// Enter the keys of `key_column`'s rows, which sit at OIDs `base..`, into
+/// `map`; a repeated key ends up at its highest OID.
+fn extend_key_map(map: &mut KeyMap, key_column: &Column, base: usize) -> Result<()> {
+    map.reserve(key_column.len());
+    each_key(key_column, "keys", |i, k| {
+        map.insert(k, (base + i) as u64);
+    })
+}
+
+/// One index entry per row of `fks`: the OID `keys` holds for it, or Nil.
+fn lookup_keys(fks: &Column, keys: &KeyMap) -> Result<Column> {
+    let mut targets = vec![NO_TARGET; fks.len()];
+    each_key(fks, "fk", |i, k| {
+        if let Some(&oid) = keys.get(&k) {
+            targets[i] = oid;
+        }
+    })?;
+    Ok(targets_column(targets))
+}
+
+/// Build a join index from scratch: hash the referenced keys, look every
+/// referencing row up. The constructor, the oracle the maintained indices
+/// are tested against, and the fallback for a self-referencing index.
+fn build_index(tables: &BTreeMap<String, Table>, def: &JoinIndexDef) -> Result<JoinIndex> {
+    let from = bind_in(tables, &def.from_table, &def.from_column)?;
+    let to = bind_in(tables, &def.to_table, &def.to_key)?;
+    let mut keys = KeyMap::default();
+    extend_key_map(&mut keys, to.tail(), 0)?;
+    Ok(JoinIndex {
+        bat: Arc::new(Bat::from_tail(lookup_keys(from.tail(), &keys)?)),
+        keys: Arc::new(keys),
+    })
+}
+
+/// Upkeep cases 1 and 2 (module docs): the referencing table lost all but
+/// `survivors` and gained rows whose foreign keys are `new_fks`.
+fn index_after_referencing_change(
+    old: &JoinIndex,
+    survivors: &[Range<usize>],
+    new_fks: Option<&Column>,
+) -> Result<JoinIndex> {
+    let appended = new_fks.map(|fks| lookup_keys(fks, &old.keys)).transpose()?;
+    let tail = merge_column(old.bat.tail(), survivors, appended.as_ref());
+    Ok(JoinIndex {
+        bat: Arc::new(Bat::from_tail(tail)),
+        keys: Arc::clone(&old.keys),
+    })
+}
+
+/// Upkeep cases 3 and 4 (module docs): the referenced key column went from
+/// `old_keys` to `new_keys` by losing the rows `deleted`, which left
+/// `survivors`, and then gaining rows at its end. `fks` is the referencing
+/// column, which did not change.
+fn index_after_referenced_change(
+    old: &JoinIndex,
+    fks: &Column,
+    old_keys: &Column,
+    new_keys: &Column,
+    deleted: &[u64],
+    survivors: &[Range<usize>],
+) -> Result<JoinIndex> {
+    let kept = old_keys.len() - deleted.len();
+    let mut keys = Arc::clone(&old.keys);
+    // `None` for as long as the old index tail can be shared as it is.
+    let mut targets: Option<Vec<u64>> = None;
+
+    if !deleted.is_empty() {
+        let mut surviving = KeyMap::default();
+        extend_key_map(&mut surviving, &new_keys.slice(0, kept), 0)?;
+        // A deleted row hands its entries to the highest surviving row
+        // with the same key, if there is one.
+        let deleted_rows: Vec<u32> = deleted.iter().map(|&d| d as u32).collect();
+        let mut heirs = vec![NO_TARGET; deleted.len()];
+        each_key(&old_keys.gather(&deleted_rows), "keys", |j, k| {
+            if let Some(&oid) = surviving.get(&k) {
+                heirs[j] = oid;
+            }
+        })?;
+        // Old OID → new OID: survivors close ranks, the deleted point at
+        // their heirs.
+        let mut moved = vec![NO_TARGET; old_keys.len()];
+        for (new_oid, old_oid) in survivors.iter().cloned().flatten().enumerate() {
+            moved[old_oid] = new_oid as u64;
+        }
+        for (&d, &heir) in deleted.iter().zip(&heirs) {
+            moved[d as usize] = heir;
+        }
+        let mut remapped = targets_of(old.bat.tail());
+        for target in remapped.iter_mut().filter(|t| **t != NO_TARGET) {
+            *target = moved[*target as usize];
+        }
+        targets = Some(remapped);
+        keys = Arc::new(surviving);
+    }
+
+    if new_keys.len() > kept {
+        let mut gained = KeyMap::default();
+        extend_key_map(
+            &mut gained,
+            &new_keys.slice(kept, new_keys.len() - kept),
+            kept,
+        )?;
+        // Only a dangling entry, or an entry of a key that is now repeated
+        // at a higher OID, can be waiting for one of the new rows.
+        let nils = match &targets {
+            Some(targets) => targets.iter().filter(|t| **t == NO_TARGET).count(),
+            None => old.bat.tail().null_count(),
+        };
+        let dangling = nils > fks.null_count();
+        let repeated = gained.keys().any(|k| keys.contains_key(k));
+        if dangling || repeated {
+            let targets = targets.get_or_insert_with(|| targets_of(old.bat.tail()));
+            each_key(fks, "fk", |i, k| {
+                if let Some(&oid) = gained.get(&k) {
+                    targets[i] = oid;
+                }
+            })?;
+        }
+        Arc::make_mut(&mut keys).extend(gained);
+    }
+
+    let tail = match targets {
+        Some(targets) => targets_column(targets),
+        None => old.bat.tail().clone(),
+    };
+    Ok(JoinIndex {
+        bat: Arc::new(Bat::from_tail(tail)),
+        keys,
+    })
 }
 
 /// An epoch-style bind snapshot over a shared catalog: many reader
@@ -561,6 +843,50 @@ mod tests {
     }
 
     #[test]
+    fn mistyped_row_is_refused_before_anything_is_staged() {
+        let mut cat = orders_lineitem();
+        let good = vec![Value::Int(400), Value::Int(40)]; // Int widens to Float
+        let nil = vec![Value::Nil, Value::Nil];
+        for bad in [
+            vec![Value::str("400"), Value::Float(40.0)],
+            vec![Value::Float(400.0), Value::Float(40.0)], // no narrowing
+            vec![
+                Value::Int(400),
+                Value::Bat(cat.bind("orders", "o_orderkey").unwrap()),
+            ],
+        ] {
+            let err = cat.append("orders", vec![good.clone(), bad]).unwrap_err();
+            assert!(matches!(err, BatError::InvalidUpdate(_)), "{err}");
+        }
+        // the good row of a refused batch was not staged either
+        assert_eq!(cat.commit("orders").unwrap().version, 0);
+        cat.append("orders", vec![good, nil]).unwrap();
+        assert_eq!(cat.commit("orders").unwrap().version, 1);
+        let price = cat.bind("orders", "o_totalprice").unwrap();
+        assert_eq!(price.tail().value(3), Value::Float(40.0));
+        assert_eq!(price.tail().value(4), Value::Nil);
+    }
+
+    #[test]
+    fn repeated_keys_point_at_the_highest_oid() {
+        let mut cat = orders_lineitem();
+        // a second order 100 takes over the lineitems of the first ...
+        cat.append("orders", vec![vec![Value::Int(100), Value::Float(1.0)]])
+            .unwrap();
+        cat.commit("orders").unwrap();
+        let targets = |cat: &Catalog| -> Vec<Value> {
+            let idx = cat.bind_idx("li_fkey").unwrap();
+            idx.tail().iter_values().collect()
+        };
+        let oid = |o| Value::Oid(Oid(o));
+        assert_eq!(targets(&cat), vec![oid(3), oid(3), oid(2)]);
+        // ... and hands them back when it is deleted
+        cat.delete("orders", vec![3, 1]).unwrap();
+        cat.commit("orders").unwrap();
+        assert_eq!(targets(&cat), vec![oid(0), oid(0), oid(1)]);
+    }
+
+    #[test]
     fn cell_readers_keep_their_epoch() {
         let cell = CatalogCell::new(orders_lineitem());
         let (e0, snap0) = cell.pinned();
@@ -594,6 +920,8 @@ mod tests {
         assert!(cell
             .update("orders", vec![vec![Value::Int(1)]], vec![])
             .is_err());
+        let mistyped = vec![vec![Value::str("1"), Value::Float(1.0)]];
+        assert!(cell.update("orders", mistyped, vec![0]).is_err());
         assert_eq!(cell.epoch(), 0);
         assert_eq!(cell.snapshot().table("orders").unwrap().nrows(), 3);
     }

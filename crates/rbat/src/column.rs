@@ -1,5 +1,6 @@
 //! Columns: a typed buffer plus a view window and an optional validity map.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
@@ -111,9 +112,14 @@ impl Column {
 
     /// Does this column (window) contain NULLs?
     pub fn has_nulls(&self) -> bool {
+        self.null_count() > 0
+    }
+
+    /// Number of NULLs in this column (window).
+    pub fn null_count(&self) -> usize {
         match &self.validity {
-            None => false,
-            Some(bm) => (self.offset..self.offset + self.len).any(|i| !bm.get(i)),
+            None => 0,
+            Some(bm) => self.len - bm.count_ones_in(self.offset, self.len),
         }
     }
 
@@ -190,13 +196,7 @@ impl Column {
             TypedSlice::Date(s) => {
                 Buffer::Date(Arc::new(idx.iter().map(|&i| s[i as usize]).collect()))
             }
-            TypedSlice::Str { buf, offset, .. } => {
-                let mut out = StrBuffer::with_capacity(idx.len(), 8);
-                for &i in idx {
-                    out.push(buf.get(offset + i as usize));
-                }
-                Buffer::Str(Arc::new(out))
-            }
+            TypedSlice::Str { buf, offset, .. } => Buffer::Str(Arc::new(buf.gather(offset, idx))),
             TypedSlice::Bool(s) => {
                 Buffer::Bool(Arc::new(idx.iter().map(|&i| s[i as usize]).collect()))
             }
@@ -213,6 +213,97 @@ impl Column {
             col = col.with_validity(bm);
         }
         col
+    }
+
+    /// `self` followed by `other`, as a fresh owned column: see
+    /// [`Column::concat_ranges`].
+    pub fn concat(&self, other: &Column) -> Column {
+        Column::concat_ranges(
+            self.logical_type(),
+            &[(self, 0..self.len), (other, 0..other.len)],
+        )
+    }
+
+    /// The given windows of columns of type `ty`, one after the other, as
+    /// a fresh owned column — the bulk merge primitive of
+    /// [`crate::Catalog::commit`]. Each output buffer is allocated once at
+    /// its exact size and filled by one slice copy per part (strings: one
+    /// copy of the part's stretch of the arena plus rebased offsets);
+    /// validity is merged a word at a time and dropped when no NULL is
+    /// left. Contiguous dense parts stay dense. No value is looked at.
+    /// Panics on a part of another type or a range outside its column.
+    pub fn concat_ranges(ty: LogicalType, parts: &[(&Column, Range<usize>)]) -> Column {
+        for (c, r) in parts {
+            assert_eq!(c.logical_type(), ty, "concat of mixed column types");
+            assert!(
+                r.start <= r.end && r.end <= c.len,
+                "concat range out of bounds"
+            );
+        }
+        let rows: usize = parts.iter().map(|(_, r)| r.len()).sum();
+        let windows = || {
+            parts
+                .iter()
+                .map(|(c, r)| c.buf.slice(c.offset + r.start, r.len()))
+        };
+        macro_rules! concat_slices {
+            ($variant:ident) => {{
+                let mut v = Vec::with_capacity(rows);
+                for w in windows() {
+                    match w {
+                        TypedSlice::$variant(s) => v.extend_from_slice(s),
+                        _ => unreachable!("part types were checked"),
+                    }
+                }
+                Buffer::$variant(Arc::new(v))
+            }};
+        }
+        let buf = match ty {
+            LogicalType::Oid => match dense_run(windows()) {
+                Some(start) => Buffer::Dense { start, len: rows },
+                None => {
+                    let mut v: Vec<u64> = Vec::with_capacity(rows);
+                    for w in windows() {
+                        match w {
+                            TypedSlice::Oid(s) => v.extend_from_slice(s),
+                            TypedSlice::Dense { start, len } => v.extend(start..start + len as u64),
+                            _ => unreachable!("part types were checked"),
+                        }
+                    }
+                    Buffer::Oid(Arc::new(v))
+                }
+            },
+            LogicalType::Int => concat_slices!(Int),
+            LogicalType::Float => concat_slices!(Float),
+            LogicalType::Date => concat_slices!(Date),
+            LogicalType::Bool => concat_slices!(Bool),
+            LogicalType::Str => {
+                let str_windows = || {
+                    windows().map(|w| match w {
+                        TypedSlice::Str { buf, offset, len } => (buf, offset, len),
+                        _ => unreachable!("part types were checked"),
+                    })
+                };
+                let bytes = str_windows().map(|(b, o, l)| b.range_bytes(o, l)).sum();
+                let mut out = StrBuffer::with_capacity(rows, bytes);
+                for (b, o, l) in str_windows() {
+                    out.extend_from_range(b, o, l);
+                }
+                Buffer::Str(Arc::new(out))
+            }
+        };
+        let col = Column::from_buffer(buf);
+        if parts.iter().all(|(c, _)| c.validity.is_none()) {
+            return col;
+        }
+        let mut validity = Bitmap::with_capacity(rows);
+        for (c, r) in parts {
+            match &c.validity {
+                Some(bm) => validity.extend_from_range(bm, c.offset + r.start, r.len()),
+                None => validity.extend_fill(true, r.len()),
+            }
+        }
+        col.with_validity(validity)
     }
 
     /// Check whether the visible values are non-decreasing (NULLs first).
@@ -247,6 +338,24 @@ impl Column {
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len).map(move |i| self.value(i))
     }
+}
+
+/// The first OID when the non-empty windows are all dense and each starts
+/// where the one before ended, so that their concatenation is dense too.
+fn dense_run<'a>(windows: impl Iterator<Item = TypedSlice<'a>>) -> Option<u64> {
+    let mut run: Option<(u64, u64)> = None; // first OID, next expected
+    for w in windows {
+        let TypedSlice::Dense { start, len } = w else {
+            return None;
+        };
+        match run {
+            _ if len == 0 => {}
+            None => run = Some((start, start + len as u64)),
+            Some((first, next)) if next == start => run = Some((first, start + len as u64)),
+            Some(_) => return None,
+        }
+    }
+    Some(run.map_or(0, |(first, _)| first))
 }
 
 /// Incremental builder for owned columns of a fixed logical type.
@@ -417,6 +526,114 @@ mod tests {
         assert_eq!(s.value(1), Value::Nil);
         assert_eq!(s.value(2), Value::Int(6));
         assert!(s.has_nulls());
+    }
+
+    /// The per-value twin of [`Column::concat_ranges`].
+    fn concat_by_value(ty: LogicalType, parts: &[(&Column, Range<usize>)]) -> Column {
+        let mut b = ColumnBuilder::new(ty);
+        for (c, r) in parts {
+            for i in r.clone() {
+                b.push(&c.value(i));
+            }
+        }
+        b.finish()
+    }
+
+    fn assert_concat(ty: LogicalType, parts: &[(&Column, Range<usize>)]) -> Column {
+        let fast = Column::concat_ranges(ty, parts);
+        let slow = concat_by_value(ty, parts);
+        assert_eq!(
+            fast.iter_values().collect::<Vec<_>>(),
+            slow.iter_values().collect::<Vec<_>>()
+        );
+        assert_eq!(fast.logical_type(), ty);
+        assert_eq!(fast.has_nulls(), slow.has_nulls());
+        assert_eq!(fast.validity.is_some(), fast.has_nulls(), "no idle bitmap");
+        assert!(!fast.is_view());
+        fast
+    }
+
+    fn with_nulls(c: Column, nulls: &[usize]) -> Column {
+        let mut bm = Bitmap::new(c.len(), true);
+        for &i in nulls {
+            bm.set(i, false);
+        }
+        c.with_validity(bm)
+    }
+
+    #[test]
+    fn concat_view_and_owned_with_validity_on_either_side() {
+        let plain = Column::from_ints((0..100).collect());
+        let holes = with_nulls(
+            Column::from_ints((100..230).collect()),
+            &[0, 63, 64, 65, 129],
+        );
+        let (plain_view, holes_view) = (plain.slice(7, 70), holes.slice(60, 69));
+        for (a, b) in [
+            (&plain_view, &plain),
+            (&plain, &holes),
+            (&holes, &plain_view),
+            (&holes_view, &holes),
+            (&holes, &holes_view),
+        ] {
+            let c = assert_concat(LogicalType::Int, &[(a, 0..a.len()), (b, 0..b.len())]);
+            assert_eq!(c.len(), a.len() + b.len());
+            assert_eq!(c.null_count(), a.null_count() + b.null_count());
+            assert_eq!(
+                a.concat(b).iter_values().collect::<Vec<_>>(),
+                c.iter_values().collect::<Vec<_>>()
+            );
+        }
+        // the NULLs lie outside the windows taken: the bitmap is dropped
+        let c = assert_concat(LogicalType::Int, &[(&holes, 1..63), (&holes, 66..129)]);
+        assert!(!c.has_nulls());
+        // exact capacity, not the builder's doubling
+        let c = plain.concat(&plain_view);
+        assert_eq!(c.resident_bytes(), 170 * 8);
+    }
+
+    #[test]
+    fn concat_every_type_and_empty_parts() {
+        let strs = with_nulls(Column::from_strs(["a", "", "wörld", "日本", "x"]), &[1]);
+        let s = assert_concat(
+            LogicalType::Str,
+            &[(&strs, 2..5), (&strs, 0..0), (&strs.slice(1, 3), 0..3)],
+        );
+        assert_eq!(s.value(1), Value::str("日本"));
+        assert_eq!(s.value(3), Value::Nil);
+        let floats = Column::from_floats(vec![0.5, -0.0, f64::INFINITY]);
+        assert_concat(LogicalType::Float, &[(&floats, 1..3), (&floats, 0..2)]);
+        let dates = with_nulls(Column::from_dates(vec![-1, 0, 9000]), &[2]);
+        assert_concat(LogicalType::Date, &[(&dates, 0..3), (&dates, 2..3)]);
+        let bools = Column::from_bools(vec![true, false, true]);
+        assert_concat(LogicalType::Bool, &[(&bools, 2..3), (&bools, 0..2)]);
+        for ty in [LogicalType::Oid, LogicalType::Int, LogicalType::Str] {
+            assert!(assert_concat(ty, &[]).is_empty());
+        }
+    }
+
+    #[test]
+    fn concat_dense_stays_dense_when_contiguous() {
+        let (a, b) = (Column::dense(5, 10), Column::dense(15, 4));
+        let c = assert_concat(LogicalType::Oid, &[(&a, 2..10), (&a, 0..0), (&b, 0..4)]);
+        assert!(matches!(c.typed(), TypedSlice::Dense { start: 7, len: 12 }));
+        assert_eq!(c.resident_bytes(), 0);
+        // a gap, a repeat, or a materialised neighbour: plain OIDs
+        let oids = with_nulls(Column::from_oids(vec![3, 1, 2]), &[1]);
+        for parts in [
+            [(&a, 0..3), (&b, 0..4)],
+            [(&b, 0..4), (&a, 0..10)],
+            [(&a, 0..10), (&oids, 0..3)],
+        ] {
+            let c = assert_concat(LogicalType::Oid, &parts);
+            assert!(matches!(c.typed(), TypedSlice::Oid(_)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed column types")]
+    fn concat_refuses_mixed_types() {
+        Column::from_ints(vec![1]).concat(&Column::from_floats(vec![1.0]));
     }
 
     #[test]

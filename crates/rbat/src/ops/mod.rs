@@ -65,10 +65,72 @@ pub(crate) fn u64_keys(col: &Column) -> Option<Vec<Option<u64>>> {
     Some(out)
 }
 
+/// Typed twin of [`u64_keys`] for callers that need no key vector: calls
+/// `f(row, word)` for every non-NULL row, in row order, with the same word
+/// per value. Returns `false`, having called nothing, for string columns.
+pub(crate) fn for_each_u64_key(col: &Column, mut f: impl FnMut(usize, u64)) -> bool {
+    use crate::buffer::TypedSlice as T;
+    fn visit<V: Copy>(
+        col: &Column,
+        values: impl Iterator<Item = V>,
+        word: impl Fn(V) -> u64,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        if col.has_nulls() {
+            for (i, v) in values.enumerate() {
+                if col.is_valid(i) {
+                    f(i, word(v));
+                }
+            }
+        } else {
+            for (i, v) in values.enumerate() {
+                f(i, word(v));
+            }
+        }
+    }
+    match col.typed() {
+        T::Dense { start, len } => visit(col, start..start + len as u64, |v| v, &mut f),
+        T::Oid(s) => visit(col, s.iter().copied(), |v| v, &mut f),
+        T::Int(s) => visit(col, s.iter().copied(), |v| v as u64, &mut f),
+        T::Date(s) => visit(col, s.iter().copied(), |v| v as i64 as u64, &mut f),
+        T::Bool(s) => visit(col, s.iter().copied(), |v| v as u64, &mut f),
+        T::Float(s) => visit(col, s.iter().copied(), f64::to_bits, &mut f),
+        T::Str { .. } => return false,
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::Value;
+
+    #[test]
+    fn for_each_u64_key_agrees_with_u64_keys() {
+        use crate::bitmap::Bitmap;
+        let nulls = |c: Column| {
+            let n = c.len();
+            c.with_validity(Bitmap::from_bools(
+                &(0..n).map(|i| i % 3 != 1).collect::<Vec<_>>(),
+            ))
+        };
+        let columns = [
+            Column::dense(7, 5),
+            Column::from_oids(vec![9, 0, 3, 3]),
+            nulls(Column::from_ints(vec![-1, 0, 5, i64::MIN])),
+            nulls(Column::from_dates(vec![-3, 0, 10_000])).slice(1, 2),
+            Column::from_bools(vec![true, false]),
+            nulls(Column::from_floats(vec![0.0, -0.0, 1.5, f64::NAN])),
+        ];
+        for c in &columns {
+            let mut seen = vec![None; c.len()];
+            assert!(for_each_u64_key(c, |i, k| seen[i] = Some(k)));
+            assert_eq!(Some(seen), u64_keys(c), "{:?}", c.logical_type());
+        }
+        assert!(!for_each_u64_key(&Column::from_strs(["x"]), |_, _| {
+            unreachable!()
+        }));
+    }
 
     #[test]
     fn u64_keys_types() {

@@ -6,6 +6,11 @@
 //! criterion's statistical machinery, each benchmark runs a timed warm-up
 //! to calibrate an iteration count, then reports the mean wall time per
 //! iteration over a fixed measurement budget.
+//!
+//! Like the real crate, a bench binary run without `--bench` (`cargo test
+//! --benches`) or with `--test` (`cargo bench -- --test`) is in *test
+//! mode*: every benchmark runs its routine once, to show that it works,
+//! and nothing is timed.
 
 #![deny(missing_docs)]
 
@@ -119,7 +124,19 @@ impl Bencher {
     }
 }
 
+/// `cargo bench` passes `--bench`; anything else, or an explicit
+/// `--test`, asks for one untimed pass.
+fn test_mode() -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args.iter().any(|a| a == "--test") || !args.iter().any(|a| a == "--bench")
+}
+
 fn run_one<F: FnMut(&mut Bencher)>(label: &str, mut f: F) {
+    if test_mode() {
+        f(&mut Bencher::default());
+        println!("{label:<48} ok (test mode)");
+        return;
+    }
     // Warm-up: run until the warm-up budget is spent.
     let mut b = Bencher::default();
     let w0 = Instant::now();

@@ -215,6 +215,22 @@ macro_rules! prop_assert_eq {
             }
         }
     };
+    ($left:expr, $right:expr, $($fmt:tt)+) => {
+        match (&$left, &$right) {
+            (l, r) => {
+                if l != r {
+                    return ::std::result::Result::Err($crate::TestCaseError::fail(format!(
+                        "assertion failed: {} == {}: {}\n  left: {:?}\n right: {:?}",
+                        stringify!($left),
+                        stringify!($right),
+                        format_args!($($fmt)+),
+                        l,
+                        r
+                    )));
+                }
+            }
+        }
+    };
 }
 
 /// Assert inequality inside a property.

@@ -775,3 +775,54 @@ fn graceful_shutdown_drains_and_stops_serving() {
     assert!(gone, "address still serving after graceful shutdown");
     drop(client);
 }
+
+/// A row whose value does not fit its column is an input error, refused
+/// before anything is staged: in process a typed `InvalidUpdate`, over
+/// the wire an error reply on a connection that keeps serving — not a
+/// panic in the committing worker. Nothing of the refused commit shows:
+/// same epoch, same rows, same pool.
+#[test]
+fn mistyped_commit_row_is_an_error_not_a_worker_panic() {
+    let db = serving_db();
+    let mistyped = || vec![vec![Value::Int(1), Value::str("not an int")]];
+    let fits = || vec![vec![Value::Int(1), Value::Nil]];
+    let server = Server::start(db.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let count_all = |c: &mut Client| {
+        let r = c
+            .query("count_range", &[Value::Int(0), Value::Int(5000)])
+            .unwrap();
+        r.exports[0].1.clone()
+    };
+    assert_eq!(count_all(&mut c), Value::Int(2000)); // warms the pool
+    let (epoch, pool_entries) = (db.epoch(), db.pool().len());
+
+    let mut session = db.session();
+    let err = session
+        .commit(
+            recycling::Update::to("t")
+                .insert(mistyped())
+                .delete(vec![0]),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, recycling::Error::Bat(rbat::BatError::InvalidUpdate(_))),
+        "{err:?}"
+    );
+    match c.commit("t", mistyped(), vec![0]) {
+        Err(ClientError::Remote(msg)) => assert!(msg.contains("invalid update"), "{msg}"),
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+
+    assert_eq!(server.counters().worker_panics(), 0);
+    assert_eq!(db.epoch(), epoch);
+    assert_eq!(db.catalog().table("t").unwrap().nrows(), 2000);
+    assert_eq!(db.pool().len(), pool_entries);
+    assert_eq!(db.stats().invalidated, 0);
+    // the connection and the committer still serve, and nothing of the
+    // refused rows was left staged for the next commit to pick up
+    assert_eq!(c.commit("t", fits(), vec![]).unwrap(), (1, 0, epoch + 1));
+    assert_eq!(count_all(&mut c), Value::Int(2001));
+    c.close().unwrap();
+    server.shutdown();
+}
