@@ -126,11 +126,6 @@ impl Nursery {
         ring.drain(..n).collect()
     }
 
-    /// Ids currently recorded.
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-
     pub(crate) fn clear(&self) {
         self.lock().clear();
     }

@@ -7,7 +7,7 @@
 //! holding its shard's write lock (delta propagation), or — for the
 //! payload alone — by the pool's one residency transition under the same
 //! lock. Its *usage statistics* — reuse counters, the
-//! last-use stamp, the pin count, the saved-time tally and the
+//! last-use stamp, the pin count and the
 //! credit-return flag — are plain atomics, so the exact-match hit path
 //! can update them while holding nothing stronger than a shard **read**
 //! lock. This is what makes the sharded pool's hit path write-lock-free
@@ -172,6 +172,33 @@ pub struct Admitter {
     pub creator: InstrKey,
 }
 
+/// One reference a running query holds on a pool entry, given back when the
+/// guard drops — no lookup, no lock: the count lives behind an `Arc` shared
+/// with the entry (if that is gone by then, nobody reads the decrement).
+#[derive(Debug)]
+pub struct Pin(Arc<AtomicU32>);
+
+impl Pin {
+    /// Pin `entry`. The caller holds the entry's shard lock (any mode).
+    pub fn take(entry: &PoolEntry) -> Pin {
+        entry.pins.fetch_add(1, Ordering::Relaxed);
+        Pin::adopt(entry)
+    }
+
+    /// Guard a reference already counted on the session's behalf: the one
+    /// an entry is born with, or the one `RecyclePool::insert` takes on the
+    /// winner of a duplicate admission.
+    pub fn adopt(entry: &PoolEntry) -> Pin {
+        Pin(Arc::clone(&entry.pins))
+    }
+}
+
+impl Drop for Pin {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// A recycled intermediate: the instruction as executed, its payload,
 /// lineage links and the execution/reuse statistics that drive the
 /// admission and eviction policies.
@@ -227,19 +254,16 @@ pub struct PoolEntry {
     pub global_reuses: AtomicU64,
     /// Times this entry served as a subsumption source (§5).
     pub subsumption_uses: AtomicU64,
-    /// Cumulative nanoseconds of execution avoided through exact-match
-    /// reuse of this entry.
-    pub time_saved_ns: AtomicU64,
-    /// Sessions currently referencing this entry from a running query. A
-    /// pinned entry is never evicted; invalidation may still remove it —
-    /// correctness beats retention. Bumped under the owning shard's read
+    /// References running queries hold on this entry, one [`Pin`] per use.
+    /// A pinned entry is never evicted; invalidation may still remove it —
+    /// correctness beats retention. Taken under the owning shard's read
     /// lock, checked under its write lock: the shard `RwLock` makes
     /// pin-vs-evict races impossible. Pin state is deliberately NOT part
     /// of the pool's evictable-leaf index (it flips here, on the
     /// read-lock-only hit path, far too often to maintain an index on):
     /// a pinned leaf stays listed, is filtered at eviction gather and
     /// revalidated at removal.
-    pub pins: AtomicU32,
+    pub pins: Arc<AtomicU32>,
     /// Has the admission credit already been returned to the creator
     /// (first local reuse returns it immediately; a globally reused entry
     /// returns it at eviction — never both, paper §4.2)? Atomic flag so a
@@ -270,8 +294,7 @@ impl Clone for PoolEntry {
             local_reuses: AtomicU64::new(self.local_reuses()),
             global_reuses: AtomicU64::new(self.global_reuses()),
             subsumption_uses: AtomicU64::new(self.subsumption_uses()),
-            time_saved_ns: AtomicU64::new(self.time_saved_ns.load(Ordering::Relaxed)),
-            pins: AtomicU32::new(self.pin_count()),
+            pins: Arc::new(AtomicU32::new(self.pin_count())),
             credit_returned: AtomicBool::new(self.credit_returned()),
         }
     }
@@ -312,8 +335,7 @@ impl PoolEntry {
             local_reuses: AtomicU64::new(0),
             global_reuses: AtomicU64::new(0),
             subsumption_uses: AtomicU64::new(0),
-            time_saved_ns: AtomicU64::new(0),
-            pins: AtomicU32::new(1),
+            pins: Arc::new(AtomicU32::new(1)),
             credit_returned: AtomicBool::new(false),
         }
     }
@@ -358,9 +380,11 @@ impl PoolEntry {
         self.subsumption_uses.load(Ordering::Relaxed)
     }
 
-    /// Cumulative execution time avoided through exact-match reuse.
+    /// Cumulative execution time avoided through exact-match reuse: every
+    /// reuse saves the recorded cost.
     pub fn time_saved(&self) -> Duration {
-        Duration::from_nanos(self.time_saved_ns.load(Ordering::Relaxed))
+        let reuses = self.local_reuses() + self.global_reuses();
+        Duration::from_nanos((self.cpu.as_nanos() as u64).saturating_mul(reuses))
     }
 
     /// Sessions currently pinning this entry.

@@ -21,8 +21,8 @@
 //!   paper's recycler is explicitly shared by *all* user sessions (§8's
 //!   SkyServer gains come from cross-session reuse), so the pool lives in
 //!   one `Arc`-shared instance — and is itself *sharded* by signature
-//!   hash: exact-match hits run entirely under one shard read lock over
-//!   per-entry atomic counters (no write lock on the hit path, ever),
+//!   fingerprint: an exact-match hit is one shard read lock over
+//!   per-entry atomic counters and no other lock,
 //!   admissions from different sessions write disjoint shards, eviction
 //!   gathers under read locks and write-locks only the shards it evicts
 //!   from, and racing duplicate admissions resolve first-writer-wins

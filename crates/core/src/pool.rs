@@ -1,12 +1,14 @@
 //! The recycle pool: sharded storage, indexes and lineage bookkeeping.
 //!
 //! Since the sharding PR the pool is itself a concurrent structure: the
-//! signature-keyed stores are split into N independent shards (N = the
+//! fingerprint-keyed stores are split into N independent shards (N = the
 //! next power of two ≥ 2× the core count) so that admissions from
 //! different sessions touch disjoint locks and the exact-match hit path
-//! never needs more than one shard **read** lock. See [`crate::shared`]
+//! takes one shard **read** lock and nothing else. See [`crate::shared`]
 //! for the full locking model; this module holds the mechanics.
 
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -17,7 +19,7 @@ use rmal::Opcode;
 
 use crate::entry::{EntryId, Payload, PoolEntry};
 use crate::ledger::{charge, Books, Ledger};
-use crate::signature::{ArgSig, ArtifactKind, Sig};
+use crate::signature::{ArgSig, ArtifactKind, FingerprintMap, Sig, SigRef};
 
 /// Outcome of [`RecyclePool::insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,12 +62,6 @@ impl Admitted {
     }
 }
 
-fn fx_hash<K: Hash>(k: &K) -> u64 {
-    let mut h = FxHasher::default();
-    k.hash(&mut h);
-    h.finish()
-}
-
 /// A hash map split into power-of-two sub-maps, each behind its own
 /// `RwLock` — the cross-shard lineage indexes (result ownership, child
 /// edges, subset relation) live in these so concurrent admissions from
@@ -96,7 +92,9 @@ impl<K: Hash + Eq + Clone, V> ShardedIndex<K, V> {
     }
 
     fn map_for(&self, k: &K) -> &RwLock<FxHashMap<K, V>> {
-        let i = (fx_hash(k) as usize) & (self.maps.len() - 1);
+        let mut h = FxHasher::default();
+        k.hash(&mut h);
+        let i = (h.finish() as usize) & (self.maps.len() - 1);
         &self.maps[i]
     }
 
@@ -164,15 +162,61 @@ impl<K: Hash + Eq + Clone, V> ShardedIndex<K, V> {
     }
 }
 
-/// One signature shard: the slab of entries whose signatures hash here
-/// with the exact-match index over the same entries. Everything in a shard
-/// is guarded by the shard's `RwLock`. (The subsumption candidate index
-/// used to live here too; it moved into a sharded side-map so a miss-path
-/// candidate probe costs one sub-map lock instead of N shard read locks.)
+thread_local! {
+    static READ_LOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One fingerprint shard: the entries whose signature fingerprints map
+/// here, in ONE table keyed by that fingerprint — slab and exact-match
+/// index at once, so a probe is a single identity-hashed lookup. Should a
+/// different signature ever claim an occupied fingerprint it goes to the
+/// `collided` list, and every access tells the two apart by signature or
+/// id. Everything in a shard is guarded by the shard's `RwLock`.
 #[derive(Default)]
 struct Shard {
-    entries: FxHashMap<EntryId, PoolEntry>,
-    by_sig: FxHashMap<Sig, EntryId>,
+    slots: FingerprintMap<PoolEntry>,
+    collided: Vec<(u64, PoolEntry)>,
+}
+
+impl Shard {
+    /// Every entry with the key it is filed under.
+    fn filed(&self) -> impl Iterator<Item = (u64, &PoolEntry)> {
+        let collided = self.collided.iter().map(|(k, e)| (*k, e));
+        self.slots.iter().map(|(k, e)| (*k, e)).chain(collided)
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &PoolEntry> {
+        self.filed().map(|(_, e)| e)
+    }
+
+    /// The entry under `key` that satisfies `is`: a signature check (the
+    /// verify step of an exact-match probe) or an id.
+    fn find(&self, key: u64, is: impl Fn(&PoolEntry) -> bool) -> Option<&PoolEntry> {
+        let collided = self.collided.iter().filter(|(k, _)| *k == key);
+        let primary = self.slots.get(&key).into_iter();
+        primary.chain(collided.map(|(_, e)| e)).find(|e| is(e))
+    }
+
+    fn get_mut(&mut self, key: u64, id: EntryId) -> Option<&mut PoolEntry> {
+        let collided = self.collided.iter_mut().map(|(_, e)| e);
+        let primary = self.slots.get_mut(&key).into_iter();
+        primary.chain(collided).find(|e| e.id == id)
+    }
+
+    fn insert(&mut self, key: u64, entry: PoolEntry) {
+        match self.slots.entry(key) {
+            Entry::Occupied(_) => self.collided.push((key, entry)),
+            Entry::Vacant(slot) => _ = slot.insert(entry),
+        }
+    }
+
+    fn remove(&mut self, key: u64, id: EntryId) -> Option<PoolEntry> {
+        if self.slots.get(&key).is_some_and(|e| e.id == id) {
+            return self.slots.remove(&key);
+        }
+        let at = self.collided.iter().position(|(_, e)| e.id == id)?;
+        Some(self.collided.swap_remove(at).1)
+    }
 }
 
 /// The default shard count: the next power of two at or above twice the
@@ -185,10 +229,11 @@ fn default_shard_count() -> usize {
 }
 
 /// The recycler's resource pool of intermediates (paper §3.2), sharded by
-/// signature hash. Besides the per-shard entry store and exact-match index
-/// it maintains the cross-shard lineage indexes:
+/// signature fingerprint. Besides the per-shard entry table it maintains
+/// the cross-shard lineage indexes:
 ///
-/// * `owner`: entry id → shard index (O(1) routing for id-based access),
+/// * `owner`: entry id → the fingerprint it is filed under, hence its
+///   shard and slot (O(1) routing for id-based access),
 /// * `by_result`: result `BatId` → entry (parent resolution, admission
 ///   coherence), plus per-entry duplicate-admission aliases,
 /// * `children`: dependents per entry, so eviction restricts itself to
@@ -230,7 +275,10 @@ pub struct RecyclePool {
     /// The spill block file backing [`Payload::Spilled`] entries, when the
     /// database opted in via `spill_dir`.
     spill: Option<Arc<crate::tier::SpillFile>>,
-    owner: ShardedIndex<EntryId, usize>,
+    owner: ShardedIndex<EntryId, u64>,
+    /// ANDed onto every fingerprint before it keys anything: all ones,
+    /// except where a test masks bits away to force collisions.
+    fp_mask: u64,
     by_result: ShardedIndex<BatId, EntryId>,
     result_aliases: ShardedIndex<EntryId, Vec<BatId>>,
     children: ShardedIndex<EntryId, FxHashSet<EntryId>>,
@@ -347,6 +395,7 @@ impl RecyclePool {
     pub fn with_shards(n: usize) -> RecyclePool {
         let n = n.max(1).next_power_of_two();
         RecyclePool {
+            fp_mask: u64::MAX,
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
             ledger: Ledger::new(n),
             spill: None,
@@ -377,10 +426,23 @@ impl RecyclePool {
         self.shards.len()
     }
 
-    /// The shard a signature belongs to: its stable fingerprint masked by
-    /// the shard count. Deterministic for the pool's lifetime.
+    /// The shard a signature belongs to. Deterministic for the pool's
+    /// lifetime.
     pub fn shard_of(&self, sig: &Sig) -> usize {
-        (sig.fingerprint() as usize) & (self.shards.len() - 1)
+        self.shard_at(sig.fingerprint() & self.fp_mask)
+    }
+
+    /// The shard holding table key `key`: middle bits — the table takes
+    /// its bucket from the bottom and its tag from the top of the word,
+    /// and one shard's keys must not agree on either.
+    fn shard_at(&self, key: u64) -> usize {
+        (key >> 32) as usize & (self.shards.len() - 1)
+    }
+
+    /// Where entry `id` is filed: `(shard, table key)`.
+    fn locate(&self, id: EntryId) -> Option<(usize, u64)> {
+        let key = self.owner.get_clone(&id)?;
+        Some((self.shard_at(key), key))
     }
 
     /// Resident bytes of one shard (its raw plus compressed books).
@@ -392,6 +454,13 @@ impl RecyclePool {
     /// hit path must never advance this counter — tests pin that down.
     pub fn write_lock_acquisitions(&self) -> u64 {
         self.write_acquisitions.load(Ordering::Relaxed)
+    }
+
+    /// Shard read locks the calling thread has taken, on any pool — the
+    /// test probe for "an exact hit is one shard read lock" (thread-local:
+    /// counting costs the hit path no shared write).
+    pub fn read_locks_on_this_thread() -> u64 {
+        READ_LOCKS.with(Cell::get)
     }
 
     /// Per-shard write-lock acquisitions since construction, indexed by
@@ -406,6 +475,7 @@ impl RecyclePool {
     }
 
     fn read_shard(&self, i: usize) -> RwLockReadGuard<'_, Shard> {
+        READ_LOCKS.with(|n| n.set(n.get() + 1));
         match self.shards[i].read() {
             Ok(g) => g,
             Err(poisoned) => {
@@ -528,8 +598,8 @@ impl RecyclePool {
             .map(|i| self.write_shard(i))
             .collect();
         for sh in guards.iter_mut() {
-            sh.entries.clear();
-            sh.by_sig.clear();
+            sh.slots.clear();
+            sh.collided.clear();
         }
         self.ledger
             .store(&Ledger::recompute(guards.len(), std::iter::empty()));
@@ -571,8 +641,8 @@ impl RecyclePool {
     ///
     /// 1. every shard write lock is taken at once (ascending, under the
     ///    update mutex), so the pass owns all pool state;
-    /// 2. quarantined slabs drop misfiled or duplicate-signature
-    ///    residents and rebuild their exact-match index from the slab;
+    /// 2. quarantined tables are refiled entry by entry, dropping misfiled
+    ///    and duplicate-signature residents;
     /// 3. entries whose lineage chain died (a dropped ancestor anywhere)
     ///    are cascaded out — a child may never outlive its parents;
     /// 4. the derived indexes (owner, children, evictable leaves,
@@ -604,63 +674,42 @@ impl RecyclePool {
         // 2. Slab-local coherence for the broken shards.
         for &si in &broken {
             let sh = &mut *guards[si];
-            let misfiled: Vec<EntryId> = sh
-                .entries
-                .iter()
-                .filter(|(k, e)| **k != e.id || self.shard_of(&e.sig) != si)
-                .map(|(k, _)| *k)
-                .collect();
-            for id in misfiled {
-                if let Some(e) = sh.entries.remove(&id) {
+            let mut torn: Vec<(u64, PoolEntry)> =
+                (sh.slots.drain()).chain(sh.collided.drain(..)).collect();
+            // Two residents with one signature cannot both stay; refiling
+            // oldest id first keeps the one insert would have kept
+            // (first-writer-wins).
+            torn.sort_unstable_by_key(|(_, e)| e.id);
+            for (key, e) in torn {
+                let misfiled =
+                    (e.sig.fingerprint() & self.fp_mask) != key || self.shard_at(key) != si;
+                if misfiled || sh.find(key, |twin| twin.sig == e.sig).is_some() {
                     dropped.push(e);
-                }
-            }
-            sh.by_sig.clear();
-            let mut losers: Vec<EntryId> = Vec::new();
-            for (id, e) in sh.entries.iter() {
-                match sh.by_sig.get(&e.sig) {
-                    // Two residents with one signature cannot both stay;
-                    // keep the older id (first-writer-wins, as insert
-                    // would have resolved it).
-                    Some(&prev) if prev <= *id => losers.push(*id),
-                    Some(&prev) => {
-                        losers.push(prev);
-                        sh.by_sig.insert(e.sig.clone(), *id);
-                    }
-                    None => {
-                        sh.by_sig.insert(e.sig.clone(), *id);
-                    }
-                }
-            }
-            for id in losers {
-                if let Some(e) = sh.entries.remove(&id) {
-                    dropped.push(e);
+                } else {
+                    sh.insert(key, e);
                 }
             }
         }
         // 3. Cascade: no resident may reference a dead parent.
         let mut resident: FxHashSet<EntryId> = FxHashSet::default();
         for g in guards.iter() {
-            resident.extend(g.entries.keys().copied());
+            resident.extend(g.entries().map(|e| e.id));
         }
         loop {
-            let mut doomed: Vec<(usize, EntryId)> = Vec::new();
+            let mut doomed: Vec<(usize, u64, EntryId)> = Vec::new();
             for (si, g) in guards.iter().enumerate() {
-                for (id, e) in g.entries.iter() {
+                for (key, e) in g.filed() {
                     if e.parents.iter().any(|p| !resident.contains(p)) {
-                        doomed.push((si, *id));
+                        doomed.push((si, key, e.id));
                     }
                 }
             }
             if doomed.is_empty() {
                 break;
             }
-            for (si, id) in doomed {
+            for (si, key, id) in doomed {
                 resident.remove(&id);
-                if let Some(e) = guards[si].entries.remove(&id) {
-                    guards[si].by_sig.remove(&e.sig);
-                    dropped.push(e);
-                }
+                dropped.extend(guards[si].remove(key, id));
             }
         }
         // 4. Rebuild the derived indexes from the surviving slabs.
@@ -671,21 +720,21 @@ impl RecyclePool {
         self.nursery.clear();
         self.by_op_arg0.clear();
         let mut leaf_total = 0usize;
-        for (si, g) in guards.iter().enumerate() {
-            for (id, e) in g.entries.iter() {
-                self.owner.insert(*id, si);
+        for g in guards.iter() {
+            for (key, e) in g.filed() {
+                self.owner.insert(e.id, key);
                 for p in &e.parents {
                     self.children.alter(p, |m| {
-                        m.entry(*p).or_default().insert(*id);
+                        m.entry(*p).or_default().insert(e.id);
                     });
                 }
-                self.wire_candidate(&e.sig, *id);
+                self.wire_candidate(&e.sig, e.id);
             }
         }
         for g in guards.iter() {
-            for id in g.entries.keys() {
-                if !self.children.contains(id) {
-                    self.leaves.insert(*id, ());
+            for e in g.entries() {
+                if !self.children.contains(&e.id) {
+                    self.leaves.insert(e.id, ());
                     leaf_total += 1;
                 }
             }
@@ -729,48 +778,45 @@ impl RecyclePool {
         self.ledger.resident_of_session(session)
     }
 
-    /// Exact-match lookup (shard read lock only). A quarantined shard
-    /// reports a miss — torn index state is never served.
+    /// Exact-match lookup by owned signature (diagnostics and tests; the
+    /// hit path is [`Self::probe`]).
     pub fn lookup(&self, sig: &Sig) -> Option<EntryId> {
-        let si = self.shard_of(sig);
-        if !self.shard_serviceable(si) {
-            return None;
-        }
-        let sh = self.read_shard(si);
-        sh.by_sig.get(sig).copied()
+        self.find(sig.fingerprint(), |e| e.sig == *sig, |e| e.id)
     }
 
     /// Run `f` over the entry matching `sig`, under the owning shard's
     /// *read* lock — the whole exact-match hit path (atomic counter
-    /// updates, pinning, result cloning) happens inside `f` without ever
-    /// taking a write lock. `f` must not call back into shard-locking
-    /// pool methods.
+    /// updates, pinning, result cloning) happens inside `f`: one
+    /// fingerprint, one lock, one table lookup, the stored signature
+    /// verified. `f` must not call back into shard-locking pool methods.
     /// A quarantined shard reports a miss (degraded mode).
-    pub fn probe<R>(&self, sig: &Sig, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
-        let si = self.shard_of(sig);
+    pub fn probe<R>(&self, sig: &SigRef<'_>, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
+        self.find(sig.fingerprint(), |e| sig.matches(&e.sig), f)
+    }
+
+    fn find<R>(
+        &self,
+        fingerprint: u64,
+        is: impl Fn(&PoolEntry) -> bool,
+        f: impl FnOnce(&PoolEntry) -> R,
+    ) -> Option<R> {
+        let key = fingerprint & self.fp_mask;
+        let si = self.shard_at(key);
         if !self.shard_serviceable(si) {
             return None;
         }
-        let sh = self.read_shard(si);
-        let id = sh.by_sig.get(sig)?;
-        sh.entries.get(id).map(f)
+        self.read_shard(si).find(key, is).map(f)
     }
 
     /// Run `f` over the entry `id`, under its shard's read lock. `f` must
     /// not call back into shard-locking pool methods.
     /// A quarantined shard reports `None` (degraded mode).
     pub fn entry<R>(&self, id: EntryId, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
-        let shard = self.owner.get_clone(&id)?;
-        if !self.shard_serviceable(shard) {
+        let (si, key) = self.locate(id)?;
+        if !self.shard_serviceable(si) {
             return None;
         }
-        let sh = self.read_shard(shard);
-        sh.entries.get(&id).map(f)
-    }
-
-    /// Snapshot clone of one entry.
-    pub fn get_snapshot(&self, id: EntryId) -> Option<PoolEntry> {
-        self.entry(id, |e| e.clone())
+        self.read_shard(si).find(key, |e| e.id == id).map(f)
     }
 
     /// The entry owning (or aliased to) a result BAT, if any.
@@ -784,9 +830,7 @@ impl RecyclePool {
     pub fn for_each_entry(&self, mut f: impl FnMut(&PoolEntry)) {
         for i in 0..self.shards.len() {
             let sh = self.read_shard(i);
-            for e in sh.entries.values() {
-                f(e);
-            }
+            sh.entries().for_each(&mut f);
         }
     }
 
@@ -861,21 +905,20 @@ impl RecyclePool {
     /// with dangling lineage. `subset_of` optionally records
     /// `result ⊆ subset_of` for the subsumption machinery (§5.1).
     pub fn insert(&self, entry: PoolEntry, subset_of: Option<BatId>) -> Admitted {
-        let si = self.shard_of(&entry.sig);
+        let key = entry.sig.fingerprint() & self.fp_mask;
+        let si = self.shard_at(key);
         if !self.shard_serviceable(si) {
             return Admitted::Quarantined;
         }
         let mut sh = self.write_shard(si);
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert");
-        if let Some(&existing) = sh.by_sig.get(&entry.sig) {
-            if let Some(win) = sh.entries.get(&existing) {
-                win.pins.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(win) = sh.find(key, |e| e.sig == entry.sig) {
+            win.pins.fetch_add(1, Ordering::Relaxed);
             if let Some(rb) = entry.result_id {
-                self.alias_locked(rb, existing);
+                self.alias_locked(rb, win.id);
             }
-            return Admitted::Duplicate(existing);
+            return Admitted::Duplicate(win.id);
         }
         for p in &entry.parents {
             if !self.owner.contains(p) {
@@ -884,14 +927,13 @@ impl RecyclePool {
         }
         let id = entry.id;
         let admitted = charge(entry.payload(), entry.bytes());
-        sh.by_sig.insert(entry.sig.clone(), id);
         self.wire_candidate(&entry.sig, id);
         // A fresh entry has no dependents: it enters the evictable-leaf
         // index. Published BEFORE the owner mapping — no other session can
         // wire a child edge onto this entry until its parents resolve via
         // `owner`, so the leaf bit is always in place first.
         self.leaf_insert(id);
-        self.owner.insert(id, si);
+        self.owner.insert(id, key);
         if let Some(rb) = entry.result_id {
             self.by_result.insert(rb, id);
             if let Some(sup) = subset_of {
@@ -917,7 +959,7 @@ impl RecyclePool {
         // not yet resident — the most torn state an unwind can leave.
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert.wired");
-        sh.entries.insert(id, entry);
+        sh.insert(key, entry);
         self.ledger.apply(si, session, None, Some(admitted));
         Admitted::Inserted(id)
     }
@@ -936,20 +978,6 @@ impl RecyclePool {
             self.result_aliases.alter(&id, |m| {
                 m.entry(id).or_default().push(bat);
             });
-        }
-    }
-
-    /// Alias `bat` to the resident entry `id` in the result index — the
-    /// concurrent-admission loser's executed result is equivalent to the
-    /// winner's (see [`Self::insert`], which performs this internally).
-    /// No-op when `id` is not resident or `bat` already owned.
-    pub fn alias_result(&self, bat: BatId, id: EntryId) {
-        let Some(shard) = self.owner.get_clone(&id) else {
-            return;
-        };
-        let sh = self.read_shard(shard);
-        if sh.entries.contains_key(&id) {
-            self.alias_locked(bat, id);
         }
     }
 
@@ -990,8 +1018,7 @@ impl RecyclePool {
 
     /// Unwire and remove one entry while its shard lock is held.
     fn remove_locked(&self, sh: &mut Shard, si: usize, id: EntryId) -> Option<PoolEntry> {
-        let entry = sh.entries.remove(&id)?;
-        sh.by_sig.remove(&entry.sig);
+        let entry = sh.remove(self.owner.get_clone(&id)?, id)?;
         self.unwire_candidate(&entry.sig, id);
         self.owner.remove(&id);
         if let Some(rb) = entry.result_id {
@@ -1051,7 +1078,7 @@ impl RecyclePool {
 
     /// Remove one entry, unwiring all indexes; returns it.
     pub fn remove(&self, id: EntryId) -> Option<PoolEntry> {
-        let si = self.owner.get_clone(&id)?;
+        let (si, _) = self.locate(id)?;
         let mut sh = self.write_shard(si);
         self.remove_locked(&mut sh, si, id)
     }
@@ -1075,12 +1102,7 @@ impl RecyclePool {
     /// wins over the caller's stale snapshot; such victims are skipped.
     /// Returns the removed entries (any shard order).
     pub fn remove_batch_if_evictable(&self, ids: &[EntryId]) -> Vec<PoolEntry> {
-        let mut by_shard: FxHashMap<usize, Vec<EntryId>> = FxHashMap::default();
-        for &id in ids {
-            if let Some(si) = self.owner.get_clone(&id) {
-                by_shard.entry(si).or_default().push(id);
-            }
-        }
+        let by_shard = self.group_by_shard(ids.iter().copied());
         let mut removed = Vec::new();
         for (si, group) in by_shard {
             // Quarantined shards sit out eviction: their books may be
@@ -1091,10 +1113,9 @@ impl RecyclePool {
             let mut sh = self.write_shard(si);
             #[cfg(feature = "failpoints")]
             let _ = crate::fault::fire("evict.remove");
-            for id in group {
+            for (key, id) in group {
                 let evictable = sh
-                    .entries
-                    .get(&id)
+                    .find(key, |e| e.id == id)
                     .map(|e| e.pin_count() == 0 && !self.has_children(id))
                     .unwrap_or(false);
                 if evictable {
@@ -1105,6 +1126,20 @@ impl RecyclePool {
             }
         }
         removed
+    }
+
+    /// Group resident `ids` by owning shard, each with its table key.
+    fn group_by_shard(
+        &self,
+        ids: impl Iterator<Item = EntryId>,
+    ) -> FxHashMap<usize, Vec<(u64, EntryId)>> {
+        let mut by_shard: FxHashMap<usize, Vec<(u64, EntryId)>> = FxHashMap::default();
+        for id in ids {
+            if let Some((si, key)) = self.locate(id) {
+                by_shard.entry(si).or_default().push((key, id));
+            }
+        }
+        by_shard
     }
 
     /// Add `id` to the evictable-leaf index, keeping the O(1) size
@@ -1149,12 +1184,6 @@ impl RecyclePool {
         self.nursery.drain(max)
     }
 
-    /// Ids currently recorded in the collector's nursery ring
-    /// (diagnostics).
-    pub fn nursery_len(&self) -> usize {
-        self.nursery.len()
-    }
-
     /// Snapshot of the evictable-leaf index: the ids of every childless
     /// resident entry, in index order. A point-in-time copy — callers
     /// revalidate residency/pins per id, eviction does so at removal.
@@ -1184,21 +1213,15 @@ impl RecyclePool {
         self.gather_visited
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
         self.gather_rounds.fetch_add(1, Ordering::Relaxed);
-        let mut by_shard: FxHashMap<usize, Vec<EntryId>> = FxHashMap::default();
-        for id in ids {
-            if let Some(si) = self.owner.get_clone(&id) {
-                by_shard.entry(si).or_default().push(id);
-            }
-        }
-        for (si, group) in by_shard {
+        for (si, group) in self.group_by_shard(ids.into_iter()) {
             // Gather skips quarantined shards — their residents are
             // frozen until `repair` returns them to service.
             if !self.shard_serviceable(si) {
                 continue;
             }
             let sh = self.read_shard(si);
-            for id in group {
-                if let Some(e) = sh.entries.get(&id) {
+            for (key, id) in group {
+                if let Some(e) = sh.find(key, |e| e.id == id) {
                     f(e);
                 }
             }
@@ -1238,7 +1261,7 @@ impl RecyclePool {
 
     /// [`Ledger::recompute`] over the given `(shard index, slab)` pairs.
     fn recompute<'a>(&self, slabs: impl Iterator<Item = (usize, &'a Shard)>) -> Books {
-        let entries = slabs.flat_map(|(si, sh)| sh.entries.values().map(move |e| (si, e)));
+        let entries = slabs.flat_map(|(si, sh)| sh.entries().map(move |e| (si, e)));
         Ledger::recompute(self.shards.len(), entries)
     }
 
@@ -1309,10 +1332,10 @@ impl RecyclePool {
         bytes: usize,
         still_ok: impl FnOnce(&PoolEntry) -> bool,
     ) -> Option<usize> {
-        let target = self.owner.get_clone(&id);
-        if let Some(si) = target.filter(|&si| self.shard_serviceable(si)) {
+        let target = self.locate(id);
+        if let Some((si, key)) = target.filter(|&(si, _)| self.shard_serviceable(si)) {
             let mut sh = self.write_shard(si);
-            if let Some(e) = sh.entries.get_mut(&id) {
+            if let Some(e) = sh.get_mut(key, id) {
                 let rung_changes =
                     std::mem::discriminant(e.payload()) != std::mem::discriminant(&to);
                 if rung_changes && still_ok(e) {
@@ -1390,8 +1413,8 @@ impl RecyclePool {
             if !seen.insert(id) {
                 continue;
             }
-            if let Some(s) = self.owner.get_clone(&id) {
-                shards.insert(s);
+            if let Some((si, _)) = self.locate(id) {
+                shards.insert(si);
             }
             stack.extend(self.children_of(id));
         }
@@ -1490,8 +1513,9 @@ impl RecyclePool {
     }
 
     /// Check the structural invariant across all shards (acquired
-    /// together, so the view is consistent): signature indexes bijective
-    /// and correctly sharded, owner index exact, parent/child links alive,
+    /// together, so the view is consistent): every entry filed under its
+    /// signature's fingerprint in the right shard, no signature resident
+    /// twice, owner index exact, parent/child links alive,
     /// the ledger equal to [`Ledger::recompute`] over the slabs, candidate
     /// and result indexes live. Test support —
     /// call on a quiescent pool. Takes the update mutex so the all-shard
@@ -1503,23 +1527,23 @@ impl RecyclePool {
             (0..self.shards.len()).map(|i| self.read_shard(i)).collect();
         let mut all_ids: FxHashSet<EntryId> = FxHashSet::default();
         for g in &guards {
-            all_ids.extend(g.entries.keys().copied());
+            all_ids.extend(g.entries().map(|e| e.id));
         }
         for (i, g) in guards.iter().enumerate() {
-            for (id, e) in &g.entries {
-                if e.id != *id {
-                    return Err(format!("entry {id} stored under wrong key {}", e.id));
-                }
-                let want = self.shard_of(&e.sig);
-                if want != i {
+            for (key, e) in g.filed() {
+                let id = &e.id;
+                let want = e.sig.fingerprint() & self.fp_mask;
+                if want != key || self.shard_at(want) != i {
                     return Err(format!(
-                        "entry {id} resident in shard {i}, sig maps to {want}"
+                        "entry {id} filed under {key:#x} in shard {i}, sig maps to {want:#x}"
                     ));
                 }
-                if g.by_sig.get(&e.sig).copied() != Some(*id) {
-                    return Err(format!("entry {id} missing from its shard's sig index"));
+                if g.find(key, |twin| twin.sig == e.sig && twin.id != *id)
+                    .is_some()
+                {
+                    return Err(format!("entry {id} shares its signature with a resident"));
                 }
-                if self.owner.get_clone(id) != Some(i) {
+                if self.owner.get_clone(id) != Some(key) {
                     return Err(format!("owner index wrong for entry {id}"));
                 }
                 for p in &e.parents {
@@ -1545,13 +1569,6 @@ impl RecyclePool {
                         e.payload().kind()
                     ));
                 }
-            }
-            if g.by_sig.len() != g.entries.len() {
-                return Err(format!(
-                    "shard {i} sig index size {} != entries {}",
-                    g.by_sig.len(),
-                    g.entries.len()
-                ));
             }
         }
         let actual = self.recompute(guards.iter().map(|g| &**g).enumerate());
@@ -1612,14 +1629,12 @@ impl RecyclePool {
         // candidate side-map exactness: every listed id alive under the
         // right key, every indexable entry listed exactly once
         let mut expect_keys: FxHashMap<EntryId, (Opcode, ArgSig)> = FxHashMap::default();
-        for g in &guards {
-            for (id, e) in &g.entries {
-                if e.sig.kind != ArtifactKind::Result {
-                    continue; // artifact sigs are never candidate-indexed
-                }
-                if let Some(arg0) = e.sig.first_arg() {
-                    expect_keys.insert(*id, (e.sig.op, arg0.clone()));
-                }
+        for e in guards.iter().flat_map(|g| g.entries()) {
+            if e.sig.kind != ArtifactKind::Result {
+                continue; // artifact sigs are never candidate-indexed
+            }
+            if let Some(arg0) = e.sig.first_arg() {
+                expect_keys.insert(e.id, (e.sig.op, arg0.clone()));
             }
         }
         let mut listed = 0usize;
@@ -1681,10 +1696,6 @@ pub struct PoolScopedView<'a> {
 }
 
 impl PoolScopedView<'_> {
-    fn shard_idx(&self, id: EntryId) -> Option<usize> {
-        self.pool.owner.get_clone(&id)
-    }
-
     /// Shards whose write locks this view currently holds (ascending).
     pub fn held_shards(&self) -> Vec<usize> {
         self.guards
@@ -1705,9 +1716,11 @@ impl PoolScopedView<'_> {
 
     /// Borrow an entry, extending the view to its shard if necessary.
     pub fn get(&mut self, id: EntryId) -> Option<&PoolEntry> {
-        let i = self.shard_idx(id)?;
+        let (i, key) = self.pool.locate(id)?;
         self.ensure_shard(i);
-        self.guards[i].as_ref().and_then(|g| g.entries.get(&id))
+        self.guards[i]
+            .as_ref()
+            .and_then(|g| g.find(key, |e| e.id == id))
     }
 
     /// Borrow an entry mutably (delta propagation rewrites signatures and
@@ -1715,17 +1728,14 @@ impl PoolScopedView<'_> {
     /// and its charge are not reachable this way — results are rewritten
     /// through [`Self::set_raw`].
     pub fn get_mut(&mut self, id: EntryId) -> Option<&mut PoolEntry> {
-        let i = self.shard_idx(id)?;
+        let (i, key) = self.pool.locate(id)?;
         self.ensure_shard(i);
-        self.guards[i].as_mut().and_then(|g| g.entries.get_mut(&id))
+        self.guards[i].as_mut().and_then(|g| g.get_mut(key, id))
     }
 
     /// Iterate over the entries of every *held* shard.
     pub fn iter(&self) -> impl Iterator<Item = &PoolEntry> {
-        self.guards
-            .iter()
-            .flatten()
-            .flat_map(|g| g.entries.values())
+        self.guards.iter().flatten().flat_map(|g| g.entries())
     }
 
     /// Dependents of an entry (direct children).
@@ -1741,7 +1751,7 @@ impl PoolScopedView<'_> {
     /// Remove one entry, unwiring all indexes (the view extends to the
     /// entry's shard on demand).
     pub fn remove(&mut self, id: EntryId) -> Option<PoolEntry> {
-        let i = self.shard_idx(id)?;
+        let (i, _) = self.pool.locate(id)?;
         self.ensure_shard(i);
         let pool = self.pool;
         let g = self.guards[i].as_mut()?;
@@ -1771,8 +1781,8 @@ impl PoolScopedView<'_> {
     /// non-raw payload: a demoted entry has no materialised result to
     /// rewrite and operator state is evict-only.
     pub fn set_raw(&mut self, id: EntryId, value: rbat::Value, bytes: usize) -> bool {
-        let (pool, shard) = (self.pool, self.shard_idx(id));
-        let Some((si, e)) = shard.zip(self.get_mut(id)) else {
+        let (pool, shard) = (self.pool, self.pool.locate(id));
+        let Some(((si, _), e)) = shard.zip(self.get_mut(id)) else {
             return false;
         };
         if e.payload().as_raw().is_none() {
@@ -1797,41 +1807,31 @@ impl PoolScopedView<'_> {
     /// leave two entries under one signature and a later eviction of
     /// either would unmap the survivor.
     pub fn rekey(&mut self, id: EntryId, old_sig: &Sig, old_result: Option<BatId>) {
-        let Some(old_idx) = self.shard_idx(id) else {
-            return;
-        };
-        self.ensure_shard(old_idx);
-        let Some((new_sig, new_result)) = self.guards[old_idx]
-            .as_ref()
-            .and_then(|g| g.entries.get(&id))
-            .map(|e| (e.sig.clone(), e.result_id))
-        else {
+        let pool = self.pool;
+        let Some((new_sig, new_result)) = self.get(id).map(|e| (e.sig.clone(), e.result_id)) else {
             return;
         };
         if *old_sig != new_sig {
-            let pool = self.pool;
-            if let Some(sh) = self.guards[old_idx].as_mut() {
-                sh.by_sig.remove(old_sig);
-            }
             pool.unwire_candidate(old_sig, id);
-            let new_idx = pool.shard_of(&new_sig);
+            let new_key = new_sig.fingerprint() & pool.fp_mask;
+            let new_idx = pool.shard_at(new_key);
             self.ensure_shard(new_idx);
             let clash = self.guards[new_idx]
                 .as_ref()
-                .and_then(|g| g.by_sig.get(&new_sig).copied())
-                .filter(|other| *other != id);
+                .and_then(|g| g.find(new_key, |e| e.sig == new_sig && e.id != id))
+                .map(|e| e.id);
             if let Some(other) = clash {
                 self.remove_subtree(other);
-                if self.shard_idx(id).is_none() {
-                    // the re-keyed entry was itself in the clash's subtree
-                    return;
-                }
             }
-            if new_idx != old_idx {
-                let moved = self.guards[old_idx]
-                    .as_mut()
-                    .and_then(|g| g.entries.remove(&id));
-                if let Some(e) = moved {
+            // (the re-keyed entry may itself have been in the clash's subtree)
+            let Some((old_idx, old_key)) = pool.locate(id) else {
+                return;
+            };
+            let moved = self.guards[old_idx]
+                .as_mut()
+                .and_then(|g| g.remove(old_key, id));
+            if let Some(e) = moved {
+                if new_idx != old_idx {
                     // the charge migrates with the entry: booked at the new
                     // shard before it leaves the old one, so the lock-free
                     // totals can only over-count in between (the admission
@@ -1841,14 +1841,11 @@ impl PoolScopedView<'_> {
                         .apply(new_idx, e.admitted_session, None, Some(c));
                     pool.ledger
                         .apply(old_idx, e.admitted_session, Some(c), None);
-                    if let Some(g) = self.guards[new_idx].as_mut() {
-                        g.entries.insert(id, e);
-                    }
-                    pool.owner.insert(id, new_idx);
                 }
-            }
-            if let Some(sh) = self.guards[new_idx].as_mut() {
-                sh.by_sig.insert(new_sig.clone(), id);
+                if let Some(g) = self.guards[new_idx].as_mut() {
+                    g.insert(new_key, e);
+                }
+                pool.owner.insert(id, new_key);
             }
             pool.wire_candidate(&new_sig, id);
         }
@@ -1963,13 +1960,11 @@ mod tests {
     #[test]
     fn result_alias_resolves_and_unwires_with_entry() {
         let pool = RecyclePool::new();
-        let e = mk_entry(&pool, vec![], 1);
-        let id = pool.insert(e, None).id();
-        let loser_bat = BatId(4242);
-        pool.alias_result(loser_bat, id);
-        assert_eq!(pool.entry_of_result(loser_bat), Some(id));
-        // aliasing an owned bat or a dead entry is a no-op
-        pool.alias_result(loser_bat, 999);
+        let id = pool.insert(mk_entry(&pool, vec![], 1), None).id();
+        // the loser of a duplicate admission: same signature, its own BAT
+        let loser = mk_entry(&pool, vec![], 1);
+        let loser_bat = loser.result_id.unwrap();
+        assert_eq!(pool.insert(loser, None), Admitted::Duplicate(id));
         assert_eq!(pool.entry_of_result(loser_bat), Some(id));
         pool.check_invariants().unwrap();
         pool.remove(id);
@@ -2082,11 +2077,14 @@ mod tests {
         let parent = pool.insert(mk_entry(&pool, vec![], 1), None).id();
         let pinned = pool.insert(mk_entry(&pool, vec![], 2), None).id();
         let free = pool.insert(mk_entry(&pool, vec![parent], 3), None).id();
+        // a second child outside the batch keeps the parent a non-leaf
+        // whichever shard the batch visits first
+        pool.insert(mk_entry(&pool, vec![parent], 4), None);
         pool.entry(pinned, |e| e.pins.store(1, Ordering::Relaxed));
         let removed = pool.remove_batch_if_evictable(&[parent, pinned, free, 999]);
         let ids: Vec<EntryId> = removed.iter().map(|e| e.id).collect();
         assert_eq!(ids, vec![free], "parented, pinned and dead ids skipped");
-        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.len(), 3);
         pool.check_invariants().unwrap();
     }
 
@@ -2276,14 +2274,58 @@ mod tests {
     }
 
     #[test]
+    fn colliding_signatures_admit_and_answer_apart() {
+        // every signature on one fingerprint: one shard, one slot
+        let mut pool = RecyclePool::with_shards(8);
+        pool.fp_mask = 0;
+        let probe = |tag: i64| {
+            let args = [Value::Int(tag)];
+            let sig = SigRef::artifact(ArtifactKind::Result, Opcode::Select, &args);
+            pool.probe(&sig, |e| e.id)
+        };
+        let ids: Vec<EntryId> = (1..=3)
+            .map(
+                |tag| match pool.insert(mk_entry(&pool, vec![], tag), None) {
+                    Admitted::Inserted(id) => id,
+                    other => panic!("collision must not cost the admission: {other:?}"),
+                },
+            )
+            .collect();
+        assert_eq!(pool.len(), 3);
+        for (tag, id) in (1..=3).zip(&ids) {
+            assert_eq!(probe(tag), Some(*id), "each probe gets its own answer");
+            assert_eq!(pool.entry(*id, |e| e.id), Some(*id));
+        }
+        assert_eq!(
+            probe(9),
+            None,
+            "an absent signature is a miss, not a neighbour"
+        );
+        // a collided signature still resolves its duplicates
+        let dup = pool.insert(mk_entry(&pool, vec![], 2), None);
+        assert_eq!(dup, Admitted::Duplicate(ids[1]));
+        pool.check_invariants().unwrap();
+        // removal takes exactly the one asked for, wherever it queues
+        for (gone, left) in [(0, vec![2, 3]), (2, vec![2]), (1, vec![])] {
+            assert_eq!(pool.remove(ids[gone]).map(|e| e.id), Some(ids[gone]));
+            let answered: Vec<i64> = (1..=3).filter(|tag| probe(*tag).is_some()).collect();
+            assert_eq!(answered, left);
+            pool.check_invariants().unwrap();
+        }
+        assert!(pool.is_empty());
+    }
+
+    #[test]
     fn probe_takes_no_write_lock() {
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 7);
         let sig = e.sig.clone();
         pool.insert(e, None);
+        let args = [Value::Int(7)];
+        let probe = SigRef::artifact(ArtifactKind::Result, Opcode::Select, &args);
         let w0 = pool.write_lock_acquisitions();
         for _ in 0..100 {
-            assert!(pool.probe(&sig, |e| e.id).is_some());
+            assert!(pool.probe(&probe, |e| e.id).is_some());
             assert!(pool.lookup(&sig).is_some());
         }
         assert_eq!(

@@ -9,17 +9,21 @@
 //!   credit/ADAPT accounts, eviction state and lifetime statistics, behind
 //!   interior locking; one instance per server.
 //! * [`Recycler`] (this module) — a cheap per-session handle implementing
-//!   [`rmal::ExecHook`]: the current invocation, the entries this session
-//!   has pinned, and the per-query record log. Cloning a `Recycler`
-//!   attaches a *new* session to the same shared service.
+//!   [`rmal::ExecHook`]: the current invocation, the pins its query holds,
+//!   what the query still owes the shared accounts and statistics, and the
+//!   per-query record log. Cloning a `Recycler` attaches a *new* session
+//!   to the same shared service.
 //!
 //! The exact-match hit path — the hot path of every marked instruction —
-//! runs entirely under one shard **read** lock: probe, reuse counters,
-//! pinning and result cloning are a single [`RecyclePool::probe`] call
-//! over per-entry atomics — the same probe serves results and operator
-//! state. Admissions of either go through one funnel: pin the parents
-//! (shard read locks, one at a time), then insert under the signature
-//! shard's write lock; see the locking invariants in [`crate::shared`].
+//! is one fingerprint over the borrowed arguments, one shard **read**
+//! lock, no allocation and one clock read of its own: probe, reuse
+//! counters, pinning and result cloning are a single
+//! [`RecyclePool::probe`] call over per-entry atomics (results and
+//! operator state alike); what the hit owes the rest of the service is
+//! summed in the session and handed over once, at query end. Admissions
+//! go through one funnel: pin the parents (shard read locks, one at a
+//! time), then insert under the fingerprint shard's write lock; see the
+//! locking invariants in [`crate::shared`].
 //!
 //! `Recycler::new` remains the one-line way to get a single-session
 //! engine: it creates a private `SharedRecycler` under the hood.
@@ -30,15 +34,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rbat::catalog::CommitReport;
-use rbat::hash::FxHashSet;
 use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
 use crate::config::{RecyclerConfig, UpdateMode};
-use crate::entry::{Admitter, EntryId, InstrKey, Lineage, Payload, PoolEntry};
+use crate::entry::{Admitter, EntryId, InstrKey, Lineage, Payload, Pin, PoolEntry};
 use crate::pool::Admitted;
-use crate::shared::{PoolRef, SharedRecycler};
-use crate::signature::{ArgSig, ArtifactKind, Sig};
+use crate::shared::{AccountNotes, PoolRef, SharedRecycler};
+use crate::signature::{ArtifactKind, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 use crate::subsume::{self, Subsumption};
 use crate::tier::CompressedBat;
@@ -58,9 +61,7 @@ struct HitOutcome {
     local: bool,
     cross_session: bool,
     return_credit: bool,
-    /// Did this probe take the pin (vs. the session already holding one)?
-    /// Needed to release it when a demoted payload fails to rehydrate.
-    newly_pinned: bool,
+    pin: Pin,
 }
 
 /// Capacity reserved for one in-flight admission (strict limits under
@@ -95,12 +96,16 @@ pub struct Recycler {
     /// Invocation id of the currently running query (globally unique —
     /// distinguishes local from global reuse).
     invocation: u64,
-    current_template: u64,
-    /// Entries this session's current query has touched. Each id here
-    /// holds one reference in the entry's atomic pin count; released at
-    /// `query_end`.
-    pinned: FxHashSet<EntryId>,
+    /// Between `query_start` and the settling of that query.
+    in_query: bool,
+    /// One guard per use the current query made of a pool entry; dropping
+    /// them at `query_end` unpins without touching the pool.
+    pins: Vec<Pin>,
+    /// What the current query owes the shared accounts.
+    notes: AccountNotes,
     query_log: Vec<QueryRecord>,
+    /// The current query's counts — the session's record of it and, at
+    /// `query_end`, its contribution to the shared lifetime statistics.
     current: QueryRecord,
     /// Soft deadline for the currently running query (set by the facade's
     /// `query_with_deadline`). Past it the hook sheds optional work:
@@ -127,8 +132,9 @@ impl Recycler {
             shared,
             session_id,
             invocation: 0,
-            current_template: 0,
-            pinned: FxHashSet::default(),
+            in_query: false,
+            pins: Vec::new(),
+            notes: AccountNotes::default(),
             query_log: Vec::new(),
             current: QueryRecord::default(),
             deadline: None,
@@ -191,93 +197,64 @@ impl Recycler {
     }
 
     // ----- internal helpers -------------------------------------------------
-    //
-    // NOTE: the old `clear_pool`/`reset` session methods are gone — their
-    // `&mut self` receivers suggested a session-local effect while they
-    // wiped the *shared* pool under every other session's feet. Server-wide
-    // maintenance now goes through `SharedRecycler::maintenance()` (the
-    // facade's `Database::maintenance()`), which serialises on the pool's
-    // update mutex and is documented as affecting all sessions.
 
     /// The exact-match probe — for a result or for operator state alike:
     /// one shard read lock, atomics only. On a hit the reuse counters,
     /// last-use stamp, credit flag and pin are all settled inside the
-    /// lock; only the accounts/stats bookkeeping happens after it is
-    /// released (lock order: shard → accounts). A demoted payload is
-    /// rehydrated (outside any lock) before it is handed out, so the
-    /// caller matches on `Raw` or on the operator-state variant its
+    /// lock; what the accounts and the lifetime statistics are owed is
+    /// noted in the session and handed over at query end. A demoted
+    /// payload is rehydrated (outside any lock) before it is handed out,
+    /// so the caller matches on `Raw` or on the operator-state variant its
     /// signature keys; the `Duration` is the recorded cost the hit saved.
-    fn try_hit(&mut self, sig: &Sig) -> Option<(Payload, Duration)> {
-        let hit = {
-            let pinned = &self.pinned;
-            let shared = &self.shared;
-            let invocation = self.invocation;
-            let session_id = self.session_id;
-            shared.pool_inner().probe(sig, |e| {
-                let tick = shared.next_tick();
-                e.last_used.store(tick, Ordering::Relaxed);
-                let local = e.admitted_invocation == invocation;
-                if local {
-                    e.local_reuses.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    e.global_reuses.fetch_add(1, Ordering::Relaxed);
-                }
-                e.time_saved_ns
-                    .fetch_add(e.cpu.as_nanos() as u64, Ordering::Relaxed);
-                // first *local* reuse returns the admission credit; the
-                // CAS makes a racing pair of hits return it exactly once
-                let return_credit = local
-                    && e.credit_returned
-                        .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok();
-                let newly_pinned = !pinned.contains(&e.id);
-                if newly_pinned {
-                    e.pins.fetch_add(1, Ordering::Relaxed);
-                }
-                HitOutcome {
-                    id: e.id,
-                    payload: e.payload().clone(),
-                    saved: e.cpu,
-                    creator: e.creator,
-                    local,
-                    cross_session: e.admitted_session != session_id,
-                    return_credit,
-                    newly_pinned,
-                }
-            })
-        }?;
+    fn try_hit(&mut self, sig: &SigRef<'_>) -> Option<(Payload, Duration)> {
+        let shared = &self.shared;
+        let (invocation, session_id) = (self.invocation, self.session_id);
+        let hit = shared.pool_inner().probe(sig, |e| {
+            let tick = shared.next_tick();
+            e.last_used.store(tick, Ordering::Relaxed);
+            let local = e.admitted_invocation == invocation;
+            if local {
+                e.local_reuses.fetch_add(1, Ordering::Relaxed);
+            } else {
+                e.global_reuses.fetch_add(1, Ordering::Relaxed);
+            }
+            // first *local* reuse returns the admission credit; the
+            // CAS makes a racing pair of hits return it exactly once
+            let return_credit = local
+                && e.credit_returned
+                    .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok();
+            HitOutcome {
+                id: e.id,
+                payload: e.payload().clone(),
+                saved: e.cpu,
+                creator: e.creator,
+                local,
+                cross_session: e.admitted_session != session_id,
+                return_credit,
+                pin: Pin::take(e),
+            }
+        })?;
         let payload = match hit.payload {
+            // torn record or injected fault: degrade this probe to a miss
+            // (`?` drops the pin) — the instruction recomputes, correctness
+            // is untouched
             demoted @ (Payload::Compressed(_) | Payload::Spilled(_)) => {
-                match self.rehydrate_hit(hit.id, demoted) {
-                    Some(v) => Payload::Raw(v),
-                    None => {
-                        // torn record or injected fault: degrade this probe
-                        // to a miss — the instruction recomputes,
-                        // correctness is untouched. Release the pin this
-                        // probe took.
-                        if hit.newly_pinned {
-                            self.shared.pool_inner().entry(hit.id, |e| {
-                                e.pins.fetch_sub(1, Ordering::Relaxed);
-                            });
-                        }
-                        return None;
-                    }
-                }
+                Payload::Raw(self.rehydrate_hit(hit.id, demoted)?)
             }
             resident => resident,
         };
-        self.pinned.insert(hit.id);
-        self.shared.note_reuse(hit.creator, hit.return_credit);
+        self.pins.push(hit.pin);
+        self.notes.reuses.push((hit.creator, hit.return_credit));
         self.current.saved += hit.saved;
         if payload.kind() == ArtifactKind::Result {
-            self.shared
-                .count_hit(hit.local, hit.cross_session, hit.saved);
             self.current.hits += 1;
             if hit.local {
                 self.current.local_hits += 1;
             } else {
                 self.current.global_hits += 1;
             }
+            self.current.cross_session_hits += hit.cross_session as u64;
         } else {
             self.shared.count_artifact_hit(hit.saved);
         }
@@ -329,54 +306,36 @@ impl Recycler {
     /// under the owning shard's read lock (invariant 3 in
     /// [`crate::shared`]).
     fn pin_live(&mut self, id: EntryId, base_columns: &mut BTreeSet<(String, String)>) -> bool {
-        let pinned = &self.pinned;
-        let alive = self
-            .shared
-            .pool_inner()
-            .entry(id, |e| {
-                if !pinned.contains(&e.id) {
-                    e.pins.fetch_add(1, Ordering::Relaxed);
-                }
-                base_columns.extend(e.base_columns.iter().cloned());
-            })
-            .is_some();
-        if alive {
-            self.pinned.insert(id);
-        }
+        let pin = self.shared.pool_inner().entry(id, |e| {
+            base_columns.extend(e.base_columns.iter().cloned());
+            Pin::take(e)
+        });
+        let alive = pin.is_some();
+        self.pins.extend(pin);
         alive
-    }
-
-    /// Drop all of this session's pins (query end / start safety net).
-    /// Entries removed by invalidation may already be gone — that is fine.
-    fn unpin_all(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let pool = shared.pool_inner();
-        for id in self.pinned.drain() {
-            pool.entry(id, |e| {
-                e.pins.fetch_sub(1, Ordering::Relaxed);
-            });
-        }
     }
 
     /// Record that `id` served as a subsumption source (read lock only).
     fn register_subsumption_source(&mut self, id: EntryId) {
-        let found = {
-            let pinned = &self.pinned;
-            let shared = &self.shared;
-            shared
-                .pool_inner()
-                .entry(id, |e| {
-                    e.last_used.store(shared.next_tick(), Ordering::Relaxed);
-                    e.subsumption_uses.fetch_add(1, Ordering::Relaxed);
-                    if !pinned.contains(&e.id) {
-                        e.pins.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-                .is_some()
-        };
-        if found {
-            self.pinned.insert(id);
-        }
+        let shared = &self.shared;
+        let pin = shared.pool_inner().entry(id, |e| {
+            e.last_used.store(shared.next_tick(), Ordering::Relaxed);
+            e.subsumption_uses.fetch_add(1, Ordering::Relaxed);
+            Pin::take(e)
+        });
+        self.pins.extend(pin);
+    }
+
+    /// Give the current query's pins back and hand its notes and counts to
+    /// the shared service: `query_end`, or — for a query that never got
+    /// there — the next `query_start` or the session's drop.
+    fn settle_query(&mut self) -> QueryRecord {
+        self.in_query = false;
+        self.pins.clear();
+        self.shared.flush_accounts(&mut self.notes);
+        let record = std::mem::take(&mut self.current);
+        self.shared.count_query(&record);
+        record
     }
 
     /// `recycleExit` for an instruction's result: the funnel, keyed by the
@@ -390,8 +349,8 @@ impl Recycler {
         result: &Value,
         cpu: Duration,
     ) {
-        let sig = Sig::versioned(catalog, op, args);
-        self.admit(catalog, pc, sig, args, Payload::Raw(result.clone()), cpu);
+        let sig = SigRef::versioned(catalog, op, args);
+        self.admit(catalog, pc, &sig, args, Payload::Raw(result.clone()), cpu);
     }
 
     /// Operator-state recycling (`recycle_operator_state`): execute a
@@ -421,11 +380,7 @@ impl Recycler {
             Opcode::Join => {
                 let l = args.first()?.as_bat()?;
                 let r = args.get(1)?.as_bat()?;
-                let asig = Sig::artifact(
-                    ArtifactKind::JoinBuild,
-                    Opcode::Join,
-                    vec![ArgSig::Bat(r.id())],
-                );
+                let asig = SigRef::artifact(ArtifactKind::JoinBuild, Opcode::Join, &args[1..2]);
                 let (build, build_cost, built) = match self.try_hit(&asig) {
                     Some((Payload::JoinBuild(b), saved)) => (b, saved, Duration::ZERO),
                     Some(_) => return None,
@@ -434,7 +389,7 @@ impl Recycler {
                         let b = Arc::new(rbat::ops::join_build(r).ok()?);
                         let cpu = t.elapsed();
                         let state = Payload::JoinBuild(Arc::clone(&b));
-                        self.admit(catalog, pc, asig, &args[1..2], state, cpu);
+                        self.admit(catalog, pc, &asig, &args[1..2], state, cpu);
                         (b, cpu, cpu)
                     }
                 };
@@ -445,11 +400,7 @@ impl Recycler {
             }
             Opcode::Group => {
                 let b = args.first()?.as_bat()?;
-                let asig = Sig::artifact(
-                    ArtifactKind::GroupMap,
-                    Opcode::Group,
-                    vec![ArgSig::Bat(b.id())],
-                );
+                let asig = SigRef::artifact(ArtifactKind::GroupMap, Opcode::Group, &args[..1]);
                 let (map, build_cost, built) = match self.try_hit(&asig) {
                     Some((Payload::GroupMap(m), saved)) => (m, saved, Duration::ZERO),
                     Some(_) => return None,
@@ -458,7 +409,7 @@ impl Recycler {
                         let m = Arc::new(rbat::ops::group_build(b).ok()?);
                         let cpu = t.elapsed();
                         let state = Payload::GroupMap(Arc::clone(&m));
-                        self.admit(catalog, pc, asig, &args[..1], state, cpu);
+                        self.admit(catalog, pc, &asig, &args[..1], state, cpu);
                         (m, cpu, cpu)
                     }
                 };
@@ -480,11 +431,8 @@ impl Recycler {
                 } else {
                     (None, args.get(1)?.as_bool()?)
                 };
-                let asig = Sig::artifact(
-                    ArtifactKind::SortedRun,
-                    Opcode::Sort,
-                    vec![ArgSig::Bat(b.id()), ArgSig::Scalar(Value::Bool(asc))],
-                );
+                let key = [args[0].clone(), Value::Bool(asc)];
+                let asig = SigRef::artifact(ArtifactKind::SortedRun, Opcode::Sort, &key);
                 let (run, build_cost, built) = match self.try_hit(&asig) {
                     Some((Payload::SortedRun(r), saved)) => (r, saved, Duration::ZERO),
                     Some(_) => return None,
@@ -493,7 +441,7 @@ impl Recycler {
                         let r = Arc::new(rbat::ops::sort_build(b, asc).ok()?);
                         let cpu = t.elapsed();
                         let state = Payload::SortedRun(Arc::clone(&r));
-                        self.admit(catalog, pc, asig, &args[..1], state, cpu);
+                        self.admit(catalog, pc, &asig, &args[..1], state, cpu);
                         (r, cpu, cpu)
                     }
                 };
@@ -530,14 +478,14 @@ impl Recycler {
         &mut self,
         catalog: &Catalog,
         pc: usize,
-        sig: Sig,
+        sig: &SigRef<'_>,
         args: &[Value],
         payload: Payload,
         cpu: Duration,
     ) {
         let shared = Arc::clone(&self.shared);
         let pool = shared.pool_inner();
-        let key: InstrKey = (self.current_template, pc);
+        let key: InstrKey = (self.current.template, pc);
         // Deadline shedding: past the soft deadline this query must not
         // pay for cache maintenance — in particular it must not enter
         // `reserve_admission`, whose cap gate is the one place an
@@ -602,7 +550,7 @@ impl Recycler {
                 }
             }
         }
-        let grant = shared.admission_grant(key);
+        let grant = shared.admission_grant(key, &mut self.notes);
         if !grant.allowed {
             shared.count_admission_reject();
             return;
@@ -652,7 +600,7 @@ impl Recycler {
         let is_result = payload.kind() == ArtifactKind::Result;
         let entry = PoolEntry::new(
             pool.alloc_id(),
-            sig,
+            sig.to_sig(),
             args.to_vec(),
             payload,
             bytes,
@@ -665,12 +613,13 @@ impl Recycler {
                 creator: key,
             },
         );
+        // born pinned on this session's behalf (`PoolEntry::new`)
+        let born = Pin::adopt(&entry);
         let admitted = pool.insert(entry, subset_of);
         drop(reservation);
         match admitted {
-            Admitted::Inserted(id) => {
-                // born pinned by this session (`PoolEntry::new`)
-                self.pinned.insert(id);
+            Admitted::Inserted(_) => {
+                self.pins.push(born);
                 if is_result {
                     shared.count_admission();
                 } else {
@@ -683,16 +632,12 @@ impl Recycler {
                 // Concurrent-admission resolution (first writer wins): the
                 // pool kept the resident instance, pinned it on our behalf
                 // and aliased our result BAT (if any) onto it — all inside
-                // the shard critical section. Return the credit and
-                // reconcile the pin with this session's pin set (we may
-                // have pinned the winner already earlier in the query).
+                // the shard critical section. Return the credit and take
+                // over the pin (gone with the winner if an update removed
+                // it since).
                 shared.count_duplicate_admission();
                 shared.undo_admission_charge(key, grant);
-                if !self.pinned.insert(existing) {
-                    pool.entry(existing, |e| {
-                        e.pins.fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
+                self.pins.extend(pool.entry(existing, Pin::adopt));
             }
             Admitted::Orphaned | Admitted::Quarantined => {
                 // Orphaned: an update invalidated a parent between
@@ -764,8 +709,13 @@ impl Drop for Recycler {
     /// set, rebalancing every remaining session's credit slice (the slice
     /// divisor is the live active count). Entries this session admitted
     /// stay resident and keep holding budget until eviction or
-    /// invalidation removes them.
+    /// invalidation removes them. A query that never reached `query_end`
+    /// is settled here, so its pins and its notes do not outlive the
+    /// session.
     fn drop(&mut self) {
+        if self.in_query {
+            self.settle_query();
+        }
         self.shared.close_session();
     }
 }
@@ -775,25 +725,21 @@ impl std::fmt::Debug for Recycler {
         f.debug_struct("Recycler")
             .field("session_id", &self.session_id)
             .field("invocation", &self.invocation)
-            .field("pinned", &self.pinned.len())
+            .field("pins", &self.pins.len())
             .finish()
     }
 }
 
 impl ExecHook for Recycler {
     fn query_start(&mut self, program: &Program) {
-        self.invocation = self.shared.next_invocation();
-        self.current_template = program.id;
-        self.shared.note_invocation(program.id);
-        if !self.pinned.is_empty() {
-            // safety net: a previous query aborted without `query_end`
-            self.unpin_all();
+        if self.in_query {
+            // safety net: the previous query aborted without `query_end`
+            self.settle_query();
         }
-        self.current = QueryRecord {
-            template: program.id,
-            name: program.name.clone(),
-            ..Default::default()
-        };
+        self.in_query = true;
+        self.invocation = self.shared.next_invocation();
+        self.notes.invocation = Some(program.id);
+        self.current.template = program.id;
     }
 
     fn before(
@@ -802,22 +748,21 @@ impl ExecHook for Recycler {
         pc: usize,
         instr: &Instr,
         args: &[Value],
+        t0: Instant,
     ) -> HookAction {
-        let t0 = Instant::now();
-        self.shared.count_monitored();
         self.current.monitored += 1;
         // Bind-family signatures carry the table's commit version, so a
         // probe can never exact-match an entry admitted against another
-        // commit epoch (see `Sig::versioned`).
-        let sig = Sig::versioned(catalog, instr.op, args);
-        let config = self.shared.config();
+        // commit epoch (see `SigRef::versioned`).
+        let sig = SigRef::versioned(catalog, instr.op, args);
 
-        // Phase 1: exact match (paper §3.3) — one shard read lock, no
-        // write lock ever (invariant 2 in `crate::shared`).
+        // Phase 1: exact match (paper §3.3) — one shard read lock and no
+        // other lock (invariant 2 in `crate::shared`).
         if let Some((Payload::Raw(result), _)) = self.try_hit(&sig) {
-            self.shared.add_overhead(t0.elapsed());
+            self.current.overhead += t0.elapsed();
             return HookAction::Reuse(result);
         }
+        let config = self.shared.config();
 
         // Phase 2: subsumption (paper §5). The candidate search fans out
         // across the shards under read locks; argument values are cloned
@@ -843,9 +788,8 @@ impl ExecHook for Recycler {
             }) = attempt
             {
                 self.register_subsumption_source(source);
-                self.shared.count_subsumed();
                 self.current.subsumed += 1;
-                self.shared.add_overhead(t0.elapsed());
+                self.current.overhead += t0.elapsed();
                 return HookAction::Rewrite(new_args);
             }
             if config.combined_subsumption && instr.op == Opcode::Select {
@@ -869,12 +813,11 @@ impl ExecHook for Recycler {
                     for (id, _) in &segments {
                         self.register_subsumption_source(*id);
                     }
-                    self.shared.count_subsumed();
                     self.current.subsumed += 1;
                     // recycleExit for the pieced result, under the
                     // ORIGINAL signature.
                     self.admit_result(catalog, pc, instr.op, args, &result, cpu);
-                    self.shared.add_overhead(t0.elapsed());
+                    self.current.overhead += t0.elapsed();
                     return HookAction::Computed(result);
                 }
             }
@@ -895,11 +838,11 @@ impl ExecHook for Recycler {
             )
         {
             if let Some((result, spent)) = self.try_operator_state(catalog, pc, instr, args) {
-                self.shared.add_overhead(t0.elapsed().saturating_sub(spent));
+                self.current.overhead += t0.elapsed().saturating_sub(spent);
                 return HookAction::Assisted(result);
             }
         }
-        self.shared.add_overhead(t0.elapsed());
+        self.current.overhead += t0.elapsed();
         HookAction::Proceed
     }
 
@@ -912,17 +855,14 @@ impl ExecHook for Recycler {
         result: &Value,
         cpu: Duration,
         _subsumed: bool,
+        t0: Instant,
     ) {
-        let t0 = Instant::now();
         self.admit_result(catalog, pc, instr.op, args, result, cpu);
-        self.shared.add_overhead(t0.elapsed());
+        self.current.overhead += t0.elapsed();
     }
 
     fn query_end(&mut self, _program: &Program) {
-        if !self.pinned.is_empty() {
-            self.unpin_all();
-        }
-        let record = std::mem::take(&mut self.current);
+        let record = self.settle_query();
         // A session can live as long as a server connection, so the log
         // is bounded: beyond 2×cap the older half is dropped (amortised
         // O(1)), keeping at least QUERY_LOG_CAP recent records — more
@@ -1204,7 +1144,9 @@ mod tests {
         col: Value,
     }
 
-    type Candidate = (Sig, Vec<Value>, Payload);
+    /// What the candidate holds, the arguments its signature is made of
+    /// (the first of them, for operator state, its lineage), the payload.
+    type Candidate = (ArtifactKind, Vec<Value>, Payload);
 
     const CPU: Duration = Duration::from_micros(5);
 
@@ -1247,30 +1189,41 @@ mod tests {
                         Value::Bool(true),
                     ];
                     let result = rmal::execute_op(&self.cat, &Opcode::Select, &args).unwrap();
-                    let sig = Sig::versioned(&self.cat, Opcode::Select, &args);
-                    (sig, args, Payload::Raw(result))
+                    (kind, args, Payload::Raw(result))
                 }
                 _ => {
-                    let build = operand.as_bat().unwrap();
-                    let sig = Sig::artifact(
-                        kind,
-                        Opcode::Join,
-                        vec![ArgSig::Bat(build.id()), ArgSig::Scalar(Value::Int(tag))],
-                    );
-                    let state = Arc::new(rbat::ops::join_build(build).unwrap());
-                    (sig, vec![operand.clone()], Payload::JoinBuild(state))
+                    let state = Arc::new(rbat::ops::join_build(operand.as_bat().unwrap()).unwrap());
+                    let key = vec![operand.clone(), Value::Int(tag)];
+                    (kind, key, Payload::JoinBuild(state))
                 }
             }
         }
 
-        fn admit(&mut self, (sig, args, payload): Candidate) {
-            self.session.admit(&self.cat, PC, sig, &args, payload, CPU);
+        /// The candidate's signature, and the arguments anchoring its
+        /// lineage.
+        fn sig<'a>(&self, (kind, key, _): &'a Candidate) -> (SigRef<'a>, &'a [Value]) {
+            match kind {
+                ArtifactKind::Result => (SigRef::versioned(&self.cat, Opcode::Select, key), key),
+                _ => (SigRef::artifact(*kind, Opcode::Join, key), &key[..1]),
+            }
+        }
+
+        fn shard_of(&self, candidate: &Candidate) -> usize {
+            let sig = self.sig(candidate).0.to_sig();
+            self.shared.pool_inner().shard_of(&sig)
+        }
+
+        fn admit(&mut self, candidate: Candidate) {
+            let (sig, args) = self.sig(&candidate);
+            let payload = candidate.2.clone();
+            self.session.admit(&self.cat, PC, &sig, args, payload, CPU);
         }
 
         /// The setup session admits an equivalent candidate first.
-        fn first_writer(&mut self, (sig, args, payload): &Candidate) {
-            self.setup
-                .admit(&self.cat, 9, sig.clone(), args, payload.clone(), CPU);
+        fn first_writer(&mut self, candidate: &Candidate) {
+            let (sig, args) = self.sig(candidate);
+            let payload = candidate.2.clone();
+            self.setup.admit(&self.cat, 9, &sig, args, payload, CPU);
         }
 
         /// What an admission that does not land must leave untouched: the
@@ -1388,7 +1341,7 @@ mod tests {
         assert_exit_refunds("quarantined", credit(5), rejects, |f, kind| {
             let candidate = f.candidate(kind, &f.col, 1);
             let pool = f.shared.pool_inner();
-            let si = pool.shard_of(&candidate.0);
+            let si = f.shard_of(&candidate);
             let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _view = pool.scoped_view(&[si]);
                 panic!("poisoning shard {si} for the test");
@@ -1421,9 +1374,9 @@ mod tests {
                 let parent_shard = pool.entry(parent, |e| pool.shard_of(&e.sig)).unwrap();
                 let candidate = (1..)
                     .map(|tag| f.candidate(kind, &f.col, tag))
-                    .find(|c| pool.shard_of(&c.0) != parent_shard)
+                    .find(|c| f.shard_of(c) != parent_shard)
                     .unwrap();
-                let si = pool.shard_of(&candidate.0);
+                let si = f.shard_of(&candidate);
                 let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
                 assert_eq!(
                     books.0, 2,
@@ -1469,18 +1422,23 @@ mod tests {
             f.first_writer(&candidate);
             // burn the starting credit, record a reuse, pass the decision
             // point
-            f.shared.note_invocation(0);
-            assert!(f.shared.admission_grant(key).charged);
-            f.shared.note_reuse(key, false);
-            f.shared.note_invocation(0);
-            f.shared.note_invocation(0);
-            let grant = f.shared.admission_grant(key);
+            let mut notes = AccountNotes {
+                invocation: Some(0),
+                ..AccountNotes::default()
+            };
+            assert!(f.shared.admission_grant(key, &mut notes).charged);
+            notes.reuses.push((key, false));
+            for _ in 0..2 {
+                notes.invocation = Some(0);
+                f.shared.flush_accounts(&mut notes);
+            }
+            let grant = f.shared.admission_grant(key, &mut notes);
             assert!(grant.allowed && !grant.charged, "unlimited keys are free");
             let books = f.books();
             f.admit(candidate);
             assert_eq!(f.shared.stats().duplicate_admissions, 1, "{kind:?}");
             assert_eq!(f.books(), books, "{kind:?}: a free grant refunds nothing");
-            let again = f.shared.admission_grant(key);
+            let again = f.shared.admission_grant(key, &mut notes);
             assert!(again.allowed && !again.charged);
         }
     }
@@ -1610,18 +1568,36 @@ mod tests {
         s2.query_start(&prog);
         // both probe and miss
         assert!(matches!(
-            s1.before(&cat, 0, &bind, &args),
+            s1.before(&cat, 0, &bind, &args, Instant::now()),
             HookAction::Proceed
         ));
         assert!(matches!(
-            s2.before(&cat, 0, &bind, &args),
+            s2.before(&cat, 0, &bind, &args, Instant::now()),
             HookAction::Proceed
         ));
         // both execute and admit
         let r1 = rmal::execute_op(&cat, &bind.op, &args).unwrap();
         let r2 = rmal::execute_op(&cat, &bind.op, &args).unwrap();
-        s1.after(&cat, 0, &bind, &args, &r1, Duration::from_micros(5), false);
-        s2.after(&cat, 0, &bind, &args, &r2, Duration::from_micros(5), false);
+        s1.after(
+            &cat,
+            0,
+            &bind,
+            &args,
+            &r1,
+            Duration::from_micros(5),
+            false,
+            Instant::now(),
+        );
+        s2.after(
+            &cat,
+            0,
+            &bind,
+            &args,
+            &r2,
+            Duration::from_micros(5),
+            false,
+            Instant::now(),
+        );
         s1.query_end(&prog);
         s2.query_end(&prog);
 
@@ -1657,7 +1633,7 @@ mod tests {
         // s1 admits the bind; s2 hits it — both sessions now hold the
         // same column BAT, so their select signatures agree.
         assert!(matches!(
-            s1.before(&cat, 0, &bind, &bind_args),
+            s1.before(&cat, 0, &bind, &bind_args, Instant::now()),
             HookAction::Proceed
         ));
         let col = rmal::execute_op(&cat, &bind.op, &bind_args).unwrap();
@@ -1669,8 +1645,9 @@ mod tests {
             &col,
             Duration::from_micros(5),
             false,
+            Instant::now(),
         );
-        let col2 = match s2.before(&cat, 0, &bind, &bind_args) {
+        let col2 = match s2.before(&cat, 0, &bind, &bind_args, Instant::now()) {
             HookAction::Reuse(v) => v,
             other => panic!("bind must hit, got {other:?}"),
         };
@@ -1687,11 +1664,11 @@ mod tests {
         let a1 = sel_args(&col);
         let a2 = sel_args(&col2);
         assert!(matches!(
-            s1.before(&cat, 1, &select, &a1),
+            s1.before(&cat, 1, &select, &a1, Instant::now()),
             HookAction::Proceed
         ));
         assert!(matches!(
-            s2.before(&cat, 1, &select, &a2),
+            s2.before(&cat, 1, &select, &a2, Instant::now()),
             HookAction::Proceed
         ));
         let sel1 = rmal::execute_op(&cat, &select.op, &a1).unwrap();
@@ -1709,6 +1686,7 @@ mod tests {
             &sel1,
             Duration::from_micros(5),
             false,
+            Instant::now(),
         );
         s2.after(
             &cat,
@@ -1718,13 +1696,14 @@ mod tests {
             &sel2,
             Duration::from_micros(5),
             false,
+            Instant::now(),
         );
         assert_eq!(shared.stats().duplicate_admissions, 1);
 
         // the loser's downstream count references ITS select result
         let cnt_args = vec![sel2.clone()];
         assert!(matches!(
-            s2.before(&cat, 2, &count, &cnt_args),
+            s2.before(&cat, 2, &count, &cnt_args, Instant::now()),
             HookAction::Proceed
         ));
         let n = rmal::execute_op(&cat, &count.op, &cnt_args).unwrap();
@@ -1737,6 +1716,7 @@ mod tests {
             &n,
             Duration::from_micros(5),
             false,
+            Instant::now(),
         );
         assert_eq!(
             shared.stats().admission_rejects,
@@ -1775,7 +1755,7 @@ mod tests {
         holder.query_start(&t);
         let bind_instr = t.instrs[0].clone();
         let bind_args = vec![Value::str("t"), Value::str("x")];
-        let action = holder.before(&cat, 0, &bind_instr, &bind_args);
+        let action = holder.before(&cat, 0, &bind_instr, &bind_args, Instant::now());
         assert!(matches!(action, HookAction::Reuse(_)), "bind must hit");
 
         // session B floods the pool with disjoint selections

@@ -6,19 +6,21 @@
 //! everything that is per-*server* rather than per-*session*:
 //!
 //! * the [`RecyclePool`] — since the sharding PR a concurrent structure
-//!   of its own: N signature-hash shards (N = next power of two ≥
-//!   2×cores), each an independent `RwLock` over its entry slab and
-//!   exact-match index, with the cross-shard lineage indexes in their own
-//!   sharded locks and every byte/entry book in one
+//!   of its own: N fingerprint shards (N = next power of two ≥
+//!   2×cores), each an independent `RwLock` over one table that is entry
+//!   slab and exact-match index at once, with the cross-shard lineage
+//!   indexes in their own sharded locks and every byte/entry book in one
 //!   [ledger](crate::ledger) moved only under the owning shard's write
 //!   lock;
 //! * the persistent-BAT registry (bound columns, join indices) in a
 //!   sharded index of its own;
 //! * the CREDIT/ADAPT accounts behind one [`Mutex`] — inherently global
 //!   (credits are per template instruction, not per shard) but touched
-//!   only on admission decisions, never on the hit path;
+//!   only on admission decisions and once per query, never per hit (a
+//!   session buffers what its hits owe the accounts: [`AccountNotes`]);
 //! * lifetime statistics and the event clock as plain atomics, so
-//!   sessions never contend just to count.
+//!   sessions never contend just to count (per-hit counters are summed in
+//!   the session and added once per query).
 //!
 //! # Locking invariants
 //!
@@ -57,18 +59,23 @@
 //!    transition, the re-leafed parent's residency probe and the
 //!    matching leaf-set update must be one atomic step. Owner and
 //!    leaf-index sub-map locks are true leaves.
-//! 2. **The exact-match hit path takes no write lock.** A hit is served
-//!    entirely under the signature shard's *read* lock: the reuse
-//!    counters, last-use stamp, saved-time tally, pin count and
-//!    credit-return flag are per-entry atomics ([`crate::entry`]). The
-//!    `RecyclePool::write_lock_acquisitions` counter pins this down in
+//! 2. **An exact hit is one shard read lock — and no other lock.** A hit
+//!    is served entirely under the fingerprint shard's *read* lock: the
+//!    reuse counters, last-use stamp, pin count and credit-return flag are
+//!    per-entry atomics ([`crate::entry`]). What the hit owes the accounts
+//!    waits in the session's [`AccountNotes`] (one accounts-mutex
+//!    acquisition per *query*), and its pin is given back at query end by
+//!    dropping a guard, not by finding the entry again. The pool's
+//!    write- and read-lock counters and
+//!    [`SharedRecycler::accounts_locks_on_this_thread`] pin this down in
 //!    tests.
 //! 3. **Pins are race-free by lock polarity.** Pinning bumps the entry's
 //!    atomic pin count under the owning shard's *read* lock; eviction
 //!    checks the pin count and removes under the same shard's *write*
 //!    lock. The `RwLock` serialises the two, so an entry is either pinned
 //!    before the eviction check (and skipped) or removed first (and the
-//!    pinning probe revalidates and misses).
+//!    pinning probe revalidates and misses). Unpinning takes no lock: a
+//!    late decrement can only make eviction skip an entry once more.
 //! 4. **No lock across execution:** operator execution happens outside
 //!    every lock; only combined-subsumption piecing reads pooled BATs,
 //!    entry-by-entry under shard read locks, and `Arc`-shared results
@@ -136,6 +143,7 @@
 //!     entries, so `check_invariants` and repair need one sum
 //!     (`Ledger::recompute`), not one per book.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,7 +151,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use rbat::hash::FxHashMap;
-use rbat::hash::FxHashSet;
 use rbat::{BatId, Catalog};
 use rmal::Opcode;
 
@@ -153,7 +160,7 @@ use crate::entry::InstrKey;
 use crate::eviction::{evict, EvictTrigger};
 use crate::pool::{RecyclePool, ShardedIndex};
 use crate::runtime::Recycler;
-use crate::stats::{PoolSnapshot, RecyclerStats};
+use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 
 /// Outcome of one admission decision: whether the entry may enter the
 /// pool, and whether a credit was spent for it (the refundable part).
@@ -188,8 +195,50 @@ pub(crate) struct AccountState {
     credits: FxHashMap<InstrKey, i64>,
     template_invocations: FxHashMap<u64, u64>,
     instr_reuses: FxHashMap<InstrKey, u64>,
-    adapt_unlimited: FxHashSet<InstrKey>,
-    adapt_banned: FxHashSet<InstrKey>,
+    /// ADAPT's one-time verdicts: unlimited (free) or barred (denied).
+    adapt_verdicts: FxHashMap<InstrKey, AdmissionGrant>,
+}
+
+/// What a session's running query owes the accounts, buffered so that
+/// neither `query_start` nor a hit takes the mutex. Booked at query end
+/// and — so a credit returned by a local reuse is spendable by the same
+/// query — inside the session's next [`SharedRecycler::admission_grant`].
+#[derive(Default)]
+pub(crate) struct AccountNotes {
+    /// The template whose invocation is not yet counted (ADAPT input).
+    pub invocation: Option<u64>,
+    /// Per reuse: the instance's creator, and whether to return its
+    /// admission credit (first local reuse, paper §4.2).
+    pub reuses: Vec<(InstrKey, bool)>,
+}
+
+impl AccountState {
+    /// Spend one of `key`'s credits (`k` to start with), if any is left.
+    fn charge(&mut self, key: InstrKey, k: u32) -> AdmissionGrant {
+        let c = self.credits.entry(key).or_insert(k as i64);
+        if *c > 0 {
+            *c -= 1;
+            AdmissionGrant::CHARGED
+        } else {
+            AdmissionGrant::DENIED
+        }
+    }
+
+    fn take(&mut self, notes: &mut AccountNotes) {
+        if let Some(template) = notes.invocation.take() {
+            *self.template_invocations.entry(template).or_insert(0) += 1;
+        }
+        for (creator, return_credit) in notes.reuses.drain(..) {
+            *self.instr_reuses.entry(creator).or_insert(0) += 1;
+            if return_credit {
+                *self.credits.entry(creator).or_insert(0) += 1;
+            }
+        }
+    }
+}
+
+thread_local! {
+    static ACCOUNTS_LOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Lifetime counters as atomics: incremented from any session without a
@@ -413,10 +462,7 @@ impl SharedRecycler {
     /// ([`MaintenanceGuard::clear_pool`], [`MaintenanceGuard::reset`])
     /// serialises here, and each operation runs atomically against every
     /// concurrent session by taking the pool's update mutex and all shard
-    /// write locks. This replaces the old per-session
-    /// `Recycler::clear_pool`/`reset` methods, whose `&mut self` receivers
-    /// wrongly suggested a session-local effect while they mutated the
-    /// shared pool under every other session's feet.
+    /// write locks.
     ///
     /// The guard also **quiesces the background collector**: it acquires
     /// the collector's round lock (after the maintenance mutex, before
@@ -763,7 +809,14 @@ impl SharedRecycler {
     // ----- lock plumbing ----------------------------------------------------
 
     fn lock_accounts(&self) -> MutexGuard<'_, AccountState> {
+        ACCOUNTS_LOCKS.with(|n| n.set(n.get() + 1));
         self.accounts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Accounts-mutex acquisitions by the calling thread, on any recycler —
+    /// the test probe for "one per query, none per hit".
+    pub fn accounts_locks_on_this_thread() -> u64 {
+        ACCOUNTS_LOCKS.with(Cell::get)
     }
 
     pub(crate) fn lock_evict(&self) -> MutexGuard<'_, ()> {
@@ -841,25 +894,22 @@ impl SharedRecycler {
         self.session_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    pub(crate) fn count_monitored(&self) {
-        bump(&self.stats.monitored);
-    }
-
-    pub(crate) fn count_hit(&self, local: bool, cross_session: bool, saved: Duration) {
-        bump(&self.stats.hits);
-        if local {
-            bump(&self.stats.local_hits);
-        } else {
-            bump(&self.stats.global_hits);
+    /// Add one settled query's counts to the lifetime statistics (the
+    /// session sums them, so a hit costs no shared counter).
+    pub(crate) fn count_query(&self, record: &QueryRecord) {
+        let s = &self.stats;
+        for (cell, n) in [
+            (&s.monitored, record.monitored),
+            (&s.hits, record.hits),
+            (&s.local_hits, record.local_hits),
+            (&s.global_hits, record.global_hits),
+            (&s.cross_session_hits, record.cross_session_hits),
+            (&s.subsumed, record.subsumed),
+        ] {
+            cell.fetch_add(n, Ordering::Relaxed);
         }
-        if cross_session {
-            bump(&self.stats.cross_session_hits);
-        }
-        add_ns(&self.stats.time_saved_ns, saved);
-    }
-
-    pub(crate) fn count_subsumed(&self) {
-        bump(&self.stats.subsumed);
+        add_ns(&s.time_saved_ns, record.saved);
+        add_ns(&s.overhead_ns, record.overhead);
     }
 
     /// An operator-state artifact served a build side: the probe half ran
@@ -868,7 +918,6 @@ impl SharedRecycler {
     pub(crate) fn count_artifact_hit(&self, saved: Duration) {
         bump(&self.stats.artifact_hits);
         add_ns(&self.stats.artifact_saved_ns, saved);
-        add_ns(&self.stats.time_saved_ns, saved);
     }
 
     pub(crate) fn count_artifact_admission(&self) {
@@ -907,10 +956,6 @@ impl SharedRecycler {
         self.stats.propagated.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_overhead(&self, d: Duration) {
-        add_ns(&self.stats.overhead_ns, d);
-    }
-
     pub(crate) fn add_subsume_search(&self, d: Duration) {
         add_ns(&self.stats.subsume_search_ns, d);
     }
@@ -936,67 +981,42 @@ impl SharedRecycler {
 
     // ----- credit / ADAPT accounts ----------------------------------------
 
-    /// Note one invocation of `template` (ADAPT decision input).
-    pub(crate) fn note_invocation(&self, template: u64) {
-        *self
-            .lock_accounts()
-            .template_invocations
-            .entry(template)
-            .or_insert(0) += 1;
+    /// Book a session's buffered notes.
+    pub(crate) fn flush_accounts(&self, notes: &mut AccountNotes) {
+        self.lock_accounts().take(notes);
     }
 
-    /// Note a reuse of `creator`'s instances; optionally return its
-    /// admission credit (first local reuse, paper §4.2).
-    pub(crate) fn note_reuse(&self, creator: InstrKey, return_credit: bool) {
+    /// The admission decision of `recycleExit` (paper §4.2, ADAPT §7.2),
+    /// made after booking the deciding session's `notes` in the same
+    /// critical section. `charged` records whether a credit was
+    /// actually spent — the exact amount [`Self::undo_admission_charge`]
+    /// may later refund. An admission that is allowed without charge
+    /// (KEEPALL, an ADAPT unlimited key) must never mint a credit when it
+    /// fails to complete.
+    pub(crate) fn admission_grant(
+        &self,
+        key: InstrKey,
+        notes: &mut AccountNotes,
+    ) -> AdmissionGrant {
         let mut acc = self.lock_accounts();
-        *acc.instr_reuses.entry(creator).or_insert(0) += 1;
-        if return_credit {
-            *acc.credits.entry(creator).or_insert(0) += 1;
-        }
-    }
-
-    /// The admission decision of `recycleExit` (paper §4.2, ADAPT §7.2).
-    /// `charged` records whether a credit was actually spent — the exact
-    /// amount [`Self::undo_admission_charge`] may later refund. An
-    /// admission that is allowed without charge (KEEPALL, an ADAPT
-    /// unlimited key) must never mint a credit when it fails to complete.
-    pub(crate) fn admission_grant(&self, key: InstrKey) -> AdmissionGrant {
-        let mut acc = self.lock_accounts();
+        acc.take(notes);
         match self.config.admission {
             AdmissionPolicy::KeepAll => AdmissionGrant::FREE,
-            AdmissionPolicy::Credit(k) => {
-                let c = acc.credits.entry(key).or_insert(k as i64);
-                if *c > 0 {
-                    *c -= 1;
-                    AdmissionGrant::CHARGED
-                } else {
-                    AdmissionGrant::DENIED
-                }
-            }
+            AdmissionPolicy::Credit(k) => acc.charge(key, k),
             AdmissionPolicy::Adaptive(k) => {
-                if acc.adapt_unlimited.contains(&key) {
-                    return AdmissionGrant::FREE;
-                }
-                if acc.adapt_banned.contains(&key) {
-                    return AdmissionGrant::DENIED;
+                if let Some(verdict) = acc.adapt_verdicts.get(&key) {
+                    return *verdict;
                 }
                 let invocations = acc.template_invocations.get(&key.0).copied().unwrap_or(0);
-                if invocations > k as u64 {
-                    // decision time: reused at least once → unlimited
-                    if acc.instr_reuses.get(&key).copied().unwrap_or(0) >= 1 {
-                        acc.adapt_unlimited.insert(key);
-                        return AdmissionGrant::FREE;
-                    }
-                    acc.adapt_banned.insert(key);
-                    return AdmissionGrant::DENIED;
+                if invocations <= k as u64 {
+                    return acc.charge(key, k);
                 }
-                let c = acc.credits.entry(key).or_insert(k as i64);
-                if *c > 0 {
-                    *c -= 1;
-                    AdmissionGrant::CHARGED
-                } else {
-                    AdmissionGrant::DENIED
-                }
+                // decision time: reused at least once → unlimited
+                let reused = acc.instr_reuses.get(&key).copied().unwrap_or(0) >= 1;
+                let (allowed, charged) = (reused, false);
+                let verdict = AdmissionGrant { allowed, charged };
+                acc.adapt_verdicts.insert(key, verdict);
+                verdict
             }
         }
     }

@@ -1,9 +1,18 @@
 //! Instruction signatures — the matching key of the recycle pool.
+//!
+//! A signature has two forms and one [fingerprint](SigRef::fingerprint):
+//! the borrowed [`SigRef`] a probe is made of (no heap allocation), and the
+//! owned structural [`Sig`] built from it on the miss/admission path,
+//! which stays on the pool entry. The pool keys its shards and its
+//! exact-match table on the 64-bit fingerprint alone; a hit verifies the
+//! probe against the entry's `Sig`, so a collision costs a miss, never a
+//! wrong answer.
 
 use rbat::hash::FxHasher;
 use rbat::{BatId, Catalog, Value};
 use rmal::Opcode;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Signature of one evaluated argument: scalar constants by value, BAT
 /// arguments by identity. Because matching is bottom-up (paper §3.4,
@@ -11,7 +20,7 @@ use std::hash::{Hash, Hasher};
 /// materialised object* — i.e. the result of a pool-resident (or
 /// persistent) predecessor. Value-comparing whole columns would be
 /// prohibitively expensive (paper §4.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgSig {
     /// Scalar by value.
     Scalar(Value),
@@ -27,14 +36,35 @@ impl ArgSig {
             other => ArgSig::Scalar(other.clone()),
         }
     }
+
+    /// `ArgSig::of(v) == *self`, without building one.
+    fn matches(&self, v: &Value) -> bool {
+        match (self, v) {
+            (ArgSig::Bat(id), Value::Bat(b)) => *id == b.id(),
+            (ArgSig::Bat(_), _) | (ArgSig::Scalar(_), Value::Bat(_)) => false,
+            (ArgSig::Scalar(s), v) => s == v,
+        }
+    }
+}
+
+impl Hash for ArgSig {
+    /// Hashes as the [`Value`] it is the signature of (which hashes a BAT
+    /// by identity): what lets [`SigRef`] fingerprint borrowed arguments
+    /// to the same word as the `Sig` built from them.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            ArgSig::Scalar(v) => v.hash(state),
+            ArgSig::Bat(id) => (7u8, id).hash(state),
+        }
+    }
 }
 
 /// What kind of artifact a signature keys. Result signatures key whole
 /// result BATs (the paper's original model); the operator-state kinds key
 /// an operator's *internal* build structure by its build-side lineage.
-/// The discriminant participates in `Hash`/`Eq`, so exact-match and
-/// subsumption probes can never confuse a cached hash table with a cached
-/// result BAT even when opcode and arguments coincide.
+/// The discriminant participates in the fingerprint and in equality, so
+/// exact-match and subsumption probes can never confuse a cached hash
+/// table with a cached result BAT even when opcode and arguments coincide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArtifactKind {
     /// A materialised result BAT (the default, classic recycling).
@@ -60,27 +90,35 @@ pub struct Sig {
     pub kind: ArtifactKind,
 }
 
-impl Sig {
-    /// Build the signature for `op` applied to the evaluated `args`.
-    pub fn of(op: Opcode, args: &[Value]) -> Sig {
-        Sig {
-            op,
-            args: args.iter().map(ArgSig::of).collect(),
-            kind: ArtifactKind::Result,
-        }
-    }
+/// A signature *borrowed* from the interpreter's evaluated arguments — what
+/// a probe is made of. Building one allocates nothing.
+#[derive(Debug, Clone)]
+pub struct SigRef<'a> {
+    /// The opcode.
+    pub op: Opcode,
+    kind: ArtifactKind,
+    args: &'a [Value],
+    versions: [Value; 2],
+    nversions: usize,
+}
 
-    /// Build the signature keying an operator-state artifact: `kind` is the
-    /// structure's family and `args` its *build-side* lineage (the build
-    /// BAT by identity, plus any shape scalars such as a sort direction).
-    /// Commits re-mint BAT identities, so a build-side signature can never
-    /// match across a `Sig::versioned` epoch boundary.
-    pub fn artifact(kind: ArtifactKind, op: Opcode, args: Vec<ArgSig>) -> Sig {
-        debug_assert!(kind != ArtifactKind::Result, "result sigs use Sig::of");
-        Sig { op, args, kind }
-    }
+fn fingerprint_of<T: Hash>(op: Opcode, kind: ArtifactKind, args: impl Iterator<Item = T>) -> u64 {
+    let mut h = FxHasher::default();
+    // Fx maps a zero state and a zero word to a zero state: unseeded, the
+    // leading zeros of `Bind`/`Result` would vanish from the key.
+    h.write_u64(0x9E37_79B9_7F4A_7C15);
+    op.hash(&mut h);
+    kind.hash(&mut h);
+    args.for_each(|a| a.hash(&mut h));
+    // Fx leaves the low bits weak, and the pool and its identity-hashed
+    // tables use the bottom, middle and top of the word: mix full-width.
+    let x = h.finish();
+    let x = (x ^ (x >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 29)
+}
 
-    /// The probe/admission signature of a marked instruction: like
+impl<'a> SigRef<'a> {
+    /// The result signature of `op` applied to the evaluated `args`: like
     /// [`Sig::of`], but bind-family instructions additionally carry the
     /// bound table's commit *version* as a trailing scalar (both endpoint
     /// tables' versions for a join index).
@@ -94,34 +132,84 @@ impl Sig {
     /// commit and the worst case is an unreachable entry awaiting
     /// eviction — never stale reuse. Every non-bind opcode keys on BAT
     /// *identity*, which commits re-mint, so no version is needed there.
-    pub fn versioned(catalog: &Catalog, op: Opcode, args: &[Value]) -> Sig {
-        let mut sig = Sig::of(op, args);
-        match op {
-            Opcode::Bind => {
-                if let Some(Ok(t)) = args
-                    .first()
-                    .and_then(|v| v.as_str())
-                    .map(|t| catalog.table(t))
-                {
-                    sig.args
-                        .push(ArgSig::Scalar(Value::Int(t.version() as i64)));
+    pub fn versioned(catalog: &Catalog, op: Opcode, args: &'a [Value]) -> SigRef<'a> {
+        let mut sig = SigRef::artifact(ArtifactKind::Result, op, args);
+        let version = |t: &str| catalog.table(t).map(|t| t.version() as i64);
+        match (op, args.first().and_then(|v| v.as_str())) {
+            (Opcode::Bind, Some(table)) => {
+                if let Ok(v) = version(table) {
+                    sig.versions[0] = Value::Int(v);
+                    sig.nversions = 1;
                 }
             }
-            Opcode::BindIdx => {
-                if let Some(def) = args
-                    .first()
-                    .and_then(|v| v.as_str())
-                    .and_then(|name| catalog.index_def(name))
-                {
-                    for t in [&def.from_table, &def.to_table] {
-                        let v = catalog.table(t).map(|t| t.version()).unwrap_or(0);
-                        sig.args.push(ArgSig::Scalar(Value::Int(v as i64)));
-                    }
+            (Opcode::BindIdx, Some(index)) => {
+                if let Some(def) = catalog.index_def(index) {
+                    sig.versions = [&def.from_table, &def.to_table]
+                        .map(|t| Value::Int(version(t).unwrap_or(0)));
+                    sig.nversions = 2;
                 }
             }
             _ => {}
         }
         sig
+    }
+
+    /// The signature keying an operator-state artifact: `kind` is the
+    /// structure's family and `args` its *build-side* lineage (the build
+    /// BAT by identity, plus any shape scalars such as a sort direction).
+    /// Commits re-mint BAT identities, so a build-side signature can never
+    /// match across a [`SigRef::versioned`] epoch boundary.
+    pub fn artifact(kind: ArtifactKind, op: Opcode, args: &'a [Value]) -> SigRef<'a> {
+        SigRef {
+            op,
+            kind,
+            args,
+            versions: [Value::Nil, Value::Nil],
+            nversions: 0,
+        }
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Value> {
+        self.args.iter().chain(&self.versions[..self.nversions])
+    }
+
+    /// The pool's key, equal to the [`Sig::fingerprint`] of [`Self::to_sig`].
+    pub fn fingerprint(&self) -> u64 {
+        fingerprint_of(self.op, self.kind, self.values())
+    }
+
+    /// `self.to_sig() == *sig`, without building one — what a fingerprint
+    /// match is verified with.
+    pub fn matches(&self, sig: &Sig) -> bool {
+        self.op == sig.op
+            && self.kind == sig.kind
+            && sig.args.len() == self.args.len() + self.nversions
+            && sig
+                .args
+                .iter()
+                .zip(self.values())
+                .all(|(s, v)| s.matches(v))
+    }
+
+    /// The owned structural signature — built on the miss/admission path.
+    pub fn to_sig(&self) -> Sig {
+        Sig {
+            op: self.op,
+            args: self.values().map(ArgSig::of).collect(),
+            kind: self.kind,
+        }
+    }
+}
+
+impl Sig {
+    /// Build the signature for `op` applied to the evaluated `args`.
+    pub fn of(op: Opcode, args: &[Value]) -> Sig {
+        SigRef::artifact(ArtifactKind::Result, op, args).to_sig()
+    }
+
+    /// [`SigRef::versioned`], owned.
+    pub fn versioned(catalog: &Catalog, op: Opcode, args: &[Value]) -> Sig {
+        SigRef::versioned(catalog, op, args).to_sig()
     }
 
     /// The first argument's signature, if any — the index key for
@@ -130,22 +218,33 @@ impl Sig {
         self.args.first()
     }
 
-    /// A stable 64-bit hash (used by diagnostics; the pool itself uses the
-    /// `Hash` impl through its hash map).
+    /// The 64-bit key the pool files this signature under (see
+    /// [`SigRef::fingerprint`], the same word from borrowed arguments).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FxHasher::default();
-        self.hash(&mut h);
-        h.finish()
+        fingerprint_of(self.op, self.kind, self.args.iter())
     }
 }
 
-impl Hash for Sig {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.op.hash(state);
-        self.args.hash(state);
-        self.kind.hash(state);
+/// Identity hasher for tables keyed by a (well-mixed) fingerprint.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint tables are keyed by u64");
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
     }
 }
+
+/// A hash map keyed by fingerprint, hashed by identity.
+pub(crate) type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -179,13 +278,13 @@ mod tests {
     #[test]
     fn artifact_kind_distinguishes() {
         let bat = Arc::new(Bat::from_tail(Column::from_ints(vec![1])));
-        let v = Value::Bat(Arc::clone(&bat));
-        let result = Sig::of(Opcode::Join, std::slice::from_ref(&v));
-        let build = Sig::artifact(ArtifactKind::JoinBuild, Opcode::Join, vec![ArgSig::of(&v)]);
+        let args = [Value::Bat(bat)];
+        let result = Sig::of(Opcode::Join, &args);
+        let build = SigRef::artifact(ArtifactKind::JoinBuild, Opcode::Join, &args).to_sig();
         // same op, same args — but the kind keeps the keys apart
         assert_ne!(result, build);
         assert_ne!(result.fingerprint(), build.fingerprint());
-        let build2 = Sig::artifact(ArtifactKind::JoinBuild, Opcode::Join, vec![ArgSig::of(&v)]);
+        let build2 = SigRef::artifact(ArtifactKind::JoinBuild, Opcode::Join, &args).to_sig();
         assert_eq!(build, build2);
         assert_eq!(build.fingerprint(), build2.fingerprint());
     }

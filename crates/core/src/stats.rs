@@ -145,8 +145,6 @@ pub struct RecyclerStats {
 pub struct QueryRecord {
     /// Template id.
     pub template: u64,
-    /// Template name.
-    pub name: String,
     /// Marked instructions seen this invocation.
     pub monitored: u64,
     /// Exact-match reuses this invocation.
@@ -155,6 +153,8 @@ pub struct QueryRecord {
     pub local_hits: u64,
     /// Global reuses.
     pub global_hits: u64,
+    /// ... of which of entries another session admitted.
+    pub cross_session_hits: u64,
     /// Subsumed executions this invocation.
     pub subsumed: u64,
     /// Execution time avoided this invocation.
@@ -163,6 +163,8 @@ pub struct QueryRecord {
     pub bytes_admitted: u64,
     /// Entries admitted this invocation.
     pub admitted: u64,
+    /// Time this invocation spent inside recycler bookkeeping.
+    pub overhead: Duration,
 }
 
 impl QueryRecord {

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use rbat::ops::{group_build, join_build, sort_build};
 use rbat::{Bat, Column, Value};
 use recycler::entry::{Admitter, Lineage};
-use recycler::signature::{ArgSig, ArtifactKind, Sig};
+use recycler::signature::{ArtifactKind, Sig, SigRef};
 use recycler::tier::{CompressedBat, SpillFile};
 use recycler::{EntryId, Payload, PoolEntry, RecyclePool};
 use rmal::Opcode;
@@ -105,13 +105,14 @@ impl Rig {
 
     fn fresh_sig(&mut self, kind: ArtifactKind) -> Sig {
         self.next_tag += 1;
-        let tag = Value::Int(self.next_tag);
-        match kind {
-            ArtifactKind::Result => Sig::of(Opcode::Select, &[tag]),
-            ArtifactKind::JoinBuild => Sig::artifact(kind, Opcode::Join, vec![ArgSig::of(&tag)]),
-            ArtifactKind::GroupMap => Sig::artifact(kind, Opcode::Group, vec![ArgSig::of(&tag)]),
-            ArtifactKind::SortedRun => Sig::artifact(kind, Opcode::Sort, vec![ArgSig::of(&tag)]),
-        }
+        let tag = [Value::Int(self.next_tag)];
+        let op = match kind {
+            ArtifactKind::Result => Opcode::Select,
+            ArtifactKind::JoinBuild => Opcode::Join,
+            ArtifactKind::GroupMap => Opcode::Group,
+            ArtifactKind::SortedRun => Opcode::Sort,
+        };
+        SigRef::artifact(kind, op, &tag).to_sig()
     }
 
     /// Insert an unpinned entry of the variant `pick` selects.

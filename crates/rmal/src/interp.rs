@@ -47,13 +47,17 @@ pub trait ExecHook {
     fn query_start(&mut self, _program: &Program) {}
 
     /// A *marked* instruction is about to execute with the given evaluated
-    /// arguments; decide whether to reuse, rewrite or proceed.
+    /// arguments; decide whether to reuse, rewrite or proceed. `now` is the
+    /// interpreter's clock reading from just before the call — the
+    /// instruction's start, and the start of the hook's own time, so a hook
+    /// that meters itself needs one clock read, not two.
     fn before(
         &mut self,
         _catalog: &Catalog,
         _pc: usize,
         _instr: &Instr,
         _args: &[Value],
+        _now: Instant,
     ) -> HookAction {
         HookAction::Proceed
     }
@@ -61,7 +65,8 @@ pub trait ExecHook {
     /// A *marked* instruction has executed (normally or rewritten); decide
     /// whether to admit its result. `args` are the ORIGINAL arguments — the
     /// pool stores the instruction as written, so future invocations match
-    /// it regardless of the rewrite applied this time.
+    /// it regardless of the rewrite applied this time. `now` is the clock
+    /// reading that ended `cpu`, taken just before the call.
     #[allow(clippy::too_many_arguments)]
     fn after(
         &mut self,
@@ -72,6 +77,7 @@ pub trait ExecHook {
         _result: &Value,
         _cpu: std::time::Duration,
         _subsumed: bool,
+        _now: Instant,
     ) {
     }
 
@@ -114,11 +120,16 @@ pub fn run<H: ExecHook>(
     let started = Instant::now();
     let mut frame: Vec<Option<Value>> = vec![None; program.nvars as usize];
     let mut exports: Vec<(String, Value)> = Vec::new();
-    let mut stats = ExecStats::default();
+    let mut stats = ExecStats {
+        profile: Vec::with_capacity(program.instrs.len()),
+        ..ExecStats::default()
+    };
+    // one argument buffer for the whole run, not one per instruction
+    let mut args: Vec<Value> = Vec::new();
     hook.query_start(program);
 
     for (pc, instr) in program.instrs.iter().enumerate() {
-        let mut args = Vec::with_capacity(instr.args.len());
+        args.clear();
         for a in &instr.args {
             args.push(resolve(&frame, params, a, pc)?);
         }
@@ -129,10 +140,10 @@ pub fn run<H: ExecHook>(
                 .and_then(|v| v.as_str())
                 .unwrap_or("result")
                 .to_string();
-            let value = args
-                .get(1)
-                .cloned()
-                .ok_or_else(|| MalError::bad_args("export", "missing value"))?;
+            if args.len() < 2 {
+                return Err(MalError::bad_args("export", "missing value"));
+            }
+            let value = args.swap_remove(1);
             exports.push((name, value.clone()));
             frame[instr.result.index()] = Some(value);
             stats.instrs += 1;
@@ -144,7 +155,7 @@ pub fn run<H: ExecHook>(
         let mut assisted = false;
         let t0 = Instant::now();
         let result = if instr.recycle {
-            match hook.before(catalog, pc, instr, &args) {
+            match hook.before(catalog, pc, instr, &args, t0) {
                 HookAction::Reuse(v) => {
                     reused = true;
                     v
@@ -152,7 +163,8 @@ pub fn run<H: ExecHook>(
                 HookAction::Rewrite(new_args) => {
                     subsumed = true;
                     let v = execute_op(catalog, &instr.op, &new_args)?;
-                    hook.after(catalog, pc, instr, &args, &v, t0.elapsed(), true);
+                    let done = Instant::now();
+                    hook.after(catalog, pc, instr, &args, &v, done - t0, true, done);
                     v
                 }
                 HookAction::Computed(v) => {
@@ -165,7 +177,8 @@ pub fn run<H: ExecHook>(
                 }
                 HookAction::Proceed => {
                     let v = execute_op(catalog, &instr.op, &args)?;
-                    hook.after(catalog, pc, instr, &args, &v, t0.elapsed(), false);
+                    let done = Instant::now();
+                    hook.after(catalog, pc, instr, &args, &v, done - t0, false, done);
                     v
                 }
             }
@@ -260,7 +273,14 @@ mod tests {
     }
 
     impl ExecHook for CountingHook {
-        fn before(&mut self, _cat: &Catalog, _pc: usize, _i: &Instr, _a: &[Value]) -> HookAction {
+        fn before(
+            &mut self,
+            _cat: &Catalog,
+            _pc: usize,
+            _i: &Instr,
+            _a: &[Value],
+            _now: Instant,
+        ) -> HookAction {
             self.before_calls += 1;
             HookAction::Proceed
         }
@@ -273,6 +293,7 @@ mod tests {
             _r: &Value,
             _c: std::time::Duration,
             _s: bool,
+            _now: Instant,
         ) {
             self.after_calls += 1;
         }
@@ -300,7 +321,14 @@ mod tests {
     struct ReuseHook(Value);
 
     impl ExecHook for ReuseHook {
-        fn before(&mut self, _cat: &Catalog, _pc: usize, _i: &Instr, _a: &[Value]) -> HookAction {
+        fn before(
+            &mut self,
+            _cat: &Catalog,
+            _pc: usize,
+            _i: &Instr,
+            _a: &[Value],
+            _now: Instant,
+        ) -> HookAction {
             HookAction::Reuse(self.0.clone())
         }
     }

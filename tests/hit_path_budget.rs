@@ -1,0 +1,150 @@
+//! The budget of the exact-hit path: what a warm, all-hit query may cost in
+//! heap allocations and in locks, held as exact counts — a counting global
+//! allocator for the former, the pool's and the accounts' per-thread lock
+//! probes for the latter. (Each test runs on its own thread, so the
+//! per-thread probes see this test's locks only; the allocator counts on a
+//! thread-local too.)
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rbat::{Catalog, LogicalType, TableBuilder, Value};
+use recycler::{RecyclePool, SharedRecycler};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Session};
+use rmal::{Program, ProgramBuilder};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting this thread's `alloc` and `realloc` calls.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell` (const-initialised, no destructor), so touching it allocates
+// nothing and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
+    for i in 0..4000i64 {
+        tb.push_row(&[Value::Int((i * 37) % 4000)]);
+    }
+    cat.add_table(tb.finish());
+    cat
+}
+
+/// A bind, a chain of `selects` ever narrower range selections and a
+/// count: `selects + 2` marked instructions, one export.
+fn chain(name: &str, selects: i64) -> Program {
+    let mut b = ProgramBuilder::new(name, 0);
+    let mut cur = b.bind("t", "x");
+    for i in 0..selects {
+        cur = b.select_closed(cur, Value::Int(i), Value::Int(3900 - i));
+    }
+    let n = b.count(cur);
+    b.export("n", n);
+    b.finish()
+}
+
+fn database(admission: AdmissionPolicy) -> Database {
+    DatabaseBuilder::new(catalog())
+        .recycler(RecyclerConfig::default().admission(admission))
+        .build()
+}
+
+/// Warm the pool with `template` and return how many instructions of a
+/// warm run are marked — all of them reused.
+fn warm(session: &mut Session, template: &Program) -> u64 {
+    session.query(template, &[]).unwrap();
+    let reply = session.query(template, &[]).unwrap();
+    assert!(
+        reply.marked > 0 && reply.reused == reply.marked,
+        "{reply:?}"
+    );
+    reply.marked
+}
+
+/// The fewest allocations any of `runs` warm queries makes (the session's
+/// query log doubles its buffer now and then; the minimum is the query's
+/// own cost).
+fn warm_query_allocations(session: &mut Session, template: &Program, runs: usize) -> u64 {
+    (0..runs)
+        .map(|_| {
+            let before = ALLOCATIONS.with(Cell::get);
+            session.query(template, &[]).unwrap();
+            ALLOCATIONS.with(Cell::get) - before
+        })
+        .min()
+        .expect("at least one run")
+}
+
+#[test]
+fn a_warm_query_allocates_a_constant_whatever_the_number_of_probes() {
+    let db = database(AdmissionPolicy::KeepAll);
+    let (few, many) = (db.prepare(chain("few", 1)), db.prepare(chain("many", 28)));
+    let mut session = db.session();
+    assert_eq!(warm(&mut session, &few), 3);
+    assert_eq!(warm(&mut session, &many), 30);
+    let few_allocs = warm_query_allocations(&mut session, &few, 8);
+    let many_allocs = warm_query_allocations(&mut session, &many, 8);
+    assert_eq!(
+        many_allocs, few_allocs,
+        "30 probes must allocate exactly what 3 probes do"
+    );
+    // the interpreter's frame, argument buffer (grown once) and profile,
+    // the export list and its one name
+    assert!(few_allocs <= 8, "{few_allocs} allocations in a warm query");
+}
+
+#[test]
+fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
+    for admission in [
+        AdmissionPolicy::KeepAll,
+        AdmissionPolicy::Credit(3),
+        AdmissionPolicy::Adaptive(3),
+    ] {
+        let db = database(admission);
+        let template = db.prepare(chain("probes", 10));
+        let mut session = db.session();
+        let marked = warm(&mut session, &template);
+        for _ in 0..5 {
+            let writes = db.pool().write_lock_acquisitions();
+            let reads = RecyclePool::read_locks_on_this_thread();
+            let accounts = SharedRecycler::accounts_locks_on_this_thread();
+            let reply = session.query(&template, &[]).unwrap();
+            assert_eq!(reply.reused, marked);
+            assert_eq!(
+                RecyclePool::read_locks_on_this_thread() - reads,
+                marked,
+                "{admission:?}: one shard read lock per reused instruction"
+            );
+            assert_eq!(
+                SharedRecycler::accounts_locks_on_this_thread() - accounts,
+                1,
+                "{admission:?}: one accounts-mutex acquisition per query"
+            );
+            assert_eq!(db.pool().write_lock_acquisitions(), writes);
+        }
+        db.pool().check_invariants().unwrap();
+    }
+}

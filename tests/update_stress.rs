@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use recycling::{Database, DatabaseBuilder, RecyclerConfig, Update};
@@ -238,7 +238,7 @@ fn stale_bind_from_old_epoch_never_serves_post_commit_probes() {
     let bind_args = vec![Value::str("hot"), Value::str("x")];
     straggler.query_start(&th);
     assert!(matches!(
-        straggler.before(&old_cat, 0, &bind, &bind_args),
+        straggler.before(&old_cat, 0, &bind, &bind_args, Instant::now()),
         HookAction::Proceed
     ));
     let stale = rmal::execute_op(&old_cat, &bind.op, &bind_args).unwrap();
@@ -250,6 +250,7 @@ fn stale_bind_from_old_epoch_never_serves_post_commit_probes() {
         &stale,
         Duration::from_micros(5),
         false,
+        Instant::now(),
     );
     straggler.query_end(&th);
     assert_eq!(db.pool().len(), 1, "the stale bind is resident");
