@@ -1,9 +1,17 @@
 //! Micro-benchmarks of the binary relational algebra — the per-operator
 //! costs that determine which intermediates are worth recycling.
+//!
+//! The `tpch_*` groups are the operator shapes that own the time of a
+//! TPC-H query at SF 0.01 (60 000 `lineitem` rows): each kernel runs
+//! beside a twin written with nothing but `std` collections and iterators,
+//! in the same run, so a kernel's figure reads against what the obvious
+//! code costs on the same machine.
+
+use std::collections::{HashMap, HashSet};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rbat::ops::{self, GrpFunc, SelectBounds};
-use rbat::{Bat, Column, Props, Value};
+use rbat::ops::{self, CalcOp, CalcRhs, CmpOp, GrpFunc, SelectBounds};
+use rbat::{Bat, Column, Date, Props, Value};
 
 fn make_int_bat(n: usize) -> Bat {
     let vals: Vec<i64> = (0..n as i64)
@@ -77,6 +85,208 @@ fn bench_group_aggr(c: &mut Criterion) {
     g.finish();
 }
 
+const LINEITEMS: usize = 60_000;
+
+/// `reverse(fk_idx)`: the foreign key (an OID of the other table, in no
+/// order, repeating) as head, the dense row id as tail.
+fn reversed_fk_index() -> (Vec<u64>, Bat) {
+    let fk: Vec<u64> = (0..LINEITEMS as u64)
+        .map(|i| (i * 40_507) % LINEITEMS as u64)
+        .collect();
+    let bat = Bat::from_tail(Column::from_oids(fk.clone())).reverse();
+    (fk, bat)
+}
+
+/// `semijoin(reverse(fk_idx), selection)`: which rows point into a
+/// selection of `k` rows of the other table (sorted OIDs, as a select
+/// leaves them). The smallest `k` is a handful of neighbouring rows, so
+/// that half the foreign keys fall outside the selection's range.
+fn bench_tpch_semijoin(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tpch_semijoin");
+    let (fk, l) = reversed_fk_index();
+    for k in [4usize, 100, 5_000, 30_000] {
+        let stride = if k < 100 { 10_000 } else { LINEITEMS / k };
+        let picked: Vec<u64> = (0..k as u64).map(|j| j * stride as u64).collect();
+        let r = Bat::new(
+            Column::from_oids(picked.clone()),
+            Column::from_ints(vec![0; k]),
+            Props::default(),
+        );
+        g.bench_with_input(BenchmarkId::new("kernel", k), &k, |bench, _| {
+            bench.iter(|| ops::semijoin(black_box(&l), black_box(&r)).unwrap())
+        });
+        g.bench_with_input(BenchmarkId::new("std_hashset", k), &k, |bench, _| {
+            bench.iter(|| {
+                let set: HashSet<u64> = black_box(&picked).iter().copied().collect();
+                let (mut head, mut tail) = (Vec::new(), Vec::new());
+                for (row, key) in black_box(&fk).iter().enumerate() {
+                    if set.contains(key) {
+                        head.push(*key);
+                        tail.push(row as u64);
+                    }
+                }
+                (head, tail)
+            })
+        });
+    }
+    g.finish();
+}
+
+/// The two joins of a TPC-H plan: a fetch join of selected row ids into a
+/// base column (dense head), and a hash join on a key that repeats.
+fn bench_tpch_join(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tpch_join");
+    let prices: Vec<f64> = (0..LINEITEMS).map(|i| i as f64 * 0.25).collect();
+    let column = Bat::from_tail(Column::from_floats(prices.clone()));
+    for k in [5_000usize, LINEITEMS] {
+        let rows: Vec<u64> = (0..k as u64).map(|j| j * (LINEITEMS / k) as u64).collect();
+        let row_map = Bat::from_tail(Column::from_oids(rows.clone()));
+        g.bench_with_input(BenchmarkId::new("fetch/kernel", k), &k, |bench, _| {
+            bench.iter(|| ops::join(black_box(&row_map), black_box(&column)).unwrap())
+        });
+        g.bench_with_input(BenchmarkId::new("fetch/std_index", k), &k, |bench, _| {
+            bench.iter(|| {
+                let head: Vec<u64> = (0..k as u64).collect();
+                let tail: Vec<f64> = black_box(&rows)
+                    .iter()
+                    .map(|&row| black_box(&prices)[row as usize])
+                    .collect();
+                (head, tail)
+            })
+        });
+    }
+    // 15 000 build rows, every key four times; 1 500 probe rows
+    let build_keys: Vec<i64> = (0..15_000i64).map(|j| (j * 7) % 3_750 * 10).collect();
+    let probe_keys: Vec<i64> = (0..1_500i64).map(|i| (i * 31) % 5_000 * 10).collect();
+    let r = Bat::from_tail(Column::from_ints(build_keys.clone())).reverse();
+    let l = Bat::from_tail(Column::from_ints(probe_keys.clone()));
+    g.bench_function("hash_repeated/kernel", |bench| {
+        bench.iter(|| ops::join(black_box(&l), black_box(&r)).unwrap())
+    });
+    g.bench_function("hash_repeated/std_hashmap", |bench| {
+        bench.iter(|| {
+            let mut table: HashMap<i64, Vec<u64>> = HashMap::new();
+            for (row, &key) in black_box(&build_keys).iter().enumerate() {
+                table.entry(key).or_default().push(row as u64);
+            }
+            let (mut head, mut tail) = (Vec::new(), Vec::new());
+            for (row, key) in black_box(&probe_keys).iter().enumerate() {
+                for &hit in table.get(key).into_iter().flatten() {
+                    head.push(row as u64);
+                    tail.push(hit);
+                }
+            }
+            (head, tail)
+        })
+    });
+    g.finish();
+}
+
+/// Range selects over unsorted `Float` and `Date` columns at 1 %, 20 % and
+/// 90 % selectivity, and an equality select over a string column.
+fn bench_tpch_select(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tpch_select");
+    let scrambled = |i: usize| (i * 2_654_435_761) % 10_000;
+    let floats: Vec<f64> = (0..LINEITEMS).map(|i| scrambled(i) as f64 * 0.01).collect();
+    let dates: Vec<i32> = (0..LINEITEMS).map(|i| scrambled(i) as i32).collect();
+    let float_bat = Bat::from_tail(Column::from_floats(floats.clone()));
+    let date_bat = Bat::from_tail(Column::from_dates(dates.clone()));
+    for percent in [1usize, 20, 90] {
+        let hi = percent * 100; // of the 10 000 distinct values
+        let float_bounds = SelectBounds::closed(Value::Float(0.0), Value::Float(hi as f64 * 0.01));
+        let date_bounds =
+            SelectBounds::half_open(Value::Date(Date(0)), Value::Date(Date(hi as i32)));
+        g.bench_with_input(
+            BenchmarkId::new("float/kernel", percent),
+            &(),
+            |bench, _| {
+                bench.iter(|| ops::select(black_box(&float_bat), black_box(&float_bounds)).unwrap())
+            },
+        );
+        g.bench_with_input(
+            BenchmarkId::new("float/std_filter", percent),
+            &(),
+            |bench, _| {
+                let (lo, hi) = (0.0, hi as f64 * 0.01);
+                bench.iter(|| {
+                    let rows = black_box(&floats).iter().enumerate();
+                    rows.filter(|(_, &v)| v >= lo && v <= hi)
+                        .map(|(row, &v)| (row as u64, v))
+                        .unzip::<u64, f64, Vec<u64>, Vec<f64>>()
+                })
+            },
+        );
+        g.bench_with_input(BenchmarkId::new("date/kernel", percent), &(), |bench, _| {
+            bench.iter(|| ops::select(black_box(&date_bat), black_box(&date_bounds)).unwrap())
+        });
+        g.bench_with_input(
+            BenchmarkId::new("date/std_filter", percent),
+            &(),
+            |bench, _| {
+                let hi = hi as i32;
+                bench.iter(|| {
+                    let rows = black_box(&dates).iter().enumerate();
+                    rows.filter(|(_, &v)| v >= 0 && v < hi)
+                        .map(|(row, &v)| (row as u64, v))
+                        .unzip::<u64, i32, Vec<u64>, Vec<i32>>()
+                })
+            },
+        );
+    }
+    const MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
+    let modes: Vec<&str> = (0..LINEITEMS).map(|i| MODES[scrambled(i) % 7]).collect();
+    let mode_bat = Bat::from_tail(Column::from_strs(modes.iter().copied()));
+    g.bench_function("uselect_str/kernel", |bench| {
+        bench.iter(|| ops::uselect(black_box(&mode_bat), black_box(&Value::str("MAIL"))).unwrap())
+    });
+    g.bench_function("uselect_str/std_filter", |bench| {
+        bench.iter(|| {
+            let rows = black_box(&modes).iter().enumerate();
+            rows.filter(|(_, &mode)| mode == "MAIL")
+                .map(|(row, &mode)| (row as u64, mode.to_string()))
+                .unzip::<u64, String, Vec<u64>, Vec<String>>()
+        })
+    });
+    g.finish();
+}
+
+/// `batcalc` over two aligned 60 000-row columns: a date comparison
+/// (`l_commitdate < l_receiptdate`) and the revenue product.
+fn bench_tpch_calc(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tpch_calc");
+    let commit: Vec<i32> = (0..LINEITEMS as i32).map(|i| (i * 7) % 2_500).collect();
+    let receipt: Vec<i32> = (0..LINEITEMS as i32).map(|i| (i * 11) % 2_500).collect();
+    let commit_bat = Bat::from_tail(Column::from_dates(commit.clone()));
+    let receipt_bat = Bat::from_tail(Column::from_dates(receipt.clone()));
+    g.bench_function("lt_dates/kernel", |bench| {
+        let rhs = CalcRhs::Bat(&receipt_bat);
+        bench.iter(|| ops::calc_cmp(black_box(&commit_bat), black_box(&rhs), CmpOp::Lt).unwrap())
+    });
+    g.bench_function("lt_dates/std_zip", |bench| {
+        bench.iter(|| {
+            let pairs = black_box(&commit).iter().zip(black_box(&receipt));
+            pairs.map(|(a, b)| a < b).collect::<Vec<bool>>()
+        })
+    });
+    let price: Vec<f64> = (0..LINEITEMS).map(|i| i as f64 * 0.5).collect();
+    let factor: Vec<f64> = (0..LINEITEMS)
+        .map(|i| 1.0 - (i % 11) as f64 * 0.01)
+        .collect();
+    let price_bat = Bat::from_tail(Column::from_floats(price.clone()));
+    let factor_bat = Bat::from_tail(Column::from_floats(factor.clone()));
+    g.bench_function("mul_floats/kernel", |bench| {
+        let rhs = CalcRhs::Bat(&factor_bat);
+        bench.iter(|| ops::calc(black_box(&price_bat), black_box(&rhs), CalcOp::Mul).unwrap())
+    });
+    g.bench_function("mul_floats/std_zip", |bench| {
+        bench.iter(|| {
+            let pairs = black_box(&price).iter().zip(black_box(&factor));
+            pairs.map(|(a, b)| a * b).collect::<Vec<f64>>()
+        })
+    });
+    g.finish();
+}
+
 fn bench_zero_cost_views(c: &mut Criterion) {
     let b = make_int_bat(100_000);
     c.bench_function("view/reverse", |bench| {
@@ -93,6 +303,10 @@ criterion_group!(
     bench_select,
     bench_join,
     bench_group_aggr,
+    bench_tpch_semijoin,
+    bench_tpch_join,
+    bench_tpch_select,
+    bench_tpch_calc,
     bench_zero_cost_views
 );
 criterion_main!(benches);

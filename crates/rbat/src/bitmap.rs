@@ -41,6 +41,51 @@ impl Bitmap {
         bm
     }
 
+    /// The bitmap of `pred` over a typed slice — the scan of the selection
+    /// kernels of [`crate::ops`]. Sixty-four values at a time: the
+    /// predicate fills a block of bytes in a fixed-length loop with no
+    /// branch in it (which the compiler vectorises when `pred` is a
+    /// comparison), and eight multiplications pack the block into a word.
+    pub(crate) fn from_slice<T: Copy>(values: &[T], pred: impl Fn(T) -> bool) -> Bitmap {
+        // the lowest bit of each of eight bytes, gathered into the top byte
+        const GATHER: u64 = 0x0102_0408_1020_4080;
+        let mut words = Vec::with_capacity(values.len().div_ceil(64));
+        let mut block = [0u8; 64];
+        for chunk in values.chunks(64) {
+            // a short last chunk leaves the rest of the block clear
+            block[chunk.len()..].fill(0);
+            for (byte, &v) in block.iter_mut().zip(chunk) {
+                *byte = pred(v) as u8;
+            }
+            let mut word = 0u64;
+            for (k, eight) in block.chunks_exact(8).enumerate() {
+                let eight = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+                word |= (eight.wrapping_mul(GATHER) >> 56) << (k * 8);
+            }
+            words.push(word);
+        }
+        Bitmap {
+            words,
+            len: values.len(),
+        }
+    }
+
+    /// Build from `len` booleans — [`Self::from_slice`] for sources that
+    /// are not a slice. Each word is gathered in a register and stored
+    /// once.
+    pub(crate) fn from_bits(len: usize, bits: impl IntoIterator<Item = bool>) -> Bitmap {
+        let mut bits = bits.into_iter();
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        for (_, n) in word_steps(len) {
+            let mut word = 0u64;
+            for j in 0..n {
+                word |= (bits.next().expect("one boolean per bit") as u64) << j;
+            }
+            words.push(word);
+        }
+        Bitmap { words, len }
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -56,6 +101,19 @@ impl Bitmap {
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Is bit `i` set? `false` past the end: the membership test of a
+    /// bitmap used as a set of positions. Whether `i` is in range is data
+    /// (half the keys of a semijoin probe may lie outside the other side's
+    /// range), so it is not branched on: the word index is clamped, the
+    /// word loaded regardless, and the range test ANDed in.
+    #[inline]
+    pub(crate) fn contains(&self, i: u64) -> bool {
+        let last = self.words.len().wrapping_sub(1);
+        let at = usize::try_from(i / 64).unwrap_or(usize::MAX).min(last);
+        let word = self.words.get(at).copied().unwrap_or(0); // only empty misses
+        (i < self.len as u64) & ((word >> (i % 64)) & 1 == 1)
     }
 
     /// Write bit `i`.
@@ -94,6 +152,41 @@ impl Bitmap {
         word_steps(len)
             .map(|(at, n)| (self.word_at(from + at) & low_mask(n)).count_ones() as usize)
             .sum()
+    }
+
+    /// Clear every bit that is clear in `[from, from + self.len())` of
+    /// `other` — a word-wise AND against a window at any alignment.
+    pub(crate) fn and_range(&mut self, other: &Bitmap, from: usize) {
+        assert!(from + self.len <= other.len, "bit range out of bounds");
+        for (i, word) in self.words.iter_mut().enumerate() {
+            *word &= other.word_at(from + i * 64);
+        }
+    }
+
+    /// Flip every bit.
+    pub(crate) fn negate(&mut self) {
+        for word in &mut self.words {
+            *word = !*word;
+        }
+        if !self.len.is_multiple_of(64) {
+            // keep the padding clear so counts stay exact
+            *self.words.last_mut().expect("a partial last word") &= low_mask(self.len % 64);
+        }
+    }
+
+    /// The positions of the set bits, ascending, in a vector allocated
+    /// once at its exact size — a selection as row indices for
+    /// [`crate::Column::gather`].
+    pub(crate) fn ones(&self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.count_ones());
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push((i * 64) as u32 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        out
     }
 
     /// Are all bits set?
@@ -255,6 +348,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn scans_equal_bitwise_pushes() {
+        for len in [0usize, 1, 7, 8, 63, 64, 65, 128, 200] {
+            let values: Vec<usize> = (0..len).map(|i| i * 7 + 3).collect();
+            let pred = |v: usize| v % 5 < 2 || v % 11 == 3;
+            let mut slow = Bitmap::new(0, false);
+            values.iter().for_each(|&v| slow.push(pred(v)));
+            assert_eq!(Bitmap::from_slice(&values, pred), slow, "len {len}");
+            assert_eq!(
+                Bitmap::from_bits(len, values.iter().map(|&v| pred(v))),
+                slow
+            );
+            // every bit of every byte lane reaches its place in the word
+            assert_eq!(
+                Bitmap::from_slice(&values, |_| true),
+                Bitmap::new(len, true)
+            );
+        }
+    }
+
+    #[test]
+    fn and_negate_ones_contains() {
+        let (a, b) = (pattern(200, 1), pattern(300, 4));
+        for from in [0usize, 1, 63, 64, 100] {
+            let mut and = a.clone();
+            and.and_range(&b, from);
+            let mut not = a.clone();
+            not.negate();
+            for i in 0..200 {
+                assert_eq!(
+                    and.get(i),
+                    a.get(i) && b.get(from + i),
+                    "from {from} bit {i}"
+                );
+                assert_eq!(not.get(i), !a.get(i));
+            }
+            // padding stays clear: counts stay exact
+            assert_eq!(not.count_ones(), 200 - a.count_ones());
+        }
+        let ones = a.ones();
+        assert_eq!(ones.len(), ones.capacity());
+        assert_eq!(
+            ones,
+            (0..200u32)
+                .filter(|&i| a.get(i as usize))
+                .collect::<Vec<_>>()
+        );
+        for i in 0..200u64 {
+            assert_eq!(a.contains(i), a.get(i as usize));
+        }
+        for past in [200, 255, 256, 1 << 40, u64::MAX] {
+            assert!(!Bitmap::new(200, true).contains(past), "{past}");
+        }
+        assert!(!Bitmap::new(0, true).contains(0));
+        let mut empty = Bitmap::new(0, false);
+        empty.negate();
+        assert!(empty.ones().is_empty());
     }
 
     #[test]

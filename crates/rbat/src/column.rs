@@ -132,6 +132,13 @@ impl Column {
         }
     }
 
+    /// The validity map and the bit of it this window starts at, when the
+    /// column carries one — for kernels that merge NULLs a word at a time
+    /// ([`Bitmap::and_range`]) instead of asking [`Self::is_valid`] per row.
+    pub(crate) fn validity_window(&self) -> Option<(&Bitmap, usize)> {
+        self.validity.as_deref().map(|bm| (bm, self.offset))
+    }
+
     /// Fetch value `i` (window-relative), mapping NULLs to [`Value::Nil`].
     #[inline]
     pub fn value(&self, i: usize) -> Value {
@@ -324,14 +331,27 @@ impl Column {
         }
     }
 
-    /// Materialise the window into fully owned values (dense stays dense).
-    /// Used by update propagation when a view must outlive its base.
-    pub fn to_owned_column(&self) -> Column {
-        if !self.view {
-            return self.clone();
+    /// The visible values as a fresh owned column: exactly what
+    /// [`Self::gather`] makes of every row in order (a dense run comes out
+    /// as OIDs), by bulk copy instead of through an index vector.
+    pub fn materialize(&self) -> Column {
+        match self.typed() {
+            TypedSlice::Dense { start, len } => {
+                Column::from_oids((start..start + len as u64).collect())
+            }
+            _ => Column::concat_ranges(self.logical_type(), &[(self, 0..self.len)]),
         }
-        let idx: Vec<u32> = (0..self.len as u32).collect();
-        self.gather(&idx)
+    }
+
+    /// Materialise the window into fully owned values (an owned column is
+    /// shared as it is: dense stays dense) — for a view that must outlive
+    /// its base.
+    pub fn to_owned_column(&self) -> Column {
+        if self.view {
+            self.materialize()
+        } else {
+            self.clone()
+        }
     }
 
     /// Iterate values (with NULLs) — convenience for tests and result export.
@@ -634,6 +654,34 @@ mod tests {
     #[should_panic(expected = "mixed column types")]
     fn concat_refuses_mixed_types() {
         Column::from_ints(vec![1]).concat(&Column::from_floats(vec![1.0]));
+    }
+
+    #[test]
+    fn materialize_is_the_gather_of_every_row() {
+        let strs = with_nulls(Column::from_strs(["a", "", "wörld", "日本", "x"]), &[1]);
+        let ints = with_nulls(Column::from_ints((0..130).collect()), &[0, 64, 129]);
+        for c in [
+            Column::dense(5, 70),
+            Column::dense(5, 70).slice(3, 9),
+            Column::from_oids(vec![9, 0, 3]),
+            ints.clone(),
+            ints.slice(1, 63), // the NULLs lie outside: no bitmap comes along
+            ints.slice(60, 10),
+            strs.slice(1, 3),
+            Column::from_bools(vec![true, false]),
+            Column::from_dates(vec![]),
+        ] {
+            let idx: Vec<u32> = (0..c.len() as u32).collect();
+            let (fast, slow) = (c.materialize(), c.gather(&idx));
+            assert_eq!(
+                fast.iter_values().collect::<Vec<_>>(),
+                slow.iter_values().collect::<Vec<_>>()
+            );
+            assert_eq!(fast.resident_bytes(), slow.resident_bytes());
+            assert_eq!(fast.validity.is_some(), slow.validity.is_some());
+            assert!(!fast.is_view());
+            assert!(!matches!(fast.typed(), TypedSlice::Dense { .. }));
+        }
     }
 
     #[test]

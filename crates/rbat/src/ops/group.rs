@@ -1,11 +1,10 @@
 //! Grouping and grouped aggregation.
 
 use crate::bat::Bat;
-use crate::buffer::TypedSlice;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{BatError, Result};
 use crate::hash::FxHashMap;
-use crate::ops::u64_keys;
+use crate::ops::{for_each_u64_key, string_keys};
 use crate::props::Props;
 use crate::types::{LogicalType, Value};
 
@@ -39,7 +38,7 @@ impl GroupMap {
 /// `b.tail` as a detached, cacheable [`GroupMap`].
 pub fn group_build(b: &Bat) -> Result<GroupMap> {
     Ok(GroupMap {
-        gids: group_ids(b.tail())?,
+        gids: group_ids(b.tail()),
     })
 }
 
@@ -89,18 +88,18 @@ pub fn group_refine(g: &Bat, b: &Bat) -> Result<Bat> {
             right: b.len(),
         });
     }
-    let prev = u64_keys(g.tail())
-        .ok_or_else(|| BatError::type_mismatch("group_refine", "group ids must be oids"))?;
-    let vals = group_ids(b.tail())?;
+    let mut prev = vec![u64::MAX; g.len()]; // NULL group ids share the sentinel
+    for_each_gid("group_refine", g, |i, p| prev[i] = p)?;
+    let vals = group_ids(b.tail());
     let mut table: FxHashMap<(u64, u64), u64> = FxHashMap::default();
-    let mut out: Vec<u64> = Vec::with_capacity(g.len());
-    for i in 0..g.len() {
-        let p = prev[i].unwrap_or(u64::MAX);
-        let key = (p, vals[i]);
-        let next = table.len() as u64;
-        let gid = *table.entry(key).or_insert(next);
-        out.push(gid);
-    }
+    let out: Vec<u64> = prev
+        .into_iter()
+        .zip(vals)
+        .map(|key| {
+            let next = table.len() as u64;
+            *table.entry(key).or_insert(next)
+        })
+        .collect();
     Ok(Bat::new(
         g.head().clone(),
         Column::from_oids(out),
@@ -112,39 +111,34 @@ pub fn group_refine(g: &Bat, b: &Bat) -> Result<Bat> {
     ))
 }
 
-fn group_ids(tail: &Column) -> Result<Vec<u64>> {
-    let mut out: Vec<u64> = Vec::with_capacity(tail.len());
-    match tail.typed() {
-        TypedSlice::Str { buf, offset, len } => {
-            let mut table: FxHashMap<&str, u64> = FxHashMap::default();
-            for i in 0..len {
-                let next = table.len() as u64;
-                let gid = if tail.is_valid(i) {
-                    *table.entry(buf.get(offset + i)).or_insert(next)
-                } else {
-                    u64::MAX // NULL group: shared sentinel refined below
-                };
-                out.push(gid);
-            }
-            // remap sentinel to a real group id if present
-            remap_sentinel(&mut out);
-        }
-        _ => {
-            let keys = u64_keys(tail)
-                .ok_or_else(|| BatError::type_mismatch("group", "unsupported tail type"))?;
-            let mut table: FxHashMap<u64, u64> = FxHashMap::default();
-            for key in keys {
-                let next = table.len() as u64;
-                let gid = match key {
-                    Some(k) => *table.entry(k).or_insert(next),
-                    None => u64::MAX,
-                };
-                out.push(gid);
-            }
-            remap_sentinel(&mut out);
-        }
+/// Call `f(row, group id)` for every row of a group-id BAT (as [`group`]
+/// makes them: an OID tail) whose group id is not NULL.
+fn for_each_gid(op: &'static str, groups: &Bat, f: impl FnMut(usize, u64)) -> Result<()> {
+    if for_each_u64_key(groups.tail(), f) {
+        Ok(())
+    } else {
+        Err(BatError::type_mismatch(op, "group ids must be oids"))
     }
-    Ok(out)
+}
+
+fn group_ids(tail: &Column) -> Vec<u64> {
+    // NULL rows keep the sentinel: one shared group, numbered below
+    let mut out = vec![u64::MAX; tail.len()];
+    if let Some(strings) = string_keys(tail) {
+        let mut table: FxHashMap<&[u8], u64> = FxHashMap::default();
+        for (i, key) in strings.enumerate().filter(|&(i, _)| tail.is_valid(i)) {
+            let next = table.len() as u64;
+            out[i] = *table.entry(key).or_insert(next);
+        }
+    } else {
+        let mut table: FxHashMap<u64, u64> = FxHashMap::default();
+        for_each_u64_key(tail, |i, k| {
+            let next = table.len() as u64;
+            out[i] = *table.entry(k).or_insert(next);
+        });
+    }
+    remap_sentinel(&mut out);
+    out
 }
 
 fn remap_sentinel(gids: &mut [u64]) {
@@ -161,15 +155,9 @@ fn remap_sentinel(gids: &mut [u64]) {
 
 /// Number of distinct groups in a group-id BAT produced by [`group`].
 pub fn num_groups(g: &Bat) -> usize {
-    match u64_keys(g.tail()) {
-        Some(keys) => keys
-            .iter()
-            .flatten()
-            .max()
-            .map(|&m| m as usize + 1)
-            .unwrap_or(0),
-        None => 0,
-    }
+    let mut n = 0;
+    for_each_u64_key(g.tail(), |_, gid| n = n.max(gid as usize + 1));
+    n
 }
 
 /// Aggregate function selector for [`grp_aggr`] and [`super::aggr`].
@@ -198,33 +186,25 @@ pub fn grp_aggr(values: &Bat, groups: &Bat, func: GrpFunc) -> Result<Bat> {
             right: groups.len(),
         });
     }
-    let gids = u64_keys(groups.tail())
-        .ok_or_else(|| BatError::type_mismatch("grp_aggr", "group ids must be oids"))?;
     let n = num_groups(groups);
     match func {
         GrpFunc::Count => {
             let mut counts = vec![0i64; n];
-            for (i, gid) in gids.iter().enumerate() {
-                if let Some(g) = gid {
-                    if values.tail().is_valid(i) {
-                        counts[*g as usize] += 1;
-                    }
-                }
-            }
+            for_each_gid("grp_aggr", groups, |i, g| {
+                counts[g as usize] += values.tail().is_valid(i) as i64;
+            })?;
             Ok(Bat::from_tail(Column::from_ints(counts)))
         }
         GrpFunc::Sum | GrpFunc::Avg => {
             let mut sums = vec![0f64; n];
             let mut counts = vec![0i64; n];
             let int_input = values.tail_type() == LogicalType::Int;
-            for (i, gid) in gids.iter().enumerate() {
-                if let Some(g) = gid {
-                    if let Some(x) = values.tail().value(i).as_float() {
-                        sums[*g as usize] += x;
-                        counts[*g as usize] += 1;
-                    }
+            for_each_gid("grp_aggr", groups, |i, g| {
+                if let Some(x) = values.tail().value(i).as_float() {
+                    sums[g as usize] += x;
+                    counts[g as usize] += 1;
                 }
-            }
+            })?;
             if func == GrpFunc::Avg {
                 let avgs: Vec<f64> = sums
                     .iter()
@@ -242,25 +222,23 @@ pub fn grp_aggr(values: &Bat, groups: &Bat, func: GrpFunc) -> Result<Bat> {
         }
         GrpFunc::Min | GrpFunc::Max => {
             let mut best: Vec<Value> = vec![Value::Nil; n];
-            for (i, gid) in gids.iter().enumerate() {
-                if let Some(g) = gid {
-                    let v = values.tail().value(i);
-                    if v.is_nil() {
-                        continue;
-                    }
-                    let slot = &mut best[*g as usize];
-                    let replace = match slot.cmp_same(&v) {
-                        None => true, // slot is Nil
-                        Some(ord) => {
-                            (func == GrpFunc::Min && ord == std::cmp::Ordering::Greater)
-                                || (func == GrpFunc::Max && ord == std::cmp::Ordering::Less)
-                        }
-                    };
-                    if replace {
-                        *slot = v;
-                    }
+            for_each_gid("grp_aggr", groups, |i, g| {
+                let v = values.tail().value(i);
+                if v.is_nil() {
+                    return;
                 }
-            }
+                let slot = &mut best[g as usize];
+                let replace = match slot.cmp_same(&v) {
+                    None => true, // slot is Nil
+                    Some(ord) => {
+                        (func == GrpFunc::Min && ord == std::cmp::Ordering::Greater)
+                            || (func == GrpFunc::Max && ord == std::cmp::Ordering::Less)
+                    }
+                };
+                if replace {
+                    *slot = v;
+                }
+            })?;
             let ty = values.tail_type();
             let mut cb = ColumnBuilder::new(ty);
             for v in &best {
@@ -281,20 +259,17 @@ pub fn grp_first(values: &Bat, groups: &Bat) -> Result<Bat> {
             right: groups.len(),
         });
     }
-    let gids = u64_keys(groups.tail())
-        .ok_or_else(|| BatError::type_mismatch("grp_first", "group ids must be oids"))?;
     let n = num_groups(groups);
-    let mut first: Vec<Option<u32>> = vec![None; n];
-    for (i, gid) in gids.iter().enumerate() {
-        if let Some(g) = gid {
-            let slot = &mut first[*g as usize];
-            if slot.is_none() {
-                *slot = Some(i as u32);
-            }
-        }
+    let mut first = vec![u32::MAX; n];
+    for_each_gid("grp_first", groups, |i, g| {
+        let slot = &mut first[g as usize];
+        *slot = (*slot).min(i as u32);
+    })?;
+    // a group id no row carries (ids need not be contiguous) shows row 0
+    for slot in first.iter_mut().filter(|slot| **slot == u32::MAX) {
+        *slot = 0;
     }
-    let idx: Vec<u32> = first.iter().map(|s| s.unwrap_or(0)).collect();
-    let tail = values.tail().gather(&idx);
+    let tail = values.tail().gather(&first);
     Ok(Bat::new(
         Column::dense(0, n),
         tail,

@@ -1,196 +1,330 @@
 //! Join operators: natural join on `l.tail == r.head`, semijoin and
-//! anti-semijoin (difference) on head OIDs.
+//! anti-semijoin (difference) on head OIDs. Which algorithm runs is
+//! read off the inputs — see the selection table in [`crate::ops`].
 
 use crate::bat::Bat;
+use crate::bitmap::Bitmap;
 use crate::buffer::TypedSlice;
+use crate::column::Column;
 use crate::error::{BatError, Result};
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::ops::u64_keys;
-use crate::props::Props;
+use std::hash::Hasher;
 
-/// Exported build side of a hash join: the lookup structure over `r.head`,
+use crate::hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::ops::{
+    clear_nulls, for_each_u64_key, gather_selected, key_range, select_keys, string_keys, KeyRange,
+};
+use crate::props::Props;
+use crate::strbuf::StrBuffer;
+
+/// A key that is not in the build side.
+const ABSENT: u32 = u32::MAX;
+
+/// Exported build side of a join: the lookup structure over `r.head`,
 /// detached from the borrow of `r` so it can be cached and re-imported by a
 /// later probe (operator-state recycling). Keys are owned — string tables
 /// copy their keys out of the build BAT's string buffer.
+///
+/// Two parts, chosen independently from the build keys: `slots` takes a
+/// key to a slot id, and `matches` says what a slot id stands for — the
+/// build row itself when no key repeats, else a group of rows.
 #[derive(Debug)]
-pub enum JoinBuild {
+pub struct JoinBuild {
+    slots: Slots,
+    matches: Matches,
+}
+
+/// Key → slot id.
+#[derive(Debug)]
+enum Slots {
     /// `r.head` is dense: a fetch join needs no table, only the range.
-    Dense {
-        /// First OID of the dense head.
-        start: u64,
-        /// Number of tuples under the dense head.
-        len: usize,
+    Dense { start: u64, len: usize },
+    /// Integer-like keys in a range not much wider than the build side:
+    /// one cell per possible key, indexed by the key's place in the range.
+    Direct { range: KeyRange, cells: Vec<u32> },
+    /// Other fixed-width keys, hashed as `u64` words.
+    Hash(FxHashMap<u64, u32>),
+    /// String keys: each distinct key once in `keys`, in slot order, and
+    /// a table from the hash of a key's bytes to its slot. A key whose
+    /// hash is taken by another moves on to the next hash of a fixed
+    /// sequence, so a lookup checks the key it finds ([`string_place`]).
+    Str {
+        table: FxHashMap<u64, u32>,
+        keys: StrBuffer,
     },
-    /// Fixed-width keys hashed as `u64` words (NULL build rows excluded).
-    Num(FxHashMap<u64, Vec<u32>>),
-    /// String keys, owned (NULL build rows excluded).
-    Str(FxHashMap<String, Vec<u32>>),
+}
+
+/// The first table key to try for a string, and the step to the next.
+fn string_hash(key: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(key);
+    h.finish()
+}
+const NEXT_HASH: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The table key `key` is filed under — or, if it is not in the table,
+/// would be: the first of its hash sequence not taken by another key.
+fn string_place(table: &FxHashMap<u64, u32>, keys: &StrBuffer, key: &[u8]) -> u64 {
+    let mut h = string_hash(key);
+    while table
+        .get(&h)
+        .is_some_and(|&slot| keys.get_bytes(slot as usize) != key)
+    {
+        h = h.wrapping_add(NEXT_HASH);
+    }
+    h
+}
+
+/// Slot id → build rows.
+#[derive(Debug)]
+enum Matches {
+    /// Every build row has a key of its own: the slot id is the row.
+    Row,
+    /// Keys repeat (or some are NULL, and in no group): slot `g` stands for
+    /// `rows[offsets[g]..offsets[g + 1]]`, ascending — every group in one
+    /// allocation (CSR).
+    Csr { offsets: Vec<u32>, rows: Vec<u32> },
 }
 
 impl JoinBuild {
-    /// Approximate heap footprint, for pool byte accounting.
+    /// Heap footprint, for pool byte accounting: the tables at the size
+    /// they were allocated with, and the string keys.
     pub fn byte_size(&self) -> usize {
+        // one control byte per bucket beside the pair
+        let table =
+            |t: &FxHashMap<u64, u32>| t.capacity() * (std::mem::size_of::<(u64, u32)>() + 1);
+        let slots = match &self.slots {
+            Slots::Dense { .. } => 16,
+            Slots::Direct { cells, .. } => cells.len() * 4,
+            Slots::Hash(t) => table(t),
+            Slots::Str { table: t, keys } => table(t) + keys.byte_size(),
+        };
+        let matches = match &self.matches {
+            Matches::Row => 0,
+            Matches::Csr { offsets, rows } => (offsets.len() + rows.len()) * 4,
+        };
+        slots + matches
+    }
+}
+
+impl Slots {
+    /// An empty table of the kind `head`'s keys call for.
+    fn for_keys(head: &Column) -> Slots {
+        if let TypedSlice::Str { .. } = head.typed() {
+            return Slots::Str {
+                table: FxHashMap::default(),
+                keys: StrBuffer::new(),
+            };
+        }
+        match key_range(head) {
+            Some(range) if range.span / 4 <= head.len() as u64 => Slots::Direct {
+                range,
+                cells: vec![ABSENT; range.span as usize + 1],
+            },
+            _ => Slots::Hash(FxHashMap::with_capacity_and_hasher(
+                head.len() - head.null_count(),
+                Default::default(),
+            )),
+        }
+    }
+
+    /// Call `visit(row, cell)` for every non-NULL row of `head`, in row
+    /// order, with the table cell of the row's key — [`ABSENT`] the first
+    /// time a key is seen, when `visit` must give it the next slot id
+    /// (0, 1, 2, …).
+    fn for_each_cell(&mut self, head: &Column, mut visit: impl FnMut(usize, &mut u32)) {
         match self {
-            JoinBuild::Dense { .. } => 16,
-            JoinBuild::Num(t) => t
-                .values()
-                .map(|v| 8 + std::mem::size_of::<Vec<u32>>() + v.len() * 4)
-                .sum::<usize>(),
-            JoinBuild::Str(t) => t
-                .iter()
-                .map(|(k, v)| k.len() + std::mem::size_of::<(String, Vec<u32>)>() + v.len() * 4)
-                .sum::<usize>(),
+            Slots::Dense { .. } => unreachable!("a dense head is not tabulated"),
+            Slots::Direct { range, cells } => {
+                for_each_u64_key(head, |row, k| {
+                    visit(row, &mut cells[range.place(k) as usize])
+                });
+            }
+            Slots::Hash(table) => {
+                for_each_u64_key(head, |row, k| visit(row, table.entry(k).or_insert(ABSENT)));
+            }
+            Slots::Str { table, keys } => {
+                let TypedSlice::Str { buf, offset, len } = head.typed() else {
+                    unreachable!("a string table is made for a string head")
+                };
+                for row in (0..len).filter(|&row| head.is_valid(row)) {
+                    let key = buf.get_bytes(offset + row);
+                    let cell = table
+                        .entry(string_place(table, keys, key))
+                        .or_insert(ABSENT);
+                    if *cell == ABSENT {
+                        // its slot is the next one: `visit` numbers them in order
+                        keys.extend_from_range(buf, offset + row, 1);
+                    }
+                    visit(row, cell);
+                }
+            }
         }
     }
 }
 
-/// Build half of [`join`]: construct the hash table (or dense descriptor)
-/// over `r.head`, the canonical build side.
+/// Build half of [`join`]: tabulate `r.head`, the canonical build side.
+/// One pass numbers the distinct keys in order of first appearance and
+/// counts their rows. If every row turned out to have a key of its own,
+/// the numbers are the rows and that is all; else a second pass over the
+/// numbering (no key is looked up twice) lays the groups out back to back.
 pub fn join_build(r: &Bat) -> Result<JoinBuild> {
-    if let TypedSlice::Dense { start, len } = r.head().typed() {
-        return Ok(JoinBuild::Dense { start, len });
+    let head = r.head();
+    if let TypedSlice::Dense { start, len } = head.typed() {
+        return Ok(JoinBuild {
+            slots: Slots::Dense { start, len },
+            matches: Matches::Row,
+        });
     }
-    match u64_keys(r.head()) {
-        Some(rk) => {
-            let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            for (j, key) in rk.iter().enumerate() {
-                if let Some(k) = key {
-                    table.entry(*k).or_default().push(j as u32);
-                }
-            }
-            Ok(JoinBuild::Num(table))
+    let mut slots = Slots::for_keys(head);
+    let mut group_of = vec![ABSENT; head.len()];
+    let mut left: Vec<u32> = Vec::new(); // per group: rows not yet laid out
+    slots.for_each_cell(head, |row, cell| {
+        if *cell == ABSENT {
+            *cell = left.len() as u32;
+            left.push(0);
         }
-        None => {
-            let TypedSlice::Str {
-                buf: rb,
-                offset: ro,
-                len: rl,
-            } = r.head().typed()
-            else {
-                return Err(BatError::type_mismatch(
-                    "join",
-                    "unsupported build key type",
-                ));
-            };
-            let mut table: FxHashMap<String, Vec<u32>> = FxHashMap::default();
-            for j in 0..rl {
-                if r.head().is_valid(j) {
-                    table
-                        .entry(rb.get(ro + j).to_owned())
-                        .or_default()
-                        .push(j as u32);
-                }
-            }
-            Ok(JoinBuild::Str(table))
+        group_of[row] = *cell;
+        left[*cell as usize] += 1;
+    });
+    let matches = if left.len() == head.len() {
+        Matches::Row
+    } else {
+        let mut offsets = Vec::with_capacity(left.len() + 1);
+        let mut end = 0;
+        offsets.push(end);
+        offsets.extend(left.iter().map(|&n| {
+            end += n;
+            end
+        }));
+        let mut rows = vec![0; end as usize];
+        for (row, &g) in (0u32..).zip(&group_of).filter(|(_, &g)| g != ABSENT) {
+            let g = g as usize;
+            rows[(offsets[g + 1] - left[g]) as usize] = row;
+            left[g] -= 1;
+        }
+        Matches::Csr { offsets, rows }
+    };
+    Ok(JoinBuild { slots, matches })
+}
+
+/// What a probe found: the probe rows that hit the build side, ascending
+/// (`None` when every row did — a foreign key through its index — and no
+/// list of them is needed), and the slot each found.
+struct Hits {
+    rows: Option<Vec<u32>>,
+    slots: Vec<u32>,
+}
+
+impl Hits {
+    /// From the slot found for every probe row, [`ABSENT`] for a miss.
+    fn of(mut slots: Vec<u32>) -> Hits {
+        let found = slots.iter().filter(|&&slot| slot != ABSENT).count();
+        if found == slots.len() {
+            return Hits { rows: None, slots };
+        }
+        let mut rows = Vec::with_capacity(found);
+        rows.extend(
+            (0u32..)
+                .zip(&slots)
+                .filter(|(_, &slot)| slot != ABSENT)
+                .map(|(row, _)| row),
+        );
+        slots.retain(|&slot| slot != ABSENT);
+        Hits {
+            rows: Some(rows),
+            slots,
         }
     }
+
+    /// The `at`-th probe row that hit.
+    fn row(&self, at: usize) -> u32 {
+        self.rows.as_ref().map_or(at as u32, |rows| rows[at])
+    }
+}
+
+/// Look every non-NULL key of `keys` up — one store per row, no branch on
+/// the outcome; `None` for a string column.
+fn probe(keys: &Column, lookup: impl Fn(u64) -> u32) -> Option<Hits> {
+    let mut slots = vec![ABSENT; keys.len()];
+    for_each_u64_key(keys, |i, k| slots[i] = lookup(k)).then(|| Hits::of(slots))
 }
 
 /// Probe half of [`join`]: stream `l.tail` through a prebuilt table over
 /// `r.head`. `build` must have been produced by [`join_build`] on the same
 /// `r` (enforced upstream by keying cached builds on the BAT's identity).
 pub fn join_probe(l: &Bat, r: &Bat, build: &JoinBuild) -> Result<Bat> {
-    match build {
-        JoinBuild::Dense { start, len } => {
-            let lkeys = u64_keys(l.tail()).ok_or_else(|| {
-                BatError::type_mismatch("join", "string fetch-join keys unsupported")
-            })?;
-            let mut li: Vec<u32> = Vec::new();
-            let mut ri: Vec<u32> = Vec::new();
-            for (i, key) in lkeys.iter().enumerate() {
-                if let Some(k) = key {
-                    if *k >= *start && *k < *start + *len as u64 {
-                        li.push(i as u32);
-                        ri.push((*k - *start) as u32);
-                    }
-                }
+    let keys = l.tail();
+    let hits = match &build.slots {
+        Slots::Dense { start, len } => probe(keys, |k| {
+            let at = k.wrapping_sub(*start);
+            if at < *len as u64 {
+                at as u32
+            } else {
+                ABSENT
             }
-            Ok(assemble(l, r, &li, &ri))
-        }
-        JoinBuild::Num(table) => {
-            let lk = u64_keys(l.tail()).ok_or_else(|| {
-                BatError::type_mismatch(
-                    "join",
-                    format!(
-                        "join key types differ: {} vs {}",
-                        l.tail_type(),
-                        r.head_type()
-                    ),
-                )
-            })?;
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            for (i, key) in lk.iter().enumerate() {
-                if let Some(k) = key {
-                    if let Some(matches) = table.get(k) {
-                        for &j in matches {
-                            li.push(i as u32);
-                            ri.push(j);
-                        }
-                    }
-                }
-            }
-            Ok(assemble(l, r, &li, &ri))
-        }
-        JoinBuild::Str(table) => {
-            let TypedSlice::Str {
-                buf: lb,
-                offset: lo,
-                len: ll,
-            } = l.tail().typed()
-            else {
-                return Err(BatError::type_mismatch(
-                    "join",
-                    format!(
-                        "join key types differ: {} vs {}",
-                        l.tail_type(),
-                        r.head_type()
-                    ),
-                ));
+        }),
+        Slots::Direct { range, cells } => probe(keys, |k| {
+            let cell = usize::try_from(range.place(k)).ok();
+            cell.and_then(|c| cells.get(c)).copied().unwrap_or(ABSENT)
+        }),
+        Slots::Hash(table) => probe(keys, |k| table.get(&k).copied().unwrap_or(ABSENT)),
+        Slots::Str { table, keys: known } => string_keys(keys).map(|strings| {
+            let slot = |(i, key)| match keys.is_valid(i) {
+                true => *table
+                    .get(&string_place(table, known, key))
+                    .unwrap_or(&ABSENT),
+                false => ABSENT,
             };
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            for i in 0..ll {
-                if !l.tail().is_valid(i) {
-                    continue;
-                }
-                if let Some(matches) = table.get(lb.get(lo + i)) {
-                    for &j in matches {
-                        li.push(i as u32);
-                        ri.push(j);
-                    }
-                }
-            }
-            Ok(assemble(l, r, &li, &ri))
+            Hits::of(strings.enumerate().map(slot).collect())
+        }),
+    };
+    let mut hits = hits.ok_or_else(|| {
+        BatError::type_mismatch(
+            "join",
+            format!(
+                "join key types differ: {} vs {}",
+                l.tail_type(),
+                r.head_type()
+            ),
+        )
+    })?;
+    if let Matches::Csr { offsets, rows } = &build.matches {
+        // the slots are group numbers: lay every group out, at the exact size
+        let group = |g: u32| &rows[offsets[g as usize] as usize..offsets[g as usize + 1] as usize];
+        let total = hits.slots.iter().map(|&g| group(g).len()).sum();
+        let (mut li, mut ri) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        for (at, &g) in hits.slots.iter().enumerate() {
+            li.extend(std::iter::repeat_n(hits.row(at), group(g).len()));
+            ri.extend_from_slice(group(g));
         }
+        hits = Hits {
+            rows: Some(li),
+            slots: ri,
+        };
     }
+    let head = match &hits.rows {
+        Some(rows) => l.head().gather(rows),
+        None => l.head().materialize(),
+    };
+    Ok(Bat::new(
+        head,
+        r.tail().gather(&hits.slots),
+        Props {
+            head_sorted: l.props().head_dense || l.props().head_sorted,
+            ..Props::default()
+        },
+    ))
 }
 
 /// `algebra.join(l, r)`: for every pair `i, j` with `l.tail[i] == r.head[j]`
-/// emit `(l.head[i], r.tail[j])` — the canonical MonetDB binary join.
-///
-/// Implementation selection:
-/// * `r.head` dense → positional *fetch join*, O(|l|);
-/// * otherwise → hash join, build side `r`.
+/// emit `(l.head[i], r.tail[j])` — the canonical MonetDB binary join —
+/// ordered by `i`, then `j`. NULL keys match nothing.
 ///
 /// Composed from [`join_build`] + [`join_probe`], so a cached build side
 /// produces bit-identical results to a cold join.
 pub fn join(l: &Bat, r: &Bat) -> Result<Bat> {
     let build = join_build(r)?;
     join_probe(l, r, &build)
-}
-
-fn assemble(l: &Bat, r: &Bat, li: &[u32], ri: &[u32]) -> Bat {
-    let head = l.head().gather(li);
-    let tail = r.tail().gather(ri);
-    Bat::new(
-        head,
-        tail,
-        Props {
-            head_sorted: l.props().head_dense || l.props().head_sorted,
-            ..Props::default()
-        },
-    )
 }
 
 /// `algebra.semijoin(l, r)`: tuples of `l` whose *head* appears among the
@@ -205,54 +339,94 @@ pub fn diff(l: &Bat, r: &Bat) -> Result<Bat> {
     filter_by_head(l, r, false)
 }
 
-fn filter_by_head(l: &Bat, r: &Bat, keep_members: bool) -> Result<Bat> {
-    let idx: Vec<u32> = match (u64_keys(l.head()), u64_keys(r.head())) {
-        (Some(lk), Some(rk)) => {
-            let set: FxHashSet<u64> = rk.into_iter().flatten().collect();
-            lk.iter()
+/// How [`members`] tests membership — read off the two head columns.
+#[derive(Debug)]
+enum Membership {
+    /// String heads: a hash set of byte strings.
+    Strings,
+    /// `l`'s head is dense: a key of `r` *is* a row of `l`. No key of `l`
+    /// is looked at, nothing is hashed.
+    Positional { start: u64, len: usize },
+    /// `r`'s keys are integer-like and span at most 64 places per row of
+    /// either input: a bitmap over the span — smaller than the inputs, set
+    /// up in one pass over `r`, probed with a shift and a mask.
+    Bitmap(KeyRange),
+    /// Anything else (floats, keys scattered over a wide range): a hash
+    /// set of key words, filled straight from the typed slice.
+    Hash,
+}
+
+impl Membership {
+    /// `None` for a string head against a fixed-width one.
+    fn choose(l: &Column, r: &Column) -> Option<Membership> {
+        use TypedSlice::{Dense, Str};
+        Some(match (l.typed(), r.typed()) {
+            (Str { .. }, Str { .. }) => Membership::Strings,
+            (Str { .. }, _) | (_, Str { .. }) => return None,
+            (Dense { start, len }, _) => Membership::Positional { start, len },
+            _ => match key_range(r) {
+                Some(range) if range.span / 64 <= (l.len() + r.len()) as u64 => {
+                    Membership::Bitmap(range)
+                }
+                _ => Membership::Hash,
+            },
+        })
+    }
+}
+
+/// The rows of `l` whose head is among the non-NULL heads of `r` (a NULL
+/// row of `l` is judged by the word under it: the caller clears it).
+fn members(l: &Column, r: &Column) -> Option<Bitmap> {
+    Some(match Membership::choose(l, r)? {
+        Membership::Strings => {
+            let set: FxHashSet<&[u8]> = string_keys(r)?
                 .enumerate()
-                .filter(|(_, key)| match key {
-                    Some(k) => set.contains(k) == keep_members,
-                    None => false,
-                })
-                .map(|(i, _)| i as u32)
-                .collect()
-        }
-        (None, None) => {
-            let (
-                TypedSlice::Str {
-                    buf: lb,
-                    offset: lo,
-                    len: ll,
-                },
-                TypedSlice::Str {
-                    buf: rb,
-                    offset: ro,
-                    len: rl,
-                },
-            ) = (l.head().typed(), r.head().typed())
-            else {
-                return Err(BatError::type_mismatch("semijoin", "mixed head types"));
-            };
-            let set: FxHashSet<&str> = (0..rl)
-                .filter(|&j| r.head().is_valid(j))
-                .map(|j| rb.get(ro + j))
+                .filter(|&(j, _)| r.is_valid(j))
+                .map(|(_, key)| key)
                 .collect();
-            (0..ll)
-                .filter(|&i| l.head().is_valid(i) && set.contains(lb.get(lo + i)) == keep_members)
-                .map(|i| i as u32)
-                .collect()
+            Bitmap::from_bits(l.len(), string_keys(l)?.map(|key| set.contains(key)))
         }
-        _ => {
-            return Err(BatError::type_mismatch(
-                "semijoin",
-                format!("head types differ: {} vs {}", l.head_type(), r.head_type()),
-            ))
+        Membership::Positional { start, len } => {
+            let mut sel = Bitmap::new(len, false);
+            for_each_u64_key(r, |_, k| {
+                let row = k.wrapping_sub(start);
+                if row < len as u64 {
+                    sel.set(row as usize, true);
+                }
+            });
+            sel
         }
-    };
+        Membership::Bitmap(range) => {
+            let mut set = Bitmap::new(range.span as usize + 1, false);
+            for_each_u64_key(r, |_, k| set.set(range.place(k) as usize, true));
+            select_keys(l, |k| set.contains(range.place(k)))?
+        }
+        Membership::Hash => {
+            let mut set: FxHashSet<u64> =
+                FxHashSet::with_capacity_and_hasher(r.len(), Default::default());
+            for_each_u64_key(r, |_, k| {
+                set.insert(k);
+            });
+            select_keys(l, |k| set.contains(&k))?
+        }
+    })
+}
+
+fn filter_by_head(l: &Bat, r: &Bat, keep_members: bool) -> Result<Bat> {
+    let mut sel = members(l.head(), r.head()).ok_or_else(|| {
+        BatError::type_mismatch(
+            "semijoin",
+            format!("head types differ: {} vs {}", l.head_type(), r.head_type()),
+        )
+    })?;
+    if !keep_members {
+        sel.negate();
+    }
+    clear_nulls(&mut sel, l.head());
+    let (head, tail) = gather_selected(l, &sel);
     Ok(Bat::new(
-        l.head().gather(&idx),
-        l.tail().gather(&idx),
+        head,
+        tail,
         Props {
             head_sorted: l.props().head_dense || l.props().head_sorted,
             head_key: l.props().head_key,
@@ -351,6 +525,23 @@ mod tests {
     }
 
     #[test]
+    fn string_keys_with_one_hash_stay_apart() {
+        // the hasher pads the last word with zeros: these two collide
+        assert_eq!(string_hash(b"a"), string_hash(b"a\0"));
+        let l = Bat::from_tail(Column::from_strs(["a\0", "b", "a"]));
+        let r = Bat::new(
+            Column::from_strs(["a", "a\0", "a"]),
+            Column::from_ints(vec![1, 2, 3]),
+            Props::default(),
+        );
+        let j = join(&l, &r).unwrap();
+        assert_eq!(
+            j.tail().iter_values().collect::<Vec<_>>(),
+            vec![Value::Int(2), Value::Int(1), Value::Int(3)]
+        );
+    }
+
+    #[test]
     fn semijoin_and_diff_partition() {
         let l = bat(vec![0, 1, 2, 3], vec![10, 11, 12, 13]);
         let r = bat(vec![1, 3, 9], vec![0, 0, 0]);
@@ -365,6 +556,29 @@ mod tests {
             d.head().iter_values().collect::<Vec<_>>(),
             vec![Value::Oid(Oid(0)), Value::Oid(Oid(2))]
         );
+    }
+
+    #[test]
+    fn membership_is_chosen_from_the_heads() {
+        let oids = |v: Vec<u64>| Column::from_oids(v);
+        let choose = |l: &Column, r: &Column| format!("{:?}", Membership::choose(l, r));
+        let narrow = oids((0..70).rev().collect());
+        // a dense left head: positional, whatever the right head is
+        let dense = Column::dense(4, 70);
+        assert!(choose(&dense, &oids(vec![1 << 50, 9])).contains("Positional"));
+        assert!(choose(&dense, &Column::from_floats(vec![1.0])).contains("Positional"));
+        // right keys spanning at most 64 places per row of either input
+        assert!(choose(&narrow, &oids(vec![5, 5 + 64 * 73])).contains("Hash"));
+        assert!(choose(&narrow, &oids(vec![5, 4 + 64 * 73])).contains("Bitmap"));
+        assert!(choose(&narrow, &Column::from_ints(vec![-5, 60])).contains("Bitmap"));
+        // no range to speak of: floats, no key at all
+        assert!(choose(&narrow, &Column::from_floats(vec![1.0])).contains("Hash"));
+        assert!(choose(&narrow, &oids(vec![])).contains("Hash"));
+        // strings go with strings only
+        let names = Column::from_strs(["a"]);
+        assert!(choose(&names, &names).contains("Strings"));
+        assert!(Membership::choose(&names, &narrow).is_none());
+        assert!(Membership::choose(&dense, &names).is_none());
     }
 
     #[test]

@@ -4,11 +4,13 @@
 use std::cmp::Ordering;
 
 use crate::bat::Bat;
+use crate::bitmap::Bitmap;
 use crate::buffer::TypedSlice;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{BatError, Result};
+use crate::ops::{clear_nulls, gather_selected, key_bias, select_keys, string_keys, KeyRange};
 use crate::props::Props;
-use crate::types::Value;
+use crate::types::{Date, LogicalType, Oid, Value};
 
 /// Bounds of a range selection: `lo`/`hi` of `Value::Nil` mean unbounded.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -115,115 +117,151 @@ impl SelectBounds {
     }
 }
 
-fn filter_indices(tail: &Column, bounds: &SelectBounds) -> Vec<u32> {
-    let mut idx = Vec::new();
-    let t = tail.typed();
-    macro_rules! scan_native {
-        ($s:expr, $conv:expr) => {{
-            let lo = bounds.lo.clone();
-            let hi = bounds.hi.clone();
-            let lo_n = if lo.is_nil() { None } else { $conv(&lo) };
-            let hi_n = if hi.is_nil() { None } else { $conv(&hi) };
-            // Type mismatch between bounds and column → empty result.
-            if (!lo.is_nil() && lo_n.is_none()) || (!hi.is_nil() && hi_n.is_none()) {
-                return idx;
+/// What a range selection comes to once its bounds are decoded against
+/// the type of the column it scans — done once per call, so that the scan
+/// itself is a typed, branch-free predicate. Every variant selects exactly
+/// the rows `bounds.contains(value)` holds for.
+enum Scan<'a> {
+    /// Both sides unbounded: every non-NULL row.
+    NotNil,
+    /// Integer-like tail (OID, `Int`, `Date`, `Bool`): the row's key word
+    /// lies in `range` — one unsigned comparison.
+    Words(KeyRange),
+    /// `Float` tail: the value lies in the closed interval. Exclusive
+    /// bounds were moved to the next float inward; `NaN` is in no interval.
+    Floats(f64, f64),
+    /// `Str` tail: the bytes (byte order is `str` order) lie between the
+    /// bounds; `true` marks a bound as inclusive.
+    Bytes(Option<(&'a [u8], bool)>, Option<(&'a [u8], bool)>),
+    /// `Int` tail against a `Float` bound: each row is converted the way
+    /// [`SelectBounds::contains`] converts it, by calling it.
+    ByValue(&'a SelectBounds),
+}
+
+impl<'a> Scan<'a> {
+    /// `None` when no value of a `ty` column can qualify: a bound of a type
+    /// the column's values do not compare with, a `NaN` bound, or an
+    /// interval that normalises to nothing.
+    fn decode(ty: LogicalType, bounds: &'a SelectBounds) -> Option<Scan<'a>> {
+        use LogicalType as L;
+        let (lo, hi) = (&bounds.lo, &bounds.hi);
+        if lo.is_nil() && hi.is_nil() {
+            return Some(Scan::NotNil);
+        }
+        let is = |v: &Value, ty| v.is_nil() || v.logical_type() == Some(ty);
+        match ty {
+            L::Int if !(is(lo, L::Int) && is(hi, L::Int)) => {
+                let numeric = |v| is(v, L::Int) || is(v, L::Float);
+                (numeric(lo) && numeric(hi)).then_some(Scan::ByValue(bounds))
             }
-            for (i, &v) in $s.iter().enumerate() {
-                if !tail.is_valid(i) {
-                    continue;
-                }
-                if let Some(l) = lo_n {
-                    if v < l || (v == l && !bounds.lo_incl) {
-                        continue;
-                    }
-                }
-                if let Some(h) = hi_n {
-                    if v > h || (v == h && !bounds.hi_incl) {
-                        continue;
-                    }
-                }
-                idx.push(i as u32);
+            L::Oid | L::Int | L::Date | L::Bool => {
+                let bias = key_bias(ty).expect("an integer-like type");
+                let place = |v: &Value| match *v {
+                    Value::Oid(Oid(o)) if ty == L::Oid => Some(o),
+                    Value::Int(i) if ty == L::Int => Some(i as u64 ^ bias),
+                    Value::Date(Date(d)) if ty == L::Date => Some(d as i64 as u64 ^ bias),
+                    Value::Bool(b) if ty == L::Bool => Some(b as u64),
+                    _ => None,
+                };
+                let min = match (lo.is_nil(), bounds.lo_incl) {
+                    (true, _) => 0,
+                    (false, true) => place(lo)?,
+                    (false, false) => place(lo)?.checked_add(1)?,
+                };
+                let max = match (hi.is_nil(), bounds.hi_incl) {
+                    (true, _) => u64::MAX,
+                    (false, true) => place(hi)?,
+                    (false, false) => place(hi)?.checked_sub(1)?,
+                };
+                let span = max.checked_sub(min)?;
+                Some(Scan::Words(KeyRange { bias, min, span }))
             }
-        }};
-    }
-    match t {
-        TypedSlice::Int(s) => scan_native!(s, |v: &Value| v.as_int()),
-        TypedSlice::Float(s) => scan_native!(s, |v: &Value| v.as_float()),
-        TypedSlice::Date(s) => scan_native!(s, |v: &Value| v.as_date().map(|d| d.0)),
-        TypedSlice::Oid(s) => scan_native!(s, |v: &Value| v.as_oid().map(|o| o.0)),
-        TypedSlice::Bool(s) => scan_native!(s, |v: &Value| v.as_bool()),
-        TypedSlice::Dense { start, len } => {
-            for i in 0..len {
-                let v = Value::Oid(crate::types::Oid(start + i as u64));
-                if bounds.contains(&v) {
-                    idx.push(i as u32);
-                }
+            L::Float => {
+                let min = match (lo.is_nil(), bounds.lo_incl) {
+                    (true, _) => f64::NEG_INFINITY,
+                    (false, true) => lo.as_float()?,
+                    (false, false) => Some(lo.as_float()?)
+                        .filter(|&x| x != f64::INFINITY)?
+                        .next_up(),
+                };
+                let max = match (hi.is_nil(), bounds.hi_incl) {
+                    (true, _) => f64::INFINITY,
+                    (false, true) => hi.as_float()?,
+                    (false, false) => Some(hi.as_float()?)
+                        .filter(|&x| x != f64::NEG_INFINITY)?
+                        .next_down(),
+                };
+                (min <= max).then_some(Scan::Floats(min, max))
+            }
+            L::Str => {
+                let side = |v: &'a Value, incl| match v {
+                    Value::Nil => Some(None),
+                    Value::Str(s) => Some(Some((s.as_bytes(), incl))),
+                    _ => None,
+                };
+                Some(Scan::Bytes(
+                    side(lo, bounds.lo_incl)?,
+                    side(hi, bounds.hi_incl)?,
+                ))
             }
         }
-        TypedSlice::Str { buf, offset, len } => {
-            let lo = bounds.lo.as_str();
-            let hi = bounds.hi.as_str();
-            if (!bounds.lo.is_nil() && lo.is_none()) || (!bounds.hi.is_nil() && hi.is_none()) {
-                return idx;
+    }
+
+    /// The rows of `tail` whose value qualifies. NULL rows are judged by
+    /// the value under them; the caller clears them.
+    fn run(&self, tail: &Column) -> Bitmap {
+        let n = tail.len();
+        match (self, tail.typed()) {
+            (Scan::NotNil, _) => Bitmap::new(n, true),
+            // a date is half a word wide: compared at its own width, a scan
+            // handles twice the rows per vector
+            (Scan::Words(range), TypedSlice::Date(s)) => {
+                let unbiased = |place: u64| (place ^ range.bias) as i64;
+                let lo = unbiased(range.min).max(i32::MIN.into());
+                let hi = unbiased(range.min + range.span).min(i32::MAX.into());
+                match (i32::try_from(lo), i32::try_from(hi)) {
+                    (Ok(lo), Ok(hi)) => Bitmap::from_slice(s, |v| (v >= lo) & (v <= hi)),
+                    _ => Bitmap::new(n, false), // wholly above or below every date
+                }
             }
-            for i in 0..len {
-                if !tail.is_valid(i) {
-                    continue;
-                }
-                let s = buf.get(offset + i);
-                if let Some(l) = lo {
-                    if s < l || (s == l && !bounds.lo_incl) {
-                        continue;
-                    }
-                }
-                if let Some(h) = hi {
-                    if s > h || (s == h && !bounds.hi_incl) {
-                        continue;
-                    }
-                }
-                idx.push(i as u32);
+            (Scan::Words(range), _) => select_keys(tail, |w| range.place(w) <= range.span)
+                .expect("decoded for a fixed-width tail"),
+            (&Scan::Floats(lo, hi), TypedSlice::Float(s)) => {
+                Bitmap::from_slice(s, |v| (v >= lo) & (v <= hi))
             }
+            (&Scan::Bytes(lo, hi), TypedSlice::Str { .. }) => {
+                let strings = string_keys(tail).expect("a string tail");
+                match (lo, hi) {
+                    (Some((l, true)), Some((h, true))) if l == h => {
+                        Bitmap::from_bits(n, strings.map(|s| s == l))
+                    }
+                    _ => Bitmap::from_bits(
+                        n,
+                        strings.map(|s| {
+                            lo.is_none_or(|(l, incl)| s > l || (incl && s == l))
+                                && hi.is_none_or(|(h, incl)| s < h || (incl && s == h))
+                        }),
+                    ),
+                }
+            }
+            (Scan::ByValue(bounds), _) => {
+                Bitmap::from_bits(n, tail.iter_values().map(|v| bounds.contains(&v)))
+            }
+            _ => unreachable!("a scan is decoded for the type of the tail it runs on"),
         }
     }
-    idx
 }
 
 /// Binary-search window `[start, end)` of qualifying rows in a sorted,
-/// NULL-free tail.
+/// NULL-free tail, for bounds [`Scan::decode`] accepts. A value a bound
+/// does not compare with (a lone `NaN`) is kept outside the window.
 fn sorted_window(tail: &Column, bounds: &SelectBounds) -> (usize, usize) {
-    let n = tail.len();
-    let lower = |v: &Value, incl: bool| -> usize {
-        // first index i with tail[i] "inside" the lower bound
-        let mut lo = 0usize;
-        let mut hi = n;
+    // first row `before` does not hold for
+    let first_not = |before: &dyn Fn(Option<Ordering>) -> bool, bound: &Value| {
+        let (mut lo, mut hi) = (0, tail.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let c = tail.value(mid).cmp_same(v).unwrap_or(Ordering::Less);
-            let keep_right = match c {
-                Ordering::Less => true,
-                Ordering::Equal => !incl,
-                Ordering::Greater => false,
-            };
-            if keep_right {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-    let upper = |v: &Value, incl: bool| -> usize {
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let c = tail.value(mid).cmp_same(v).unwrap_or(Ordering::Less);
-            let keep_right = match c {
-                Ordering::Less => true,
-                Ordering::Equal => incl,
-                Ordering::Greater => false,
-            };
-            if keep_right {
+            if before(tail.value(mid).cmp_same(bound)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -234,27 +272,56 @@ fn sorted_window(tail: &Column, bounds: &SelectBounds) -> (usize, usize) {
     let start = if bounds.lo.is_nil() {
         0
     } else {
-        lower(&bounds.lo, bounds.lo_incl)
+        let incl = bounds.lo_incl;
+        first_not(
+            &|c| match c {
+                Some(Ordering::Greater) => false,
+                Some(Ordering::Equal) => !incl,
+                Some(Ordering::Less) | None => true,
+            },
+            &bounds.lo,
+        )
     };
     let end = if bounds.hi.is_nil() {
-        n
+        tail.len()
     } else {
-        upper(&bounds.hi, bounds.hi_incl)
+        let incl = bounds.hi_incl;
+        first_not(
+            &|c| match c {
+                Some(Ordering::Less) => true,
+                Some(Ordering::Equal) => incl,
+                Some(Ordering::Greater) | None => false,
+            },
+            &bounds.hi,
+        )
     };
     (start, end.max(start))
 }
 
-/// Range selection over the tail: returns the qualifying `(head, tail)`
-/// tuples. If the tail is sorted and NULL-free the result is a zero-copy
-/// view (`algebra.select` over an ordered BAT returns a BAT view, §2.3).
+/// Range selection over the tail: the `(head, tail)` tuples of `b`, in
+/// order, whose tail value `bounds.contains` — on every physical path. If
+/// the tail is sorted and NULL-free the result is a zero-copy view
+/// (`algebra.select` over an ordered BAT returns a BAT view, §2.3);
+/// otherwise the bounds are decoded once into a typed predicate
+/// (`Scan`), one branch-free pass over the tail marks the qualifying
+/// rows in a bitmap, validity is merged in a word at a time, and head and
+/// tail are gathered at their exact size.
 pub fn select(b: &Bat, bounds: &SelectBounds) -> Result<Bat> {
-    if b.props().tail_sorted && !b.tail().has_nulls() {
-        let (start, end) = sorted_window(b.tail(), bounds);
+    let tail = b.tail();
+    let scan = Scan::decode(tail.logical_type(), bounds);
+    if b.props().tail_sorted && !tail.has_nulls() {
+        let (start, end) = match scan {
+            Some(_) => sorted_window(tail, bounds),
+            None => (0, 0),
+        };
         return Ok(b.slice(start, end - start));
     }
-    let idx = filter_indices(b.tail(), bounds);
-    let head = b.head().gather(&idx);
-    let tail = b.tail().gather(&idx);
+    let mut sel = match scan {
+        Some(scan) => scan.run(tail),
+        None => Bitmap::new(tail.len(), false),
+    };
+    clear_nulls(&mut sel, tail);
+    let (head, tail) = gather_selected(b, &sel);
     let props = Props {
         head_dense: false,
         head_sorted: b.props().head_dense || b.props().head_sorted,
@@ -266,6 +333,7 @@ pub fn select(b: &Bat, bounds: &SelectBounds) -> Result<Bat> {
 }
 
 /// Equality selection (`algebra.uselect`): tuples whose tail equals `v`.
+/// Strings are compared by length, then bytes.
 pub fn uselect(b: &Bat, v: &Value) -> Result<Bat> {
     if v.is_nil() {
         return Err(BatError::type_mismatch("uselect", "nil probe value"));
@@ -279,13 +347,12 @@ pub fn select_not_nil(b: &Bat) -> Result<Bat> {
         // Cheap identity-like copy: share the columns, keep a new id.
         return Ok(b.slice(0, b.len()));
     }
-    let idx: Vec<u32> = (0..b.len())
-        .filter(|&i| b.tail().is_valid(i))
-        .map(|i| i as u32)
-        .collect();
+    let mut sel = Bitmap::new(b.len(), true);
+    clear_nulls(&mut sel, b.tail());
+    let (head, tail) = gather_selected(b, &sel);
     Ok(Bat::new(
-        b.head().gather(&idx),
-        b.tail().gather(&idx),
+        head,
+        tail,
         Props {
             tail_nonil: true,
             head_key: b.props().head_key,
@@ -423,6 +490,184 @@ mod tests {
         let b = int_bat(vec![1, 2, 3]);
         let r = select(&b, &SelectBounds::closed(Value::str("a"), Value::str("z"))).unwrap();
         assert_eq!(r.len(), 0);
+    }
+
+    /// Every physical path selects the rows `contains` holds for: the scan
+    /// over an unsorted tail, the view over a sorted one.
+    fn on_every_path(tail: Column, bounds: &SelectBounds) -> Vec<Value> {
+        let want: Vec<Value> = tail.iter_values().filter(|v| bounds.contains(v)).collect();
+        let scanned = Bat::new(Column::dense(0, tail.len()), tail.clone(), Props::default());
+        let got = select(&scanned, bounds).unwrap();
+        assert_eq!(got.tail().iter_values().collect::<Vec<_>>(), want);
+        if tail.is_sorted() && !tail.has_nulls() {
+            let sorted = Bat::from_tail(tail);
+            let got = select(&sorted, bounds).unwrap();
+            assert!(got.tail().is_view());
+            assert_eq!(got.tail().iter_values().collect::<Vec<_>>(), want);
+        }
+        want
+    }
+
+    fn range(lo: Value, lo_incl: bool, hi: Value, hi_incl: bool) -> SelectBounds {
+        SelectBounds {
+            lo,
+            hi,
+            lo_incl,
+            hi_incl,
+        }
+    }
+
+    #[test]
+    fn nan_is_in_no_bounded_range() {
+        use Value::{Float as F, Nil};
+        let tail = || Column::from_floats(vec![1.0, f64::NAN, -1.0]);
+        assert_eq!(
+            on_every_path(tail(), &range(Nil, true, F(5.0), true)).len(),
+            2
+        );
+        assert_eq!(
+            on_every_path(tail(), &range(F(-5.0), false, Nil, true)).len(),
+            2
+        );
+        assert_eq!(on_every_path(tail(), &range(Nil, true, Nil, true)).len(), 3);
+        assert_eq!(
+            on_every_path(tail(), &range(F(f64::NAN), true, Nil, true)).len(),
+            0
+        );
+        // a lone NaN counts as sorted: the view path must leave it out too
+        let lone = || Column::from_floats(vec![f64::NAN]);
+        assert_eq!(
+            on_every_path(lone(), &range(Nil, true, F(5.0), true)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(lone(), &range(F(0.0), true, Nil, true)).len(),
+            0
+        );
+    }
+
+    #[test]
+    fn zeros_are_one_point_and_exclusive_bounds_step_inward() {
+        use Value::{Float as F, Nil};
+        let tail = || Column::from_floats(vec![-1.0, -0.0, 0.0, 5e-324, f64::INFINITY]);
+        assert_eq!(
+            on_every_path(tail(), &range(F(0.0), true, F(-0.0), true)).len(),
+            2
+        );
+        assert_eq!(
+            on_every_path(tail(), &range(F(-0.0), false, Nil, true)).len(),
+            2
+        );
+        assert_eq!(
+            on_every_path(tail(), &range(Nil, true, F(0.0), false)).len(),
+            1
+        );
+        assert_eq!(
+            on_every_path(tail(), &range(F(f64::INFINITY), false, Nil, true)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(tail(), &range(Nil, true, F(f64::INFINITY), false)).len(),
+            4
+        );
+    }
+
+    #[test]
+    fn int_and_float_compare_numerically_on_every_path() {
+        use Value::{Float as F, Int as I, Nil};
+        let ints = || Column::from_ints(vec![-1, 2, 3, 7]);
+        assert_eq!(
+            on_every_path(ints(), &range(F(-0.5), true, F(2.5), true)),
+            [I(2)]
+        );
+        assert_eq!(
+            on_every_path(ints(), &range(I(2), false, F(7.0), true)),
+            [I(3), I(7)]
+        );
+        assert_eq!(
+            on_every_path(ints(), &range(F(f64::NAN), true, Nil, true)).len(),
+            0
+        );
+        let floats = || Column::from_floats(vec![-1.0, 2.0, 2.5, 7.0]);
+        assert_eq!(
+            on_every_path(floats(), &range(I(2), true, I(7), false)).len(),
+            2
+        );
+        // a bound that compares with nothing selects nothing
+        assert_eq!(
+            on_every_path(ints(), &range(Nil, true, Value::str("z"), true)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(floats(), &range(Value::Bool(true), true, Nil, true)).len(),
+            0
+        );
+    }
+
+    #[test]
+    fn exclusive_bounds_at_the_ends_of_the_domain() {
+        use Value::{Int as I, Nil};
+        let ends = || Column::from_ints(vec![i64::MIN, 0, i64::MAX]);
+        assert_eq!(
+            on_every_path(ends(), &range(I(i64::MAX), false, Nil, true)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(ends(), &range(I(i64::MIN), false, Nil, true)).len(),
+            2
+        );
+        assert_eq!(
+            on_every_path(ends(), &range(Nil, true, I(i64::MIN), false)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(ends(), &range(Nil, true, I(i64::MAX), false)).len(),
+            2
+        );
+        assert_eq!(
+            on_every_path(ends(), &range(I(i64::MIN), true, I(i64::MAX), true)).len(),
+            3
+        );
+        let oids = || Column::from_oids(vec![0, 9, u64::MAX]);
+        let o = |v| Value::Oid(Oid(v));
+        assert_eq!(
+            on_every_path(oids(), &range(Nil, true, o(0), false)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(oids(), &range(o(u64::MAX), false, Nil, true)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(oids(), &range(o(0), false, o(u64::MAX), false)),
+            [o(9)]
+        );
+        let days = || Column::from_dates(vec![i32::MIN, -1, 0, i32::MAX]);
+        let d = |v| Value::Date(Date(v));
+        assert_eq!(
+            on_every_path(days(), &range(d(i32::MAX), false, Nil, true)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(days(), &range(Nil, true, d(i32::MIN), false)).len(),
+            0
+        );
+        assert_eq!(
+            on_every_path(days(), &range(d(i32::MIN), false, d(0), false)),
+            [d(-1)]
+        );
+        assert_eq!(
+            on_every_path(days(), &range(d(-1), true, Nil, true)).len(),
+            3
+        );
+        // a dense tail is a column of OIDs like any other
+        let dense = Bat::new(Column::dense(0, 9), Column::dense(4, 9), Props::default());
+        let got = select(&dense, &range(o(6), false, o(9), true)).unwrap();
+        assert_eq!(
+            got.tail().iter_values().collect::<Vec<_>>(),
+            [o(7), o(8), o(9)]
+        );
+        assert!(!got.tail().is_view());
     }
 
     #[test]

@@ -1,60 +1,39 @@
 //! Duplicate elimination on the head (`bat.kunique`).
 
 use crate::bat::Bat;
-use crate::buffer::TypedSlice;
-use crate::error::{BatError, Result};
+use crate::error::Result;
 use crate::hash::FxHashSet;
-use crate::ops::u64_keys;
+use crate::ops::{for_each_u64_key, string_keys};
 use crate::props::Props;
 
 /// Keep the first tuple for each distinct *head* value — the MAL idiom for
 /// `COUNT(DISTINCT x)` is `reverse` (value becomes head), `kunique`,
 /// `reverse`, `count`.
 pub fn kunique(b: &Bat) -> Result<Bat> {
-    let idx: Vec<u32> = match u64_keys(b.head()) {
-        Some(keys) => {
-            let mut seen: FxHashSet<u64> = FxHashSet::default();
-            let mut idx = Vec::new();
-            let mut null_seen = false;
-            for (i, key) in keys.iter().enumerate() {
-                match key {
-                    Some(k) => {
-                        if seen.insert(*k) {
-                            idx.push(i as u32);
-                        }
-                    }
-                    None => {
-                        if !null_seen {
-                            null_seen = true;
-                            idx.push(i as u32);
-                        }
-                    }
-                }
-            }
-            idx
+    let head = b.head();
+    let mut idx: Vec<u32> = Vec::new();
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let fixed_width = for_each_u64_key(head, |i, k| {
+        if seen.insert(k) {
+            idx.push(i as u32);
         }
-        None => {
-            let TypedSlice::Str { buf, offset, len } = b.head().typed() else {
-                return Err(BatError::type_mismatch("kunique", "unsupported head type"));
-            };
-            let mut seen: FxHashSet<&str> = FxHashSet::default();
-            let mut idx = Vec::new();
-            let mut null_seen = false;
-            for i in 0..len {
-                if !b.head().is_valid(i) {
-                    if !null_seen {
-                        null_seen = true;
-                        idx.push(i as u32);
-                    }
-                    continue;
-                }
-                if seen.insert(buf.get(offset + i)) {
-                    idx.push(i as u32);
-                }
-            }
-            idx
-        }
-    };
+    });
+    if !fixed_width {
+        let strings = string_keys(head).expect("fixed-width or string");
+        let mut seen: FxHashSet<&[u8]> = FxHashSet::default();
+        idx.extend(
+            (0u32..)
+                .zip(strings)
+                .filter(|&(i, key)| head.is_valid(i as usize) && seen.insert(key))
+                .map(|(i, _)| i),
+        );
+    }
+    // NULL is one more distinct value: its first row, in row order
+    if head.has_nulls() {
+        let null = (0..head.len() as u32).find(|&i| !head.is_valid(i as usize));
+        let null = null.expect("a NULL was counted");
+        idx.insert(idx.partition_point(|&i| i < null), null);
+    }
     Ok(Bat::new(
         b.head().gather(&idx),
         b.tail().gather(&idx),

@@ -99,11 +99,29 @@ impl StrBuffer {
     /// Fetch string `i`.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
         // SAFETY-free: we only ever store whole &str values, so slicing on
         // recorded offsets is valid UTF-8 by construction.
-        std::str::from_utf8(&self.bytes[start..end]).expect("strbuf stores valid utf8")
+        std::str::from_utf8(self.get_bytes(i)).expect("strbuf stores valid utf8")
+    }
+
+    /// The bytes of string `i`, without the UTF-8 validation [`Self::get`]
+    /// pays on every call. Byte order is `str` order, so equality, ordering
+    /// and hashing kernels work on these.
+    #[inline]
+    pub fn get_bytes(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The bytes of strings `[from, from + len)`, in order — the offsets
+    /// walked pairwise, for kernels that scan a whole column.
+    pub(crate) fn iter_bytes(
+        &self,
+        from: usize,
+        len: usize,
+    ) -> impl Iterator<Item = &[u8]> + Clone {
+        self.offsets[from..=from + len]
+            .windows(2)
+            .map(|w| &self.bytes[w[0] as usize..w[1] as usize])
     }
 
     /// Iterate all strings.
