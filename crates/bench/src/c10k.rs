@@ -11,8 +11,15 @@
 //! 2. **no throughput loss** — the hot clients' blocking query rate
 //!    through the reactor must match a classic thread-per-connection
 //!    server speaking the same protocol (built here from the blocking
-//!    `read_frame`/`write_frame` halves the reactor retired), and the
-//!    pipelined path must beat one-at-a-time round trips.
+//!    `read_frame`/`write_frame` halves the reactor retired), one
+//!    call-and-wait connection must match the same connection against
+//!    that server — a blocking server never had a hand-off, and a warm
+//!    connection no longer pays one here — and the pipelined path must
+//!    beat one-at-a-time round trips.
+//!
+//! The whole scenario runs pinned to one CPU ([`crate::affinity`]):
+//! unpinned, both rates are bimodal on a two-vCPU VM and their ratio says
+//! which way the scheduler happened to spread the threads.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,6 +60,12 @@ pub struct C10kOutcome {
     /// the fair comparator for the pipelined number (same single
     /// session, so round trips are the only difference).
     pub sequential_qps: f64,
+    /// The same single call-and-wait connection against the
+    /// thread-per-connection server: a round trip with no hand-off in
+    /// it, the bar `sequential_qps` is held to.
+    pub baseline_sequential_qps: f64,
+    /// The CPU the scenario was pinned to (`None`: ran unpinned).
+    pub pinned_to_cpu: Option<usize>,
     /// One pipelined connection replaying the same queries in batches.
     pub pipelined_qps: f64,
     /// Live connections the server reported at the height of the swarm.
@@ -67,10 +80,12 @@ impl C10kOutcome {
     pub fn idle_memory_is_flat(&self, bound: f64) -> bool {
         self.per_idle_conn_bytes <= bound
     }
-    /// Throughput verdict with a noise `tolerance` (e.g. `0.85` = the
-    /// reactor may be up to 15% slower before the claim fails).
+    /// Throughput verdict with a noise `tolerance` (e.g. `0.75` = the
+    /// reactor may be up to 25% slower before the claim fails), on the
+    /// hot clients and on the single call-and-wait connection alike.
     pub fn throughput_holds(&self, tolerance: f64) -> bool {
         self.reactor_qps >= self.baseline_qps * tolerance
+            && self.sequential_qps >= self.baseline_sequential_qps * tolerance
     }
 }
 
@@ -227,10 +242,13 @@ fn hot_phase(addr: SocketAddr, clients: usize, per_client: usize) -> f64 {
 /// is the disease, not the control group.
 pub fn server_c10k(idle: usize, hot: usize, per_client: usize) -> C10kOutcome {
     let nofile_limit = rcy_server::raise_nofile_limit().unwrap_or(0);
+    // every thread below is spawned, and joined, under the pin
+    let pinned = crate::affinity::pin_to_one_cpu();
 
     // --- baseline first (fresh db, fresh process state) ---
     let (base_addr, base_stop, base_join) = thread_per_conn_server(bench_db());
     let baseline_qps = hot_phase(base_addr, hot, per_client);
+    let baseline_sequential_qps = hot_phase(base_addr, 1, hot * per_client);
     base_stop.store(true, Ordering::Relaxed);
     // poke the accept loop awake if it is parked in the poll sleep
     let _ = TcpStream::connect(base_addr);
@@ -324,6 +342,8 @@ pub fn server_c10k(idle: usize, hot: usize, per_client: usize) -> C10kOutcome {
         reactor_qps,
         baseline_qps,
         sequential_qps,
+        baseline_sequential_qps,
+        pinned_to_cpu: pinned.map(|p| p.cpu),
         pipelined_qps,
         live_connections,
         nofile_limit,

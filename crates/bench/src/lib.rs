@@ -11,6 +11,7 @@
 //! cargo run -p rcy-bench --release --bin repro -- table2 fig4 fig15
 //! ```
 
+pub mod affinity;
 pub mod c10k;
 pub mod concurrent;
 pub mod driver;

@@ -554,6 +554,10 @@ fn server_c10k_experiment() -> Json {
             Json::Num((out.sequential_qps * 10.0).round() / 10.0),
         ),
         (
+            "baseline_sequential_qps",
+            Json::Num((out.baseline_sequential_qps * 10.0).round() / 10.0),
+        ),
+        (
             "pipelined_qps",
             Json::Num((out.pipelined_qps * 10.0).round() / 10.0),
         ),

@@ -44,7 +44,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -133,7 +133,9 @@ impl Default for RetryPolicy {
 /// requests see each other's effects even when pipelined. `Stats` is
 /// answered out of band and may overtake them.
 pub struct Client {
-    reader: TcpStream,
+    /// Buffered: a reply is one `read`, not length prefix + body, and a
+    /// pipelined window's replies arrive a few kilobytes at a time.
+    reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     next_id: u64,
     /// Responses read while waiting for a different id — parked until
@@ -149,7 +151,7 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let reader = stream.try_clone()?;
+        let reader = BufReader::new(stream.try_clone()?);
         let mut client = Client {
             reader,
             writer: BufWriter::new(stream),

@@ -1,16 +1,30 @@
-//! The per-connection state machine the reactor drives: incremental
-//! read decoding, a nonblocking write buffer, a queue of decoded
-//! requests awaiting a worker, and the lifecycle phases from handshake
-//! to drain.
+//! The per-connection state machine: incremental read decoding, a
+//! nonblocking write buffer, a queue of decoded requests awaiting
+//! execution, the run slot, and the lifecycle phases from handshake to
+//! drain.
 //!
 //! One [`Conn`] exists per accepted socket, shared between the reactor
-//! thread (all socket I/O, epoll interest) and the worker pool (request
-//! execution) behind one mutex. The locking discipline is strictly
-//! one-connection-at-a-time — neither side ever holds two connection
-//! locks, and workers release the lock while a request executes (the
-//! session is taken out of the state for the duration), so the reactor
-//! keeps reading and writing this very connection while its requests
-//! run.
+//! thread and the worker pool behind one mutex. Who may do what, always
+//! under that mutex:
+//!
+//! * **reading** the socket, decoding frames and every `epoll_ctl` — the
+//!   reactor only;
+//! * **executing** queued requests — whoever holds the run slot
+//!   ([`ConnState::running`]): the reactor itself when the connection's
+//!   history says the work is smaller than a hand-off
+//!   ([`ConnState::cheap`]; the gate is in `server.rs`), a worker
+//!   otherwise. Either way through the same `run_conn`;
+//! * **writing** the socket — whoever just queued replies: the reactor
+//!   (its own inline replies, `EPOLLOUT` turns), or a worker flushing the
+//!   replies of the batch it ran. A worker wakes the reactor only when
+//!   the flush left bytes behind, reads were paused at the pipeline cap,
+//!   or the connection is finishing — the cases that need `epoll_ctl`.
+//!
+//! The locking discipline is strictly one-connection-at-a-time — nobody
+//! ever holds two connection locks — and the lock is released while a
+//! request executes (the session is taken out of the state for the
+//! duration), so the reactor keeps reading and writing a connection
+//! whose request runs on a worker.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -20,7 +34,7 @@ use std::time::Instant;
 
 use recycling::Session;
 
-use crate::protocol::{encode_response, FrameDecoder, Request, Response};
+use crate::protocol::{append_response_frame, FrameDecoder, Request, Response};
 
 /// Write-buffer capacity above which a drained buffer is released
 /// rather than kept — the lever behind "flat memory per idle
@@ -42,14 +56,13 @@ pub enum Phase {
     Closing,
 }
 
-/// One decoded request waiting for (or being executed by) a worker,
-/// stamped with its decode time so a wire `deadline_ms` measures from
-/// arrival — time spent queued behind earlier pipelined requests counts
-/// against the budget, exactly as it would for a thread-per-connection
-/// server.
+/// One decoded request waiting to be (or being) executed, stamped with
+/// its decode time so a wire `deadline_ms` measures from arrival — time
+/// spent queued behind earlier pipelined requests counts against the
+/// budget, exactly as it would for a thread-per-connection server.
 pub struct Work {
     /// The decoded request (only `Query`/`Commit`/`Close` ever queue;
-    /// `Hello` and `Stats` are answered inline by the reactor).
+    /// `Hello` and `Stats` are answered by the reactor at decode time).
     pub req: Request,
     /// When the frame was decoded.
     pub at: Instant,
@@ -57,8 +70,9 @@ pub struct Work {
 
 /// The mutex-protected state of one connection.
 pub struct ConnState {
-    /// The nonblocking socket. Only the reactor reads/writes it; workers
-    /// touch buffers and the session.
+    /// The nonblocking socket. Only the reactor reads it; whoever holds
+    /// this lock and has just queued replies may flush them (the
+    /// reactor, or a worker after its batch).
     pub stream: TcpStream,
     /// Incremental inbound frame decoder.
     pub decoder: FrameDecoder,
@@ -66,7 +80,7 @@ pub struct ConnState {
     pub wbuf: Vec<u8>,
     /// Consumed prefix of `wbuf` (compacted on flush).
     pub wpos: usize,
-    /// Decoded requests awaiting a worker, in arrival order.
+    /// Decoded requests awaiting execution, in arrival order.
     pub pending: VecDeque<Work>,
     /// The connection's database session, created lazily at its first
     /// `Query`/`Commit` — an idle or stats-only connection never pays
@@ -74,10 +88,17 @@ pub struct ConnState {
     pub session: Option<Session>,
     /// Lifecycle phase.
     pub phase: Phase,
-    /// A worker currently holds this connection's run slot (at most one
-    /// worker executes a given connection's requests at a time — the
-    /// session is serial even though the socket is not).
+    /// Somebody — a worker, or the reactor executing inline — holds this
+    /// connection's run slot (at most one thread executes a given
+    /// connection's requests at a time — the session is serial even
+    /// though the socket is not).
     pub running: bool,
+    /// The connection's recent history, as far as the inline gate cares:
+    /// its previous request was a query that finished under the inline
+    /// budget, whoever executed it. False on a fresh connection, after a
+    /// slow query, a commit, an error or a contained panic — the next
+    /// request then goes to a worker, which measures it again.
+    pub cheap: bool,
     /// Hard-kill flag: sever as soon as no worker is mid-request. Set by
     /// socket errors, hangups and hard shutdown.
     pub dead: bool,
@@ -113,6 +134,7 @@ impl Conn {
                 session: None,
                 phase: Phase::Handshake,
                 running: false,
+                cheap: false,
                 dead: false,
                 counted: false,
                 interest: 0,
@@ -122,16 +144,12 @@ impl Conn {
 }
 
 impl ConnState {
-    /// Queue an encoded response frame (length prefix + payload) on the
-    /// write buffer. Unencodable responses (a BAT slipped through) are
-    /// skipped — the layer above always summarises exports first, so
-    /// this is a never-hit belt-and-braces.
+    /// Queue a response frame (length prefix + payload), encoded
+    /// straight into the write buffer. Unencodable responses (a BAT
+    /// slipped through) are skipped — the layer above always summarises
+    /// exports first, so this is a never-hit belt-and-braces.
     pub fn queue_response(&mut self, resp: &Response) {
-        if let Ok(payload) = encode_response(resp) {
-            self.wbuf
-                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            self.wbuf.extend_from_slice(&payload);
-        }
+        let _ = append_response_frame(&mut self.wbuf, resp);
     }
 
     /// Bytes still owed to the socket.
@@ -171,9 +189,12 @@ impl ConnState {
     }
 
     /// Read whatever the socket has (bounded per call by `scratch`'s
-    /// size times `rounds`), feeding the decoder. Returns `Ok(true)` if
-    /// the peer half-closed (EOF seen), `Ok(false)` otherwise; `Err` on
-    /// a transport error or an oversized/hostile frame.
+    /// size times `rounds`), feeding the decoder. A read that did not
+    /// fill `scratch` emptied the socket: stop there rather than pay a
+    /// second `read` for the `EAGAIN` — level-triggered epoll fires again
+    /// if more (or the EOF) arrived meanwhile. Returns `Ok(true)` if the
+    /// peer half-closed (EOF seen), `Ok(false)` otherwise; `Err` on a
+    /// transport error or an oversized/hostile frame.
     pub fn fill(
         &mut self,
         scratch: &mut [u8],
@@ -182,7 +203,12 @@ impl ConnState {
         for _ in 0..rounds {
             match (&self.stream).read(scratch) {
                 Ok(0) => return Ok(true),
-                Ok(n) => self.decoder.push(&scratch[..n])?,
+                Ok(n) => {
+                    self.decoder.push(&scratch[..n])?;
+                    if n < scratch.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(crate::protocol::ProtoError::Io(e.to_string())),
@@ -194,7 +220,7 @@ impl ConnState {
     /// The epoll interest this connection should hold right now.
     /// Reading is wanted only while serving (or awaiting the handshake)
     /// with headroom under the pipeline cap — a connection at its cap is
-    /// simply not read until a worker drains it (backpressure without
+    /// simply not read until its queue is drained (backpressure without
     /// buffering). Writing is wanted while bytes are owed.
     pub fn wanted_interest(&self, max_pipeline: usize) -> u32 {
         let mut want = 0;
@@ -208,7 +234,7 @@ impl ConnState {
     }
 
     /// True when nothing keeps this connection alive: it is closing (or
-    /// dead), owes no bytes, has no queued work and no worker mid-run.
+    /// dead), owes no bytes, has no queued work and nobody mid-run.
     pub fn finished(&self) -> bool {
         self.dead
             || (self.phase == Phase::Closing

@@ -10,10 +10,12 @@
 //!   request ids, so one connection holds many in-flight requests),
 //!   hardened against oversized, truncated and malformed frames, with an
 //!   incremental [`protocol::FrameDecoder`] for nonblocking sockets;
-//! * [`Server`] — an **epoll reactor**: one thread owns every socket,
-//!   and a small worker pool (`max_sessions`) executes only *runnable*
-//!   sessions pulled from a ready queue, so thousands of idle
-//!   connections cost buffers, not threads. Connections beyond
+//! * [`Server`] — an **epoll reactor**: one thread reads every socket
+//!   and executes the requests a connection's history has proven cheap
+//!   itself, with no hand-off; a small worker pool (`max_sessions`)
+//!   executes the rest — only *runnable* sessions, pulled from a ready
+//!   queue — so thousands of idle connections cost buffers, not
+//!   threads. Connections beyond
 //!   `max_connections` are turned away with a `Busy` frame queued on a
 //!   nonblocking write buffer;
 //! * [`Client`] — a blocking client with a pipelined API

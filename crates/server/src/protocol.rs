@@ -602,14 +602,35 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
 /// Encode a response payload (frame it with [`write_frame`]).
 pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ProtoError> {
     let mut out = Vec::new();
+    put_response(&mut out, resp)?;
+    Ok(out)
+}
+
+/// Append one whole response **frame** — length prefix and payload — to
+/// `out`, encoding in place: the prefix is reserved, the payload written
+/// after it and the length patched in, so a reply costs no intermediate
+/// buffer. On an unencodable response `out` is left as it was.
+pub fn append_response_frame(out: &mut Vec<u8>, resp: &Response) -> Result<(), ProtoError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    if let Err(e) = put_response(out, resp) {
+        out.truncate(start);
+        return Err(e);
+    }
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &Response) -> Result<(), ProtoError> {
     match resp {
         Response::Query { id, result: q } => {
             out.push(0x81);
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&(q.exports.len() as u32).to_le_bytes());
             for (name, v) in &q.exports {
-                put_str(&mut out, name);
-                put_value(&mut out, v)?;
+                put_str(out, name);
+                put_value(out, v)?;
             }
             for n in [q.marked, q.reused, q.subsumed, q.admitted, q.elapsed_us] {
                 out.extend_from_slice(&n.to_le_bytes());
@@ -631,14 +652,14 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ProtoError> {
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
             for (name, v) in pairs {
-                put_str(&mut out, name);
+                put_str(out, name);
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
         Response::Closed => out.push(0x84),
         Response::Busy { reason } => {
             out.push(0x85);
-            put_str(&mut out, reason);
+            put_str(out, reason);
         }
         Response::Hello { version } => {
             out.push(0x86);
@@ -647,10 +668,10 @@ pub fn encode_response(resp: &Response) -> Result<Vec<u8>, ProtoError> {
         Response::Error { id, message } => {
             out.push(0x80);
             out.extend_from_slice(&id.to_le_bytes());
-            put_str(&mut out, message);
+            put_str(out, message);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decode a response payload.
@@ -781,6 +802,32 @@ mod tests {
             let bytes = encode_response(&resp).unwrap();
             assert_eq!(decode_response(&bytes).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn appended_frame_equals_prefix_plus_payload() {
+        let resp = Response::Error {
+            id: 4,
+            message: "nope".into(),
+        };
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &encode_response(&resp).unwrap()).unwrap();
+        // appended behind bytes already queued, not over them
+        let mut out = vec![0xaa, 0xbb];
+        append_response_frame(&mut out, &resp).unwrap();
+        assert_eq!(out[..2], [0xaa, 0xbb]);
+        assert_eq!(out[2..], framed[..]);
+        // an unencodable response leaves the buffer as it was
+        let bat = std::sync::Arc::new(rbat::Bat::from_tail(rbat::Column::from_ints(vec![1])));
+        let unencodable = Response::Query {
+            id: 1,
+            result: QueryResult {
+                exports: vec![("b".into(), Value::Bat(bat))],
+                ..Default::default()
+            },
+        };
+        assert!(append_response_frame(&mut out, &unencodable).is_err());
+        assert_eq!(out.len(), 2 + framed.len());
     }
 
     #[test]

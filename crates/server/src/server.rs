@@ -1,18 +1,60 @@
 //! The TCP front-end: an **epoll reactor** plus a small worker pool.
 //!
-//! One reactor thread owns every socket: it accepts, reads nonblocking
-//! sockets into per-connection incremental frame decoders, flushes
-//! per-connection write buffers, and is the only caller of `epoll_ctl`.
-//! Decoded `Query`/`Commit`/`Close` requests queue on their connection;
-//! a connection with queued work is pushed onto a **ready queue** from
-//! which `max_sessions` workers pull — so threads are spent only on
-//! *runnable* sessions, and ten thousand idle connections cost ten
-//! thousand small buffers, not ten thousand parked threads.
+//! One reactor thread owns every socket's *read side* and the epoll set:
+//! it accepts, reads nonblocking sockets into per-connection incremental
+//! frame decoders, and is the only caller of `epoll_ctl`. Decoded
+//! `Query`/`Commit`/`Close` requests queue on their connection, and a
+//! connection with queued work is given to whoever should execute it:
 //!
-//! `Hello` (the v2 handshake) and `Stats` are answered inline on the
-//! reactor — `Stats` needs no session, which is also what makes it the
-//! protocol's demonstrably out-of-order response: it overtakes earlier
-//! pipelined queries still waiting on a worker.
+//! * **the reactor itself** when the connection's own recent history
+//!   says the work is smaller than a hand-off — the **inline gate**: the
+//!   connection's previous request was a query that finished under
+//!   `INLINE_BUDGET_US` (50 µs: what the two wake-ups of a hand-off cost
+//!   the request when the worker sits on another CPU — the sizing is on
+//!   the constant), the next request is not a `Commit`, and the reactor
+//!   has not spent this turn's `INLINE_PER_TURN` (64 requests). It is a
+//!   property of the connection's history, never of a setting. The
+//!   reactor keeps the connection's run slot, executes through the same
+//!   `run_conn` the workers use, and the replies leave in one `write`
+//!   in the same turn;
+//! * **a worker** otherwise — a fresh connection, one whose last request
+//!   was slow (or a commit, or failed), every `Commit`, and whatever is
+//!   left when the allowance runs out go to the **ready queue**, from
+//!   which `max_sessions` workers pull. A slow query can therefore hold
+//!   the reactor at most once: the request that reveals it; the next one
+//!   is a worker's. Threads are spent only on *runnable* sessions, and
+//!   ten thousand idle connections cost ten thousand small buffers, not
+//!   ten thousand parked threads.
+//!
+//! Whoever queued replies flushes them, under the connection lock: the
+//! reactor after its turn, a worker after its batch (`hand_back`). A
+//! worker wakes the reactor (eventfd + `dirty` list) only for what needs
+//! `epoll_ctl` or a reap: bytes the socket did not take, reads paused at
+//! `max_pipeline`, a finishing connection.
+//!
+//! What one warm `Client::query` round trip costs (one request in
+//! flight, everything on one CPU, so every wake-up is a context switch):
+//!
+//! | step | thread | syscalls | switch |
+//! |---|---|---|---|
+//! | socket readable → `fill` (a short read ends it) → decode → gate holds → `run_conn` executes → `queue_response` → `flush` → `sync` | reactor | `epoll_wait`, `read`, `write` | client → reactor |
+//! | buffered `read_frame` (prefix + body in one read); next `write` | client | `read`, `write` | reactor → client |
+//!
+//! Three server-side syscalls, two client-side, two context switches.
+//! Through the ready queue (the path every request took before the gate
+//! existed) the same round trip was `epoll_wait`, `read`, `read`
+//! (`EAGAIN`), `futex` wake on the reactor; eventfd `write`, `futex`
+//! wait on the worker; `epoll_wait`, eventfd `read`, `write`,
+//! `epoll_wait` on the reactor again; `read`, `read`, `write` on the
+//! client — ten, three and four. The hand-off that remains is
+//! `epoll_wait`, `read`, `futex` wake on the reactor; `write` (the
+//! socket), `futex` wait on the worker; `read`, `write` on the client —
+//! five, two and three: no eventfd, no third reactor turn.
+//!
+//! `Hello` (the v2 handshake) and `Stats` are answered by the reactor at
+//! decode time — `Stats` needs no session, which is also what makes it
+//! the protocol's demonstrably out-of-order response: it overtakes
+//! earlier pipelined queries still waiting on a worker.
 //!
 //! Connection admission is a **live-connection limit**
 //! (`max_connections`, defaulting to `max_sessions + backlog` for
@@ -48,8 +90,10 @@ use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLO
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads — the number of sessions that *execute*
-    /// concurrently. Connections beyond this merely wait their turn on
-    /// the ready queue; they are not rejected.
+    /// concurrently on the worker pool. Connections beyond this merely
+    /// wait their turn on the ready queue; they are not rejected. The
+    /// reactor may additionally execute requests it has proven cheap
+    /// (see the module docs), one connection at a time.
     pub max_sessions: usize,
     /// Admission headroom over `max_sessions`: when `max_connections` is
     /// `None`, the live-connection limit is `max_sessions + backlog`
@@ -66,8 +110,8 @@ pub struct ServerConfig {
     /// `max_sessions + backlog`.
     pub max_connections: Option<usize>,
     /// Per-connection cap on decoded-but-unexecuted pipelined requests.
-    /// At the cap the reactor simply stops reading that socket until a
-    /// worker drains it — backpressure by readiness, not by buffering.
+    /// At the cap the reactor simply stops reading that socket until the
+    /// queue is drained — backpressure by readiness, not by buffering.
     pub max_pipeline: usize,
 }
 
@@ -84,6 +128,11 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
+    /// `max_pipeline`, at least one (zero would never read a socket).
+    fn pipeline_cap(&self) -> usize {
+        self.max_pipeline.max(1)
+    }
+
     fn connection_limit(&self) -> usize {
         self.max_connections
             .unwrap_or(self.max_sessions.max(1) + self.backlog)
@@ -91,21 +140,27 @@ impl ServerConfig {
     }
 }
 
-/// Degraded-mode observability: counters for the faults the server
-/// absorbs instead of dying. Exposed via [`Server::counters`] and over
-/// the wire in the `Stats` response (`server_*` keys).
+/// The server's own counters: the faults it absorbs instead of dying
+/// (degraded-mode observability) and who executed what (the hand-offs).
+/// Plain relaxed atomics, bumped once per event. Exposed via
+/// [`Server::counters`] and over the wire in the `Stats` response
+/// (`server_*` keys).
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     worker_panics: AtomicU64,
     accept_errors: AtomicU64,
     read_timeouts: AtomicU64,
+    inline_requests: AtomicU64,
+    queued_requests: AtomicU64,
+    reactor_wakeups: AtomicU64,
 }
 
 impl ServeCounters {
-    /// Panics the server contained: a request handler that panicked in a
-    /// worker (answered with a typed `Error` frame, connection kept
-    /// serving) or a connection whose reactor-side event handling
-    /// panicked (that one connection severed, the reactor kept running).
+    /// Panics the server contained: a request handler that panicked, on
+    /// a worker or on the reactor (answered with a typed `Error` frame,
+    /// connection kept serving), or a connection whose reactor-side
+    /// event handling panicked (that one connection severed, the reactor
+    /// kept running).
     pub fn worker_panics(&self) -> u64 {
         self.worker_panics.load(Ordering::Relaxed)
     }
@@ -122,6 +177,23 @@ impl ServeCounters {
     pub fn read_timeouts(&self) -> u64 {
         self.read_timeouts.load(Ordering::Relaxed)
     }
+
+    /// Requests the reactor executed itself, keeping the connection's
+    /// run slot: no ready queue, no worker, no wake-up.
+    pub fn inline_requests(&self) -> u64 {
+        self.inline_requests.load(Ordering::Relaxed)
+    }
+
+    /// Requests executed by a worker after a ready-queue hand-off.
+    pub fn queued_requests(&self) -> u64 {
+        self.queued_requests.load(Ordering::Relaxed)
+    }
+
+    /// Times the reactor was kicked out of `epoll_wait` through its
+    /// eventfd (a worker that needs an `epoll_ctl`, shutdown, drain).
+    pub fn reactor_wakeups(&self) -> u64 {
+        self.reactor_wakeups.load(Ordering::Relaxed)
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -135,17 +207,18 @@ struct Shared {
     config: ServerConfig,
     running: AtomicBool,
     draining: AtomicBool,
-    /// Every live connection by token. The reactor inserts/removes;
-    /// workers only look up (and never hold this lock while holding a
-    /// connection lock).
-    conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    /// Tokens of connections with queued work and no worker on them.
-    ready: Mutex<VecDeque<u64>>,
+    /// Connections handed off to the workers: queued work, run slot
+    /// taken on the worker's behalf, nobody executing yet.
+    ready: Mutex<VecDeque<Arc<Conn>>>,
     ready_cv: Condvar,
-    /// Tokens workers finished touching: the reactor flushes their
-    /// responses and recomputes their epoll interest on the next turn.
+    /// Tokens of connections a worker left needing the reactor — the
+    /// only thread that calls `epoll_ctl` and reaps. Kept for exactly
+    /// three cases (see [`hand_back`]): the worker's flush left bytes
+    /// behind (`EPOLLOUT` wanted), reads were paused at `max_pipeline`
+    /// (`EPOLLIN` wanted back), or the connection is finishing. A batch
+    /// whose replies the socket took whole never comes through here.
     dirty: Mutex<Vec<u64>>,
-    /// Kicks the reactor out of `epoll_wait` (worker notifications,
+    /// Kicks the reactor out of `epoll_wait` (the `dirty` cases above,
     /// shutdown, drain).
     wake: EventFd,
     counters: ServeCounters,
@@ -154,12 +227,17 @@ struct Shared {
 }
 
 impl Shared {
-    fn schedule_locked(&self, st: &mut ConnState, token: u64) {
-        if !st.dead && !st.running && !st.pending.is_empty() {
-            st.running = true;
-            lock(&self.ready).push_back(token);
-            self.ready_cv.notify_one();
-        }
+    /// Hand a connection (run slot already taken) to the worker pool.
+    fn enqueue(&self, conn: &Arc<Conn>) {
+        lock(&self.ready).push_back(Arc::clone(conn));
+        self.ready_cv.notify_one();
+    }
+
+    fn wake_reactor(&self) {
+        self.counters
+            .reactor_wakeups
+            .fetch_add(1, Ordering::Relaxed);
+        self.wake.notify();
     }
 }
 
@@ -194,7 +272,6 @@ impl Server {
             config,
             running: AtomicBool::new(true),
             draining: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
             ready: Mutex::new(VecDeque::new()),
             ready_cv: Condvar::new(),
             dirty: Mutex::new(Vec::new()),
@@ -223,11 +300,13 @@ impl Server {
                         shared,
                         epoll,
                         listener,
+                        conns: HashMap::new(),
                         deadlines: HashMap::new(),
                         next_token: FIRST_CONN_TOKEN,
                         scratch: vec![0u8; READ_SCRATCH],
                         accept_backoff: ACCEPT_BACKOFF_START,
                         draining_applied: false,
+                        inline_left: 0,
                     }
                     .run()
                 })
@@ -267,8 +346,8 @@ impl Server {
     /// join them. Clients with a request in flight see their connection
     /// drop.
     pub fn shutdown(mut self) {
-        self.shared.running.store(false, Ordering::Relaxed);
-        self.shared.wake.notify();
+        self.shared.running.store(false, Ordering::Release);
+        self.shared.wake_reactor();
         self.shared.ready_cv.notify_all();
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
@@ -283,13 +362,15 @@ impl Server {
     /// requests, answer everything already decoded, flush, close. New
     /// connections during the drain are dropped immediately (a clean
     /// close, never a torn reply). Connections still mid-request after
-    /// `grace` are severed as in `shutdown`.
+    /// `grace` are severed as in `shutdown` (as are turned-away
+    /// connections still lingering over their `Busy` goodbye — they hold
+    /// no request).
     pub fn shutdown_graceful(self, grace: Duration) {
-        self.shared.draining.store(true, Ordering::Relaxed);
-        self.shared.wake.notify();
+        self.shared.draining.store(true, Ordering::Release);
+        self.shared.wake_reactor();
         let deadline = Instant::now() + grace;
         while Instant::now() < deadline {
-            if lock(&self.shared.conns).is_empty() {
+            if self.shared.live.load(Ordering::Relaxed) == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -312,6 +393,24 @@ const READ_ROUNDS: usize = 4;
 /// Requests one worker executes on one connection before re-queueing it
 /// behind other runnable connections — pipelining fairness.
 const WORKER_BATCH: usize = 16;
+/// The inline gate's budget: a connection whose previous request was a
+/// query that ran under this is served on the reactor, without a
+/// hand-off. Sized from what the hand-off costs the request it is spared:
+/// two wake-ups (reactor → worker, worker → reactor). On one CPU they
+/// measure ~10 µs of a warm `sky_tcp` round trip; when the woken thread
+/// sits on another, idle vCPU they are ~25 µs each (`benchmark/README`:
+/// a round trip of 42 µs with the threads on one CPU, 118 µs spread over
+/// two). A request under ~50 µs is answered sooner by the thread that
+/// already holds it than it could even reach a worker.
+const INLINE_BUDGET_US: u64 = 50;
+/// Requests the reactor executes inline per event turn, over all
+/// connections; what is left goes to the ready queue. One full default
+/// pipeline (`max_pipeline` = 64), so a pipelined window of cheap
+/// requests is one batch and one flush, while the reactor is held by
+/// proven-cheap work for at most 64 budgets (~3 ms) before it looks at
+/// its sockets again — and many connections ready at once spill over to
+/// the workers instead of queueing behind one thread.
+const INLINE_PER_TURN: usize = 64;
 /// How long a closing connection may take to drain its goodbye bytes
 /// (Busy frames, fatal errors) before being severed — a turned-away
 /// peer that never reads is bounded by this.
@@ -328,6 +427,9 @@ struct Reactor {
     shared: Arc<Shared>,
     epoll: Epoll,
     listener: TcpListener,
+    /// Every live connection by token. Reactor-owned: only this thread
+    /// inserts, looks up and removes; workers are handed the `Arc`.
+    conns: HashMap<u64, Arc<Conn>>,
     /// Armed deadlines by token: mid-frame read deadlines (Serving),
     /// handshake deadlines (Handshake) and goodbye-flush lingers
     /// (Closing). Disarmed at every frame boundary — an idle connection
@@ -337,24 +439,33 @@ struct Reactor {
     scratch: Vec<u8>,
     accept_backoff: Duration,
     draining_applied: bool,
+    /// What is left of this turn's [`INLINE_PER_TURN`].
+    inline_left: usize,
 }
 
 impl Reactor {
     fn run(&mut self) {
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
         loop {
-            let timeout = self.next_timeout();
-            let turn: Vec<(u64, u32)> = match self.epoll.wait(&mut events, timeout) {
-                Ok(evs) => evs.iter().map(|e| (e.data, e.events)).collect(),
-                Err(_) => Vec::new(),
-            };
-            if !self.shared.running.load(Ordering::Relaxed) {
+            // Checked here, after the previous turn's events (and its
+            // `wake.drain()`) and before blocking: a `shutdown` that
+            // stores the flag and notifies while a turn is in progress
+            // has its notification drained by that turn, and with no
+            // deadline armed the next `epoll_wait` would sleep forever.
+            // (Acquire pairs with the Release stores in `shutdown` /
+            // `shutdown_graceful`, made before their eventfd write.)
+            if !self.shared.running.load(Ordering::Acquire) {
                 break;
             }
-            if self.shared.draining.load(Ordering::Relaxed) && !self.draining_applied {
+            if self.shared.draining.load(Ordering::Acquire) && !self.draining_applied {
                 self.apply_drain();
             }
-            for (token, bits) in turn {
+            let timeout = self.next_timeout();
+            let ready = self.epoll.wait(&mut events, timeout).map_or(0, <[_]>::len);
+            self.inline_left = INLINE_PER_TURN;
+            for event in &events[..ready] {
+                // (the packed struct's fields are read by copy)
+                let (token, bits) = (event.data, event.events);
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => self.shared.wake.drain(),
@@ -373,7 +484,7 @@ impl Reactor {
     }
 
     fn lookup(&self, token: u64) -> Option<Arc<Conn>> {
-        lock(&self.shared.conns).get(&token).cloned()
+        self.conns.get(&token).cloned()
     }
 
     // --- accepting ---
@@ -444,7 +555,7 @@ impl Reactor {
                 }
             }
             self.deadlines.insert(token, Instant::now() + CLOSE_LINGER);
-            lock(&self.shared.conns).insert(token, conn);
+            self.conns.insert(token, conn);
             return;
         }
         self.shared.live.fetch_add(1, Ordering::Relaxed);
@@ -468,7 +579,7 @@ impl Reactor {
         if let Some(rt) = self.shared.config.read_timeout {
             self.deadlines.insert(token, Instant::now() + rt);
         }
-        lock(&self.shared.conns).insert(token, conn);
+        self.conns.insert(token, conn);
     }
 
     // --- per-connection events ---
@@ -494,25 +605,31 @@ impl Reactor {
 
     fn drive(&mut self, conn: &Arc<Conn>, bits: u32) {
         let now = Instant::now();
-        {
-            let mut st = lock(&conn.state);
-            if bits & (EPOLLERR | EPOLLHUP) != 0 {
-                st.dead = true;
-            }
-            if !st.dead && bits & EPOLLOUT != 0 {
-                self.try_flush(&mut st);
-            }
-            if !st.dead && bits & (EPOLLIN | EPOLLRDHUP) != 0 && st.phase != Phase::Closing {
-                self.read_turn(&mut st, now);
-            }
-            self.shared.schedule_locked(&mut st, conn.token);
-            if !st.dead && st.unwritten() > 0 {
-                // answer inline responses (Hello, Stats, fatal errors)
-                // now rather than on the next EPOLLOUT turn
-                self.try_flush(&mut st);
-            }
+        let mut st = lock(&conn.state);
+        if bits & (EPOLLERR | EPOLLHUP) != 0 {
+            st.dead = true;
         }
-        self.sync(conn, now);
+        if !st.dead && bits & (EPOLLIN | EPOLLRDHUP) != 0 && st.phase != Phase::Closing {
+            self.read_turn(&mut st, now);
+        }
+        self.settle(conn, st, now);
+    }
+
+    /// The tail of every turn on a connection. Give queued work with a
+    /// free run slot to whoever should execute it — this thread, for as
+    /// long as the inline gate holds (see [`run_conn`]), the worker pool
+    /// from there on; then flush everything owed — Hello, Stats, fatal
+    /// errors, the replies of an inline batch, a worker's leftovers — in
+    /// one write, now rather than on an `EPOLLOUT` turn; then [`sync`].
+    ///
+    /// [`sync`]: Self::sync
+    fn settle<'a>(&mut self, conn: &'a Arc<Conn>, mut st: MutexGuard<'a, ConnState>, now: Instant) {
+        if !st.dead && !st.running && !st.pending.is_empty() {
+            st.running = true;
+            st = run_conn(&self.shared, conn, st, Some(&mut self.inline_left));
+        }
+        try_flush(&mut st);
+        self.sync(conn, st, now);
     }
 
     /// Read whatever the socket has and dispatch every decoded frame.
@@ -599,35 +716,17 @@ impl Reactor {
         while st.decoder.next_frame().is_some() {}
     }
 
-    /// Flush, with the outbound failpoint: an injected `wire.write`
-    /// fault models the transport dying mid-write (the peer sees a
-    /// close).
-    fn try_flush(&self, st: &mut ConnState) {
-        if st.unwritten() == 0 {
-            return;
-        }
-        #[cfg(feature = "failpoints")]
-        if recycling::fault::fire("wire.write").is_some() {
-            st.dead = true;
-            return;
-        }
-        if !st.flush() {
-            st.dead = true;
-        }
-    }
-
     // --- bookkeeping ---
 
     /// Recompute one connection's epoll interest, (dis)arm its deadline
     /// and reap it when finished. The single funnel every path ends in.
-    fn sync(&mut self, conn: &Arc<Conn>, now: Instant) {
-        let mut st = lock(&conn.state);
+    fn sync(&mut self, conn: &Arc<Conn>, mut st: MutexGuard<'_, ConnState>, now: Instant) {
         if st.finished() {
             drop(st);
             self.finish(conn);
             return;
         }
-        let want = st.wanted_interest(self.shared.config.max_pipeline.max(1));
+        let want = st.wanted_interest(self.shared.config.pipeline_cap());
         if want != st.interest {
             let _ = self.epoll.modify(st.stream.as_raw_fd(), want, conn.token);
             st.interest = want;
@@ -666,7 +765,7 @@ impl Reactor {
     /// removal); safe while a worker is mid-request on it — the worker
     /// sees `dead` when it relocks and walks away.
     fn finish(&mut self, conn: &Arc<Conn>) {
-        if lock(&self.shared.conns).remove(&conn.token).is_none() {
+        if self.conns.remove(&conn.token).is_none() {
             return;
         }
         self.deadlines.remove(&conn.token);
@@ -680,23 +779,22 @@ impl Reactor {
         }
     }
 
-    /// Flush + resync every connection a worker touched since the last
-    /// turn, with the same per-connection panic containment as
+    /// Resync every connection a worker handed back since the last
+    /// turn (bytes left over, reads to re-arm, or finished — see
+    /// [`hand_back`]), with the same per-connection panic containment as
     /// [`Self::conn_event`].
     fn process_dirty(&mut self) {
         let tokens = std::mem::take(&mut *lock(&self.shared.dirty));
+        if tokens.is_empty() {
+            return;
+        }
         let now = Instant::now();
         for token in tokens {
             let Some(conn) = self.lookup(token) else {
-                continue;
+                continue; // severed meanwhile
             };
             let drove = catch_unwind(AssertUnwindSafe(|| {
-                {
-                    let mut st = lock(&conn.state);
-                    self.try_flush(&mut st);
-                    self.shared.schedule_locked(&mut st, token);
-                }
-                self.sync(&conn, now);
+                self.settle(&conn, lock(&conn.state), now)
             }));
             if drove.is_err() {
                 self.shared
@@ -710,6 +808,9 @@ impl Reactor {
     }
 
     fn check_deadlines(&mut self) {
+        if self.deadlines.is_empty() {
+            return;
+        }
         let now = Instant::now();
         let expired: Vec<u64> = self
             .deadlines
@@ -722,27 +823,25 @@ impl Reactor {
             let Some(conn) = self.lookup(token) else {
                 continue;
             };
-            {
-                let mut st = lock(&conn.state);
-                if st.phase == Phase::Closing {
-                    // goodbye-flush linger expired: the peer never read
-                    // its Busy/Error — sever
-                    st.dead = true;
-                } else {
-                    // slow-loris guard: stalled mid-frame (or never
-                    // finished the handshake) past the deadline
-                    self.shared
-                        .counters
-                        .read_timeouts
-                        .fetch_add(1, Ordering::Relaxed);
-                    fatal_msg(
-                        &mut st,
-                        "read timeout: no complete frame within the deadline".into(),
-                    );
-                    self.try_flush(&mut st);
-                }
+            let mut st = lock(&conn.state);
+            if st.phase == Phase::Closing {
+                // goodbye-flush linger expired: the peer never read
+                // its Busy/Error — sever
+                st.dead = true;
+            } else {
+                // slow-loris guard: stalled mid-frame (or never
+                // finished the handshake) past the deadline
+                self.shared
+                    .counters
+                    .read_timeouts
+                    .fetch_add(1, Ordering::Relaxed);
+                fatal_msg(
+                    &mut st,
+                    "read timeout: no complete frame within the deadline".into(),
+                );
+                try_flush(&mut st);
             }
-            self.sync(&conn, now);
+            self.sync(&conn, st, now);
         }
     }
 
@@ -750,26 +849,41 @@ impl Reactor {
     /// decoded is answered, flushed, then closed.
     fn apply_drain(&mut self) {
         self.draining_applied = true;
-        let conns: Vec<Arc<Conn>> = lock(&self.shared.conns).values().cloned().collect();
+        let conns: Vec<Arc<Conn>> = self.conns.values().cloned().collect();
         let now = Instant::now();
         for conn in conns {
-            {
-                let mut st = lock(&conn.state);
-                st.phase = Phase::Closing;
-                self.try_flush(&mut st);
-            }
-            self.sync(&conn, now);
+            let mut st = lock(&conn.state);
+            st.phase = Phase::Closing;
+            try_flush(&mut st);
+            self.sync(&conn, st, now);
         }
     }
 
     fn close_all(&mut self) {
-        let conns: Vec<Arc<Conn>> = lock(&self.shared.conns).drain().map(|(_, c)| c).collect();
-        for conn in conns {
+        for (_, conn) in self.conns.drain() {
             let mut st = lock(&conn.state);
             st.dead = true;
             let _ = st.stream.shutdown(std::net::Shutdown::Both);
         }
         self.deadlines.clear();
+    }
+}
+
+/// Flush what the connection owes its socket, with the outbound
+/// failpoint: an injected `wire.write` fault models the transport dying
+/// mid-write (the peer sees a close). Called by whoever just queued
+/// replies under the connection lock — the reactor or a worker.
+fn try_flush(st: &mut ConnState) {
+    if st.dead || st.unwritten() == 0 {
+        return;
+    }
+    #[cfg(feature = "failpoints")]
+    if recycling::fault::fire("wire.write").is_some() {
+        st.dead = true;
+        return;
+    }
+    if !st.flush() {
+        st.dead = true;
     }
 }
 
@@ -789,11 +903,11 @@ fn fatal_msg(st: &mut ConnState, message: String) {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let token = {
+        let conn = {
             let mut q = lock(&shared.ready);
             loop {
-                if let Some(t) = q.pop_front() {
-                    break t;
+                if let Some(c) = q.pop_front() {
+                    break c;
                 }
                 if !shared.running.load(Ordering::Relaxed) {
                     return;
@@ -804,78 +918,124 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let conn = lock(&shared.conns).get(&token).cloned();
-        let Some(conn) = conn else { continue }; // severed while queued
-        run_conn(shared, &conn);
-        // hand the connection back to the reactor: flush what we queued,
-        // recompute interest (and re-arm reads if we drained it below
-        // the pipeline cap)
-        lock(&shared.dirty).push(token);
-        shared.wake.notify();
+        let st = run_conn(shared, &conn, lock(&conn.state), None);
+        hand_back(shared, &conn, st);
     }
 }
 
-/// Execute queued requests for one connection — at most [`WORKER_BATCH`]
-/// before re-queueing it behind other runnable connections. Exactly one
-/// worker runs a given connection at a time (`running`), so its session
-/// sees requests strictly in arrival order even though the socket and
-/// other connections' requests race freely.
-fn run_conn(shared: &Shared, conn: &Arc<Conn>) {
+/// A worker's epilogue: flush the replies it queued, still under the
+/// connection lock, and involve the reactor only for what the reactor
+/// alone may do — change the socket's epoll interest (bytes left over:
+/// `EPOLLOUT`; reads paused at `max_pipeline` and now drained:
+/// `EPOLLIN`) or reap the connection (finished, or dead). A batch whose
+/// replies the socket took whole costs no eventfd write, no `dirty`
+/// push and no extra reactor turn.
+fn hand_back(shared: &Shared, conn: &Conn, mut st: MutexGuard<'_, ConnState>) {
+    try_flush(&mut st);
+    let reactor_needed =
+        st.finished() || st.wanted_interest(shared.config.pipeline_cap()) != st.interest;
+    drop(st);
+    if reactor_needed {
+        lock(&shared.dirty).push(conn.token);
+        shared.wake_reactor();
+    }
+}
+
+/// Execute one connection's queued requests — the only place a request
+/// executes, with two callers. The caller holds the connection's run
+/// slot (`running`), so the session sees requests strictly in arrival
+/// order whoever runs them; the lock comes in and goes out held, and is
+/// released around each execution.
+///
+/// * A **worker** (`inline` = `None`) runs at most [`WORKER_BATCH`]
+///   requests before re-queueing the connection behind other runnable
+///   ones.
+/// * The **reactor** (`inline` = what is left of its per-turn allowance)
+///   keeps going only while the **inline gate** holds: the connection's
+///   previous request was a query that finished under
+///   [`INLINE_BUDGET_US`] ([`ConnState::cheap`]), the next one is not a
+///   `Commit`, and allowance is left. The first request that fails the
+///   gate, and everything queued behind it, goes to the ready queue with
+///   the run slot still taken — so a slow query costs the reactor at
+///   most the one request that revealed it.
+fn run_conn<'a>(
+    shared: &Shared,
+    conn: &'a Arc<Conn>,
+    mut st: MutexGuard<'a, ConnState>,
+    mut inline: Option<&mut usize>,
+) -> MutexGuard<'a, ConnState> {
     let mut executed = 0;
     loop {
-        let mut st = lock(&conn.state);
         if st.dead || !shared.running.load(Ordering::Relaxed) {
             st.running = false;
-            return;
+            return st;
         }
-        let Some(work) = st.pending.pop_front() else {
-            // nothing left: release the run slot. Rechecking under the
-            // same lock acquisition closes the race with the reactor
-            // appending new work — it only schedules when `running` is
-            // already false.
+        let Some(next) = st.pending.front() else {
+            // nothing left: release the run slot. The reactor appends
+            // and dispatches under this same lock, and only dispatches
+            // when `running` is already false — no lost work.
             st.running = false;
-            return;
+            return st;
         };
+        let keep_going = match inline.as_deref_mut() {
+            Some(left) => {
+                let gate = st.cheap && *left > 0 && !matches!(next.req, Request::Commit { .. });
+                if gate {
+                    *left -= 1;
+                }
+                gate
+            }
+            // fairness: yield to other runnable connections
+            None => executed < WORKER_BATCH,
+        };
+        if !keep_going {
+            // keep the run slot — nobody else may execute this session —
+            // and let the next free worker carry on
+            shared.enqueue(conn);
+            return st;
+        }
+        let work = st.pending.pop_front().expect("front was Some");
         if matches!(work.req, Request::Close) {
             st.queue_response(&Response::Closed);
             st.phase = Phase::Closing;
             st.pending.clear(); // frames pipelined past Close are void
             st.running = false;
-            return;
+            return st;
         }
         // Lazy session: first Query/Commit pays for the engine; idle and
         // stats-only connections never do. The session leaves the state
         // for the duration of the run so the reactor keeps reading and
-        // flushing this very connection while its request executes.
+        // flushing this very connection while a worker executes on it.
         let mut session = st.session.take();
         drop(st);
         if session.is_none() {
             session = Some(shared.db.session());
         }
         let response = execute_contained(shared, session.as_mut().expect("just filled"), work);
-        let mut st = lock(&conn.state);
+        let ran = if inline.is_some() {
+            &shared.counters.inline_requests
+        } else {
+            &shared.counters.queued_requests
+        };
+        ran.fetch_add(1, Ordering::Relaxed);
+        executed += 1;
+        st = lock(&conn.state);
         st.session = session;
+        // the history the gate reads: the query's own server-side time,
+        // the figure its reply carries anyway (no extra clock read)
+        st.cheap = matches!(
+            &response,
+            Response::Query { result, .. } if result.elapsed_us < INLINE_BUDGET_US
+        );
         if !st.dead {
             st.queue_response(&response);
-        }
-        executed += 1;
-        if executed >= WORKER_BATCH {
-            if st.pending.is_empty() {
-                st.running = false;
-            } else {
-                // fairness: yield to other runnable connections but keep
-                // the run slot — nobody else may execute this session
-                drop(st);
-                lock(&shared.ready).push_back(conn.token);
-                shared.ready_cv.notify_one();
-            }
-            return;
         }
     }
 }
 
 /// Run one request under panic containment: a handler that panics costs
-/// one typed `Error` reply, never the worker (the recycler's shard
+/// one typed `Error` reply, never the thread running it — worker or
+/// reactor (the recycler's shard
 /// quarantine guarantees a panicked probe/admission degrades to misses
 /// rather than corrupting shared state, so the session stays usable).
 fn execute_contained(shared: &Shared, session: &mut Session, work: Work) -> Response {
@@ -959,7 +1119,8 @@ fn execute(db: &Database, session: &mut Session, work: Work) -> Response {
                 },
             }
         }
-        // Hello/Stats/Close never reach a worker (reactor handles them)
+        // Hello/Stats never queue (answered at decode time) and Close is
+        // `run_conn`'s own
         other => Response::Error {
             id: other.id().unwrap_or(0),
             message: "internal error: request routed to a worker unexpectedly".into(),
@@ -1025,6 +1186,9 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
         ("server_worker_panics", counters.worker_panics()),
         ("server_accept_errors", counters.accept_errors()),
         ("server_read_timeouts", counters.read_timeouts()),
+        ("server_inline_requests", counters.inline_requests()),
+        ("server_queued_requests", counters.queued_requests()),
+        ("server_reactor_wakeups", counters.reactor_wakeups()),
         (
             "server_live_connections",
             shared.live.load(Ordering::Relaxed) as u64,
