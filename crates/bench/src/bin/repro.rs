@@ -1,19 +1,18 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro all                 # everything (includes the JSON bench report)
+//! repro all                 # every table and figure
 //! repro table2 fig4 fig15   # selected experiments
-//! repro bench               # only BENCH_recycler.json
+//! repro c10k                # the reactor's idle-connection smoke
 //! ```
 //!
 //! Environment: `REPRO_SF` (TPC-H scale factor, default 0.01),
 //! `REPRO_SKY` (sky objects, default 40000), `REPRO_SEED`,
-//! `BENCH_OUT` (path of the JSON report, default `BENCH_recycler.json`),
-//! `REPRO_C10K_IDLE` / `REPRO_C10K_HOT` (the `c10k` / `server_c10k`
-//! idle-swarm and hot-client counts).
+//! `REPRO_C10K_IDLE` / `REPRO_C10K_HOT` (the `c10k` idle-swarm and
+//! hot-client counts). Performance numbers come from the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`), not from here.
 
 use rcy_bench::experiments::{self, ExpEnv};
-use rcy_bench::report;
 
 fn main() {
     let env = ExpEnv::from_env();
@@ -21,7 +20,7 @@ fn main() {
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
             "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig10", "fig12", "fig13", "table3",
-            "fig14", "fig15", "ablation", "bench",
+            "fig14", "fig15", "ablation",
         ]
     } else {
         args.iter().map(|s| s.as_str()).collect()
@@ -96,17 +95,6 @@ fn main() {
                     ratio(out.sequential_qps, out.baseline_sequential_qps),
                     out.pipelined_qps,
                 )
-            }
-            "bench" => {
-                let path =
-                    std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_recycler.json".into());
-                let doc = report::bench_report(&env);
-                let text = format!("{doc}\n");
-                match std::fs::write(&path, &text) {
-                    Ok(()) => eprintln!("# bench report written to {path}"),
-                    Err(e) => eprintln!("# bench report NOT written ({path}: {e})"),
-                }
-                text
             }
             other => {
                 eprintln!("unknown experiment: {other}");

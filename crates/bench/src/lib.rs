@@ -18,7 +18,6 @@ pub mod driver;
 pub mod experiments;
 pub mod opstate;
 pub mod pressure;
-pub mod report;
 pub mod tables;
 pub mod tiered;
 

@@ -10,8 +10,7 @@
 //! depth** (so total size grows while the leaf layer stays put), drives
 //! eviction rounds through each, and reports the gather-visited counter
 //! per round: the series must be flat across pool sizes for the O(leaves)
-//! bound to hold — `BENCH_recycler.json` carries it so the trajectory
-//! keeps proving it.
+//! bound to hold — the module's test asserts it.
 
 use std::time::{Duration, Instant};
 

@@ -9,8 +9,8 @@
 //! pays a decompress (or a record read-back) instead of a recomputation.
 //! The scenario drives the *same* cycling parameter alphabet through the
 //! same cap both ways and reports the hit ratio, wall time and per-tier
-//! traffic; `BENCH_recycler.json` carries both sides so the trajectory
-//! keeps proving the ladder retains hits the raw pool loses.
+//! traffic; the module's test holds the ladder to retaining the hits the
+//! raw pool loses.
 
 use std::time::{Duration, Instant};
 

@@ -17,14 +17,14 @@
 //! The round structure mirrors a generational garbage collector:
 //!
 //! * **Minor rounds** are cheap sweeps over the *nursery* — a small ring
-//!   of recently-leafed entry ids fed by the evictable-leaf index's 0↔1
-//!   transitions ([`RecyclePool`]'s insert/re-leaf funnels). Fresh leaves
-//!   are the entries most likely to be evictable (just admitted, or just
-//!   stripped of their last dependent), so a minor round usually finds
-//!   its victims without touching the full index.
-//! * **Major rounds** — one per [`RecyclerConfig::minor_per_major`]
-//!   minors, or immediately when a minor round comes up empty — run the
-//!   full [`evict`] pass over the evictable-leaf index (O(leaves)).
+//!   of recently-leafed entry ids the [lineage graph](crate::lineage)
+//!   feeds at its leaf set's 0↔1 transitions (fresh entries, parents
+//!   stripped of their last dependent). Fresh leaves are the entries most
+//!   likely to be evictable, so a minor round usually finds its victims
+//!   without touching the full leaf set.
+//! * **Major rounds** — one per [`MINOR_PER_MAJOR`] minors, or
+//!   immediately when a minor round comes up empty — run the full
+//!   [`evict`] pass over the evictable-leaf set (O(leaves)).
 //!
 //! With the compression tier on ([`RecyclerConfig::compression`]), every
 //! round is preceded by a **demotion rung**: cold leaves are compressed
@@ -33,9 +33,8 @@
 //! selected. Eviction proper becomes the last rung of the residency
 //! ladder — hot raw → compressed → spilled → gone.
 //!
-//! Each activation is bounded by the
-//! [`RecyclerConfig::collector_timeslice_ms`] budget: once a burst of
-//! rounds exceeds it, the collector re-signals itself and yields, so it
+//! Each activation is bounded by the [`TIMESLICE`] budget: once a burst
+//! of rounds exceeds it, the collector re-signals itself and yields, so it
 //! can never monopolise the eviction mutex against inline admitters (or
 //! starve maintenance, which quiesces it via the round lock).
 //!
@@ -53,7 +52,6 @@
 //! lifetime, so maintenance surgery and collector rounds can never
 //! interleave.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
@@ -85,51 +83,18 @@ const DEMOTE_BATCH: usize = 64;
 /// set wholesale (bounded memory at the price of a rare re-proof).
 const INCOMPRESSIBLE_CAP: usize = 4096;
 
-/// Capacity of the nursery ring (oldest ids fall off on overflow — major
-/// rounds cover whatever the nursery forgot).
-pub(crate) const NURSERY_CAP: usize = 256;
+/// Minor rounds (cheap sweeps over the nursery) per major round (a full
+/// pass over the evictable-leaf set).
+const MINOR_PER_MAJOR: u64 = 8;
 
-/// A bounded ring of recently-leafed entry ids — the generational
-/// "nursery" minor rounds sweep. Fed by the pool's leaf-index 0↔1
-/// transitions. The mutex is a true leaf lock: push and drain touch
-/// nothing else while holding it (it may be taken inside the `children` /
-/// `leaves` sub-map critical sections, never the reverse).
-pub(crate) struct Nursery {
-    ring: Mutex<VecDeque<EntryId>>,
-}
+/// Wall-time budget of one collector activation: a burst of rounds that
+/// has spent this much yields and reschedules itself, so the collector can
+/// never monopolise the eviction mutex against inline admitters.
+const TIMESLICE: Duration = Duration::from_millis(4);
 
-impl Nursery {
-    pub(crate) fn new() -> Nursery {
-        Nursery {
-            ring: Mutex::new(VecDeque::with_capacity(NURSERY_CAP)),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, VecDeque<EntryId>> {
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Record a fresh 0↔1 leaf transition, dropping the oldest id when
-    /// the ring is full.
-    pub(crate) fn push(&self, id: EntryId) {
-        let mut ring = self.lock();
-        if ring.len() == NURSERY_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(id);
-    }
-
-    /// Take up to `max` of the oldest recorded ids.
-    pub(crate) fn drain(&self, max: usize) -> Vec<EntryId> {
-        let mut ring = self.lock();
-        let n = ring.len().min(max);
-        ring.drain(..n).collect()
-    }
-
-    pub(crate) fn clear(&self) {
-        self.lock().clear();
-    }
-}
+/// Raw entries below this size are never compressed: tiny intermediates
+/// cost more per-entry codec overhead than their bytes are worth.
+const COMPRESS_MIN_BYTES: usize = 256;
 
 struct Flags {
     signalled: bool,
@@ -152,8 +117,6 @@ pub(crate) struct CollectorControl {
     high_bytes: Option<usize>,
     low_entries: Option<usize>,
     high_entries: Option<usize>,
-    minor_per_major: u64,
-    timeslice: Duration,
     minors_since_major: AtomicU64,
     minor_rounds: AtomicU64,
     major_rounds: AtomicU64,
@@ -195,8 +158,6 @@ impl CollectorControl {
             high_bytes: mark(config.mem_limit, config.high_water_ratio),
             low_entries: mark(config.entry_limit, config.low_water_ratio),
             high_entries: mark(config.entry_limit, config.high_water_ratio),
-            minor_per_major: config.minor_per_major.max(1) as u64,
-            timeslice: Duration::from_millis(config.collector_timeslice_ms.max(1)),
             minors_since_major: AtomicU64::new(0),
             minor_rounds: AtomicU64::new(0),
             major_rounds: AtomicU64::new(0),
@@ -431,7 +392,7 @@ pub(crate) fn run_rounds(shared: &SharedRecycler) {
         if need_bytes == 0 && need_entries == 0 {
             return;
         }
-        let major_due = ctl.minors_since_major.load(Ordering::Relaxed) >= ctl.minor_per_major;
+        let major_due = ctl.minors_since_major.load(Ordering::Relaxed) >= MINOR_PER_MAJOR;
         let started = Instant::now();
         // Demotion rung first: with the compression tier on, cold leaves
         // step down the residency ladder (raw → compressed → spilled)
@@ -474,10 +435,10 @@ pub(crate) fn run_rounds(shared: &SharedRecycler) {
             }
             // dry nursery: escalate — the next round is a major
             ctl.minors_since_major
-                .store(ctl.minor_per_major, Ordering::Relaxed);
+                .store(MINOR_PER_MAJOR, Ordering::Relaxed);
             continue;
         }
-        if activation.elapsed() >= ctl.timeslice {
+        if activation.elapsed() >= TIMESLICE {
             // budget spent with pressure possibly left: yield the round
             // lock and re-arm so the next activation resumes promptly
             ctl.resignal();
@@ -578,7 +539,6 @@ fn major_round(shared: &SharedRecycler, need_bytes: usize, need_entries: usize) 
 fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
     let ctl = shared.collector_control();
     let pool = shared.pool_inner();
-    let min_bytes = shared.config().compress_min_bytes;
     let spill_on = pool.spill().is_some();
 
     // Gather under shard read locks only: raw entries to compress,
@@ -598,7 +558,10 @@ fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
                 // `bind` results are Arc-shared with the catalog:
                 // demoting one frees no real memory, and rehydration
                 // would forge a second live copy of a base column.
-                if e.bytes() < min_bytes || e.family == "bind" || ctl.is_incompressible(e.id) {
+                if e.bytes() < COMPRESS_MIN_BYTES
+                    || e.family == "bind"
+                    || ctl.is_incompressible(e.id)
+                {
                     return;
                 }
                 // views alias another BAT's buffers — nothing to free

@@ -62,9 +62,6 @@ pub struct RecyclerConfig {
     /// Enable combined subsumption (Algorithm 2, §5.2). Requires
     /// `subsumption`.
     pub combined_subsumption: bool,
-    /// Maximum number of overlapping candidates fed to the combined
-    /// subsumption search (`k` in the paper's micro-benchmarks).
-    pub combined_max_candidates: usize,
     /// Update synchronisation mode.
     pub update_mode: UpdateMode,
     /// Number of pool shards (rounded up to a power of two). `None` picks
@@ -101,15 +98,6 @@ pub struct RecyclerConfig {
     /// only when the pool is *genuinely full* (the strict gate at the cap
     /// fails) does an admission fall back to inline eviction.
     pub high_water_ratio: f64,
-    /// Minor collector rounds (cheap sweeps over the nursery of
-    /// recently-leafed entries) per major round (a full pass over the
-    /// evictable-leaf index). Minimum 1.
-    pub minor_per_major: u32,
-    /// Timeslice budget per collector activation, in milliseconds: once a
-    /// burst of rounds has spent this much wall time the collector yields
-    /// and reschedules itself, so it can never monopolise the eviction
-    /// mutex against inline admitters. Minimum 1.
-    pub collector_timeslice_ms: u64,
     /// Enable the compression tier: collector rounds demote cold raw
     /// entries to lightweight-compressed blobs *in place* before the
     /// evict path ever fires, so eviction becomes the last rung of the
@@ -119,17 +107,6 @@ pub struct RecyclerConfig {
     /// is a background activity) — validated at facade build time. Off
     /// by default: without it the pool behaves exactly as before.
     pub compression: bool,
-    /// Entries below this raw byte size are never demoted to the
-    /// compression tier: tiny intermediates cost more per-entry codec
-    /// overhead than their bytes are worth. Only meaningful with
-    /// [`Self::compression`].
-    pub compress_min_bytes: usize,
-    /// Admission floor: executed results smaller than this many bytes
-    /// are *monitored but not admitted* — for workloads of tiny BATs
-    /// (SkyServer's 44 KB pool) the admission + bookkeeping overhead
-    /// exceeds the time ever saved by reusing them. `0` (the default)
-    /// admits everything, preserving the paper's baseline semantics.
-    pub min_admit_bytes: usize,
     /// Recycle operator *state*, not just result BATs: split join, group
     /// and sort into build/probe halves, cache the build structures (hash
     /// tables, group maps, sorted runs) as typed artifacts keyed by their
@@ -152,18 +129,13 @@ impl Default for RecyclerConfig {
             entry_limit: None,
             subsumption: true,
             combined_subsumption: true,
-            combined_max_candidates: 16,
             update_mode: UpdateMode::Invalidate,
             pool_shards: None,
             session_credits: None,
             background_collector: false,
             low_water_ratio: 0.5,
             high_water_ratio: 0.8,
-            minor_per_major: 8,
-            collector_timeslice_ms: 4,
             compression: false,
-            compress_min_bytes: 256,
-            min_admit_bytes: 0,
             recycle_operator_state: false,
         }
     }
@@ -248,19 +220,6 @@ impl RecyclerConfig {
         self
     }
 
-    /// Builder-style: minor collector rounds per major round (≥ 1).
-    pub fn minor_per_major(mut self, n: u32) -> Self {
-        self.minor_per_major = n;
-        self
-    }
-
-    /// Builder-style: the collector's per-activation timeslice budget in
-    /// milliseconds (≥ 1).
-    pub fn collector_timeslice_ms(mut self, ms: u64) -> Self {
-        self.collector_timeslice_ms = ms;
-        self
-    }
-
     /// Builder-style: enable the compression tier (see
     /// [`Self::compression`]). Pair with the background collector and a
     /// resource cap — demotion is driven by collector rounds under
@@ -270,24 +229,10 @@ impl RecyclerConfig {
         self
     }
 
-    /// Builder-style: the smallest raw entry worth compressing (see
-    /// [`Self::compress_min_bytes`]).
-    pub fn compress_min_bytes(mut self, bytes: usize) -> Self {
-        self.compress_min_bytes = bytes;
-        self
-    }
-
     /// Builder-style: toggle operator-state recycling (see
     /// [`Self::recycle_operator_state`]).
     pub fn recycle_operator_state(mut self, on: bool) -> Self {
         self.recycle_operator_state = on;
-        self
-    }
-
-    /// Builder-style: the admission floor in bytes (see
-    /// [`Self::min_admit_bytes`]). `0` admits everything.
-    pub fn min_admit_bytes(mut self, bytes: usize) -> Self {
-        self.min_admit_bytes = bytes;
         self
     }
 
@@ -317,19 +262,11 @@ impl RecyclerConfig {
                 self.low_water_ratio, self.high_water_ratio
             ));
         }
-        if self.background_collector {
-            if self.mem_limit.is_none() && self.entry_limit.is_none() {
-                return Err(
-                    "background collector requires a mem_limit or entry_limit to drain toward"
-                        .to_string(),
-                );
-            }
-            if self.minor_per_major == 0 {
-                return Err("minor_per_major must be at least 1".to_string());
-            }
-            if self.collector_timeslice_ms == 0 {
-                return Err("collector_timeslice_ms must be at least 1".to_string());
-            }
+        if self.background_collector && self.mem_limit.is_none() && self.entry_limit.is_none() {
+            return Err(
+                "background collector requires a mem_limit or entry_limit to drain toward"
+                    .to_string(),
+            );
         }
         if self.compression {
             if !self.background_collector {
@@ -423,16 +360,12 @@ mod tests {
                 .is_err(),
             "a collector without limits has nothing to drain toward"
         );
-        assert!(base.minor_per_major(0).validate().is_err());
-        assert!(base.collector_timeslice_ms(0).validate().is_err());
     }
 
     #[test]
     fn tiering_knobs_default_off_and_validate() {
         let c = RecyclerConfig::default();
         assert!(!c.compression);
-        assert_eq!(c.compress_min_bytes, 256);
-        assert_eq!(c.min_admit_bytes, 0);
         // compression without a collector (or without a cap) is an error
         assert!(RecyclerConfig::default()
             .compression(true)
@@ -446,12 +379,8 @@ mod tests {
         let ok = RecyclerConfig::default()
             .mem_limit(1 << 20)
             .collector(true)
-            .compression(true)
-            .compress_min_bytes(128)
-            .min_admit_bytes(64);
+            .compression(true);
         assert!(ok.validate().is_ok());
-        assert_eq!(ok.compress_min_bytes, 128);
-        assert_eq!(ok.min_admit_bytes, 64);
     }
 
     #[test]

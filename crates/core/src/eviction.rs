@@ -8,12 +8,12 @@
 //! 2-approximation [Martello & Toth 1990].
 //!
 //! Concurrency and cost (sharded pool): [`evict`] *gathers* its
-//! candidates from the pool's **incremental evictable-leaf index**
-//! ([`RecyclePool::for_each_leaf_entry`]) — the set of childless entries,
-//! maintained at the pool's insert/remove funnels — so a gather round
-//! costs O(leaves), independent of total pool size; no eviction path
-//! scans the whole pool any more (the pool's gather-cost counters pin
-//! this down in tests). Victims are chosen from the snapshot and consumed
+//! candidates from the lineage graph's **evictable-leaf set**
+//! ([`RecyclePool::for_each_leaf_entry`]) — the childless entries, kept
+//! exact by the graph's `wire` / `unwire` steps — so a gather round costs
+//! O(leaves), independent of total pool size; no eviction path scans the
+//! whole pool (the pool's gather-cost counters pin this down in tests).
+//! Victims are chosen from the snapshot and consumed
 //! in **batches**: each round feeds every victim it selected to
 //! [`RecyclePool::remove_batch_if_evictable`], which groups them by shard
 //! and takes each shard's write lock once per round — not once per victim
@@ -59,10 +59,11 @@ pub(crate) fn policy_key(policy: EvictionPolicy, e: &PoolEntry, now_tick: u64) -
     }
 }
 
-/// Snapshot the evictable leaves from the incremental leaf index:
-/// O(leaves) work, no full-pool scan. Pin state is not part of the index
-/// (pins flip on the read-lock-only hit path), so pinned leaves are
-/// filtered here — and revalidated again at removal, where it counts.
+/// Snapshot the evictable leaves from the lineage graph's leaf set, in
+/// ascending id order (so a policy's ties never depend on which shard a
+/// leaf sits in): O(leaves) work, no full-pool scan. Pin state is not part
+/// of the set (pins flip on the read-lock-only hit path), so pinned leaves
+/// are filtered here — and revalidated again at removal, where it counts.
 fn gather(pool: &RecyclePool, policy: EvictionPolicy, now_tick: u64) -> Vec<Candidate> {
     #[cfg(feature = "failpoints")]
     let _ = crate::fault::fire("evict.gather");
@@ -77,6 +78,7 @@ fn gather(pool: &RecyclePool, policy: EvictionPolicy, now_tick: u64) -> Vec<Cand
             });
         }
     });
+    out.sort_unstable_by_key(|c| c.id);
     out
 }
 

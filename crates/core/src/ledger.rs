@@ -24,9 +24,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::entry::{Payload, PoolEntry};
-use crate::pool::ShardedIndex;
 
 /// What one entry charges to each book of its shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,7 +117,9 @@ pub(crate) struct Ledger {
     shards: Box<[ShardBooks]>,
     bytes: AtomicUsize,
     entries: AtomicUsize,
-    by_session: ShardedIndex<u64, u64>,
+    /// Resident entries per admitting session. A leaf lock: taken for one
+    /// counter move, nothing is acquired while it is held.
+    by_session: Mutex<BTreeMap<u64, u64>>,
 }
 
 impl Ledger {
@@ -126,8 +128,14 @@ impl Ledger {
             shards: (0..shards).map(|_| ShardBooks::default()).collect(),
             bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
-            by_session: ShardedIndex::new(shards),
+            by_session: Mutex::new(BTreeMap::new()),
         }
+    }
+
+    fn sessions(&self) -> MutexGuard<'_, BTreeMap<u64, u64>> {
+        self.by_session
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Move the books for one entry of `session` in `shard` from the
@@ -150,20 +158,17 @@ impl Ledger {
         match (before.is_some(), after.is_some()) {
             (false, true) => {
                 self.entries.fetch_add(1, Ordering::Relaxed);
-                self.by_session.alter(&session, |m| {
-                    *m.entry(session).or_insert(0) += 1;
-                });
+                *self.sessions().entry(session).or_insert(0) += 1;
             }
             (true, false) => {
                 self.entries.fetch_sub(1, Ordering::Relaxed);
-                self.by_session.alter(&session, |m| {
-                    if let Some(n) = m.get_mut(&session) {
-                        *n = n.saturating_sub(1);
-                        if *n == 0 {
-                            m.remove(&session);
-                        }
+                let mut sessions = self.sessions();
+                if let Some(n) = sessions.get_mut(&session) {
+                    *n = n.saturating_sub(1);
+                    if *n == 0 {
+                        sessions.remove(&session);
                     }
-                });
+                }
             }
             _ => {}
         }
@@ -181,7 +186,7 @@ impl Ledger {
 
     /// Resident entries admitted by `session`.
     pub(crate) fn resident_of_session(&self, session: u64) -> u64 {
-        self.by_session.with(&session, |n| n.copied().unwrap_or(0))
+        self.sessions().get(&session).copied().unwrap_or(0)
     }
 
     /// One shard's books.
@@ -208,15 +213,11 @@ impl Ledger {
 
     /// The live counters as a plain image.
     pub(crate) fn books(&self) -> Books {
-        let mut by_session = BTreeMap::new();
-        self.by_session.for_each(|s, n| {
-            by_session.insert(*s, *n);
-        });
         Books {
             shards: (0..self.shards.len()).map(|i| self.shard(i)).collect(),
             bytes: self.bytes(),
             entries: self.entries(),
-            by_session,
+            by_session: self.sessions().clone(),
         }
     }
 
@@ -249,9 +250,6 @@ impl Ledger {
         }
         self.bytes.store(books.bytes, Ordering::Relaxed);
         self.entries.store(books.entries, Ordering::Relaxed);
-        self.by_session.clear();
-        for (s, n) in &books.by_session {
-            self.by_session.insert(*s, *n);
-        }
+        *self.sessions() = books.by_session.clone();
     }
 }

@@ -90,6 +90,7 @@ pub mod eviction;
 #[cfg(feature = "failpoints")]
 pub mod fault;
 pub mod ledger;
+pub mod lineage;
 pub mod mark;
 pub mod pool;
 pub mod propagate;

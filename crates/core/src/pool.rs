@@ -1,25 +1,32 @@
-//! The recycle pool: sharded storage, indexes and lineage bookkeeping.
+//! The recycle pool: what each entry holds, and where.
 //!
-//! Since the sharding PR the pool is itself a concurrent structure: the
-//! fingerprint-keyed stores are split into N independent shards (N = the
-//! next power of two ≥ 2× the core count) so that admissions from
-//! different sessions touch disjoint locks and the exact-match hit path
-//! takes one shard **read** lock and nothing else. See [`crate::shared`]
-//! for the full locking model; this module holds the mechanics.
+//! The pool is a concurrent structure: the fingerprint-keyed entry tables
+//! are split into N independent shards (N = the next power of two ≥ 2×
+//! the core count) so that admissions from different sessions touch
+//! disjoint locks and the exact-match hit path takes one shard **read**
+//! lock and nothing else. This module owns every question about an
+//! entry's *content* — the shard tables, the [ledger](crate::ledger), the
+//! residency transitions, quarantine and repair. Every question about
+//! *ids* — where an id is filed, who feeds whom, which entries are
+//! evictable leaves, which results subsume which — belongs to the one
+//! [lineage graph](crate::lineage), kept behind one `RwLock` that is
+//! always taken last and held for a single map operation. See
+//! [`crate::shared`] for the full locking model.
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use rbat::hash::{FxHashMap, FxHashSet, FxHasher};
+use rbat::hash::FxHashSet;
 use rbat::BatId;
 use rmal::Opcode;
 
 use crate::entry::{EntryId, Payload, PoolEntry};
 use crate::ledger::{charge, Books, Ledger};
-use crate::signature::{ArgSig, ArtifactKind, FingerprintMap, Sig, SigRef};
+use crate::lineage::LineageGraph;
+use crate::signature::{ArgSig, FingerprintMap, Sig, SigRef};
 
 /// Outcome of [`RecyclePool::insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,108 +69,9 @@ impl Admitted {
     }
 }
 
-/// A hash map split into power-of-two sub-maps, each behind its own
-/// `RwLock` — the cross-shard lineage indexes (result ownership, child
-/// edges, subset relation) live in these so concurrent admissions from
-/// different sessions rarely contend.
-///
-/// Lock discipline: sub-map locks are **leaf locks** in the shard tier's
-/// shadow — they may be taken while holding a shard lock (that is the
-/// documented order), and a holder must never acquire a shard lock or a
-/// second sub-map lock. One exception is carved out: the child-edge index
-/// (`children`) may acquire an *evictable-leaf index* (`leaves`) sub-map
-/// lock — and read the `owner` index — inside its critical section: the
-/// 0↔1 child-count transition, the residency probe of the re-leafed
-/// parent and the matching leaf-set update must be atomic, or racing
-/// edge wirings and removals could leave the leaf index permanently
-/// wrong. The order is fixed (`children` → `owner`/`leaves`, never the
-/// reverse) and `owner`/`leaves` sub-map locks remain true leaves, so
-/// the hierarchy stays acyclic.
-pub(crate) struct ShardedIndex<K, V> {
-    maps: Box<[RwLock<FxHashMap<K, V>>]>,
-}
-
-impl<K: Hash + Eq + Clone, V> ShardedIndex<K, V> {
-    pub(crate) fn new(submaps: usize) -> ShardedIndex<K, V> {
-        let n = submaps.next_power_of_two().max(2);
-        ShardedIndex {
-            maps: (0..n).map(|_| RwLock::new(FxHashMap::default())).collect(),
-        }
-    }
-
-    fn map_for(&self, k: &K) -> &RwLock<FxHashMap<K, V>> {
-        let mut h = FxHasher::default();
-        k.hash(&mut h);
-        let i = (h.finish() as usize) & (self.maps.len() - 1);
-        &self.maps[i]
-    }
-
-    fn read_for(&self, k: &K) -> RwLockReadGuard<'_, FxHashMap<K, V>> {
-        self.map_for(k)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_for(&self, k: &K) -> RwLockWriteGuard<'_, FxHashMap<K, V>> {
-        self.map_for(k)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Run `f` over the value stored for `k` (or `None`).
-    pub(crate) fn with<R>(&self, k: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
-        f(self.read_for(k).get(k))
-    }
-
-    pub(crate) fn get_clone(&self, k: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.read_for(k).get(k).cloned()
-    }
-
-    pub(crate) fn contains(&self, k: &K) -> bool {
-        self.read_for(k).contains_key(k)
-    }
-
-    pub(crate) fn insert(&self, k: K, v: V) -> Option<V> {
-        self.write_for(&k).insert(k, v)
-    }
-
-    pub(crate) fn remove(&self, k: &K) -> Option<V> {
-        self.write_for(k).remove(k)
-    }
-
-    /// Mutate the sub-map holding `k` (entry-style updates).
-    pub(crate) fn alter<R>(&self, k: &K, f: impl FnOnce(&mut FxHashMap<K, V>) -> R) -> R {
-        f(&mut self.write_for(k))
-    }
-
-    pub(crate) fn retain(&self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        for m in self.maps.iter() {
-            m.write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .retain(|k, v| f(k, v));
-        }
-    }
-
-    pub(crate) fn clear(&self) {
-        for m in self.maps.iter() {
-            m.write().unwrap_or_else(PoisonError::into_inner).clear();
-        }
-    }
-
-    pub(crate) fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for m in self.maps.iter() {
-            for (k, v) in m.read().unwrap_or_else(PoisonError::into_inner).iter() {
-                f(k, v);
-            }
-        }
-    }
-}
-
 thread_local! {
     static READ_LOCKS: Cell<u64> = const { Cell::new(0) };
+    static GRAPH_LOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// One fingerprint shard: the entries whose signature fingerprints map
@@ -228,39 +136,25 @@ fn default_shard_count() -> usize {
     (2 * cores).next_power_of_two().max(8)
 }
 
-/// The recycler's resource pool of intermediates (paper §3.2), sharded by
-/// signature fingerprint. Besides the per-shard entry table it maintains
-/// the cross-shard lineage indexes:
-///
-/// * `owner`: entry id → the fingerprint it is filed under, hence its
-///   shard and slot (O(1) routing for id-based access),
-/// * `by_result`: result `BatId` → entry (parent resolution, admission
-///   coherence), plus per-entry duplicate-admission aliases,
-/// * `children`: dependents per entry, so eviction restricts itself to
-///   *leaf* instructions (paper §4.3),
-/// * `leaves`: the **incremental evictable-leaf index** — the set of
-///   childless entries, maintained at the insert/remove funnels so an
-///   eviction round gathers its candidates in O(leaves) instead of
-///   re-scanning the whole pool ([`Self::for_each_leaf_entry`]). Pin
-///   state deliberately stays *out* of the index (pins flip on the
-///   read-lock-only hit path); pinned leaves are listed and skipped at
-///   gather, and revalidated again at removal,
-/// * `supersets`: a subset relation over result BATs (`result ⊆ operand`)
-///   supporting semijoin subsumption (§5.1).
+/// The recycler's resource pool of intermediates (paper §3.2): the entry
+/// tables, sharded by signature fingerprint, and the one
+/// [lineage graph](crate::lineage) over their ids.
 ///
 /// # Concurrency
 ///
 /// All methods take `&self`; locking is internal. Probes (`lookup`,
-/// [`Self::probe`], [`Self::candidates`], [`Self::is_subset`]) take shard
-/// **read** locks (or one sub-map lock) only; [`Self::insert`] and the
-/// removal paths write-lock exactly one shard; updates/propagation
-/// write-lock only the shards holding affected entries through
-/// [`Self::scoped_view`] (the all-shard [`Self::write_view`] remains for
-/// maintenance). Every stored result `Value` is `Arc`-shared — a result
-/// cloned out of the pool stays valid after the entry is evicted or
-/// invalidated. Lineage mutations always happen while holding at least one
-/// shard lock, so a scoped view holding the write locks of every affected
-/// shard observes fully wired, quiescent lineage for those entries.
+/// [`Self::probe`]) take one shard **read** lock; id-based reads
+/// ([`Self::entry`]) first ask the graph where the id is filed;
+/// [`Self::candidates`] and [`Self::is_subset`] read the graph alone.
+/// [`Self::insert`] and the removal paths write-lock exactly one shard and,
+/// inside it, the graph once; updates/propagation write-lock only the
+/// shards holding affected entries through [`Self::scoped_view`] (the
+/// all-shard [`Self::write_view`] remains for maintenance). Every stored
+/// result `Value` is `Arc`-shared — a result cloned out of the pool stays
+/// valid after the entry is evicted or invalidated. The graph changes only
+/// while at least one shard lock is held, so a scoped view holding the
+/// write locks of every affected shard observes fully wired, quiescent
+/// lineage for those entries.
 pub struct RecyclePool {
     shards: Box<[RwLock<Shard>]>,
     /// Every byte and entry-count book (per-shard rung books, resident
@@ -275,33 +169,13 @@ pub struct RecyclePool {
     /// The spill block file backing [`Payload::Spilled`] entries, when the
     /// database opted in via `spill_dir`.
     spill: Option<Arc<crate::tier::SpillFile>>,
-    owner: ShardedIndex<EntryId, u64>,
     /// ANDed onto every fingerprint before it keys anything: all ones,
     /// except where a test masks bits away to force collisions.
     fp_mask: u64,
-    by_result: ShardedIndex<BatId, EntryId>,
-    result_aliases: ShardedIndex<EntryId, Vec<BatId>>,
-    children: ShardedIndex<EntryId, FxHashSet<EntryId>>,
-    /// Incremental evictable-leaf index: exactly the resident entries with
-    /// no dependents. A new entry enters at [`Self::insert`] (it cannot
-    /// have children yet); a parent leaves when its first child edge is
-    /// wired and returns when `remove_locked` severs its last one — both
-    /// transitions happen inside the `children` sub-map critical section
-    /// (the one sanctioned `children` → `leaves` nesting), so the index
-    /// can never drift from the child-edge index. Eviction gathers from
-    /// here in O(leaves); [`Self::check_invariants`] verifies the index
-    /// against the brute-force childless set.
-    leaves: ShardedIndex<EntryId, ()>,
-    /// Live size of `leaves`, bumped exactly where the index changes (the
-    /// insert/remove return values gate the counter), so stats probes are
-    /// O(1) instead of iterating every sub-map per wire Stats frame.
-    leaf_count: AtomicUsize,
-    supersets: ShardedIndex<BatId, Vec<BatId>>,
-    /// Subsumption candidate index `(opcode, first-argument signature) →
-    /// entries`, kept as a cross-shard side-map (entries with the same
-    /// opcode+operand scatter over the signature shards): a miss-path
-    /// candidate probe takes ONE sub-map read lock, not N shard locks.
-    by_op_arg0: ShardedIndex<(Opcode, ArgSig), Vec<EntryId>>,
+    /// The lineage graph, behind the pool's innermost lock: taken through
+    /// [`Self::graph`] / [`Self::graph_mut`] for one plain map operation
+    /// at a time, with nothing acquired while it is held.
+    lineage: RwLock<LineageGraph>,
     next_id: AtomicU64,
     /// Shard write-lock acquisitions since construction — the probe for
     /// the "exact-match hits take no write lock" invariant.
@@ -312,7 +186,7 @@ pub struct RecyclePool {
     shard_write_acquisitions: Box<[AtomicU64]>,
     /// Entries visited by eviction gathers since construction — the probe
     /// for the "gather cost is O(leaves), independent of pool size"
-    /// invariant the leaf index buys.
+    /// invariant the leaf set buys.
     gather_visited: AtomicU64,
     /// Eviction gather rounds since construction (the divisor for
     /// per-round gather cost).
@@ -324,15 +198,6 @@ pub struct RecyclePool {
     /// deadlock: every other thread holds at most one shard lock at a time
     /// and never blocks on a second while holding it.
     update_lock: Mutex<()>,
-    /// The background collector's nursery: a bounded ring of recently-
-    /// leafed entry ids, fed at the leaf index's 0↔1 transition sites
-    /// (fresh inserts and re-leafed parents) so minor collector rounds
-    /// can sweep the youngest generation without touching the full leaf
-    /// index. Its mutex is a true leaf lock — pushes happen after the
-    /// `leaves` sub-map lock is released (possibly still inside a
-    /// `children` critical section; order `children` → nursery, never the
-    /// reverse), and nothing is acquired while holding it.
-    nursery: crate::collector::Nursery,
     /// Per-shard quarantine bits — the degraded-mode source of truth. A
     /// bit is raised the first time a shard's `RwLock` is observed
     /// poisoned (a panic unwound through a writer holding it, so its
@@ -399,21 +264,13 @@ impl RecyclePool {
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
             ledger: Ledger::new(n),
             spill: None,
-            owner: ShardedIndex::new(n),
-            by_result: ShardedIndex::new(n),
-            result_aliases: ShardedIndex::new(n),
-            children: ShardedIndex::new(n),
-            leaves: ShardedIndex::new(n),
-            leaf_count: AtomicUsize::new(0),
-            supersets: ShardedIndex::new(n),
-            by_op_arg0: ShardedIndex::new(n),
+            lineage: RwLock::new(LineageGraph::default()),
             next_id: AtomicU64::new(0),
             write_acquisitions: AtomicU64::new(0),
             shard_write_acquisitions: (0..n).map(|_| AtomicU64::new(0)).collect(),
             gather_visited: AtomicU64::new(0),
             gather_rounds: AtomicU64::new(0),
             update_lock: Mutex::new(()),
-            nursery: crate::collector::Nursery::new(),
             quarantined: (0..n).map(|_| AtomicBool::new(false)).collect(),
             quarantined_count: AtomicUsize::new(0),
             quarantined_total: AtomicU64::new(0),
@@ -441,8 +298,31 @@ impl RecyclePool {
 
     /// Where entry `id` is filed: `(shard, table key)`.
     fn locate(&self, id: EntryId) -> Option<(usize, u64)> {
-        let key = self.owner.get_clone(&id)?;
+        let key = self.graph().locate(id)?;
         Some((self.shard_at(key), key))
+    }
+
+    /// The lineage graph for one read. Callers use the guard within a
+    /// single expression: nothing is locked, and no caller code runs,
+    /// while it is held.
+    fn graph(&self) -> RwLockReadGuard<'_, LineageGraph> {
+        GRAPH_LOCKS.with(|n| n.set(n.get() + 1));
+        self.lineage.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The lineage graph for one whole-step mutation (see [`Self::graph`]).
+    /// The caller holds a shard lock.
+    fn graph_mut(&self) -> RwLockWriteGuard<'_, LineageGraph> {
+        GRAPH_LOCKS.with(|n| n.set(n.get() + 1));
+        self.lineage.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lineage-graph lock acquisitions (either mode) by the calling thread,
+    /// on any pool — the test probe for the miss-path budget: none per
+    /// exact hit, one `resolve` and one `wire` per admission, one `unwire`
+    /// per removal, one read per leaf gather.
+    pub fn graph_locks_on_this_thread() -> u64 {
+        GRAPH_LOCKS.with(Cell::get)
     }
 
     /// Resident bytes of one shard (its raw plus compressed books).
@@ -590,8 +470,8 @@ impl RecyclePool {
     /// indexes and the counters are wiped — a racing admission lands
     /// either entirely before the clear (and is wiped) or entirely after
     /// it (and stays fully wired). A shard-at-a-time clear would let an
-    /// insert slip into an already-cleared shard and then lose its owner
-    /// mapping, leaving an immortal, unreachable entry.
+    /// insert slip into an already-cleared shard and then lose its graph
+    /// node, leaving an immortal, unreachable entry.
     pub fn clear(&self) {
         let _writer = self.lock_update();
         let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = (0..self.shards.len())
@@ -606,15 +486,7 @@ impl RecyclePool {
         if let Some(spill) = &self.spill {
             spill.clear();
         }
-        self.owner.clear();
-        self.by_result.clear();
-        self.result_aliases.clear();
-        self.children.clear();
-        self.leaves.clear();
-        self.leaf_count.store(0, Ordering::Relaxed);
-        self.nursery.clear();
-        self.supersets.clear();
-        self.by_op_arg0.clear();
+        *self.graph_mut() = LineageGraph::default();
         // A full wipe trivially restores every invariant: lift any
         // quarantine and un-poison the locks — while the write guards
         // are still held, so no probe can observe a poisoned lock with
@@ -645,9 +517,9 @@ impl RecyclePool {
     ///    and duplicate-signature residents;
     /// 3. entries whose lineage chain died (a dropped ancestor anywhere)
     ///    are cascaded out — a child may never outlive its parents;
-    /// 4. the derived indexes (owner, children, evictable leaves,
-    ///    subsumption candidates) are rebuilt from the surviving slabs,
-    ///    and the result/alias/subset maps pruned to surviving ids;
+    /// 4. the lineage graph is replaced by [`LineageGraph::rebuild`] over
+    ///    the surviving slabs (aliases and subset edges carried over for
+    ///    survivors only);
     /// 5. the ledger is overwritten with [`Ledger::recompute`] over the
     ///    survivors (healing drift in either direction), lock poison is
     ///    cleared and the quarantine bits lowered while the write guards
@@ -712,41 +584,9 @@ impl RecyclePool {
                 dropped.extend(guards[si].remove(key, id));
             }
         }
-        // 4. Rebuild the derived indexes from the surviving slabs.
-        self.owner.clear();
-        self.children.clear();
-        self.leaves.clear();
-        self.leaf_count.store(0, Ordering::Relaxed);
-        self.nursery.clear();
-        self.by_op_arg0.clear();
-        let mut leaf_total = 0usize;
-        for g in guards.iter() {
-            for (key, e) in g.filed() {
-                self.owner.insert(e.id, key);
-                for p in &e.parents {
-                    self.children.alter(p, |m| {
-                        m.entry(*p).or_default().insert(e.id);
-                    });
-                }
-                self.wire_candidate(&e.sig, e.id);
-            }
-        }
-        for g in guards.iter() {
-            for e in g.entries() {
-                if !self.children.contains(&e.id) {
-                    self.leaves.insert(e.id, ());
-                    leaf_total += 1;
-                }
-            }
-        }
-        self.leaf_count.store(leaf_total, Ordering::Relaxed);
-        self.by_result.retain(|_, id| resident.contains(id));
-        self.result_aliases.retain(|id, _| resident.contains(id));
-        let mut live_results: FxHashSet<BatId> = FxHashSet::default();
-        self.by_result.for_each(|b, _| {
-            live_results.insert(*b);
-        });
-        self.supersets.retain(|b, _| live_results.contains(b));
+        // 4. One graph from the surviving slabs.
+        let rebuilt = LineageGraph::rebuild(guards.iter().flat_map(|g| g.filed()), &self.graph());
+        *self.graph_mut() = rebuilt;
         // 5. Exact ledger from the survivors; un-poison; unquarantine.
         let survivors = self.recompute(guards.iter().map(|g| &**g).enumerate());
         self.ledger.store(&survivors);
@@ -812,16 +652,36 @@ impl RecyclePool {
     /// not call back into shard-locking pool methods.
     /// A quarantined shard reports `None` (degraded mode).
     pub fn entry<R>(&self, id: EntryId, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
-        let (si, key) = self.locate(id)?;
-        if !self.shard_serviceable(si) {
-            return None;
-        }
-        self.read_shard(si).find(key, |e| e.id == id).map(f)
+        let key = self.graph().locate(id)?;
+        self.entry_at(id, key, f)
     }
 
     /// The entry owning (or aliased to) a result BAT, if any.
     pub fn entry_of_result(&self, bat: BatId) -> Option<EntryId> {
-        self.by_result.get_clone(&bat)
+        self.graph().entry_of_result(bat)
+    }
+
+    /// Admission's parent resolution in one graph read: for each BAT
+    /// argument, the resident entry owning (or aliased to) it and where
+    /// that entry is filed — what [`Self::entry_at`] needs to pin it.
+    pub(crate) fn resolve(&self, bats: impl Iterator<Item = BatId>) -> Vec<Option<(EntryId, u64)>> {
+        self.graph().resolve(bats)
+    }
+
+    /// [`Self::entry`] for a caller that already knows the table key
+    /// (from [`Self::resolve`]): one shard read lock, no graph lock. The
+    /// id is revalidated in the table, so a stale key is a `None`.
+    pub(crate) fn entry_at<R>(
+        &self,
+        id: EntryId,
+        key: u64,
+        f: impl FnOnce(&PoolEntry) -> R,
+    ) -> Option<R> {
+        let si = self.shard_at(key);
+        if !self.shard_serviceable(si) {
+            return None;
+        }
+        self.read_shard(si).find(key, |e| e.id == id).map(f)
     }
 
     /// Visit every entry, one shard read lock at a time. `f` may touch the
@@ -842,51 +702,31 @@ impl RecyclePool {
     }
 
     /// Candidate entries with the given opcode and first-argument
-    /// signature — the subsumption search space for "same column operand".
-    /// One sub-map read lock: matching entries scatter over the signature
-    /// shards (the shard is keyed by the *full* signature hash), so the
-    /// index is a cross-shard side-map rather than per-shard state —
-    /// a miss-path probe no longer pays N shard read locks. Returned ids
-    /// are a snapshot; callers revalidate residency via [`Self::entry`].
+    /// signature, ascending — the subsumption search space for "same
+    /// column operand". Matching entries scatter over the signature shards
+    /// (the shard is keyed by the *full* signature hash), so the list
+    /// lives in the lineage graph: a miss-path probe is one graph read and
+    /// no shard lock. Returned ids are a snapshot; callers revalidate
+    /// residency via [`Self::entry`].
     pub fn candidates(&self, op: Opcode, arg0: &ArgSig) -> Vec<EntryId> {
-        let key = (op, arg0.clone());
-        self.by_op_arg0
-            .with(&key, |v| v.cloned().unwrap_or_default())
+        self.graph().candidates(op, arg0)
     }
 
-    /// Record that `sub` is a subset (by tuple content) of `sup`.
+    /// Record that `sub` is a subset (by tuple content) of `sup`. Ignored
+    /// unless `sub` is the result of a resident entry — the edge leaves
+    /// with that entry.
     pub fn add_subset_edge(&self, sub: BatId, sup: BatId) {
-        self.supersets.alter(&sub, |m| {
-            m.entry(sub).or_default().push(sup);
-        });
+        self.graph_mut().add_subset_edge(sub, sup);
     }
 
     /// Is `sub ⊆ sup` derivable from the recorded subset edges
     /// (reflexive-transitive closure)?
     pub fn is_subset(&self, sub: BatId, sup: BatId) -> bool {
-        if sub == sup {
-            return true;
-        }
-        let mut visited: FxHashSet<BatId> = FxHashSet::default();
-        let mut stack = vec![sub];
-        while let Some(b) = stack.pop() {
-            if b == sup {
-                return true;
-            }
-            if !visited.insert(b) {
-                continue;
-            }
-            self.supersets.with(&b, |sups| {
-                if let Some(sups) = sups {
-                    stack.extend(sups.iter().copied());
-                }
-            });
-        }
-        false
+        self.graph().is_subset(sub, sup)
     }
 
-    /// Insert a fully constructed entry, wiring all indexes, under the
-    /// signature shard's write lock.
+    /// Insert a fully constructed entry under the signature shard's write
+    /// lock, wiring it into the lineage graph in one step.
     ///
     /// Duplicate signatures are a *normal* concurrent outcome, not a
     /// "can't happen" path: two sessions can probe the same signature,
@@ -898,12 +738,12 @@ impl RecyclePool {
     /// reported as [`Admitted::Duplicate`] so the caller can return the
     /// admission credit and reconcile its pin set.
     ///
-    /// Parents are revalidated against the owner index inside the
-    /// critical section: a concurrent update may have invalidated them
-    /// since the caller resolved and pinned them, in which case the
-    /// candidate is dropped as [`Admitted::Orphaned`] rather than wired
-    /// with dangling lineage. `subset_of` optionally records
-    /// `result ⊆ subset_of` for the subsumption machinery (§5.1).
+    /// Parents are revalidated inside [`LineageGraph::wire`]: a concurrent
+    /// update may have invalidated them since the caller resolved and
+    /// pinned them, in which case nothing is wired and the candidate is
+    /// dropped as [`Admitted::Orphaned`] rather than left with dangling
+    /// lineage. `subset_of` optionally records `result ⊆ subset_of` for
+    /// the subsumption machinery (§5.1).
     pub fn insert(&self, entry: PoolEntry, subset_of: Option<BatId>) -> Admitted {
         let key = entry.sig.fingerprint() & self.fp_mask;
         let si = self.shard_at(key);
@@ -916,47 +756,17 @@ impl RecyclePool {
         if let Some(win) = sh.find(key, |e| e.sig == entry.sig) {
             win.pins.fetch_add(1, Ordering::Relaxed);
             if let Some(rb) = entry.result_id {
-                self.alias_locked(rb, win.id);
+                self.graph_mut().alias(rb, win.id);
             }
             return Admitted::Duplicate(win.id);
         }
-        for p in &entry.parents {
-            if !self.owner.contains(p) {
-                return Admitted::Orphaned;
-            }
+        if !self.graph_mut().wire(&entry, key, subset_of) {
+            return Admitted::Orphaned;
         }
-        let id = entry.id;
+        let (id, session) = (entry.id, entry.admitted_session);
         let admitted = charge(entry.payload(), entry.bytes());
-        self.wire_candidate(&entry.sig, id);
-        // A fresh entry has no dependents: it enters the evictable-leaf
-        // index. Published BEFORE the owner mapping — no other session can
-        // wire a child edge onto this entry until its parents resolve via
-        // `owner`, so the leaf bit is always in place first.
-        self.leaf_insert(id);
-        self.owner.insert(id, key);
-        if let Some(rb) = entry.result_id {
-            self.by_result.insert(rb, id);
-            if let Some(sup) = subset_of {
-                self.add_subset_edge(rb, sup);
-            }
-        }
-        for p in &entry.parents {
-            self.children.alter(p, |m| {
-                let set = m.entry(*p).or_default();
-                let was_leaf = set.is_empty();
-                set.insert(id);
-                if was_leaf {
-                    // first child edge: the parent stops being a leaf —
-                    // inside the `children` critical section (the
-                    // sanctioned children → leaves nesting), so a racing
-                    // removal of this edge observes a consistent pair
-                    self.leaf_remove(p);
-                }
-            });
-        }
-        let session = entry.admitted_session;
-        // Failpoint: every index above is wired but the slab entry is
-        // not yet resident — the most torn state an unwind can leave.
+        // Failpoint: the graph knows the entry but the slab does not hold
+        // it yet — the most torn state an unwind can leave.
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert.wired");
         sh.insert(key, entry);
@@ -964,111 +774,26 @@ impl RecyclePool {
         Admitted::Inserted(id)
     }
 
-    /// Wire `bat` as an alias of entry `id` in the result index. Caller
-    /// holds `id`'s shard lock (any mode). No-op when `bat` already owned.
-    fn alias_locked(&self, bat: BatId, id: EntryId) {
-        let fresh = self.by_result.alter(&bat, |m| {
-            if m.contains_key(&bat) {
-                return false;
-            }
-            m.insert(bat, id);
-            true
-        });
-        if fresh {
-            self.result_aliases.alter(&id, |m| {
-                m.entry(id).or_default().push(bat);
-            });
+    /// Unwire and remove the entry `id` filed under `key` while its shard
+    /// lock is held. With `evictable_only` the entry goes only if it is
+    /// still an unpinned leaf: the pin check runs under this shard's write
+    /// lock (a hit pins under its read lock) and the leaf check inside
+    /// [`LineageGraph::unwire`], in the same step that unwires it.
+    fn remove_locked(
+        &self,
+        sh: &mut Shard,
+        si: usize,
+        (key, id): (u64, EntryId),
+        evictable_only: bool,
+    ) -> Option<PoolEntry> {
+        let entry = sh.find(key, |e| e.id == id)?;
+        if evictable_only && entry.pin_count() != 0 {
+            return None;
         }
-    }
-
-    /// Wire `id` into the candidate side-map (caller holds a shard lock).
-    /// Subsumption candidates are result entries only: an operator-state
-    /// artifact is not a tuple superset of anything, so artifact-kind sigs
-    /// stay out of the side-map entirely.
-    fn wire_candidate(&self, sig: &Sig, id: EntryId) {
-        if sig.kind != ArtifactKind::Result {
-            return;
+        if !self.graph_mut().unwire(entry, evictable_only) {
+            return None;
         }
-        if let Some(arg0) = sig.first_arg() {
-            let key = (sig.op, arg0.clone());
-            self.by_op_arg0.alter(&key, |m| {
-                m.entry(key.clone()).or_default().push(id);
-            });
-        }
-    }
-
-    /// Unwire `id` from the candidate side-map (caller holds a shard lock).
-    /// Artifact-kind sigs were never wired in (see [`Self::wire_candidate`]).
-    fn unwire_candidate(&self, sig: &Sig, id: EntryId) {
-        if sig.kind != ArtifactKind::Result {
-            return;
-        }
-        if let Some(arg0) = sig.first_arg() {
-            let key = (sig.op, arg0.clone());
-            self.by_op_arg0.alter(&key, |m| {
-                if let Some(v) = m.get_mut(&key) {
-                    v.retain(|e| *e != id);
-                    if v.is_empty() {
-                        m.remove(&key);
-                    }
-                }
-            });
-        }
-    }
-
-    /// Unwire and remove one entry while its shard lock is held.
-    fn remove_locked(&self, sh: &mut Shard, si: usize, id: EntryId) -> Option<PoolEntry> {
-        let entry = sh.remove(self.owner.get_clone(&id)?, id)?;
-        self.unwire_candidate(&entry.sig, id);
-        self.owner.remove(&id);
-        if let Some(rb) = entry.result_id {
-            self.by_result.alter(&rb, |m| {
-                if m.get(&rb).copied() == Some(id) {
-                    m.remove(&rb);
-                }
-            });
-            self.supersets.remove(&rb);
-        }
-        if let Some(aliases) = self.result_aliases.remove(&id) {
-            for b in aliases {
-                self.by_result.alter(&b, |m| {
-                    if m.get(&b).copied() == Some(id) {
-                        m.remove(&b);
-                    }
-                });
-            }
-        }
-        for p in &entry.parents {
-            self.children.alter(p, |m| {
-                if let Some(c) = m.get_mut(p) {
-                    c.remove(&id);
-                    if c.is_empty() {
-                        m.remove(p);
-                        // Last child edge severed: the parent is a leaf
-                        // again — but only if it is still resident. A
-                        // parent invalidated while this child's admission
-                        // was in flight can leave a resurrected child-edge
-                        // key behind (the admission wires the edge after
-                        // the parent's `remove_locked` cleared it); blindly
-                        // re-leafing here would then list a dead id in the
-                        // leaf index forever. The owner probe is ordered:
-                        // a dying parent leaves `owner` before it clears
-                        // its `children` key and `leaves` bit, and both of
-                        // those serialise with this critical section, so
-                        // a stale true here is always erased by the
-                        // parent's own trailing `leaves.remove`.
-                        if self.owner.contains(p) {
-                            self.leaf_insert(*p);
-                        }
-                    }
-                }
-            });
-        }
-        self.children.remove(&id);
-        // after the child-set removal: a concurrent child removal that
-        // re-inserted this entry into the leaf index serialised on the
-        // `children` sub-map above, so this erase always lands last
-        self.leaf_remove(&id);
+        let entry = sh.remove(key, id)?;
         let leaving = charge(entry.payload(), entry.bytes());
         self.ledger
             .apply(si, entry.admitted_session, Some(leaving), None);
@@ -1076,11 +801,16 @@ impl RecyclePool {
         Some(entry)
     }
 
-    /// Remove one entry, unwiring all indexes; returns it.
+    /// Remove one entry, unwiring it from the graph; returns it.
     pub fn remove(&self, id: EntryId) -> Option<PoolEntry> {
-        let (si, _) = self.locate(id)?;
+        let key = self.graph().locate(id)?;
+        self.remove_at(id, key)
+    }
+
+    fn remove_at(&self, id: EntryId, key: u64) -> Option<PoolEntry> {
+        let si = self.shard_at(key);
         let mut sh = self.write_shard(si);
-        self.remove_locked(&mut sh, si, id)
+        self.remove_locked(&mut sh, si, (key, id), false)
     }
 
     /// Remove `id` only if it is still an unpinned leaf — the eviction
@@ -1094,17 +824,17 @@ impl RecyclePool {
 
     /// Remove every victim in `ids` that is still an unpinned leaf — the
     /// batched eviction removal step. Victims are grouped by owning shard
-    /// and each shard's write lock is taken **once** for its whole group
-    /// (pinned by `write_lock_acquisitions_by_shard` in tests), instead of
-    /// one acquisition per victim. Every victim is revalidated inside its
-    /// shard's critical section exactly as [`Self::remove_if_evictable`]
-    /// does — a concurrent hit (pin) or a freshly wired child edge always
-    /// wins over the caller's stale snapshot; such victims are skipped.
-    /// Returns the removed entries (any shard order).
+    /// (one graph read for the batch) and each shard's write lock is taken
+    /// **once** for its whole group (pinned by
+    /// `write_lock_acquisitions_by_shard` in tests), instead of one
+    /// acquisition per victim. Every victim is revalidated inside its
+    /// shard's critical section — a concurrent hit (pin) or a freshly
+    /// wired child edge always wins over the caller's stale snapshot; such
+    /// victims are skipped. Returns the removed entries (any shard order).
     pub fn remove_batch_if_evictable(&self, ids: &[EntryId]) -> Vec<PoolEntry> {
-        let by_shard = self.group_by_shard(ids.iter().copied());
+        let located = self.graph().locate_all(ids.iter().copied());
         let mut removed = Vec::new();
-        for (si, group) in by_shard {
+        for (si, group) in self.group_by_shard(located) {
             // Quarantined shards sit out eviction: their books may be
             // torn, so removals there wait for `repair`.
             if !self.shard_serviceable(si) {
@@ -1113,67 +843,23 @@ impl RecyclePool {
             let mut sh = self.write_shard(si);
             #[cfg(feature = "failpoints")]
             let _ = crate::fault::fire("evict.remove");
-            for (key, id) in group {
-                let evictable = sh
-                    .find(key, |e| e.id == id)
-                    .map(|e| e.pin_count() == 0 && !self.has_children(id))
-                    .unwrap_or(false);
-                if evictable {
-                    if let Some(e) = self.remove_locked(&mut sh, si, id) {
-                        removed.push(e);
-                    }
-                }
+            for (id, key) in group {
+                removed.extend(self.remove_locked(&mut sh, si, (key, id), true));
             }
         }
         removed
     }
 
-    /// Group resident `ids` by owning shard, each with its table key.
-    fn group_by_shard(
-        &self,
-        ids: impl Iterator<Item = EntryId>,
-    ) -> FxHashMap<usize, Vec<(u64, EntryId)>> {
-        let mut by_shard: FxHashMap<usize, Vec<(u64, EntryId)>> = FxHashMap::default();
-        for id in ids {
-            if let Some((si, key)) = self.locate(id) {
-                by_shard.entry(si).or_default().push((key, id));
-            }
+    /// Group located ids by owning shard, shards ascending.
+    fn group_by_shard(&self, located: Vec<(EntryId, u64)>) -> BTreeMap<usize, Vec<(EntryId, u64)>> {
+        let mut by_shard: BTreeMap<usize, Vec<(EntryId, u64)>> = BTreeMap::new();
+        for (id, key) in located {
+            by_shard
+                .entry(self.shard_at(key))
+                .or_default()
+                .push((id, key));
         }
         by_shard
-    }
-
-    /// Add `id` to the evictable-leaf index, keeping the O(1) size
-    /// counter exact: the bump happens inside the sub-map critical
-    /// section, gated by the map's return value, so a racing
-    /// insert/remove pair for one id always nets to zero and the counter
-    /// can never dip below the true size (a bare post-lock decrement
-    /// could wrap past zero when the remove's counter update outran the
-    /// insert's).
-    /// Every genuine 0↔1 transition additionally feeds the id into the
-    /// collector's nursery ring (after the `leaves` sub-map lock is
-    /// released) — minor collector rounds sweep exactly these
-    /// recently-leafed entries.
-    fn leaf_insert(&self, id: EntryId) {
-        let fresh = self.leaves.alter(&id, |m| {
-            if m.insert(id, ()).is_none() {
-                self.leaf_count.fetch_add(1, Ordering::Relaxed);
-                true
-            } else {
-                false
-            }
-        });
-        if fresh {
-            self.nursery.push(id);
-        }
-    }
-
-    /// Drop `id` from the evictable-leaf index (see [`Self::leaf_insert`]).
-    fn leaf_remove(&self, id: &EntryId) {
-        self.leaves.alter(id, |m| {
-            if m.remove(id).is_some() {
-                self.leaf_count.fetch_sub(1, Ordering::Relaxed);
-            }
-        });
     }
 
     /// Take up to `max` of the oldest recently-leafed ids from the
@@ -1181,46 +867,43 @@ impl RecyclePool {
     /// re-parented or invalidated since they leafed) — consumers
     /// revalidate per id; eviction does so at removal.
     pub(crate) fn drain_nursery(&self, max: usize) -> Vec<EntryId> {
-        self.nursery.drain(max)
+        self.graph_mut().drain_nursery(max)
     }
 
-    /// Snapshot of the evictable-leaf index: the ids of every childless
-    /// resident entry, in index order. A point-in-time copy — callers
+    /// Snapshot of the evictable-leaf set: the ids of every childless
+    /// resident entry, ascending. A point-in-time copy — callers
     /// revalidate residency/pins per id, eviction does so at removal.
     pub fn leaf_ids(&self) -> Vec<EntryId> {
-        let mut out = Vec::with_capacity(self.leaf_index_size());
-        self.leaves.for_each(|id, _| out.push(*id));
-        out
+        let leaves = self.graph().leaves();
+        leaves.into_iter().map(|(id, _)| id).collect()
     }
 
-    /// Number of entries currently in the evictable-leaf index — an O(1)
-    /// counter maintained at the index mutation sites (stats probes and
-    /// wire Stats frames read this on every call).
+    /// Number of entries currently in the evictable-leaf set.
     pub fn leaf_index_size(&self) -> usize {
-        self.leaf_count.load(Ordering::Relaxed)
+        self.graph().leaf_count()
     }
 
-    /// Visit every entry in the evictable-leaf index — the eviction gather
+    /// Visit every entry in the evictable-leaf set — the eviction gather
     /// path. Cost is O(leaves), **independent of total pool size**: the
-    /// leaf ids are snapshot from the index, grouped by owning shard, and
-    /// each touched shard is read-locked once. Ids whose entry vanished
-    /// since the snapshot are silently skipped (`f` sees residents only).
-    /// Advances the gather-cost counters
-    /// ([`Self::eviction_gather_visited`] by the snapshot size,
+    /// leaves are snapshot with their table keys in one graph read,
+    /// grouped by owning shard, and each touched shard is read-locked
+    /// once. Ids whose entry vanished since the snapshot are silently
+    /// skipped (`f` sees residents only). Advances the gather-cost
+    /// counters ([`Self::eviction_gather_visited`] by the snapshot size,
     /// [`Self::eviction_gather_rounds`] by one).
     pub fn for_each_leaf_entry(&self, mut f: impl FnMut(&PoolEntry)) {
-        let ids = self.leaf_ids();
+        let leaves = self.graph().leaves();
         self.gather_visited
-            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+            .fetch_add(leaves.len() as u64, Ordering::Relaxed);
         self.gather_rounds.fetch_add(1, Ordering::Relaxed);
-        for (si, group) in self.group_by_shard(ids.into_iter()) {
+        for (si, group) in self.group_by_shard(leaves) {
             // Gather skips quarantined shards — their residents are
             // frozen until `repair` returns them to service.
             if !self.shard_serviceable(si) {
                 continue;
             }
             let sh = self.read_shard(si);
-            for (key, id) in group {
+            for (id, key) in group {
                 if let Some(e) = sh.find(key, |e| e.id == id) {
                     f(e);
                 }
@@ -1361,64 +1044,33 @@ impl RecyclePool {
 
     /// Does this entry have dependents in the pool?
     pub fn has_children(&self, id: EntryId) -> bool {
-        self.children
-            .with(&id, |c| c.is_some_and(|c| !c.is_empty()))
+        self.graph().has_children(id)
     }
 
-    /// Dependents of an entry (direct children).
+    /// Dependents of an entry (direct children), ascending.
     pub fn children_of(&self, id: EntryId) -> Vec<EntryId> {
-        self.children
-            .with(&id, |c| c.map(|c| c.iter().copied().collect()))
-            .unwrap_or_default()
+        self.graph().children_of(id)
     }
 
     /// Remove `root` and every transitive dependent (update invalidation,
     /// §6.4). Returns the removed entries. For the atomic variant used by
     /// update synchronisation see [`PoolScopedView::remove_subtree`].
     pub fn remove_subtree(&self, root: EntryId) -> Vec<PoolEntry> {
-        let order = self.subtree_order(root);
-        let mut removed = Vec::with_capacity(order.len());
-        for id in order {
-            if let Some(e) = self.remove(id) {
-                removed.push(e);
-            }
-        }
-        removed
-    }
-
-    fn subtree_order(&self, root: EntryId) -> Vec<EntryId> {
-        let mut order: Vec<EntryId> = Vec::new();
-        let mut stack = vec![root];
-        let mut seen: FxHashSet<EntryId> = FxHashSet::default();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            order.push(id);
-            stack.extend(self.children_of(id));
-        }
+        let order = self.graph().subtree(&[root]);
         order
+            .into_iter()
+            .filter_map(|(id, key)| self.remove_at(id, key))
+            .collect()
     }
 
     /// The shards holding `roots` and every transitive dependent — the
-    /// write-lock scope of an update commit. Read-only (owner + children
-    /// sub-maps); the scoped view revalidates and extends on demand, so a
-    /// child admitted between this computation and the lock acquisition is
+    /// write-lock scope of an update commit, ascending. One graph read;
+    /// the scoped view revalidates and extends on demand, so a child
+    /// admitted between this computation and the lock acquisition is
     /// still reached.
     pub fn closure_shards(&self, roots: &[EntryId]) -> Vec<usize> {
-        let mut shards: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        let mut seen: FxHashSet<EntryId> = FxHashSet::default();
-        let mut stack: Vec<EntryId> = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if let Some((si, _)) = self.locate(id) {
-                shards.insert(si);
-            }
-            stack.extend(self.children_of(id));
-        }
-        shards.into_iter().collect()
+        let closure = self.graph().subtree(roots);
+        self.group_by_shard(closure).into_keys().collect()
     }
 
     /// Acquire write locks on `shards` only (ascending index) for an
@@ -1450,8 +1102,7 @@ impl RecyclePool {
     /// Acquire every shard write lock — the stop-the-world maintenance
     /// view ([`Self::clear`]-grade operations, diagnostics, tests). While
     /// it is held no admission, hit bookkeeping or eviction can run
-    /// anywhere in the pool. Update synchronisation no longer uses this:
-    /// commits run under [`Self::scoped_view`] over the affected shards.
+    /// anywhere in the pool. Commits use [`Self::scoped_view`] instead.
     pub fn write_view(&self) -> PoolScopedView<'_> {
         let all: Vec<usize> = (0..self.shards.len()).collect();
         self.scoped_view(&all)
@@ -1515,12 +1166,12 @@ impl RecyclePool {
     /// Check the structural invariant across all shards (acquired
     /// together, so the view is consistent): every entry filed under its
     /// signature's fingerprint in the right shard, no signature resident
-    /// twice, owner index exact, parent/child links alive,
-    /// the ledger equal to [`Ledger::recompute`] over the slabs, candidate
-    /// and result indexes live. Test support —
-    /// call on a quiescent pool. Takes the update mutex so the all-shard
-    /// read acquisition cannot interleave with a scoped writer's
-    /// out-of-order lock extension.
+    /// twice, parents alive, payload and charge coherent; the ledger equal
+    /// to [`Ledger::recompute`] over the slabs; the lineage graph equal to
+    /// [`LineageGraph::rebuild`] over them. Test support — call on a
+    /// quiescent pool. Takes the update mutex so the all-shard read
+    /// acquisition cannot interleave with a scoped writer's out-of-order
+    /// lock extension.
     pub fn check_invariants(&self) -> Result<(), String> {
         let _writer = self.lock_update();
         let guards: Vec<RwLockReadGuard<'_, Shard>> =
@@ -1542,9 +1193,6 @@ impl RecyclePool {
                     .is_some()
                 {
                     return Err(format!("entry {id} shares its signature with a resident"));
-                }
-                if self.owner.get_clone(id) != Some(key) {
-                    return Err(format!("owner index wrong for entry {id}"));
                 }
                 for p in &e.parents {
                     if !all_ids.contains(p) {
@@ -1576,104 +1224,11 @@ impl RecyclePool {
         if booked != actual {
             return Err(format!("ledger {booked:?} != recomputed {actual:?}"));
         }
-        let total_entries = actual.entries;
-        let mut err: Option<String> = None;
-        self.by_result.for_each(|bat, id| {
-            if err.is_none() && !all_ids.contains(id) {
-                err = Some(format!("result index {bat:?} points at dead entry {id}"));
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        self.children.for_each(|p, cs| {
-            if err.is_none() {
-                if !all_ids.contains(p) {
-                    err = Some(format!("child index keyed by dead entry {p}"));
-                } else if let Some(c) = cs.iter().find(|c| !all_ids.contains(c)) {
-                    err = Some(format!("entry {p} lists dead child {c}"));
-                }
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        // evictable-leaf index exactness: it must equal the brute-force
-        // childless set — every resident entry without dependents listed,
-        // nothing else (pin state is deliberately not part of the index)
-        let mut leaf_listed: FxHashSet<EntryId> = FxHashSet::default();
-        self.leaves.for_each(|id, _| {
-            leaf_listed.insert(*id);
-        });
-        if let Some(id) = leaf_listed.iter().find(|id| !all_ids.contains(id)) {
-            return Err(format!("leaf index lists dead entry {id}"));
-        }
-        if leaf_listed.len() != self.leaf_index_size() {
-            return Err(format!(
-                "leaf counter {} != indexed leaves {}",
-                self.leaf_index_size(),
-                leaf_listed.len()
-            ));
-        }
-        for id in &all_ids {
-            let childless = !self.children.with(id, |c| c.is_some_and(|c| !c.is_empty()));
-            if childless && !leaf_listed.contains(id) {
-                return Err(format!("childless entry {id} missing from leaf index"));
-            }
-            if !childless && leaf_listed.contains(id) {
-                return Err(format!(
-                    "entry {id} has children but sits in the leaf index"
-                ));
-            }
-        }
-        // candidate side-map exactness: every listed id alive under the
-        // right key, every indexable entry listed exactly once
-        let mut expect_keys: FxHashMap<EntryId, (Opcode, ArgSig)> = FxHashMap::default();
-        for e in guards.iter().flat_map(|g| g.entries()) {
-            if e.sig.kind != ArtifactKind::Result {
-                continue; // artifact sigs are never candidate-indexed
-            }
-            if let Some(arg0) = e.sig.first_arg() {
-                expect_keys.insert(e.id, (e.sig.op, arg0.clone()));
-            }
-        }
-        let mut listed = 0usize;
-        self.by_op_arg0.for_each(|key, ids| {
-            for id in ids {
-                listed += 1;
-                if err.is_none() && expect_keys.get(id) != Some(key) {
-                    err = Some(format!(
-                        "candidate index lists entry {id} under {key:?}, expected {:?}",
-                        expect_keys.get(id)
-                    ));
-                }
-            }
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        if listed != expect_keys.len() {
-            return Err(format!(
-                "candidate index lists {listed} ids, expected {}",
-                expect_keys.len()
-            ));
-        }
-        let mut owner_count = 0usize;
-        self.owner.for_each(|id, _| {
-            if err.is_none() && !all_ids.contains(id) {
-                err = Some(format!("owner index lists dead entry {id}"));
-            }
-            owner_count += 1;
-        });
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-        if owner_count != total_entries {
-            return Err(format!(
-                "owner index size {owner_count} != entries {total_entries}"
-            ));
-        }
-        Ok(())
+        let live = self.graph();
+        live.diff(&LineageGraph::rebuild(
+            guards.iter().flat_map(|g| g.filed()),
+            &live,
+        ))
     }
 }
 
@@ -1748,28 +1303,29 @@ impl PoolScopedView<'_> {
         self.pool.add_subset_edge(sub, sup);
     }
 
-    /// Remove one entry, unwiring all indexes (the view extends to the
-    /// entry's shard on demand).
+    /// Remove one entry, unwiring it from the graph (the view extends to
+    /// the entry's shard on demand).
     pub fn remove(&mut self, id: EntryId) -> Option<PoolEntry> {
-        let (i, _) = self.pool.locate(id)?;
+        let key = self.pool.graph().locate(id)?;
+        self.remove_at(id, key)
+    }
+
+    fn remove_at(&mut self, id: EntryId, key: u64) -> Option<PoolEntry> {
+        let (pool, i) = (self.pool, self.pool.shard_at(key));
         self.ensure_shard(i);
-        let pool = self.pool;
         let g = self.guards[i].as_mut()?;
-        pool.remove_locked(g, i, id)
+        pool.remove_locked(g, i, (key, id), false)
     }
 
     /// Remove `root` and every transitive dependent. The subtree is
-    /// re-derived from the live child index, so dependents admitted after
-    /// the caller computed its lock scope are still invalidated.
+    /// re-derived from the live graph, so dependents admitted after the
+    /// caller computed its lock scope are still invalidated.
     pub fn remove_subtree(&mut self, root: EntryId) -> Vec<PoolEntry> {
-        let order = self.pool.subtree_order(root);
-        let mut removed = Vec::with_capacity(order.len());
-        for id in order {
-            if let Some(e) = self.remove(id) {
-                removed.push(e);
-            }
-        }
-        removed
+        let order = self.pool.graph().subtree(&[root]);
+        order
+            .into_iter()
+            .filter_map(|(id, key)| self.remove_at(id, key))
+            .collect()
     }
 
     /// Rewrite a **raw** entry's result in place, charging `bytes` for it
@@ -1811,56 +1367,46 @@ impl PoolScopedView<'_> {
         let Some((new_sig, new_result)) = self.get(id).map(|e| (e.sig.clone(), e.result_id)) else {
             return;
         };
-        if *old_sig != new_sig {
-            pool.unwire_candidate(old_sig, id);
-            let new_key = new_sig.fingerprint() & pool.fp_mask;
-            let new_idx = pool.shard_at(new_key);
-            self.ensure_shard(new_idx);
-            let clash = self.guards[new_idx]
-                .as_ref()
-                .and_then(|g| g.find(new_key, |e| e.sig == new_sig && e.id != id))
-                .map(|e| e.id);
-            if let Some(other) = clash {
-                self.remove_subtree(other);
-            }
-            // (the re-keyed entry may itself have been in the clash's subtree)
-            let Some((old_idx, old_key)) = pool.locate(id) else {
-                return;
-            };
-            let moved = self.guards[old_idx]
-                .as_mut()
-                .and_then(|g| g.remove(old_key, id));
-            if let Some(e) = moved {
-                if new_idx != old_idx {
-                    // the charge migrates with the entry: booked at the new
-                    // shard before it leaves the old one, so the lock-free
-                    // totals can only over-count in between (the admission
-                    // gate over-rejects, never overshoots)
-                    let c = charge(e.payload(), e.bytes());
-                    pool.ledger
-                        .apply(new_idx, e.admitted_session, None, Some(c));
-                    pool.ledger
-                        .apply(old_idx, e.admitted_session, Some(c), None);
-                }
-                if let Some(g) = self.guards[new_idx].as_mut() {
-                    g.insert(new_key, e);
-                }
-                pool.owner.insert(id, new_key);
-            }
-            pool.wire_candidate(&new_sig, id);
+        // the graph follows the entry first, so whatever removes the entry
+        // from here on unwires what is actually wired
+        pool.graph_mut()
+            .rekey(id, (old_sig, &new_sig), (old_result, new_result));
+        if *old_sig == new_sig {
+            return;
         }
-        if old_result != new_result {
-            if let Some(o) = old_result {
-                self.pool.by_result.alter(&o, |m| {
-                    if m.get(&o).copied() == Some(id) {
-                        m.remove(&o);
-                    }
-                });
-                self.pool.supersets.remove(&o);
+        let new_key = new_sig.fingerprint() & pool.fp_mask;
+        let new_idx = pool.shard_at(new_key);
+        self.ensure_shard(new_idx);
+        let clash = self.guards[new_idx]
+            .as_ref()
+            .and_then(|g| g.find(new_key, |e| e.sig == new_sig && e.id != id))
+            .map(|e| e.id);
+        if let Some(other) = clash {
+            self.remove_subtree(other);
+        }
+        // (the re-keyed entry may itself have been in the clash's subtree)
+        let Some((old_idx, old_key)) = pool.locate(id) else {
+            return;
+        };
+        let moved = self.guards[old_idx]
+            .as_mut()
+            .and_then(|g| g.remove(old_key, id));
+        if let Some(e) = moved {
+            if new_idx != old_idx {
+                // the charge migrates with the entry: booked at the new
+                // shard before it leaves the old one, so the lock-free
+                // totals can only over-count in between (the admission
+                // gate over-rejects, never overshoots)
+                let c = charge(e.payload(), e.bytes());
+                pool.ledger
+                    .apply(new_idx, e.admitted_session, None, Some(c));
+                pool.ledger
+                    .apply(old_idx, e.admitted_session, Some(c), None);
             }
-            if let Some(n) = new_result {
-                self.pool.by_result.insert(n, id);
+            if let Some(g) = self.guards[new_idx].as_mut() {
+                g.insert(new_key, e);
             }
+            pool.graph_mut().refile(id, new_key);
         }
     }
 }
@@ -1891,6 +1437,7 @@ impl Drop for PoolScopedView<'_> {
 mod tests {
     use super::*;
     use crate::entry::{Admitter, Lineage};
+    use crate::signature::ArtifactKind;
     use rbat::{Bat, Column, Value};
     use std::time::Duration;
 
@@ -2124,17 +1671,6 @@ mod tests {
         assert_eq!(removed.len(), 3);
         assert!(pool.is_empty());
         pool.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn subset_closure() {
-        let pool = RecyclePool::new();
-        let (a, b, c) = (BatId(901), BatId(902), BatId(903));
-        pool.add_subset_edge(c, b);
-        pool.add_subset_edge(b, a);
-        assert!(pool.is_subset(c, a));
-        assert!(pool.is_subset(c, c));
-        assert!(!pool.is_subset(a, c));
     }
 
     #[test]

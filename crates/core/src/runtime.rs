@@ -28,7 +28,7 @@
 //! `Recycler::new` remains the one-line way to get a single-session
 //! engine: it creates a private `SharedRecycler` under the hood.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,9 +80,13 @@ impl Drop for Reservation<'_> {
     }
 }
 
-/// Most recent per-query records a session retains (the log is trimmed
-/// to stay within `[QUERY_LOG_CAP, 2*QUERY_LOG_CAP)` — a server session
-/// lives as long as its connection and must not grow without bound).
+/// Overlapping candidates fed to the combined subsumption search (`k` in
+/// the paper's micro-benchmarks, Algorithm 2).
+const COMBINED_MAX_CANDIDATES: usize = 16;
+
+/// Most recent per-query records a session retains: the log is a ring
+/// that drops its oldest record once full — a server session lives as
+/// long as its connection and must not grow without bound.
 pub const QUERY_LOG_CAP: usize = 4096;
 
 /// A recycler session: implements `recycleEntry`/`recycleExit` around every
@@ -103,7 +107,7 @@ pub struct Recycler {
     pins: Vec<Pin>,
     /// What the current query owes the shared accounts.
     notes: AccountNotes,
-    query_log: Vec<QueryRecord>,
+    query_log: VecDeque<QueryRecord>,
     /// The current query's counts — the session's record of it and, at
     /// `query_end`, its contribution to the shared lifetime statistics.
     current: QueryRecord,
@@ -135,7 +139,7 @@ impl Recycler {
             in_query: false,
             pins: Vec::new(),
             notes: AccountNotes::default(),
-            query_log: Vec::new(),
+            query_log: VecDeque::new(),
             current: QueryRecord::default(),
             deadline: None,
         }
@@ -168,8 +172,9 @@ impl Recycler {
         self.shared.stats()
     }
 
-    /// Per-query records of *this session*, appended at every `query_end`.
-    pub fn query_log(&self) -> &[QueryRecord] {
+    /// Per-query records of *this session*, oldest first: appended at
+    /// every `query_end`, the newest [`QUERY_LOG_CAP`] kept.
+    pub fn query_log(&self) -> &VecDeque<QueryRecord> {
         &self.query_log
     }
 
@@ -301,12 +306,16 @@ impl Recycler {
         Some(value)
     }
 
-    /// Pin `id` for the remainder of this query if it is still resident,
-    /// collecting its base-column lineage on the way. The pin is taken
-    /// under the owning shard's read lock (invariant 3 in
+    /// Pin `id` (filed under `key`) for the remainder of this query if it
+    /// is still resident, collecting its base-column lineage on the way.
+    /// The pin is taken under the owning shard's read lock (invariant 3 in
     /// [`crate::shared`]).
-    fn pin_live(&mut self, id: EntryId, base_columns: &mut BTreeSet<(String, String)>) -> bool {
-        let pin = self.shared.pool_inner().entry(id, |e| {
+    fn pin_live(
+        &mut self,
+        (id, key): (EntryId, u64),
+        base_columns: &mut BTreeSet<(String, String)>,
+    ) -> bool {
+        let pin = self.shared.pool_inner().entry_at(id, key, |e| {
             base_columns.extend(e.base_columns.iter().cloned());
             Pin::take(e)
         });
@@ -498,53 +507,36 @@ impl Recycler {
         }
         let bytes = payload.charge_bytes(sig.op);
         let is_bind = matches!(sig.op, Opcode::Bind | Opcode::BindIdx);
-        // Floor gate (`RecyclerConfig::min_admit_bytes`): payloads smaller
-        // than the floor are monitored but never admitted — on workloads
-        // dominated by tiny intermediates the probe/bookkeeping overhead
-        // exceeds what reusing them could save. Checked before any
-        // parent pinning so a shed admission costs two comparisons. Bind
-        // and zero-cost viewpoint stubs are exempt: they are 64-byte
-        // lineage anchors whose absence would break whole-thread
-        // coherence for every result downstream of them.
-        let min_admit = shared.config().min_admit_bytes;
-        if min_admit > 0 && bytes < min_admit && !is_bind && !sig.op.zero_cost() {
-            shared.count_admission_reject();
-            return;
-        }
         // register persistent identities first: they anchor coherence
         let mut lineage = Lineage::default();
         if is_bind {
             lineage.base_columns = shared.base_columns_of(catalog, sig.op, args);
             if let Payload::Raw(Value::Bat(b)) = &payload {
                 shared
-                    .persistent()
+                    .persistent_mut()
                     .insert(b.id(), lineage.base_columns.clone());
             }
         }
         // Bottom-up matching coherence (paper §4.1: keep whole threads
         // intact): every BAT argument must be reachable as a pool result
         // or a persistent BAT — otherwise coherence cannot be anchored and
-        // the admission is skipped. Pool-resident parents are *pinned*
-        // here, so eviction cannot take the prefix out from under this
-        // admission; `insert` revalidates them once more inside its
-        // critical section (a concurrent update may still invalidate —
-        // invariant 6).
-        for a in args {
-            if let Value::Bat(b) = a {
-                if let Some(eid) = pool.entry_of_result(b.id()) {
-                    if self.pin_live(eid, &mut lineage.base_columns) {
-                        lineage.parents.push(eid);
-                        continue;
-                    }
+        // the admission is skipped. The pool-resident parents are resolved
+        // in one read of the lineage graph and *pinned* here, so eviction
+        // cannot take the prefix out from under this admission; `insert`
+        // revalidates them once more inside its critical section (a
+        // concurrent update may still invalidate — invariant 6).
+        let bats = || args.iter().filter_map(Value::as_bat);
+        let owners = pool.resolve(bats().map(|b| b.id()));
+        for (b, owner) in bats().zip(owners) {
+            if let Some(owner) = owner {
+                if self.pin_live(owner, &mut lineage.base_columns) {
+                    lineage.parents.push(owner.0);
+                    continue;
                 }
-                let known = shared.persistent().with(&b.id(), |cols| match cols {
-                    Some(cols) => {
-                        lineage.base_columns.extend(cols.iter().cloned());
-                        true
-                    }
-                    None => false,
-                });
-                if !known {
+            }
+            match shared.persistent().get(&b.id()) {
+                Some(cols) => lineage.base_columns.extend(cols.iter().cloned()),
+                None => {
                     shared.count_admission_reject();
                     return;
                 }
@@ -689,7 +681,7 @@ impl Recycler {
         shared.count_invalidated(removed);
         // drop stale persistent registrations
         shared
-            .persistent()
+            .persistent_mut()
             .retain(|_, cols| cols.intersection(affected).next().is_none());
     }
 }
@@ -795,7 +787,7 @@ impl ExecHook for Recycler {
             if config.combined_subsumption && instr.op == Opcode::Select {
                 let pieced = {
                     let pool = self.shared.pool_inner();
-                    match subsume::subsume_combined(pool, args, config.combined_max_candidates) {
+                    match subsume::subsume_combined(pool, args, COMBINED_MAX_CANDIDATES) {
                         Some(Subsumption::Combined {
                             segments,
                             search_time,
@@ -863,14 +855,12 @@ impl ExecHook for Recycler {
 
     fn query_end(&mut self, _program: &Program) {
         let record = self.settle_query();
-        // A session can live as long as a server connection, so the log
-        // is bounded: beyond 2×cap the older half is dropped (amortised
-        // O(1)), keeping at least QUERY_LOG_CAP recent records — more
-        // than any experiment batch reads back.
-        if self.query_log.len() >= 2 * QUERY_LOG_CAP {
-            self.query_log.drain(..QUERY_LOG_CAP);
+        // at most one record moves per query: no bulk trim to show up as
+        // a latency outlier every few thousand queries
+        if self.query_log.len() == QUERY_LOG_CAP {
+            self.query_log.pop_front();
         }
-        self.query_log.push(record);
+        self.query_log.push_back(record);
     }
 
     fn update_event(&mut self, report: &CommitReport, catalog: &Catalog) {
@@ -898,9 +888,7 @@ impl ExecHook for Recycler {
             if let Some(outcome) = outcome {
                 shared.count_propagated(outcome.refreshed);
                 shared.count_invalidated(outcome.invalidated);
-                for (bat, cols) in outcome.new_persistent {
-                    shared.persistent().insert(bat, cols);
-                }
+                shared.persistent_mut().extend(outcome.new_persistent);
                 return;
             }
         }
@@ -1076,53 +1064,6 @@ mod tests {
         assert!(e.hook.stats().admission_rejects > 0);
     }
 
-    #[test]
-    fn min_admit_bytes_skips_tiny_results_without_changing_hit_semantics() {
-        // Two engines, same workload: the knob must only remove the
-        // sub-threshold admissions (the scalar `count` result), not
-        // change what the surviving entries answer.
-        let mut plain = engine(RecyclerConfig::default());
-        let mut gated = engine(RecyclerConfig::default().min_admit_bytes(1024));
-        let mut t = range_template();
-        plain.optimize(&mut t);
-        let p = [Value::Int(100), Value::Int(600)];
-        let (a1, a2) = (plain.run(&t, &p).unwrap(), plain.run(&t, &p).unwrap());
-        let (b1, b2) = (gated.run(&t, &p).unwrap(), gated.run(&t, &p).unwrap());
-
-        // identical answers, and the big entries (bind, select) still hit
-        assert_eq!(a1.export("n"), b1.export("n"));
-        assert_eq!(a2.export("n"), b2.export("n"));
-        assert_eq!(
-            a2.stats.reused, a2.stats.marked,
-            "baseline: everything hits"
-        );
-        assert_eq!(
-            b2.stats.reused,
-            b2.stats.marked - 1,
-            "gated: only the sub-threshold count recomputes"
-        );
-
-        // the gate monitors the tiny result but never admits it
-        assert_eq!(plain.hook.stats().monitored, gated.hook.stats().monitored);
-        assert!(gated.hook.stats().admission_rejects > 0);
-        let families = |e: &Engine<Recycler>| {
-            e.hook
-                .pool()
-                .snapshot_entries()
-                .iter()
-                .map(|en| en.family)
-                .collect::<std::collections::BTreeSet<_>>()
-        };
-        assert!(families(&plain).contains("aggr"));
-        assert!(!families(&gated).contains("aggr"));
-        assert!(families(&gated).contains("select"));
-        assert!(
-            gated.hook.pool().len() < plain.hook.pool().len(),
-            "the knob must remove entries, i.e. overhead"
-        );
-        gated.hook.pool().check_invariants().unwrap();
-    }
-
     // ----- the one funnel: every exit returns what it took -------------------
 
     /// The two kinds of admission the funnel takes: a result, and operator
@@ -1287,12 +1228,6 @@ mod tests {
                 f.session.set_deadline(Some(Instant::now()));
                 f.candidate(kind, &f.col, 1)
             },
-        );
-        assert_exit_refunds(
-            "below the min_admit_bytes floor",
-            credit(5).min_admit_bytes(usize::MAX),
-            rejects,
-            |f, kind| f.candidate(kind, &f.col, 1),
         );
         // an operand that no pool entry and no persistent registration
         // vouches for
@@ -1508,6 +1443,28 @@ mod tests {
         assert_eq!(log[0].hits, 0);
         assert!(log[1].hits > 0);
         assert!(log[1].hit_ratio() > 0.9);
+    }
+
+    #[test]
+    fn query_log_is_a_ring_of_the_newest_records() {
+        // Regression: the log used to grow to 2 × QUERY_LOG_CAP and then
+        // drain its older half in one ~0.4 MB memmove — a 50–80 µs outlier
+        // every 4 096 queries of a session.
+        let mut hook = Recycler::new(RecyclerConfig::default());
+        let program = range_template();
+        for n in 0..3 * QUERY_LOG_CAP as u64 {
+            hook.query_start(&program);
+            hook.current.monitored = n;
+            hook.query_end(&program);
+            assert!(hook.query_log().len() <= QUERY_LOG_CAP, "query {n}");
+        }
+        let kept: Vec<u64> = hook.query_log().iter().map(|r| r.monitored).collect();
+        let newest = 2 * QUERY_LOG_CAP as u64..3 * QUERY_LOG_CAP as u64;
+        assert_eq!(kept, newest.collect::<Vec<u64>>(), "the newest, in order");
+        assert!(
+            hook.query_log().capacity() < 2 * QUERY_LOG_CAP,
+            "the ring must not hold room for more than it keeps"
+        );
     }
 
     // ----- shared-service behaviour ----------------------------------------

@@ -5,15 +5,15 @@
 //! streams is where the SkyServer gains come from (§8). This module holds
 //! everything that is per-*server* rather than per-*session*:
 //!
-//! * the [`RecyclePool`] — since the sharding PR a concurrent structure
-//!   of its own: N fingerprint shards (N = next power of two ≥
-//!   2×cores), each an independent `RwLock` over one table that is entry
-//!   slab and exact-match index at once, with the cross-shard lineage
-//!   indexes in their own sharded locks and every byte/entry book in one
+//! * the [`RecyclePool`] — a concurrent structure of its own: N
+//!   fingerprint shards (N = next power of two ≥ 2×cores), each an
+//!   independent `RwLock` over one table that is entry slab and
+//!   exact-match index at once, one [lineage graph](crate::lineage) over
+//!   the entry ids behind one lock, and every byte/entry book in one
 //!   [ledger](crate::ledger) moved only under the owning shard's write
 //!   lock;
-//! * the persistent-BAT registry (bound columns, join indices) in a
-//!   sharded index of its own;
+//! * the persistent-BAT registry (bound columns, join indices) in a map
+//!   behind its own lock;
 //! * the CREDIT/ADAPT accounts behind one [`Mutex`] — inherently global
 //!   (credits are per template instruction, not per shard) but touched
 //!   only on admission decisions and once per query, never per hit (a
@@ -24,24 +24,25 @@
 //!
 //! # Locking invariants
 //!
-//! 1. **Order:** locks are tiered — *maintenance mutex* → *collector
-//!    round lock* → *eviction mutex* → *pool update (scoped-view) mutex*
-//!    → *shard locks in ascending shard index* → *lineage/persistent
-//!    sub-map locks* → *accounts mutex*. A thread may skip tiers but
-//!    never goes back up. The collector round lock is the background
-//!    collector's quiescence point: every collector round runs under it,
-//!    and [`MaintenanceGuard`] acquires it (after the maintenance mutex,
+//! 1. **Order:** *maintenance mutex* → *collector round lock* → *eviction
+//!    mutex* → *pool update (scoped-view) mutex* → *shard locks in
+//!    ascending shard index* → *leaf locks*. A thread may skip tiers but
+//!    never goes back up. The leaf locks are the pool's lineage-graph
+//!    lock, the ledger's per-session book, the persistent-BAT registry
+//!    and the accounts mutex, and the one rule for them is that **a leaf
+//!    lock is held alone**: it is taken for one plain map operation and
+//!    nothing is acquired, and no caller-supplied code runs, until it is
+//!    released — so the leaves need no order among themselves. The
+//!    collector round lock is the background collector's quiescence
+//!    point: every collector round runs under it, and
+//!    [`MaintenanceGuard`] acquires it (after the maintenance mutex,
 //!    **before** any pool update mutex its operations take) and holds it
 //!    for its whole lifetime — maintenance surgery and background
 //!    eviction rounds can therefore never interleave, and the guard's
 //!    acquisition blocks until the in-flight round, if any, completes.
 //!    The collector thread never takes the maintenance mutex, so the
-//!    hierarchy stays acyclic. The collector's *nursery ring* mutex is an
-//!    extra true-leaf lock below the sub-map tier: it may be taken inside
-//!    a `children` sub-map critical section (the re-leaf transition
-//!    pushes into the ring), and nothing is ever acquired while holding
-//!    it. Within the shard tier a thread
-//!    holds at most one shard lock, except for structural writers —
+//!    hierarchy stays acyclic. Within the shard tier a thread holds at
+//!    most one shard lock, except for structural writers —
 //!    [`RecyclePool::scoped_view`] for update synchronisation,
 //!    [`RecyclePool::write_view`]/`clear` for maintenance,
 //!    `check_invariants` for diagnostics — which first take the update
@@ -50,15 +51,7 @@
 //!    thread holds at most one shard lock without blocking on a second,
 //!    the single live scoped view may *extend* itself with further shard
 //!    locks out of ascending order (rekey migration, dependents admitted
-//!    after its closure was computed) without deadlock. Lineage sub-map
-//!    locks are leaves: while holding one, no other lock is acquired —
-//!    with one sanctioned exception: the child-edge index may take an
-//!    *evictable-leaf index* sub-map lock, and read the owner index,
-//!    inside its critical section (fixed order `children` →
-//!    `owner`/`leaves`, never the reverse), because the 0↔1 child-count
-//!    transition, the re-leafed parent's residency probe and the
-//!    matching leaf-set update must be one atomic step. Owner and
-//!    leaf-index sub-map locks are true leaves.
+//!    after its closure was computed) without deadlock.
 //! 2. **An exact hit is one shard read lock — and no other lock.** A hit
 //!    is served entirely under the fingerprint shard's *read* lock: the
 //!    reuse counters, last-use stamp, pin count and credit-return flag are
@@ -88,11 +81,15 @@
 //!    the resident entry stays and is pinned for the loser, the loser's
 //!    result BAT is aliased onto it, and the caller returns the admission
 //!    credit (`duplicate_admissions`).
-//! 6. **Admission coherence is revalidated.** Parents are resolved and
-//!    pinned (shard read locks, one at a time) before insertion;
-//!    [`RecyclePool::insert`] re-checks them against the owner index
-//!    inside its critical section and drops the candidate as orphaned if
-//!    an update invalidated them in between.
+//! 6. **Admission coherence is revalidated inside `wire`.** Parents are
+//!    resolved (one read of the lineage graph) and pinned (shard read
+//!    locks, one at a time) before insertion; [`RecyclePool::insert`]
+//!    wires the candidate into the graph in one step under its shard's
+//!    write lock, and that step begins by re-checking every parent: if an
+//!    update invalidated one in between, nothing is wired and the
+//!    candidate is dropped as orphaned. The orphan check, the parents'
+//!    leaf transitions and the new entry's own indexes cannot be observed
+//!    apart.
 //! 7. **Pins are inviolable to eviction:** an entry pinned by *any*
 //!    session is never evicted. When nothing evictable remains, admission
 //!    fails instead (`admission_rejects`). Updates override pins —
@@ -101,12 +98,15 @@
 //!    eviction *trigger* is sized from resident demand plus the evicting
 //!    admission alone, never from other sessions' in-flight reservations
 //!    (phantom demand must not cost resident entries; the strict gate
-//!    over-rejects instead). Eviction rounds gather from the pool's
-//!    incremental evictable-leaf index (O(leaves), no full-pool scan;
-//!    pins are not part of the index — they are filtered at gather and
-//!    revalidated at removal) and consume their victims in per-shard
-//!    batches: one shard write-lock acquisition per shard per round
-//!    ([`RecyclePool::remove_batch_if_evictable`]).
+//!    over-rejects instead). Eviction rounds gather from the lineage
+//!    graph's evictable-leaf set (O(leaves), no full-pool scan; pins are
+//!    not part of the set — they are filtered at gather and revalidated at
+//!    removal) and consume their victims in per-shard batches: one shard
+//!    write-lock acquisition per shard per round
+//!    ([`RecyclePool::remove_batch_if_evictable`]). A victim's pin count
+//!    is re-read under its shard's write lock and its leaf status inside
+//!    `unwire`, the same graph step that removes it — a child wired since
+//!    the gather always wins.
 //! 8. **Update synchronisation is scoped, not stop-the-world:**
 //!    invalidation and delta propagation run under a
 //!    [`RecyclePool::scoped_view`] holding write locks on *only the
@@ -132,8 +132,9 @@
 //!    advisory, so the worst legal outcome is a cache miss.
 //!    [`MaintenanceGuard::repair_quarantined`] (update mutex + all shard
 //!    write locks, collector quiesced) rebuilds consistent state from
-//!    the surviving slabs, stores the ledger recomputed from them, clears
-//!    the lock poison and lifts the quarantine.
+//!    the surviving slabs — the lineage graph and the ledger are each
+//!    re-derived from them by one function and stored — clears the lock
+//!    poison and lifts the quarantine.
 //! 10. **One payload, one transition, one ledger.** What an entry holds is
 //!     a single [`Payload`](crate::entry::Payload); it changes only through
 //!     the pool's one transition function (table documented on `Payload`),
@@ -141,13 +142,14 @@
 //!     step and is — with removal and repair — the only path that retires
 //!     a spill ticket. Every book is a pure function of the resident
 //!     entries, so `check_invariants` and repair need one sum
-//!     (`Ledger::recompute`), not one per book.
+//!     (`Ledger::recompute`), not one per book — and one graph
+//!     (`LineageGraph::rebuild`), not one pass per index.
 
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use rbat::hash::FxHashMap;
@@ -158,7 +160,7 @@ use crate::collector::{self, CollectorControl};
 use crate::config::{AdmissionPolicy, RecyclerConfig};
 use crate::entry::InstrKey;
 use crate::eviction::{evict, EvictTrigger};
-use crate::pool::{RecyclePool, ShardedIndex};
+use crate::pool::RecyclePool;
 use crate::runtime::Recycler;
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 
@@ -188,8 +190,8 @@ impl AdmissionGrant {
     };
 }
 
-/// Credit/ADAPT bookkeeping, guarded by its own mutex (lock-order: after
-/// every shard and sub-map lock, never before).
+/// Credit/ADAPT bookkeeping, guarded by its own mutex (a leaf lock: held
+/// alone, see the lock order above).
 #[derive(Default)]
 pub(crate) struct AccountState {
     credits: FxHashMap<InstrKey, i64>,
@@ -236,6 +238,9 @@ impl AccountState {
         }
     }
 }
+
+/// Persistent BAT → the base `(table, column)` pairs it stands for.
+type PersistentBats = FxHashMap<BatId, BTreeSet<(String, String)>>;
 
 thread_local! {
     static ACCOUNTS_LOCKS: Cell<u64> = const { Cell::new(0) };
@@ -292,8 +297,9 @@ pub struct SharedRecycler {
     /// Persistent BATs (bound columns, join indices) with base-column
     /// lineage: stable identities admission may reference without a
     /// pool-resident producer. Shared across sessions — `Catalog` clones
-    /// `Arc`-share their column BATs, so ids agree between sessions.
-    persistent: ShardedIndex<BatId, BTreeSet<(String, String)>>,
+    /// `Arc`-share their column BATs, so ids agree between sessions. A
+    /// leaf lock: nothing is acquired while it is held.
+    persistent: RwLock<PersistentBats>,
     accounts: Mutex<AccountState>,
     stats: SharedStats,
     /// Monotone event counter (LRU / HP ageing) — lock-free.
@@ -375,11 +381,10 @@ impl SharedRecycler {
             None => RecyclePool::new(),
         };
         pool.set_spill(spill);
-        let submaps = pool.shard_count();
         let shared = Arc::new(SharedRecycler {
             config,
             pool,
-            persistent: ShardedIndex::new(submaps),
+            persistent: RwLock::new(PersistentBats::default()),
             accounts: Mutex::new(AccountState::default()),
             stats: SharedStats::default(),
             tick: AtomicU64::new(0),
@@ -525,8 +530,16 @@ impl SharedRecycler {
         &self.pool
     }
 
-    pub(crate) fn persistent(&self) -> &ShardedIndex<BatId, BTreeSet<(String, String)>> {
-        &self.persistent
+    pub(crate) fn persistent(&self) -> RwLockReadGuard<'_, PersistentBats> {
+        self.persistent
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn persistent_mut(&self) -> RwLockWriteGuard<'_, PersistentBats> {
+        self.persistent
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Advance and return the event clock.
@@ -592,7 +605,7 @@ impl SharedRecycler {
     /// (see [`Self::clear_pool`]).
     fn reset(&self) {
         self.pool.clear();
-        self.persistent.clear();
+        self.persistent_mut().clear();
         *self.lock_accounts() = AccountState::default();
         let s = &self.stats;
         for cell in [

@@ -1,12 +1,13 @@
 //! Instruction subsumption (paper §5): answering an instruction from
 //! intermediates whose result sets are supersets of the target.
 //!
-//! On the sharded pool the candidate search *fans out*: entries sharing an
-//! `(opcode, first-argument)` key live in whichever shard their full
-//! signature hashes to, so [`RecyclePool::candidates`] collects ids across
-//! every shard under read locks and the per-candidate inspections below
-//! re-acquire the owning shard's read lock entry by entry. Between the
-//! search and the use of a source its entry may be evicted — every access
+//! Entries sharing an `(opcode, first-argument)` key live in whichever
+//! shard their full signature hashes to, so the candidate lists are kept
+//! by the pool's lineage graph: [`RecyclePool::candidates`] is one graph
+//! read returning ids in ascending order (ties between equally good
+//! sources go to the oldest), and the per-candidate inspections below
+//! take the owning shard's read lock entry by entry. Between the search
+//! and the use of a source its entry may be evicted — every access
 //! revalidates and the rewrite falls back gracefully (`Arc`-shared results
 //! cloned out of the pool stay valid regardless).
 

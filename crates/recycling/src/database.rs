@@ -182,17 +182,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Results smaller than `bytes` are monitored but never admitted to
-    /// the pool. On workloads dominated by tiny intermediates (the
-    /// SkyServer log replays), probe/bookkeeping overhead on sub-KB
-    /// results can exceed what reusing them saves; the floor sheds that
-    /// overhead without changing the semantics of any hit. `0` (the
-    /// default) admits everything.
-    pub fn min_admit_bytes(mut self, bytes: usize) -> DatabaseBuilder {
-        self.config = self.config.min_admit_bytes(bytes);
-        self
-    }
-
     /// Recycle *operator state*, not just result BATs: pool the build
     /// sides of joins (hash tables), groupings (group maps) and sorts
     /// (sorted runs) under build-side signatures, and reuse them when a

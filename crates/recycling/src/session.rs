@@ -1,5 +1,6 @@
 //! The per-client [`Session`] handle and its typed request/reply types.
 
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use rbat::catalog::CommitReport;
@@ -146,7 +147,7 @@ impl Session {
         match &mut self.engine {
             EngineKind::Recycled(e) => {
                 let out = e.run(template, params)?;
-                let admitted = e.hook.query_log().last().map(|r| r.admitted).unwrap_or(0);
+                let admitted = e.hook.query_log().back().map(|r| r.admitted).unwrap_or(0);
                 Ok(QueryReply {
                     exports: out.exports,
                     marked: out.stats.marked as u64,
@@ -291,12 +292,14 @@ impl Session {
         self.db.stats()
     }
 
-    /// Per-query records of *this* session, appended at every query end
-    /// (empty for naive sessions).
-    pub fn query_log(&self) -> &[QueryRecord] {
+    /// Per-query records of *this* session, oldest first: appended at
+    /// every query end, the newest `recycler::runtime::QUERY_LOG_CAP`
+    /// kept (empty for naive sessions).
+    pub fn query_log(&self) -> &VecDeque<QueryRecord> {
+        static NONE: VecDeque<QueryRecord> = VecDeque::new();
         match &self.engine {
             EngineKind::Recycled(e) => e.hook.query_log(),
-            EngineKind::Naive(_) => &[],
+            EngineKind::Naive(_) => &NONE,
         }
     }
 }

@@ -1,15 +1,16 @@
 //! The budget of the exact-hit path: what a warm, all-hit query may cost in
 //! heap allocations and in locks, held as exact counts — a counting global
 //! allocator for the former, the pool's and the accounts' per-thread lock
-//! probes for the latter. (Each test runs on its own thread, so the
-//! per-thread probes see this test's locks only; the allocator counts on a
-//! thread-local too.)
+//! probes for the latter — and, beside it, the budget of the miss path in
+//! lineage-graph locks: what an admission, a removal and a leaf gather may
+//! take. (Each test runs on its own thread, so the per-thread probes see
+//! this test's locks only; the allocator counts on a thread-local too.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycler::{RecyclePool, SharedRecycler};
+use recycler::{EntryId, PoolEntry, RecyclePool, SharedRecycler};
 use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Session};
 use rmal::{Program, ProgramBuilder};
 
@@ -131,8 +132,14 @@ fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
             let writes = db.pool().write_lock_acquisitions();
             let reads = RecyclePool::read_locks_on_this_thread();
             let accounts = SharedRecycler::accounts_locks_on_this_thread();
+            let graph = RecyclePool::graph_locks_on_this_thread();
             let reply = session.query(&template, &[]).unwrap();
             assert_eq!(reply.reused, marked);
+            assert_eq!(
+                RecyclePool::graph_locks_on_this_thread(),
+                graph,
+                "{admission:?}: an exact hit never touches the lineage graph"
+            );
             assert_eq!(
                 RecyclePool::read_locks_on_this_thread() - reads,
                 marked,
@@ -147,4 +154,89 @@ fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
         }
         db.pool().check_invariants().unwrap();
     }
+}
+
+/// A bind, two selections over it, their semijoin (two pool-resident
+/// parents) and a count: five marked instructions with 0, 1, 1, 2 and 1
+/// parents.
+fn two_parent_plan() -> Program {
+    let mut b = ProgramBuilder::new("two_parents", 0);
+    let x = b.bind("t", "x");
+    let wide = b.select_closed(x, Value::Int(0), Value::Int(3000));
+    let narrow = b.select_closed(x, Value::Int(100), Value::Int(200));
+    let both = b.semijoin(wide, narrow);
+    let n = b.count(both);
+    b.export("n", n);
+    b.finish()
+}
+
+#[test]
+fn an_admission_is_two_graph_locks_and_one_shard_write_lock() {
+    // no cap: no admission evicts; no subsumption: a miss searches nothing
+    let db = DatabaseBuilder::new(catalog())
+        .recycler(RecyclerConfig::default().subsumption(false))
+        .build();
+    for plan in [chain("one_parent_each", 10), two_parent_plan()] {
+        let template = db.prepare(plan);
+        let mut session = db.session();
+        let writes = db.pool().write_lock_acquisitions();
+        let graph = RecyclePool::graph_locks_on_this_thread();
+        let reply = session.query(&template, &[]).unwrap();
+        // everything marked but the shared bind (a hit the second time)
+        assert!(reply.admitted >= reply.marked - 1, "{reply:?}");
+        assert_eq!(
+            db.pool().write_lock_acquisitions() - writes,
+            reply.admitted,
+            "one shard write lock per eviction-free admission"
+        );
+        assert_eq!(
+            RecyclePool::graph_locks_on_this_thread() - graph,
+            2 * reply.admitted,
+            "one resolve and one wire per admission, however many parents"
+        );
+    }
+    db.pool().check_invariants().unwrap();
+}
+
+#[test]
+fn a_removal_is_one_graph_lock_and_a_leaf_gather_one() {
+    let pool = RecyclePool::with_shards(8);
+    let root = pool.alloc_id();
+    assert!(pool
+        .insert(PoolEntry::test_stub(root, 0, vec![], 64), None)
+        .inserted());
+    let leaves: Vec<EntryId> = (1..=6)
+        .map(|tag| {
+            let leaf = PoolEntry::test_stub(pool.alloc_id(), tag, vec![root], 64);
+            pool.insert(leaf, None).id()
+        })
+        .collect();
+    let graph_locks = |f: &mut dyn FnMut()| {
+        let before = RecyclePool::graph_locks_on_this_thread();
+        f();
+        RecyclePool::graph_locks_on_this_thread() - before
+    };
+    let mut seen = 0;
+    assert_eq!(
+        graph_locks(&mut || pool.for_each_leaf_entry(|_| seen += 1)),
+        1
+    );
+    assert_eq!(seen, 6, "the gather saw every leaf");
+    assert_eq!(graph_locks(&mut || assert_eq!(pool.leaf_ids(), leaves)), 1);
+    // a batch places its victims in one read, then each removal is one
+    // `unwire` — the leaf check, the parent's re-leafing and every index
+    // of the victim in that one step (the root, not a leaf, costs its
+    // refused `unwire`)
+    let mut victims = leaves[..4].to_vec();
+    victims.push(root);
+    let removed = &mut Vec::new();
+    let batch = graph_locks(&mut || *removed = pool.remove_batch_if_evictable(&victims));
+    assert_eq!(removed.len(), 4, "the root still has two children");
+    assert_eq!(batch, 1 + victims.len() as u64);
+    // by id: one read to find the shard, one `unwire`
+    assert_eq!(
+        graph_locks(&mut || assert!(pool.remove(leaves[4]).is_some())),
+        2
+    );
+    pool.check_invariants().unwrap();
 }

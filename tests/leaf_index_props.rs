@@ -1,173 +1,482 @@
-//! Property tests for the incremental evictable-leaf index: after ANY
-//! sequence of inserts (with arbitrary parent wiring), removals, eviction
-//! attempts, subtree invalidations and scoped-view rekeys, the index must
-//! equal the brute-force childless set — the eviction gather path trusts
-//! it completely (no per-candidate child probe), so drift would silently
-//! evict non-leaves or strand evictable entries forever.
+//! The lineage property test: after ANY sequence of admissions (roots,
+//! children with arbitrary parent wiring, duplicates that alias their
+//! result onto the winner, orphans whose parent is gone), removals,
+//! eviction attempts single and batched, subtree invalidations and
+//! scoped-view rewrites (`rekey`, onto fresh and onto occupied signatures;
+//! `set_raw`; `remove_subtree`) the pool's lineage graph must equal
+//!
+//! * `LineageGraph::rebuild` over the slabs — `check_invariants` compares
+//!   the two — and
+//! * the model kept in this file: plain `Vec`s of who is resident, who
+//!   feeds whom, who owns which result BAT.
+//!
+//! The eviction gather trusts the leaf set completely (no per-candidate
+//! child probe) and admission coherence trusts the result index, so drift
+//! would silently evict non-leaves, strand evictable entries or admit
+//! orphans. With `--features failpoints` one more step tears an insert at
+//! `pool.insert.wired` (graph wired, slab entry missing) and `repair`
+//! must restore exactly the model. Subset edges are recorded the way
+//! `propagate` does it — after the rekey, whether or not the re-keyed entry
+//! survived it — and must live exactly as long as the entry owning the
+//! subset result.
+//!
+//! Mutation-checked against `lineage.rs`: dropping the re-leaf when a
+//! parent loses its last child, skipping the alias cleanup in `unwire`, and
+//! wiring before the orphan check each fail this test.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
-use rbat::Value;
-use recycler::signature::Sig;
-use recycler::{Admitted, EntryId, PoolEntry, RecyclePool};
+use rbat::{Bat, BatId, Column, Value};
+use recycler::entry::{Admitter, Lineage};
+use recycler::signature::{ArgSig, Sig};
+use recycler::{Admitted, EntryId, Payload, PoolEntry, RecyclePool};
 use rmal::Opcode;
 
-fn mk(pool: &RecyclePool, tag: i64, parents: Vec<EntryId>) -> PoolEntry {
-    PoolEntry::test_stub(pool.alloc_id(), tag, parents, 64)
+/// Signatures share their first argument in thirds, so the candidate lists
+/// of the graph hold more than one entry each.
+const GROUPS: i64 = 3;
+
+fn sig_of(tag: i64) -> Sig {
+    Sig::of(Opcode::Select, &[Value::Int(tag % GROUPS), Value::Int(tag)])
 }
 
-/// The ground truth the index must match: every resident entry without
-/// dependents, recomputed from scratch.
-fn brute_force_leaves(pool: &RecyclePool) -> Vec<EntryId> {
-    let mut out: Vec<EntryId> = pool
-        .snapshot_entries()
-        .iter()
-        .filter(|e| !pool.has_children(e.id))
-        .map(|e| e.id)
-        .collect();
-    out.sort_unstable();
-    out
+fn fresh_bat(tag: i64) -> Arc<Bat> {
+    Arc::new(Bat::from_tail(Column::from_ints(vec![tag])))
 }
 
-fn leaf_index_exact(pool: &RecyclePool, step: &str) -> Result<(), TestCaseError> {
-    let mut indexed = pool.leaf_ids();
-    indexed.sort_unstable();
-    let brute = brute_force_leaves(pool);
-    if indexed != brute {
-        return Err(TestCaseError::fail(format!(
-            "leaf index diverged from childless set after {step}: \
-             indexed {indexed:?} vs brute-force {brute:?}"
-        )));
+/// An unpinned entry whose result is a BAT of its own.
+fn mk(pool: &RecyclePool, sig: Sig, parents: Vec<EntryId>, tag: i64) -> (PoolEntry, BatId) {
+    let bat = fresh_bat(tag);
+    let result = bat.id();
+    let lineage = Lineage {
+        parents,
+        ..Lineage::default()
+    };
+    let e = PoolEntry::new(
+        pool.alloc_id(),
+        sig,
+        vec![Value::Int(tag)],
+        Payload::Raw(Value::Bat(bat)),
+        64,
+        Duration::from_millis(1),
+        lineage,
+        Admitter::default(),
+    );
+    e.pins.store(0, Ordering::Relaxed);
+    (e, result)
+}
+
+/// What the test knows about one resident entry — written down when the
+/// test does something, never read back from the pool.
+#[derive(Debug, Clone)]
+struct Resident {
+    id: EntryId,
+    sig: Sig,
+    parents: Vec<EntryId>,
+    result: BatId,
+    aliases: Vec<BatId>,
+    /// Recorded subset edges `result ⊆ sup`.
+    supersets: Vec<BatId>,
+    pins: u32,
+}
+
+#[derive(Debug, Default)]
+struct Model {
+    residents: Vec<Resident>,
+    /// Results and aliases of entries that are gone: they resolve to nothing.
+    retired: Vec<BatId>,
+    /// Subset edges `(sub, sup)` whose `sub` nobody owns (any more): gone
+    /// with their entry, or never recorded.
+    dead_edges: Vec<(BatId, BatId)>,
+}
+
+impl Model {
+    fn get(&mut self, id: EntryId) -> &mut Resident {
+        let at = self.residents.iter().position(|r| r.id == id);
+        &mut self.residents[at.expect("resident")]
     }
+
+    fn pick(&self, sel: usize) -> Option<Resident> {
+        let n = self.residents.len();
+        (n > 0).then(|| self.residents[sel % n].clone())
+    }
+
+    fn children(&self, id: EntryId) -> Vec<EntryId> {
+        let feeds = |r: &&Resident| r.parents.contains(&id);
+        self.residents.iter().filter(feeds).map(|r| r.id).collect()
+    }
+
+    fn evictable(&self, id: EntryId) -> bool {
+        let unpinned = self.residents.iter().any(|r| r.id == id && r.pins == 0);
+        unpinned && self.children(id).is_empty()
+    }
+
+    fn leaves(&self) -> Vec<EntryId> {
+        let ids = self.residents.iter().map(|r| r.id);
+        ids.filter(|id| self.children(*id).is_empty()).collect()
+    }
+
+    /// `root` and everything that transitively feeds on it.
+    fn subtree(&self, root: EntryId) -> Vec<EntryId> {
+        let mut out = vec![root];
+        let mut next = 0;
+        while next < out.len() {
+            for c in self.children(out[next]) {
+                if !out.contains(&c) {
+                    out.push(c);
+                }
+            }
+            next += 1;
+        }
+        out
+    }
+
+    fn remove(&mut self, ids: &[EntryId]) {
+        for r in self.residents.iter().filter(|r| ids.contains(&r.id)) {
+            self.retired.push(r.result);
+            self.retired.extend(&r.aliases);
+            let edges = r.supersets.iter().map(|sup| (r.result, *sup));
+            self.dead_edges.extend(edges);
+        }
+        self.residents.retain(|r| !ids.contains(&r.id));
+    }
+}
+
+fn sorted(mut ids: Vec<EntryId>) -> Vec<EntryId> {
+    ids.sort_unstable();
+    ids
+}
+
+/// The pool against `rebuild` (inside `check_invariants`) and against the
+/// model, through the pool's public reads only.
+fn agree(pool: &RecyclePool, model: &Model, step: &str) -> Result<(), TestCaseError> {
+    let fail = |what: String| Err(TestCaseError::fail(format!("after {step}: {what}")));
     if let Err(e) = pool.check_invariants() {
-        return Err(TestCaseError::fail(format!("after {step}: {e}")));
+        return fail(e);
+    }
+    let mut resident: Vec<(EntryId, Vec<EntryId>)> = pool
+        .snapshot_entries()
+        .into_iter()
+        .map(|e| (e.id, e.parents))
+        .collect();
+    resident.sort_unstable();
+    let mut expected: Vec<(EntryId, Vec<EntryId>)> = model
+        .residents
+        .iter()
+        .map(|r| (r.id, r.parents.clone()))
+        .collect();
+    expected.sort_unstable();
+    if resident != expected {
+        return fail(format!("resident {resident:?}, model {expected:?}"));
+    }
+    for r in &model.residents {
+        let id = r.id;
+        if pool.children_of(id) != sorted(model.children(id)) {
+            let (pool, model) = (pool.children_of(id), model.children(id));
+            return fail(format!("children of {id}: pool {pool:?}, model {model:?}"));
+        }
+        if pool.has_children(id) == model.children(id).is_empty() {
+            return fail(format!("has_children({id}) disagrees with the model"));
+        }
+        if pool.lookup(&r.sig) != Some(id) {
+            return fail(format!("entry {id} not found under its signature"));
+        }
+        for bat in std::iter::once(&r.result).chain(&r.aliases) {
+            if pool.entry_of_result(*bat) != Some(id) {
+                let got = pool.entry_of_result(*bat);
+                return fail(format!("{bat:?} of entry {id} resolves to {got:?}"));
+            }
+        }
+        if let Some(sup) = r.supersets.iter().find(|s| !pool.is_subset(r.result, **s)) {
+            return fail(format!(
+                "subset edge {:?} ⊆ {sup:?} of entry {id} lost",
+                r.result
+            ));
+        }
+        if pool.entry(id, |e| e.pin_count()) != Some(r.pins) {
+            return fail(format!(
+                "entry {id} pins differ from the model's {}",
+                r.pins
+            ));
+        }
+    }
+    if let Some(bat) = model
+        .retired
+        .iter()
+        .find(|b| pool.entry_of_result(**b).is_some())
+    {
+        return fail(format!("{bat:?} of a removed entry still resolves"));
+    }
+    let stale = |(sub, sup): &&(BatId, BatId)| pool.is_subset(*sub, *sup);
+    if let Some((sub, sup)) = model.dead_edges.iter().find(stale) {
+        return fail(format!("subset edge {sub:?} ⊆ {sup:?} outlived its entry"));
+    }
+    let leaves = sorted(model.leaves());
+    if pool.leaf_ids() != leaves || pool.leaf_index_size() != leaves.len() {
+        let got = pool.leaf_ids();
+        return fail(format!("leaf set {got:?}, childless residents {leaves:?}"));
+    }
+    for group in 0..GROUPS {
+        let arg0 = ArgSig::of(&Value::Int(group));
+        let listed = pool.candidates(Opcode::Select, &arg0);
+        let of_group = |r: &&Resident| r.sig.first_arg() == Some(&arg0);
+        let want = sorted(
+            model
+                .residents
+                .iter()
+                .filter(of_group)
+                .map(|r| r.id)
+                .collect(),
+        );
+        if listed != want {
+            return fail(format!(
+                "candidates of group {group}: {listed:?}, model {want:?}"
+            ));
+        }
     }
     Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Tear an insert at `pool.insert.wired` — the graph knows the entry, the
+/// slab does not hold it — and repair.
+#[cfg(feature = "failpoints")]
+fn torn_insert_then_repair(pool: &RecyclePool, entry: PoolEntry) {
+    use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
+    use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe};
+    FaultPlan::seeded(7)
+        .on("pool.insert.wired", Trigger::Always, FaultAction::Panic)
+        .install();
+    let hook = take_hook();
+    set_hook(Box::new(|_| {}));
+    let torn = catch_unwind(AssertUnwindSafe(|| pool.insert(entry, None)));
+    set_hook(hook);
+    fault::clear();
+    assert!(
+        torn.is_err(),
+        "the injected panic must unwind out of insert"
+    );
+    assert!(pool.has_quarantined());
+    assert!(
+        pool.check_invariants().is_err(),
+        "a torn graph must be seen"
+    );
+    let report = pool.repair();
+    assert_eq!(
+        report.entries_dropped, 0,
+        "the torn entry never was resident"
+    );
+}
 
-    /// Random op sequences over a live pool: the index equals the
-    /// brute-force childless set after EVERY step, not just at the end.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random scripts over a live pool: graph ≡ rebuild ≡ model after
+    /// EVERY step, not just at the end.
     #[test]
-    fn leaf_index_equals_childless_set(
-        ops in prop::collection::vec((0u8..7, 0usize..64, 0usize..64), 1..32),
+    fn lineage_graph_equals_rebuild_and_model(
+        ops in prop::collection::vec((0u8..13, 0usize..64, 0usize..64), 1..40),
     ) {
         let pool = RecyclePool::with_shards(8);
-        let mut live: Vec<EntryId> = Vec::new();
+        let mut model = Model::default();
         let mut tag = 0i64;
         for (op, sel_a, sel_b) in ops {
-            match op {
-                // insert a root (no parents)
-                0 => {
-                    tag += 1;
-                    if let Admitted::Inserted(id) = pool.insert(mk(&pool, tag, vec![]), None) {
-                        live.push(id);
-                    }
-                    leaf_index_exact(&pool, "insert root")?;
+            tag += 1;
+            let picked = model.pick(sel_a);
+            let step = match (op, picked) {
+                // a root; so is everything else while the pool is empty
+                (0, _) | (_, None) => {
+                    let sig = sig_of(tag);
+                    let (e, result) = mk(&pool, sig.clone(), vec![], tag);
+                    let id = e.id;
+                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    model.residents.push(Resident {
+                        id, sig, parents: vec![], result, aliases: vec![], supersets: vec![], pins: 0,
+                    });
+                    "insert root"
                 }
-                // insert a child of one or two live parents
-                1 => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    tag += 1;
-                    let mut parents = vec![live[sel_a % live.len()]];
+                // a child of one or two residents (maybe the same one twice)
+                (1, Some(p)) => {
+                    let mut parents = vec![p.id];
                     if sel_b % 2 == 0 {
-                        parents.push(live[sel_b % live.len()]);
+                        parents.push(model.pick(sel_b).expect("non-empty").id);
                     }
-                    if let Admitted::Inserted(id) = pool.insert(mk(&pool, tag, parents), None) {
-                        live.push(id);
-                    }
-                    leaf_index_exact(&pool, "insert child")?;
+                    let sig = sig_of(tag);
+                    let (e, result) = mk(&pool, sig.clone(), parents.clone(), tag);
+                    let id = e.id;
+                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    model.residents.push(Resident {
+                        id, sig, parents, result, aliases: vec![], supersets: vec![], pins: 0,
+                    });
+                    "insert child"
+                }
+                // a duplicate admission: the resident wins, is pinned for
+                // the loser, and the loser's BAT becomes its alias
+                (2, Some(winner)) => {
+                    let (e, loser_bat) = mk(&pool, winner.sig.clone(), vec![], tag);
+                    prop_assert_eq!(pool.insert(e, None), Admitted::Duplicate(winner.id));
+                    let w = model.get(winner.id);
+                    w.aliases.push(loser_bat);
+                    w.pins += 1;
+                    "duplicate admission"
+                }
+                // an orphan: one parent alive, one long gone — nothing may
+                // be wired, not even the edge onto the live parent
+                (3, Some(p)) => {
+                    let (e, _) = mk(&pool, sig_of(tag), vec![p.id, 1_000_000 + tag as u64], tag);
+                    prop_assert_eq!(pool.insert(e, None), Admitted::Orphaned);
+                    "orphaned admission"
                 }
                 // unconditional removal of a childless entry — unlike
                 // eviction this ignores pins (invalidation overrides
                 // retention); entries with dependents go through the
-                // subtree op below, since a bare `remove` would leave
-                // dangling parent links
-                2 => {
-                    if live.is_empty() {
-                        continue;
+                // subtree ops, a bare `remove` would leave dangling parents
+                (4, Some(r)) => {
+                    if model.children(r.id).is_empty() {
+                        prop_assert!(pool.remove(r.id).is_some());
+                        model.remove(&[r.id]);
                     }
-                    let id = live[sel_a % live.len()];
-                    if !pool.has_children(id) {
-                        pool.remove(id);
-                        live.retain(|&x| x != id);
-                        leaf_index_exact(&pool, "remove")?;
-                    }
+                    "remove"
                 }
-                // eviction attempt: succeeds only on unpinned leaves
-                3 => {
-                    if live.is_empty() {
-                        continue;
+                // eviction attempt: succeeds exactly on unpinned leaves
+                (5, Some(r)) => {
+                    let went = pool.remove_if_evictable(r.id).is_some();
+                    prop_assert_eq!(went, model.evictable(r.id), "evicting {}", r.id);
+                    if went {
+                        model.remove(&[r.id]);
                     }
-                    let id = live[sel_a % live.len()];
-                    if pool.remove_if_evictable(id).is_some() {
-                        live.retain(|&x| x != id);
-                    }
-                    leaf_index_exact(&pool, "evict leaf")?;
+                    "evict one"
                 }
-                // subtree invalidation: the root and every dependent go
-                4 => {
-                    if live.is_empty() {
-                        continue;
+                // batched eviction over an arbitrary victim list, dead id
+                // included. The batch runs shard by shard, so a parent may
+                // go after its last child did: every removed entry must
+                // have been evictable when its turn came (the pool returns
+                // them in that order), and every victim that was evictable
+                // from the start must be gone.
+                (6, Some(_)) => {
+                    let mask = (sel_a as u64) << 6 | sel_b as u64;
+                    let chosen = |i: &usize| mask >> (i % 12) & 1 == 1;
+                    let mut victims: Vec<EntryId> = (0..model.residents.len())
+                        .filter(chosen)
+                        .map(|i| model.residents[i].id)
+                        .collect();
+                    victims.push(2_000_000);
+                    let sure: Vec<EntryId> =
+                        victims.iter().copied().filter(|v| model.evictable(*v)).collect();
+                    let removed = pool.remove_batch_if_evictable(&victims);
+                    for e in &removed {
+                        prop_assert!(model.evictable(e.id), "evicted {} too early", e.id);
+                        model.remove(&[e.id]);
                     }
-                    let root = live[sel_a % live.len()];
-                    let removed = pool.remove_subtree(root);
-                    let gone: Vec<EntryId> = removed.iter().map(|e| e.id).collect();
-                    live.retain(|x| !gone.contains(x));
-                    leaf_index_exact(&pool, "remove subtree")?;
+                    let gone = |v: &EntryId| removed.iter().any(|e| e.id == *v);
+                    prop_assert!(sure.iter().all(gone), "an unpinned leaf survived the batch");
+                    "evict batch"
                 }
-                // pin toggle: pins are deliberately NOT part of the leaf
-                // index (they flip on the read-lock-only hit path), so a
-                // pinned leaf stays listed and is merely skipped at
-                // gather/removal — the brute-force comparison must agree
-                5 => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let id = live[sel_a % live.len()];
-                    pool.entry(id, |e| {
-                        e.pins
-                            .store((sel_b % 2) as u32, std::sync::atomic::Ordering::Relaxed)
-                    });
-                    leaf_index_exact(&pool, "pin toggle")?;
+                // subtree invalidation, directly or (odd) under a scoped
+                // view over the closure's shards
+                (7, Some(root)) => {
+                    let removed = if sel_b % 2 == 0 {
+                        pool.remove_subtree(root.id)
+                    } else {
+                        let shards = pool.closure_shards(&[root.id]);
+                        pool.scoped_view(&shards).remove_subtree(root.id)
+                    };
+                    let gone = model.subtree(root.id);
+                    prop_assert_eq!(sorted(removed.iter().map(|e| e.id).collect()), sorted(gone.clone()));
+                    model.remove(&gone);
+                    "remove subtree"
+                }
+                // pins are deliberately NOT part of the leaf set (they flip
+                // on the read-lock-only hit path): a pinned leaf stays
+                // listed and is merely skipped at removal
+                (8, Some(r)) => {
+                    let pins = (sel_b % 2) as u32;
+                    pool.entry(r.id, |e| e.pins.store(pins, Ordering::Relaxed));
+                    model.get(r.id).pins = pins;
+                    "pin toggle"
                 }
                 // delta-propagation rekey under a scoped view (possibly a
-                // cross-shard migration) — must not perturb the index
-                _ => {
-                    if live.is_empty() {
-                        continue;
+                // cross-shard migration): onto a fresh signature, or onto
+                // one a resident already owns — that resident and its
+                // subtree go first, the re-keyed entry with them if it
+                // hangs below. Like `propagate`, record a subset edge for
+                // the re-keyed result afterwards: it must stick only if the
+                // entry survived
+                (9, Some(r)) => {
+                    let clash = model.pick(sel_b).filter(|c| sel_b % 3 == 0 && c.id != r.id);
+                    let new_sig = clash.as_ref().map_or_else(|| sig_of(tag), |c| c.sig.clone());
+                    let mut view = pool.scoped_view(&[pool.shard_of(&r.sig)]);
+                    view.get_mut(r.id).expect("resident").sig = new_sig.clone();
+                    view.rekey(r.id, &r.sig, Some(r.result));
+                    let sup = model.pick(sel_b).filter(|s| s.id != r.id).map(|s| s.result);
+                    if let Some(sup) = sup {
+                        view.add_subset_edge(r.result, sup);
                     }
-                    let id = live[sel_a % live.len()];
-                    tag += 1;
-                    let old_sig = pool.entry(id, |e| e.sig.clone()).expect("live");
-                    let shard = pool.shard_of(&old_sig);
-                    let mut view = pool.scoped_view(&[shard]);
-                    if let Some(e) = view.get_mut(id) {
-                        e.sig = Sig::of(Opcode::Select, &[Value::Int(tag)]);
-                    }
-                    view.rekey(id, &old_sig, None);
                     drop(view);
-                    leaf_index_exact(&pool, "rekey")?;
+                    let gone = clash.map(|c| model.subtree(c.id)).unwrap_or_default();
+                    model.remove(&gone);
+                    if !gone.contains(&r.id) {
+                        let survivor = model.get(r.id);
+                        survivor.sig = new_sig;
+                        survivor.supersets.extend(sup);
+                    } else {
+                        model.dead_edges.extend(sup.map(|sup| (r.result, sup)));
+                    }
+                    "rekey"
                 }
-            }
+                // delta-propagation rewrite: the result becomes a new BAT,
+                // the old one resolves to nothing, aliases stay
+                (10, Some(r)) => {
+                    let bat = fresh_bat(tag);
+                    let new_result = bat.id();
+                    let mut view = pool.scoped_view(&[pool.shard_of(&r.sig)]);
+                    prop_assert!(view.set_raw(r.id, Value::Bat(bat), 64));
+                    view.rekey(r.id, &r.sig, Some(r.result));
+                    drop(view);
+                    model.retired.push(r.result);
+                    let rewritten = model.get(r.id);
+                    let edges: Vec<BatId> = std::mem::take(&mut rewritten.supersets);
+                    rewritten.result = new_result;
+                    model.dead_edges.extend(edges.into_iter().map(|sup| (r.result, sup)));
+                    "set_raw"
+                }
+                // a child insert torn after `wire`, then `repair`: the
+                // parent is a leaf again and nothing else moved
+                #[cfg(feature = "failpoints")]
+                (11, Some(p)) => {
+                    let (e, torn_result) = mk(&pool, sig_of(tag), vec![p.id], tag);
+                    torn_insert_then_repair(&pool, e);
+                    model.retired.push(torn_result);
+                    "torn insert + repair"
+                }
+                // `clear` is the empty rebuild
+                (_, Some(_)) => {
+                    if sel_a % 8 == 0 {
+                        pool.clear();
+                        let all: Vec<EntryId> = model.residents.iter().map(|r| r.id).collect();
+                        model.remove(&all);
+                    }
+                    "clear"
+                }
+            };
+            agree(&pool, &model, step)?;
         }
         // drain through the eviction path: layer by layer, every entry is
-        // eventually a leaf and the index must steer the whole teardown
+        // eventually a leaf and the leaf set must steer the whole teardown
         // (unpin everything first — eviction never removes pinned entries)
-        for &id in &live {
-            pool.entry(id, |e| {
-                e.pins.store(0, std::sync::atomic::Ordering::Relaxed)
-            });
+        for r in &mut model.residents {
+            pool.entry(r.id, |e| e.pins.store(0, Ordering::Relaxed));
+            r.pins = 0;
         }
         let mut guard = 0usize;
         while !pool.is_empty() {
             let leaves = pool.leaf_ids();
             prop_assert!(!leaves.is_empty(), "non-empty pool must expose leaves");
             pool.remove_batch_if_evictable(&leaves);
-            leaf_index_exact(&pool, "drain layer")?;
+            model.remove(&leaves);
+            agree(&pool, &model, "drain layer")?;
             guard += 1;
             prop_assert!(guard <= 64, "drain did not terminate");
         }
