@@ -101,10 +101,15 @@ fn reversed_fk_index() -> (Vec<u64>, Bat) {
 /// selection of `k` rows of the other table (sorted OIDs, as a select
 /// leaves them). The smallest `k` is a handful of neighbouring rows, so
 /// that half the foreign keys fall outside the selection's range.
+/// `kernel` scans the foreign-key column (a transient one); `indexed` is
+/// the same column as the catalog holds it, with its key index built: up
+/// to 7 500 keys (`|r| × 8 ≤ |l|`) it reads the index, at 30 000 it scans
+/// too, and must cost what `kernel` does.
 fn bench_tpch_semijoin(c: &mut Criterion) {
     let mut g = c.benchmark_group("tpch_semijoin");
     let (fk, l) = reversed_fk_index();
-    for k in [4usize, 100, 5_000, 30_000] {
+    let persistent = Bat::from_tail(Column::from_oids(fk.clone()).persistent()).reverse();
+    for k in [4usize, 100, 512, 5_000, 7_500, 30_000] {
         let stride = if k < 100 { 10_000 } else { LINEITEMS / k };
         let picked: Vec<u64> = (0..k as u64).map(|j| j * stride as u64).collect();
         let r = Bat::new(
@@ -114,6 +119,9 @@ fn bench_tpch_semijoin(c: &mut Criterion) {
         );
         g.bench_with_input(BenchmarkId::new("kernel", k), &k, |bench, _| {
             bench.iter(|| ops::semijoin(black_box(&l), black_box(&r)).unwrap())
+        });
+        g.bench_with_input(BenchmarkId::new("indexed", k), &k, |bench, _| {
+            bench.iter(|| ops::semijoin(black_box(&persistent), black_box(&r)).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("std_hashset", k), &k, |bench, _| {
             bench.iter(|| {
@@ -182,6 +190,14 @@ fn bench_tpch_join(c: &mut Criterion) {
     g.finish();
 }
 
+/// `l_shipmode`: 60 000 strings of seven kinds, in no order.
+fn shipmodes() -> Vec<&'static str> {
+    const MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
+    (0..LINEITEMS)
+        .map(|i| MODES[(i * 2_654_435_761) % 10_000 % 7])
+        .collect()
+}
+
 /// Range selects over unsorted `Float` and `Date` columns at 1 %, 20 % and
 /// 90 % selectivity, and an equality select over a string column.
 fn bench_tpch_select(c: &mut Criterion) {
@@ -233,11 +249,14 @@ fn bench_tpch_select(c: &mut Criterion) {
             },
         );
     }
-    const MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
-    let modes: Vec<&str> = (0..LINEITEMS).map(|i| MODES[scrambled(i) % 7]).collect();
+    let modes = shipmodes();
     let mode_bat = Bat::from_tail(Column::from_strs(modes.iter().copied()));
     g.bench_function("uselect_str/kernel", |bench| {
         bench.iter(|| ops::uselect(black_box(&mode_bat), black_box(&Value::str("MAIL"))).unwrap())
+    });
+    let persistent = Bat::from_tail(mode_bat.tail().clone().persistent());
+    g.bench_function("uselect_str/indexed", |bench| {
+        bench.iter(|| ops::uselect(black_box(&persistent), black_box(&Value::str("MAIL"))).unwrap())
     });
     g.bench_function("uselect_str/std_filter", |bench| {
         bench.iter(|| {
@@ -287,6 +306,76 @@ fn bench_tpch_calc(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a key index costs to build — once per buffer of a persistent
+/// column, by the first kernel that wants it: the build side of a join
+/// over the column, which is what the index is. Over 60 000 foreign keys
+/// (OIDs of 15 000 rows: direct table, CSR groups) and over 60 000 strings
+/// of seven kinds; each beside the `std` map of rows per key.
+fn bench_key_index_build(c: &mut Criterion) {
+    let mut g = c.benchmark_group("key_index_build");
+    let fk: Vec<u64> = (0..LINEITEMS as u64)
+        .map(|i| (i * 40_507) % 15_000)
+        .collect();
+    let fk_bat = Bat::from_tail(Column::from_oids(fk.clone())).reverse();
+    g.bench_function("oids/kernel", |bench| {
+        bench.iter(|| ops::join_build(black_box(&fk_bat)).unwrap())
+    });
+    g.bench_function("oids/std_hashmap", |bench| {
+        bench.iter(|| {
+            let mut rows: HashMap<u64, Vec<u32>> = HashMap::new();
+            for (row, &key) in black_box(&fk).iter().enumerate() {
+                rows.entry(key).or_default().push(row as u32);
+            }
+            rows
+        })
+    });
+    let modes = shipmodes();
+    let mode_bat = Bat::from_tail(Column::from_strs(modes.iter().copied())).reverse();
+    g.bench_function("strings/kernel", |bench| {
+        bench.iter(|| ops::join_build(black_box(&mode_bat)).unwrap())
+    });
+    g.bench_function("strings/std_hashmap", |bench| {
+        bench.iter(|| {
+            let mut rows: HashMap<&str, Vec<u32>> = HashMap::new();
+            for (row, &key) in black_box(&modes).iter().enumerate() {
+                rows.entry(key).or_default().push(row as u32);
+            }
+            rows
+        })
+    });
+    g.finish();
+}
+
+/// `topN(b, 10)` over 60 000 floats against the full sort it replaced,
+/// and the `std` selection of ten.
+fn bench_topn(c: &mut Criterion) {
+    let mut g = c.benchmark_group("topn");
+    let revenue: Vec<f64> = (0..LINEITEMS)
+        .map(|i| ((i * 2_654_435_761) % 100_003) as f64 * 0.01)
+        .collect();
+    let b = Bat::from_tail(Column::from_floats(revenue.clone()));
+    g.bench_function("kernel", |bench| {
+        bench.iter(|| ops::topn(black_box(&b), 10, false).unwrap())
+    });
+    g.bench_function("sort_then_slice", |bench| {
+        bench.iter(|| ops::sort(black_box(&b), false).unwrap().slice(0, 10))
+    });
+    g.bench_function("std_select_nth", |bench| {
+        bench.iter(|| {
+            let mut rows: Vec<u32> = (0..LINEITEMS as u32).collect();
+            let order = |&i: &u32, &j: &u32| {
+                let (x, y) = (revenue[i as usize], revenue[j as usize]);
+                y.total_cmp(&x).then(i.cmp(&j))
+            };
+            rows.select_nth_unstable_by(9, order);
+            rows.truncate(10);
+            rows.sort_unstable_by(order);
+            rows
+        })
+    });
+    g.finish();
+}
+
 fn bench_zero_cost_views(c: &mut Criterion) {
     let b = make_int_bat(100_000);
     c.bench_function("view/reverse", |bench| {
@@ -307,6 +396,8 @@ criterion_group!(
     bench_tpch_join,
     bench_tpch_select,
     bench_tpch_calc,
+    bench_key_index_build,
+    bench_topn,
     bench_zero_cost_views
 );
 criterion_main!(benches);

@@ -46,6 +46,45 @@
 //! does — so a newly inserted repeat takes over the entries (case 3) and a
 //! deleted target hands them to the highest surviving repeat (case 4).
 //! An index whose two sides are the same table is rebuilt from scratch.
+//!
+//! # Accelerators
+//!
+//! MonetDB keeps hash accelerators on persistent BATs (paper §2) and hands
+//! only intermediates to the recycler (§3). Here too: every **persistent
+//! column** — the tail of a table column's BAT and of a join index's BAT,
+//! as made at load ([`TableBuilder::finish`]), by
+//! [`Catalog::add_join_index`], and for every column and index a commit
+//! rewrites — has an *accelerator slot* ([`crate::column::Accelerator`]):
+//! an `Arc`-shared, lazily filled cell for the **key index** of that
+//! buffer (key word → ascending rows; the structure a join builds over its
+//! right head). [`crate::ops`] says which kernels come for it and when the
+//! first of them builds it; a slot is empty until then, so loading and
+//! committing cost what they did.
+//!
+//! * **Who owns a slot.** The buffer it was made for, and nothing else: it
+//!   is created with the column, by the catalog, in one place, and an
+//!   index is reachable only through a column over that buffer.
+//! * **What carries it.** Whatever shows the whole buffer: clones of the
+//!   column (`Arc<Bat>` clones, catalog clones and snapshots,
+//!   [`Bat::reverse`], [`Bat::mirror`]) share the one slot — built through
+//!   any of them, built for all. Anything computed has none: a sub-window
+//!   ([`Column::slice`]), a gather, every operator's output. Dense heads
+//!   have none either; a dense run is its own index.
+//! * **Why it cannot be stale.** A buffer never changes, and a commit that
+//!   rewrites a column makes a new buffer with a new, empty slot; the old
+//!   index stays with the old buffer for the snapshots that still read it
+//!   and goes when they do. No invalidation, no eviction, no epoch. A
+//!   buffer a commit shares as it is (upkeep case 3) keeps its slot: it
+//!   indexes the same immutable words.
+//! * **Whose bytes.** The catalog's, like the column's: an index is in no
+//!   `resident_bytes()` and so in no book of the recycle pool's ledger —
+//!   the pool's limit bounds intermediates.
+//!   [`crate::column::Accelerator::byte_size`] reports them (u32 rows and
+//!   offsets: ~6 bytes per row of a foreign-key column), one index per
+//!   column actually probed.
+//!
+//! `tests/commit_props.rs` holds all four to a model after every commit of
+//! a random script, and eight threads to one build.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -167,7 +206,7 @@ impl TableBuilder {
         let mut columns = BTreeMap::new();
         for ((name, _), b) in self.schema.iter().zip(self.builders) {
             assert_eq!(b.len(), nrows, "ragged column {name}");
-            columns.insert(name.clone(), Arc::new(Bat::from_tail(b.finish())));
+            columns.insert(name.clone(), persistent_bat(b.finish()));
         }
         Table {
             name: self.name,
@@ -372,7 +411,7 @@ impl Catalog {
             let old = t.columns.get(cname).expect("schema/columns in sync");
             let appended = inserted.get(ci).map(|(_, ins)| ins.tail());
             let tail = merge_column(old.tail(), &survivors, appended);
-            columns.insert(cname.clone(), Arc::new(Bat::from_tail(tail)));
+            columns.insert(cname.clone(), persistent_bat(tail));
         }
         let old_columns = std::mem::replace(&mut t.columns, columns);
         t.nrows = kept + inserts.len();
@@ -439,6 +478,14 @@ impl Catalog {
             .column_type(column)
             .ok_or_else(|| BatError::not_found("column", format!("{table}.{column}")))
     }
+}
+
+/// The BAT of a persistent column — a table column or a join index: a
+/// dense head, `tail`, and an accelerator slot on `tail`'s buffer (module
+/// docs, *Accelerators*). A tail that already has a slot — a buffer an
+/// index upkeep shares as it is — keeps it.
+fn persistent_bat(tail: Column) -> Arc<Bat> {
+    Arc::new(Bat::from_tail(tail.persistent()))
 }
 
 fn bind_in(tables: &BTreeMap<String, Table>, table: &str, column: &str) -> Result<Arc<Bat>> {
@@ -561,7 +608,7 @@ fn build_index(tables: &BTreeMap<String, Table>, def: &JoinIndexDef) -> Result<J
     let mut keys = KeyMap::default();
     extend_key_map(&mut keys, to.tail(), 0)?;
     Ok(JoinIndex {
-        bat: Arc::new(Bat::from_tail(lookup_keys(from.tail(), &keys)?)),
+        bat: persistent_bat(lookup_keys(from.tail(), &keys)?),
         keys: Arc::new(keys),
     })
 }
@@ -576,7 +623,7 @@ fn index_after_referencing_change(
     let appended = new_fks.map(|fks| lookup_keys(fks, &old.keys)).transpose()?;
     let tail = merge_column(old.bat.tail(), survivors, appended.as_ref());
     Ok(JoinIndex {
-        bat: Arc::new(Bat::from_tail(tail)),
+        bat: persistent_bat(tail),
         keys: Arc::clone(&old.keys),
     })
 }
@@ -658,7 +705,7 @@ fn index_after_referenced_change(
         None => old.bat.tail().clone(),
     };
     Ok(JoinIndex {
-        bat: Arc::new(Bat::from_tail(tail)),
+        bat: persistent_bat(tail),
         keys,
     })
 }

@@ -1,10 +1,12 @@
 //! Columns: a typed buffer plus a view window and an optional validity map.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::bitmap::Bitmap;
 use crate::buffer::{Buffer, TypedSlice};
+use crate::ops::JoinBuild;
 use crate::strbuf::StrBuffer;
 use crate::types::{Date, LogicalType, Oid, Value};
 
@@ -19,12 +21,59 @@ use crate::types::{Date, LogicalType, Oid, Value};
 #[derive(Debug, Clone)]
 pub struct Column {
     buf: Buffer,
-    offset: usize,
-    len: usize,
+    /// The window, in rows of the buffer. Rows are `u32`s wherever they
+    /// are stored ([`Column::gather`], a selection's `ones`, a key index),
+    /// and here too — which is what makes room for `accel` without moving
+    /// `size_of::<Column>()`, the bytes a view is charged at.
+    offset: u32,
+    len: u32,
     /// Validity aligned with the *buffer* (not the window).
     validity: Option<Arc<Bitmap>>,
     /// True when this column borrows another column's buffer.
     view: bool,
+    /// The accelerator slot of a persistent column ([`Column::persistent`]).
+    /// A column that has one shows its whole buffer (`offset == 0`, `len`
+    /// the buffer's), so a row of the index is a row of the column.
+    accel: Option<Arc<Accelerator>>,
+}
+
+/// The accelerator slot of a persistent column: a lazily filled cell
+/// holding the *key index* of the column's buffer — for every key word
+/// (every string) the rows that hold it, ascending; NULL rows are in no
+/// list. The index is a [`JoinBuild`] over the column, built by the first
+/// kernel that can use it ([`crate::ops`] says which do) and read by every
+/// later one.
+///
+/// Who has a slot, what carries it and why an index is never stale is in
+/// the *Accelerators* section of [`crate::catalog`]. In short: a buffer is
+/// immutable, the slot belongs to the buffer, and a commit that rewrites a
+/// column makes a new buffer with an empty slot.
+#[derive(Debug, Default)]
+pub struct Accelerator {
+    index: OnceLock<JoinBuild>,
+    /// Kernels that came for the index before it was built.
+    probes: AtomicUsize,
+    builds: AtomicUsize,
+}
+
+impl Accelerator {
+    /// Has the index been built?
+    pub fn is_built(&self) -> bool {
+        self.index.get().is_some()
+    }
+
+    /// How many times an index was built for this slot: 0 or 1, however
+    /// many threads asked first.
+    pub fn builds(&self) -> usize {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// Heap bytes of the index, 0 until it is built. They are in no
+    /// `resident_bytes()`: the recycle pool's ledger charges intermediates,
+    /// and this belongs to a base column.
+    pub fn byte_size(&self) -> usize {
+        self.index.get().map_or(0, JoinBuild::byte_size)
+    }
 }
 
 impl Column {
@@ -33,21 +82,23 @@ impl Column {
         Column {
             buf: Buffer::Dense { start, len },
             offset: 0,
-            len,
+            len: row_count(len),
             validity: None,
             view: false,
+            accel: None,
         }
     }
 
     /// Owned column from a buffer (no NULLs).
     pub fn from_buffer(buf: Buffer) -> Column {
-        let len = buf.len();
+        let len = row_count(buf.len());
         Column {
             buf,
             offset: 0,
             len,
             validity: None,
             view: false,
+            accel: None,
         }
     }
 
@@ -81,23 +132,69 @@ impl Column {
         Column::from_buffer(Buffer::Bool(Arc::new(v)))
     }
 
-    /// Attach a validity bitmap (must match the buffer length).
+    /// Attach a validity bitmap (must match the buffer length). An
+    /// accelerator slot does not come along: its index says which rows
+    /// are NULL.
     pub fn with_validity(mut self, validity: Bitmap) -> Column {
         assert_eq!(validity.len(), self.buf.len(), "validity length mismatch");
         if !validity.all_set() {
             self.validity = Some(Arc::new(validity));
         }
+        self.accel = None;
         self
+    }
+
+    /// This column as a *persistent* one: with an (empty) accelerator
+    /// slot, which every clone of the column then shares. A column that
+    /// already has a slot keeps it; a view or a dense run gets none (a
+    /// view is not a whole buffer, a dense run is its own index).
+    pub fn persistent(mut self) -> Column {
+        let whole = !self.view && !matches!(self.buf, Buffer::Dense { .. });
+        if whole && self.accel.is_none() {
+            debug_assert!(self.offset() == 0 && self.len() == self.buf.len());
+            self.accel = Some(Arc::default());
+        }
+        self
+    }
+
+    /// The accelerator slot, if this is a persistent column or a clone of
+    /// one (through `Arc<Bat>`, `reverse`, `mirror`). Nothing computed has
+    /// one: not a [`Column::slice`], not a [`Column::gather`].
+    pub fn accelerator(&self) -> Option<&Accelerator> {
+        self.accel.as_deref()
+    }
+
+    /// The key index of a column with a slot: the one already built, or
+    /// one built now if this is at least the `build_at`-th time a kernel
+    /// comes for it (threads that come at once wait for the one build).
+    /// `None` — scan — without a slot, and for the callers before that.
+    pub(crate) fn key_index(&self, build_at: usize) -> Option<&JoinBuild> {
+        let accel = self.accel.as_deref()?;
+        if let Some(index) = accel.index.get() {
+            return Some(index);
+        }
+        let probes = accel.probes.fetch_add(1, Ordering::Relaxed) + 1;
+        (probes >= build_at).then(|| {
+            accel.index.get_or_init(|| {
+                accel.builds.fetch_add(1, Ordering::Relaxed);
+                JoinBuild::over(self)
+            })
+        })
     }
 
     /// Number of visible values.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
+    }
+
+    /// The row of the buffer the window starts at.
+    fn offset(&self) -> usize {
+        self.offset as usize
     }
 
     /// True when the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Logical type of the values.
@@ -119,7 +216,7 @@ impl Column {
     pub fn null_count(&self) -> usize {
         match &self.validity {
             None => 0,
-            Some(bm) => self.len - bm.count_ones_in(self.offset, self.len),
+            Some(bm) => self.len() - bm.count_ones_in(self.offset(), self.len()),
         }
     }
 
@@ -128,7 +225,7 @@ impl Column {
     pub fn is_valid(&self, i: usize) -> bool {
         match &self.validity {
             None => true,
-            Some(bm) => bm.get(self.offset + i),
+            Some(bm) => bm.get(self.offset() + i),
         }
     }
 
@@ -136,34 +233,35 @@ impl Column {
     /// column carries one — for kernels that merge NULLs a word at a time
     /// ([`Bitmap::and_range`]) instead of asking [`Self::is_valid`] per row.
     pub(crate) fn validity_window(&self) -> Option<(&Bitmap, usize)> {
-        self.validity.as_deref().map(|bm| (bm, self.offset))
+        self.validity.as_deref().map(|bm| (bm, self.offset()))
     }
 
     /// Fetch value `i` (window-relative), mapping NULLs to [`Value::Nil`].
     #[inline]
     pub fn value(&self, i: usize) -> Value {
-        debug_assert!(i < self.len);
+        debug_assert!(i < self.len());
         if !self.is_valid(i) {
             return Value::Nil;
         }
-        self.buf.value(self.offset + i)
+        self.buf.value(self.offset() + i)
     }
 
     /// Typed window over the visible values.
     #[inline]
     pub fn typed(&self) -> TypedSlice<'_> {
-        self.buf.slice(self.offset, self.len)
+        self.buf.slice(self.offset(), self.len())
     }
 
     /// Zero-copy sub-window `[from, from+len)` of this column.
     pub fn slice(&self, from: usize, len: usize) -> Column {
-        assert!(from + len <= self.len, "slice out of bounds");
+        assert!(from + len <= self.len(), "slice out of bounds");
         Column {
             buf: self.buf.clone(),
-            offset: self.offset + from,
-            len,
+            offset: row_count(self.offset() + from),
+            len: row_count(len),
             validity: self.validity.clone(),
             view: true,
+            accel: None,
         }
     }
 
@@ -227,7 +325,7 @@ impl Column {
     pub fn concat(&self, other: &Column) -> Column {
         Column::concat_ranges(
             self.logical_type(),
-            &[(self, 0..self.len), (other, 0..other.len)],
+            &[(self, 0..self.len()), (other, 0..other.len())],
         )
     }
 
@@ -243,7 +341,7 @@ impl Column {
         for (c, r) in parts {
             assert_eq!(c.logical_type(), ty, "concat of mixed column types");
             assert!(
-                r.start <= r.end && r.end <= c.len,
+                r.start <= r.end && r.end <= c.len(),
                 "concat range out of bounds"
             );
         }
@@ -251,7 +349,7 @@ impl Column {
         let windows = || {
             parts
                 .iter()
-                .map(|(c, r)| c.buf.slice(c.offset + r.start, r.len()))
+                .map(|(c, r)| c.buf.slice(c.offset() + r.start, r.len()))
         };
         macro_rules! concat_slices {
             ($variant:ident) => {{
@@ -306,7 +404,7 @@ impl Column {
         let mut validity = Bitmap::with_capacity(rows);
         for (c, r) in parts {
             match &c.validity {
-                Some(bm) => validity.extend_from_range(bm, c.offset + r.start, r.len()),
+                Some(bm) => validity.extend_from_range(bm, c.offset() + r.start, r.len()),
                 None => validity.extend_fill(true, r.len()),
             }
         }
@@ -315,7 +413,7 @@ impl Column {
 
     /// Check whether the visible values are non-decreasing (NULLs first).
     pub fn is_sorted(&self) -> bool {
-        if self.len < 2 {
+        if self.len() < 2 {
             return true;
         }
         match self.typed() {
@@ -339,7 +437,7 @@ impl Column {
             TypedSlice::Dense { start, len } => {
                 Column::from_oids((start..start + len as u64).collect())
             }
-            _ => Column::concat_ranges(self.logical_type(), &[(self, 0..self.len)]),
+            _ => Column::concat_ranges(self.logical_type(), &[(self, 0..self.len())]),
         }
     }
 
@@ -356,8 +454,13 @@ impl Column {
 
     /// Iterate values (with NULLs) — convenience for tests and result export.
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len).map(move |i| self.value(i))
+        (0..self.len()).map(move |i| self.value(i))
     }
+}
+
+/// A number of rows as a column stores it.
+fn row_count(n: usize) -> u32 {
+    u32::try_from(n).expect("a column has fewer than 2^32 rows")
 }
 
 /// The first OID when the non-empty windows are all dense and each starts
@@ -489,6 +592,17 @@ mod tests {
         assert_eq!(v.len(), 50);
         assert_eq!(v.value(0), Value::Int(100));
         assert!(v.resident_bytes() < 128);
+    }
+
+    /// The recycle pool charges a view `size_of::<Column>()`: a field that
+    /// grows `Column` moves every byte book and counter above this crate.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_view_is_charged_what_it_was() {
+        assert_eq!(std::mem::size_of::<Column>(), 56);
+        let view = Column::from_ints(vec![1, 2, 3]).persistent().slice(1, 1);
+        assert_eq!(view.resident_bytes(), 56);
+        assert!(view.accelerator().is_none());
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub enum BatError {
         /// Requested name.
         name: String,
     },
+    /// An integer result does not fit its type.
+    Overflow {
+        /// Operation that failed.
+        op: &'static str,
+    },
     /// An update was rejected (schema mismatch, bad row shape, ...).
     InvalidUpdate(String),
     /// Generic invariant violation inside an operator.
@@ -44,6 +49,7 @@ impl fmt::Display for BatError {
                 write!(f, "length mismatch in {op}: left {left} vs right {right}")
             }
             BatError::NotFound { kind, name } => write!(f, "{kind} not found: {name}"),
+            BatError::Overflow { op } => write!(f, "integer overflow in {op}"),
             BatError::InvalidUpdate(s) => write!(f, "invalid update: {s}"),
             BatError::Internal(s) => write!(f, "internal error: {s}"),
         }

@@ -1,7 +1,8 @@
 //! Scalar (whole-BAT) aggregates.
 
 use crate::bat::Bat;
-use crate::error::Result;
+use crate::error::{BatError, Result};
+use crate::ops::for_each_u64_key;
 use crate::types::{LogicalType, Value};
 
 /// Aggregate function selector — shared with grouped aggregation.
@@ -20,6 +21,20 @@ pub fn aggr(b: &Bat, func: AggrFunc) -> Result<Value> {
             };
             Ok(Value::Int(n as i64))
         }
+        // integers add up exactly, in `i64`, or not at all
+        AggrFunc::Sum if tail.logical_type() == LogicalType::Int => {
+            let mut sum = Some(0i64);
+            let mut any = false;
+            for_each_u64_key(tail, |_, word| {
+                sum = sum.and_then(|s| s.checked_add(word as i64));
+                any = true;
+            });
+            match sum {
+                Some(sum) if any => Ok(Value::Int(sum)),
+                Some(_) => Ok(Value::Nil),
+                None => Err(BatError::Overflow { op: "aggr.sum" }),
+            }
+        }
         AggrFunc::Sum => {
             let mut sum = 0f64;
             let mut any = false;
@@ -29,14 +44,7 @@ pub fn aggr(b: &Bat, func: AggrFunc) -> Result<Value> {
                     any = true;
                 }
             }
-            if !any {
-                return Ok(Value::Nil);
-            }
-            if tail.logical_type() == LogicalType::Int {
-                Ok(Value::Int(sum as i64))
-            } else {
-                Ok(Value::Float(sum))
-            }
+            Ok(if any { Value::Float(sum) } else { Value::Nil })
         }
         AggrFunc::Avg => {
             let mut sum = 0f64;
@@ -105,6 +113,32 @@ mod tests {
         let b = Bat::from_tail(cb.finish());
         assert_eq!(aggr(&b, AggrFunc::Count).unwrap(), Value::Int(1));
         assert_eq!(aggr(&b, AggrFunc::Sum).unwrap(), Value::Int(10));
+    }
+
+    #[test]
+    fn int_sums_are_exact_or_an_error() {
+        let sum = |v: Vec<i64>| aggr(&Bat::from_tail(Column::from_ints(v)), AggrFunc::Sum);
+        // one more than an f64 can count to
+        let big = (1i64 << 53) + 1;
+        assert_eq!(sum(vec![1 << 53, 1]).unwrap(), Value::Int(big));
+        assert_eq!(sum(vec![big, -big, big]).unwrap(), Value::Int(big));
+        assert_eq!(sum(vec![i64::MAX, -1, 1]).unwrap(), Value::Int(i64::MAX));
+        let overflow = BatError::Overflow { op: "aggr.sum" };
+        assert_eq!(sum(vec![i64::MAX, 1]).unwrap_err(), overflow);
+        assert_eq!(sum(vec![i64::MIN, -1, 5]).unwrap_err(), overflow);
+        // NULLs are skipped, whatever lies under them; all NULL is NULL
+        let mut cb = ColumnBuilder::new(LogicalType::Int);
+        for v in [Value::Nil, Value::Int(big), Value::Nil, Value::Int(1)] {
+            cb.push(&v);
+        }
+        let holes = Bat::from_tail(cb.finish());
+        assert_eq!(aggr(&holes, AggrFunc::Sum).unwrap(), Value::Int(big + 1));
+        let under = Column::from_ints(vec![i64::MAX, i64::MAX])
+            .with_validity(crate::Bitmap::from_bools(&[false, false]));
+        assert_eq!(
+            aggr(&Bat::from_tail(under), AggrFunc::Sum).unwrap(),
+            Value::Nil
+        );
     }
 
     #[test]

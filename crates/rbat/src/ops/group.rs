@@ -1,6 +1,7 @@
 //! Grouping and grouped aggregation.
 
 use crate::bat::Bat;
+use crate::buffer::TypedSlice;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{BatError, Result};
 use crate::hash::FxHashMap;
@@ -195,10 +196,25 @@ pub fn grp_aggr(values: &Bat, groups: &Bat, func: GrpFunc) -> Result<Bat> {
             })?;
             Ok(Bat::from_tail(Column::from_ints(counts)))
         }
+        // integers add up exactly, in `i64`, or not at all
+        GrpFunc::Sum if values.tail_type() == LogicalType::Int => {
+            let TypedSlice::Int(ints) = values.tail().typed() else {
+                unreachable!("an Int tail is a slice of i64")
+            };
+            let mut sums = vec![Some(0i64); n];
+            for_each_gid("grp_aggr", groups, |i, g| {
+                if values.tail().is_valid(i) {
+                    let sum = &mut sums[g as usize];
+                    *sum = sum.and_then(|s| s.checked_add(ints[i]));
+                }
+            })?;
+            let sums: Option<Vec<i64>> = sums.into_iter().collect();
+            let sums = sums.ok_or(BatError::Overflow { op: "grp_aggr.sum" })?;
+            Ok(Bat::from_tail(Column::from_ints(sums)))
+        }
         GrpFunc::Sum | GrpFunc::Avg => {
             let mut sums = vec![0f64; n];
             let mut counts = vec![0i64; n];
-            let int_input = values.tail_type() == LogicalType::Int;
             for_each_gid("grp_aggr", groups, |i, g| {
                 if let Some(x) = values.tail().value(i).as_float() {
                     sums[g as usize] += x;
@@ -212,10 +228,6 @@ pub fn grp_aggr(values: &Bat, groups: &Bat, func: GrpFunc) -> Result<Bat> {
                     .map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
                     .collect();
                 Ok(Bat::from_tail(Column::from_floats(avgs)))
-            } else if int_input {
-                Ok(Bat::from_tail(Column::from_ints(
-                    sums.iter().map(|&s| s as i64).collect(),
-                )))
             } else {
                 Ok(Bat::from_tail(Column::from_floats(sums)))
             }
@@ -329,6 +341,30 @@ mod tests {
         assert_eq!(
             c.tail().iter_values().collect::<Vec<_>>(),
             vec![Value::Int(2), Value::Int(2)]
+        );
+    }
+
+    #[test]
+    fn grouped_int_sums_are_exact_or_an_error() {
+        let big = (1i64 << 53) + 1;
+        let grp = Bat::from_tail(Column::from_oids(vec![0, 1, 0, 1, 2]));
+        let sum = |v: Vec<i64>, nulls: &[usize]| {
+            let mut valid = crate::Bitmap::new(v.len(), true);
+            nulls.iter().for_each(|&i| valid.set(i, false));
+            let vals = Bat::from_tail(Column::from_ints(v).with_validity(valid));
+            grp_aggr(&vals, &grp, GrpFunc::Sum).map(|s| s.tail().iter_values().collect::<Vec<_>>())
+        };
+        assert_eq!(
+            sum(vec![1 << 53, i64::MAX, 1, 0, -7], &[]).unwrap(),
+            vec![Value::Int(big), Value::Int(i64::MAX), Value::Int(-7)]
+        );
+        // only the group that overflows does, and it fails the whole call
+        let overflow = BatError::Overflow { op: "grp_aggr.sum" };
+        assert_eq!(sum(vec![0, i64::MAX, 0, 1, 0], &[]).unwrap_err(), overflow);
+        // a NULL adds nothing, whatever lies under it; a group of NULLs sums to 0
+        assert_eq!(
+            sum(vec![big, i64::MAX, 1, i64::MAX, 9], &[1, 4]).unwrap(),
+            vec![Value::Int(big + 1), Value::Int(i64::MAX), Value::Int(0)]
         );
     }
 

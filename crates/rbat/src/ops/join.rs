@@ -27,6 +27,11 @@ const ABSENT: u32 = u32::MAX;
 /// Two parts, chosen independently from the build keys: `slots` takes a
 /// key to a slot id, and `matches` says what a slot id stands for — the
 /// build row itself when no key repeats, else a group of rows.
+///
+/// The same structure over a persistent column is that column's *key
+/// index* ([`crate::column::Accelerator`]): built once per buffer, it is
+/// the build side of every [`join`] on the column and tells [`semijoin`],
+/// [`diff`] and [`crate::ops::uselect`] the rows of a key.
 #[derive(Debug)]
 pub struct JoinBuild {
     slots: Slots,
@@ -104,6 +109,114 @@ impl JoinBuild {
         };
         slots + matches
     }
+
+    /// Tabulate `head`. One pass numbers the distinct keys in order of
+    /// first appearance and counts their rows. If every row turned out to
+    /// have a key of its own, the numbers are the rows and that is all;
+    /// else a second pass over the numbering (no key is looked up twice)
+    /// lays the groups out back to back.
+    pub(crate) fn over(head: &Column) -> JoinBuild {
+        if let TypedSlice::Dense { start, len } = head.typed() {
+            return JoinBuild {
+                slots: Slots::Dense { start, len },
+                matches: Matches::Row,
+            };
+        }
+        let mut slots = Slots::for_keys(head);
+        let mut group_of = vec![ABSENT; head.len()];
+        let mut left: Vec<u32> = Vec::new(); // per group: rows not yet laid out
+        slots.for_each_cell(head, |row, cell| {
+            if *cell == ABSENT {
+                *cell = left.len() as u32;
+                left.push(0);
+            }
+            group_of[row] = *cell;
+            left[*cell as usize] += 1;
+        });
+        let matches = if left.len() == head.len() {
+            Matches::Row
+        } else {
+            let mut offsets = Vec::with_capacity(left.len() + 1);
+            let mut end = 0;
+            offsets.push(end);
+            offsets.extend(left.iter().map(|&n| {
+                end += n;
+                end
+            }));
+            let mut rows = vec![0; end as usize];
+            for (row, &g) in (0u32..).zip(&group_of).filter(|(_, &g)| g != ABSENT) {
+                let g = g as usize;
+                rows[(offsets[g + 1] - left[g]) as usize] = row;
+                left[g] -= 1;
+            }
+            Matches::Csr { offsets, rows }
+        };
+        JoinBuild { slots, matches }
+    }
+
+    /// The build rows a slot stands for, ascending; none for [`ABSENT`].
+    fn rows(&self, slot: u32) -> impl Iterator<Item = u32> + '_ {
+        let (row, group): (Option<u32>, &[u32]) = match &self.matches {
+            _ if slot == ABSENT => (None, &[]),
+            Matches::Row => (Some(slot), &[]),
+            Matches::Csr { offsets, rows } => {
+                let g = slot as usize;
+                (None, &rows[offsets[g] as usize..offsets[g + 1] as usize])
+            }
+        };
+        row.into_iter().chain(group.iter().copied())
+    }
+
+    /// The build rows whose key is the word `key`, ascending (none in a
+    /// table of strings).
+    pub(crate) fn rows_of_word(&self, key: u64) -> impl Iterator<Item = u32> + '_ {
+        self.rows(match &self.slots {
+            Slots::Dense { start, len } => dense_slot(*start, *len, key),
+            Slots::Direct { range, cells } => direct_slot(range, cells, key),
+            Slots::Hash(table) => hash_slot(table, key),
+            Slots::Str { .. } => ABSENT,
+        })
+    }
+
+    /// The build rows whose key is the string `key`, ascending (none in a
+    /// table of words).
+    pub(crate) fn rows_of_bytes(&self, key: &[u8]) -> impl Iterator<Item = u32> + '_ {
+        self.rows(match &self.slots {
+            Slots::Str { table, keys } => string_slot(table, keys, key),
+            _ => ABSENT,
+        })
+    }
+}
+
+/// The slot of key word `k` in each kind of table, [`ABSENT`] for a key
+/// that is not in it: one definition for the probe of a join, which picks
+/// the kind once for all its rows, and for a lookup in a key index.
+#[inline]
+fn dense_slot(start: u64, len: usize, k: u64) -> u32 {
+    let at = k.wrapping_sub(start);
+    if at < len as u64 {
+        at as u32
+    } else {
+        ABSENT
+    }
+}
+
+#[inline]
+fn direct_slot(range: &KeyRange, cells: &[u32], k: u64) -> u32 {
+    let cell = usize::try_from(range.place(k)).ok();
+    cell.and_then(|c| cells.get(c)).copied().unwrap_or(ABSENT)
+}
+
+#[inline]
+fn hash_slot(table: &FxHashMap<u64, u32>, k: u64) -> u32 {
+    table.get(&k).copied().unwrap_or(ABSENT)
+}
+
+#[inline]
+fn string_slot(table: &FxHashMap<u64, u32>, keys: &StrBuffer, key: &[u8]) -> u32 {
+    *table
+        .get(&string_place(table, keys, key))
+        .unwrap_or(&ABSENT)
 }
 
 impl Slots {
@@ -163,48 +276,8 @@ impl Slots {
 }
 
 /// Build half of [`join`]: tabulate `r.head`, the canonical build side.
-/// One pass numbers the distinct keys in order of first appearance and
-/// counts their rows. If every row turned out to have a key of its own,
-/// the numbers are the rows and that is all; else a second pass over the
-/// numbering (no key is looked up twice) lays the groups out back to back.
 pub fn join_build(r: &Bat) -> Result<JoinBuild> {
-    let head = r.head();
-    if let TypedSlice::Dense { start, len } = head.typed() {
-        return Ok(JoinBuild {
-            slots: Slots::Dense { start, len },
-            matches: Matches::Row,
-        });
-    }
-    let mut slots = Slots::for_keys(head);
-    let mut group_of = vec![ABSENT; head.len()];
-    let mut left: Vec<u32> = Vec::new(); // per group: rows not yet laid out
-    slots.for_each_cell(head, |row, cell| {
-        if *cell == ABSENT {
-            *cell = left.len() as u32;
-            left.push(0);
-        }
-        group_of[row] = *cell;
-        left[*cell as usize] += 1;
-    });
-    let matches = if left.len() == head.len() {
-        Matches::Row
-    } else {
-        let mut offsets = Vec::with_capacity(left.len() + 1);
-        let mut end = 0;
-        offsets.push(end);
-        offsets.extend(left.iter().map(|&n| {
-            end += n;
-            end
-        }));
-        let mut rows = vec![0; end as usize];
-        for (row, &g) in (0u32..).zip(&group_of).filter(|(_, &g)| g != ABSENT) {
-            let g = g as usize;
-            rows[(offsets[g + 1] - left[g]) as usize] = row;
-            left[g] -= 1;
-        }
-        Matches::Csr { offsets, rows }
-    };
-    Ok(JoinBuild { slots, matches })
+    Ok(JoinBuild::over(r.head()))
 }
 
 /// What a probe found: the probe rows that hit the build side, ascending
@@ -255,24 +328,12 @@ fn probe(keys: &Column, lookup: impl Fn(u64) -> u32) -> Option<Hits> {
 pub fn join_probe(l: &Bat, r: &Bat, build: &JoinBuild) -> Result<Bat> {
     let keys = l.tail();
     let hits = match &build.slots {
-        Slots::Dense { start, len } => probe(keys, |k| {
-            let at = k.wrapping_sub(*start);
-            if at < *len as u64 {
-                at as u32
-            } else {
-                ABSENT
-            }
-        }),
-        Slots::Direct { range, cells } => probe(keys, |k| {
-            let cell = usize::try_from(range.place(k)).ok();
-            cell.and_then(|c| cells.get(c)).copied().unwrap_or(ABSENT)
-        }),
-        Slots::Hash(table) => probe(keys, |k| table.get(&k).copied().unwrap_or(ABSENT)),
+        Slots::Dense { start, len } => probe(keys, |k| dense_slot(*start, *len, k)),
+        Slots::Direct { range, cells } => probe(keys, |k| direct_slot(range, cells, k)),
+        Slots::Hash(table) => probe(keys, |k| hash_slot(table, k)),
         Slots::Str { table, keys: known } => string_keys(keys).map(|strings| {
             let slot = |(i, key)| match keys.is_valid(i) {
-                true => *table
-                    .get(&string_place(table, known, key))
-                    .unwrap_or(&ABSENT),
+                true => string_slot(table, known, key),
                 false => ABSENT,
             };
             Hits::of(strings.enumerate().map(slot).collect())
@@ -321,10 +382,15 @@ pub fn join_probe(l: &Bat, r: &Bat, build: &JoinBuild) -> Result<Bat> {
 /// ordered by `i`, then `j`. NULL keys match nothing.
 ///
 /// Composed from [`join_build`] + [`join_probe`], so a cached build side
-/// produces bit-identical results to a cold join.
+/// produces bit-identical results to a cold join — and when `r.head` is a
+/// persistent column, its key index *is* the build side: built by the
+/// first join (for what that join's own build would have cost) and found
+/// ready by every later one.
 pub fn join(l: &Bat, r: &Bat) -> Result<Bat> {
-    let build = join_build(r)?;
-    join_probe(l, r, &build)
+    match r.head().key_index(1) {
+        Some(index) => join_probe(l, r, index),
+        None => join_probe(l, r, &join_build(r)?),
+    }
 }
 
 /// `algebra.semijoin(l, r)`: tuples of `l` whose *head* appears among the
@@ -339,9 +405,20 @@ pub fn diff(l: &Bat, r: &Bat) -> Result<Bat> {
     filter_by_head(l, r, false)
 }
 
+/// `r` is *selective* against `l` when `l` has at least this many rows
+/// per row of `r`: reading the rows of `r`'s keys out of `l`'s key index
+/// then beats a scan of `l` (`tpch_semijoin` in the operator microbench
+/// has the figures behind the constant; the table in [`crate::ops`]
+/// quotes them).
+const SELECTIVE: usize = 8;
+
 /// How [`members`] tests membership — read off the two head columns.
 #[derive(Debug)]
 enum Membership {
+    /// `l`'s head is a persistent column and `r` is selective against it:
+    /// the rows of each key of `r` come out of `l`'s key index. No key of
+    /// `l` is read.
+    Indexed,
     /// String heads: a hash set of byte strings.
     Strings,
     /// `l`'s head is dense: a key of `r` *is* a row of `l`. No key of `l`
@@ -360,10 +437,13 @@ impl Membership {
     /// `None` for a string head against a fixed-width one.
     fn choose(l: &Column, r: &Column) -> Option<Membership> {
         use TypedSlice::{Dense, Str};
+        let indexed = l.accelerator().is_some() && r.len().saturating_mul(SELECTIVE) <= l.len();
         Some(match (l.typed(), r.typed()) {
+            (Str { .. }, Str { .. }) if indexed => Membership::Indexed,
             (Str { .. }, Str { .. }) => Membership::Strings,
             (Str { .. }, _) | (_, Str { .. }) => return None,
             (Dense { start, len }, _) => Membership::Positional { start, len },
+            _ if indexed => Membership::Indexed,
             _ => match key_range(r) {
                 Some(range) if range.span / 64 <= (l.len() + r.len()) as u64 => {
                     Membership::Bitmap(range)
@@ -378,6 +458,21 @@ impl Membership {
 /// row of `l` is judged by the word under it: the caller clears it).
 fn members(l: &Column, r: &Column) -> Option<Bitmap> {
     Some(match Membership::choose(l, r)? {
+        Membership::Indexed => {
+            let index = l.key_index(1).expect("chosen for a column with a slot");
+            let mut sel = Bitmap::new(l.len(), false);
+            fn mark(sel: &mut Bitmap, rows: impl Iterator<Item = u32>) {
+                rows.for_each(|row| sel.set(row as usize, true));
+            }
+            if let Some(strings) = string_keys(r) {
+                for (_, key) in strings.enumerate().filter(|&(j, _)| r.is_valid(j)) {
+                    mark(&mut sel, index.rows_of_bytes(key));
+                }
+            } else {
+                for_each_u64_key(r, |_, k| mark(&mut sel, index.rows_of_word(k)));
+            }
+            sel
+        }
         Membership::Strings => {
             let set: FxHashSet<&[u8]> = string_keys(r)?
                 .enumerate()
@@ -574,6 +669,19 @@ mod tests {
         // no range to speak of: floats, no key at all
         assert!(choose(&narrow, &Column::from_floats(vec![1.0])).contains("Hash"));
         assert!(choose(&narrow, &oids(vec![])).contains("Hash"));
+        // a persistent left head against an eighth as many rows, or fewer:
+        // its key index, whatever the keys — a row more, and it is scanned
+        let held = narrow.clone().persistent();
+        let right = |rows: u64| oids((0..rows).collect());
+        assert!(choose(&held, &right(8)).contains("Indexed"));
+        assert!(choose(&held, &right(9)).contains("Bitmap"));
+        assert!(choose(&held, &oids(vec![])).contains("Indexed"));
+        assert!(choose(&held, &Column::from_floats(vec![1.0])).contains("Indexed"));
+        assert!(choose(&narrow, &right(8)).contains("Bitmap"), "no slot");
+        let held_names = Column::from_strs(["a"; 8]).persistent();
+        assert!(choose(&held_names, &Column::from_strs(["b"])).contains("Indexed"));
+        assert!(choose(&held_names, &held_names).contains("Strings"));
+        assert!(Membership::choose(&held_names, &right(1)).is_none());
         // strings go with strings only
         let names = Column::from_strs(["a"]);
         assert!(choose(&names, &names).contains("Strings"));

@@ -26,28 +26,61 @@
 //!
 //! | operator | what is observed | algorithm |
 //! |---|---|---|
-//! | [`semijoin`] / [`diff`] | `l.head` dense | positional: each key of `r` marks a row of `l` in a bitmap; no key of `l` is read, nothing is hashed |
+//! | [`semijoin`] / [`diff`] | `l.head` persistent (has an accelerator slot) and `r` selective, `\|r\| × 8 ≤ \|l\|` | indexed: the rows of each key of `r` are read out of `l.head`'s key index and marked in the selection; no key of `l` is read. The first such probe builds the index |
+//! | | `l.head` dense | positional: each key of `r` marks a row of `l` in a bitmap; no key of `l` is read, nothing is hashed |
 //! | | `r.head` integer-like, spanning ≤ 64 places per row of `l` and `r` together | bitmap over the span, set from `r`, probed by `l` with a shift and a mask |
 //! | | anything else fixed-width (floats, scattered keys) | hash set of key words, filled from the typed slice |
 //! | | strings | hash set of byte strings |
-//! | [`join`] build (`r.head`) | dense | none: the range is the table (*fetch join*) |
+//! | [`join`] build (`r.head`) | persistent | none per call: the column's key index is the build side, built by the first join on the column |
+//! | | dense | none: the range is the table (*fetch join*) |
 //! | | integer-like, spanning ≤ 4 places per row | direct table, one cell per place |
 //! | | other fixed-width / strings | hash table on key words / byte strings |
 //! | | every row has a key of its own / some keys repeat or are NULL | a cell holds the build row / a group of rows, all groups in one allocation (CSR) |
 //! | [`join`] probe (`l.tail`) | every row hits (a foreign key through its index) / some miss | `l.head` copied in bulk / gathered by the rows that hit |
 //! | [`select`] / [`uselect`] | tail sorted and NULL-free | binary search, zero-copy view |
-//! | | integer-like tail | one unsigned comparison per row on the key word (`Date`: two, at the 32 bits a date has) |
+//! | [`uselect`] | tail persistent, integer-like or `Str`, probed with a value of its type, key index built | the rows of the value are read out of the index (a `Float` tail keeps the scan: equality is by value, the index by word). The ninth such probe of a column builds the index |
+//! | [`select`] / [`uselect`] | integer-like tail | one unsigned comparison per row on the key word (`Date`: two, at the 32 bits a date has) |
 //! | | `Float` tail | two comparisons per row; exclusive bounds stepped to the next float inward |
 //! | | `Str` tail | byte comparison; equality by length, then bytes |
 //! | | `Int` tail, `Float` bound | [`SelectBounds::contains`] per row (an `i64` has no exact `f64`) |
 //! | [`calc`] / [`calc_cmp`] | (lhs type, rhs type or scalar, operator) | one typed loop per combination; validity merged a word at a time |
+//! | [`sort`] / [`topn`] | tail type | one typed comparison of two rows; `topn` selects its `n` rows, then sorts only those |
 //!
 //! Scans mark qualifying rows in a [`Bitmap`], a word of 64 rows at a time
 //! with no branch on the data (`Bitmap::from_slice`); NULLs are merged in
 //! with a word-wise AND; head and tail are then gathered at their exact
-//! size. [`grp_aggr`], [`grp_first`], [`kunique`], [`topn`] and [`concat()`]
-//! still handle one row (for `concat` and the min/max/sum aggregates, one
-//! boxed [`crate::Value`]) at a time.
+//! size. [`grp_aggr`], [`grp_first`], [`kunique`] and [`concat()`] still
+//! handle one row (for `concat` and the min/max aggregates, one boxed
+//! [`crate::Value`]) at a time.
+//!
+//! # Key indexes
+//!
+//! A *persistent* column — one the catalog holds: [`crate::catalog`],
+//! *Accelerators* — carries a slot for the key index of its buffer: key
+//! word (or string) → the rows that hold it, ascending, NULL rows in no
+//! list. It is the build side of a join ([`JoinBuild`]: direct table or
+//! hash table, CSR groups) kept with the buffer instead of thrown away
+//! with the call; nothing else in this module builds or stores one, and a
+//! column no catalog holds is scanned as before. A kernel decides in one
+//! place whether to come for the index, from the slot and the sizes of its
+//! inputs (operator microbench, 60 000 rows, one pinned CPU):
+//!
+//! * **[`join`]** always: the index costs what the join's own build would
+//!   (478 µs over 60 000 OIDs of 15 000 rows), and the next join finds it.
+//! * **[`semijoin`] / [`diff`]** when `|r| × 8 ≤ |l|`. Reading the index
+//!   costs per row *found*, a scan per row of `l`: 3 µs against 88 µs for 4
+//!   keys, 6 against 90 for 512, 55 against 116 for 7 500, level at 30 000
+//!   (216 µs each way: half the rows found), 434 against 351 at 60 000.
+//!   Eight rows of `l` per row of `r` keeps the index ahead while a key
+//!   finds up to four rows — a TPC-H order's line items — and the first
+//!   selective probe builds (five scans' worth; a foreign-key column is
+//!   probed by most queries that touch its table).
+//! * **[`uselect`]** once the column has been probed nine times
+//!   (`select.rs` has the figures: the build is dearer and buys less).
+//!
+//! The answer is the same `Bat` either way — tuples, order, `Props`,
+//! view-ness, `resident_bytes()` — which `tests/kernel_props.rs` holds
+//! every kernel to, with and without a slot.
 //!
 //! # What a range select selects
 //!
@@ -85,7 +118,7 @@ use crate::bat::Bat;
 use crate::bitmap::Bitmap;
 use crate::buffer::TypedSlice;
 use crate::column::Column;
-use crate::types::LogicalType;
+use crate::types::{LogicalType, Value};
 
 /// A fixed-width value as its key word: OIDs as they are, integers and
 /// dates sign-extended, booleans as 0/1, floats by bit pattern (so
@@ -109,6 +142,20 @@ macro_rules! key_word {
 }
 key_word!(u64 => |v| v, i64 => |v| v as u64, i32 => |v| v as i64 as u64,
           bool => |v| v as u64, f64 => |v| v.to_bits());
+
+/// The key word of a fixed-width value, as [`KeyWord::word`] has it for
+/// the elements of a column of the value's type; `None` for NULL, strings
+/// and BATs.
+pub(crate) fn key_word_of(v: &Value) -> Option<u64> {
+    match *v {
+        Value::Oid(o) => Some(o.0.word()),
+        Value::Int(i) => Some(i.word()),
+        Value::Date(d) => Some(d.0.word()),
+        Value::Bool(b) => Some(b.word()),
+        Value::Float(x) => Some(x.word()),
+        _ => None,
+    }
+}
 
 /// Evaluate `$body` with `$slice` bound to the typed slice of a
 /// fixed-width column (its elements are [`KeyWord`]s), once per element
@@ -246,7 +293,6 @@ pub(crate) fn key_range(col: &Column) -> Option<KeyRange> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Value;
 
     fn nulls(c: Column) -> Column {
         let n = c.len();

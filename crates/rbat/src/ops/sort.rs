@@ -3,25 +3,75 @@
 use std::cmp::Ordering;
 
 use crate::bat::Bat;
+use crate::buffer::TypedSlice;
+use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::props::Props;
 
-fn cmp_at(b: &Bat, i: usize, j: usize) -> Ordering {
-    let vi = b.tail().value(i);
-    let vj = b.tail().value(j);
-    match (vi.is_nil(), vj.is_nil()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Less, // NULLs first
-        (false, true) => Ordering::Greater,
-        // Floats compare by total order (NaN sorts after every number):
-        // `sort_by` requires totality, and a NaN collapsing to `Equal`
-        // against everything is not total — std's stable sort panics on
-        // such comparators.
-        (false, false) => match (&vi, &vj) {
-            (crate::types::Value::Float(a), crate::types::Value::Float(b)) => a.total_cmp(b),
-            _ => vi.cmp_same(&vj).unwrap_or(Ordering::Equal),
-        },
+/// The first `keep` rows of `tail` in tail order, ties in row order.
+///
+/// Tail order is NULLs first, then the values as their type orders them
+/// (floats by total order, so NaN sorts after every number; strings by
+/// bytes, which is `str` order) — and all of it backwards when not
+/// `ascending`, NULLs last. The comparison is a typed one on the slice,
+/// picked once per call.
+fn rows_in_tail_order(tail: &Column, keep: usize, ascending: bool) -> Vec<u32> {
+    macro_rules! by_value {
+        ($s:ident, $cmp:expr) => {
+            first_rows(tail, keep, ascending, |i, j| $cmp(&$s[i], &$s[j]))
+        };
     }
+    match tail.typed() {
+        TypedSlice::Dense { .. } => first_rows(tail, keep, ascending, |i, j| i.cmp(&j)),
+        TypedSlice::Oid(s) => by_value!(s, u64::cmp),
+        TypedSlice::Int(s) => by_value!(s, i64::cmp),
+        TypedSlice::Date(s) => by_value!(s, i32::cmp),
+        TypedSlice::Bool(s) => by_value!(s, bool::cmp),
+        TypedSlice::Float(s) => by_value!(s, f64::total_cmp),
+        TypedSlice::Str { buf, offset, .. } => first_rows(tail, keep, ascending, |i, j| {
+            buf.get_bytes(offset + i).cmp(buf.get_bytes(offset + j))
+        }),
+    }
+}
+
+/// [`rows_in_tail_order`] for one way of comparing the values of two
+/// (non-NULL) rows. When rows are dropped, only the ones kept are sorted:
+/// a selection of the `keep` first by (tail order, row), then a sort of
+/// those — what a stable sort of everything would have put first.
+fn first_rows(
+    tail: &Column,
+    keep: usize,
+    ascending: bool,
+    value_cmp: impl Fn(usize, usize) -> Ordering,
+) -> Vec<u32> {
+    let valid = tail.validity_window();
+    let cmp = |&i: &u32, &j: &u32| {
+        let (i, j) = (i as usize, j as usize);
+        let ord = match valid {
+            None => value_cmp(i, j),
+            Some((valid, offset)) => match (valid.get(offset + i), valid.get(offset + j)) {
+                (true, true) => value_cmp(i, j),
+                (i_valid, j_valid) => i_valid.cmp(&j_valid), // NULLs first
+            },
+        };
+        if ascending {
+            ord
+        } else {
+            ord.reverse()
+        }
+    };
+    let mut idx: Vec<u32> = (0..tail.len() as u32).collect();
+    if keep >= idx.len() {
+        idx.sort_by(cmp);
+    } else if keep == 0 {
+        idx.clear();
+    } else {
+        let then_row = |i: &u32, j: &u32| cmp(i, j).then(i.cmp(j));
+        idx.select_nth_unstable_by(keep - 1, then_row);
+        idx.truncate(keep);
+        idx.sort_unstable_by(then_row);
+    }
+    idx
 }
 
 /// Exported internal state of [`sort`]: the stable sort permutation over the
@@ -58,16 +108,10 @@ impl SortedRun {
 /// Build half of [`sort`]: compute the stable sort permutation as a
 /// detached, cacheable [`SortedRun`].
 pub fn sort_build(b: &Bat, ascending: bool) -> Result<SortedRun> {
-    let mut idx: Vec<u32> = (0..b.len() as u32).collect();
-    idx.sort_by(|&i, &j| {
-        let ord = cmp_at(b, i as usize, j as usize);
-        if ascending {
-            ord
-        } else {
-            ord.reverse()
-        }
-    });
-    Ok(SortedRun { idx, ascending })
+    Ok(SortedRun {
+        idx: rows_in_tail_order(b.tail(), b.len(), ascending),
+        ascending,
+    })
 }
 
 /// Probe half of [`sort`]: gather the tuples through a prebuilt permutation.
@@ -82,18 +126,21 @@ pub fn sort_probe(b: &Bat, run: &SortedRun) -> Result<Bat> {
             right: b.len(),
         });
     }
-    let head = b.head().gather(&run.idx);
-    let tail = b.tail().gather(&run.idx);
-    Ok(Bat::new(
-        head,
-        tail,
+    Ok(arranged(b, &run.idx, run.ascending))
+}
+
+/// The tuples of `b` at `rows`, which are in tail order.
+fn arranged(b: &Bat, rows: &[u32], ascending: bool) -> Bat {
+    Bat::new(
+        b.head().gather(rows),
+        b.tail().gather(rows),
         Props {
-            tail_sorted: run.ascending,
+            tail_sorted: ascending,
             tail_nonil: b.props().tail_nonil,
             head_key: b.props().head_key,
             ..Props::default()
         },
-    ))
+    )
 }
 
 /// Stable sort of the tuples by tail value (`algebra.sortTail`).
@@ -105,11 +152,15 @@ pub fn sort(b: &Bat, ascending: bool) -> Result<Bat> {
     sort_probe(b, &run)
 }
 
-/// First `n` tuples by tail order (`algebra.slice` after sort in MAL plans).
+/// First `n` tuples by tail order (`algebra.slice` after sort in MAL
+/// plans): `sort(b, ascending)?.slice(0, n)` — ties in input order, NULLs
+/// where a sort puts them, everything when `n` exceeds the input — without
+/// sorting the tuples it drops. The answer is a view, as the slice of a
+/// sorted copy was (the pool charges it as one), over the tuples kept.
 pub fn topn(b: &Bat, n: usize, ascending: bool) -> Result<Bat> {
-    let sorted = sort(b, ascending)?;
-    let keep = n.min(sorted.len());
-    Ok(sorted.slice(0, keep))
+    let keep = n.min(b.len());
+    let rows = rows_in_tail_order(b.tail(), keep, ascending);
+    Ok(arranged(b, &rows, ascending).slice(0, keep))
 }
 
 #[cfg(test)]

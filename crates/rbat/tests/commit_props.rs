@@ -18,13 +18,26 @@
 //! * every column of the committed table and every index on it has a
 //!   `BatId` never seen before, and everything else keeps the one it had;
 //! * the catalog snapshot pinned before the commit has not changed in any
-//!   value, property or identity.
+//!   value, property or identity;
+//! * every column and index has an accelerator slot, and the key index in
+//!   it is never stale: a buffer the commit rewrote has a new, empty slot
+//!   (the old index stays with the old buffer, out of reach of the new
+//!   catalog), a buffer it left alone — or shared as it is, join-index
+//!   upkeep case 3 — keeps its slot and the index built in it, and a
+//!   join, semijoin or equality select answered through any index, old or
+//!   new, is what a search of the model's rows gives. Every index is
+//!   built by its first probe and by no later one.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rbat::catalog::{CommitReport, JoinIndexDef};
-use rbat::{Bat, BatId, Catalog, CatalogCell, Date, LogicalType, Oid, Props, TableBuilder, Value};
+use rbat::column::Accelerator;
+use rbat::{
+    ops, Bat, BatId, Catalog, CatalogCell, Column, ColumnBuilder, Date, LogicalType, Oid, Props,
+    TableBuilder, TypedSlice, Value,
+};
 
 type Row = Vec<Value>;
 type Schema = &'static [(&'static str, LogicalType)];
@@ -347,6 +360,98 @@ fn spell_out(report: &CommitReport) -> Report {
     }
 }
 
+/// Every persistent BAT of a catalog, under the names [`dump`] uses.
+fn persistent_bats(cat: &Catalog) -> BTreeMap<String, Arc<Bat>> {
+    let mut bats = BTreeMap::new();
+    for (name, schema) in TABLES {
+        for (column, _) in schema {
+            bats.insert(format!("{name}.{column}"), cat.bind(name, column).unwrap());
+        }
+    }
+    for [name, ..] in INDICES {
+        bats.insert(name.to_string(), cat.bind_idx(name).unwrap());
+    }
+    bats
+}
+
+/// The accelerator slot of a persistent BAT: on its tail, and always
+/// there, but for a tail that is a dense run (an OID column a commit left
+/// empty), which is its own index.
+fn slot(bat: &Bat) -> Option<&Accelerator> {
+    let slot = bat.tail().accelerator();
+    assert_eq!(
+        slot.is_none(),
+        matches!(bat.tail().typed(), TypedSlice::Dense { .. })
+    );
+    slot
+}
+
+/// Is the key index there, and how often was it built?
+fn index_state(bat: &Bat) -> Option<(bool, usize)> {
+    slot(bat).map(|slot| (slot.is_built(), slot.builds()))
+}
+
+/// Join, semijoin and equality select through the key index of `bat`'s
+/// tail — the join builds it if it is not there — against a search of the
+/// values: for a few keys the column holds and one it may not, which rows
+/// hold them.
+fn index_answers_as_a_search(bat: &Bat, dice: &mut Dice) -> Result<(), TestCaseError> {
+    let ty = bat.tail_type();
+    let values: Vec<Value> = bat.tail().iter_values().collect();
+    let mut keys = vec![value(dice, ty)];
+    for _ in 0..values.len().min(3) {
+        keys.push(values[dice.below(values.len())].clone());
+    }
+    keys.retain(|v| !v.is_nil());
+    keys.iter_mut().for_each(|v| *v = stored(ty, v));
+    let oid = |row: usize| Value::Oid(Oid(row as u64));
+
+    let mut cb = ColumnBuilder::new(ty);
+    keys.iter().for_each(|k| cb.push(k));
+    let key_column = cb.finish();
+    let reversed = bat.reverse();
+    let joined = ops::join(&Bat::from_tail(key_column.clone()), &reversed).unwrap();
+    prop_assert!(index_state(bat).is_none_or(|(built, _)| built));
+    let mut want = Vec::new();
+    for (i, key) in keys.iter().enumerate() {
+        want.extend(
+            (0..values.len())
+                .filter(|&j| values[j] == *key)
+                .map(|j| (oid(i), oid(j))),
+        );
+    }
+    let got: Vec<(Value, Value)> = (0..joined.len()).map(|i| joined.tuple(i)).collect();
+    prop_assert_eq!(got, want, "join through the index");
+
+    let right = Bat::new(key_column, Column::dense(0, keys.len()), Props::default());
+    let members = ops::semijoin(&reversed, &right).unwrap();
+    let want: Vec<Value> = (0..values.len())
+        .filter(|&j| keys.contains(&values[j]))
+        .map(oid)
+        .collect();
+    prop_assert_eq!(members.tail().iter_values().collect::<Vec<_>>(), want);
+
+    for key in &keys {
+        // (one value may be two words and the other way round only in a
+        // float column, which an equality select scans)
+        let same = |v: &Value| match (v, key) {
+            (Value::Float(x), Value::Float(y)) => x == y,
+            _ => v == key,
+        };
+        let want: Vec<Value> = (0..values.len())
+            .filter(|&j| same(&values[j]))
+            .map(oid)
+            .collect();
+        let selected = ops::uselect(bat, key).unwrap();
+        prop_assert_eq!(selected.head().iter_values().collect::<Vec<_>>(), want);
+    }
+    prop_assert!(
+        index_state(bat).is_none_or(|(_, builds)| builds == 1),
+        "built once"
+    );
+    Ok(())
+}
+
 /// Is the BAT `name` (a `table.column` or an index) touched by a commit
 /// to `table`?
 fn touched(name: &str, table: &str) -> bool {
@@ -387,6 +492,11 @@ proptest! {
         }
         let cell = CatalogCell::new(model.load());
         let mut seen: BTreeSet<BatId> = BTreeSet::new();
+        // every slot starts empty; every index is built before the first commit
+        for bat in persistent_bats(&cell.snapshot()).values() {
+            prop_assert!(index_state(bat).is_none_or(|state| state == (false, 0)));
+            index_answers_as_a_search(bat, &mut dice)?;
+        }
 
         for step in 0..14 {
             let table = TABLES[dice.below(TABLES.len())].0;
@@ -403,6 +513,7 @@ proptest! {
 
             let (epoch, pinned) = cell.pinned();
             let before = dump(&pinned);
+            let held = persistent_bats(&pinned);
             seen.extend(before.bats.values().map(|(id, _)| *id));
 
             // a misfit anywhere in the batch refuses all of it
@@ -442,6 +553,80 @@ proptest! {
             for index in INDICES {
                 prop_assert_eq!(&after.bats[index[0]].1.tail, &model.index(index), "{}", what);
             }
+
+            // a key index belongs to its buffer: what the commit rewrote
+            // starts with an empty slot, what it did not keeps its index
+            for (name, bat) in &persistent_bats(&cell.snapshot()) {
+                let kept_slot = match (slot(bat), slot(&held[name])) {
+                    (Some(new), Some(old)) => std::ptr::eq(new, old),
+                    _ => false,
+                };
+                if bat.id() == held[name].id() {
+                    let kept_slot = kept_slot || slot(bat).is_none();
+                    prop_assert!(kept_slot, "{what}: {name} lost its slot");
+                } else if kept_slot {
+                    // join-index upkeep case 3: the same immutable words
+                    let shared = INDICES.iter().any(|[index, _, _, to, _]| index == name && *to == table);
+                    prop_assert!(shared, "{what}: {name} was rewritten and kept its slot");
+                    prop_assert_eq!(&after.bats[name].1.tail, &before.bats[name].1.tail, "{}", what);
+                } else {
+                    let empty = index_state(bat).is_none_or(|state| state == (false, 0));
+                    prop_assert!(empty, "{what}: {name} was rewritten and has an index");
+                }
+                let built = index_state(bat).is_none_or(|(built, _)| built == kept_slot);
+                prop_assert!(built, "{what}: {name}");
+                index_answers_as_a_search(bat, &mut dice)?;
+                // the old buffer's index still answers for the old buffer
+                index_answers_as_a_search(&held[name], &mut dice)?;
+            }
         }
+    }
+}
+
+/// Eight threads come for the key index of one fresh column at the same
+/// moment (a barrier lets them go), through the three kernels that use it:
+/// one of them builds it, the others wait for that build, and all get the
+/// answer a scan gives. Fifty columns, so that the race is run, not hoped
+/// for.
+#[test]
+fn key_index_is_built_once_under_contention() {
+    const THREADS: usize = 8;
+    const ROWS: u64 = 4_000;
+    let right = Bat::new(
+        Column::from_oids(vec![7, 3, 7, 99, 1 << 40]),
+        Column::dense(0, 5),
+        Props::default(),
+    );
+    let keys = Bat::from_tail(Column::from_oids(vec![99, 5]));
+    for round in 0..50 {
+        let words = |i: u64| (i * 40_507 + round) % 100;
+        let scanned = Bat::from_tail(Column::from_oids((0..ROWS).map(words).collect()));
+        let held = Bat::from_tail(scanned.tail().clone().persistent());
+        let (scanned, held) = (scanned.reverse(), held.reverse());
+        let want = (
+            ops::semijoin(&scanned, &right).unwrap().canonical_tuples(),
+            ops::diff(&scanned, &right).unwrap().canonical_tuples(),
+            ops::join(&keys, &scanned).unwrap().canonical_tuples(),
+        );
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (held, right, keys, want, barrier) = (&held, &right, &keys, &want, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    match thread % 3 {
+                        0 => assert_eq!(
+                            ops::semijoin(held, right).unwrap().canonical_tuples(),
+                            want.0
+                        ),
+                        1 => assert_eq!(ops::diff(held, right).unwrap().canonical_tuples(), want.1),
+                        _ => assert_eq!(ops::join(keys, held).unwrap().canonical_tuples(), want.2),
+                    }
+                });
+            }
+        });
+        let slot = held.head().accelerator().expect("a persistent column");
+        assert!(slot.is_built());
+        assert_eq!(slot.builds(), 1, "round {round}");
     }
 }

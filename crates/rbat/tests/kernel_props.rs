@@ -22,6 +22,18 @@
 //! pins that down: for joins on the `Debug` form of the build side, for
 //! semijoins by construction (the unit tests in `ops/join.rs` pin the
 //! rule).
+//!
+//! One of the things a kernel reads is whether a column is *persistent* —
+//! has an accelerator slot, and through it a key index of its buffer. The
+//! semijoin / diff, select and join properties therefore run every case a
+//! second time with the left (or selected, or build) column as the catalog
+//! would hold it, and require the same `Bat` as without a slot, from the
+//! probe that builds the index and from the ones that find it; `topn` is
+//! held to `sort` then `slice`, and `sort` to the oracle's order.
+
+// The oracles key sets and maps by `Value`, which hashes and compares a BAT
+// by its id: the accelerator slot inside one is no part of the key.
+#![allow(clippy::mutable_key_type)]
 
 use std::collections::{HashMap, HashSet};
 
@@ -234,6 +246,30 @@ fn size(rng: &mut Rng) -> usize {
         2 => 64 + rng.below(3), // a word of the selection bitmap, or just over
         _ => rng.below(140),
     }
+}
+
+/// `column` as the catalog holds a column: an owned, whole buffer with an
+/// accelerator slot (none for a dense run, which needs no index).
+fn persistent(column: &Column) -> Column {
+    column.to_owned_column().persistent()
+}
+
+/// Has the key index of a persistent column been built?
+fn indexed(column: &Column) -> bool {
+    column.accelerator().is_some_and(|slot| slot.is_built())
+}
+
+/// Build the key index of a persistent column now, the way a join does:
+/// by being the build side of one.
+fn build_index(column: &Column) {
+    let build = Bat::new(
+        column.clone(),
+        Column::dense(0, column.len()),
+        Props::default(),
+    );
+    let probe = Bat::from_tail(column.slice(0, 0));
+    ops::join(&probe, &build).unwrap();
+    assert!(indexed(column) || column.accelerator().is_none());
 }
 
 // ---- the oracle ---------------------------------------------------------
@@ -467,6 +503,39 @@ fn oracle_group(b: &Bat) -> Bat {
     )
 }
 
+/// `sort`: rows by tail value — NULLs first, floats by total order — ties
+/// in row order, all of it backwards when descending; one `Value`
+/// comparison at a time.
+fn oracle_sort(b: &Bat, ascending: bool) -> Bat {
+    let key = |i: usize| b.tail().value(i);
+    let mut rows: Vec<usize> = (0..b.len()).collect();
+    rows.sort_by(|&i, &j| {
+        let ord = match (key(i), key(j)) {
+            (Value::Nil, Value::Nil) => std::cmp::Ordering::Equal,
+            (Value::Nil, _) => std::cmp::Ordering::Less,
+            (_, Value::Nil) => std::cmp::Ordering::Greater,
+            (Value::Float(x), Value::Float(y)) => x.total_cmp(&y),
+            (x, y) => x.cmp_same(&y).expect("values of one type"),
+        };
+        if ascending {
+            ord
+        } else {
+            ord.reverse()
+        }
+    });
+    let (head, tail) = pushed(b.head(), &rows, b.tail(), &rows);
+    Bat::new(
+        head,
+        tail,
+        Props {
+            tail_sorted: ascending,
+            tail_nonil: b.props().tail_nonil,
+            head_key: b.props().head_key,
+            ..Props::default()
+        },
+    )
+}
+
 // ---- comparison ---------------------------------------------------------
 
 fn same_column(what: &str, got: &Column, want: &Column) -> Result<(), TestCaseError> {
@@ -561,6 +630,26 @@ proptest! {
         let point = SelectBounds::closed(probe.clone(), probe.clone());
         same_bat(&ops::uselect(&b, &probe).unwrap(), &oracle_select(&b, &point))?;
         same_bat(&ops::select_not_nil(&b).unwrap(), &oracle_select_not_nil(&b))?;
+
+        // the same over a persistent tail: scanned while the index is not
+        // there, read out of it once it is (floats keep the scan: `-0.0`
+        // and `0.0` are one value and two words), and never through a
+        // sub-window, which has no slot
+        let held = Bat::new(b.head().clone(), persistent(b.tail()), b.props());
+        for _ in 0..2 {
+            same_bat(&ops::uselect(&held, &probe).unwrap(), &oracle_select(&held, &point))?;
+            same_bat(&ops::select(&held, &bounds).unwrap(), &oracle_select(&held, &bounds))?;
+            if let Some(v) = held.tail().iter_values().find(|v| !v.is_nil()) {
+                let point = SelectBounds::closed(v.clone(), v.clone());
+                same_bat(&ops::uselect(&held, &v).unwrap(), &oracle_select(&held, &point))?;
+            }
+            if held.len() > 2 {
+                let window = held.slice(1, held.len() - 2);
+                prop_assert!(window.tail().accelerator().is_none());
+                same_bat(&ops::uselect(&window, &probe).unwrap(), &oracle_select(&window, &point))?;
+            }
+            build_index(held.tail());
+        }
     }
 
     /// `semijoin` and `diff` over every pairing of head layouts of one
@@ -580,6 +669,17 @@ proptest! {
         let r = bat(rng, rk, rt, rn);
         same_bat(&ops::semijoin(&l, &r).unwrap(), &oracle_filter_by_head(&l, &r, true))?;
         same_bat(&ops::diff(&l, &r).unwrap(), &oracle_filter_by_head(&l, &r, false))?;
+
+        // the same with the left head persistent: against all of `r`
+        // (scanned, unless `r` happens to be selective), then against few
+        // enough of its rows that the key index is built and read
+        let held = Bat::new(persistent(l.head()), l.tail().clone(), l.props());
+        let few = r.slice(0, rn.min(ln / 8));
+        for r in [&r, &few, &r] {
+            same_bat(&ops::semijoin(&held, r).unwrap(), &oracle_filter_by_head(&l, r, true))?;
+            same_bat(&ops::diff(&held, r).unwrap(), &oracle_filter_by_head(&l, r, false))?;
+        }
+        prop_assert_eq!(indexed(held.head()), lk != HeadKind::Dense);
     }
 
     /// `join`, cold and through a detached build side: fetch join (dense
@@ -614,6 +714,14 @@ proptest! {
         same_bat(&ops::join(&l, &r).unwrap(), &want)?;
         let build = ops::join_build(&r).unwrap();
         same_bat(&ops::join_probe(&l, &r, &build).unwrap(), &want)?;
+
+        // the same with the build head persistent: the first join builds
+        // the key index, the second finds it
+        let held = Bat::new(persistent(r.head()), r.tail().clone(), r.props());
+        for _ in 0..2 {
+            same_bat(&ops::join(&l, &held).unwrap(), &want)?;
+            prop_assert_eq!(indexed(held.head()), rk != HeadKind::Dense);
+        }
     }
 
     /// `calc` and `calc_cmp` over every pairing of operand types, column
@@ -641,6 +749,28 @@ proptest! {
             }
             for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
                 same_bat(&ops::calc_cmp(&l, &rhs, op).unwrap(), &oracle_calc_cmp(&l, &rhs, op))?;
+            }
+        }
+    }
+
+    /// `sort` against the oracle's order, and `topn` ≡ `sort` then `slice`:
+    /// ties (earlier row first, both directions), NULLs, `n` of nothing,
+    /// one, some, all and more than all.
+    #[test]
+    fn sort_and_topn_agree(seed in 0u64..u64::MAX) {
+        let rng = &mut Rng(seed);
+        let n = size(rng);
+        let (kind, ty) = (rng.pick(&HEAD_KINDS), rng.pick(&TYPES));
+        let mut b = bat(rng, kind, ty, n);
+        if rng.chance(10) {
+            b = b.mark_t(rng.below(5) as u64); // a dense tail
+        }
+        for ascending in [true, false] {
+            let sorted = ops::sort(&b, ascending).unwrap();
+            same_bat(&sorted, &oracle_sort(&b, ascending))?;
+            for keep in [0, 1, rng.below(n + 1), n, n + 1 + rng.below(3)] {
+                let want = sorted.slice(0, keep.min(n));
+                same_bat(&ops::topn(&b, keep, ascending).unwrap(), &want)?;
             }
         }
     }
@@ -767,6 +897,71 @@ fn algorithms_are_reached() {
             &oracle_filter_by_head(l, r, false),
         )
         .unwrap();
+    }
+
+    // indexed: a persistent left head against at most an eighth as many
+    // rows; one row more and the head is scanned, and no index is built
+    let held = |b: &Bat| Bat::new(persistent(b.head()), b.tail().clone(), b.props());
+    let eighth = oid_bat(vec![5, 64, 69, 5, 700, 1, 2, 3], vec![0; 8]);
+    let ninth = oid_bat(vec![5, 64, 69, 5, 700, 1, 2, 3, 4], vec![0; 9]);
+    let narrow_64 = narrow.slice(0, 64);
+    for (r, builds) in [(&ninth, false), (&eighth, true), (&ninth, true)] {
+        let l = held(&narrow_64);
+        if builds {
+            ops::semijoin(&l, &eighth).unwrap();
+        }
+        same_bat(
+            &ops::semijoin(&l, r).unwrap(),
+            &oracle_filter_by_head(&l, r, true),
+        )
+        .unwrap();
+        same_bat(
+            &ops::diff(&l, r).unwrap(),
+            &oracle_filter_by_head(&l, r, false),
+        )
+        .unwrap();
+        assert_eq!(indexed(l.head()), builds);
+        assert_eq!(l.head().accelerator().unwrap().builds(), builds as usize);
+    }
+
+    // who has a slot: a persistent column and what shares its whole buffer
+    // — clones, `reverse`, `mirror` — and nothing that was computed
+    let column = persistent(&Column::from_ints((0..70).collect()));
+    let base = Bat::from_tail(column.clone());
+    assert!(base.tail().accelerator().is_some());
+    assert!(base.reverse().head().accelerator().is_some());
+    assert!(base.reverse().mirror().tail().accelerator().is_some());
+    assert!(base.clone().tail().accelerator().is_some());
+    assert!(base.head().accelerator().is_none(), "a dense run has none");
+    assert!(column.slice(0, 70).accelerator().is_none());
+    assert!(column.slice(3, 9).accelerator().is_none());
+    assert!(base.slice(0, 70).tail().accelerator().is_none());
+    let every_row: Vec<u32> = (0..70).collect();
+    assert!(column.gather(&every_row).accelerator().is_none());
+    assert!(column.materialize().accelerator().is_none());
+    assert!(column.concat(&column).accelerator().is_none());
+    assert!(column
+        .clone()
+        .with_validity(Bitmap::new(70, true))
+        .accelerator()
+        .is_none());
+    assert!(persistent(&column.slice(3, 9)).accelerator().is_some());
+    assert!(Column::dense(0, 9).persistent().accelerator().is_none());
+    assert!(column.slice(3, 9).persistent().accelerator().is_none());
+    let selected = ops::uselect(&base, &Value::Int(7)).unwrap();
+    assert!(selected.tail().accelerator().is_none());
+    // all of them one slot: built through one, built for all
+    build_index(base.reverse().head());
+    assert!(indexed(&column));
+    // an equality select comes for the index nine times before it builds it
+    let fresh = Bat::new(
+        Column::dense(0, 70),
+        persistent(&Column::from_ints((0..70).rev().collect())),
+        Props::default(),
+    );
+    for probe in 1..=9 {
+        assert_eq!(ops::uselect(&fresh, &Value::Int(3)).unwrap().len(), 1);
+        assert_eq!(indexed(fresh.tail()), probe == 9, "probe {probe}");
     }
 }
 
