@@ -150,13 +150,16 @@ impl Payload {
 /// the CREDIT policy accounts against (paper §4.2).
 pub type InstrKey = (u64, usize);
 
+/// Persistent `(table, column)` pairs.
+pub type Anchors = BTreeSet<(String, String)>;
+
 /// Where an entry comes from in the pool's lineage graph.
 #[derive(Debug, Clone, Default)]
 pub struct Lineage {
     /// Pool entries whose results feed this instruction.
     pub parents: Vec<EntryId>,
-    /// Persistent `(table, column)` pairs it (transitively) derives from.
-    pub base_columns: BTreeSet<(String, String)>,
+    /// The columns it is anchored on itself (see [`PoolEntry::anchors`]).
+    pub anchors: Anchors,
 }
 
 /// Who admitted an entry, and when.
@@ -230,10 +233,13 @@ pub struct PoolEntry {
     pub family: &'static str,
     /// Pool entries whose results feed this instruction.
     pub parents: Vec<EntryId>,
-    /// Persistent `(table, column)` pairs this intermediate (transitively)
-    /// derives from — the invalidation key on updates (§6.4). Join indices
-    /// contribute both endpoints.
-    pub base_columns: BTreeSet<(String, String)>,
+    /// The persistent columns this entry is anchored on *itself* — the
+    /// invalidation key on updates (§6.4): the column of a `Bind`, both
+    /// endpoints of a `BindIdx`, or those of a persistent BAT argument that
+    /// had no resident producer at admission. Empty for every other entry:
+    /// what it derives from transitively is its `parents`' business, and
+    /// the lineage graph answers it ([`crate::lineage`], *Anchors*).
+    pub anchors: Anchors,
     /// Logical admission tick (for the HISTORY policy's ageing).
     pub admitted_tick: u64,
     /// Invocation counter value when admitted — distinguishes local from
@@ -285,7 +291,7 @@ impl Clone for PoolEntry {
             cpu: self.cpu,
             family: self.family,
             parents: self.parents.clone(),
-            base_columns: self.base_columns.clone(),
+            anchors: self.anchors.clone(),
             admitted_tick: self.admitted_tick,
             admitted_invocation: self.admitted_invocation,
             admitted_session: self.admitted_session,
@@ -326,7 +332,7 @@ impl PoolEntry {
             bytes,
             cpu,
             parents: lineage.parents,
-            base_columns: lineage.base_columns,
+            anchors: lineage.anchors,
             admitted_tick: admitter.tick,
             admitted_invocation: admitter.invocation,
             admitted_session: admitter.session,

@@ -1,16 +1,39 @@
 //! The pool's one lineage graph: who feeds whom, who owns which result,
-//! which entries are evictable leaves, what subsumes what.
+//! which entries are evictable leaves, what subsumes what, what a commit
+//! touches.
 //!
 //! The paper's recycle pool (§3.2) is one table of instructions *with
 //! their lineage*, and its three consumers read that one graph: bottom-up
 //! coherence at admission (§4.1, [`LineageGraph::resolve`] /
 //! [`LineageGraph::wire`]), leaf-only eviction (§4.3,
 //! [`LineageGraph::leaves`] / [`LineageGraph::unwire`]) and lineage
-//! invalidation (§6.4, [`LineageGraph::subtree`]). [`crate::pool`] owns the
-//! question "what does entry `id` hold" (the shard tables, the ledger, the
-//! residency transitions); this module owns every question *about ids*:
-//! where an id is filed, who its children are, which entry a result BAT
-//! belongs to, which ids are childless, which results are subsets of which.
+//! invalidation (§6.4, [`LineageGraph::retire`] /
+//! [`LineageGraph::subtree`]). [`crate::pool`] owns the question "what does
+//! entry `id` hold" (the shard tables, the ledger, the residency
+//! transitions); this module owns every question *about ids*: where an id
+//! is filed, who its children are, which entry a result BAT belongs to,
+//! which ids are childless, which results are subsets of which, and which
+//! entries derive from a base column.
+//!
+//! # Anchors
+//!
+//! An entry does not carry the columns it transitively derives from. It
+//! carries only its own *anchors* ([`PoolEntry::anchors`]): the column(s) a
+//! `Bind` / `BindIdx` names, or those of a persistent BAT argument that had
+//! no resident producer when the entry was admitted. Every other entry's
+//! set is empty — where it comes from is its `parents`. The graph indexes
+//! anchor column → entries inside [`LineageGraph::wire`] /
+//! [`LineageGraph::unwire`], and because a parent never leaves before its
+//! children (leaf-only eviction, subtree invalidation) "derives from column
+//! `c`" is exactly "is anchored on `c`, or descends from an entry that is":
+//! a commit's victims are [`LineageGraph::retire`]'s roots and their
+//! [`LineageGraph::subtree`], found in O(result).
+//!
+//! The persistent-BAT registry — which `BatId`s are catalog buffers, and of
+//! which columns — lives here too: it is what [`LineageGraph::resolve`]
+//! falls back on for a BAT argument nobody in the pool produced, and
+//! [`LineageGraph::retire`] drops the registrations of a commit's replaced
+//! buffers in the step that lists its roots.
 //!
 //! A `LineageGraph` is plain data — hash maps and one ordered set — with no
 //! lock of its own. The pool keeps exactly one behind one `RwLock` and the
@@ -23,11 +46,12 @@
 //! transitions of every parent and the result / alias / candidate
 //! bookkeeping of one entry are a single atomic step.
 //!
-//! Everything but the duplicate-admission aliases and the recorded subset
-//! edges is a pure function of the resident entries:
-//! [`LineageGraph::rebuild`] re-derives it from the slabs. Quarantine
-//! repair stores that image; `check_invariants` compares the live graph
-//! against it ([`LineageGraph::diff`]).
+//! Everything but three recorded facts — the duplicate-admission aliases,
+//! the subset edges and the persistent-BAT registry — is a pure function of
+//! the resident entries: [`LineageGraph::rebuild`] re-derives it from the
+//! slabs and carries the recorded facts over. Quarantine repair stores that
+//! image; `check_invariants` compares the live graph against it
+//! ([`LineageGraph::diff`]).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
@@ -37,7 +61,7 @@ use rbat::hash::{FxHashMap, FxHashSet};
 use rbat::BatId;
 use rmal::Opcode;
 
-use crate::entry::{EntryId, PoolEntry};
+use crate::entry::{Anchors, EntryId, PoolEntry};
 use crate::signature::{ArgSig, ArtifactKind, Sig};
 
 /// Capacity of the nursery ring (oldest ids fall off on overflow — the
@@ -74,6 +98,26 @@ pub(crate) struct LineageGraph {
     /// ascending. Result entries only: operator state is not a tuple
     /// superset of anything.
     candidates: FxHashMap<(Opcode, ArgSig), Vec<EntryId>>,
+    /// Anchor column → the entries anchored on it, ascending.
+    anchored: FxHashMap<(String, String), Vec<EntryId>>,
+    /// Persistent BAT (bound column, join index) → the columns it stands
+    /// for: stable identities an admission may reference without a resident
+    /// producer. `Catalog` clones `Arc`-share their column BATs, so ids
+    /// agree between sessions.
+    persistent: FxHashMap<BatId, Anchors>,
+}
+
+/// What the graph knows about one BAT argument of an admission.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Resolved {
+    /// A resident entry owns (or is aliased to) it: the entry and its
+    /// table key.
+    Entry(EntryId, u64),
+    /// Nobody resident produced it, but it is a registered catalog buffer
+    /// of these columns.
+    Persistent(Anchors),
+    /// Neither: coherence cannot be anchored.
+    Unknown,
 }
 
 /// Insert into an ascending id list; false if already present.
@@ -93,6 +137,16 @@ fn set_remove(ids: &mut Vec<EntryId>, id: EntryId) {
     }
 }
 
+/// Take `id` off the ascending list under `key`; an emptied list goes.
+fn unlist<K: Hash + Eq>(lists: &mut FxHashMap<K, Vec<EntryId>>, key: &K, id: EntryId) {
+    if let Some(ids) = lists.get_mut(key) {
+        set_remove(ids, id);
+        if ids.is_empty() {
+            lists.remove(key);
+        }
+    }
+}
+
 fn candidate_key(sig: &Sig) -> Option<(Opcode, ArgSig)> {
     if sig.kind != ArtifactKind::Result {
         return None;
@@ -103,14 +157,21 @@ fn candidate_key(sig: &Sig) -> Option<(Opcode, ArgSig)> {
 impl LineageGraph {
     // ----- admission ------------------------------------------------------
 
-    /// For each BAT an admission takes as argument: the resident entry
-    /// owning (or aliased to) it, with its table key.
-    pub(crate) fn resolve(&self, bats: impl Iterator<Item = BatId>) -> Vec<Option<(EntryId, u64)>> {
+    /// For each BAT an admission takes as argument: its resident producer,
+    /// else its registration as a persistent buffer, else nothing.
+    pub(crate) fn resolve(&self, bats: impl Iterator<Item = BatId>) -> Vec<Resolved> {
         bats.map(|b| {
-            let id = *self.by_result.get(&b)?;
-            Some((id, self.nodes.get(&id)?.key))
+            let owner = self.by_result.get(&b);
+            let resident = owner.and_then(|id| Some(Resolved::Entry(*id, self.nodes.get(id)?.key)));
+            let registered = || self.persistent.get(&b).cloned().map(Resolved::Persistent);
+            resident.or_else(registered).unwrap_or(Resolved::Unknown)
         })
         .collect()
+    }
+
+    /// Record `bat` as a persistent buffer of the columns `anchors`.
+    pub(crate) fn register(&mut self, bat: BatId, anchors: Anchors) {
+        self.persistent.insert(bat, anchors);
     }
 
     /// Wire a new entry, about to be filed under `key`, into every index —
@@ -144,6 +205,9 @@ impl LineageGraph {
         }
         if let Some(ck) = candidate_key(&entry.sig) {
             set_insert(self.candidates.entry(ck).or_default(), id);
+        }
+        for column in &entry.anchors {
+            set_insert(self.anchored.entry(column.clone()).or_default(), id);
         }
         true
     }
@@ -190,7 +254,10 @@ impl LineageGraph {
             self.unwire_result(Some(bat), id);
         }
         if let Some(ck) = candidate_key(&entry.sig) {
-            self.unwire_candidate(&ck, id);
+            unlist(&mut self.candidates, &ck, id);
+        }
+        for column in &entry.anchors {
+            unlist(&mut self.anchored, column, id);
         }
         for p in &entry.parents {
             let emptied = self.nodes.get_mut(p).is_some_and(|parent| {
@@ -210,15 +277,6 @@ impl LineageGraph {
             self.by_result.remove(&bat);
         }
         self.supersets.remove(&bat);
-    }
-
-    fn unwire_candidate(&mut self, ck: &(Opcode, ArgSig), id: EntryId) {
-        if let Some(ids) = self.candidates.get_mut(ck) {
-            set_remove(ids, id);
-            if ids.is_empty() {
-                self.candidates.remove(ck);
-            }
-        }
     }
 
     /// `id` (re-)enters the leaf set; a genuine transition also feeds the
@@ -248,7 +306,7 @@ impl LineageGraph {
         }
         if old_sig != new_sig {
             if let Some(ck) = candidate_key(old_sig) {
-                self.unwire_candidate(&ck, id);
+                unlist(&mut self.candidates, &ck, id);
             }
             if let Some(ck) = candidate_key(new_sig) {
                 set_insert(self.candidates.entry(ck).or_default(), id);
@@ -267,6 +325,40 @@ impl LineageGraph {
         if let Some(node) = self.nodes.get_mut(&id) {
             node.key = key;
         }
+    }
+
+    // ----- updates ----------------------------------------------------------
+
+    /// What does a commit that rewrote `columns` touch? The entries
+    /// anchored on any of them, ascending — their [`Self::subtree`] is
+    /// everything derived from those columns — and, dropped in the same
+    /// step, the registrations of the buffers the commit replaced.
+    pub(crate) fn retire(&mut self, columns: &Anchors) -> Vec<EntryId> {
+        self.persistent.retain(|_, of| of.is_disjoint(columns));
+        let listed = columns.iter().filter_map(|c| self.anchored.get(c));
+        let mut roots: Vec<EntryId> = listed.flatten().copied().collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots
+    }
+
+    /// The transitive view no entry stores: each anchor column with every
+    /// entry deriving from it (the anchored ones and their subtrees),
+    /// ascending.
+    pub(crate) fn derived(&self) -> Vec<((String, String), Vec<EntryId>)> {
+        let of = |(column, roots): (&(String, String), &Vec<EntryId>)| {
+            let subtree = self.subtree(roots).into_iter();
+            let mut ids: Vec<EntryId> = subtree.map(|(id, _)| id).collect();
+            ids.sort_unstable();
+            (column.clone(), ids)
+        };
+        self.anchored.iter().map(of).collect()
+    }
+
+    /// The persistent-BAT registry (diagnostics, tests).
+    pub(crate) fn registered(&self) -> Vec<(BatId, Anchors)> {
+        let entries = self.persistent.iter();
+        entries.map(|(bat, of)| (*bat, of.clone())).collect()
     }
 
     // ----- reads ------------------------------------------------------------
@@ -361,8 +453,8 @@ impl LineageGraph {
     /// The graph of exactly the `filed` entries (table key, entry): every
     /// derived index re-wired from the slabs, oldest entry first, plus what
     /// `recorded` knows that no entry carries — aliases of entries that
-    /// are still resident, subset edges of results that are still mapped.
-    /// The nursery starts empty.
+    /// are still resident, subset edges of results that are still mapped,
+    /// the persistent-BAT registry. The nursery starts empty.
     pub(crate) fn rebuild<'a>(
         filed: impl Iterator<Item = (u64, &'a PoolEntry)>,
         recorded: &LineageGraph,
@@ -386,6 +478,7 @@ impl LineageGraph {
                 graph.supersets.insert(*sub, sups.clone());
             }
         }
+        graph.persistent = recorded.persistent.clone();
         graph
     }
 
@@ -401,7 +494,9 @@ impl LineageGraph {
             ));
         }
         same_map("subset edges", &self.supersets, &want.supersets)?;
-        same_map("candidate index", &self.candidates, &want.candidates)
+        same_map("candidate index", &self.candidates, &want.candidates)?;
+        same_map("anchor index", &self.anchored, &want.anchored)?;
+        same_map("persistent registry", &self.persistent, &want.persistent)
     }
 }
 
@@ -485,7 +580,7 @@ mod tests {
         assert_eq!(g.entry_of_result(BatId(8)), None);
         assert_eq!(
             g.resolve([BatId(7), BatId(8)].into_iter()),
-            vec![Some((1, 1)), None]
+            vec![Resolved::Entry(1, 1), Resolved::Unknown]
         );
         g.diff(&rebuilt(&g, &entries)).unwrap();
         assert!(g.unwire(&entries[0], false));
@@ -526,7 +621,7 @@ mod tests {
         assert_eq!(g.candidates(Opcode::Select, &arg0(&new_sig)), vec![1]);
         assert_eq!(
             g.resolve([BatId(1001), BatId(5)].into_iter()),
-            vec![None, Some((1, 9))]
+            vec![Resolved::Unknown, Resolved::Entry(1, 9)]
         );
         g.diff(&LineageGraph::rebuild([(9, &entries[0])].into_iter(), &g))
             .unwrap();
@@ -548,6 +643,44 @@ mod tests {
         assert_eq!(survivors.leaves(), vec![(1, 1)]);
         let drift = g.diff(&survivors).unwrap_err();
         assert!(drift.contains("lineage node"), "{drift}");
+    }
+
+    #[test]
+    fn a_commit_finds_its_roots_by_anchor_and_retires_the_replaced_buffers() {
+        let on = |names: &[&str]| -> Anchors {
+            names.iter().map(|c| ("t".into(), c.to_string())).collect()
+        };
+        // 1 binds t.x, 2 stands on t.x and t.y, 3 hangs below 1 holding no
+        // column of its own, 4 binds t.z
+        let mut entries = vec![entry(1, &[]), entry(2, &[]), entry(3, &[1]), entry(4, &[])];
+        (entries[0].anchors, entries[1].anchors, entries[3].anchors) =
+            (on(&["x"]), on(&["x", "y"]), on(&["z"]));
+        let (mut g, entries) = graph_of(entries);
+        g.register(BatId(1001), on(&["x"]));
+        g.register(BatId(1004), on(&["z"]));
+        let mut derived = g.derived();
+        derived.sort();
+        let ids: Vec<Vec<EntryId>> = derived.into_iter().map(|(_, ids)| ids).collect();
+        assert_eq!(ids, [vec![1, 2, 3], vec![2], vec![4]], "x, y, z");
+        g.diff(&rebuilt(&g, &entries)).unwrap();
+
+        assert_eq!(g.retire(&on(&["y", "nowhere"])), vec![2]);
+        assert_eq!(g.registered().len(), 2, "no buffer stood for t.y");
+        assert_eq!(g.retire(&on(&["x", "y"])), vec![1, 2], "each root once");
+        assert_eq!(g.registered(), vec![(BatId(1004), on(&["z"]))]);
+        // the roots go with their subtrees, and the index lets go of them;
+        // a registration is a recorded fact: it outlives its bind, and a
+        // resident producer answers before it does
+        for e in [&entries[2], &entries[0], &entries[1]] {
+            assert!(g.unwire(e, false));
+        }
+        assert!(g.retire(&on(&["x", "y"])).is_empty());
+        let resolve = |g: &LineageGraph| g.resolve([BatId(1001), BatId(1004)].into_iter());
+        assert_eq!(resolve(&g), [Resolved::Unknown, Resolved::Entry(4, 4)]);
+        g.diff(&rebuilt(&g, &entries[3..])).unwrap();
+        assert!(g.unwire(&entries[3], false));
+        assert_eq!(resolve(&g)[1], Resolved::Persistent(on(&["z"])));
+        g.diff(&rebuilt(&g, &[])).unwrap();
     }
 
     #[test]

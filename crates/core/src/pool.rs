@@ -8,9 +8,10 @@
 //! entry's *content* — the shard tables, the [ledger](crate::ledger), the
 //! residency transitions, quarantine and repair. Every question about
 //! *ids* — where an id is filed, who feeds whom, which entries are
-//! evictable leaves, which results subsume which — belongs to the one
-//! [lineage graph](crate::lineage), kept behind one `RwLock` that is
-//! always taken last and held for a single map operation. See
+//! evictable leaves, which results subsume which, which entries derive from
+//! a base column — belongs to the one [lineage graph](crate::lineage), kept
+//! behind one `RwLock` that is always taken last and held for a single map
+//! operation. See
 //! [`crate::shared`] for the full locking model.
 
 use std::cell::Cell;
@@ -23,9 +24,9 @@ use rbat::hash::FxHashSet;
 use rbat::BatId;
 use rmal::Opcode;
 
-use crate::entry::{EntryId, Payload, PoolEntry};
+use crate::entry::{Anchors, EntryId, Payload, PoolEntry};
 use crate::ledger::{charge, Books, Ledger};
-use crate::lineage::LineageGraph;
+use crate::lineage::{LineageGraph, Resolved};
 use crate::signature::{ArgSig, FingerprintMap, Sig, SigRef};
 
 /// Outcome of [`RecyclePool::insert`].
@@ -661,11 +662,40 @@ impl RecyclePool {
         self.graph().entry_of_result(bat)
     }
 
-    /// Admission's parent resolution in one graph read: for each BAT
+    /// Admission's lineage resolution in one graph read: for each BAT
     /// argument, the resident entry owning (or aliased to) it and where
-    /// that entry is filed — what [`Self::entry_at`] needs to pin it.
-    pub(crate) fn resolve(&self, bats: impl Iterator<Item = BatId>) -> Vec<Option<(EntryId, u64)>> {
+    /// that entry is filed — what [`Self::entry_at`] needs to pin it — or,
+    /// for a BAT nobody resident produced, the columns it is registered
+    /// as a persistent buffer of.
+    pub(crate) fn resolve(&self, bats: impl Iterator<Item = BatId>) -> Vec<Resolved> {
         self.graph().resolve(bats)
+    }
+
+    /// Register `bat` as a persistent buffer (bound column, join index) of
+    /// the columns `anchors`: an identity admissions may reference without
+    /// a pool-resident producer, until a commit retires one of its columns.
+    pub fn register_persistent(&self, bat: BatId, anchors: Anchors) {
+        self.graph_mut().register(bat, anchors);
+    }
+
+    /// The persistent-BAT registry (diagnostics, tests).
+    pub fn persistent_bats(&self) -> Vec<(BatId, Anchors)> {
+        self.graph().registered()
+    }
+
+    /// A commit rewrote `columns`: the entries anchored on any of them,
+    /// ascending — the roots whose subtrees ([`Self::remove_subtree`],
+    /// [`Self::closure_shards`]) are everything derived from those columns
+    /// — with the registrations of the replaced buffers dropped in the same
+    /// graph step.
+    pub fn retire_columns(&self, columns: &Anchors) -> Vec<EntryId> {
+        self.graph_mut().retire(columns)
+    }
+
+    /// Each anchor column with every resident entry that (transitively)
+    /// derives from it — computed from the graph when asked, stored nowhere.
+    pub fn derived_by_column(&self) -> Vec<((String, String), Vec<EntryId>)> {
+        self.graph().derived()
     }
 
     /// [`Self::entry`] for a caller that already knows the table key
@@ -1288,11 +1318,6 @@ impl PoolScopedView<'_> {
         self.guards[i].as_mut().and_then(|g| g.get_mut(key, id))
     }
 
-    /// Iterate over the entries of every *held* shard.
-    pub fn iter(&self) -> impl Iterator<Item = &PoolEntry> {
-        self.guards.iter().flatten().flat_map(|g| g.entries())
-    }
-
     /// Dependents of an entry (direct children).
     pub fn children_of(&self, id: EntryId) -> Vec<EntryId> {
         self.pool.children_of(id)
@@ -1301,6 +1326,12 @@ impl PoolScopedView<'_> {
     /// Record that `sub` is a subset of `sup`.
     pub fn add_subset_edge(&self, sub: BatId, sup: BatId) {
         self.pool.add_subset_edge(sub, sup);
+    }
+
+    /// Register `bat` as a persistent buffer of `anchors`
+    /// ([`RecyclePool::register_persistent`]).
+    pub fn register_persistent(&self, bat: BatId, anchors: Anchors) {
+        self.pool.register_persistent(bat, anchors);
     }
 
     /// Remove one entry, unwiring it from the graph (the view extends to

@@ -13,8 +13,9 @@
 //!
 //! Concurrency: [`propagate_commit`] rewrites entries, signatures and the
 //! result index in place and therefore runs under a **scoped** write view
-//! ([`PoolScopedView`]): [`propagation_roots`] locates the commit's root
-//! entries under shard *read* locks, the caller locks only the shards of
+//! ([`PoolScopedView`]): the caller asks the lineage graph for the entries
+//! anchored on the commit's columns
+//! ([`crate::pool::RecyclePool::retire_columns`]), locks only the shards of
 //! their lineage closure ([`crate::pool::RecyclePool::closure_shards`]),
 //! and concurrent probes against other tables keep running throughout.
 //! Probes of affected entries see the pool either entirely before or
@@ -36,7 +37,7 @@ use rbat::{Bat, BatId, Catalog, Value};
 use rmal::Opcode;
 
 use crate::entry::EntryId;
-use crate::pool::{PoolScopedView, RecyclePool};
+use crate::pool::PoolScopedView;
 use crate::signature::{ArgSig, Sig};
 
 /// What a propagation run did.
@@ -46,10 +47,6 @@ pub struct PropagationOutcome {
     pub refreshed: u64,
     /// Entries invalidated because no propagation rule applied.
     pub invalidated: u64,
-    /// Fresh persistent BATs (rebound columns / rebuilt indices) with their
-    /// base-column lineage — the runtime registers these for admission
-    /// coherence.
-    pub new_persistent: Vec<(BatId, BTreeSet<(String, String)>)>,
 }
 
 /// An empty BAT with the same head/tail schema as `like`.
@@ -57,67 +54,33 @@ fn empty_like(like: &Bat) -> Bat {
     like.slice(0, 0)
 }
 
-/// Is this pool entry a root of the given commit — a bind of the updated
-/// table's columns or of a rebuilt join index?
-fn is_root(sig: &Sig, report: &CommitReport) -> bool {
-    match sig.op {
-        Opcode::Bind => matches!(
-            sig.args.first(),
-            Some(ArgSig::Scalar(Value::Str(t))) if t.as_ref() == report.table
-        ),
-        Opcode::BindIdx => matches!(
-            sig.args.first(),
-            Some(ArgSig::Scalar(Value::Str(n)))
-                if report.rebuilt_indices.iter().any(|r| r == n.as_ref())
-        ),
-        _ => false,
-    }
-}
-
-/// The commit's root entries, located under shard **read** locks only —
-/// this is how the caller sizes the scoped write view before any shard is
-/// write-locked. Roots admitted after this scan stay stale in the pool
-/// but are unreachable from post-commit probes (versioned bind
-/// signatures), so missing them is safe.
-pub fn propagation_roots(pool: &RecyclePool, report: &CommitReport) -> Vec<EntryId> {
-    let mut roots = Vec::new();
-    pool.for_each_entry(|e| {
-        if is_root(&e.sig, report) {
-            roots.push(e.id);
-        }
-    });
-    roots
-}
-
-/// Try to propagate an insert-only commit through the pool. Returns `None`
-/// when the commit cannot be propagated at all (deletes present) — the
-/// caller must invalidate instead. `pool` is a scoped view over the
-/// shards of [`propagation_roots`]' lineage closure.
+/// Propagate an insert-only commit through the pool. `anchored` are the
+/// entries anchored on the commit's columns, as the lineage graph listed
+/// them; the roots of the propagation are the bind-family ones among them
+/// — binds of the updated table's columns and of its rebuilt join indices.
+/// (An entry anchored there through a persistent BAT argument, or a bind of
+/// another table's column that a rebuilt index merely ends in, is left
+/// alone: versioned bind signatures and fresh `BatId`s make it unreachable
+/// from post-commit probes, or it is still valid.) `pool` is a scoped view
+/// over the shards of `anchored`'s lineage closure. The caller invalidates
+/// instead when the commit deleted rows.
 pub fn propagate_commit(
     pool: &mut PoolScopedView<'_>,
+    anchored: &[EntryId],
     report: &CommitReport,
     catalog: &Catalog,
-) -> Option<PropagationOutcome> {
-    if !report.deleted.is_empty() {
-        return None;
-    }
+) -> PropagationOutcome {
+    debug_assert!(report.deleted.is_empty(), "deletes are not append-only");
     let mut outcome = PropagationOutcome::default();
-
-    // --- Identify root entries: binds of the updated table's columns and
-    // rebuilt join indices.
     let mut deltas: FxHashMap<EntryId, Arc<Bat>> = FxHashMap::default();
     let mut new_results: FxHashMap<EntryId, Value> = FxHashMap::default();
-    // snapshot: old result id -> entry (so children can find updated parents)
-    let mut old_result_owner: FxHashMap<BatId, EntryId> = FxHashMap::default();
-    for e in pool.iter() {
-        if let Some(rid) = e.result_id {
-            old_result_owner.insert(rid, e.id);
-        }
-    }
 
     let mut roots: Vec<EntryId> = Vec::new();
     let mut doomed: Vec<EntryId> = Vec::new();
-    for e in pool.iter() {
+    for &id in anchored {
+        let Some(e) = pool.get(id) else {
+            continue; // gone since the graph listed it
+        };
         match e.sig.op {
             Opcode::Bind => {
                 let (Some(ArgSig::Scalar(Value::Str(t))), Some(ArgSig::Scalar(Value::Str(c)))) =
@@ -133,15 +96,12 @@ pub fn propagate_commit(
                     continue;
                 };
                 let Ok(new_bat) = catalog.bind(t, c) else {
-                    doomed.push(e.id);
+                    doomed.push(id);
                     continue;
                 };
-                deltas.insert(e.id, Arc::clone(delta));
-                new_results.insert(e.id, Value::Bat(new_bat.clone()));
-                let mut cols = BTreeSet::new();
-                cols.insert((t.to_string(), c.to_string()));
-                outcome.new_persistent.push((new_bat.id(), cols));
-                roots.push(e.id);
+                deltas.insert(id, Arc::clone(delta));
+                new_results.insert(id, Value::Bat(new_bat));
+                roots.push(id);
             }
             Opcode::BindIdx => {
                 let Some(ArgSig::Scalar(Value::Str(name))) = e.sig.args.first() else {
@@ -150,16 +110,17 @@ pub fn propagate_commit(
                 if !report.rebuilt_indices.iter().any(|n| n == name.as_ref()) {
                     continue;
                 }
-                let def = catalog.index_def(name);
-                let from_side_grew = def.is_some_and(|d| d.from_table == report.table);
+                let from_side_grew = catalog
+                    .index_def(name)
+                    .is_some_and(|d| d.from_table == report.table);
                 let Ok(new_idx) = catalog.bind_idx(name) else {
-                    doomed.push(e.id);
+                    doomed.push(id);
                     continue;
                 };
                 if !from_side_grew {
                     // inserts into the *referenced* table can resolve
                     // previously dangling FKs in place — not append-only.
-                    doomed.push(e.id);
+                    doomed.push(id);
                     continue;
                 }
                 let Some(old_len) = e
@@ -168,19 +129,13 @@ pub fn propagate_commit(
                     .and_then(|v| v.as_bat())
                     .map(|b| b.len())
                 else {
-                    doomed.push(e.id);
+                    doomed.push(id);
                     continue;
                 };
                 let delta = Arc::new(new_idx.slice(old_len, new_idx.len() - old_len));
-                deltas.insert(e.id, delta);
-                new_results.insert(e.id, Value::Bat(new_idx.clone()));
-                let mut cols = BTreeSet::new();
-                if let Some(d) = def {
-                    cols.insert((d.from_table.clone(), d.from_column.clone()));
-                    cols.insert((d.to_table.clone(), d.to_key.clone()));
-                }
-                outcome.new_persistent.push((new_idx.id(), cols));
-                roots.push(e.id);
+                deltas.insert(id, delta);
+                new_results.insert(id, Value::Bat(new_idx));
+                roots.push(id);
             }
             _ => {}
         }
@@ -189,7 +144,7 @@ pub fn propagate_commit(
         outcome.invalidated += pool.remove_subtree(id).len() as u64;
     }
     if roots.is_empty() {
-        return Some(outcome);
+        return outcome;
     }
 
     // --- Affected subgraph and processing order (Kahn).
@@ -201,9 +156,13 @@ pub fn propagate_commit(
         }
         stack.extend(pool.children_of(id));
     }
+    // snapshot: old result id -> entry, so children can find updated
+    // parents after those were re-keyed to their new results
+    let mut old_result_owner: FxHashMap<BatId, EntryId> = FxHashMap::default();
     let mut indegree: FxHashMap<EntryId, usize> = FxHashMap::default();
     for &id in &affected {
         let e = pool.get(id);
+        old_result_owner.extend(e.and_then(|e| e.result_id).map(|rid| (rid, id)));
         let deg = e
             .map(|e| e.parents.iter().filter(|p| affected.contains(p)).count())
             .unwrap_or(0);
@@ -251,7 +210,7 @@ pub fn propagate_commit(
             outcome.invalidated += pool.remove_subtree(id).len() as u64;
         }
     }
-    Some(outcome)
+    outcome
 }
 
 /// Overwrite a root entry's result in place and fix the pool indexes. The
@@ -262,7 +221,9 @@ pub fn propagate_commit(
 /// nominal 64 bytes because their results are persistent storage the
 /// catalog owns, not pool-resident copies (Table III shows binds at 0 MB)
 /// — that holds for the grown post-commit column exactly as it did for
-/// the pre-commit one. Returns false (nothing touched; the caller
+/// the pre-commit one. The fresh buffer is registered as the persistent
+/// BAT of the root's anchor columns, so admissions over it stay anchored
+/// should the root be evicted. Returns false (nothing touched; the caller
 /// invalidates) when the root is not a raw entry.
 fn apply_refresh(
     pool: &mut PoolScopedView<'_>,
@@ -281,7 +242,11 @@ fn apply_refresh(
     }
     let e = pool.get_mut(id).expect("entry exists");
     e.sig = Sig::versioned(catalog, old_sig.op, &e.args);
+    let fresh = e.result_id.map(|bat| (bat, e.anchors.clone()));
     pool.rekey(id, &old_sig, old_result_id);
+    if let Some((bat, anchors)) = fresh {
+        pool.register_persistent(bat, anchors);
+    }
     true
 }
 

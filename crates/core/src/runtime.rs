@@ -21,14 +21,16 @@
 //! [`RecyclePool::probe`] call over per-entry atomics (results and
 //! operator state alike); what the hit owes the rest of the service is
 //! summed in the session and handed over once, at query end. Admissions
-//! go through one funnel: pin the parents (shard read locks, one at a
-//! time), then insert under the fingerprint shard's write lock; see the
-//! locking invariants in [`crate::shared`].
+//! go through one funnel: resolve the BAT arguments in one read of the
+//! lineage graph, pin the parents (shard read locks, one at a time), then
+//! insert under the fingerprint shard's write lock — the new entry records
+//! its parents and copies nothing from them; see the locking invariants in
+//! [`crate::shared`].
 //!
 //! `Recycler::new` remains the one-line way to get a single-session
 //! engine: it creates a private `SharedRecycler` under the hood.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,8 +40,10 @@ use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
 use crate::config::{RecyclerConfig, UpdateMode};
-use crate::entry::{Admitter, EntryId, InstrKey, Lineage, Payload, Pin, PoolEntry};
+use crate::entry::{Admitter, Anchors, EntryId, InstrKey, Lineage, Payload, Pin, PoolEntry};
+use crate::lineage::Resolved;
 use crate::pool::Admitted;
+use crate::propagate::propagate_commit;
 use crate::shared::{AccountNotes, PoolRef, SharedRecycler};
 use crate::signature::{ArtifactKind, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
@@ -78,6 +82,29 @@ impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         self.shared.release_reservation(self.bytes);
     }
+}
+
+/// The columns a bind-family instruction anchors (paper §6.4): the bound
+/// column, or both endpoints of the bound join index. Every other opcode
+/// anchors nothing of its own — its lineage is its parents.
+fn bind_anchors(catalog: &Catalog, op: Opcode, args: &[Value]) -> Anchors {
+    let name = |i: usize| args.get(i).and_then(Value::as_str);
+    let mut anchors = Anchors::new();
+    match op {
+        Opcode::Bind => {
+            if let (Some(t), Some(c)) = (name(0), name(1)) {
+                anchors.insert((t.to_string(), c.to_string()));
+            }
+        }
+        Opcode::BindIdx => {
+            if let Some(def) = name(0).and_then(|n| catalog.index_def(n)) {
+                anchors.insert((def.from_table.clone(), def.from_column.clone()));
+                anchors.insert((def.to_table.clone(), def.to_key.clone()));
+            }
+        }
+        _ => {}
+    }
+    anchors
 }
 
 /// Overlapping candidates fed to the combined subsumption search (`k` in
@@ -307,18 +334,10 @@ impl Recycler {
     }
 
     /// Pin `id` (filed under `key`) for the remainder of this query if it
-    /// is still resident, collecting its base-column lineage on the way.
-    /// The pin is taken under the owning shard's read lock (invariant 3 in
-    /// [`crate::shared`]).
-    fn pin_live(
-        &mut self,
-        (id, key): (EntryId, u64),
-        base_columns: &mut BTreeSet<(String, String)>,
-    ) -> bool {
-        let pin = self.shared.pool_inner().entry_at(id, key, |e| {
-            base_columns.extend(e.base_columns.iter().cloned());
-            Pin::take(e)
-        });
+    /// is still resident. The pin is taken under the owning shard's read
+    /// lock (invariant 3 in [`crate::shared`]).
+    fn pin_live(&mut self, id: EntryId, key: u64) -> bool {
+        let pin = self.shared.pool_inner().entry_at(id, key, Pin::take);
         let alive = pin.is_some();
         self.pins.extend(pin);
         alive
@@ -506,37 +525,37 @@ impl Recycler {
             return;
         }
         let bytes = payload.charge_bytes(sig.op);
-        let is_bind = matches!(sig.op, Opcode::Bind | Opcode::BindIdx);
-        // register persistent identities first: they anchor coherence
-        let mut lineage = Lineage::default();
-        if is_bind {
-            lineage.base_columns = shared.base_columns_of(catalog, sig.op, args);
-            if let Payload::Raw(Value::Bat(b)) = &payload {
-                shared
-                    .persistent_mut()
-                    .insert(b.id(), lineage.base_columns.clone());
+        // a bind registers the persistent buffer it returns first: that
+        // identity anchors coherence whether or not the bind is admitted
+        let mut lineage = Lineage {
+            anchors: bind_anchors(catalog, sig.op, args),
+            ..Lineage::default()
+        };
+        match &payload {
+            Payload::Raw(Value::Bat(b)) if !lineage.anchors.is_empty() => {
+                pool.register_persistent(b.id(), lineage.anchors.clone());
             }
+            _ => {}
         }
         // Bottom-up matching coherence (paper §4.1: keep whole threads
         // intact): every BAT argument must be reachable as a pool result
         // or a persistent BAT — otherwise coherence cannot be anchored and
-        // the admission is skipped. The pool-resident parents are resolved
-        // in one read of the lineage graph and *pinned* here, so eviction
-        // cannot take the prefix out from under this admission; `insert`
-        // revalidates them once more inside its critical section (a
-        // concurrent update may still invalidate — invariant 6).
-        let bats = || args.iter().filter_map(Value::as_bat);
-        let owners = pool.resolve(bats().map(|b| b.id()));
-        for (b, owner) in bats().zip(owners) {
-            if let Some(owner) = owner {
-                if self.pin_live(owner, &mut lineage.base_columns) {
-                    lineage.parents.push(owner.0);
-                    continue;
-                }
-            }
-            match shared.persistent().get(&b.id()) {
-                Some(cols) => lineage.base_columns.extend(cols.iter().cloned()),
-                None => {
+        // the admission is skipped. One read of the lineage graph answers
+        // every argument. A pool-resident producer becomes a parent and is
+        // *pinned* here, so eviction cannot take the prefix out from under
+        // this admission; `insert` revalidates it once more inside its
+        // critical section (a concurrent update may still invalidate —
+        // invariant 6). Nothing is copied from it: what the entry derives
+        // from is the graph's to answer. Only a persistent BAT nobody
+        // resident produced hands its columns over, as the entry's own
+        // anchors. A producer lost between the read and the pin (evicted,
+        // invalidated, its shard quarantined) breaks the thread.
+        let bats = args.iter().filter_map(Value::as_bat).map(|b| b.id());
+        for resolved in pool.resolve(bats) {
+            match resolved {
+                Resolved::Entry(id, key) if self.pin_live(id, key) => lineage.parents.push(id),
+                Resolved::Persistent(columns) => lineage.anchors.extend(columns),
+                Resolved::Entry(..) | Resolved::Unknown => {
                     shared.count_admission_reject();
                     return;
                 }
@@ -646,43 +665,6 @@ impl Recycler {
                 shared.undo_admission_charge(key, grant);
             }
         }
-    }
-
-    /// Invalidate every intermediate whose lineage intersects the affected
-    /// columns (paper §6.4: immediate column-wise invalidation), under a
-    /// *scoped* write view: roots are gathered under shard read locks,
-    /// then write locks are taken on only the shards holding the lineage
-    /// closure — sessions working against other tables keep probing and
-    /// admitting throughout. Removal overrides pins — correctness beats
-    /// retention; stale pins are cleaned up by their sessions'
-    /// `query_end`. An entry admitted from a pre-commit snapshot after
-    /// the gather is harmless: its bind thread carries the pre-commit
-    /// version signature, which no post-commit probe can match.
-    fn invalidate_columns(&mut self, affected: &BTreeSet<(String, String)>) {
-        let shared = Arc::clone(&self.shared);
-        let pool = shared.pool_inner();
-        let mut roots: Vec<EntryId> = Vec::new();
-        pool.for_each_entry(|e| {
-            if e.base_columns.intersection(affected).next().is_some() {
-                roots.push(e.id);
-            }
-        });
-        let removed = if roots.is_empty() {
-            0
-        } else {
-            let shards = pool.closure_shards(&roots);
-            let mut view = pool.scoped_view(&shards);
-            let mut removed = 0u64;
-            for r in roots {
-                removed += view.remove_subtree(r).len() as u64;
-            }
-            removed
-        };
-        shared.count_invalidated(removed);
-        // drop stale persistent registrations
-        shared
-            .persistent_mut()
-            .retain(|_, cols| cols.intersection(affected).next().is_none());
     }
 }
 
@@ -846,7 +828,6 @@ impl ExecHook for Recycler {
         args: &[Value],
         result: &Value,
         cpu: Duration,
-        _subsumed: bool,
         t0: Instant,
     ) {
         self.admit_result(catalog, pc, instr.op, args, result, cpu);
@@ -868,34 +849,9 @@ impl ExecHook for Recycler {
         if report.inserted.is_empty() && report.deleted.is_empty() {
             return;
         }
-        // Update synchronisation is *scoped*: the commit's root entries
-        // (binds of the touched table/indices) are located under read
-        // locks, and invalidation/propagation then write-locks only the
-        // shards holding their lineage closure. Queries against other
-        // tables never block (per-instruction atomicity for affected ones
-        // — a query already past an instruction keeps its pre-update
-        // intermediate, as in the paper's transaction-isolation
-        // discussion §6.1).
-        let shared = Arc::clone(&self.shared);
-        if shared.config().update_mode == UpdateMode::Propagate && report.deleted.is_empty() {
-            let outcome = {
-                let pool = shared.pool_inner();
-                let roots = crate::propagate::propagation_roots(pool, report);
-                let shards = pool.closure_shards(&roots);
-                let mut view = pool.scoped_view(&shards);
-                crate::propagate::propagate_commit(&mut view, report, catalog)
-            };
-            if let Some(outcome) = outcome {
-                shared.count_propagated(outcome.refreshed);
-                shared.count_invalidated(outcome.invalidated);
-                shared.persistent_mut().extend(outcome.new_persistent);
-                return;
-            }
-        }
-        // Immediate column-level invalidation (§6.4): inserts and deletes
-        // affect every column of the table (the row set changed); rebuilt
-        // indices affect their endpoints.
-        let mut affected: BTreeSet<(String, String)> = BTreeSet::new();
+        // Inserts and deletes affect every column of the table (the row
+        // set changed); rebuilt indices affect their endpoints (§6.4).
+        let mut affected = Anchors::new();
         if let Ok(table) = catalog.table(&report.table) {
             for (c, _) in table.schema() {
                 affected.insert((report.table.clone(), c.clone()));
@@ -907,7 +863,39 @@ impl ExecHook for Recycler {
                 affected.insert((def.to_table.clone(), def.to_key.clone()));
             }
         }
-        self.invalidate_columns(&affected);
+        // One rule for both modes: the lineage graph lists the entries
+        // anchored on the affected columns (and forgets the replaced
+        // buffers' registrations in the same step); everything derived
+        // from those columns hangs below these roots. Synchronisation is
+        // *scoped*: only the shards holding the roots' lineage closure are
+        // write-locked, so queries against other tables never block
+        // (per-instruction atomicity for affected ones — a query already
+        // past an instruction keeps its pre-update intermediate, as in the
+        // paper's transaction-isolation discussion §6.1). A root admitted
+        // from a pre-commit snapshot after this read is harmless: its bind
+        // thread carries the pre-commit version signature, which no
+        // post-commit probe can match.
+        let shared = Arc::clone(&self.shared);
+        let pool = shared.pool_inner();
+        let roots = pool.retire_columns(&affected);
+        if roots.is_empty() {
+            return;
+        }
+        let shards = pool.closure_shards(&roots);
+        let mut view = pool.scoped_view(&shards);
+        if shared.config().update_mode == UpdateMode::Propagate && report.deleted.is_empty() {
+            // Delta propagation (§6.3) refreshes the bind-family roots in
+            // place and walks down from them.
+            let outcome = propagate_commit(&mut view, &roots, report, catalog);
+            shared.count_propagated(outcome.refreshed);
+            shared.count_invalidated(outcome.invalidated);
+        } else {
+            // Immediate column-wise invalidation (§6.4). Removal overrides
+            // pins — correctness beats retention; stale pins are cleaned
+            // up by their sessions' `query_end`.
+            let removed = roots.iter().map(|r| view.remove_subtree(*r).len() as u64);
+            shared.count_invalidated(removed.sum());
+        }
     }
 }
 
@@ -1542,7 +1530,6 @@ mod tests {
             &args,
             &r1,
             Duration::from_micros(5),
-            false,
             Instant::now(),
         );
         s2.after(
@@ -1552,7 +1539,6 @@ mod tests {
             &args,
             &r2,
             Duration::from_micros(5),
-            false,
             Instant::now(),
         );
         s1.query_end(&prog);
@@ -1601,7 +1587,6 @@ mod tests {
             &bind_args,
             &col,
             Duration::from_micros(5),
-            false,
             Instant::now(),
         );
         let col2 = match s2.before(&cat, 0, &bind, &bind_args, Instant::now()) {
@@ -1642,7 +1627,6 @@ mod tests {
             &a1,
             &sel1,
             Duration::from_micros(5),
-            false,
             Instant::now(),
         );
         s2.after(
@@ -1652,7 +1636,6 @@ mod tests {
             &a2,
             &sel2,
             Duration::from_micros(5),
-            false,
             Instant::now(),
         );
         assert_eq!(shared.stats().duplicate_admissions, 1);
@@ -1672,7 +1655,6 @@ mod tests {
             &cnt_args,
             &n,
             Duration::from_micros(5),
-            false,
             Instant::now(),
         );
         assert_eq!(

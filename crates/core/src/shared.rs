@@ -12,8 +12,6 @@
 //!   the entry ids behind one lock, and every byte/entry book in one
 //!   [ledger](crate::ledger) moved only under the owning shard's write
 //!   lock;
-//! * the persistent-BAT registry (bound columns, join indices) in a map
-//!   behind its own lock;
 //! * the CREDIT/ADAPT accounts behind one [`Mutex`] — inherently global
 //!   (credits are per template instruction, not per shard) but touched
 //!   only on admission decisions and once per query, never per hit (a
@@ -28,11 +26,11 @@
 //!    mutex* → *pool update (scoped-view) mutex* → *shard locks in
 //!    ascending shard index* → *leaf locks*. A thread may skip tiers but
 //!    never goes back up. The leaf locks are the pool's lineage-graph
-//!    lock, the ledger's per-session book, the persistent-BAT registry
-//!    and the accounts mutex, and the one rule for them is that **a leaf
-//!    lock is held alone**: it is taken for one plain map operation and
-//!    nothing is acquired, and no caller-supplied code runs, until it is
-//!    released — so the leaves need no order among themselves. The
+//!    lock, the ledger's per-session book and the accounts mutex, and the
+//!    one rule for them is that **a leaf lock is held alone**: it is taken
+//!    for one plain map operation and nothing is acquired, and no
+//!    caller-supplied code runs, until it is released — so the leaves need
+//!    no order among themselves. The
 //!    collector round lock is the background collector's quiescence
 //!    point: every collector round runs under it, and
 //!    [`MaintenanceGuard`] acquires it (after the maintenance mutex,
@@ -81,9 +79,14 @@
 //!    the resident entry stays and is pinned for the loser, the loser's
 //!    result BAT is aliased onto it, and the caller returns the admission
 //!    credit (`duplicate_admissions`).
-//! 6. **Admission coherence is revalidated inside `wire`.** Parents are
-//!    resolved (one read of the lineage graph) and pinned (shard read
-//!    locks, one at a time) before insertion; [`RecyclePool::insert`]
+//! 6. **Admission coherence is revalidated inside `wire`.** Every BAT
+//!    argument is resolved in one read of the lineage graph — a resident
+//!    producer, else a registered persistent buffer (the registry is part
+//!    of the graph), else the admission is dropped — and the producers are
+//!    pinned (shard read locks, one at a time) before insertion. The new
+//!    entry records them as parents and copies no lineage from them: only
+//!    a bind, or an entry standing directly on a persistent buffer, holds
+//!    `(table, column)` anchors. [`RecyclePool::insert`]
 //!    wires the candidate into the graph in one step under its shard's
 //!    write lock, and that step begins by re-checking every parent: if an
 //!    update invalidated one in between, nothing is wired and the
@@ -107,8 +110,13 @@
 //!    is re-read under its shard's write lock and its leaf status inside
 //!    `unwire`, the same graph step that removes it — a child wired since
 //!    the gather always wins.
-//! 8. **Update synchronisation is scoped, not stop-the-world:**
-//!    invalidation and delta propagation run under a
+//! 8. **Update synchronisation is scoped, not stop-the-world, and has
+//!    one rule:** a commit asks the lineage graph once for the entries
+//!    anchored on the columns it rewrote
+//!    ([`RecyclePool::retire_columns`], which forgets the replaced
+//!    buffers' registrations in the same step — no pool scan);
+//!    invalidation removes their subtrees, delta propagation refreshes
+//!    from the bind-family ones down. Either runs under a
 //!    [`RecyclePool::scoped_view`] holding write locks on *only the
 //!    shards of the commit's lineage closure* (single writer via the
 //!    pool's update mutex). Sessions probing and admitting against
@@ -146,15 +154,12 @@
 //!     (`LineageGraph::rebuild`), not one pass per index.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use rbat::hash::FxHashMap;
-use rbat::{BatId, Catalog};
-use rmal::Opcode;
 
 use crate::collector::{self, CollectorControl};
 use crate::config::{AdmissionPolicy, RecyclerConfig};
@@ -239,9 +244,6 @@ impl AccountState {
     }
 }
 
-/// Persistent BAT → the base `(table, column)` pairs it stands for.
-type PersistentBats = FxHashMap<BatId, BTreeSet<(String, String)>>;
-
 thread_local! {
     static ACCOUNTS_LOCKS: Cell<u64> = const { Cell::new(0) };
 }
@@ -294,12 +296,6 @@ fn bump(cell: &AtomicU64) {
 pub struct SharedRecycler {
     config: RecyclerConfig,
     pool: RecyclePool,
-    /// Persistent BATs (bound columns, join indices) with base-column
-    /// lineage: stable identities admission may reference without a
-    /// pool-resident producer. Shared across sessions — `Catalog` clones
-    /// `Arc`-share their column BATs, so ids agree between sessions. A
-    /// leaf lock: nothing is acquired while it is held.
-    persistent: RwLock<PersistentBats>,
     accounts: Mutex<AccountState>,
     stats: SharedStats,
     /// Monotone event counter (LRU / HP ageing) — lock-free.
@@ -384,7 +380,6 @@ impl SharedRecycler {
         let shared = Arc::new(SharedRecycler {
             config,
             pool,
-            persistent: RwLock::new(PersistentBats::default()),
             accounts: Mutex::new(AccountState::default()),
             stats: SharedStats::default(),
             tick: AtomicU64::new(0),
@@ -530,18 +525,6 @@ impl SharedRecycler {
         &self.pool
     }
 
-    pub(crate) fn persistent(&self) -> RwLockReadGuard<'_, PersistentBats> {
-        self.persistent
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub(crate) fn persistent_mut(&self) -> RwLockWriteGuard<'_, PersistentBats> {
-        self.persistent
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Advance and return the event clock.
     pub(crate) fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
@@ -559,34 +542,26 @@ impl SharedRecycler {
     /// Capture the warmth map the reuse-aware optimiser pass
     /// ([`rmal::ReuseAware`]) orders commutative filter chains by: for
     /// every pooled *result* entry of a chain op, its reuse-weighted
-    /// presence keyed by `(op, base table, base column)`. One pass over
-    /// the pool under shard read locks — the same cost profile as
-    /// [`Self::snapshot`] — and nothing is locked afterwards: the
-    /// optimiser probes the returned snapshot for free.
+    /// presence keyed by `(op, base table, base column)`. Which entries
+    /// derive from which column is read off the lineage graph here, when
+    /// asked; each entry is then visited under its shard's read lock, and
+    /// nothing is locked afterwards: the optimiser probes the returned
+    /// snapshot for free.
     pub fn reuse_hints(&self) -> rmal::ReuseHintSnapshot {
         let mut hints = rmal::ReuseHintSnapshot::default();
-        self.pool.for_each_entry(|e| {
-            if e.sig.kind != crate::signature::ArtifactKind::Result {
-                return;
+        for ((table, column), ids) in self.pool.derived_by_column() {
+            for id in ids {
+                self.pool.entry(id, |e| {
+                    let result = e.sig.kind == crate::signature::ArtifactKind::Result;
+                    if result && rmal::ReuseAware::is_chain_op(e.sig.op) {
+                        // an entry that has already paid for itself counts
+                        // more than one that merely sits in the pool
+                        let weight = 1 + e.local_reuses() + e.global_reuses();
+                        hints.add(e.sig.op, &table, &column, weight);
+                    }
+                });
             }
-            if !matches!(
-                e.sig.op,
-                rmal::Opcode::Select
-                    | rmal::Opcode::Uselect
-                    | rmal::Opcode::Like
-                    | rmal::Opcode::SelectNotNil
-                    | rmal::Opcode::Semijoin
-                    | rmal::Opcode::Diff
-            ) {
-                return;
-            }
-            // an entry that has already paid for itself counts more than
-            // one that merely sits in the pool
-            let weight = 1 + e.local_reuses() + e.global_reuses();
-            for (t, c) in &e.base_columns {
-                hints.add(e.sig.op, t, c, weight);
-            }
-        });
+        }
         hints
     }
 
@@ -605,75 +580,48 @@ impl SharedRecycler {
     /// (see [`Self::clear_pool`]).
     fn reset(&self) {
         self.pool.clear();
-        self.persistent_mut().clear();
         *self.lock_accounts() = AccountState::default();
-        let s = &self.stats;
-        for cell in [
-            &s.monitored,
-            &s.hits,
-            &s.local_hits,
-            &s.global_hits,
-            &s.cross_session_hits,
-            &s.subsumed,
-            &s.admissions,
-            &s.admission_rejects,
-            &s.session_budget_rejects,
-            &s.duplicate_admissions,
-            &s.evictions,
-            &s.inline_evictions,
-            &s.background_evictions,
-            &s.invalidated,
-            &s.propagated,
-            &s.time_saved_ns,
-            &s.overhead_ns,
-            &s.subsume_search_ns,
-            &s.demotions_compressed,
-            &s.demotions_spilled,
-            &s.tier_promotions,
-            &s.decompress_ns,
-            &s.rehydrate_ns,
-            &s.artifact_hits,
-            &s.artifact_admissions,
-            &s.artifact_saved_ns,
-        ] {
-            cell.store(0, Ordering::Relaxed);
+        // one exhaustive destructuring: a counter added to `SharedStats`
+        // does not compile until it is listed here
+        macro_rules! zero {
+            ($($cell:ident),*) => {{
+                let SharedStats { $($cell),* } = &self.stats;
+                $($cell.store(0, Ordering::Relaxed);)*
+            }};
         }
+        zero!(
+            monitored,
+            hits,
+            local_hits,
+            global_hits,
+            cross_session_hits,
+            subsumed,
+            admissions,
+            admission_rejects,
+            session_budget_rejects,
+            duplicate_admissions,
+            evictions,
+            inline_evictions,
+            background_evictions,
+            invalidated,
+            propagated,
+            deadline_skips,
+            time_saved_ns,
+            overhead_ns,
+            subsume_search_ns,
+            demotions_compressed,
+            demotions_spilled,
+            tier_promotions,
+            decompress_ns,
+            rehydrate_ns,
+            artifact_hits,
+            artifact_admissions,
+            artifact_saved_ns
+        );
         self.collector.reset_stats();
     }
 
     // ----- admission support ------------------------------------------------
-
-    /// Base `(table, column)` lineage a bind-family instruction anchors
-    /// (paper §6.4); every other opcode inherits its lineage from its
-    /// parents at admission.
-    pub(crate) fn base_columns_of(
-        &self,
-        catalog: &Catalog,
-        op: Opcode,
-        args: &[rbat::Value],
-    ) -> BTreeSet<(String, String)> {
-        let mut cols = BTreeSet::new();
-        match op {
-            Opcode::Bind => {
-                if let (Some(t), Some(c)) = (
-                    args.first().and_then(|v| v.as_str()),
-                    args.get(1).and_then(|v| v.as_str()),
-                ) {
-                    cols.insert((t.to_string(), c.to_string()));
-                }
-            }
-            Opcode::BindIdx => {
-                if let Some(name) = args.first().and_then(|v| v.as_str()) {
-                    if let Some(def) = catalog.index_def(name) {
-                        cols.insert((def.from_table.clone(), def.from_column.clone()));
-                        cols.insert((def.to_table.clone(), def.to_key.clone()));
-                    }
-                }
-            }
-            _ => {}
-        }
-        cols
-    }
 
     fn limits_configured(&self) -> bool {
         self.config.mem_limit.is_some() || self.config.entry_limit.is_some()

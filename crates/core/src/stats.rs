@@ -7,7 +7,7 @@ use std::time::Duration;
 use crate::pool::RecyclePool;
 
 /// Global counters accumulated over the recycler's lifetime.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecyclerStats {
     /// Marked instructions intercepted (potential hits, binds included).
     pub monitored: u64,

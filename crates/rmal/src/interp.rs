@@ -76,7 +76,6 @@ pub trait ExecHook {
         _args: &[Value],
         _result: &Value,
         _cpu: std::time::Duration,
-        _subsumed: bool,
         _now: Instant,
     ) {
     }
@@ -164,7 +163,7 @@ pub fn run<H: ExecHook>(
                     subsumed = true;
                     let v = execute_op(catalog, &instr.op, &new_args)?;
                     let done = Instant::now();
-                    hook.after(catalog, pc, instr, &args, &v, done - t0, true, done);
+                    hook.after(catalog, pc, instr, &args, &v, done - t0, done);
                     v
                 }
                 HookAction::Computed(v) => {
@@ -178,7 +177,7 @@ pub fn run<H: ExecHook>(
                 HookAction::Proceed => {
                     let v = execute_op(catalog, &instr.op, &args)?;
                     let done = Instant::now();
-                    hook.after(catalog, pc, instr, &args, &v, done - t0, false, done);
+                    hook.after(catalog, pc, instr, &args, &v, done - t0, done);
                     v
                 }
             }
@@ -292,7 +291,6 @@ mod tests {
             _a: &[Value],
             _r: &Value,
             _c: std::time::Duration,
-            _s: bool,
             _now: Instant,
         ) {
             self.after_calls += 1;

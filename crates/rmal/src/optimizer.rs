@@ -190,7 +190,9 @@ impl ReuseAware {
         ReuseAware { provider }
     }
 
-    fn is_chain_op(op: crate::opcode::Opcode) -> bool {
+    /// Is `op` one of the commutative row filters the pass reorders (and
+    /// the recycler's warmth map counts)?
+    pub fn is_chain_op(op: crate::opcode::Opcode) -> bool {
         use crate::opcode::Opcode::*;
         matches!(op, Select | Uselect | Like | SelectNotNil | Semijoin | Diff)
     }

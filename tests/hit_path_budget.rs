@@ -3,7 +3,8 @@
 //! allocator for the former, the pool's and the accounts' per-thread lock
 //! probes for the latter — and, beside it, the budget of the miss path in
 //! lineage-graph locks: what an admission, a removal and a leaf gather may
-//! take. (Each test runs on its own thread, so the per-thread probes see
+//! take, and that an admission allocates the same under a lineage one
+//! column wide or sixteen. (Each test runs on its own thread, so the per-thread probes see
 //! this test's locks only; the allocator counts on a thread-local too.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -12,7 +13,7 @@ use std::cell::Cell;
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use recycler::{EntryId, PoolEntry, RecyclePool, SharedRecycler};
 use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Session};
-use rmal::{Program, ProgramBuilder};
+use rmal::{Program, ProgramBuilder, P};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -176,14 +177,21 @@ fn an_admission_is_two_graph_locks_and_one_shard_write_lock() {
     let db = DatabaseBuilder::new(catalog())
         .recycler(RecyclerConfig::default().subsumption(false))
         .build();
-    for plan in [chain("one_parent_each", 10), two_parent_plan()] {
+    // the first plan admits the bind (one more graph lock: its column
+    // buffer is registered persistent), the second hits it; `parents` is
+    // how many pool-resident producers the plan's admissions pin
+    for (plan, binds, parents) in [
+        (chain("one_parent_each", 10), 1, 11),
+        (two_parent_plan(), 0, 5),
+    ] {
         let template = db.prepare(plan);
         let mut session = db.session();
         let writes = db.pool().write_lock_acquisitions();
+        let reads = RecyclePool::read_locks_on_this_thread();
         let graph = RecyclePool::graph_locks_on_this_thread();
+        let accounts = SharedRecycler::accounts_locks_on_this_thread();
         let reply = session.query(&template, &[]).unwrap();
-        // everything marked but the shared bind (a hit the second time)
-        assert!(reply.admitted >= reply.marked - 1, "{reply:?}");
+        assert_eq!(reply.admitted, reply.marked - (1 - binds), "{reply:?}");
         assert_eq!(
             db.pool().write_lock_acquisitions() - writes,
             reply.admitted,
@@ -191,10 +199,86 @@ fn an_admission_is_two_graph_locks_and_one_shard_write_lock() {
         );
         assert_eq!(
             RecyclePool::graph_locks_on_this_thread() - graph,
-            2 * reply.admitted,
+            2 * reply.admitted + binds,
             "one resolve and one wire per admission, however many parents"
         );
+        assert_eq!(
+            RecyclePool::read_locks_on_this_thread() - reads,
+            reply.marked + parents,
+            "one shard read lock per probe and per pinned parent"
+        );
+        assert_eq!(
+            SharedRecycler::accounts_locks_on_this_thread() - accounts,
+            reply.admitted + 1,
+            "one grant per admission, one settlement per query"
+        );
     }
+    db.pool().check_invariants().unwrap();
+}
+
+/// `width` columns of one table folded into a single intermediate by
+/// semijoins (same dense head: every row survives; a lone column is folded
+/// with itself, so the select's operand is a semijoin's output at every
+/// width), and a range select over it: the select derives from `width`
+/// base columns.
+fn wide_lineage_plan(width: usize) -> Program {
+    let mut b = ProgramBuilder::new(&format!("wide{width}"), 2);
+    let mut wide = b.bind("w", "c0");
+    for col in 1..width.max(2) {
+        let next = b.bind("w", &format!("c{}", col % width));
+        wide = b.semijoin(wide, next);
+    }
+    let sel = b.select_closed(wide, P(0), P(1));
+    let n = b.count(sel);
+    b.export("n", n);
+    b.finish()
+}
+
+#[test]
+fn an_admission_allocates_the_same_whatever_the_width_of_its_lineage() {
+    const COLUMNS: usize = 16;
+    let mut cat = Catalog::new();
+    let mut tb = TableBuilder::new("w");
+    for col in 0..COLUMNS {
+        tb = tb.column(&format!("c{col}"), LogicalType::Int);
+    }
+    for i in 0..64i64 {
+        tb.push_row(&vec![Value::Int(i); COLUMNS]);
+    }
+    cat.add_table(tb.finish());
+    let db = DatabaseBuilder::new(cat)
+        .recycler(RecyclerConfig::default().subsumption(false))
+        .build();
+    // fresh bounds every run: the binds and folds hit (a hit allocates
+    // nothing), the select and its count are admitted; the fewest
+    // allocations of 32 such runs leave out the growths of the tables and
+    // lists the admissions land in
+    let mut session = db.session();
+    let mut admitting_query_allocations = |width: usize| {
+        let template = db.prepare(wide_lineage_plan(width));
+        let run = |session: &mut Session, lo: i64| {
+            let params = [Value::Int(lo), Value::Int(lo + 8)];
+            let before = ALLOCATIONS.with(Cell::get);
+            let reply = session.query(&template, &params).unwrap();
+            (reply, ALLOCATIONS.with(Cell::get) - before)
+        };
+        run(&mut session, 0);
+        let fewest = (1..=32).map(|lo| {
+            let (reply, allocations) = run(&mut session, lo);
+            assert_eq!((reply.admitted, reply.reused), (2, reply.marked - 2));
+
+            allocations
+        });
+        fewest.min().expect("32 runs")
+    };
+    let (narrow, wide) = (
+        admitting_query_allocations(1),
+        admitting_query_allocations(COLUMNS),
+    );
+    assert_eq!(
+        wide, narrow,
+        "an entry holds its own anchors only: nothing is copied per base column"
+    );
     db.pool().check_invariants().unwrap();
 }
 

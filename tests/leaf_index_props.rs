@@ -1,14 +1,25 @@
 //! The lineage property test: after ANY sequence of admissions (roots,
-//! children with arbitrary parent wiring, duplicates that alias their
-//! result onto the winner, orphans whose parent is gone), removals,
-//! eviction attempts single and batched, subtree invalidations and
-//! scoped-view rewrites (`rekey`, onto fresh and onto occupied signatures;
-//! `set_raw`; `remove_subtree`) the pool's lineage graph must equal
+//! roots anchored on one or two base columns, children with arbitrary
+//! parent wiring, entries standing on a registered persistent BAT nobody
+//! resident produced, duplicates that alias their result onto the winner,
+//! orphans whose parent is gone), persistent-BAT registrations, removals,
+//! eviction attempts single and batched, subtree invalidations, commits
+//! (`retire_columns` + the removal of the roots' subtrees) and scoped-view
+//! rewrites (`rekey`, onto fresh and onto occupied signatures; `set_raw`;
+//! `remove_subtree`) the pool's lineage graph must equal
 //!
 //! * `LineageGraph::rebuild` over the slabs — `check_invariants` compares
 //!   the two — and
 //! * the model kept in this file: plain `Vec`s of who is resident, who
-//!   feeds whom, who owns which result BAT.
+//!   feeds whom, who owns which result BAT, which BATs are registered.
+//!
+//! The model keeps the definition of "derives from column `c`" that the
+//! entries themselves used to carry: a set per entry, its own anchors plus
+//! whatever its parents held when it was admitted. The graph stores no such
+//! set — an entry holds its own anchors only — and must still give the same
+//! answer: the entries anchored on `c` and their descendants are exactly
+//! the entries whose model set holds `c`, and a commit removes exactly
+//! those.
 //!
 //! The eviction gather trusts the leaf set completely (no per-candidate
 //! child probe) and admission coherence trusts the result index, so drift
@@ -21,8 +32,11 @@
 //! subset result.
 //!
 //! Mutation-checked against `lineage.rs`: dropping the re-leaf when a
-//! parent loses its last child, skipping the alias cleanup in `unwire`, and
-//! wiring before the orphan check each fail this test.
+//! parent loses its last child, skipping the alias cleanup in `unwire`,
+//! wiring before the orphan check, leaving the anchor index alone in
+//! `unwire`, keeping the registrations in `retire`, and indexing the
+//! anchors of binds only (an entry anchored through a persistent argument
+//! left out) each fail this test.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,7 +44,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rbat::{Bat, BatId, Column, Value};
-use recycler::entry::{Admitter, Lineage};
+use recycler::entry::{Admitter, Anchors, Lineage};
 use recycler::signature::{ArgSig, Sig};
 use recycler::{Admitted, EntryId, Payload, PoolEntry, RecyclePool};
 use rmal::Opcode;
@@ -47,14 +61,39 @@ fn fresh_bat(tag: i64) -> Arc<Bat> {
     Arc::new(Bat::from_tail(Column::from_ints(vec![tag])))
 }
 
+/// The base columns of the scripts: `t.c0` … `t.c3`.
+const COLUMNS: usize = 4;
+
+fn column(i: usize) -> (String, String) {
+    ("t".into(), format!("c{}", i % COLUMNS))
+}
+
+/// One column, or (odd `sel`) two.
+fn columns_of(sel: usize) -> Anchors {
+    let second = (sel % 2 == 1).then(|| column(sel / 2 + 1 + sel / 8));
+    std::iter::once(column(sel / 2)).chain(second).collect()
+}
+
+/// A bind-like signature: not a subsumption candidate of anything.
+fn bind_sig(tag: i64) -> Sig {
+    Sig::of(Opcode::Bind, &[Value::str("t"), Value::Int(tag)])
+}
+
 /// An unpinned entry whose result is a BAT of its own.
 fn mk(pool: &RecyclePool, sig: Sig, parents: Vec<EntryId>, tag: i64) -> (PoolEntry, BatId) {
+    mk_anchored(pool, sig, parents, Anchors::new(), tag)
+}
+
+fn mk_anchored(
+    pool: &RecyclePool,
+    sig: Sig,
+    parents: Vec<EntryId>,
+    anchors: Anchors,
+    tag: i64,
+) -> (PoolEntry, BatId) {
     let bat = fresh_bat(tag);
     let result = bat.id();
-    let lineage = Lineage {
-        parents,
-        ..Lineage::default()
-    };
+    let lineage = Lineage { parents, anchors };
     let e = PoolEntry::new(
         pool.alloc_id(),
         sig,
@@ -81,6 +120,11 @@ struct Resident {
     /// Recorded subset edges `result ⊆ sup`.
     supersets: Vec<BatId>,
     pins: u32,
+    /// The columns the entry was admitted with as its own.
+    anchors: Anchors,
+    /// The old definition of its lineage: `anchors` plus every parent's
+    /// `columns`, fixed at admission.
+    columns: Anchors,
 }
 
 #[derive(Debug, Default)]
@@ -91,6 +135,8 @@ struct Model {
     /// Subset edges `(sub, sup)` whose `sub` nobody owns (any more): gone
     /// with their entry, or never recorded.
     dead_edges: Vec<(BatId, BatId)>,
+    /// Persistent BATs registered and not retired since, with their columns.
+    registry: Vec<(BatId, Anchors)>,
 }
 
 impl Model {
@@ -102,6 +148,44 @@ impl Model {
     fn pick(&self, sel: usize) -> Option<Resident> {
         let n = self.residents.len();
         (n > 0).then(|| self.residents[sel % n].clone())
+    }
+
+    /// A new resident without aliases, subset edges or pins; its `columns`
+    /// are inherited here, once, the way entries used to inherit them.
+    fn admit(
+        &mut self,
+        id: EntryId,
+        sig: Sig,
+        parents: Vec<EntryId>,
+        result: BatId,
+        anchors: Anchors,
+    ) {
+        let mut columns = anchors.clone();
+        for p in &parents {
+            columns.extend(self.get(*p).columns.clone());
+        }
+        self.residents.push(Resident {
+            id,
+            sig,
+            parents,
+            result,
+            aliases: vec![],
+            supersets: vec![],
+            pins: 0,
+            anchors,
+            columns,
+        });
+    }
+
+    fn register(&mut self, bat: BatId, columns: Anchors) {
+        self.registry.retain(|(b, _)| *b != bat);
+        self.registry.push((bat, columns));
+    }
+
+    /// The entries whose (old-definition) lineage meets `columns`.
+    fn derived_from(&self, columns: &Anchors) -> Vec<EntryId> {
+        let meets = |r: &&Resident| !r.columns.is_disjoint(columns);
+        self.residents.iter().filter(meets).map(|r| r.id).collect()
     }
 
     fn children(&self, id: EntryId) -> Vec<EntryId> {
@@ -157,20 +241,39 @@ fn agree(pool: &RecyclePool, model: &Model, step: &str) -> Result<(), TestCaseEr
     if let Err(e) = pool.check_invariants() {
         return fail(e);
     }
-    let mut resident: Vec<(EntryId, Vec<EntryId>)> = pool
+    let mut resident: Vec<(EntryId, Vec<EntryId>, Anchors)> = pool
         .snapshot_entries()
         .into_iter()
-        .map(|e| (e.id, e.parents))
+        .map(|e| (e.id, e.parents, e.anchors))
         .collect();
     resident.sort_unstable();
-    let mut expected: Vec<(EntryId, Vec<EntryId>)> = model
+    let mut expected: Vec<(EntryId, Vec<EntryId>, Anchors)> = model
         .residents
         .iter()
-        .map(|r| (r.id, r.parents.clone()))
+        .map(|r| (r.id, r.parents.clone(), r.anchors.clone()))
         .collect();
     expected.sort_unstable();
     if resident != expected {
         return fail(format!("resident {resident:?}, model {expected:?}"));
+    }
+    // what derives from a column: the graph's answer (anchored entries and
+    // their descendants) against the sets the model's entries carry
+    let derived = pool.derived_by_column();
+    for c in (0..COLUMNS).map(column) {
+        let listed = derived.iter().find(|(col, _)| *col == c);
+        let got = listed.map(|(_, ids)| ids.clone()).unwrap_or_default();
+        let want = sorted(model.derived_from(&Anchors::from([c.clone()])));
+        if got != want {
+            return fail(format!(
+                "derived from {c:?}: graph {got:?}, model sets {want:?}"
+            ));
+        }
+    }
+    let (mut registered, mut expected) = (pool.persistent_bats(), model.registry.clone());
+    registered.sort_unstable();
+    expected.sort_unstable();
+    if registered != expected {
+        return fail(format!("registry {registered:?}, model {expected:?}"));
     }
     for r in &model.residents {
         let id = r.id;
@@ -277,7 +380,7 @@ proptest! {
     /// EVERY step, not just at the end.
     #[test]
     fn lineage_graph_equals_rebuild_and_model(
-        ops in prop::collection::vec((0u8..13, 0usize..64, 0usize..64), 1..40),
+        ops in prop::collection::vec((0u8..17, 0usize..64, 0usize..64), 1..40),
     ) {
         let pool = RecyclePool::with_shards(8);
         let mut model = Model::default();
@@ -287,15 +390,82 @@ proptest! {
             let picked = model.pick(sel_a);
             let step = match (op, picked) {
                 // a root; so is everything else while the pool is empty
-                (0, _) | (_, None) => {
+                (0, _) => {
                     let sig = sig_of(tag);
                     let (e, result) = mk(&pool, sig.clone(), vec![], tag);
                     let id = e.id;
                     prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
-                    model.residents.push(Resident {
-                        id, sig, parents: vec![], result, aliases: vec![], supersets: vec![], pins: 0,
-                    });
+                    model.admit(id, sig, vec![], result, Anchors::new());
                     "insert root"
+                }
+                // a bind: a root anchored on one column (or two, a join
+                // index), its buffer registered persistent first; so is
+                // everything else while the pool is empty
+                (12, _) | (_, None) => {
+                    let (sig, anchors) = (bind_sig(tag), columns_of(sel_b));
+                    let (e, result) = mk_anchored(&pool, sig.clone(), vec![], anchors.clone(), tag);
+                    let id = e.id;
+                    pool.register_persistent(result, anchors.clone());
+                    model.register(result, anchors.clone());
+                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    model.admit(id, sig, vec![], result, anchors);
+                    "insert anchored root"
+                }
+                // a persistent buffer is registered (again, with other
+                // columns, if `sel_a` picks a registered one) while nothing
+                // resident produces it
+                (13, _) => {
+                    let known = model.registry.get(sel_a % (model.registry.len() + 1));
+                    let bat = known.map_or_else(|| fresh_bat(tag).id(), |(bat, _)| *bat);
+                    pool.register_persistent(bat, columns_of(sel_b));
+                    model.register(bat, columns_of(sel_b));
+                    "register persistent"
+                }
+                // an admission over a registered BAT (and, odd, a resident
+                // parent beside it): the runtime's fallback hands the
+                // registered columns over as the entry's own anchors — read
+                // back from the pool here, as `resolve` would
+                (14, Some(p)) if !model.registry.is_empty() => {
+                    let (bat, _) = &model.registry[sel_a % model.registry.len()];
+                    let registered = pool.persistent_bats();
+                    let anchors = registered.iter().find(|(b, _)| b == bat).map(|(_, of)| of.clone());
+                    let anchors = anchors.expect("registered in the model, so in the pool");
+                    let parents = if sel_b % 2 == 1 { vec![p.id] } else { vec![] };
+                    let sig = sig_of(tag);
+                    let (e, result) = mk_anchored(&pool, sig.clone(), parents.clone(), anchors.clone(), tag);
+                    let id = e.id;
+                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    model.admit(id, sig, parents, result, anchors);
+                    "insert under a persistent BAT"
+                }
+                // a commit rewrote one or two columns: the graph lists the
+                // roots — exactly the entries holding one of the columns as
+                // their own anchor — and forgets the columns' buffers; the
+                // roots' subtrees, removed directly or (odd) under a scoped
+                // view, are exactly the entries whose inherited set meets
+                // the columns
+                (15, Some(_)) => {
+                    let columns = columns_of(sel_a);
+                    let roots = pool.retire_columns(&columns);
+                    let anchored = |r: &&Resident| !r.anchors.is_disjoint(&columns);
+                    let want: Vec<EntryId> = model.residents.iter().filter(anchored).map(|r| r.id).collect();
+                    prop_assert_eq!(&roots, &sorted(want), "roots of {:?}", &columns);
+                    let mut removed: Vec<EntryId> = Vec::new();
+                    if sel_b % 2 == 0 {
+                        for r in &roots {
+                            removed.extend(pool.remove_subtree(*r).iter().map(|e| e.id));
+                        }
+                    } else {
+                        let mut view = pool.scoped_view(&pool.closure_shards(&roots));
+                        for r in &roots {
+                            removed.extend(view.remove_subtree(*r).iter().map(|e| e.id));
+                        }
+                    }
+                    let gone = model.derived_from(&columns);
+                    prop_assert_eq!(sorted(removed), sorted(gone.clone()), "victims of {:?}", &columns);
+                    model.remove(&gone);
+                    model.registry.retain(|(_, of)| of.is_disjoint(&columns));
+                    "retire columns"
                 }
                 // a child of one or two residents (maybe the same one twice)
                 (1, Some(p)) => {
@@ -307,9 +477,7 @@ proptest! {
                     let (e, result) = mk(&pool, sig.clone(), parents.clone(), tag);
                     let id = e.id;
                     prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
-                    model.residents.push(Resident {
-                        id, sig, parents, result, aliases: vec![], supersets: vec![], pins: 0,
-                    });
+                    model.admit(id, sig, parents, result, Anchors::new());
                     "insert child"
                 }
                 // a duplicate admission: the resident wins, is pinned for
@@ -457,6 +625,7 @@ proptest! {
                         pool.clear();
                         let all: Vec<EntryId> = model.residents.iter().map(|r| r.id).collect();
                         model.remove(&all);
+                        model.registry.clear();
                     }
                     "clear"
                 }

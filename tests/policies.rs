@@ -5,7 +5,10 @@ use std::time::{Duration, Instant};
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use recycler::Recycler;
-use recycling::{AdmissionPolicy, Database, DatabaseBuilder, EvictionPolicy, RecyclerConfig};
+use recycling::{
+    AdmissionPolicy, Database, DatabaseBuilder, EvictionPolicy, RecyclerConfig, RecyclerStats,
+    Update,
+};
 use rmal::{ExecHook, HookAction, Program, ProgramBuilder, P};
 
 fn drive(config: RecyclerConfig, instances: usize) -> Database {
@@ -214,8 +217,7 @@ impl ByHand {
             HookAction::Proceed => {
                 let v = rmal::execute_op(&cat, &instr.op, args).unwrap();
                 let (cpu, now) = (Duration::from_micros(5), Instant::now());
-                self.session
-                    .after(&cat, pc, instr, args, &v, cpu, false, now);
+                self.session.after(&cat, pc, instr, args, &v, cpu, now);
                 (v, false)
             }
             other => panic!("unexpected {other:?}"),
@@ -286,4 +288,67 @@ fn an_aborted_query_is_settled_by_the_next_query_start() {
     assert_eq!((stats.admissions, stats.admission_rejects), (3, 0));
     h.session.query_end(&h.template);
     h.db.pool().check_invariants().unwrap();
+}
+
+/// `MaintenanceGuard::reset` had no test, and its hand list of counters had
+/// forgotten `deadline_skips`.
+#[test]
+fn reset_zeroes_every_lifetime_counter_and_keeps_ids_and_the_clock_monotone() {
+    let mut cat = Catalog::new();
+    let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
+    (0..100).for_each(|i| tb.push_row(&[Value::Int(i)]));
+    cat.add_table(tb.finish());
+    let db = DatabaseBuilder::new(cat)
+        .recycler(RecyclerConfig::default().entry_limit(4))
+        .build();
+    let mut b = ProgramBuilder::new("range_count", 2);
+    let col = b.bind("t", "x");
+    let sel = b.select_closed(col, P(0), P(1));
+    let n = b.count(sel);
+    b.export("n", n);
+    let t = db.prepare(b.finish());
+    let mut session = db.session();
+    let range = |lo, hi| [Value::Int(lo), Value::Int(hi)];
+    // admissions, hits on the bind, a subsumed select, evictions at the
+    // cap; then a query past its deadline, and an invalidating commit
+    for (lo, hi) in [(0, 90), (10, 50), (60, 70)] {
+        session.query(&t, &range(lo, hi)).unwrap();
+    }
+    let late = session.query_with_deadline(&t, &range(1, 2), Duration::from_nanos(1));
+    assert!(late.is_err());
+    session
+        .commit(Update::to("t").insert(vec![vec![Value::Int(7)]]))
+        .unwrap();
+    session.query(&t, &range(0, 90)).unwrap();
+    let lived = db.stats();
+    for counter in [
+        lived.hits,
+        lived.admissions,
+        lived.subsumed,
+        lived.evictions,
+        lived.deadline_skips,
+        lived.invalidated,
+    ] {
+        assert!(counter > 0, "the script must move the counters: {lived:?}");
+    }
+    let residents = db.pool().snapshot_entries();
+    let newest = residents.iter().map(|e| (e.id, e.last_used())).max();
+
+    db.maintenance().reset();
+    let gauges = RecyclerStats {
+        sessions: lived.sessions,
+        active_sessions: lived.active_sessions,
+        evict_gather_visited: lived.evict_gather_visited,
+        evict_gather_rounds: lived.evict_gather_rounds,
+        ..RecyclerStats::default()
+    };
+    assert_eq!(db.stats(), gauges, "only what is not a counter survives");
+    assert!(db.pool().is_empty() && db.pool().persistent_bats().is_empty());
+    // the service keeps working, on fresh ids and later ticks
+    session.query(&t, &range(0, 9)).unwrap();
+    assert_eq!(db.stats().admissions, 3);
+    let readmitted = db.pool().snapshot_entries();
+    let oldest = readmitted.iter().map(|e| (e.id, e.admitted_tick)).min();
+    assert!(oldest > newest, "{oldest:?} after {newest:?}");
+    db.pool().check_invariants().unwrap();
 }

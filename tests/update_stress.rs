@@ -44,14 +44,16 @@ fn naive_over(cat: Catalog) -> Database {
     DatabaseBuilder::new(cat).naive().build()
 }
 
-/// The shards holding entries derived from `table`, by base-column
-/// lineage — the only shards a commit to `table` may write-lock.
+/// The shards holding entries derived from `table` — anchored on one of
+/// its columns or below an entry that is, as the lineage graph has it —
+/// the only shards a commit to `table` may write-lock.
 fn shards_of_table(db: &Database, table: &str) -> BTreeSet<usize> {
     let pool = db.pool();
-    pool.snapshot_entries()
-        .iter()
-        .filter(|e| e.base_columns.iter().any(|(t, _)| t == table))
-        .map(|e| pool.shard_of(&e.sig))
+    let derived = pool.derived_by_column();
+    let of_table = derived.iter().filter(|((t, _), _)| t == table);
+    of_table
+        .flat_map(|(_, ids)| ids)
+        .filter_map(|id| pool.entry(*id, |e| pool.shard_of(&e.sig)))
         .collect()
 }
 
@@ -249,7 +251,6 @@ fn stale_bind_from_old_epoch_never_serves_post_commit_probes() {
         &bind_args,
         &stale,
         Duration::from_micros(5),
-        false,
         Instant::now(),
     );
     straggler.query_end(&th);

@@ -1,9 +1,12 @@
 //! Update synchronisation: invalidation and delta propagation must both
 //! keep recycled answers identical to a naive database's across commits.
 
+use std::collections::BTreeSet;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rbat::Value;
+use recycler::EntryId;
 use recycling::{Database, DatabaseBuilder, RecyclerConfig, Session, Update, UpdateMode};
 use rmal::Program;
 
@@ -154,4 +157,83 @@ fn unrelated_table_updates_do_not_disturb_pool() {
         .unwrap();
     rec.commit(Update::to("region").insert(atlantis())).unwrap();
     assert_eq!(rec_db.pool().len(), entries);
+}
+
+fn resident_ids(db: &Database) -> BTreeSet<EntryId> {
+    db.pool().snapshot_entries().iter().map(|e| e.id).collect()
+}
+
+#[test]
+fn a_commit_invalidates_exactly_what_the_graph_derives_from_its_columns() {
+    // An insert rewrites every column of its table and the join indices
+    // ending in it: the entries anchored on those columns, and whatever
+    // hangs below them, go; nothing else does, and the counter says as much.
+    let (_naive_db, rec_db, _nt, rt) = databases(UpdateMode::Invalidate);
+    let mut rec = rec_db.session();
+    rec.query(&rt, &q4_params()).unwrap();
+    let before = resident_ids(&rec_db);
+    let derived = rec_db.pool().derived_by_column();
+    let block = tpch::insert_block(&rec_db.catalog(), &mut SmallRng::seed_from_u64(7), 6);
+    let report = rec
+        .commit(Update::to("orders").insert(block.order_rows))
+        .unwrap();
+    let cat = rec_db.catalog();
+    let schema = cat.table("orders").unwrap().schema().to_vec();
+    let mut rewritten: BTreeSet<(String, String)> =
+        (schema.into_iter().map(|(c, _)| ("orders".to_string(), c))).collect();
+    for def in report
+        .rebuilt_indices
+        .iter()
+        .map(|i| cat.index_def(i).unwrap())
+    {
+        rewritten.insert((def.from_table.clone(), def.from_column.clone()));
+        rewritten.insert((def.to_table.clone(), def.to_key.clone()));
+    }
+    let hit = derived
+        .iter()
+        .filter(|(column, _)| rewritten.contains(column));
+    let expected: BTreeSet<EntryId> = hit.flat_map(|(_, ids)| ids.clone()).collect();
+    let survivors = resident_ids(&rec_db);
+    let victims: BTreeSet<EntryId> = before.difference(&survivors).copied().collect();
+    assert!(!victims.is_empty() && !survivors.is_empty(), "vacuous");
+    assert_eq!(victims, expected);
+    assert_eq!(rec_db.stats().invalidated, expected.len() as u64);
+    rec_db.pool().check_invariants().unwrap();
+}
+
+#[test]
+fn propagating_commits_do_not_leak_persistent_registrations() {
+    // Regression: under `Propagate` every rewritten column's old buffer
+    // stayed registered forever (the `retain` lived on the invalidation
+    // path only) — one stale registration per column per commit.
+    let (_naive_db, rec_db, _nt, rt) = databases(UpdateMode::Propagate);
+    let mut rec = rec_db.session();
+    let mut after_first_block = None;
+    for round in 0..6 {
+        rec.query(&rt, &q4_params()).unwrap();
+        let block = tpch::insert_block(&rec_db.catalog(), &mut SmallRng::seed_from_u64(round), 4);
+        rec.commit(Update::to("orders").insert(block.order_rows))
+            .unwrap();
+        rec.commit(Update::to("lineitem").insert(block.lineitem_rows))
+            .unwrap();
+        let registered = rec_db.pool().persistent_bats();
+        let bound = *after_first_block.get_or_insert(registered.len());
+        assert!(
+            registered.len() <= bound,
+            "round {round}: {} registrations, {bound} after the first block",
+            registered.len()
+        );
+        // a registered column buffer is the one the catalog binds now
+        // (join indices stand for two columns)
+        let cat = rec_db.catalog();
+        for (bat, of) in registered.iter().filter(|(_, of)| of.len() == 1) {
+            let live = |(t, c): &(String, String)| cat.bind(t, c).unwrap().id() == *bat;
+            assert!(
+                of.iter().all(live),
+                "round {round}: stale {bat:?} of {of:?}"
+            );
+        }
+    }
+    assert!(rec_db.stats().propagated > 0);
+    rec_db.pool().check_invariants().unwrap();
 }
