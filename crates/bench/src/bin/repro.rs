@@ -4,6 +4,7 @@
 //! repro all                 # every table and figure
 //! repro table2 fig4 fig15   # selected experiments
 //! repro c10k                # the reactor's idle-connection smoke
+//! repro sessions            # concurrent-session throughput, 8 repetitions
 //! ```
 //!
 //! Environment: `REPRO_SF` (TPC-H scale factor, default 0.01),
@@ -45,6 +46,7 @@ fn main() {
             "fig14" => experiments::fig14(&env),
             "fig15" => experiments::fig15(&env),
             "ablation" => experiments::ablation(&env),
+            "sessions" => experiments::sessions(&env),
             "c10k" => {
                 // the reactor smoke: ≥1k idle connections must be flat.
                 // Scaled by REPRO_C10K_IDLE / REPRO_C10K_HOT.

@@ -169,7 +169,7 @@ pub struct ScalePoint {
     /// Queries per wall second (aggregate over all sessions).
     pub queries_per_sec: f64,
     /// Marked (probe+admission) instructions per wall second — the
-    /// recycler hot-path throughput the sharded pool is sized by.
+    /// recycler's hot-path throughput.
     pub ops_per_sec: f64,
     /// Fraction of marked instructions answered from the pool.
     pub hit_ratio: f64,
@@ -235,9 +235,7 @@ fn scaling_setup() -> (Catalog, Vec<Program>, Vec<BenchItem>) {
 /// The `pool_scaling` experiment: sweep session counts over the same
 /// per-session query volume (weak scaling), each point against a FRESH
 /// shared pool, and report aggregate probe+admission throughput plus hit
-/// ratio per point. `config` selects the pool layout — pass
-/// `RecyclerConfig::default().shards(1)` to reproduce the pre-shard
-/// single-lock baseline.
+/// ratio per point under `config`.
 pub fn pool_scaling(
     counts: &[usize],
     queries_per_session: usize,
@@ -271,7 +269,7 @@ pub fn pool_scaling(
 
 /// Outcome of the [`update_mixed`] scenario: N reader sessions replaying
 /// queries against an untouched table while one writer commits deltas to
-/// another — the serving shape scoped invalidation exists for.
+/// another.
 #[derive(Debug)]
 pub struct UpdateMixedOutcome {
     /// Concurrent reader session threads.
@@ -291,20 +289,14 @@ pub struct UpdateMixedOutcome {
     pub invalidated: u64,
     /// Entries refreshed by delta propagation.
     pub propagated: u64,
-    /// Shards one quiescent instrumented commit write-locked.
-    pub commit_locked_shards: usize,
-    /// Total shards in the pool.
-    pub shards: usize,
 }
 
 /// Mixed update/query workload: one writer session commits insert deltas
 /// to a `hot` table in a loop (re-admitting its own hot chain between
 /// commits) while `readers` sessions replay a warm query alphabet against
 /// a `cold` table — one database, one shared pool, one shared catalog
-/// cell. With scoped invalidation the readers' shards see no write-lock
-/// traffic from the commits; `commit_locked_shards` (measured on a final
-/// quiescent commit) records how many shards one commit actually locks,
-/// against the pool's total.
+/// cell. A commit holds the pool's table write lock for its invalidation
+/// or propagation only; readers stay pure-hit throughout.
 pub fn update_mixed(
     readers: usize,
     queries_per_reader: usize,
@@ -390,17 +382,6 @@ pub fn update_mixed(
     });
     let elapsed = started.elapsed();
 
-    // one quiescent instrumented commit: how many shards does it lock?
-    let commit_locked_shards = {
-        let w0 = db.pool().write_lock_acquisitions_by_shard();
-        let mut writer = db.session();
-        writer
-            .commit(Update::to("hot").insert(vec![vec![Value::Int(7), Value::Int(7)]]))
-            .unwrap();
-        let w1 = db.pool().write_lock_acquisitions_by_shard();
-        w0.iter().zip(&w1).filter(|(b, a)| a > b).count()
-    };
-
     let stats = db.stats();
     let queries = readers * queries_per_reader;
     UpdateMixedOutcome {
@@ -416,8 +397,6 @@ pub fn update_mixed(
         },
         invalidated: stats.invalidated - stats0.invalidated,
         propagated: stats.propagated - stats0.propagated,
-        commit_locked_shards,
-        shards: db.pool().shard_count(),
     }
 }
 
@@ -609,9 +588,7 @@ mod tests {
             4,
             10,
             3,
-            RecyclerConfig::default()
-                .shards(16)
-                .update_mode(UpdateMode::Invalidate),
+            RecyclerConfig::default().update_mode(UpdateMode::Invalidate),
         );
         assert_eq!(out.readers, 4);
         assert_eq!(out.reader_queries, 40);
@@ -621,10 +598,6 @@ mod tests {
             "warm cold readers must stay pure-hit through commits: {out:?}"
         );
         assert!(out.invalidated > 0, "commits must invalidate hot: {out:?}");
-        assert!(
-            out.commit_locked_shards < out.shards,
-            "a scoped commit must not lock every shard: {out:?}"
-        );
     }
 
     #[test]
@@ -633,15 +606,12 @@ mod tests {
             2,
             6,
             2,
-            RecyclerConfig::default()
-                .shards(16)
-                .update_mode(UpdateMode::Propagate),
+            RecyclerConfig::default().update_mode(UpdateMode::Propagate),
         );
         assert!(
             out.propagated > 0,
             "insert-only commits must refresh the hot chain: {out:?}"
         );
-        assert!(out.commit_locked_shards < out.shards, "{out:?}");
     }
 
     #[test]

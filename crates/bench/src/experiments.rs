@@ -15,6 +15,7 @@ use recycler::{AdmissionPolicy, EvictionPolicy, RecyclerConfig};
 use recycling::{DatabaseBuilder, Update};
 use rmal::Program;
 
+use crate::concurrent::{partition_streams, pool_scaling, run_concurrent, update_mixed};
 use crate::driver::{run_naive, run_recycled, BenchItem};
 use crate::tables::{fmt_bytes, fmt_dur, fmt_ratio, TextTable};
 
@@ -708,6 +709,66 @@ pub fn ablation(env: &ExpEnv) -> String {
     }
     format!(
         "Ablation — contribution of the subsumption mechanisms (§5)\n{}",
+        out.render()
+    )
+}
+
+/// `repro sessions` — the concurrency evidence the one-client `benchmark/`
+/// cannot give, at fixed sizes (left out of `all`): the median and
+/// quartiles over 8 repetitions of the TPC-H mix (200 rounds of
+/// `mixed_batch(&MIXED_QUERIES, 2, ·)` under a 4 MiB pool) at 1 and 2
+/// sessions, `update_mixed(3, 300_000, 4_000)` reader throughput and
+/// `pool_scaling(&[1, 2, 4], 300_000)`. Each repetition runs every driver
+/// once, so drift on a shared host spreads over all rows alike.
+pub fn sessions(env: &ExpEnv) -> String {
+    const REPS: usize = 8;
+    let cat = env.tpch();
+    let mut templates = Vec::new();
+    let mut items = Vec::new();
+    for round in 0..200 {
+        let (qs, batch) = tpch::mixed_batch(&tpch::workload::MIXED_QUERIES, 2, env.seed + round);
+        templates = tpch_templates(&qs);
+        items.extend(to_bench_items(&batch));
+    }
+    let tpch_qps = |n: usize| {
+        let streams = partition_streams(&items, n);
+        let config = RecyclerConfig::default().mem_limit(4 << 20);
+        let out = run_concurrent(cat.clone(), &templates, &streams, config);
+        out.queries as f64 / out.elapsed.as_secs_f64()
+    };
+    let mut rows: Vec<(&str, Vec<f64>)> = [
+        "tpch_mix 1 session",
+        "tpch_mix 2 sessions",
+        "update_mixed readers",
+        "pool_scaling 1 session",
+        "pool_scaling 2 sessions",
+        "pool_scaling 4 sessions",
+    ]
+    .into_iter()
+    .map(|name| (name, Vec::new()))
+    .collect();
+    for _ in 0..REPS {
+        rows[0].1.push(tpch_qps(1));
+        rows[1].1.push(tpch_qps(2));
+        let mixed = update_mixed(3, 300_000, 4_000, RecyclerConfig::default());
+        rows[2].1.push(mixed.reader_qps);
+        let points = pool_scaling(&[1, 2, 4], 300_000, RecyclerConfig::default());
+        for (row, point) in rows[3..].iter_mut().zip(points) {
+            row.1.push(point.queries_per_sec);
+        }
+    }
+    let mut out = TextTable::new(&["driver", "q/s median", "q1", "q3"]);
+    for (name, mut runs) in rows {
+        runs.sort_unstable_by(f64::total_cmp);
+        let at = |p: f64| {
+            let x = p * (runs.len() - 1) as f64;
+            let (lo, hi) = (runs[x.floor() as usize], runs[x.ceil() as usize]);
+            format!("{:.0}", lo + (hi - lo) * x.fract())
+        };
+        out.row(vec![name.to_string(), at(0.5), at(0.25), at(0.75)]);
+    }
+    format!(
+        "Sessions — throughput over {REPS} repetitions\n{}",
         out.render()
     )
 }

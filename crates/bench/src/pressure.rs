@@ -78,7 +78,7 @@ fn chain_entry(pool: &RecyclePool, tag: i64, parent: Option<EntryId>) -> PoolEnt
 /// `chains × depth` entries, exactly `chains` leaves — the chain tails),
 /// then evict `evict` entries and record the gather cost.
 fn measure(chains: usize, depth: usize, evict: usize, policy: EvictionPolicy) -> PressurePoint {
-    let pool = RecyclePool::with_shards(8);
+    let pool = RecyclePool::new();
     let mut tag = 0i64;
     for _ in 0..chains {
         let mut parent: Option<EntryId> = None;

@@ -326,8 +326,8 @@ impl CollectorControl {
 /// `run_rounds` runs under `catch_unwind`, so a panicking round (torn
 /// pool state, an injected failpoint) is logged, counted in
 /// `collector_restarts`, backed off with a capped exponential delay and
-/// then *resumed* — the collector never dies silently, and the shards
-/// the panic may have poisoned are quarantined by the pool itself.
+/// then *resumed* — the collector never dies silently, and a table lock
+/// the panic may have poisoned quarantines the pool by itself.
 pub(crate) fn spawn(shared: &Arc<SharedRecycler>) {
     let weak: Weak<SharedRecycler> = Arc::downgrade(shared);
     let ctl = Arc::clone(shared.collector_control());
@@ -451,7 +451,7 @@ pub(crate) fn run_rounds(shared: &SharedRecycler) {
 /// the nursery, keep the resident unpinned leaves, order them by the
 /// configured eviction policy and evict enough to cover the need.
 /// Revalidation (pins, leaf-ness, residency) happens inside
-/// [`RecyclePool::remove_batch_if_evictable`]'s shard critical sections,
+/// [`RecyclePool::remove_batch_if_evictable`]'s critical section,
 /// exactly as inline eviction does.
 fn minor_round(shared: &SharedRecycler, need_bytes: usize, need_entries: usize) -> Vec<PoolEntry> {
     let pool = shared.pool_inner();
@@ -531,8 +531,8 @@ fn major_round(shared: &SharedRecycler, need_bytes: usize, need_entries: usize) 
 /// off the memory cap *without losing the entries*, so a later hit pays a
 /// decompress or a record read instead of a recomputation.
 ///
-/// All CPU (codec work) and IO (spill appends) run outside shard locks;
-/// [`RecyclePool::retier`] revalidates under the shard write lock and
+/// All CPU (codec work) and IO (spill appends) run outside the table lock;
+/// [`RecyclePool::retier`] revalidates under the table write lock and
 /// refuses entries that got pinned, removed or re-tiered meanwhile.
 /// Returns the resident bytes freed — the progress signal [`run_rounds`]'s
 /// escalation logic folds in next to eviction's.
@@ -541,7 +541,7 @@ fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
     let pool = shared.pool_inner();
     let spill_on = pool.spill().is_some();
 
-    // Gather under shard read locks only: raw entries to compress,
+    // Gather under the table read lock only: raw entries to compress,
     // already-compressed entries to spill. Unlike eviction, demotion is
     // *not* restricted to childless leaves — a demoted interior node keeps
     // its `result_id` and indexes, so descendants stay matchable; in

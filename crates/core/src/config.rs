@@ -64,10 +64,6 @@ pub struct RecyclerConfig {
     pub combined_subsumption: bool,
     /// Update synchronisation mode.
     pub update_mode: UpdateMode,
-    /// Number of pool shards (rounded up to a power of two). `None` picks
-    /// the next power of two ≥ 2× the core count (minimum 8); `Some(1)`
-    /// reproduces the pre-shard single-lock pool for baselines.
-    pub pool_shards: Option<usize>,
     /// Per-session admission budget: a *global* allowance of resident
     /// pool entries shared fairly between the active sessions. Each
     /// session may keep up to `budget / active_sessions` entries of its
@@ -130,7 +126,6 @@ impl Default for RecyclerConfig {
             subsumption: true,
             combined_subsumption: true,
             update_mode: UpdateMode::Invalidate,
-            pool_shards: None,
             session_credits: None,
             background_collector: false,
             low_water_ratio: 0.5,
@@ -184,13 +179,6 @@ impl RecyclerConfig {
     /// Builder-style: set the update mode.
     pub fn update_mode(mut self, m: UpdateMode) -> Self {
         self.update_mode = m;
-        self
-    }
-
-    /// Builder-style: set the pool shard count (rounded up to a power of
-    /// two; 1 = the pre-shard single-lock layout).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.pool_shards = Some(n.max(1));
         self
     }
 
@@ -317,13 +305,6 @@ mod tests {
     fn disabling_subsumption_disables_combined() {
         let c = RecyclerConfig::default().subsumption(false);
         assert!(!c.combined_subsumption);
-    }
-
-    #[test]
-    fn shard_count_configurable() {
-        assert_eq!(RecyclerConfig::default().pool_shards, None);
-        assert_eq!(RecyclerConfig::default().shards(16).pool_shards, Some(16));
-        assert_eq!(RecyclerConfig::default().shards(0).pool_shards, Some(1));
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! # Concurrency
 //!
 //! An entry's *identity* (signature, arguments, payload, lineage) is fixed
-//! at admission and only ever rewritten under a scoped pool write view
-//! holding its shard's write lock (delta propagation), or — for the
+//! at admission and only ever rewritten under the pool's write view
+//! holding the table write lock (delta propagation), or — for the
 //! payload alone — by the pool's one residency transition under the same
 //! lock. Its *usage statistics* — reuse counters, the
 //! last-use stamp, the pin count and the
 //! credit-return flag — are plain atomics, so the exact-match hit path
-//! can update them while holding nothing stronger than a shard **read**
-//! lock. This is what makes the sharded pool's hit path write-lock-free
+//! can update them while holding nothing stronger than the table **read**
+//! lock. This is what makes the pool's hit path write-lock-free
 //! (see the locking invariants in [`crate::shared`]).
 
 use std::collections::BTreeSet;
@@ -31,7 +31,7 @@ pub type EntryId = u64;
 /// What a pool entry holds, and where it lives — the one notion of "an
 /// intermediate" the pool, the admission funnel, the hit path and the
 /// ledger share. `Arc`-wrapped (or `Copy`) throughout, so the hit path can
-/// hand out a clone under nothing stronger than a shard read lock.
+/// hand out a clone under nothing stronger than the table read lock.
 ///
 /// # Transitions
 ///
@@ -182,7 +182,7 @@ pub struct Admitter {
 pub struct Pin(Arc<AtomicU32>);
 
 impl Pin {
-    /// Pin `entry`. The caller holds the entry's shard lock (any mode).
+    /// Pin `entry`. The caller holds the table lock (any mode).
     pub fn take(entry: &PoolEntry) -> Pin {
         entry.pins.fetch_add(1, Ordering::Relaxed);
         Pin::adopt(entry)
@@ -217,7 +217,7 @@ pub struct PoolEntry {
     /// What the entry holds and where it lives. Private together with
     /// `bytes`: the pair is what the pool's ledger books, so it moves only
     /// through [`Self::swap_payload`], called by the pool's one transition
-    /// function under the shard write lock.
+    /// function under the table write lock.
     payload: Payload,
     /// Identity of the result BAT, when the result is one. Survives
     /// demotion: a compressed or spilled entry keeps its place in the
@@ -252,7 +252,7 @@ pub struct PoolEntry {
     /// Source instruction identity (for credit returns).
     pub creator: InstrKey,
     /// Last computation-or-reuse tick (LRU ordering). Atomic: stamped on
-    /// every hit under the shard read lock.
+    /// every hit under the table read lock.
     pub last_used: AtomicU64,
     /// Reuses within the admitting invocation. Atomic: bumped on hit.
     pub local_reuses: AtomicU64,
@@ -262,8 +262,8 @@ pub struct PoolEntry {
     pub subsumption_uses: AtomicU64,
     /// References running queries hold on this entry, one [`Pin`] per use.
     /// A pinned entry is never evicted; invalidation may still remove it —
-    /// correctness beats retention. Taken under the owning shard's read
-    /// lock, checked under its write lock: the shard `RwLock` makes
+    /// correctness beats retention. Taken under the table read lock,
+    /// checked under its write lock: the table `RwLock` makes
     /// pin-vs-evict races impossible. Pin state is deliberately NOT part
     /// of the pool's evictable-leaf index (it flips here, on the
     /// read-lock-only hit path, far too often to maintain an index on):

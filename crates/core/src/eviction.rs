@@ -7,7 +7,7 @@
 //! complementary binary-knapsack problem with the classic greedy
 //! 2-approximation [Martello & Toth 1990].
 //!
-//! Concurrency and cost (sharded pool): [`evict`] *gathers* its
+//! Concurrency and cost: [`evict`] *gathers* its
 //! candidates from the lineage graph's **evictable-leaf set**
 //! ([`RecyclePool::for_each_leaf_entry`]) — the childless entries, kept
 //! exact by the graph's `wire` / `unwire` steps — so a gather round costs
@@ -15,10 +15,10 @@
 //! whole pool (the pool's gather-cost counters pin this down in tests).
 //! Victims are chosen from the snapshot and consumed
 //! in **batches**: each round feeds every victim it selected to
-//! [`RecyclePool::remove_batch_if_evictable`], which groups them by shard
-//! and takes each shard's write lock once per round — not once per victim
-//! — revalidating the pin count and the leaf property inside the shard's
-//! critical section, so a concurrent hit or a freshly wired child edge
+//! [`RecyclePool::remove_batch_if_evictable`], which takes the table's
+//! write lock once per round — not once per victim — revalidating the pin
+//! count and the leaf property inside the critical section, so a
+//! concurrent hit or a freshly wired child edge
 //! always wins over the stale snapshot. Only when victims are rejected or
 //! a removal exposes new leaves (a dependency layer peeled off) does the
 //! loop re-gather. Callers serialise evictors through the
@@ -60,8 +60,8 @@ pub(crate) fn policy_key(policy: EvictionPolicy, e: &PoolEntry, now_tick: u64) -
 }
 
 /// Snapshot the evictable leaves from the lineage graph's leaf set, in
-/// ascending id order (so a policy's ties never depend on which shard a
-/// leaf sits in): O(leaves) work, no full-pool scan. Pin state is not part
+/// the ascending id order the graph hands them out in (so a policy's ties
+/// break by id): O(leaves) work, no full-pool scan. Pin state is not part
 /// of the set (pins flip on the read-lock-only hit path), so pinned leaves
 /// are filtered here — and revalidated again at removal, where it counts.
 fn gather(pool: &RecyclePool, policy: EvictionPolicy, now_tick: u64) -> Vec<Candidate> {
@@ -78,7 +78,6 @@ fn gather(pool: &RecyclePool, policy: EvictionPolicy, now_tick: u64) -> Vec<Cand
             });
         }
     });
-    out.sort_unstable_by_key(|c| c.id);
     out
 }
 
@@ -99,8 +98,8 @@ pub fn evict(
 
 /// Per-entry variant (BPent / HPent / plain LRU): take the leaves with the
 /// smallest policy keys, as many per gathered snapshot as the trigger
-/// still needs, and remove them in one batched round (one shard write
-/// lock per touched shard). Re-gathers only when victims were rejected by
+/// still needs, and remove them in one batched round (one table write
+/// lock). Re-gathers only when victims were rejected by
 /// revalidation or when peeling a layer exposed new leaves.
 fn evict_entries(
     pool: &RecyclePool,
@@ -220,7 +219,7 @@ fn evict_memory(
         if victims.is_empty() {
             break;
         }
-        // one batched removal round: each victim shard write-locked once
+        // one batched removal round: one table write lock
         let removed = pool.remove_batch_if_evictable(&victims);
         let progressed = !removed.is_empty();
         for e in removed {
@@ -436,22 +435,19 @@ mod tests {
     }
 
     #[test]
-    fn eviction_round_write_locks_each_shard_at_most_once() {
+    fn eviction_round_takes_one_table_write_lock() {
         let pool = RecyclePool::new();
         for i in 0..24 {
             put(&pool, i, 100, 10, 0, i as u64);
         }
-        let before = pool.write_lock_acquisitions_by_shard();
+        let before = pool.write_lock_acquisitions();
         let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Entries(24), 100);
         assert_eq!(ev.len(), 24);
-        let after = pool.write_lock_acquisitions_by_shard();
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            assert!(
-                a - b <= 1,
-                "shard {i} write-locked {} times in a single batched round",
-                a - b
-            );
-        }
+        assert_eq!(
+            pool.write_lock_acquisitions() - before,
+            1,
+            "a single batched round takes the table write lock once"
+        );
         pool.check_invariants().unwrap();
     }
 

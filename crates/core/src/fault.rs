@@ -22,7 +22,7 @@
 //! | site                | layer                    | honoured actions |
 //! |---------------------|--------------------------|------------------|
 //! | `admission.reserve` | byte-budget reservation  | Deny, Panic      |
-//! | `pool.insert`       | shard insert, lock held  | Panic            |
+//! | `pool.insert`       | table insert, lock held  | Panic            |
 //! | `pool.insert.wired` | insert, indexes half-wired | Panic          |
 //! | `pool.demote.wired` | demotion, entry re-tiered, books stale | Panic |
 //! | `evict.gather`      | eviction victim gather   | Panic            |

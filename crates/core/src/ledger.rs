@@ -2,25 +2,24 @@
 //! place.
 //!
 //! An entry charges exactly one [`Charge`], computed by [`charge`] from
-//! its payload and byte count. The books are sums of those charges —
-//! per shard and rung (raw / compressed / spilled, plus operator state as
-//! a sub-book of raw), the pool-wide resident total, the entry count and
-//! the per-session resident counts the admission budget slices — and
-//! [`Ledger::apply`] is the only code that moves any of them:
+//! its payload and byte count. The books are sums of those charges — per
+//! rung (raw / compressed / spilled, plus operator state as a sub-book of
+//! raw), the pool-wide resident total, the entry count and the per-session
+//! resident counts the admission budget slices — and [`Ledger::apply`] is
+//! the only code that moves any of them:
 //!
 //! | event                         | `before` → `after`            |
 //! |-------------------------------|-------------------------------|
 //! | insert                        | `None` → `Some`               |
 //! | remove (evict, invalidate)    | `Some` → `None`               |
 //! | compress, spill, promote, resize | `Some` → `Some`            |
-//! | shard migration (rekey)       | insert at the new shard, then remove at the old |
 //!
-//! The caller holds the write lock of the shard it names, so each shard's
-//! books change under that shard's lock; the pool-wide totals are plain
-//! atomics read lock-free by the admission gate. Because every book is a
-//! pure function of the resident entries, [`Ledger::recompute`] re-derives
-//! all of them from the slabs: quarantine repair stores that image,
-//! `check_invariants` and the scoped view's debug drop compare against it.
+//! The caller holds the pool table's write lock, so the books change under
+//! it; they are plain atomics read lock-free by the admission gate.
+//! Because every book is a pure function of the resident entries,
+//! [`Ledger::recompute`] re-derives all of them from the table: quarantine
+//! repair stores that image, `check_invariants` and the write view's debug
+//! drop compare against it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,7 +27,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::entry::{Payload, PoolEntry};
 
-/// What one entry charges to each book of its shard.
+/// What one entry charges to each rung book.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Charge {
     /// Resident bytes of raw payloads (results and operator state).
@@ -85,18 +84,15 @@ pub fn charge(payload: &Payload, bytes: usize) -> Charge {
 /// from the slabs and [`Ledger::books`] reads off the live counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Books {
-    /// Per-shard sums of the resident entries' charges.
-    pub shards: Vec<Charge>,
-    /// Pool-wide resident bytes (`Σ shards.resident()`).
+    /// The sum of the resident entries' charges.
+    pub rungs: Charge,
+    /// Pool-wide resident bytes (`rungs.resident()`).
     pub bytes: usize,
     /// Resident entries.
     pub entries: usize,
     /// Resident entries per admitting session (sessions with none absent).
     pub by_session: BTreeMap<u64, u64>,
 }
-
-/// One shard's live books, in the field order of [`Charge`].
-type ShardBooks = [AtomicUsize; 4];
 
 fn fields(c: Charge) -> [usize; 4] {
     [c.raw, c.compressed, c.spilled, c.artifact]
@@ -113,8 +109,10 @@ fn shift(cell: &AtomicUsize, from: usize, to: usize) {
 }
 
 /// The live books (see the module docs).
+#[derive(Default)]
 pub(crate) struct Ledger {
-    shards: Box<[ShardBooks]>,
+    /// The rung books, in the field order of [`Charge`].
+    rungs: [AtomicUsize; 4],
     bytes: AtomicUsize,
     entries: AtomicUsize,
     /// Resident entries per admitting session. A leaf lock: taken for one
@@ -123,35 +121,17 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    pub(crate) fn new(shards: usize) -> Ledger {
-        Ledger {
-            shards: (0..shards).map(|_| ShardBooks::default()).collect(),
-            bytes: AtomicUsize::new(0),
-            entries: AtomicUsize::new(0),
-            by_session: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     fn sessions(&self) -> MutexGuard<'_, BTreeMap<u64, u64>> {
         self.by_session
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Move the books for one entry of `session` in `shard` from the
-    /// `before` charge to the `after` charge (`None` = not resident).
-    pub(crate) fn apply(
-        &self,
-        shard: usize,
-        session: u64,
-        before: Option<Charge>,
-        after: Option<Charge>,
-    ) {
+    /// Move the books for one entry of `session` from the `before` charge
+    /// to the `after` charge (`None` = not resident).
+    pub(crate) fn apply(&self, session: u64, before: Option<Charge>, after: Option<Charge>) {
         let (b, a) = (before.unwrap_or_default(), after.unwrap_or_default());
-        for (cell, (from, to)) in self.shards[shard]
-            .iter()
-            .zip(fields(b).into_iter().zip(fields(a)))
-        {
+        for (cell, (from, to)) in self.rungs.iter().zip(fields(b).into_iter().zip(fields(a))) {
             shift(cell, from, to);
         }
         shift(&self.bytes, b.resident(), a.resident());
@@ -189,11 +169,10 @@ impl Ledger {
         self.sessions().get(&session).copied().unwrap_or(0)
     }
 
-    /// One shard's books.
-    pub(crate) fn shard(&self, shard: usize) -> Charge {
-        let [raw, compressed, spilled, artifact] = self.shards[shard]
-            .each_ref()
-            .map(|c| c.load(Ordering::Relaxed));
+    /// The rung books.
+    pub(crate) fn rungs(&self) -> Charge {
+        let [raw, compressed, spilled, artifact] =
+            self.rungs.each_ref().map(|c| c.load(Ordering::Relaxed));
         Charge {
             raw,
             compressed,
@@ -202,37 +181,22 @@ impl Ledger {
         }
     }
 
-    /// All shards' books summed.
-    pub(crate) fn totals(&self) -> Charge {
-        let mut total = Charge::default();
-        for i in 0..self.shards.len() {
-            total += self.shard(i);
-        }
-        total
-    }
-
     /// The live counters as a plain image.
     pub(crate) fn books(&self) -> Books {
         Books {
-            shards: (0..self.shards.len()).map(|i| self.shard(i)).collect(),
+            rungs: self.rungs(),
             bytes: self.bytes(),
             entries: self.entries(),
             by_session: self.sessions().clone(),
         }
     }
 
-    /// The single sum: every book re-derived from `(shard, entry)` pairs.
-    pub(crate) fn recompute<'a>(
-        shards: usize,
-        slabs: impl Iterator<Item = (usize, &'a PoolEntry)>,
-    ) -> Books {
-        let mut books = Books {
-            shards: vec![Charge::default(); shards],
-            ..Books::default()
-        };
-        for (si, e) in slabs {
+    /// The single sum: every book re-derived from the resident entries.
+    pub(crate) fn recompute<'a>(entries: impl Iterator<Item = &'a PoolEntry>) -> Books {
+        let mut books = Books::default();
+        for e in entries {
             let c = charge(e.payload(), e.bytes());
-            books.shards[si] += c;
+            books.rungs += c;
             books.bytes += c.resident();
             books.entries += 1;
             *books.by_session.entry(e.admitted_session).or_insert(0) += 1;
@@ -241,12 +205,10 @@ impl Ledger {
     }
 
     /// Overwrite every counter with `books` (quarantine repair, `clear`).
-    /// The caller holds every shard write lock.
+    /// The caller holds the table write lock.
     pub(crate) fn store(&self, books: &Books) {
-        for (live, want) in self.shards.iter().zip(&books.shards) {
-            for (cell, v) in live.iter().zip(fields(*want)) {
-                cell.store(v, Ordering::Relaxed);
-            }
+        for (cell, v) in self.rungs.iter().zip(fields(books.rungs)) {
+            cell.store(v, Ordering::Relaxed);
         }
         self.bytes.store(books.bytes, Ordering::Relaxed);
         self.entries.store(books.entries, Ordering::Relaxed);

@@ -20,14 +20,12 @@
 //!   eviction state and lifetime statistics behind interior locking. The
 //!   paper's recycler is explicitly shared by *all* user sessions (§8's
 //!   SkyServer gains come from cross-session reuse), so the pool lives in
-//!   one `Arc`-shared instance — and is itself *sharded* by signature
-//!   fingerprint: an exact-match hit is one shard read lock over
-//!   per-entry atomic counters and no other lock,
-//!   admissions from different sessions write disjoint shards, eviction
-//!   gathers under read locks and write-locks only the shards it evicts
-//!   from, and racing duplicate admissions resolve first-writer-wins
-//!   inside one shard's critical section. See [`shared`] for the locking
-//!   invariants.
+//!   one `Arc`-shared instance: one table behind one `RwLock`, beside the
+//!   lineage graph behind its own. An exact-match hit is one read lock
+//!   over per-entry atomic counters and no other lock, an admission or an
+//!   eviction round takes the write lock once, and racing duplicate
+//!   admissions resolve first-writer-wins inside that critical section.
+//!   See [`shared`] for the locking invariants.
 //!
 //! * **The session handle** ([`Recycler`]) — a cheap per-session
 //!   [`rmal::ExecHook`] implementing the paper's Algorithm 1 against the
@@ -44,12 +42,12 @@
 //! Updates are handled per §6: the default is immediate column-level
 //! invalidation of affected intermediates; an opt-in delta-propagation mode
 //! refreshes select/projection/view/join chains instead of dropping them.
-//! Both are **scoped**: a commit write-locks only the shards holding its
-//! lineage closure ([`pool::PoolScopedView`]), sessions querying other
-//! tables never block on it, and versioned bind signatures guarantee a
-//! post-commit probe can never reuse a pre-commit result. Both run
-//! atomically with respect to instruction boundaries of concurrent
-//! queries.
+//! Both follow one rule — the lineage graph lists the entries anchored on
+//! the committed columns — and run under the pool's table write lock
+//! ([`pool::PoolWriteView`]), taken after the catalog merge and held for
+//! the rewrite only; versioned bind signatures guarantee a post-commit
+//! probe can never reuse a pre-commit result. Both run atomically with
+//! respect to instruction boundaries of concurrent queries.
 //!
 //! ## Quickstart
 //!
@@ -104,7 +102,7 @@ pub mod tier;
 pub use config::{AdmissionPolicy, EvictionPolicy, RecyclerConfig, UpdateMode};
 pub use entry::{EntryId, Payload, PoolEntry};
 pub use mark::RecycleMark;
-pub use pool::{Admitted, PoolScopedView, RecyclePool, RepairReport};
+pub use pool::{Admitted, PoolWriteView, RecyclePool, RepairReport};
 pub use runtime::Recycler;
 pub use shared::{MaintenanceGuard, PoolRef, SharedRecycler};
 pub use stats::{FamilyRow, PoolSnapshot, QueryRecord, RecyclerStats};

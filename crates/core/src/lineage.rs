@@ -9,7 +9,7 @@
 //! [`LineageGraph::leaves`] / [`LineageGraph::unwire`]) and lineage
 //! invalidation (§6.4, [`LineageGraph::retire`] /
 //! [`LineageGraph::subtree`]). [`crate::pool`] owns the question "what does
-//! entry `id` hold" (the shard tables, the ledger, the residency
+//! entry `id` hold" (the table, the ledger, the residency
 //! transitions); this module owns every question *about ids*: where an id
 //! is filed, who its children are, which entry a result BAT belongs to,
 //! which ids are childless, which results are subsets of which, and which
@@ -41,7 +41,7 @@
 //! that takes no closure from its caller and copies ids and keys out, so
 //! nothing ever runs, and no lock is ever acquired, while the graph lock is
 //! held. The pool calls [`LineageGraph::wire`] and
-//! [`LineageGraph::unwire`] once per admission / removal, under the shard
+//! [`LineageGraph::unwire`] once per admission / removal, under the table
 //! write lock it already holds, so the orphan check, the 0↔1 leaf
 //! transitions of every parent and the result / alias / candidate
 //! bookkeeping of one entry are a single atomic step.
@@ -49,7 +49,7 @@
 //! Everything but three recorded facts — the duplicate-admission aliases,
 //! the subset edges and the persistent-BAT registry — is a pure function of
 //! the resident entries: [`LineageGraph::rebuild`] re-derives it from the
-//! slabs and carries the recorded facts over. Quarantine repair stores that
+//! table and carries the recorded facts over. Quarantine repair stores that
 //! image; `check_invariants` compares the live graph against it
 //! ([`LineageGraph::diff`]).
 
@@ -71,7 +71,7 @@ const NURSERY_CAP: usize = 256;
 /// What the graph knows about one resident entry.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct Node {
-    /// The table key the entry is filed under (hence its shard and slot).
+    /// The table key the entry is filed under.
     key: u64,
     /// Direct dependents, ascending.
     children: Vec<EntryId>,

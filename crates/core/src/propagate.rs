@@ -12,19 +12,16 @@
 //! OIDs on delete (see `rbat::Catalog::commit`).
 //!
 //! Concurrency: [`propagate_commit`] rewrites entries, signatures and the
-//! result index in place and therefore runs under a **scoped** write view
-//! ([`PoolScopedView`]): the caller asks the lineage graph for the entries
-//! anchored on the commit's columns
-//! ([`crate::pool::RecyclePool::retire_columns`]), locks only the shards of
-//! their lineage closure ([`crate::pool::RecyclePool::closure_shards`]),
-//! and concurrent probes against other tables keep running throughout.
-//! Probes of affected entries see the pool either entirely before or
-//! entirely after the commit. Re-keying an entry may migrate it to the
-//! shard its new signature hashes to; the view extends itself with that
-//! shard's lock on demand. A session whose query already cloned a
-//! pre-commit intermediate keeps computing with it (values are
-//! `Arc`-shared and immutable); only *future* probes observe the
-//! refreshed results — under their post-commit versioned bind signatures
+//! result index in place and therefore runs under the pool's write view
+//! ([`PoolWriteView`], the table write lock): the caller asks the lineage
+//! graph for the entries anchored on the commit's columns
+//! ([`crate::pool::RecyclePool::retire_columns`]) and takes the view for
+//! the rewrite. Probes see the pool either entirely before or entirely
+//! after the commit; a re-keyed entry is re-filed under its new
+//! signature's key in the same table. A session whose query already
+//! cloned a pre-commit intermediate keeps computing with it (values are
+//! `Arc`-shared and immutable); only *future* probes observe the refreshed
+//! results — under their post-commit versioned bind signatures
 //! ([`Sig::versioned`]), which refreshed roots are re-keyed to.
 
 use std::collections::BTreeSet;
@@ -37,7 +34,7 @@ use rbat::{Bat, BatId, Catalog, Value};
 use rmal::Opcode;
 
 use crate::entry::EntryId;
-use crate::pool::PoolScopedView;
+use crate::pool::PoolWriteView;
 use crate::signature::{ArgSig, Sig};
 
 /// What a propagation run did.
@@ -61,11 +58,11 @@ fn empty_like(like: &Bat) -> Bat {
 /// (An entry anchored there through a persistent BAT argument, or a bind of
 /// another table's column that a rebuilt index merely ends in, is left
 /// alone: versioned bind signatures and fresh `BatId`s make it unreachable
-/// from post-commit probes, or it is still valid.) `pool` is a scoped view
-/// over the shards of `anchored`'s lineage closure. The caller invalidates
-/// instead when the commit deleted rows.
+/// from post-commit probes, or it is still valid.) `pool` is the write
+/// view the commit holds. The caller invalidates instead when the commit
+/// deleted rows.
 pub fn propagate_commit(
-    pool: &mut PoolScopedView<'_>,
+    pool: &mut PoolWriteView<'_>,
     anchored: &[EntryId],
     report: &CommitReport,
     catalog: &Catalog,
@@ -141,7 +138,7 @@ pub fn propagate_commit(
         }
     }
     for id in doomed {
-        outcome.invalidated += pool.remove_subtree(id).len() as u64;
+        outcome.invalidated += pool.remove_subtree(&[id]).len() as u64;
     }
     if roots.is_empty() {
         return outcome;
@@ -207,7 +204,7 @@ pub fn propagate_commit(
         if refreshed {
             outcome.refreshed += 1;
         } else {
-            outcome.invalidated += pool.remove_subtree(id).len() as u64;
+            outcome.invalidated += pool.remove_subtree(&[id]).len() as u64;
         }
     }
     outcome
@@ -226,7 +223,7 @@ pub fn propagate_commit(
 /// should the root be evicted. Returns false (nothing touched; the caller
 /// invalidates) when the root is not a raw entry.
 fn apply_refresh(
-    pool: &mut PoolScopedView<'_>,
+    pool: &mut PoolWriteView<'_>,
     catalog: &Catalog,
     id: EntryId,
     new_result: Value,
@@ -253,7 +250,7 @@ fn apply_refresh(
 /// Propagate one non-root entry. Returns false when the entry (and its
 /// subtree) must be invalidated instead.
 fn propagate_entry(
-    pool: &mut PoolScopedView<'_>,
+    pool: &mut PoolWriteView<'_>,
     catalog: &Catalog,
     id: EntryId,
     old_result_owner: &FxHashMap<BatId, EntryId>,

@@ -5,7 +5,7 @@
 //! every user session (§8 relies on cross-session reuse). Accordingly the
 //! run-time support is split in two:
 //!
-//! * [`SharedRecycler`] (see [`crate::shared`]) — the sharded pool, the
+//! * [`SharedRecycler`] (see [`crate::shared`]) — the pool, the
 //!   credit/ADAPT accounts, eviction state and lifetime statistics, behind
 //!   interior locking; one instance per server.
 //! * [`Recycler`] (this module) — a cheap per-session handle implementing
@@ -15,15 +15,15 @@
 //!   to the same shared service.
 //!
 //! The exact-match hit path — the hot path of every marked instruction —
-//! is one fingerprint over the borrowed arguments, one shard **read**
+//! is one fingerprint over the borrowed arguments, one table **read**
 //! lock, no allocation and one clock read of its own: probe, reuse
 //! counters, pinning and result cloning are a single
 //! [`RecyclePool::probe`] call over per-entry atomics (results and
 //! operator state alike); what the hit owes the rest of the service is
 //! summed in the session and handed over once, at query end. Admissions
 //! go through one funnel: resolve the BAT arguments in one read of the
-//! lineage graph, pin the parents (shard read locks, one at a time), then
-//! insert under the fingerprint shard's write lock — the new entry records
+//! lineage graph, pin the parents (a table read lock each), then insert
+//! under the table write lock — the new entry records
 //! its parents and copies nothing from them; see the locking invariants in
 //! [`crate::shared`].
 //!
@@ -53,7 +53,7 @@ use crate::tier::CompressedBat;
 #[cfg(doc)]
 use crate::pool::RecyclePool;
 
-/// What one exact-match probe observed (computed under the shard read
+/// What one exact-match probe observed (computed under the table read
 /// lock, consumed after it is released). The payload is handed out as
 /// found: raw results and operator state clone an `Arc`; demoted entries
 /// hand out the blob or spill ticket for rehydration *outside* the lock.
@@ -71,7 +71,7 @@ struct HitOutcome {
 /// Capacity reserved for one in-flight admission (strict limits under
 /// concurrency), released when the insert settles, whatever its outcome —
 /// RAII, so a panic unwinding out of `insert` (which poisons and
-/// quarantines the shard) cannot leak the pending reservation and choke
+/// quarantines the pool) cannot leak the pending reservation and choke
 /// future admissions against the cap.
 struct Reservation<'a> {
     shared: &'a SharedRecycler,
@@ -82,6 +82,15 @@ impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         self.shared.release_reservation(self.bytes);
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: runs on the admitting thread between the funnel's pins
+    /// (and reservation) and its insert — where a racing commit orphans
+    /// the candidate.
+    static BEFORE_INSERT: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// The columns a bind-family instruction anchors (paper §6.4): the bound
@@ -231,7 +240,7 @@ impl Recycler {
     // ----- internal helpers -------------------------------------------------
 
     /// The exact-match probe — for a result or for operator state alike:
-    /// one shard read lock, atomics only. On a hit the reuse counters,
+    /// one table read lock, atomics only. On a hit the reuse counters,
     /// last-use stamp, credit flag and pin are all settled inside the
     /// lock; what the accounts and the lifetime statistics are owed is
     /// noted in the session and handed over at query end. A demoted
@@ -296,8 +305,8 @@ impl Recycler {
     /// Rehydrate a demoted entry's payload on the hit path: decompress the
     /// blob (for spilled entries, first read the record back from the
     /// spill file), then promote the entry to raw so subsequent hits are
-    /// cheap again. All of it runs *outside* shard locks —
-    /// [`RecyclePool::retier`] revalidates under the shard write lock.
+    /// cheap again. All of it runs *outside* the table lock —
+    /// [`RecyclePool::retier`] revalidates under the table write lock.
     /// Returns `None` when rehydration fails (torn record, injected
     /// `tier.rehydrate` fault); the caller degrades the probe to a miss.
     fn rehydrate_hit(&self, id: EntryId, demoted: Payload) -> Option<Value> {
@@ -334,8 +343,8 @@ impl Recycler {
     }
 
     /// Pin `id` (filed under `key`) for the remainder of this query if it
-    /// is still resident. The pin is taken under the owning shard's read
-    /// lock (invariant 3 in [`crate::shared`]).
+    /// is still resident. The pin is taken under the table read lock
+    /// (invariant 3 in [`crate::shared`]).
     fn pin_live(&mut self, id: EntryId, key: u64) -> bool {
         let pin = self.shared.pool_inner().entry_at(id, key, Pin::take);
         let alive = pin.is_some();
@@ -549,7 +558,7 @@ impl Recycler {
         // from is the graph's to answer. Only a persistent BAT nobody
         // resident produced hands its columns over, as the entry's own
         // anchors. A producer lost between the read and the pin (evicted,
-        // invalidated, its shard quarantined) breaks the thread.
+        // invalidated, the pool quarantined) breaks the thread.
         let bats = args.iter().filter_map(Value::as_bat).map(|b| b.id());
         for resolved in pool.resolve(bats) {
             match resolved {
@@ -626,6 +635,10 @@ impl Recycler {
         );
         // born pinned on this session's behalf (`PoolEntry::new`)
         let born = Pin::adopt(&entry);
+        #[cfg(test)]
+        if let Some(hook) = BEFORE_INSERT.take() {
+            hook();
+        }
         let admitted = pool.insert(entry, subset_of);
         drop(reservation);
         match admitted {
@@ -643,7 +656,7 @@ impl Recycler {
                 // Concurrent-admission resolution (first writer wins): the
                 // pool kept the resident instance, pinned it on our behalf
                 // and aliased our result BAT (if any) onto it — all inside
-                // the shard critical section. Return the credit and take
+                // the table critical section. Return the credit and take
                 // over the pin (gone with the winner if an update removed
                 // it since).
                 shared.count_duplicate_admission();
@@ -654,8 +667,8 @@ impl Recycler {
                 // Orphaned: an update invalidated a parent between
                 // resolution and insertion — the thread is broken,
                 // admitting would leave dangling lineage. Quarantined:
-                // the target shard sits out after a poisoning panic and
-                // the pool refused the candidate without touching torn
+                // the pool sits out after a poisoning panic and refused
+                // the candidate without touching torn
                 // state. Either way the candidate never entered the pool,
                 // so no bytes were counted; the admission credit (when one
                 // was charged) goes back to the account so repeated
@@ -730,7 +743,7 @@ impl ExecHook for Recycler {
         // commit epoch (see `SigRef::versioned`).
         let sig = SigRef::versioned(catalog, instr.op, args);
 
-        // Phase 1: exact match (paper §3.3) — one shard read lock and no
+        // Phase 1: exact match (paper §3.3) — one table read lock and no
         // other lock (invariant 2 in `crate::shared`).
         if let Some((Payload::Raw(result), _)) = self.try_hit(&sig) {
             self.current.overhead += t0.elapsed();
@@ -738,13 +751,12 @@ impl ExecHook for Recycler {
         }
         let config = self.shared.config();
 
-        // Phase 2: subsumption (paper §5). The candidate search fans out
-        // across the shards under read locks; argument values are cloned
-        // out, so a concurrent eviction of the source cannot invalidate
-        // the rewrite (`Arc`-shared BATs).
-        // Past the soft deadline the subsumption fan-out (a cross-shard
-        // candidate search plus piecing) is optional work the query can
-        // no longer amortise; exact hits above still served.
+        // Phase 2: subsumption (paper §5). The candidates are read under
+        // the table read lock; argument values are cloned out, so a
+        // concurrent eviction of the source cannot invalidate the rewrite
+        // (`Arc`-shared BATs). Past the soft deadline the search (and any
+        // piecing) is optional work the query can no longer amortise;
+        // exact hits above still served.
         if config.subsumption && !self.past_deadline() {
             let attempt = {
                 let pool = self.shared.pool_inner();
@@ -866,23 +878,22 @@ impl ExecHook for Recycler {
         // One rule for both modes: the lineage graph lists the entries
         // anchored on the affected columns (and forgets the replaced
         // buffers' registrations in the same step); everything derived
-        // from those columns hangs below these roots. Synchronisation is
-        // *scoped*: only the shards holding the roots' lineage closure are
-        // write-locked, so queries against other tables never block
-        // (per-instruction atomicity for affected ones — a query already
-        // past an instruction keeps its pre-update intermediate, as in the
-        // paper's transaction-isolation discussion §6.1). A root admitted
-        // from a pre-commit snapshot after this read is harmless: its bind
-        // thread carries the pre-commit version signature, which no
-        // post-commit probe can match.
+        // from those columns hangs below these roots. The rewrite holds the
+        // table write lock — taken after the catalog merge, for the
+        // invalidation or propagation only — so queries observe the pool
+        // entirely before or after it (per-instruction atomicity — a query
+        // already past an instruction keeps its pre-update intermediate,
+        // as in the paper's transaction-isolation discussion §6.1). A root
+        // admitted from a pre-commit snapshot after this read is harmless:
+        // its bind thread carries the pre-commit version signature, which
+        // no post-commit probe can match.
         let shared = Arc::clone(&self.shared);
         let pool = shared.pool_inner();
         let roots = pool.retire_columns(&affected);
         if roots.is_empty() {
             return;
         }
-        let shards = pool.closure_shards(&roots);
-        let mut view = pool.scoped_view(&shards);
+        let mut view = pool.write_view();
         if shared.config().update_mode == UpdateMode::Propagate && report.deleted.is_empty() {
             // Delta propagation (§6.3) refreshes the bind-family roots in
             // place and walks down from them.
@@ -893,8 +904,8 @@ impl ExecHook for Recycler {
             // Immediate column-wise invalidation (§6.4). Removal overrides
             // pins — correctness beats retention; stale pins are cleaned
             // up by their sessions' `query_end`.
-            let removed = roots.iter().map(|r| view.remove_subtree(*r).len() as u64);
-            shared.count_invalidated(removed.sum());
+            let removed = view.remove_subtree(&roots).len();
+            shared.count_invalidated(removed as u64);
         }
     }
 }
@@ -951,7 +962,7 @@ mod tests {
     #[test]
     fn exact_hits_take_no_write_lock() {
         // The tentpole invariant: once the pool is warm, a 100%-hit query
-        // acquires shard READ locks only — the write-acquisition counter
+        // acquires table READ locks only — the write-acquisition counter
         // must not move.
         let mut e = engine(RecyclerConfig::default());
         let mut t = range_template();
@@ -1137,11 +1148,6 @@ mod tests {
             }
         }
 
-        fn shard_of(&self, candidate: &Candidate) -> usize {
-            let sig = self.sig(candidate).0.to_sig();
-            self.shared.pool_inner().shard_of(&sig)
-        }
-
         fn admit(&mut self, candidate: Candidate) {
             let (sig, args) = self.sig(&candidate);
             let payload = candidate.2.clone();
@@ -1171,6 +1177,15 @@ mod tests {
 
     fn credit(k: u32) -> RecyclerConfig {
         RecyclerConfig::default().admission(AdmissionPolicy::Credit(k))
+    }
+
+    /// Unwind a panic through the table write lock: the pool quarantines.
+    fn poison(pool: &crate::pool::RecyclePool) {
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _view = pool.write_view();
+            panic!("poisoning the pool for the test");
+        }));
+        assert!(poison.is_err() && pool.has_quarantined());
     }
 
     /// For a result and for operator state: `arrange` sets the funnel up
@@ -1260,18 +1275,48 @@ mod tests {
                 candidate
             },
         );
-        // a panic unwound through the write lock of the candidate's shard
+        // a panic unwound through the table write lock; the candidate
+        // stands on the persistent column alone (its bind evicted), so it
+        // pins nothing and is refused at the insert
         assert_exit_refunds("quarantined", credit(5), rejects, |f, kind| {
-            let candidate = f.candidate(kind, &f.col, 1);
             let pool = f.shared.pool_inner();
-            let si = f.shard_of(&candidate);
-            let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _view = pool.scoped_view(&[si]);
-                panic!("poisoning shard {si} for the test");
-            }));
-            assert!(poison.is_err() && pool.is_quarantined(si));
-            candidate
+            let bind = pool.entry_of_result(f.col.as_bat().unwrap().id());
+            assert!(pool.remove(bind.expect("bind resident")).is_some());
+            poison(pool);
+            f.candidate(kind, &f.col, 1)
         });
+    }
+
+    #[test]
+    fn a_parent_that_cannot_be_pinned_is_a_pin_time_reject() {
+        // The bind resolves in the graph but its pin fails: the pool is
+        // quarantined. The funnel leaves at the pin — before it asks the
+        // accounts for a credit or reserves capacity, and without reaching
+        // the insert — and the books read as before.
+        for kind in KINDS {
+            let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
+            let candidate = f.candidate(kind, &f.col, 1);
+            poison(f.shared.pool_inner());
+            let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
+            let writes = f.shared.pool().write_lock_acquisitions();
+            let accounts = SharedRecycler::accounts_locks_on_this_thread();
+            f.admit(candidate);
+            assert_eq!(
+                SharedRecycler::accounts_locks_on_this_thread(),
+                accounts,
+                "{kind:?}: no credit was asked for"
+            );
+            assert_eq!(
+                f.shared.pool().write_lock_acquisitions(),
+                writes,
+                "{kind:?}: the insert was never reached"
+            );
+            assert_eq!(f.books(), books, "{kind:?}");
+            assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
+            assert_eq!(f.shared.pool().len(), 1, "{kind:?}: only the bind");
+            f.shared.maintenance().repair_quarantined();
+            f.shared.pool().check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -1282,43 +1327,37 @@ mod tests {
         // funnel must leave the credit account, the session book and the
         // pending reservations exactly where they started, every time —
         // repeated orphaning used to be able to drain an instruction's
-        // credits for good. The interleaving is forced: a "committer"
-        // holds the candidate's shard, so the admission blocks at the
-        // insert; it waits for the reservation to go pending, removes the
-        // parent (invalidation overrides pins) and lets go.
+        // credits for good. The interleaving is forced by the hook between
+        // pin and insert: with the parent pinned and the reservation
+        // pending, a commit removes the parent (invalidation overrides
+        // pins), and the insert finds it gone.
         for kind in KINDS {
             let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
             let bytes_before = f.shared.pool().bytes();
             for round in 0..8usize {
-                let pool = f.shared.pool_inner();
-                let parent = pool
+                let parent = f
+                    .shared
+                    .pool()
                     .entry_of_result(f.col.as_bat().unwrap().id())
                     .expect("bind resident");
-                let parent_shard = pool.entry(parent, |e| pool.shard_of(&e.sig)).unwrap();
-                let candidate = (1..)
-                    .map(|tag| f.candidate(kind, &f.col, tag))
-                    .find(|c| f.shard_of(c) != parent_shard)
-                    .unwrap();
-                let si = f.shard_of(&candidate);
+                let candidate = f.candidate(kind, &f.col, 1);
                 let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
                 assert_eq!(
                     books.0, 2,
                     "{kind:?}: credits drained after {round} orphanings"
                 );
                 let committer = Arc::clone(&f.shared);
-                std::thread::scope(|s| {
-                    let (locked_tx, locked_rx) = std::sync::mpsc::channel();
-                    s.spawn(move || {
-                        let mut view = committer.pool_inner().scoped_view(&[si]);
-                        locked_tx.send(()).unwrap();
-                        while committer.pending().1 == 0 {
-                            std::thread::yield_now();
-                        }
-                        assert!(view.remove(parent).is_some());
-                    });
-                    locked_rx.recv().unwrap();
-                    f.admit(candidate);
-                });
+                BEFORE_INSERT.set(Some(Box::new(move || {
+                    assert_eq!(committer.pending().1, 1, "the reservation is in flight");
+                    assert!(committer.pool().write_view().remove(parent).is_some());
+                })));
+                let writes = f.shared.pool().write_lock_acquisitions();
+                f.admit(candidate);
+                assert_eq!(
+                    f.shared.pool().write_lock_acquisitions() - writes,
+                    2,
+                    "{kind:?}: the commit's write lock, then the insert's (parent gone)"
+                );
                 assert_eq!(f.books(), books, "{kind:?} round {round}");
                 assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
                 assert!(f.shared.pool().is_empty(), "the orphan never entered");

@@ -5,17 +5,15 @@
 //! streams is where the SkyServer gains come from (§8). This module holds
 //! everything that is per-*server* rather than per-*session*:
 //!
-//! * the [`RecyclePool`] — a concurrent structure of its own: N
-//!   fingerprint shards (N = next power of two ≥ 2×cores), each an
-//!   independent `RwLock` over one table that is entry slab and
-//!   exact-match index at once, one [lineage graph](crate::lineage) over
-//!   the entry ids behind one lock, and every byte/entry book in one
-//!   [ledger](crate::ledger) moved only under the owning shard's write
-//!   lock;
+//! * the [`RecyclePool`] — a concurrent structure of its own: one
+//!   `RwLock` over one table that is entry slab and exact-match index at
+//!   once, one [lineage graph](crate::lineage) over the entry ids behind
+//!   its own lock, and every byte/entry book in one
+//!   [ledger](crate::ledger) moved only under the table write lock;
 //! * the CREDIT/ADAPT accounts behind one [`Mutex`] — inherently global
-//!   (credits are per template instruction, not per shard) but touched
-//!   only on admission decisions and once per query, never per hit (a
-//!   session buffers what its hits owe the accounts: [`AccountNotes`]);
+//!   (credits are per template instruction) but touched only on admission
+//!   decisions and once per query, never per hit (a session buffers what
+//!   its hits owe the accounts: [`AccountNotes`]);
 //! * lifetime statistics and the event clock as plain atomics, so
 //!   sessions never contend just to count (per-hit counters are summed in
 //!   the session and added once per query).
@@ -23,36 +21,28 @@
 //! # Locking invariants
 //!
 //! 1. **Order:** *maintenance mutex* → *collector round lock* → *eviction
-//!    mutex* → *pool update (scoped-view) mutex* → *shard locks in
-//!    ascending shard index* → *leaf locks*. A thread may skip tiers but
-//!    never goes back up. The leaf locks are the pool's lineage-graph
-//!    lock, the ledger's per-session book and the accounts mutex, and the
-//!    one rule for them is that **a leaf lock is held alone**: it is taken
-//!    for one plain map operation and nothing is acquired, and no
-//!    caller-supplied code runs, until it is released — so the leaves need
-//!    no order among themselves. The
-//!    collector round lock is the background collector's quiescence
-//!    point: every collector round runs under it, and
+//!    mutex* → *pool table lock* → *leaf locks*. A thread may skip tiers
+//!    but never goes back up, and holds the table lock at most once — a
+//!    thread holding it (either mode) calls no method that takes it
+//!    again. The leaf locks are the pool's lineage-graph lock, the
+//!    ledger's per-session book and the accounts mutex, and the one rule
+//!    for them is that **a leaf lock is held alone**: it is taken for one
+//!    plain map operation and nothing is acquired, and no caller-supplied
+//!    code runs, until it is released — so the leaves need no order among
+//!    themselves. The collector round lock is the background collector's
+//!    quiescence point: every collector round runs under it, and
 //!    [`MaintenanceGuard`] acquires it (after the maintenance mutex,
-//!    **before** any pool update mutex its operations take) and holds it
-//!    for its whole lifetime — maintenance surgery and background
-//!    eviction rounds can therefore never interleave, and the guard's
-//!    acquisition blocks until the in-flight round, if any, completes.
-//!    The collector thread never takes the maintenance mutex, so the
-//!    hierarchy stays acyclic. Within the shard tier a thread holds at
-//!    most one shard lock, except for structural writers —
-//!    [`RecyclePool::scoped_view`] for update synchronisation,
-//!    [`RecyclePool::write_view`]/`clear` for maintenance,
-//!    `check_invariants` for diagnostics — which first take the update
-//!    mutex and then their shard set in ascending index order. Because
-//!    structural writers are serialised on that mutex and every other
-//!    thread holds at most one shard lock without blocking on a second,
-//!    the single live scoped view may *extend* itself with further shard
-//!    locks out of ascending order (rekey migration, dependents admitted
-//!    after its closure was computed) without deadlock.
-//! 2. **An exact hit is one shard read lock — and no other lock.** A hit
-//!    is served entirely under the fingerprint shard's *read* lock: the
-//!    reuse counters, last-use stamp, pin count and credit-return flag are
+//!    **before** the table lock its operations take) and holds it for its
+//!    whole lifetime — maintenance surgery and background eviction rounds
+//!    can therefore never interleave, and the guard's acquisition blocks
+//!    until the in-flight round, if any, completes. The collector thread
+//!    never takes the maintenance mutex, so the hierarchy stays acyclic.
+//!    Multi-entry writers — a commit's [`RecyclePool::write_view`],
+//!    `clear` and `repair` for maintenance — hold the one table write lock
+//!    for their whole rewrite; `check_invariants` holds the read lock.
+//! 2. **An exact hit is one table read lock — and no other lock.** A hit
+//!    is served entirely under the table's *read* lock: the reuse
+//!    counters, last-use stamp, pin count and credit-return flag are
 //!    per-entry atomics ([`crate::entry`]). What the hit owes the accounts
 //!    waits in the session's [`AccountNotes`] (one accounts-mutex
 //!    acquisition per *query*), and its pin is given back at query end by
@@ -61,21 +51,21 @@
 //!    [`SharedRecycler::accounts_locks_on_this_thread`] pin this down in
 //!    tests.
 //! 3. **Pins are race-free by lock polarity.** Pinning bumps the entry's
-//!    atomic pin count under the owning shard's *read* lock; eviction
-//!    checks the pin count and removes under the same shard's *write*
-//!    lock. The `RwLock` serialises the two, so an entry is either pinned
-//!    before the eviction check (and skipped) or removed first (and the
-//!    pinning probe revalidates and misses). Unpinning takes no lock: a
-//!    late decrement can only make eviction skip an entry once more.
+//!    atomic pin count under the table *read* lock; eviction checks the
+//!    pin count and removes under the table *write* lock. The `RwLock`
+//!    serialises the two, so an entry is either pinned before the
+//!    eviction check (and skipped) or removed first (and the pinning probe
+//!    revalidates and misses). Unpinning takes no lock: a late decrement
+//!    can only make eviction skip an entry once more.
 //! 4. **No lock across execution:** operator execution happens outside
 //!    every lock; only combined-subsumption piecing reads pooled BATs,
-//!    entry-by-entry under shard read locks, and `Arc`-shared results
+//!    entry-by-entry under the table read lock, and `Arc`-shared results
 //!    stay valid regardless of eviction.
 //! 5. **One funnel; first writer wins, atomically.** Results and operator
 //!    state are admitted by the same funnel ([`Recycler`]'s `admit`) and
 //!    every exit of it returns what it took (credit, reservation). Racing
 //!    duplicate admissions are
-//!    resolved inside [`RecyclePool::insert`]'s shard critical section:
+//!    resolved inside [`RecyclePool::insert`]'s critical section:
 //!    the resident entry stays and is pinned for the loser, the loser's
 //!    result BAT is aliased onto it, and the caller returns the admission
 //!    credit (`duplicate_admissions`).
@@ -83,11 +73,11 @@
 //!    argument is resolved in one read of the lineage graph — a resident
 //!    producer, else a registered persistent buffer (the registry is part
 //!    of the graph), else the admission is dropped — and the producers are
-//!    pinned (shard read locks, one at a time) before insertion. The new
+//!    pinned (a table read lock each) before insertion. The new
 //!    entry records them as parents and copies no lineage from them: only
 //!    a bind, or an entry standing directly on a persistent buffer, holds
 //!    `(table, column)` anchors. [`RecyclePool::insert`]
-//!    wires the candidate into the graph in one step under its shard's
+//!    wires the candidate into the graph in one step under the table
 //!    write lock, and that step begins by re-checking every parent: if an
 //!    update invalidated one in between, nothing is wired and the
 //!    candidate is dropped as orphaned. The orphan check, the parents'
@@ -104,25 +94,21 @@
 //!    over-rejects instead). Eviction rounds gather from the lineage
 //!    graph's evictable-leaf set (O(leaves), no full-pool scan; pins are
 //!    not part of the set — they are filtered at gather and revalidated at
-//!    removal) and consume their victims in per-shard batches: one shard
-//!    write-lock acquisition per shard per round
+//!    removal) and consume their victims in batches: one table write-lock
+//!    acquisition per round
 //!    ([`RecyclePool::remove_batch_if_evictable`]). A victim's pin count
-//!    is re-read under its shard's write lock and its leaf status inside
+//!    is re-read under the write lock and its leaf status inside
 //!    `unwire`, the same graph step that removes it — a child wired since
 //!    the gather always wins.
-//! 8. **Update synchronisation is scoped, not stop-the-world, and has
-//!    one rule:** a commit asks the lineage graph once for the entries
-//!    anchored on the columns it rewrote
-//!    ([`RecyclePool::retire_columns`], which forgets the replaced
+//! 8. **Update synchronisation has one rule and one lock:** a commit asks
+//!    the lineage graph once for the entries anchored on the columns it
+//!    rewrote ([`RecyclePool::retire_columns`], which forgets the replaced
 //!    buffers' registrations in the same step — no pool scan);
 //!    invalidation removes their subtrees, delta propagation refreshes
-//!    from the bind-family ones down. Either runs under a
-//!    [`RecyclePool::scoped_view`] holding write locks on *only the
-//!    shards of the commit's lineage closure* (single writer via the
-//!    pool's update mutex). Sessions probing and admitting against
-//!    unaffected tables never block on the commit and their shards see
-//!    zero write-lock acquisitions from it. Concurrent queries observe
-//!    the affected entries entirely before or entirely after the commit;
+//!    from the bind-family ones down. Either runs under the table write
+//!    lock ([`RecyclePool::write_view`]), taken after the catalog merge
+//!    and held for the rewrite only. Concurrent queries observe the
+//!    affected entries entirely before or entirely after the commit;
 //!    bind signatures carry the table's commit version
 //!    ([`crate::signature::Sig::versioned`]), so an admission racing the
 //!    commit from a pre-commit snapshot can never be exact-matched by a
@@ -130,23 +116,24 @@
 //!    worst case is an unreachable entry awaiting eviction. Invalidation
 //!    still overrides pins — correctness beats retention.
 //! 9. **Poison means quarantine, not propagation.** A panic unwinding
-//!    through a shard write lock may leave that shard's slab/index
+//!    through the table write lock may leave the table's slab/index
 //!    wiring torn. The pool notices the poisoned lock at the next
 //!    acquisition (or via a lock-free `is_poisoned` probe on the hit
-//!    path), raises the shard's quarantine bit and degrades: probes
-//!    against the shard miss, admissions come back
-//!    [`crate::pool::Admitted::Quarantined`] and are refunded, eviction
-//!    skips the shard. Healthy shards are unaffected — the recycler is
-//!    advisory, so the worst legal outcome is a cache miss.
-//!    [`MaintenanceGuard::repair_quarantined`] (update mutex + all shard
-//!    write locks, collector quiesced) rebuilds consistent state from
-//!    the surviving slabs — the lineage graph and the ledger are each
-//!    re-derived from them by one function and stored — clears the lock
-//!    poison and lifts the quarantine.
+//!    path), raises its quarantine flag and degrades: probes miss,
+//!    admissions come back [`crate::pool::Admitted::Quarantined`] and are
+//!    refunded, eviction skips the pool — the recycler is advisory, so the
+//!    worst legal outcome is a cache miss.
+//!    [`MaintenanceGuard::repair_quarantined`] (the table write lock,
+//!    collector quiesced) rebuilds consistent state from the surviving
+//!    table — the lineage graph and the ledger are each re-derived from it
+//!    by one function and stored — clears the lock poison and lifts the
+//!    quarantine. Callers that can afford the pass run it as soon as they
+//!    see a quarantine: the facade's commit before committing, the server
+//!    after containing a panicked request.
 //! 10. **One payload, one transition, one ledger.** What an entry holds is
 //!     a single [`Payload`](crate::entry::Payload); it changes only through
 //!     the pool's one transition function (table documented on `Payload`),
-//!     under the shard write lock, which moves the ledger in the same
+//!     under the table write lock, which moves the ledger in the same
 //!     step and is — with removal and repair — the only path that retires
 //!     a spill ticket. Every book is a pure function of the resident
 //!     entries, so `check_invariants` and repair need one sum
@@ -311,9 +298,9 @@ pub struct SharedRecycler {
     /// admission gate stays lock-free.
     active_sessions: std::sync::atomic::AtomicUsize,
     /// Serialises whole maintenance sequences ([`Self::maintenance`]):
-    /// each individual operation additionally runs under the pool's
-    /// update mutex via the all-shard write view, so it is atomic with
-    /// respect to every concurrent session.
+    /// each individual operation additionally runs under the pool's table
+    /// write lock, so it is atomic with respect to every concurrent
+    /// session.
     maintenance_lock: Mutex<()>,
     /// Serialises evictors (the eviction tier of the lock order):
     /// concurrent memory pressure from many sessions must not over-evict
@@ -340,7 +327,7 @@ pub struct SharedRecycler {
 }
 
 /// Read access to the live pool. The pool's own methods lock internally
-/// (shard read locks per call), so this is a cheap reference wrapper —
+/// (the table read lock per call), so this is a cheap reference wrapper —
 /// it no longer blocks writers for its lifetime.
 pub struct PoolRef<'a> {
     pool: &'a RecyclePool,
@@ -372,10 +359,7 @@ impl SharedRecycler {
         config: RecyclerConfig,
         spill: Option<Arc<crate::tier::SpillFile>>,
     ) -> Arc<SharedRecycler> {
-        let mut pool = match config.pool_shards {
-            Some(n) => RecyclePool::with_shards(n),
-            None => RecyclePool::new(),
-        };
+        let mut pool = RecyclePool::new();
         pool.set_spill(spill);
         let shared = Arc::new(SharedRecycler {
             config,
@@ -461,12 +445,11 @@ impl SharedRecycler {
     /// Acquire the maintenance lock: server-wide pool surgery
     /// ([`MaintenanceGuard::clear_pool`], [`MaintenanceGuard::reset`])
     /// serialises here, and each operation runs atomically against every
-    /// concurrent session by taking the pool's update mutex and all shard
-    /// write locks.
+    /// concurrent session by taking the pool's table write lock.
     ///
     /// The guard also **quiesces the background collector**: it acquires
     /// the collector's round lock (after the maintenance mutex, before
-    /// any pool update mutex — see the lock order above) and holds it
+    /// the table lock — see the lock order above) and holds it
     /// until dropped, waiting out the in-flight round first, so
     /// maintenance surgery and background eviction rounds can never
     /// interleave. The collector resumes automatically when the guard
@@ -544,7 +527,7 @@ impl SharedRecycler {
     /// every pooled *result* entry of a chain op, its reuse-weighted
     /// presence keyed by `(op, base table, base column)`. Which entries
     /// derive from which column is read off the lineage graph here, when
-    /// asked; each entry is then visited under its shard's read lock, and
+    /// asked; each entry is then visited under the table read lock, and
     /// nothing is locked afterwards: the optimiser probes the returned
     /// snapshot for free.
     pub fn reuse_hints(&self) -> rmal::ReuseHintSnapshot {
@@ -643,11 +626,11 @@ impl SharedRecycler {
     /// never overshoots). On success the caller MUST call
     /// [`Self::release_reservation`] once its insert has settled.
     ///
-    /// Evictors serialise on the eviction mutex (tier 1), gather
-    /// candidates under shard read locks and only write-lock the shards
-    /// they actually evict from. Pinned entries (any session) are never
-    /// evicted: when only pinned leaves remain, admission fails instead —
-    /// see the locking invariants above.
+    /// Evictors serialise on the eviction mutex, gather candidates under
+    /// the table read lock and write-lock the table once per round.
+    /// Pinned entries (any session) are never evicted: when only pinned
+    /// leaves remain, admission fails instead — see the locking invariants
+    /// above.
     pub(crate) fn reserve_admission(&self, need_bytes: usize) -> bool {
         #[cfg(feature = "failpoints")]
         if let Some(crate::fault::FaultAction::Deny) = crate::fault::fire("admission.reserve") {
@@ -824,9 +807,9 @@ impl SharedRecycler {
             propagated: ld(&s.propagated),
             deadline_skips: ld(&s.deadline_skips),
             collector_restarts: col.restarts,
-            shards_quarantined: self.pool.shards_quarantined_total(),
-            shards_repaired: self.pool.shards_repaired_total(),
-            quarantined_now: self.pool.quarantined_shards().len() as u64,
+            shards_quarantined: self.pool.quarantined_total(),
+            shards_repaired: self.pool.repaired_total(),
+            quarantined_now: self.pool.has_quarantined() as u64,
             sessions: self.session_count(),
             active_sessions: self.active_session_count() as u64,
             time_saved: Duration::from_nanos(ld(&s.time_saved_ns)),
@@ -1043,8 +1026,8 @@ impl SharedRecycler {
 /// Semantics: every operation here affects **all** attached sessions — the
 /// pool is shared state, there is no session-local clear. Each operation
 /// is atomic with respect to concurrent queries (it runs under the pool's
-/// update mutex holding every shard write lock, the same serialisation
-/// point scoped update commits use), and whole maintenance sequences
+/// table write lock, the same serialisation point update commits use), and
+/// whole maintenance sequences
 /// serialise against each other on the guard. Sessions keep running
 /// afterwards: their pins are gone, which is safe — pins only guard
 /// eviction policy, and entry ids stay monotone so a stale pin can never
@@ -1052,7 +1035,7 @@ impl SharedRecycler {
 ///
 /// While the guard is alive the **background collector is quiesced**: the
 /// guard holds the collector's round lock (acquired after the maintenance
-/// mutex, before any pool update mutex — the documented lock order), so
+/// mutex, before the table lock — the documented lock order), so
 /// no background eviction round can start, and acquisition waited out the
 /// round that was in flight. Dropping the guard resumes the collector.
 pub struct MaintenanceGuard<'a> {
@@ -1073,14 +1056,13 @@ impl MaintenanceGuard<'_> {
         self.shared.reset();
     }
 
-    /// Repair every quarantined shard and return it to service —
+    /// Repair a quarantined pool and return it to service —
     /// [`RecyclePool::repair`] run at the sanctioned point: the guard
     /// quiesces the background collector and serialises against other
-    /// maintenance, and the repair pass itself takes the update mutex
-    /// plus every shard write lock (the same serialisation `clear_pool`
-    /// uses). Returns what was dropped; after it,
-    /// [`RecyclePool::check_invariants`] holds again and probes against
-    /// the repaired shards serve hits instead of degraded misses.
+    /// maintenance, and the repair pass itself takes the table write lock
+    /// (the same serialisation `clear_pool` uses). Returns what was
+    /// dropped; after it, [`RecyclePool::check_invariants`] holds again
+    /// and probes serve hits instead of degraded misses.
     pub fn repair_quarantined(&self) -> crate::pool::RepairReport {
         self.shared.pool_inner().repair()
     }
@@ -1108,7 +1090,6 @@ impl std::fmt::Debug for SharedRecycler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedRecycler")
             .field("config", &self.config)
-            .field("shards", &self.pool.shard_count())
             .field("entries", &self.pool.len())
             .field("bytes", &self.pool.bytes())
             .field("sessions", &self.session_count())

@@ -3,8 +3,8 @@
 //! A signature has two forms and one [fingerprint](SigRef::fingerprint):
 //! the borrowed [`SigRef`] a probe is made of (no heap allocation), and the
 //! owned structural [`Sig`] built from it on the miss/admission path,
-//! which stays on the pool entry. The pool keys its shards and its
-//! exact-match table on the 64-bit fingerprint alone; a hit verifies the
+//! which stays on the pool entry. The pool keys its exact-match table on
+//! the 64-bit fingerprint alone; a hit verifies the
 //! probe against the entry's `Sig`, so a collision costs a miss, never a
 //! wrong answer.
 

@@ -87,14 +87,16 @@ pub struct RecyclerStats {
     /// Background-collector activations that panicked and were restarted
     /// by the collector thread's supervisor loop.
     pub collector_restarts: u64,
-    /// Shards ever quarantined after a poisoning panic (cumulative; see
-    /// [`crate::pool::RecyclePool::repair`] for the degraded-mode
-    /// semantics).
+    /// Times the pool was quarantined after a poisoning panic
+    /// (cumulative; see [`crate::pool::RecyclePool::repair`] for the
+    /// degraded-mode semantics). The name predates the one-table pool and
+    /// is kept for the wire.
     pub shards_quarantined: u64,
-    /// Shards repaired and returned to service (cumulative).
+    /// Repairs that returned the quarantined pool to service
+    /// (cumulative; named for the wire, like `shards_quarantined`).
     pub shards_repaired: u64,
-    /// Shards sitting in quarantine right now (probes there degrade to
-    /// misses until a maintenance repair runs).
+    /// 1 while the pool sits in quarantine (probes degrade to misses
+    /// until a repair runs), else 0.
     pub quarantined_now: u64,
     /// Execution time avoided through exact-match reuse (sum of the stored
     /// CPU costs of hit entries).
@@ -212,8 +214,8 @@ pub struct PoolSnapshot {
 }
 
 impl PoolSnapshot {
-    /// Build a snapshot from the live pool (shard read locks, one shard
-    /// at a time; atomics sampled in passing).
+    /// Build a snapshot from the live pool (the table read lock; atomics
+    /// sampled in passing).
     pub fn capture(pool: &RecyclePool) -> PoolSnapshot {
         let mut snap = PoolSnapshot {
             entries: pool.len(),

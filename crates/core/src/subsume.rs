@@ -1,12 +1,12 @@
 //! Instruction subsumption (paper §5): answering an instruction from
 //! intermediates whose result sets are supersets of the target.
 //!
-//! Entries sharing an `(opcode, first-argument)` key live in whichever
-//! shard their full signature hashes to, so the candidate lists are kept
-//! by the pool's lineage graph: [`RecyclePool::candidates`] is one graph
-//! read returning ids in ascending order (ties between equally good
-//! sources go to the oldest), and the per-candidate inspections below
-//! take the owning shard's read lock entry by entry. Between the search
+//! The pool's table is keyed by the full signature hash, so the lists of
+//! entries sharing an `(opcode, first-argument)` key are kept by the
+//! pool's lineage graph: [`RecyclePool::candidates`] is one graph read
+//! returning ids in ascending order (ties between equally good sources go
+//! to the oldest), and the per-candidate inspections below take the table
+//! read lock entry by entry. Between the search
 //! and the use of a source its entry may be evicted — every access
 //! revalidates and the rewrite falls back gracefully (`Arc`-shared results
 //! cloned out of the pool stay valid regardless).
@@ -166,7 +166,7 @@ pub fn subsume_semijoin(pool: &RecyclePool, args: &[Value]) -> Option<Subsumptio
     let best = candidates
         .iter()
         .filter(|id| {
-            // read the stored right operand under the shard lock, then
+            // read the stored right operand under the table lock, then
             // walk the subset relation outside it (lineage-only locks)
             let v = pool.entry(**id, |e| match e.sig.args.get(1) {
                 Some(ArgSig::Bat(v)) => Some(*v),
@@ -266,8 +266,7 @@ pub fn subsume_combined(
         return None; // only bounded ranges are pieced together
     }
 
-    // R: all overlapping candidates (line 6-9 of Algorithm 2), gathered
-    // across the shards.
+    // R: all overlapping candidates (line 6-9 of Algorithm 2).
     let mut r: Vec<(EntryId, SelectBounds, usize)> = pool
         .candidates(Opcode::Select, &ArgSig::Bat(base.id()))
         .iter()

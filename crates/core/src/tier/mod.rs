@@ -17,14 +17,14 @@
 //!   [`Payload`](crate::entry::Payload) variant (`Raw`, `Compressed`,
 //!   `Spilled`); the transition table is documented there, once. The
 //!   pool's [ledger](crate::ledger) books each rung separately, so
-//!   `check_invariants` can prove `raw + compressed == resident bytes` per
-//!   shard at any instant (spilled bytes are tracked off-cap, against the
+//!   `check_invariants` can prove `raw + compressed == resident bytes` at
+//!   any instant (spilled bytes are tracked off-cap, against the
 //!   spill budget).
 //!
 //! The background collector drives demotions generationally: minor
 //! rounds compress nursery-cold entries one rung before the evict path
 //! would fire, and only the coldest compressed entries move to disk.
-//! A hit on a demoted entry decompresses/rehydrates *outside* any shard
+//! A hit on a demoted entry decompresses/rehydrates *outside* the table
 //! lock, re-promotes the entry to raw, and records the paid cost in the
 //! recycler stats — so the ladder trades a bounded CPU/IO cost for
 //! evictions that would otherwise forfeit the intermediate entirely.

@@ -1,15 +1,16 @@
 //! Property tests for the pool's ledger and the payload transition table.
 //!
 //! A random script of insert / remove / evict / compress / spill /
-//! promote / resize / rekey (with shard migration) / clear / tear-and-
-//! repair steps runs over entries of all six payload variants while the
-//! test keeps its *own* model of what is resident. After every step:
+//! promote / resize / rekey (re-filed under the new key) / clear /
+//! tear-and-repair steps runs over entries of all six payload variants
+//! while the test keeps its *own* model of what is resident. After every
+//! step:
 //!
 //! * `check_invariants()` holds — which includes the live ledger being
-//!   equal to `Ledger::recompute` over the slabs, and
-//! * every public book (`len`, `bytes`, per-shard bytes, the raw /
-//!   compressed / spilled / artifact totals, the per-session resident
-//!   counts, the spill file's live bytes) equals what the model says.
+//!   equal to `Ledger::recompute` over the table, and
+//! * every public book (`len`, `bytes`, the raw / compressed / spilled /
+//!   artifact totals, the per-session resident counts, the spill file's
+//!   live bytes) equals what the model says.
 //!
 //! Every move the table on `Payload` forbids is attempted too, and must
 //! be refused with every one of those books untouched.
@@ -26,7 +27,6 @@ use recycler::tier::{CompressedBat, SpillFile};
 use recycler::{EntryId, Payload, PoolEntry, RecyclePool};
 use rmal::Opcode;
 
-const SHARDS: usize = 4;
 const SESSIONS: u64 = 3;
 
 /// Which rung the model believes an entry sits on.
@@ -58,7 +58,6 @@ struct Live {
 struct Books {
     entries: usize,
     bytes: usize,
-    shard_bytes: Vec<usize>,
     raw: usize,
     compressed: usize,
     spilled: usize,
@@ -92,7 +91,7 @@ impl Rig {
         let dir = std::env::temp_dir().join(format!("ledger-props-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spill = Arc::new(SpillFile::create(&dir, 64 << 20).expect("spill file"));
-        let mut pool = RecyclePool::with_shards(SHARDS);
+        let mut pool = RecyclePool::new();
         pool.set_spill(Some(Arc::clone(&spill)));
         Rig {
             pool,
@@ -221,7 +220,7 @@ impl Rig {
     fn resize(&mut self, at: usize, bytes: usize) -> bool {
         let l = &self.live[at];
         let value = Value::Bat(l.bat.clone().unwrap_or_else(|| ints(7, 32)));
-        let mut view = self.pool.scoped_view(&[self.pool.shard_of(&l.sig)]);
+        let mut view = self.pool.write_view();
         let moved = view.set_raw(l.id, value, bytes);
         drop(view);
         if moved {
@@ -230,12 +229,12 @@ impl Rig {
         moved
     }
 
-    /// Re-key under a scoped view holding only the current shard; the new
-    /// signature may hash elsewhere, in which case the charge migrates.
+    /// Re-key under the write view: the entry is re-filed under its new
+    /// signature's key, its charge untouched.
     fn rekey(&mut self, at: usize) {
         let new_sig = self.fresh_sig(self.live[at].sig.kind);
         let l = &mut self.live[at];
-        let mut view = self.pool.scoped_view(&[self.pool.shard_of(&l.sig)]);
+        let mut view = self.pool.write_view();
         view.get_mut(l.id).expect("live").sig = new_sig.clone();
         let result_id = view.get(l.id).expect("live").result_id;
         view.rekey(l.id, &l.sig, result_id);
@@ -244,22 +243,21 @@ impl Rig {
     }
 
     /// Misfile one entry (signature edited, indexes not), let a panic
-    /// unwind through its shard's write lock, then repair: the misfiled
+    /// unwind through the table write lock, then repair: the misfiled
     /// entry is dropped — never `apply`-ed out of the ledger, only the
     /// stored recompute can account for it — and every book is exact again.
     fn tear_and_repair(&mut self, at: usize) {
         let stray = self.fresh_sig(self.live[at].sig.kind);
         let l = self.live[at].clone();
-        let si = self.pool.shard_of(&l.sig);
         let pool = &self.pool;
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut view = pool.scoped_view(&[si]);
+            let mut view = pool.write_view();
             view.get_mut(l.id).expect("live").sig = stray;
-            panic!("ledger_props: tearing shard {si} on purpose");
+            panic!("ledger_props: tearing the table on purpose");
         }));
-        assert!(torn.is_err() && pool.is_quarantined(si));
+        assert!(torn.is_err() && pool.has_quarantined());
         let report = pool.repair();
-        assert_eq!(report.shards_repaired, vec![si]);
+        assert!(report.repaired);
         assert!(!pool.has_quarantined());
         self.live.retain(|l| pool.entry(l.id, |_| ()).is_some());
     }
@@ -268,7 +266,6 @@ impl Rig {
         let mut b = Books {
             entries: self.live.len(),
             bytes: 0,
-            shard_bytes: vec![0; SHARDS],
             raw: 0,
             compressed: 0,
             spilled: 0,
@@ -278,7 +275,6 @@ impl Rig {
         };
         for l in &self.live {
             b.bytes += l.bytes;
-            b.shard_bytes[self.pool.shard_of(&l.sig)] += l.bytes;
             match l.rung {
                 Rung::Raw => b.raw += l.bytes,
                 Rung::Compressed => b.compressed += l.bytes,
@@ -299,7 +295,6 @@ impl Rig {
         Books {
             entries: self.pool.len(),
             bytes: self.pool.bytes(),
-            shard_bytes: (0..SHARDS).map(|i| self.pool.shard_bytes(i)).collect(),
             raw,
             compressed,
             spilled,

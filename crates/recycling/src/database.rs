@@ -59,7 +59,7 @@ impl DatabaseBuilder {
     }
 
     /// Use an explicit recycler configuration (admission/eviction
-    /// policies, limits, shards, per-session credit slices, update mode).
+    /// policies, limits, per-session credit slices, update mode).
     pub fn recycler(mut self, config: RecyclerConfig) -> DatabaseBuilder {
         self.config = config;
         self.recycling = true;

@@ -32,14 +32,6 @@ pub enum Error {
     /// partially run; no partial result is returned and nothing past the
     /// deadline was admitted to the recycle pool.
     Deadline,
-    /// The request was refused because the service is running degraded —
-    /// e.g. a commit while pool shards sit in quarantine after a
-    /// poisoning panic (invalidating through torn state could leave
-    /// stale intermediates reachable). Queries keep working (quarantined
-    /// shards degrade to cache misses); run
-    /// [`crate::Database::maintenance`]'s `repair_quarantined` to
-    /// restore full service. The message names the degraded component.
-    Degraded(String),
 }
 
 impl fmt::Display for Error {
@@ -50,7 +42,6 @@ impl fmt::Display for Error {
             Error::UnknownTemplate(name) => write!(f, "unknown template: {name}"),
             Error::Config(msg) => write!(f, "invalid recycler configuration: {msg}"),
             Error::Deadline => write!(f, "query deadline exceeded"),
-            Error::Degraded(msg) => write!(f, "service degraded: {msg}"),
         }
     }
 }
@@ -60,9 +51,7 @@ impl std::error::Error for Error {
         match self {
             Error::Bat(e) => Some(e),
             Error::Mal(e) => Some(e),
-            Error::UnknownTemplate(_) | Error::Config(_) | Error::Deadline | Error::Degraded(_) => {
-                None
-            }
+            Error::UnknownTemplate(_) | Error::Config(_) | Error::Deadline => None,
         }
     }
 }
@@ -112,11 +101,8 @@ mod tests {
     #[test]
     fn robustness_errors_display_their_taxonomy() {
         assert_eq!(Error::Deadline.to_string(), "query deadline exceeded");
-        let e = Error::Degraded("2 pool shards quarantined".into());
-        assert!(e.to_string().starts_with("service degraded:"));
-        assert!(e.to_string().contains("quarantined"));
         use std::error::Error as _;
-        assert!(e.source().is_none());
+        assert!(Error::Deadline.source().is_none());
     }
 
     #[test]

@@ -258,21 +258,13 @@ impl Session {
     /// configured update mode). Other sessions observe the commit at
     /// their next query.
     ///
-    /// Refused with [`Error::Degraded`] while any pool shard sits in
-    /// quarantine after a poisoning panic: invalidation / delta
-    /// propagation cannot reach into a torn shard, and committing around
-    /// it could leave stale intermediates reachable once the shard is
-    /// repaired. Queries keep working in the meantime (quarantined shards
-    /// degrade to misses); run
-    /// [`MaintenanceGuard::repair_quarantined`](recycler::MaintenanceGuard::repair_quarantined)
-    /// via [`Database::maintenance`] to restore commit service.
+    /// A pool quarantined by an earlier panic (its table may be torn) is
+    /// repaired first ([`Database::maintenance`]'s `repair_quarantined`),
+    /// so the invalidation or propagation runs over consistent state and
+    /// the commit is never refused for it.
     pub fn commit(&mut self, update: Update) -> Result<CommitReport> {
-        let quarantined = self.db.pool().quarantined_shards();
-        if !quarantined.is_empty() {
-            return Err(Error::Degraded(format!(
-                "{} pool shard(s) quarantined; repair via Database::maintenance()",
-                quarantined.len()
-            )));
+        if self.db.pool().has_quarantined() {
+            self.db.maintenance().repair_quarantined();
         }
         let Update {
             table,

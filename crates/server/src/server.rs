@@ -1035,14 +1035,17 @@ fn run_conn<'a>(
 
 /// Run one request under panic containment: a handler that panics costs
 /// one typed `Error` reply, never the thread running it — worker or
-/// reactor (the recycler's shard
-/// quarantine guarantees a panicked probe/admission degrades to misses
-/// rather than corrupting shared state, so the session stays usable).
+/// reactor. A panic under the recycler's table lock quarantines the pool
+/// (probes miss, nothing torn is served); it is repaired right here, so
+/// the next request finds the pool back in service.
 fn execute_contained(shared: &Shared, session: &mut Session, work: Work) -> Response {
     let id = work.req.id().unwrap_or(0);
     match catch_unwind(AssertUnwindSafe(|| execute(&shared.db, session, work))) {
         Ok(resp) => resp,
         Err(_) => {
+            if shared.db.pool().has_quarantined() {
+                shared.db.maintenance().repair_quarantined();
+            }
             shared
                 .counters
                 .worker_panics

@@ -40,7 +40,6 @@ fn count_template(name: &str, table: &str) -> rmal::Program {
 
 fn collector_config() -> RecyclerConfig {
     RecyclerConfig::default()
-        .shards(8)
         .entry_limit(24)
         .mem_limit(96 << 10)
         .collector(true)

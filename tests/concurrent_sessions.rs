@@ -1,10 +1,10 @@
 //! Multi-session stress tests: N OS threads sharing one `Database` and
 //! its pool must agree with a naive database on every result, reuse each
-//! other's intermediates, keep the sharded pool's signature indexes
-//! coherent (`check_invariants` after every run), and never evict an
+//! other's intermediates, keep the pool's signature index and lineage
+//! graph coherent (`check_invariants` after every run), and never evict an
 //! entry pinned by another session's running query — enforced
 //! structurally by `RecyclePool::remove_if_evictable`, which revalidates
-//! the pin count and leaf property inside the shard's write critical
+//! the pin count and leaf property inside the table's write critical
 //! section, and asserted directly by the pinned-survival test below.
 
 use std::collections::HashMap;
@@ -176,7 +176,7 @@ fn eight_sessions_still_agree_with_naive() {
 fn tight_memory_limit_evicts_but_never_a_pinned_entry() {
     // Small budget: admissions constantly trigger eviction while other
     // sessions hold pins. `remove_if_evictable` refuses pinned or
-    // non-leaf victims under the shard write lock, so a wrongly evicted
+    // non-leaf victims under the table write lock, so a wrongly evicted
     // pinned entry would surface as a diverging result or a broken
     // invariant check; results must still equal naive.
     let limit = 48 * 1024;
@@ -196,14 +196,14 @@ fn tight_memory_limit_evicts_but_never_a_pinned_entry() {
     );
 }
 
-/// Satellite of the sharding PR: across 16 threads on the sharded pool,
-/// the stats identity must be *exact* — every marked instruction either
-/// hits or executes-and-admits, and each admission resolves as exactly one
-/// of {admission, duplicate, reject}. Any lost update in the sharded
-/// counters or a double-resolved duplicate race breaks the identity.
+/// Across 16 threads on one pool, the stats identity must be *exact* —
+/// every marked instruction either hits or executes-and-admits, and each
+/// admission resolves as exactly one of {admission, duplicate, reject}.
+/// Any lost counter update or a double-resolved duplicate race breaks the
+/// identity.
 #[test]
 fn sixteen_threads_stats_totals_exact() {
-    let config = RecyclerConfig::default().subsumption(false).shards(16);
+    let config = RecyclerConfig::default().subsumption(false);
     let sessions = 16;
     let queries_each = 12;
     let (stats, _) = run_stress(config, sessions, queries_each);
@@ -226,13 +226,13 @@ fn sixteen_threads_stats_totals_exact() {
 
 /// The tentpole invariant under real concurrency: once the pool is warm
 /// and every stream repeats the same queries, the exact-match hit path
-/// acquires no shard write lock.
+/// acquires no table write lock.
 #[test]
 fn warm_concurrent_hits_take_no_write_lock() {
     let cat = catalog(2000);
     let templates = [select_template(), join_template()];
     let db = DatabaseBuilder::new(cat)
-        .recycler(RecyclerConfig::default().shards(8))
+        .recycler(RecyclerConfig::default())
         .build();
     let optimized: Vec<Program> = templates.iter().map(|t| db.prepare(t.clone())).collect();
     // warm the pool with every (template, params) pair the streams use
@@ -263,7 +263,7 @@ fn warm_concurrent_hits_take_no_write_lock() {
     assert_eq!(
         db.pool().write_lock_acquisitions(),
         w0,
-        "warm exact-match streams must never take a shard write lock"
+        "warm exact-match streams must never take a table write lock"
     );
     assert!(db.stats().hits > hits0);
     db.pool().check_invariants().unwrap();

@@ -40,7 +40,6 @@ fn concurrent_admissions_evictions_and_commits_keep_the_pool_exact() {
     let db = DatabaseBuilder::new(catalog())
         .recycler(
             RecyclerConfig::default()
-                .shards(8)
                 .entry_limit(24)
                 .mem_limit(96 << 10),
         )

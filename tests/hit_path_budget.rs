@@ -2,17 +2,19 @@
 //! heap allocations and in locks, held as exact counts — a counting global
 //! allocator for the former, the pool's and the accounts' per-thread lock
 //! probes for the latter — and, beside it, the budget of the miss path in
-//! lineage-graph locks: what an admission, a removal and a leaf gather may
-//! take, and that an admission allocates the same under a lineage one
-//! column wide or sixteen. (Each test runs on its own thread, so the per-thread probes see
-//! this test's locks only; the allocator counts on a thread-local too.)
+//! lineage-graph and table locks: what an admission, a removal, a leaf
+//! gather, an eviction round and a commit may take, and that an admission
+//! allocates the same under a lineage one column wide or sixteen. (Each
+//! test runs on its own thread, so the per-thread probes see this test's
+//! locks only; the allocator counts on a thread-local too.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycler::{EntryId, PoolEntry, RecyclePool, SharedRecycler};
-use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Session};
+use recycler::eviction::{evict, EvictTrigger};
+use recycler::{EntryId, EvictionPolicy, PoolEntry, RecyclePool, SharedRecycler};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Session, Update};
 use rmal::{Program, ProgramBuilder, P};
 
 thread_local! {
@@ -144,7 +146,7 @@ fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
             assert_eq!(
                 RecyclePool::read_locks_on_this_thread() - reads,
                 marked,
-                "{admission:?}: one shard read lock per reused instruction"
+                "{admission:?}: one table read lock per reused instruction"
             );
             assert_eq!(
                 SharedRecycler::accounts_locks_on_this_thread() - accounts,
@@ -195,7 +197,7 @@ fn an_admission_is_two_graph_locks_and_one_shard_write_lock() {
         assert_eq!(
             db.pool().write_lock_acquisitions() - writes,
             reply.admitted,
-            "one shard write lock per eviction-free admission"
+            "one table write lock per eviction-free admission"
         );
         assert_eq!(
             RecyclePool::graph_locks_on_this_thread() - graph,
@@ -205,7 +207,7 @@ fn an_admission_is_two_graph_locks_and_one_shard_write_lock() {
         assert_eq!(
             RecyclePool::read_locks_on_this_thread() - reads,
             reply.marked + parents,
-            "one shard read lock per probe and per pinned parent"
+            "one table read lock per probe and per pinned parent"
         );
         assert_eq!(
             SharedRecycler::accounts_locks_on_this_thread() - accounts,
@@ -284,7 +286,7 @@ fn an_admission_allocates_the_same_whatever_the_width_of_its_lineage() {
 
 #[test]
 fn a_removal_is_one_graph_lock_and_a_leaf_gather_one() {
-    let pool = RecyclePool::with_shards(8);
+    let pool = RecyclePool::new();
     let root = pool.alloc_id();
     assert!(pool
         .insert(PoolEntry::test_stub(root, 0, vec![], 64), None)
@@ -317,10 +319,57 @@ fn a_removal_is_one_graph_lock_and_a_leaf_gather_one() {
     let batch = graph_locks(&mut || *removed = pool.remove_batch_if_evictable(&victims));
     assert_eq!(removed.len(), 4, "the root still has two children");
     assert_eq!(batch, 1 + victims.len() as u64);
-    // by id: one read to find the shard, one `unwire`
+    // by id: one read to find the key, one `unwire`
     assert_eq!(
         graph_locks(&mut || assert!(pool.remove(leaves[4]).is_some())),
         2
     );
     pool.check_invariants().unwrap();
+}
+
+#[test]
+fn an_eviction_round_is_one_table_write_lock() {
+    let pool = RecyclePool::new();
+    for tag in 0..24 {
+        let leaf = PoolEntry::test_stub(pool.alloc_id(), tag, vec![], 64);
+        assert!(pool.insert(leaf, None).inserted());
+    }
+    let writes = pool.write_lock_acquisitions();
+    let evicted = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Entries(16), 100);
+    assert_eq!(evicted.len(), 16);
+    assert_eq!(
+        pool.write_lock_acquisitions() - writes,
+        1,
+        "16 victims, one batched removal under one write lock"
+    );
+    pool.check_invariants().unwrap();
+}
+
+#[test]
+fn a_commit_is_one_table_write_lock_one_retire_and_an_unwire_per_victim() {
+    let db = database(AdmissionPolicy::KeepAll);
+    let template = db.prepare(chain("victims", 6));
+    let mut session = db.session();
+    warm(&mut session, &template);
+    // everything resident derives from `t`: the commit's victims
+    let victims = db.pool().len() as u64;
+    assert_eq!(victims, 8, "the bind, six selections and the count");
+    let invalidated = db.stats().invalidated;
+    let writes = db.pool().write_lock_acquisitions();
+    let graph = RecyclePool::graph_locks_on_this_thread();
+    session
+        .commit(Update::to("t").insert(vec![vec![Value::Int(7)]]))
+        .unwrap();
+    let graph = RecyclePool::graph_locks_on_this_thread() - graph;
+    assert_eq!(
+        db.pool().write_lock_acquisitions() - writes,
+        1,
+        "the invalidation holds the table write lock once"
+    );
+    // the graph write naming the roots (`retire`), one read of their
+    // subtrees, one `unwire` per victim
+    assert_eq!(graph, 2 + victims);
+    assert_eq!(db.stats().invalidated - invalidated, victims);
+    assert!(db.pool().is_empty());
+    db.pool().check_invariants().unwrap();
 }

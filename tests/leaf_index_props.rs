@@ -4,11 +4,11 @@
 //! resident produced, duplicates that alias their result onto the winner,
 //! orphans whose parent is gone), persistent-BAT registrations, removals,
 //! eviction attempts single and batched, subtree invalidations, commits
-//! (`retire_columns` + the removal of the roots' subtrees) and scoped-view
+//! (`retire_columns` + the removal of the roots' subtrees) and write-view
 //! rewrites (`rekey`, onto fresh and onto occupied signatures; `set_raw`;
 //! `remove_subtree`) the pool's lineage graph must equal
 //!
-//! * `LineageGraph::rebuild` over the slabs — `check_invariants` compares
+//! * `LineageGraph::rebuild` over the table — `check_invariants` compares
 //!   the two — and
 //! * the model kept in this file: plain `Vec`s of who is resident, who
 //!   feeds whom, who owns which result BAT, which BATs are registered.
@@ -25,7 +25,7 @@
 //! child probe) and admission coherence trusts the result index, so drift
 //! would silently evict non-leaves, strand evictable entries or admit
 //! orphans. With `--features failpoints` one more step tears an insert at
-//! `pool.insert.wired` (graph wired, slab entry missing) and `repair`
+//! `pool.insert.wired` (graph wired, table entry missing) and `repair`
 //! must restore exactly the model. Subset edges are recorded the way
 //! `propagate` does it — after the rekey, whether or not the re-keyed entry
 //! survived it — and must live exactly as long as the entry owning the
@@ -344,7 +344,7 @@ fn agree(pool: &RecyclePool, model: &Model, step: &str) -> Result<(), TestCaseEr
 }
 
 /// Tear an insert at `pool.insert.wired` — the graph knows the entry, the
-/// slab does not hold it — and repair.
+/// table does not hold it — and repair.
 #[cfg(feature = "failpoints")]
 fn torn_insert_then_repair(pool: &RecyclePool, entry: PoolEntry) {
     use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
@@ -382,7 +382,7 @@ proptest! {
     fn lineage_graph_equals_rebuild_and_model(
         ops in prop::collection::vec((0u8..17, 0usize..64, 0usize..64), 1..40),
     ) {
-        let pool = RecyclePool::with_shards(8);
+        let pool = RecyclePool::new();
         let mut model = Model::default();
         let mut tag = 0i64;
         for (op, sel_a, sel_b) in ops {
@@ -441,9 +441,9 @@ proptest! {
                 // a commit rewrote one or two columns: the graph lists the
                 // roots — exactly the entries holding one of the columns as
                 // their own anchor — and forgets the columns' buffers; the
-                // roots' subtrees, removed directly or (odd) under a scoped
-                // view, are exactly the entries whose inherited set meets
-                // the columns
+                // roots' subtrees, removed root by root or (odd) at once
+                // under the commit's write view, are exactly the entries
+                // whose inherited set meets the columns
                 (15, Some(_)) => {
                     let columns = columns_of(sel_a);
                     let roots = pool.retire_columns(&columns);
@@ -456,10 +456,8 @@ proptest! {
                             removed.extend(pool.remove_subtree(*r).iter().map(|e| e.id));
                         }
                     } else {
-                        let mut view = pool.scoped_view(&pool.closure_shards(&roots));
-                        for r in &roots {
-                            removed.extend(view.remove_subtree(*r).iter().map(|e| e.id));
-                        }
+                        let removed_at_once = pool.write_view().remove_subtree(&roots);
+                        removed.extend(removed_at_once.iter().map(|e| e.id));
                     }
                     let gone = model.derived_from(&columns);
                     prop_assert_eq!(sorted(removed), sorted(gone.clone()), "victims of {:?}", &columns);
@@ -518,7 +516,7 @@ proptest! {
                     "evict one"
                 }
                 // batched eviction over an arbitrary victim list, dead id
-                // included. The batch runs shard by shard, so a parent may
+                // included. The batch runs in victim order, so a parent may
                 // go after its last child did: every removed entry must
                 // have been evictable when its turn came (the pool returns
                 // them in that order), and every victim that was evictable
@@ -542,14 +540,12 @@ proptest! {
                     prop_assert!(sure.iter().all(gone), "an unpinned leaf survived the batch");
                     "evict batch"
                 }
-                // subtree invalidation, directly or (odd) under a scoped
-                // view over the closure's shards
+                // subtree invalidation, directly or (odd) under a write view
                 (7, Some(root)) => {
                     let removed = if sel_b % 2 == 0 {
                         pool.remove_subtree(root.id)
                     } else {
-                        let shards = pool.closure_shards(&[root.id]);
-                        pool.scoped_view(&shards).remove_subtree(root.id)
+                        pool.write_view().remove_subtree(&[root.id])
                     };
                     let gone = model.subtree(root.id);
                     prop_assert_eq!(sorted(removed.iter().map(|e| e.id).collect()), sorted(gone.clone()));
@@ -565,8 +561,8 @@ proptest! {
                     model.get(r.id).pins = pins;
                     "pin toggle"
                 }
-                // delta-propagation rekey under a scoped view (possibly a
-                // cross-shard migration): onto a fresh signature, or onto
+                // delta-propagation rekey under the write view: onto a
+                // fresh signature, or onto
                 // one a resident already owns — that resident and its
                 // subtree go first, the re-keyed entry with them if it
                 // hangs below. Like `propagate`, record a subset edge for
@@ -575,7 +571,7 @@ proptest! {
                 (9, Some(r)) => {
                     let clash = model.pick(sel_b).filter(|c| sel_b % 3 == 0 && c.id != r.id);
                     let new_sig = clash.as_ref().map_or_else(|| sig_of(tag), |c| c.sig.clone());
-                    let mut view = pool.scoped_view(&[pool.shard_of(&r.sig)]);
+                    let mut view = pool.write_view();
                     view.get_mut(r.id).expect("resident").sig = new_sig.clone();
                     view.rekey(r.id, &r.sig, Some(r.result));
                     let sup = model.pick(sel_b).filter(|s| s.id != r.id).map(|s| s.result);
@@ -599,7 +595,7 @@ proptest! {
                 (10, Some(r)) => {
                     let bat = fresh_bat(tag);
                     let new_result = bat.id();
-                    let mut view = pool.scoped_view(&[pool.shard_of(&r.sig)]);
+                    let mut view = pool.write_view();
                     prop_assert!(view.set_raw(r.id, Value::Bat(bat), 64));
                     view.rekey(r.id, &r.sig, Some(r.result));
                     drop(view);

@@ -630,3 +630,70 @@ fn panic_on_the_reactor_is_contained() {
     other.close().unwrap();
     server.shutdown();
 }
+
+/// A request that panics under the pool's table lock quarantines the pool
+/// (every probe a miss, every commit over torn state). The containment
+/// that answers it with an Error frame repairs the pool before the next
+/// request, so nobody has to reach `Database::maintenance()`: the next
+/// `Stats` reads `quarantined_now` 0, a `Commit` goes through and the pool
+/// serves hits again, with the answers a naive database gives.
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_contained_panic_lifts_the_quarantine_it_caused() {
+    use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
+
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    fault::clear();
+    let server = start(serving_db());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    cheap(&mut c, 0).unwrap();
+
+    // a fresh range misses and panics inside the select's insert, with
+    // the graph wired and the table not: the most torn state there is
+    FaultPlan::seeded(9)
+        .on("pool.insert.wired", Trigger::Nth(1), FaultAction::Panic)
+        .install();
+    let saved = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let err = cheap(&mut c, 500).err();
+    std::panic::set_hook(saved);
+    let fired = fault::fired("pool.insert.wired");
+    fault::clear();
+    assert_eq!(fired, 1);
+    match err {
+        Some(ClientError::Remote(msg)) => assert!(msg.contains("request panicked"), "{msg}"),
+        other => panic!("expected a contained-panic Error frame, got {other:?}"),
+    }
+
+    let pairs = c.stats().unwrap();
+    assert_eq!(stat(&pairs, "quarantined_now"), 0, "{pairs:?}");
+    assert_eq!(stat(&pairs, "shards_quarantined"), 1, "{pairs:?}");
+    assert_eq!(stat(&pairs, "shards_repaired"), 1, "{pairs:?}");
+    let (inserted, deleted, _) = c
+        .commit("t", vec![vec![Value::Int(600), Value::Int(1)]], vec![])
+        .expect("a commit after the contained panic goes through");
+    assert_eq!((inserted, deleted), (1, 0));
+
+    let naive = DatabaseBuilder::new(catalog()).naive().build();
+    let count = naive.prepare(count_template());
+    let mut truth = naive.session();
+    truth
+        .commit(recycling::Update::to("t").insert(vec![vec![Value::Int(600), Value::Int(1)]]))
+        .unwrap();
+    let expected = truth
+        .query(&count, &[Value::Int(500), Value::Int(600)])
+        .unwrap();
+    for round in 0..2 {
+        let reply = cheap(&mut c, 500).unwrap();
+        assert_eq!(
+            reply.exports[0].1,
+            *expected.export("n").unwrap(),
+            "round {round}"
+        );
+        if round == 1 {
+            assert_eq!(reply.reused, reply.marked, "the pool serves again");
+        }
+    }
+    c.close().unwrap();
+    server.shutdown();
+}

@@ -5,7 +5,7 @@
 //! `tier.*` failpoints firing throughout must end — and stay, mid-storm —
 //! with exact per-tier byte books and correct answers; (2) a panic at the
 //! most torn point of a demotion (entry re-tiered, books not yet moved)
-//! quarantines the shard, and `MaintenanceGuard::repair_quarantined`
+//! quarantines the pool, and `MaintenanceGuard::repair_quarantined`
 //! recomputes the tier books exactly and restores service.
 
 #![cfg(feature = "failpoints")]
@@ -49,7 +49,6 @@ fn range_template() -> Program {
 
 fn tiered_config() -> RecyclerConfig {
     RecyclerConfig::default()
-        .shards(8)
         .mem_limit(192 << 10)
         .collector(true)
         .water_marks(0.5, 0.75)
@@ -191,7 +190,7 @@ fn demotion_panic_quarantines_and_repair_restores_exact_tier_books() {
 
     // Panic at the most torn point a demotion can reach: the entry
     // already says Compressed, the books still say raw. The panic
-    // unwinds the collector thread with the shard write lock held —
+    // unwinds the collector thread with the table write lock held —
     // poisoning it — and the supervisor restarts the collector.
     FaultPlan::seeded(13)
         .on("pool.demote.wired", Trigger::Nth(1), FaultAction::Panic)
@@ -210,7 +209,7 @@ fn demotion_panic_quarantines_and_repair_restores_exact_tier_books() {
                 .expect("pressure query keeps serving");
             q += 1;
         }
-        // the poisoned lock is observed (and the shard quarantined) on
+        // the poisoned lock is observed (and the pool quarantined) on
         // the next access; probe until the quarantine bit shows up
         while !db.pool().has_quarantined() && Instant::now() < deadline {
             let lo = (q * 131) % 1500;
@@ -224,14 +223,14 @@ fn demotion_panic_quarantines_and_repair_restores_exact_tier_books() {
     assert_eq!(fault::fired("pool.demote.wired"), 0, "registry cleared");
     assert!(
         db.pool().has_quarantined(),
-        "the mid-demotion panic must quarantine the torn shard"
+        "the mid-demotion panic must quarantine the torn pool"
     );
 
     // Repair drops the torn entry and recomputes every book from the
     // survivors; check_invariants then re-derives the tier books from
-    // the slabs and compares — the satellite's acceptance gate.
+    // the table and compares — the satellite's acceptance gate.
     let report = db.maintenance().repair_quarantined();
-    assert!(!report.shards_repaired.is_empty(), "{report:?}");
+    assert!(report.repaired, "{report:?}");
     assert!(!db.pool().has_quarantined());
     db.pool()
         .check_invariants()
