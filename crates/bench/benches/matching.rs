@@ -8,7 +8,8 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycler::{RecycleMark, Recycler, RecyclerConfig};
+use rcy_bench::driver::keepall;
+use recycler::{RecycleMark, Recycler};
 use rmal::{Engine, ExecHook, Program, ProgramBuilder, P};
 
 fn catalog(rows: i64) -> Catalog {
@@ -32,7 +33,7 @@ fn template() -> Program {
 
 /// Fill the pool with `entries` distinct select intermediates.
 fn filled_engine(entries: usize) -> (Engine<Recycler>, Program) {
-    let mut engine = Engine::with_hook(catalog(10_000), Recycler::new(RecyclerConfig::default()));
+    let mut engine = Engine::with_hook(catalog(10_000), Recycler::new(keepall()));
     engine.add_pass(Box::new(RecycleMark));
     let mut t = template();
     engine.optimize(&mut t);
@@ -132,9 +133,7 @@ fn bench_admit_evict(c: &mut Criterion) {
         let sel = b.select_closed(wide, P(0), P(1));
         b.export("wide", wide);
         b.export("sel", sel);
-        let config = RecyclerConfig::default()
-            .subsumption(false)
-            .entry_limit(2 * width);
+        let config = keepall().subsumption(false).entry_limit(2 * width);
         let mut engine = Engine::with_hook(cat.clone(), Recycler::new(config));
         engine.add_pass(Box::new(RecycleMark));
         let mut t = b.finish();

@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbat::Value;
-use recycler::{RecycleMark, Recycler, RecyclerConfig};
+use rcy_bench::driver::keepall;
+use recycler::{RecycleMark, Recycler};
 use rmal::{Engine, Program};
 use skyserver::{generate, microbench, SkyScale};
 
@@ -12,7 +13,7 @@ use skyserver::{generate, microbench, SkyScale};
 /// plus `noise` unrelated entries, then measure answering a covered seed.
 fn prepared(covers: usize, noise: usize) -> (Engine<Recycler>, Program, Vec<Value>) {
     let cat = generate(SkyScale::new(20_000));
-    let mut engine = Engine::with_hook(cat, Recycler::new(RecyclerConfig::default()));
+    let mut engine = Engine::with_hook(cat, Recycler::new(keepall()));
     engine.add_pass(Box::new(RecycleMark));
     let (template, items) = microbench(1, covers.max(2), 0.02, 5);
     let mut t = template;

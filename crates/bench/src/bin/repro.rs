@@ -5,6 +5,7 @@
 //! repro table2 fig4 fig15   # selected experiments
 //! repro c10k                # the reactor's idle-connection smoke
 //! repro sessions            # concurrent-session throughput, 8 repetitions
+//! repro templates           # µs per TPC-H template, recycled vs naive
 //! ```
 //!
 //! Environment: `REPRO_SF` (TPC-H scale factor, default 0.01),
@@ -47,6 +48,7 @@ fn main() {
             "fig15" => experiments::fig15(&env),
             "ablation" => experiments::ablation(&env),
             "sessions" => experiments::sessions(&env),
+            "templates" => experiments::templates(&env),
             "c10k" => {
                 // the reactor smoke: ≥1k idle connections must be flat.
                 // Scaled by REPRO_C10K_IDLE / REPRO_C10K_HOT.

@@ -529,6 +529,8 @@ mod tests {
     use rbat::Value;
     use recycler::UpdateMode;
 
+    use crate::driver::keepall;
+
     fn sky_setup(objects: usize, n: usize, seed: u64) -> (Catalog, Vec<Program>, Vec<BenchItem>) {
         let cat = skyserver::generate(skyserver::SkyScale::new(objects));
         let (templates, log) = skyserver::sample_log(n, seed);
@@ -547,7 +549,7 @@ mod tests {
     fn four_sessions_share_the_pool() {
         let (cat, templates, items) = sky_setup(3000, 48, 5);
         let streams = partition_streams(&items, 4);
-        let outcome = run_concurrent(cat, &templates, &streams, RecyclerConfig::default());
+        let outcome = run_concurrent(cat, &templates, &streams, keepall());
         assert_eq!(outcome.sessions, 4);
         assert_eq!(outcome.queries, 48);
         assert!(
@@ -562,7 +564,7 @@ mod tests {
     fn single_stream_degenerates_to_sequential() {
         let (cat, templates, items) = sky_setup(2000, 10, 9);
         let streams = partition_streams(&items, 1);
-        let outcome = run_concurrent(cat, &templates, &streams, RecyclerConfig::default());
+        let outcome = run_concurrent(cat, &templates, &streams, keepall());
         assert_eq!(outcome.sessions, 1);
         assert_eq!(outcome.stats.cross_session_hits, 0);
         assert!(outcome.stats.hits > 0);
@@ -570,7 +572,7 @@ mod tests {
 
     #[test]
     fn pool_scaling_sweeps_and_hits() {
-        let points = pool_scaling(&[1, 2, 4], 16, RecyclerConfig::default());
+        let points = pool_scaling(&[1, 2, 4], 16, keepall());
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].sessions, 1);
         assert_eq!(points[2].sessions, 4);
@@ -584,12 +586,7 @@ mod tests {
 
     #[test]
     fn update_mixed_keeps_readers_hitting_and_scopes_commits() {
-        let out = update_mixed(
-            4,
-            10,
-            3,
-            RecyclerConfig::default().update_mode(UpdateMode::Invalidate),
-        );
+        let out = update_mixed(4, 10, 3, keepall().update_mode(UpdateMode::Invalidate));
         assert_eq!(out.readers, 4);
         assert_eq!(out.reader_queries, 40);
         assert_eq!(out.commits, 3);
@@ -602,12 +599,7 @@ mod tests {
 
     #[test]
     fn update_mixed_propagates_when_configured() {
-        let out = update_mixed(
-            2,
-            6,
-            2,
-            RecyclerConfig::default().update_mode(UpdateMode::Propagate),
-        );
+        let out = update_mixed(2, 6, 2, keepall().update_mode(UpdateMode::Propagate));
         assert!(
             out.propagated > 0,
             "insert-only commits must refresh the hot chain: {out:?}"

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use rbat::{Catalog, Value};
-use recycler::RecyclerConfig;
+use recycler::{AdmissionPolicy, RecyclerConfig};
 use recycling::{Database, DatabaseBuilder, Session};
 use rmal::Program;
 
@@ -89,6 +89,13 @@ impl BatchOutcome {
             })
             .collect()
     }
+}
+
+/// The paper's baseline configuration: KEEPALL admission, every other
+/// setting at its default. The paper's experiments run on it; the
+/// product's default admission is reuse-paced.
+pub fn keepall() -> RecyclerConfig {
+    RecyclerConfig::default().admission(AdmissionPolicy::KeepAll)
 }
 
 /// Build a naive (recycling-off) database over `catalog` with the

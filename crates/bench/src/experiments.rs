@@ -16,7 +16,7 @@ use recycling::{DatabaseBuilder, Update};
 use rmal::Program;
 
 use crate::concurrent::{partition_streams, pool_scaling, run_concurrent, update_mixed};
-use crate::driver::{run_naive, run_recycled, BenchItem};
+use crate::driver::{keepall, run_naive, run_recycled, BatchOutcome, BenchItem};
 use crate::tables::{fmt_bytes, fmt_dur, fmt_ratio, TextTable};
 
 /// Experiment environment: database scales and seeds, overridable through
@@ -100,13 +100,7 @@ pub fn table2(env: &ExpEnv) -> String {
         let useful = marked.saturating_sub(binds).max(1);
 
         let naive = run_naive(cat.clone(), &templates, &bitems[..1]);
-        let (rec, _engine) = run_recycled(
-            cat.clone(),
-            &templates,
-            &bitems,
-            RecyclerConfig::default(),
-            false,
-        );
+        let (rec, _engine) = run_recycled(cat.clone(), &templates, &bitems, keepall(), false);
         let a = &rec.runs[0];
         let b = &rec.runs[1];
         let intra = 100.0 * a.local_hits as f64 / useful as f64;
@@ -136,7 +130,7 @@ pub fn profile_query(env: &ExpEnv, qno: u8, instances: usize) -> String {
     let templates = tpch_templates(&qs);
     let bitems = to_bench_items(&items);
     let naive = run_naive(cat.clone(), &templates, &bitems);
-    let (rec, _) = run_recycled(cat, &templates, &bitems, RecyclerConfig::default(), false);
+    let (rec, _) = run_recycled(cat, &templates, &bitems, keepall(), false);
     let mut out = TextTable::new(&[
         "inst",
         "hit-ratio",
@@ -196,13 +190,7 @@ pub fn fig6(env: &ExpEnv) -> String {
         let templates = tpch_templates(&qs);
         let bitems = to_bench_items(&items);
         let naive = run_naive(cat.clone(), &templates, &bitems);
-        let (rec, _) = run_recycled(
-            cat.clone(),
-            &templates,
-            &bitems,
-            RecyclerConfig::default(),
-            false,
-        );
+        let (rec, _) = run_recycled(cat.clone(), &templates, &bitems, keepall(), false);
         let navg = naive.total / 10;
         let first = rec.runs[0].elapsed;
         let rest: Duration = rec.runs[1..].iter().map(|r| r.elapsed).sum();
@@ -234,13 +222,7 @@ pub fn fig7(env: &ExpEnv) -> String {
         let (qs, items) = tpch::query_batch(qno, 10, env.seed);
         let templates = tpch_templates(&qs);
         let bitems = to_bench_items(&items);
-        let (keepall, _) = run_recycled(
-            cat.clone(),
-            &templates,
-            &bitems,
-            RecyclerConfig::default(),
-            false,
-        );
+        let (keepall, _) = run_recycled(cat.clone(), &templates, &bitems, keepall(), false);
         let base_hits = keepall.hits().max(1);
         for k in [2u32, 4, 6, 8, 10] {
             let cfg = RecyclerConfig::default().admission(AdmissionPolicy::Credit(k));
@@ -268,18 +250,13 @@ fn mixed_items(env: &ExpEnv) -> (Vec<Program>, Vec<BenchItem>) {
 
 /// Figures 8 and 9: admission policies on the mixed 200-query workload —
 /// total memory, reused %, hit ratio vs KEEPALL and execution time, as the
-/// credit parameter grows.
+/// credit parameter grows; the reuse-paced default has no parameter and
+/// one row.
 pub fn fig8_9(env: &ExpEnv) -> String {
     let cat = env.tpch();
     let (templates, items) = mixed_items(env);
     let naive = run_naive(cat.clone(), &templates, &items);
-    let (keepall, ke) = run_recycled(
-        cat.clone(),
-        &templates,
-        &items,
-        RecyclerConfig::default(),
-        false,
-    );
+    let (keepall, ke) = run_recycled(cat.clone(), &templates, &items, keepall(), false);
     let ksnap = ke.snapshot();
     let base_hits = keepall.hits().max(1);
     let mut out = TextTable::new(&[
@@ -300,23 +277,27 @@ pub fn fig8_9(env: &ExpEnv) -> String {
         "1.000".into(),
         fmt_dur(keepall.total),
     ]);
+    let admission_row = |name: &str, k: &str, adm: AdmissionPolicy| {
+        let cfg = RecyclerConfig::default().admission(adm);
+        let (run, engine) = run_recycled(cat.clone(), &templates, &items, cfg, false);
+        let snap = engine.snapshot();
+        vec![
+            name.into(),
+            k.into(),
+            fmt_bytes(snap.bytes),
+            format!("{:.0}", snap.reused_memory_pct()),
+            format!("{:.0}", snap.reused_entries_pct()),
+            fmt_ratio(run.hits() as f64 / base_hits as f64),
+            fmt_dur(run.total),
+        ]
+    };
+    out.row(admission_row("paced", "-", AdmissionPolicy::Paced));
     for k in [3u32, 5, 7, 10] {
         for (name, adm) in [
             ("credit", AdmissionPolicy::Credit(k)),
             ("adapt", AdmissionPolicy::Adaptive(k)),
         ] {
-            let cfg = RecyclerConfig::default().admission(adm);
-            let (run, engine) = run_recycled(cat.clone(), &templates, &items, cfg, false);
-            let snap = engine.snapshot();
-            out.row(vec![
-                name.into(),
-                k.to_string(),
-                fmt_bytes(snap.bytes),
-                format!("{:.0}", snap.reused_memory_pct()),
-                format!("{:.0}", snap.reused_entries_pct()),
-                fmt_ratio(run.hits() as f64 / base_hits as f64),
-                fmt_dur(run.total),
-            ]);
+            out.row(admission_row(name, &k.to_string(), adm));
         }
     }
     format!(
@@ -332,13 +313,7 @@ pub fn fig10_11(env: &ExpEnv) -> String {
     let cat = env.tpch();
     let (templates, items) = mixed_items(env);
     let naive = run_naive(cat.clone(), &templates, &items);
-    let (keepall, ke) = run_recycled(
-        cat.clone(),
-        &templates,
-        &items,
-        RecyclerConfig::default(),
-        false,
-    );
+    let (keepall, ke) = run_recycled(cat.clone(), &templates, &items, keepall(), false);
     let total_entries = ke.pool().len().max(1);
     let total_bytes = ke.pool().bytes().max(1);
     let _ = keepall;
@@ -398,6 +373,7 @@ pub fn fig10_11(env: &ExpEnv) -> String {
 fn adm_label(a: &AdmissionPolicy) -> &'static str {
     match a {
         AdmissionPolicy::KeepAll => "keepall",
+        AdmissionPolicy::Paced => "paced",
         AdmissionPolicy::Credit(_) => "credit",
         AdmissionPolicy::Adaptive(_) => "adapt",
     }
@@ -411,25 +387,19 @@ pub fn fig12_13(env: &ExpEnv, k: usize) -> String {
     let (templates, items) = mixed_items(env);
     // measure the keepall total to scale the memory limits (paper: 5 GB
     // total, limits 2.5 GB and 1 GB)
-    let (_, ke) = run_recycled(
-        cat.clone(),
-        &templates,
-        &items,
-        RecyclerConfig::default(),
-        false,
-    );
+    let (_, ke) = run_recycled(cat.clone(), &templates, &items, keepall(), false);
     let total_bytes = ke.pool().bytes().max(1);
     let configs: [(&str, RecyclerConfig); 3] = [
-        ("KeepAll", RecyclerConfig::default()),
+        ("KeepAll", keepall()),
         (
             "LRU/50%",
-            RecyclerConfig::default()
+            keepall()
                 .eviction(EvictionPolicy::Lru)
                 .mem_limit(total_bytes / 2),
         ),
         (
             "LRU/20%",
-            RecyclerConfig::default()
+            keepall()
                 .eviction(EvictionPolicy::Lru)
                 .mem_limit(total_bytes / 5),
         ),
@@ -496,7 +466,7 @@ pub fn table3(env: &ExpEnv) -> String {
             params: l.params.clone(),
         })
         .collect();
-    let (run, engine) = run_recycled(cat, &templates, &items, RecyclerConfig::default(), false);
+    let (run, engine) = run_recycled(cat, &templates, &items, keepall(), false);
     let snap = engine.snapshot();
     let mut out = TextTable::new(&[
         "family",
@@ -544,13 +514,7 @@ pub fn fig14(env: &ExpEnv) -> String {
         .collect();
     let naive = run_naive(cat.clone(), &templates, &items);
     // keepall baseline for the memory limit
-    let (_, ke) = run_recycled(
-        cat.clone(),
-        &templates,
-        &items,
-        RecyclerConfig::default(),
-        false,
-    );
+    let (_, ke) = run_recycled(cat.clone(), &templates, &items, keepall(), false);
     let limit = (ke.pool().bytes() * 65 / 100).max(1024);
     let mut out = TextTable::new(&["split", "Naive", "CRD/LRU/65%", "KeepAll/Unlim"]);
     for &split in &[4usize, 2, 1] {
@@ -564,13 +528,7 @@ pub fn fig14(env: &ExpEnv) -> String {
                 .mem_limit(limit);
             let (r, _) = run_recycled(cat.clone(), &templates, part, cfg, false);
             crd_total += r.total;
-            let (r2, _) = run_recycled(
-                cat.clone(),
-                &templates,
-                part,
-                RecyclerConfig::default(),
-                false,
-            );
+            let (r2, _) = run_recycled(cat.clone(), &templates, part, keepall(), false);
             keep_total += r2.total;
         }
         out.row(vec![
@@ -605,7 +563,7 @@ pub fn fig15(env: &ExpEnv) -> String {
         let templates = vec![template];
         let naive = run_naive(cat.clone(), &templates, &items);
         // custom loop to read the subsumption search time after each query
-        let db = DatabaseBuilder::new(cat).build();
+        let db = DatabaseBuilder::new(cat).recycler(keepall()).build();
         let t = db.prepare(templates[0].clone());
         let mut session = db.session();
         let mut out = TextTable::new(&[
@@ -686,15 +644,9 @@ pub fn ablation(env: &ExpEnv) -> String {
         "1.000".into(),
     ]);
     let configs = [
-        ("full recycler", RecyclerConfig::default()),
-        (
-            "no combined subsumption",
-            RecyclerConfig::default().combined(false),
-        ),
-        (
-            "no subsumption",
-            RecyclerConfig::default().subsumption(false),
-        ),
+        ("full recycler", keepall()),
+        ("no combined subsumption", keepall().combined(false)),
+        ("no subsumption", keepall().subsumption(false)),
     ];
     for (name, cfg) in configs {
         let (run, _) = run_recycled(cat.clone(), &templates, &items, cfg, false);
@@ -769,6 +721,68 @@ pub fn sessions(env: &ExpEnv) -> String {
     }
     format!(
         "Sessions — throughput over {REPS} repetitions\n{}",
+        out.render()
+    )
+}
+
+/// `repro templates` — what recycling buys each template (left out of
+/// `all`): µs per query of each of the ten `MIXED_QUERIES` templates over
+/// 64 rounds of `mixed_batch(&MIXED_QUERIES, 2, ·)` under a 4 MiB pool,
+/// recycled under KEEPALL and under the default admission, beside a
+/// `.naive()` database replaying the same script. The first four rounds
+/// fill the pool and are not counted. Each side runs on a freshly
+/// generated catalog, so none inherits key indexes another side built.
+pub fn templates(env: &ExpEnv) -> String {
+    const ROUNDS: u64 = 64;
+    const WARMUP: usize = 4 * 20;
+    let mut templates = Vec::new();
+    let mut items = Vec::new();
+    for round in 0..ROUNDS {
+        let (qs, batch) = tpch::mixed_batch(&tpch::workload::MIXED_QUERIES, 2, env.seed + round);
+        templates = tpch_templates(&qs);
+        items.extend(to_bench_items(&batch));
+    }
+    let capped = |config: RecyclerConfig| {
+        let config = config.mem_limit(4 << 20);
+        run_recycled(env.tpch(), &templates, &items, config, false).0
+    };
+    let sides = [
+        run_naive(env.tpch(), &templates, &items),
+        capped(keepall()),
+        capped(RecyclerConfig::default()),
+    ];
+    // µs per counted query of template `qno` (all of them for `None`)
+    let per_query = |side: &BatchOutcome, qno: Option<u8>| {
+        let runs = side.runs[WARMUP..].iter();
+        let picked: Vec<Duration> = runs
+            .filter(|r| qno.is_none_or(|q| r.label == q))
+            .map(|r| r.elapsed)
+            .collect();
+        picked.iter().sum::<Duration>().as_secs_f64() * 1e6 / picked.len().max(1) as f64
+    };
+    let mut out = TextTable::new(&[
+        "Query",
+        "naive µs",
+        "keepall µs",
+        "keepall/naive",
+        "default µs",
+        "default/naive",
+    ]);
+    let rows = tpch::workload::MIXED_QUERIES.iter().map(|&q| Some(q));
+    for qno in rows.chain([None]) {
+        let [naive, keep, paced] = sides.each_ref().map(|side| per_query(side, qno));
+        out.row(vec![
+            qno.map_or("all".into(), |q| format!("Q{q}")),
+            format!("{naive:.0}"),
+            format!("{keep:.0}"),
+            fmt_ratio(keep / naive),
+            format!("{paced:.0}"),
+            fmt_ratio(paced / naive),
+        ]);
+    }
+    format!(
+        "Templates — µs per query, recycled (4 MiB pool) vs naive, {} counted queries\n{}",
+        items.len() - WARMUP,
         out.render()
     )
 }

@@ -13,7 +13,6 @@
 use std::time::Duration;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycler::RecyclerConfig;
 use rmal::{Program, ProgramBuilder, P};
 
 use crate::driver::{run_recycled, BenchItem};
@@ -120,7 +119,7 @@ fn side(
     items: &[BenchItem],
     operator_state: bool,
 ) -> OpStateRun {
-    let config = RecyclerConfig::default().recycle_operator_state(operator_state);
+    let config = crate::driver::keepall().recycle_operator_state(operator_state);
     let (outcome, db) = run_recycled(cat, templates, items, config, false);
     let stats = db.stats();
     OpStateRun {

@@ -259,7 +259,7 @@ pub fn background_eviction(
     let q = tpch::query(6);
     let mut rng = SmallRng::seed_from_u64(42);
     let items: Vec<Vec<Value>> = (0..queries).map(|_| (q.params)(&mut rng)).collect();
-    let base = RecyclerConfig::default()
+    let base = crate::driver::keepall()
         .eviction(EvictionPolicy::Lru)
         .mem_limit(cap_bytes);
     let without = drive_pressure(catalog.clone(), &q.template, &items, warmup, base);

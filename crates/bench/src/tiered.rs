@@ -166,7 +166,7 @@ pub fn tiered_lowmem(
     let q = tpch::query(6);
     let mut rng = SmallRng::seed_from_u64(42);
     let alphabet: Vec<Vec<Value>> = (0..distinct).map(|_| (q.params)(&mut rng)).collect();
-    let base = RecyclerConfig::default()
+    let base = crate::driver::keepall()
         .eviction(EvictionPolicy::Lru)
         .mem_limit(cap_bytes)
         .collector(true)

@@ -1,12 +1,35 @@
 //! Recycler configuration: admission, eviction, resource limits, updates.
 
 /// Admission policies deciding which executed intermediates enter the pool
-/// (paper §4.2 and the adaptive refinement of §7.2).
+/// (paper §4.2 and the adaptive refinement of §7.2, plus the reuse-paced
+/// default). Every policy accounts per template instruction: the
+/// [`InstrKey`](crate::entry::InstrKey) `(template, pc)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Keep every instruction instance the optimiser advised — the baseline
-    /// that preserves entire execution threads.
+    /// Keep every instruction instance the optimiser advised — the paper's
+    /// baseline, which preserves entire execution threads. No longer the
+    /// default: the paper's experiments select it explicitly.
     KeepAll,
+    /// Reuse-paced admission — the default. A template instruction keeps
+    /// admitting only while its instances get reused:
+    ///
+    /// * **balance** — each key holds a balance in `[0, K]`, starting at
+    ///   `K` ([`PACED_CREDITS`](crate::shared::PACED_CREDITS));
+    /// * **spend and repay** — an admission spends one credit; every reuse
+    ///   of an instance the key created (a local hit, a global hit, use as
+    ///   a subsumption source) repays one at once, up to `K`; eviction and
+    ///   invalidation repay nothing;
+    /// * **probation** — a drained key gets one uncharged admission after
+    ///   `2^j` denied attempts, where `j` counts its probations since its
+    ///   last repayment, so a key drained in one phase of a workload
+    ///   recovers in the next;
+    /// * **no clock** — decisions read counts only, so a single-client
+    ///   script admits the same instances on every run.
+    ///
+    /// Bounds: a key that is never reused admits at most
+    /// `K + ⌈log2 misses⌉` instances; a key reused at least once per
+    /// admission never drains and behaves as under [`Self::KeepAll`].
+    Paced,
     /// The CREDIT policy: each template instruction starts with `k`
     /// credits; admitting an instance costs one credit; a *local* reuse
     /// (within the admitting invocation) returns the credit immediately,
@@ -114,12 +137,16 @@ pub struct RecyclerConfig {
 }
 
 impl Default for RecyclerConfig {
-    /// The paper's baseline experimental setting: KEEPALL admission, no
+    /// Reuse-paced admission ([`AdmissionPolicy::Paced`]), LRU eviction, no
     /// resource limits, singleton + combined subsumption enabled,
-    /// invalidation on update.
+    /// invalidation on update. The paper's baseline setting is this with
+    /// `.admission(AdmissionPolicy::KeepAll)`: under a cap, KEEPALL admits
+    /// every miss and evicts to make room, so instances that are never
+    /// reused push out the ones that are; pacing admits a template
+    /// instruction only while its instances pay for themselves.
     fn default() -> Self {
         RecyclerConfig {
-            admission: AdmissionPolicy::KeepAll,
+            admission: AdmissionPolicy::Paced,
             eviction: EvictionPolicy::Lru,
             mem_limit: None,
             entry_limit: None,
@@ -281,9 +308,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_keepall_unlimited() {
+    fn default_is_paced_unlimited() {
         let c = RecyclerConfig::default();
-        assert_eq!(c.admission, AdmissionPolicy::KeepAll);
+        assert_eq!(c.admission, AdmissionPolicy::Paced);
         assert!(c.mem_limit.is_none() && c.entry_limit.is_none());
         assert!(c.subsumption && c.combined_subsumption);
     }

@@ -39,6 +39,13 @@
 //!   the same pool; `Recycler::new` keeps the one-session case a
 //!   one-liner.
 //!
+//! Admission defaults to [`AdmissionPolicy::Paced`]: a template
+//! instruction keeps admitting only while its instances get reused. The
+//! paper's baseline, KEEPALL — admit every advised instance and let
+//! eviction sort it out — is no longer the default and must be selected
+//! explicitly (`RecyclerConfig::default().admission(AdmissionPolicy::KeepAll)`),
+//! as the paper's experiments in `rcy-bench` do.
+//!
 //! Updates are handled per §6: the default is immediate column-level
 //! invalidation of affected intermediates; an opt-in delta-propagation mode
 //! refreshes select/projection/view/join chains instead of dropping them.

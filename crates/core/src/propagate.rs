@@ -33,7 +33,7 @@ use rbat::ops;
 use rbat::{Bat, BatId, Catalog, Value};
 use rmal::Opcode;
 
-use crate::entry::EntryId;
+use crate::entry::{EntryId, PoolEntry};
 use crate::pool::PoolWriteView;
 use crate::signature::{ArgSig, Sig};
 
@@ -42,8 +42,9 @@ use crate::signature::{ArgSig, Sig};
 pub struct PropagationOutcome {
     /// Entries refreshed in place.
     pub refreshed: u64,
-    /// Entries invalidated because no propagation rule applied.
-    pub invalidated: u64,
+    /// Entries invalidated because no propagation rule applied — removed
+    /// from the pool and handed back for the caller to settle.
+    pub invalidated: Vec<PoolEntry>,
 }
 
 /// An empty BAT with the same head/tail schema as `like`.
@@ -138,7 +139,7 @@ pub fn propagate_commit(
         }
     }
     for id in doomed {
-        outcome.invalidated += pool.remove_subtree(&[id]).len() as u64;
+        outcome.invalidated.extend(pool.remove_subtree(&[id]));
     }
     if roots.is_empty() {
         return outcome;
@@ -204,7 +205,7 @@ pub fn propagate_commit(
         if refreshed {
             outcome.refreshed += 1;
         } else {
-            outcome.invalidated += pool.remove_subtree(&[id]).len() as u64;
+            outcome.invalidated.extend(pool.remove_subtree(&[id]));
         }
     }
     outcome

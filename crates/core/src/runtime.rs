@@ -6,7 +6,7 @@
 //! run-time support is split in two:
 //!
 //! * [`SharedRecycler`] (see [`crate::shared`]) — the pool, the
-//!   credit/ADAPT accounts, eviction state and lifetime statistics, behind
+//!   admission accounts, eviction state and lifetime statistics, behind
 //!   interior locking; one instance per server.
 //! * [`Recycler`] (this module) — a cheap per-session handle implementing
 //!   [`rmal::ExecHook`]: the current invocation, the pins its query holds,
@@ -39,7 +39,7 @@ use rbat::catalog::CommitReport;
 use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
-use crate::config::{RecyclerConfig, UpdateMode};
+use crate::config::{AdmissionPolicy, RecyclerConfig, UpdateMode};
 use crate::entry::{Admitter, Anchors, EntryId, InstrKey, Lineage, Payload, Pin, PoolEntry};
 use crate::lineage::Resolved;
 use crate::pool::Admitted;
@@ -353,14 +353,21 @@ impl Recycler {
     }
 
     /// Record that `id` served as a subsumption source (read lock only).
+    /// Under PACED that is a reuse of the source's creator, noted like a
+    /// hit's; the paper's policies count exact reuses only.
     fn register_subsumption_source(&mut self, id: EntryId) {
         let shared = &self.shared;
-        let pin = shared.pool_inner().entry(id, |e| {
+        let used = shared.pool_inner().entry(id, |e| {
             e.last_used.store(shared.next_tick(), Ordering::Relaxed);
             e.subsumption_uses.fetch_add(1, Ordering::Relaxed);
-            Pin::take(e)
+            (Pin::take(e), e.creator)
         });
-        self.pins.extend(pin);
+        if let Some((pin, creator)) = used {
+            self.pins.push(pin);
+            if shared.config().admission == AdmissionPolicy::Paced {
+                self.notes.reuses.push((creator, false));
+            }
+        }
     }
 
     /// Give the current query's pins back and hand its notes and counts to
@@ -894,26 +901,28 @@ impl ExecHook for Recycler {
             return;
         }
         let mut view = pool.write_view();
-        if shared.config().update_mode == UpdateMode::Propagate && report.deleted.is_empty() {
-            // Delta propagation (§6.3) refreshes the bind-family roots in
-            // place and walks down from them.
-            let outcome = propagate_commit(&mut view, &roots, report, catalog);
-            shared.count_propagated(outcome.refreshed);
-            shared.count_invalidated(outcome.invalidated);
-        } else {
-            // Immediate column-wise invalidation (§6.4). Removal overrides
-            // pins — correctness beats retention; stale pins are cleaned
-            // up by their sessions' `query_end`.
-            let removed = view.remove_subtree(&roots).len();
-            shared.count_invalidated(removed as u64);
-        }
+        let removed =
+            if shared.config().update_mode == UpdateMode::Propagate && report.deleted.is_empty() {
+                // Delta propagation (§6.3) refreshes the bind-family roots in
+                // place and walks down from them.
+                let outcome = propagate_commit(&mut view, &roots, report, catalog);
+                shared.count_propagated(outcome.refreshed);
+                outcome.invalidated
+            } else {
+                // Immediate column-wise invalidation (§6.4). Removal overrides
+                // pins — correctness beats retention; stale pins are cleaned
+                // up by their sessions' `query_end`.
+                view.remove_subtree(&roots)
+            };
+        drop(view);
+        // what the removed entries owe is settled as an eviction's is
+        shared.settle_invalidations(&removed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AdmissionPolicy;
     use rbat::{LogicalType, TableBuilder};
     use rmal::{Engine, ProgramBuilder, P};
 

@@ -10,10 +10,12 @@
 //!   once, one [lineage graph](crate::lineage) over the entry ids behind
 //!   its own lock, and every byte/entry book in one
 //!   [ledger](crate::ledger) moved only under the table write lock;
-//! * the CREDIT/ADAPT accounts behind one [`Mutex`] — inherently global
-//!   (credits are per template instruction) but touched only on admission
-//!   decisions and once per query, never per hit (a session buffers what
-//!   its hits owe the accounts: [`AccountNotes`]);
+//! * the admission accounts (PACED, CREDIT, ADAPT) behind one [`Mutex`] —
+//!   inherently global (credits are per template instruction: one map
+//!   entry each, holding every policy's state for that key) but touched
+//!   only on admission decisions and once per query, never per hit (a
+//!   session buffers what its hits and subsumption sources owe the
+//!   accounts: [`AccountNotes`]; booking one reuse is one map lookup);
 //! * lifetime statistics and the event clock as plain atomics, so
 //!   sessions never contend just to count (per-hit counters are summed in
 //!   the session and added once per query).
@@ -150,7 +152,7 @@ use rbat::hash::FxHashMap;
 
 use crate::collector::{self, CollectorControl};
 use crate::config::{AdmissionPolicy, RecyclerConfig};
-use crate::entry::InstrKey;
+use crate::entry::{InstrKey, PoolEntry};
 use crate::eviction::{evict, EvictTrigger};
 use crate::pool::RecyclePool;
 use crate::runtime::Recycler;
@@ -182,15 +184,79 @@ impl AdmissionGrant {
     };
 }
 
-/// Credit/ADAPT bookkeeping, guarded by its own mutex (a leaf lock: held
+/// `K` of [`AdmissionPolicy::Paced`]: the balance a template instruction
+/// starts with and the cap on it. Chosen by a sweep over {2, 3, 4, 8} on
+/// the repo benchmark's `tpch_mix` and `tpch_refresh` (interleaved runs,
+/// CHANGES.md): 4 had the best median on both and the lowest `tpch_mix`
+/// p99. Smaller balances drain keys whose first reuse comes a few
+/// instances late; 8 lets instructions that are never reused churn twice
+/// as many instances through a capped pool per phase.
+pub const PACED_CREDITS: u32 = 4;
+
+/// One template instruction's admission account — everything any policy
+/// keeps per [`InstrKey`], in one map entry, so booking a reuse is one
+/// lookup.
+#[derive(Debug, Clone, Copy)]
+struct KeyAccount {
+    /// Credits left: CREDIT's, ADAPT's before its verdict, PACED's balance
+    /// in `[0, PACED_CREDITS]`.
+    credits: i64,
+    /// Reuses of the key's instances booked so far (ADAPT's verdict input).
+    reuses: u64,
+    /// ADAPT's one-time verdict: unlimited (free) or barred (denied).
+    verdict: Option<AdmissionGrant>,
+    /// PACED, drained: attempts denied since the key drained or since its
+    /// last probation.
+    denied: u64,
+    /// PACED: probations since the key's last repayment (`j`).
+    probations: u32,
+}
+
+impl KeyAccount {
+    /// Spend one credit, if any is left.
+    fn charge(&mut self) -> AdmissionGrant {
+        if self.credits > 0 {
+            self.credits -= 1;
+            AdmissionGrant::CHARGED
+        } else {
+            AdmissionGrant::DENIED
+        }
+    }
+
+    /// PACED: spend one credit; a drained key gets one uncharged probation
+    /// admission after `2^j` denied attempts.
+    fn pace(&mut self) -> AdmissionGrant {
+        let grant = self.charge();
+        if grant.allowed {
+            return grant;
+        }
+        if self.denied >= 1u64.checked_shl(self.probations).unwrap_or(u64::MAX) {
+            self.denied = 0;
+            self.probations += 1;
+            return AdmissionGrant::FREE;
+        }
+        self.denied += 1;
+        AdmissionGrant::DENIED
+    }
+
+    /// PACED: a reuse repays one credit at once, up to the cap, and the
+    /// key's probation history starts over.
+    fn repay(&mut self) {
+        self.credits = (self.credits + 1).min(PACED_CREDITS as i64);
+        self.denied = 0;
+        self.probations = 0;
+    }
+}
+
+/// The admission accounts, guarded by their own mutex (a leaf lock: held
 /// alone, see the lock order above).
-#[derive(Default)]
 pub(crate) struct AccountState {
-    credits: FxHashMap<InstrKey, i64>,
+    policy: AdmissionPolicy,
+    /// The balance an untouched account holds under `policy`.
+    start: i64,
+    keys: FxHashMap<InstrKey, KeyAccount>,
+    /// Invocations per template (ADAPT's decision point).
     template_invocations: FxHashMap<u64, u64>,
-    instr_reuses: FxHashMap<InstrKey, u64>,
-    /// ADAPT's one-time verdicts: unlimited (free) or barred (denied).
-    adapt_verdicts: FxHashMap<InstrKey, AdmissionGrant>,
 }
 
 /// What a session's running query owes the accounts, buffered so that
@@ -202,30 +268,81 @@ pub(crate) struct AccountNotes {
     /// The template whose invocation is not yet counted (ADAPT input).
     pub invocation: Option<u64>,
     /// Per reuse: the instance's creator, and whether to return its
-    /// admission credit (first local reuse, paper §4.2).
+    /// admission credit under CREDIT / ADAPT (first local reuse, paper
+    /// §4.2). PACED repays every note.
     pub reuses: Vec<(InstrKey, bool)>,
 }
 
 impl AccountState {
-    /// Spend one of `key`'s credits (`k` to start with), if any is left.
-    fn charge(&mut self, key: InstrKey, k: u32) -> AdmissionGrant {
-        let c = self.credits.entry(key).or_insert(k as i64);
-        if *c > 0 {
-            *c -= 1;
-            AdmissionGrant::CHARGED
-        } else {
-            AdmissionGrant::DENIED
+    fn new(policy: AdmissionPolicy) -> AccountState {
+        let start = match policy {
+            AdmissionPolicy::KeepAll => 0,
+            AdmissionPolicy::Credit(k) | AdmissionPolicy::Adaptive(k) => k as i64,
+            AdmissionPolicy::Paced => PACED_CREDITS as i64,
+        };
+        AccountState {
+            policy,
+            start,
+            keys: FxHashMap::default(),
+            template_invocations: FxHashMap::default(),
+        }
+    }
+
+    /// `key`'s account, opened at the policy's starting balance.
+    fn account(&mut self, key: InstrKey) -> &mut KeyAccount {
+        ACCOUNT_LOOKUPS.with(|n| n.set(n.get() + 1));
+        self.keys.entry(key).or_insert(KeyAccount {
+            credits: self.start,
+            reuses: 0,
+            verdict: None,
+            denied: 0,
+            probations: 0,
+        })
+    }
+
+    /// The admission decision for one instance of `key`.
+    fn grant(&mut self, key: InstrKey) -> AdmissionGrant {
+        match self.policy {
+            AdmissionPolicy::KeepAll => AdmissionGrant::FREE,
+            AdmissionPolicy::Credit(_) => self.account(key).charge(),
+            AdmissionPolicy::Paced => self.account(key).pace(),
+            AdmissionPolicy::Adaptive(k) => {
+                let invocations = self.template_invocations.get(&key.0).copied();
+                let account = self.account(key);
+                if let Some(verdict) = account.verdict {
+                    return verdict;
+                }
+                if invocations.unwrap_or(0) <= k as u64 {
+                    return account.charge();
+                }
+                // decision time: reused at least once → unlimited
+                let verdict = AdmissionGrant {
+                    allowed: account.reuses >= 1,
+                    charged: false,
+                };
+                account.verdict = Some(verdict);
+                verdict
+            }
         }
     }
 
     fn take(&mut self, notes: &mut AccountNotes) {
-        if let Some(template) = notes.invocation.take() {
+        let policy = self.policy;
+        if let (Some(template), AdmissionPolicy::Adaptive(_)) = (notes.invocation.take(), policy) {
             *self.template_invocations.entry(template).or_insert(0) += 1;
         }
+        if policy == AdmissionPolicy::KeepAll {
+            // nothing reads a KEEPALL account
+            notes.reuses.clear();
+            return;
+        }
         for (creator, return_credit) in notes.reuses.drain(..) {
-            *self.instr_reuses.entry(creator).or_insert(0) += 1;
-            if return_credit {
-                *self.credits.entry(creator).or_insert(0) += 1;
+            let account = self.account(creator);
+            account.reuses += 1;
+            if policy == AdmissionPolicy::Paced {
+                account.repay();
+            } else if return_credit {
+                account.credits += 1;
             }
         }
     }
@@ -233,6 +350,7 @@ impl AccountState {
 
 thread_local! {
     static ACCOUNTS_LOCKS: Cell<u64> = const { Cell::new(0) };
+    static ACCOUNT_LOOKUPS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Lifetime counters as atomics: incremented from any session without a
@@ -364,7 +482,7 @@ impl SharedRecycler {
         let shared = Arc::new(SharedRecycler {
             config,
             pool,
-            accounts: Mutex::new(AccountState::default()),
+            accounts: Mutex::new(AccountState::new(config.admission)),
             stats: SharedStats::default(),
             tick: AtomicU64::new(0),
             invocations: AtomicU64::new(0),
@@ -563,7 +681,7 @@ impl SharedRecycler {
     /// (see [`Self::clear_pool`]).
     fn reset(&self) {
         self.pool.clear();
-        *self.lock_accounts() = AccountState::default();
+        *self.lock_accounts() = AccountState::new(self.config.admission);
         // one exhaustive destructuring: a counter added to `SharedStats`
         // does not compile until it is listed here
         macro_rules! zero {
@@ -763,6 +881,13 @@ impl SharedRecycler {
         ACCOUNTS_LOCKS.with(Cell::get)
     }
 
+    /// Lookups of a template instruction's account — to decide an
+    /// admission, book a reuse or return a deferred credit — by the calling
+    /// thread, on any recycler: the test probe for "one per reuse booked".
+    pub fn account_lookups_on_this_thread() -> u64 {
+        ACCOUNT_LOOKUPS.with(Cell::get)
+    }
+
     pub(crate) fn lock_evict(&self) -> MutexGuard<'_, ()> {
         self.evict_lock
             .lock()
@@ -923,20 +1048,20 @@ impl SharedRecycler {
         add_ns(&self.stats.rehydrate_ns, rehydrate);
     }
 
-    // ----- credit / ADAPT accounts ----------------------------------------
+    // ----- admission accounts ----------------------------------------------
 
     /// Book a session's buffered notes.
     pub(crate) fn flush_accounts(&self, notes: &mut AccountNotes) {
         self.lock_accounts().take(notes);
     }
 
-    /// The admission decision of `recycleExit` (paper §4.2, ADAPT §7.2),
-    /// made after booking the deciding session's `notes` in the same
-    /// critical section. `charged` records whether a credit was
+    /// The admission decision of `recycleExit` (paper §4.2, ADAPT §7.2,
+    /// PACED), made after booking the deciding session's `notes` in the
+    /// same critical section. `charged` records whether a credit was
     /// actually spent — the exact amount [`Self::undo_admission_charge`]
     /// may later refund. An admission that is allowed without charge
-    /// (KEEPALL, an ADAPT unlimited key) must never mint a credit when it
-    /// fails to complete.
+    /// (KEEPALL, an ADAPT unlimited key, a PACED probation) must never mint
+    /// a credit when it fails to complete.
     pub(crate) fn admission_grant(
         &self,
         key: InstrKey,
@@ -944,36 +1069,16 @@ impl SharedRecycler {
     ) -> AdmissionGrant {
         let mut acc = self.lock_accounts();
         acc.take(notes);
-        match self.config.admission {
-            AdmissionPolicy::KeepAll => AdmissionGrant::FREE,
-            AdmissionPolicy::Credit(k) => acc.charge(key, k),
-            AdmissionPolicy::Adaptive(k) => {
-                if let Some(verdict) = acc.adapt_verdicts.get(&key) {
-                    return *verdict;
-                }
-                let invocations = acc.template_invocations.get(&key.0).copied().unwrap_or(0);
-                if invocations <= k as u64 {
-                    return acc.charge(key, k);
-                }
-                // decision time: reused at least once → unlimited
-                let reused = acc.instr_reuses.get(&key).copied().unwrap_or(0) >= 1;
-                let (allowed, charged) = (reused, false);
-                let verdict = AdmissionGrant { allowed, charged };
-                acc.adapt_verdicts.insert(key, verdict);
-                verdict
-            }
-        }
+        acc.grant(key)
     }
 
-    /// Test probe: `key`'s credit balance (the policy's starting credit
-    /// while the account is untouched).
-    #[cfg(test)]
-    pub(crate) fn credit_balance(&self, key: InstrKey) -> i64 {
-        let start = match self.config.admission {
-            AdmissionPolicy::KeepAll => 0,
-            AdmissionPolicy::Credit(k) | AdmissionPolicy::Adaptive(k) => k as i64,
-        };
-        *self.lock_accounts().credits.get(&key).unwrap_or(&start)
+    /// `key`'s credit balance: what its CREDIT / ADAPT / PACED account
+    /// has left (the policy's starting balance while the account is
+    /// untouched; 0 under KEEPALL). A diagnostic — it takes the accounts
+    /// mutex.
+    pub fn credit_balance(&self, key: InstrKey) -> i64 {
+        let acc = self.lock_accounts();
+        acc.keys.get(&key).map_or(acc.start, |a| a.credits)
     }
 
     /// Test probe: `(bytes, entries)` reserved by in-flight admissions.
@@ -991,18 +1096,26 @@ impl SharedRecycler {
     /// [`crate::pool::Admitted::Orphaned`]). Refunds exactly what the
     /// grant charged: an uncharged grant refunds nothing.
     pub(crate) fn undo_admission_charge(&self, key: InstrKey, grant: AdmissionGrant) {
-        if grant.charged {
-            if let Some(c) = self.lock_accounts().credits.get_mut(&key) {
-                *c += 1;
-            }
+        if !grant.charged {
+            return;
+        }
+        let mut acc = self.lock_accounts();
+        // a PACED balance may have been repaid to its cap meanwhile
+        let cap = match acc.policy {
+            AdmissionPolicy::Paced => PACED_CREDITS as i64,
+            _ => i64::MAX,
+        };
+        // (an account `reset` dropped meanwhile is not reopened)
+        if let Some(account) = acc.keys.get_mut(&key) {
+            account.credits = (account.credits + 1).min(cap);
         }
     }
 
-    /// Settle evicted entries: statistics plus the deferred credit return
-    /// of globally reused instances (paper §4.2). `background` attributes
-    /// the batch to the collector thread rather than an admitting
-    /// session's inline path (two disjoint sub-counters of `evictions`).
-    pub(crate) fn settle_evictions(&self, evicted: &[crate::entry::PoolEntry], background: bool) {
+    /// Settle evicted entries: statistics plus the credits they owe.
+    /// `background` attributes the batch to the collector thread rather
+    /// than an admitting session's inline path (two disjoint sub-counters
+    /// of `evictions`).
+    pub(crate) fn settle_evictions(&self, evicted: &[PoolEntry], background: bool) {
         self.count_evictions(evicted.len() as u64);
         let attributed = if background {
             &self.stats.background_evictions
@@ -1010,10 +1123,32 @@ impl SharedRecycler {
             &self.stats.inline_evictions
         };
         attributed.fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        self.return_deferred_credits(evicted);
+    }
+
+    /// Settle entries a commit removed: statistics plus the credits they
+    /// owe — the same as an eviction's.
+    pub(crate) fn settle_invalidations(&self, removed: &[PoolEntry]) {
+        self.count_invalidated(removed.len() as u64);
+        self.return_deferred_credits(removed);
+    }
+
+    /// The deferred credit return of CREDIT and ADAPT (paper §4.2): an
+    /// instance that was reused globally, and not yet locally, gives its
+    /// admission credit back when it leaves the pool — evicted or
+    /// invalidated alike. KEEPALL keeps no credits, and PACED repaid every
+    /// reuse when it was booked.
+    fn return_deferred_credits(&self, removed: &[PoolEntry]) {
+        if !matches!(
+            self.config.admission,
+            AdmissionPolicy::Credit(_) | AdmissionPolicy::Adaptive(_)
+        ) {
+            return;
+        }
         let mut acc = self.lock_accounts();
-        for e in evicted {
+        for e in removed {
             if e.global_reuses() > 0 && !e.credit_returned() {
-                *acc.credits.entry(e.creator).or_insert(0) += 1;
+                acc.account(e.creator).credits += 1;
             }
         }
     }
@@ -1051,7 +1186,7 @@ impl MaintenanceGuard<'_> {
         self.shared.clear_pool();
     }
 
-    /// Reset pool, credit/ADAPT accounts and lifetime statistics.
+    /// Reset pool, admission accounts and lifetime statistics.
     pub fn reset(&self) {
         self.shared.reset();
     }
@@ -1100,7 +1235,6 @@ impl std::fmt::Debug for SharedRecycler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::PoolEntry;
 
     fn put_resident(shared: &SharedRecycler, tag: i64, bytes: usize) {
         let pool = shared.pool_inner();

@@ -37,9 +37,11 @@
 //!
 //! The facade owns three things the old API exposed piecemeal:
 //!
-//! * **the shared recycler** — pool, credit/ADAPT accounts, statistics;
-//!   one per database, shared by all sessions (cross-session reuse is the
-//!   whole point);
+//! * **the shared recycler** — pool, admission accounts, statistics; one
+//!   per database, shared by all sessions (cross-session reuse is the
+//!   whole point). Admission is reuse-paced by default
+//!   ([`AdmissionPolicy::Paced`]); the paper's KEEPALL baseline must be
+//!   selected explicitly through [`DatabaseBuilder::recycler`];
 //! * **the shared catalog cell** — single-writer/multi-reader epoch
 //!   snapshots, so [`Session::commit`] from one session becomes visible
 //!   to the others at their next query;

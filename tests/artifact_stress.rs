@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
-use recycling::{Database, DatabaseBuilder, RecyclerConfig, Update};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Update};
 use rmal::{Program, ProgramBuilder, P};
 
 // One process-global failpoint registry: serialise the tests here.
@@ -61,10 +61,13 @@ fn group_template() -> Program {
     b.finish()
 }
 
+/// Every build side and result admitted (the paper's KEEPALL baseline), so
+/// the storm keeps the pool churning under its cap.
 fn storm_db() -> Database {
     DatabaseBuilder::new(catalog())
         .recycler(
             RecyclerConfig::default()
+                .admission(AdmissionPolicy::KeepAll)
                 .entry_limit(64)
                 .mem_limit(384 << 10),
         )

@@ -17,7 +17,7 @@ use std::time::Duration;
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use rcy_server::{Client, ClientError, RetryPolicy, Server, ServerConfig};
 use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
-use recycling::{Database, DatabaseBuilder, RecyclerConfig, Update};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Update};
 use rmal::{Program, ProgramBuilder, P};
 
 // One process-global failpoint registry: serialise the tests here.
@@ -44,10 +44,13 @@ fn count_template() -> Program {
     b.finish()
 }
 
+/// Every miss admitted: the storm's insert, eviction and collector faults
+/// need the churn of the paper's KEEPALL baseline to fire.
 fn chaos_db() -> Database {
     DatabaseBuilder::new(catalog())
         .recycler(
             RecyclerConfig::default()
+                .admission(AdmissionPolicy::KeepAll)
                 .entry_limit(48)
                 .mem_limit(256 << 10)
                 .collector(true)

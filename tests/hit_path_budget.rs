@@ -123,6 +123,7 @@ fn a_warm_query_allocates_a_constant_whatever_the_number_of_probes() {
 #[test]
 fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
     for admission in [
+        AdmissionPolicy::Paced,
         AdmissionPolicy::KeepAll,
         AdmissionPolicy::Credit(3),
         AdmissionPolicy::Adaptive(3),
@@ -136,6 +137,7 @@ fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
             let reads = RecyclePool::read_locks_on_this_thread();
             let accounts = SharedRecycler::accounts_locks_on_this_thread();
             let graph = RecyclePool::graph_locks_on_this_thread();
+            let lookups = SharedRecycler::account_lookups_on_this_thread();
             let reply = session.query(&template, &[]).unwrap();
             assert_eq!(reply.reused, marked);
             assert_eq!(
@@ -152,6 +154,17 @@ fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
                 SharedRecycler::accounts_locks_on_this_thread() - accounts,
                 1,
                 "{admission:?}: one accounts-mutex acquisition per query"
+            );
+            // KEEPALL keeps no account to book a reuse in
+            let booked = if admission == AdmissionPolicy::KeepAll {
+                0
+            } else {
+                marked
+            };
+            assert_eq!(
+                SharedRecycler::account_lookups_on_this_thread() - lookups,
+                booked,
+                "{admission:?}: booking a reuse is one account lookup"
             );
             assert_eq!(db.pool().write_lock_acquisitions(), writes);
         }
@@ -248,9 +261,11 @@ fn an_admission_allocates_the_same_whatever_the_width_of_its_lineage() {
         tb.push_row(&vec![Value::Int(i); COLUMNS]);
     }
     cat.add_table(tb.finish());
-    let db = DatabaseBuilder::new(cat)
-        .recycler(RecyclerConfig::default().subsumption(false))
-        .build();
+    // every fresh instance admitted, however many
+    let config = RecyclerConfig::default()
+        .admission(AdmissionPolicy::KeepAll)
+        .subsumption(false);
+    let db = DatabaseBuilder::new(cat).recycler(config).build();
     // fresh bounds every run: the binds and folds hit (a hit allocates
     // nothing), the select and its count are admitted; the fewest
     // allocations of 32 such runs leave out the growths of the tables and

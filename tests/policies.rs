@@ -1,15 +1,20 @@
 //! Admission and eviction policy behaviour on real workloads, driven
 //! through the `Database`/`Session` facade.
 
+use std::collections::BTreeSet;
+use std::thread;
 use std::time::{Duration, Instant};
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
+use recycler::shared::PACED_CREDITS;
 use recycler::Recycler;
 use recycling::{
-    AdmissionPolicy, Database, DatabaseBuilder, EvictionPolicy, RecyclerConfig, RecyclerStats,
-    Update,
+    AdmissionPolicy, Database, DatabaseBuilder, EvictionPolicy, QueryReply, RecyclerConfig,
+    RecyclerStats, Update,
 };
-use rmal::{ExecHook, HookAction, Program, ProgramBuilder, P};
+use rmal::{ExecHook, HookAction, Opcode, Program, ProgramBuilder, P};
 
 fn drive(config: RecyclerConfig, instances: usize) -> Database {
     let cat = tpch::generate(tpch::TpchScale::new(0.004));
@@ -27,7 +32,10 @@ fn drive(config: RecyclerConfig, instances: usize) -> Database {
 
 #[test]
 fn credit_uses_less_memory_than_keepall() {
-    let keepall = drive(RecyclerConfig::default(), 5);
+    let keepall = drive(
+        RecyclerConfig::default().admission(AdmissionPolicy::KeepAll),
+        5,
+    );
     let credit = drive(
         RecyclerConfig::default().admission(AdmissionPolicy::Credit(2)),
         5,
@@ -182,24 +190,37 @@ struct ByHand {
     template: Program,
 }
 
+/// One table, `t.x` a permutation of `0..1000`, and `range_count` over it,
+/// prepared: a bind (pc 0), a closed range select (pc 1) and its count
+/// (pc 2).
+fn range_db(config: RecyclerConfig) -> (Database, Program) {
+    let mut cat = Catalog::new();
+    let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
+    for i in 0..1000i64 {
+        tb.push_row(&[Value::Int((i * 37) % 1000)]);
+    }
+    cat.add_table(tb.finish());
+    let db = DatabaseBuilder::new(cat).recycler(config).build();
+    let mut b = ProgramBuilder::new("range_count", 2);
+    let col = b.bind("t", "x");
+    let sel = b.select_closed(col, P(0), P(1));
+    let n = b.count(sel);
+    b.export("n", n);
+    let template = db.prepare(b.finish());
+    assert_eq!(template.instrs[1].op, Opcode::Select);
+    (db, template)
+}
+
+fn range(session: &mut recycling::Session, t: &Program, lo: i64, hi: i64) -> QueryReply {
+    session.query(t, &[Value::Int(lo), Value::Int(hi)]).unwrap()
+}
+
 impl ByHand {
     fn new(admission: AdmissionPolicy) -> ByHand {
-        let mut cat = Catalog::new();
-        let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
-        for i in 0..1000i64 {
-            tb.push_row(&[Value::Int((i * 37) % 1000)]);
-        }
-        cat.add_table(tb.finish());
         let config = RecyclerConfig::default()
             .admission(admission)
             .subsumption(false);
-        let db = DatabaseBuilder::new(cat).recycler(config).build();
-        let mut b = ProgramBuilder::new("range_count", 2);
-        let col = b.bind("t", "x");
-        let sel = b.select_closed(col, P(0), P(1));
-        let n = b.count(sel);
-        b.export("n", n);
-        let template = db.prepare(b.finish());
+        let (db, template) = range_db(config);
         ByHand {
             session: db.recycler().session(),
             db,
@@ -351,4 +372,349 @@ fn reset_zeroes_every_lifetime_counter_and_keeps_ids_and_the_clock_monotone() {
     let oldest = readmitted.iter().map(|e| (e.id, e.admitted_tick)).min();
     assert!(oldest > newest, "{oldest:?} after {newest:?}");
     db.pool().check_invariants().unwrap();
+}
+
+/// Regression: CREDIT gives a globally reused instance's credit back when
+/// the instance leaves the pool (paper §4.2) — and a commit's invalidation
+/// is one way of leaving it. It used to return nothing there, so every key
+/// whose instances commits removed lost a credit per commit and was barred
+/// after `k` of them.
+#[test]
+fn credit_of_an_invalidated_global_reuse_comes_back() {
+    let config = RecyclerConfig::default()
+        .admission(AdmissionPolicy::Credit(2))
+        .subsumption(false);
+    let (db, t) = range_db(config);
+    let (mut a, mut b) = (db.session(), db.session());
+    for commit in 0..=4i64 {
+        if commit > 0 {
+            let row = vec![vec![Value::Int(1000 + commit)]];
+            a.commit(Update::to("t").insert(row)).unwrap();
+        }
+        let first = range(&mut a, &t, 100, 400);
+        assert_eq!(
+            (first.admitted, first.reused),
+            (3, 0),
+            "after {commit} commits: bind, select and count admitted again"
+        );
+        let again = range(&mut b, &t, 100, 400);
+        assert_eq!(again.reused, again.marked, "after {commit} commits: hit");
+    }
+    assert_eq!(db.stats().admission_rejects, 0);
+    db.pool().check_invariants().unwrap();
+}
+
+// ----- PACED, the default admission ---------------------------------------
+
+const K: u32 = PACED_CREDITS;
+
+/// One template instruction's PACED account as the rule states it — the
+/// model the recycler is held to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PacedKey {
+    balance: u32,
+    /// Denied attempts since the key drained or since its last probation.
+    denied: u64,
+    /// Probations since the last repayment (`j`).
+    probations: u32,
+}
+
+impl Default for PacedKey {
+    fn default() -> Self {
+        PacedKey {
+            balance: K,
+            denied: 0,
+            probations: 0,
+        }
+    }
+}
+
+impl PacedKey {
+    /// An instance missed and asks to be admitted: spend a credit, or — the
+    /// key drained — take the probation due after `2^j` denials.
+    fn admit(&mut self) -> bool {
+        if self.balance > 0 {
+            self.balance -= 1;
+        } else if self.denied >= 1 << self.probations {
+            (self.denied, self.probations) = (0, self.probations + 1);
+        } else {
+            self.denied += 1;
+            return false;
+        }
+        true
+    }
+
+    /// An instance the key created was reused: one credit back, up to
+    /// `K`, and the probation history starts over.
+    fn reuse(&mut self) {
+        *self = PacedKey {
+            balance: (self.balance + 1).min(K),
+            ..PacedKey::default()
+        };
+    }
+}
+
+/// `range_count` under PACED with no cap (nothing is ever evicted): which
+/// selections and counts are resident, and the accounts of the select
+/// (pc 1) and the count (pc 2).
+#[derive(Default)]
+struct RangeModel {
+    bind_resident: bool,
+    selects: BTreeSet<(i64, i64)>,
+    counts: BTreeSet<(i64, i64)>,
+    select: PacedKey,
+    count: PacedKey,
+}
+
+impl RangeModel {
+    /// One query over `[lo, hi]`: what it admits, reuses and subsumes.
+    fn query(&mut self, (lo, hi): (i64, i64)) -> (u64, u64, u64) {
+        let (mut admitted, mut reused, mut subsumed) = (0, 0, 0);
+        if self.bind_resident {
+            reused += 1;
+        } else {
+            self.bind_resident = true;
+            admitted += 1;
+        }
+        if self.selects.contains(&(lo, hi)) {
+            reused += 1;
+            self.select.reuse();
+        } else {
+            if self.selects.iter().any(|&(a, b)| a <= lo && hi <= b) {
+                // a resident selection covers it: a subsumption source
+                subsumed += 1;
+                self.select.reuse();
+            }
+            if !self.select.admit() {
+                // the count runs over a result the pool does not hold
+                return (admitted, reused, subsumed);
+            }
+            admitted += 1;
+            self.selects.insert((lo, hi));
+        }
+        if self.counts.contains(&(lo, hi)) {
+            reused += 1;
+            self.count.reuse();
+        } else if self.count.admit() {
+            admitted += 1;
+            self.counts.insert((lo, hi));
+        }
+        (admitted, reused, subsumed)
+    }
+}
+
+/// Replay `script` on a default-configured `range_count` database and on
+/// the model; every query must admit, reuse and subsume what the model
+/// says, and the select's balance must be the model's after it.
+fn assert_follows_the_model(name: &str, script: &[(i64, i64)]) {
+    let (db, t) = range_db(RecyclerConfig::default());
+    let mut session = db.session();
+    let mut model = RangeModel::default();
+    for (step, &(lo, hi)) in script.iter().enumerate() {
+        let reply = range(&mut session, &t, lo, hi);
+        let did = (reply.admitted, reply.reused, reply.subsumed);
+        let want = model.query((lo, hi));
+        assert_eq!(
+            did, want,
+            "{name}, step {step} [{lo}, {hi}]: (admitted, reused, subsumed)"
+        );
+        let balance = db.recycler().credit_balance((t.id, 1));
+        assert_eq!(balance, model.select.balance as i64, "{name}, step {step}");
+    }
+    db.pool().check_invariants().unwrap();
+}
+
+/// A range in `[500, 1000)` no other script range overlaps.
+fn fresh(i: i64) -> (i64, i64) {
+    (500 + 3 * i, 501 + 3 * i)
+}
+
+/// The wide selection every subsumed range of the scripts lies in.
+const WIDE: (i64, i64) = (0, 400);
+
+#[test]
+fn paced_admissions_follow_the_rule_query_by_query() {
+    // the cap: a reused key holds K, however often it is reused
+    let mut capped = vec![WIDE; 12];
+    capped.extend((0..8).map(fresh));
+    // the probation reset: drain, probe twice, repay once, drain again
+    let mut reset: Vec<_> = std::iter::once(WIDE).chain((0..12).map(fresh)).collect();
+    reset.push(fresh(11));
+    reset.extend((12..20).map(fresh));
+    // the subsumption repayment: drain, then ranges inside WIDE
+    let mut subsumed: Vec<_> = std::iter::once(WIDE).chain((0..6).map(fresh)).collect();
+    subsumed.extend((0..6).map(|i| (10 * i, 10 * i + 5)));
+    for (name, script) in [("cap", capped), ("reset", reset), ("subsumption", subsumed)] {
+        assert_follows_the_model(name, &script);
+    }
+    // random mixes of fresh misses, repeats and subsumed ranges
+    for seed in 0..24u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut script = vec![WIDE];
+        let mut fresh_used = 0;
+        for _ in 0..120 {
+            let next = match rng.gen_range(0..20u32) {
+                0..=7 => {
+                    fresh_used += 1;
+                    fresh(fresh_used - 1)
+                }
+                8..=14 => script[rng.gen_range(0..script.len())],
+                _ => {
+                    let lo = rng.gen_range(WIDE.0..WIDE.1 - 8);
+                    (lo, lo + rng.gen_range(0..8i64))
+                }
+            };
+            script.push(next);
+        }
+        assert_follows_the_model(&format!("seed {seed}"), &script);
+    }
+}
+
+#[test]
+fn paced_never_reused_key_admits_at_most_k_plus_log2_misses() {
+    let (db, t) = range_db(RecyclerConfig::default());
+    let mut session = db.session();
+    let misses = 100;
+    for i in 0..misses {
+        let (lo, hi) = fresh(i);
+        range(&mut session, &t, lo, hi);
+    }
+    let selects = db.pool().snapshot_entries();
+    let selects = selects.iter().filter(|e| e.family == "select").count();
+    let bound = K as usize + (misses as f64).log2().ceil() as usize;
+    assert!(
+        selects <= bound,
+        "{selects} instances admitted, bound {bound}"
+    );
+    // no fewer either: K, then one probation per doubling of the denials
+    assert_eq!(selects, K as usize + 6);
+}
+
+#[test]
+fn paced_key_reused_once_per_admission_never_drains() {
+    let (db, t) = range_db(RecyclerConfig::default());
+    let mut session = db.session();
+    // every instance is asked for again two queries after its first use,
+    // so at most two admissions are ever waiting for their first reuse
+    let mut log = vec![fresh(0)];
+    for i in 1..40 {
+        log.extend([fresh(i), fresh(i - 1)]);
+    }
+    for &(lo, hi) in &log {
+        range(&mut session, &t, lo, hi);
+    }
+    assert_eq!(db.stats().admission_rejects, 0, "no admission was denied");
+    for &(lo, hi) in &log {
+        let reply = range(&mut session, &t, lo, hi);
+        assert_eq!(reply.hit_ratio(), 1.0, "second pass: [{lo}, {hi}]");
+    }
+}
+
+#[test]
+fn paced_key_drained_in_one_phase_is_admitted_and_hit_in_the_next() {
+    for (admission, recovers) in [
+        (AdmissionPolicy::Paced, true),
+        (AdmissionPolicy::Adaptive(K), false),
+    ] {
+        let (db, t) = range_db(RecyclerConfig::default().admission(admission));
+        let mut session = db.session();
+        // phase 1: forty instances nobody asks for again drain both keys
+        for i in 0..40 {
+            let (lo, hi) = fresh(i);
+            range(&mut session, &t, lo, hi);
+        }
+        // phase 2: one parameter vector, asked for over and over
+        let phase2: Vec<QueryReply> = (0..80).map(|_| range(&mut session, &t, 100, 300)).collect();
+        let first_hit = phase2.iter().position(|r| r.hit_ratio() == 1.0);
+        if !recovers {
+            assert_eq!(first_hit, None, "{admission:?} bars the key for good");
+            continue;
+        }
+        let first_hit = first_hit.expect("admitted again, then hit");
+        assert!(
+            phase2[first_hit - 1].admitted > 0,
+            "a probation admitted it"
+        );
+        assert!(
+            phase2[first_hit..].iter().all(|r| r.hit_ratio() == 1.0),
+            "and it stays"
+        );
+    }
+}
+
+/// The warm-then-replay shape of the update stress: six distinct instances
+/// warmed before any is reused — more than a key starts with — then the
+/// alphabet replayed. The first replay repays the warm ones and admits the
+/// rest; every later round is all hits.
+#[test]
+fn paced_replay_of_an_alphabet_wider_than_k_becomes_all_hits() {
+    let (db, t) = range_db(RecyclerConfig::default());
+    let mut session = db.session();
+    let alphabet: Vec<(i64, i64)> = (0..6).map(|i| (i * 90, i * 90 + 500)).collect();
+    for &(lo, hi) in &alphabet {
+        range(&mut session, &t, lo, hi);
+    }
+    let rounds: Vec<bool> = (0..4)
+        .map(|_| {
+            let hits: Vec<f64> = alphabet
+                .iter()
+                .map(|&(lo, hi)| range(&mut session, &t, lo, hi).hit_ratio())
+                .collect();
+            hits.iter().all(|h| *h == 1.0)
+        })
+        .collect();
+    let warm_fits = alphabet.len() <= K as usize;
+    assert_eq!(rounds, [warm_fits, true, true, true]);
+    db.pool().check_invariants().unwrap();
+}
+
+#[test]
+fn paced_balance_stays_within_0_and_k_under_four_sessions() {
+    let (db, t) = range_db(RecyclerConfig::default());
+    let keys = [(t.id, 0), (t.id, 1), (t.id, 2)];
+    let in_bounds = |db: &Database| {
+        keys.iter().all(|&key| {
+            let balance = db.recycler().credit_balance(key);
+            (0..=K as i64).contains(&balance)
+        })
+    };
+    thread::scope(|scope| {
+        let workers: Vec<_> = (0..4u64)
+            .map(|seed| {
+                let (mut session, t) = (db.session(), &t);
+                scope.spawn(move || {
+                    // a small alphabet: hits, subsumptions and fresh misses
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    for _ in 0..300 {
+                        let lo = rng.gen_range(0..60i64) * 15;
+                        let hi = lo + rng.gen_range(0..3i64) * 40;
+                        range(&mut session, t, lo, hi);
+                    }
+                })
+            })
+            .collect();
+        while workers.iter().any(|w| !w.is_finished()) {
+            assert!(in_bounds(&db), "a balance left [0, {K}]");
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+    });
+    assert!(in_bounds(&db));
+    assert!(db.stats().hits > 0 && db.stats().admission_rejects > 0);
+    db.pool().check_invariants().unwrap();
+}
+
+#[test]
+fn paced_counts_repeat_exactly_over_two_runs_of_one_script() {
+    let config = RecyclerConfig::default().mem_limit(256 << 10);
+    let counts = |db: Database| {
+        let s = db.stats();
+        let counts = (s.monitored, s.hits, s.subsumed, s.admissions);
+        (counts, s.admission_rejects, s.evictions)
+    };
+    let first = counts(drive(config, 6));
+    assert_eq!(first, counts(drive(config, 6)));
+    let (_, rejects, evictions) = first;
+    assert!(rejects > 0 && evictions > 0, "{first:?}");
 }

@@ -15,7 +15,7 @@ use rcy_server::protocol::{
     QueryResult, Request, Response, PROTOCOL_VERSION,
 };
 use rcy_server::{Client, ClientError, Server, ServerConfig};
-use recycling::{Database, DatabaseBuilder, RecyclerConfig};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig};
 use rmal::{Program, ProgramBuilder, P};
 
 // ----- test fixtures --------------------------------------------------------
@@ -586,6 +586,7 @@ fn flooding_client_cannot_starve_another_clients_admissions() {
     let db = DatabaseBuilder::new(cat)
         .recycler(
             RecyclerConfig::default()
+                .admission(AdmissionPolicy::KeepAll)
                 .subsumption(false)
                 .session_credits(40),
         )

@@ -3,7 +3,7 @@
 //! "Admission under contention" item, closed as part of the facade API.
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycling::{DatabaseBuilder, RecyclerConfig};
+use recycling::{AdmissionPolicy, DatabaseBuilder, RecyclerConfig};
 use rmal::{Program, ProgramBuilder, P};
 
 fn catalog() -> Catalog {
@@ -40,6 +40,7 @@ fn flooding_session_cannot_starve_another_sessions_admissions() {
     let db = DatabaseBuilder::new(catalog())
         .recycler(
             RecyclerConfig::default()
+                .admission(AdmissionPolicy::KeepAll)
                 .subsumption(false)
                 .session_credits(budget),
         )
@@ -109,6 +110,7 @@ fn slices_rebalance_on_session_close() {
     let db = DatabaseBuilder::new(catalog())
         .recycler(
             RecyclerConfig::default()
+                .admission(AdmissionPolicy::KeepAll)
                 .subsumption(false)
                 .session_credits(budget),
         )

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycling::{DatabaseBuilder, RecyclerConfig};
+use recycling::{AdmissionPolicy, DatabaseBuilder, RecyclerConfig};
 use rmal::{Program, ProgramBuilder, P};
 
 fn catalog(n: i64) -> Catalog {
@@ -98,8 +98,9 @@ fn combined_subsumption_microbench_is_exact() {
     let naive_db = DatabaseBuilder::new(cat.clone()).naive().build();
     let nt = naive_db.prepare(template.clone());
     let mut naive = naive_db.session();
+    // every cover admitted, however many: the pieces the seeds need
     let db = DatabaseBuilder::new(cat)
-        .recycler(RecyclerConfig::default())
+        .recycler(RecyclerConfig::default().admission(AdmissionPolicy::KeepAll))
         .build();
     let rt = db.prepare(template.clone());
     let mut rec = db.session();

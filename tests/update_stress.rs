@@ -9,7 +9,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycling::{Database, DatabaseBuilder, RecyclerConfig, Update};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Update};
 use rmal::{ExecHook, HookAction, Program, ProgramBuilder, P};
 
 /// Two independent tables: `hot` receives the writer's commits, `cold`
@@ -61,8 +61,10 @@ fn update_vs_query_stress_readers_never_blocked_or_stale() {
     let rounds = 30usize;
     let commits = 4usize;
 
+    // six distinct instances are warmed before anything is reused, more
+    // than a paced key's starting balance: every one must be admitted
     let db = DatabaseBuilder::new(catalog())
-        .recycler(RecyclerConfig::default())
+        .recycler(RecyclerConfig::default().admission(AdmissionPolicy::KeepAll))
         .build();
     let th = db.prepare(range_template("hot_q", "hot", "x"));
     let tc = db.prepare(range_template("cold_q", "cold", "x"));
