@@ -16,7 +16,6 @@ pub mod c10k;
 pub mod concurrent;
 pub mod driver;
 pub mod experiments;
-pub mod opstate;
 pub mod pressure;
 pub mod tables;
 pub mod tiered;
@@ -28,7 +27,6 @@ pub use concurrent::{
     UpdateMixedOutcome,
 };
 pub use driver::{run_batch, BatchOutcome, BenchItem, QueryRun};
-pub use opstate::{operator_reuse, OpStateRun, OperatorReuseOutcome};
 pub use pressure::{eviction_pressure, EvictionPressureOutcome, PressurePoint};
 pub use tables::TextTable;
 pub use tiered::{tiered_lowmem, TieredLowmemOutcome, TieredRun};

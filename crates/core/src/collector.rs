@@ -572,8 +572,8 @@ fn demote_round(shared: &SharedRecycler, need_bytes: usize) -> usize {
             Payload::Compressed(blob) if spill_on => {
                 cold.push((e.last_used(), e.id, Arc::clone(blob)));
             }
-            // scalars, spilled records and operator state (evict-only:
-            // the codecs target columnar BATs) have no rung below them
+            // scalars (the codecs target columnar BATs) and spilled
+            // records have no rung below them
             _ => {}
         }
     });

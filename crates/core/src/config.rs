@@ -126,14 +126,6 @@ pub struct RecyclerConfig {
     /// is a background activity) — validated at facade build time. Off
     /// by default: without it the pool behaves exactly as before.
     pub compression: bool,
-    /// Recycle operator *state*, not just result BATs: split join, group
-    /// and sort into build/probe halves, cache the build structures (hash
-    /// tables, group maps, sorted runs) as typed artifacts keyed by their
-    /// build-side lineage, and let the reuse-aware optimiser pass steer
-    /// commutative chains toward pool-resident prefixes. Off by default:
-    /// plans and pool behaviour are bit-identical to the result-only
-    /// recycler then.
-    pub recycle_operator_state: bool,
 }
 
 impl Default for RecyclerConfig {
@@ -158,7 +150,6 @@ impl Default for RecyclerConfig {
             low_water_ratio: 0.5,
             high_water_ratio: 0.8,
             compression: false,
-            recycle_operator_state: false,
         }
     }
 }
@@ -241,13 +232,6 @@ impl RecyclerConfig {
     /// pressure.
     pub fn compression(mut self, on: bool) -> Self {
         self.compression = on;
-        self
-    }
-
-    /// Builder-style: toggle operator-state recycling (see
-    /// [`Self::recycle_operator_state`]).
-    pub fn recycle_operator_state(mut self, on: bool) -> Self {
-        self.recycle_operator_state = on;
         self
     }
 

@@ -18,20 +18,20 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rbat::ops::{GroupMap, JoinBuild, SortedRun};
 use rbat::{BatId, Value};
 use rmal::Opcode;
 
-use crate::signature::{ArtifactKind, Sig};
+use crate::signature::Sig;
 use crate::tier::{CompressedBat, SpillTicket};
 
 /// Identifier of a pool entry.
 pub type EntryId = u64;
 
-/// What a pool entry holds, and where it lives — the one notion of "an
-/// intermediate" the pool, the admission funnel, the hit path and the
-/// ledger share. `Arc`-wrapped (or `Copy`) throughout, so the hit path can
-/// hand out a clone under nothing stronger than the table read lock.
+/// What a pool entry holds — an instruction's result — and where it
+/// lives: the one notion of "an intermediate" the pool, the admission
+/// funnel, the hit path and the ledger share. `Arc`-wrapped (or `Copy`)
+/// throughout, so the hit path can hand out a clone under nothing stronger
+/// than the table read lock.
 ///
 /// # Transitions
 ///
@@ -40,22 +40,20 @@ pub type EntryId = u64;
 /// whole table. Its two entry points each perform one kind of move:
 /// [`crate::RecyclePool::retier`] the ladder moves (always a change of
 /// rung — a second promotion of an already-raw entry loses to the first),
-/// the scoped view's `set_raw` the in-place Raw → Raw rewrite:
+/// the write view's [`crate::PoolWriteView::set_raw`] the in-place
+/// Raw → Raw rewrite:
 ///
 /// ```text
 /// Raw ──compress──▶ Compressed ──spill──▶ Spilled
 ///  ▲ ◀───promote───────┘                     │
 ///  └──────────────promote────────────────────┘
 /// Raw ──resize / rewrite──▶ Raw      (delta propagation; rekey is Raw-only)
-/// JoinBuild, GroupMap, SortedRun: no transitions — evict-only
 /// any ──▶ gone                       (eviction, invalidation, repair)
 /// ```
 ///
 /// Everything else (compressed → compressed, raw → spilled, spilled →
-/// resize, anything into or out of an operator-state variant) is refused
-/// and leaves the entry, every book and the spill file untouched. The
-/// codecs target columnar BATs, so operator state never leaves memory in
-/// any other form than eviction.
+/// resize) is refused and leaves the entry, every book and the spill file
+/// untouched.
 #[derive(Debug, Clone)]
 pub enum Payload {
     /// Hot: the materialised result (BAT or scalar), reusable as is.
@@ -67,26 +65,9 @@ pub enum Payload {
     /// ticket stays in memory. A hit reads the record back, decodes it and
     /// promotes to raw.
     Spilled(SpillTicket),
-    /// A join's build side: the hash table over the build BAT's head.
-    JoinBuild(Arc<JoinBuild>),
-    /// A grouping's first-appearance group-id assignment.
-    GroupMap(Arc<GroupMap>),
-    /// A sort's stable permutation (shared by `Sort` and `TopN`).
-    SortedRun(Arc<SortedRun>),
 }
 
 impl Payload {
-    /// The signature-kind discriminant an entry holding this payload files
-    /// under; every residency of a result BAT is a `Result`.
-    pub fn kind(&self) -> ArtifactKind {
-        match self {
-            Payload::Raw(_) | Payload::Compressed(_) | Payload::Spilled(_) => ArtifactKind::Result,
-            Payload::JoinBuild(_) => ArtifactKind::JoinBuild,
-            Payload::GroupMap(_) => ArtifactKind::GroupMap,
-            Payload::SortedRun(_) => ArtifactKind::SortedRun,
-        }
-    }
-
     /// The raw result, when resident as such.
     pub fn as_raw(&self) -> Option<&Value> {
         match self {
@@ -115,8 +96,7 @@ impl Payload {
     /// reference persistent storage and zero-cost viewpoint instructions
     /// share their operand's buffers (paper §2.3, Table III shows
     /// bind/markT at 0 MB). A blob pays its size, a spilled record nothing
-    /// (it counts against the spill budget instead), operator state its
-    /// heap footprint.
+    /// (it counts against the spill budget instead).
     pub fn charge_bytes(&self, op: Opcode) -> usize {
         match self {
             Payload::Raw(_) if matches!(op, Opcode::Bind | Opcode::BindIdx) || op.zero_cost() => 64,
@@ -126,21 +106,6 @@ impl Payload {
                 .unwrap_or(std::mem::size_of::<Value>()),
             Payload::Compressed(blob) => blob.byte_size(),
             Payload::Spilled(_) => 0,
-            Payload::JoinBuild(b) => b.byte_size(),
-            Payload::GroupMap(m) => m.byte_size(),
-            Payload::SortedRun(r) => r.byte_size(),
-        }
-    }
-
-    /// Instruction-family label for the pool-content breakdown (Table III
-    /// rows) — operator state gets its own rows instead of polluting the
-    /// result families.
-    pub fn family(&self, op: Opcode) -> &'static str {
-        match self {
-            Payload::JoinBuild(_) => "join.build",
-            Payload::GroupMap(_) => "group.map",
-            Payload::SortedRun(_) => "sort.run",
-            _ => op.family(),
         }
     }
 }
@@ -310,7 +275,7 @@ impl PoolEntry {
     /// A fresh entry as the admission funnel builds it: every statistic
     /// zeroed, last use stamped with the admission tick, and **born
     /// pinned** once on behalf of the admitting session. The result
-    /// identity and the family are read off the payload.
+    /// identity is read off the payload, the family off the opcode.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: EntryId,
@@ -325,7 +290,7 @@ impl PoolEntry {
         PoolEntry {
             id,
             result_id: payload.as_raw().and_then(Value::as_bat).map(|b| b.id()),
-            family: payload.family(sig.op),
+            family: sig.op.family(),
             sig,
             args,
             payload,

@@ -3,10 +3,9 @@
 //!
 //! An entry charges exactly one [`Charge`], computed by [`charge`] from
 //! its payload and byte count. The books are sums of those charges — per
-//! rung (raw / compressed / spilled, plus operator state as a sub-book of
-//! raw), the pool-wide resident total, the entry count and the per-session
-//! resident counts the admission budget slices — and [`Ledger::apply`] is
-//! the only code that moves any of them:
+//! rung (raw / compressed / spilled), the pool-wide resident total, the
+//! entry count and the per-session resident counts the admission budget
+//! slices — and [`Ledger::apply`] is the only code that moves any of them:
 //!
 //! | event                         | `before` → `after`            |
 //! |-------------------------------|-------------------------------|
@@ -30,15 +29,13 @@ use crate::entry::{Payload, PoolEntry};
 /// What one entry charges to each rung book.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Charge {
-    /// Resident bytes of raw payloads (results and operator state).
+    /// Resident bytes of raw payloads.
     pub raw: usize,
     /// Resident bytes of compressed blobs.
     pub compressed: usize,
     /// Bytes of spilled records — off the memory cap, counted against the
     /// spill budget.
     pub spilled: usize,
-    /// The part of `raw` held by operator-state artifacts.
-    pub artifact: usize,
 }
 
 impl Charge {
@@ -53,7 +50,6 @@ impl std::ops::AddAssign for Charge {
         self.raw += c.raw;
         self.compressed += c.compressed;
         self.spilled += c.spilled;
-        self.artifact += c.artifact;
     }
 }
 
@@ -70,11 +66,6 @@ pub fn charge(payload: &Payload, bytes: usize) -> Charge {
         },
         Payload::Spilled(ticket) => Charge {
             spilled: ticket.len as usize,
-            ..Charge::default()
-        },
-        Payload::JoinBuild(_) | Payload::GroupMap(_) | Payload::SortedRun(_) => Charge {
-            raw: bytes,
-            artifact: bytes,
             ..Charge::default()
         },
     }
@@ -94,8 +85,8 @@ pub struct Books {
     pub by_session: BTreeMap<u64, u64>,
 }
 
-fn fields(c: Charge) -> [usize; 4] {
-    [c.raw, c.compressed, c.spilled, c.artifact]
+fn fields(c: Charge) -> [usize; 3] {
+    [c.raw, c.compressed, c.spilled]
 }
 
 /// Move one book from `from` to `to`; a book the charge does not touch
@@ -112,7 +103,7 @@ fn shift(cell: &AtomicUsize, from: usize, to: usize) {
 #[derive(Default)]
 pub(crate) struct Ledger {
     /// The rung books, in the field order of [`Charge`].
-    rungs: [AtomicUsize; 4],
+    rungs: [AtomicUsize; 3],
     bytes: AtomicUsize,
     entries: AtomicUsize,
     /// Resident entries per admitting session. A leaf lock: taken for one
@@ -171,13 +162,11 @@ impl Ledger {
 
     /// The rung books.
     pub(crate) fn rungs(&self) -> Charge {
-        let [raw, compressed, spilled, artifact] =
-            self.rungs.each_ref().map(|c| c.load(Ordering::Relaxed));
+        let [raw, compressed, spilled] = self.rungs.each_ref().map(|c| c.load(Ordering::Relaxed));
         Charge {
             raw,
             compressed,
             spilled,
-            artifact,
         }
     }
 

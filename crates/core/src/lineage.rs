@@ -62,7 +62,7 @@ use rbat::BatId;
 use rmal::Opcode;
 
 use crate::entry::{Anchors, EntryId, PoolEntry};
-use crate::signature::{ArgSig, ArtifactKind, Sig};
+use crate::signature::{ArgSig, Sig};
 
 /// Capacity of the nursery ring (oldest ids fall off on overflow — the
 /// collector's major rounds cover whatever the nursery forgot).
@@ -95,8 +95,7 @@ pub(crate) struct LineageGraph {
     /// `sub → [sup]`: the result BAT `sub` is a subset of each `sup` (§5.1).
     supersets: FxHashMap<BatId, Vec<BatId>>,
     /// Subsumption candidates `(opcode, first argument) → entries`,
-    /// ascending. Result entries only: operator state is not a tuple
-    /// superset of anything.
+    /// ascending.
     candidates: FxHashMap<(Opcode, ArgSig), Vec<EntryId>>,
     /// Anchor column → the entries anchored on it, ascending.
     anchored: FxHashMap<(String, String), Vec<EntryId>>,
@@ -148,9 +147,6 @@ fn unlist<K: Hash + Eq>(lists: &mut FxHashMap<K, Vec<EntryId>>, key: &K, id: Ent
 }
 
 fn candidate_key(sig: &Sig) -> Option<(Opcode, ArgSig)> {
-    if sig.kind != ArtifactKind::Result {
-        return None;
-    }
     Some((sig.op, sig.first_arg()?.clone()))
 }
 

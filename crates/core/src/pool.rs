@@ -543,7 +543,8 @@ impl RecyclePool {
     }
 
     /// Each anchor column with every resident entry that (transitively)
-    /// derives from it — computed from the graph when asked, stored nowhere.
+    /// derives from it — computed from the graph when asked, stored nowhere
+    /// (diagnostics: the lineage suites' oracle for what a commit removes).
     pub fn derived_by_column(&self) -> Vec<((String, String), Vec<EntryId>)> {
         self.graph().derived()
     }
@@ -782,12 +783,6 @@ impl RecyclePool {
         (t.raw, t.compressed, t.spilled)
     }
 
-    /// Bytes currently charged by operator-state artifact entries (a
-    /// subset of the raw book; artifacts never demote).
-    pub fn artifact_bytes(&self) -> usize {
-        self.ledger.rungs().artifact
-    }
-
     /// A payload is leaving the pool for good — its entry was removed, a
     /// transition replaced it, or (a candidate) it was refused: a spilled
     /// record's ticket is retired, which frees spill budget immediately
@@ -990,22 +985,14 @@ impl RecyclePool {
                     return Err(format!("entry {id} has dangling parent {p}"));
                 }
             }
-            if e.sig.kind != e.payload().kind() {
-                return Err(format!(
-                    "entry {id} filed under sig kind {:?}, holds {:?}",
-                    e.sig.kind,
-                    e.payload().kind()
-                ));
-            }
             // only a raw result's charge is the admitter's call (what the
-            // instruction newly materialised); every other payload has one
+            // instruction newly materialised); a demoted payload has one
             // size
             let sized = e.payload().charge_bytes(e.sig.op);
             if e.payload().as_raw().is_none() && e.bytes() != sized {
                 return Err(format!(
-                    "entry {id} charges {} bytes, its {:?} payload is {sized}",
-                    e.bytes(),
-                    e.payload().kind()
+                    "entry {id} charges {} bytes, its demoted payload is {sized}",
+                    e.bytes()
                 ));
             }
         }
@@ -1082,7 +1069,7 @@ impl PoolWriteView<'_> {
     /// table on [`Payload`]. The ledger moves in the same step (no
     /// deferred recount). Refused (false, nothing touched) for a missing
     /// entry or any non-raw payload: a demoted entry has no materialised
-    /// result to rewrite and operator state is evict-only.
+    /// result to rewrite.
     pub fn set_raw(&mut self, id: EntryId, value: rbat::Value, bytes: usize) -> bool {
         let pool = self.pool;
         let Some(e) = self.get_mut(id) else {
@@ -1156,7 +1143,6 @@ impl Drop for PoolWriteView<'_> {
 mod tests {
     use super::*;
     use crate::entry::{Admitter, Lineage};
-    use crate::signature::ArtifactKind;
     use rbat::{Bat, Column, Value};
     use std::time::Duration;
 
@@ -1439,7 +1425,7 @@ mod tests {
         pool.fp_mask = 0;
         let probe = |tag: i64| {
             let args = [Value::Int(tag)];
-            let sig = SigRef::artifact(ArtifactKind::Result, Opcode::Select, &args);
+            let sig = SigRef::of(Opcode::Select, &args);
             pool.probe(&sig, |e| e.id)
         };
         let ids: Vec<EntryId> = (1..=3)
@@ -1481,7 +1467,7 @@ mod tests {
         let sig = e.sig.clone();
         pool.insert(e, None);
         let args = [Value::Int(7)];
-        let probe = SigRef::artifact(ArtifactKind::Result, Opcode::Select, &args);
+        let probe = SigRef::of(Opcode::Select, &args);
         let w0 = pool.write_lock_acquisitions();
         for _ in 0..100 {
             assert!(pool.probe(&probe, |e| e.id).is_some());

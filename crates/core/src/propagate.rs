@@ -259,14 +259,9 @@ fn propagate_entry(
     deltas: &mut FxHashMap<EntryId, Arc<Bat>>,
 ) -> bool {
     let entry = pool.get(id).expect("caller checked");
-    // Only a raw result can take a delta. A demoted entry has no
-    // materialised BAT to merge into, and operator state holds an
-    // operator's internal structure — rebuilding it is exactly the cost
-    // recycling avoided, and even if the build-side parent refreshes in
-    // place its result BAT is re-minted, so the artifact's identity key
-    // can never match a post-commit probe again. Invalidate the subtree;
-    // correctness beats retention, exactly as for any other
-    // unpropagatable shape.
+    // Only a raw result can take a delta: a demoted entry has no
+    // materialised BAT to merge into. Invalidate the subtree; correctness
+    // beats retention, exactly as for any other unpropagatable shape.
     let Some(old_result) = entry.payload().as_raw().cloned() else {
         return false;
     };

@@ -18,9 +18,9 @@
 //! is one fingerprint over the borrowed arguments, one table **read**
 //! lock, no allocation and one clock read of its own: probe, reuse
 //! counters, pinning and result cloning are a single
-//! [`RecyclePool::probe`] call over per-entry atomics (results and
-//! operator state alike); what the hit owes the rest of the service is
-//! summed in the session and handed over once, at query end. Admissions
+//! [`RecyclePool::probe`] call over per-entry atomics; what the hit owes
+//! the rest of the service is summed in the session and handed over
+//! once, at query end. Admissions
 //! go through one funnel: resolve the BAT arguments in one read of the
 //! lineage graph, pin the parents (a table read lock each), then insert
 //! under the table write lock — the new entry records
@@ -45,7 +45,7 @@ use crate::lineage::Resolved;
 use crate::pool::Admitted;
 use crate::propagate::propagate_commit;
 use crate::shared::{AccountNotes, PoolRef, SharedRecycler};
-use crate::signature::{ArtifactKind, SigRef};
+use crate::signature::{Sig, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 use crate::subsume::{self, Subsumption};
 use crate::tier::CompressedBat;
@@ -55,8 +55,8 @@ use crate::pool::RecyclePool;
 
 /// What one exact-match probe observed (computed under the table read
 /// lock, consumed after it is released). The payload is handed out as
-/// found: raw results and operator state clone an `Arc`; demoted entries
-/// hand out the blob or spill ticket for rehydration *outside* the lock.
+/// found: a raw result clones an `Arc`; demoted entries hand out the blob
+/// or spill ticket for rehydration *outside* the lock.
 struct HitOutcome {
     id: EntryId,
     payload: Payload,
@@ -239,15 +239,17 @@ impl Recycler {
 
     // ----- internal helpers -------------------------------------------------
 
-    /// The exact-match probe — for a result or for operator state alike:
-    /// one table read lock, atomics only. On a hit the reuse counters,
-    /// last-use stamp, credit flag and pin are all settled inside the
-    /// lock; what the accounts and the lifetime statistics are owed is
-    /// noted in the session and handed over at query end. A demoted
-    /// payload is rehydrated (outside any lock) before it is handed out,
-    /// so the caller matches on `Raw` or on the operator-state variant its
-    /// signature keys; the `Duration` is the recorded cost the hit saved.
-    fn try_hit(&mut self, sig: &SigRef<'_>) -> Option<(Payload, Duration)> {
+    /// The exact-match probe: one table read lock, atomics only. On a hit
+    /// the reuse counters, last-use stamp, credit flag and pin are all
+    /// settled inside the lock; what the accounts and the lifetime
+    /// statistics are owed is noted in the session and handed over at query
+    /// end. A demoted payload is rehydrated (outside any lock) before its
+    /// result is handed out.
+    ///
+    /// Kept out of line: inlined into its one caller, `before`, the
+    /// all-hit `sky_hot` workload measured ~3 % slower.
+    #[inline(never)]
+    fn try_hit(&mut self, sig: &SigRef<'_>) -> Option<Value> {
         let shared = &self.shared;
         let (invocation, session_id) = (self.invocation, self.session_id);
         let hit = shared.pool_inner().probe(sig, |e| {
@@ -276,30 +278,24 @@ impl Recycler {
                 pin: Pin::take(e),
             }
         })?;
-        let payload = match hit.payload {
+        let value = match hit.payload {
+            Payload::Raw(value) => value,
             // torn record or injected fault: degrade this probe to a miss
             // (`?` drops the pin) — the instruction recomputes, correctness
             // is untouched
-            demoted @ (Payload::Compressed(_) | Payload::Spilled(_)) => {
-                Payload::Raw(self.rehydrate_hit(hit.id, demoted)?)
-            }
-            resident => resident,
+            demoted => self.rehydrate_hit(hit.id, demoted)?,
         };
         self.pins.push(hit.pin);
         self.notes.reuses.push((hit.creator, hit.return_credit));
         self.current.saved += hit.saved;
-        if payload.kind() == ArtifactKind::Result {
-            self.current.hits += 1;
-            if hit.local {
-                self.current.local_hits += 1;
-            } else {
-                self.current.global_hits += 1;
-            }
-            self.current.cross_session_hits += hit.cross_session as u64;
+        self.current.hits += 1;
+        if hit.local {
+            self.current.local_hits += 1;
         } else {
-            self.shared.count_artifact_hit(hit.saved);
+            self.current.global_hits += 1;
         }
-        Some((payload, hit.saved))
+        self.current.cross_session_hits += hit.cross_session as u64;
+        Some(value)
     }
 
     /// Rehydrate a demoted entry's payload on the hit path: decompress the
@@ -382,137 +378,9 @@ impl Recycler {
         record
     }
 
-    /// `recycleExit` for an instruction's result: the funnel, keyed by the
-    /// instruction's versioned signature.
-    fn admit_result(
-        &mut self,
-        catalog: &Catalog,
-        pc: usize,
-        op: Opcode,
-        args: &[Value],
-        result: &Value,
-        cpu: Duration,
-    ) {
-        let sig = SigRef::versioned(catalog, op, args);
-        self.admit(catalog, pc, &sig, args, Payload::Raw(result.clone()), cpu);
-    }
-
-    /// Operator-state recycling (`recycle_operator_state`): execute a
-    /// join/group/sort/topN *here*, reusing the pooled build side (hash
-    /// table, group map, sorted run) when one matches — even though the
-    /// final result differs from anything cached. On a build-side miss the
-    /// freshly built structure is admitted under its artifact signature
-    /// before the probe half runs; the final result is admitted under the
-    /// ORIGINAL signature exactly as `recycleExit` would, so the next
-    /// identical call is a plain exact hit.
-    ///
-    /// Returns the result value plus the wall time actually spent building
-    /// and probing (so the caller can keep it out of the overhead gauge).
-    /// Any build or probe error returns `None`: the interpreter proceeds
-    /// down its normal execution path and surfaces the identical error.
-    fn try_operator_state(
-        &mut self,
-        catalog: &Catalog,
-        pc: usize,
-        instr: &Instr,
-        args: &[Value],
-    ) -> Option<(Value, Duration)> {
-        // `cold_cpu` is what a cold recompute would pay (on a hit the
-        // artifact's stored build cost stands in for the build half);
-        // `spent` is the wall time this call actually paid.
-        let (result, cold_cpu, spent) = match instr.op {
-            Opcode::Join => {
-                let l = args.first()?.as_bat()?;
-                let r = args.get(1)?.as_bat()?;
-                let asig = SigRef::artifact(ArtifactKind::JoinBuild, Opcode::Join, &args[1..2]);
-                let (build, build_cost, built) = match self.try_hit(&asig) {
-                    Some((Payload::JoinBuild(b), saved)) => (b, saved, Duration::ZERO),
-                    Some(_) => return None,
-                    None => {
-                        let t = Instant::now();
-                        let b = Arc::new(rbat::ops::join_build(r).ok()?);
-                        let cpu = t.elapsed();
-                        let state = Payload::JoinBuild(Arc::clone(&b));
-                        self.admit(catalog, pc, &asig, &args[1..2], state, cpu);
-                        (b, cpu, cpu)
-                    }
-                };
-                let t = Instant::now();
-                let bat = rbat::ops::join_probe(l, r, &build).ok()?;
-                let probe = t.elapsed();
-                (Value::Bat(Arc::new(bat)), build_cost + probe, built + probe)
-            }
-            Opcode::Group => {
-                let b = args.first()?.as_bat()?;
-                let asig = SigRef::artifact(ArtifactKind::GroupMap, Opcode::Group, &args[..1]);
-                let (map, build_cost, built) = match self.try_hit(&asig) {
-                    Some((Payload::GroupMap(m), saved)) => (m, saved, Duration::ZERO),
-                    Some(_) => return None,
-                    None => {
-                        let t = Instant::now();
-                        let m = Arc::new(rbat::ops::group_build(b).ok()?);
-                        let cpu = t.elapsed();
-                        let state = Payload::GroupMap(Arc::clone(&m));
-                        self.admit(catalog, pc, &asig, &args[..1], state, cpu);
-                        (m, cpu, cpu)
-                    }
-                };
-                let t = Instant::now();
-                let bat = rbat::ops::group_probe(b, &map).ok()?;
-                let probe = t.elapsed();
-                (Value::Bat(Arc::new(bat)), build_cost + probe, built + probe)
-            }
-            Opcode::Sort | Opcode::TopN => {
-                // Sort and topN share the sorted-run artifact: both file
-                // under `Opcode::Sort` with the direction as the trailing
-                // scalar, so a topN can reuse a sort's run and vice versa.
-                let b = args.first()?.as_bat()?;
-                let (n, asc) = if instr.op == Opcode::TopN {
-                    (
-                        Some(args.get(1)?.as_int()?.max(0) as usize),
-                        args.get(2)?.as_bool()?,
-                    )
-                } else {
-                    (None, args.get(1)?.as_bool()?)
-                };
-                let key = [args[0].clone(), Value::Bool(asc)];
-                let asig = SigRef::artifact(ArtifactKind::SortedRun, Opcode::Sort, &key);
-                let (run, build_cost, built) = match self.try_hit(&asig) {
-                    Some((Payload::SortedRun(r), saved)) => (r, saved, Duration::ZERO),
-                    Some(_) => return None,
-                    None => {
-                        let t = Instant::now();
-                        let r = Arc::new(rbat::ops::sort_build(b, asc).ok()?);
-                        let cpu = t.elapsed();
-                        let state = Payload::SortedRun(Arc::clone(&r));
-                        self.admit(catalog, pc, &asig, &args[..1], state, cpu);
-                        (r, cpu, cpu)
-                    }
-                };
-                let t = Instant::now();
-                let sorted = rbat::ops::sort_probe(b, &run).ok()?;
-                let bat = match n {
-                    Some(n) => sorted.slice(0, n.min(sorted.len())),
-                    None => sorted,
-                };
-                let probe = t.elapsed();
-                (Value::Bat(Arc::new(bat)), build_cost + probe, built + probe)
-            }
-            _ => return None,
-        };
-        // recycleExit for the assisted result, under the ORIGINAL
-        // signature; its cpu is the cold recompute cost (build + probe),
-        // so future exact hits account the full time they save.
-        self.admit_result(catalog, pc, instr.op, args, &result, cold_cpu);
-        Some((result, spent))
-    }
-
     /// The admission funnel — the body of `recycleExit` (paper Algorithm
-    /// 1), for a result and for operator state alike: `payload` was
-    /// computed by `sig` over `args` at cost `cpu`. An executed
-    /// instruction admits its result under its versioned signature; a
-    /// build half admits its structure under the artifact signature with
-    /// the build-side BAT as its only argument. Either is charged
+    /// 1): `result` was computed by `op` over `args` at cost `cpu`. It is
+    /// filed under the instruction's versioned signature, charged
     /// [`Payload::charge_bytes`] against the cap and the session's credit
     /// slice, anchors its lineage in `args`, and leaves through exactly
     /// one of the exits below — every one of which returns what it took
@@ -522,9 +390,9 @@ impl Recycler {
         &mut self,
         catalog: &Catalog,
         pc: usize,
-        sig: &SigRef<'_>,
+        op: Opcode,
         args: &[Value],
-        payload: Payload,
+        result: &Value,
         cpu: Duration,
     ) {
         let shared = Arc::clone(&self.shared);
@@ -540,15 +408,16 @@ impl Recycler {
             shared.count_deadline_skip();
             return;
         }
-        let bytes = payload.charge_bytes(sig.op);
+        let payload = Payload::Raw(result.clone());
+        let bytes = payload.charge_bytes(op);
         // a bind registers the persistent buffer it returns first: that
         // identity anchors coherence whether or not the bind is admitted
         let mut lineage = Lineage {
-            anchors: bind_anchors(catalog, sig.op, args),
+            anchors: bind_anchors(catalog, op, args),
             ..Lineage::default()
         };
-        match &payload {
-            Payload::Raw(Value::Bat(b)) if !lineage.anchors.is_empty() => {
+        match result {
+            Value::Bat(b) if !lineage.anchors.is_empty() => {
                 pool.register_persistent(b.id(), lineage.anchors.clone());
             }
             _ => {}
@@ -605,10 +474,10 @@ impl Recycler {
         };
         // subset semantics for the subsumption machinery (§5.1), recorded
         // atomically with the insert
-        let subset_of = match (&payload, args.first()) {
-            (Payload::Raw(Value::Bat(_)), Some(Value::Bat(arg0)))
+        let subset_of = match (result, args.first()) {
+            (Value::Bat(_), Some(Value::Bat(arg0)))
                 if matches!(
-                    sig.op,
+                    op,
                     Opcode::Select
                         | Opcode::Uselect
                         | Opcode::Like
@@ -624,10 +493,9 @@ impl Recycler {
             }
             _ => None,
         };
-        let is_result = payload.kind() == ArtifactKind::Result;
         let entry = PoolEntry::new(
             pool.alloc_id(),
-            sig.to_sig(),
+            Sig::versioned(catalog, op, args),
             args.to_vec(),
             payload,
             bytes,
@@ -651,11 +519,7 @@ impl Recycler {
         match admitted {
             Admitted::Inserted(_) => {
                 self.pins.push(born);
-                if is_result {
-                    shared.count_admission();
-                } else {
-                    shared.count_artifact_admission();
-                }
+                shared.count_admission();
                 self.current.admitted += 1;
                 self.current.bytes_admitted += bytes as u64;
             }
@@ -752,7 +616,7 @@ impl ExecHook for Recycler {
 
         // Phase 1: exact match (paper §3.3) — one table read lock and no
         // other lock (invariant 2 in `crate::shared`).
-        if let Some((Payload::Raw(result), _)) = self.try_hit(&sig) {
+        if let Some(result) = self.try_hit(&sig) {
             self.current.overhead += t0.elapsed();
             return HookAction::Reuse(result);
         }
@@ -809,30 +673,10 @@ impl ExecHook for Recycler {
                     self.current.subsumed += 1;
                     // recycleExit for the pieced result, under the
                     // ORIGINAL signature.
-                    self.admit_result(catalog, pc, instr.op, args, &result, cpu);
+                    self.admit(catalog, pc, instr.op, args, &result, cpu);
                     self.current.overhead += t0.elapsed();
                     return HookAction::Computed(result);
                 }
-            }
-        }
-        // Phase 3: operator-state recycling — the instruction's *build
-        // side* (join hash table, group map, sorted run) may be pooled
-        // even though no cached final result matches. Probe under the
-        // build-side artifact signature; on a hit skip the build, on a
-        // miss build-and-admit, then finish with the probe half and hand
-        // the computed result back as `Assisted`. The executed work is
-        // subtracted from the overhead gauge — it is query execution,
-        // not cache maintenance.
-        if config.recycle_operator_state
-            && !self.past_deadline()
-            && matches!(
-                instr.op,
-                Opcode::Join | Opcode::Group | Opcode::Sort | Opcode::TopN
-            )
-        {
-            if let Some((result, spent)) = self.try_operator_state(catalog, pc, instr, args) {
-                self.current.overhead += t0.elapsed().saturating_sub(spent);
-                return HookAction::Assisted(result);
             }
         }
         self.current.overhead += t0.elapsed();
@@ -849,7 +693,7 @@ impl ExecHook for Recycler {
         cpu: Duration,
         t0: Instant,
     ) {
-        self.admit_result(catalog, pc, instr.op, args, result, cpu);
+        self.admit(catalog, pc, instr.op, args, result, cpu);
         self.current.overhead += t0.elapsed();
     }
 
@@ -1074,10 +918,6 @@ mod tests {
 
     // ----- the one funnel: every exit returns what it took -------------------
 
-    /// The two kinds of admission the funnel takes: a result, and operator
-    /// state (a join build side standing in for all three structures).
-    const KINDS: [ArtifactKind; 2] = [ArtifactKind::Result, ArtifactKind::JoinBuild];
-
     /// Program counter (and so credit key `(0, PC)`) of every candidate.
     const PC: usize = 1;
 
@@ -1093,9 +933,8 @@ mod tests {
         col: Value,
     }
 
-    /// What the candidate holds, the arguments its signature is made of
-    /// (the first of them, for operator state, its lineage), the payload.
-    type Candidate = (ArtifactKind, Vec<Value>, Payload);
+    /// A range select's arguments and its result.
+    type Candidate = (Vec<Value>, Value);
 
     const CPU: Duration = Duration::from_micros(5);
 
@@ -1122,52 +961,31 @@ mod tests {
         fn admit_bind(&mut self, pc: usize) {
             let args = [Value::str("t"), Value::str("x")];
             self.setup
-                .admit_result(&self.cat, pc, Opcode::Bind, &args, &self.col, CPU);
+                .admit(&self.cat, pc, Opcode::Bind, &args, &self.col, CPU);
         }
 
-        /// One candidate of `kind` computed over `operand`: a range select
-        /// result, or a join build side (`tag` keeps signatures apart).
-        fn candidate(&self, kind: ArtifactKind, operand: &Value, tag: i64) -> Candidate {
-            match kind {
-                ArtifactKind::Result => {
-                    let args = vec![
-                        operand.clone(),
-                        Value::Int(tag),
-                        Value::Int(tag + 400),
-                        Value::Bool(true),
-                        Value::Bool(true),
-                    ];
-                    let result = rmal::execute_op(&self.cat, &Opcode::Select, &args).unwrap();
-                    (kind, args, Payload::Raw(result))
-                }
-                _ => {
-                    let state = Arc::new(rbat::ops::join_build(operand.as_bat().unwrap()).unwrap());
-                    let key = vec![operand.clone(), Value::Int(tag)];
-                    (kind, key, Payload::JoinBuild(state))
-                }
-            }
+        /// A range select over `operand` (`tag` keeps signatures apart).
+        fn candidate(&self, operand: &Value, tag: i64) -> Candidate {
+            let args = vec![
+                operand.clone(),
+                Value::Int(tag),
+                Value::Int(tag + 400),
+                Value::Bool(true),
+                Value::Bool(true),
+            ];
+            let result = rmal::execute_op(&self.cat, &Opcode::Select, &args).unwrap();
+            (args, result)
         }
 
-        /// The candidate's signature, and the arguments anchoring its
-        /// lineage.
-        fn sig<'a>(&self, (kind, key, _): &'a Candidate) -> (SigRef<'a>, &'a [Value]) {
-            match kind {
-                ArtifactKind::Result => (SigRef::versioned(&self.cat, Opcode::Select, key), key),
-                _ => (SigRef::artifact(*kind, Opcode::Join, key), &key[..1]),
-            }
-        }
-
-        fn admit(&mut self, candidate: Candidate) {
-            let (sig, args) = self.sig(&candidate);
-            let payload = candidate.2.clone();
-            self.session.admit(&self.cat, PC, &sig, args, payload, CPU);
+        fn admit(&mut self, (args, result): Candidate) {
+            self.session
+                .admit(&self.cat, PC, Opcode::Select, &args, &result, CPU);
         }
 
         /// The setup session admits an equivalent candidate first.
-        fn first_writer(&mut self, candidate: &Candidate) {
-            let (sig, args) = self.sig(candidate);
-            let payload = candidate.2.clone();
-            self.setup.admit(&self.cat, 9, &sig, args, payload, CPU);
+        fn first_writer(&mut self, (args, result): &Candidate) {
+            self.setup
+                .admit(&self.cat, 9, Opcode::Select, args, result, CPU);
         }
 
         /// What an admission that does not land must leave untouched: the
@@ -1197,36 +1015,29 @@ mod tests {
         assert!(poison.is_err() && pool.has_quarantined());
     }
 
-    /// For a result and for operator state: `arrange` sets the funnel up
-    /// so that the candidate it returns leaves through one particular
-    /// exit; the books must read the same before and after the admission,
-    /// `counter` proves the intended exit was taken, and nothing lands.
+    /// `arrange` sets the funnel up so that the candidate it returns
+    /// leaves through one particular exit; the books must read the same
+    /// before and after the admission, `counter` proves the intended exit
+    /// was taken, and nothing lands.
     fn assert_exit_refunds(
         exit: &str,
         config: RecyclerConfig,
         counter: fn(&RecyclerStats) -> u64,
-        arrange: impl Fn(&mut Funnel, ArtifactKind) -> Candidate,
+        arrange: impl Fn(&mut Funnel) -> Candidate,
     ) {
-        for kind in KINDS {
-            let mut f = Funnel::new(config);
-            let candidate = arrange(&mut f, kind);
-            let (books, stats) = (f.books(), f.shared.stats());
-            f.admit(candidate);
-            assert_eq!(f.books(), books, "{exit}, {kind:?}: books moved");
-            let after = f.shared.stats();
-            assert_eq!(
-                counter(&after),
-                counter(&stats) + 1,
-                "{exit}, {kind:?}: wrong exit"
-            );
-            assert_eq!(
-                after.admissions + after.artifact_admissions,
-                stats.admissions + stats.artifact_admissions,
-                "{exit}, {kind:?}: the candidate must not land"
-            );
-            f.shared.maintenance().repair_quarantined();
-            f.shared.pool().check_invariants().unwrap();
-        }
+        let mut f = Funnel::new(config);
+        let candidate = arrange(&mut f);
+        let (books, stats) = (f.books(), f.shared.stats());
+        f.admit(candidate);
+        assert_eq!(f.books(), books, "{exit}: books moved");
+        let after = f.shared.stats();
+        assert_eq!(counter(&after), counter(&stats) + 1, "{exit}: wrong exit");
+        assert_eq!(
+            after.admissions, stats.admissions,
+            "{exit}: the candidate must not land"
+        );
+        f.shared.maintenance().repair_quarantined();
+        f.shared.pool().check_invariants().unwrap();
     }
 
     #[test]
@@ -1236,20 +1047,20 @@ mod tests {
             "past the soft deadline",
             credit(5),
             |s| s.deadline_skips,
-            |f, kind| {
+            |f| {
                 f.session.set_deadline(Some(Instant::now()));
-                f.candidate(kind, &f.col, 1)
+                f.candidate(&f.col, 1)
             },
         );
         // an operand that no pool entry and no persistent registration
         // vouches for
-        assert_exit_refunds("unanchored lineage", credit(5), rejects, |f, kind| {
+        assert_exit_refunds("unanchored lineage", credit(5), rejects, |f| {
             let stray =
                 rmal::execute_op(&f.cat, &Opcode::Reverse, std::slice::from_ref(&f.col)).unwrap();
-            f.candidate(kind, &stray, 1)
+            f.candidate(&stray, 1)
         });
-        assert_exit_refunds("credit denied", credit(0), rejects, |f, kind| {
-            f.candidate(kind, &f.col, 1)
+        assert_exit_refunds("credit denied", credit(0), rejects, |f| {
+            f.candidate(&f.col, 1)
         });
         // slice used up (one resident entry of this session) with the
         // overflow lane closed (the pool holds the whole budget)
@@ -1257,28 +1068,25 @@ mod tests {
             "per-session slice",
             credit(5).session_credits(1),
             |s| s.session_budget_rejects,
-            |f, kind| {
+            |f| {
                 let pool = f.shared.pool_inner();
                 let mut own = PoolEntry::test_stub(pool.alloc_id(), -1, vec![], 8);
                 own.admitted_session = f.session.session_id();
                 assert!(pool.insert(own, None).inserted());
-                f.candidate(kind, &f.col, 1)
+                f.candidate(&f.col, 1)
             },
         );
         // no room beside the (pinned) 64-byte bind, whatever the size
-        assert_exit_refunds(
-            "cap reservation",
-            credit(5).mem_limit(70),
-            rejects,
-            |f, kind| f.candidate(kind, &f.col, 1),
-        );
+        assert_exit_refunds("cap reservation", credit(5).mem_limit(70), rejects, |f| {
+            f.candidate(&f.col, 1)
+        });
         // another session's equivalent admission landed first
         assert_exit_refunds(
             "duplicate",
             credit(5),
             |s| s.duplicate_admissions,
-            |f, kind| {
-                let candidate = f.candidate(kind, &f.col, 1);
+            |f| {
+                let candidate = f.candidate(&f.col, 1);
                 f.first_writer(&candidate);
                 assert_eq!(f.shared.pool().len(), 2, "the first writer lands");
                 candidate
@@ -1287,12 +1095,12 @@ mod tests {
         // a panic unwound through the table write lock; the candidate
         // stands on the persistent column alone (its bind evicted), so it
         // pins nothing and is refused at the insert
-        assert_exit_refunds("quarantined", credit(5), rejects, |f, kind| {
+        assert_exit_refunds("quarantined", credit(5), rejects, |f| {
             let pool = f.shared.pool_inner();
             let bind = pool.entry_of_result(f.col.as_bat().unwrap().id());
             assert!(pool.remove(bind.expect("bind resident")).is_some());
             poison(pool);
-            f.candidate(kind, &f.col, 1)
+            f.candidate(&f.col, 1)
         });
     }
 
@@ -1302,30 +1110,28 @@ mod tests {
         // quarantined. The funnel leaves at the pin — before it asks the
         // accounts for a credit or reserves capacity, and without reaching
         // the insert — and the books read as before.
-        for kind in KINDS {
-            let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
-            let candidate = f.candidate(kind, &f.col, 1);
-            poison(f.shared.pool_inner());
-            let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
-            let writes = f.shared.pool().write_lock_acquisitions();
-            let accounts = SharedRecycler::accounts_locks_on_this_thread();
-            f.admit(candidate);
-            assert_eq!(
-                SharedRecycler::accounts_locks_on_this_thread(),
-                accounts,
-                "{kind:?}: no credit was asked for"
-            );
-            assert_eq!(
-                f.shared.pool().write_lock_acquisitions(),
-                writes,
-                "{kind:?}: the insert was never reached"
-            );
-            assert_eq!(f.books(), books, "{kind:?}");
-            assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
-            assert_eq!(f.shared.pool().len(), 1, "{kind:?}: only the bind");
-            f.shared.maintenance().repair_quarantined();
-            f.shared.pool().check_invariants().unwrap();
-        }
+        let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
+        let candidate = f.candidate(&f.col, 1);
+        poison(f.shared.pool_inner());
+        let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
+        let writes = f.shared.pool().write_lock_acquisitions();
+        let accounts = SharedRecycler::accounts_locks_on_this_thread();
+        f.admit(candidate);
+        assert_eq!(
+            SharedRecycler::accounts_locks_on_this_thread(),
+            accounts,
+            "no credit was asked for"
+        );
+        assert_eq!(
+            f.shared.pool().write_lock_acquisitions(),
+            writes,
+            "the insert was never reached"
+        );
+        assert_eq!(f.books(), books);
+        assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
+        assert_eq!(f.shared.pool().len(), 1, "only the bind");
+        f.shared.maintenance().repair_quarantined();
+        f.shared.pool().check_invariants().unwrap();
     }
 
     #[test]
@@ -1340,42 +1146,37 @@ mod tests {
         // pin and insert: with the parent pinned and the reservation
         // pending, a commit removes the parent (invalidation overrides
         // pins), and the insert finds it gone.
-        for kind in KINDS {
-            let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
-            let bytes_before = f.shared.pool().bytes();
-            for round in 0..8usize {
-                let parent = f
-                    .shared
-                    .pool()
-                    .entry_of_result(f.col.as_bat().unwrap().id())
-                    .expect("bind resident");
-                let candidate = f.candidate(kind, &f.col, 1);
-                let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
-                assert_eq!(
-                    books.0, 2,
-                    "{kind:?}: credits drained after {round} orphanings"
-                );
-                let committer = Arc::clone(&f.shared);
-                BEFORE_INSERT.set(Some(Box::new(move || {
-                    assert_eq!(committer.pending().1, 1, "the reservation is in flight");
-                    assert!(committer.pool().write_view().remove(parent).is_some());
-                })));
-                let writes = f.shared.pool().write_lock_acquisitions();
-                f.admit(candidate);
-                assert_eq!(
-                    f.shared.pool().write_lock_acquisitions() - writes,
-                    2,
-                    "{kind:?}: the commit's write lock, then the insert's (parent gone)"
-                );
-                assert_eq!(f.books(), books, "{kind:?} round {round}");
-                assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
-                assert!(f.shared.pool().is_empty(), "the orphan never entered");
-                f.admit_bind(100 + round);
-                // no byte may ever be double-counted for a dropped candidate
-                assert_eq!(f.shared.pool().bytes(), bytes_before, "round {round}");
-            }
-            f.shared.pool().check_invariants().unwrap();
+        let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
+        let bytes_before = f.shared.pool().bytes();
+        for round in 0..8usize {
+            let parent = f
+                .shared
+                .pool()
+                .entry_of_result(f.col.as_bat().unwrap().id())
+                .expect("bind resident");
+            let candidate = f.candidate(&f.col, 1);
+            let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
+            assert_eq!(books.0, 2, "credits drained after {round} orphanings");
+            let committer = Arc::clone(&f.shared);
+            BEFORE_INSERT.set(Some(Box::new(move || {
+                assert_eq!(committer.pending().1, 1, "the reservation is in flight");
+                assert!(committer.pool().write_view().remove(parent).is_some());
+            })));
+            let writes = f.shared.pool().write_lock_acquisitions();
+            f.admit(candidate);
+            assert_eq!(
+                f.shared.pool().write_lock_acquisitions() - writes,
+                2,
+                "the commit's write lock, then the insert's (parent gone)"
+            );
+            assert_eq!(f.books(), books, "round {round}");
+            assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
+            assert!(f.shared.pool().is_empty(), "the orphan never entered");
+            f.admit_bind(100 + round);
+            // no byte may ever be double-counted for a dropped candidate
+            assert_eq!(f.shared.pool().bytes(), bytes_before, "round {round}");
         }
+        f.shared.pool().check_invariants().unwrap();
     }
 
     #[test]
@@ -1384,34 +1185,31 @@ mod tests {
         // which are *not* charged. A duplicate resolution of such an
         // admission must not mint credits out of thin air: the refund
         // must be exactly what the grant charged.
-        for kind in KINDS {
-            let mut f =
-                Funnel::new(RecyclerConfig::default().admission(AdmissionPolicy::Adaptive(1)));
-            let key: InstrKey = (0, PC);
-            // the first writer lands while its own key still has credit
-            let candidate = f.candidate(kind, &f.col, 1);
-            f.first_writer(&candidate);
-            // burn the starting credit, record a reuse, pass the decision
-            // point
-            let mut notes = AccountNotes {
-                invocation: Some(0),
-                ..AccountNotes::default()
-            };
-            assert!(f.shared.admission_grant(key, &mut notes).charged);
-            notes.reuses.push((key, false));
-            for _ in 0..2 {
-                notes.invocation = Some(0);
-                f.shared.flush_accounts(&mut notes);
-            }
-            let grant = f.shared.admission_grant(key, &mut notes);
-            assert!(grant.allowed && !grant.charged, "unlimited keys are free");
-            let books = f.books();
-            f.admit(candidate);
-            assert_eq!(f.shared.stats().duplicate_admissions, 1, "{kind:?}");
-            assert_eq!(f.books(), books, "{kind:?}: a free grant refunds nothing");
-            let again = f.shared.admission_grant(key, &mut notes);
-            assert!(again.allowed && !again.charged);
+        let mut f = Funnel::new(RecyclerConfig::default().admission(AdmissionPolicy::Adaptive(1)));
+        let key: InstrKey = (0, PC);
+        // the first writer lands while its own key still has credit
+        let candidate = f.candidate(&f.col, 1);
+        f.first_writer(&candidate);
+        // burn the starting credit, record a reuse, pass the decision
+        // point
+        let mut notes = AccountNotes {
+            invocation: Some(0),
+            ..AccountNotes::default()
+        };
+        assert!(f.shared.admission_grant(key, &mut notes).charged);
+        notes.reuses.push((key, false));
+        for _ in 0..2 {
+            notes.invocation = Some(0);
+            f.shared.flush_accounts(&mut notes);
         }
+        let grant = f.shared.admission_grant(key, &mut notes);
+        assert!(grant.allowed && !grant.charged, "unlimited keys are free");
+        let books = f.books();
+        f.admit(candidate);
+        assert_eq!(f.shared.stats().duplicate_admissions, 1);
+        assert_eq!(f.books(), books, "a free grant refunds nothing");
+        let again = f.shared.admission_grant(key, &mut notes);
+        assert!(again.allowed && !again.charged);
     }
 
     #[test]
@@ -1759,76 +1557,5 @@ mod tests {
         );
         holder.query_end(&t);
         shared.pool().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn operator_state_reuses_join_build() {
-        let config = RecyclerConfig::default().recycle_operator_state(true);
-        let mut e = engine(config);
-        // join probe side varies with the select range, build side (the
-        // bound y column) repeats — classic operator-state reuse.
-        let mut t = {
-            let mut b = ProgramBuilder::new("join_probe", 2);
-            let x = b.bind("t", "x");
-            let y = b.bind("t", "y");
-            let sel = b.select_closed(x, P(0), P(1));
-            let j = b.join(sel, y);
-            let n = b.count(j);
-            b.export("n", n);
-            b.finish()
-        };
-        e.optimize(&mut t);
-        let first = e.run(&t, &[Value::Int(0), Value::Int(400)]).unwrap();
-        let stats = e.hook.stats();
-        assert!(
-            stats.artifact_admissions >= 1,
-            "build side must be admitted"
-        );
-        assert!(stats.artifact_bytes > 0);
-        // different params: no exact hit on the join, but the build side
-        // (keyed by the bound column's BAT identity) must be reused.
-        let second = e.run(&t, &[Value::Int(100), Value::Int(700)]).unwrap();
-        let stats = e.hook.stats();
-        assert!(stats.artifact_hits >= 1, "build side must be reused");
-        assert!(second.stats.assisted >= 1, "join must run assisted");
-
-        // identity: the assisted result equals a cold engine's answer
-        let mut cold = engine(RecyclerConfig::default());
-        let mut tc = {
-            let mut b = ProgramBuilder::new("join_probe", 2);
-            let x = b.bind("t", "x");
-            let y = b.bind("t", "y");
-            let sel = b.select_closed(x, P(0), P(1));
-            let j = b.join(sel, y);
-            let n = b.count(j);
-            b.export("n", n);
-            b.finish()
-        };
-        cold.optimize(&mut tc);
-        let base1 = cold.run(&tc, &[Value::Int(0), Value::Int(400)]).unwrap();
-        let base2 = cold.run(&tc, &[Value::Int(100), Value::Int(700)]).unwrap();
-        assert_eq!(first.export("n"), base1.export("n"));
-        assert_eq!(second.export("n"), base2.export("n"));
-        e.hook.pool().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn operator_state_off_by_default() {
-        let mut e = engine(RecyclerConfig::default());
-        let mut t = {
-            let mut b = ProgramBuilder::new("sorted", 1);
-            let x = b.bind("t", "x");
-            let sel = b.select_closed(x, P(0), Value::Int(500));
-            let s = b.sort(sel, true);
-            b.export("s", s);
-            b.finish()
-        };
-        e.optimize(&mut t);
-        e.run(&t, &[Value::Int(0)]).unwrap();
-        e.run(&t, &[Value::Int(10)]).unwrap();
-        let stats = e.hook.stats();
-        assert_eq!(stats.artifact_admissions, 0);
-        assert_eq!(stats.artifact_hits, 0);
-        assert_eq!(e.hook.pool().artifact_bytes(), 0);
     }
 }

@@ -381,9 +381,6 @@ pub(crate) struct SharedStats {
     tier_promotions: AtomicU64,
     decompress_ns: AtomicU64,
     rehydrate_ns: AtomicU64,
-    artifact_hits: AtomicU64,
-    artifact_admissions: AtomicU64,
-    artifact_saved_ns: AtomicU64,
 }
 
 #[inline]
@@ -640,32 +637,6 @@ impl SharedRecycler {
         PoolSnapshot::capture(&self.pool)
     }
 
-    /// Capture the warmth map the reuse-aware optimiser pass
-    /// ([`rmal::ReuseAware`]) orders commutative filter chains by: for
-    /// every pooled *result* entry of a chain op, its reuse-weighted
-    /// presence keyed by `(op, base table, base column)`. Which entries
-    /// derive from which column is read off the lineage graph here, when
-    /// asked; each entry is then visited under the table read lock, and
-    /// nothing is locked afterwards: the optimiser probes the returned
-    /// snapshot for free.
-    pub fn reuse_hints(&self) -> rmal::ReuseHintSnapshot {
-        let mut hints = rmal::ReuseHintSnapshot::default();
-        for ((table, column), ids) in self.pool.derived_by_column() {
-            for id in ids {
-                self.pool.entry(id, |e| {
-                    let result = e.sig.kind == crate::signature::ArtifactKind::Result;
-                    if result && rmal::ReuseAware::is_chain_op(e.sig.op) {
-                        // an entry that has already paid for itself counts
-                        // more than one that merely sits in the pool
-                        let weight = 1 + e.local_reuses() + e.global_reuses();
-                        hints.add(e.sig.op, &table, &column, weight);
-                    }
-                });
-            }
-        }
-        hints
-    }
-
     /// Empty the recycle pool (the experiments' "emptied recycle pool"
     /// preparation step) without resetting credit accounts or statistics.
     /// The entry-id counter stays monotone so stale per-session pin sets
@@ -714,10 +685,7 @@ impl SharedRecycler {
             demotions_spilled,
             tier_promotions,
             decompress_ns,
-            rehydrate_ns,
-            artifact_hits,
-            artifact_admissions,
-            artifact_saved_ns
+            rehydrate_ns
         );
         self.collector.reset_stats();
     }
@@ -948,10 +916,6 @@ impl SharedRecycler {
             tier_promotions: ld(&s.tier_promotions),
             decompress_cost: Duration::from_nanos(ld(&s.decompress_ns)),
             rehydrate_cost: Duration::from_nanos(ld(&s.rehydrate_ns)),
-            artifact_hits: ld(&s.artifact_hits),
-            artifact_admissions: ld(&s.artifact_admissions),
-            artifact_bytes: self.pool.artifact_bytes() as u64,
-            artifact_saved: Duration::from_nanos(ld(&s.artifact_saved_ns)),
         }
     }
 
@@ -979,18 +943,6 @@ impl SharedRecycler {
         }
         add_ns(&s.time_saved_ns, record.saved);
         add_ns(&s.overhead_ns, record.overhead);
-    }
-
-    /// An operator-state artifact served a build side: the probe half ran
-    /// against a cached structure instead of rebuilding it. `saved` is the
-    /// build cost avoided (the entry's recorded build CPU).
-    pub(crate) fn count_artifact_hit(&self, saved: Duration) {
-        bump(&self.stats.artifact_hits);
-        add_ns(&self.stats.artifact_saved_ns, saved);
-    }
-
-    pub(crate) fn count_artifact_admission(&self) {
-        bump(&self.stats.artifact_admissions);
     }
 
     pub(crate) fn count_admission(&self) {
@@ -1200,14 +1152,6 @@ impl MaintenanceGuard<'_> {
     /// and probes serve hits instead of degraded misses.
     pub fn repair_quarantined(&self) -> crate::pool::RepairReport {
         self.shared.pool_inner().repair()
-    }
-}
-
-impl rmal::ReuseHintProvider for SharedRecycler {
-    /// The shared service is its own hint source: the reuse-aware pass
-    /// captures a fresh warmth map at every optimisation run.
-    fn reuse_hints(&self) -> rmal::ReuseHintSnapshot {
-        SharedRecycler::reuse_hints(self)
     }
 }
 

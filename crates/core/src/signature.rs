@@ -59,35 +59,13 @@ impl Hash for ArgSig {
     }
 }
 
-/// What kind of artifact a signature keys. Result signatures key whole
-/// result BATs (the paper's original model); the operator-state kinds key
-/// an operator's *internal* build structure by its build-side lineage.
-/// The discriminant participates in the fingerprint and in equality, so
-/// exact-match and subsumption probes can never confuse a cached hash
-/// table with a cached result BAT even when opcode and arguments coincide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ArtifactKind {
-    /// A materialised result BAT (the default, classic recycling).
-    #[default]
-    Result,
-    /// A join build side: the hash table over the build BAT's head.
-    JoinBuild,
-    /// A grouping's first-appearance group-id assignment.
-    GroupMap,
-    /// A sort's stable permutation (shared by `Sort` and `TopN`).
-    SortedRun,
-}
-
-/// Full instruction signature: opcode plus argument signatures, tagged with
-/// the [`ArtifactKind`] the entry under this key holds.
+/// Full instruction signature: opcode plus argument signatures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sig {
     /// The opcode (aggregate/arithmetic selector included).
     pub op: Opcode,
     /// Argument signatures in call order.
     pub args: Vec<ArgSig>,
-    /// Which artifact family this signature keys.
-    pub kind: ArtifactKind,
 }
 
 /// A signature *borrowed* from the interpreter's evaluated arguments — what
@@ -96,19 +74,17 @@ pub struct Sig {
 pub struct SigRef<'a> {
     /// The opcode.
     pub op: Opcode,
-    kind: ArtifactKind,
     args: &'a [Value],
     versions: [Value; 2],
     nversions: usize,
 }
 
-fn fingerprint_of<T: Hash>(op: Opcode, kind: ArtifactKind, args: impl Iterator<Item = T>) -> u64 {
+fn fingerprint_of<T: Hash>(op: Opcode, args: impl Iterator<Item = T>) -> u64 {
     let mut h = FxHasher::default();
     // Fx maps a zero state and a zero word to a zero state: unseeded, the
-    // leading zeros of `Bind`/`Result` would vanish from the key.
+    // leading zeros of `Bind` would vanish from the key.
     h.write_u64(0x9E37_79B9_7F4A_7C15);
     op.hash(&mut h);
-    kind.hash(&mut h);
     args.for_each(|a| a.hash(&mut h));
     // Fx leaves the low bits weak, and the pool and its identity-hashed
     // tables use the bottom, middle and top of the word: mix full-width.
@@ -133,7 +109,7 @@ impl<'a> SigRef<'a> {
     /// eviction — never stale reuse. Every non-bind opcode keys on BAT
     /// *identity*, which commits re-mint, so no version is needed there.
     pub fn versioned(catalog: &Catalog, op: Opcode, args: &'a [Value]) -> SigRef<'a> {
-        let mut sig = SigRef::artifact(ArtifactKind::Result, op, args);
+        let mut sig = SigRef::of(op, args);
         let version = |t: &str| catalog.table(t).map(|t| t.version() as i64);
         match (op, args.first().and_then(|v| v.as_str())) {
             (Opcode::Bind, Some(table)) => {
@@ -154,15 +130,11 @@ impl<'a> SigRef<'a> {
         sig
     }
 
-    /// The signature keying an operator-state artifact: `kind` is the
-    /// structure's family and `args` its *build-side* lineage (the build
-    /// BAT by identity, plus any shape scalars such as a sort direction).
-    /// Commits re-mint BAT identities, so a build-side signature can never
-    /// match across a [`SigRef::versioned`] epoch boundary.
-    pub fn artifact(kind: ArtifactKind, op: Opcode, args: &'a [Value]) -> SigRef<'a> {
+    /// The signature of `op` applied to the evaluated `args`, unversioned
+    /// (see [`Sig::of`]).
+    pub fn of(op: Opcode, args: &'a [Value]) -> SigRef<'a> {
         SigRef {
             op,
-            kind,
             args,
             versions: [Value::Nil, Value::Nil],
             nversions: 0,
@@ -175,14 +147,13 @@ impl<'a> SigRef<'a> {
 
     /// The pool's key, equal to the [`Sig::fingerprint`] of [`Self::to_sig`].
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_of(self.op, self.kind, self.values())
+        fingerprint_of(self.op, self.values())
     }
 
     /// `self.to_sig() == *sig`, without building one — what a fingerprint
     /// match is verified with.
     pub fn matches(&self, sig: &Sig) -> bool {
         self.op == sig.op
-            && self.kind == sig.kind
             && sig.args.len() == self.args.len() + self.nversions
             && sig
                 .args
@@ -196,7 +167,6 @@ impl<'a> SigRef<'a> {
         Sig {
             op: self.op,
             args: self.values().map(ArgSig::of).collect(),
-            kind: self.kind,
         }
     }
 }
@@ -204,7 +174,7 @@ impl<'a> SigRef<'a> {
 impl Sig {
     /// Build the signature for `op` applied to the evaluated `args`.
     pub fn of(op: Opcode, args: &[Value]) -> Sig {
-        SigRef::artifact(ArtifactKind::Result, op, args).to_sig()
+        SigRef::of(op, args).to_sig()
     }
 
     /// [`SigRef::versioned`], owned.
@@ -221,7 +191,7 @@ impl Sig {
     /// The 64-bit key the pool files this signature under (see
     /// [`SigRef::fingerprint`], the same word from borrowed arguments).
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_of(self.op, self.kind, self.args.iter())
+        fingerprint_of(self.op, self.args.iter())
     }
 }
 
@@ -273,20 +243,6 @@ mod tests {
         let other = Arc::new(Bat::from_tail(Column::from_ints(vec![1, 2])));
         let c = Sig::of(Opcode::Reverse, &[Value::Bat(other)]);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn artifact_kind_distinguishes() {
-        let bat = Arc::new(Bat::from_tail(Column::from_ints(vec![1])));
-        let args = [Value::Bat(bat)];
-        let result = Sig::of(Opcode::Join, &args);
-        let build = SigRef::artifact(ArtifactKind::JoinBuild, Opcode::Join, &args).to_sig();
-        // same op, same args — but the kind keeps the keys apart
-        assert_ne!(result, build);
-        assert_ne!(result.fingerprint(), build.fingerprint());
-        let build2 = SigRef::artifact(ArtifactKind::JoinBuild, Opcode::Join, &args).to_sig();
-        assert_eq!(build, build2);
-        assert_eq!(build.fingerprint(), build2.fingerprint());
     }
 
     #[test]

@@ -128,17 +128,6 @@ pub struct RecyclerStats {
     /// read-back + decode; disjoint from `decompress_cost`, which covers
     /// the in-memory compressed tier).
     pub rehydrate_cost: Duration,
-    /// Operator-state artifact reuses: build sides (join hash tables,
-    /// group maps, sorted runs) served from the pool instead of rebuilt.
-    pub artifact_hits: u64,
-    /// Operator-state artifacts admitted into the pool (lifetime).
-    pub artifact_admissions: u64,
-    /// Bytes currently charged by resident artifact entries (a subset of
-    /// `raw_bytes`; artifacts are evict-only and never demote).
-    pub artifact_bytes: u64,
-    /// Build time avoided through artifact reuse (also folded into
-    /// `time_saved`).
-    pub artifact_saved: Duration,
 }
 
 /// Per-query record appended at every `query_end` — the unit the

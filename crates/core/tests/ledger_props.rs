@@ -2,15 +2,15 @@
 //!
 //! A random script of insert / remove / evict / compress / spill /
 //! promote / resize / rekey (re-filed under the new key) / clear /
-//! tear-and-repair steps runs over entries of all six payload variants
+//! tear-and-repair steps runs over entries of all three payload variants
 //! while the test keeps its *own* model of what is resident. After every
 //! step:
 //!
 //! * `check_invariants()` holds — which includes the live ledger being
 //!   equal to `Ledger::recompute` over the table, and
-//! * every public book (`len`, `bytes`, the raw / compressed / spilled /
-//!   artifact totals, the per-session resident counts, the spill file's
-//!   live bytes) equals what the model says.
+//! * every public book (`len`, `bytes`, the raw / compressed / spilled
+//!   totals, the per-session resident counts, the spill file's live
+//!   bytes) equals what the model says.
 //!
 //! Every move the table on `Payload` forbids is attempted too, and must
 //! be refused with every one of those books untouched.
@@ -19,10 +19,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rbat::ops::{group_build, join_build, sort_build};
 use rbat::{Bat, Column, Value};
 use recycler::entry::{Admitter, Lineage};
-use recycler::signature::{ArtifactKind, Sig, SigRef};
+use recycler::signature::Sig;
 use recycler::tier::{CompressedBat, SpillFile};
 use recycler::{EntryId, Payload, PoolEntry, RecyclePool};
 use rmal::Opcode;
@@ -35,7 +34,6 @@ enum Rung {
     Raw,
     Compressed,
     Spilled,
-    Artifact,
 }
 
 /// The test's own record of one resident entry.
@@ -49,8 +47,8 @@ struct Live {
     bytes: usize,
     /// Length of the spilled record (0 unless spilled).
     spilled: usize,
-    /// The result BAT of a raw-born entry (what promotion restores).
-    bat: Option<Arc<Bat>>,
+    /// The entry's result BAT (what promotion restores).
+    bat: Arc<Bat>,
 }
 
 /// Every book the pool exposes, as one comparable value.
@@ -61,7 +59,6 @@ struct Books {
     raw: usize,
     compressed: usize,
     spilled: usize,
-    artifact: usize,
     by_session: Vec<u64>,
     spill_live: usize,
 }
@@ -102,33 +99,17 @@ impl Rig {
         }
     }
 
-    fn fresh_sig(&mut self, kind: ArtifactKind) -> Sig {
+    fn fresh_sig(&mut self) -> Sig {
         self.next_tag += 1;
-        let tag = [Value::Int(self.next_tag)];
-        let op = match kind {
-            ArtifactKind::Result => Opcode::Select,
-            ArtifactKind::JoinBuild => Opcode::Join,
-            ArtifactKind::GroupMap => Opcode::Group,
-            ArtifactKind::SortedRun => Opcode::Sort,
-        };
-        SigRef::artifact(kind, op, &tag).to_sig()
+        Sig::of(Opcode::Select, &[Value::Int(self.next_tag)])
     }
 
-    /// Insert an unpinned entry of the variant `pick` selects.
+    /// Insert an unpinned raw entry whose result `pick` shapes.
     fn insert(&mut self, pick: usize, session: u64) {
         let bat = ints(pick as i64, 64 + 16 * (pick % 7));
-        // a materialised (non-dense) head, so the join build is a real table
-        let keys = || Column::from_ints((0..48).map(|i| (i * 5 + pick as i64) % 31).collect());
-        let keyed = Bat::new(keys(), keys(), Default::default());
-        let payload = match pick % 4 {
-            0 => Payload::Raw(Value::Bat(Arc::clone(&bat))),
-            1 => Payload::JoinBuild(Arc::new(join_build(&keyed).unwrap())),
-            2 => Payload::GroupMap(Arc::new(group_build(&bat).unwrap())),
-            _ => Payload::SortedRun(Arc::new(sort_build(&bat, true).unwrap())),
-        };
-        let sig = self.fresh_sig(payload.kind());
+        let payload = Payload::Raw(Value::Bat(Arc::clone(&bat)));
+        let sig = self.fresh_sig();
         let bytes = payload.charge_bytes(sig.op);
-        let raw = payload.as_raw().is_some();
         let e = PoolEntry::new(
             self.pool.alloc_id(),
             sig.clone(),
@@ -148,25 +129,21 @@ impl Rig {
             id,
             sig,
             session,
-            rung: if raw { Rung::Raw } else { Rung::Artifact },
+            rung: Rung::Raw,
             bytes,
             spilled: 0,
-            bat: raw.then_some(bat),
+            bat,
         });
     }
 
-    /// A blob for entry `at`: its own result compressed, or — for an entry
-    /// that has none to offer — some other BAT's (the move is illegal
-    /// anyway and must be refused before the blob matters).
+    /// A blob for entry `at`: the one it holds, or its result compressed.
     fn blob_for(&self, at: usize) -> Arc<CompressedBat> {
         let held = self.pool.entry(self.live[at].id, |e| match e.payload() {
             Payload::Compressed(blob) => Some(Arc::clone(blob)),
             _ => None,
         });
-        held.flatten().unwrap_or_else(|| {
-            let bat = self.live[at].bat.clone().unwrap_or_else(|| ints(7, 32));
-            Arc::new(CompressedBat::compress(&bat))
-        })
+        held.flatten()
+            .unwrap_or_else(|| Arc::new(CompressedBat::compress(&self.live[at].bat)))
     }
 
     fn compress(&mut self, at: usize) -> bool {
@@ -198,7 +175,7 @@ impl Rig {
     }
 
     fn promote(&mut self, at: usize) -> bool {
-        let bat = self.live[at].bat.clone().unwrap_or_else(|| ints(7, 32));
+        let bat = Arc::clone(&self.live[at].bat);
         let bytes = bat.resident_bytes();
         let moved = self
             .pool
@@ -219,7 +196,7 @@ impl Rig {
     /// Delta propagation's in-place rewrite: same result, new charge.
     fn resize(&mut self, at: usize, bytes: usize) -> bool {
         let l = &self.live[at];
-        let value = Value::Bat(l.bat.clone().unwrap_or_else(|| ints(7, 32)));
+        let value = Value::Bat(Arc::clone(&l.bat));
         let mut view = self.pool.write_view();
         let moved = view.set_raw(l.id, value, bytes);
         drop(view);
@@ -232,7 +209,7 @@ impl Rig {
     /// Re-key under the write view: the entry is re-filed under its new
     /// signature's key, its charge untouched.
     fn rekey(&mut self, at: usize) {
-        let new_sig = self.fresh_sig(self.live[at].sig.kind);
+        let new_sig = self.fresh_sig();
         let l = &mut self.live[at];
         let mut view = self.pool.write_view();
         view.get_mut(l.id).expect("live").sig = new_sig.clone();
@@ -247,7 +224,7 @@ impl Rig {
     /// entry is dropped — never `apply`-ed out of the ledger, only the
     /// stored recompute can account for it — and every book is exact again.
     fn tear_and_repair(&mut self, at: usize) {
-        let stray = self.fresh_sig(self.live[at].sig.kind);
+        let stray = self.fresh_sig();
         let l = self.live[at].clone();
         let pool = &self.pool;
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -269,7 +246,6 @@ impl Rig {
             raw: 0,
             compressed: 0,
             spilled: 0,
-            artifact: 0,
             by_session: vec![0; SESSIONS as usize],
             spill_live: 0,
         };
@@ -279,10 +255,6 @@ impl Rig {
                 Rung::Raw => b.raw += l.bytes,
                 Rung::Compressed => b.compressed += l.bytes,
                 Rung::Spilled => b.spilled += l.spilled,
-                Rung::Artifact => {
-                    b.raw += l.bytes;
-                    b.artifact += l.bytes;
-                }
             }
             b.by_session[l.session as usize] += 1;
             b.spill_live += l.spilled;
@@ -298,7 +270,6 @@ impl Rig {
             raw,
             compressed,
             spilled,
-            artifact: self.pool.artifact_bytes(),
             by_session: (0..SESSIONS)
                 .map(|s| self.pool.resident_of_session(s))
                 .collect(),
@@ -417,37 +388,31 @@ proptest! {
 #[test]
 fn illegal_transitions_are_refused_and_touch_nothing() {
     let mut rig = Rig::new("illegal");
-    for pick in 0..4 {
-        rig.insert(pick, 0); // raw, join build, group map, sorted run
+    for session in 0..3 {
+        rig.insert(0, session);
     }
-    rig.insert(0, 1);
-    rig.insert(0, 2);
-    assert!(rig.compress(4), "raw -> compressed");
+    assert!(rig.compress(1), "raw -> compressed");
     assert!(
-        rig.compress(5) && rig.spill(5),
+        rig.compress(2) && rig.spill(2),
         "raw -> compressed -> spilled"
     );
     rig.settled("setup").unwrap();
 
     type Move = fn(&mut Rig, usize) -> bool;
     let resize: Move = |r, at| r.resize(at, 10);
-    let refused: [(&str, usize, Move); 11] = [
-        ("artifact -> compressed", 1, Rig::compress),
-        ("artifact -> spilled", 2, Rig::spill),
-        ("artifact -> raw", 3, Rig::promote),
-        ("artifact resize", 1, resize),
+    let refused: [(&str, usize, Move); 7] = [
         ("raw -> promote", 0, Rig::promote),
         ("raw -> spilled", 0, Rig::spill),
-        ("compressed -> compressed", 4, Rig::compress),
-        ("compressed resize", 4, resize),
-        ("spilled -> compressed", 5, Rig::compress),
-        ("spilled -> spilled", 5, Rig::spill),
-        ("spilled resize", 5, resize),
+        ("compressed -> compressed", 1, Rig::compress),
+        ("compressed resize", 1, resize),
+        ("spilled -> compressed", 2, Rig::compress),
+        ("spilled -> spilled", 2, Rig::spill),
+        ("spilled resize", 2, resize),
     ];
     for (step, at, mv) in refused {
         rig.attempt(step, at, false, mv).unwrap();
     }
     // the ladder still works end to end afterwards
-    assert!(rig.promote(4) && rig.promote(5));
+    assert!(rig.promote(1) && rig.promote(2));
     rig.settled("promote back").unwrap();
 }

@@ -1,7 +1,7 @@
 //! The borrowed signature and the owned one are the same key: over random
-//! opcodes, artifact kinds and argument lists — every scalar type, the
-//! float corner cases, BATs by identity, bind-family versions on both
-//! sides of a commit — `SigRef` and the `Sig` built from it agree on the
+//! opcodes and argument lists — every scalar type, the float corner cases,
+//! BATs by identity, bind-family versions on both sides of a commit and
+//! none at all — `SigRef` and the `Sig` built from it agree on the
 //! fingerprint, and two instructions share a fingerprint (and verify
 //! against each other's `Sig`) exactly when their `Sig`s are equal. The
 //! universe is small on purpose, so equal pairs are drawn often.
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rbat::catalog::JoinIndexDef;
 use rbat::{Bat, Catalog, Column, Date, LogicalType, Oid, TableBuilder, Value};
-use recycler::signature::{ArtifactKind, Sig, SigRef};
+use recycler::signature::{Sig, SigRef};
 use rmal::Opcode;
 
 /// The catalog before and after a commit to `t` (which `idx` points into).
@@ -47,12 +47,6 @@ const OPS: [Opcode; 6] = [
     Opcode::Sort,
 ];
 
-const KINDS: [ArtifactKind; 3] = [
-    ArtifactKind::Result,
-    ArtifactKind::JoinBuild,
-    ArtifactKind::SortedRun,
-];
-
 fn palette(bats: &[Arc<Bat>; 2]) -> Vec<Value> {
     vec![
         Value::Nil,
@@ -76,14 +70,15 @@ fn palette(bats: &[Arc<Bat>; 2]) -> Vec<Value> {
     ]
 }
 
-/// One drawn instruction: which epoch it runs in, opcode, kind, arguments.
-type Draw = (usize, usize, usize, Vec<usize>);
+/// One drawn instruction: which epoch it runs in (or none: unversioned),
+/// opcode, arguments.
+type Draw = (usize, usize, Vec<usize>);
 
 fn sig_ref<'a>(cats: &[Catalog; 2], args: &'a [Value], draw: &Draw) -> SigRef<'a> {
-    let (epoch, op, kind, _) = draw;
-    match KINDS[*kind] {
-        ArtifactKind::Result => SigRef::versioned(&cats[*epoch], OPS[*op], args),
-        kind => SigRef::artifact(kind, OPS[*op], args),
+    let (epoch, op, _) = draw;
+    match cats.get(*epoch) {
+        Some(cat) => SigRef::versioned(cat, OPS[*op], args),
+        None => SigRef::of(OPS[*op], args),
     }
 }
 
@@ -92,14 +87,14 @@ proptest! {
 
     #[test]
     fn fingerprints_agree_exactly_when_signatures_do(
-        a in (0usize..2, 0usize..6, 0usize..3, prop::collection::vec(0usize..18, 0..4)),
-        b in (0usize..2, 0usize..6, 0usize..3, prop::collection::vec(0usize..18, 0..4)),
+        a in (0usize..3, 0usize..6, prop::collection::vec(0usize..18, 0..4)),
+        b in (0usize..3, 0usize..6, prop::collection::vec(0usize..18, 0..4)),
     ) {
         let cats = epochs();
         // the same data twice: equal contents, different identities
         let bats = [0, 1].map(|_| Arc::new(Bat::from_tail(Column::from_ints(vec![1, 2]))));
         let palette = palette(&bats);
-        let values = |d: &Draw| d.3.iter().map(|i| palette[*i].clone()).collect::<Vec<_>>();
+        let values = |d: &Draw| d.2.iter().map(|i| palette[*i].clone()).collect::<Vec<_>>();
         let (args_a, args_b) = (values(&a), values(&b));
         let (ref_a, ref_b) = (sig_ref(&cats, &args_a, &a), sig_ref(&cats, &args_b, &b));
         let (sig_a, sig_b): (Sig, Sig) = (ref_a.to_sig(), ref_b.to_sig());

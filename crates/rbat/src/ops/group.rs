@@ -9,54 +9,14 @@ use crate::ops::{for_each_u64_key, string_keys};
 use crate::props::Props;
 use crate::types::{LogicalType, Value};
 
-/// Exported internal state of [`group`]: the positionally aligned group-id
-/// assignment over the input's tail, detached from the input BAT so it can
-/// be cached and re-imported by [`group_probe`].
-#[derive(Debug)]
-pub struct GroupMap {
-    gids: Vec<u64>,
-}
-
-impl GroupMap {
-    /// Number of input tuples this map covers (must equal the probe BAT's
-    /// length).
-    pub fn len(&self) -> usize {
-        self.gids.len()
-    }
-
-    /// True when the map covers zero tuples.
-    pub fn is_empty(&self) -> bool {
-        self.gids.is_empty()
-    }
-
-    /// Approximate heap footprint, for pool byte accounting.
-    pub fn byte_size(&self) -> usize {
-        self.gids.len() * 8
-    }
-}
-
-/// Build half of [`group`]: compute the first-appearance group ids of
-/// `b.tail` as a detached, cacheable [`GroupMap`].
-pub fn group_build(b: &Bat) -> Result<GroupMap> {
-    Ok(GroupMap {
-        gids: group_ids(b.tail()),
-    })
-}
-
-/// Probe half of [`group`]: materialise the grouping BAT from a prebuilt
-/// [`GroupMap`]. `map` must come from [`group_build`] on the same `b`
-/// (enforced upstream by keying cached maps on the BAT's identity).
-pub fn group_probe(b: &Bat, map: &GroupMap) -> Result<Bat> {
-    if map.len() != b.len() {
-        return Err(BatError::LengthMismatch {
-            op: "group_probe",
-            left: map.len(),
-            right: b.len(),
-        });
-    }
+/// `group.new(b)`: map each tuple to a group id based on its tail value.
+/// The result BAT is positionally aligned with `b`: head is `b`'s head,
+/// tail is the group id (an OID in `0..num_groups`). Group ids are assigned
+/// in order of first appearance, so they are deterministic.
+pub fn group(b: &Bat) -> Result<Bat> {
     Ok(Bat::new(
         b.head().clone(),
-        Column::from_oids(map.gids.clone()),
+        Column::from_oids(group_ids(b.tail())),
         Props {
             head_dense: b.props().head_dense,
             head_sorted: b.props().head_sorted,
@@ -65,18 +25,6 @@ pub fn group_probe(b: &Bat, map: &GroupMap) -> Result<Bat> {
             ..Props::default()
         },
     ))
-}
-
-/// `group.new(b)`: map each tuple to a group id based on its tail value.
-/// The result BAT is positionally aligned with `b`: head is `b`'s head,
-/// tail is the group id (an OID in `0..num_groups`). Group ids are assigned
-/// in order of first appearance, so they are deterministic.
-///
-/// Composed from [`group_build`] + [`group_probe`], so a cached group map
-/// produces bit-identical results to a cold grouping.
-pub fn group(b: &Bat) -> Result<Bat> {
-    let map = group_build(b)?;
-    group_probe(b, &map)
 }
 
 /// `group.refine(g, b)`: refine an existing grouping `g` (positionally

@@ -20,9 +20,9 @@ use crate::strbuf::StrBuffer;
 const ABSENT: u32 = u32::MAX;
 
 /// Exported build side of a join: the lookup structure over `r.head`,
-/// detached from the borrow of `r` so it can be cached and re-imported by a
-/// later probe (operator-state recycling). Keys are owned — string tables
-/// copy their keys out of the build BAT's string buffer.
+/// detached from the borrow of `r` so it can be kept and probed again
+/// later. Keys are owned — string tables copy their keys out of the build
+/// BAT's string buffer.
 ///
 /// Two parts, chosen independently from the build keys: `slots` takes a
 /// key to a slot id, and `matches` says what a slot id stands for — the
@@ -91,8 +91,8 @@ enum Matches {
 }
 
 impl JoinBuild {
-    /// Heap footprint, for pool byte accounting: the tables at the size
-    /// they were allocated with, and the string keys.
+    /// Heap footprint, as an accelerator slot reports it: the tables at
+    /// the size they were allocated with, and the string keys.
     pub fn byte_size(&self) -> usize {
         // one control byte per bucket beside the pair
         let table =
@@ -324,7 +324,7 @@ fn probe(keys: &Column, lookup: impl Fn(u64) -> u32) -> Option<Hits> {
 
 /// Probe half of [`join`]: stream `l.tail` through a prebuilt table over
 /// `r.head`. `build` must have been produced by [`join_build`] on the same
-/// `r` (enforced upstream by keying cached builds on the BAT's identity).
+/// `r`, or be the key index of `r.head`.
 pub fn join_probe(l: &Bat, r: &Bat, build: &JoinBuild) -> Result<Bat> {
     let keys = l.tail();
     let hits = match &build.slots {
@@ -381,8 +381,7 @@ pub fn join_probe(l: &Bat, r: &Bat, build: &JoinBuild) -> Result<Bat> {
 /// emit `(l.head[i], r.tail[j])` — the canonical MonetDB binary join —
 /// ordered by `i`, then `j`. NULL keys match nothing.
 ///
-/// Composed from [`join_build`] + [`join_probe`], so a cached build side
-/// produces bit-identical results to a cold join — and when `r.head` is a
+/// Composed from [`join_build`] + [`join_probe`]; when `r.head` is a
 /// persistent column, its key index *is* the build side: built by the
 /// first join (for what that join's own build would have cost) and found
 /// ready by every later one.

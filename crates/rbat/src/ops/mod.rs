@@ -104,14 +104,11 @@ mod unique;
 
 pub use aggr::{aggr, AggrFunc};
 pub use calc::{calc, calc_cmp, CalcOp, CalcRhs, CmpOp};
-pub use group::{
-    group, group_build, group_probe, group_refine, grp_aggr, grp_first, num_groups, GroupMap,
-    GrpFunc,
-};
+pub use group::{group, group_refine, grp_aggr, grp_first, num_groups, GrpFunc};
 pub use join::{diff, join, join_build, join_probe, semijoin, JoinBuild};
 pub use like::{like_match, like_select, like_subsumes};
 pub use select::{concat, select, select_not_nil, uselect, SelectBounds};
-pub use sort::{sort, sort_build, sort_probe, topn, SortedRun};
+pub use sort::{sort, topn};
 pub use unique::kunique;
 
 use crate::bat::Bat;

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use crate::bat::Bat;
 use crate::buffer::TypedSlice;
 use crate::column::Column;
-use crate::error::{BatError, Result};
+use crate::error::Result;
 use crate::props::Props;
 
 /// The first `keep` rows of `tail` in tail order, ties in row order.
@@ -74,61 +74,6 @@ fn first_rows(
     idx
 }
 
-/// Exported internal state of [`sort`]: the stable sort permutation over the
-/// input's tuples, detached from the input BAT so it can be cached and
-/// re-imported by [`sort_probe`] (and sliced by a later [`topn`]).
-#[derive(Debug)]
-pub struct SortedRun {
-    idx: Vec<u32>,
-    ascending: bool,
-}
-
-impl SortedRun {
-    /// Number of input tuples this permutation covers.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// True when the run covers zero tuples.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// Sort direction this run was built for.
-    pub fn ascending(&self) -> bool {
-        self.ascending
-    }
-
-    /// Approximate heap footprint, for pool byte accounting.
-    pub fn byte_size(&self) -> usize {
-        self.idx.len() * 4 + 1
-    }
-}
-
-/// Build half of [`sort`]: compute the stable sort permutation as a
-/// detached, cacheable [`SortedRun`].
-pub fn sort_build(b: &Bat, ascending: bool) -> Result<SortedRun> {
-    Ok(SortedRun {
-        idx: rows_in_tail_order(b.tail(), b.len(), ascending),
-        ascending,
-    })
-}
-
-/// Probe half of [`sort`]: gather the tuples through a prebuilt permutation.
-/// `run` must come from [`sort_build`] on the same `b` with the same
-/// direction (enforced upstream by keying cached runs on the BAT's identity
-/// and the direction flag).
-pub fn sort_probe(b: &Bat, run: &SortedRun) -> Result<Bat> {
-    if run.len() != b.len() {
-        return Err(BatError::LengthMismatch {
-            op: "sort_probe",
-            left: run.len(),
-            right: b.len(),
-        });
-    }
-    Ok(arranged(b, &run.idx, run.ascending))
-}
-
 /// The tuples of `b` at `rows`, which are in tail order.
 fn arranged(b: &Bat, rows: &[u32], ascending: bool) -> Bat {
     Bat::new(
@@ -144,12 +89,9 @@ fn arranged(b: &Bat, rows: &[u32], ascending: bool) -> Bat {
 }
 
 /// Stable sort of the tuples by tail value (`algebra.sortTail`).
-///
-/// Composed from [`sort_build`] + [`sort_probe`], so a cached sorted run
-/// produces bit-identical results to a cold sort.
 pub fn sort(b: &Bat, ascending: bool) -> Result<Bat> {
-    let run = sort_build(b, ascending)?;
-    sort_probe(b, &run)
+    let rows = rows_in_tail_order(b.tail(), b.len(), ascending);
+    Ok(arranged(b, &rows, ascending))
 }
 
 /// First `n` tuples by tail order (`algebra.slice` after sort in MAL

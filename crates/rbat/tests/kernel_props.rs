@@ -12,7 +12,8 @@
 //! sorted with repeats, unsorted with repeats, or scattered over a wide
 //! range; keys that repeat and keys that are missing from the other side;
 //! empty inputs; `NaN`, `-0.0` and `0.0` (keys are equal when their bits
-//! are); multi-byte strings. A kernel must agree with the oracle in the
+//! are) beside floats from a domain wide enough that few repeat;
+//! multi-byte strings. A kernel must agree with the oracle in the
 //! tuples and their order, the logical types, the `Props`, whether the
 //! result is a view, and `resident_bytes()` — the recycler above charges
 //! and keys on all of these.
@@ -100,7 +101,11 @@ fn value(rng: &mut Rng, ty: LogicalType) -> Value {
             1 => Value::Int(i64::MAX),
             _ => Value::Int(rng.below(16) as i64 - 4),
         },
-        LogicalType::Float => Value::Float(rng.pick(&FLOATS)),
+        LogicalType::Float => match rng.below(4) {
+            // a wide domain too: mostly distinct values, few ties
+            0 => Value::Float((rng.below(4_001) as f64 - 2_000.0) / 2.0),
+            _ => Value::Float(rng.pick(&FLOATS)),
+        },
         LogicalType::Date => Value::Date(Date(rng.below(24) as i32 - 6)),
         LogicalType::Str => Value::str(rng.pick(&STRINGS)),
         LogicalType::Bool => Value::Bool(rng.chance(50)),

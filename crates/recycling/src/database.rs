@@ -182,57 +182,10 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Recycle *operator state*, not just result BATs: pool the build
-    /// sides of joins (hash tables), groupings (group maps) and sorts
-    /// (sorted runs) under build-side signatures, and reuse them when a
-    /// later query repeats the build side even though its final result
-    /// differs. Also enables the reuse-aware optimiser pass
-    /// ([`rmal::ReuseAware`]), which consults a pool warmth snapshot
-    /// ([`SharedRecycler::reuse_hints`]) to hoist cache-warm steps inside
-    /// commutative filter chains. Off by default; when off, neither the
-    /// artifact probes nor the pass exist — plans and pool content are
-    /// bit-identical to a build without this feature.
-    ///
-    /// Artifacts ride the full entry lifecycle — capacity cap, per-session
-    /// credit slices, pinning, eviction, commit invalidation — but are
-    /// *evict-only*: they never demote to the compressed or spilled tiers.
-    ///
-    /// ```
-    /// use rbat::{Catalog, LogicalType, TableBuilder, Value};
-    /// use recycling::DatabaseBuilder;
-    /// use rmal::{ProgramBuilder, P};
-    ///
-    /// let mut cat = Catalog::new();
-    /// let mut t = TableBuilder::new("t")
-    ///     .column("x", LogicalType::Int)
-    ///     .column("y", LogicalType::Int);
-    /// for i in 0..1000 {
-    ///     t.push_row(&[Value::Int(i % 97), Value::Int(i)]);
-    /// }
-    /// cat.add_table(t.finish());
-    ///
-    /// // probe side varies with the parameter, build side repeats
-    /// let mut b = ProgramBuilder::new("probe", 2);
-    /// let x = b.bind("t", "x");
-    /// let y = b.bind("t", "y");
-    /// let sel = b.select_closed(x, P(0), P(1));
-    /// let j = b.join(sel, y);
-    /// let n = b.count(j);
-    /// b.export("n", n);
-    ///
-    /// let db = DatabaseBuilder::new(cat)
-    ///     .recycle_operator_state(true)
-    ///     .template("probe", b.finish())
-    ///     .build();
-    /// let mut s = db.session();
-    /// s.query_named("probe", &[Value::Int(0), Value::Int(40)]).unwrap(); // builds + admits
-    /// s.query_named("probe", &[Value::Int(10), Value::Int(80)]).unwrap(); // reuses the hash table
-    /// let stats = db.stats();
-    /// assert!(stats.artifact_admissions >= 1);
-    /// assert!(stats.artifact_hits >= 1);
-    /// ```
-    pub fn recycle_operator_state(mut self, on: bool) -> DatabaseBuilder {
-        self.config = self.config.recycle_operator_state(on);
+    /// No-op: operator-state recycling is gone; kept only because the
+    /// `benchmark` package's `Knobs::apply` still calls it.
+    #[doc(hidden)]
+    pub fn recycle_operator_state(self, _on: bool) -> DatabaseBuilder {
         self
     }
 
@@ -287,14 +240,6 @@ impl DatabaseBuilder {
         let mut passes = default_pipeline();
         passes.extend(self.passes);
         let shared = SharedRecycler::with_spill(self.config, spill);
-        if self.recycling && self.config.recycle_operator_state {
-            // Reuse-aware ordering consults the live pool at each
-            // `prepare`; with the knob off the pass is not even
-            // constructed, so plans are bit-identical to earlier builds.
-            passes.push(Arc::new(rmal::ReuseAware::new(
-                Arc::clone(&shared) as Arc<dyn rmal::ReuseHintProvider>
-            )));
-        }
         if self.recycling {
             passes.push(Arc::new(RecycleMark));
         }
@@ -469,7 +414,7 @@ impl Database {
     /// session-local clear: the pool is shared state); the guard
     /// serialises maintenance sequences against each other, and each
     /// operation is atomic against concurrent queries via the pool's
-    /// update mutex. This replaces the old per-session
+    /// table write lock. This replaces the old per-session
     /// `Recycler::clear_pool`/`reset` footgun.
     pub fn maintenance(&self) -> MaintenanceGuard<'_> {
         self.inner.shared.maintenance()

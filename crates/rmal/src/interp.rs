@@ -32,12 +32,6 @@ pub enum HookAction {
     /// subsumed execution. The hook has already done its own admission
     /// bookkeeping — `after` is not called.
     Computed(Value),
-    /// The hook computed the result itself with the help of cached
-    /// *operator state* (a recycled join build, group map or sorted run —
-    /// or it built and cached one on the way). Neither a reuse nor a
-    /// subsumption: the probe half still executed. The hook has already
-    /// done its own admission bookkeeping — `after` is not called.
-    Assisted(Value),
 }
 
 /// Run-time extension interface of the interpreter. The recycler implements
@@ -151,7 +145,6 @@ pub fn run<H: ExecHook>(
 
         let mut reused = false;
         let mut subsumed = false;
-        let mut assisted = false;
         let t0 = Instant::now();
         let result = if instr.recycle {
             match hook.before(catalog, pc, instr, &args, t0) {
@@ -168,10 +161,6 @@ pub fn run<H: ExecHook>(
                 }
                 HookAction::Computed(v) => {
                     subsumed = true;
-                    v
-                }
-                HookAction::Assisted(v) => {
-                    assisted = true;
                     v
                 }
                 HookAction::Proceed => {
@@ -202,9 +191,6 @@ pub fn run<H: ExecHook>(
             if subsumed {
                 stats.subsumed += 1;
             }
-            if assisted {
-                stats.assisted += 1;
-            }
         }
         stats.profile.push(InstrProfile {
             pc,
@@ -212,7 +198,6 @@ pub fn run<H: ExecHook>(
             marked: instr.recycle,
             reused,
             subsumed,
-            assisted,
             cpu,
             result_bytes,
         });

@@ -40,6 +40,6 @@ pub use error::{MalError, Result};
 pub use exec::execute_op;
 pub use interp::{ExecHook, HookAction, NoHook};
 pub use opcode::Opcode;
-pub use optimizer::{OptPass, ReuseAware, ReuseHintProvider, ReuseHintSnapshot};
+pub use optimizer::OptPass;
 pub use profile::{ExecStats, InstrProfile, QueryOutput};
 pub use program::{Arg, Instr, Program, Var};

@@ -17,9 +17,6 @@ pub struct InstrProfile {
     pub reused: bool,
     /// Was the instruction executed in rewritten (subsumed) form?
     pub subsumed: bool,
-    /// Was the execution assisted by recycled operator state (a cached
-    /// build structure probed instead of rebuilt, or one built and cached)?
-    pub assisted: bool,
     /// CPU time spent executing (zero when reused).
     pub cpu: Duration,
     /// Resident bytes of the result (0 for scalars).
@@ -40,9 +37,6 @@ pub struct ExecStats {
     pub reused: usize,
     /// Marked instructions executed in subsumed (rewritten) form.
     pub subsumed: usize,
-    /// Marked instructions whose execution went through the operator-state
-    /// recycle path (build half served from or admitted to the pool).
-    pub assisted: usize,
     /// Sum of CPU time spent inside marked instructions that *executed*.
     pub marked_cpu: Duration,
     /// Per-instruction details.

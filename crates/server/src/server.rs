@@ -1162,11 +1162,6 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
         ("evict_gather_rounds", s.evict_gather_rounds),
         ("invalidated", s.invalidated),
         ("propagated", s.propagated),
-        // operator-state artifacts (join builds, group maps, sorted runs)
-        ("artifact_hits", s.artifact_hits),
-        ("artifact_admissions", s.artifact_admissions),
-        ("artifact_bytes", s.artifact_bytes),
-        ("artifact_saved_us", s.artifact_saved.as_micros() as u64),
         // residency-tier gauges and counters (the tiering subsystem)
         ("tier_raw_bytes", s.raw_bytes),
         ("tier_compressed_bytes", s.compressed_bytes),

@@ -121,7 +121,7 @@ fn a_warm_query_allocates_a_constant_whatever_the_number_of_probes() {
 }
 
 #[test]
-fn a_hit_is_one_shard_read_lock_and_a_query_one_accounts_lock() {
+fn a_hit_is_one_table_read_lock_and_a_query_one_accounts_lock() {
     for admission in [
         AdmissionPolicy::Paced,
         AdmissionPolicy::KeepAll,
@@ -187,7 +187,7 @@ fn two_parent_plan() -> Program {
 }
 
 #[test]
-fn an_admission_is_two_graph_locks_and_one_shard_write_lock() {
+fn an_admission_is_two_graph_locks_and_one_table_write_lock() {
     // no cap: no admission evicts; no subsumption: a miss searches nothing
     let db = DatabaseBuilder::new(catalog())
         .recycler(RecyclerConfig::default().subsumption(false))
