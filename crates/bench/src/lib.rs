@@ -18,7 +18,6 @@ pub mod driver;
 pub mod experiments;
 pub mod pressure;
 pub mod tables;
-pub mod tiered;
 
 pub use c10k::{server_c10k, C10kOutcome};
 pub use concurrent::{
@@ -29,4 +28,3 @@ pub use concurrent::{
 pub use driver::{run_batch, BatchOutcome, BenchItem, QueryRun};
 pub use pressure::{eviction_pressure, EvictionPressureOutcome, PressurePoint};
 pub use tables::TextTable;
-pub use tiered::{tiered_lowmem, TieredLowmemOutcome, TieredRun};

@@ -97,35 +97,6 @@ pub struct RecyclerConfig {
     /// saturate its slice and the overflow, but never starve another
     /// session's admissions (`None` = no per-session budget).
     pub session_credits: Option<u64>,
-    /// Run the background collector thread: a GC-style maintenance
-    /// service that continuously drains the pool toward the low-water
-    /// mark so admissions under pressure merely *signal* it instead of
-    /// evicting synchronously on the query path. Requires at least one
-    /// configured limit (`mem_limit` / `entry_limit`) — validated at
-    /// facade build time. Off by default: without the collector the
-    /// recycler behaves exactly as before (inline eviction at the cap).
-    pub background_collector: bool,
-    /// Low-water mark as a fraction of the configured cap(s), in `(0,
-    /// 1]`: the collector drains the pool down to `ratio × cap` (bytes
-    /// and entries alike) once signalled. Must be below
-    /// [`Self::high_water_ratio`].
-    pub low_water_ratio: f64,
-    /// High-water mark as a fraction of the configured cap(s), in `(0,
-    /// 1]`: admissions signal the collector when resident + in-flight
-    /// demand crosses `ratio × cap`. The gap to the cap itself is the
-    /// headroom admissions can consume while the collector catches up —
-    /// only when the pool is *genuinely full* (the strict gate at the cap
-    /// fails) does an admission fall back to inline eviction.
-    pub high_water_ratio: f64,
-    /// Enable the compression tier: collector rounds demote cold raw
-    /// entries to lightweight-compressed blobs *in place* before the
-    /// evict path ever fires, so eviction becomes the last rung of the
-    /// demotion ladder (raw → compressed → [spilled →] gone). A hit on
-    /// a compressed entry decompresses and re-promotes to raw, recording
-    /// the decompress cost. Requires the background collector (demotion
-    /// is a background activity) — validated at facade build time. Off
-    /// by default: without it the pool behaves exactly as before.
-    pub compression: bool,
 }
 
 impl Default for RecyclerConfig {
@@ -146,10 +117,6 @@ impl Default for RecyclerConfig {
             combined_subsumption: true,
             update_mode: UpdateMode::Invalidate,
             session_credits: None,
-            background_collector: false,
-            low_water_ratio: 0.5,
-            high_water_ratio: 0.8,
-            compression: false,
         }
     }
 }
@@ -207,84 +174,6 @@ impl RecyclerConfig {
         self.session_credits = Some(n.max(1));
         self
     }
-
-    /// Builder-style: enable the background collector thread (see
-    /// [`Self::background_collector`]). Pair with a `mem_limit` /
-    /// `entry_limit` — a collector with nothing to drain toward is a
-    /// configuration error.
-    pub fn collector(mut self, on: bool) -> Self {
-        self.background_collector = on;
-        self
-    }
-
-    /// Builder-style: set the collector's low/high water marks as
-    /// fractions of the configured cap(s). Validated at facade build time:
-    /// both in `(0, 1]` and `low < high`.
-    pub fn water_marks(mut self, low: f64, high: f64) -> Self {
-        self.low_water_ratio = low;
-        self.high_water_ratio = high;
-        self
-    }
-
-    /// Builder-style: enable the compression tier (see
-    /// [`Self::compression`]). Pair with the background collector and a
-    /// resource cap — demotion is driven by collector rounds under
-    /// pressure.
-    pub fn compression(mut self, on: bool) -> Self {
-        self.compression = on;
-        self
-    }
-
-    /// Validate the configuration, returning a human-readable description
-    /// of the first violation. Checked by the facade at build time
-    /// (`DatabaseBuilder::try_build` maps this into a typed
-    /// `recycling::Error::Config`); the core constructors trust their
-    /// input, so embedders driving [`crate::SharedRecycler`] directly
-    /// should call this themselves.
-    pub fn validate(&self) -> Result<(), String> {
-        let ratio_ok = |r: f64| r > 0.0 && r <= 1.0 && r.is_finite();
-        if !ratio_ok(self.low_water_ratio) {
-            return Err(format!(
-                "low_water_ratio must be in (0, 1], got {}",
-                self.low_water_ratio
-            ));
-        }
-        if !ratio_ok(self.high_water_ratio) {
-            return Err(format!(
-                "high_water_ratio must be in (0, 1], got {}",
-                self.high_water_ratio
-            ));
-        }
-        if self.low_water_ratio >= self.high_water_ratio {
-            return Err(format!(
-                "low water mark must sit below the high water mark, got low {} ≥ high {}",
-                self.low_water_ratio, self.high_water_ratio
-            ));
-        }
-        if self.background_collector && self.mem_limit.is_none() && self.entry_limit.is_none() {
-            return Err(
-                "background collector requires a mem_limit or entry_limit to drain toward"
-                    .to_string(),
-            );
-        }
-        if self.compression {
-            if !self.background_collector {
-                return Err(
-                    "the compression tier requires the background collector (demotion \
-                     is a background activity)"
-                        .to_string(),
-                );
-            }
-            if self.mem_limit.is_none() && self.entry_limit.is_none() {
-                return Err(
-                    "the compression tier requires a mem_limit or entry_limit — without \
-                     pressure there is nothing to demote for"
-                        .to_string(),
-                );
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -316,63 +205,6 @@ mod tests {
     fn disabling_subsumption_disables_combined() {
         let c = RecyclerConfig::default().subsumption(false);
         assert!(!c.combined_subsumption);
-    }
-
-    #[test]
-    fn collector_defaults_off_and_validates() {
-        let c = RecyclerConfig::default();
-        assert!(!c.background_collector);
-        assert!(c.validate().is_ok(), "defaults must validate");
-        let on = RecyclerConfig::default().mem_limit(1 << 20).collector(true);
-        assert!(on.validate().is_ok());
-        assert!((on.low_water_ratio - 0.5).abs() < 1e-12);
-        assert!((on.high_water_ratio - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn water_mark_validation_rejects_bad_configs() {
-        let base = RecyclerConfig::default().mem_limit(1 << 20).collector(true);
-        for (low, high) in [
-            (0.0, 0.8),  // low out of (0,1]
-            (0.5, 1.5),  // high above the cap
-            (0.8, 0.5),  // inverted
-            (0.7, 0.7),  // degenerate band
-            (-0.1, 0.8), // negative
-            (f64::NAN, 0.8),
-        ] {
-            assert!(
-                base.water_marks(low, high).validate().is_err(),
-                "({low}, {high}) must be rejected"
-            );
-        }
-        assert!(
-            RecyclerConfig::default()
-                .collector(true)
-                .validate()
-                .is_err(),
-            "a collector without limits has nothing to drain toward"
-        );
-    }
-
-    #[test]
-    fn tiering_knobs_default_off_and_validate() {
-        let c = RecyclerConfig::default();
-        assert!(!c.compression);
-        // compression without a collector (or without a cap) is an error
-        assert!(RecyclerConfig::default()
-            .compression(true)
-            .validate()
-            .is_err());
-        assert!(RecyclerConfig::default()
-            .mem_limit(1 << 20)
-            .compression(true)
-            .validate()
-            .is_err());
-        let ok = RecyclerConfig::default()
-            .mem_limit(1 << 20)
-            .collector(true)
-            .compression(true);
-        assert!(ok.validate().is_ok());
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! # Concurrency
 //!
-//! An entry's *identity* (signature, arguments, payload, lineage) is fixed
+//! An entry's *identity* (signature, arguments, result, lineage) is fixed
 //! at admission and only ever rewritten under the pool's write view
-//! holding the table write lock (delta propagation), or — for the
-//! payload alone — by the pool's one residency transition under the same
-//! lock. Its *usage statistics* — reuse counters, the
-//! last-use stamp, the pin count and the
+//! holding the table write lock (delta propagation). Its *usage
+//! statistics* — reuse counters, the last-use stamp, the pin count and the
 //! credit-return flag — are plain atomics, so the exact-match hit path
 //! can update them while holding nothing stronger than the table **read**
 //! lock. This is what makes the pool's hit path write-lock-free
@@ -22,92 +20,24 @@ use rbat::{BatId, Value};
 use rmal::Opcode;
 
 use crate::signature::Sig;
-use crate::tier::{CompressedBat, SpillTicket};
 
 /// Identifier of a pool entry.
 pub type EntryId = u64;
 
-/// What a pool entry holds — an instruction's result — and where it
-/// lives: the one notion of "an intermediate" the pool, the admission
-/// funnel, the hit path and the ledger share. `Arc`-wrapped (or `Copy`)
-/// throughout, so the hit path can hand out a clone under nothing stronger
-/// than the table read lock.
-///
-/// # Transitions
-///
-/// A resident entry's payload changes only through the pool's single
-/// transition function, which consults [`Payload::may_become`] — the
-/// whole table. Its two entry points each perform one kind of move:
-/// [`crate::RecyclePool::retier`] the ladder moves (always a change of
-/// rung — a second promotion of an already-raw entry loses to the first),
-/// the write view's [`crate::PoolWriteView::set_raw`] the in-place
-/// Raw → Raw rewrite:
-///
-/// ```text
-/// Raw ──compress──▶ Compressed ──spill──▶ Spilled
-///  ▲ ◀───promote───────┘                     │
-///  └──────────────promote────────────────────┘
-/// Raw ──resize / rewrite──▶ Raw      (delta propagation; rekey is Raw-only)
-/// any ──▶ gone                       (eviction, invalidation, repair)
-/// ```
-///
-/// Everything else (compressed → compressed, raw → spilled, spilled →
-/// resize) is refused and leaves the entry, every book and the spill file
-/// untouched.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// Hot: the materialised result (BAT or scalar), reusable as is.
-    Raw(Value),
-    /// Cold: the result as an in-memory compressed blob. A hit
-    /// decompresses outside any lock and promotes back to raw.
-    Compressed(Arc<CompressedBat>),
-    /// Coldest: the blob lives in the spill block file; only the claim
-    /// ticket stays in memory. A hit reads the record back, decodes it and
-    /// promotes to raw.
-    Spilled(SpillTicket),
-}
-
-impl Payload {
-    /// The raw result, when resident as such.
-    pub fn as_raw(&self) -> Option<&Value> {
-        match self {
-            Payload::Raw(v) => Some(v),
-            _ => None,
-        }
+/// Bytes an entry holding `value` as the result of `op` charges against
+/// the pool cap (and, at admission, the session's credit slice): only what
+/// the instruction newly materialised. Binds reference persistent storage
+/// and zero-cost viewpoint instructions share their operand's buffers
+/// (paper §2.3, Table III shows bind/markT at 0 MB), so they pay a flat
+/// 64 bytes.
+pub fn charge_bytes(op: Opcode, value: &Value) -> usize {
+    if matches!(op, Opcode::Bind | Opcode::BindIdx) || op.zero_cost() {
+        return 64;
     }
-
-    /// The legal-transition table (see the type-level docs): may a resident
-    /// entry holding `self` be handed `to` instead?
-    pub fn may_become(&self, to: &Payload) -> bool {
-        matches!(
-            (self, to),
-            (Payload::Raw(_), Payload::Raw(_) | Payload::Compressed(_))
-                | (
-                    Payload::Compressed(_),
-                    Payload::Raw(_) | Payload::Spilled(_)
-                )
-                | (Payload::Spilled(_), Payload::Raw(_))
-        )
-    }
-
-    /// Bytes an entry holding this payload for `op` charges against the
-    /// pool cap (and, at admission, the session's credit slice). Raw
-    /// results pay only for what the instruction newly materialised: binds
-    /// reference persistent storage and zero-cost viewpoint instructions
-    /// share their operand's buffers (paper §2.3, Table III shows
-    /// bind/markT at 0 MB). A blob pays its size, a spilled record nothing
-    /// (it counts against the spill budget instead).
-    pub fn charge_bytes(&self, op: Opcode) -> usize {
-        match self {
-            Payload::Raw(_) if matches!(op, Opcode::Bind | Opcode::BindIdx) || op.zero_cost() => 64,
-            Payload::Raw(v) => v
-                .as_bat()
-                .map(|b| b.resident_bytes())
-                .unwrap_or(std::mem::size_of::<Value>()),
-            Payload::Compressed(blob) => blob.byte_size(),
-            Payload::Spilled(_) => 0,
-        }
-    }
+    value
+        .as_bat()
+        .map(|b| b.resident_bytes())
+        .unwrap_or(std::mem::size_of::<Value>())
 }
 
 /// Identity of the *source instruction* in its query template:
@@ -167,7 +97,7 @@ impl Drop for Pin {
     }
 }
 
-/// A recycled intermediate: the instruction as executed, its payload,
+/// A recycled intermediate: the instruction as executed, its result,
 /// lineage links and the execution/reuse statistics that drive the
 /// admission and eviction policies.
 #[derive(Debug)]
@@ -179,18 +109,17 @@ pub struct PoolEntry {
     /// The evaluated argument values as executed — kept for delta
     /// propagation, which must re-run operators over update deltas (§6.3).
     pub args: Vec<Value>,
-    /// What the entry holds and where it lives. Private together with
-    /// `bytes`: the pair is what the pool's ledger books, so it moves only
-    /// through [`Self::swap_payload`], called by the pool's one transition
-    /// function under the table write lock.
-    payload: Payload,
-    /// Identity of the result BAT, when the result is one. Survives
-    /// demotion: a compressed or spilled entry keeps its place in the
-    /// result index, so descendants stay matchable.
+    /// The materialised result (BAT or scalar), `Arc`-shared so the hit
+    /// path hands out a clone under the table read lock. Private together
+    /// with `bytes`: the pair is what the pool's ledger books, so it moves
+    /// only through [`Self::replace_value`], called by the write view's
+    /// in-place rewrite under the table write lock.
+    value: Value,
+    /// Identity of the result BAT, when the result is one.
     pub result_id: Option<BatId>,
     /// Resident bytes charged against the pool's memory budget for the
-    /// *current* payload ([`Payload::charge_bytes`] at admission and after
-    /// every transition).
+    /// current result ([`charge_bytes`] at admission, the propagator's
+    /// figure after a rewrite).
     bytes: usize,
     /// Measured CPU cost of computing the result — `Cost(I)` in eq. (1).
     pub cpu: Duration,
@@ -250,7 +179,7 @@ impl Clone for PoolEntry {
             id: self.id,
             sig: self.sig.clone(),
             args: self.args.clone(),
-            payload: self.payload.clone(),
+            value: self.value.clone(),
             result_id: self.result_id,
             bytes: self.bytes,
             cpu: self.cpu,
@@ -275,13 +204,13 @@ impl PoolEntry {
     /// A fresh entry as the admission funnel builds it: every statistic
     /// zeroed, last use stamped with the admission tick, and **born
     /// pinned** once on behalf of the admitting session. The result
-    /// identity is read off the payload, the family off the opcode.
+    /// identity is read off the value, the family off the opcode.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: EntryId,
         sig: Sig,
         args: Vec<Value>,
-        payload: Payload,
+        value: Value,
         bytes: usize,
         cpu: Duration,
         lineage: Lineage,
@@ -289,11 +218,11 @@ impl PoolEntry {
     ) -> PoolEntry {
         PoolEntry {
             id,
-            result_id: payload.as_raw().and_then(Value::as_bat).map(|b| b.id()),
+            result_id: value.as_bat().map(|b| b.id()),
             family: sig.op.family(),
             sig,
             args,
-            payload,
+            value,
             bytes,
             cpu,
             parents: lineage.parents,
@@ -311,9 +240,9 @@ impl PoolEntry {
         }
     }
 
-    /// What the entry holds and where it lives.
-    pub fn payload(&self) -> &Payload {
-        &self.payload
+    /// The materialised result.
+    pub fn value(&self) -> &Value {
+        &self.value
     }
 
     /// Resident bytes the entry currently charges against the pool cap.
@@ -321,14 +250,13 @@ impl PoolEntry {
         self.bytes
     }
 
-    /// Replace payload and charge, returning the old pair. Only the pool's
-    /// transition function calls this — it owns the legality check, the
-    /// ledger move and the spill-ticket retirement that must go with it.
-    pub(crate) fn swap_payload(&mut self, to: Payload, bytes: usize) -> (Payload, usize) {
-        (
-            std::mem::replace(&mut self.payload, to),
-            std::mem::replace(&mut self.bytes, bytes),
-        )
+    /// Replace result and charge, returning the old charge. Only the
+    /// write view's in-place rewrite calls this — it owns the ledger move
+    /// that must go with it.
+    pub(crate) fn replace_value(&mut self, value: Value, bytes: usize) -> usize {
+        self.result_id = value.as_bat().map(|b| b.id());
+        self.value = value;
+        std::mem::replace(&mut self.bytes, bytes)
     }
 
     /// Last computation-or-reuse tick.
@@ -414,7 +342,7 @@ impl PoolEntry {
             id,
             Sig::of(Opcode::Select, &[Value::Int(tag)]),
             vec![Value::Int(tag)],
-            Payload::Raw(Value::Int(tag)),
+            Value::Int(tag),
             bytes,
             Duration::from_millis(1),
             Lineage {

@@ -22,8 +22,10 @@
 //! always wins over the stale snapshot. Only when victims are rejected or
 //! a removal exposes new leaves (a dependency layer peeled off) does the
 //! loop re-gather. Callers serialise evictors through the
-//! [`SharedRecycler`](crate::SharedRecycler)'s eviction mutex (tier 1 of
-//! the lock order) so concurrent memory pressure never over-evicts.
+//! [`SharedRecycler`](crate::SharedRecycler)'s eviction mutex (the lock
+//! order's eviction tier) so concurrent memory pressure never over-evicts.
+//! Eviction runs inline only, on the admission that finds the pool full
+//! (§4.3): there is no background evictor.
 
 use crate::config::EvictionPolicy;
 use crate::entry::{EntryId, PoolEntry};
@@ -47,10 +49,8 @@ struct Candidate {
     last_used: u64,
 }
 
-/// The policy's victim-ordering key (smaller = evicted first) — shared
-/// with the background collector's minor rounds, which order their
-/// nursery candidates exactly as a full gather would.
-pub(crate) fn policy_key(policy: EvictionPolicy, e: &PoolEntry, now_tick: u64) -> f64 {
+/// The policy's victim-ordering key (smaller = evicted first).
+fn policy_key(policy: EvictionPolicy, e: &PoolEntry, now_tick: u64) -> f64 {
     match policy {
         // smaller = evicted first
         EvictionPolicy::Lru => e.last_used() as f64,
@@ -164,36 +164,17 @@ fn evict_memory(
         let leaf_bytes: usize = leaves.iter().map(|c| c.bytes).sum();
         let remaining_need = need - freed;
         let victims: Vec<EntryId> = if leaf_bytes <= remaining_need {
-            // Not enough in this layer: evict the whole charged layer and
-            // iterate. Spilled (zero-charge) leaves are spared as long as
-            // any leaf still charges bytes — evicting them frees nothing,
-            // and they are exactly the entries the ladder paid to keep.
-            // Once *every* leaf is spilled the layer goes wholesale: that
-            // frees no cap bytes either, but exposes the charged layer
-            // beneath for the next iteration, which keeps byte pressure
-            // resolvable. It is the ladder's true last rung: spilled → gone.
-            if leaves.iter().any(|c| c.bytes > 0) {
-                leaves
-                    .iter()
-                    .filter(|c| c.bytes > 0)
-                    .map(|c| c.id)
-                    .collect()
-            } else {
-                leaves.iter().map(|c| c.id).collect()
-            }
+            // not enough in this layer: evict all of it and iterate
+            leaves.iter().map(|c| c.id).collect()
         } else {
             match policy {
                 EvictionPolicy::Lru => {
                     // ties on `last_used` break largest-bytes-first: the
                     // bytes freed then cost the fewest victims (smallest-
                     // first would maximise the entries destroyed for the
-                    // same relief). Spilled leaves charge nothing against
-                    // the cap, so evicting them here buys no relief —
-                    // they are filtered out and survive until the
-                    // evict-all branch above has nothing else left.
+                    // same relief)
                     let mut ordered: Vec<(u64, std::cmp::Reverse<usize>, EntryId)> = leaves
                         .iter()
-                        .filter(|c| c.bytes > 0)
                         .map(|c| (c.last_used, std::cmp::Reverse(c.bytes), c.id))
                         .collect();
                     ordered.sort_unstable();
@@ -209,9 +190,6 @@ fn evict_memory(
                     take
                 }
                 EvictionPolicy::Benefit | EvictionPolicy::History => {
-                    // spilled (zero-byte) leaves fit any capacity for
-                    // free, so the knapsack always keeps them — the same
-                    // last-rung protection the LRU filter gives
                     knapsack_victims(&leaves, leaf_bytes - remaining_need)
                 }
             }

@@ -3,7 +3,7 @@
 //! Compiled only under the `failpoints` cargo feature; default builds
 //! carry **zero** code from this module and zero checks at the
 //! injection sites. With the feature on, a handful of named sites
-//! across the admission, eviction, collector and wire layers consult a
+//! across the admission, pool, eviction and wire layers consult a
 //! process-global registry on every pass and either proceed, panic,
 //! deny the operation, or surface an injected I/O error — exactly as a
 //! test scripted via [`FaultPlan`].
@@ -24,19 +24,10 @@
 //! | `admission.reserve` | byte-budget reservation  | Deny, Panic      |
 //! | `pool.insert`       | table insert, lock held  | Panic            |
 //! | `pool.insert.wired` | insert, indexes half-wired | Panic          |
-//! | `pool.demote.wired` | demotion, entry re-tiered, books stale | Panic |
 //! | `evict.gather`      | eviction victim gather   | Panic            |
 //! | `evict.remove`      | batched removal, lock held | Panic          |
-//! | `collector.round`   | background collector round | Panic          |
-//! | `tier.compress`     | demote rung, before codec work | Deny, Io, Panic |
-//! | `tier.spill`        | demote rung, before spill append | Deny, Io, Panic |
-//! | `tier.rehydrate`    | hit path, before decompress/read-back | Deny, Io, Panic |
 //! | `wire.read`         | server frame read        | Io, Panic        |
 //! | `wire.write`        | server frame write       | Io, Panic        |
-//!
-//! The three `tier.*` sites treat Deny and Io identically: the entry is
-//! skipped (demotion) or the probe degrades to a miss (rehydrate) — the
-//! residency ladder never turns an injected fault into a wrong answer.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,7 +40,7 @@ pub enum FaultAction {
     /// poisoning).
     Panic,
     /// Deny the operation: the site reports failure through its normal
-    /// "no" path (e.g. an admission reservation returns false).
+    /// "no" path (e.g. an admission reservation is refused).
     Deny,
     /// Surface an injected I/O error at the site (wire sites only).
     Io,

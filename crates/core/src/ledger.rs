@@ -1,17 +1,16 @@
 //! The pool's one ledger: every byte and entry-count book, moved in one
 //! place.
 //!
-//! An entry charges exactly one [`Charge`], computed by [`charge`] from
-//! its payload and byte count. The books are sums of those charges — per
-//! rung (raw / compressed / spilled), the pool-wide resident total, the
-//! entry count and the per-session resident counts the admission budget
-//! slices — and [`Ledger::apply`] is the only code that moves any of them:
+//! An entry charges its byte count ([`PoolEntry::bytes`]). The books are
+//! sums of those charges — the pool-wide resident total, the entry count
+//! and the per-session resident counts the admission budget slices — and
+//! [`Ledger::apply`] is the only code that moves any of them:
 //!
 //! | event                         | `before` → `after`            |
 //! |-------------------------------|-------------------------------|
 //! | insert                        | `None` → `Some`               |
 //! | remove (evict, invalidate)    | `Some` → `None`               |
-//! | compress, spill, promote, resize | `Some` → `Some`            |
+//! | rewrite (delta propagation)   | `Some` → `Some`               |
 //!
 //! The caller holds the pool table's write lock, so the books change under
 //! it; they are plain atomics read lock-free by the admission gate.
@@ -24,60 +23,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::entry::{Payload, PoolEntry};
-
-/// What one entry charges to each rung book.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Charge {
-    /// Resident bytes of raw payloads.
-    pub raw: usize,
-    /// Resident bytes of compressed blobs.
-    pub compressed: usize,
-    /// Bytes of spilled records — off the memory cap, counted against the
-    /// spill budget.
-    pub spilled: usize,
-}
-
-impl Charge {
-    /// Bytes counted against the memory cap.
-    pub fn resident(&self) -> usize {
-        self.raw + self.compressed
-    }
-}
-
-impl std::ops::AddAssign for Charge {
-    fn add_assign(&mut self, c: Charge) {
-        self.raw += c.raw;
-        self.compressed += c.compressed;
-        self.spilled += c.spilled;
-    }
-}
-
-/// Classify an entry: which books its `bytes` belong in.
-pub fn charge(payload: &Payload, bytes: usize) -> Charge {
-    match payload {
-        Payload::Raw(_) => Charge {
-            raw: bytes,
-            ..Charge::default()
-        },
-        Payload::Compressed(_) => Charge {
-            compressed: bytes,
-            ..Charge::default()
-        },
-        Payload::Spilled(ticket) => Charge {
-            spilled: ticket.len as usize,
-            ..Charge::default()
-        },
-    }
-}
+use crate::entry::PoolEntry;
 
 /// A plain-number image of every book: what [`Ledger::recompute`] derives
 /// from the slabs and [`Ledger::books`] reads off the live counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Books {
-    /// The sum of the resident entries' charges.
-    pub rungs: Charge,
-    /// Pool-wide resident bytes (`rungs.resident()`).
+    /// Pool-wide resident bytes.
     pub bytes: usize,
     /// Resident entries.
     pub entries: usize,
@@ -85,12 +37,8 @@ pub struct Books {
     pub by_session: BTreeMap<u64, u64>,
 }
 
-fn fields(c: Charge) -> [usize; 3] {
-    [c.raw, c.compressed, c.spilled]
-}
-
-/// Move one book from `from` to `to`; a book the charge does not touch
-/// (most of them, for any one entry) costs no atomic write.
+/// Move one book from `from` to `to`; an unchanged book costs no atomic
+/// write.
 fn shift(cell: &AtomicUsize, from: usize, to: usize) {
     if to > from {
         cell.fetch_add(to - from, Ordering::Relaxed);
@@ -102,8 +50,6 @@ fn shift(cell: &AtomicUsize, from: usize, to: usize) {
 /// The live books (see the module docs).
 #[derive(Default)]
 pub(crate) struct Ledger {
-    /// The rung books, in the field order of [`Charge`].
-    rungs: [AtomicUsize; 3],
     bytes: AtomicUsize,
     entries: AtomicUsize,
     /// Resident entries per admitting session. A leaf lock: taken for one
@@ -119,13 +65,13 @@ impl Ledger {
     }
 
     /// Move the books for one entry of `session` from the `before` charge
-    /// to the `after` charge (`None` = not resident).
-    pub(crate) fn apply(&self, session: u64, before: Option<Charge>, after: Option<Charge>) {
-        let (b, a) = (before.unwrap_or_default(), after.unwrap_or_default());
-        for (cell, (from, to)) in self.rungs.iter().zip(fields(b).into_iter().zip(fields(a))) {
-            shift(cell, from, to);
-        }
-        shift(&self.bytes, b.resident(), a.resident());
+    /// to the `after` charge, in bytes (`None` = not resident).
+    pub(crate) fn apply(&self, session: u64, before: Option<usize>, after: Option<usize>) {
+        shift(
+            &self.bytes,
+            before.unwrap_or_default(),
+            after.unwrap_or_default(),
+        );
         match (before.is_some(), after.is_some()) {
             (false, true) => {
                 self.entries.fetch_add(1, Ordering::Relaxed);
@@ -160,20 +106,9 @@ impl Ledger {
         self.sessions().get(&session).copied().unwrap_or(0)
     }
 
-    /// The rung books.
-    pub(crate) fn rungs(&self) -> Charge {
-        let [raw, compressed, spilled] = self.rungs.each_ref().map(|c| c.load(Ordering::Relaxed));
-        Charge {
-            raw,
-            compressed,
-            spilled,
-        }
-    }
-
     /// The live counters as a plain image.
     pub(crate) fn books(&self) -> Books {
         Books {
-            rungs: self.rungs(),
             bytes: self.bytes(),
             entries: self.entries(),
             by_session: self.sessions().clone(),
@@ -184,9 +119,7 @@ impl Ledger {
     pub(crate) fn recompute<'a>(entries: impl Iterator<Item = &'a PoolEntry>) -> Books {
         let mut books = Books::default();
         for e in entries {
-            let c = charge(e.payload(), e.bytes());
-            books.rungs += c;
-            books.bytes += c.resident();
+            books.bytes += e.bytes();
             books.entries += 1;
             *books.by_session.entry(e.admitted_session).or_insert(0) += 1;
         }
@@ -196,9 +129,6 @@ impl Ledger {
     /// Overwrite every counter with `books` (quarantine repair, `clear`).
     /// The caller holds the table write lock.
     pub(crate) fn store(&self, books: &Books) {
-        for (cell, v) in self.rungs.iter().zip(fields(books.rungs)) {
-            cell.store(v, Ordering::Relaxed);
-        }
         self.bytes.store(books.bytes, Ordering::Relaxed);
         self.entries.store(books.entries, Ordering::Relaxed);
         *self.sessions() = books.by_session.clone();

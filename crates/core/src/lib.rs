@@ -34,10 +34,12 @@
 //!   alternative 1) or a *subsuming* intermediate (§5); after an
 //!   execution, `recycleExit` decides admission via the configured
 //!   [`AdmissionPolicy`] and makes room via the [`EvictionPolicy`], both of
-//!   which respect instruction lineage (§4). Cloning a session handle —
-//!   or calling [`rmal::Engine::session`] — attaches another session to
-//!   the same pool; `Recycler::new` keeps the one-session case a
-//!   one-liner.
+//!   which respect instruction lineage (§4). Eviction is synchronous: the
+//!   admission that finds the pool full evicts leaves itself — there is
+//!   no background thread and no second residency for an intermediate.
+//!   Cloning a session handle — or calling [`rmal::Engine::session`] —
+//!   attaches another session to the same pool; `Recycler::new` keeps the
+//!   one-session case a one-liner.
 //!
 //! Admission defaults to [`AdmissionPolicy::Paced`]: a template
 //! instruction keeps admitting only while its instances get reused. The
@@ -88,7 +90,6 @@
 
 #![deny(missing_docs)]
 
-pub mod collector;
 pub mod config;
 pub mod entry;
 pub mod eviction;
@@ -104,10 +105,9 @@ pub mod shared;
 pub mod signature;
 pub mod stats;
 pub mod subsume;
-pub mod tier;
 
 pub use config::{AdmissionPolicy, EvictionPolicy, RecyclerConfig, UpdateMode};
-pub use entry::{EntryId, Payload, PoolEntry};
+pub use entry::{EntryId, PoolEntry};
 pub use mark::RecycleMark;
 pub use pool::{Admitted, PoolWriteView, RecyclePool, RepairReport};
 pub use runtime::Recycler;

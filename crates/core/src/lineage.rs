@@ -9,11 +9,10 @@
 //! [`LineageGraph::leaves`] / [`LineageGraph::unwire`]) and lineage
 //! invalidation (§6.4, [`LineageGraph::retire`] /
 //! [`LineageGraph::subtree`]). [`crate::pool`] owns the question "what does
-//! entry `id` hold" (the table, the ledger, the residency
-//! transitions); this module owns every question *about ids*: where an id
-//! is filed, who its children are, which entry a result BAT belongs to,
-//! which ids are childless, which results are subsets of which, and which
-//! entries derive from a base column.
+//! entry `id` hold" (the table, the ledger); this module owns every
+//! question *about ids*: where an id is filed, who its children are, which
+//! entry a result BAT belongs to, which ids are childless, which results
+//! are subsets of which, and which entries derive from a base column.
 //!
 //! # Anchors
 //!
@@ -53,7 +52,7 @@
 //! image; `check_invariants` compares the live graph against it
 //! ([`LineageGraph::diff`]).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -63,10 +62,6 @@ use rmal::Opcode;
 
 use crate::entry::{Anchors, EntryId, PoolEntry};
 use crate::signature::{ArgSig, Sig};
-
-/// Capacity of the nursery ring (oldest ids fall off on overflow — the
-/// collector's major rounds cover whatever the nursery forgot).
-const NURSERY_CAP: usize = 256;
 
 /// What the graph knows about one resident entry.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -79,9 +74,7 @@ struct Node {
     aliases: Vec<BatId>,
 }
 
-/// The lineage graph (see the module docs). `nursery` is the background
-/// collector's ring of recently-leafed ids — a hint, not part of the
-/// graph's truth, so [`Self::diff`] ignores it.
+/// The lineage graph (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct LineageGraph {
     nodes: FxHashMap<EntryId, Node>,
@@ -91,7 +84,6 @@ pub(crate) struct LineageGraph {
     /// children. Pin state stays out (pins flip on the read-lock-only hit
     /// path); pinned leaves are filtered at gather, revalidated at removal.
     leaves: BTreeSet<EntryId>,
-    nursery: VecDeque<EntryId>,
     /// `sub → [sup]`: the result BAT `sub` is a subset of each `sup` (§5.1).
     supersets: FxHashMap<BatId, Vec<BatId>>,
     /// Subsumption candidates `(opcode, first argument) → entries`,
@@ -192,7 +184,7 @@ impl LineageGraph {
             ..Node::default()
         };
         self.nodes.insert(id, fresh);
-        self.leaf_insert(id);
+        self.leaves.insert(id);
         if let Some(rb) = entry.result_id {
             self.by_result.insert(rb, id);
             if let Some(sup) = subset_of {
@@ -261,7 +253,7 @@ impl LineageGraph {
                 parent.children.is_empty()
             });
             if emptied {
-                self.leaf_insert(*p);
+                self.leaves.insert(*p);
             }
         }
         true
@@ -273,17 +265,6 @@ impl LineageGraph {
             self.by_result.remove(&bat);
         }
         self.supersets.remove(&bat);
-    }
-
-    /// `id` (re-)enters the leaf set; a genuine transition also feeds the
-    /// collector's nursery ring.
-    fn leaf_insert(&mut self, id: EntryId) {
-        if self.leaves.insert(id) {
-            if self.nursery.len() == NURSERY_CAP {
-                self.nursery.pop_front();
-            }
-            self.nursery.push_back(id);
-        }
     }
 
     // ----- delta propagation ------------------------------------------------
@@ -413,13 +394,6 @@ impl LineageGraph {
         self.leaves.len()
     }
 
-    /// Take up to `max` of the oldest recently-leafed ids from the nursery
-    /// ring. They may be stale; consumers revalidate per id.
-    pub(crate) fn drain_nursery(&mut self, max: usize) -> Vec<EntryId> {
-        let n = self.nursery.len().min(max);
-        self.nursery.drain(..n).collect()
-    }
-
     /// Entries with the given opcode and first argument, ascending.
     pub(crate) fn candidates(&self, op: Opcode, arg0: &ArgSig) -> Vec<EntryId> {
         self.candidates
@@ -450,7 +424,7 @@ impl LineageGraph {
     /// derived index re-wired from the slabs, oldest entry first, plus what
     /// `recorded` knows that no entry carries — aliases of entries that
     /// are still resident, subset edges of results that are still mapped,
-    /// the persistent-BAT registry. The nursery starts empty.
+    /// the persistent-BAT registry.
     pub(crate) fn rebuild<'a>(
         filed: impl Iterator<Item = (u64, &'a PoolEntry)>,
         recorded: &LineageGraph,
@@ -462,7 +436,6 @@ impl LineageGraph {
             // an entry whose parent is missing stays out: `diff` reports it
             graph.wire(e, *key, None);
         }
-        graph.nursery.clear();
         for (_, e) in &filed {
             let aliases = recorded.nodes.get(&e.id).map(|n| &n.aliases);
             for bat in aliases.into_iter().flatten() {
@@ -478,7 +451,7 @@ impl LineageGraph {
         graph
     }
 
-    /// The first place this graph differs from `want` (nursery aside).
+    /// The first place this graph differs from `want`.
     pub(crate) fn diff(&self, want: &LineageGraph) -> Result<(), String> {
         same_map("lineage node", &self.nodes, &want.nodes)?;
         same_map("result index", &self.by_result, &want.by_result)?;
@@ -699,27 +672,5 @@ mod tests {
         g.add_subset_edge(BatId(77), BatId(1001));
         assert!(!g.is_subset(BatId(77), BatId(1001)));
         g.diff(&rebuilt(&g, &entries)).unwrap();
-    }
-
-    #[test]
-    fn nursery_keeps_the_newest_leaf_transitions() {
-        let mut g = LineageGraph::default();
-        let total = NURSERY_CAP as u64 + 10;
-        for id in 1..=total {
-            assert!(g.wire(&PoolEntry::test_stub(id, id as i64, vec![], 8), id, None));
-        }
-        // a child unleafs its parent; removing it re-leafs — one more entry
-        let child = PoolEntry::test_stub(total + 1, 0, vec![1], 8);
-        assert!(g.wire(&child, 0, None));
-        assert!(g.unwire(&child, true));
-        let drained = g.drain_nursery(usize::MAX);
-        assert_eq!(drained.len(), NURSERY_CAP, "the ring is bounded");
-        assert_eq!(
-            drained.last(),
-            Some(&1),
-            "the re-leafed parent is the newest"
-        );
-        assert_eq!(drained[0], 13, "the oldest transitions fell off");
-        assert!(g.drain_nursery(8).is_empty());
     }
 }

@@ -1,10 +1,10 @@
-//! The recycle pool: what each entry holds, and where.
+//! The recycle pool: what each entry holds.
 //!
 //! The pool is one fingerprint-keyed table — entry slab and exact-match
 //! index at once — behind one `RwLock`, so the exact-match hit path takes
 //! one **read** lock and nothing else. This module owns every question
-//! about an entry's *content* — the table, the [ledger](crate::ledger), the
-//! residency transitions, quarantine and repair. Every question about
+//! about an entry's *content* — the table, the [ledger](crate::ledger),
+//! quarantine and repair. Every question about
 //! *ids* — where an id is filed, who feeds whom, which entries are
 //! evictable leaves, which results subsume which, which entries derive from
 //! a base column — belongs to the one [lineage graph](crate::lineage), kept
@@ -14,14 +14,14 @@
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rbat::hash::FxHashSet;
 use rbat::BatId;
 use rmal::Opcode;
 
-use crate::entry::{Anchors, EntryId, Payload, PoolEntry};
-use crate::ledger::{charge, Books, Ledger};
+use crate::entry::{Anchors, EntryId, PoolEntry};
+use crate::ledger::{Books, Ledger};
 use crate::lineage::{LineageGraph, Resolved};
 use crate::signature::{ArgSig, FingerprintMap, Sig, SigRef};
 
@@ -132,27 +132,23 @@ impl Table {
 /// [`Self::probe`]) take the table **read** lock; id-based reads
 /// ([`Self::entry`]) first ask the graph where the id is filed;
 /// [`Self::candidates`] and [`Self::is_subset`] read the graph alone.
-/// [`Self::insert`], the removal paths and the residency transitions
-/// write-lock the table once and, inside it, the graph once per step;
-/// commits and maintenance hold the table write lock through a
-/// [`PoolWriteView`] ([`Self::write_view`]). Every stored result `Value`
-/// is `Arc`-shared — a result cloned out of the pool stays valid after
-/// the entry is evicted or invalidated. The graph changes only while the
-/// table lock is held, so a write view observes fully wired, quiescent
-/// lineage.
+/// [`Self::insert`] and the removal paths write-lock the table once and,
+/// inside it, the graph once per step; commits and maintenance hold the
+/// table write lock through a [`PoolWriteView`] ([`Self::write_view`]).
+/// Every stored result `Value` is `Arc`-shared — a result cloned out of the
+/// pool stays valid after the entry is evicted or invalidated. The graph
+/// changes only while the table lock is held, so a write view observes
+/// fully wired, quiescent lineage.
 pub struct RecyclePool {
     table: RwLock<Table>,
-    /// Every byte and entry-count book (rung books, resident totals,
-    /// per-session resident counts — the book the per-session admission
-    /// budget reads). Moved only by [`Ledger::apply`], called from the
-    /// insert/remove funnels ([`Self::insert`] / `remove_locked`) and the
-    /// one residency transition, always under the table write lock — so
+    /// Every byte and entry-count book (resident totals, per-session
+    /// resident counts — the book the per-session admission budget reads).
+    /// Moved only by [`Ledger::apply`], called from the insert/remove
+    /// funnels ([`Self::insert`] / `remove_locked`) and the write view's
+    /// in-place rewrite, always under the table write lock — so
     /// every removal path (eviction, invalidation, propagation rekey
     /// clashes) releases the admitting session's budget automatically.
     ledger: Ledger,
-    /// The spill block file backing [`Payload::Spilled`] entries, when the
-    /// database opted in via `spill_dir`.
-    spill: Option<Arc<crate::tier::SpillFile>>,
     /// ANDed onto every fingerprint before it keys anything: all ones,
     /// except where a test masks bits away to force collisions.
     fp_mask: u64,
@@ -221,7 +217,6 @@ impl RecyclePool {
         RecyclePool {
             table: RwLock::default(),
             ledger: Ledger::default(),
-            spill: None,
             fp_mask: u64::MAX,
             lineage: RwLock::default(),
             next_id: AtomicU64::new(0),
@@ -364,9 +359,6 @@ impl RecyclePool {
         let mut table = self.write_table();
         *table = Table::default();
         self.ledger.store(&Books::default());
-        if let Some(spill) = &self.spill {
-            spill.clear();
-        }
         *self.graph_mut() = LineageGraph::default();
         // A full wipe trivially restores every invariant: lift any
         // quarantine and un-poison the lock — while the write guard is
@@ -446,13 +438,6 @@ impl RecyclePool {
         *self.graph_mut() = rebuilt;
         // 4. Exact ledger from the survivors; un-poison; unquarantine.
         self.ledger.store(&Ledger::recompute(table.entries()));
-        // A torn demotion may have been dropped between appending the
-        // spill record and wiring the ticket: retire every dropped
-        // entry's payload so the spill file's live-byte book matches the
-        // surviving index.
-        for e in &dropped {
-            self.retire(e.payload());
-        }
         self.table.clear_poison();
         self.quarantined.store(false, Ordering::Release);
         self.repaired_total.fetch_add(1, Ordering::Relaxed);
@@ -638,14 +623,13 @@ impl RecyclePool {
         if !self.graph_mut().wire(&entry, key, subset_of) {
             return Admitted::Orphaned;
         }
-        let (id, session) = (entry.id, entry.admitted_session);
-        let admitted = charge(entry.payload(), entry.bytes());
+        let (id, session, bytes) = (entry.id, entry.admitted_session, entry.bytes());
         // Failpoint: the graph knows the entry but the table does not hold
         // it yet — the most torn state an unwind can leave.
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert.wired");
         table.insert(key, entry);
-        self.ledger.apply(session, None, Some(admitted));
+        self.ledger.apply(session, None, Some(bytes));
         Admitted::Inserted(id)
     }
 
@@ -669,10 +653,8 @@ impl RecyclePool {
             return None;
         }
         let entry = table.remove(key, id)?;
-        let leaving = charge(entry.payload(), entry.bytes());
         self.ledger
-            .apply(entry.admitted_session, Some(leaving), None);
-        self.retire(entry.payload());
+            .apply(entry.admitted_session, Some(entry.bytes()), None);
         Some(entry)
     }
 
@@ -712,14 +694,6 @@ impl RecyclePool {
             .collect()
     }
 
-    /// Take up to `max` of the oldest recently-leafed ids from the
-    /// collector's nursery ring. Drained ids may be stale (evicted,
-    /// re-parented or invalidated since they leafed) — consumers
-    /// revalidate per id; eviction does so at removal.
-    pub(crate) fn drain_nursery(&self, max: usize) -> Vec<EntryId> {
-        self.graph_mut().drain_nursery(max)
-    }
-
     /// Snapshot of the evictable-leaf set: the ids of every childless
     /// resident entry, ascending. A point-in-time copy — callers
     /// revalidate residency/pins per id, eviction does so at removal.
@@ -756,112 +730,6 @@ impl RecyclePool {
                 f(e);
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // residency (the transition table is documented on `Payload`)
-    // ------------------------------------------------------------------
-
-    /// Attach the spill block file backing the coldest tier. Called once
-    /// during construction (before the pool is shared); entries can only
-    /// reach [`Payload::Spilled`] when a file is attached.
-    pub fn set_spill(&mut self, spill: Option<Arc<crate::tier::SpillFile>>) {
-        self.spill = spill;
-    }
-
-    /// The attached spill file, when the database opted into the disk
-    /// tier.
-    pub fn spill(&self) -> Option<&Arc<crate::tier::SpillFile>> {
-        self.spill.as_ref()
-    }
-
-    /// Pool-wide per-tier byte totals `(raw, compressed, spilled)`.
-    /// `raw + compressed == bytes()` at any quiescent instant; spilled
-    /// bytes are off-cap (they count against the spill budget instead).
-    pub fn tier_bytes(&self) -> (usize, usize, usize) {
-        let t = self.ledger.rungs();
-        (t.raw, t.compressed, t.spilled)
-    }
-
-    /// A payload is leaving the pool for good — its entry was removed, a
-    /// transition replaced it, or (a candidate) it was refused: a spilled
-    /// record's ticket is retired, which frees spill budget immediately
-    /// (the block file truncates once no live record remains). The one
-    /// caller of [`crate::tier::SpillFile::mark_dead`].
-    fn retire(&self, payload: &Payload) {
-        if let (Payload::Spilled(ticket), Some(spill)) = (payload, &self.spill) {
-            spill.mark_dead(*ticket);
-        }
-    }
-
-    /// The one residency transition: hand the resident entry `e` (table
-    /// write lock held) the payload `to`, charging `bytes`, if the table on
-    /// [`Payload`] allows it. Swaps the payload, moves the ledger and
-    /// retires whichever payload lost — the old one on success, the
-    /// candidate on refusal (nothing else is touched then). Returns the
-    /// bytes charged before.
-    fn transition(&self, e: &mut PoolEntry, to: Payload, bytes: usize) -> Option<usize> {
-        if !e.payload().may_become(&to) {
-            self.retire(&to);
-            return None;
-        }
-        let after = charge(&to, bytes);
-        let (old, old_bytes) = e.swap_payload(to, bytes);
-        // Failpoint: the entry is re-tiered but no book has moved — the
-        // most torn state a mid-demotion unwind can leave the table in.
-        #[cfg(feature = "failpoints")]
-        if after.raw == 0 {
-            let _ = crate::fault::fire("pool.demote.wired");
-        }
-        self.ledger.apply(
-            e.admitted_session,
-            Some(charge(&old, old_bytes)),
-            Some(after),
-        );
-        self.retire(&old);
-        Some(old_bytes)
-    }
-
-    /// Move entry `id` one step along the residency ladder: demote it to a
-    /// blob the caller compressed, or a ticket the caller appended to the
-    /// spill file, or promote it back to the raw result a hit rebuilt —
-    /// all of that work happens **outside** any lock, and the move is
-    /// revalidated here, inside the table's write critical section. The
-    /// entry must still be resident in a serviceable pool, sit on a
-    /// *different* rung than `to` (a second promotion of an already-raw
-    /// entry loses to the first) and pass `still_ok` — the caller's
-    /// snapshot conditions: unpinned and actually shrinking for a
-    /// compression, still holding the exact blob that was spilled
-    /// (`Arc::ptr_eq`) for a spill; a promotion may be pinned, that is
-    /// what keeps eviction away while the payload is rebuilt. Any
-    /// concurrent hit (pin), removal or transition since the candidate was
-    /// gathered wins and the move is dropped; a refused spill ticket is
-    /// retired at once (its record is garbage). Entries with children are
-    /// fair game: demotion (unlike eviction) keeps the entry, its
-    /// `result_id` and every index alive, so descendants stay matchable
-    /// and nothing is orphaned — in chain-shaped plans the big early
-    /// intermediates are precisely the interior nodes. Returns the bytes
-    /// the entry charged before the move.
-    pub fn retier(
-        &self,
-        id: EntryId,
-        to: Payload,
-        bytes: usize,
-        still_ok: impl FnOnce(&PoolEntry) -> bool,
-    ) -> Option<usize> {
-        let key = self.graph().locate(id);
-        if let Some(key) = key.filter(|_| self.serviceable()) {
-            let mut table = self.write_table();
-            if let Some(e) = table.get_mut(key, id) {
-                let rung_changes =
-                    std::mem::discriminant(e.payload()) != std::mem::discriminant(&to);
-                if rung_changes && still_ok(e) {
-                    return self.transition(e, to, bytes);
-                }
-            }
-        }
-        self.retire(&to);
-        None
     }
 
     /// Entries visited by eviction gathers since construction. With the
@@ -931,15 +799,13 @@ impl RecyclePool {
                     ArgSig::Bat(b) => format!("bat#{}", b.0),
                 })
                 .collect();
-            let result = match (e.payload().as_raw(), e.result_id) {
-                (Some(v), None) => v.to_string(),
-                (_, Some(b)) => format!("bat#{}", b.0),
-                (None, None) => format!("<{}>", e.family),
+            let result = match e.result_id {
+                Some(b) => format!("bat#{}", b.0),
+                None => e.value().to_string(),
             };
             let tuples = e
-                .payload()
-                .as_raw()
-                .and_then(|v| v.as_bat())
+                .value()
+                .as_bat()
                 .map(|b| b.len().to_string())
                 .unwrap_or_else(|| "-".into());
             let instr = format!("{result} := {}({})", e.sig.op.name(), args.join(", "));
@@ -958,11 +824,10 @@ impl RecyclePool {
     }
 
     /// Check the structural invariant under the table read lock: every
-    /// entry filed under its signature's fingerprint, no signature
-    /// resident twice, parents alive, payload and charge coherent; the
-    /// ledger equal to [`Ledger::recompute`] over the table; the lineage
-    /// graph equal to [`LineageGraph::rebuild`] over it. Test support —
-    /// call on a quiescent pool.
+    /// entry filed under its signature's fingerprint, no signature resident
+    /// twice, parents alive; the ledger equal to [`Ledger::recompute`] over
+    /// the table; the lineage graph equal to [`LineageGraph::rebuild`] over
+    /// it. Test support — call on a quiescent pool.
     pub fn check_invariants(&self) -> Result<(), String> {
         let table = self.read_table();
         let all_ids: FxHashSet<EntryId> = table.entries().map(|e| e.id).collect();
@@ -984,16 +849,6 @@ impl RecyclePool {
                 if !all_ids.contains(p) {
                     return Err(format!("entry {id} has dangling parent {p}"));
                 }
-            }
-            // only a raw result's charge is the admitter's call (what the
-            // instruction newly materialised); a demoted payload has one
-            // size
-            let sized = e.payload().charge_bytes(e.sig.op);
-            if e.payload().as_raw().is_none() && e.bytes() != sized {
-                return Err(format!(
-                    "entry {id} charges {} bytes, its demoted payload is {sized}",
-                    e.bytes()
-                ));
             }
         }
         let actual = Ledger::recompute(table.entries());
@@ -1023,7 +878,7 @@ impl PoolWriteView<'_> {
     }
 
     /// Borrow an entry mutably (delta propagation rewrites signatures and
-    /// arguments in place; call [`Self::rekey`] afterwards). The payload
+    /// arguments in place; call [`Self::rekey`] afterwards). The result
     /// and its charge are not reachable this way — results are rewritten
     /// through [`Self::set_raw`].
     pub fn get_mut(&mut self, id: EntryId) -> Option<&mut PoolEntry> {
@@ -1064,22 +919,17 @@ impl PoolWriteView<'_> {
             .collect()
     }
 
-    /// Rewrite a **raw** entry's result in place, charging `bytes` for it
-    /// (delta propagation, §6.3) — the Raw → Raw row of the transition
-    /// table on [`Payload`]. The ledger moves in the same step (no
-    /// deferred recount). Refused (false, nothing touched) for a missing
-    /// entry or any non-raw payload: a demoted entry has no materialised
-    /// result to rewrite.
+    /// Rewrite an entry's result in place, charging `bytes` for it (delta
+    /// propagation, §6.3). The ledger moves in the same step (no deferred
+    /// recount). Refused (false, nothing touched) for a missing entry.
     pub fn set_raw(&mut self, id: EntryId, value: rbat::Value, bytes: usize) -> bool {
-        let pool = self.pool;
+        let ledger = &self.pool.ledger;
         let Some(e) = self.get_mut(id) else {
             return false;
         };
-        if e.payload().as_raw().is_none() {
-            return false;
-        }
-        e.result_id = value.as_bat().map(|b| b.id());
-        pool.transition(e, Payload::Raw(value), bytes).is_some()
+        let before = e.replace_value(value, bytes);
+        ledger.apply(e.admitted_session, Some(before), Some(bytes));
+        true
     }
 
     /// Re-key an entry's signature and result identity after delta
@@ -1144,6 +994,7 @@ mod tests {
     use super::*;
     use crate::entry::{Admitter, Lineage};
     use rbat::{Bat, Column, Value};
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn mk_entry(pool: &RecyclePool, parents: Vec<EntryId>, tag: i64) -> PoolEntry {
@@ -1152,7 +1003,7 @@ mod tests {
             pool.alloc_id(),
             Sig::of(Opcode::Select, &[Value::Int(tag)]),
             vec![Value::Int(tag)],
-            Payload::Raw(Value::Bat(bat)),
+            Value::Bat(bat),
             100,
             Duration::from_millis(1),
             Lineage {

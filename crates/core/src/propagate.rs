@@ -121,12 +121,7 @@ pub fn propagate_commit(
                     doomed.push(id);
                     continue;
                 }
-                let Some(old_len) = e
-                    .payload()
-                    .as_raw()
-                    .and_then(|v| v.as_bat())
-                    .map(|b| b.len())
-                else {
+                let Some(old_len) = e.value().as_bat().map(|b| b.len()) else {
                     doomed.push(id);
                     continue;
                 };
@@ -259,12 +254,7 @@ fn propagate_entry(
     deltas: &mut FxHashMap<EntryId, Arc<Bat>>,
 ) -> bool {
     let entry = pool.get(id).expect("caller checked");
-    // Only a raw result can take a delta: a demoted entry has no
-    // materialised BAT to merge into. Invalidate the subtree; correctness
-    // beats retention, exactly as for any other unpropagatable shape.
-    let Some(old_result) = entry.payload().as_raw().cloned() else {
-        return false;
-    };
+    let old_result = entry.value().clone();
     let op = entry.sig.op;
     let old_sig = entry.sig.clone();
     let old_result_id = entry.result_id;

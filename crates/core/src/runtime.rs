@@ -40,7 +40,7 @@ use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
 use crate::config::{AdmissionPolicy, RecyclerConfig, UpdateMode};
-use crate::entry::{Admitter, Anchors, EntryId, InstrKey, Lineage, Payload, Pin, PoolEntry};
+use crate::entry::{charge_bytes, Admitter, Anchors, EntryId, InstrKey, Lineage, Pin, PoolEntry};
 use crate::lineage::Resolved;
 use crate::pool::Admitted;
 use crate::propagate::propagate_commit;
@@ -48,40 +48,20 @@ use crate::shared::{AccountNotes, PoolRef, SharedRecycler};
 use crate::signature::{Sig, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 use crate::subsume::{self, Subsumption};
-use crate::tier::CompressedBat;
 
 #[cfg(doc)]
 use crate::pool::RecyclePool;
 
 /// What one exact-match probe observed (computed under the table read
-/// lock, consumed after it is released). The payload is handed out as
-/// found: a raw result clones an `Arc`; demoted entries hand out the blob
-/// or spill ticket for rehydration *outside* the lock.
+/// lock, consumed after it is released). The result is an `Arc` clone.
 struct HitOutcome {
-    id: EntryId,
-    payload: Payload,
+    value: Value,
     saved: Duration,
     creator: InstrKey,
     local: bool,
     cross_session: bool,
     return_credit: bool,
     pin: Pin,
-}
-
-/// Capacity reserved for one in-flight admission (strict limits under
-/// concurrency), released when the insert settles, whatever its outcome —
-/// RAII, so a panic unwinding out of `insert` (which poisons and
-/// quarantines the pool) cannot leak the pending reservation and choke
-/// future admissions against the cap.
-struct Reservation<'a> {
-    shared: &'a SharedRecycler,
-    bytes: usize,
-}
-
-impl Drop for Reservation<'_> {
-    fn drop(&mut self) {
-        self.shared.release_reservation(self.bytes);
-    }
 }
 
 #[cfg(test)]
@@ -243,8 +223,7 @@ impl Recycler {
     /// the reuse counters, last-use stamp, credit flag and pin are all
     /// settled inside the lock; what the accounts and the lifetime
     /// statistics are owed is noted in the session and handed over at query
-    /// end. A demoted payload is rehydrated (outside any lock) before its
-    /// result is handed out.
+    /// end.
     ///
     /// Kept out of line: inlined into its one caller, `before`, the
     /// all-hit `sky_hot` workload measured ~3 % slower.
@@ -268,8 +247,7 @@ impl Recycler {
                     .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok();
             HitOutcome {
-                id: e.id,
-                payload: e.payload().clone(),
+                value: e.value().clone(),
                 saved: e.cpu,
                 creator: e.creator,
                 local,
@@ -278,13 +256,6 @@ impl Recycler {
                 pin: Pin::take(e),
             }
         })?;
-        let value = match hit.payload {
-            Payload::Raw(value) => value,
-            // torn record or injected fault: degrade this probe to a miss
-            // (`?` drops the pin) — the instruction recomputes, correctness
-            // is untouched
-            demoted => self.rehydrate_hit(hit.id, demoted)?,
-        };
         self.pins.push(hit.pin);
         self.notes.reuses.push((hit.creator, hit.return_credit));
         self.current.saved += hit.saved;
@@ -295,47 +266,7 @@ impl Recycler {
             self.current.global_hits += 1;
         }
         self.current.cross_session_hits += hit.cross_session as u64;
-        Some(value)
-    }
-
-    /// Rehydrate a demoted entry's payload on the hit path: decompress the
-    /// blob (for spilled entries, first read the record back from the
-    /// spill file), then promote the entry to raw so subsequent hits are
-    /// cheap again. All of it runs *outside* the table lock —
-    /// [`RecyclePool::retier`] revalidates under the table write lock.
-    /// Returns `None` when rehydration fails (torn record, injected
-    /// `tier.rehydrate` fault); the caller degrades the probe to a miss.
-    fn rehydrate_hit(&self, id: EntryId, demoted: Payload) -> Option<Value> {
-        #[cfg(feature = "failpoints")]
-        if crate::fault::fire("tier.rehydrate").is_some() {
-            return None;
-        }
-        let pool = self.shared.pool_inner();
-        let t0 = Instant::now();
-        let (bat, spilled) = match demoted {
-            Payload::Compressed(blob) => (blob.decompress().ok()?, false),
-            Payload::Spilled(ticket) => {
-                let record = pool.spill()?.read(ticket).ok()?;
-                (CompressedBat::from_bytes(record).decompress().ok()?, true)
-            }
-            _ => return None,
-        };
-        let cost = t0.elapsed();
-        let raw_bytes = bat.resident_bytes();
-        let value = Value::Bat(Arc::new(bat));
-        // A concurrent hit may have promoted first (the entry is raw by
-        // now and the move is refused) — our value is equally correct
-        // either way; only the winner records the promotion.
-        let promoted = pool.retier(id, Payload::Raw(value.clone()), raw_bytes, |_| true);
-        if promoted.is_some() {
-            let (decompress, rehydrate) = if spilled {
-                (Duration::ZERO, cost)
-            } else {
-                (cost, Duration::ZERO)
-            };
-            self.shared.count_tier_promotion(decompress, rehydrate);
-        }
-        Some(value)
+        Some(hit.value)
     }
 
     /// Pin `id` (filed under `key`) for the remainder of this query if it
@@ -381,7 +312,7 @@ impl Recycler {
     /// The admission funnel — the body of `recycleExit` (paper Algorithm
     /// 1): `result` was computed by `op` over `args` at cost `cpu`. It is
     /// filed under the instruction's versioned signature, charged
-    /// [`Payload::charge_bytes`] against the cap and the session's credit
+    /// [`charge_bytes`] against the cap and the session's credit
     /// slice, anchors its lineage in `args`, and leaves through exactly
     /// one of the exits below — every one of which returns what it took
     /// (credit, reservation), so a shed or lost admission costs a future
@@ -408,8 +339,7 @@ impl Recycler {
             shared.count_deadline_skip();
             return;
         }
-        let payload = Payload::Raw(result.clone());
-        let bytes = payload.charge_bytes(op);
+        let bytes = charge_bytes(op, result);
         // a bind registers the persistent buffer it returns first: that
         // identity anchors coherence whether or not the bind is admitted
         let mut lineage = Lineage {
@@ -463,14 +393,10 @@ impl Recycler {
             shared.undo_admission_charge(key, grant);
             return;
         }
-        if !shared.reserve_admission(bytes) {
+        let Some(reservation) = shared.reserve_admission(bytes) else {
             shared.count_admission_reject();
             shared.undo_admission_charge(key, grant);
             return;
-        }
-        let reservation = Reservation {
-            shared: &shared,
-            bytes,
         };
         // subset semantics for the subsumption machinery (§5.1), recorded
         // atomically with the insert
@@ -497,7 +423,7 @@ impl Recycler {
             pool.alloc_id(),
             Sig::versioned(catalog, op, args),
             args.to_vec(),
-            payload,
+            result.clone(),
             bytes,
             cpu,
             lineage,

@@ -22,23 +22,18 @@
 //!
 //! # Locking invariants
 //!
-//! 1. **Order:** *maintenance mutex* → *collector round lock* → *eviction
-//!    mutex* → *pool table lock* → *leaf locks*. A thread may skip tiers
-//!    but never goes back up, and holds the table lock at most once — a
-//!    thread holding it (either mode) calls no method that takes it
-//!    again. The leaf locks are the pool's lineage-graph lock, the
-//!    ledger's per-session book and the accounts mutex, and the one rule
-//!    for them is that **a leaf lock is held alone**: it is taken for one
-//!    plain map operation and nothing is acquired, and no caller-supplied
-//!    code runs, until it is released — so the leaves need no order among
-//!    themselves. The collector round lock is the background collector's
-//!    quiescence point: every collector round runs under it, and
-//!    [`MaintenanceGuard`] acquires it (after the maintenance mutex,
-//!    **before** the table lock its operations take) and holds it for its
-//!    whole lifetime — maintenance surgery and background eviction rounds
-//!    can therefore never interleave, and the guard's acquisition blocks
-//!    until the in-flight round, if any, completes. The collector thread
-//!    never takes the maintenance mutex, so the hierarchy stays acyclic.
+//! 1. **Order:** *maintenance mutex* → *eviction mutex* → *pool table
+//!    lock* → *leaf locks*. A thread may skip tiers but never goes back
+//!    up, and holds the table lock at most once — a thread holding it
+//!    (either mode) calls no method that takes it again. The leaf locks
+//!    are the pool's lineage-graph lock, the ledger's per-session book and
+//!    the accounts mutex, and the one rule for them is that **a leaf lock
+//!    is held alone**: it is taken for one plain map operation and nothing
+//!    is acquired, and no caller-supplied code runs, until it is released
+//!    — so the leaves need no order among themselves. Eviction runs only
+//!    inline, on an admitting session's thread, so an eviction round and a
+//!    maintenance operation meet at the table write lock, which each takes
+//!    for its whole step: neither observes the other half done.
 //!    Multi-entry writers — a commit's [`RecyclePool::write_view`],
 //!    `clear` and `repair` for maintenance — hold the one table write lock
 //!    for their whole rewrite; `check_invariants` holds the read lock.
@@ -63,9 +58,9 @@
 //!    every lock; only combined-subsumption piecing reads pooled BATs,
 //!    entry-by-entry under the table read lock, and `Arc`-shared results
 //!    stay valid regardless of eviction.
-//! 5. **One funnel; first writer wins, atomically.** Results and operator
-//!    state are admitted by the same funnel ([`Recycler`]'s `admit`) and
-//!    every exit of it returns what it took (credit, reservation). Racing
+//! 5. **One funnel; first writer wins, atomically.** Every result is
+//!    admitted by one funnel ([`Recycler`]'s `admit`) and every exit of it
+//!    returns what it took (credit, reservation). Racing
 //!    duplicate admissions are
 //!    resolved inside [`RecyclePool::insert`]'s critical section:
 //!    the resident entry stays and is pinned for the loser, the loser's
@@ -125,20 +120,18 @@
 //!    admissions come back [`crate::pool::Admitted::Quarantined`] and are
 //!    refunded, eviction skips the pool — the recycler is advisory, so the
 //!    worst legal outcome is a cache miss.
-//!    [`MaintenanceGuard::repair_quarantined`] (the table write lock,
-//!    collector quiesced) rebuilds consistent state from the surviving
+//!    [`MaintenanceGuard::repair_quarantined`] (the table write lock)
+//!    rebuilds consistent state from the surviving
 //!    table — the lineage graph and the ledger are each re-derived from it
 //!    by one function and stored — clears the lock poison and lifts the
 //!    quarantine. Callers that can afford the pass run it as soon as they
 //!    see a quarantine: the facade's commit before committing, the server
 //!    after containing a panicked request.
-//! 10. **One payload, one transition, one ledger.** What an entry holds is
-//!     a single [`Payload`](crate::entry::Payload); it changes only through
-//!     the pool's one transition function (table documented on `Payload`),
-//!     under the table write lock, which moves the ledger in the same
-//!     step and is — with removal and repair — the only path that retires
-//!     a spill ticket. Every book is a pure function of the resident
-//!     entries, so `check_invariants` and repair need one sum
+//! 10. **One result, one ledger.** An entry holds its result `Value`
+//!     directly; it changes only through the write view's in-place rewrite
+//!     (delta propagation), under the table write lock, which moves the
+//!     ledger in the same step. Every book is a pure function of the
+//!     resident entries, so `check_invariants` and repair need one sum
 //!     (`Ledger::recompute`), not one per book — and one graph
 //!     (`LineageGraph::rebuild`), not one pass per index.
 
@@ -150,7 +143,6 @@ use std::time::Duration;
 
 use rbat::hash::FxHashMap;
 
-use crate::collector::{self, CollectorControl};
 use crate::config::{AdmissionPolicy, RecyclerConfig};
 use crate::entry::{InstrKey, PoolEntry};
 use crate::eviction::{evict, EvictTrigger};
@@ -368,19 +360,12 @@ pub(crate) struct SharedStats {
     session_budget_rejects: AtomicU64,
     duplicate_admissions: AtomicU64,
     evictions: AtomicU64,
-    inline_evictions: AtomicU64,
-    background_evictions: AtomicU64,
     invalidated: AtomicU64,
     propagated: AtomicU64,
     deadline_skips: AtomicU64,
     time_saved_ns: AtomicU64,
     overhead_ns: AtomicU64,
     subsume_search_ns: AtomicU64,
-    demotions_compressed: AtomicU64,
-    demotions_spilled: AtomicU64,
-    tier_promotions: AtomicU64,
-    decompress_ns: AtomicU64,
-    rehydrate_ns: AtomicU64,
 }
 
 #[inline]
@@ -391,6 +376,25 @@ fn add_ns(cell: &AtomicU64, d: Duration) {
 #[inline]
 fn bump(cell: &AtomicU64) {
     cell.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Capacity reserved for one in-flight admission (strict limits under
+/// concurrency) by [`SharedRecycler::reserve_admission`], released on drop
+/// once the insert has settled, whatever its outcome — inserted, duplicate
+/// or orphaned alike, the resident pool counters then tell the whole truth.
+/// RAII, so a panic unwinding out of an eviction round or out of `insert`
+/// (which poisons and quarantines the pool) cannot leak the reservation:
+/// counted forever, it would make the gate refuse every later eviction
+/// and choke admissions against the cap.
+pub(crate) struct Reservation<'a> {
+    shared: &'a SharedRecycler,
+    bytes: usize,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.shared.release_reservation(self.bytes);
+    }
 }
 
 /// The shared concurrent recycler service: one instance per server, any
@@ -419,17 +423,8 @@ pub struct SharedRecycler {
     maintenance_lock: Mutex<()>,
     /// Serialises evictors (the eviction tier of the lock order):
     /// concurrent memory pressure from many sessions must not over-evict
-    /// the pool. Shared by the inline admission path and the background
-    /// collector's rounds.
+    /// the pool.
     evict_lock: Mutex<()>,
-    /// The background collector's control block (condvar, round lock,
-    /// water marks, round statistics) — `Arc`-shared with the collector
-    /// thread so the thread can hold only a [`std::sync::Weak`] to the
-    /// recycler itself. Present even when the collector is disabled (it
-    /// is a handful of words); the thread is spawned only when
-    /// [`RecyclerConfig::background_collector`] is set and a limit
-    /// exists.
-    collector: Arc<CollectorControl>,
     /// Bytes reserved by in-flight admissions (capacity checked, entry
     /// not yet inserted). Makes the configured limits *strict* under
     /// concurrency: the capacity check and the insert run under
@@ -458,27 +453,10 @@ impl Deref for PoolRef<'_> {
 
 impl SharedRecycler {
     /// Create a shared recycler service with the given configuration.
-    /// When the config enables the background collector (and has a limit
-    /// to drain toward), the collector thread is spawned here and joined
-    /// on [`Self::shutdown_collector`] / drop.
     pub fn new(config: RecyclerConfig) -> Arc<SharedRecycler> {
-        SharedRecycler::with_spill(config, None)
-    }
-
-    /// Create a shared recycler service with the disk tier attached:
-    /// `spill` is the append-only block file the coldest compressed
-    /// entries demote to (`DatabaseBuilder::spill_dir` builds one and
-    /// routes it here). The pool takes ownership before it is shared, so
-    /// no synchronisation is needed for the attachment itself.
-    pub fn with_spill(
-        config: RecyclerConfig,
-        spill: Option<Arc<crate::tier::SpillFile>>,
-    ) -> Arc<SharedRecycler> {
-        let mut pool = RecyclePool::new();
-        pool.set_spill(spill);
-        let shared = Arc::new(SharedRecycler {
+        Arc::new(SharedRecycler {
             config,
-            pool,
+            pool: RecyclePool::new(),
             accounts: Mutex::new(AccountState::new(config.admission)),
             stats: SharedStats::default(),
             tick: AtomicU64::new(0),
@@ -487,16 +465,9 @@ impl SharedRecycler {
             active_sessions: std::sync::atomic::AtomicUsize::new(0),
             maintenance_lock: Mutex::new(()),
             evict_lock: Mutex::new(()),
-            collector: Arc::new(CollectorControl::new(&config)),
             pending_bytes: std::sync::atomic::AtomicUsize::new(0),
             pending_entries: std::sync::atomic::AtomicUsize::new(0),
-        });
-        if config.background_collector
-            && (config.mem_limit.is_some() || config.entry_limit.is_some())
-        {
-            collector::spawn(&shared);
-        }
-        shared
+        })
     }
 
     /// Attach a new session. Sessions are cheap: a handle plus per-query
@@ -560,15 +531,8 @@ impl SharedRecycler {
     /// Acquire the maintenance lock: server-wide pool surgery
     /// ([`MaintenanceGuard::clear_pool`], [`MaintenanceGuard::reset`])
     /// serialises here, and each operation runs atomically against every
-    /// concurrent session by taking the pool's table write lock.
-    ///
-    /// The guard also **quiesces the background collector**: it acquires
-    /// the collector's round lock (after the maintenance mutex, before
-    /// the table lock — see the lock order above) and holds it
-    /// until dropped, waiting out the in-flight round first, so
-    /// maintenance surgery and background eviction rounds can never
-    /// interleave. The collector resumes automatically when the guard
-    /// drops.
+    /// concurrent session — its queries and their inline eviction rounds
+    /// alike — by taking the pool's table write lock.
     pub fn maintenance(&self) -> MaintenanceGuard<'_> {
         let serial = self
             .maintenance_lock
@@ -577,38 +541,6 @@ impl SharedRecycler {
         MaintenanceGuard {
             shared: self,
             _serial: serial,
-            _quiesce: self.collector.quiesce(),
-        }
-    }
-
-    // ----- background collector ---------------------------------------------
-
-    pub(crate) fn collector_control(&self) -> &Arc<CollectorControl> {
-        &self.collector
-    }
-
-    /// Is the collector thread spawned and not yet joined?
-    pub fn collector_running(&self) -> bool {
-        self.collector.has_handle()
-    }
-
-    /// Stop and join the background collector thread (idempotent; a no-op
-    /// when the collector was never spawned). Called by the facade when
-    /// the `Database` drops — asserting a clean join, no detached-thread
-    /// leak — and again from this type's own `Drop` as a backstop for
-    /// embedders driving [`SharedRecycler`] directly.
-    pub fn shutdown_collector(&self) {
-        self.collector.request_stop();
-        if let Some(handle) = self.collector.take_handle() {
-            if handle.thread().id() == std::thread::current().id() {
-                // The last strong reference was dropped ON the collector
-                // thread (it had upgraded its Weak mid-activation):
-                // joining ourselves would deadlock. The loop is already
-                // exiting on the stop flag; dropping the handle detaches
-                // a thread with nothing left to run.
-                return;
-            }
-            let _ = handle.join();
         }
     }
 
@@ -673,21 +605,13 @@ impl SharedRecycler {
             session_budget_rejects,
             duplicate_admissions,
             evictions,
-            inline_evictions,
-            background_evictions,
             invalidated,
             propagated,
             deadline_skips,
             time_saved_ns,
             overhead_ns,
-            subsume_search_ns,
-            demotions_compressed,
-            demotions_spilled,
-            tier_promotions,
-            decompress_ns,
-            rehydrate_ns
+            subsume_search_ns
         );
-        self.collector.reset_stats();
     }
 
     // ----- admission support ------------------------------------------------
@@ -696,36 +620,35 @@ impl SharedRecycler {
         self.config.mem_limit.is_some() || self.config.entry_limit.is_some()
     }
 
-    fn drop_reservation(&self, need_bytes: usize) {
-        self.pending_bytes.fetch_sub(need_bytes, Ordering::Relaxed);
-        self.pending_entries.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Reserve capacity for one admission of `need_bytes`, evicting if
-    /// necessary; returns false (reservation dropped) when room cannot be
+    /// necessary; returns `None` (reservation dropped) when room cannot be
     /// made. The capacity check and the eventual insert run under
     /// different locks, so concurrent admissions account their in-flight
     /// demand in the pending counters — the configured limits stay
     /// *strict*: resident bytes/entries never exceed the caps, even with
     /// many sessions admitting at once (an admission may be counted in
     /// both `pending` and the pool for an instant, which only over-rejects,
-    /// never overshoots). On success the caller MUST call
-    /// [`Self::release_reservation`] once its insert has settled.
+    /// never overshoots). The caller holds the returned [`Reservation`]
+    /// until its insert has settled.
     ///
     /// Evictors serialise on the eviction mutex, gather candidates under
     /// the table read lock and write-lock the table once per round.
     /// Pinned entries (any session) are never evicted: when only pinned
     /// leaves remain, admission fails instead — see the locking invariants
     /// above.
-    pub(crate) fn reserve_admission(&self, need_bytes: usize) -> bool {
+    pub(crate) fn reserve_admission(&self, need_bytes: usize) -> Option<Reservation<'_>> {
         #[cfg(feature = "failpoints")]
         if let Some(crate::fault::FaultAction::Deny) = crate::fault::fire("admission.reserve") {
             self.count_admission_reject();
-            return false;
+            return None;
         }
         let config = self.config;
+        let reservation = Reservation {
+            shared: self,
+            bytes: need_bytes,
+        };
         if !self.limits_configured() {
-            return true; // unlimited: no accounting, no contention
+            return Some(reservation); // unlimited: no accounting, no contention
         }
         self.pending_bytes.fetch_add(need_bytes, Ordering::Relaxed);
         self.pending_entries.fetch_add(1, Ordering::Relaxed);
@@ -742,20 +665,7 @@ impl SharedRecycler {
                 EvictTrigger::Entries,
             )
         });
-        if !ok {
-            self.drop_reservation(need_bytes);
-        }
-        if config.background_collector {
-            // resident + in-flight demand at or above a high-water mark
-            // wakes the collector, which drains toward the low-water mark
-            // off the query path; below high water this costs two atomic
-            // loads
-            self.collector.maybe_signal(
-                self.pool.bytes() + self.pending_bytes.load(Ordering::Relaxed),
-                self.pool.len() + self.pending_entries.load(Ordering::Relaxed),
-            );
-        }
-        ok
+        ok.then_some(reservation)
     }
 
     /// One cap's check-evict-recheck cycle: `measure` reads the resident
@@ -817,22 +727,15 @@ impl SharedRecycler {
             trigger(allowed),
             self.current_tick(),
         );
-        // this is the INLINE path — eviction latency charged to the
-        // admitting query because the pool was genuinely full; with the
-        // background collector keeping residency near the low-water mark
-        // it should be the rare exception (`inline_evictions` vs
-        // `background_evictions` in the stats)
-        self.settle_evictions(&evicted, false);
+        self.settle_evictions(&evicted);
         gate(self)
     }
 
-    /// Release an admission reservation taken by
-    /// [`Self::reserve_admission`] — called after the insert settled
-    /// (inserted, duplicate or orphaned alike: the resident pool counters
-    /// now tell the whole truth).
-    pub(crate) fn release_reservation(&self, need_bytes: usize) {
+    /// Release an admission reservation ([`Reservation`]'s drop).
+    fn release_reservation(&self, need_bytes: usize) {
         if self.limits_configured() {
-            self.drop_reservation(need_bytes);
+            self.pending_bytes.fetch_sub(need_bytes, Ordering::Relaxed);
+            self.pending_entries.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -868,15 +771,8 @@ impl SharedRecycler {
     pub fn stats(&self) -> RecyclerStats {
         let s = &self.stats;
         let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let col = self.collector.stats();
-        let tier_bytes = self.pool.tier_bytes();
         RecyclerStats {
-            inline_evictions: ld(&s.inline_evictions),
-            background_evictions: ld(&s.background_evictions),
-            minor_rounds: col.minor_rounds,
-            major_rounds: col.major_rounds,
-            avg_minor_ms: col.avg_minor_ms,
-            avg_major_ms: col.avg_major_ms,
+            inline_evictions: ld(&s.evictions),
             headroom_bytes: self
                 .config
                 .mem_limit
@@ -899,7 +795,6 @@ impl SharedRecycler {
             invalidated: ld(&s.invalidated),
             propagated: ld(&s.propagated),
             deadline_skips: ld(&s.deadline_skips),
-            collector_restarts: col.restarts,
             shards_quarantined: self.pool.quarantined_total(),
             shards_repaired: self.pool.repaired_total(),
             quarantined_now: self.pool.has_quarantined() as u64,
@@ -908,14 +803,6 @@ impl SharedRecycler {
             time_saved: Duration::from_nanos(ld(&s.time_saved_ns)),
             overhead: Duration::from_nanos(ld(&s.overhead_ns)),
             subsume_search: Duration::from_nanos(ld(&s.subsume_search_ns)),
-            raw_bytes: tier_bytes.0 as u64,
-            compressed_bytes: tier_bytes.1 as u64,
-            spilled_bytes: tier_bytes.2 as u64,
-            demotions_compressed: ld(&s.demotions_compressed),
-            demotions_spilled: ld(&s.demotions_spilled),
-            tier_promotions: ld(&s.tier_promotions),
-            decompress_cost: Duration::from_nanos(ld(&s.decompress_ns)),
-            rehydrate_cost: Duration::from_nanos(ld(&s.rehydrate_ns)),
         }
     }
 
@@ -979,25 +866,6 @@ impl SharedRecycler {
 
     pub(crate) fn add_subsume_search(&self, d: Duration) {
         add_ns(&self.stats.subsume_search_ns, d);
-    }
-
-    pub(crate) fn count_demotions_compressed(&self, n: u64) {
-        self.stats
-            .demotions_compressed
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_demotions_spilled(&self, n: u64) {
-        self.stats.demotions_spilled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Note a hit-side promotion back to raw and the cost paid for it:
-    /// decompressing the blob (and, for spilled entries, reading the
-    /// record back first — `rehydrate` covers the I/O + decode path).
-    pub(crate) fn count_tier_promotion(&self, decompress: Duration, rehydrate: Duration) {
-        bump(&self.stats.tier_promotions);
-        add_ns(&self.stats.decompress_ns, decompress);
-        add_ns(&self.stats.rehydrate_ns, rehydrate);
     }
 
     // ----- admission accounts ----------------------------------------------
@@ -1064,17 +932,8 @@ impl SharedRecycler {
     }
 
     /// Settle evicted entries: statistics plus the credits they owe.
-    /// `background` attributes the batch to the collector thread rather
-    /// than an admitting session's inline path (two disjoint sub-counters
-    /// of `evictions`).
-    pub(crate) fn settle_evictions(&self, evicted: &[PoolEntry], background: bool) {
+    pub(crate) fn settle_evictions(&self, evicted: &[PoolEntry]) {
         self.count_evictions(evicted.len() as u64);
-        let attributed = if background {
-            &self.stats.background_evictions
-        } else {
-            &self.stats.inline_evictions
-        };
-        attributed.fetch_add(evicted.len() as u64, Ordering::Relaxed);
         self.return_deferred_credits(evicted);
     }
 
@@ -1112,23 +971,17 @@ impl SharedRecycler {
 ///
 /// Semantics: every operation here affects **all** attached sessions — the
 /// pool is shared state, there is no session-local clear. Each operation
-/// is atomic with respect to concurrent queries (it runs under the pool's
-/// table write lock, the same serialisation point update commits use), and
-/// whole maintenance sequences
-/// serialise against each other on the guard. Sessions keep running
-/// afterwards: their pins are gone, which is safe — pins only guard
-/// eviction policy, and entry ids stay monotone so a stale pin can never
-/// alias a post-clear entry.
-///
-/// While the guard is alive the **background collector is quiesced**: the
-/// guard holds the collector's round lock (acquired after the maintenance
-/// mutex, before the table lock — the documented lock order), so
-/// no background eviction round can start, and acquisition waited out the
-/// round that was in flight. Dropping the guard resumes the collector.
+/// is atomic with respect to concurrent queries and their inline eviction
+/// rounds (it runs under the pool's table write lock, the same
+/// serialisation point update commits and eviction rounds use), and whole
+/// maintenance sequences serialise against each other on the guard — the
+/// first tier of the lock order. Sessions keep running afterwards: their
+/// pins are gone, which is safe — pins only guard eviction policy, and
+/// entry ids stay monotone so a stale pin can never alias a post-clear
+/// entry.
 pub struct MaintenanceGuard<'a> {
     shared: &'a SharedRecycler,
     _serial: MutexGuard<'a, ()>,
-    _quiesce: MutexGuard<'a, ()>,
 }
 
 impl MaintenanceGuard<'_> {
@@ -1145,23 +998,13 @@ impl MaintenanceGuard<'_> {
 
     /// Repair a quarantined pool and return it to service —
     /// [`RecyclePool::repair`] run at the sanctioned point: the guard
-    /// quiesces the background collector and serialises against other
-    /// maintenance, and the repair pass itself takes the table write lock
+    /// serialises against other maintenance, and the repair pass itself
+    /// takes the table write lock
     /// (the same serialisation `clear_pool` uses). Returns what was
     /// dropped; after it, [`RecyclePool::check_invariants`] holds again
     /// and probes serve hits instead of degraded misses.
     pub fn repair_quarantined(&self) -> crate::pool::RepairReport {
         self.shared.pool_inner().repair()
-    }
-}
-
-impl Drop for SharedRecycler {
-    /// Backstop shutdown for embedders driving the service directly: the
-    /// facade joins the collector on `Database` drop, but a bare
-    /// [`SharedRecycler`] must not leak its thread either. Idempotent —
-    /// the handle is taken exactly once.
-    fn drop(&mut self) {
-        self.shutdown_collector();
     }
 }
 
@@ -1198,10 +1041,11 @@ mod tests {
             put_resident(&shared, t, 100);
         }
         // session A reserves 650 bytes and never completes the admission
-        assert!(shared.reserve_admission(650), "room for A: 300 + 650");
+        let a = shared.reserve_admission(650);
+        assert!(a.is_some(), "room for A: 300 + 650");
         // session B's own demand fits resident space (300 + 100 ≤ 1000):
         // nothing may be evicted, whatever A's reservation says
-        let ok_b = shared.reserve_admission(100);
+        let ok_b = shared.reserve_admission(100).is_some();
         assert_eq!(shared.pool().len(), 3, "no resident entry evicted");
         assert_eq!(
             shared.stats().evictions,
@@ -1213,10 +1057,9 @@ mod tests {
         // direction — the caps can never overshoot) ...
         assert!(!ok_b, "B defers to the strict gate, keeping the cap exact");
         // ... and admits cleanly once A's reservation is gone
-        shared.release_reservation(650);
-        assert!(shared.reserve_admission(100));
+        drop(a);
+        assert!(shared.reserve_admission(100).is_some());
         assert_eq!(shared.pool().len(), 3);
-        shared.release_reservation(100);
     }
 
     /// Even when this admission's own demand WOULD justify eviction, no
@@ -1229,22 +1072,21 @@ mod tests {
         for t in 0..3 {
             put_resident(&shared, t, 100);
         }
-        assert!(shared.reserve_admission(650), "A reserves and never lands");
+        let a = shared.reserve_admission(650);
+        assert!(a.is_some(), "A reserves and never lands");
         // B's 800 would need eviction on its own (300 + 800 > 1000), but
         // with A's phantom 650 outstanding the gate can never pass —
         // B must be rejected with the pool untouched
-        let ok_b = shared.reserve_admission(800);
-        assert!(!ok_b);
+        assert!(shared.reserve_admission(800).is_none());
         assert_eq!(shared.pool().len(), 3, "no resident entry evicted");
         assert_eq!(shared.stats().evictions, 0);
         // once A's reservation drops, the same admission evicts and lands
-        shared.release_reservation(650);
-        assert!(shared.reserve_admission(800));
+        drop(a);
+        assert!(shared.reserve_admission(800).is_some());
         assert!(
             shared.stats().evictions > 0,
             "now the eviction is for B itself"
         );
-        shared.release_reservation(800);
     }
 
     /// An admission whose own demand exceeds the cap still evicts —
@@ -1255,14 +1097,14 @@ mod tests {
         for t in 0..3 {
             put_resident(&shared, t, 100);
         }
-        assert!(shared.reserve_admission(800), "evicts 100 to fit 800");
+        let b = shared.reserve_admission(800);
+        assert!(b.is_some(), "evicts 100 to fit 800");
         assert_eq!(
             shared.stats().evictions,
             1,
             "one victim covers 300+800−1000"
         );
         assert_eq!(shared.pool().len(), 2);
-        shared.release_reservation(800);
     }
 
     /// The entry-count cap takes the same phantom-proof path.
@@ -1272,13 +1114,13 @@ mod tests {
         for t in 0..3 {
             put_resident(&shared, t, 10);
         }
-        assert!(shared.reserve_admission(10)); // A: 3 resident + 1 pending = 4
-        let ok_b = shared.reserve_admission(10); // B: would be the 5th slot
+        let a = shared.reserve_admission(10); // A: 3 resident + 1 pending = 4
+        assert!(a.is_some());
+        let ok_b = shared.reserve_admission(10).is_some(); // B: would be the 5th slot
         assert_eq!(shared.pool().len(), 3, "no resident entry evicted");
         assert_eq!(shared.stats().evictions, 0);
         assert!(!ok_b);
-        shared.release_reservation(10);
-        assert!(shared.reserve_admission(10));
-        shared.release_reservation(10);
+        drop(a);
+        assert!(shared.reserve_admission(10).is_some());
     }
 }

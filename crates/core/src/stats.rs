@@ -41,30 +41,15 @@ pub struct RecyclerStats {
     /// Sessions currently open (attached and not yet dropped) — the
     /// divisor of the per-session credit slices.
     pub active_sessions: u64,
-    /// Entries evicted under resource pressure (inline + background).
+    /// Entries evicted under resource pressure, by the admission that
+    /// found the pool full (the strict gate at the cap failed).
     pub evictions: u64,
-    /// ... of which evicted *inline* on an admitting session's query path
-    /// (the pool was genuinely full: the strict gate at the cap failed).
-    /// With the background collector enabled this should stay flat in
-    /// steady state — the `background_eviction` bench asserts it.
+    /// The same count as `evictions`: every eviction runs inline, on an
+    /// admitting session's query path. Kept for readers that ask for it
+    /// by this name.
     pub inline_evictions: u64,
-    /// ... of which evicted by the background collector thread draining
-    /// toward the low-water mark (a subset of `evictions`, disjoint from
-    /// `inline_evictions`).
-    pub background_evictions: u64,
-    /// Minor collector rounds run (cheap sweeps over the nursery of
-    /// recently-leafed entries).
-    pub minor_rounds: u64,
-    /// Major collector rounds run (full passes over the evictable-leaf
-    /// index).
-    pub major_rounds: u64,
-    /// Mean wall time of a minor round, in milliseconds (0 when none ran).
-    pub avg_minor_ms: f64,
-    /// Mean wall time of a major round, in milliseconds (0 when none ran).
-    pub avg_major_ms: f64,
     /// Bytes of headroom under the configured memory cap (`mem_limit −
-    /// resident bytes`; 0 when no memory cap is configured). The gauge the
-    /// collector's draining keeps positive.
+    /// resident bytes`; 0 when no memory cap is configured).
     pub headroom_bytes: u64,
     /// Current size of the pool's incremental evictable-leaf index (the
     /// childless entries an eviction round gathers from).
@@ -84,9 +69,6 @@ pub struct RecyclerStats {
     /// already passed (the entry is simply not cached — deadline shedding
     /// costs misses, never wrong answers).
     pub deadline_skips: u64,
-    /// Background-collector activations that panicked and were restarted
-    /// by the collector thread's supervisor loop.
-    pub collector_restarts: u64,
     /// Times the pool was quarantined after a poisoning panic
     /// (cumulative; see [`crate::pool::RecyclePool::repair`] for the
     /// degraded-mode semantics). The name predates the one-table pool and
@@ -107,27 +89,6 @@ pub struct RecyclerStats {
     pub overhead: Duration,
     /// Time spent inside the combined-subsumption search (Algorithm 2).
     pub subsume_search: Duration,
-    /// Bytes currently charged by raw (hot-tier) entries.
-    pub raw_bytes: u64,
-    /// Bytes currently charged by in-memory compressed blobs. With the
-    /// compression tier on, `raw_bytes + compressed_bytes` equals the
-    /// pool's resident total.
-    pub compressed_bytes: u64,
-    /// Bytes of live spilled records on disk — off-cap: they count
-    /// against the spill budget, not the memory limit.
-    pub spilled_bytes: u64,
-    /// Entries demoted raw → compressed by collector rounds (lifetime).
-    pub demotions_compressed: u64,
-    /// Entries demoted compressed → spilled (lifetime).
-    pub demotions_spilled: u64,
-    /// Demoted entries promoted back to raw by hits (lifetime).
-    pub tier_promotions: u64,
-    /// Cumulative time hits spent decompressing demoted payloads.
-    pub decompress_cost: Duration,
-    /// Cumulative time hits spent rehydrating *spilled* payloads (record
-    /// read-back + decode; disjoint from `decompress_cost`, which covers
-    /// the in-memory compressed tier).
-    pub rehydrate_cost: Duration,
 }
 
 /// Per-query record appended at every `query_end` — the unit the

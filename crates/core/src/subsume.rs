@@ -55,9 +55,6 @@ fn bounds_from_args(args: &[Value]) -> Option<SelectBounds> {
 
 fn bounds_from_sig(pool: &RecyclePool, id: EntryId) -> Option<(EntryId, SelectBounds)> {
     pool.entry(id, |e| {
-        // demoted entries hold no materialised result to rewrite over;
-        // the hit path re-promotes them, subsumption just skips them
-        e.payload().as_raw()?;
         let scalar = |i: usize| -> Option<Value> {
             match e.sig.args.get(i)? {
                 ArgSig::Scalar(v) => Some(v.clone()),
@@ -75,14 +72,13 @@ fn bounds_from_sig(pool: &RecyclePool, id: EntryId) -> Option<(EntryId, SelectBo
 }
 
 fn result_len(pool: &RecyclePool, id: EntryId) -> usize {
-    pool.entry(id, |e| e.payload().as_raw()?.as_bat().map(|b| b.len()))
+    pool.entry(id, |e| e.value().as_bat().map(|b| b.len()))
         .flatten()
         .unwrap_or(usize::MAX)
 }
 
 fn result_of(pool: &RecyclePool, id: EntryId) -> Option<Value> {
-    // only a raw payload is a materialised operand to rewrite over
-    pool.entry(id, |e| e.payload().as_raw().cloned()).flatten()
+    pool.entry(id, |e| e.value().clone())
 }
 
 /// Singleton subsumption for `algebra.select`: find the smallest pool
@@ -483,7 +479,7 @@ pub fn execute_combined(pool: &RecyclePool, segments: &[(EntryId, SelectBounds)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{Admitter, Lineage, Payload, PoolEntry};
+    use crate::entry::{Admitter, Lineage, PoolEntry};
     use crate::signature::Sig;
     use rbat::Column;
     use std::sync::Arc;
@@ -504,7 +500,7 @@ mod tests {
             pool.alloc_id(),
             Sig::of(op, &args),
             args,
-            Payload::Raw(Value::Bat(Arc::clone(&result))),
+            Value::Bat(Arc::clone(&result)),
             result.resident_bytes(),
             Duration::from_millis(5),
             Lineage::default(),

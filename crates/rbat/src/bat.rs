@@ -58,31 +58,6 @@ impl Bat {
         }
     }
 
-    /// Reconstruct a BAT under a *pre-existing* identity — the
-    /// decompress/rehydrate path of a tiered recycle pool. A demoted
-    /// intermediate keeps its [`BatId`] while its columns live in a
-    /// compressed or spilled form; when a hit promotes it back to raw,
-    /// the rebuilt BAT must carry the *original* id so every index keyed
-    /// by result identity (lineage links, aliases, argument matching)
-    /// stays valid. Never use this to forge a second live BAT under an
-    /// id that still names a resident raw BAT. Panics on head/tail
-    /// length mismatch, like [`Bat::new`].
-    pub fn rehydrate(id: BatId, head: Column, tail: Column, props: Props) -> Bat {
-        assert_eq!(
-            head.len(),
-            tail.len(),
-            "BAT head/tail length mismatch: {} vs {}",
-            head.len(),
-            tail.len()
-        );
-        Bat {
-            id,
-            head,
-            tail,
-            props,
-        }
-    }
-
     /// A persistent-style BAT: dense head starting at 0 with the given tail.
     pub fn from_tail(tail: Column) -> Bat {
         let len = tail.len();

@@ -41,7 +41,6 @@ pub struct DatabaseBuilder {
     recycling: bool,
     passes: Vec<Arc<dyn OptPass>>,
     templates: Vec<(String, Program)>,
-    spill: Option<(std::path::PathBuf, usize)>,
 }
 
 impl DatabaseBuilder {
@@ -54,7 +53,6 @@ impl DatabaseBuilder {
             recycling: true,
             passes: Vec::new(),
             templates: Vec::new(),
-            spill: None,
         }
     }
 
@@ -80,105 +78,26 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Enable the background collector thread with the given water marks
-    /// (fractions of the configured limits).
-    ///
-    /// With the collector on, an admission that fits under the cap never
-    /// evicts inline: it merely signals the collector once occupancy
-    /// crosses `high` (say 80% of the cap), and the collector drains the
-    /// pool back down to `low` (say 50%) off the query path. Inline
-    /// eviction remains only as the last-resort path when the pool is
-    /// genuinely full.
-    ///
-    /// Requires a memory or entry limit; validated at [`Self::try_build`]
-    /// (`0 < low < high <= 1`).
-    ///
-    /// # Worked example: the low-memory scenario
-    ///
-    /// The paper's low-memory experiment squeezes the SkyServer workload
-    /// into a 1 MiB pool, where the seed recycler spent 233 gather rounds
-    /// and 889 inline evictions on the query path. The same cap with the
-    /// collector enabled keeps steady-state admissions eviction-free:
-    ///
-    /// ```
-    /// use rbat::{Catalog, LogicalType, TableBuilder, Value};
-    /// use recycling::DatabaseBuilder;
-    ///
-    /// let mut cat = Catalog::new();
-    /// let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
-    /// for i in 0..100 { tb.push_row(&[Value::Int(i)]); }
-    /// cat.add_table(tb.finish());
-    ///
-    /// let db = DatabaseBuilder::new(cat)
-    ///     .memory_budget(1 << 20)            // the lowmem 1 MiB cap
-    ///     .background_collector(0.5, 0.8)    // drain to 50% once past 80%
-    ///     .try_build()
-    ///     .expect("valid water marks");
-    /// // ... run the workload ...
-    /// let stats = db.stats();
-    /// assert_eq!(stats.inline_evictions, 0); // nothing evicted on the query path yet
-    /// ```
-    pub fn background_collector(mut self, low: f64, high: f64) -> DatabaseBuilder {
-        self.config = self.config.collector(true).water_marks(low, high);
+    /// No-op: the background collector is gone — eviction runs inline, at
+    /// the admission that finds the pool full. Kept only because the
+    /// `benchmark` package's `Knobs::apply` still calls it.
+    #[doc(hidden)]
+    pub fn background_collector(self, _low: f64, _high: f64) -> DatabaseBuilder {
         self
     }
 
-    /// Enable the in-memory **compression tier**: the background
-    /// collector demotes cold pooled intermediates to a compact columnar
-    /// encoding *in place* instead of evicting them, and a later hit
-    /// transparently decompresses and re-promotes the entry. Requires the
-    /// collector ([`Self::background_collector`]) and a limit; validated
-    /// at [`Self::try_build`].
-    ///
-    /// # Worked example: the residency ladder under a tiny cap
-    ///
-    /// With compression on (and optionally a spill file), a 1 MiB pool
-    /// stops throwing cold intermediates away — it shrinks them, then
-    /// parks them on disk, and only evicts as the very last rung:
-    ///
-    /// ```
-    /// use rbat::{Catalog, LogicalType, TableBuilder, Value};
-    /// use recycling::DatabaseBuilder;
-    ///
-    /// let mut cat = Catalog::new();
-    /// let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
-    /// for i in 0..100 { tb.push_row(&[Value::Int(i)]); }
-    /// cat.add_table(tb.finish());
-    ///
-    /// let spill = std::env::temp_dir().join("recycler-doc-spill");
-    /// std::fs::create_dir_all(&spill).unwrap();
-    /// let db = DatabaseBuilder::new(cat)
-    ///     .memory_budget(1 << 20)            // the lowmem 1 MiB cap
-    ///     .background_collector(0.5, 0.8)    // demotion rides its rounds
-    ///     .compression(true)                 // rung 1: compress in place
-    ///     .spill_dir(&spill, 8 << 20)        // rung 2: 8 MiB on disk, off-cap
-    ///     .try_build()
-    ///     .expect("valid tiering configuration");
-    /// // ... run the workload; cold entries now demote instead of dying ...
-    /// let stats = db.stats();
-    /// assert_eq!(stats.raw_bytes + stats.compressed_bytes, 0); // nothing admitted yet
-    /// assert_eq!(stats.spilled_bytes, 0);
-    /// # drop(db);
-    /// # std::fs::remove_dir_all(&spill).ok();
-    /// ```
-    pub fn compression(mut self, on: bool) -> DatabaseBuilder {
-        self.config = self.config.compression(on);
+    /// No-op: the compression tier is gone. Kept only because the
+    /// `benchmark` package's `Knobs::apply` still calls it.
+    #[doc(hidden)]
+    pub fn compression(self, _on: bool) -> DatabaseBuilder {
         self
     }
 
-    /// Route the coldest *compressed* entries to an append-only spill
-    /// file under `dir`, holding at most `budget` bytes of live records.
-    /// Spilled bytes stop counting against the memory cap entirely; a hit
-    /// on a spilled entry reads the record back and re-promotes it.
-    /// Requires [`Self::compression`] — the spill tier is the rung below
-    /// the compressed tier (see the worked example there). The file is
-    /// removed when the database drops.
-    pub fn spill_dir(
-        mut self,
-        dir: impl Into<std::path::PathBuf>,
-        budget: usize,
-    ) -> DatabaseBuilder {
-        self.spill = Some((dir.into(), budget));
+    /// No-op: the spill tier is gone, and nothing is written under `dir`.
+    /// Kept only because the `benchmark` package's `Knobs::apply` still
+    /// calls it.
+    #[doc(hidden)]
+    pub fn spill_dir(self, _dir: impl Into<std::path::PathBuf>, _budget: usize) -> DatabaseBuilder {
         self
     }
 
@@ -207,39 +126,10 @@ impl DatabaseBuilder {
     /// Build the database: wires the shared catalog cell, the shared
     /// recycler and the optimiser pipeline, and prepares the registered
     /// templates.
-    ///
-    /// Panics if the recycler configuration is invalid (inverted water
-    /// marks, a collector without limits, ...). Use [`Self::try_build`]
-    /// to surface those as [`Error::Config`] instead.
     pub fn build(self) -> Database {
-        self.try_build()
-            .expect("DatabaseBuilder: invalid recycler configuration")
-    }
-
-    /// Like [`Self::build`], but validates the recycler configuration
-    /// first and returns [`Error::Config`] when a constraint fails
-    /// (ratios outside `(0, 1]`, `low >= high`, a collector enabled
-    /// without any memory/entry limit, a zero round budget).
-    pub fn try_build(self) -> Result<Database, Error> {
-        self.config.validate().map_err(Error::Config)?;
-        let spill = match &self.spill {
-            None => None,
-            Some(_) if !self.config.compression => {
-                return Err(Error::Config(
-                    "spill_dir requires compression: the spill tier is the rung \
-                     below the compressed tier"
-                        .to_string(),
-                ));
-            }
-            Some((dir, budget)) => Some(
-                recycler::tier::SpillFile::create(dir, *budget)
-                    .map(Arc::new)
-                    .map_err(|e| Error::Config(format!("cannot create spill file: {e}")))?,
-            ),
-        };
         let mut passes = default_pipeline();
         passes.extend(self.passes);
-        let shared = SharedRecycler::with_spill(self.config, spill);
+        let shared = SharedRecycler::new(self.config);
         if self.recycling {
             passes.push(Arc::new(RecycleMark));
         }
@@ -255,7 +145,13 @@ impl DatabaseBuilder {
         for (name, program) in self.templates {
             db.register(&name, program);
         }
-        Ok(db)
+        db
+    }
+
+    /// [`Self::build`] behind a `Result`; no configuration is rejected, so
+    /// it is always `Ok`. Kept because the `benchmark` package calls it.
+    pub fn try_build(self) -> Result<Database, Error> {
+        Ok(self.build())
     }
 }
 
@@ -265,16 +161,6 @@ struct DbInner {
     passes: Vec<Arc<dyn OptPass>>,
     recycling: bool,
     templates: RwLock<FxHashMap<String, Arc<Program>>>,
-}
-
-impl Drop for DbInner {
-    /// Dropping the last `Database` handle joins the background collector
-    /// deterministically, so no stray thread outlives the facade. (The
-    /// recycler's own `Drop` is only a backstop for white-box users who
-    /// cloned the `Arc<SharedRecycler>` out of [`Database::recycler`].)
-    fn drop(&mut self) {
-        self.shared.shutdown_collector();
-    }
 }
 
 /// One database: the single owner of the shared recycler service, the
@@ -442,78 +328,5 @@ impl std::fmt::Debug for Database {
             .field("pool_entries", &self.pool().len())
             .field("templates", &self.template_names())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rbat::{LogicalType, TableBuilder, Value};
-
-    fn tiny_catalog() -> Catalog {
-        let mut cat = Catalog::new();
-        let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
-        for i in 0..8 {
-            tb.push_row(&[Value::Int(i)]);
-        }
-        cat.add_table(tb.finish());
-        cat
-    }
-
-    #[test]
-    fn try_build_rejects_inverted_water_marks() {
-        let err = DatabaseBuilder::new(tiny_catalog())
-            .memory_budget(1 << 20)
-            .background_collector(0.8, 0.5)
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Config(_)));
-        assert!(err.to_string().contains("low water mark"));
-    }
-
-    #[test]
-    fn try_build_rejects_out_of_range_ratios() {
-        for (low, high) in [(0.0, 0.8), (0.5, 1.5), (-0.1, 0.8), (f64::NAN, 0.8)] {
-            let err = DatabaseBuilder::new(tiny_catalog())
-                .memory_budget(1 << 20)
-                .background_collector(low, high)
-                .try_build()
-                .unwrap_err();
-            assert!(
-                matches!(err, Error::Config(_)),
-                "({low}, {high}) should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn try_build_rejects_collector_without_limits() {
-        let err = DatabaseBuilder::new(tiny_catalog())
-            .background_collector(0.5, 0.8)
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("mem_limit or entry_limit"));
-    }
-
-    #[test]
-    fn try_build_accepts_valid_collector_config_and_joins_on_drop() {
-        let db = DatabaseBuilder::new(tiny_catalog())
-            .memory_budget(1 << 20)
-            .background_collector(0.5, 0.8)
-            .try_build()
-            .expect("valid config");
-        let shared = Arc::clone(db.recycler());
-        assert!(shared.collector_running(), "collector spawns at build");
-        drop(db);
-        assert!(
-            !shared.collector_running(),
-            "dropping the last Database handle joins the collector"
-        );
-    }
-
-    #[test]
-    fn default_build_stays_infallible_without_collector() {
-        let db = DatabaseBuilder::new(tiny_catalog()).build();
-        assert!(!db.recycler().collector_running());
     }
 }

@@ -23,10 +23,6 @@ pub enum Error {
     Mal(MalError),
     /// A query referenced a template name the database has not prepared.
     UnknownTemplate(String),
-    /// The recycler configuration handed to the builder was rejected at
-    /// build time (e.g. inverted water marks, a collector enabled without
-    /// any resource limit). The message says which constraint failed.
-    Config(String),
     /// The query's deadline expired before a result was produced
     /// ([`crate::Session::query_with_deadline`]). The query may have
     /// partially run; no partial result is returned and nothing past the
@@ -40,7 +36,6 @@ impl fmt::Display for Error {
             Error::Bat(e) => write!(f, "{e}"),
             Error::Mal(e) => write!(f, "{e}"),
             Error::UnknownTemplate(name) => write!(f, "unknown template: {name}"),
-            Error::Config(msg) => write!(f, "invalid recycler configuration: {msg}"),
             Error::Deadline => write!(f, "query deadline exceeded"),
         }
     }
@@ -51,7 +46,7 @@ impl std::error::Error for Error {
         match self {
             Error::Bat(e) => Some(e),
             Error::Mal(e) => Some(e),
-            Error::UnknownTemplate(_) | Error::Config(_) | Error::Deadline => None,
+            Error::UnknownTemplate(_) | Error::Deadline => None,
         }
     }
 }
@@ -87,15 +82,6 @@ mod tests {
         let via_mal: Error = MalError::Bat(BatError::not_found("table", "t")).into();
         assert_eq!(direct, via_mal, "one error type, whatever the layer");
         assert!(direct.to_string().contains("table not found"));
-    }
-
-    #[test]
-    fn config_errors_carry_the_violated_constraint() {
-        let e = Error::Config("low_water_ratio (0.9) must be < high_water_ratio (0.8)".into());
-        assert!(e.to_string().starts_with("invalid recycler configuration:"));
-        assert!(e.to_string().contains("low_water_ratio"));
-        use std::error::Error as _;
-        assert!(e.source().is_none());
     }
 
     #[test]

@@ -402,7 +402,7 @@ const WORKER_BATCH: usize = 16;
 /// a round trip of 42 µs with the threads on one CPU, 118 µs spread over
 /// two). A request under ~50 µs is answered sooner by the thread that
 /// already holds it than it could even reach a worker.
-const INLINE_BUDGET_US: u64 = 50;
+pub const INLINE_BUDGET_US: u64 = 50;
 /// Requests the reactor executes inline per event turn, over all
 /// connections; what is left goes to the ready queue. One full default
 /// pipeline (`max_pipeline` = 64), so a pipelined window of cheap
@@ -1149,34 +1149,18 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
         ("duplicate_admissions", s.duplicate_admissions),
         ("evictions", s.evictions),
         ("inline_evictions", s.inline_evictions),
-        ("background_evictions", s.background_evictions),
-        ("collector_minor_rounds", s.minor_rounds),
-        ("collector_major_rounds", s.major_rounds),
-        // round durations travel as integer microseconds — the wire
-        // protocol's counters are u64
-        ("collector_avg_minor_us", (s.avg_minor_ms * 1000.0) as u64),
-        ("collector_avg_major_us", (s.avg_major_ms * 1000.0) as u64),
+        // the name predates the collector's removal and is kept for the
+        // wire, like `shards_quarantined`
         ("collector_headroom_bytes", s.headroom_bytes),
         ("leaf_index_size", s.leaf_index_size),
         ("evict_gather_visited", s.evict_gather_visited),
         ("evict_gather_rounds", s.evict_gather_rounds),
         ("invalidated", s.invalidated),
         ("propagated", s.propagated),
-        // residency-tier gauges and counters (the tiering subsystem)
-        ("tier_raw_bytes", s.raw_bytes),
-        ("tier_compressed_bytes", s.compressed_bytes),
-        ("tier_spilled_bytes", s.spilled_bytes),
-        ("tier_demotions_compressed", s.demotions_compressed),
-        ("tier_demotions_spilled", s.demotions_spilled),
-        ("tier_promotions", s.tier_promotions),
-        // tier costs travel as integer microseconds, like round durations
-        ("tier_decompress_us", s.decompress_cost.as_micros() as u64),
-        ("tier_rehydrate_us", s.rehydrate_cost.as_micros() as u64),
         ("sessions", s.sessions),
         ("active_sessions", s.active_sessions),
         // degraded-mode observability: recycler-side ...
         ("deadline_skips", s.deadline_skips),
-        ("collector_restarts", s.collector_restarts),
         ("shards_quarantined", s.shards_quarantined),
         ("shards_repaired", s.shards_repaired),
         ("quarantined_now", s.quarantined_now),

@@ -1,11 +1,17 @@
 //! Concurrent eviction stress: admitting sessions under tight caps (so
-//! every few admissions trigger an eviction round), a committing writer
-//! invalidating lineage, and repeated warm probes pinning entries — all
-//! at once over one shared pool. The run must end with the structural
-//! invariants intact, including the incremental evictable-leaf index
-//! equalling the brute-force childless set: batched eviction trusts the
-//! index completely, so any drift under this churn would surface here.
-//! CI re-runs this suite in release mode, where the races are fastest.
+//! every few admissions trigger an inline eviction round), a committing
+//! writer invalidating lineage, repeated warm probes pinning entries, and
+//! a checker holding the structural invariants mid-storm — between
+//! eviction rounds, which each take the table write lock whole — and
+//! clearing the pool through a `MaintenanceGuard` once, all at once over
+//! one shared pool. The run must end with the structural invariants
+//! intact, including the incremental evictable-leaf index equalling the
+//! brute-force childless set: batched eviction trusts the index
+//! completely, so any drift under this churn would surface here. CI
+//! re-runs this suite in release mode, where the races are fastest.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use recycler::{EntryId, RecyclerConfig};
@@ -50,11 +56,13 @@ fn concurrent_admissions_evictions_and_commits_keep_the_pool_exact() {
     let admitters = 4usize;
     let queries_per_admitter = 80usize;
     let commits = 8usize;
+    let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
+        let mut workers = Vec::new();
         for a in 0..admitters {
             let mut session = db.session();
             let cold_t = &cold_t;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 for q in 0..queries_per_admitter {
                     // mostly-fresh ranges keep admissions (and therefore
                     // evictions) flowing; every 4th query re-probes a warm
@@ -68,11 +76,11 @@ fn concurrent_admissions_evictions_and_commits_keep_the_pool_exact() {
                         .query(cold_t, &[Value::Int(lo), Value::Int(lo + 180)])
                         .expect("admitter query");
                 }
-            });
+            }));
         }
         let mut writer = db.session();
         let hot_t = &hot_t;
-        scope.spawn(move || {
+        workers.push(scope.spawn(move || {
             for c in 0..commits {
                 // admit a hot chain right before committing, so the
                 // commit has a lineage closure to invalidate even while
@@ -90,7 +98,28 @@ fn concurrent_admissions_evictions_and_commits_keep_the_pool_exact() {
                     ]]))
                     .expect("commit");
             }
+        }));
+        // a checker racing the storm: `check_invariants` holds the table
+        // read lock, so any structural damage an eviction round, commit or
+        // admission left behind surfaces here, between them, not just at
+        // the end; one maintenance clear lands mid-storm as well
+        let (db, done) = (&db, &done);
+        let checker = scope.spawn(move || {
+            let mut cleared = false;
+            while !done.load(Ordering::Relaxed) {
+                if !cleared && db.stats().evictions > 0 {
+                    db.maintenance().clear_pool();
+                    cleared = true;
+                }
+                db.pool().check_invariants().expect("invariants mid-storm");
+                std::thread::sleep(Duration::from_millis(1));
+            }
         });
+        for w in workers {
+            w.join().expect("storm thread");
+        }
+        done.store(true, Ordering::Relaxed);
+        checker.join().expect("checker thread");
     });
 
     let stats = db.stats();

@@ -46,7 +46,7 @@ use proptest::prelude::*;
 use rbat::{Bat, BatId, Column, Value};
 use recycler::entry::{Admitter, Anchors, Lineage};
 use recycler::signature::{ArgSig, Sig};
-use recycler::{Admitted, EntryId, Payload, PoolEntry, RecyclePool};
+use recycler::{Admitted, EntryId, PoolEntry, RecyclePool};
 use rmal::Opcode;
 
 /// Signatures share their first argument in thirds, so the candidate lists
@@ -98,7 +98,7 @@ fn mk_anchored(
         pool.alloc_id(),
         sig,
         vec![Value::Int(tag)],
-        Payload::Raw(Value::Bat(bat)),
+        Value::Bat(bat),
         64,
         Duration::from_millis(1),
         lineage,

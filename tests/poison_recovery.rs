@@ -13,11 +13,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
-use recycling::{Database, DatabaseBuilder, RecyclerConfig, Update};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Update};
 use rmal::{Program, ProgramBuilder, P};
 
 // The failpoint registry is process-global: serialise the tests in this
@@ -243,58 +242,56 @@ fn a_commit_repairs_a_quarantined_pool_first() {
     assert_eq!(again.reused, again.marked, "the pool serves hits again");
 }
 
+/// Eviction runs inline, on the admitting query: a round that panics
+/// unwinds out of that query while its capacity reservation is pending.
+/// The reservation must be released on the way out — left counted, it
+/// would make the cap's gate refuse every later eviction, and the full
+/// pool would turn every admission away for good.
 #[test]
-fn collector_panic_is_restarted_by_the_supervisor() {
+fn a_panicking_eviction_round_leaves_eviction_working() {
     let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     fault::clear();
-    FaultPlan::seeded(5)
-        .on("collector.round", Trigger::Nth(1), FaultAction::Panic)
-        .install();
     let db = db_with(
         RecyclerConfig::default()
-            .entry_limit(24)
-            .mem_limit(96 << 10)
-            .collector(true)
-            .water_marks(0.5, 0.8),
+            .admission(AdmissionPolicy::KeepAll)
+            .entry_limit(8),
     );
     let template = db.template("count_range").unwrap();
     let mut session = db.session();
-
-    // Admit until the collector is signalled, panics, and its supervisor
-    // restarts it; keep querying the whole time — the service must never
-    // notice.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut i = 0i64;
-    quiet(|| loop {
+    let mut fresh = (0..).map(|i: i64| {
         let lo = (i * 13) % 1900;
-        session
-            .query(&template, &[Value::Int(lo), Value::Int(lo + 60)])
-            .expect("queries keep working around the collector crash");
-        i += 1;
-        let restarts = db.stats().collector_restarts;
-        if restarts >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "collector never restarted (restarts=0, rounds fired={})",
-            fault::fired("collector.round")
-        );
+        [Value::Int(lo), Value::Int(lo + 9)]
     });
+
+    FaultPlan::seeded(23)
+        .on("evict.gather", Trigger::Nth(1), FaultAction::Panic)
+        .install();
+    quiet(|| {
+        for params in fresh.by_ref().take(100) {
+            let r = catch_unwind(AssertUnwindSafe(|| session.query(&template, &params)));
+            if r.is_err() {
+                return;
+            }
+        }
+        panic!("the pool never filled up to an eviction round");
+    });
+    assert_eq!(fault::fired("evict.gather"), 1);
     fault::clear();
 
-    // The restarted collector is alive and the pool stays coherent.
-    let stats = db.stats();
-    assert!(stats.collector_restarts >= 1, "{stats:?}");
-    session
-        .query(&template, &[Value::Int(1), Value::Int(2)])
-        .unwrap();
-    if db.pool().has_quarantined() {
-        db.maintenance().repair_quarantined();
+    let before = db.stats().evictions;
+    for params in fresh.take(20) {
+        let reply = session.query(&template, &params).unwrap();
+        assert_eq!(reply.export("n"), Some(&Value::Int(10)));
     }
+    let stats = db.stats();
+    assert!(
+        stats.evictions > before,
+        "no eviction after the panicked round: {stats:?}"
+    );
+    assert_eq!(db.pool().len(), 8, "the full pool keeps admitting");
     db.pool()
         .check_invariants()
-        .expect("coherent after restart");
+        .expect("coherent after the panic");
 }
 
 #[test]
