@@ -287,8 +287,6 @@ pub struct UpdateMixedOutcome {
     pub reader_hit_ratio: f64,
     /// Entries invalidated by the writer's commits.
     pub invalidated: u64,
-    /// Entries refreshed by delta propagation.
-    pub propagated: u64,
 }
 
 /// Mixed update/query workload: one writer session commits insert deltas
@@ -296,7 +294,7 @@ pub struct UpdateMixedOutcome {
 /// commits) while `readers` sessions replay a warm query alphabet against
 /// a `cold` table — one database, one shared pool, one shared catalog
 /// cell. A commit holds the pool's table write lock for its invalidation
-/// or propagation only; readers stay pure-hit throughout.
+/// only; readers stay pure-hit throughout.
 pub fn update_mixed(
     readers: usize,
     queries_per_reader: usize,
@@ -365,7 +363,7 @@ pub fn update_mixed(
                     ]]))
                     .unwrap();
                 // re-admit the hot chain so the next commit has a closure
-                // to invalidate or propagate into
+                // to invalidate
                 writer
                     .query(hot_ref, &alphabet_ref[c % alphabet_ref.len()])
                     .unwrap();
@@ -396,7 +394,6 @@ pub fn update_mixed(
             hits as f64 / monitored as f64
         },
         invalidated: stats.invalidated - stats0.invalidated,
-        propagated: stats.propagated - stats0.propagated,
     }
 }
 
@@ -527,7 +524,6 @@ pub fn server_mixed(
 mod tests {
     use super::*;
     use rbat::Value;
-    use recycler::UpdateMode;
 
     use crate::driver::keepall;
 
@@ -586,7 +582,7 @@ mod tests {
 
     #[test]
     fn update_mixed_keeps_readers_hitting_and_scopes_commits() {
-        let out = update_mixed(4, 10, 3, keepall().update_mode(UpdateMode::Invalidate));
+        let out = update_mixed(4, 10, 3, keepall());
         assert_eq!(out.readers, 4);
         assert_eq!(out.reader_queries, 40);
         assert_eq!(out.commits, 3);
@@ -595,15 +591,6 @@ mod tests {
             "warm cold readers must stay pure-hit through commits: {out:?}"
         );
         assert!(out.invalidated > 0, "commits must invalidate hot: {out:?}");
-    }
-
-    #[test]
-    fn update_mixed_propagates_when_configured() {
-        let out = update_mixed(2, 6, 2, keepall().update_mode(UpdateMode::Propagate));
-        assert!(
-            out.propagated > 0,
-            "insert-only commits must refresh the hot chain: {out:?}"
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Recycler configuration: admission, eviction, resource limits, updates.
+//! Recycler configuration: admission, eviction, resource limits.
 
 /// Admission policies deciding which executed intermediates enter the pool
 /// (paper §4.2 and the adaptive refinement of §7.2, plus the reuse-paced
@@ -57,15 +57,16 @@ pub enum EvictionPolicy {
     History,
 }
 
-/// How the recycle pool is synchronised with committed updates (paper §6).
+/// The argument type of the inert [`RecyclerConfig::update_mode`]. A
+/// commit always invalidates what derives from the columns it rewrote
+/// (paper §6.4); delta propagation (§6.3) was removed, and both variants
+/// select that one rule.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateMode {
-    /// Immediate column-level invalidation of affected intermediates —
-    /// what the paper's implementation ships (§6.4).
+    /// Immediate column-level invalidation (the one rule).
     Invalidate,
-    /// Delta propagation (§6.3): refresh bind/select/view/join chains with
-    /// the committed insert deltas; falls back to invalidation for
-    /// operators without a propagation rule and for deleting commits.
+    /// Formerly delta propagation; now the same as [`Self::Invalidate`].
     Propagate,
 }
 
@@ -85,24 +86,12 @@ pub struct RecyclerConfig {
     /// Enable combined subsumption (Algorithm 2, §5.2). Requires
     /// `subsumption`.
     pub combined_subsumption: bool,
-    /// Update synchronisation mode.
-    pub update_mode: UpdateMode,
-    /// Per-session admission budget: a *global* allowance of resident
-    /// pool entries shared fairly between the active sessions. Each
-    /// session may keep up to `budget / active_sessions` entries of its
-    /// own resident (rebalanced as sessions open and close), plus an
-    /// overflow lane: while the pool as a whole holds fewer than `budget`
-    /// entries, idle slices are up for grabs. A session below its fair
-    /// slice can therefore *always* admit — one flooding session can
-    /// saturate its slice and the overflow, but never starve another
-    /// session's admissions (`None` = no per-session budget).
-    pub session_credits: Option<u64>,
 }
 
 impl Default for RecyclerConfig {
     /// Reuse-paced admission ([`AdmissionPolicy::Paced`]), LRU eviction, no
-    /// resource limits, singleton + combined subsumption enabled,
-    /// invalidation on update. The paper's baseline setting is this with
+    /// resource limits, singleton + combined subsumption enabled. The
+    /// paper's baseline setting is this with
     /// `.admission(AdmissionPolicy::KeepAll)`: under a cap, KEEPALL admits
     /// every miss and evicts to make room, so instances that are never
     /// reused push out the ones that are; pacing admits a template
@@ -115,8 +104,6 @@ impl Default for RecyclerConfig {
             entry_limit: None,
             subsumption: true,
             combined_subsumption: true,
-            update_mode: UpdateMode::Invalidate,
-            session_credits: None,
         }
     }
 }
@@ -161,17 +148,19 @@ impl RecyclerConfig {
         self
     }
 
-    /// Builder-style: set the update mode.
-    pub fn update_mode(mut self, m: UpdateMode) -> Self {
-        self.update_mode = m;
+    /// No-op, kept so existing callers build: delta propagation was
+    /// removed, and every commit invalidates (paper §6.4).
+    #[doc(hidden)]
+    pub fn update_mode(self, _mode: UpdateMode) -> Self {
         self
     }
 
-    /// Builder-style: set the global per-session admission budget (fair
-    /// slices of `n` resident entries over the active sessions, with an
-    /// overflow lane for idle capacity).
-    pub fn session_credits(mut self, n: u64) -> Self {
-        self.session_credits = Some(n.max(1));
+    /// No-op, kept so existing callers build: the per-session credit
+    /// slices were removed. Under a cap, inline eviction makes room for
+    /// any admission and a PACED account drains only its own template
+    /// instruction, so one session cannot starve another's admissions.
+    #[doc(hidden)]
+    pub fn session_credits(self, _n: u64) -> Self {
         self
     }
 }
@@ -205,17 +194,5 @@ mod tests {
     fn disabling_subsumption_disables_combined() {
         let c = RecyclerConfig::default().subsumption(false);
         assert!(!c.combined_subsumption);
-    }
-
-    #[test]
-    fn session_credits_configurable() {
-        assert_eq!(RecyclerConfig::default().session_credits, None);
-        let c = RecyclerConfig::default().session_credits(32);
-        assert_eq!(c.session_credits, Some(32));
-        assert_eq!(
-            RecyclerConfig::default().session_credits(0).session_credits,
-            Some(1),
-            "a zero budget would deadlock every admission"
-        );
     }
 }

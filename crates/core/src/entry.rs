@@ -2,9 +2,9 @@
 //!
 //! # Concurrency
 //!
-//! An entry's *identity* (signature, arguments, result, lineage) is fixed
-//! at admission and only ever rewritten under the pool's write view
-//! holding the table write lock (delta propagation). Its *usage
+//! An entry's *identity* (signature, result, lineage) is fixed at
+//! admission and never rewritten: an entry leaves the pool whole, by
+//! eviction or invalidation, and nothing changes it in place. Its *usage
 //! statistics* — reuse counters, the last-use stamp, the pin count and the
 //! credit-return flag — are plain atomics, so the exact-match hit path
 //! can update them while holding nothing stronger than the table **read**
@@ -25,11 +25,10 @@ use crate::signature::Sig;
 pub type EntryId = u64;
 
 /// Bytes an entry holding `value` as the result of `op` charges against
-/// the pool cap (and, at admission, the session's credit slice): only what
-/// the instruction newly materialised. Binds reference persistent storage
-/// and zero-cost viewpoint instructions share their operand's buffers
-/// (paper §2.3, Table III shows bind/markT at 0 MB), so they pay a flat
-/// 64 bytes.
+/// the pool cap: only what the instruction newly materialised. Binds
+/// reference persistent storage and zero-cost viewpoint instructions
+/// share their operand's buffers (paper §2.3, Table III shows bind/markT
+/// at 0 MB), so they pay a flat 64 bytes.
 pub fn charge_bytes(op: Opcode, value: &Value) -> usize {
     if matches!(op, Opcode::Bind | Opcode::BindIdx) || op.zero_cost() {
         return 64;
@@ -106,20 +105,15 @@ pub struct PoolEntry {
     pub id: EntryId,
     /// Matching signature (opcode + argument values/identities).
     pub sig: Sig,
-    /// The evaluated argument values as executed — kept for delta
-    /// propagation, which must re-run operators over update deltas (§6.3).
-    pub args: Vec<Value>,
     /// The materialised result (BAT or scalar), `Arc`-shared so the hit
     /// path hands out a clone under the table read lock. Private together
-    /// with `bytes`: the pair is what the pool's ledger books, so it moves
-    /// only through [`Self::replace_value`], called by the write view's
-    /// in-place rewrite under the table write lock.
+    /// with `bytes`: the pair is what the pool's ledger books at insert
+    /// and at removal, so neither changes while the entry is resident.
     value: Value,
     /// Identity of the result BAT, when the result is one.
     pub result_id: Option<BatId>,
     /// Resident bytes charged against the pool's memory budget for the
-    /// current result ([`charge_bytes`] at admission, the propagator's
-    /// figure after a rewrite).
+    /// result ([`charge_bytes`] at admission).
     bytes: usize,
     /// Measured CPU cost of computing the result — `Cost(I)` in eq. (1).
     pub cpu: Duration,
@@ -178,7 +172,6 @@ impl Clone for PoolEntry {
         PoolEntry {
             id: self.id,
             sig: self.sig.clone(),
-            args: self.args.clone(),
             value: self.value.clone(),
             result_id: self.result_id,
             bytes: self.bytes,
@@ -209,7 +202,6 @@ impl PoolEntry {
     pub fn new(
         id: EntryId,
         sig: Sig,
-        args: Vec<Value>,
         value: Value,
         bytes: usize,
         cpu: Duration,
@@ -221,7 +213,6 @@ impl PoolEntry {
             result_id: value.as_bat().map(|b| b.id()),
             family: sig.op.family(),
             sig,
-            args,
             value,
             bytes,
             cpu,
@@ -245,18 +236,9 @@ impl PoolEntry {
         &self.value
     }
 
-    /// Resident bytes the entry currently charges against the pool cap.
+    /// Resident bytes the entry charges against the pool cap.
     pub fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// Replace result and charge, returning the old charge. Only the
-    /// write view's in-place rewrite calls this — it owns the ledger move
-    /// that must go with it.
-    pub(crate) fn replace_value(&mut self, value: Value, bytes: usize) -> usize {
-        self.result_id = value.as_bat().map(|b| b.id());
-        self.value = value;
-        std::mem::replace(&mut self.bytes, bytes)
     }
 
     /// Last computation-or-reuse tick.
@@ -341,7 +323,6 @@ impl PoolEntry {
         let e = PoolEntry::new(
             id,
             Sig::of(Opcode::Select, &[Value::Int(tag)]),
-            vec![Value::Int(tag)],
             Value::Int(tag),
             bytes,
             Duration::from_millis(1),

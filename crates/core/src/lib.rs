@@ -48,15 +48,14 @@
 //! explicitly (`RecyclerConfig::default().admission(AdmissionPolicy::KeepAll)`),
 //! as the paper's experiments in `rcy-bench` do.
 //!
-//! Updates are handled per §6: the default is immediate column-level
-//! invalidation of affected intermediates; an opt-in delta-propagation mode
-//! refreshes select/projection/view/join chains instead of dropping them.
-//! Both follow one rule — the lineage graph lists the entries anchored on
-//! the committed columns — and run under the pool's table write lock
-//! ([`pool::PoolWriteView`]), taken after the catalog merge and held for
-//! the rewrite only; versioned bind signatures guarantee a post-commit
-//! probe can never reuse a pre-commit result. Both run atomically with
-//! respect to instruction boundaries of concurrent queries.
+//! Updates are handled as the paper's implementation ships them (§6.4):
+//! immediate column-level invalidation. The lineage graph lists the entries
+//! anchored on the committed columns and their subtrees are removed under
+//! the pool's table write lock ([`pool::PoolWriteView`]), taken after the
+//! catalog merge and held for the removal only — atomically with respect
+//! to instruction boundaries of concurrent queries. Versioned bind
+//! signatures guarantee a post-commit probe can never reuse a pre-commit
+//! result. A pool entry is immutable once admitted.
 //!
 //! ## Quickstart
 //!
@@ -99,7 +98,6 @@ pub mod ledger;
 pub mod lineage;
 pub mod mark;
 pub mod pool;
-pub mod propagate;
 pub mod runtime;
 pub mod shared;
 pub mod signature;

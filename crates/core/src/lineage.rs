@@ -267,43 +267,6 @@ impl LineageGraph {
         self.supersets.remove(&bat);
     }
 
-    // ----- delta propagation ------------------------------------------------
-
-    /// Entry `id` changed its signature and / or result identity in place
-    /// (delta propagation, §6.3): move it from the old candidate list and
-    /// result mapping to the new ones.
-    pub(crate) fn rekey(
-        &mut self,
-        id: EntryId,
-        (old_sig, new_sig): (&Sig, &Sig),
-        (old_result, new_result): (Option<BatId>, Option<BatId>),
-    ) {
-        if !self.nodes.contains_key(&id) {
-            return;
-        }
-        if old_sig != new_sig {
-            if let Some(ck) = candidate_key(old_sig) {
-                unlist(&mut self.candidates, &ck, id);
-            }
-            if let Some(ck) = candidate_key(new_sig) {
-                set_insert(self.candidates.entry(ck).or_default(), id);
-            }
-        }
-        if old_result != new_result {
-            self.unwire_result(old_result, id);
-            if let Some(n) = new_result {
-                self.by_result.insert(n, id);
-            }
-        }
-    }
-
-    /// Entry `id` moved to table key `key` (its slab entry was refiled).
-    pub(crate) fn refile(&mut self, id: EntryId, key: u64) {
-        if let Some(node) = self.nodes.get_mut(&id) {
-            node.key = key;
-        }
-    }
-
     // ----- updates ----------------------------------------------------------
 
     /// What does a commit that rewrote `columns` touch? The entries
@@ -576,27 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn rekey_moves_candidate_and_result_listings() {
-        let (mut g, mut entries) = graph_of(vec![entry(1, &[])]);
-        let old_sig = entries[0].sig.clone();
-        let arg0 = |sig: &Sig| sig.first_arg().unwrap().clone();
-        assert_eq!(g.candidates(Opcode::Select, &arg0(&old_sig)), vec![1]);
-        let new_sig = Sig::of(Opcode::Select, &[rbat::Value::Int(42)]);
-        entries[0].sig = new_sig.clone();
-        entries[0].result_id = Some(BatId(5));
-        g.rekey(1, (&old_sig, &new_sig), (Some(BatId(1001)), Some(BatId(5))));
-        g.refile(1, 9);
-        assert!(g.candidates(Opcode::Select, &arg0(&old_sig)).is_empty());
-        assert_eq!(g.candidates(Opcode::Select, &arg0(&new_sig)), vec![1]);
-        assert_eq!(
-            g.resolve([BatId(1001), BatId(5)].into_iter()),
-            vec![Resolved::Unknown, Resolved::Entry(1, 9)]
-        );
-        g.diff(&LineageGraph::rebuild([(9, &entries[0])].into_iter(), &g))
-            .unwrap();
-    }
-
-    #[test]
     fn rebuild_keeps_recorded_facts_of_survivors_only_and_diff_sees_drift() {
         let (mut g, entries) = graph_of(vec![entry(1, &[]), entry(2, &[1])]);
         g.alias(BatId(7), 1);
@@ -666,8 +608,8 @@ mod tests {
 
     #[test]
     fn subset_edge_of_an_unmapped_result_is_not_recorded() {
-        // delta propagation re-keys an entry, loses it to a clashing
-        // subtree, then reports the edge of the result nobody owns
+        // an edge reported for a result no resident entry owns (its entry
+        // already gone) would outlive anything that could remove it
         let (mut g, entries) = graph_of(vec![entry(1, &[])]);
         g.add_subset_edge(BatId(77), BatId(1001));
         assert!(!g.is_subset(BatId(77), BatId(1001)));

@@ -101,12 +101,6 @@ impl Table {
         primary.chain(collided.map(|(_, e)| e)).find(|e| is(e))
     }
 
-    fn get_mut(&mut self, key: u64, id: EntryId) -> Option<&mut PoolEntry> {
-        let collided = self.collided.iter_mut().map(|(_, e)| e);
-        let primary = self.slots.get_mut(&key).into_iter();
-        primary.chain(collided).find(|e| e.id == id)
-    }
-
     fn insert(&mut self, key: u64, entry: PoolEntry) {
         match self.slots.entry(key) {
             Entry::Occupied(_) => self.collided.push((key, entry)),
@@ -141,13 +135,9 @@ impl Table {
 /// fully wired, quiescent lineage.
 pub struct RecyclePool {
     table: RwLock<Table>,
-    /// Every byte and entry-count book (resident totals, per-session
-    /// resident counts — the book the per-session admission budget reads).
-    /// Moved only by [`Ledger::apply`], called from the insert/remove
-    /// funnels ([`Self::insert`] / `remove_locked`) and the write view's
-    /// in-place rewrite, always under the table write lock — so
-    /// every removal path (eviction, invalidation, propagation rekey
-    /// clashes) releases the admitting session's budget automatically.
+    /// The resident byte and entry-count books. Moved only by the
+    /// insert/remove funnels ([`Self::insert`] / `remove_locked`), always
+    /// under the table write lock.
     ledger: Ledger,
     /// ANDed onto every fingerprint before it keys anything: all ones,
     /// except where a test masks bits away to force collisions.
@@ -449,12 +439,6 @@ impl RecyclePool {
         }
     }
 
-    /// Resident entries admitted by `session` (and not yet removed) — the
-    /// per-session footprint the admission budget slices.
-    pub fn resident_of_session(&self, session: u64) -> u64 {
-        self.ledger.resident_of_session(session)
-    }
-
     /// Exact-match lookup by owned signature (diagnostics and tests; the
     /// hit path is [`Self::probe`]).
     pub fn lookup(&self, sig: &Sig) -> Option<EntryId> {
@@ -623,13 +607,13 @@ impl RecyclePool {
         if !self.graph_mut().wire(&entry, key, subset_of) {
             return Admitted::Orphaned;
         }
-        let (id, session, bytes) = (entry.id, entry.admitted_session, entry.bytes());
+        let (id, bytes) = (entry.id, entry.bytes());
         // Failpoint: the graph knows the entry but the table does not hold
         // it yet — the most torn state an unwind can leave.
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert.wired");
         table.insert(key, entry);
-        self.ledger.apply(session, None, Some(bytes));
+        self.ledger.charge(bytes);
         Admitted::Inserted(id)
     }
 
@@ -653,8 +637,7 @@ impl RecyclePool {
             return None;
         }
         let entry = table.remove(key, id)?;
-        self.ledger
-            .apply(entry.admitted_session, Some(entry.bytes()), None);
+        self.ledger.release(entry.bytes());
         Some(entry)
     }
 
@@ -760,10 +743,9 @@ impl RecyclePool {
         self.write_view().remove_subtree(&[root])
     }
 
-    /// Hold the table write lock for an atomic multi-entry rewrite —
-    /// update invalidation and delta propagation, maintenance,
-    /// diagnostics. While the view is alive no admission, hit or eviction
-    /// runs anywhere in the pool.
+    /// Hold the table write lock for an atomic multi-entry removal —
+    /// update invalidation, maintenance, diagnostics. While the view is
+    /// alive no admission, hit or eviction runs anywhere in the pool.
     pub fn write_view(&self) -> PoolWriteView<'_> {
         PoolWriteView {
             pool: self,
@@ -861,47 +843,15 @@ impl RecyclePool {
     }
 }
 
-/// The table write lock, held for one atomic multi-entry rewrite: a
-/// commit's invalidation or delta propagation, maintenance, diagnostics.
-/// Concurrent queries observe the pool either entirely before or entirely
-/// after the rewrite.
+/// The table write lock, held for one atomic multi-entry removal: a
+/// commit's invalidation, maintenance, diagnostics. Concurrent queries
+/// observe the pool either entirely before or entirely after it.
 pub struct PoolWriteView<'a> {
     pool: &'a RecyclePool,
     table: RwLockWriteGuard<'a, Table>,
 }
 
 impl PoolWriteView<'_> {
-    /// Borrow an entry.
-    pub fn get(&self, id: EntryId) -> Option<&PoolEntry> {
-        let key = self.pool.graph().locate(id)?;
-        self.table.find(key, |e| e.id == id)
-    }
-
-    /// Borrow an entry mutably (delta propagation rewrites signatures and
-    /// arguments in place; call [`Self::rekey`] afterwards). The result
-    /// and its charge are not reachable this way — results are rewritten
-    /// through [`Self::set_raw`].
-    pub fn get_mut(&mut self, id: EntryId) -> Option<&mut PoolEntry> {
-        let key = self.pool.graph().locate(id)?;
-        self.table.get_mut(key, id)
-    }
-
-    /// Dependents of an entry (direct children).
-    pub fn children_of(&self, id: EntryId) -> Vec<EntryId> {
-        self.pool.children_of(id)
-    }
-
-    /// Record that `sub` is a subset of `sup`.
-    pub fn add_subset_edge(&self, sub: BatId, sup: BatId) {
-        self.pool.add_subset_edge(sub, sup);
-    }
-
-    /// Register `bat` as a persistent buffer of `anchors`
-    /// ([`RecyclePool::register_persistent`]).
-    pub fn register_persistent(&self, bat: BatId, anchors: Anchors) {
-        self.pool.register_persistent(bat, anchors);
-    }
-
     /// Remove one entry, unwiring it from the graph.
     pub fn remove(&mut self, id: EntryId) -> Option<PoolEntry> {
         let key = self.pool.graph().locate(id)?;
@@ -918,66 +868,13 @@ impl PoolWriteView<'_> {
             .filter_map(|located| pool.remove_locked(table, located, false))
             .collect()
     }
-
-    /// Rewrite an entry's result in place, charging `bytes` for it (delta
-    /// propagation, §6.3). The ledger moves in the same step (no deferred
-    /// recount). Refused (false, nothing touched) for a missing entry.
-    pub fn set_raw(&mut self, id: EntryId, value: rbat::Value, bytes: usize) -> bool {
-        let ledger = &self.pool.ledger;
-        let Some(e) = self.get_mut(id) else {
-            return false;
-        };
-        let before = e.replace_value(value, bytes);
-        ledger.apply(e.admitted_session, Some(before), Some(bytes));
-        true
-    }
-
-    /// Re-key an entry's signature and result identity after delta
-    /// propagation replaced its result BAT (§6.3). The caller updates the
-    /// entry fields; this fixes the indexes and re-files the entry under
-    /// its *new* signature's key.
-    ///
-    /// If another resident entry already owns the new signature — a
-    /// session that re-pinned the post-commit epoch can probe, miss and
-    /// admit the equivalent instruction before the commit took the write
-    /// lock — that duplicate and its dependents are removed first: the
-    /// re-keyed entry wins because the refreshed lineage chain hangs off
-    /// it. A blind index insert would instead leave two entries under one
-    /// signature and a later eviction of either would unmap the survivor.
-    pub fn rekey(&mut self, id: EntryId, old_sig: &Sig, old_result: Option<BatId>) {
-        let pool = self.pool;
-        let Some((new_sig, new_result)) = self.get(id).map(|e| (e.sig.clone(), e.result_id)) else {
-            return;
-        };
-        // the graph follows the entry first, so whatever removes the entry
-        // from here on unwires what is actually wired
-        pool.graph_mut()
-            .rekey(id, (old_sig, &new_sig), (old_result, new_result));
-        if *old_sig == new_sig {
-            return;
-        }
-        let new_key = pool.key(&new_sig);
-        let clash = self.table.find(new_key, |e| e.sig == new_sig && e.id != id);
-        if let Some(other) = clash.map(|e| e.id) {
-            self.remove_subtree(&[other]);
-        }
-        // (the re-keyed entry may itself have been in the clash's subtree)
-        let Some(old_key) = pool.graph().locate(id) else {
-            return;
-        };
-        if let Some(e) = self.table.remove(old_key, id) {
-            self.table.insert(new_key, e);
-            pool.graph_mut().refile(id, new_key);
-        }
-    }
 }
 
 impl Drop for PoolWriteView<'_> {
     /// Debug builds verify the ledger on release: the books must equal
-    /// [`Ledger::recompute`] over the table after any sequence of rekeys,
-    /// removals and in-place rewrites (a table a panic is unwinding
-    /// through, or a quarantined one, is torn by definition and waits for
-    /// `repair`).
+    /// [`Ledger::recompute`] over the table after any sequence of removals
+    /// (a table a panic is unwinding through, or a quarantined one, is
+    /// torn by definition and waits for `repair`).
     fn drop(&mut self) {
         if cfg!(debug_assertions) && !std::thread::panicking() && self.pool.serviceable() {
             debug_assert_eq!(
@@ -1002,7 +899,6 @@ mod tests {
         let e = PoolEntry::new(
             pool.alloc_id(),
             Sig::of(Opcode::Select, &[Value::Int(tag)]),
-            vec![Value::Int(tag)],
             Value::Bat(bat),
             100,
             Duration::from_millis(1),
@@ -1222,36 +1118,6 @@ mod tests {
         let removed = pool.remove_subtree(a_id);
         assert_eq!(removed.len(), 3);
         assert!(pool.is_empty());
-        pool.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn rekey_onto_occupied_signature_removes_the_duplicate() {
-        // A session on the post-commit epoch can admit the equivalent
-        // instruction while propagation is still re-keying the old entry
-        // to the same (versioned) signature. The re-keyed entry must win
-        // and the racing duplicate must be removed — never two residents
-        // under one signature, never an unmapped survivor.
-        let pool = RecyclePool::new();
-        let a = mk_entry(&pool, vec![], 1);
-        let a_sig = a.sig.clone();
-        let a_id = pool.insert(a, None).id();
-        // the racing admission already owns the target signature
-        let fresh = mk_entry(&pool, vec![], 2);
-        let fresh_sig = fresh.sig.clone();
-        let fresh_id = pool.insert(fresh, None).id();
-        {
-            let mut view = pool.write_view();
-            view.get_mut(a_id).unwrap().sig = fresh_sig.clone();
-            view.rekey(a_id, &a_sig, None);
-        }
-        assert_eq!(pool.lookup(&fresh_sig), Some(a_id), "re-keyed entry wins");
-        assert!(pool.entry(fresh_id, |_| ()).is_none(), "duplicate removed");
-        assert_eq!(pool.len(), 1);
-        pool.check_invariants().unwrap();
-        // and evicting the winner leaves a clean, empty index
-        pool.remove(a_id);
-        assert_eq!(pool.lookup(&fresh_sig), None);
         pool.check_invariants().unwrap();
     }
 

@@ -39,11 +39,10 @@ use rbat::catalog::CommitReport;
 use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
-use crate::config::{AdmissionPolicy, RecyclerConfig, UpdateMode};
+use crate::config::{AdmissionPolicy, RecyclerConfig};
 use crate::entry::{charge_bytes, Admitter, Anchors, EntryId, InstrKey, Lineage, Pin, PoolEntry};
 use crate::lineage::Resolved;
 use crate::pool::Admitted;
-use crate::propagate::propagate_commit;
 use crate::shared::{AccountNotes, PoolRef, SharedRecycler};
 use crate::signature::{Sig, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
@@ -312,11 +311,10 @@ impl Recycler {
     /// The admission funnel — the body of `recycleExit` (paper Algorithm
     /// 1): `result` was computed by `op` over `args` at cost `cpu`. It is
     /// filed under the instruction's versioned signature, charged
-    /// [`charge_bytes`] against the cap and the session's credit
-    /// slice, anchors its lineage in `args`, and leaves through exactly
-    /// one of the exits below — every one of which returns what it took
-    /// (credit, reservation), so a shed or lost admission costs a future
-    /// miss and nothing else.
+    /// [`charge_bytes`] against the cap, anchors its lineage in `args`,
+    /// and leaves through exactly one of the exits below — every one of
+    /// which returns what it took (credit, reservation), so a shed or lost
+    /// admission costs a future miss and nothing else.
     fn admit(
         &mut self,
         catalog: &Catalog,
@@ -381,18 +379,6 @@ impl Recycler {
             shared.count_admission_reject();
             return;
         }
-        // Per-session credit slice (ROADMAP "Admission under contention"):
-        // a session past its fair share of the global budget — with the
-        // overflow lane closed — is turned away before any room-making
-        // work, so one flooding session cannot starve the others'
-        // admissions. The footprint charge itself is implicit: the pool's
-        // ledger moves the per-session count at the insert/remove funnels.
-        if !shared.session_admission_allowed(self.session_id) {
-            shared.count_session_budget_reject();
-            shared.count_admission_reject();
-            shared.undo_admission_charge(key, grant);
-            return;
-        }
         let Some(reservation) = shared.reserve_admission(bytes) else {
             shared.count_admission_reject();
             shared.undo_admission_charge(key, grant);
@@ -422,7 +408,6 @@ impl Recycler {
         let entry = PoolEntry::new(
             pool.alloc_id(),
             Sig::versioned(catalog, op, args),
-            args.to_vec(),
             result.clone(),
             bytes,
             cpu,
@@ -490,9 +475,7 @@ impl Clone for Recycler {
 
 impl Drop for Recycler {
     /// Closing a session deregisters it from the shared service's active
-    /// set, rebalancing every remaining session's credit slice (the slice
-    /// divisor is the live active count). Entries this session admitted
-    /// stay resident and keep holding budget until eviction or
+    /// set. Entries this session admitted stay resident until eviction or
     /// invalidation removes them. A query that never reached `query_end`
     /// is settled here, so its pins and its notes do not outlive the
     /// session.
@@ -652,12 +635,12 @@ impl ExecHook for Recycler {
                 affected.insert((def.to_table.clone(), def.to_key.clone()));
             }
         }
-        // One rule for both modes: the lineage graph lists the entries
-        // anchored on the affected columns (and forgets the replaced
-        // buffers' registrations in the same step); everything derived
-        // from those columns hangs below these roots. The rewrite holds the
-        // table write lock — taken after the catalog merge, for the
-        // invalidation or propagation only — so queries observe the pool
+        // One rule: the lineage graph lists the entries anchored on the
+        // affected columns (and forgets the replaced buffers'
+        // registrations in the same step); everything derived from those
+        // columns hangs below these roots. The removal holds the table
+        // write lock — taken after the catalog merge, for the invalidation
+        // only — so queries observe the pool
         // entirely before or after it (per-instruction atomicity — a query
         // already past an instruction keeps its pre-update intermediate,
         // as in the paper's transaction-isolation discussion §6.1). A root
@@ -670,21 +653,10 @@ impl ExecHook for Recycler {
         if roots.is_empty() {
             return;
         }
-        let mut view = pool.write_view();
-        let removed =
-            if shared.config().update_mode == UpdateMode::Propagate && report.deleted.is_empty() {
-                // Delta propagation (§6.3) refreshes the bind-family roots in
-                // place and walks down from them.
-                let outcome = propagate_commit(&mut view, &roots, report, catalog);
-                shared.count_propagated(outcome.refreshed);
-                outcome.invalidated
-            } else {
-                // Immediate column-wise invalidation (§6.4). Removal overrides
-                // pins — correctness beats retention; stale pins are cleaned
-                // up by their sessions' `query_end`.
-                view.remove_subtree(&roots)
-            };
-        drop(view);
+        // Immediate column-wise invalidation (§6.4). Removal overrides pins
+        // — correctness beats retention; stale pins are cleaned up by their
+        // sessions' `query_end`.
+        let removed = pool.write_view().remove_subtree(&roots);
         // what the removed entries owe is settled as an eviction's is
         shared.settle_invalidations(&removed);
     }
@@ -915,14 +887,13 @@ mod tests {
         }
 
         /// What an admission that does not land must leave untouched: the
-        /// candidate's credit balance, this session's resident book and
-        /// the pending `(bytes, entries)` reservations.
-        fn books(&self) -> (i64, u64, (usize, usize)) {
+        /// candidate's credit balance, the pool's resident `(bytes,
+        /// entries)` and the pending `(bytes, entries)` reservations.
+        fn books(&self) -> (i64, (usize, usize), (usize, usize)) {
+            let pool = self.shared.pool_inner();
             (
                 self.shared.credit_balance((0, PC)),
-                self.shared
-                    .pool_inner()
-                    .resident_of_session(self.session.session_id()),
+                (pool.bytes(), pool.len()),
                 self.shared.pending(),
             )
         }
@@ -988,20 +959,6 @@ mod tests {
         assert_exit_refunds("credit denied", credit(0), rejects, |f| {
             f.candidate(&f.col, 1)
         });
-        // slice used up (one resident entry of this session) with the
-        // overflow lane closed (the pool holds the whole budget)
-        assert_exit_refunds(
-            "per-session slice",
-            credit(5).session_credits(1),
-            |s| s.session_budget_rejects,
-            |f| {
-                let pool = f.shared.pool_inner();
-                let mut own = PoolEntry::test_stub(pool.alloc_id(), -1, vec![], 8);
-                own.admitted_session = f.session.session_id();
-                assert!(pool.insert(own, None).inserted());
-                f.candidate(&f.col, 1)
-            },
-        );
         // no room beside the (pinned) 64-byte bind, whatever the size
         assert_exit_refunds("cap reservation", credit(5).mem_limit(70), rejects, |f| {
             f.candidate(&f.col, 1)
@@ -1065,8 +1022,9 @@ mod tests {
         // Regression: an admission whose parent is invalidated between
         // its resolution (parent pinned, credit charged, capacity
         // reserved) and the insert comes back `Admitted::Orphaned`; the
-        // funnel must leave the credit account, the session book and the
-        // pending reservations exactly where they started, every time —
+        // funnel must leave the credit account and the pending
+        // reservations exactly where they started, and add nothing to the
+        // pool's books, every time —
         // repeated orphaning used to be able to drain an instruction's
         // credits for good. The interleaving is forced by the hook between
         // pin and insert: with the parent pinned and the reservation
@@ -1095,7 +1053,8 @@ mod tests {
                 2,
                 "the commit's write lock, then the insert's (parent gone)"
             );
-            assert_eq!(f.books(), books, "round {round}");
+            // the pool lost the parent and gained nothing
+            assert_eq!(f.books(), (books.0, (0, 0), books.2), "round {round}");
             assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
             assert!(f.shared.pool().is_empty(), "the orphan never entered");
             f.admit_bind(100 + round);

@@ -26,14 +26,14 @@
 //!    lock* → *leaf locks*. A thread may skip tiers but never goes back
 //!    up, and holds the table lock at most once — a thread holding it
 //!    (either mode) calls no method that takes it again. The leaf locks
-//!    are the pool's lineage-graph lock, the ledger's per-session book and
-//!    the accounts mutex, and the one rule for them is that **a leaf lock
-//!    is held alone**: it is taken for one plain map operation and nothing
-//!    is acquired, and no caller-supplied code runs, until it is released
-//!    — so the leaves need no order among themselves. Eviction runs only
-//!    inline, on an admitting session's thread, so an eviction round and a
-//!    maintenance operation meet at the table write lock, which each takes
-//!    for its whole step: neither observes the other half done.
+//!    are the pool's lineage-graph lock and the accounts mutex, and the
+//!    one rule for them is that **a leaf lock is held alone**: it is taken
+//!    for one plain map operation and nothing is acquired, and no
+//!    caller-supplied code runs, until it is released — so the two need
+//!    no order between them. Eviction runs only inline, on an admitting
+//!    session's thread, so an eviction round and a maintenance operation
+//!    meet at the table write lock, which each takes for its whole step:
+//!    neither observes the other half done.
 //!    Multi-entry writers — a commit's [`RecyclePool::write_view`],
 //!    `clear` and `repair` for maintenance — hold the one table write lock
 //!    for their whole rewrite; `check_invariants` holds the read lock.
@@ -100,11 +100,10 @@
 //! 8. **Update synchronisation has one rule and one lock:** a commit asks
 //!    the lineage graph once for the entries anchored on the columns it
 //!    rewrote ([`RecyclePool::retire_columns`], which forgets the replaced
-//!    buffers' registrations in the same step — no pool scan);
-//!    invalidation removes their subtrees, delta propagation refreshes
-//!    from the bind-family ones down. Either runs under the table write
-//!    lock ([`RecyclePool::write_view`]), taken after the catalog merge
-//!    and held for the rewrite only. Concurrent queries observe the
+//!    buffers' registrations in the same step — no pool scan) and removes
+//!    their subtrees under the table write lock
+//!    ([`RecyclePool::write_view`]), taken after the catalog merge and
+//!    held for the removal only. Concurrent queries observe the
 //!    affected entries entirely before or entirely after the commit;
 //!    bind signatures carry the table's commit version
 //!    ([`crate::signature::Sig::versioned`]), so an admission racing the
@@ -128,10 +127,10 @@
 //!    see a quarantine: the facade's commit before committing, the server
 //!    after containing a panicked request.
 //! 10. **One result, one ledger.** An entry holds its result `Value`
-//!     directly; it changes only through the write view's in-place rewrite
-//!     (delta propagation), under the table write lock, which moves the
-//!     ledger in the same step. Every book is a pure function of the
-//!     resident entries, so `check_invariants` and repair need one sum
+//!     directly and is immutable once admitted: its value and its charge
+//!     never change, so the ledger moves only at insert and at removal,
+//!     both under the table write lock. Every book is a pure function of
+//!     the resident entries, so `check_invariants` and repair need one sum
 //!     (`Ledger::recompute`), not one per book — and one graph
 //!     (`LineageGraph::rebuild`), not one pass per index.
 
@@ -357,11 +356,9 @@ pub(crate) struct SharedStats {
     subsumed: AtomicU64,
     admissions: AtomicU64,
     admission_rejects: AtomicU64,
-    session_budget_rejects: AtomicU64,
     duplicate_admissions: AtomicU64,
     evictions: AtomicU64,
     invalidated: AtomicU64,
-    propagated: AtomicU64,
     deadline_skips: AtomicU64,
     time_saved_ns: AtomicU64,
     overhead_ns: AtomicU64,
@@ -409,12 +406,9 @@ pub struct SharedRecycler {
     invocations: AtomicU64,
     session_ids: AtomicU64,
     /// Sessions currently open: attached via [`Self::session`] /
-    /// [`Recycler`] clones and not yet dropped. The per-session credit
-    /// slice is `session_credits / active_sessions` — rebalanced
-    /// implicitly on every open/close because the slice is computed from
-    /// the live count at each admission decision. A plain counter (each
-    /// `Recycler` opens once on attach and closes once on drop), so the
-    /// admission gate stays lock-free.
+    /// [`Recycler`] clones and not yet dropped — a gauge for the
+    /// statistics. A plain counter: each `Recycler` opens once on attach
+    /// and closes once on drop.
     active_sessions: std::sync::atomic::AtomicUsize,
     /// Serialises whole maintenance sequences ([`Self::maintenance`]):
     /// each individual operation additionally runs under the pool's table
@@ -493,39 +487,16 @@ impl SharedRecycler {
     }
 
     /// Register a freshly attached session as active (called by
-    /// [`Recycler`](crate::Recycler) on attach). Rebalances every
-    /// session's credit slice by growing the divisor.
+    /// [`Recycler`](crate::Recycler) on attach).
     pub(crate) fn open_session(&self) {
         self.active_sessions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Deregister a dropped session. Its resident entries keep holding
-    /// their budget until eviction/invalidation removes them (the pool's
-    /// per-session books are released at the removal funnel), but the
-    /// slice divisor shrinks immediately.
+    /// Deregister a dropped session. The entries it admitted stay
+    /// resident, shared like any other, until eviction or invalidation
+    /// removes them.
     pub(crate) fn close_session(&self) {
         self.active_sessions.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The per-session admission gate: may `session` admit one more entry
-    /// right now? Always true without a configured budget. With a budget
-    /// `B` and `n` active sessions, a session below its fair slice
-    /// `max(1, B/n)` is *always* admitted (starvation-freedom); beyond the
-    /// slice the overflow lane applies — idle capacity is up for grabs
-    /// while the pool holds fewer than `B` entries in total. The check is
-    /// advisory-exact: concurrent admissions racing the same decision can
-    /// overshoot by at most the number of in-flight admissions, never
-    /// starve anyone.
-    pub(crate) fn session_admission_allowed(&self, session: u64) -> bool {
-        let Some(budget) = self.config.session_credits else {
-            return true;
-        };
-        let active = self.active_session_count().max(1) as u64;
-        let slice = (budget / active).max(1);
-        if self.pool.resident_of_session(session) < slice {
-            return true;
-        }
-        (self.pool.len() as u64) < budget
     }
 
     /// Acquire the maintenance lock: server-wide pool surgery
@@ -602,11 +573,9 @@ impl SharedRecycler {
             subsumed,
             admissions,
             admission_rejects,
-            session_budget_rejects,
             duplicate_admissions,
             evictions,
             invalidated,
-            propagated,
             deadline_skips,
             time_saved_ns,
             overhead_ns,
@@ -786,14 +755,13 @@ impl SharedRecycler {
             subsumed: ld(&s.subsumed),
             admissions: ld(&s.admissions),
             admission_rejects: ld(&s.admission_rejects),
-            session_budget_rejects: ld(&s.session_budget_rejects),
             duplicate_admissions: ld(&s.duplicate_admissions),
             evictions: ld(&s.evictions),
             leaf_index_size: self.pool.leaf_index_size() as u64,
             evict_gather_visited: self.pool.eviction_gather_visited(),
             evict_gather_rounds: self.pool.eviction_gather_rounds(),
             invalidated: ld(&s.invalidated),
-            propagated: ld(&s.propagated),
+            propagated: 0,
             deadline_skips: ld(&s.deadline_skips),
             shards_quarantined: self.pool.quarantined_total(),
             shards_repaired: self.pool.repaired_total(),
@@ -840,10 +808,6 @@ impl SharedRecycler {
         bump(&self.stats.admission_rejects);
     }
 
-    pub(crate) fn count_session_budget_reject(&self) {
-        bump(&self.stats.session_budget_rejects);
-    }
-
     pub(crate) fn count_duplicate_admission(&self) {
         bump(&self.stats.duplicate_admissions);
     }
@@ -858,10 +822,6 @@ impl SharedRecycler {
 
     pub(crate) fn count_invalidated(&self, n: u64) {
         self.stats.invalidated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_propagated(&self, n: u64) {
-        self.stats.propagated.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn add_subsume_search(&self, d: Duration) {

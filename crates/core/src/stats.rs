@@ -32,14 +32,9 @@ pub struct RecyclerStats {
     /// under the same signature; its copy was dropped and its credit
     /// returned.
     pub duplicate_admissions: u64,
-    /// ... of which denied specifically because the admitting session had
-    /// exhausted its per-session credit slice (and the overflow lane was
-    /// closed). A subset of `admission_rejects`.
-    pub session_budget_rejects: u64,
     /// Sessions ever attached to the shared recycler.
     pub sessions: u64,
-    /// Sessions currently open (attached and not yet dropped) — the
-    /// divisor of the per-session credit slices.
+    /// Sessions currently open (attached and not yet dropped).
     pub active_sessions: u64,
     /// Entries evicted under resource pressure, by the admission that
     /// found the pool full (the strict gate at the cap failed).
@@ -63,7 +58,8 @@ pub struct RecyclerStats {
     pub evict_gather_rounds: u64,
     /// Entries invalidated by updates.
     pub invalidated: u64,
-    /// Entries refreshed in place by delta propagation.
+    /// Always 0: delta propagation was removed and a commit only
+    /// invalidates. Kept for readers that ask for it by this name.
     pub propagated: u64,
     /// Admission attempts shed because the session's query deadline had
     /// already passed (the entry is simply not cached — deadline shedding

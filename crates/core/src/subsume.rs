@@ -499,7 +499,6 @@ mod tests {
         let e = PoolEntry::new(
             pool.alloc_id(),
             Sig::of(op, &args),
-            args,
             Value::Bat(Arc::clone(&result)),
             result.resident_bytes(),
             Duration::from_millis(5),

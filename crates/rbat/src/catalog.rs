@@ -221,7 +221,8 @@ impl TableBuilder {
 }
 
 /// What a [`Catalog::commit`] did — consumed by the recycler to synchronise
-/// the recycle pool (invalidation or delta propagation, paper §6).
+/// the recycle pool (invalidation of what derives from the rewritten
+/// columns, paper §6.4).
 #[derive(Debug, Clone)]
 pub struct CommitReport {
     /// Updated table.
@@ -350,9 +351,7 @@ impl Catalog {
 
     /// Merge the staged deltas of `table` into its persistent columns,
     /// bump the version, bring dependent join indices up to date and report
-    /// what changed. Deletions compact OIDs (documented engine policy; the
-    /// recycler's propagation mode therefore only engages for insert-only
-    /// commits and falls back to invalidation otherwise).
+    /// what changed. Deletions compact OIDs (documented engine policy).
     ///
     /// Cost: one bulk copy of each column of the table plus work
     /// proportional to the staged delta; indices are maintained from their

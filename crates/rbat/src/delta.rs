@@ -2,8 +2,9 @@
 //!
 //! DML statements do not touch the persistent columns directly: inserts and
 //! deletes accumulate in a [`TableDelta`] and are merged at transaction
-//! commit ([`crate::Catalog::commit`]). The commit report carries the merged
-//! deltas so the recycler can either invalidate or propagate (paper §6).
+//! commit ([`crate::Catalog::commit`]). The commit report says which table
+//! and join indices changed, so the recycler can invalidate what derives
+//! from them (paper §6.4).
 
 use crate::types::Value;
 

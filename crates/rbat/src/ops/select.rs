@@ -404,7 +404,7 @@ pub fn select_not_nil(b: &Bat) -> Result<Bat> {
 }
 
 /// Tuple union of BATs with identical schemas — used for piecing together
-/// combined-subsumption segments and for delta propagation appends.
+/// combined-subsumption segments.
 pub fn concat(parts: &[&Bat]) -> Result<Bat> {
     let first = parts
         .first()

@@ -45,7 +45,7 @@ pub struct DatabaseBuilder {
 
 impl DatabaseBuilder {
     /// Start from a fully built catalog with the default recycler
-    /// configuration (the paper's baseline setting).
+    /// configuration (reuse-paced admission, no limits).
     pub fn new(catalog: Catalog) -> DatabaseBuilder {
         DatabaseBuilder {
             catalog,
@@ -57,7 +57,7 @@ impl DatabaseBuilder {
     }
 
     /// Use an explicit recycler configuration (admission/eviction
-    /// policies, limits, per-session credit slices, update mode).
+    /// policies, limits, subsumption).
     pub fn recycler(mut self, config: RecyclerConfig) -> DatabaseBuilder {
         self.config = config;
         self.recycling = true;
@@ -201,8 +201,7 @@ pub struct Database {
 impl Database {
     /// Open a new session. Sessions are cheap — a recycler handle plus an
     /// epoch-pinned catalog snapshot; create one per connection or
-    /// thread. Closing (dropping) it rebalances the remaining sessions'
-    /// credit slices.
+    /// thread.
     pub fn session(&self) -> Session {
         if self.inner.recycling {
             let hook = self.inner.shared.session();

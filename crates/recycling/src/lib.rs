@@ -49,11 +49,11 @@
 //!   built program into a recyclable template once; sessions then replay
 //!   it with parameters.
 //!
-//! Sessions carry **per-session credit slices**: with
-//! [`RecyclerConfig::session_credits`] configured, each session draws
-//! admissions against `budget / active_sessions` (rebalanced as sessions
-//! open and close), with an overflow lane so idle slices aren't wasted —
-//! one flooding client cannot starve the others' admissions.
+//! All sessions admit through one gate — the admission accounts, then the
+//! capacity reservation. Under a cap the admission that finds the pool
+//! full evicts to make room, and a reuse-paced account belongs to one
+//! template instruction, so one flooding client cannot starve the others'
+//! admissions.
 //!
 //! The `rcy-server` crate puts a TCP front-end on top: a length-prefixed
 //! wire protocol (query / commit / stats / close) served by a bounded
@@ -73,8 +73,11 @@ pub use session::{QueryReply, Session, Update};
 // the facade, re-exported so `use recycling::*` is one-stop.
 pub use recycler::{
     AdmissionPolicy, EvictionPolicy, MaintenanceGuard, PoolSnapshot, QueryRecord, RecyclerConfig,
-    RecyclerStats, UpdateMode,
+    RecyclerStats,
 };
+// The argument type of the inert `RecyclerConfig::update_mode`.
+#[doc(hidden)]
+pub use recycler::UpdateMode;
 
 /// Deterministic fault injection (`--features failpoints` builds only):
 /// re-export of [`recycler::fault`] so the TCP front-end and test

@@ -103,9 +103,8 @@ enum EngineKind {
 /// so commits from other sessions become visible at the next query, never
 /// halfway through one.
 ///
-/// Dropping a session closes it: the per-session credit slices of the
-/// remaining sessions rebalance (see
-/// [`RecyclerConfig::session_credits`](recycler::RecyclerConfig::session_credits)).
+/// Dropping a session closes it; the entries it admitted stay in the
+/// shared pool.
 pub struct Session {
     db: Database,
     engine: EngineKind,
@@ -254,14 +253,14 @@ impl Session {
 
     /// Commit a typed [`Update`]: stage inserts and deletes, commit
     /// through the shared catalog's single-writer cell, and synchronise
-    /// the recycle pool (invalidation or delta propagation per the
-    /// configured update mode). Other sessions observe the commit at
-    /// their next query.
+    /// the recycle pool: every intermediate derived from a rewritten
+    /// column is invalidated (paper §6.4). Other sessions observe the
+    /// commit at their next query.
     ///
     /// A pool quarantined by an earlier panic (its table may be torn) is
     /// repaired first ([`Database::maintenance`]'s `repair_quarantined`),
-    /// so the invalidation or propagation runs over consistent state and
-    /// the commit is never refused for it.
+    /// so the invalidation runs over consistent state and the commit is
+    /// never refused for it.
     pub fn commit(&mut self, update: Update) -> Result<CommitReport> {
         if self.db.pool().has_quarantined() {
             self.db.maintenance().repair_quarantined();

@@ -84,7 +84,7 @@ pub struct ConnState {
     pub pending: VecDeque<Work>,
     /// The connection's database session, created lazily at its first
     /// `Query`/`Commit` — an idle or stats-only connection never pays
-    /// for an engine, and never dilutes the per-session credit slices.
+    /// for an engine.
     pub session: Option<Session>,
     /// Lifecycle phase.
     pub phase: Phase,

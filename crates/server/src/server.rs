@@ -1145,7 +1145,6 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
         ("subsumed", s.subsumed),
         ("admissions", s.admissions),
         ("admission_rejects", s.admission_rejects),
-        ("session_budget_rejects", s.session_budget_rejects),
         ("duplicate_admissions", s.duplicate_admissions),
         ("evictions", s.evictions),
         ("inline_evictions", s.inline_evictions),
@@ -1156,7 +1155,6 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
         ("evict_gather_visited", s.evict_gather_visited),
         ("evict_gather_rounds", s.evict_gather_rounds),
         ("invalidated", s.invalidated),
-        ("propagated", s.propagated),
         ("sessions", s.sessions),
         ("active_sessions", s.active_sessions),
         // degraded-mode observability: recycler-side ...

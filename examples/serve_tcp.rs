@@ -10,7 +10,7 @@
 //! ```
 
 use rcy_server::{Client, Server, ServerConfig};
-use recycling::{DatabaseBuilder, RecyclerConfig};
+use recycling::DatabaseBuilder;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -22,10 +22,8 @@ fn main() {
     let catalog = skyserver::generate(skyserver::SkyScale::new(objects));
     let (templates, log) = skyserver::sample_log(clients * per_client, 2008);
 
-    // one Database, templates registered by name, per-session credit
-    // slices so no client can hog the pool's admissions
-    let mut builder =
-        DatabaseBuilder::new(catalog).recycler(RecyclerConfig::default().session_credits(4096));
+    // one Database with the default recycler, templates registered by name
+    let mut builder = DatabaseBuilder::new(catalog);
     for (i, t) in templates.iter().enumerate() {
         builder = builder.template(&format!("q{i}"), t.clone());
     }

@@ -5,13 +5,14 @@
 //! entry pinned by another session's running query — enforced
 //! structurally by `RecyclePool::remove_if_evictable`, which revalidates
 //! the pin count and leaf property inside the table's write critical
-//! section, and asserted directly by the pinned-survival test below.
+//! section, and asserted directly by the pinned-survival test below. One
+//! flooding session must not starve another's admissions either.
 
 use std::collections::HashMap;
 use std::thread;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycling::{Database, DatabaseBuilder, RecyclerConfig, RecyclerStats};
+use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, RecyclerStats};
 use rmal::{Program, ProgramBuilder, P};
 
 fn catalog(n: i64) -> Catalog {
@@ -162,7 +163,7 @@ fn four_sessions_overlapping_select_join_streams() {
     assert_eq!(stats.sessions, 4, "one session per stream");
     assert_eq!(
         stats.active_sessions, 0,
-        "stream sessions must close (and rebalance slices) on drop"
+        "stream sessions must close on drop"
     );
 }
 
@@ -292,4 +293,82 @@ fn skyserver_mix_across_sessions() {
         "template-heavy log should reuse heavily, got {}",
         outcome.hit_ratio()
     );
+}
+
+/// The starvation regression: a flooding session hammers distinct ranges
+/// until the capped pool is full, then a victim session runs a modest
+/// workload of its own. One admission gate serves both — no per-session
+/// slice — and still the flooder cannot starve the victim: the admission
+/// that finds the pool full evicts to make room, and a reuse-paced account
+/// belongs to one template instruction, so the flooder drains its own keys
+/// only. The victim admits, query by query, exactly what it admits on a
+/// fresh database without the flooder, under KEEPALL and PACED alike, and
+/// its repeat is served entirely from the pool.
+#[test]
+fn flooding_session_cannot_starve_another_sessions_admissions() {
+    fn two_tables() -> Catalog {
+        let mut cat = Catalog::new();
+        for name in ["flood", "victim"] {
+            let mut tb = TableBuilder::new(name)
+                .column("x", LogicalType::Int)
+                .column("y", LogicalType::Int);
+            for i in 0..2000i64 {
+                tb.push_row(&[Value::Int((i * 37) % 2000), Value::Int(i % 97)]);
+            }
+            cat.add_table(tb.finish());
+        }
+        cat
+    }
+    fn range_count(name: &str, table: &str) -> Program {
+        let mut b = ProgramBuilder::new(name, 2);
+        let col = b.bind(table, "x");
+        let sel = b.select_closed(col, P(0), P(1));
+        let n = b.count(sel);
+        b.export("n", n);
+        b.finish()
+    }
+    /// The victim's per-query admissions, after `flood` distinct flooder
+    /// queries on the same database.
+    fn victim_admissions(admission: AdmissionPolicy, flood: i64) -> Vec<u64> {
+        let db = DatabaseBuilder::new(two_tables())
+            .recycler(
+                RecyclerConfig::default()
+                    .admission(admission)
+                    .subsumption(false)
+                    .entry_limit(20),
+            )
+            .build();
+        let flood_t = db.prepare(range_count("flood_q", "flood"));
+        let victim_t = db.prepare(range_count("victim_q", "victim"));
+        let mut flooder = db.session();
+        let mut victim = db.session();
+        for i in 0..flood {
+            flooder
+                .query(&flood_t, &[Value::Int(i * 7), Value::Int(i * 7 + 3)])
+                .unwrap();
+        }
+        if flood > 0 && admission == AdmissionPolicy::KeepAll {
+            assert_eq!(db.pool().len(), 20, "the flooder must fill the pool");
+        }
+        let range = |i: i64| [Value::Int(i * 100), Value::Int(i * 100 + 50)];
+        let admitted = (0..5)
+            .map(|i| victim.query(&victim_t, &range(i)).unwrap().admitted)
+            .collect();
+        let repeat = victim.query(&victim_t, &range(0)).unwrap();
+        assert_eq!(
+            repeat.reused, repeat.marked,
+            "{admission:?}: the victim's repeat must fully hit"
+        );
+        db.pool().check_invariants().unwrap();
+        admitted
+    }
+    for admission in [AdmissionPolicy::KeepAll, AdmissionPolicy::Paced] {
+        let alone = victim_admissions(admission, 0);
+        assert!(alone.iter().sum::<u64>() > 0, "{admission:?}: {alone:?}");
+        assert_eq!(
+            victim_admissions(admission, 100),
+            alone,
+            "{admission:?}: the flooder changed what the victim admits"
+        );
+    }
 }

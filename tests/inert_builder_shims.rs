@@ -1,20 +1,24 @@
 //! Inertness contract for the builder methods whose layers are gone:
 //! `recycle_operator_state` (operator-state recycling), and
 //! `background_collector`, `compression` and `spill_dir` (the background
-//! collector and the residency tiers — eviction runs inline only). They
-//! survive as no-ops for callers that still name them. Whatever they are
-//! set to, a join / group / sort / topN script — repeats, shifted ranges,
-//! one shared build side — must prepare the same plan, answer the same and
-//! count the same as a build that never names them, write nothing under
-//! the spill directory, and build without a cap: wired to any admission,
-//! eviction, subsumption or limit setting, to a pass that moves the plan,
-//! or to a file, they would not.
+//! collector and the residency tiers — eviction runs inline only); and for
+//! the two configuration methods, `RecyclerConfig::session_credits` (the
+//! per-session credit slices) and `RecyclerConfig::update_mode` (delta
+//! propagation — a commit only invalidates). They survive as no-ops for
+//! callers that still name them. Whatever they are set to, a join / group /
+//! sort / topN script — repeats, shifted ranges, one shared build side, an
+//! insert-only commit half-way — must prepare the same plan, answer the
+//! same and count the same as a build that never names them, write
+//! nothing under the spill directory, and the builder methods must build
+//! without a cap: wired to any admission, eviction, subsumption, update or
+//! limit setting, to a pass that moves the plan, or to a file, they would
+//! not.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycling::{Database, DatabaseBuilder, RecyclerStats};
+use recycling::{Database, DatabaseBuilder, RecyclerConfig, RecyclerStats, Update, UpdateMode};
 use rmal::{Program, ProgramBuilder, P};
 
 fn catalog() -> Catalog {
@@ -30,8 +34,10 @@ fn catalog() -> Catalog {
 }
 
 /// A pool small enough that eviction runs too.
+const BUDGET: usize = 100_000;
+
 fn builder() -> DatabaseBuilder {
-    DatabaseBuilder::new(catalog()).memory_budget(100_000)
+    DatabaseBuilder::new(catalog()).memory_budget(BUDGET)
 }
 
 type Shim = Box<dyn Fn(DatabaseBuilder) -> DatabaseBuilder>;
@@ -72,6 +78,42 @@ fn shims(dir: &Path) -> Vec<(&'static str, Shim)> {
             }),
         ),
     ]
+}
+
+/// Every way of naming the inert configuration methods, the way the
+/// benchmark's `--knobs credits,propagate` does: on a default
+/// configuration handed to the capped builder, which then holds exactly
+/// the configuration [`builder`] gives — plus the shim.
+fn config_shims() -> Vec<(&'static str, Shim)> {
+    let capped = |config: RecyclerConfig| {
+        Box::new(move |b: DatabaseBuilder| b.recycler(config).memory_budget(BUDGET)) as Shim
+    };
+    let default = RecyclerConfig::default;
+    vec![
+        (
+            "session_credits(4096)",
+            capped(default().session_credits(4096)),
+        ),
+        (
+            "update_mode(Propagate)",
+            capped(default().update_mode(UpdateMode::Propagate)),
+        ),
+        (
+            "session_credits(4096) + update_mode(Propagate)",
+            capped(
+                default()
+                    .session_credits(4096)
+                    .update_mode(UpdateMode::Propagate),
+            ),
+        ),
+    ]
+}
+
+/// Both lists: what the three capped tests name.
+fn all_shims(dir: &Path) -> Vec<(&'static str, Shim)> {
+    let mut all = shims(dir);
+    all.extend(config_shims());
+    all
 }
 
 /// A spill directory of this test's own, empty; removed on drop.
@@ -154,7 +196,8 @@ fn run(db: Database) -> Run {
     let t = db.prepare(template());
     let mut s = db.session();
     // repeats (exact hits), ranges inside one resident range and across
-    // two (singleton and combined subsumption), fresh ones
+    // two (singleton and combined subsumption), fresh ones; an insert-only
+    // commit to `t` half-way, where delta propagation would have acted
     let ranges = [
         (0, 30),
         (0, 30),
@@ -169,7 +212,12 @@ fn run(db: Database) -> Run {
     ];
     let exports = ranges
         .into_iter()
-        .map(|(lo, hi)| {
+        .enumerate()
+        .map(|(i, (lo, hi))| {
+            if i == ranges.len() / 2 {
+                let row = vec![vec![Value::Int(7), Value::Int(11)]];
+                s.commit(Update::to("t").insert(row)).expect("commit");
+            }
             let params = [Value::Int(lo), Value::Int(hi)];
             let out = s.query(&t, &params).expect("spine query");
             out.exports.into_iter().map(tuples).collect()
@@ -189,7 +237,7 @@ fn shims_leave_prepared_plans_bitwise_identical() {
     // listings must match byte for byte.
     let dir = ScratchDir::new("plans");
     let silent = builder().build().prepare(template());
-    for (label, shim) in shims(&dir.0) {
+    for (label, shim) in all_shims(&dir.0) {
         let named = shim(builder()).build().prepare(template());
         assert_eq!(silent.listing(), named.listing(), "{label} moved the plan");
     }
@@ -202,7 +250,7 @@ fn shims_leave_answers_unchanged() {
     // answer exactly as without them.
     let dir = ScratchDir::new("answers");
     let silent = run(builder().build());
-    for (label, shim) in shims(&dir.0) {
+    for (label, shim) in all_shims(&dir.0) {
         let named = run(shim(builder()).build());
         assert_eq!(named.listing, silent.listing, "{label} moved the plan");
         assert_eq!(named.exports, silent.exports, "{label} changed an answer");
@@ -212,17 +260,19 @@ fn shims_leave_answers_unchanged() {
 
 #[test]
 fn shims_leave_recycler_counts_unchanged() {
-    // The pool holds instruction results and nothing else, and evicts
-    // inline: set any way, the shims leave every counter where a build
-    // that never names them puts them, and plain result recycling still
-    // does all its work.
+    // The pool holds instruction results and nothing else, evicts inline
+    // and invalidates on commit: set any way, the shims leave every
+    // counter where a build that never names them puts them, and plain
+    // result recycling still does all its work.
     let dir = ScratchDir::new("counts");
     let silent = run(builder().build());
     let s = &silent.stats;
     assert!(s.hits > 0, "plain result recycling still works");
     assert!(s.subsumed > 0 && s.admission_rejects > 0 && s.evictions > 0);
     assert_eq!(s.inline_evictions, s.evictions, "every eviction is inline");
-    for (label, shim) in shims(&dir.0) {
+    assert!(s.invalidated > 0, "the commit invalidates");
+    assert_eq!(s.propagated, 0, "and propagates nothing");
+    for (label, shim) in all_shims(&dir.0) {
         let named = run(shim(builder()).build());
         assert_eq!(
             named.stats, silent.stats,

@@ -3,10 +3,9 @@
 //! parent wiring, entries standing on a registered persistent BAT nobody
 //! resident produced, duplicates that alias their result onto the winner,
 //! orphans whose parent is gone), persistent-BAT registrations, removals,
-//! eviction attempts single and batched, subtree invalidations, commits
-//! (`retire_columns` + the removal of the roots' subtrees) and write-view
-//! rewrites (`rekey`, onto fresh and onto occupied signatures; `set_raw`;
-//! `remove_subtree`) the pool's lineage graph must equal
+//! eviction attempts single and batched, subtree invalidations (directly
+//! and under a write view), commits (`retire_columns` + the removal of the
+//! roots' subtrees) and subset edges the pool's lineage graph must equal
 //!
 //! * `LineageGraph::rebuild` over the table — `check_invariants` compares
 //!   the two — and
@@ -26,10 +25,9 @@
 //! would silently evict non-leaves, strand evictable entries or admit
 //! orphans. With `--features failpoints` one more step tears an insert at
 //! `pool.insert.wired` (graph wired, table entry missing) and `repair`
-//! must restore exactly the model. Subset edges are recorded the way
-//! `propagate` does it — after the rekey, whether or not the re-keyed entry
-//! survived it — and must live exactly as long as the entry owning the
-//! subset result.
+//! must restore exactly the model. A subset edge must live exactly as long
+//! as the entry owning the subset result, and one naming a result nobody
+//! owns is never recorded.
 //!
 //! Mutation-checked against `lineage.rs`: dropping the re-leaf when a
 //! parent loses its last child, skipping the alias cleanup in `unwire`,
@@ -97,7 +95,6 @@ fn mk_anchored(
     let e = PoolEntry::new(
         pool.alloc_id(),
         sig,
-        vec![Value::Int(tag)],
         Value::Bat(bat),
         64,
         Duration::from_millis(1),
@@ -380,7 +377,7 @@ proptest! {
     /// EVERY step, not just at the end.
     #[test]
     fn lineage_graph_equals_rebuild_and_model(
-        ops in prop::collection::vec((0u8..17, 0usize..64, 0usize..64), 1..40),
+        ops in prop::collection::vec((0u8..16, 0usize..64, 0usize..64), 1..40),
     ) {
         let pool = RecyclePool::new();
         let mut model = Model::default();
@@ -401,7 +398,7 @@ proptest! {
                 // a bind: a root anchored on one column (or two, a join
                 // index), its buffer registered persistent first; so is
                 // everything else while the pool is empty
-                (12, _) | (_, None) => {
+                (11, _) | (_, None) => {
                     let (sig, anchors) = (bind_sig(tag), columns_of(sel_b));
                     let (e, result) = mk_anchored(&pool, sig.clone(), vec![], anchors.clone(), tag);
                     let id = e.id;
@@ -414,7 +411,7 @@ proptest! {
                 // a persistent buffer is registered (again, with other
                 // columns, if `sel_a` picks a registered one) while nothing
                 // resident produces it
-                (13, _) => {
+                (12, _) => {
                     let known = model.registry.get(sel_a % (model.registry.len() + 1));
                     let bat = known.map_or_else(|| fresh_bat(tag).id(), |(bat, _)| *bat);
                     pool.register_persistent(bat, columns_of(sel_b));
@@ -425,7 +422,7 @@ proptest! {
                 // parent beside it): the runtime's fallback hands the
                 // registered columns over as the entry's own anchors — read
                 // back from the pool here, as `resolve` would
-                (14, Some(p)) if !model.registry.is_empty() => {
+                (13, Some(p)) if !model.registry.is_empty() => {
                     let (bat, _) = &model.registry[sel_a % model.registry.len()];
                     let registered = pool.persistent_bats();
                     let anchors = registered.iter().find(|(b, _)| b == bat).map(|(_, of)| of.clone());
@@ -444,7 +441,7 @@ proptest! {
                 // roots' subtrees, removed root by root or (odd) at once
                 // under the commit's write view, are exactly the entries
                 // whose inherited set meets the columns
-                (15, Some(_)) => {
+                (14, Some(_)) => {
                     let columns = columns_of(sel_a);
                     let roots = pool.retire_columns(&columns);
                     let anchored = |r: &&Resident| !r.anchors.is_disjoint(&columns);
@@ -561,55 +558,30 @@ proptest! {
                     model.get(r.id).pins = pins;
                     "pin toggle"
                 }
-                // delta-propagation rekey under the write view: onto a
-                // fresh signature, or onto
-                // one a resident already owns — that resident and its
-                // subtree go first, the re-keyed entry with them if it
-                // hangs below. Like `propagate`, record a subset edge for
-                // the re-keyed result afterwards: it must stick only if the
-                // entry survived
+                // a subset edge `r.result ⊆ sup`, recorded as subsumption's
+                // bookkeeping does it: it must live exactly as long as `r`.
+                // Every third time the edge names a result no resident owns
+                // any more, and must not be recorded at all
                 (9, Some(r)) => {
-                    let clash = model.pick(sel_b).filter(|c| sel_b % 3 == 0 && c.id != r.id);
-                    let new_sig = clash.as_ref().map_or_else(|| sig_of(tag), |c| c.sig.clone());
-                    let mut view = pool.write_view();
-                    view.get_mut(r.id).expect("resident").sig = new_sig.clone();
-                    view.rekey(r.id, &r.sig, Some(r.result));
                     let sup = model.pick(sel_b).filter(|s| s.id != r.id).map(|s| s.result);
-                    if let Some(sup) = sup {
-                        view.add_subset_edge(r.result, sup);
+                    let gone = model.retired.get(sel_b % (model.retired.len() + 1)).copied();
+                    match (sup, gone) {
+                        (Some(sup), Some(gone)) if sel_b % 3 == 0 => {
+                            pool.add_subset_edge(gone, sup);
+                            model.dead_edges.push((gone, sup));
+                        }
+                        (Some(sup), _) => {
+                            pool.add_subset_edge(r.result, sup);
+                            model.get(r.id).supersets.push(sup);
+                        }
+                        (None, _) => {}
                     }
-                    drop(view);
-                    let gone = clash.map(|c| model.subtree(c.id)).unwrap_or_default();
-                    model.remove(&gone);
-                    if !gone.contains(&r.id) {
-                        let survivor = model.get(r.id);
-                        survivor.sig = new_sig;
-                        survivor.supersets.extend(sup);
-                    } else {
-                        model.dead_edges.extend(sup.map(|sup| (r.result, sup)));
-                    }
-                    "rekey"
-                }
-                // delta-propagation rewrite: the result becomes a new BAT,
-                // the old one resolves to nothing, aliases stay
-                (10, Some(r)) => {
-                    let bat = fresh_bat(tag);
-                    let new_result = bat.id();
-                    let mut view = pool.write_view();
-                    prop_assert!(view.set_raw(r.id, Value::Bat(bat), 64));
-                    view.rekey(r.id, &r.sig, Some(r.result));
-                    drop(view);
-                    model.retired.push(r.result);
-                    let rewritten = model.get(r.id);
-                    let edges: Vec<BatId> = std::mem::take(&mut rewritten.supersets);
-                    rewritten.result = new_result;
-                    model.dead_edges.extend(edges.into_iter().map(|sup| (r.result, sup)));
-                    "set_raw"
+                    "subset edge"
                 }
                 // a child insert torn after `wire`, then `repair`: the
                 // parent is a leaf again and nothing else moved
                 #[cfg(feature = "failpoints")]
-                (11, Some(p)) => {
+                (10, Some(p)) => {
                     let (e, torn_result) = mk(&pool, sig_of(tag), vec![p.id], tag);
                     torn_insert_then_repair(&pool, e);
                     model.retired.push(torn_result);

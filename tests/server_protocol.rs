@@ -567,81 +567,82 @@ fn concurrent_clients_match_in_process_sessions() {
 
 // ----- wire-level starvation regression --------------------------------------
 
-/// The credit-slice guarantee holds over TCP: a flooding connection
-/// saturating its slice cannot stop another connection's admissions.
+/// The starvation regression over TCP: a flooding connection fills the
+/// capped pool, and another connection's queries still admit exactly what
+/// they admit on a fresh server without the flooder — one admission gate,
+/// with eviction making room — and its repeat is served from the pool.
 #[test]
 fn flooding_client_cannot_starve_another_clients_admissions() {
-    let mut cat = catalog();
-    let mut tb = TableBuilder::new("v").column("x", LogicalType::Int);
-    for i in 0..2000i64 {
-        tb.push_row(&[Value::Int((i * 13) % 2000)]);
-    }
-    cat.add_table(tb.finish());
-    let mut vb = ProgramBuilder::new("victim_range", 2);
-    let col = vb.bind("v", "x");
-    let sel = vb.select_closed(col, P(0), P(1));
-    let n = vb.count(sel);
-    vb.export("n", n);
+    /// The victim's per-query admissions over the wire, after `flood`
+    /// distinct flooder queries against the same server.
+    fn victim_admissions(flood: i64) -> Vec<u64> {
+        let mut cat = catalog();
+        let mut tb = TableBuilder::new("v").column("x", LogicalType::Int);
+        for i in 0..2000i64 {
+            tb.push_row(&[Value::Int((i * 13) % 2000)]);
+        }
+        cat.add_table(tb.finish());
+        let mut vb = ProgramBuilder::new("victim_range", 2);
+        let col = vb.bind("v", "x");
+        let sel = vb.select_closed(col, P(0), P(1));
+        let n = vb.count(sel);
+        vb.export("n", n);
 
-    let db = DatabaseBuilder::new(cat)
-        .recycler(
-            RecyclerConfig::default()
-                .admission(AdmissionPolicy::KeepAll)
-                .subsumption(false)
-                .session_credits(40),
-        )
-        .template("count_range", count_template())
-        .template("victim_range", vb.finish())
-        .build();
-    let server = Server::start(
-        db,
-        "127.0.0.1:0",
-        ServerConfig {
-            max_sessions: 2,
-            backlog: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    let mut flooder = Client::connect(addr).unwrap();
-    let mut victim = Client::connect(addr).unwrap();
-    // the victim's *session* must exist while the flooder floods, so the
-    // slice divisor counts both; sessions are lazy under the reactor, so
-    // a small warm-up query (not stats) instantiates it
-    victim
-        .query("victim_range", &[Value::Int(1900), Value::Int(1901)])
-        .unwrap();
-    for i in 0..100i64 {
-        flooder
-            .query("count_range", &[Value::Int(i * 7), Value::Int(i * 7 + 3)])
-            .unwrap();
-    }
-    // flooder has saturated its slice + overflow...
-    let stats = flooder.stats().unwrap();
-    let budget_rejects = stats
-        .iter()
-        .find(|(n, _)| n == "session_budget_rejects")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    assert!(budget_rejects > 0, "flooder must hit its slice: {stats:?}");
-    // ...but the victim still admits every entry of its modest workload
-    for i in 0..5i64 {
-        let reply = victim
-            .query(
-                "victim_range",
-                &[Value::Int(i * 100), Value::Int(i * 100 + 50)],
+        let db = DatabaseBuilder::new(cat)
+            .recycler(
+                RecyclerConfig::default()
+                    .admission(AdmissionPolicy::KeepAll)
+                    .subsumption(false)
+                    .entry_limit(20),
             )
-            .unwrap();
-        assert!(
-            reply.admitted > 0,
-            "victim query {i} admitted nothing over the wire — starved"
-        );
+            .template("count_range", count_template())
+            .template("victim_range", vb.finish())
+            .build();
+        let server = Server::start(
+            db,
+            "127.0.0.1:0",
+            ServerConfig {
+                max_sessions: 2,
+                backlog: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+
+        let mut flooder = Client::connect(addr).unwrap();
+        let mut victim = Client::connect(addr).unwrap();
+        for i in 0..flood {
+            flooder
+                .query("count_range", &[Value::Int(i * 7), Value::Int(i * 7 + 3)])
+                .unwrap();
+        }
+        if flood > 0 {
+            let stats = flooder.stats().unwrap();
+            let evictions = stats.iter().find(|(n, _)| n == "evictions");
+            assert!(
+                evictions.is_some_and(|(_, v)| *v > 0),
+                "the flooder must fill the pool: {stats:?}"
+            );
+        }
+        let range = |i: i64| [Value::Int(i * 100), Value::Int(i * 100 + 50)];
+        let admitted = (0..5)
+            .map(|i| victim.query("victim_range", &range(i)).unwrap().admitted)
+            .collect();
+        let repeat = victim.query("victim_range", &range(0)).unwrap();
+        assert_eq!(repeat.reused, repeat.marked, "the repeat must fully hit");
+        flooder.close().unwrap();
+        victim.close().unwrap();
+        server.shutdown();
+        admitted
     }
-    flooder.close().unwrap();
-    victim.close().unwrap();
-    server.shutdown();
+    let alone = victim_admissions(0);
+    assert!(alone.iter().all(|n| *n > 0), "{alone:?}");
+    assert_eq!(
+        victim_admissions(100),
+        alone,
+        "the flooder changed what the victim admits over the wire"
+    );
 }
 
 // ----- robustness: slow-loris timeout, deadlines, graceful shutdown ---------
