@@ -17,7 +17,7 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbat::{Bat, Catalog, Column, LogicalType, TableBuilder, Value};
 use recycler::signature::{Sig, SigRef};
-use recycler::{PoolEntry, RecyclePool};
+use recycler::{Caps, PoolEntry, RecyclePool};
 use rmal::Opcode;
 
 /// Calls per timed iteration.
@@ -121,7 +121,7 @@ fn bench_probe(c: &mut Criterion) {
     for i in 0..1000 {
         let mut e = PoolEntry::test_stub(pool.alloc_id(), i, vec![], 64);
         e.sig = Sig::versioned(&cat, op, &instance(i));
-        assert!(pool.insert(e, None).inserted());
+        assert!(pool.insert(e, None, Caps::NONE).0.inserted());
         twin.insert(twin_key(0, &instance(i)), i as u32);
     }
     let wanted = instance(500);

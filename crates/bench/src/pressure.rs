@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use recycler::{EntryId, EvictionPolicy, PoolEntry, RecyclePool};
+use recycler::{Caps, EntryId, EvictionPolicy, PoolEntry, RecyclePool};
 
 /// One measured point: a pool of `chains × depth` entries with exactly
 /// `chains` evictable leaves, put under entry pressure.
@@ -34,7 +34,7 @@ pub struct PressurePoint {
     /// Visited entries per round — the number that must stay flat as
     /// `pool_entries` grows.
     pub visited_per_round: f64,
-    /// Wall time of the eviction call.
+    /// Wall time of the admission that evicted.
     pub elapsed: Duration,
 }
 
@@ -70,7 +70,8 @@ fn chain_entry(pool: &RecyclePool, tag: i64, parent: Option<EntryId>) -> PoolEnt
 
 /// Build a pool of `chains` parent→child chains of length `depth` (total
 /// `chains × depth` entries, exactly `chains` leaves — the chain tails),
-/// then evict `evict` entries and record the gather cost.
+/// then admit one more entry under an entry cap that makes it evict
+/// `evict` entries first, and record the gather cost.
 fn measure(chains: usize, depth: usize, evict: usize, policy: EvictionPolicy) -> PressurePoint {
     let pool = RecyclePool::new();
     let mut tag = 0i64;
@@ -78,7 +79,7 @@ fn measure(chains: usize, depth: usize, evict: usize, policy: EvictionPolicy) ->
         let mut parent: Option<EntryId> = None;
         for _ in 0..depth {
             tag += 1;
-            let admitted = pool.insert(chain_entry(&pool, tag, parent), None);
+            let (admitted, _) = pool.insert(chain_entry(&pool, tag, parent), None, Caps::NONE);
             parent = Some(admitted.id());
         }
     }
@@ -86,13 +87,15 @@ fn measure(chains: usize, depth: usize, evict: usize, policy: EvictionPolicy) ->
     let leaves = pool.leaf_index_size();
     let v0 = pool.eviction_gather_visited();
     let r0 = pool.eviction_gather_rounds();
-    let started = Instant::now();
-    let evicted = recycler::eviction::evict(
-        &pool,
+    let caps = Caps {
+        entries: Some(pool_entries + 1 - evict),
         policy,
-        recycler::eviction::EvictTrigger::Entries(evict),
-        tag as u64 + 1,
-    );
+        now_tick: tag as u64 + 1,
+        ..Caps::NONE
+    };
+    let newcomer = chain_entry(&pool, tag + 1, None);
+    let started = Instant::now();
+    let (_, evicted) = pool.insert(newcomer, None, caps);
     let elapsed = started.elapsed();
     let gather_rounds = pool.eviction_gather_rounds() - r0;
     let gather_visited = pool.eviction_gather_visited() - v0;

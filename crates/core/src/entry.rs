@@ -7,7 +7,7 @@
 //! eviction or invalidation, and nothing changes it in place. Its *usage
 //! statistics* — reuse counters, the last-use stamp, the pin count and the
 //! credit-return flag — are plain atomics, so the exact-match hit path
-//! can update them while holding nothing stronger than the table **read**
+//! can update them while holding nothing stronger than the pool **read**
 //! lock. This is what makes the pool's hit path write-lock-free
 //! (see the locking invariants in [`crate::shared`]).
 
@@ -76,7 +76,7 @@ pub struct Admitter {
 pub struct Pin(Arc<AtomicU32>);
 
 impl Pin {
-    /// Pin `entry`. The caller holds the table lock (any mode).
+    /// Pin `entry`. The caller holds the pool lock (any mode).
     pub fn take(entry: &PoolEntry) -> Pin {
         entry.pins.fetch_add(1, Ordering::Relaxed);
         Pin::adopt(entry)
@@ -106,7 +106,7 @@ pub struct PoolEntry {
     /// Matching signature (opcode + argument values/identities).
     pub sig: Sig,
     /// The materialised result (BAT or scalar), `Arc`-shared so the hit
-    /// path hands out a clone under the table read lock. Private together
+    /// path hands out a clone under the pool read lock. Private together
     /// with `bytes`: the pair is what the pool's ledger books at insert
     /// and at removal, so neither changes while the entry is resident.
     value: Value,
@@ -140,7 +140,7 @@ pub struct PoolEntry {
     /// Source instruction identity (for credit returns).
     pub creator: InstrKey,
     /// Last computation-or-reuse tick (LRU ordering). Atomic: stamped on
-    /// every hit under the table read lock.
+    /// every hit under the pool read lock.
     pub last_used: AtomicU64,
     /// Reuses within the admitting invocation. Atomic: bumped on hit.
     pub local_reuses: AtomicU64,
@@ -150,7 +150,7 @@ pub struct PoolEntry {
     pub subsumption_uses: AtomicU64,
     /// References running queries hold on this entry, one [`Pin`] per use.
     /// A pinned entry is never evicted; invalidation may still remove it —
-    /// correctness beats retention. Taken under the table read lock,
+    /// correctness beats retention. Taken under the pool read lock,
     /// checked under its write lock: the table `RwLock` makes
     /// pin-vs-evict races impossible. Pin state is deliberately NOT part
     /// of the pool's evictable-leaf index (it flips here, on the

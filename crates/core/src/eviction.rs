@@ -7,166 +7,144 @@
 //! complementary binary-knapsack problem with the classic greedy
 //! 2-approximation [Martello & Toth 1990].
 //!
-//! Concurrency and cost: [`evict`] *gathers* its
-//! candidates from the lineage graph's **evictable-leaf set**
-//! ([`RecyclePool::for_each_leaf_entry`]) — the childless entries, kept
-//! exact by the graph's `wire` / `unwire` steps — so a gather round costs
-//! O(leaves), independent of total pool size; no eviction path scans the
-//! whole pool (the pool's gather-cost counters pin this down in tests).
-//! Victims are chosen from the snapshot and consumed
-//! in **batches**: each round feeds every victim it selected to
-//! [`RecyclePool::remove_batch_if_evictable`], which takes the table's
-//! write lock once per round — not once per victim — revalidating the pin
-//! count and the leaf property inside the critical section, so a
-//! concurrent hit or a freshly wired child edge
-//! always wins over the stale snapshot. Only when victims are rejected or
-//! a removal exposes new leaves (a dependency layer peeled off) does the
-//! loop re-gather. Callers serialise evictors through the
-//! [`SharedRecycler`](crate::SharedRecycler)'s eviction mutex (the lock
-//! order's eviction tier) so concurrent memory pressure never over-evicts.
-//! Eviction runs inline only, on the admission that finds the pool full
-//! (§4.3): there is no background evictor.
+//! This module is the policy: [`victims`] picks, from the unpinned leaves
+//! of one gather, the ones a cap needs gone. The mechanics are
+//! `recycleExit`'s one step, [`RecyclePool::insert`]: an admission that
+//! does not fit under its [`Caps`] gathers the lineage graph's
+//! evictable-leaf set (O(leaves), independent of total pool size; the
+//! pool's gather-cost counters pin this down in tests), removes the
+//! victims and inserts itself, all under the pool's one write lock. While
+//! it is held no hit can pin an entry and no child edge can be wired, so a
+//! victim chosen is a victim removed — there is no snapshot to revalidate
+//! and no retry. Only a removal that exposes new leaves (a dependency
+//! layer peeled off) starts another gather. Eviction runs inline only, on
+//! the admission that finds the pool full: there is no background evictor.
+//!
+//! [`RecyclePool::insert`]: crate::pool::RecyclePool::insert
 
-use crate::config::EvictionPolicy;
+use crate::config::{EvictionPolicy, RecyclerConfig};
 use crate::entry::{EntryId, PoolEntry};
-use crate::pool::RecyclePool;
 
-/// What triggered eviction: an entry-count ceiling or a memory ceiling.
+/// What an admission must fit under, and how room is made when it does
+/// not: the configured caps, the eviction policy, and the event-clock
+/// reading the policy ranks by (HISTORY's ageing) — taken before the
+/// admitted entry draws its own tick.
 #[derive(Debug, Clone, Copy)]
-pub enum EvictTrigger {
-    /// Free this many entry slots.
-    Entries(usize),
-    /// Free at least this many bytes.
-    Memory(usize),
+pub struct Caps {
+    /// Byte cap (`None` = unlimited).
+    pub bytes: Option<usize>,
+    /// Entry-count cap (`None` = unlimited).
+    pub entries: Option<usize>,
+    /// Which unpinned leaves go first.
+    pub policy: EvictionPolicy,
+    /// The event clock at the admission.
+    pub now_tick: u64,
 }
 
-/// A gathered eviction candidate: the policy inputs snapshot at gather
-/// time (victim selection revalidates at removal).
-struct Candidate {
+impl Caps {
+    /// No cap: an insert never evicts.
+    pub const NONE: Caps = Caps {
+        bytes: None,
+        entries: None,
+        policy: EvictionPolicy::Lru,
+        now_tick: 0,
+    };
+
+    /// The caps and the policy `config` sets, ranked at `now_tick`.
+    pub(crate) fn of(config: &RecyclerConfig, now_tick: u64) -> Caps {
+        Caps {
+            bytes: config.mem_limit,
+            entries: config.entry_limit,
+            policy: config.eviction,
+            now_tick,
+        }
+    }
+
+    /// Do `bytes` in `entries` entries fit under both caps?
+    pub(crate) fn hold(&self, bytes: usize, entries: usize) -> bool {
+        self.bytes.is_none_or(|cap| bytes <= cap) && self.entries.is_none_or(|cap| entries <= cap)
+    }
+}
+
+/// What a cap counts, and so what eviction under it frees: entry slots or
+/// bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Unit {
+    Entries,
+    Bytes,
+}
+
+impl Unit {
+    /// What removing `e` frees, in this unit.
+    pub(crate) fn of(self, e: &PoolEntry) -> usize {
+        match self {
+            Unit::Entries => 1,
+            Unit::Bytes => e.bytes(),
+        }
+    }
+}
+
+/// An unpinned leaf as a policy sees it.
+pub(crate) struct Candidate {
     id: EntryId,
     bytes: usize,
+    /// The policy's ordering key (smaller = evicted first).
     key: f64,
     last_used: u64,
 }
 
-/// The policy's victim-ordering key (smaller = evicted first).
-fn policy_key(policy: EvictionPolicy, e: &PoolEntry, now_tick: u64) -> f64 {
-    match policy {
-        // smaller = evicted first
-        EvictionPolicy::Lru => e.last_used() as f64,
-        EvictionPolicy::Benefit => e.benefit(),
-        EvictionPolicy::History => e.history_benefit(now_tick),
-    }
-}
-
-/// Snapshot the evictable leaves from the lineage graph's leaf set, in
-/// the ascending id order the graph hands them out in (so a policy's ties
-/// break by id): O(leaves) work, no full-pool scan. Pin state is not part
-/// of the set (pins flip on the read-lock-only hit path), so pinned leaves
-/// are filtered here — and revalidated again at removal, where it counts.
-fn gather(pool: &RecyclePool, policy: EvictionPolicy, now_tick: u64) -> Vec<Candidate> {
-    #[cfg(feature = "failpoints")]
-    let _ = crate::fault::fire("evict.gather");
-    let mut out = Vec::new();
-    pool.for_each_leaf_entry(|e| {
-        if e.pin_count() == 0 {
-            out.push(Candidate {
-                id: e.id,
-                bytes: e.bytes(),
-                key: policy_key(policy, e, now_tick),
-                last_used: e.last_used(),
-            });
-        }
-    });
-    out
-}
-
-/// Evict per `policy` until the trigger is satisfied; returns the evicted
-/// entries (the caller settles credit returns and statistics). May return
-/// fewer than requested when the pool runs out of evictable entries.
-pub fn evict(
-    pool: &RecyclePool,
-    policy: EvictionPolicy,
-    trigger: EvictTrigger,
-    now_tick: u64,
-) -> Vec<PoolEntry> {
-    match trigger {
-        EvictTrigger::Entries(need) => evict_entries(pool, policy, need, now_tick),
-        EvictTrigger::Memory(need) => evict_memory(pool, policy, need, now_tick),
-    }
-}
-
-/// Per-entry variant (BPent / HPent / plain LRU): take the leaves with the
-/// smallest policy keys, as many per gathered snapshot as the trigger
-/// still needs, and remove them in one batched round (one table write
-/// lock). Re-gathers only when victims were rejected by
-/// revalidation or when peeling a layer exposed new leaves.
-fn evict_entries(
-    pool: &RecyclePool,
-    policy: EvictionPolicy,
-    need: usize,
-    now_tick: u64,
-) -> Vec<PoolEntry> {
-    let mut evicted = Vec::new();
-    let mut stalled = 0u32;
-    while evicted.len() < need {
-        let mut leaves = gather(pool, policy, now_tick);
-        if leaves.is_empty() {
-            break;
-        }
-        leaves.sort_unstable_by(|a, b| {
-            a.key
-                .partial_cmp(&b.key)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        let want = need - evicted.len();
-        let victims: Vec<EntryId> = leaves.iter().take(want).map(|c| c.id).collect();
-        let removed = pool.remove_batch_if_evictable(&victims);
-        if removed.is_empty() {
-            // the whole snapshot went stale (concurrent hits pinned the
-            // victims, or they gained children); re-gather, but give up
-            // if no round makes progress
-            stalled += 1;
-            if stalled > 3 {
-                break;
-            }
-        } else {
-            stalled = 0;
-            evicted.extend(removed);
+impl Candidate {
+    pub(crate) fn of(policy: EvictionPolicy, e: &PoolEntry, now_tick: u64) -> Candidate {
+        let key = match policy {
+            EvictionPolicy::Lru => e.last_used() as f64,
+            EvictionPolicy::Benefit => e.benefit(),
+            EvictionPolicy::History => e.history_benefit(now_tick),
+        };
+        Candidate {
+            id: e.id,
+            bytes: e.bytes(),
+            key,
+            last_used: e.last_used(),
         }
     }
-    evicted
 }
 
-/// Memory variant. For LRU: evict oldest leaves until enough bytes are
-/// free (ties on the last-use stamp evict the largest entries first, so
-/// the fewest victims pay for the bytes). For BP/HP: greedy knapsack over the leaves — keep the maximal
+/// The victims `policy` takes from one gather's `leaves` (ascending id, so
+/// a policy's ties break by id) toward freeing `need` units; empty when
+/// nothing is left to take.
+///
+/// Per entry (BPent / HPent / plain LRU): the leaves with the smallest
+/// keys, as many as still needed. Per memory, for LRU: the
+/// oldest leaves until enough bytes are free (ties on the last-use stamp
+/// take the largest entries first, so the fewest victims pay for the
+/// bytes); for BP/HP: greedy knapsack over the leaves — keep the maximal
 /// total benefit that fits within `total_leaf_bytes − need`, evict the
 /// rest; the greedy order is profit density `B(I)/M(I)` and the solution
 /// is compared against the single item of maximum profit (worst case at
 /// most 2× off optimal). If the leaves do not release enough space, all of
-/// them go and another iteration starts (paper §4.3).
-fn evict_memory(
-    pool: &RecyclePool,
+/// them go and another round starts (paper §4.3).
+pub(crate) fn victims(
     policy: EvictionPolicy,
+    unit: Unit,
     need: usize,
-    now_tick: u64,
-) -> Vec<PoolEntry> {
-    let mut evicted = Vec::new();
-    let mut freed = 0usize;
-    let mut stalled = 0u32;
-    while freed < need {
-        let leaves = gather(pool, policy, now_tick);
-        if leaves.is_empty() {
-            break;
+    mut leaves: Vec<Candidate>,
+) -> Vec<EntryId> {
+    match unit {
+        Unit::Entries => {
+            leaves.sort_unstable_by(|a, b| {
+                a.key
+                    .partial_cmp(&b.key)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.id.cmp(&b.id))
+            });
+            leaves.iter().take(need).map(|c| c.id).collect()
         }
-        let leaf_bytes: usize = leaves.iter().map(|c| c.bytes).sum();
-        let remaining_need = need - freed;
-        let victims: Vec<EntryId> = if leaf_bytes <= remaining_need {
-            // not enough in this layer: evict all of it and iterate
-            leaves.iter().map(|c| c.id).collect()
-        } else {
+        Unit::Bytes => {
+            let leaf_bytes: usize = leaves.iter().map(|c| c.bytes).sum();
+            if leaf_bytes <= need {
+                // not enough in this layer: evict all of it and iterate
+                return leaves.iter().map(|c| c.id).collect();
+            }
             match policy {
                 EvictionPolicy::Lru => {
                     // ties on `last_used` break largest-bytes-first: the
@@ -181,7 +159,7 @@ fn evict_memory(
                     let mut take = Vec::new();
                     let mut sum = 0usize;
                     for (_, std::cmp::Reverse(bytes), id) in ordered {
-                        if sum >= remaining_need {
+                        if sum >= need {
                             break;
                         }
                         sum += bytes;
@@ -190,30 +168,11 @@ fn evict_memory(
                     take
                 }
                 EvictionPolicy::Benefit | EvictionPolicy::History => {
-                    knapsack_victims(&leaves, leaf_bytes - remaining_need)
+                    knapsack_victims(&leaves, leaf_bytes - need)
                 }
             }
-        };
-        if victims.is_empty() {
-            break;
-        }
-        // one batched removal round: one table write lock
-        let removed = pool.remove_batch_if_evictable(&victims);
-        let progressed = !removed.is_empty();
-        for e in removed {
-            freed += e.bytes();
-            evicted.push(e);
-        }
-        if !progressed {
-            stalled += 1;
-            if stalled > 3 {
-                break;
-            }
-        } else {
-            stalled = 0;
         }
     }
-    evicted
 }
 
 /// Solve the *complementary* knapsack: keep the best leaves within
@@ -261,8 +220,32 @@ fn knapsack_victims(leaves: &[Candidate], capacity: usize) -> Vec<EntryId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::RecyclePool;
     use std::sync::atomic::Ordering;
     use std::time::Duration;
+
+    /// Make room — `n` entry slots or `n` bytes — for a
+    /// 0-byte newcomer, through the one entry point: the evicted entries in
+    /// removal order.
+    fn evict(
+        pool: &RecyclePool,
+        policy: EvictionPolicy,
+        unit: Unit,
+        n: usize,
+        now_tick: u64,
+    ) -> Vec<PoolEntry> {
+        let mut caps = Caps {
+            policy,
+            now_tick,
+            ..Caps::NONE
+        };
+        match unit {
+            Unit::Entries => caps.entries = Some(pool.len() + 1 - n),
+            Unit::Bytes => caps.bytes = Some(pool.bytes() - n),
+        }
+        let newcomer = PoolEntry::test_stub(pool.alloc_id(), -1, vec![], 0);
+        pool.insert(newcomer, None, caps).1
+    }
 
     fn put(
         pool: &RecyclePool,
@@ -276,7 +259,7 @@ mod tests {
         e.cpu = Duration::from_millis(cpu_ms);
         e.global_reuses.store(global_reuses, Ordering::Relaxed);
         e.last_used.store(last_used, Ordering::Relaxed);
-        pool.insert(e, None).id()
+        pool.insert(e, None, Caps::NONE).0.id()
     }
 
     #[test]
@@ -284,7 +267,7 @@ mod tests {
         let pool = RecyclePool::new();
         let old = put(&pool, 1, 100, 10, 0, 1);
         let newer = put(&pool, 2, 100, 10, 0, 5);
-        let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Entries(1), 10);
+        let ev = evict(&pool, EvictionPolicy::Lru, Unit::Entries, 1, 10);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].id, old);
         assert!(pool.entry(newer, |_| ()).is_some());
@@ -295,7 +278,7 @@ mod tests {
         let pool = RecyclePool::new();
         let cheap = put(&pool, 1, 100, 1, 0, 9); // tiny benefit
         let valuable = put(&pool, 2, 100, 1000, 3, 1); // reused, expensive
-        let ev = evict(&pool, EvictionPolicy::Benefit, EvictTrigger::Entries(1), 10);
+        let ev = evict(&pool, EvictionPolicy::Benefit, Unit::Entries, 1, 10);
         assert_eq!(ev[0].id, cheap, "LRU would have taken the valuable one");
         assert!(pool.entry(valuable, |_| ()).is_some());
     }
@@ -307,12 +290,7 @@ mod tests {
             put(&pool, i, 1000, 10, (i % 3) as u64, i as u64);
         }
         let before = pool.bytes();
-        let ev = evict(
-            &pool,
-            EvictionPolicy::Benefit,
-            EvictTrigger::Memory(2500),
-            100,
-        );
+        let ev = evict(&pool, EvictionPolicy::Benefit, Unit::Bytes, 2500, 100);
         let freed: usize = ev.iter().map(|e| e.bytes()).sum();
         assert!(freed >= 2500, "freed only {freed}");
         assert_eq!(pool.bytes(), before - freed);
@@ -325,7 +303,7 @@ mod tests {
         let a = put(&pool, 1, 100, 10, 0, 1);
         let b = put(&pool, 2, 100, 10, 0, 2);
         pool.entry(a, |e| e.pins.store(1, Ordering::Relaxed));
-        let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Entries(1), 10);
+        let ev = evict(&pool, EvictionPolicy::Lru, Unit::Entries, 1, 10);
         assert_eq!(ev[0].id, b, "the older entry was pinned");
         assert!(pool.entry(a, |_| ()).is_some());
     }
@@ -337,7 +315,7 @@ mod tests {
             let id = put(&pool, i, 100, 10, 0, i as u64);
             pool.entry(id, |e| e.pins.store(1, Ordering::Relaxed));
         }
-        let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Entries(2), 10);
+        let ev = evict(&pool, EvictionPolicy::Lru, Unit::Entries, 2, 10);
         assert!(ev.is_empty(), "pinned entries must never be evicted");
         assert_eq!(pool.len(), 4);
     }
@@ -352,7 +330,7 @@ mod tests {
         let small = put(&pool, 1, 100, 10, 0, 5);
         let mid = put(&pool, 2, 400, 10, 0, 5);
         let big = put(&pool, 3, 1000, 10, 0, 5);
-        let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Memory(900), 10);
+        let ev = evict(&pool, EvictionPolicy::Lru, Unit::Bytes, 900, 10);
         assert_eq!(ev.len(), 1, "largest-first ties need one victim");
         assert_eq!(ev[0].id, big);
         assert!(pool.entry(small, |_| ()).is_some());
@@ -366,7 +344,7 @@ mod tests {
         let pool = RecyclePool::new();
         let old_small = put(&pool, 1, 100, 10, 0, 1);
         let new_big = put(&pool, 2, 1000, 10, 0, 9);
-        let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Memory(50), 10);
+        let ev = evict(&pool, EvictionPolicy::Lru, Unit::Bytes, 50, 10);
         assert_eq!(ev[0].id, old_small);
         assert!(pool.entry(new_big, |_| ()).is_some());
     }
@@ -384,7 +362,7 @@ mod tests {
                     tag += 1;
                     let parents = parent.map(|p| vec![p]).unwrap_or_default();
                     let e = PoolEntry::test_stub(pool.alloc_id(), tag, parents, 100);
-                    parent = Some(pool.insert(e, None).id());
+                    parent = Some(pool.insert(e, None, Caps::NONE).0.id());
                 }
             }
             pool
@@ -395,7 +373,7 @@ mod tests {
         let visits = |pool: &RecyclePool| {
             let v0 = pool.eviction_gather_visited();
             let r0 = pool.eviction_gather_rounds();
-            let ev = evict(pool, EvictionPolicy::Lru, EvictTrigger::Entries(2), 100);
+            let ev = evict(pool, EvictionPolicy::Lru, Unit::Entries, 2, 100);
             assert_eq!(ev.len(), 2);
             let rounds = pool.eviction_gather_rounds() - r0;
             assert_eq!(rounds, 1, "2 victims from 6 leaves need one round");
@@ -419,12 +397,12 @@ mod tests {
             put(&pool, i, 100, 10, 0, i as u64);
         }
         let before = pool.write_lock_acquisitions();
-        let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Entries(24), 100);
+        let ev = evict(&pool, EvictionPolicy::Lru, Unit::Entries, 24, 100);
         assert_eq!(ev.len(), 24);
         assert_eq!(
             pool.write_lock_acquisitions() - before,
             1,
-            "a single batched round takes the table write lock once"
+            "a single batched round takes the pool write lock once"
         );
         pool.check_invariants().unwrap();
     }
@@ -437,8 +415,8 @@ mod tests {
         let mut child = PoolEntry::test_stub(pool.alloc_id(), 99, vec![parent], 1000);
         child.family = "view";
         child.last_used.store(9, Ordering::Relaxed);
-        pool.insert(child, None);
-        let ev = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Memory(1500), 10);
+        pool.insert(child, None, Caps::NONE);
+        let ev = evict(&pool, EvictionPolicy::Lru, Unit::Bytes, 1500, 10);
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].family, "view", "leaf (child) must be evicted first");
         pool.check_invariants().unwrap();

@@ -21,11 +21,11 @@
 //!
 //! | site                | layer                    | honoured actions |
 //! |---------------------|--------------------------|------------------|
-//! | `admission.reserve` | byte-budget reservation  | Deny, Panic      |
-//! | `pool.insert`       | table insert, lock held  | Panic            |
+//! | `admission.reserve` | admission, before insert (Deny: no room) | Deny, Panic |
+//! | `pool.insert`       | insert, lock held        | Panic            |
 //! | `pool.insert.wired` | insert, indexes half-wired | Panic          |
-//! | `evict.gather`      | eviction victim gather   | Panic            |
-//! | `evict.remove`      | batched removal, lock held | Panic          |
+//! | `evict.gather`      | insert about to make room, before the lock | Panic |
+//! | `evict.remove`      | eviction round, lock held | Panic           |
 //! | `wire.read`         | server frame read        | Io, Panic        |
 //! | `wire.write`        | server frame write       | Io, Panic        |
 
@@ -40,7 +40,7 @@ pub enum FaultAction {
     /// poisoning).
     Panic,
     /// Deny the operation: the site reports failure through its normal
-    /// "no" path (e.g. an admission reservation is refused).
+    /// "no" path (e.g. an admission finds no room).
     Deny,
     /// Surface an injected I/O error at the site (wire sites only).
     Io,

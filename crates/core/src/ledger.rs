@@ -5,7 +5,7 @@
 //! admission: an entry is immutable while resident. The books are sums of
 //! those charges — the pool-wide resident total and the entry count — and
 //! two calls move them: [`Ledger::charge`] at insert and
-//! [`Ledger::release`] at removal (eviction, invalidation). The caller holds the pool table's write lock, so the books change under
+//! [`Ledger::release`] at removal (eviction, invalidation). The caller holds the pool pool's write lock, so the books change under
 //! it; they are plain atomics read lock-free by the admission gate.
 //! Because every book is a pure function of the resident entries,
 //! [`Ledger::recompute`] re-derives all of them from the table: quarantine
@@ -75,7 +75,7 @@ impl Ledger {
     }
 
     /// Overwrite every counter with `books` (quarantine repair, `clear`).
-    /// The caller holds the table write lock.
+    /// The caller holds the pool write lock.
     pub(crate) fn store(&self, books: &Books) {
         self.bytes.store(books.bytes, Ordering::Relaxed);
         self.entries.store(books.entries, Ordering::Relaxed);

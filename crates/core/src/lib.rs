@@ -20,12 +20,12 @@
 //!   eviction state and lifetime statistics behind interior locking. The
 //!   paper's recycler is explicitly shared by *all* user sessions (§8's
 //!   SkyServer gains come from cross-session reuse), so the pool lives in
-//!   one `Arc`-shared instance: one table behind one `RwLock`, beside the
-//!   lineage graph behind its own. An exact-match hit is one read lock
-//!   over per-entry atomic counters and no other lock, an admission or an
-//!   eviction round takes the write lock once, and racing duplicate
-//!   admissions resolve first-writer-wins inside that critical section.
-//!   See [`shared`] for the locking invariants.
+//!   one `Arc`-shared instance: one table and the lineage graph over it,
+//!   behind one `RwLock`. An exact-match hit is one read lock over
+//!   per-entry atomic counters and no other lock, an admission — with the
+//!   eviction that makes its room — takes the write lock once, and racing
+//!   duplicate admissions resolve first-writer-wins inside that critical
+//!   section. See [`shared`] for the locking invariants.
 //!
 //! * **The session handle** ([`Recycler`]) — a cheap per-session
 //!   [`rmal::ExecHook`] implementing the paper's Algorithm 1 against the
@@ -35,8 +35,9 @@
 //!   execution, `recycleExit` decides admission via the configured
 //!   [`AdmissionPolicy`] and makes room via the [`EvictionPolicy`], both of
 //!   which respect instruction lineage (§4). Eviction is synchronous: the
-//!   admission that finds the pool full evicts leaves itself — there is
-//!   no background thread and no second residency for an intermediate.
+//!   admission that finds the pool full evicts leaves itself, in the write
+//!   step that inserts it — there is no background thread and no second
+//!   residency for an intermediate.
 //!   Cloning a session handle — or calling [`rmal::Engine::session`] —
 //!   attaches another session to the same pool; `Recycler::new` keeps the
 //!   one-session case a one-liner.
@@ -49,10 +50,10 @@
 //! as the paper's experiments in `rcy-bench` do.
 //!
 //! Updates are handled as the paper's implementation ships them (§6.4):
-//! immediate column-level invalidation. The lineage graph lists the entries
-//! anchored on the committed columns and their subtrees are removed under
-//! the pool's table write lock ([`pool::PoolWriteView`]), taken after the
-//! catalog merge and held for the removal only — atomically with respect
+//! immediate column-level invalidation. Under one hold of the pool's write
+//! lock ([`pool::PoolWriteView`]), taken after the catalog merge, the
+//! lineage graph lists the entries anchored on the committed columns and
+//! their subtrees are removed — atomically with respect
 //! to instruction boundaries of concurrent queries. Versioned bind
 //! signatures guarantee a post-commit probe can never reuse a pre-commit
 //! result. A pool entry is immutable once admitted.
@@ -106,8 +107,9 @@ pub mod subsume;
 
 pub use config::{AdmissionPolicy, EvictionPolicy, RecyclerConfig, UpdateMode};
 pub use entry::{EntryId, PoolEntry};
+pub use eviction::Caps;
 pub use mark::RecycleMark;
 pub use pool::{Admitted, PoolWriteView, RecyclePool, RepairReport};
 pub use runtime::Recycler;
-pub use shared::{MaintenanceGuard, PoolRef, SharedRecycler};
+pub use shared::{MaintenanceGuard, SharedRecycler};
 pub use stats::{FamilyRow, PoolSnapshot, QueryRecord, RecyclerStats};

@@ -35,13 +35,12 @@
 //! buffers in the step that lists its roots.
 //!
 //! A `LineageGraph` is plain data — hash maps and one ordered set — with no
-//! lock of its own. The pool keeps exactly one behind one `RwLock` and the
-//! discipline is structural: every method here is a plain map operation
-//! that takes no closure from its caller and copies ids and keys out, so
-//! nothing ever runs, and no lock is ever acquired, while the graph lock is
-//! held. The pool calls [`LineageGraph::wire`] and
-//! [`LineageGraph::unwire`] once per admission / removal, under the table
-//! write lock it already holds, so the orphan check, the 0↔1 leaf
+//! lock of its own: the pool keeps exactly one inside the pool lock,
+//! beside the entry table, so a step that reads or changes the pool sees
+//! both or neither. Every method here is a plain map operation that takes
+//! no closure from its caller and copies ids and keys out. The pool calls
+//! [`LineageGraph::wire`] and [`LineageGraph::unwire`] once per admission /
+//! removal, under the write lock, so the orphan check, the 0↔1 leaf
 //! transitions of every parent and the result / alias / candidate
 //! bookkeeping of one entry are a single atomic step.
 //!
@@ -82,7 +81,7 @@ pub(crate) struct LineageGraph {
     by_result: FxHashMap<BatId, EntryId>,
     /// The evictable-leaf set: exactly the resident entries without
     /// children. Pin state stays out (pins flip on the read-lock-only hit
-    /// path); pinned leaves are filtered at gather, revalidated at removal.
+    /// path); pinned leaves are filtered when eviction gathers.
     leaves: BTreeSet<EntryId>,
     /// `sub → [sup]`: the result BAT `sub` is a subset of each `sup` (§5.1).
     supersets: FxHashMap<BatId, Vec<BatId>>,
@@ -168,7 +167,7 @@ impl LineageGraph {
     /// touched. A fresh entry has no dependents, so it enters the leaf set;
     /// each parent receiving its first child leaves it.
     pub(crate) fn wire(&mut self, entry: &PoolEntry, key: u64, subset_of: Option<BatId>) -> bool {
-        if !entry.parents.iter().all(|p| self.nodes.contains_key(p)) {
+        if !self.all_resident(&entry.parents) {
             return false;
         }
         let id = entry.id;
@@ -224,17 +223,13 @@ impl LineageGraph {
 
     // ----- removal ----------------------------------------------------------
 
-    /// Unwire a resident entry from every index. With `leaf_only` (the
-    /// eviction path) an entry that has dependents is refused — false,
-    /// nothing touched. A parent losing its last child re-enters the leaf
-    /// set; a parent that is itself gone (invalidated first) is skipped.
-    pub(crate) fn unwire(&mut self, entry: &PoolEntry, leaf_only: bool) -> bool {
+    /// Unwire a resident entry from every index. A parent losing its last
+    /// child re-enters the leaf set; a parent that is itself gone
+    /// (invalidated first) is skipped.
+    pub(crate) fn unwire(&mut self, entry: &PoolEntry) {
         let id = entry.id;
-        if leaf_only && self.has_children(id) {
-            return false;
-        }
         let Some(node) = self.nodes.remove(&id) else {
-            return true;
+            return;
         };
         self.leaves.remove(&id);
         self.unwire_result(entry.result_id, id);
@@ -256,7 +251,6 @@ impl LineageGraph {
                 self.leaves.insert(*p);
             }
         }
-        true
     }
 
     fn unwire_result(&mut self, bat: Option<BatId>, id: EntryId) {
@@ -308,9 +302,9 @@ impl LineageGraph {
         self.nodes.get(&id).map(|n| n.key)
     }
 
-    /// The resident ones among `ids`, each with its table key.
-    pub(crate) fn locate_all(&self, ids: impl Iterator<Item = EntryId>) -> Vec<(EntryId, u64)> {
-        ids.filter_map(|id| Some((id, self.locate(id)?))).collect()
+    /// Are all of `ids` resident?
+    pub(crate) fn all_resident(&self, ids: &[EntryId]) -> bool {
+        ids.iter().all(|id| self.nodes.contains_key(id))
     }
 
     /// The entry owning (or aliased to) a result BAT.
@@ -350,7 +344,8 @@ impl LineageGraph {
 
     /// The evictable-leaf set with table keys, in ascending id order.
     pub(crate) fn leaves(&self) -> Vec<(EntryId, u64)> {
-        self.locate_all(self.leaves.iter().copied())
+        let located = self.leaves.iter().map(|id| Some((*id, self.locate(*id)?)));
+        located.flatten().collect()
     }
 
     pub(crate) fn leaf_count(&self) -> usize {
@@ -490,12 +485,8 @@ mod tests {
         let (mut g, entries) = graph_of(vec![entry(1, &[]), entry(2, &[]), entry(3, &[1, 1, 2])]);
         assert_eq!(g.leaves(), vec![(3, 3)]);
         assert_eq!(g.children_of(1), vec![3]);
-        assert!(
-            !g.unwire(&entries[0], true),
-            "a parent is no eviction victim"
-        );
         g.diff(&rebuilt(&g, &entries)).unwrap();
-        assert!(g.unwire(&entries[2], true));
+        g.unwire(&entries[2]);
         assert_eq!(g.leaves(), vec![(1, 1), (2, 2)], "both parents re-leafed");
         assert_eq!(g.leaf_count(), 2);
         g.diff(&rebuilt(&g, &entries[..2])).unwrap();
@@ -515,7 +506,7 @@ mod tests {
             vec![Resolved::Entry(1, 1), Resolved::Unknown]
         );
         g.diff(&rebuilt(&g, &entries)).unwrap();
-        assert!(g.unwire(&entries[0], false));
+        g.unwire(&entries[0]);
         assert_eq!(g.entry_of_result(BatId(7)), None);
         g.diff(&rebuilt(&g, &entries[1..])).unwrap();
     }
@@ -583,13 +574,13 @@ mod tests {
         // a registration is a recorded fact: it outlives its bind, and a
         // resident producer answers before it does
         for e in [&entries[2], &entries[0], &entries[1]] {
-            assert!(g.unwire(e, false));
+            g.unwire(e);
         }
         assert!(g.retire(&on(&["x", "y"])).is_empty());
         let resolve = |g: &LineageGraph| g.resolve([BatId(1001), BatId(1004)].into_iter());
         assert_eq!(resolve(&g), [Resolved::Unknown, Resolved::Entry(4, 4)]);
         g.diff(&rebuilt(&g, &entries[3..])).unwrap();
-        assert!(g.unwire(&entries[3], false));
+        g.unwire(&entries[3]);
         assert_eq!(resolve(&g)[1], Resolved::Persistent(on(&["z"])));
         g.diff(&rebuilt(&g, &[])).unwrap();
     }

@@ -1,26 +1,29 @@
 //! The recycle pool: what each entry holds.
 //!
 //! The pool is one fingerprint-keyed table — entry slab and exact-match
-//! index at once — behind one `RwLock`, so the exact-match hit path takes
-//! one **read** lock and nothing else. This module owns every question
-//! about an entry's *content* — the table, the [ledger](crate::ledger),
-//! quarantine and repair. Every question about
-//! *ids* — where an id is filed, who feeds whom, which entries are
-//! evictable leaves, which results subsume which, which entries derive from
-//! a base column — belongs to the one [lineage graph](crate::lineage), kept
-//! behind its own `RwLock` that is always taken last and held for a single
-//! map operation. See [`crate::shared`] for the full locking model.
+//! index at once — and the one [lineage graph](crate::lineage) over its
+//! ids, both behind **one** `RwLock`. The exact-match hit path takes one
+//! read lock and nothing else; every step that changes the pool — an
+//! admission together with the room it makes, a commit's invalidation,
+//! maintenance — takes the write lock once. This module owns every
+//! question about an entry's *content* — the table, the
+//! [ledger](crate::ledger), the eviction step, quarantine and repair.
+//! Every question about *ids* — where an id is filed, who feeds whom,
+//! which entries are evictable leaves, which results subsume which, which
+//! entries derive from a base column — belongs to the graph. See
+//! [`crate::shared`] for the locking model.
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rbat::hash::FxHashSet;
 use rbat::BatId;
 use rmal::Opcode;
 
-use crate::entry::{Anchors, EntryId, PoolEntry};
+use crate::entry::{Anchors, EntryId, Lineage, Pin, PoolEntry};
+use crate::eviction::{self, Candidate, Caps, Unit};
 use crate::ledger::{Books, Ledger};
 use crate::lineage::{LineageGraph, Resolved};
 use crate::signature::{ArgSig, FingerprintMap, Sig, SigRef};
@@ -33,12 +36,17 @@ pub enum Admitted {
     /// An equivalent entry was already resident under this id; the
     /// candidate was dropped, the resident entry was pinned on behalf of
     /// the losing session, and the loser's result BAT was aliased onto the
-    /// winner (all atomically under the table lock).
+    /// winner (all atomically under the pool lock). Nothing was evicted.
     Duplicate(EntryId),
     /// A parent entry disappeared between resolution and insertion (an
     /// update invalidated it); the candidate was dropped — admitting it
-    /// would leave a dangling lineage link.
+    /// would leave a dangling lineage link. Nothing was evicted.
     Orphaned,
+    /// The candidate does not fit under its caps and eviction could not
+    /// make room: it alone exceeds a cap, or the unpinned leaves ran out.
+    /// The candidate was dropped; what was evicted on the way stays
+    /// evicted. The caller refunds its admission charge.
+    NoRoom,
     /// The pool is quarantined after a poisoning panic (see
     /// [`RecyclePool::repair`]); the candidate was rejected without
     /// touching the table. The caller refunds its admission charge —
@@ -50,13 +58,11 @@ impl Admitted {
     /// The resident entry id, whoever admitted it.
     ///
     /// # Panics
-    /// Panics on [`Admitted::Orphaned`] and [`Admitted::Quarantined`],
-    /// which leave nothing resident.
+    /// Panics on the outcomes that leave nothing resident.
     pub fn id(self) -> EntryId {
         match self {
             Admitted::Inserted(id) | Admitted::Duplicate(id) => id,
-            Admitted::Orphaned => panic!("orphaned admission has no resident entry"),
-            Admitted::Quarantined => panic!("quarantined admission has no resident entry"),
+            other => panic!("{other:?} admission has no resident entry"),
         }
     }
 
@@ -68,7 +74,6 @@ impl Admitted {
 
 thread_local! {
     static READ_LOCKS: Cell<u64> = const { Cell::new(0) };
-    static GRAPH_LOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The pool's one table: every entry, keyed by its signature fingerprint —
@@ -117,38 +122,39 @@ impl Table {
     }
 }
 
+/// What the pool lock guards: the table and the lineage graph over it, so
+/// no step ever sees one without the other.
+#[derive(Default)]
+struct State {
+    table: Table,
+    graph: LineageGraph,
+}
+
 /// The recycler's resource pool of intermediates (paper §3.2): one entry
 /// table and the one [lineage graph](crate::lineage) over its ids.
 ///
 /// # Concurrency
 ///
-/// All methods take `&self`; locking is internal. Probes (`lookup`,
-/// [`Self::probe`]) take the table **read** lock; id-based reads
-/// ([`Self::entry`]) first ask the graph where the id is filed;
-/// [`Self::candidates`] and [`Self::is_subset`] read the graph alone.
-/// [`Self::insert`] and the removal paths write-lock the table once and,
-/// inside it, the graph once per step; commits and maintenance hold the
-/// table write lock through a [`PoolWriteView`] ([`Self::write_view`]).
-/// Every stored result `Value` is `Arc`-shared — a result cloned out of the
-/// pool stays valid after the entry is evicted or invalidated. The graph
-/// changes only while the table lock is held, so a write view observes
-/// fully wired, quiescent lineage.
+/// All methods take `&self`; locking is internal, and there is one lock.
+/// Probes (`lookup`, [`Self::probe`]), id-based reads ([`Self::entry`]),
+/// an admission's lineage resolution and a subsumption candidate search
+/// take its **read** guard once. [`Self::insert`] — eviction included —
+/// the removal paths and a commit's [`PoolWriteView`] take its **write**
+/// guard once. Every stored result `Value` is `Arc`-shared — a result
+/// cloned out of the pool stays valid after the entry is evicted or
+/// invalidated.
 pub struct RecyclePool {
-    table: RwLock<Table>,
+    state: RwLock<State>,
     /// The resident byte and entry-count books. Moved only by the
     /// insert/remove funnels ([`Self::insert`] / `remove_locked`), always
-    /// under the table write lock.
+    /// under the write lock.
     ledger: Ledger,
     /// ANDed onto every fingerprint before it keys anything: all ones,
     /// except where a test masks bits away to force collisions.
     fp_mask: u64,
-    /// The lineage graph, behind the pool's innermost lock: taken through
-    /// [`Self::graph`] / [`Self::graph_mut`] for one plain map operation
-    /// at a time, with nothing acquired while it is held.
-    lineage: RwLock<LineageGraph>,
     next_id: AtomicU64,
-    /// Table write-lock acquisitions since construction — the probe for
-    /// the "exact-match hits take no write lock" invariant.
+    /// Write-lock acquisitions since construction — the probe for the
+    /// "exact-match hits take no write lock" invariant.
     write_acquisitions: AtomicU64,
     /// Entries visited by eviction gathers since construction — the probe
     /// for the "gather cost is O(leaves), independent of pool size"
@@ -158,13 +164,12 @@ pub struct RecyclePool {
     /// per-round gather cost).
     gather_rounds: AtomicU64,
     /// The quarantine flag — the degraded-mode source of truth, beside the
-    /// lock's own poison flag. Raised the first time the table lock is
-    /// observed poisoned (a panic unwound through a writer holding it, so
-    /// its slab/index wiring may be torn). While raised: probes miss,
-    /// admissions come back as [`Admitted::Quarantined`], and eviction
-    /// skips the pool — a miss is always correct, torn state is never
-    /// served or extended. Only [`Self::repair`] or [`Self::clear`] lower
-    /// it.
+    /// lock's own poison flag. Raised the first time the lock is observed
+    /// poisoned (a panic unwound through a writer holding it, so its
+    /// slab/index wiring may be torn). While raised: probes miss,
+    /// admissions come back as [`Admitted::Quarantined`] (so nothing is
+    /// evicted) — a miss is always correct, torn state is never served or
+    /// extended. Only [`Self::repair`] or [`Self::clear`] lower it.
     quarantined: AtomicBool,
     /// Cumulative quarantine episodes (stats).
     quarantined_total: AtomicU64,
@@ -205,10 +210,9 @@ impl RecyclePool {
     /// Empty pool.
     pub fn new() -> RecyclePool {
         RecyclePool {
-            table: RwLock::default(),
+            state: RwLock::default(),
             ledger: Ledger::default(),
             fp_mask: u64::MAX,
-            lineage: RwLock::default(),
             next_id: AtomicU64::new(0),
             write_acquisitions: AtomicU64::new(0),
             gather_visited: AtomicU64::new(0),
@@ -224,53 +228,30 @@ impl RecyclePool {
         sig.fingerprint() & self.fp_mask
     }
 
-    /// The lineage graph for one read. Callers use the guard within a
-    /// single expression: nothing is locked, and no caller code runs,
-    /// while it is held.
-    fn graph(&self) -> RwLockReadGuard<'_, LineageGraph> {
-        GRAPH_LOCKS.with(|n| n.set(n.get() + 1));
-        self.lineage.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The lineage graph for one whole-step mutation (see [`Self::graph`]).
-    /// The caller holds the table lock.
-    fn graph_mut(&self) -> RwLockWriteGuard<'_, LineageGraph> {
-        GRAPH_LOCKS.with(|n| n.set(n.get() + 1));
-        self.lineage.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Lineage-graph lock acquisitions (either mode) by the calling thread,
-    /// on any pool — the test probe for the miss-path budget: none per
-    /// exact hit, one `resolve` and one `wire` per admission, one `unwire`
-    /// per removal, one read per leaf gather.
-    pub fn graph_locks_on_this_thread() -> u64 {
-        GRAPH_LOCKS.with(Cell::get)
-    }
-
-    /// Table write-lock acquisitions since construction. The exact-match
-    /// hit path must never advance this counter — tests pin that down.
+    /// Write-lock acquisitions since construction. The exact-match hit
+    /// path must never advance this counter — tests pin that down.
     pub fn write_lock_acquisitions(&self) -> u64 {
         self.write_acquisitions.load(Ordering::Relaxed)
     }
 
-    /// Table read locks the calling thread has taken, on any pool — the
-    /// test probe for "an exact hit is one read lock" (thread-local:
-    /// counting costs the hit path no shared write).
+    /// Read locks the calling thread has taken, on any pool — the test
+    /// probe for "an exact hit is one read lock" (thread-local: counting
+    /// costs the hit path no shared write).
     pub fn read_locks_on_this_thread() -> u64 {
         READ_LOCKS.with(Cell::get)
     }
 
-    fn read_table(&self) -> RwLockReadGuard<'_, Table> {
+    fn read_state(&self) -> RwLockReadGuard<'_, State> {
         READ_LOCKS.with(|n| n.set(n.get() + 1));
-        self.table.read().unwrap_or_else(|poisoned| {
+        self.state.read().unwrap_or_else(|poisoned| {
             self.note_poison();
             poisoned.into_inner()
         })
     }
 
-    fn write_table(&self) -> RwLockWriteGuard<'_, Table> {
+    fn write_state(&self) -> RwLockWriteGuard<'_, State> {
         self.write_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.table.write().unwrap_or_else(|poisoned| {
+        self.state.write().unwrap_or_else(|poisoned| {
             self.note_poison();
             poisoned.into_inner()
         })
@@ -293,7 +274,7 @@ impl RecyclePool {
         if self.quarantined.load(Ordering::Acquire) {
             return false;
         }
-        if self.table.is_poisoned() {
+        if self.state.is_poisoned() {
             self.note_poison();
             return false;
         }
@@ -341,32 +322,30 @@ impl RecyclePool {
 
     /// Drop every entry and index while keeping the id counter monotone.
     ///
-    /// Atomic with respect to concurrent sessions: the table write lock is
-    /// held while the table, the lineage graph and the counters are wiped
-    /// — a racing admission lands either entirely before the clear (and is
+    /// Atomic with respect to concurrent sessions: the write lock is held
+    /// while the table, the lineage graph and the counters are wiped — a
+    /// racing admission lands either entirely before the clear (and is
     /// wiped) or entirely after it (and stays fully wired).
     pub fn clear(&self) {
-        let mut table = self.write_table();
-        *table = Table::default();
+        let mut state = self.write_state();
+        *state = State::default();
         self.ledger.store(&Books::default());
-        *self.graph_mut() = LineageGraph::default();
         // A full wipe trivially restores every invariant: lift any
         // quarantine and un-poison the lock — while the write guard is
         // still held, so no probe can observe a poisoned lock with the
         // quarantine flag already lowered.
-        self.table.clear_poison();
+        self.state.clear_poison();
         self.quarantined.store(false, Ordering::Release);
     }
 
     /// Repair a quarantined pool and return it to service.
     ///
-    /// A panic that unwound through the table write lock can leave *torn*
-    /// state: an exact-match key without its slab entry, a leaf/owner
-    /// listing for an id that never became resident, byte counters that
-    /// drifted from the table. Quarantine froze all of it (probes miss,
-    /// admissions bounce, eviction skips); this pass — one pass over the
-    /// one table, under its write lock — makes the frozen state consistent
-    /// again:
+    /// A panic that unwound through the write lock can leave *torn* state:
+    /// an exact-match key without its slab entry, a leaf/owner listing for
+    /// an id that never became resident, byte counters that drifted from
+    /// the table. Quarantine froze all of it (probes miss, admissions
+    /// bounce without evicting); this pass — one pass over the one table,
+    /// under the write lock — makes the frozen state consistent again:
     ///
     /// 1. the table is refiled entry by entry, dropping misfiled and
     ///    duplicate-signature residents;
@@ -385,9 +364,9 @@ impl RecyclePool {
     /// results were only reachable through indexes this pass prunes,
     /// and pins held on them by in-flight queries unpin as no-ops.
     pub fn repair(&self) -> RepairReport {
-        let mut table = self.write_table();
-        // with the lock held, a poisoned table has been observed by
-        // `write_table` and carries the quarantine flag
+        let mut state = self.write_state();
+        // with the lock held, a poisoned lock has been observed by
+        // `write_state` and carries the quarantine flag
         if !self.quarantined.load(Ordering::Acquire) {
             return RepairReport::default();
         }
@@ -395,9 +374,10 @@ impl RecyclePool {
         // 1. Table coherence. Two residents with one signature cannot both
         // stay; refiling oldest id first keeps the one insert would have
         // kept (first-writer-wins).
-        let Table { slots, collided } = std::mem::take(&mut *table);
+        let Table { slots, collided } = std::mem::take(&mut state.table);
         let mut torn: Vec<(u64, PoolEntry)> = slots.into_iter().chain(collided).collect();
         torn.sort_unstable_by_key(|(_, e)| e.id);
+        let table = &mut state.table;
         for (key, e) in torn {
             if self.key(&e.sig) != key || table.find(key, |twin| twin.sig == e.sig).is_some() {
                 dropped.push(e);
@@ -424,14 +404,13 @@ impl RecyclePool {
             }
         }
         // 3. One graph from the surviving table.
-        let rebuilt = LineageGraph::rebuild(table.filed(), &self.graph());
-        *self.graph_mut() = rebuilt;
+        state.graph = LineageGraph::rebuild(state.table.filed(), &state.graph);
         // 4. Exact ledger from the survivors; un-poison; unquarantine.
-        self.ledger.store(&Ledger::recompute(table.entries()));
-        self.table.clear_poison();
+        self.ledger.store(&Ledger::recompute(state.table.entries()));
+        self.state.clear_poison();
         self.quarantined.store(false, Ordering::Release);
         self.repaired_total.fetch_add(1, Ordering::Relaxed);
-        drop(table);
+        drop(state);
         RepairReport {
             repaired: true,
             entries_dropped: dropped.len(),
@@ -445,12 +424,11 @@ impl RecyclePool {
         self.find(sig.fingerprint(), |e| e.sig == *sig, |e| e.id)
     }
 
-    /// Run `f` over the entry matching `sig`, under the table's *read*
-    /// lock — the whole exact-match hit path (atomic counter updates,
-    /// pinning, result cloning) happens inside `f`: one fingerprint, one
-    /// lock, one table lookup, the stored signature verified. `f` must not
-    /// call back into table-locking pool methods. A quarantined pool
-    /// reports a miss (degraded mode).
+    /// Run `f` over the entry matching `sig`, under the *read* lock — the
+    /// whole exact-match hit path (atomic counter updates, pinning, result
+    /// cloning) happens inside `f`: one fingerprint, one lock, one table
+    /// lookup, the stored signature verified. `f` must not call back into
+    /// the pool. A quarantined pool reports a miss (degraded mode).
     pub fn probe<R>(&self, sig: &SigRef<'_>, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
         self.find(sig.fingerprint(), |e| sig.matches(&e.sig), f)
     }
@@ -464,80 +442,92 @@ impl RecyclePool {
         if !self.serviceable() {
             return None;
         }
-        self.read_table()
-            .find(fingerprint & self.fp_mask, is)
-            .map(f)
+        let state = self.read_state();
+        state.table.find(fingerprint & self.fp_mask, is).map(f)
     }
 
-    /// Run `f` over the entry `id`, under the table's read lock. `f` must
-    /// not call back into table-locking pool methods.
-    /// A quarantined pool reports `None` (degraded mode).
+    /// Run `f` over the entry `id`, under one read lock: the graph says
+    /// where it is filed, the table holds it. `f` must not call back into
+    /// the pool. A quarantined pool reports `None` (degraded mode).
     pub fn entry<R>(&self, id: EntryId, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
-        let key = self.graph().locate(id)?;
-        self.entry_at(id, key, f)
+        if !self.serviceable() {
+            return None;
+        }
+        let state = self.read_state();
+        let key = state.graph.locate(id)?;
+        state.table.find(key, |e| e.id == id).map(f)
     }
 
     /// The entry owning (or aliased to) a result BAT, if any.
     pub fn entry_of_result(&self, bat: BatId) -> Option<EntryId> {
-        self.graph().entry_of_result(bat)
+        self.read_state().graph.entry_of_result(bat)
     }
 
-    /// Admission's lineage resolution in one graph read: for each BAT
-    /// argument, the resident entry owning (or aliased to) it and where
-    /// that entry is filed — what [`Self::entry_at`] needs to pin it — or,
-    /// for a BAT nobody resident produced, the columns it is registered
-    /// as a persistent buffer of.
-    pub(crate) fn resolve(&self, bats: impl Iterator<Item = BatId>) -> Vec<Resolved> {
-        self.graph().resolve(bats)
+    /// Admission's lineage under one read lock. For each BAT argument: its
+    /// resident producer (or the entry it is aliased to) is pinned on the
+    /// caller's behalf into `pins` and becomes one of `lineage`'s parents;
+    /// a BAT nobody resident produced hands over the columns it is a
+    /// registered persistent buffer of, as `lineage`'s own anchors. False —
+    /// the thread cannot be anchored — at the first argument that is
+    /// neither, or whose producer cannot be pinned (a quarantined pool
+    /// serves nothing).
+    pub(crate) fn resolve(
+        &self,
+        bats: impl Iterator<Item = BatId>,
+        lineage: &mut Lineage,
+        pins: &mut Vec<Pin>,
+    ) -> bool {
+        let serviceable = self.serviceable();
+        let state = self.read_state();
+        for resolved in state.graph.resolve(bats) {
+            match resolved {
+                Resolved::Entry(id, key) => {
+                    let producer = state.table.find(key, |e| e.id == id);
+                    let Some(pin) = producer.filter(|_| serviceable).map(Pin::take) else {
+                        return false;
+                    };
+                    pins.push(pin);
+                    lineage.parents.push(id);
+                }
+                Resolved::Persistent(columns) => lineage.anchors.extend(columns),
+                Resolved::Unknown => return false,
+            }
+        }
+        true
     }
 
     /// Register `bat` as a persistent buffer (bound column, join index) of
     /// the columns `anchors`: an identity admissions may reference without
     /// a pool-resident producer, until a commit retires one of its columns.
     pub fn register_persistent(&self, bat: BatId, anchors: Anchors) {
-        self.graph_mut().register(bat, anchors);
+        self.write_state().graph.register(bat, anchors);
     }
 
     /// The persistent-BAT registry (diagnostics, tests).
     pub fn persistent_bats(&self) -> Vec<(BatId, Anchors)> {
-        self.graph().registered()
+        self.read_state().graph.registered()
     }
 
     /// A commit rewrote `columns`: the entries anchored on any of them,
     /// ascending — the roots whose subtrees ([`Self::remove_subtree`]) are
     /// everything derived from those columns — with the registrations of
-    /// the replaced buffers dropped in the same graph step.
+    /// the replaced buffers dropped in the same step. A commit runs both
+    /// under one [`PoolWriteView`].
     pub fn retire_columns(&self, columns: &Anchors) -> Vec<EntryId> {
-        self.graph_mut().retire(columns)
+        self.write_view().retire_columns(columns)
     }
 
     /// Each anchor column with every resident entry that (transitively)
     /// derives from it — computed from the graph when asked, stored nowhere
     /// (diagnostics: the lineage suites' oracle for what a commit removes).
     pub fn derived_by_column(&self) -> Vec<((String, String), Vec<EntryId>)> {
-        self.graph().derived()
+        self.read_state().graph.derived()
     }
 
-    /// [`Self::entry`] for a caller that already knows the table key
-    /// (from [`Self::resolve`]): one table read lock, no graph lock. The
-    /// id is revalidated in the table, so a stale key is a `None`.
-    pub(crate) fn entry_at<R>(
-        &self,
-        id: EntryId,
-        key: u64,
-        f: impl FnOnce(&PoolEntry) -> R,
-    ) -> Option<R> {
-        if !self.serviceable() {
-            return None;
-        }
-        self.read_table().find(key, |e| e.id == id).map(f)
-    }
-
-    /// Visit every entry under the table's read lock. `f` may touch the
-    /// lineage graph ([`Self::has_children`], pin atomics) but must not
-    /// call back into table-locking pool methods.
+    /// Visit every entry under the read lock. `f` must not call back into
+    /// the pool.
     pub fn for_each_entry(&self, f: impl FnMut(&PoolEntry)) {
-        self.read_table().entries().for_each(f);
+        self.read_state().table.entries().for_each(f);
     }
 
     /// Snapshot clones of every entry (diagnostics, tests, Table views).
@@ -549,94 +539,196 @@ impl RecyclePool {
 
     /// Candidate entries with the given opcode and first-argument
     /// signature, ascending — the subsumption search space for "same
-    /// column operand". The table is keyed by the *full* signature hash,
-    /// so the list lives in the lineage graph: a miss-path probe is one
-    /// graph read and no table lock. Returned ids are a snapshot; callers
-    /// revalidate residency via [`Self::entry`].
+    /// column operand", kept in the lineage graph (the table is keyed by
+    /// the *full* signature hash): one read lock. Returned ids are a
+    /// snapshot; callers revalidate residency via [`Self::entry`].
     pub fn candidates(&self, op: Opcode, arg0: &ArgSig) -> Vec<EntryId> {
-        self.graph().candidates(op, arg0)
+        self.read_state().graph.candidates(op, arg0)
     }
 
     /// Record that `sub` is a subset (by tuple content) of `sup`. Ignored
     /// unless `sub` is the result of a resident entry — the edge leaves
     /// with that entry.
     pub fn add_subset_edge(&self, sub: BatId, sup: BatId) {
-        self.graph_mut().add_subset_edge(sub, sup);
+        self.write_state().graph.add_subset_edge(sub, sup);
     }
 
     /// Is `sub ⊆ sup` derivable from the recorded subset edges
     /// (reflexive-transitive closure)?
     pub fn is_subset(&self, sub: BatId, sup: BatId) -> bool {
-        self.graph().is_subset(sub, sup)
+        self.read_state().graph.is_subset(sub, sup)
     }
 
-    /// Insert a fully constructed entry under the table write lock, wiring
-    /// it into the lineage graph in one step.
+    /// Admit a fully constructed entry — `recycleExit` (paper §4.3) as one
+    /// step under the write lock, which runs, in order:
     ///
-    /// Duplicate signatures are a *normal* concurrent outcome, not a
-    /// "can't happen" path: two sessions can probe the same signature,
-    /// both miss, both execute, and both admit. Resolution is
-    /// first-writer-wins — the resident entry stays and is pinned once on
-    /// the loser's behalf, the loser's result BAT is aliased onto it (so
-    /// the losing query's downstream lineage stays admissible), and the
-    /// candidate is dropped; all of it atomically under the table lock,
-    /// reported as [`Admitted::Duplicate`] so the caller can return the
-    /// admission credit and reconcile its pin set.
+    /// 1. **quarantine**: a quarantined pool refuses the candidate
+    ///    ([`Admitted::Quarantined`]) without touching torn state;
+    /// 2. **duplicate**: two sessions can probe the same signature, both
+    ///    miss, both execute, and both admit — a *normal* concurrent
+    ///    outcome. First writer wins: the resident entry stays and is
+    ///    pinned once on the loser's behalf, the loser's result BAT is
+    ///    aliased onto it (so the losing query's downstream lineage stays
+    ///    admissible), and the candidate is dropped
+    ///    ([`Admitted::Duplicate`]) so the caller can return the admission
+    ///    credit and reconcile its pin set;
+    /// 3. **parents**: a concurrent update may have invalidated a parent
+    ///    since the caller resolved and pinned it; the candidate is then
+    ///    dropped ([`Admitted::Orphaned`]) rather than left with dangling
+    ///    lineage;
+    /// 4. **room**: while the candidate does not fit under `caps` —
+    ///    resident bytes plus its own under the byte cap, then resident
+    ///    entries plus one under the entry cap — unpinned leaves go as
+    ///    `caps.policy` ranks them ([`crate::eviction`]); if the leaves run
+    ///    out, the candidate is dropped ([`Admitted::NoRoom`]);
+    /// 5. **wire and charge**: the entry enters the lineage graph and the
+    ///    table, and the ledger books it ([`Admitted::Inserted`]).
     ///
-    /// Parents are revalidated inside [`LineageGraph::wire`]: a concurrent
-    /// update may have invalidated them since the caller resolved and
-    /// pinned them, in which case nothing is wired and the candidate is
-    /// dropped as [`Admitted::Orphaned`] rather than left with dangling
-    /// lineage. `subset_of` optionally records `result ⊆ subset_of` for
-    /// the subsumption machinery (§5.1).
-    pub fn insert(&self, entry: PoolEntry, subset_of: Option<BatId>) -> Admitted {
+    /// A loser at step 2 or 3 evicts nothing, and no admission waits on or
+    /// is refused for another's demand: nothing is reserved across steps.
+    /// The evicted entries are returned beside the outcome, for the caller
+    /// to settle once the lock is released. `subset_of` optionally records
+    /// `result ⊆ subset_of` for the subsumption machinery (§5.1).
+    pub fn insert(
+        &self,
+        entry: PoolEntry,
+        subset_of: Option<BatId>,
+        caps: Caps,
+    ) -> (Admitted, Vec<PoolEntry>) {
+        let mut evicted = Vec::new();
         if !self.serviceable() {
-            return Admitted::Quarantined;
+            return (Admitted::Quarantined, evicted);
         }
         let key = self.key(&entry.sig);
-        let mut table = self.write_table();
+        // Failpoint: an admission about to make room, before the lock.
+        #[cfg(feature = "failpoints")]
+        if !caps.hold(self.bytes() + entry.bytes(), self.len() + 1) {
+            let _ = crate::fault::fire("evict.gather");
+        }
+        let mut state = self.write_state();
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert");
+        let State { table, graph } = &mut *state;
         if let Some(win) = table.find(key, |e| e.sig == entry.sig) {
             win.pins.fetch_add(1, Ordering::Relaxed);
             if let Some(rb) = entry.result_id {
-                self.graph_mut().alias(rb, win.id);
+                graph.alias(rb, win.id);
             }
-            return Admitted::Duplicate(win.id);
+            return (Admitted::Duplicate(win.id), evicted);
         }
-        if !self.graph_mut().wire(&entry, key, subset_of) {
-            return Admitted::Orphaned;
+        if !graph.all_resident(&entry.parents) {
+            return (Admitted::Orphaned, evicted);
+        }
+        if !self.make_room(&mut state, &caps, entry.bytes(), &mut evicted) {
+            return (Admitted::NoRoom, evicted);
+        }
+        // (a parent nobody pinned may have been the room made — only a
+        // caller bypassing the funnel admits without pinning)
+        if !state.graph.wire(&entry, key, subset_of) {
+            return (Admitted::Orphaned, evicted);
         }
         let (id, bytes) = (entry.id, entry.bytes());
         // Failpoint: the graph knows the entry but the table does not hold
         // it yet — the most torn state an unwind can leave.
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert.wired");
-        table.insert(key, entry);
+        state.table.insert(key, entry);
         self.ledger.charge(bytes);
-        Admitted::Inserted(id)
+        debug_assert!(
+            caps.hold(self.bytes(), self.len()),
+            "an insert overshot its caps: {} bytes in {} entries under {caps:?}",
+            self.bytes(),
+            self.len()
+        );
+        (Admitted::Inserted(id), evicted)
     }
 
-    /// Unwire and remove the entry `id` filed under `key` (a pair as the
-    /// graph hands it out) while the table write lock is held. With
-    /// `evictable_only` the entry goes only if it is still an unpinned
-    /// leaf: the pin check runs under the write lock (a hit pins under the
-    /// read lock) and the leaf check inside [`LineageGraph::unwire`], in
-    /// the same step that unwires it.
-    fn remove_locked(
+    /// Step 4 of [`Self::insert`], under its write lock: evict until a
+    /// candidate charging `bytes` fits under the byte cap, then under the
+    /// entry cap. False when it cannot — it alone exceeds a cap, or the
+    /// unpinned leaves ran out.
+    fn make_room(
         &self,
-        table: &mut Table,
-        (id, key): (EntryId, u64),
-        evictable_only: bool,
-    ) -> Option<PoolEntry> {
-        let entry = table.find(key, |e| e.id == id)?;
-        if evictable_only && entry.pin_count() != 0 {
-            return None;
+        state: &mut State,
+        caps: &Caps,
+        bytes: usize,
+        evicted: &mut Vec<PoolEntry>,
+    ) -> bool {
+        let caps_by_unit = [
+            (caps.bytes, Unit::Bytes, bytes),
+            (caps.entries, Unit::Entries, 1),
+        ];
+        caps_by_unit.into_iter().all(|(cap, unit, this)| {
+            let Some(cap) = cap else { return true };
+            let resident = |ledger: &Ledger| match unit {
+                Unit::Bytes => ledger.bytes(),
+                Unit::Entries => ledger.entries(),
+            };
+            let over = (resident(&self.ledger) + this).saturating_sub(cap);
+            if this <= cap && over > 0 {
+                self.evict(state, caps, unit, over, evicted);
+            }
+            resident(&self.ledger) + this <= cap
+        })
+    }
+
+    /// Remove the victims `caps.policy` picks from the unpinned leaves
+    /// until `need` units are freed or none is left, gathering again
+    /// whenever a removal exposed a new layer of leaves. Under the write
+    /// lock nothing pins an entry or wires a child edge meanwhile, so every
+    /// victim picked is removed.
+    fn evict(
+        &self,
+        state: &mut State,
+        caps: &Caps,
+        unit: Unit,
+        need: usize,
+        evicted: &mut Vec<PoolEntry>,
+    ) {
+        let mut freed = 0;
+        while freed < need {
+            let victims =
+                eviction::victims(caps.policy, unit, need - freed, self.gather(state, caps));
+            if victims.is_empty() {
+                break;
+            }
+            #[cfg(feature = "failpoints")]
+            let _ = crate::fault::fire("evict.remove");
+            for id in victims {
+                if let Some(e) = self.remove_locked(state, id) {
+                    freed += unit.of(&e);
+                    evicted.push(e);
+                }
+            }
         }
-        if !self.graph_mut().unwire(entry, evictable_only) {
-            return None;
-        }
-        let entry = table.remove(key, id)?;
+    }
+
+    /// The unpinned entries of the evictable-leaf set, ranked for
+    /// `caps.policy`, in the ascending id order the graph hands them out in
+    /// (so a policy's ties break by id): O(leaves) work, no full-pool scan.
+    /// Pin state is not part of the set (pins flip on the read-lock-only
+    /// hit path), so pinned leaves are filtered here. Advances the
+    /// gather-cost counters ([`Self::eviction_gather_visited`] by the leaf
+    /// count, [`Self::eviction_gather_rounds`] by one).
+    fn gather(&self, state: &State, caps: &Caps) -> Vec<Candidate> {
+        let leaves = state.graph.leaves();
+        self.gather_visited
+            .fetch_add(leaves.len() as u64, Ordering::Relaxed);
+        self.gather_rounds.fetch_add(1, Ordering::Relaxed);
+        let resident = leaves
+            .into_iter()
+            .filter_map(|(id, key)| state.table.find(key, |e| e.id == id));
+        resident
+            .filter(|e| e.pin_count() == 0)
+            .map(|e| Candidate::of(caps.policy, e, caps.now_tick))
+            .collect()
+    }
+
+    /// Unwire and remove the entry `id` while the write lock is held.
+    fn remove_locked(&self, state: &mut State, id: EntryId) -> Option<PoolEntry> {
+        let key = state.graph.locate(id)?;
+        let entry = state.table.remove(key, id)?;
+        state.graph.unwire(&entry);
         self.ledger.release(entry.bytes());
         Some(entry)
     }
@@ -646,73 +738,17 @@ impl RecyclePool {
         self.write_view().remove(id)
     }
 
-    /// Remove `id` only if it is still an unpinned leaf — the eviction
-    /// removal step. The check and the removal are atomic under the table
-    /// write lock: a hit pinning the entry runs under the read lock, so
-    /// pin-vs-evict races cannot happen.
-    pub fn remove_if_evictable(&self, id: EntryId) -> Option<PoolEntry> {
-        self.remove_batch_if_evictable(std::slice::from_ref(&id))
-            .pop()
-    }
-
-    /// Remove every victim in `ids` that is still an unpinned leaf — the
-    /// batched eviction removal step: one graph read places the batch and
-    /// the table write lock is taken **once** for all of it, instead of
-    /// once per victim. Every victim is revalidated inside the critical
-    /// section — a concurrent hit (pin) or a freshly wired child edge
-    /// always wins over the caller's stale snapshot; such victims are
-    /// skipped. A quarantined pool sits out eviction: its books may be
-    /// torn, so removals wait for [`Self::repair`].
-    pub fn remove_batch_if_evictable(&self, ids: &[EntryId]) -> Vec<PoolEntry> {
-        let located = self.graph().locate_all(ids.iter().copied());
-        if located.is_empty() || !self.serviceable() {
-            return Vec::new();
-        }
-        let mut table = self.write_table();
-        #[cfg(feature = "failpoints")]
-        let _ = crate::fault::fire("evict.remove");
-        let removed = located.into_iter();
-        removed
-            .filter_map(|located| self.remove_locked(&mut table, located, true))
-            .collect()
-    }
-
     /// Snapshot of the evictable-leaf set: the ids of every childless
-    /// resident entry, ascending. A point-in-time copy — callers
-    /// revalidate residency/pins per id, eviction does so at removal.
+    /// resident entry, ascending (pinned ones included — pins are checked
+    /// when eviction gathers).
     pub fn leaf_ids(&self) -> Vec<EntryId> {
-        let leaves = self.graph().leaves();
+        let leaves = self.read_state().graph.leaves();
         leaves.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Number of entries currently in the evictable-leaf set.
     pub fn leaf_index_size(&self) -> usize {
-        self.graph().leaf_count()
-    }
-
-    /// Visit every entry in the evictable-leaf set, in ascending id order
-    /// — the eviction gather path. Cost is O(leaves), **independent of
-    /// total pool size**: the leaves are snapshot with their table keys in
-    /// one graph read and looked up under one table read lock. Ids whose
-    /// entry vanished since the snapshot are silently skipped (`f` sees
-    /// residents only); a quarantined pool's residents are frozen until
-    /// [`Self::repair`] and not visited. Advances the gather-cost
-    /// counters ([`Self::eviction_gather_visited`] by the snapshot size,
-    /// [`Self::eviction_gather_rounds`] by one).
-    pub fn for_each_leaf_entry(&self, mut f: impl FnMut(&PoolEntry)) {
-        let leaves = self.graph().leaves();
-        self.gather_visited
-            .fetch_add(leaves.len() as u64, Ordering::Relaxed);
-        self.gather_rounds.fetch_add(1, Ordering::Relaxed);
-        if leaves.is_empty() || !self.serviceable() {
-            return;
-        }
-        let table = self.read_table();
-        for (id, key) in leaves {
-            if let Some(e) = table.find(key, |e| e.id == id) {
-                f(e);
-            }
-        }
+        self.read_state().graph.leaf_count()
     }
 
     /// Entries visited by eviction gathers since construction. With the
@@ -729,27 +765,27 @@ impl RecyclePool {
 
     /// Does this entry have dependents in the pool?
     pub fn has_children(&self, id: EntryId) -> bool {
-        self.graph().has_children(id)
+        self.read_state().graph.has_children(id)
     }
 
     /// Dependents of an entry (direct children), ascending.
     pub fn children_of(&self, id: EntryId) -> Vec<EntryId> {
-        self.graph().children_of(id)
+        self.read_state().graph.children_of(id)
     }
 
     /// Remove `root` and every transitive dependent (update invalidation,
-    /// §6.4) under one table write lock. Returns the removed entries.
+    /// §6.4) under one write lock. Returns the removed entries.
     pub fn remove_subtree(&self, root: EntryId) -> Vec<PoolEntry> {
         self.write_view().remove_subtree(&[root])
     }
 
-    /// Hold the table write lock for an atomic multi-entry removal —
-    /// update invalidation, maintenance, diagnostics. While the view is
-    /// alive no admission, hit or eviction runs anywhere in the pool.
+    /// Hold the write lock for an atomic multi-entry step — update
+    /// invalidation, maintenance, diagnostics. While the view is alive no
+    /// admission, hit or eviction runs anywhere in the pool.
     pub fn write_view(&self) -> PoolWriteView<'_> {
         PoolWriteView {
             pool: self,
-            table: self.write_table(),
+            state: self.write_state(),
         }
     }
 
@@ -805,13 +841,14 @@ impl RecyclePool {
         s
     }
 
-    /// Check the structural invariant under the table read lock: every
-    /// entry filed under its signature's fingerprint, no signature resident
+    /// Check the structural invariant under the read lock: every entry
+    /// filed under its signature's fingerprint, no signature resident
     /// twice, parents alive; the ledger equal to [`Ledger::recompute`] over
     /// the table; the lineage graph equal to [`LineageGraph::rebuild`] over
     /// it. Test support — call on a quiescent pool.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let table = self.read_table();
+        let state = self.read_state();
+        let table = &state.table;
         let all_ids: FxHashSet<EntryId> = table.entries().map(|e| e.id).collect();
         for (key, e) in table.filed() {
             let id = &e.id;
@@ -838,35 +875,41 @@ impl RecyclePool {
         if booked != actual {
             return Err(format!("ledger {booked:?} != recomputed {actual:?}"));
         }
-        let live = self.graph();
-        live.diff(&LineageGraph::rebuild(table.filed(), &live))
+        let live = &state.graph;
+        live.diff(&LineageGraph::rebuild(table.filed(), live))
     }
 }
 
-/// The table write lock, held for one atomic multi-entry removal: a
-/// commit's invalidation, maintenance, diagnostics. Concurrent queries
-/// observe the pool either entirely before or entirely after it.
+/// The write lock, held for one atomic multi-entry step: a commit's
+/// retirement of columns and invalidation, maintenance, diagnostics.
+/// Concurrent queries observe the pool either entirely before or entirely
+/// after it.
 pub struct PoolWriteView<'a> {
     pool: &'a RecyclePool,
-    table: RwLockWriteGuard<'a, Table>,
+    state: RwLockWriteGuard<'a, State>,
 }
 
 impl PoolWriteView<'_> {
     /// Remove one entry, unwiring it from the graph.
     pub fn remove(&mut self, id: EntryId) -> Option<PoolEntry> {
-        let key = self.pool.graph().locate(id)?;
-        self.pool.remove_locked(&mut self.table, (id, key), false)
+        self.pool.remove_locked(&mut self.state, id)
     }
 
     /// Remove `roots` and every transitive dependent, read off the live
-    /// graph in one step.
+    /// graph in the same step.
     pub fn remove_subtree(&mut self, roots: &[EntryId]) -> Vec<PoolEntry> {
-        let order = self.pool.graph().subtree(roots);
-        let (pool, table) = (self.pool, &mut *self.table);
-        order
-            .into_iter()
-            .filter_map(|located| pool.remove_locked(table, located, false))
+        let order = self.state.graph.subtree(roots);
+        let removed = order.into_iter();
+        removed
+            .filter_map(|(id, _)| self.pool.remove_locked(&mut self.state, id))
             .collect()
+    }
+
+    /// A commit rewrote `columns`: the entries anchored on any of them,
+    /// ascending — the roots of [`Self::remove_subtree`] — with the
+    /// registrations of the replaced buffers dropped.
+    pub fn retire_columns(&mut self, columns: &Anchors) -> Vec<EntryId> {
+        self.state.graph.retire(columns)
     }
 }
 
@@ -879,7 +922,7 @@ impl Drop for PoolWriteView<'_> {
         if cfg!(debug_assertions) && !std::thread::panicking() && self.pool.serviceable() {
             debug_assert_eq!(
                 self.pool.ledger.books(),
-                Ledger::recompute(self.table.entries()),
+                Ledger::recompute(self.state.table.entries()),
                 "the books drifted from the resident entries"
             );
         }
@@ -917,7 +960,7 @@ mod tests {
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 1);
         let sig = e.sig.clone();
-        let admitted = pool.insert(e, None);
+        let admitted = pool.insert(e, None, Caps::NONE).0;
         assert!(admitted.inserted());
         let id = admitted.id();
         assert_eq!(pool.lookup(&sig), Some(id));
@@ -933,10 +976,10 @@ mod tests {
     fn duplicate_sig_resolves_first_writer_wins() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let id_a = pool.insert(a, None).id();
+        let id_a = pool.insert(a, None, Caps::NONE).0.id();
         let mut b = mk_entry(&pool, vec![], 2);
         b.sig = Sig::of(Opcode::Select, &[Value::Int(1)]); // same sig as a
-        let outcome = pool.insert(b, None);
+        let outcome = pool.insert(b, None, Caps::NONE).0;
         assert_eq!(outcome, Admitted::Duplicate(id_a));
         assert_eq!(pool.len(), 1);
         // the loser's session took a pin on the winner, atomically
@@ -948,10 +991,10 @@ mod tests {
     fn orphaned_parent_rejects_insert() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let id_a = pool.insert(a, None).id();
+        let id_a = pool.insert(a, None, Caps::NONE).0.id();
         pool.remove(id_a);
         let b = mk_entry(&pool, vec![id_a], 2);
-        assert_eq!(pool.insert(b, None), Admitted::Orphaned);
+        assert_eq!(pool.insert(b, None, Caps::NONE).0, Admitted::Orphaned);
         assert!(pool.is_empty());
         pool.check_invariants().unwrap();
     }
@@ -959,11 +1002,17 @@ mod tests {
     #[test]
     fn result_alias_resolves_and_unwires_with_entry() {
         let pool = RecyclePool::new();
-        let id = pool.insert(mk_entry(&pool, vec![], 1), None).id();
+        let id = pool
+            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
+            .0
+            .id();
         // the loser of a duplicate admission: same signature, its own BAT
         let loser = mk_entry(&pool, vec![], 1);
         let loser_bat = loser.result_id.unwrap();
-        assert_eq!(pool.insert(loser, None), Admitted::Duplicate(id));
+        assert_eq!(
+            pool.insert(loser, None, Caps::NONE).0,
+            Admitted::Duplicate(id)
+        );
         assert_eq!(pool.entry_of_result(loser_bat), Some(id));
         pool.check_invariants().unwrap();
         pool.remove(id);
@@ -975,12 +1024,12 @@ mod tests {
     fn clear_keeps_entry_ids_monotone() {
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 1);
-        let id_before = pool.insert(e, None).id();
+        let id_before = pool.insert(e, None, Caps::NONE).0.id();
         pool.clear();
         assert!(pool.is_empty());
         assert_eq!(pool.bytes(), 0);
         let e2 = mk_entry(&pool, vec![], 2);
-        let id_after = pool.insert(e2, None).id();
+        let id_after = pool.insert(e2, None, Caps::NONE).0.id();
         assert!(
             id_after > id_before,
             "ids must never be reused across a clear ({id_before} vs {id_after})"
@@ -988,31 +1037,55 @@ mod tests {
         pool.check_invariants().unwrap();
     }
 
+    /// Insert a fresh root (`tag`, 100 bytes) under `caps`: the outcome
+    /// and the ids the room-making step evicted, in removal order.
+    fn admit_under(pool: &RecyclePool, tag: i64, caps: Caps) -> (Admitted, Vec<EntryId>) {
+        let (admitted, evicted) = pool.insert(mk_entry(pool, vec![], tag), None, caps);
+        (admitted, evicted.iter().map(|e| e.id).collect())
+    }
+
+    /// Caps holding `n` entries, LRU.
+    fn entry_cap(n: usize) -> Caps {
+        Caps {
+            entries: Some(n),
+            ..Caps::NONE
+        }
+    }
+
     #[test]
     fn evictable_respects_children_and_pins() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let a_id = pool.insert(a, None).id();
+        let a_id = pool.insert(a, None, Caps::NONE).0.id();
         let b = mk_entry(&pool, vec![a_id], 2);
-        let b_id = pool.insert(b, None).id();
-        // a has a child: not evictable
-        assert!(pool.remove_if_evictable(a_id).is_none());
-        // pinned leaves are not evictable either
+        let b_id = pool.insert(b, None, Caps::NONE).0.id();
+        // a has a child, and the one leaf is pinned: no room
         pool.entry(b_id, |e| e.pins.store(1, Ordering::Relaxed));
-        assert!(pool.remove_if_evictable(b_id).is_none());
+        assert_eq!(
+            admit_under(&pool, 3, entry_cap(2)),
+            (Admitted::NoRoom, vec![])
+        );
         pool.entry(b_id, |e| e.pins.store(0, Ordering::Relaxed));
-        assert!(pool.remove_if_evictable(b_id).is_some());
-        // with the child gone, a became a leaf
-        assert!(pool.remove_if_evictable(a_id).is_some());
+        let (admitted, evicted) = admit_under(&pool, 3, entry_cap(2));
+        assert!(admitted.inserted());
+        assert_eq!(evicted, vec![b_id]);
+        // with the child gone, a became a leaf — the oldest one
+        assert_eq!(admit_under(&pool, 4, entry_cap(2)).1, vec![a_id]);
         pool.check_invariants().unwrap();
     }
 
     #[test]
     fn leaf_index_tracks_child_wiring() {
         let pool = RecyclePool::new();
-        let a = pool.insert(mk_entry(&pool, vec![], 1), None).id();
+        let a = pool
+            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
+            .0
+            .id();
         assert_eq!(pool.leaf_ids(), vec![a], "fresh entry starts as a leaf");
-        let b = pool.insert(mk_entry(&pool, vec![a], 2), None).id();
+        let b = pool
+            .insert(mk_entry(&pool, vec![a], 2), None, Caps::NONE)
+            .0
+            .id();
         let mut leaves = pool.leaf_ids();
         leaves.sort_unstable();
         assert_eq!(leaves, vec![b], "first child edge unleafs the parent");
@@ -1030,11 +1103,20 @@ mod tests {
     #[test]
     fn leaf_index_survives_clear_and_multi_parent() {
         let pool = RecyclePool::new();
-        let a = pool.insert(mk_entry(&pool, vec![], 1), None).id();
-        let b = pool.insert(mk_entry(&pool, vec![], 2), None).id();
+        let a = pool
+            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
+            .0
+            .id();
+        let b = pool
+            .insert(mk_entry(&pool, vec![], 2), None, Caps::NONE)
+            .0
+            .id();
         // one child hanging off both parents (and the same parent twice —
         // duplicate parent links must not corrupt the 0↔1 transitions)
-        let c = pool.insert(mk_entry(&pool, vec![a, a, b], 3), None).id();
+        let c = pool
+            .insert(mk_entry(&pool, vec![a, a, b], 3), None, Caps::NONE)
+            .0
+            .id();
         let mut leaves = pool.leaf_ids();
         leaves.sort_unstable();
         assert_eq!(leaves, vec![c]);
@@ -1052,34 +1134,51 @@ mod tests {
     #[test]
     fn remove_batch_takes_one_write_lock() {
         let pool = RecyclePool::new();
-        let ids: Vec<EntryId> = (0..32)
-            .map(|i| pool.insert(mk_entry(&pool, vec![], i), None).id())
-            .collect();
+        for tag in 0..32 {
+            pool.insert(mk_entry(&pool, vec![], tag), None, Caps::NONE);
+        }
         let before = pool.write_lock_acquisitions();
-        let removed = pool.remove_batch_if_evictable(&ids);
-        assert_eq!(removed.len(), 32, "every unpinned leaf must go");
+        let (admitted, evicted) = admit_under(&pool, 99, entry_cap(1));
+        assert!(admitted.inserted());
+        assert_eq!(evicted.len(), 32, "every unpinned leaf must go");
         assert_eq!(
             pool.write_lock_acquisitions() - before,
             1,
-            "one batch, one table write lock"
+            "32 victims and the insert, one write lock"
         );
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 1);
         pool.check_invariants().unwrap();
     }
 
     #[test]
     fn remove_batch_revalidates_pins_and_children() {
+        // the oldest entries are a parent and a pinned leaf: the victim is
+        // the oldest unpinned leaf behind them
         let pool = RecyclePool::new();
-        let parent = pool.insert(mk_entry(&pool, vec![], 1), None).id();
-        let pinned = pool.insert(mk_entry(&pool, vec![], 2), None).id();
-        let free = pool.insert(mk_entry(&pool, vec![parent], 3), None).id();
-        // a second child outside the batch keeps the parent a non-leaf
-        pool.insert(mk_entry(&pool, vec![parent], 4), None);
+        let parent = pool
+            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
+            .0
+            .id();
+        let pinned = pool
+            .insert(mk_entry(&pool, vec![], 2), None, Caps::NONE)
+            .0
+            .id();
+        let free = pool
+            .insert(mk_entry(&pool, vec![parent], 3), None, Caps::NONE)
+            .0
+            .id();
+        let other = pool
+            .insert(mk_entry(&pool, vec![parent], 4), None, Caps::NONE)
+            .0
+            .id();
+        for (id, last_used) in [(parent, 0), (pinned, 0), (free, 1), (other, 2)] {
+            pool.entry(id, |e| e.last_used.store(last_used, Ordering::Relaxed));
+        }
         pool.entry(pinned, |e| e.pins.store(1, Ordering::Relaxed));
-        let removed = pool.remove_batch_if_evictable(&[parent, pinned, free, 999]);
-        let ids: Vec<EntryId> = removed.iter().map(|e| e.id).collect();
-        assert_eq!(ids, vec![free], "parented, pinned and dead ids skipped");
-        assert_eq!(pool.len(), 3);
+        let (admitted, evicted) = admit_under(&pool, 5, entry_cap(4));
+        assert!(admitted.inserted());
+        assert_eq!(evicted, vec![free], "parented and pinned entries skipped");
+        assert_eq!(pool.len(), 4);
         pool.check_invariants().unwrap();
     }
 
@@ -1093,14 +1192,13 @@ mod tests {
             for _ in 0..3 {
                 tag += 1;
                 let parents = parent.map(|p| vec![p]).unwrap_or_default();
-                parent = Some(pool.insert(mk_entry(&pool, parents, tag), None).id());
+                let e = mk_entry(&pool, parents, tag);
+                parent = Some(pool.insert(e, None, Caps::NONE).0.id());
             }
         }
         let v0 = pool.eviction_gather_visited();
         let r0 = pool.eviction_gather_rounds();
-        let mut seen = 0usize;
-        pool.for_each_leaf_entry(|_| seen += 1);
-        assert_eq!(seen, 4);
+        assert_eq!(admit_under(&pool, 99, entry_cap(12)).1.len(), 1);
         assert_eq!(pool.eviction_gather_visited() - v0, 4);
         assert_eq!(pool.eviction_gather_rounds() - r0, 1);
         pool.check_invariants().unwrap();
@@ -1110,11 +1208,11 @@ mod tests {
     fn remove_subtree_cascades() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let a_id = pool.insert(a, None).id();
+        let a_id = pool.insert(a, None, Caps::NONE).0.id();
         let b = mk_entry(&pool, vec![a_id], 2);
-        let b_id = pool.insert(b, None).id();
+        let b_id = pool.insert(b, None, Caps::NONE).0.id();
         let c = mk_entry(&pool, vec![b_id], 3);
-        pool.insert(c, None);
+        pool.insert(c, None, Caps::NONE);
         let removed = pool.remove_subtree(a_id);
         assert_eq!(removed.len(), 3);
         assert!(pool.is_empty());
@@ -1122,17 +1220,21 @@ mod tests {
     }
 
     #[test]
-    fn candidates_probe_takes_no_table_lock() {
-        // the candidate index lives in the graph: a miss-path subsumption
-        // probe must not touch the table lock at all — pin it via a write
-        // view held concurrently with the probe
+    fn candidates_probe_is_one_read_lock() {
+        // the candidate index lives in the graph, inside the pool lock: a
+        // miss-path subsumption probe is one read lock and no write lock
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 1);
         let op = e.sig.op;
         let arg0 = e.sig.first_arg().unwrap().clone();
-        let id = pool.insert(e, None).id();
-        let _view = pool.write_view(); // the table write lock held
+        let id = pool.insert(e, None, Caps::NONE).0.id();
+        let (reads, writes) = (
+            RecyclePool::read_locks_on_this_thread(),
+            pool.write_lock_acquisitions(),
+        );
         assert_eq!(pool.candidates(op, &arg0), vec![id]);
+        assert_eq!(RecyclePool::read_locks_on_this_thread() - reads, 1);
+        assert_eq!(pool.write_lock_acquisitions(), writes);
     }
 
     #[test]
@@ -1146,12 +1248,15 @@ mod tests {
             pool.probe(&sig, |e| e.id)
         };
         let ids: Vec<EntryId> = (1..=3)
-            .map(
-                |tag| match pool.insert(mk_entry(&pool, vec![], tag), None) {
+            .map(|tag| {
+                match pool
+                    .insert(mk_entry(&pool, vec![], tag), None, Caps::NONE)
+                    .0
+                {
                     Admitted::Inserted(id) => id,
                     other => panic!("collision must not cost the admission: {other:?}"),
-                },
-            )
+                }
+            })
             .collect();
         assert_eq!(pool.len(), 3);
         for (tag, id) in (1..=3).zip(&ids) {
@@ -1164,7 +1269,7 @@ mod tests {
             "an absent signature is a miss, not a neighbour"
         );
         // a collided signature still resolves its duplicates
-        let dup = pool.insert(mk_entry(&pool, vec![], 2), None);
+        let dup = pool.insert(mk_entry(&pool, vec![], 2), None, Caps::NONE).0;
         assert_eq!(dup, Admitted::Duplicate(ids[1]));
         pool.check_invariants().unwrap();
         // removal takes exactly the one asked for, wherever it queues
@@ -1182,7 +1287,7 @@ mod tests {
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 7);
         let sig = e.sig.clone();
-        pool.insert(e, None);
+        pool.insert(e, None, Caps::NONE);
         let args = [Value::Int(7)];
         let probe = SigRef::of(Opcode::Select, &args);
         let w0 = pool.write_lock_acquisitions();

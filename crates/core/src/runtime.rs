@@ -15,16 +15,16 @@
 //!   to the same shared service.
 //!
 //! The exact-match hit path — the hot path of every marked instruction —
-//! is one fingerprint over the borrowed arguments, one table **read**
+//! is one fingerprint over the borrowed arguments, one pool **read**
 //! lock, no allocation and one clock read of its own: probe, reuse
 //! counters, pinning and result cloning are a single
 //! [`RecyclePool::probe`] call over per-entry atomics; what the hit owes
 //! the rest of the service is summed in the session and handed over
 //! once, at query end. Admissions
-//! go through one funnel: resolve the BAT arguments in one read of the
-//! lineage graph, pin the parents (a table read lock each), then insert
-//! under the table write lock — the new entry records
-//! its parents and copies nothing from them; see the locking invariants in
+//! go through one funnel: resolve the BAT arguments and pin their
+//! producers under one read lock, then insert — making room first if the
+//! pool is full — under one write lock; the new entry records its parents
+//! and copies nothing from them. See the locking invariants in
 //! [`crate::shared`].
 //!
 //! `Recycler::new` remains the one-line way to get a single-session
@@ -41,17 +41,14 @@ use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
 use crate::config::{AdmissionPolicy, RecyclerConfig};
 use crate::entry::{charge_bytes, Admitter, Anchors, EntryId, InstrKey, Lineage, Pin, PoolEntry};
-use crate::lineage::Resolved;
-use crate::pool::Admitted;
-use crate::shared::{AccountNotes, PoolRef, SharedRecycler};
+use crate::eviction::Caps;
+use crate::pool::{Admitted, RecyclePool};
+use crate::shared::{AccountNotes, SharedRecycler};
 use crate::signature::{Sig, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 use crate::subsume::{self, Subsumption};
 
-#[cfg(doc)]
-use crate::pool::RecyclePool;
-
-/// What one exact-match probe observed (computed under the table read
+/// What one exact-match probe observed (computed under the pool read
 /// lock, consumed after it is released). The result is an `Arc` clone.
 struct HitOutcome {
     value: Value,
@@ -66,8 +63,8 @@ struct HitOutcome {
 #[cfg(test)]
 thread_local! {
     /// Test hook: runs on the admitting thread between the funnel's pins
-    /// (and reservation) and its insert — where a racing commit orphans
-    /// the candidate.
+    /// and its insert — where a racing session wins the admission or a
+    /// racing commit orphans the candidate.
     static BEFORE_INSERT: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -175,10 +172,9 @@ impl Recycler {
         self.shared.config()
     }
 
-    /// Read access to the shared pool (diagnostics, tests, experiment
-    /// harness). The pool locks internally per call — holding this
-    /// reference blocks nobody.
-    pub fn pool(&self) -> PoolRef<'_> {
+    /// The shared pool (diagnostics, tests, experiment harness). The pool
+    /// locks internally per call — holding this reference blocks nobody.
+    pub fn pool(&self) -> &RecyclePool {
         self.shared.pool()
     }
 
@@ -199,11 +195,11 @@ impl Recycler {
     }
 
     /// Set (or clear) the soft deadline enforced at the recycler's
-    /// admission and eviction-wait points for queries run through this
-    /// session. Past the deadline, admissions are shed *before* the
-    /// capacity reservation — the one place a query can block behind
-    /// inline eviction — and subsumption searches are skipped; exact
-    /// hits still serve (they are the cheap path). The engine's operator
+    /// admission points for queries run through this session. Past the
+    /// deadline, admissions are shed before anything is resolved or
+    /// inserted — so no inline eviction is paid either — and subsumption
+    /// searches are skipped; exact hits still serve (they are the cheap
+    /// path). The engine's operator
     /// execution itself is not interrupted: the facade checks the clock
     /// again after the run and reports a deadline error without caching
     /// costs having been paid.
@@ -218,7 +214,7 @@ impl Recycler {
 
     // ----- internal helpers -------------------------------------------------
 
-    /// The exact-match probe: one table read lock, atomics only. On a hit
+    /// The exact-match probe: one pool read lock, atomics only. On a hit
     /// the reuse counters, last-use stamp, credit flag and pin are all
     /// settled inside the lock; what the accounts and the lifetime
     /// statistics are owed is noted in the session and handed over at query
@@ -230,7 +226,7 @@ impl Recycler {
     fn try_hit(&mut self, sig: &SigRef<'_>) -> Option<Value> {
         let shared = &self.shared;
         let (invocation, session_id) = (self.invocation, self.session_id);
-        let hit = shared.pool_inner().probe(sig, |e| {
+        let hit = shared.pool().probe(sig, |e| {
             let tick = shared.next_tick();
             e.last_used.store(tick, Ordering::Relaxed);
             let local = e.admitted_invocation == invocation;
@@ -268,22 +264,12 @@ impl Recycler {
         Some(hit.value)
     }
 
-    /// Pin `id` (filed under `key`) for the remainder of this query if it
-    /// is still resident. The pin is taken under the table read lock
-    /// (invariant 3 in [`crate::shared`]).
-    fn pin_live(&mut self, id: EntryId, key: u64) -> bool {
-        let pin = self.shared.pool_inner().entry_at(id, key, Pin::take);
-        let alive = pin.is_some();
-        self.pins.extend(pin);
-        alive
-    }
-
     /// Record that `id` served as a subsumption source (read lock only).
     /// Under PACED that is a reuse of the source's creator, noted like a
     /// hit's; the paper's policies count exact reuses only.
     fn register_subsumption_source(&mut self, id: EntryId) {
         let shared = &self.shared;
-        let used = shared.pool_inner().entry(id, |e| {
+        let used = shared.pool().entry(id, |e| {
             e.last_used.store(shared.next_tick(), Ordering::Relaxed);
             e.subsumption_uses.fetch_add(1, Ordering::Relaxed);
             (Pin::take(e), e.creator)
@@ -313,8 +299,8 @@ impl Recycler {
     /// filed under the instruction's versioned signature, charged
     /// [`charge_bytes`] against the cap, anchors its lineage in `args`,
     /// and leaves through exactly one of the exits below — every one of
-    /// which returns what it took (credit, reservation), so a shed or lost
-    /// admission costs a future miss and nothing else.
+    /// which returns the credit it took, so a shed or lost admission costs
+    /// a future miss and nothing else.
     fn admit(
         &mut self,
         catalog: &Catalog,
@@ -325,12 +311,11 @@ impl Recycler {
         cpu: Duration,
     ) {
         let shared = Arc::clone(&self.shared);
-        let pool = shared.pool_inner();
+        let pool = shared.pool();
         let key: InstrKey = (self.current.template, pc);
         // Deadline shedding: past the soft deadline this query must not
-        // pay for cache maintenance — in particular it must not enter
-        // `reserve_admission`, whose cap gate is the one place an
-        // admission can block behind inline eviction. Skipping the whole
+        // pay for cache maintenance — in particular not for the inline
+        // eviction an insert into a full pool makes. Skipping the whole
         // exit (including a bind's persistent registration) only costs
         // admissibility of downstream results, i.e. misses.
         if self.past_deadline() {
@@ -353,37 +338,33 @@ impl Recycler {
         // Bottom-up matching coherence (paper §4.1: keep whole threads
         // intact): every BAT argument must be reachable as a pool result
         // or a persistent BAT — otherwise coherence cannot be anchored and
-        // the admission is skipped. One read of the lineage graph answers
-        // every argument. A pool-resident producer becomes a parent and is
-        // *pinned* here, so eviction cannot take the prefix out from under
-        // this admission; `insert` revalidates it once more inside its
-        // critical section (a concurrent update may still invalidate —
-        // invariant 6). Nothing is copied from it: what the entry derives
-        // from is the graph's to answer. Only a persistent BAT nobody
-        // resident produced hands its columns over, as the entry's own
-        // anchors. A producer lost between the read and the pin (evicted,
-        // invalidated, the pool quarantined) breaks the thread.
+        // the admission is skipped. One read of the pool answers every
+        // argument. A pool-resident producer becomes a parent and is
+        // *pinned* in that read, so eviction cannot take the prefix out
+        // from under this admission; `insert` revalidates it once more
+        // inside its write step (a concurrent update may still invalidate
+        // — invariant 6). Nothing is copied from it: what the entry
+        // derives from is the graph's to answer. Only a persistent BAT
+        // nobody resident produced hands its columns over, as the entry's
+        // own anchors. A quarantined pool pins nothing and breaks the
+        // thread.
         let bats = args.iter().filter_map(Value::as_bat).map(|b| b.id());
-        for resolved in pool.resolve(bats) {
-            match resolved {
-                Resolved::Entry(id, key) if self.pin_live(id, key) => lineage.parents.push(id),
-                Resolved::Persistent(columns) => lineage.anchors.extend(columns),
-                Resolved::Entry(..) | Resolved::Unknown => {
-                    shared.count_admission_reject();
-                    return;
-                }
-            }
+        if !pool.resolve(bats, &mut lineage, &mut self.pins) {
+            shared.count_admission_reject();
+            return;
         }
         let grant = shared.admission_grant(key, &mut self.notes);
         if !grant.allowed {
             shared.count_admission_reject();
             return;
         }
-        let Some(reservation) = shared.reserve_admission(bytes) else {
+        // Failpoint: a denied admission is one that found no room.
+        #[cfg(feature = "failpoints")]
+        if let Some(crate::fault::FaultAction::Deny) = crate::fault::fire("admission.reserve") {
             shared.count_admission_reject();
             shared.undo_admission_charge(key, grant);
             return;
-        };
+        }
         // subset semantics for the subsumption machinery (§5.1), recorded
         // atomically with the insert
         let subset_of = match (result, args.first()) {
@@ -405,6 +386,8 @@ impl Recycler {
             }
             _ => None,
         };
+        // the clock eviction ranks by, read before the entry draws its tick
+        let caps = Caps::of(&shared.config(), shared.current_tick());
         let entry = PoolEntry::new(
             pool.alloc_id(),
             Sig::versioned(catalog, op, args),
@@ -425,8 +408,8 @@ impl Recycler {
         if let Some(hook) = BEFORE_INSERT.take() {
             hook();
         }
-        let admitted = pool.insert(entry, subset_of);
-        drop(reservation);
+        let (admitted, evicted) = pool.insert(entry, subset_of, caps);
+        shared.settle_evictions(&evicted);
         match admitted {
             Admitted::Inserted(_) => {
                 self.pins.push(born);
@@ -445,17 +428,18 @@ impl Recycler {
                 shared.undo_admission_charge(key, grant);
                 self.pins.extend(pool.entry(existing, Pin::adopt));
             }
-            Admitted::Orphaned | Admitted::Quarantined => {
-                // Orphaned: an update invalidated a parent between
-                // resolution and insertion — the thread is broken,
-                // admitting would leave dangling lineage. Quarantined:
-                // the pool sits out after a poisoning panic and refused
-                // the candidate without touching torn
-                // state. Either way the candidate never entered the pool,
-                // so no bytes were counted; the admission credit (when one
-                // was charged) goes back to the account so repeated
-                // orphaning cannot drain it — degraded mode costs this
-                // session a miss, nothing more.
+            Admitted::NoRoom | Admitted::Orphaned | Admitted::Quarantined => {
+                // NoRoom: the candidate does not fit and only pinned or
+                // parent entries are left to evict. Orphaned: an update
+                // invalidated a parent between resolution and insertion —
+                // the thread is broken, admitting would leave dangling
+                // lineage. Quarantined: the pool sits out after a
+                // poisoning panic and refused the candidate without
+                // touching torn state. Either way the candidate never
+                // entered the pool, so no bytes were counted; the
+                // admission credit (when one was charged) goes back to the
+                // account so repeated orphaning cannot drain it — degraded
+                // mode costs this session a miss, nothing more.
                 shared.count_admission_reject();
                 shared.undo_admission_charge(key, grant);
             }
@@ -523,7 +507,7 @@ impl ExecHook for Recycler {
         // commit epoch (see `SigRef::versioned`).
         let sig = SigRef::versioned(catalog, instr.op, args);
 
-        // Phase 1: exact match (paper §3.3) — one table read lock and no
+        // Phase 1: exact match (paper §3.3) — one pool read lock and no
         // other lock (invariant 2 in `crate::shared`).
         if let Some(result) = self.try_hit(&sig) {
             self.current.overhead += t0.elapsed();
@@ -532,14 +516,14 @@ impl ExecHook for Recycler {
         let config = self.shared.config();
 
         // Phase 2: subsumption (paper §5). The candidates are read under
-        // the table read lock; argument values are cloned out, so a
+        // the pool read lock; argument values are cloned out, so a
         // concurrent eviction of the source cannot invalidate the rewrite
         // (`Arc`-shared BATs). Past the soft deadline the search (and any
         // piecing) is optional work the query can no longer amortise;
         // exact hits above still served.
         if config.subsumption && !self.past_deadline() {
             let attempt = {
-                let pool = self.shared.pool_inner();
+                let pool = self.shared.pool();
                 match instr.op {
                     Opcode::Select => subsume::subsume_select(pool, args),
                     Opcode::Uselect => subsume::subsume_uselect(pool, args),
@@ -560,7 +544,7 @@ impl ExecHook for Recycler {
             }
             if config.combined_subsumption && instr.op == Opcode::Select {
                 let pieced = {
-                    let pool = self.shared.pool_inner();
+                    let pool = self.shared.pool();
                     match subsume::subsume_combined(pool, args, COMBINED_MAX_CANDIDATES) {
                         Some(Subsumption::Combined {
                             segments,
@@ -635,30 +619,26 @@ impl ExecHook for Recycler {
                 affected.insert((def.to_table.clone(), def.to_key.clone()));
             }
         }
-        // One rule: the lineage graph lists the entries anchored on the
-        // affected columns (and forgets the replaced buffers'
-        // registrations in the same step); everything derived from those
-        // columns hangs below these roots. The removal holds the table
-        // write lock — taken after the catalog merge, for the invalidation
-        // only — so queries observe the pool
-        // entirely before or after it (per-instruction atomicity — a query
-        // already past an instruction keeps its pre-update intermediate,
-        // as in the paper's transaction-isolation discussion §6.1). A root
-        // admitted from a pre-commit snapshot after this read is harmless:
-        // its bind thread carries the pre-commit version signature, which
-        // no post-commit probe can match.
-        let shared = Arc::clone(&self.shared);
-        let pool = shared.pool_inner();
-        let roots = pool.retire_columns(&affected);
-        if roots.is_empty() {
-            return;
-        }
-        // Immediate column-wise invalidation (§6.4). Removal overrides pins
-        // — correctness beats retention; stale pins are cleaned up by their
-        // sessions' `query_end`.
-        let removed = pool.write_view().remove_subtree(&roots);
+        // One rule, one write step — taken after the catalog merge, for
+        // the invalidation only — so queries observe the pool entirely
+        // before or after it (per-instruction atomicity — a query already
+        // past an instruction keeps its pre-update intermediate, as in the
+        // paper's transaction-isolation discussion §6.1): the lineage
+        // graph lists the entries anchored on the affected columns (and
+        // forgets the replaced buffers' registrations); everything derived
+        // from those columns hangs below these roots. A root admitted from
+        // a pre-commit snapshot after this step is harmless: its bind
+        // thread carries the pre-commit version signature, which no
+        // post-commit probe can match. Immediate column-wise invalidation
+        // (§6.4) overrides pins — correctness beats retention; stale pins
+        // are cleaned up by their sessions' `query_end`.
+        let removed = {
+            let mut view = self.shared.pool().write_view();
+            let roots = view.retire_columns(&affected);
+            view.remove_subtree(&roots)
+        };
         // what the removed entries owe is settled as an eviction's is
-        shared.settle_invalidations(&removed);
+        self.shared.settle_invalidations(&removed);
     }
 }
 
@@ -887,14 +867,13 @@ mod tests {
         }
 
         /// What an admission that does not land must leave untouched: the
-        /// candidate's credit balance, the pool's resident `(bytes,
-        /// entries)` and the pending `(bytes, entries)` reservations.
-        fn books(&self) -> (i64, (usize, usize), (usize, usize)) {
-            let pool = self.shared.pool_inner();
+        /// candidate's credit balance and the pool's resident `(bytes,
+        /// entries)`.
+        fn books(&self) -> (i64, (usize, usize)) {
+            let pool = self.shared.pool();
             (
                 self.shared.credit_balance((0, PC)),
                 (pool.bytes(), pool.len()),
-                self.shared.pending(),
             )
         }
     }
@@ -903,7 +882,7 @@ mod tests {
         RecyclerConfig::default().admission(AdmissionPolicy::Credit(k))
     }
 
-    /// Unwind a panic through the table write lock: the pool quarantines.
+    /// Unwind a panic through the pool write lock: the pool quarantines.
     fn poison(pool: &crate::pool::RecyclePool) {
         let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _view = pool.write_view();
@@ -960,7 +939,7 @@ mod tests {
             f.candidate(&f.col, 1)
         });
         // no room beside the (pinned) 64-byte bind, whatever the size
-        assert_exit_refunds("cap reservation", credit(5).mem_limit(70), rejects, |f| {
+        assert_exit_refunds("no room", credit(5).mem_limit(70), rejects, |f| {
             f.candidate(&f.col, 1)
         });
         // another session's equivalent admission landed first
@@ -975,11 +954,11 @@ mod tests {
                 candidate
             },
         );
-        // a panic unwound through the table write lock; the candidate
+        // a panic unwound through the pool write lock; the candidate
         // stands on the persistent column alone (its bind evicted), so it
         // pins nothing and is refused at the insert
         assert_exit_refunds("quarantined", credit(5), rejects, |f| {
-            let pool = f.shared.pool_inner();
+            let pool = f.shared.pool();
             let bind = pool.entry_of_result(f.col.as_bat().unwrap().id());
             assert!(pool.remove(bind.expect("bind resident")).is_some());
             poison(pool);
@@ -991,11 +970,11 @@ mod tests {
     fn a_parent_that_cannot_be_pinned_is_a_pin_time_reject() {
         // The bind resolves in the graph but its pin fails: the pool is
         // quarantined. The funnel leaves at the pin — before it asks the
-        // accounts for a credit or reserves capacity, and without reaching
-        // the insert — and the books read as before.
+        // accounts for a credit, and without reaching the insert — and the
+        // books read as before.
         let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
         let candidate = f.candidate(&f.col, 1);
-        poison(f.shared.pool_inner());
+        poison(f.shared.pool());
         let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
         let writes = f.shared.pool().write_lock_acquisitions();
         let accounts = SharedRecycler::accounts_locks_on_this_thread();
@@ -1020,15 +999,13 @@ mod tests {
     #[test]
     fn orphaned_admissions_never_drain_credits_or_bytes() {
         // Regression: an admission whose parent is invalidated between
-        // its resolution (parent pinned, credit charged, capacity
-        // reserved) and the insert comes back `Admitted::Orphaned`; the
-        // funnel must leave the credit account and the pending
-        // reservations exactly where they started, and add nothing to the
-        // pool's books, every time —
-        // repeated orphaning used to be able to drain an instruction's
-        // credits for good. The interleaving is forced by the hook between
-        // pin and insert: with the parent pinned and the reservation
-        // pending, a commit removes the parent (invalidation overrides
+        // its resolution (parent pinned, credit charged) and the insert
+        // comes back `Admitted::Orphaned`; the funnel must leave the
+        // credit account exactly where it started, and add nothing to the
+        // pool's books, every time — repeated orphaning used to be able to
+        // drain an instruction's credits for good. The interleaving is
+        // forced by the hook between pin and insert: with the parent
+        // pinned, a commit removes the parent (invalidation overrides
         // pins), and the insert finds it gone.
         let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
         let bytes_before = f.shared.pool().bytes();
@@ -1043,7 +1020,6 @@ mod tests {
             assert_eq!(books.0, 2, "credits drained after {round} orphanings");
             let committer = Arc::clone(&f.shared);
             BEFORE_INSERT.set(Some(Box::new(move || {
-                assert_eq!(committer.pending().1, 1, "the reservation is in flight");
                 assert!(committer.pool().write_view().remove(parent).is_some());
             })));
             let writes = f.shared.pool().write_lock_acquisitions();
@@ -1054,7 +1030,7 @@ mod tests {
                 "the commit's write lock, then the insert's (parent gone)"
             );
             // the pool lost the parent and gained nothing
-            assert_eq!(f.books(), (books.0, (0, 0), books.2), "round {round}");
+            assert_eq!(f.books(), (books.0, (0, 0)), "round {round}");
             assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
             assert!(f.shared.pool().is_empty(), "the orphan never entered");
             f.admit_bind(100 + round);
@@ -1062,6 +1038,58 @@ mod tests {
             assert_eq!(f.shared.pool().bytes(), bytes_before, "round {round}");
         }
         f.shared.pool().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_losing_admission_evicts_nothing() {
+        // A pool at its entry cap — the bind and three unpinned leaves
+        // over it — and an admission that loses in its write step, forced
+        // by the hook between pin and insert: another session admits the
+        // same result first, making its own room, or a commit removes the
+        // parent. The loser must evict nothing, and the winner must not be
+        // refused for the loser's demand.
+        const CAP: usize = 4;
+        for race in ["duplicate", "orphaned"] {
+            let mut f = Funnel::new(credit(5).entry_limit(CAP));
+            let program = range_template();
+            f.setup.query_start(&program);
+            for tag in 100..100 + CAP as i64 - 1 {
+                let (args, result) = f.candidate(&f.col, tag);
+                f.setup
+                    .admit(&f.cat, 9, Opcode::Select, &args, &result, CPU);
+            }
+            f.setup.query_end(&program); // every pin given back
+            assert_eq!(f.shared.pool().len(), CAP, "{race}: the pool is full");
+            let candidate = f.candidate(&f.col, 1);
+            let (shared, cat, twin) = (Arc::clone(&f.shared), f.cat.clone(), candidate.clone());
+            let bind = f.col.as_bat().unwrap().id();
+            BEFORE_INSERT.set(Some(Box::new(move || {
+                if race == "duplicate" {
+                    let (args, result) = twin;
+                    let mut winner = shared.session();
+                    winner.admit(&cat, 9, Opcode::Select, &args, &result, CPU);
+                } else {
+                    let bind = shared.pool().entry_of_result(bind).expect("bind resident");
+                    assert_eq!(shared.pool().remove_subtree(bind).len(), CAP);
+                }
+            })));
+            let before = f.shared.stats();
+            f.admit(candidate);
+            let after = f.shared.stats();
+            let delta = |counter: fn(&RecyclerStats) -> u64| counter(&after) - counter(&before);
+            if race == "duplicate" {
+                assert_eq!(delta(|s| s.admissions), 1, "the winner lands");
+                assert_eq!(delta(|s| s.duplicate_admissions), 1, "the loser loses");
+                assert_eq!(delta(|s| s.admission_rejects), 0, "nobody is refused");
+                assert_eq!(delta(|s| s.evictions), 1, "the winner's room, no more");
+                assert_eq!(f.shared.pool().len(), CAP);
+            } else {
+                assert_eq!(delta(|s| s.admission_rejects), 1, "the orphan is dropped");
+                assert_eq!(delta(|s| s.evictions), 0, "the orphan evicts nothing");
+                assert!(f.shared.pool().is_empty());
+            }
+            f.shared.pool().check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * the [`RecyclePool`] — a concurrent structure of its own: one
 //!   `RwLock` over one table that is entry slab and exact-match index at
-//!   once, one [lineage graph](crate::lineage) over the entry ids behind
-//!   its own lock, and every byte/entry book in one
-//!   [ledger](crate::ledger) moved only under the table write lock;
+//!   once and the one [lineage graph](crate::lineage) over the entry ids,
+//!   with every byte/entry book in one [ledger](crate::ledger) moved only
+//!   under that lock's write guard;
 //! * the admission accounts (PACED, CREDIT, ADAPT) behind one [`Mutex`] —
 //!   inherently global (credits are per template instruction: one map
 //!   entry each, holding every policy's state for that key) but touched
@@ -22,23 +22,21 @@
 //!
 //! # Locking invariants
 //!
-//! 1. **Order:** *maintenance mutex* → *eviction mutex* → *pool table
-//!    lock* → *leaf locks*. A thread may skip tiers but never goes back
-//!    up, and holds the table lock at most once — a thread holding it
-//!    (either mode) calls no method that takes it again. The leaf locks
-//!    are the pool's lineage-graph lock and the accounts mutex, and the
-//!    one rule for them is that **a leaf lock is held alone**: it is taken
-//!    for one plain map operation and nothing is acquired, and no
-//!    caller-supplied code runs, until it is released — so the two need
-//!    no order between them. Eviction runs only inline, on an admitting
-//!    session's thread, so an eviction round and a maintenance operation
-//!    meet at the table write lock, which each takes for its whole step:
-//!    neither observes the other half done.
-//!    Multi-entry writers — a commit's [`RecyclePool::write_view`],
-//!    `clear` and `repair` for maintenance — hold the one table write lock
-//!    for their whole rewrite; `check_invariants` holds the read lock.
-//! 2. **An exact hit is one table read lock — and no other lock.** A hit
-//!    is served entirely under the table's *read* lock: the reuse
+//! 1. **Order:** *pool lock* → *accounts mutex*, and there is no other
+//!    lock. A thread holds the pool lock at most once — a thread holding
+//!    it (either mode) calls no method that takes it again — and **the
+//!    accounts mutex is held alone**: it is taken for one plain map
+//!    operation, and nothing is acquired, and no caller-supplied code
+//!    runs, until it is released. What a write step takes out of the pool
+//!    (evicted or invalidated entries) is settled with the accounts after
+//!    the pool lock is released. Every step that changes the pool is one
+//!    write guard held for the whole step — an admission with the room it
+//!    makes ([`RecyclePool::insert`]), a commit's
+//!    [`RecyclePool::write_view`], `clear` and `repair` for maintenance —
+//!    so no step observes another half done; `check_invariants` holds the
+//!    read guard.
+//! 2. **An exact hit is one pool read lock — and no other lock.** A hit
+//!    is served entirely under the pool's *read* lock: the reuse
 //!    counters, last-use stamp, pin count and credit-return flag are
 //!    per-entry atomics ([`crate::entry`]). What the hit owes the accounts
 //!    waits in the session's [`AccountNotes`] (one accounts-mutex
@@ -48,94 +46,91 @@
 //!    [`SharedRecycler::accounts_locks_on_this_thread`] pin this down in
 //!    tests.
 //! 3. **Pins are race-free by lock polarity.** Pinning bumps the entry's
-//!    atomic pin count under the table *read* lock; eviction checks the
-//!    pin count and removes under the table *write* lock. The `RwLock`
-//!    serialises the two, so an entry is either pinned before the
-//!    eviction check (and skipped) or removed first (and the pinning probe
-//!    revalidates and misses). Unpinning takes no lock: a late decrement
-//!    can only make eviction skip an entry once more.
+//!    atomic pin count under the pool's *read* lock; eviction checks the
+//!    pin count and removes under its *write* lock. The `RwLock`
+//!    serialises the two, so an entry is either pinned before eviction
+//!    gathers (and skipped) or removed first (and the pinning probe
+//!    misses). Unpinning takes no lock: a late decrement can only make
+//!    eviction skip an entry once more.
 //! 4. **No lock across execution:** operator execution happens outside
 //!    every lock; only combined-subsumption piecing reads pooled BATs,
-//!    entry-by-entry under the table read lock, and `Arc`-shared results
+//!    entry-by-entry under the pool read lock, and `Arc`-shared results
 //!    stay valid regardless of eviction.
 //! 5. **One funnel; first writer wins, atomically.** Every result is
 //!    admitted by one funnel ([`Recycler`]'s `admit`) and every exit of it
-//!    returns what it took (credit, reservation). Racing
-//!    duplicate admissions are
-//!    resolved inside [`RecyclePool::insert`]'s critical section:
-//!    the resident entry stays and is pinned for the loser, the loser's
-//!    result BAT is aliased onto it, and the caller returns the admission
-//!    credit (`duplicate_admissions`).
-//! 6. **Admission coherence is revalidated inside `wire`.** Every BAT
-//!    argument is resolved in one read of the lineage graph — a resident
-//!    producer, else a registered persistent buffer (the registry is part
-//!    of the graph), else the admission is dropped — and the producers are
-//!    pinned (a table read lock each) before insertion. The new
-//!    entry records them as parents and copies no lineage from them: only
-//!    a bind, or an entry standing directly on a persistent buffer, holds
-//!    `(table, column)` anchors. [`RecyclePool::insert`]
-//!    wires the candidate into the graph in one step under the table
-//!    write lock, and that step begins by re-checking every parent: if an
-//!    update invalidated one in between, nothing is wired and the
-//!    candidate is dropped as orphaned. The orphan check, the parents'
-//!    leaf transitions and the new entry's own indexes cannot be observed
-//!    apart.
-//! 7. **Pins are inviolable to eviction:** an entry pinned by *any*
-//!    session is never evicted. When nothing evictable remains, admission
-//!    fails instead (`admission_rejects`). Updates override pins —
-//!    correctness beats retention. Evictors serialise on the eviction
-//!    mutex so concurrent memory pressure does not over-evict — and the
-//!    eviction *trigger* is sized from resident demand plus the evicting
-//!    admission alone, never from other sessions' in-flight reservations
-//!    (phantom demand must not cost resident entries; the strict gate
-//!    over-rejects instead). Eviction rounds gather from the lineage
-//!    graph's evictable-leaf set (O(leaves), no full-pool scan; pins are
-//!    not part of the set — they are filtered at gather and revalidated at
-//!    removal) and consume their victims in batches: one table write-lock
-//!    acquisition per round
-//!    ([`RecyclePool::remove_batch_if_evictable`]). A victim's pin count
-//!    is re-read under the write lock and its leaf status inside
-//!    `unwire`, the same graph step that removes it — a child wired since
-//!    the gather always wins.
-//! 8. **Update synchronisation has one rule and one lock:** a commit asks
-//!    the lineage graph once for the entries anchored on the columns it
-//!    rewrote ([`RecyclePool::retire_columns`], which forgets the replaced
-//!    buffers' registrations in the same step — no pool scan) and removes
-//!    their subtrees under the table write lock
-//!    ([`RecyclePool::write_view`]), taken after the catalog merge and
-//!    held for the removal only. Concurrent queries observe the
-//!    affected entries entirely before or entirely after the commit;
-//!    bind signatures carry the table's commit version
+//!    returns the credit it took. Racing duplicate admissions are
+//!    resolved inside [`RecyclePool::insert`]'s write step, before it
+//!    makes any room: the resident entry stays and is pinned for the
+//!    loser, the loser's result BAT is aliased onto it, nothing is
+//!    evicted, and the caller returns the admission credit
+//!    (`duplicate_admissions`).
+//! 6. **Admission coherence is revalidated in the write step.** Every BAT
+//!    argument is resolved, and its resident producer pinned, in one read
+//!    of the pool lock — a resident producer, else a registered
+//!    persistent buffer (the registry is part of the graph), else the
+//!    admission is dropped. The new entry records the producers as
+//!    parents and copies no lineage from them: only a bind, or an entry
+//!    standing directly on a persistent buffer, holds `(table, column)`
+//!    anchors. [`RecyclePool::insert`] re-checks every parent under the
+//!    write lock before it makes room: if an update invalidated one in
+//!    between, nothing is evicted or wired and the candidate is dropped as
+//!    orphaned. The orphan check, the parents' leaf transitions and the
+//!    new entry's own indexes cannot be observed apart.
+//! 7. **Room is made in the step that admits; pins are inviolable to
+//!    it.** An admission that does not fit under the caps evicts unpinned
+//!    leaves inside its own write step, then inserts
+//!    ([`RecyclePool::insert`], paper §4.3's `recycleExit`): the cap
+//!    check, the eviction and the insert cannot be separated, so resident
+//!    bytes and entries never exceed the caps at any instant (a debug
+//!    assertion checks it after every insert), and an admission evicts
+//!    for its own demand alone — nothing is reserved across steps, so no
+//!    other session's demand is in flight to count. An entry pinned by
+//!    *any* session is never evicted: when nothing evictable remains the
+//!    admission fails instead ([`crate::pool::Admitted::NoRoom`],
+//!    `admission_rejects`). Updates override pins — correctness beats
+//!    retention. Eviction gathers from the lineage graph's evictable-leaf
+//!    set (O(leaves), no full-pool scan; pins are not part of the set and
+//!    are filtered at gather); under the write lock no victim can be
+//!    pinned or gain a child between gather and removal, so nothing is
+//!    revalidated and nothing retried.
+//! 8. **Update synchronisation has one rule and one write step:** after
+//!    the catalog merge, a commit takes the pool's write lock once
+//!    ([`RecyclePool::write_view`]); in that step the lineage graph lists
+//!    the entries anchored on the columns it rewrote
+//!    ([`crate::pool::PoolWriteView::retire_columns`], which forgets the
+//!    replaced buffers' registrations — no pool scan) and their subtrees
+//!    are removed. Concurrent queries observe the affected entries
+//!    entirely before or entirely after the commit; bind signatures carry
+//!    the table's commit version
 //!    ([`crate::signature::Sig::versioned`]), so an admission racing the
 //!    commit from a pre-commit snapshot can never be exact-matched by a
 //!    post-commit probe — stale reuse is structurally impossible, the
 //!    worst case is an unreachable entry awaiting eviction. Invalidation
 //!    still overrides pins — correctness beats retention.
 //! 9. **Poison means quarantine, not propagation.** A panic unwinding
-//!    through the table write lock may leave the table's slab/index
-//!    wiring torn. The pool notices the poisoned lock at the next
+//!    through the write lock may leave the table's slab/index wiring or
+//!    the graph torn. The pool notices the poisoned lock at the next
 //!    acquisition (or via a lock-free `is_poisoned` probe on the hit
 //!    path), raises its quarantine flag and degrades: probes miss,
-//!    admissions come back [`crate::pool::Admitted::Quarantined`] and are
-//!    refunded, eviction skips the pool — the recycler is advisory, so the
+//!    admissions come back [`crate::pool::Admitted::Quarantined`] before
+//!    they make room and are refunded — the recycler is advisory, so the
 //!    worst legal outcome is a cache miss.
-//!    [`MaintenanceGuard::repair_quarantined`] (the table write lock)
-//!    rebuilds consistent state from the surviving
-//!    table — the lineage graph and the ledger are each re-derived from it
-//!    by one function and stored — clears the lock poison and lifts the
-//!    quarantine. Callers that can afford the pass run it as soon as they
-//!    see a quarantine: the facade's commit before committing, the server
-//!    after containing a panicked request.
+//!    [`MaintenanceGuard::repair_quarantined`] (the write lock) rebuilds
+//!    consistent state from the surviving table — the lineage graph and
+//!    the ledger are each re-derived from it by one function and stored —
+//!    clears the lock poison and lifts the quarantine. Callers that can
+//!    afford the pass run it as soon as they see a quarantine: the
+//!    facade's commit before committing, the server after containing a
+//!    panicked request.
 //! 10. **One result, one ledger.** An entry holds its result `Value`
 //!     directly and is immutable once admitted: its value and its charge
 //!     never change, so the ledger moves only at insert and at removal,
-//!     both under the table write lock. Every book is a pure function of
+//!     both under the pool's write lock. Every book is a pure function of
 //!     the resident entries, so `check_invariants` and repair need one sum
 //!     (`Ledger::recompute`), not one per book — and one graph
 //!     (`LineageGraph::rebuild`), not one pass per index.
 
 use std::cell::Cell;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -144,7 +139,6 @@ use rbat::hash::FxHashMap;
 
 use crate::config::{AdmissionPolicy, RecyclerConfig};
 use crate::entry::{InstrKey, PoolEntry};
-use crate::eviction::{evict, EvictTrigger};
 use crate::pool::RecyclePool;
 use crate::runtime::Recycler;
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
@@ -239,8 +233,8 @@ impl KeyAccount {
     }
 }
 
-/// The admission accounts, guarded by their own mutex (a leaf lock: held
-/// alone, see the lock order above).
+/// The admission accounts, guarded by their own mutex (held alone, see the
+/// lock order above).
 pub(crate) struct AccountState {
     policy: AdmissionPolicy,
     /// The balance an untouched account holds under `policy`.
@@ -375,25 +369,6 @@ fn bump(cell: &AtomicU64) {
     cell.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Capacity reserved for one in-flight admission (strict limits under
-/// concurrency) by [`SharedRecycler::reserve_admission`], released on drop
-/// once the insert has settled, whatever its outcome — inserted, duplicate
-/// or orphaned alike, the resident pool counters then tell the whole truth.
-/// RAII, so a panic unwinding out of an eviction round or out of `insert`
-/// (which poisons and quarantines the pool) cannot leak the reservation:
-/// counted forever, it would make the gate refuse every later eviction
-/// and choke admissions against the cap.
-pub(crate) struct Reservation<'a> {
-    shared: &'a SharedRecycler,
-    bytes: usize,
-}
-
-impl Drop for Reservation<'_> {
-    fn drop(&mut self) {
-        self.shared.release_reservation(self.bytes);
-    }
-}
-
 /// The shared concurrent recycler service: one instance per server, any
 /// number of [`Recycler`] session handles attached via [`Self::session`].
 pub struct SharedRecycler {
@@ -410,39 +385,6 @@ pub struct SharedRecycler {
     /// statistics. A plain counter: each `Recycler` opens once on attach
     /// and closes once on drop.
     active_sessions: std::sync::atomic::AtomicUsize,
-    /// Serialises whole maintenance sequences ([`Self::maintenance`]):
-    /// each individual operation additionally runs under the pool's table
-    /// write lock, so it is atomic with respect to every concurrent
-    /// session.
-    maintenance_lock: Mutex<()>,
-    /// Serialises evictors (the eviction tier of the lock order):
-    /// concurrent memory pressure from many sessions must not over-evict
-    /// the pool.
-    evict_lock: Mutex<()>,
-    /// Bytes reserved by in-flight admissions (capacity checked, entry
-    /// not yet inserted). Makes the configured limits *strict* under
-    /// concurrency: the capacity check and the insert run under
-    /// different locks, so concurrent admissions must see each other's
-    /// demand here or they could collectively overshoot the cap.
-    pending_bytes: std::sync::atomic::AtomicUsize,
-    /// Entry slots reserved by in-flight admissions (see
-    /// `pending_bytes`).
-    pending_entries: std::sync::atomic::AtomicUsize,
-}
-
-/// Read access to the live pool. The pool's own methods lock internally
-/// (the table read lock per call), so this is a cheap reference wrapper —
-/// it no longer blocks writers for its lifetime.
-pub struct PoolRef<'a> {
-    pool: &'a RecyclePool,
-}
-
-impl Deref for PoolRef<'_> {
-    type Target = RecyclePool;
-
-    fn deref(&self) -> &RecyclePool {
-        self.pool
-    }
 }
 
 impl SharedRecycler {
@@ -457,10 +399,6 @@ impl SharedRecycler {
             invocations: AtomicU64::new(0),
             session_ids: AtomicU64::new(0),
             active_sessions: std::sync::atomic::AtomicUsize::new(0),
-            maintenance_lock: Mutex::new(()),
-            evict_lock: Mutex::new(()),
-            pending_bytes: std::sync::atomic::AtomicUsize::new(0),
-            pending_entries: std::sync::atomic::AtomicUsize::new(0),
         })
     }
 
@@ -499,30 +437,20 @@ impl SharedRecycler {
         self.active_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Acquire the maintenance lock: server-wide pool surgery
-    /// ([`MaintenanceGuard::clear_pool`], [`MaintenanceGuard::reset`])
-    /// serialises here, and each operation runs atomically against every
-    /// concurrent session — its queries and their inline eviction rounds
-    /// alike — by taking the pool's table write lock.
+    /// The handle for server-wide pool surgery
+    /// ([`MaintenanceGuard::clear_pool`], [`MaintenanceGuard::reset`],
+    /// [`MaintenanceGuard::repair_quarantined`]): each operation runs
+    /// atomically against every concurrent session — its queries and their
+    /// inline eviction alike — by taking the pool's write lock.
     pub fn maintenance(&self) -> MaintenanceGuard<'_> {
-        let serial = self
-            .maintenance_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        MaintenanceGuard {
-            shared: self,
-            _serial: serial,
-        }
+        MaintenanceGuard { shared: self }
     }
 
     // ----- pool access ------------------------------------------------------
 
-    /// Read access to the pool (diagnostics, tests, experiment harness).
-    pub fn pool(&self) -> PoolRef<'_> {
-        PoolRef { pool: &self.pool }
-    }
-
-    pub(crate) fn pool_inner(&self) -> &RecyclePool {
+    /// The pool (diagnostics, tests, experiment harness). Its methods lock
+    /// internally, per call.
+    pub fn pool(&self) -> &RecyclePool {
         &self.pool
     }
 
@@ -583,131 +511,6 @@ impl SharedRecycler {
         );
     }
 
-    // ----- admission support ------------------------------------------------
-
-    fn limits_configured(&self) -> bool {
-        self.config.mem_limit.is_some() || self.config.entry_limit.is_some()
-    }
-
-    /// Reserve capacity for one admission of `need_bytes`, evicting if
-    /// necessary; returns `None` (reservation dropped) when room cannot be
-    /// made. The capacity check and the eventual insert run under
-    /// different locks, so concurrent admissions account their in-flight
-    /// demand in the pending counters — the configured limits stay
-    /// *strict*: resident bytes/entries never exceed the caps, even with
-    /// many sessions admitting at once (an admission may be counted in
-    /// both `pending` and the pool for an instant, which only over-rejects,
-    /// never overshoots). The caller holds the returned [`Reservation`]
-    /// until its insert has settled.
-    ///
-    /// Evictors serialise on the eviction mutex, gather candidates under
-    /// the table read lock and write-lock the table once per round.
-    /// Pinned entries (any session) are never evicted: when only pinned
-    /// leaves remain, admission fails instead — see the locking invariants
-    /// above.
-    pub(crate) fn reserve_admission(&self, need_bytes: usize) -> Option<Reservation<'_>> {
-        #[cfg(feature = "failpoints")]
-        if let Some(crate::fault::FaultAction::Deny) = crate::fault::fire("admission.reserve") {
-            self.count_admission_reject();
-            return None;
-        }
-        let config = self.config;
-        let reservation = Reservation {
-            shared: self,
-            bytes: need_bytes,
-        };
-        if !self.limits_configured() {
-            return Some(reservation); // unlimited: no accounting, no contention
-        }
-        self.pending_bytes.fetch_add(need_bytes, Ordering::Relaxed);
-        self.pending_entries.fetch_add(1, Ordering::Relaxed);
-        let ok = self.cap_holds(config.mem_limit, need_bytes, |s| {
-            (
-                s.pool.bytes(),
-                s.pending_bytes.load(Ordering::Relaxed),
-                EvictTrigger::Memory,
-            )
-        }) && self.cap_holds(config.entry_limit, 1, |s| {
-            (
-                s.pool.len(),
-                s.pending_entries.load(Ordering::Relaxed),
-                EvictTrigger::Entries,
-            )
-        });
-        ok.then_some(reservation)
-    }
-
-    /// One cap's check-evict-recheck cycle: `measure` reads the resident
-    /// and pending units (bytes or entries) and names the eviction trigger
-    /// for that unit. Used for both configured limits so the two caps
-    /// cannot drift apart behaviourally.
-    ///
-    /// The admission *gate* stays strict — resident plus every in-flight
-    /// reservation must fit under the cap, so concurrent admissions can
-    /// only over-reject, never overshoot. The eviction *trigger*, however,
-    /// is computed from resident plus **this** admission alone: other
-    /// sessions' pending reservations may never land (dropped on
-    /// rejection, lost to a duplicate race, orphaned by an update), and
-    /// evicting resident entries to cover such phantom demand destroys
-    /// cached work for nothing — the over-eviction bug this method once
-    /// had. When this admission already fits in resident space, nothing
-    /// is evicted at all; the strict gate alone arbitrates.
-    fn cap_holds(
-        &self,
-        limit: Option<usize>,
-        this_admission: usize,
-        measure: impl Fn(&Self) -> (usize, usize, fn(usize) -> EvictTrigger),
-    ) -> bool {
-        let Some(limit) = limit else {
-            return true;
-        };
-        if this_admission > limit {
-            return false;
-        }
-        let gate = |s: &Self| {
-            let (resident, pending, _) = measure(s);
-            resident + pending <= limit
-        };
-        if gate(self) {
-            return true;
-        }
-        let _g = self.lock_evict();
-        // another evictor may have freed enough already
-        if gate(self) {
-            return true;
-        }
-        let (resident, pending, trigger) = measure(self);
-        // What the gate needs freed vs what this admission justifies
-        // freeing. `pending` includes this admission's own reservation,
-        // so needed ≥ allowed always; they are equal exactly when no
-        // OTHER reservation is in flight. When needed exceeds allowed,
-        // even the full permitted eviction could not satisfy the gate —
-        // evicting would destroy resident entries only to reject anyway
-        // (phantom demand again, through the back door), so reject
-        // without touching the pool.
-        let needed = (resident + pending).saturating_sub(limit);
-        let allowed = (resident + this_admission).saturating_sub(limit);
-        if needed > allowed || allowed == 0 {
-            return false;
-        }
-        let evicted = evict(
-            &self.pool,
-            self.config.eviction,
-            trigger(allowed),
-            self.current_tick(),
-        );
-        self.settle_evictions(&evicted);
-        gate(self)
-    }
-
-    /// Release an admission reservation ([`Reservation`]'s drop).
-    fn release_reservation(&self, need_bytes: usize) {
-        if self.limits_configured() {
-            self.pending_bytes.fetch_sub(need_bytes, Ordering::Relaxed);
-            self.pending_entries.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
     // ----- lock plumbing ----------------------------------------------------
 
     fn lock_accounts(&self) -> MutexGuard<'_, AccountState> {
@@ -726,12 +529,6 @@ impl SharedRecycler {
     /// thread, on any recycler: the test probe for "one per reuse booked".
     pub fn account_lookups_on_this_thread() -> u64 {
         ACCOUNT_LOOKUPS.with(Cell::get)
-    }
-
-    pub(crate) fn lock_evict(&self) -> MutexGuard<'_, ()> {
-        self.evict_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     // ----- statistics -------------------------------------------------------
@@ -861,15 +658,6 @@ impl SharedRecycler {
         acc.keys.get(&key).map_or(acc.start, |a| a.credits)
     }
 
-    /// Test probe: `(bytes, entries)` reserved by in-flight admissions.
-    #[cfg(test)]
-    pub(crate) fn pending(&self) -> (usize, usize) {
-        (
-            self.pending_bytes.load(Ordering::Relaxed),
-            self.pending_entries.load(Ordering::Relaxed),
-        )
-    }
-
     /// Return a charged credit after an admission that did not complete
     /// (room could not be made, a concurrent duplicate won the race, or a
     /// parent was invalidated mid-flight and the candidate came back
@@ -910,10 +698,12 @@ impl SharedRecycler {
     /// invalidated alike. KEEPALL keeps no credits, and PACED repaid every
     /// reuse when it was booked.
     fn return_deferred_credits(&self, removed: &[PoolEntry]) {
-        if !matches!(
-            self.config.admission,
-            AdmissionPolicy::Credit(_) | AdmissionPolicy::Adaptive(_)
-        ) {
+        if removed.is_empty()
+            || !matches!(
+                self.config.admission,
+                AdmissionPolicy::Credit(_) | AdmissionPolicy::Adaptive(_)
+            )
+        {
             return;
         }
         let mut acc = self.lock_accounts();
@@ -931,17 +721,14 @@ impl SharedRecycler {
 ///
 /// Semantics: every operation here affects **all** attached sessions — the
 /// pool is shared state, there is no session-local clear. Each operation
-/// is atomic with respect to concurrent queries and their inline eviction
-/// rounds (it runs under the pool's table write lock, the same
-/// serialisation point update commits and eviction rounds use), and whole
-/// maintenance sequences serialise against each other on the guard — the
-/// first tier of the lock order. Sessions keep running afterwards: their
-/// pins are gone, which is safe — pins only guard eviction policy, and
-/// entry ids stay monotone so a stale pin can never alias a post-clear
-/// entry.
+/// is atomic with respect to concurrent queries and the evictions their
+/// admissions make (it runs under the pool's write lock, the same
+/// serialisation point admissions and update commits use). Sessions keep
+/// running afterwards: their pins are gone, which is safe — pins only
+/// guard eviction policy, and entry ids stay monotone so a stale pin can
+/// never alias a post-clear entry.
 pub struct MaintenanceGuard<'a> {
     shared: &'a SharedRecycler,
-    _serial: MutexGuard<'a, ()>,
 }
 
 impl MaintenanceGuard<'_> {
@@ -957,14 +744,12 @@ impl MaintenanceGuard<'_> {
     }
 
     /// Repair a quarantined pool and return it to service —
-    /// [`RecyclePool::repair`] run at the sanctioned point: the guard
-    /// serialises against other maintenance, and the repair pass itself
-    /// takes the table write lock
-    /// (the same serialisation `clear_pool` uses). Returns what was
-    /// dropped; after it, [`RecyclePool::check_invariants`] holds again
-    /// and probes serve hits instead of degraded misses.
+    /// [`RecyclePool::repair`], one pass under the pool's write lock (the
+    /// same serialisation `clear_pool` uses). Returns what was dropped;
+    /// after it, [`RecyclePool::check_invariants`] holds again and probes
+    /// serve hits instead of degraded misses.
     pub fn repair_quarantined(&self) -> crate::pool::RepairReport {
-        self.shared.pool_inner().repair()
+        self.shared.pool.repair()
     }
 }
 
@@ -982,105 +767,28 @@ impl std::fmt::Debug for SharedRecycler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eviction::Caps;
 
-    fn put_resident(shared: &SharedRecycler, tag: i64, bytes: usize) {
-        let pool = shared.pool_inner();
-        let e = PoolEntry::test_stub(pool.alloc_id(), tag, vec![], bytes);
-        assert!(pool.insert(e, None).inserted());
-    }
-
-    /// Regression: another session's in-flight reservation that never
-    /// lands (dropped, duplicate-raced or orphaned) must not get resident
-    /// entries evicted on its behalf. `cap_holds` used to target
-    /// `resident + ALL pending − limit`, so session B's small admission
-    /// evicted cached work to make room for session A's phantom demand.
-    #[test]
-    fn phantom_reservation_does_not_evict_residents() {
-        let shared = SharedRecycler::new(RecyclerConfig::default().mem_limit(1000));
-        for t in 0..3 {
-            put_resident(&shared, t, 100);
-        }
-        // session A reserves 650 bytes and never completes the admission
-        let a = shared.reserve_admission(650);
-        assert!(a.is_some(), "room for A: 300 + 650");
-        // session B's own demand fits resident space (300 + 100 ≤ 1000):
-        // nothing may be evicted, whatever A's reservation says
-        let ok_b = shared.reserve_admission(100).is_some();
-        assert_eq!(shared.pool().len(), 3, "no resident entry evicted");
-        assert_eq!(
-            shared.stats().evictions,
-            0,
-            "no eviction for phantom demand"
-        );
-        // the strict gate still holds: B is over-rejected while A's
-        // reservation is outstanding (over-rejection is the benign
-        // direction — the caps can never overshoot) ...
-        assert!(!ok_b, "B defers to the strict gate, keeping the cap exact");
-        // ... and admits cleanly once A's reservation is gone
-        drop(a);
-        assert!(shared.reserve_admission(100).is_some());
-        assert_eq!(shared.pool().len(), 3);
-    }
-
-    /// Even when this admission's own demand WOULD justify eviction, no
-    /// resident entry goes if the strict gate is unsatisfiable because of
-    /// someone else's in-flight reservation: evicting and then rejecting
-    /// anyway would be the phantom-demand bug through the back door.
-    #[test]
-    fn no_evict_then_reject_under_phantom_pressure() {
-        let shared = SharedRecycler::new(RecyclerConfig::default().mem_limit(1000));
-        for t in 0..3 {
-            put_resident(&shared, t, 100);
-        }
-        let a = shared.reserve_admission(650);
-        assert!(a.is_some(), "A reserves and never lands");
-        // B's 800 would need eviction on its own (300 + 800 > 1000), but
-        // with A's phantom 650 outstanding the gate can never pass —
-        // B must be rejected with the pool untouched
-        assert!(shared.reserve_admission(800).is_none());
-        assert_eq!(shared.pool().len(), 3, "no resident entry evicted");
-        assert_eq!(shared.stats().evictions, 0);
-        // once A's reservation drops, the same admission evicts and lands
-        drop(a);
-        assert!(shared.reserve_admission(800).is_some());
-        assert!(
-            shared.stats().evictions > 0,
-            "now the eviction is for B itself"
-        );
-    }
-
-    /// An admission whose own demand exceeds the cap still evicts —
-    /// exactly enough for itself.
+    /// The room-making step of an admission under the configured byte cap:
+    /// with 300 bytes resident under 1000, a 100-byte admission fits as it
+    /// is, an 800-byte one evicts one 100-byte leaf — exactly
+    /// 300 + 800 − 1000 — and one bigger than the cap evicts nothing.
     #[test]
     fn own_demand_still_evicts_exactly_enough() {
         let shared = SharedRecycler::new(RecyclerConfig::default().mem_limit(1000));
-        for t in 0..3 {
-            put_resident(&shared, t, 100);
+        let pool = shared.pool();
+        let admit = |tag: i64, bytes: usize| {
+            let e = PoolEntry::test_stub(pool.alloc_id(), tag, vec![], bytes);
+            let caps = Caps::of(&shared.config(), shared.current_tick());
+            let (admitted, evicted) = pool.insert(e, None, caps);
+            (admitted.inserted(), evicted.len())
+        };
+        for tag in 0..3 {
+            assert_eq!(admit(tag, 100), (true, 0));
         }
-        let b = shared.reserve_admission(800);
-        assert!(b.is_some(), "evicts 100 to fit 800");
-        assert_eq!(
-            shared.stats().evictions,
-            1,
-            "one victim covers 300+800−1000"
-        );
-        assert_eq!(shared.pool().len(), 2);
-    }
-
-    /// The entry-count cap takes the same phantom-proof path.
-    #[test]
-    fn phantom_reservation_does_not_evict_under_entry_cap() {
-        let shared = SharedRecycler::new(RecyclerConfig::default().entry_limit(4));
-        for t in 0..3 {
-            put_resident(&shared, t, 10);
-        }
-        let a = shared.reserve_admission(10); // A: 3 resident + 1 pending = 4
-        assert!(a.is_some());
-        let ok_b = shared.reserve_admission(10).is_some(); // B: would be the 5th slot
-        assert_eq!(shared.pool().len(), 3, "no resident entry evicted");
-        assert_eq!(shared.stats().evictions, 0);
-        assert!(!ok_b);
-        drop(a);
-        assert!(shared.reserve_admission(10).is_some());
+        assert_eq!(admit(10, 1001), (false, 0), "alone over the cap");
+        assert_eq!(admit(11, 800), (true, 1), "one victim covers 300+800−1000");
+        assert_eq!((pool.len(), pool.bytes()), (3, 1000));
+        pool.check_invariants().unwrap();
     }
 }

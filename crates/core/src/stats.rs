@@ -160,7 +160,7 @@ pub struct PoolSnapshot {
 }
 
 impl PoolSnapshot {
-    /// Build a snapshot from the live pool (the table read lock; atomics
+    /// Build a snapshot from the live pool (the pool read lock; atomics
     /// sampled in passing).
     pub fn capture(pool: &RecyclePool) -> PoolSnapshot {
         let mut snap = PoolSnapshot {

@@ -162,7 +162,7 @@ pub fn subsume_semijoin(pool: &RecyclePool, args: &[Value]) -> Option<Subsumptio
     let best = candidates
         .iter()
         .filter(|id| {
-            // read the stored right operand under the table lock, then
+            // read the stored right operand under the pool read lock, then
             // walk the subset relation outside it (lineage-only locks)
             let v = pool.entry(**id, |e| match e.sig.args.get(1) {
                 Some(ArgSig::Bat(v)) => Some(*v),
@@ -514,7 +514,7 @@ mod tests {
         let bounds = SelectBounds::closed(Value::Int(lo), Value::Int(hi));
         let result = Arc::new(ops::select(base, &bounds).unwrap());
         let e = mk_entry(pool, Opcode::Select, args, result);
-        pool.insert(e, Some(base.id())).id()
+        pool.insert(e, Some(base.id()), crate::Caps::NONE).0.id()
     }
 
     fn base_bat() -> Arc<Bat> {
@@ -648,7 +648,7 @@ mod tests {
         let sj_args = vec![Value::Bat(Arc::clone(&x)), v_bat.clone()];
         let sj_res = Arc::new(ops::semijoin(&x, v_bat.as_bat().unwrap()).unwrap());
         let e = mk_entry(&pool, Opcode::Semijoin, sj_args, sj_res);
-        let sj_id = pool.insert(e, None).id();
+        let sj_id = pool.insert(e, None, crate::Caps::NONE).0.id();
         // W ⊂ V: a narrower selection, subset edge recorded vs V's result
         let w_id = admit_select(&pool, &sel_col, 20, 40);
         let w_res = result_of(&pool, w_id).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! A random script of insert / remove / evict / invalidate / clear /
 //! tear-and-repair steps runs while the test keeps its *own* model of what
-//! is resident. After every step:
+//! is resident — an eviction is the room an admission into a full pool
+//! makes in its own write step. After every step:
 //!
 //! * `check_invariants()` holds — which includes the live ledger being
 //!   equal to `Ledger::recompute` over the table, and
@@ -15,7 +16,7 @@ use proptest::prelude::*;
 use rbat::{Bat, Column, Value};
 use recycler::entry::{charge_bytes, Admitter, Lineage};
 use recycler::signature::Sig;
-use recycler::{EntryId, PoolEntry, RecyclePool};
+use recycler::{Caps, EntryId, PoolEntry, RecyclePool};
 use rmal::Opcode;
 
 /// The test's own record of one resident entry.
@@ -52,6 +53,24 @@ impl Rig {
 
     /// Insert an unpinned raw entry whose result `pick` shapes.
     fn insert(&mut self, pick: usize) {
+        assert!(self.insert_under(pick, Caps::NONE).is_empty());
+    }
+
+    /// Admit one more entry into a pool capped at its size: the write step
+    /// evicts one first. Every entry is an unpinned root last used at its
+    /// admission (tick 0), so LRU takes the smallest id.
+    fn evict_one(&mut self, pick: usize) {
+        let oldest = (0..self.live.len()).min_by_key(|at| self.live[*at].id);
+        let gone = self.live.swap_remove(oldest.expect("a resident"));
+        let caps = Caps {
+            entries: Some(self.pool.len()),
+            ..Caps::NONE
+        };
+        assert_eq!(self.insert_under(pick, caps), vec![gone.id]);
+    }
+
+    /// Insert as [`Self::insert`] under `caps`; the ids evicted for it.
+    fn insert_under(&mut self, pick: usize, caps: Caps) -> Vec<EntryId> {
         let value = Value::Bat(ints(pick as i64, 64 + 16 * (pick % 7)));
         let sig = self.fresh_sig();
         let bytes = charge_bytes(sig.op, &value);
@@ -65,8 +84,12 @@ impl Rig {
             Admitter::default(),
         );
         e.pins.store(0, std::sync::atomic::Ordering::Relaxed);
-        let id = self.pool.insert(e, None).id();
-        self.live.push(Live { id, bytes });
+        let (admitted, evicted) = self.pool.insert(e, None, caps);
+        self.live.push(Live {
+            id: admitted.id(),
+            bytes,
+        });
+        evicted.iter().map(|e| e.id).collect()
     }
 
     /// A commit's removal unwound half-way: its first removal landed, then
@@ -139,8 +162,7 @@ proptest! {
                     rig.settled("remove")?;
                 }
                 4 => {
-                    let gone = rig.live.swap_remove(at);
-                    prop_assert!(rig.pool.remove_if_evictable(gone.id).is_some());
+                    rig.evict_one(a);
                     rig.settled("evict")?;
                 }
                 5 => {

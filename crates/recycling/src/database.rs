@@ -6,7 +6,7 @@ use rbat::catalog::CatalogCell;
 use rbat::hash::FxHashMap;
 use rbat::Catalog;
 use recycler::{
-    MaintenanceGuard, PoolRef, PoolSnapshot, RecycleMark, RecyclerConfig, RecyclerStats,
+    MaintenanceGuard, PoolSnapshot, RecycleMark, RecyclePool, RecyclerConfig, RecyclerStats,
     SharedRecycler,
 };
 use rmal::interp::NoHook;
@@ -267,9 +267,8 @@ impl Database {
         self.inner.shared.stats()
     }
 
-    /// Read access to the shared recycle pool (diagnostics, tests,
-    /// experiment harness).
-    pub fn pool(&self) -> PoolRef<'_> {
+    /// The shared recycle pool (diagnostics, tests, experiment harness).
+    pub fn pool(&self) -> &RecyclePool {
         self.inner.shared.pool()
     }
 
@@ -296,10 +295,9 @@ impl Database {
 
     /// Server-wide pool maintenance — emptying or resetting the shared
     /// pool. These operations affect **every** session (there is no
-    /// session-local clear: the pool is shared state); the guard
-    /// serialises maintenance sequences against each other, and each
-    /// operation is atomic against concurrent queries via the pool's
-    /// table write lock. This replaces the old per-session
+    /// session-local clear: the pool is shared state); each operation is
+    /// atomic against concurrent queries via the pool's write lock. This
+    /// replaces the old per-session
     /// `Recycler::clear_pool`/`reset` footgun.
     pub fn maintenance(&self) -> MaintenanceGuard<'_> {
         self.inner.shared.maintenance()

@@ -50,8 +50,8 @@
 //!   it with parameters.
 //!
 //! All sessions admit through one gate — the admission accounts, then the
-//! capacity reservation. Under a cap the admission that finds the pool
-//! full evicts to make room, and a reuse-paced account belongs to one
+//! pool's write step. Under a cap the admission that finds the pool full
+//! evicts to make room in that step, and a reuse-paced account belongs to one
 //! template instruction, so one flooding client cannot starve the others'
 //! admissions.
 //!

@@ -3,10 +3,11 @@
 //! other's intermediates, keep the pool's signature index and lineage
 //! graph coherent (`check_invariants` after every run), and never evict an
 //! entry pinned by another session's running query — enforced
-//! structurally by `RecyclePool::remove_if_evictable`, which revalidates
-//! the pin count and leaf property inside the table's write critical
-//! section, and asserted directly by the pinned-survival test below. One
-//! flooding session must not starve another's admissions either.
+//! structurally by `RecyclePool::insert`, which gathers its victims from
+//! the unpinned leaves inside the write step that admits (a pin is taken
+//! under the read lock, so none can appear between gather and removal),
+//! and asserted directly by the pinned-survival test below. One flooding
+//! session must not starve another's admissions either.
 
 use std::collections::HashMap;
 use std::thread;
@@ -176,8 +177,8 @@ fn eight_sessions_still_agree_with_naive() {
 #[test]
 fn tight_memory_limit_evicts_but_never_a_pinned_entry() {
     // Small budget: admissions constantly trigger eviction while other
-    // sessions hold pins. `remove_if_evictable` refuses pinned or
-    // non-leaf victims under the table write lock, so a wrongly evicted
+    // sessions hold pins. The admission's write step takes only unpinned
+    // leaves as victims, under the write lock, so a wrongly evicted
     // pinned entry would surface as a diverging result or a broken
     // invariant check; results must still equal naive.
     let limit = 48 * 1024;
@@ -187,8 +188,9 @@ fn tight_memory_limit_evicts_but_never_a_pinned_entry() {
         stats.evictions > 0 || stats.admission_rejects > 0,
         "a 48 KiB pool must be under pressure: {stats:?}"
     );
-    // the cap is STRICT even under concurrent admissions: in-flight
-    // reservations are accounted, so the pool can never overshoot
+    // the cap is STRICT even under concurrent admissions: the cap check,
+    // the eviction and the insert are one write step, so the pool can
+    // never overshoot (debug builds assert it after every insert)
     assert!(
         db.pool().bytes() <= limit,
         "resident {} bytes exceed the {} byte cap",

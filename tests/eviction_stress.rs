@@ -2,12 +2,14 @@
 //! every few admissions trigger an inline eviction round), a committing
 //! writer invalidating lineage, repeated warm probes pinning entries, and
 //! a checker holding the structural invariants mid-storm — between
-//! eviction rounds, which each take the table write lock whole — and
+//! admissions, which make their room and insert in one hold of the pool's
+//! write lock — and
 //! clearing the pool through a `MaintenanceGuard` once, all at once over
 //! one shared pool. The run must end with the structural invariants
 //! intact, including the incremental evictable-leaf index equalling the
-//! brute-force childless set: batched eviction trusts the index
-//! completely, so any drift under this churn would surface here. CI
+//! brute-force childless set: eviction trusts the index completely, so
+//! any drift under this churn would surface here. Debug builds also
+//! assert after every insert that the pool is within its caps. CI
 //! re-runs this suite in release mode, where the races are fastest.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,9 +129,9 @@ fn concurrent_admissions_evictions_and_commits_keep_the_pool_exact() {
         stats.evictions > 0,
         "the caps must force evictions during the stress: {stats:?}"
     );
-    // mid-storm the strict admission gate may reject the writer's chains
-    // (concurrent reservations), so pin the invalidation path on one
-    // quiescent query+commit instead of racing it against the churn
+    // mid-storm a full pool of pinned entries may leave the writer's
+    // chains no room, so pin the invalidation path on one quiescent
+    // query+commit instead of racing it against the churn
     {
         let mut writer = db.session();
         writer

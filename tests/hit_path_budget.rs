@@ -2,18 +2,17 @@
 //! heap allocations and in locks, held as exact counts — a counting global
 //! allocator for the former, the pool's and the accounts' per-thread lock
 //! probes for the latter — and, beside it, the budget of the miss path in
-//! lineage-graph and table locks: what an admission, a removal, a leaf
-//! gather, an eviction round and a commit may take, and that an admission
-//! allocates the same under a lineage one column wide or sixteen. (Each
-//! test runs on its own thread, so the per-thread probes see this test's
-//! locks only; the allocator counts on a thread-local too.)
+//! the pool's one lock: what an admission, an admission that evicts and a
+//! commit may take, and that an admission allocates the same under a
+//! lineage one column wide or sixteen. (Each test runs on its own thread,
+//! so the per-thread probes see this test's locks only; the allocator
+//! counts on a thread-local too.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
-use recycler::eviction::{evict, EvictTrigger};
-use recycler::{EntryId, EvictionPolicy, PoolEntry, RecyclePool, SharedRecycler};
+use recycler::{Caps, PoolEntry, RecyclePool, SharedRecycler};
 use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Session, Update};
 use rmal::{Program, ProgramBuilder, P};
 
@@ -136,15 +135,9 @@ fn a_hit_is_one_table_read_lock_and_a_query_one_accounts_lock() {
             let writes = db.pool().write_lock_acquisitions();
             let reads = RecyclePool::read_locks_on_this_thread();
             let accounts = SharedRecycler::accounts_locks_on_this_thread();
-            let graph = RecyclePool::graph_locks_on_this_thread();
             let lookups = SharedRecycler::account_lookups_on_this_thread();
             let reply = session.query(&template, &[]).unwrap();
             assert_eq!(reply.reused, marked);
-            assert_eq!(
-                RecyclePool::graph_locks_on_this_thread(),
-                graph,
-                "{admission:?}: an exact hit never touches the lineage graph"
-            );
             assert_eq!(
                 RecyclePool::read_locks_on_this_thread() - reads,
                 marked,
@@ -187,40 +180,31 @@ fn two_parent_plan() -> Program {
 }
 
 #[test]
-fn an_admission_is_two_graph_locks_and_one_table_write_lock() {
+fn an_admission_is_one_read_lock_and_one_write_lock() {
     // no cap: no admission evicts; no subsumption: a miss searches nothing
     let db = DatabaseBuilder::new(catalog())
         .recycler(RecyclerConfig::default().subsumption(false))
         .build();
-    // the first plan admits the bind (one more graph lock: its column
-    // buffer is registered persistent), the second hits it; `parents` is
-    // how many pool-resident producers the plan's admissions pin
-    for (plan, binds, parents) in [
-        (chain("one_parent_each", 10), 1, 11),
-        (two_parent_plan(), 0, 5),
-    ] {
+    // the first plan admits the bind (one more write lock: its column
+    // buffer is registered persistent), the second hits it; the plans'
+    // admissions pin 11 and 5 pool-resident producers
+    for (plan, binds) in [(chain("one_parent_each", 10), 1), (two_parent_plan(), 0)] {
         let template = db.prepare(plan);
         let mut session = db.session();
         let writes = db.pool().write_lock_acquisitions();
         let reads = RecyclePool::read_locks_on_this_thread();
-        let graph = RecyclePool::graph_locks_on_this_thread();
         let accounts = SharedRecycler::accounts_locks_on_this_thread();
         let reply = session.query(&template, &[]).unwrap();
         assert_eq!(reply.admitted, reply.marked - (1 - binds), "{reply:?}");
         assert_eq!(
             db.pool().write_lock_acquisitions() - writes,
-            reply.admitted,
-            "one table write lock per eviction-free admission"
-        );
-        assert_eq!(
-            RecyclePool::graph_locks_on_this_thread() - graph,
-            2 * reply.admitted + binds,
-            "one resolve and one wire per admission, however many parents"
+            reply.admitted + binds,
+            "one write lock per eviction-free admission, one per registration"
         );
         assert_eq!(
             RecyclePool::read_locks_on_this_thread() - reads,
-            reply.marked + parents,
-            "one table read lock per probe and per pinned parent"
+            reply.marked + reply.admitted,
+            "one read lock per probe, one per admission however many parents it pins"
         );
         assert_eq!(
             SharedRecycler::accounts_locks_on_this_thread() - accounts,
@@ -300,62 +284,27 @@ fn an_admission_allocates_the_same_whatever_the_width_of_its_lineage() {
 }
 
 #[test]
-fn a_removal_is_one_graph_lock_and_a_leaf_gather_one() {
-    let pool = RecyclePool::new();
-    let root = pool.alloc_id();
-    assert!(pool
-        .insert(PoolEntry::test_stub(root, 0, vec![], 64), None)
-        .inserted());
-    let leaves: Vec<EntryId> = (1..=6)
-        .map(|tag| {
-            let leaf = PoolEntry::test_stub(pool.alloc_id(), tag, vec![root], 64);
-            pool.insert(leaf, None).id()
-        })
-        .collect();
-    let graph_locks = |f: &mut dyn FnMut()| {
-        let before = RecyclePool::graph_locks_on_this_thread();
-        f();
-        RecyclePool::graph_locks_on_this_thread() - before
-    };
-    let mut seen = 0;
-    assert_eq!(
-        graph_locks(&mut || pool.for_each_leaf_entry(|_| seen += 1)),
-        1
-    );
-    assert_eq!(seen, 6, "the gather saw every leaf");
-    assert_eq!(graph_locks(&mut || assert_eq!(pool.leaf_ids(), leaves)), 1);
-    // a batch places its victims in one read, then each removal is one
-    // `unwire` — the leaf check, the parent's re-leafing and every index
-    // of the victim in that one step (the root, not a leaf, costs its
-    // refused `unwire`)
-    let mut victims = leaves[..4].to_vec();
-    victims.push(root);
-    let removed = &mut Vec::new();
-    let batch = graph_locks(&mut || *removed = pool.remove_batch_if_evictable(&victims));
-    assert_eq!(removed.len(), 4, "the root still has two children");
-    assert_eq!(batch, 1 + victims.len() as u64);
-    // by id: one read to find the key, one `unwire`
-    assert_eq!(
-        graph_locks(&mut || assert!(pool.remove(leaves[4]).is_some())),
-        2
-    );
-    pool.check_invariants().unwrap();
-}
-
-#[test]
 fn an_eviction_round_is_one_table_write_lock() {
+    // 24 unpinned leaves under a cap of 9 entries: the admission evicts 16
+    // and inserts itself in one write step
     let pool = RecyclePool::new();
     for tag in 0..24 {
         let leaf = PoolEntry::test_stub(pool.alloc_id(), tag, vec![], 64);
-        assert!(pool.insert(leaf, None).inserted());
+        assert!(pool.insert(leaf, None, Caps::NONE).0.inserted());
     }
+    let caps = Caps {
+        entries: Some(9),
+        ..Caps::NONE
+    };
     let writes = pool.write_lock_acquisitions();
-    let evicted = evict(&pool, EvictionPolicy::Lru, EvictTrigger::Entries(16), 100);
+    let admission = PoolEntry::test_stub(pool.alloc_id(), 99, vec![], 64);
+    let (admitted, evicted) = pool.insert(admission, None, caps);
+    assert!(admitted.inserted());
     assert_eq!(evicted.len(), 16);
     assert_eq!(
         pool.write_lock_acquisitions() - writes,
         1,
-        "16 victims, one batched removal under one write lock"
+        "16 victims and the insert under one write lock"
     );
     pool.check_invariants().unwrap();
 }
@@ -371,19 +320,16 @@ fn a_commit_is_one_table_write_lock_one_retire_and_an_unwire_per_victim() {
     assert_eq!(victims, 8, "the bind, six selections and the count");
     let invalidated = db.stats().invalidated;
     let writes = db.pool().write_lock_acquisitions();
-    let graph = RecyclePool::graph_locks_on_this_thread();
     session
         .commit(Update::to("t").insert(vec![vec![Value::Int(7)]]))
         .unwrap();
-    let graph = RecyclePool::graph_locks_on_this_thread() - graph;
+    // naming the roots (`retire`), reading their subtrees and one `unwire`
+    // per victim, all in one write step
     assert_eq!(
         db.pool().write_lock_acquisitions() - writes,
         1,
-        "the invalidation holds the table write lock once"
+        "the invalidation holds the write lock once"
     );
-    // the graph write naming the roots (`retire`), one read of their
-    // subtrees, one `unwire` per victim
-    assert_eq!(graph, 2 + victims);
     assert_eq!(db.stats().invalidated - invalidated, victims);
     assert!(db.pool().is_empty());
     db.pool().check_invariants().unwrap();

@@ -3,7 +3,8 @@
 //! parent wiring, entries standing on a registered persistent BAT nobody
 //! resident produced, duplicates that alias their result onto the winner,
 //! orphans whose parent is gone), persistent-BAT registrations, removals,
-//! eviction attempts single and batched, subtree invalidations (directly
+//! evictions — the room an admission under an entry cap makes in its own
+//! write step, one victim or a batch — subtree invalidations (directly
 //! and under a write view), commits (`retire_columns` + the removal of the
 //! roots' subtrees) and subset edges the pool's lineage graph must equal
 //!
@@ -23,9 +24,10 @@
 //! The eviction gather trusts the leaf set completely (no per-candidate
 //! child probe) and admission coherence trusts the result index, so drift
 //! would silently evict non-leaves, strand evictable entries or admit
-//! orphans. With `--features failpoints` one more step tears an insert at
-//! `pool.insert.wired` (graph wired, table entry missing) and `repair`
-//! must restore exactly the model. A subset edge must live exactly as long
+//! orphans; the model also names every victim, in order, the way the LRU
+//! policy must pick them. With `--features failpoints` one more step tears
+//! an insert at `pool.insert.wired` (graph wired, table entry missing) and
+//! `repair` must restore exactly the model. A subset edge must live exactly as long
 //! as the entry owning the subset result, and one naming a result nobody
 //! owns is never recorded.
 //!
@@ -44,7 +46,7 @@ use proptest::prelude::*;
 use rbat::{Bat, BatId, Column, Value};
 use recycler::entry::{Admitter, Anchors, Lineage};
 use recycler::signature::{ArgSig, Sig};
-use recycler::{Admitted, EntryId, PoolEntry, RecyclePool};
+use recycler::{Admitted, Caps, EntryId, PoolEntry, RecyclePool};
 use rmal::Opcode;
 
 /// Signatures share their first argument in thirds, so the candidate lists
@@ -77,7 +79,7 @@ fn bind_sig(tag: i64) -> Sig {
     Sig::of(Opcode::Bind, &[Value::str("t"), Value::Int(tag)])
 }
 
-/// An unpinned entry whose result is a BAT of its own.
+/// An unpinned entry whose result is a BAT of its own, last used at `tag`.
 fn mk(pool: &RecyclePool, sig: Sig, parents: Vec<EntryId>, tag: i64) -> (PoolEntry, BatId) {
     mk_anchored(pool, sig, parents, Anchors::new(), tag)
 }
@@ -99,7 +101,10 @@ fn mk_anchored(
         64,
         Duration::from_millis(1),
         lineage,
-        Admitter::default(),
+        Admitter {
+            tick: tag as u64,
+            ..Admitter::default()
+        },
     );
     e.pins.store(0, Ordering::Relaxed);
     (e, result)
@@ -117,6 +122,9 @@ struct Resident {
     /// Recorded subset edges `result ⊆ sup`.
     supersets: Vec<BatId>,
     pins: u32,
+    /// Stamped as used before everything else: LRU's first choice. The
+    /// others were last used when they were admitted, in id order.
+    oldest: bool,
     /// The columns the entry was admitted with as its own.
     anchors: Anchors,
     /// The old definition of its lineage: `anchors` plus every parent's
@@ -169,6 +177,7 @@ impl Model {
             aliases: vec![],
             supersets: vec![],
             pins: 0,
+            oldest: false,
             anchors,
             columns,
         });
@@ -190,9 +199,34 @@ impl Model {
         self.residents.iter().filter(feeds).map(|r| r.id).collect()
     }
 
-    fn evictable(&self, id: EntryId) -> bool {
-        let unpinned = self.residents.iter().any(|r| r.id == id && r.pins == 0);
-        unpinned && self.children(id).is_empty()
+    /// What freeing `need` entry slots under LRU removes, in order: round
+    /// after round, the unpinned leaves by last use (ties by id), as many
+    /// as still needed, until none is left.
+    fn lru_victims(&self, need: usize) -> Vec<EntryId> {
+        let mut gone: Vec<EntryId> = Vec::new();
+        while gone.len() < need {
+            let alive = |r: &&Resident| !gone.contains(&r.id);
+            let feeds = |id: EntryId| {
+                self.residents
+                    .iter()
+                    .filter(alive)
+                    .any(|c| c.parents.contains(&id))
+            };
+            let mut round: Vec<(bool, EntryId)> = self
+                .residents
+                .iter()
+                .filter(alive)
+                .filter(|r| r.pins == 0 && !feeds(r.id))
+                .map(|r| (!r.oldest, r.id))
+                .collect();
+            if round.is_empty() {
+                break;
+            }
+            round.sort_unstable();
+            let take = need - gone.len();
+            gone.extend(round.into_iter().take(take).map(|(_, id)| id));
+        }
+        gone
     }
 
     fn leaves(&self) -> Vec<EntryId> {
@@ -340,6 +374,42 @@ fn agree(pool: &RecyclePool, model: &Model, step: &str) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// Admit a fresh root under an entry cap that leaves it room only once `k`
+/// entries are gone — eviction through its one entry point, the write step
+/// of `insert`. The pool must evict exactly the model's LRU victims, in
+/// order, and admit the root iff there were `k` of them.
+fn evict_through_insert(
+    pool: &RecyclePool,
+    model: &mut Model,
+    k: usize,
+    tag: i64,
+) -> Result<(), TestCaseError> {
+    let want = model.lru_victims(k);
+    let (e, result) = mk(pool, sig_of(tag), vec![], tag);
+    let (id, sig) = (e.id, e.sig.clone());
+    let caps = Caps {
+        entries: Some(model.residents.len() + 1 - k),
+        ..Caps::NONE
+    };
+    let (admitted, evicted) = pool.insert(e, None, caps);
+    let evicted: Vec<EntryId> = evicted.iter().map(|e| e.id).collect();
+    prop_assert_eq!(
+        &evicted,
+        &want,
+        "victims of room for one under a cap {} lower",
+        k
+    );
+    model.remove(&evicted);
+    if want.len() == k {
+        prop_assert_eq!(admitted, Admitted::Inserted(id));
+        model.admit(id, sig, vec![], result, Anchors::new());
+    } else {
+        prop_assert_eq!(admitted, Admitted::NoRoom);
+        model.retired.push(result);
+    }
+    Ok(())
+}
+
 /// Tear an insert at `pool.insert.wired` — the graph knows the entry, the
 /// table does not hold it — and repair.
 #[cfg(feature = "failpoints")]
@@ -351,7 +421,7 @@ fn torn_insert_then_repair(pool: &RecyclePool, entry: PoolEntry) {
         .install();
     let hook = take_hook();
     set_hook(Box::new(|_| {}));
-    let torn = catch_unwind(AssertUnwindSafe(|| pool.insert(entry, None)));
+    let torn = catch_unwind(AssertUnwindSafe(|| pool.insert(entry, None, Caps::NONE)));
     set_hook(hook);
     fault::clear();
     assert!(
@@ -391,7 +461,7 @@ proptest! {
                     let sig = sig_of(tag);
                     let (e, result) = mk(&pool, sig.clone(), vec![], tag);
                     let id = e.id;
-                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, vec![], result, Anchors::new());
                     "insert root"
                 }
@@ -404,7 +474,7 @@ proptest! {
                     let id = e.id;
                     pool.register_persistent(result, anchors.clone());
                     model.register(result, anchors.clone());
-                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, vec![], result, anchors);
                     "insert anchored root"
                 }
@@ -431,7 +501,7 @@ proptest! {
                     let sig = sig_of(tag);
                     let (e, result) = mk_anchored(&pool, sig.clone(), parents.clone(), anchors.clone(), tag);
                     let id = e.id;
-                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, parents, result, anchors);
                     "insert under a persistent BAT"
                 }
@@ -471,7 +541,7 @@ proptest! {
                     let sig = sig_of(tag);
                     let (e, result) = mk(&pool, sig.clone(), parents.clone(), tag);
                     let id = e.id;
-                    prop_assert_eq!(pool.insert(e, None), Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, parents, result, Anchors::new());
                     "insert child"
                 }
@@ -479,7 +549,7 @@ proptest! {
                 // the loser, and the loser's BAT becomes its alias
                 (2, Some(winner)) => {
                     let (e, loser_bat) = mk(&pool, winner.sig.clone(), vec![], tag);
-                    prop_assert_eq!(pool.insert(e, None), Admitted::Duplicate(winner.id));
+                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Duplicate(winner.id));
                     let w = model.get(winner.id);
                     w.aliases.push(loser_bat);
                     w.pins += 1;
@@ -489,7 +559,7 @@ proptest! {
                 // be wired, not even the edge onto the live parent
                 (3, Some(p)) => {
                     let (e, _) = mk(&pool, sig_of(tag), vec![p.id, 1_000_000 + tag as u64], tag);
-                    prop_assert_eq!(pool.insert(e, None), Admitted::Orphaned);
+                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Orphaned);
                     "orphaned admission"
                 }
                 // unconditional removal of a childless entry — unlike
@@ -503,38 +573,33 @@ proptest! {
                     }
                     "remove"
                 }
-                // eviction attempt: succeeds exactly on unpinned leaves
+                // one eviction, aimed: `r` is stamped as the oldest entry,
+                // so LRU takes it if it is an unpinned leaf, else the oldest
+                // one that is — or, with none left, the admission finds no
+                // room
                 (5, Some(r)) => {
-                    let went = pool.remove_if_evictable(r.id).is_some();
-                    prop_assert_eq!(went, model.evictable(r.id), "evicting {}", r.id);
-                    if went {
-                        model.remove(&[r.id]);
-                    }
+                    pool.entry(r.id, |e| e.last_used.store(0, Ordering::Relaxed));
+                    model.get(r.id).oldest = true;
+                    evict_through_insert(&pool, &mut model, 1, tag)?;
                     "evict one"
                 }
-                // batched eviction over an arbitrary victim list, dead id
-                // included. The batch runs in victim order, so a parent may
-                // go after its last child did: every removed entry must
-                // have been evictable when its turn came (the pool returns
-                // them in that order), and every victim that was evictable
-                // from the start must be gone.
+                // a batch of evictions aimed at an arbitrary victim list:
+                // the listed entries are stamped as the oldest, and as many
+                // go as the list is long — peeling a parent once its last
+                // child went, passing over pinned entries and parents for
+                // the next oldest leaves
                 (6, Some(_)) => {
                     let mask = (sel_a as u64) << 6 | sel_b as u64;
                     let chosen = |i: &usize| mask >> (i % 12) & 1 == 1;
-                    let mut victims: Vec<EntryId> = (0..model.residents.len())
+                    let victims: Vec<EntryId> = (0..model.residents.len())
                         .filter(chosen)
                         .map(|i| model.residents[i].id)
                         .collect();
-                    victims.push(2_000_000);
-                    let sure: Vec<EntryId> =
-                        victims.iter().copied().filter(|v| model.evictable(*v)).collect();
-                    let removed = pool.remove_batch_if_evictable(&victims);
-                    for e in &removed {
-                        prop_assert!(model.evictable(e.id), "evicted {} too early", e.id);
-                        model.remove(&[e.id]);
+                    for v in &victims {
+                        pool.entry(*v, |e| e.last_used.store(0, Ordering::Relaxed));
+                        model.get(*v).oldest = true;
                     }
-                    let gone = |v: &EntryId| removed.iter().any(|e| e.id == *v);
-                    prop_assert!(sure.iter().all(gone), "an unpinned leaf survived the batch");
+                    evict_through_insert(&pool, &mut model, victims.len().max(1), tag)?;
                     "evict batch"
                 }
                 // subtree invalidation, directly or (odd) under a write view
@@ -600,23 +665,22 @@ proptest! {
             };
             agree(&pool, &model, step)?;
         }
-        // drain through the eviction path: layer by layer, every entry is
+        // drain through the eviction path: one admission under a cap of one
+        // entry evicts everything, layer by layer — every entry is
         // eventually a leaf and the leaf set must steer the whole teardown
         // (unpin everything first — eviction never removes pinned entries)
         for r in &mut model.residents {
             pool.entry(r.id, |e| e.pins.store(0, Ordering::Relaxed));
             r.pins = 0;
         }
-        let mut guard = 0usize;
-        while !pool.is_empty() {
-            let leaves = pool.leaf_ids();
-            prop_assert!(!leaves.is_empty(), "non-empty pool must expose leaves");
-            pool.remove_batch_if_evictable(&leaves);
-            model.remove(&leaves);
-            agree(&pool, &model, "drain layer")?;
-            guard += 1;
-            prop_assert!(guard <= 64, "drain did not terminate");
-        }
+        let everything = model.residents.len();
+        evict_through_insert(&pool, &mut model, everything, tag + 1)?;
+        agree(&pool, &model, "drain")?;
+        prop_assert_eq!(pool.len(), 1, "only the draining admission is left");
+        let last: Vec<EntryId> = model.residents.iter().map(|r| r.id).collect();
+        prop_assert!(pool.remove(last[0]).is_some());
+        model.remove(&last);
+        agree(&pool, &model, "drained")?;
         prop_assert_eq!(pool.leaf_index_size(), 0);
     }
 }

@@ -243,10 +243,12 @@ fn a_commit_repairs_a_quarantined_pool_first() {
 }
 
 /// Eviction runs inline, on the admitting query: a round that panics
-/// unwinds out of that query while its capacity reservation is pending.
-/// The reservation must be released on the way out — left counted, it
-/// would make the cap's gate refuse every later eviction, and the full
-/// pool would turn every admission away for good.
+/// unwinds out of that query. Eviction must keep working afterwards —
+/// the full pool must keep admitting. (It once did not: a capacity
+/// reservation leaked by the unwind made the cap's gate refuse every later
+/// eviction. No reservation outlives its write step any more, and this
+/// test stays as the regression for "eviction works after a panicking
+/// round".)
 #[test]
 fn a_panicking_eviction_round_leaves_eviction_working() {
     let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -315,7 +317,7 @@ fn admission_deny_faults_only_cost_misses() {
     assert!(fault::hits("admission.reserve") > 0, "site was exercised");
     assert!(fault::fired("admission.reserve") > 0);
     let rejects = db.stats().admission_rejects;
-    assert!(rejects > 0, "denied reservations surface as rejects");
+    assert!(rejects > 0, "denied admissions surface as rejects");
     fault::clear();
     db.pool().check_invariants().expect("books survive denials");
 }
