@@ -17,17 +17,19 @@
 //!
 //! The registry is global, so tests that install plans must serialise
 //! themselves (a `static Mutex` works) and [`clear`] the registry when
-//! done. Sites are plain strings; the ones wired today:
+//! done. Sites are plain strings; the ones wired today, with what a
+//! firing costs (a panic at a site under the pool's write lock empties
+//! the pool before the lock unlocks — one `pool_wipes`):
 //!
-//! | site                | layer                    | honoured actions |
-//! |---------------------|--------------------------|------------------|
-//! | `admission.reserve` | admission, before insert (Deny: no room) | Deny, Panic |
-//! | `pool.insert`       | insert, lock held        | Panic            |
-//! | `pool.insert.wired` | insert, indexes half-wired | Panic          |
-//! | `evict.gather`      | insert about to make room, before the lock | Panic |
-//! | `evict.remove`      | eviction round, lock held | Panic           |
-//! | `wire.read`         | server frame read        | Io, Panic        |
-//! | `wire.write`        | server frame write       | Io, Panic        |
+//! | site                | layer                    | honoured actions | outcome |
+//! |---------------------|--------------------------|------------------|---------|
+//! | `admission.reserve` | admission, before insert (Deny: no room) | Deny, Panic | a miss; a panic leaves the pool untouched |
+//! | `pool.insert`       | insert, lock held        | Panic            | pool wiped |
+//! | `pool.insert.wired` | insert, indexes half-wired | Panic          | pool wiped |
+//! | `evict.gather`      | insert about to make room, before the lock | Panic | pool untouched |
+//! | `evict.remove`      | eviction round, lock held | Panic           | pool wiped |
+//! | `wire.read`         | server frame read        | Io, Panic        | Io: connection severed |
+//! | `wire.write`        | server frame write       | Io, Panic        | Io: connection severed |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -5,12 +5,13 @@
 //! admission: an entry is immutable while resident. The books are sums of
 //! those charges — the pool-wide resident total and the entry count — and
 //! two calls move them: [`Ledger::charge`] at insert and
-//! [`Ledger::release`] at removal (eviction, invalidation). The caller holds the pool pool's write lock, so the books change under
-//! it; they are plain atomics read lock-free by the admission gate.
-//! Because every book is a pure function of the resident entries,
-//! [`Ledger::recompute`] re-derives all of them from the table: quarantine
-//! repair stores that image, `check_invariants` and the write view's debug
-//! drop compare against it.
+//! [`Ledger::release`] at removal (eviction, invalidation); emptying the
+//! pool — `clear`, or a write step that panicked — zeroes them. The caller
+//! holds the pool's write lock, so the books change under it; they are
+//! plain atomics read lock-free by the admission gate. Because every book
+//! is a pure function of the resident entries, [`Ledger::recompute`]
+//! re-derives all of them from the table: `check_invariants` and the write
+//! view's debug drop compare against it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -74,10 +75,10 @@ impl Ledger {
         books
     }
 
-    /// Overwrite every counter with `books` (quarantine repair, `clear`).
-    /// The caller holds the pool write lock.
-    pub(crate) fn store(&self, books: &Books) {
-        self.bytes.store(books.bytes, Ordering::Relaxed);
-        self.entries.store(books.entries, Ordering::Relaxed);
+    /// Zero every counter (the pool was emptied: `clear`, or a write step
+    /// that panicked). The caller holds the pool write lock.
+    pub(crate) fn zero(&self) {
+        self.bytes.store(0, Ordering::Relaxed);
+        self.entries.store(0, Ordering::Relaxed);
     }
 }

@@ -109,7 +109,7 @@ pub use config::{AdmissionPolicy, EvictionPolicy, RecyclerConfig, UpdateMode};
 pub use entry::{EntryId, PoolEntry};
 pub use eviction::Caps;
 pub use mark::RecycleMark;
-pub use pool::{Admitted, PoolWriteView, RecyclePool, RepairReport};
+pub use pool::{Admitted, PoolWriteView, RecyclePool};
 pub use runtime::Recycler;
 pub use shared::{MaintenanceGuard, SharedRecycler};
 pub use stats::{FamilyRow, PoolSnapshot, QueryRecord, RecyclerStats};

@@ -47,9 +47,9 @@
 //! Everything but three recorded facts — the duplicate-admission aliases,
 //! the subset edges and the persistent-BAT registry — is a pure function of
 //! the resident entries: [`LineageGraph::rebuild`] re-derives it from the
-//! table and carries the recorded facts over. Quarantine repair stores that
-//! image; `check_invariants` compares the live graph against it
-//! ([`LineageGraph::diff`]).
+//! table and carries the recorded facts over; `check_invariants` compares
+//! the live graph against it ([`LineageGraph::diff`]). A write step that
+//! panics leaves no graph to mend: the pool empties, graph included.
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;

@@ -7,7 +7,8 @@
 //! admission together with the room it makes, a commit's invalidation,
 //! maintenance — takes the write lock once. This module owns every
 //! question about an entry's *content* — the table, the
-//! [ledger](crate::ledger), the eviction step, quarantine and repair.
+//! [ledger](crate::ledger), the eviction step and what a write step that
+//! panics leaves behind: an empty pool.
 //! Every question about *ids* — where an id is filed, who feeds whom,
 //! which entries are evictable leaves, which results subsume which, which
 //! entries derive from a base column — belongs to the graph. See
@@ -15,8 +16,8 @@
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rbat::hash::FxHashSet;
 use rbat::BatId;
@@ -24,7 +25,7 @@ use rmal::Opcode;
 
 use crate::entry::{Anchors, EntryId, Lineage, Pin, PoolEntry};
 use crate::eviction::{self, Candidate, Caps, Unit};
-use crate::ledger::{Books, Ledger};
+use crate::ledger::Ledger;
 use crate::lineage::{LineageGraph, Resolved};
 use crate::signature::{ArgSig, FingerprintMap, Sig, SigRef};
 
@@ -47,11 +48,6 @@ pub enum Admitted {
     /// The candidate was dropped; what was evicted on the way stays
     /// evicted. The caller refunds its admission charge.
     NoRoom,
-    /// The pool is quarantined after a poisoning panic (see
-    /// [`RecyclePool::repair`]); the candidate was rejected without
-    /// touching the table. The caller refunds its admission charge —
-    /// degraded mode costs a cache miss, never a wrong answer.
-    Quarantined,
 }
 
 impl Admitted {
@@ -138,11 +134,14 @@ struct State {
 /// All methods take `&self`; locking is internal, and there is one lock.
 /// Probes (`lookup`, [`Self::probe`]), id-based reads ([`Self::entry`]),
 /// an admission's lineage resolution and a subsumption candidate search
-/// take its **read** guard once. [`Self::insert`] — eviction included —
-/// the removal paths and a commit's [`PoolWriteView`] take its **write**
-/// guard once. Every stored result `Value` is `Arc`-shared — a result
-/// cloned out of the pool stays valid after the entry is evicted or
-/// invalidated.
+/// take its **read** guard once. Every step that changes the pool —
+/// [`Self::insert`] with the room it makes, the removal paths, `clear`,
+/// a registration, a subset edge, a commit — holds the one write guard,
+/// [`PoolWriteView`], for the whole step. A step that panics empties the
+/// pool before the guard unlocks (see [`PoolWriteView`]'s `Drop`), so the
+/// lock, poisoned or not, always guards a consistent pool. Every stored
+/// result `Value` is `Arc`-shared — a result cloned out of the pool stays
+/// valid after the entry is evicted, invalidated or wiped.
 pub struct RecyclePool {
     state: RwLock<State>,
     /// The resident byte and entry-count books. Moved only by the
@@ -163,32 +162,8 @@ pub struct RecyclePool {
     /// Eviction gather rounds since construction (the divisor for
     /// per-round gather cost).
     gather_rounds: AtomicU64,
-    /// The quarantine flag — the degraded-mode source of truth, beside the
-    /// lock's own poison flag. Raised the first time the lock is observed
-    /// poisoned (a panic unwound through a writer holding it, so its
-    /// slab/index wiring may be torn). While raised: probes miss,
-    /// admissions come back as [`Admitted::Quarantined`] (so nothing is
-    /// evicted) — a miss is always correct, torn state is never served or
-    /// extended. Only [`Self::repair`] or [`Self::clear`] lower it.
-    quarantined: AtomicBool,
-    /// Cumulative quarantine episodes (stats).
-    quarantined_total: AtomicU64,
-    /// Cumulative repairs that returned the pool to service (stats).
-    repaired_total: AtomicU64,
-}
-
-/// What [`RecyclePool::repair`] did — counts for the stats layer and
-/// for byte-book assertions in tests.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Was the pool quarantined — and is it now back in service?
-    pub repaired: bool,
-    /// Entries dropped: torn (half-wired) residents plus any entry whose
-    /// lineage chain died with them.
-    pub entries_dropped: usize,
-    /// Bytes of the dropped entries; the ledger is recomputed from the
-    /// surviving table, healing any counter drift a mid-flight panic left.
-    pub bytes_dropped: usize,
+    /// Write steps a panic unwound through, each of which emptied the pool.
+    wipes: AtomicU64,
 }
 
 impl std::fmt::Debug for RecyclePool {
@@ -217,9 +192,7 @@ impl RecyclePool {
             write_acquisitions: AtomicU64::new(0),
             gather_visited: AtomicU64::new(0),
             gather_rounds: AtomicU64::new(0),
-            quarantined: AtomicBool::new(false),
-            quarantined_total: AtomicU64::new(0),
-            repaired_total: AtomicU64::new(0),
+            wipes: AtomicU64::new(0),
         }
     }
 
@@ -241,62 +214,17 @@ impl RecyclePool {
         READ_LOCKS.with(Cell::get)
     }
 
+    /// The read guard. A poisoned lock guards an empty pool (the write
+    /// step that panicked wiped it), so the poison flag is not consulted.
     fn read_state(&self) -> RwLockReadGuard<'_, State> {
         READ_LOCKS.with(|n| n.set(n.get() + 1));
-        self.state.read().unwrap_or_else(|poisoned| {
-            self.note_poison();
-            poisoned.into_inner()
-        })
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write_state(&self) -> RwLockWriteGuard<'_, State> {
-        self.write_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.state.write().unwrap_or_else(|poisoned| {
-            self.note_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    /// Raise the quarantine flag (idempotent). Called the moment poison is
-    /// observed — at a lock acquisition or a lock-free `is_poisoned` probe
-    /// on the hit path.
-    fn note_poison(&self) {
-        if !self.quarantined.swap(true, Ordering::AcqRel) {
-            self.quarantined_total.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// May the pool serve probes and admissions? False once it is
-    /// quarantined — including the very first probe after the poisoning
-    /// panic, via the lock's own poison flag (two atomic loads; the
-    /// exact-match hit path pays exactly this).
-    fn serviceable(&self) -> bool {
-        if self.quarantined.load(Ordering::Acquire) {
-            return false;
-        }
-        if self.state.is_poisoned() {
-            self.note_poison();
-            return false;
-        }
-        true
-    }
-
-    /// Is the pool quarantined? O(1); callers that can afford a
-    /// [`Self::repair`] — the commit path, the server's panic containment
-    /// — consult this to run one.
-    pub fn has_quarantined(&self) -> bool {
-        !self.serviceable()
-    }
-
-    /// Cumulative quarantine episodes (monotone; stats).
-    pub fn quarantined_total(&self) -> u64 {
-        self.quarantined_total.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative repairs that returned the pool to service (monotone;
-    /// stats).
-    pub fn repaired_total(&self) -> u64 {
-        self.repaired_total.load(Ordering::Relaxed)
+    /// Write steps a panic unwound through, each of which emptied the pool
+    /// (monotone; stats).
+    pub fn wipes(&self) -> u64 {
+        self.wipes.load(Ordering::Relaxed)
     }
 
     /// Number of entries ("cache lines").
@@ -327,95 +255,7 @@ impl RecyclePool {
     /// racing admission lands either entirely before the clear (and is
     /// wiped) or entirely after it (and stays fully wired).
     pub fn clear(&self) {
-        let mut state = self.write_state();
-        *state = State::default();
-        self.ledger.store(&Books::default());
-        // A full wipe trivially restores every invariant: lift any
-        // quarantine and un-poison the lock — while the write guard is
-        // still held, so no probe can observe a poisoned lock with the
-        // quarantine flag already lowered.
-        self.state.clear_poison();
-        self.quarantined.store(false, Ordering::Release);
-    }
-
-    /// Repair a quarantined pool and return it to service.
-    ///
-    /// A panic that unwound through the write lock can leave *torn* state:
-    /// an exact-match key without its slab entry, a leaf/owner listing for
-    /// an id that never became resident, byte counters that drifted from
-    /// the table. Quarantine froze all of it (probes miss, admissions
-    /// bounce without evicting); this pass — one pass over the one table,
-    /// under the write lock — makes the frozen state consistent again:
-    ///
-    /// 1. the table is refiled entry by entry, dropping misfiled and
-    ///    duplicate-signature residents;
-    /// 2. entries whose lineage chain died (a dropped ancestor anywhere)
-    ///    are cascaded out — a child may never outlive its parents;
-    /// 3. the lineage graph is replaced by [`LineageGraph::rebuild`] over
-    ///    the surviving table (aliases and subset edges carried over for
-    ///    survivors only);
-    /// 4. the ledger is overwritten with [`Ledger::recompute`] over the
-    ///    survivors (healing drift in either direction), and the lock
-    ///    poison and the quarantine flag are cleared while the write guard
-    ///    is still held.
-    ///
-    /// Afterwards [`Self::check_invariants`] holds again (tests assert
-    /// it). Dropped entries cost misses, never wrong answers: their
-    /// results were only reachable through indexes this pass prunes,
-    /// and pins held on them by in-flight queries unpin as no-ops.
-    pub fn repair(&self) -> RepairReport {
-        let mut state = self.write_state();
-        // with the lock held, a poisoned lock has been observed by
-        // `write_state` and carries the quarantine flag
-        if !self.quarantined.load(Ordering::Acquire) {
-            return RepairReport::default();
-        }
-        let mut dropped: Vec<PoolEntry> = Vec::new();
-        // 1. Table coherence. Two residents with one signature cannot both
-        // stay; refiling oldest id first keeps the one insert would have
-        // kept (first-writer-wins).
-        let Table { slots, collided } = std::mem::take(&mut state.table);
-        let mut torn: Vec<(u64, PoolEntry)> = slots.into_iter().chain(collided).collect();
-        torn.sort_unstable_by_key(|(_, e)| e.id);
-        let table = &mut state.table;
-        for (key, e) in torn {
-            if self.key(&e.sig) != key || table.find(key, |twin| twin.sig == e.sig).is_some() {
-                dropped.push(e);
-            } else {
-                table.insert(key, e);
-            }
-        }
-        // 2. Cascade: no resident may reference a dead parent.
-        let mut resident: FxHashSet<EntryId> = table.entries().map(|e| e.id).collect();
-        loop {
-            let orphaned =
-                |(_, e): &(u64, &PoolEntry)| e.parents.iter().any(|p| !resident.contains(p));
-            let doomed: Vec<(u64, EntryId)> = table
-                .filed()
-                .filter(orphaned)
-                .map(|(k, e)| (k, e.id))
-                .collect();
-            if doomed.is_empty() {
-                break;
-            }
-            for (key, id) in doomed {
-                resident.remove(&id);
-                dropped.extend(table.remove(key, id));
-            }
-        }
-        // 3. One graph from the surviving table.
-        state.graph = LineageGraph::rebuild(state.table.filed(), &state.graph);
-        // 4. Exact ledger from the survivors; un-poison; unquarantine.
-        self.ledger.store(&Ledger::recompute(state.table.entries()));
-        self.state.clear_poison();
-        self.quarantined.store(false, Ordering::Release);
-        self.repaired_total.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        RepairReport {
-            repaired: true,
-            entries_dropped: dropped.len(),
-            bytes_dropped: dropped.iter().map(|e| e.bytes()).sum(),
-        }
+        self.write_view().empty();
     }
 
     /// Exact-match lookup by owned signature (diagnostics and tests; the
@@ -428,7 +268,7 @@ impl RecyclePool {
     /// whole exact-match hit path (atomic counter updates, pinning, result
     /// cloning) happens inside `f`: one fingerprint, one lock, one table
     /// lookup, the stored signature verified. `f` must not call back into
-    /// the pool. A quarantined pool reports a miss (degraded mode).
+    /// the pool.
     pub fn probe<R>(&self, sig: &SigRef<'_>, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
         self.find(sig.fingerprint(), |e| sig.matches(&e.sig), f)
     }
@@ -439,20 +279,14 @@ impl RecyclePool {
         is: impl Fn(&PoolEntry) -> bool,
         f: impl FnOnce(&PoolEntry) -> R,
     ) -> Option<R> {
-        if !self.serviceable() {
-            return None;
-        }
         let state = self.read_state();
         state.table.find(fingerprint & self.fp_mask, is).map(f)
     }
 
     /// Run `f` over the entry `id`, under one read lock: the graph says
     /// where it is filed, the table holds it. `f` must not call back into
-    /// the pool. A quarantined pool reports `None` (degraded mode).
+    /// the pool.
     pub fn entry<R>(&self, id: EntryId, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
-        if !self.serviceable() {
-            return None;
-        }
         let state = self.read_state();
         let key = state.graph.locate(id)?;
         state.table.find(key, |e| e.id == id).map(f)
@@ -469,24 +303,21 @@ impl RecyclePool {
     /// a BAT nobody resident produced hands over the columns it is a
     /// registered persistent buffer of, as `lineage`'s own anchors. False —
     /// the thread cannot be anchored — at the first argument that is
-    /// neither, or whose producer cannot be pinned (a quarantined pool
-    /// serves nothing).
+    /// neither.
     pub(crate) fn resolve(
         &self,
         bats: impl Iterator<Item = BatId>,
         lineage: &mut Lineage,
         pins: &mut Vec<Pin>,
     ) -> bool {
-        let serviceable = self.serviceable();
         let state = self.read_state();
         for resolved in state.graph.resolve(bats) {
             match resolved {
                 Resolved::Entry(id, key) => {
-                    let producer = state.table.find(key, |e| e.id == id);
-                    let Some(pin) = producer.filter(|_| serviceable).map(Pin::take) else {
+                    let Some(producer) = state.table.find(key, |e| e.id == id) else {
                         return false;
                     };
-                    pins.push(pin);
+                    pins.push(Pin::take(producer));
                     lineage.parents.push(id);
                 }
                 Resolved::Persistent(columns) => lineage.anchors.extend(columns),
@@ -500,7 +331,7 @@ impl RecyclePool {
     /// the columns `anchors`: an identity admissions may reference without
     /// a pool-resident producer, until a commit retires one of its columns.
     pub fn register_persistent(&self, bat: BatId, anchors: Anchors) {
-        self.write_state().graph.register(bat, anchors);
+        self.write_view().state.graph.register(bat, anchors);
     }
 
     /// The persistent-BAT registry (diagnostics, tests).
@@ -550,7 +381,7 @@ impl RecyclePool {
     /// unless `sub` is the result of a resident entry — the edge leaves
     /// with that entry.
     pub fn add_subset_edge(&self, sub: BatId, sup: BatId) {
-        self.write_state().graph.add_subset_edge(sub, sup);
+        self.write_view().state.graph.add_subset_edge(sub, sup);
     }
 
     /// Is `sub ⊆ sup` derivable from the recorded subset edges
@@ -562,9 +393,7 @@ impl RecyclePool {
     /// Admit a fully constructed entry — `recycleExit` (paper §4.3) as one
     /// step under the write lock, which runs, in order:
     ///
-    /// 1. **quarantine**: a quarantined pool refuses the candidate
-    ///    ([`Admitted::Quarantined`]) without touching torn state;
-    /// 2. **duplicate**: two sessions can probe the same signature, both
+    /// 1. **duplicate**: two sessions can probe the same signature, both
     ///    miss, both execute, and both admit — a *normal* concurrent
     ///    outcome. First writer wins: the resident entry stays and is
     ///    pinned once on the loser's behalf, the loser's result BAT is
@@ -572,19 +401,19 @@ impl RecyclePool {
     ///    admissible), and the candidate is dropped
     ///    ([`Admitted::Duplicate`]) so the caller can return the admission
     ///    credit and reconcile its pin set;
-    /// 3. **parents**: a concurrent update may have invalidated a parent
+    /// 2. **parents**: a concurrent update may have invalidated a parent
     ///    since the caller resolved and pinned it; the candidate is then
     ///    dropped ([`Admitted::Orphaned`]) rather than left with dangling
     ///    lineage;
-    /// 4. **room**: while the candidate does not fit under `caps` —
+    /// 3. **room**: while the candidate does not fit under `caps` —
     ///    resident bytes plus its own under the byte cap, then resident
     ///    entries plus one under the entry cap — unpinned leaves go as
     ///    `caps.policy` ranks them ([`crate::eviction`]); if the leaves run
     ///    out, the candidate is dropped ([`Admitted::NoRoom`]);
-    /// 5. **wire and charge**: the entry enters the lineage graph and the
+    /// 4. **wire and charge**: the entry enters the lineage graph and the
     ///    table, and the ledger books it ([`Admitted::Inserted`]).
     ///
-    /// A loser at step 2 or 3 evicts nothing, and no admission waits on or
+    /// A loser at step 1 or 2 evicts nothing, and no admission waits on or
     /// is refused for another's demand: nothing is reserved across steps.
     /// The evicted entries are returned beside the outcome, for the caller
     /// to settle once the lock is released. `subset_of` optionally records
@@ -596,18 +425,16 @@ impl RecyclePool {
         caps: Caps,
     ) -> (Admitted, Vec<PoolEntry>) {
         let mut evicted = Vec::new();
-        if !self.serviceable() {
-            return (Admitted::Quarantined, evicted);
-        }
         let key = self.key(&entry.sig);
         // Failpoint: an admission about to make room, before the lock.
         #[cfg(feature = "failpoints")]
         if !caps.hold(self.bytes() + entry.bytes(), self.len() + 1) {
             let _ = crate::fault::fire("evict.gather");
         }
-        let mut state = self.write_state();
+        let mut view = self.write_view();
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert");
+        let state = &mut *view.state;
         let State { table, graph } = &mut *state;
         if let Some(win) = table.find(key, |e| e.sig == entry.sig) {
             win.pins.fetch_add(1, Ordering::Relaxed);
@@ -619,7 +446,7 @@ impl RecyclePool {
         if !graph.all_resident(&entry.parents) {
             return (Admitted::Orphaned, evicted);
         }
-        if !self.make_room(&mut state, &caps, entry.bytes(), &mut evicted) {
+        if !self.make_room(state, &caps, entry.bytes(), &mut evicted) {
             return (Admitted::NoRoom, evicted);
         }
         // (a parent nobody pinned may have been the room made — only a
@@ -643,7 +470,7 @@ impl RecyclePool {
         (Admitted::Inserted(id), evicted)
     }
 
-    /// Step 4 of [`Self::insert`], under its write lock: evict until a
+    /// Step 3 of [`Self::insert`], under its write lock: evict until a
     /// candidate charging `bytes` fits under the byte cap, then under the
     /// entry cap. False when it cannot — it alone exceeds a cap, or the
     /// unpinned leaves ran out.
@@ -779,14 +606,14 @@ impl RecyclePool {
         self.write_view().remove_subtree(&[root])
     }
 
-    /// Hold the write lock for an atomic multi-entry step — update
-    /// invalidation, maintenance, diagnostics. While the view is alive no
-    /// admission, hit or eviction runs anywhere in the pool.
+    /// Hold the write lock for one step — the only way to it: an
+    /// admission, a removal, `clear`, update invalidation, diagnostics.
+    /// While the view is alive no admission, hit or eviction runs anywhere
+    /// in the pool.
     pub fn write_view(&self) -> PoolWriteView<'_> {
-        PoolWriteView {
-            pool: self,
-            state: self.write_state(),
-        }
+        self.write_acquisitions.fetch_add(1, Ordering::Relaxed);
+        let state = self.state.write().unwrap_or_else(PoisonError::into_inner);
+        PoolWriteView { pool: self, state }
     }
 
     /// Render the pool as a MAL-like program block with its symbol table —
@@ -880,16 +707,24 @@ impl RecyclePool {
     }
 }
 
-/// The write lock, held for one atomic multi-entry step: a commit's
-/// retirement of columns and invalidation, maintenance, diagnostics.
-/// Concurrent queries observe the pool either entirely before or entirely
-/// after it.
+/// The pool's one write guard, held for one step: an admission with the
+/// room it makes, a removal, `clear`, a commit's retirement of columns and
+/// invalidation. Concurrent queries observe the pool either entirely
+/// before or entirely after it. A step that panics may leave the table and
+/// the graph torn; the guard's `Drop` then empties the pool before the
+/// lock unlocks, so what the (poisoned) lock guards is always consistent.
 pub struct PoolWriteView<'a> {
     pool: &'a RecyclePool,
     state: RwLockWriteGuard<'a, State>,
 }
 
 impl PoolWriteView<'_> {
+    /// Drop every entry, the graph and the books.
+    fn empty(&mut self) {
+        *self.state = State::default();
+        self.pool.ledger.zero();
+    }
+
     /// Remove one entry, unwiring it from the graph.
     pub fn remove(&mut self, id: EntryId) -> Option<PoolEntry> {
         self.pool.remove_locked(&mut self.state, id)
@@ -914,12 +749,15 @@ impl PoolWriteView<'_> {
 }
 
 impl Drop for PoolWriteView<'_> {
-    /// Debug builds verify the ledger on release: the books must equal
-    /// [`Ledger::recompute`] over the table after any sequence of removals
-    /// (a table a panic is unwinding through, or a quarantined one, is
-    /// torn by definition and waits for `repair`).
+    /// A step a panic is unwinding through empties the pool and counts one
+    /// wipe — before the inner guard unlocks, so no reader ever sees the
+    /// torn state. Any other step leaves the books equal to
+    /// [`Ledger::recompute`] over the table (checked in debug builds).
     fn drop(&mut self) {
-        if cfg!(debug_assertions) && !std::thread::panicking() && self.pool.serviceable() {
+        if std::thread::panicking() {
+            self.empty();
+            self.pool.wipes.fetch_add(1, Ordering::Relaxed);
+        } else if cfg!(debug_assertions) {
             debug_assert_eq!(
                 self.pool.ledger.books(),
                 Ledger::recompute(self.state.table.entries()),

@@ -167,7 +167,7 @@ impl Recycler {
         self.session_id
     }
 
-    /// Live configuration (admission/eviction/limits/update mode).
+    /// Live configuration (admission, eviction, limits).
     pub fn config(&self) -> RecyclerConfig {
         self.shared.config()
     }
@@ -346,8 +346,7 @@ impl Recycler {
         // — invariant 6). Nothing is copied from it: what the entry
         // derives from is the graph's to answer. Only a persistent BAT
         // nobody resident produced hands its columns over, as the entry's
-        // own anchors. A quarantined pool pins nothing and breaks the
-        // thread.
+        // own anchors.
         let bats = args.iter().filter_map(Value::as_bat).map(|b| b.id());
         if !pool.resolve(bats, &mut lineage, &mut self.pins) {
             shared.count_admission_reject();
@@ -428,18 +427,15 @@ impl Recycler {
                 shared.undo_admission_charge(key, grant);
                 self.pins.extend(pool.entry(existing, Pin::adopt));
             }
-            Admitted::NoRoom | Admitted::Orphaned | Admitted::Quarantined => {
+            Admitted::NoRoom | Admitted::Orphaned => {
                 // NoRoom: the candidate does not fit and only pinned or
                 // parent entries are left to evict. Orphaned: an update
                 // invalidated a parent between resolution and insertion —
                 // the thread is broken, admitting would leave dangling
-                // lineage. Quarantined: the pool sits out after a
-                // poisoning panic and refused the candidate without
-                // touching torn state. Either way the candidate never
-                // entered the pool, so no bytes were counted; the
-                // admission credit (when one was charged) goes back to the
-                // account so repeated orphaning cannot drain it — degraded
-                // mode costs this session a miss, nothing more.
+                // lineage. Either way the candidate never entered the
+                // pool, so no bytes were counted; the admission credit
+                // (when one was charged) goes back to the account so
+                // repeated orphaning cannot drain it.
                 shared.count_admission_reject();
                 shared.undo_admission_charge(key, grant);
             }
@@ -882,15 +878,6 @@ mod tests {
         RecyclerConfig::default().admission(AdmissionPolicy::Credit(k))
     }
 
-    /// Unwind a panic through the pool write lock: the pool quarantines.
-    fn poison(pool: &crate::pool::RecyclePool) {
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _view = pool.write_view();
-            panic!("poisoning the pool for the test");
-        }));
-        assert!(poison.is_err() && pool.has_quarantined());
-    }
-
     /// `arrange` sets the funnel up so that the candidate it returns
     /// leaves through one particular exit; the books must read the same
     /// before and after the admission, `counter` proves the intended exit
@@ -912,7 +899,6 @@ mod tests {
             after.admissions, stats.admissions,
             "{exit}: the candidate must not land"
         );
-        f.shared.maintenance().repair_quarantined();
         f.shared.pool().check_invariants().unwrap();
     }
 
@@ -954,46 +940,6 @@ mod tests {
                 candidate
             },
         );
-        // a panic unwound through the pool write lock; the candidate
-        // stands on the persistent column alone (its bind evicted), so it
-        // pins nothing and is refused at the insert
-        assert_exit_refunds("quarantined", credit(5), rejects, |f| {
-            let pool = f.shared.pool();
-            let bind = pool.entry_of_result(f.col.as_bat().unwrap().id());
-            assert!(pool.remove(bind.expect("bind resident")).is_some());
-            poison(pool);
-            f.candidate(&f.col, 1)
-        });
-    }
-
-    #[test]
-    fn a_parent_that_cannot_be_pinned_is_a_pin_time_reject() {
-        // The bind resolves in the graph but its pin fails: the pool is
-        // quarantined. The funnel leaves at the pin — before it asks the
-        // accounts for a credit, and without reaching the insert — and the
-        // books read as before.
-        let mut f = Funnel::new(credit(2).mem_limit(1 << 30));
-        let candidate = f.candidate(&f.col, 1);
-        poison(f.shared.pool());
-        let (books, rejects) = (f.books(), f.shared.stats().admission_rejects);
-        let writes = f.shared.pool().write_lock_acquisitions();
-        let accounts = SharedRecycler::accounts_locks_on_this_thread();
-        f.admit(candidate);
-        assert_eq!(
-            SharedRecycler::accounts_locks_on_this_thread(),
-            accounts,
-            "no credit was asked for"
-        );
-        assert_eq!(
-            f.shared.pool().write_lock_acquisitions(),
-            writes,
-            "the insert was never reached"
-        );
-        assert_eq!(f.books(), books);
-        assert_eq!(f.shared.stats().admission_rejects, rejects + 1);
-        assert_eq!(f.shared.pool().len(), 1, "only the bind");
-        f.shared.maintenance().repair_quarantined();
-        f.shared.pool().check_invariants().unwrap();
     }
 
     #[test]

@@ -32,9 +32,8 @@
 //!    the pool lock is released. Every step that changes the pool is one
 //!    write guard held for the whole step — an admission with the room it
 //!    makes ([`RecyclePool::insert`]), a commit's
-//!    [`RecyclePool::write_view`], `clear` and `repair` for maintenance —
-//!    so no step observes another half done; `check_invariants` holds the
-//!    read guard.
+//!    [`RecyclePool::write_view`], `clear` for maintenance — so no step
+//!    observes another half done; `check_invariants` holds the read guard.
 //! 2. **An exact hit is one pool read lock — and no other lock.** A hit
 //!    is served entirely under the pool's *read* lock: the reuse
 //!    counters, last-use stamp, pin count and credit-return flag are
@@ -107,26 +106,21 @@
 //!    post-commit probe — stale reuse is structurally impossible, the
 //!    worst case is an unreachable entry awaiting eviction. Invalidation
 //!    still overrides pins — correctness beats retention.
-//! 9. **Poison means quarantine, not propagation.** A panic unwinding
-//!    through the write lock may leave the table's slab/index wiring or
-//!    the graph torn. The pool notices the poisoned lock at the next
-//!    acquisition (or via a lock-free `is_poisoned` probe on the hit
-//!    path), raises its quarantine flag and degrades: probes miss,
-//!    admissions come back [`crate::pool::Admitted::Quarantined`] before
-//!    they make room and are refunded — the recycler is advisory, so the
-//!    worst legal outcome is a cache miss.
-//!    [`MaintenanceGuard::repair_quarantined`] (the write lock) rebuilds
-//!    consistent state from the surviving table — the lineage graph and
-//!    the ledger are each re-derived from it by one function and stored —
-//!    clears the lock poison and lifts the quarantine. Callers that can
-//!    afford the pass run it as soon as they see a quarantine: the
-//!    facade's commit before committing, the server after containing a
-//!    panicked request.
+//! 9. **A torn step empties the pool.** A panic unwinding through a
+//!    write step may leave the table, the graph or the books torn. The
+//!    step's guard ([`crate::pool::PoolWriteView`]) sees the unwind in its
+//!    `Drop` and, before the lock unlocks, replaces the table and the graph
+//!    with empty ones, zeroes the ledger and counts one wipe
+//!    (`pool_wipes`). The poisoned lock then guards a consistent, empty
+//!    pool, and both lock modes take it without consulting the poison
+//!    flag. The recycler is advisory: the next query misses, re-registers
+//!    its binds and re-admits — recovery costs misses and nothing else,
+//!    with no mending pass and no caller that has to run one.
 //! 10. **One result, one ledger.** An entry holds its result `Value`
 //!     directly and is immutable once admitted: its value and its charge
 //!     never change, so the ledger moves only at insert and at removal,
 //!     both under the pool's write lock. Every book is a pure function of
-//!     the resident entries, so `check_invariants` and repair need one sum
+//!     the resident entries, so `check_invariants` needs one sum
 //!     (`Ledger::recompute`), not one per book — and one graph
 //!     (`LineageGraph::rebuild`), not one pass per index.
 
@@ -438,10 +432,10 @@ impl SharedRecycler {
     }
 
     /// The handle for server-wide pool surgery
-    /// ([`MaintenanceGuard::clear_pool`], [`MaintenanceGuard::reset`],
-    /// [`MaintenanceGuard::repair_quarantined`]): each operation runs
-    /// atomically against every concurrent session — its queries and their
-    /// inline eviction alike — by taking the pool's write lock.
+    /// ([`MaintenanceGuard::clear_pool`], [`MaintenanceGuard::reset`]):
+    /// each operation runs atomically against every concurrent session —
+    /// its queries and their inline eviction alike — by taking the pool's
+    /// write lock.
     pub fn maintenance(&self) -> MaintenanceGuard<'_> {
         MaintenanceGuard { shared: self }
     }
@@ -539,11 +533,6 @@ impl SharedRecycler {
         let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         RecyclerStats {
             inline_evictions: ld(&s.evictions),
-            headroom_bytes: self
-                .config
-                .mem_limit
-                .map(|l| l.saturating_sub(self.pool.bytes()) as u64)
-                .unwrap_or(0),
             monitored: ld(&s.monitored),
             hits: ld(&s.hits),
             local_hits: ld(&s.local_hits),
@@ -560,9 +549,7 @@ impl SharedRecycler {
             invalidated: ld(&s.invalidated),
             propagated: 0,
             deadline_skips: ld(&s.deadline_skips),
-            shards_quarantined: self.pool.quarantined_total(),
-            shards_repaired: self.pool.repaired_total(),
-            quarantined_now: self.pool.has_quarantined() as u64,
+            pool_wipes: self.pool.wipes(),
             sessions: self.session_count(),
             active_sessions: self.active_session_count() as u64,
             time_saved: Duration::from_nanos(ld(&s.time_saved_ns)),
@@ -741,15 +728,6 @@ impl MaintenanceGuard<'_> {
     /// Reset pool, admission accounts and lifetime statistics.
     pub fn reset(&self) {
         self.shared.reset();
-    }
-
-    /// Repair a quarantined pool and return it to service —
-    /// [`RecyclePool::repair`], one pass under the pool's write lock (the
-    /// same serialisation `clear_pool` uses). Returns what was dropped;
-    /// after it, [`RecyclePool::check_invariants`] holds again and probes
-    /// serve hits instead of degraded misses.
-    pub fn repair_quarantined(&self) -> crate::pool::RepairReport {
-        self.shared.pool.repair()
     }
 }
 

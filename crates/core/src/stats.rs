@@ -37,15 +37,12 @@ pub struct RecyclerStats {
     /// Sessions currently open (attached and not yet dropped).
     pub active_sessions: u64,
     /// Entries evicted under resource pressure, by the admission that
-    /// found the pool full (the strict gate at the cap failed).
+    /// found the pool full and made its own room.
     pub evictions: u64,
     /// The same count as `evictions`: every eviction runs inline, on an
     /// admitting session's query path. Kept for readers that ask for it
     /// by this name.
     pub inline_evictions: u64,
-    /// Bytes of headroom under the configured memory cap (`mem_limit −
-    /// resident bytes`; 0 when no memory cap is configured).
-    pub headroom_bytes: u64,
     /// Current size of the pool's incremental evictable-leaf index (the
     /// childless entries an eviction round gathers from).
     pub leaf_index_size: u64,
@@ -65,17 +62,9 @@ pub struct RecyclerStats {
     /// already passed (the entry is simply not cached — deadline shedding
     /// costs misses, never wrong answers).
     pub deadline_skips: u64,
-    /// Times the pool was quarantined after a poisoning panic
-    /// (cumulative; see [`crate::pool::RecyclePool::repair`] for the
-    /// degraded-mode semantics). The name predates the one-table pool and
-    /// is kept for the wire.
-    pub shards_quarantined: u64,
-    /// Repairs that returned the quarantined pool to service
-    /// (cumulative; named for the wire, like `shards_quarantined`).
-    pub shards_repaired: u64,
-    /// 1 while the pool sits in quarantine (probes degrade to misses
-    /// until a repair runs), else 0.
-    pub quarantined_now: u64,
+    /// Write steps a panic unwound through, each of which emptied the pool
+    /// (cumulative; see [`crate::pool::PoolWriteView`]).
+    pub pool_wipes: u64,
     /// Execution time avoided through exact-match reuse (sum of the stored
     /// CPU costs of hit entries).
     pub time_saved: Duration,

@@ -1,7 +1,7 @@
 //! Property tests for the pool's ledger.
 //!
 //! A random script of insert / remove / evict / invalidate / clear /
-//! tear-and-repair steps runs while the test keeps its *own* model of what
+//! torn-commit steps runs while the test keeps its *own* model of what
 //! is resident — an eviction is the room an admission into a full pool
 //! makes in its own write step. After every step:
 //!
@@ -93,21 +93,21 @@ impl Rig {
     }
 
     /// A commit's removal unwound half-way: its first removal landed, then
-    /// a panic poisoned the table under the write view. Repair must keep
-    /// exactly the survivors, and store books equal to them.
-    fn tear_and_repair(&mut self, at: usize) {
+    /// a panic unwound through the write view. The view empties the pool
+    /// before it unlocks: the model is empty after the tear, and one wipe
+    /// is counted.
+    fn tear_a_commit(&mut self, at: usize) {
         let gone = self.live.swap_remove(at);
         let pool = &self.pool;
+        let wipes = pool.wipes();
         let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut view = pool.write_view();
             assert!(view.remove(gone.id).is_some());
             panic!("ledger_props: tearing the commit on purpose");
         }));
-        assert!(torn.is_err() && pool.has_quarantined());
-        let report = pool.repair();
-        assert!(report.repaired);
-        assert_eq!(report.entries_dropped, 0, "a removal is never torn");
-        assert!(!pool.has_quarantined());
+        assert!(torn.is_err());
+        assert_eq!(pool.wipes(), wipes + 1);
+        self.live.clear();
     }
 
     fn expected(&self) -> Books {
@@ -176,8 +176,8 @@ proptest! {
                     rig.settled("clear")?;
                 }
                 _ => {
-                    rig.tear_and_repair(at);
-                    rig.settled("tear and repair")?;
+                    rig.tear_a_commit(at);
+                    rig.settled("torn commit")?;
                 }
             }
         }

@@ -387,8 +387,9 @@ impl Catalog {
         let survivors = surviving_runs(t.nrows, &deleted);
         let kept = t.nrows - deleted.len();
 
-        // Per-column BATs of the inserted rows (for the report): the only
-        // place boxed values are looked at.
+        // Per-column BATs of the inserted rows — `merge_column` appends
+        // their tails, the join-index upkeep reads them, the report hands
+        // them out: the only place boxed values are looked at.
         let insert_base = t.next_oid;
         let mut inserted: Vec<(String, Arc<Bat>)> = Vec::new();
         if !inserts.is_empty() {

@@ -296,9 +296,9 @@ impl Database {
     /// Server-wide pool maintenance — emptying or resetting the shared
     /// pool. These operations affect **every** session (there is no
     /// session-local clear: the pool is shared state); each operation is
-    /// atomic against concurrent queries via the pool's write lock. This
-    /// replaces the old per-session
-    /// `Recycler::clear_pool`/`reset` footgun.
+    /// atomic against concurrent queries via the pool's write lock. Nothing
+    /// here is needed after a panic: a write step that panics has already
+    /// emptied the pool.
     pub fn maintenance(&self) -> MaintenanceGuard<'_> {
         self.inner.shared.maintenance()
     }

@@ -173,10 +173,9 @@ impl Session {
     /// Execute a prepared template under a soft deadline of `budget`
     /// from now.
     ///
-    /// The deadline is enforced at the recycler's **admission and
-    /// eviction-wait points**: past it, the query stops admitting
-    /// intermediates (and therefore can no longer block behind inline
-    /// eviction at the capacity gate) and skips subsumption searches;
+    /// The deadline is enforced at the recycler's **admission points**:
+    /// past it, the query stops admitting intermediates (and so stops
+    /// evicting to make room for them) and skips subsumption searches;
     /// exact-match hits still serve. Operator execution itself is not
     /// interrupted mid-instruction — when the clock has run out by the
     /// time the run returns, the reply is discarded and
@@ -257,14 +256,10 @@ impl Session {
     /// column is invalidated (paper §6.4). Other sessions observe the
     /// commit at their next query.
     ///
-    /// A pool quarantined by an earlier panic (its table may be torn) is
-    /// repaired first ([`Database::maintenance`]'s `repair_quarantined`),
-    /// so the invalidation runs over consistent state and the commit is
-    /// never refused for it.
+    /// The invalidation is one write step of the pool; should it panic,
+    /// the pool empties before its lock unlocks, so a later commit always
+    /// meets a consistent pool.
     pub fn commit(&mut self, update: Update) -> Result<CommitReport> {
-        if self.db.pool().has_quarantined() {
-            self.db.maintenance().repair_quarantined();
-        }
         let Update {
             table,
             inserts,

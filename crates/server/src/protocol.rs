@@ -108,9 +108,9 @@ pub enum Request {
         /// Soft deadline budget in milliseconds; `0` means none. The
         /// clock starts when the frame is decoded (so time queued behind
         /// earlier pipelined requests counts) and is enforced at the
-        /// recycler's admission/eviction wait points server-side — past
-        /// it the reply is an `Error` frame reporting the deadline,
-        /// never a partial result.
+        /// recycler's admission points server-side — past it the reply is
+        /// an `Error` frame reporting the deadline, never a partial
+        /// result.
         deadline_ms: u64,
     },
     /// Commit inserts/deletes against one table.
@@ -194,7 +194,13 @@ pub enum Response {
     Stats {
         /// Echo of the request id.
         id: u64,
-        /// Counter name/value pairs.
+        /// Counter name/value pairs: the recycler's lifetime counters, the
+        /// server's own (`server_*`), the pool's size and the catalog
+        /// epoch. Clients look keys up by name; a key may be retired.
+        /// `pool_wipes` (write steps a panic emptied the pool in) took the
+        /// place of the three pairs older servers sent about a degraded
+        /// pool mode, and the old collector's memory-headroom pair is no
+        /// longer sent.
         pairs: Vec<(String, u64)>,
     },
     /// Goodbye (reply to `Close`).

@@ -1035,17 +1035,14 @@ fn run_conn<'a>(
 
 /// Run one request under panic containment: a handler that panics costs
 /// one typed `Error` reply, never the thread running it — worker or
-/// reactor. A panic under the recycler's table lock quarantines the pool
-/// (probes miss, nothing torn is served); it is repaired right here, so
-/// the next request finds the pool back in service.
+/// reactor. A panic under the recycler's pool lock emptied the pool
+/// before the lock unlocked, so there is nothing to mend here: the next
+/// request misses and re-admits.
 fn execute_contained(shared: &Shared, session: &mut Session, work: Work) -> Response {
     let id = work.req.id().unwrap_or(0);
     match catch_unwind(AssertUnwindSafe(|| execute(&shared.db, session, work))) {
         Ok(resp) => resp,
         Err(_) => {
-            if shared.db.pool().has_quarantined() {
-                shared.db.maintenance().repair_quarantined();
-            }
             shared
                 .counters
                 .worker_panics
@@ -1148,20 +1145,15 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
         ("duplicate_admissions", s.duplicate_admissions),
         ("evictions", s.evictions),
         ("inline_evictions", s.inline_evictions),
-        // the name predates the collector's removal and is kept for the
-        // wire, like `shards_quarantined`
-        ("collector_headroom_bytes", s.headroom_bytes),
         ("leaf_index_size", s.leaf_index_size),
         ("evict_gather_visited", s.evict_gather_visited),
         ("evict_gather_rounds", s.evict_gather_rounds),
         ("invalidated", s.invalidated),
         ("sessions", s.sessions),
         ("active_sessions", s.active_sessions),
-        // degraded-mode observability: recycler-side ...
+        // fault observability: recycler-side ...
         ("deadline_skips", s.deadline_skips),
-        ("shards_quarantined", s.shards_quarantined),
-        ("shards_repaired", s.shards_repaired),
-        ("quarantined_now", s.quarantined_now),
+        ("pool_wipes", s.pool_wipes),
         // ... and server-side
         ("server_worker_panics", counters.worker_panics()),
         ("server_accept_errors", counters.accept_errors()),

@@ -26,8 +26,9 @@
 //! would silently evict non-leaves, strand evictable entries or admit
 //! orphans; the model also names every victim, in order, the way the LRU
 //! policy must pick them. With `--features failpoints` one more step tears
-//! an insert at `pool.insert.wired` (graph wired, table entry missing) and
-//! `repair` must restore exactly the model. A subset edge must live exactly as long
+//! an insert at `pool.insert.wired` (graph wired, table entry missing):
+//! the pool must come out empty, registry included, exactly as after a
+//! `clear`, with one wipe counted. A subset edge must live exactly as long
 //! as the entry owning the subset result, and one naming a result nobody
 //! owns is never recorded.
 //!
@@ -258,6 +259,13 @@ impl Model {
         }
         self.residents.retain(|r| !ids.contains(&r.id));
     }
+
+    /// The pool was emptied: every resident and every registration gone.
+    fn empty(&mut self) {
+        let all: Vec<EntryId> = self.residents.iter().map(|r| r.id).collect();
+        self.remove(&all);
+        self.registry.clear();
+    }
 }
 
 fn sorted(mut ids: Vec<EntryId>) -> Vec<EntryId> {
@@ -411,14 +419,15 @@ fn evict_through_insert(
 }
 
 /// Tear an insert at `pool.insert.wired` — the graph knows the entry, the
-/// table does not hold it — and repair.
+/// table does not hold it — and see the write step empty the pool.
 #[cfg(feature = "failpoints")]
-fn torn_insert_then_repair(pool: &RecyclePool, entry: PoolEntry) {
+fn torn_insert(pool: &RecyclePool, entry: PoolEntry) {
     use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
     use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe};
     FaultPlan::seeded(7)
         .on("pool.insert.wired", Trigger::Always, FaultAction::Panic)
         .install();
+    let wipes = pool.wipes();
     let hook = take_hook();
     set_hook(Box::new(|_| {}));
     let torn = catch_unwind(AssertUnwindSafe(|| pool.insert(entry, None, Caps::NONE)));
@@ -428,15 +437,11 @@ fn torn_insert_then_repair(pool: &RecyclePool, entry: PoolEntry) {
         torn.is_err(),
         "the injected panic must unwind out of insert"
     );
-    assert!(pool.has_quarantined());
-    assert!(
-        pool.check_invariants().is_err(),
-        "a torn graph must be seen"
-    );
-    let report = pool.repair();
+    assert_eq!(pool.wipes(), wipes + 1, "one wipe per torn step");
     assert_eq!(
-        report.entries_dropped, 0,
-        "the torn entry never was resident"
+        (pool.len(), pool.bytes()),
+        (0, 0),
+        "the torn step emptied the pool"
     );
 }
 
@@ -643,22 +648,21 @@ proptest! {
                     }
                     "subset edge"
                 }
-                // a child insert torn after `wire`, then `repair`: the
-                // parent is a leaf again and nothing else moved
+                // a child insert torn after `wire`: the pool is empty
+                // after the tear, registrations included
                 #[cfg(feature = "failpoints")]
                 (10, Some(p)) => {
                     let (e, torn_result) = mk(&pool, sig_of(tag), vec![p.id], tag);
-                    torn_insert_then_repair(&pool, e);
+                    torn_insert(&pool, e);
+                    model.empty();
                     model.retired.push(torn_result);
-                    "torn insert + repair"
+                    "torn insert"
                 }
                 // `clear` is the empty rebuild
                 (_, Some(_)) => {
                     if sel_a % 8 == 0 {
                         pool.clear();
-                        let all: Vec<EntryId> = model.residents.iter().map(|r| r.id).collect();
-                        model.remove(&all);
-                        model.registry.clear();
+                        model.empty();
                     }
                     "clear"
                 }

@@ -1,13 +1,13 @@
-//! Poisoned-pool quarantine and repair, driven by deterministic fault
-//! injection (`--features failpoints`).
+//! One recovery rule, driven by deterministic fault injection
+//! (`--features failpoints`).
 //!
-//! The contract under test, end to end: a panic while the pool's table
-//! write lock is held must not take the service down or corrupt shared
-//! state. The pool is quarantined (every probe degrades to a miss,
-//! admissions are rejected), sessions keep serving correct answers, and a
-//! repair drops the torn entries — with exact byte books — and returns
-//! the pool to service: run by maintenance, or by the next commit, which
-//! repairs first instead of refusing.
+//! The contract under test, end to end: a panic while the pool's write
+//! lock is held must not take the service down or corrupt shared state.
+//! The write step that panics empties the pool before the lock unlocks —
+//! table, lineage graph and books — and counts one `pool_wipes`. Sessions
+//! keep serving correct answers, and the very next query misses,
+//! re-admits and is hit again after it: no repair pass, no maintenance
+//! call, no commit needed.
 
 #![cfg(feature = "failpoints")]
 
@@ -83,91 +83,130 @@ fn tear_an_insert(session: &mut recycling::Session, template: &Program, seed: u6
     fault::clear();
 }
 
+/// The pool a write step that panicked leaves behind: empty, coherent,
+/// one more wipe counted.
+fn assert_wiped(db: &Database, wipes_before: u64, site: &str) {
+    let pool = db.pool();
+    assert_eq!((pool.len(), pool.bytes()), (0, 0), "{site}: pool not empty");
+    pool.check_invariants()
+        .unwrap_or_else(|e| panic!("{site}: {e}"));
+    assert_eq!(db.stats().pool_wipes, wipes_before + 1, "{site}");
+}
+
+/// Regression: a torn insert used to leave the pool quarantined until a
+/// commit, a maintenance call or the server's panic containment repaired
+/// it, so a session that only queries never left the outage — every warm
+/// re-run read `reused` 0. Now the write step that panicked emptied the
+/// pool, and the session recovers on its own: the next run of a warm
+/// query re-admits and the run after it hits.
 #[test]
-fn insert_panic_quarantines_the_pool_and_repair_restores_service() {
+fn a_query_only_session_hits_again_after_a_torn_insert() {
     let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     fault::clear();
     let db = db_with(RecyclerConfig::default());
     let template = db.template("count_range").unwrap();
     let mut session = db.session();
-
-    // Warm the pool so the post-repair hit check has something to hit.
-    session
-        .query(&template, &[Value::Int(0), Value::Int(10)])
-        .unwrap();
+    let warm = [Value::Int(300), Value::Int(700)];
+    session.query(&template, &warm).unwrap();
+    assert!(session.query(&template, &warm).unwrap().reused > 0);
 
     tear_an_insert(&mut session, &template, 11);
+    assert_wiped(&db, 0, "pool.insert.wired");
 
-    // Degraded mode: the pool is quarantined and stats say so.
-    assert!(db.pool().has_quarantined());
-    let stats = db.stats();
-    assert_eq!(stats.shards_quarantined, 1, "{stats:?}");
-    assert_eq!(stats.quarantined_now, 1, "{stats:?}");
-
-    // The panicked session and a fresh one both keep answering (every
-    // probe of the quarantined pool degrades to a miss, never to an
-    // error — the warm range included).
-    let reply = session
-        .query(&template, &[Value::Int(0), Value::Int(10)])
-        .expect("panicked session keeps serving");
-    assert_eq!(reply.export("n"), Some(&Value::Int(11)));
-    assert_eq!(reply.reused, 0, "a quarantined pool serves nothing");
-    let mut other = db.session();
-    let reply = other
-        .query(&template, &[Value::Int(100), Value::Int(199)])
-        .expect("fresh session serves during the outage");
-    assert_eq!(reply.export("n"), Some(&Value::Int(100)));
-
-    // Repair under the maintenance guard: torn entries dropped, byte
-    // books recomputed exactly (check_invariants recounts bytes and
-    // entries from the table and compares against the atomics).
-    let report = db.maintenance().repair_quarantined();
-    assert!(report.repaired, "{report:?}");
-    assert!(!db.pool().has_quarantined());
-    let stats = db.stats();
-    assert_eq!(stats.shards_repaired, 1, "{stats:?}");
-    assert_eq!(stats.quarantined_now, 0, "{stats:?}");
+    let readmit = session.query(&template, &warm).unwrap();
+    assert_eq!(readmit.export("n"), Some(&Value::Int(401)));
+    assert_eq!(
+        readmit.reused, 0,
+        "the wiped pool holds nothing: {readmit:?}"
+    );
+    assert!(readmit.admitted > 0, "the next run re-admits: {readmit:?}");
+    let hit = session.query(&template, &warm).unwrap();
+    assert_eq!(hit.export("n"), Some(&Value::Int(401)));
+    assert!(hit.reused > 0, "the run after it hits: {hit:?}");
     db.pool()
         .check_invariants()
-        .expect("books exact after repair");
-
-    // Full service restored: hits come back and commits go through.
-    session
-        .query(&template, &[Value::Int(300), Value::Int(700)])
-        .unwrap();
-    let again = session
-        .query(&template, &[Value::Int(300), Value::Int(700)])
-        .unwrap();
-    assert!(again.reused > 0, "hit path serves again: {again:?}");
-    session
-        .commit(Update::to("t").insert(vec![vec![Value::Int(5000), Value::Int(1)]]))
-        .expect("commit works once repaired");
-    db.pool().check_invariants().expect("coherent after commit");
+        .expect("coherent after recovery");
 }
 
-#[test]
-fn concurrent_sessions_serve_misses_during_a_quarantine_outage() {
-    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    fault::clear();
-    let db = db_with(RecyclerConfig::default());
-    let template = db.template("count_range").unwrap();
-
-    // Poison the pool.
-    FaultPlan::seeded(23)
-        .on("pool.insert.wired", Trigger::Nth(1), FaultAction::Panic)
-        .install();
-    let mut victim = db.session();
-    let r = quiet(|| {
+/// What a commit's write step does — retire the column, remove what
+/// derives from it — and then a panic, still under its write view.
+fn tear_a_commit(db: &Database) {
+    let column = ("t".to_string(), "x".to_string());
+    let torn = quiet(|| {
         catch_unwind(AssertUnwindSafe(|| {
-            victim.query(&template, &[Value::Int(0), Value::Int(50)])
+            let mut view = db.pool().write_view();
+            let roots = view.retire_columns(&[column].into_iter().collect());
+            assert!(!view.remove_subtree(&roots).is_empty());
+            panic!("tearing the commit on purpose");
         }))
     });
-    assert!(r.is_err());
-    fault::clear();
-    assert!(db.pool().has_quarantined());
+    assert!(torn.is_err());
+}
 
-    // Concurrent sessions ride out the outage: every query answers, and
-    // answers correctly — the quarantined pool only costs cache misses.
+/// Every write step that can panic under the lock — the insert's two
+/// sites, an eviction round's removal, a commit's write view — leaves the
+/// same pool behind: empty, coherent, one wipe counted, and the next
+/// admission lands.
+#[test]
+fn every_write_step_that_panics_empties_the_pool() {
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let sites = ["pool.insert", "pool.insert.wired", "evict.remove", "commit"];
+    for site in sites {
+        fault::clear();
+        // a full pool: the next fresh range evicts in its own write step
+        let db = db_with(
+            RecyclerConfig::default()
+                .admission(AdmissionPolicy::KeepAll)
+                .entry_limit(8),
+        );
+        let template = db.template("count_range").unwrap();
+        let mut session = db.session();
+        let mut fresh = (0..).map(|i: i64| {
+            let lo = (i * 13) % 1900;
+            [Value::Int(lo), Value::Int(lo + 9)]
+        });
+        for params in fresh.by_ref().take(8) {
+            session.query(&template, &params).unwrap();
+        }
+        assert_eq!(db.pool().len(), 8, "{site}: the pool is full");
+        let wipes = db.stats().pool_wipes;
+
+        if site == "commit" {
+            tear_a_commit(&db);
+        } else {
+            FaultPlan::seeded(5)
+                .on(site, Trigger::Nth(1), FaultAction::Panic)
+                .install();
+            let params = fresh.next().unwrap();
+            let torn =
+                quiet(|| catch_unwind(AssertUnwindSafe(|| session.query(&template, &params))));
+            assert!(torn.is_err(), "{site}: the panic unwinds out of the query");
+            assert_eq!(fault::fired(site), 1, "{site}");
+            fault::clear();
+        }
+        assert_wiped(&db, wipes, site);
+
+        let admissions = db.stats().admissions;
+        let reply = session.query(&template, &fresh.next().unwrap()).unwrap();
+        assert_eq!(reply.export("n"), Some(&Value::Int(10)), "{site}");
+        assert!(reply.admitted > 0, "{site}: the next admission lands");
+        assert!(db.stats().admissions > admissions, "{site}");
+        db.pool().check_invariants().unwrap();
+    }
+}
+
+/// Concurrent sessions after a wipe: every answer is correct, and each
+/// session's re-run of its own range is served from the refilled pool.
+#[test]
+fn concurrent_sessions_refill_the_pool_after_a_wipe() {
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    fault::clear();
+    let db = db_with(RecyclerConfig::default().admission(AdmissionPolicy::KeepAll));
+    let template = db.template("count_range").unwrap();
+    let mut victim = db.session();
+    tear_an_insert(&mut victim, &template, 23);
+    assert_wiped(&db, 0, "pool.insert.wired");
+
     let threads: Vec<_> = (0..3)
         .map(|t| {
             let db = db.clone();
@@ -176,33 +215,28 @@ fn concurrent_sessions_serve_misses_during_a_quarantine_outage() {
                 let mut s = db.session();
                 for i in 0..20i64 {
                     let lo = (t * 100 + i) % 1900;
-                    let hi = lo + 42;
-                    let reply = s
-                        .query(&template, &[Value::Int(lo), Value::Int(hi)])
-                        .expect("queries must not fail during the outage");
-                    assert_eq!(reply.export("n"), Some(&Value::Int(43)));
-                    assert_eq!(reply.reused, 0, "every probe of the outage misses");
+                    let params = [Value::Int(lo), Value::Int(lo + 42)];
+                    let first = s.query(&template, &params).unwrap();
+                    assert_eq!(first.export("n"), Some(&Value::Int(43)));
+                    let again = s.query(&template, &params).unwrap();
+                    assert_eq!(again.export("n"), Some(&Value::Int(43)));
+                    assert!(again.reused > 0, "the refilled pool serves: {again:?}");
                 }
             })
         })
         .collect();
     for t in threads {
-        t.join()
-            .expect("no session thread may die in degraded mode");
+        t.join().expect("no session thread may die after a wipe");
     }
-
-    let report = db.maintenance().repair_quarantined();
-    assert!(report.repaired);
-    db.pool().check_invariants().expect("coherent after repair");
+    db.pool()
+        .check_invariants()
+        .expect("coherent after the refill");
 }
 
-/// Regression: a commit used to be refused (`Error::Degraded`) for as
-/// long as the pool sat in quarantine, and nothing but an explicit
-/// maintenance repair lifted it. The commit repairs first now: it goes
-/// through, the pool is back in service, and the answers after it are a
-/// naive database's.
+/// A commit after a torn insert meets an empty, coherent pool: it goes
+/// through, and the answers after it are a naive database's.
 #[test]
-fn a_commit_repairs_a_quarantined_pool_first() {
+fn a_commit_after_a_torn_insert_answers_like_a_naive_database() {
     let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     fault::clear();
     let db = db_with(RecyclerConfig::default());
@@ -212,16 +246,13 @@ fn a_commit_repairs_a_quarantined_pool_first() {
         .query(&template, &[Value::Int(0), Value::Int(10)])
         .unwrap();
     tear_an_insert(&mut session, &template, 31);
-    assert!(db.pool().has_quarantined());
+    assert_wiped(&db, 0, "pool.insert.wired");
 
     let row = || vec![vec![Value::Int(700), Value::Int(1)]];
     let report = session
         .commit(Update::to("t").insert(row()))
-        .expect("the commit repairs the pool instead of refusing");
+        .expect("the commit goes through");
     assert_eq!(report.inserted[0].1.len(), 1, "one row appended");
-    assert!(!db.pool().has_quarantined());
-    let stats = db.stats();
-    assert_eq!((stats.shards_repaired, stats.quarantined_now), (1, 0));
     db.pool()
         .check_invariants()
         .expect("coherent after the commit");

@@ -645,15 +645,14 @@ fn panic_on_the_reactor_is_contained() {
     server.shutdown();
 }
 
-/// A request that panics under the pool's table lock quarantines the pool
-/// (every probe a miss, every commit over torn state). The containment
-/// that answers it with an Error frame repairs the pool before the next
-/// request, so nobody has to reach `Database::maintenance()`: the next
-/// `Stats` reads `quarantined_now` 0, a `Commit` goes through and the pool
+/// A request that panics under the pool's lock costs one Error frame and
+/// an empty pool: the write step emptied it before the lock unlocked, so
+/// nobody has to reach `Database::maintenance()`. The next `Stats` reads
+/// `pool_wipes` 1 and an empty pool, a `Commit` goes through and the pool
 /// serves hits again, with the answers a naive database gives.
 #[cfg(feature = "failpoints")]
 #[test]
-fn a_contained_panic_lifts_the_quarantine_it_caused() {
+fn a_contained_panic_under_the_pool_lock_leaves_an_empty_pool() {
     use recycler::fault::{self, FaultAction, FaultPlan, Trigger};
 
     let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -680,9 +679,9 @@ fn a_contained_panic_lifts_the_quarantine_it_caused() {
     }
 
     let pairs = c.stats().unwrap();
-    assert_eq!(stat(&pairs, "quarantined_now"), 0, "{pairs:?}");
-    assert_eq!(stat(&pairs, "shards_quarantined"), 1, "{pairs:?}");
-    assert_eq!(stat(&pairs, "shards_repaired"), 1, "{pairs:?}");
+    assert_eq!(stat(&pairs, "pool_wipes"), 1, "{pairs:?}");
+    assert_eq!(stat(&pairs, "pool_entries"), 0, "{pairs:?}");
+    assert_eq!(stat(&pairs, "pool_bytes"), 0, "{pairs:?}");
     let (inserted, deleted, _) = c
         .commit("t", vec![vec![Value::Int(600), Value::Int(1)]], vec![])
         .expect("a commit after the contained panic goes through");
