@@ -121,7 +121,7 @@ fn bench_probe(c: &mut Criterion) {
     for i in 0..1000 {
         let mut e = PoolEntry::test_stub(pool.alloc_id(), i, vec![], 64);
         e.sig = Sig::versioned(&cat, op, &instance(i));
-        assert!(pool.insert(e, None, Caps::NONE).0.inserted());
+        assert!(pool.insert(e, Caps::NONE).0.inserted());
         twin.insert(twin_key(0, &instance(i)), i as u32);
     }
     let wanted = instance(500);

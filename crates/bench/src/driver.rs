@@ -138,19 +138,15 @@ pub fn run_recycled(
 ) -> (BatchOutcome, Database) {
     let (db, templates) = recycled_database(catalog, templates, config);
     let mut session = db.session();
-    let mut warmup_count = 0usize;
     if warmup {
         for (idx, t) in templates.iter().enumerate() {
             if let Some(item) = items.iter().find(|i| i.query_idx == idx) {
                 let _ = session.query(t, &item.params);
-                warmup_count += 1;
             }
         }
         db.maintenance().clear_pool();
     }
-    let mut outcome = run_items(&db, &mut session, &templates, items);
-    enrich_from_log(&mut outcome, &session, warmup_count);
-    (outcome, db)
+    (run_items(&db, &mut session, &templates, items), db)
 }
 
 fn run_items(
@@ -167,17 +163,18 @@ fn run_items(
             .query(t, &item.params)
             .unwrap_or_else(|e| panic!("query {} failed: {e}", t.name));
         let snap = db.snapshot();
-        // saved / local / global are refined from the session query log by
-        // `enrich_from_log`; naive runs keep zeros.
+        // the local / global split and the time saved come from the
+        // session's record of this query; naive runs keep zeros
+        let record = session.last_query().cloned().unwrap_or_default();
         runs.push(QueryRun {
             label: item.label,
             elapsed: reply.elapsed,
             monitored: reply.marked,
             hits: reply.reused,
-            local_hits: 0,
-            global_hits: 0,
+            local_hits: record.local_hits,
+            global_hits: record.global_hits,
             subsumed: reply.subsumed,
-            saved: Duration::ZERO,
+            saved: record.saved,
             pool_bytes: snap.bytes,
             pool_entries: snap.entries,
             reused_bytes: snap.reused_bytes,
@@ -205,20 +202,6 @@ pub fn run_batch(
             run_naive(catalog, templates, items)
         }
         Some(c) => run_recycled(catalog, templates, items, c, warmup).0,
-    }
-}
-
-/// Fill the local/global hit split and saved time from the session's
-/// query log (aligned by execution order; warmup runs are skipped).
-pub fn enrich_from_log(outcome: &mut BatchOutcome, session: &Session, warmup_count: usize) {
-    let log = session.query_log();
-    let offset = warmup_count;
-    for (i, run) in outcome.runs.iter_mut().enumerate() {
-        if let Some(rec) = log.get(offset + i) {
-            run.local_hits = rec.local_hits;
-            run.global_hits = rec.global_hits;
-            run.saved = rec.saved;
-        }
     }
 }
 

@@ -79,7 +79,7 @@ fn measure(chains: usize, depth: usize, evict: usize, policy: EvictionPolicy) ->
         let mut parent: Option<EntryId> = None;
         for _ in 0..depth {
             tag += 1;
-            let (admitted, _) = pool.insert(chain_entry(&pool, tag, parent), None, Caps::NONE);
+            let (admitted, _) = pool.insert(chain_entry(&pool, tag, parent), Caps::NONE);
             parent = Some(admitted.id());
         }
     }
@@ -95,7 +95,7 @@ fn measure(chains: usize, depth: usize, evict: usize, policy: EvictionPolicy) ->
     };
     let newcomer = chain_entry(&pool, tag + 1, None);
     let started = Instant::now();
-    let (_, evicted) = pool.insert(newcomer, None, caps);
+    let (_, evicted) = pool.insert(newcomer, caps);
     let elapsed = started.elapsed();
     let gather_rounds = pool.eviction_gather_rounds() - r0;
     let gather_visited = pool.eviction_gather_visited() - v0;

@@ -107,8 +107,9 @@ pub struct PoolEntry {
     pub sig: Sig,
     /// The materialised result (BAT or scalar), `Arc`-shared so the hit
     /// path hands out a clone under the pool read lock. Private together
-    /// with `bytes`: the pair is what the pool's ledger books at insert
-    /// and at removal, so neither changes while the entry is resident.
+    /// with `bytes`: the pair is what the pool's byte total counts at
+    /// insert and at removal, so neither changes while the entry is
+    /// resident.
     value: Value,
     /// Identity of the result BAT, when the result is one.
     pub result_id: Option<BatId>,

@@ -244,7 +244,7 @@ mod tests {
             Unit::Bytes => caps.bytes = Some(pool.bytes() - n),
         }
         let newcomer = PoolEntry::test_stub(pool.alloc_id(), -1, vec![], 0);
-        pool.insert(newcomer, None, caps).1
+        pool.insert(newcomer, caps).1
     }
 
     fn put(
@@ -259,7 +259,7 @@ mod tests {
         e.cpu = Duration::from_millis(cpu_ms);
         e.global_reuses.store(global_reuses, Ordering::Relaxed);
         e.last_used.store(last_used, Ordering::Relaxed);
-        pool.insert(e, None, Caps::NONE).0.id()
+        pool.insert(e, Caps::NONE).0.id()
     }
 
     #[test]
@@ -362,7 +362,7 @@ mod tests {
                     tag += 1;
                     let parents = parent.map(|p| vec![p]).unwrap_or_default();
                     let e = PoolEntry::test_stub(pool.alloc_id(), tag, parents, 100);
-                    parent = Some(pool.insert(e, None, Caps::NONE).0.id());
+                    parent = Some(pool.insert(e, Caps::NONE).0.id());
                 }
             }
             pool
@@ -415,7 +415,7 @@ mod tests {
         let mut child = PoolEntry::test_stub(pool.alloc_id(), 99, vec![parent], 1000);
         child.family = "view";
         child.last_used.store(9, Ordering::Relaxed);
-        pool.insert(child, None, Caps::NONE);
+        pool.insert(child, Caps::NONE);
         let ev = evict(&pool, EvictionPolicy::Lru, Unit::Bytes, 1500, 10);
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].family, "view", "leaf (child) must be evicted first");

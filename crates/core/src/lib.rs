@@ -95,7 +95,6 @@ pub mod entry;
 pub mod eviction;
 #[cfg(feature = "failpoints")]
 pub mod fault;
-pub mod ledger;
 pub mod lineage;
 pub mod mark;
 pub mod pool;

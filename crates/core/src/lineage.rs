@@ -1,6 +1,6 @@
 //! The pool's one lineage graph: who feeds whom, who owns which result,
-//! which entries are evictable leaves, what subsumes what, what a commit
-//! touches.
+//! which entries are evictable leaves, which entries share an operand, what
+//! a commit touches.
 //!
 //! The paper's recycle pool (§3.2) is one table of instructions *with
 //! their lineage*, and its three consumers read that one graph: bottom-up
@@ -9,10 +9,11 @@
 //! [`LineageGraph::leaves`] / [`LineageGraph::unwire`]) and lineage
 //! invalidation (§6.4, [`LineageGraph::retire`] /
 //! [`LineageGraph::subtree`]). [`crate::pool`] owns the question "what does
-//! entry `id` hold" (the table, the ledger); this module owns every
-//! question *about ids*: where an id is filed, who its children are, which
-//! entry a result BAT belongs to, which ids are childless, which results
-//! are subsets of which, and which entries derive from a base column.
+//! entry `id` hold" (the table, the byte total, and so the subset relation
+//! §5.1 reads off a result's producers); this module owns every question
+//! *about ids*: where an id is filed, who its children are, which entry a
+//! result BAT belongs to, which ids are childless, which entries share an
+//! `(opcode, first argument)`, and which entries derive from a base column.
 //!
 //! # Anchors
 //!
@@ -44,9 +45,9 @@
 //! transitions of every parent and the result / alias / candidate
 //! bookkeeping of one entry are a single atomic step.
 //!
-//! Everything but three recorded facts — the duplicate-admission aliases,
-//! the subset edges and the persistent-BAT registry — is a pure function of
-//! the resident entries: [`LineageGraph::rebuild`] re-derives it from the
+//! Everything but two recorded facts — the duplicate-admission aliases and
+//! the persistent-BAT registry — is a pure function of the resident
+//! entries: [`LineageGraph::rebuild`] re-derives it from the
 //! table and carries the recorded facts over; `check_invariants` compares
 //! the live graph against it ([`LineageGraph::diff`]). A write step that
 //! panics leaves no graph to mend: the pool empties, graph included.
@@ -83,8 +84,6 @@ pub(crate) struct LineageGraph {
     /// children. Pin state stays out (pins flip on the read-lock-only hit
     /// path); pinned leaves are filtered when eviction gathers.
     leaves: BTreeSet<EntryId>,
-    /// `sub → [sup]`: the result BAT `sub` is a subset of each `sup` (§5.1).
-    supersets: FxHashMap<BatId, Vec<BatId>>,
     /// Subsumption candidates `(opcode, first argument) → entries`,
     /// ascending.
     candidates: FxHashMap<(Opcode, ArgSig), Vec<EntryId>>,
@@ -166,7 +165,7 @@ impl LineageGraph {
     /// invalidated it since the admission resolved it) and nothing was
     /// touched. A fresh entry has no dependents, so it enters the leaf set;
     /// each parent receiving its first child leaves it.
-    pub(crate) fn wire(&mut self, entry: &PoolEntry, key: u64, subset_of: Option<BatId>) -> bool {
+    pub(crate) fn wire(&mut self, entry: &PoolEntry, key: u64) -> bool {
         if !self.all_resident(&entry.parents) {
             return false;
         }
@@ -186,9 +185,6 @@ impl LineageGraph {
         self.leaves.insert(id);
         if let Some(rb) = entry.result_id {
             self.by_result.insert(rb, id);
-            if let Some(sup) = subset_of {
-                self.add_subset_edge(rb, sup);
-            }
         }
         if let Some(ck) = candidate_key(&entry.sig) {
             set_insert(self.candidates.entry(ck).or_default(), id);
@@ -209,15 +205,6 @@ impl LineageGraph {
         if let Some(node) = self.nodes.get_mut(&id) {
             node.aliases.push(bat);
             self.by_result.insert(bat, id);
-        }
-    }
-
-    /// Record that `sub` is a subset (by tuple content) of `sup`. No-op
-    /// unless `sub` is a resident entry's result: an edge leaves with the
-    /// entry that owns `sub`, so one recorded for nobody would never go.
-    pub(crate) fn add_subset_edge(&mut self, sub: BatId, sup: BatId) {
-        if self.by_result.contains_key(&sub) {
-            self.supersets.entry(sub).or_default().push(sup);
         }
     }
 
@@ -258,7 +245,6 @@ impl LineageGraph {
         if self.by_result.get(&bat) == Some(&id) {
             self.by_result.remove(&bat);
         }
-        self.supersets.remove(&bat);
     }
 
     // ----- updates ----------------------------------------------------------
@@ -353,27 +339,9 @@ impl LineageGraph {
     }
 
     /// Entries with the given opcode and first argument, ascending.
-    pub(crate) fn candidates(&self, op: Opcode, arg0: &ArgSig) -> Vec<EntryId> {
-        self.candidates
-            .get(&(op, arg0.clone()))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Is `sub ⊆ sup` derivable from the recorded subset edges
-    /// (reflexive-transitive closure)?
-    pub(crate) fn is_subset(&self, sub: BatId, sup: BatId) -> bool {
-        let mut visited: FxHashSet<BatId> = FxHashSet::default();
-        let mut stack = vec![sub];
-        while let Some(b) = stack.pop() {
-            if b == sup {
-                return true;
-            }
-            if visited.insert(b) {
-                stack.extend(self.supersets.get(&b).into_iter().flatten());
-            }
-        }
-        false
+    pub(crate) fn candidates(&self, op: Opcode, arg0: &ArgSig) -> &[EntryId] {
+        let listed = self.candidates.get(&(op, arg0.clone()));
+        listed.map_or(&[], Vec::as_slice)
     }
 
     // ----- the one rebuild --------------------------------------------------
@@ -381,8 +349,7 @@ impl LineageGraph {
     /// The graph of exactly the `filed` entries (table key, entry): every
     /// derived index re-wired from the slabs, oldest entry first, plus what
     /// `recorded` knows that no entry carries — aliases of entries that
-    /// are still resident, subset edges of results that are still mapped,
-    /// the persistent-BAT registry.
+    /// are still resident, the persistent-BAT registry.
     pub(crate) fn rebuild<'a>(
         filed: impl Iterator<Item = (u64, &'a PoolEntry)>,
         recorded: &LineageGraph,
@@ -392,17 +359,12 @@ impl LineageGraph {
         let mut graph = LineageGraph::default();
         for (key, e) in &filed {
             // an entry whose parent is missing stays out: `diff` reports it
-            graph.wire(e, *key, None);
+            graph.wire(e, *key);
         }
         for (_, e) in &filed {
             let aliases = recorded.nodes.get(&e.id).map(|n| &n.aliases);
             for bat in aliases.into_iter().flatten() {
                 graph.alias(*bat, e.id);
-            }
-        }
-        for (sub, sups) in &recorded.supersets {
-            if graph.by_result.contains_key(sub) {
-                graph.supersets.insert(*sub, sups.clone());
             }
         }
         graph.persistent = recorded.persistent.clone();
@@ -420,7 +382,6 @@ impl LineageGraph {
                 !listed
             ));
         }
-        same_map("subset edges", &self.supersets, &want.supersets)?;
         same_map("candidate index", &self.candidates, &want.candidates)?;
         same_map("anchor index", &self.anchored, &want.anchored)?;
         same_map("persistent registry", &self.persistent, &want.persistent)
@@ -449,6 +410,12 @@ fn same_map<K: Hash + Eq + Debug, V: PartialEq + Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{Admitter, Lineage};
+    use crate::eviction::Caps;
+    use crate::pool::Admitted;
+    use rbat::{Bat, Column, Value};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     /// An entry whose result is BAT `1000 + id`.
     fn entry(id: EntryId, parents: &[EntryId]) -> PoolEntry {
@@ -461,7 +428,7 @@ mod tests {
     fn graph_of(entries: Vec<PoolEntry>) -> (LineageGraph, Vec<PoolEntry>) {
         let mut g = LineageGraph::default();
         for e in &entries {
-            assert!(g.wire(e, e.id, None));
+            assert!(g.wire(e, e.id));
         }
         (g, entries)
     }
@@ -473,7 +440,7 @@ mod tests {
     #[test]
     fn wire_is_all_or_nothing() {
         let (mut g, entries) = graph_of(vec![entry(1, &[])]);
-        assert!(!g.wire(&entry(2, &[1, 99]), 2, Some(BatId(1001))));
+        assert!(!g.wire(&entry(2, &[1, 99]), 2));
         g.diff(&rebuilt(&g, &entries)).unwrap();
         assert_eq!(g.leaves(), vec![(1, 1)], "the live parent kept its leaf");
         assert_eq!(g.entry_of_result(BatId(1002)), None);
@@ -534,14 +501,10 @@ mod tests {
         let (mut g, entries) = graph_of(vec![entry(1, &[]), entry(2, &[1])]);
         g.alias(BatId(7), 1);
         g.alias(BatId(8), 2);
-        g.add_subset_edge(BatId(1002), BatId(1001));
-        g.add_subset_edge(BatId(1001), BatId(3));
-        // entry 2 did not survive: its alias and its subset edge go
+        // entry 2 did not survive: its alias goes
         let survivors = rebuilt(&g, &entries[..1]);
         assert_eq!(survivors.entry_of_result(BatId(7)), Some(1));
         assert_eq!(survivors.entry_of_result(BatId(8)), None);
-        assert!(survivors.is_subset(BatId(1001), BatId(3)));
-        assert!(!survivors.is_subset(BatId(1002), BatId(1001)));
         assert_eq!(survivors.leaves(), vec![(1, 1)]);
         let drift = g.diff(&survivors).unwrap_err();
         assert!(drift.contains("lineage node"), "{drift}");
@@ -585,25 +548,102 @@ mod tests {
         g.diff(&rebuilt(&g, &[])).unwrap();
     }
 
+    /// A pool over one column `col`: `s1 = select(col)`, `s2 = select(s1)`,
+    /// `j = join(s1, other)`, and the loser `twin` of a duplicate
+    /// admission of `s2`, aliased onto it. The subset relation (§5.1) is
+    /// read off these producers ([`crate::pool`]'s `is_subset`).
+    struct Filters {
+        pool: crate::pool::RecyclePool,
+        col: Arc<Bat>,
+        s1: Arc<Bat>,
+        s2: Arc<Bat>,
+        s2_id: EntryId,
+        j: Arc<Bat>,
+        twin: Arc<Bat>,
+    }
+
+    impl Filters {
+        fn new() -> Self {
+            let pool = crate::pool::RecyclePool::new();
+            let bat = |v: i64| Arc::new(Bat::from_tail(Column::from_ints(vec![v])));
+            // `op(args)` admitted with a result of its own
+            let admit = |op: Opcode, args: Vec<Value>| {
+                let result = bat(9);
+                let value = Value::Bat(Arc::clone(&result));
+                let (cpu, lineage) = (Duration::from_millis(1), Lineage::default());
+                let e = PoolEntry::new(
+                    pool.alloc_id(),
+                    Sig::of(op, &args),
+                    value,
+                    100,
+                    cpu,
+                    lineage,
+                    Admitter::default(),
+                );
+                (pool.insert(e, Caps::NONE).0, result)
+            };
+            let range = |b: &Arc<Bat>, lo: i64| {
+                let (lo, hi) = (Value::Int(lo), Value::Int(lo + 10));
+                let inclusive = Value::Bool(true);
+                vec![
+                    Value::Bat(Arc::clone(b)),
+                    lo,
+                    hi,
+                    inclusive.clone(),
+                    inclusive,
+                ]
+            };
+            let (col, other) = (bat(0), bat(1));
+            let (_, s1) = admit(Opcode::Select, range(&col, 0));
+            let (s2_id, s2) = admit(Opcode::Select, range(&s1, 1));
+            let (_, j) = admit(
+                Opcode::Join,
+                vec![Value::Bat(Arc::clone(&s1)), Value::Bat(other)],
+            );
+            let (lost, twin) = admit(Opcode::Select, range(&s1, 1));
+            assert_eq!(lost, Admitted::Duplicate(s2_id.id()));
+            let s2_id = s2_id.id();
+            Filters {
+                pool,
+                col,
+                s1,
+                s2,
+                s2_id,
+                j,
+                twin,
+            }
+        }
+
+        fn subset(&self, sub: &Arc<Bat>, sup: &Arc<Bat>) -> bool {
+            self.pool.read_view().is_subset(sub.id(), sup.id())
+        }
+    }
+
     #[test]
     fn subset_closure() {
-        let (mut g, entries) = graph_of(vec![entry(1, &[]), entry(2, &[]), entry(3, &[])]);
-        let (a, b, c) = (BatId(1001), BatId(1002), BatId(1003));
-        g.add_subset_edge(c, b);
-        g.add_subset_edge(b, a);
-        assert!(g.is_subset(c, a));
-        assert!(g.is_subset(c, c));
-        assert!(!g.is_subset(a, c));
-        g.diff(&rebuilt(&g, &entries)).unwrap();
+        let f = Filters::new();
+        let (col, s1, s2) = (&f.col, &f.s1, &f.s2);
+        assert!(f.subset(s2, s1) && f.subset(s1, col) && f.subset(s2, s2));
+        assert!(f.subset(s2, col), "a chain of filters");
+        assert!(!f.subset(col, s2) && !f.subset(s1, s2));
+        assert!(f.subset(&f.twin, col), "an alias answers like its entry");
+        assert!(!f.subset(&f.j, s1), "a join producer stops the walk");
+        f.pool.check_invariants().unwrap();
     }
 
     #[test]
     fn subset_edge_of_an_unmapped_result_is_not_recorded() {
-        // an edge reported for a result no resident entry owns (its entry
-        // already gone) would outlive anything that could remove it
-        let (mut g, entries) = graph_of(vec![entry(1, &[])]);
-        g.add_subset_edge(BatId(77), BatId(1001));
-        assert!(!g.is_subset(BatId(77), BatId(1001)));
-        g.diff(&rebuilt(&g, &entries)).unwrap();
+        // nothing is recorded: a result no resident entry owns answers
+        // false, so the relation ends with the entries it runs through
+        let f = Filters::new();
+        let stray = Arc::new(Bat::from_tail(Column::from_ints(vec![7])));
+        assert!(!f.subset(&stray, &f.col));
+        f.pool.remove(f.s2_id);
+        assert!(
+            !f.subset(&f.s2, &f.s1) && !f.subset(&f.twin, &f.col),
+            "gone with s2"
+        );
+        assert!(f.subset(&f.s1, &f.col));
+        f.pool.check_invariants().unwrap();
     }
 }

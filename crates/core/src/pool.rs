@@ -1,17 +1,19 @@
 //! The recycle pool: what each entry holds.
 //!
 //! The pool is one fingerprint-keyed table — entry slab and exact-match
-//! index at once — and the one [lineage graph](crate::lineage) over its
-//! ids, both behind **one** `RwLock`. The exact-match hit path takes one
-//! read lock and nothing else; every step that changes the pool — an
-//! admission together with the room it makes, a commit's invalidation,
-//! maintenance — takes the write lock once. This module owns every
-//! question about an entry's *content* — the table, the
-//! [ledger](crate::ledger), the eviction step and what a write step that
-//! panics leaves behind: an empty pool.
+//! index at once — the resident byte total, and the one [lineage
+//! graph](crate::lineage) over the entry ids, all behind **one** `RwLock`.
+//! Every read — an exact-match probe, an admission's lineage resolution, a
+//! subsumption attempt — is one step under its read guard
+//! ([`PoolReadView`]); every step that changes the pool — an admission
+//! together with the room it makes, a commit's invalidation, maintenance —
+//! is one step under its write guard ([`PoolWriteView`]). This module owns
+//! every question about an entry's *content* — the table, the byte total,
+//! the eviction step, the subset relation read off the lineage and what a
+//! write step that panics leaves behind: an empty pool.
 //! Every question about *ids* — where an id is filed, who feeds whom,
-//! which entries are evictable leaves, which results subsume which, which
-//! entries derive from a base column — belongs to the graph. See
+//! which entries are evictable leaves, which entries share an operand,
+//! which entries derive from a base column — belongs to the graph. See
 //! [`crate::shared`] for the locking model.
 
 use std::cell::Cell;
@@ -25,9 +27,9 @@ use rmal::Opcode;
 
 use crate::entry::{Anchors, EntryId, Lineage, Pin, PoolEntry};
 use crate::eviction::{self, Candidate, Caps, Unit};
-use crate::ledger::Ledger;
 use crate::lineage::{LineageGraph, Resolved};
 use crate::signature::{ArgSig, FingerprintMap, Sig, SigRef};
+use crate::subsume::keeps_a_subset;
 
 /// Outcome of [`RecyclePool::insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +96,15 @@ impl Table {
         self.filed().map(|(_, e)| e)
     }
 
+    fn len(&self) -> usize {
+        self.slots.len() + self.collided.len()
+    }
+
+    /// The byte total re-derived from the entries.
+    fn bytes(&self) -> usize {
+        self.entries().map(PoolEntry::bytes).sum()
+    }
+
     /// The entry under `key` that satisfies `is`: a signature check (the
     /// verify step of an exact-match probe) or an id.
     fn find(&self, key: u64, is: impl Fn(&PoolEntry) -> bool) -> Option<&PoolEntry> {
@@ -118,12 +129,24 @@ impl Table {
     }
 }
 
-/// What the pool lock guards: the table and the lineage graph over it, so
-/// no step ever sees one without the other.
+/// What the pool lock guards: the table, its resident byte total and the
+/// lineage graph over it, so no step ever sees one without the others.
 #[derive(Default)]
 struct State {
     table: Table,
+    /// Bytes charged by the resident entries ([`PoolEntry::bytes`], fixed
+    /// at admission): moved only by the insert and removal funnels, under
+    /// the write guard.
+    bytes: usize,
     graph: LineageGraph,
+}
+
+impl State {
+    /// The resident entry `id`: the graph says where it is filed.
+    fn entry(&self, id: EntryId) -> Option<&PoolEntry> {
+        let key = self.graph.locate(id)?;
+        self.table.find(key, |e| e.id == id)
+    }
 }
 
 /// The recycler's resource pool of intermediates (paper §3.2): one entry
@@ -133,10 +156,10 @@ struct State {
 ///
 /// All methods take `&self`; locking is internal, and there is one lock.
 /// Probes (`lookup`, [`Self::probe`]), id-based reads ([`Self::entry`]),
-/// an admission's lineage resolution and a subsumption candidate search
-/// take its **read** guard once. Every step that changes the pool —
-/// [`Self::insert`] with the room it makes, the removal paths, `clear`,
-/// a registration, a subset edge, a commit — holds the one write guard,
+/// an admission's lineage resolution and a subsumption attempt take its
+/// **read** guard, [`PoolReadView`], once. Every step that changes the
+/// pool — [`Self::insert`] with the room it makes, the removal paths,
+/// `clear`, a registration, a commit — holds the one write guard,
 /// [`PoolWriteView`], for the whole step. A step that panics empties the
 /// pool before the guard unlocks (see [`PoolWriteView`]'s `Drop`), so the
 /// lock, poisoned or not, always guards a consistent pool. Every stored
@@ -144,10 +167,6 @@ struct State {
 /// valid after the entry is evicted, invalidated or wiped.
 pub struct RecyclePool {
     state: RwLock<State>,
-    /// The resident byte and entry-count books. Moved only by the
-    /// insert/remove funnels ([`Self::insert`] / `remove_locked`), always
-    /// under the write lock.
-    ledger: Ledger,
     /// ANDed onto every fingerprint before it keys anything: all ones,
     /// except where a test masks bits away to force collisions.
     fp_mask: u64,
@@ -186,7 +205,6 @@ impl RecyclePool {
     pub fn new() -> RecyclePool {
         RecyclePool {
             state: RwLock::default(),
-            ledger: Ledger::default(),
             fp_mask: u64::MAX,
             next_id: AtomicU64::new(0),
             write_acquisitions: AtomicU64::new(0),
@@ -214,11 +232,13 @@ impl RecyclePool {
         READ_LOCKS.with(Cell::get)
     }
 
-    /// The read guard. A poisoned lock guards an empty pool (the write
-    /// step that panicked wiped it), so the poison flag is not consulted.
-    fn read_state(&self) -> RwLockReadGuard<'_, State> {
+    /// Hold the read lock for one step — the only way to it. A poisoned
+    /// lock guards an empty pool (the write step that panicked wiped it),
+    /// so the poison flag is not consulted.
+    pub(crate) fn read_view(&self) -> PoolReadView<'_> {
         READ_LOCKS.with(|n| n.set(n.get() + 1));
-        self.state.read().unwrap_or_else(PoisonError::into_inner)
+        let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
+        PoolReadView { state }
     }
 
     /// Write steps a panic unwound through, each of which emptied the pool
@@ -227,9 +247,9 @@ impl RecyclePool {
         self.wipes.load(Ordering::Relaxed)
     }
 
-    /// Number of entries ("cache lines").
+    /// Number of entries ("cache lines"), under the read lock.
     pub fn len(&self) -> usize {
-        self.ledger.entries()
+        self.read_view().state.table.len()
     }
 
     /// Is the pool empty?
@@ -237,9 +257,9 @@ impl RecyclePool {
         self.len() == 0
     }
 
-    /// Total resident bytes of stored intermediates.
+    /// Total resident bytes of stored intermediates, under the read lock.
     pub fn bytes(&self) -> usize {
-        self.ledger.bytes()
+        self.read_view().state.bytes
     }
 
     /// Allocate the next entry id (monotone, never reused — also across
@@ -279,22 +299,20 @@ impl RecyclePool {
         is: impl Fn(&PoolEntry) -> bool,
         f: impl FnOnce(&PoolEntry) -> R,
     ) -> Option<R> {
-        let state = self.read_state();
-        state.table.find(fingerprint & self.fp_mask, is).map(f)
+        let view = self.read_view();
+        view.state.table.find(fingerprint & self.fp_mask, is).map(f)
     }
 
     /// Run `f` over the entry `id`, under one read lock: the graph says
     /// where it is filed, the table holds it. `f` must not call back into
     /// the pool.
     pub fn entry<R>(&self, id: EntryId, f: impl FnOnce(&PoolEntry) -> R) -> Option<R> {
-        let state = self.read_state();
-        let key = state.graph.locate(id)?;
-        state.table.find(key, |e| e.id == id).map(f)
+        self.read_view().entry(id).map(f)
     }
 
     /// The entry owning (or aliased to) a result BAT, if any.
     pub fn entry_of_result(&self, bat: BatId) -> Option<EntryId> {
-        self.read_state().graph.entry_of_result(bat)
+        self.read_view().state.graph.entry_of_result(bat)
     }
 
     /// Admission's lineage under one read lock. For each BAT argument: its
@@ -310,7 +328,8 @@ impl RecyclePool {
         lineage: &mut Lineage,
         pins: &mut Vec<Pin>,
     ) -> bool {
-        let state = self.read_state();
+        let view = self.read_view();
+        let state = &view.state;
         for resolved in state.graph.resolve(bats) {
             match resolved {
                 Resolved::Entry(id, key) => {
@@ -336,7 +355,7 @@ impl RecyclePool {
 
     /// The persistent-BAT registry (diagnostics, tests).
     pub fn persistent_bats(&self) -> Vec<(BatId, Anchors)> {
-        self.read_state().graph.registered()
+        self.read_view().state.graph.registered()
     }
 
     /// A commit rewrote `columns`: the entries anchored on any of them,
@@ -352,42 +371,30 @@ impl RecyclePool {
     /// derives from it — computed from the graph when asked, stored nowhere
     /// (diagnostics: the lineage suites' oracle for what a commit removes).
     pub fn derived_by_column(&self) -> Vec<((String, String), Vec<EntryId>)> {
-        self.read_state().graph.derived()
+        self.read_view().state.graph.derived()
     }
 
     /// Visit every entry under the read lock. `f` must not call back into
     /// the pool.
     pub fn for_each_entry(&self, f: impl FnMut(&PoolEntry)) {
-        self.read_state().table.entries().for_each(f);
+        self.read_view().state.table.entries().for_each(f);
     }
 
     /// Snapshot clones of every entry (diagnostics, tests, Table views).
     pub fn snapshot_entries(&self) -> Vec<PoolEntry> {
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::new();
         self.for_each_entry(|e| out.push(e.clone()));
         out
     }
 
-    /// Candidate entries with the given opcode and first-argument
+    /// The ids of the entries with the given opcode and first-argument
     /// signature, ascending — the subsumption search space for "same
     /// column operand", kept in the lineage graph (the table is keyed by
-    /// the *full* signature hash): one read lock. Returned ids are a
-    /// snapshot; callers revalidate residency via [`Self::entry`].
+    /// the *full* signature hash). Diagnostics: a subsumption attempt
+    /// reads the entries themselves in its one read step
+    /// ([`PoolReadView::candidates`]).
     pub fn candidates(&self, op: Opcode, arg0: &ArgSig) -> Vec<EntryId> {
-        self.read_state().graph.candidates(op, arg0)
-    }
-
-    /// Record that `sub` is a subset (by tuple content) of `sup`. Ignored
-    /// unless `sub` is the result of a resident entry — the edge leaves
-    /// with that entry.
-    pub fn add_subset_edge(&self, sub: BatId, sup: BatId) {
-        self.write_view().state.graph.add_subset_edge(sub, sup);
-    }
-
-    /// Is `sub ⊆ sup` derivable from the recorded subset edges
-    /// (reflexive-transitive closure)?
-    pub fn is_subset(&self, sub: BatId, sup: BatId) -> bool {
-        self.read_state().graph.is_subset(sub, sup)
+        self.read_view().state.graph.candidates(op, arg0).to_vec()
     }
 
     /// Admit a fully constructed entry — `recycleExit` (paper §4.3) as one
@@ -411,19 +418,14 @@ impl RecyclePool {
     ///    `caps.policy` ranks them ([`crate::eviction`]); if the leaves run
     ///    out, the candidate is dropped ([`Admitted::NoRoom`]);
     /// 4. **wire and charge**: the entry enters the lineage graph and the
-    ///    table, and the ledger books it ([`Admitted::Inserted`]).
+    ///    table, and its bytes join the resident total
+    ///    ([`Admitted::Inserted`]).
     ///
     /// A loser at step 1 or 2 evicts nothing, and no admission waits on or
     /// is refused for another's demand: nothing is reserved across steps.
     /// The evicted entries are returned beside the outcome, for the caller
-    /// to settle once the lock is released. `subset_of` optionally records
-    /// `result ⊆ subset_of` for the subsumption machinery (§5.1).
-    pub fn insert(
-        &self,
-        entry: PoolEntry,
-        subset_of: Option<BatId>,
-        caps: Caps,
-    ) -> (Admitted, Vec<PoolEntry>) {
+    /// to settle once the lock is released.
+    pub fn insert(&self, entry: PoolEntry, caps: Caps) -> (Admitted, Vec<PoolEntry>) {
         let mut evicted = Vec::new();
         let key = self.key(&entry.sig);
         // Failpoint: an admission about to make room, before the lock.
@@ -435,7 +437,7 @@ impl RecyclePool {
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert");
         let state = &mut *view.state;
-        let State { table, graph } = &mut *state;
+        let State { table, graph, .. } = &mut *state;
         if let Some(win) = table.find(key, |e| e.sig == entry.sig) {
             win.pins.fetch_add(1, Ordering::Relaxed);
             if let Some(rb) = entry.result_id {
@@ -451,7 +453,7 @@ impl RecyclePool {
         }
         // (a parent nobody pinned may have been the room made — only a
         // caller bypassing the funnel admits without pinning)
-        if !state.graph.wire(&entry, key, subset_of) {
+        if !state.graph.wire(&entry, key) {
             return (Admitted::Orphaned, evicted);
         }
         let (id, bytes) = (entry.id, entry.bytes());
@@ -460,12 +462,11 @@ impl RecyclePool {
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert.wired");
         state.table.insert(key, entry);
-        self.ledger.charge(bytes);
+        state.bytes += bytes;
+        let (bytes, len) = (state.bytes, state.table.len());
         debug_assert!(
-            caps.hold(self.bytes(), self.len()),
-            "an insert overshot its caps: {} bytes in {} entries under {caps:?}",
-            self.bytes(),
-            self.len()
+            caps.hold(bytes, len),
+            "an insert overshot its caps: {bytes} bytes in {len} entries under {caps:?}"
         );
         (Admitted::Inserted(id), evicted)
     }
@@ -487,15 +488,15 @@ impl RecyclePool {
         ];
         caps_by_unit.into_iter().all(|(cap, unit, this)| {
             let Some(cap) = cap else { return true };
-            let resident = |ledger: &Ledger| match unit {
-                Unit::Bytes => ledger.bytes(),
-                Unit::Entries => ledger.entries(),
+            let resident = |state: &State| match unit {
+                Unit::Bytes => state.bytes,
+                Unit::Entries => state.table.len(),
             };
-            let over = (resident(&self.ledger) + this).saturating_sub(cap);
+            let over = (resident(state) + this).saturating_sub(cap);
             if this <= cap && over > 0 {
                 self.evict(state, caps, unit, over, evicted);
             }
-            resident(&self.ledger) + this <= cap
+            resident(state) + this <= cap
         })
     }
 
@@ -556,7 +557,7 @@ impl RecyclePool {
         let key = state.graph.locate(id)?;
         let entry = state.table.remove(key, id)?;
         state.graph.unwire(&entry);
-        self.ledger.release(entry.bytes());
+        state.bytes -= entry.bytes();
         Some(entry)
     }
 
@@ -569,13 +570,13 @@ impl RecyclePool {
     /// resident entry, ascending (pinned ones included — pins are checked
     /// when eviction gathers).
     pub fn leaf_ids(&self) -> Vec<EntryId> {
-        let leaves = self.read_state().graph.leaves();
+        let leaves = self.read_view().state.graph.leaves();
         leaves.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Number of entries currently in the evictable-leaf set.
     pub fn leaf_index_size(&self) -> usize {
-        self.read_state().graph.leaf_count()
+        self.read_view().state.graph.leaf_count()
     }
 
     /// Entries visited by eviction gathers since construction. With the
@@ -592,12 +593,12 @@ impl RecyclePool {
 
     /// Does this entry have dependents in the pool?
     pub fn has_children(&self, id: EntryId) -> bool {
-        self.read_state().graph.has_children(id)
+        self.read_view().state.graph.has_children(id)
     }
 
     /// Dependents of an entry (direct children), ascending.
     pub fn children_of(&self, id: EntryId) -> Vec<EntryId> {
-        self.read_state().graph.children_of(id)
+        self.read_view().state.graph.children_of(id)
     }
 
     /// Remove `root` and every transitive dependent (update invalidation,
@@ -670,11 +671,12 @@ impl RecyclePool {
 
     /// Check the structural invariant under the read lock: every entry
     /// filed under its signature's fingerprint, no signature resident
-    /// twice, parents alive; the ledger equal to [`Ledger::recompute`] over
-    /// the table; the lineage graph equal to [`LineageGraph::rebuild`] over
-    /// it. Test support — call on a quiescent pool.
+    /// twice, parents alive; the byte total equal to the sum over the
+    /// table; the lineage graph equal to [`LineageGraph::rebuild`] over it.
+    /// Test support — call on a quiescent pool.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let state = self.read_state();
+        let view = self.read_view();
+        let state = &view.state;
         let table = &state.table;
         let all_ids: FxHashSet<EntryId> = table.entries().map(|e| e.id).collect();
         for (key, e) in table.filed() {
@@ -697,13 +699,54 @@ impl RecyclePool {
                 }
             }
         }
-        let actual = Ledger::recompute(table.entries());
-        let booked = self.ledger.books();
-        if booked != actual {
-            return Err(format!("ledger {booked:?} != recomputed {actual:?}"));
+        if state.bytes != table.bytes() {
+            let (booked, summed) = (state.bytes, table.bytes());
+            return Err(format!("{booked} bytes booked, {summed} resident"));
         }
         let live = &state.graph;
         live.diff(&LineageGraph::rebuild(table.filed(), live))
+    }
+}
+
+/// The pool's one read guard, held for one step: an exact-match probe, an
+/// admission's lineage resolution, a subsumption attempt. What is read
+/// under it — entries, candidates, the subset relation — is one consistent
+/// image of the pool; anything a caller keeps past the step is a clone (a
+/// result `Value` is an `Arc`) or an id.
+pub(crate) struct PoolReadView<'a> {
+    state: RwLockReadGuard<'a, State>,
+}
+
+impl PoolReadView<'_> {
+    /// The resident entry `id`.
+    pub(crate) fn entry(&self, id: EntryId) -> Option<&PoolEntry> {
+        self.state.entry(id)
+    }
+
+    /// The entries with the given opcode and first-argument signature, in
+    /// ascending id order — the subsumption search space (§5.1).
+    pub(crate) fn candidates(&self, op: Opcode, arg0: &ArgSig) -> impl Iterator<Item = &PoolEntry> {
+        let ids = self.state.graph.candidates(op, arg0).iter();
+        ids.filter_map(|id| self.state.entry(*id))
+    }
+
+    /// Is `sub ⊆ sup` by tuple content, read off the lineage? `sub` is
+    /// `sup`, or its resident producer (owner or aliased) is a
+    /// subset-preserving filter ([`keeps_a_subset`]) whose first BAT
+    /// argument is — the walk goes on from there. Nothing is recorded: the
+    /// relation ends with the entries it runs through. The walk ends: an
+    /// operand BAT is made (and numbered) before the result it feeds.
+    pub(crate) fn is_subset(&self, mut sub: BatId, sup: BatId) -> bool {
+        while sub != sup {
+            let producer = self.state.graph.entry_of_result(sub);
+            let filter = producer.and_then(|id| self.state.entry(id));
+            let filter = filter.filter(|e| keeps_a_subset(e.sig.op));
+            match filter.and_then(|e| e.sig.first_arg()) {
+                Some(ArgSig::Bat(operand)) => sub = *operand,
+                _ => return false,
+            }
+        }
+        true
     }
 }
 
@@ -719,10 +762,9 @@ pub struct PoolWriteView<'a> {
 }
 
 impl PoolWriteView<'_> {
-    /// Drop every entry, the graph and the books.
+    /// Drop every entry, the byte total and the graph.
     fn empty(&mut self) {
         *self.state = State::default();
-        self.pool.ledger.zero();
     }
 
     /// Remove one entry, unwiring it from the graph.
@@ -751,17 +793,17 @@ impl PoolWriteView<'_> {
 impl Drop for PoolWriteView<'_> {
     /// A step a panic is unwinding through empties the pool and counts one
     /// wipe — before the inner guard unlocks, so no reader ever sees the
-    /// torn state. Any other step leaves the books equal to
-    /// [`Ledger::recompute`] over the table (checked in debug builds).
+    /// torn state. Any other step leaves the byte total equal to the sum
+    /// over the table (checked in debug builds).
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.empty();
             self.pool.wipes.fetch_add(1, Ordering::Relaxed);
         } else if cfg!(debug_assertions) {
             debug_assert_eq!(
-                self.pool.ledger.books(),
-                Ledger::recompute(self.state.table.entries()),
-                "the books drifted from the resident entries"
+                self.state.bytes,
+                self.state.table.bytes(),
+                "the byte total drifted from the resident entries"
             );
         }
     }
@@ -798,7 +840,7 @@ mod tests {
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 1);
         let sig = e.sig.clone();
-        let admitted = pool.insert(e, None, Caps::NONE).0;
+        let admitted = pool.insert(e, Caps::NONE).0;
         assert!(admitted.inserted());
         let id = admitted.id();
         assert_eq!(pool.lookup(&sig), Some(id));
@@ -814,10 +856,10 @@ mod tests {
     fn duplicate_sig_resolves_first_writer_wins() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let id_a = pool.insert(a, None, Caps::NONE).0.id();
+        let id_a = pool.insert(a, Caps::NONE).0.id();
         let mut b = mk_entry(&pool, vec![], 2);
         b.sig = Sig::of(Opcode::Select, &[Value::Int(1)]); // same sig as a
-        let outcome = pool.insert(b, None, Caps::NONE).0;
+        let outcome = pool.insert(b, Caps::NONE).0;
         assert_eq!(outcome, Admitted::Duplicate(id_a));
         assert_eq!(pool.len(), 1);
         // the loser's session took a pin on the winner, atomically
@@ -829,10 +871,10 @@ mod tests {
     fn orphaned_parent_rejects_insert() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let id_a = pool.insert(a, None, Caps::NONE).0.id();
+        let id_a = pool.insert(a, Caps::NONE).0.id();
         pool.remove(id_a);
         let b = mk_entry(&pool, vec![id_a], 2);
-        assert_eq!(pool.insert(b, None, Caps::NONE).0, Admitted::Orphaned);
+        assert_eq!(pool.insert(b, Caps::NONE).0, Admitted::Orphaned);
         assert!(pool.is_empty());
         pool.check_invariants().unwrap();
     }
@@ -840,17 +882,11 @@ mod tests {
     #[test]
     fn result_alias_resolves_and_unwires_with_entry() {
         let pool = RecyclePool::new();
-        let id = pool
-            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
-            .0
-            .id();
+        let id = pool.insert(mk_entry(&pool, vec![], 1), Caps::NONE).0.id();
         // the loser of a duplicate admission: same signature, its own BAT
         let loser = mk_entry(&pool, vec![], 1);
         let loser_bat = loser.result_id.unwrap();
-        assert_eq!(
-            pool.insert(loser, None, Caps::NONE).0,
-            Admitted::Duplicate(id)
-        );
+        assert_eq!(pool.insert(loser, Caps::NONE).0, Admitted::Duplicate(id));
         assert_eq!(pool.entry_of_result(loser_bat), Some(id));
         pool.check_invariants().unwrap();
         pool.remove(id);
@@ -862,12 +898,12 @@ mod tests {
     fn clear_keeps_entry_ids_monotone() {
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 1);
-        let id_before = pool.insert(e, None, Caps::NONE).0.id();
+        let id_before = pool.insert(e, Caps::NONE).0.id();
         pool.clear();
         assert!(pool.is_empty());
         assert_eq!(pool.bytes(), 0);
         let e2 = mk_entry(&pool, vec![], 2);
-        let id_after = pool.insert(e2, None, Caps::NONE).0.id();
+        let id_after = pool.insert(e2, Caps::NONE).0.id();
         assert!(
             id_after > id_before,
             "ids must never be reused across a clear ({id_before} vs {id_after})"
@@ -878,7 +914,7 @@ mod tests {
     /// Insert a fresh root (`tag`, 100 bytes) under `caps`: the outcome
     /// and the ids the room-making step evicted, in removal order.
     fn admit_under(pool: &RecyclePool, tag: i64, caps: Caps) -> (Admitted, Vec<EntryId>) {
-        let (admitted, evicted) = pool.insert(mk_entry(pool, vec![], tag), None, caps);
+        let (admitted, evicted) = pool.insert(mk_entry(pool, vec![], tag), caps);
         (admitted, evicted.iter().map(|e| e.id).collect())
     }
 
@@ -894,9 +930,9 @@ mod tests {
     fn evictable_respects_children_and_pins() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let a_id = pool.insert(a, None, Caps::NONE).0.id();
+        let a_id = pool.insert(a, Caps::NONE).0.id();
         let b = mk_entry(&pool, vec![a_id], 2);
-        let b_id = pool.insert(b, None, Caps::NONE).0.id();
+        let b_id = pool.insert(b, Caps::NONE).0.id();
         // a has a child, and the one leaf is pinned: no room
         pool.entry(b_id, |e| e.pins.store(1, Ordering::Relaxed));
         assert_eq!(
@@ -915,15 +951,9 @@ mod tests {
     #[test]
     fn leaf_index_tracks_child_wiring() {
         let pool = RecyclePool::new();
-        let a = pool
-            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
-            .0
-            .id();
+        let a = pool.insert(mk_entry(&pool, vec![], 1), Caps::NONE).0.id();
         assert_eq!(pool.leaf_ids(), vec![a], "fresh entry starts as a leaf");
-        let b = pool
-            .insert(mk_entry(&pool, vec![a], 2), None, Caps::NONE)
-            .0
-            .id();
+        let b = pool.insert(mk_entry(&pool, vec![a], 2), Caps::NONE).0.id();
         let mut leaves = pool.leaf_ids();
         leaves.sort_unstable();
         assert_eq!(leaves, vec![b], "first child edge unleafs the parent");
@@ -941,18 +971,12 @@ mod tests {
     #[test]
     fn leaf_index_survives_clear_and_multi_parent() {
         let pool = RecyclePool::new();
-        let a = pool
-            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
-            .0
-            .id();
-        let b = pool
-            .insert(mk_entry(&pool, vec![], 2), None, Caps::NONE)
-            .0
-            .id();
+        let a = pool.insert(mk_entry(&pool, vec![], 1), Caps::NONE).0.id();
+        let b = pool.insert(mk_entry(&pool, vec![], 2), Caps::NONE).0.id();
         // one child hanging off both parents (and the same parent twice —
         // duplicate parent links must not corrupt the 0↔1 transitions)
         let c = pool
-            .insert(mk_entry(&pool, vec![a, a, b], 3), None, Caps::NONE)
+            .insert(mk_entry(&pool, vec![a, a, b], 3), Caps::NONE)
             .0
             .id();
         let mut leaves = pool.leaf_ids();
@@ -973,7 +997,7 @@ mod tests {
     fn remove_batch_takes_one_write_lock() {
         let pool = RecyclePool::new();
         for tag in 0..32 {
-            pool.insert(mk_entry(&pool, vec![], tag), None, Caps::NONE);
+            pool.insert(mk_entry(&pool, vec![], tag), Caps::NONE);
         }
         let before = pool.write_lock_acquisitions();
         let (admitted, evicted) = admit_under(&pool, 99, entry_cap(1));
@@ -993,20 +1017,14 @@ mod tests {
         // the oldest entries are a parent and a pinned leaf: the victim is
         // the oldest unpinned leaf behind them
         let pool = RecyclePool::new();
-        let parent = pool
-            .insert(mk_entry(&pool, vec![], 1), None, Caps::NONE)
-            .0
-            .id();
-        let pinned = pool
-            .insert(mk_entry(&pool, vec![], 2), None, Caps::NONE)
-            .0
-            .id();
+        let parent = pool.insert(mk_entry(&pool, vec![], 1), Caps::NONE).0.id();
+        let pinned = pool.insert(mk_entry(&pool, vec![], 2), Caps::NONE).0.id();
         let free = pool
-            .insert(mk_entry(&pool, vec![parent], 3), None, Caps::NONE)
+            .insert(mk_entry(&pool, vec![parent], 3), Caps::NONE)
             .0
             .id();
         let other = pool
-            .insert(mk_entry(&pool, vec![parent], 4), None, Caps::NONE)
+            .insert(mk_entry(&pool, vec![parent], 4), Caps::NONE)
             .0
             .id();
         for (id, last_used) in [(parent, 0), (pinned, 0), (free, 1), (other, 2)] {
@@ -1031,7 +1049,7 @@ mod tests {
                 tag += 1;
                 let parents = parent.map(|p| vec![p]).unwrap_or_default();
                 let e = mk_entry(&pool, parents, tag);
-                parent = Some(pool.insert(e, None, Caps::NONE).0.id());
+                parent = Some(pool.insert(e, Caps::NONE).0.id());
             }
         }
         let v0 = pool.eviction_gather_visited();
@@ -1046,11 +1064,11 @@ mod tests {
     fn remove_subtree_cascades() {
         let pool = RecyclePool::new();
         let a = mk_entry(&pool, vec![], 1);
-        let a_id = pool.insert(a, None, Caps::NONE).0.id();
+        let a_id = pool.insert(a, Caps::NONE).0.id();
         let b = mk_entry(&pool, vec![a_id], 2);
-        let b_id = pool.insert(b, None, Caps::NONE).0.id();
+        let b_id = pool.insert(b, Caps::NONE).0.id();
         let c = mk_entry(&pool, vec![b_id], 3);
-        pool.insert(c, None, Caps::NONE);
+        pool.insert(c, Caps::NONE);
         let removed = pool.remove_subtree(a_id);
         assert_eq!(removed.len(), 3);
         assert!(pool.is_empty());
@@ -1059,13 +1077,13 @@ mod tests {
 
     #[test]
     fn candidates_probe_is_one_read_lock() {
-        // the candidate index lives in the graph, inside the pool lock: a
-        // miss-path subsumption probe is one read lock and no write lock
+        // the candidate index lives in the graph, inside the pool lock:
+        // listing it is one read lock and no write lock
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 1);
         let op = e.sig.op;
         let arg0 = e.sig.first_arg().unwrap().clone();
-        let id = pool.insert(e, None, Caps::NONE).0.id();
+        let id = pool.insert(e, Caps::NONE).0.id();
         let (reads, writes) = (
             RecyclePool::read_locks_on_this_thread(),
             pool.write_lock_acquisitions(),
@@ -1086,15 +1104,12 @@ mod tests {
             pool.probe(&sig, |e| e.id)
         };
         let ids: Vec<EntryId> = (1..=3)
-            .map(|tag| {
-                match pool
-                    .insert(mk_entry(&pool, vec![], tag), None, Caps::NONE)
-                    .0
-                {
+            .map(
+                |tag| match pool.insert(mk_entry(&pool, vec![], tag), Caps::NONE).0 {
                     Admitted::Inserted(id) => id,
                     other => panic!("collision must not cost the admission: {other:?}"),
-                }
-            })
+                },
+            )
             .collect();
         assert_eq!(pool.len(), 3);
         for (tag, id) in (1..=3).zip(&ids) {
@@ -1107,7 +1122,7 @@ mod tests {
             "an absent signature is a miss, not a neighbour"
         );
         // a collided signature still resolves its duplicates
-        let dup = pool.insert(mk_entry(&pool, vec![], 2), None, Caps::NONE).0;
+        let dup = pool.insert(mk_entry(&pool, vec![], 2), Caps::NONE).0;
         assert_eq!(dup, Admitted::Duplicate(ids[1]));
         pool.check_invariants().unwrap();
         // removal takes exactly the one asked for, wherever it queues
@@ -1125,7 +1140,7 @@ mod tests {
         let pool = RecyclePool::new();
         let e = mk_entry(&pool, vec![], 7);
         let sig = e.sig.clone();
-        pool.insert(e, None, Caps::NONE);
+        pool.insert(e, Caps::NONE);
         let args = [Value::Int(7)];
         let probe = SigRef::of(Opcode::Select, &args);
         let w0 = pool.write_lock_acquisitions();

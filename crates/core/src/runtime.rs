@@ -11,8 +11,8 @@
 //! * [`Recycler`] (this module) — a cheap per-session handle implementing
 //!   [`rmal::ExecHook`]: the current invocation, the pins its query holds,
 //!   what the query still owes the shared accounts and statistics, and the
-//!   per-query record log. Cloning a `Recycler` attaches a *new* session
-//!   to the same shared service.
+//!   record of its last query. Cloning a `Recycler` attaches a *new*
+//!   session to the same shared service.
 //!
 //! The exact-match hit path — the hot path of every marked instruction —
 //! is one fingerprint over the borrowed arguments, one pool **read**
@@ -25,12 +25,13 @@
 //! producers under one read lock, then insert — making room first if the
 //! pool is full — under one write lock; the new entry records its parents
 //! and copies nothing from them. See the locking invariants in
-//! [`crate::shared`].
+//! [`crate::shared`]. A subsumption attempt is one more read of the
+//! pool, which pins and stamps its source in the same step
+//! ([`crate::subsume`]).
 //!
 //! `Recycler::new` remains the one-line way to get a single-session
 //! engine: it creates a private `SharedRecycler` under the hood.
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,7 +41,7 @@ use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
 use crate::config::{AdmissionPolicy, RecyclerConfig};
-use crate::entry::{charge_bytes, Admitter, Anchors, EntryId, InstrKey, Lineage, Pin, PoolEntry};
+use crate::entry::{charge_bytes, Admitter, Anchors, InstrKey, Lineage, Pin, PoolEntry};
 use crate::eviction::Caps;
 use crate::pool::{Admitted, RecyclePool};
 use crate::shared::{AccountNotes, SharedRecycler};
@@ -92,20 +93,11 @@ fn bind_anchors(catalog: &Catalog, op: Opcode, args: &[Value]) -> Anchors {
     anchors
 }
 
-/// Overlapping candidates fed to the combined subsumption search (`k` in
-/// the paper's micro-benchmarks, Algorithm 2).
-const COMBINED_MAX_CANDIDATES: usize = 16;
-
-/// Most recent per-query records a session retains: the log is a ring
-/// that drops its oldest record once full — a server session lives as
-/// long as its connection and must not grow without bound.
-pub const QUERY_LOG_CAP: usize = 4096;
-
 /// A recycler session: implements `recycleEntry`/`recycleExit` around every
-/// marked instruction against the shared pool, and keeps this session's
-/// query records (capped at [`QUERY_LOG_CAP`] recent entries). Create
-/// with [`Recycler::new`] (private pool) or [`SharedRecycler::session`]
-/// (shared pool); clone to attach further sessions to the same pool.
+/// marked instruction against the shared pool, and keeps the record of
+/// this session's last query. Create with [`Recycler::new`] (private pool)
+/// or [`SharedRecycler::session`] (shared pool); clone to attach further
+/// sessions to the same pool.
 pub struct Recycler {
     shared: Arc<SharedRecycler>,
     session_id: u64,
@@ -119,7 +111,8 @@ pub struct Recycler {
     pins: Vec<Pin>,
     /// What the current query owes the shared accounts.
     notes: AccountNotes,
-    query_log: VecDeque<QueryRecord>,
+    /// The record of the last query that reached `query_end`.
+    last_query: QueryRecord,
     /// The current query's counts — the session's record of it and, at
     /// `query_end`, its contribution to the shared lifetime statistics.
     current: QueryRecord,
@@ -151,7 +144,7 @@ impl Recycler {
             in_query: false,
             pins: Vec::new(),
             notes: AccountNotes::default(),
-            query_log: VecDeque::new(),
+            last_query: QueryRecord::default(),
             current: QueryRecord::default(),
             deadline: None,
         }
@@ -183,10 +176,10 @@ impl Recycler {
         self.shared.stats()
     }
 
-    /// Per-query records of *this session*, oldest first: appended at
-    /// every `query_end`, the newest [`QUERY_LOG_CAP`] kept.
-    pub fn query_log(&self) -> &VecDeque<QueryRecord> {
-        &self.query_log
+    /// The record of *this session's* last query to reach `query_end`
+    /// (all zeros before the first).
+    pub fn last_query(&self) -> &QueryRecord {
+        &self.last_query
     }
 
     /// Snapshot of the pool content (Table III material).
@@ -264,20 +257,57 @@ impl Recycler {
         Some(hit.value)
     }
 
-    /// Record that `id` served as a subsumption source (read lock only).
-    /// Under PACED that is a reuse of the source's creator, noted like a
-    /// hit's; the paper's policies count exact reuses only.
-    fn register_subsumption_source(&mut self, id: EntryId) {
-        let shared = &self.shared;
-        let used = shared.pool().entry(id, |e| {
+    /// Subsumption (paper §5), one more read of the pool: the source is
+    /// pinned, stamped and cloned in the step that found it (`Arc`-shared
+    /// BATs outlive its eviction). Under PACED a source is a reuse of its
+    /// creator, noted like a hit's; the paper's policies count exact reuses
+    /// only. A pieced result (§5.2) is admitted here, under the original
+    /// signature.
+    ///
+    /// Kept out of line, like [`Self::try_hit`], so that `before` — the
+    /// all-hit path's caller — stays small.
+    #[inline(never)]
+    fn try_subsume(
+        &mut self,
+        catalog: &Catalog,
+        pc: usize,
+        instr: &Instr,
+        args: &[Value],
+        config: RecyclerConfig,
+    ) -> Option<HookAction> {
+        let paced = config.admission == AdmissionPolicy::Paced;
+        let (shared, pins, notes) = (&self.shared, &mut self.pins, &mut self.notes);
+        let mut use_source = |e: &PoolEntry| {
             e.last_used.store(shared.next_tick(), Ordering::Relaxed);
             e.subsumption_uses.fetch_add(1, Ordering::Relaxed);
-            (Pin::take(e), e.creator)
-        });
-        if let Some((pin, creator)) = used {
-            self.pins.push(pin);
-            if shared.config().admission == AdmissionPolicy::Paced {
-                self.notes.reuses.push((creator, false));
+            pins.push(Pin::take(e));
+            if paced {
+                notes.reuses.push((e.creator, false));
+            }
+        };
+        let (pool, combined) = (shared.pool(), config.combined_subsumption);
+        match subsume::attempt(pool, instr.op, args, combined, &mut use_source)? {
+            Subsumption::Rewrite(new_args) => {
+                self.current.subsumed += 1;
+                Some(HookAction::Rewrite(new_args))
+            }
+            Subsumption::Combined {
+                segments,
+                search_time,
+            } => {
+                shared.add_subsume_search(search_time);
+                let exec0 = Instant::now();
+                let bat = subsume::execute_combined(&segments)?;
+                let cpu = exec0.elapsed();
+                // the pieces still resident are used in one more read
+                let view = pool.read_view();
+                let resident = segments.iter().filter_map(|(id, ..)| view.entry(*id));
+                resident.for_each(&mut use_source);
+                drop(view);
+                let result = Value::Bat(Arc::new(bat));
+                self.current.subsumed += 1;
+                self.admit(catalog, pc, instr.op, args, &result, cpu);
+                Some(HookAction::Computed(result))
             }
         }
     }
@@ -364,27 +394,6 @@ impl Recycler {
             shared.undo_admission_charge(key, grant);
             return;
         }
-        // subset semantics for the subsumption machinery (§5.1), recorded
-        // atomically with the insert
-        let subset_of = match (result, args.first()) {
-            (Value::Bat(_), Some(Value::Bat(arg0)))
-                if matches!(
-                    op,
-                    Opcode::Select
-                        | Opcode::Uselect
-                        | Opcode::Like
-                        | Opcode::SelectNotNil
-                        | Opcode::Semijoin
-                        | Opcode::Diff
-                        | Opcode::Kunique
-                        | Opcode::Sort
-                        | Opcode::TopN
-                ) =>
-            {
-                Some(arg0.id())
-            }
-            _ => None,
-        };
         // the clock eviction ranks by, read before the entry draws its tick
         let caps = Caps::of(&shared.config(), shared.current_tick());
         let entry = PoolEntry::new(
@@ -407,7 +416,7 @@ impl Recycler {
         if let Some(hook) = BEFORE_INSERT.take() {
             hook();
         }
-        let (admitted, evicted) = pool.insert(entry, subset_of, caps);
+        let (admitted, evicted) = pool.insert(entry, caps);
         shared.settle_evictions(&evicted);
         match admitted {
             Admitted::Inserted(_) => {
@@ -445,7 +454,7 @@ impl Recycler {
 
 impl Clone for Recycler {
     /// Cloning attaches a **new session** to the same shared service:
-    /// fresh session id, empty query log, no pins. This is what makes the
+    /// fresh session id, no last query, no pins. This is what makes the
     /// hook handle cloneable for multi-session engines
     /// ([`rmal::Engine::session`]).
     fn clone(&self) -> Recycler {
@@ -511,65 +520,16 @@ impl ExecHook for Recycler {
         }
         let config = self.shared.config();
 
-        // Phase 2: subsumption (paper §5). The candidates are read under
-        // the pool read lock; argument values are cloned out, so a
-        // concurrent eviction of the source cannot invalidate the rewrite
-        // (`Arc`-shared BATs). Past the soft deadline the search (and any
-        // piecing) is optional work the query can no longer amortise;
-        // exact hits above still served.
-        if config.subsumption && !self.past_deadline() {
-            let attempt = {
-                let pool = self.shared.pool();
-                match instr.op {
-                    Opcode::Select => subsume::subsume_select(pool, args),
-                    Opcode::Uselect => subsume::subsume_uselect(pool, args),
-                    Opcode::Like => subsume::subsume_like(pool, args),
-                    Opcode::Semijoin => subsume::subsume_semijoin(pool, args),
-                    _ => None,
-                }
-            };
-            if let Some(Subsumption::Rewrite {
-                args: new_args,
-                source,
-            }) = attempt
-            {
-                self.register_subsumption_source(source);
-                self.current.subsumed += 1;
-                self.current.overhead += t0.elapsed();
-                return HookAction::Rewrite(new_args);
-            }
-            if config.combined_subsumption && instr.op == Opcode::Select {
-                let pieced = {
-                    let pool = self.shared.pool();
-                    match subsume::subsume_combined(pool, args, COMBINED_MAX_CANDIDATES) {
-                        Some(Subsumption::Combined {
-                            segments,
-                            search_time,
-                        }) => {
-                            self.shared.add_subsume_search(search_time);
-                            let exec0 = Instant::now();
-                            subsume::execute_combined(pool, &segments)
-                                .map(|bat| (segments, bat, exec0.elapsed()))
-                        }
-                        _ => None,
-                    }
-                };
-                if let Some((segments, bat, cpu)) = pieced {
-                    let result = Value::Bat(Arc::new(bat));
-                    for (id, _) in &segments {
-                        self.register_subsumption_source(*id);
-                    }
-                    self.current.subsumed += 1;
-                    // recycleExit for the pieced result, under the
-                    // ORIGINAL signature.
-                    self.admit(catalog, pc, instr.op, args, &result, cpu);
-                    self.current.overhead += t0.elapsed();
-                    return HookAction::Computed(result);
-                }
-            }
-        }
+        // Phase 2: subsumption (paper §5). Past the soft deadline the
+        // search (and any piecing) is optional work the query can no longer
+        // amortise; exact hits above still served.
+        let subsumed = if config.subsumption && !self.past_deadline() {
+            self.try_subsume(catalog, pc, instr, args, config)
+        } else {
+            None
+        };
         self.current.overhead += t0.elapsed();
-        HookAction::Proceed
+        subsumed.unwrap_or(HookAction::Proceed)
     }
 
     fn after(
@@ -587,13 +547,7 @@ impl ExecHook for Recycler {
     }
 
     fn query_end(&mut self, _program: &Program) {
-        let record = self.settle_query();
-        // at most one record moves per query: no bulk trim to show up as
-        // a latency outlier every few thousand queries
-        if self.query_log.len() == QUERY_LOG_CAP {
-            self.query_log.pop_front();
-        }
-        self.query_log.push_back(record);
+        self.last_query = self.settle_query();
     }
 
     fn update_event(&mut self, report: &CommitReport, catalog: &Catalog) {
@@ -1124,40 +1078,18 @@ mod tests {
     }
 
     #[test]
-    fn query_log_records() {
+    fn last_query_records() {
         let mut e = engine(RecyclerConfig::default());
         let mut t = range_template();
         e.optimize(&mut t);
         let p = [Value::Int(1), Value::Int(2)];
+        assert_eq!(e.hook.last_query().monitored, 0, "no query yet");
         e.run(&t, &p).unwrap();
+        assert_eq!(e.hook.last_query().hits, 0);
+        assert!(e.hook.last_query().admitted > 0);
         e.run(&t, &p).unwrap();
-        let log = e.hook.query_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].hits, 0);
-        assert!(log[1].hits > 0);
-        assert!(log[1].hit_ratio() > 0.9);
-    }
-
-    #[test]
-    fn query_log_is_a_ring_of_the_newest_records() {
-        // Regression: the log used to grow to 2 × QUERY_LOG_CAP and then
-        // drain its older half in one ~0.4 MB memmove — a 50–80 µs outlier
-        // every 4 096 queries of a session.
-        let mut hook = Recycler::new(RecyclerConfig::default());
-        let program = range_template();
-        for n in 0..3 * QUERY_LOG_CAP as u64 {
-            hook.query_start(&program);
-            hook.current.monitored = n;
-            hook.query_end(&program);
-            assert!(hook.query_log().len() <= QUERY_LOG_CAP, "query {n}");
-        }
-        let kept: Vec<u64> = hook.query_log().iter().map(|r| r.monitored).collect();
-        let newest = 2 * QUERY_LOG_CAP as u64..3 * QUERY_LOG_CAP as u64;
-        assert_eq!(kept, newest.collect::<Vec<u64>>(), "the newest, in order");
-        assert!(
-            hook.query_log().capacity() < 2 * QUERY_LOG_CAP,
-            "the ring must not hold room for more than it keeps"
-        );
+        assert!(e.hook.last_query().hits > 0);
+        assert!(e.hook.last_query().hit_ratio() > 0.9);
     }
 
     // ----- shared-service behaviour ----------------------------------------

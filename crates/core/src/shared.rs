@@ -7,9 +7,8 @@
 //!
 //! * the [`RecyclePool`] — a concurrent structure of its own: one
 //!   `RwLock` over one table that is entry slab and exact-match index at
-//!   once and the one [lineage graph](crate::lineage) over the entry ids,
-//!   with every byte/entry book in one [ledger](crate::ledger) moved only
-//!   under that lock's write guard;
+//!   once, its resident byte total (moved only under the lock's write
+//!   guard) and the one [lineage graph](crate::lineage) over the entry ids;
 //! * the admission accounts (PACED, CREDIT, ADAPT) behind one [`Mutex`] —
 //!   inherently global (credits are per template instruction: one map
 //!   entry each, holding every policy's state for that key) but touched
@@ -33,7 +32,10 @@
 //!    write guard held for the whole step — an admission with the room it
 //!    makes ([`RecyclePool::insert`]), a commit's
 //!    [`RecyclePool::write_view`], `clear` for maintenance — so no step
-//!    observes another half done; `check_invariants` holds the read guard.
+//!    observes another half done. Every read is one hold of the read
+//!    guard: a probe, an admission's resolution, a subsumption attempt
+//!    (its search, and the pinning and stamping of its source), a
+//!    diagnostic such as `len`, `bytes` or `check_invariants`.
 //! 2. **An exact hit is one pool read lock — and no other lock.** A hit
 //!    is served entirely under the pool's *read* lock: the reuse
 //!    counters, last-use stamp, pin count and credit-return flag are
@@ -52,9 +54,10 @@
 //!    misses). Unpinning takes no lock: a late decrement can only make
 //!    eviction skip an entry once more.
 //! 4. **No lock across execution:** operator execution happens outside
-//!    every lock; only combined-subsumption piecing reads pooled BATs,
-//!    entry-by-entry under the pool read lock, and `Arc`-shared results
-//!    stay valid regardless of eviction.
+//!    every lock. A subsumption attempt clones its sources' `Arc`-shared
+//!    results in its read step; a rewritten instruction and
+//!    combined-subsumption piecing run on those clones, which stay valid
+//!    whatever is evicted meanwhile.
 //! 5. **One funnel; first writer wins, atomically.** Every result is
 //!    admitted by one funnel ([`Recycler`]'s `admit`) and every exit of it
 //!    returns the credit it took. Racing duplicate admissions are
@@ -109,20 +112,20 @@
 //! 9. **A torn step empties the pool.** A panic unwinding through a
 //!    write step may leave the table, the graph or the books torn. The
 //!    step's guard ([`crate::pool::PoolWriteView`]) sees the unwind in its
-//!    `Drop` and, before the lock unlocks, replaces the table and the graph
-//!    with empty ones, zeroes the ledger and counts one wipe
+//!    `Drop` and, before the lock unlocks, replaces the table, its byte
+//!    total and the graph with empty ones and counts one wipe
 //!    (`pool_wipes`). The poisoned lock then guards a consistent, empty
 //!    pool, and both lock modes take it without consulting the poison
 //!    flag. The recycler is advisory: the next query misses, re-registers
 //!    its binds and re-admits — recovery costs misses and nothing else,
 //!    with no mending pass and no caller that has to run one.
-//! 10. **One result, one ledger.** An entry holds its result `Value`
+//! 10. **One result, one byte total.** An entry holds its result `Value`
 //!     directly and is immutable once admitted: its value and its charge
-//!     never change, so the ledger moves only at insert and at removal,
-//!     both under the pool's write lock. Every book is a pure function of
-//!     the resident entries, so `check_invariants` needs one sum
-//!     (`Ledger::recompute`), not one per book — and one graph
-//!     (`LineageGraph::rebuild`), not one pass per index.
+//!     never change, so the pool's byte total moves only at insert and at
+//!     removal, both under the write lock, and the entry count is the
+//!     table's own length. Both are pure functions of the resident
+//!     entries, so `check_invariants` needs one sum over the table — and
+//!     one graph (`LineageGraph::rebuild`), not one pass per index.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -758,7 +761,7 @@ mod tests {
         let admit = |tag: i64, bytes: usize| {
             let e = PoolEntry::test_stub(pool.alloc_id(), tag, vec![], bytes);
             let caps = Caps::of(&shared.config(), shared.current_tick());
-            let (admitted, evicted) = pool.insert(e, None, caps);
+            let (admitted, evicted) = pool.insert(e, caps);
             (admitted.inserted(), evicted.len())
         };
         for tag in 0..3 {

@@ -76,8 +76,8 @@ pub struct RecyclerStats {
     pub subsume_search: Duration,
 }
 
-/// Per-query record appended at every `query_end` — the unit the
-/// experiment harness consumes.
+/// Per-query record, taken at every `query_end` (a session keeps its last
+/// one) — the unit the experiment harness consumes.
 #[derive(Debug, Clone, Default)]
 pub struct QueryRecord {
     /// Template id.
@@ -152,13 +152,11 @@ impl PoolSnapshot {
     /// Build a snapshot from the live pool (the pool read lock; atomics
     /// sampled in passing).
     pub fn capture(pool: &RecyclePool) -> PoolSnapshot {
-        let mut snap = PoolSnapshot {
-            entries: pool.len(),
-            bytes: pool.bytes(),
-            ..Default::default()
-        };
+        let mut snap = PoolSnapshot::default();
         let mut cpu_sums: BTreeMap<&'static str, Duration> = BTreeMap::new();
         pool.for_each_entry(|e| {
+            snap.entries += 1;
+            snap.bytes += e.bytes();
             let reuses = e.local_reuses() + e.global_reuses();
             if reuses > 0 {
                 snap.reused_entries += 1;

@@ -1,186 +1,187 @@
 //! Instruction subsumption (paper §5): answering an instruction from
-//! intermediates whose result sets are supersets of the target.
+//! intermediates whose result sets contain the target's.
 //!
-//! The pool's table is keyed by the full signature hash, so the lists of
-//! entries sharing an `(opcode, first-argument)` key are kept by the
-//! pool's lineage graph: [`RecyclePool::candidates`] is one graph read
-//! returning ids in ascending order (ties between equally good sources go
-//! to the oldest), and the per-candidate inspections below take the table
-//! read lock entry by entry. Between the search
-//! and the use of a source its entry may be evicted — every access
-//! revalidates and the rewrite falls back gracefully (`Arc`-shared results
-//! cloned out of the pool stay valid regardless).
+//! An attempt is one read step of the pool ([`attempt`]). Under one read
+//! guard it lists the entries sharing the target's `(opcode, first
+//! argument)` — the lineage graph keeps them in ascending id order, so
+//! ties between equally good sources go to the oldest — applies the
+//! opcode's test, picks the smallest result and hands that source to the
+//! caller to pin, stamp and clone before the guard is released: nothing
+//! read in the step needs revalidating. An instruction no rule applies to
+//! takes no read at all. The combined search (Algorithm 2) runs after the
+//! guard is released, over what the step gathered — ids, bounds, lengths
+//! and the `Arc`-shared results — so piecing ([`execute_combined`]) never
+//! touches the pool, and a piece evicted after the search still answers.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rbat::ops::{self, like_subsumes, SelectBounds};
-use rbat::{Bat, Value};
+use rbat::{Bat, BatId, Value};
 use rmal::Opcode;
 
-use crate::entry::EntryId;
-use crate::pool::RecyclePool;
+use crate::entry::{EntryId, PoolEntry};
+use crate::pool::{PoolReadView, RecyclePool};
 use crate::signature::ArgSig;
 
-/// The outcome of subsumption analysis for one instruction.
+/// Overlapping candidates fed to the combined subsumption search (`k` in
+/// the paper's micro-benchmarks, Algorithm 2).
+const COMBINED_MAX_CANDIDATES: usize = 16;
+
+/// Opcodes whose result is a subset (by tuple content) of their first
+/// operand — the one fact §5.1's semijoin rule needs, read off the lineage
+/// ([`PoolReadView::is_subset`]).
+pub(crate) fn keeps_a_subset(op: Opcode) -> bool {
+    matches!(
+        op,
+        Opcode::Select
+            | Opcode::Uselect
+            | Opcode::Like
+            | Opcode::SelectNotNil
+            | Opcode::Semijoin
+            | Opcode::Diff
+            | Opcode::Kunique
+            | Opcode::Sort
+            | Opcode::TopN
+    )
+}
+
+/// What one subsumption attempt found.
 #[derive(Debug)]
 pub enum Subsumption {
-    /// Execute the same opcode with a rewritten argument list: the column
-    /// operand has been replaced by a (smaller) pool intermediate
-    /// (singleton subsumption, §5.1).
-    Rewrite {
-        /// New evaluated arguments.
-        args: Vec<Value>,
-        /// Entry serving as the source.
-        source: EntryId,
-    },
-    /// Piece the result together from several intermediates (combined
-    /// subsumption, §5.2): run the select over each `(entry, segment)` and
-    /// concatenate.
+    /// Singleton subsumption (§5.1): execute the same opcode over these
+    /// arguments — the column operand replaced by the smallest resident
+    /// superset, already handed to the caller as the source.
+    Rewrite(Vec<Value>),
+    /// Combined subsumption (§5.2): select each segment from its piece and
+    /// concatenate ([`execute_combined`]). The pieces are not yet used as
+    /// sources.
     Combined {
-        /// Disjoint segments with their designated source entries.
-        segments: Vec<(EntryId, SelectBounds)>,
+        /// Disjoint segments covering the target range.
+        segments: Vec<Segment>,
         /// Time spent inside the search algorithm (reported by Fig. 15).
-        search_time: std::time::Duration,
+        search_time: Duration,
     },
 }
 
-fn bounds_from_args(args: &[Value]) -> Option<SelectBounds> {
-    Some(SelectBounds {
-        lo: args.get(1)?.clone(),
-        hi: args.get(2)?.clone(),
-        lo_incl: args.get(3)?.as_bool()?,
-        hi_incl: args.get(4)?.as_bool()?,
-    })
+/// One segment of a combined answer: the source entry, its result (an
+/// `Arc` clone taken in the attempt's read step) and the part of the target
+/// range it answers.
+pub type Segment = (EntryId, Value, SelectBounds);
+
+/// The test a resident entry passes to answer the target (§5.1).
+enum Rule<'a> {
+    /// `select(X, r)`: a stored range selection over `X` containing `r`.
+    Range(SelectBounds),
+    /// `uselect(X, v)`: a stored range selection over `X` containing `v`.
+    Point(&'a Value),
+    /// `like(X, q)`: a stored `like(X, p)` whose matches include every
+    /// match of `q` (restricted `%literal%` pattern class).
+    Like(&'a str),
+    /// `semijoin(X, W)`: a stored `semijoin(X, V)` with `W ⊂ V`.
+    Subset(BatId),
 }
 
-fn bounds_from_sig(pool: &RecyclePool, id: EntryId) -> Option<(EntryId, SelectBounds)> {
-    pool.entry(id, |e| {
-        let scalar = |i: usize| -> Option<Value> {
-            match e.sig.args.get(i)? {
-                ArgSig::Scalar(v) => Some(v.clone()),
-                ArgSig::Bat(_) => None,
-            }
-        };
-        Some(SelectBounds {
-            lo: scalar(1)?,
-            hi: scalar(2)?,
-            lo_incl: scalar(3)?.as_bool()?,
-            hi_incl: scalar(4)?.as_bool()?,
-        })
-    })?
-    .map(|b| (id, b))
-}
-
-fn result_len(pool: &RecyclePool, id: EntryId) -> usize {
-    pool.entry(id, |e| e.value().as_bat().map(|b| b.len()))
-        .flatten()
-        .unwrap_or(usize::MAX)
-}
-
-fn result_of(pool: &RecyclePool, id: EntryId) -> Option<Value> {
-    pool.entry(id, |e| e.value().clone())
-}
-
-/// Singleton subsumption for `algebra.select`: find the smallest pool
-/// intermediate over the same column operand whose range contains the
-/// target range, and rewrite the operand (paper §5.1).
-pub fn subsume_select(pool: &RecyclePool, args: &[Value]) -> Option<Subsumption> {
-    let base = args.first()?.as_bat()?;
-    let target = bounds_from_args(args)?;
-    let candidates = pool.candidates(Opcode::Select, &ArgSig::Bat(base.id()));
-    let best = candidates
-        .iter()
-        .filter_map(|id| bounds_from_sig(pool, *id))
-        .filter(|(_, cand)| target.subsumed_by(cand))
-        .min_by_key(|(id, _)| result_len(pool, *id))?;
-    let source_result = result_of(pool, best.0)?;
-    let mut new_args = args.to_vec();
-    new_args[0] = source_result;
-    Some(Subsumption::Rewrite {
-        args: new_args,
-        source: best.0,
-    })
-}
-
-/// Singleton subsumption for `algebra.uselect` (equality probe) from range
-/// selections over the same operand.
-pub fn subsume_uselect(pool: &RecyclePool, args: &[Value]) -> Option<Subsumption> {
-    let base = args.first()?.as_bat()?;
-    let probe = args.get(1)?;
-    if probe.is_nil() {
-        return None;
+impl<'a> Rule<'a> {
+    fn of(op: Opcode, args: &'a [Value]) -> Option<Rule<'a>> {
+        match op {
+            Opcode::Select => Some(Rule::Range(SelectBounds {
+                lo: args.get(1)?.clone(),
+                hi: args.get(2)?.clone(),
+                lo_incl: args.get(3)?.as_bool()?,
+                hi_incl: args.get(4)?.as_bool()?,
+            })),
+            Opcode::Uselect => args.get(1).filter(|v| !v.is_nil()).map(Rule::Point),
+            Opcode::Like => Some(Rule::Like(args.get(1)?.as_str()?)),
+            Opcode::Semijoin => Some(Rule::Subset(args.get(1)?.as_bat()?.id())),
+            _ => None,
+        }
     }
-    let candidates = pool.candidates(Opcode::Select, &ArgSig::Bat(base.id()));
-    let best = candidates
-        .iter()
-        .filter_map(|id| bounds_from_sig(pool, *id))
-        .filter(|(_, cand)| cand.contains(probe))
-        .min_by_key(|(id, _)| result_len(pool, *id))?;
-    let source_result = result_of(pool, best.0)?;
-    let mut new_args = args.to_vec();
-    new_args[0] = source_result;
-    Some(Subsumption::Rewrite {
-        args: new_args,
-        source: best.0,
+
+    /// The opcode of the entries that may answer.
+    fn source_op(&self) -> Opcode {
+        match self {
+            Rule::Range(_) | Rule::Point(_) => Opcode::Select,
+            Rule::Like(_) => Opcode::Like,
+            Rule::Subset(_) => Opcode::Semijoin,
+        }
+    }
+
+    fn holds(&self, view: &PoolReadView<'_>, e: &PoolEntry) -> bool {
+        match (self, e.sig.args.get(1)) {
+            (Rule::Range(target), _) => bounds_of(e).is_some_and(|b| target.subsumed_by(&b)),
+            (Rule::Point(v), _) => bounds_of(e).is_some_and(|b| b.contains(v)),
+            (Rule::Like(q), Some(ArgSig::Scalar(Value::Str(p)))) => like_subsumes(p, q),
+            (Rule::Subset(w), Some(ArgSig::Bat(v))) => v != w && view.is_subset(*w, *v),
+            _ => false,
+        }
+    }
+}
+
+/// The range a stored selection's signature names.
+fn bounds_of(e: &PoolEntry) -> Option<SelectBounds> {
+    let scalar = |i: usize| -> Option<Value> {
+        match e.sig.args.get(i)? {
+            ArgSig::Scalar(v) => Some(v.clone()),
+            ArgSig::Bat(_) => None,
+        }
+    };
+    Some(SelectBounds {
+        lo: scalar(1)?,
+        hi: scalar(2)?,
+        lo_incl: scalar(3)?.as_bool()?,
+        hi_incl: scalar(4)?.as_bool()?,
     })
 }
 
-/// Singleton subsumption for the SQL LIKE operator (paper §5.1): a stored
-/// `like(X, p)` subsumes `like(X, q)` when every string matching `q` also
-/// matches `p` (restricted `%literal%` pattern class).
-pub fn subsume_like(pool: &RecyclePool, args: &[Value]) -> Option<Subsumption> {
-    let base = args.first()?.as_bat()?;
-    let pattern = args.get(1)?.as_str()?;
-    let candidates = pool.candidates(Opcode::Like, &ArgSig::Bat(base.id()));
-    let best = candidates
-        .iter()
-        .filter(|id| {
-            pool.entry(**id, |e| match e.sig.args.get(1) {
-                Some(ArgSig::Scalar(Value::Str(p))) => like_subsumes(p, pattern),
-                _ => false,
-            })
-            .unwrap_or(false)
-        })
-        .min_by_key(|id| result_len(pool, **id))
-        .copied()?;
-    let source_result = result_of(pool, best)?;
-    let mut new_args = args.to_vec();
-    new_args[0] = source_result;
-    Some(Subsumption::Rewrite {
-        args: new_args,
-        source: best,
-    })
+fn result_len(e: &PoolEntry) -> usize {
+    e.value().as_bat().map_or(usize::MAX, |b| b.len())
 }
 
-/// Singleton subsumption for `algebra.semijoin` (paper §5.1): a stored
-/// `semijoin(X, V)` answers `semijoin(X, W)` when `W ⊂ V` — derived from
-/// the pool's recorded subset relation.
-pub fn subsume_semijoin(pool: &RecyclePool, args: &[Value]) -> Option<Subsumption> {
-    let x = args.first()?.as_bat()?;
-    let w = args.get(1)?.as_bat()?;
-    let candidates = pool.candidates(Opcode::Semijoin, &ArgSig::Bat(x.id()));
-    let best = candidates
-        .iter()
-        .filter(|id| {
-            // read the stored right operand under the pool read lock, then
-            // walk the subset relation outside it (lineage-only locks)
-            let v = pool.entry(**id, |e| match e.sig.args.get(1) {
-                Some(ArgSig::Bat(v)) => Some(*v),
-                _ => None,
-            });
-            match v {
-                Some(Some(v)) => v != w.id() && pool.is_subset(w.id(), v),
-                _ => false,
-            }
+/// One subsumption attempt for `op` over `args`, in one read step of
+/// `pool`. A singleton source is handed to `use_source` under the guard
+/// that found it (`use_source` must not call back into the pool). With
+/// `combined`, a bounded range select no single entry answers gathers the
+/// overlapping selections in the same step and is pieced together from
+/// them after it (Algorithm 2). No read is taken when no rule applies.
+pub fn attempt(
+    pool: &RecyclePool,
+    op: Opcode,
+    args: &[Value],
+    combined: bool,
+    use_source: impl FnOnce(&PoolEntry),
+) -> Option<Subsumption> {
+    let operand = args.first()?.as_bat()?;
+    let rule = Rule::of(op, args)?;
+    let view = pool.read_view();
+    let (source_op, arg0) = (rule.source_op(), ArgSig::Bat(operand.id()));
+    let candidates = || view.candidates(source_op, &arg0);
+    let holds = candidates().filter(|e| rule.holds(&view, e));
+    if let Some(source) = holds.min_by_key(|e| result_len(e)) {
+        use_source(source);
+        let mut rewritten = args.to_vec();
+        rewritten[0] = source.value().clone();
+        return Some(Subsumption::Rewrite(rewritten));
+    }
+    let Rule::Range(target) = rule else {
+        return None;
+    };
+    if !combined || target.lo.is_nil() || target.hi.is_nil() {
+        return None; // only bounded ranges are pieced together
+    }
+    let t_start = Instant::now();
+    // R: all overlapping candidates (line 6-9 of Algorithm 2).
+    let r: Vec<(EntryId, SelectBounds, usize, Value)> = candidates()
+        .filter_map(|e| {
+            let (b, bat) = (bounds_of(e)?, e.value().as_bat()?);
+            b.overlaps(&target)
+                .then(|| (e.id, b, bat.len(), e.value().clone()))
         })
-        .min_by_key(|id| result_len(pool, **id))
-        .copied()?;
-    let source_result = result_of(pool, best)?;
-    let mut new_args = args.to_vec();
-    new_args[0] = source_result;
-    Some(Subsumption::Rewrite {
-        args: new_args,
-        source: best,
+        .collect();
+    drop(view);
+    let segments = piece_together(&target, operand.len(), r)?;
+    Some(Subsumption::Combined {
+        segments,
+        search_time: t_start.elapsed(),
     })
 }
 
@@ -246,43 +247,22 @@ fn covers(target: &SelectBounds, pieces: &[(EntryId, SelectBounds)]) -> bool {
     }
 }
 
-/// Combined subsumption (Algorithm 2): find the cheapest set of
-/// overlapping pool selections over the same operand that together cover
-/// the target range; cheaper than scanning the base column means the sum
-/// of the pieces' sizes beats the operand size (§5.2 cost model).
-pub fn subsume_combined(
-    pool: &RecyclePool,
-    args: &[Value],
-    max_candidates: usize,
-) -> Option<Subsumption> {
-    let t_start = Instant::now();
-    let base = args.first()?.as_bat()?;
-    let target = bounds_from_args(args)?;
-    if target.lo.is_nil() || target.hi.is_nil() {
-        return None; // only bounded ranges are pieced together
-    }
-
-    // R: all overlapping candidates (line 6-9 of Algorithm 2).
-    let mut r: Vec<(EntryId, SelectBounds, usize)> = pool
-        .candidates(Opcode::Select, &ArgSig::Bat(base.id()))
-        .iter()
-        .filter_map(|id| bounds_from_sig(pool, *id))
-        .filter(|(_, b)| b.overlaps(&target))
-        .map(|(id, b)| {
-            let len = result_len(pool, id);
-            (id, b, len)
-        })
-        // a candidate evicted between the index snapshot and the length
-        // probe (or one with a non-BAT result) reports the usize::MAX
-        // sentinel: it can never be pieced, and letting it into the DP
-        // would overflow the subset cost sums under eviction churn
-        .filter(|(_, _, len)| *len != usize::MAX)
-        .collect();
+/// Combined subsumption (Algorithm 2): find the cheapest set of the
+/// overlapping selections `r` — (id, range, length, result) — that
+/// together cover the target range, and cut the target into disjoint
+/// segments, one per chosen piece. Cheaper than scanning the base column
+/// means the sum of the pieces' sizes beats `base_cost`, the operand size
+/// (§5.2 cost model).
+fn piece_together(
+    target: &SelectBounds,
+    base_cost: usize,
+    mut r: Vec<(EntryId, SelectBounds, usize, Value)>,
+) -> Option<Vec<Segment>> {
     if r.is_empty() {
         return None;
     }
-    r.sort_by_key(|(_, _, len)| *len);
-    r.truncate(max_candidates.min(24));
+    r.sort_by_key(|(_, _, len, _)| *len);
+    r.truncate(COMBINED_MAX_CANDIDATES);
 
     // Cheap feasibility gate before the exponential search: if even the
     // UNION of all candidates cannot cover the target range, no subset can
@@ -290,7 +270,7 @@ pub fn subsume_combined(
     // workloads where overlapping-but-not-covering selections abound.
     {
         let mut all: Vec<(EntryId, SelectBounds)> =
-            r.iter().map(|(id, b, _)| (*id, b.clone())).collect();
+            r.iter().map(|(id, b, _, _)| (*id, b.clone())).collect();
         all.sort_by(|a, b| {
             if a.1.lo.is_nil() {
                 return std::cmp::Ordering::Less;
@@ -302,12 +282,11 @@ pub fn subsume_combined(
                 .cmp_same(&b.1.lo)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        if !covers(&target, &all) {
+        if !covers(target, &all) {
             return None;
         }
     }
 
-    let base_cost = base.len();
     let k = r.len();
     // DP over subsets with cost cutting: partial solutions P1 of size N are
     // extended to size N+1; anything at or above the best known cost is
@@ -352,7 +331,7 @@ pub fn subsume_combined(
     // check singletons immediately
     for p in &p1 {
         if p.cost < best.map(|(_, c)| c).unwrap_or(base_cost)
-            && covers(&target, &sorted_pieces(p.mask))
+            && covers(target, &sorted_pieces(p.mask))
         {
             best = Some((p.mask, p.cost));
         }
@@ -381,7 +360,7 @@ pub fn subsume_combined(
                 if cost >= bound {
                     continue;
                 }
-                if covers(&target, &sorted_pieces(mask)) {
+                if covers(target, &sorted_pieces(mask)) {
                     best = Some((mask, cost));
                 } else {
                     p2.push(Partial { mask, cost });
@@ -406,7 +385,7 @@ pub fn subsume_combined(
     let chosen = sorted_pieces(mask);
     // Cut the target range into disjoint segments, each answered by one
     // piece (overlap between pieces must not duplicate result tuples).
-    let mut segments: Vec<(EntryId, SelectBounds)> = Vec::new();
+    let mut segments: Vec<Segment> = Vec::new();
     let mut cur_lo = target.lo.clone();
     let mut cur_incl = target.lo_incl;
     for (id, b) in &chosen {
@@ -430,8 +409,10 @@ pub fn subsume_combined(
         if !progress {
             continue;
         }
+        let piece = r.iter().find(|p| p.0 == *id).map(|p| p.3.clone())?;
         segments.push((
             *id,
+            piece,
             SelectBounds {
                 lo: cur_lo.clone(),
                 hi: seg_hi.clone(),
@@ -451,26 +432,17 @@ pub fn subsume_combined(
             break;
         }
     }
-    if segments.is_empty() {
-        return None;
-    }
-    Some(Subsumption::Combined {
-        segments,
-        search_time: t_start.elapsed(),
-    })
+    (!segments.is_empty()).then_some(segments)
 }
 
 /// Execute a combined-subsumption plan: select each segment from its piece
 /// and concatenate. The caller admits the result under the original
-/// instruction signature. Returns `None` when a piece disappeared between
-/// search and execution (concurrent eviction) — the caller falls back to
-/// regular execution.
-pub fn execute_combined(pool: &RecyclePool, segments: &[(EntryId, SelectBounds)]) -> Option<Bat> {
+/// instruction signature. The pieces were cloned out of the pool by the
+/// search, so a piece evicted since still answers.
+pub fn execute_combined(segments: &[Segment]) -> Option<Bat> {
     let mut parts: Vec<Bat> = Vec::with_capacity(segments.len());
-    for (id, seg) in segments {
-        let piece = result_of(pool, *id)?;
-        let piece = piece.as_bat()?;
-        parts.push(ops::select(piece, seg).ok()?);
+    for (_, piece, seg) in segments {
+        parts.push(ops::select(piece.as_bat()?, seg).ok()?);
     }
     let refs: Vec<&Bat> = parts.iter().collect();
     ops::concat(&refs).ok()
@@ -479,11 +451,10 @@ pub fn execute_combined(pool: &RecyclePool, segments: &[(EntryId, SelectBounds)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{Admitter, Lineage, PoolEntry};
+    use crate::entry::{Admitter, Lineage};
     use crate::signature::Sig;
     use rbat::Column;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn select_args(base: &Arc<Bat>, lo: i64, hi: i64) -> Vec<Value> {
         vec![
@@ -514,13 +485,33 @@ mod tests {
         let bounds = SelectBounds::closed(Value::Int(lo), Value::Int(hi));
         let result = Arc::new(ops::select(base, &bounds).unwrap());
         let e = mk_entry(pool, Opcode::Select, args, result);
-        pool.insert(e, Some(base.id()), crate::Caps::NONE).0.id()
+        pool.insert(e, crate::Caps::NONE).0.id()
+    }
+
+    fn result_of(pool: &RecyclePool, id: EntryId) -> Value {
+        pool.entry(id, |e| e.value().clone()).unwrap()
     }
 
     fn base_bat() -> Arc<Bat> {
         // deliberately unsorted values 0..100 so selects do real work
         let vals: Vec<i64> = (0..100).map(|i| (i * 37) % 100).collect();
         Arc::new(Bat::from_tail(Column::from_ints(vals)))
+    }
+
+    /// A singleton attempt: the rewritten arguments and the source used.
+    fn singleton(pool: &RecyclePool, op: Opcode, args: &[Value]) -> Option<(Vec<Value>, EntryId)> {
+        let mut source = None;
+        match attempt(pool, op, args, false, |e| source = Some(e.id))? {
+            Subsumption::Rewrite(args) => Some((args, source.expect("a source was used"))),
+            other => panic!("expected a rewrite, got {other:?}"),
+        }
+    }
+
+    fn combined(pool: &RecyclePool, args: &[Value]) -> Option<Vec<Segment>> {
+        match attempt(pool, Opcode::Select, args, true, |_| ())? {
+            Subsumption::Combined { segments, .. } => Some(segments),
+            other => panic!("expected combined subsumption, got {other:?}"),
+        }
     }
 
     #[test]
@@ -530,18 +521,11 @@ mod tests {
         let wide = admit_select(&pool, &base, 0, 90);
         let narrow = admit_select(&pool, &base, 30, 60);
         let args = select_args(&base, 40, 50);
-        match subsume_select(&pool, &args) {
-            Some(Subsumption::Rewrite {
-                args: new_args,
-                source,
-            }) => {
-                assert_eq!(source, narrow, "smaller candidate wins over {wide}");
-                let src_bat = new_args[0].as_bat().unwrap();
-                let narrow_result = pool.entry(narrow, |e| e.result_id).unwrap().unwrap();
-                assert_eq!(src_bat.id(), narrow_result);
-            }
-            other => panic!("expected rewrite, got {other:?}"),
-        }
+        let (new_args, source) = singleton(&pool, Opcode::Select, &args).expect("a rewrite");
+        assert_eq!(source, narrow, "smaller candidate wins over {wide}");
+        let src_bat = new_args[0].as_bat().unwrap();
+        let narrow_result = pool.entry(narrow, |e| e.result_id).unwrap().unwrap();
+        assert_eq!(src_bat.id(), narrow_result);
     }
 
     #[test]
@@ -551,7 +535,7 @@ mod tests {
         admit_select(&pool, &base, 30, 60);
         // target sticks out of every candidate
         let args = select_args(&base, 50, 70);
-        assert!(subsume_select(&pool, &args).is_none());
+        assert!(singleton(&pool, Opcode::Select, &args).is_none());
     }
 
     #[test]
@@ -560,9 +544,7 @@ mod tests {
         let pool = RecyclePool::new();
         admit_select(&pool, &base, 10, 80);
         let args = select_args(&base, 20, 40);
-        let Some(Subsumption::Rewrite { args: new_args, .. }) = subsume_select(&pool, &args) else {
-            panic!("expected rewrite");
-        };
+        let (new_args, _) = singleton(&pool, Opcode::Select, &args).expect("a rewrite");
         let bounds = SelectBounds::closed(Value::Int(20), Value::Int(40));
         let regular = ops::select(&base, &bounds).unwrap();
         let rewritten = ops::select(new_args[0].as_bat().unwrap(), &bounds).unwrap();
@@ -578,12 +560,9 @@ mod tests {
         admit_select(&pool, &base, 6, 40); // X3
                                            // the paper's example: target [4, 8]
         let args = select_args(&base, 4, 8);
-        let Some(Subsumption::Combined { segments, .. }) = subsume_combined(&pool, &args, 16)
-        else {
-            panic!("expected combined subsumption");
-        };
+        let segments = combined(&pool, &args).expect("combined subsumption");
         assert!(segments.len() >= 2);
-        let result = execute_combined(&pool, &segments).unwrap();
+        let result = execute_combined(&segments).unwrap();
         let bounds = SelectBounds::closed(Value::Int(4), Value::Int(8));
         let regular = ops::select(&base, &bounds).unwrap();
         assert_eq!(result.canonical_tuples(), regular.canonical_tuples());
@@ -597,7 +576,7 @@ mod tests {
         admit_select(&pool, &base, 20, 30);
         // [5, 25] has a hole (10, 20) — no combined solution
         let args = select_args(&base, 5, 25);
-        assert!(subsume_combined(&pool, &args, 16).is_none());
+        assert!(combined(&pool, &args).is_none());
     }
 
     #[test]
@@ -606,66 +585,60 @@ mod tests {
         let pool = RecyclePool::new();
         let small_a = admit_select(&pool, &base, 3, 7);
         let small_b = admit_select(&pool, &base, 7, 12);
-        let huge = admit_select(&pool, &base, 0, 99); // covers alone but big
+        // covers the target's low end alone, at more cost than `small_a`
+        // (a selection containing the whole target would answer alone)
+        let big = admit_select(&pool, &base, 0, 7);
         let args = select_args(&base, 4, 8);
-        let Some(Subsumption::Combined { segments, .. }) = subsume_combined(&pool, &args, 16)
-        else {
-            panic!("expected combined");
-        };
-        let used: std::collections::HashSet<EntryId> = segments.iter().map(|(id, _)| *id).collect();
-        assert!(!used.contains(&huge), "full scan of {huge} is costlier");
-        assert!(used.contains(&small_a) || used.contains(&small_b));
+        let segments = combined(&pool, &args).expect("combined subsumption");
+        let used: std::collections::HashSet<EntryId> = segments.iter().map(|s| s.0).collect();
+        assert!(!used.contains(&big), "piecing with {big} is costlier");
+        assert!(used.contains(&small_a) && used.contains(&small_b));
     }
 
     #[test]
-    fn execute_combined_survives_concurrent_eviction() {
+    fn a_piece_evicted_after_the_search_still_pieces_the_naive_answer() {
         let base = base_bat();
         let pool = RecyclePool::new();
         let a = admit_select(&pool, &base, 3, 7);
         admit_select(&pool, &base, 5, 15);
         let args = select_args(&base, 4, 8);
-        let Some(Subsumption::Combined { segments, .. }) = subsume_combined(&pool, &args, 16)
-        else {
-            panic!("expected combined");
-        };
-        // a piece vanishes between search and execution
-        pool.remove(a);
-        assert!(
-            execute_combined(&pool, &segments).is_none(),
-            "must fall back gracefully, not panic"
-        );
+        let segments = combined(&pool, &args).expect("combined subsumption");
+        assert!(segments.iter().any(|s| s.0 == a));
+        // a piece is evicted between the search and the piecing: its result
+        // was cloned out by the search
+        assert!(pool.remove(a).is_some());
+        let result = execute_combined(&segments).expect("no fallback");
+        let bounds = SelectBounds::closed(Value::Int(4), Value::Int(8));
+        let regular = ops::select(&base, &bounds).unwrap();
+        assert_eq!(result.canonical_tuples(), regular.canonical_tuples());
     }
 
     #[test]
     fn semijoin_subsumption_via_subset_relation() {
-        // X: some table fragment; V ⊃ W selections over another column
+        // X: some table fragment; W = select(V, ..) ⊂ V = select(col, ..)
         let x = Arc::new(Bat::from_tail(Column::from_ints((0..50).collect())));
         let sel_col = base_bat();
         let pool = RecyclePool::new();
         let v_id = admit_select(&pool, &sel_col, 0, 80);
-        let v_bat = result_of(&pool, v_id).unwrap();
+        let v_bat = result_of(&pool, v_id);
+        let v = Arc::clone(v_bat.as_bat().unwrap());
         // admit semijoin(X, V)
         let sj_args = vec![Value::Bat(Arc::clone(&x)), v_bat.clone()];
-        let sj_res = Arc::new(ops::semijoin(&x, v_bat.as_bat().unwrap()).unwrap());
+        let sj_res = Arc::new(ops::semijoin(&x, &v).unwrap());
         let e = mk_entry(&pool, Opcode::Semijoin, sj_args, sj_res);
-        let sj_id = pool.insert(e, None, crate::Caps::NONE).0.id();
-        // W ⊂ V: a narrower selection, subset edge recorded vs V's result
-        let w_id = admit_select(&pool, &sel_col, 20, 40);
-        let w_res = result_of(&pool, w_id).unwrap();
-        let v_res_id = pool.entry(v_id, |e| e.result_id).unwrap().unwrap();
-        let w_res_id = pool.entry(w_id, |e| e.result_id).unwrap().unwrap();
-        pool.add_subset_edge(w_res_id, v_res_id);
+        let sj_id = pool.insert(e, crate::Caps::NONE).0.id();
+        // W's producer is a filter over V: the relation is in the lineage
+        let w_id = admit_select(&pool, &v, 20, 40);
+        let w_res = result_of(&pool, w_id);
         let target_args = vec![Value::Bat(Arc::clone(&x)), w_res.clone()];
-        match subsume_semijoin(&pool, &target_args) {
-            Some(Subsumption::Rewrite { args, source }) => {
-                assert_eq!(source, sj_id);
-                // correctness: semijoin(sj_result, W) == semijoin(X, W)
-                let rewritten =
-                    ops::semijoin(args[0].as_bat().unwrap(), w_res.as_bat().unwrap()).unwrap();
-                let regular = ops::semijoin(&x, w_res.as_bat().unwrap()).unwrap();
-                assert_eq!(rewritten.canonical_tuples(), regular.canonical_tuples());
-            }
-            other => panic!("expected rewrite, got {other:?}"),
-        }
+        let (args, source) = singleton(&pool, Opcode::Semijoin, &target_args).expect("a rewrite");
+        assert_eq!(source, sj_id);
+        // correctness: semijoin(sj_result, W) == semijoin(X, W)
+        let rewritten = ops::semijoin(args[0].as_bat().unwrap(), w_res.as_bat().unwrap()).unwrap();
+        let regular = ops::semijoin(&x, w_res.as_bat().unwrap()).unwrap();
+        assert_eq!(rewritten.canonical_tuples(), regular.canonical_tuples());
+        // once W's producer is gone, nothing says W ⊂ V
+        pool.remove(w_id);
+        assert!(singleton(&pool, Opcode::Semijoin, &target_args).is_none());
     }
 }

@@ -1,12 +1,13 @@
-//! Property tests for the pool's ledger.
+//! Property tests for the pool's books: its entry count and resident byte
+//! total.
 //!
 //! A random script of insert / remove / evict / invalidate / clear /
 //! torn-commit steps runs while the test keeps its *own* model of what
 //! is resident — an eviction is the room an admission into a full pool
 //! makes in its own write step. After every step:
 //!
-//! * `check_invariants()` holds — which includes the live ledger being
-//!   equal to `Ledger::recompute` over the table, and
+//! * `check_invariants()` holds — which includes the byte total kept under
+//!   the pool lock being equal to the sum over the table, and
 //! * every public book (`len`, `bytes`) equals what the model says.
 
 use std::sync::Arc;
@@ -84,7 +85,7 @@ impl Rig {
             Admitter::default(),
         );
         e.pins.store(0, std::sync::atomic::Ordering::Relaxed);
-        let (admitted, evicted) = self.pool.insert(e, None, caps);
+        let (admitted, evicted) = self.pool.insert(e, caps);
         self.live.push(Live {
             id: admitted.id(),
             bytes,

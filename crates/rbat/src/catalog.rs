@@ -77,7 +77,7 @@
 //!   buffer a commit shares as it is (upkeep case 3) keeps its slot: it
 //!   indexes the same immutable words.
 //! * **Whose bytes.** The catalog's, like the column's: an index is in no
-//!   `resident_bytes()` and so in no book of the recycle pool's ledger —
+//!   `resident_bytes()` and so in no byte total of the recycle pool —
 //!   the pool's limit bounds intermediates.
 //!   [`crate::column::Accelerator::byte_size`] reports them (u32 rows and
 //!   offsets: ~6 bytes per row of a foreign-key column), one index per

@@ -69,7 +69,7 @@ impl Accelerator {
     }
 
     /// Heap bytes of the index, 0 until it is built. They are in no
-    /// `resident_bytes()`: the recycle pool's ledger charges intermediates,
+    /// `resident_bytes()`: the recycle pool's byte total charges intermediates,
     /// and this belongs to a base column.
     pub fn byte_size(&self) -> usize {
         self.index.get().map_or(0, JoinBuild::byte_size)

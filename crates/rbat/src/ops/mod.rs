@@ -12,7 +12,7 @@
 //! * [`sort`] / [`topn`] — ordering
 //! * [`calc`] / [`calc_cmp`] — column arithmetic and comparisons
 //! * [`kunique`] — duplicate elimination
-//! * [`concat`] — tuple union (used by combined subsumption and deltas)
+//! * [`concat`] — tuple union (used by combined subsumption)
 //!
 //! # Which algorithm runs
 //!

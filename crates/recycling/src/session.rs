@@ -1,6 +1,5 @@
 //! The per-client [`Session`] handle and its typed request/reply types.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use rbat::catalog::CommitReport;
@@ -146,7 +145,7 @@ impl Session {
         match &mut self.engine {
             EngineKind::Recycled(e) => {
                 let out = e.run(template, params)?;
-                let admitted = e.hook.query_log().back().map(|r| r.admitted).unwrap_or(0);
+                let admitted = e.hook.last_query().admitted;
                 Ok(QueryReply {
                     exports: out.exports,
                     marked: out.stats.marked as u64,
@@ -278,14 +277,12 @@ impl Session {
         self.db.stats()
     }
 
-    /// Per-query records of *this* session, oldest first: appended at
-    /// every query end, the newest `recycler::runtime::QUERY_LOG_CAP`
-    /// kept (empty for naive sessions).
-    pub fn query_log(&self) -> &VecDeque<QueryRecord> {
-        static NONE: VecDeque<QueryRecord> = VecDeque::new();
+    /// The record of *this* session's last query (all zeros before the
+    /// first; `None` for naive sessions).
+    pub fn last_query(&self) -> Option<&QueryRecord> {
         match &self.engine {
-            EngineKind::Recycled(e) => e.hook.query_log(),
-            EngineKind::Naive(_) => &NONE,
+            EngineKind::Recycled(e) => Some(e.hook.last_query()),
+            EngineKind::Naive(_) => None,
         }
     }
 }

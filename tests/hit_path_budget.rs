@@ -2,19 +2,20 @@
 //! heap allocations and in locks, held as exact counts — a counting global
 //! allocator for the former, the pool's and the accounts' per-thread lock
 //! probes for the latter — and, beside it, the budget of the miss path in
-//! the pool's one lock: what an admission, an admission that evicts and a
-//! commit may take, and that an admission allocates the same under a
-//! lineage one column wide or sixteen. (Each test runs on its own thread,
+//! the pool's one lock: what an admission, an admission that evicts, a
+//! subsumption attempt and a commit may take, and that an admission
+//! allocates the same under a lineage one column wide or sixteen. (Each test runs on its own thread,
 //! so the per-thread probes see this test's locks only; the allocator
 //! counts on a thread-local too.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::{Duration, Instant};
 
 use rbat::{Catalog, LogicalType, TableBuilder, Value};
 use recycler::{Caps, PoolEntry, RecyclePool, SharedRecycler};
 use recycling::{AdmissionPolicy, Database, DatabaseBuilder, RecyclerConfig, Session, Update};
-use rmal::{Program, ProgramBuilder, P};
+use rmal::{ExecHook, HookAction, Opcode, Program, ProgramBuilder, P};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -87,9 +88,9 @@ fn warm(session: &mut Session, template: &Program) -> u64 {
     reply.marked
 }
 
-/// The fewest allocations any of `runs` warm queries makes (the session's
-/// query log doubles its buffer now and then; the minimum is the query's
-/// own cost).
+/// The fewest allocations any of `runs` warm queries makes (a table or
+/// list a query shares with the others may grow now and then; the
+/// minimum is the query's own cost).
 fn warm_query_allocations(session: &mut Session, template: &Program, runs: usize) -> u64 {
     (0..runs)
         .map(|_| {
@@ -284,13 +285,72 @@ fn an_admission_allocates_the_same_whatever_the_width_of_its_lineage() {
 }
 
 #[test]
+fn a_subsumption_attempt_is_one_read_step() {
+    // k resident range selections [400 i, 400 i + 300] over `t.x`: a target
+    // inside the first is a singleton rewrite; one straddling its end
+    // overlaps it and the gap behind it, which nothing covers — whatever k,
+    // a missed select is the exact probe and one attempt, and no write
+    let cat = catalog();
+    let program = chain("attempt", 1);
+    let (bind, select) = (&program.instrs[0], &program.instrs[1]);
+    assert_eq!((bind.op, select.op), (Opcode::Bind, Opcode::Select));
+    let bind_args = [Value::str("t"), Value::str("x")];
+    let col = rmal::execute_op(&cat, &bind.op, &bind_args).unwrap();
+    let range = |lo: i64, hi: i64| {
+        let bound = |v: i64| Value::Int(v);
+        vec![
+            col.clone(),
+            bound(lo),
+            bound(hi),
+            Value::Bool(true),
+            Value::Bool(true),
+        ]
+    };
+    let cpu = Duration::from_micros(5);
+    for k in [0, 1, 8] {
+        for (lo, hi, rewrite) in [(10, 20, k > 0), (250, 350, false)] {
+            let config = RecyclerConfig::default().admission(AdmissionPolicy::KeepAll);
+            let mut session = SharedRecycler::new(config).session();
+            session.query_start(&program);
+            session.after(&cat, 0, bind, &bind_args, &col, cpu, Instant::now());
+            for i in 0..k {
+                let args = range(400 * i, 400 * i + 300);
+                let result = rmal::execute_op(&cat, &select.op, &args).unwrap();
+                session.after(&cat, 1, select, &args, &result, cpu, Instant::now());
+            }
+            assert_eq!(
+                session.pool().len() as i64,
+                k + 1,
+                "the bind and k selections"
+            );
+            let writes = session.pool().write_lock_acquisitions();
+            let reads = RecyclePool::read_locks_on_this_thread();
+            let action = session.before(&cat, 1, select, &range(lo, hi), Instant::now());
+            assert_eq!(
+                matches!(action, HookAction::Rewrite(_)),
+                rewrite,
+                "k = {k}, [{lo}, {hi}]: {action:?}"
+            );
+            assert_eq!(
+                RecyclePool::read_locks_on_this_thread() - reads,
+                2,
+                "k = {k}, [{lo}, {hi}]: the probe and one attempt"
+            );
+            assert_eq!(session.pool().write_lock_acquisitions(), writes);
+            session.query_end(&program);
+            session.pool().check_invariants().unwrap();
+        }
+    }
+}
+
+#[test]
 fn an_eviction_round_is_one_table_write_lock() {
     // 24 unpinned leaves under a cap of 9 entries: the admission evicts 16
     // and inserts itself in one write step
     let pool = RecyclePool::new();
     for tag in 0..24 {
         let leaf = PoolEntry::test_stub(pool.alloc_id(), tag, vec![], 64);
-        assert!(pool.insert(leaf, None, Caps::NONE).0.inserted());
+        assert!(pool.insert(leaf, Caps::NONE).0.inserted());
     }
     let caps = Caps {
         entries: Some(9),
@@ -298,7 +358,7 @@ fn an_eviction_round_is_one_table_write_lock() {
     };
     let writes = pool.write_lock_acquisitions();
     let admission = PoolEntry::test_stub(pool.alloc_id(), 99, vec![], 64);
-    let (admitted, evicted) = pool.insert(admission, None, caps);
+    let (admitted, evicted) = pool.insert(admission, caps);
     assert!(admitted.inserted());
     assert_eq!(evicted.len(), 16);
     assert_eq!(

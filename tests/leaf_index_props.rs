@@ -5,8 +5,8 @@
 //! orphans whose parent is gone), persistent-BAT registrations, removals,
 //! evictions — the room an admission under an entry cap makes in its own
 //! write step, one victim or a batch — subtree invalidations (directly
-//! and under a write view), commits (`retire_columns` + the removal of the
-//! roots' subtrees) and subset edges the pool's lineage graph must equal
+//! and under a write view) and commits (`retire_columns` + the removal of
+//! the roots' subtrees) the pool's lineage graph must equal
 //!
 //! * `LineageGraph::rebuild` over the table — `check_invariants` compares
 //!   the two — and
@@ -28,9 +28,7 @@
 //! policy must pick them. With `--features failpoints` one more step tears
 //! an insert at `pool.insert.wired` (graph wired, table entry missing):
 //! the pool must come out empty, registry included, exactly as after a
-//! `clear`, with one wipe counted. A subset edge must live exactly as long
-//! as the entry owning the subset result, and one naming a result nobody
-//! owns is never recorded.
+//! `clear`, with one wipe counted.
 //!
 //! Mutation-checked against `lineage.rs`: dropping the re-leaf when a
 //! parent loses its last child, skipping the alias cleanup in `unwire`,
@@ -120,8 +118,6 @@ struct Resident {
     parents: Vec<EntryId>,
     result: BatId,
     aliases: Vec<BatId>,
-    /// Recorded subset edges `result ⊆ sup`.
-    supersets: Vec<BatId>,
     pins: u32,
     /// Stamped as used before everything else: LRU's first choice. The
     /// others were last used when they were admitted, in id order.
@@ -138,9 +134,6 @@ struct Model {
     residents: Vec<Resident>,
     /// Results and aliases of entries that are gone: they resolve to nothing.
     retired: Vec<BatId>,
-    /// Subset edges `(sub, sup)` whose `sub` nobody owns (any more): gone
-    /// with their entry, or never recorded.
-    dead_edges: Vec<(BatId, BatId)>,
     /// Persistent BATs registered and not retired since, with their columns.
     registry: Vec<(BatId, Anchors)>,
 }
@@ -156,7 +149,7 @@ impl Model {
         (n > 0).then(|| self.residents[sel % n].clone())
     }
 
-    /// A new resident without aliases, subset edges or pins; its `columns`
+    /// A new resident without aliases or pins; its `columns`
     /// are inherited here, once, the way entries used to inherit them.
     fn admit(
         &mut self,
@@ -176,7 +169,6 @@ impl Model {
             parents,
             result,
             aliases: vec![],
-            supersets: vec![],
             pins: 0,
             oldest: false,
             anchors,
@@ -254,8 +246,6 @@ impl Model {
         for r in self.residents.iter().filter(|r| ids.contains(&r.id)) {
             self.retired.push(r.result);
             self.retired.extend(&r.aliases);
-            let edges = r.supersets.iter().map(|sup| (r.result, *sup));
-            self.dead_edges.extend(edges);
         }
         self.residents.retain(|r| !ids.contains(&r.id));
     }
@@ -332,12 +322,6 @@ fn agree(pool: &RecyclePool, model: &Model, step: &str) -> Result<(), TestCaseEr
                 return fail(format!("{bat:?} of entry {id} resolves to {got:?}"));
             }
         }
-        if let Some(sup) = r.supersets.iter().find(|s| !pool.is_subset(r.result, **s)) {
-            return fail(format!(
-                "subset edge {:?} ⊆ {sup:?} of entry {id} lost",
-                r.result
-            ));
-        }
         if pool.entry(id, |e| e.pin_count()) != Some(r.pins) {
             return fail(format!(
                 "entry {id} pins differ from the model's {}",
@@ -351,10 +335,6 @@ fn agree(pool: &RecyclePool, model: &Model, step: &str) -> Result<(), TestCaseEr
         .find(|b| pool.entry_of_result(**b).is_some())
     {
         return fail(format!("{bat:?} of a removed entry still resolves"));
-    }
-    let stale = |(sub, sup): &&(BatId, BatId)| pool.is_subset(*sub, *sup);
-    if let Some((sub, sup)) = model.dead_edges.iter().find(stale) {
-        return fail(format!("subset edge {sub:?} ⊆ {sup:?} outlived its entry"));
     }
     let leaves = sorted(model.leaves());
     if pool.leaf_ids() != leaves || pool.leaf_index_size() != leaves.len() {
@@ -399,7 +379,7 @@ fn evict_through_insert(
         entries: Some(model.residents.len() + 1 - k),
         ..Caps::NONE
     };
-    let (admitted, evicted) = pool.insert(e, None, caps);
+    let (admitted, evicted) = pool.insert(e, caps);
     let evicted: Vec<EntryId> = evicted.iter().map(|e| e.id).collect();
     prop_assert_eq!(
         &evicted,
@@ -430,7 +410,7 @@ fn torn_insert(pool: &RecyclePool, entry: PoolEntry) {
     let wipes = pool.wipes();
     let hook = take_hook();
     set_hook(Box::new(|_| {}));
-    let torn = catch_unwind(AssertUnwindSafe(|| pool.insert(entry, None, Caps::NONE)));
+    let torn = catch_unwind(AssertUnwindSafe(|| pool.insert(entry, Caps::NONE)));
     set_hook(hook);
     fault::clear();
     assert!(
@@ -466,7 +446,7 @@ proptest! {
                     let sig = sig_of(tag);
                     let (e, result) = mk(&pool, sig.clone(), vec![], tag);
                     let id = e.id;
-                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, vec![], result, Anchors::new());
                     "insert root"
                 }
@@ -479,7 +459,7 @@ proptest! {
                     let id = e.id;
                     pool.register_persistent(result, anchors.clone());
                     model.register(result, anchors.clone());
-                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, vec![], result, anchors);
                     "insert anchored root"
                 }
@@ -506,7 +486,7 @@ proptest! {
                     let sig = sig_of(tag);
                     let (e, result) = mk_anchored(&pool, sig.clone(), parents.clone(), anchors.clone(), tag);
                     let id = e.id;
-                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, parents, result, anchors);
                     "insert under a persistent BAT"
                 }
@@ -546,7 +526,7 @@ proptest! {
                     let sig = sig_of(tag);
                     let (e, result) = mk(&pool, sig.clone(), parents.clone(), tag);
                     let id = e.id;
-                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Inserted(id));
+                    prop_assert_eq!(pool.insert(e, Caps::NONE).0, Admitted::Inserted(id));
                     model.admit(id, sig, parents, result, Anchors::new());
                     "insert child"
                 }
@@ -554,7 +534,7 @@ proptest! {
                 // the loser, and the loser's BAT becomes its alias
                 (2, Some(winner)) => {
                     let (e, loser_bat) = mk(&pool, winner.sig.clone(), vec![], tag);
-                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Duplicate(winner.id));
+                    prop_assert_eq!(pool.insert(e, Caps::NONE).0, Admitted::Duplicate(winner.id));
                     let w = model.get(winner.id);
                     w.aliases.push(loser_bat);
                     w.pins += 1;
@@ -564,7 +544,7 @@ proptest! {
                 // be wired, not even the edge onto the live parent
                 (3, Some(p)) => {
                     let (e, _) = mk(&pool, sig_of(tag), vec![p.id, 1_000_000 + tag as u64], tag);
-                    prop_assert_eq!(pool.insert(e, None, Caps::NONE).0, Admitted::Orphaned);
+                    prop_assert_eq!(pool.insert(e, Caps::NONE).0, Admitted::Orphaned);
                     "orphaned admission"
                 }
                 // unconditional removal of a childless entry — unlike
@@ -627,26 +607,6 @@ proptest! {
                     pool.entry(r.id, |e| e.pins.store(pins, Ordering::Relaxed));
                     model.get(r.id).pins = pins;
                     "pin toggle"
-                }
-                // a subset edge `r.result ⊆ sup`, recorded as subsumption's
-                // bookkeeping does it: it must live exactly as long as `r`.
-                // Every third time the edge names a result no resident owns
-                // any more, and must not be recorded at all
-                (9, Some(r)) => {
-                    let sup = model.pick(sel_b).filter(|s| s.id != r.id).map(|s| s.result);
-                    let gone = model.retired.get(sel_b % (model.retired.len() + 1)).copied();
-                    match (sup, gone) {
-                        (Some(sup), Some(gone)) if sel_b % 3 == 0 => {
-                            pool.add_subset_edge(gone, sup);
-                            model.dead_edges.push((gone, sup));
-                        }
-                        (Some(sup), _) => {
-                            pool.add_subset_edge(r.result, sup);
-                            model.get(r.id).supersets.push(sup);
-                        }
-                        (None, _) => {}
-                    }
-                    "subset edge"
                 }
                 // a child insert torn after `wire`: the pool is empty
                 // after the tear, registrations included

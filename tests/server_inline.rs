@@ -149,9 +149,7 @@ fn warm_connection_runs_inline_without_a_wakeup() {
     // loses its CPU mid-query overruns the budget — and pays exactly one
     // queued request for it. That is rare (a few requests in 20 000 on
     // the two-vCPU box this was written on), so a handful of attempts,
-    // each on a fresh connection, make it a non-event. (Fresh, because a
-    // session's query log grows by doubling: request 1 024 of a session
-    // reallocates it and takes 50–80 µs, every time.)
+    // each on a fresh connection, make it a non-event.
     let n = 1000;
     let mut exact = false;
     for _attempt in 0..5 {

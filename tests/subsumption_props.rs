@@ -127,3 +127,49 @@ fn combined_subsumption_microbench_is_exact() {
         "most seeds must be answered by combined subsumption ({seeds_subsumed}/6)"
     );
 }
+
+/// `semijoin(t.w, sel)` after a selection `sel` over `t.x`: a filter of
+/// the selection `select(sel, 100, 600)` when `narrow`, else the selection
+/// `select(t.x, 0, 1500)` itself.
+fn semijoin_template(narrow: bool) -> Program {
+    let mut b = ProgramBuilder::new(if narrow { "sj_narrow" } else { "sj_wide" }, 0);
+    let x = b.bind("t", "x");
+    let w = b.bind("t", "w");
+    let mut sel = b.select_closed(x, Value::Int(0), Value::Int(1500));
+    if narrow {
+        sel = b.select_closed(sel, Value::Int(100), Value::Int(600));
+    }
+    let sj = b.semijoin(w, sel);
+    let s = b.sum(sj);
+    let n = b.count(sj);
+    b.export("sum", s);
+    b.export("n", n);
+    b.finish()
+}
+
+/// The semijoin rule (§5.1) through the hook: a resident `semijoin(X, V)`
+/// answers `semijoin(X, W)` for a `W` whose producer filters `V` — a
+/// subset relation read off the lineage, recorded nowhere.
+#[test]
+fn semijoin_is_subsumed_through_the_lineage_of_its_operand() {
+    let cat = catalog(2000);
+    let naive_db = DatabaseBuilder::new(cat.clone()).naive().build();
+    let mut naive = naive_db.session();
+    let db = DatabaseBuilder::new(cat)
+        .recycler(RecyclerConfig::default())
+        .build();
+    let mut rec = db.session();
+    for narrow in [false, true] {
+        let template = semijoin_template(narrow);
+        let expect = naive
+            .query(&naive_db.prepare(template.clone()), &[])
+            .unwrap();
+        let got = rec.query(&db.prepare(template), &[]).unwrap();
+        // the second query hits the binds and `V`, admits `W` and
+        // rewrites its semijoin onto the first query's
+        assert_eq!(got.subsumed, narrow as u64, "{got:?}");
+        assert_eq!(expect.export("n"), got.export("n"));
+        assert_eq!(expect.export("sum"), got.export("sum"));
+    }
+    db.pool().check_invariants().unwrap();
+}
