@@ -37,7 +37,9 @@
 //!   which respect instruction lineage (§4). Eviction is synchronous: the
 //!   admission that finds the pool full evicts leaves itself, in the write
 //!   step that inserts it — there is no background thread and no second
-//!   residency for an intermediate.
+//!   residency for an intermediate. A query whose every marked instruction
+//!   hit last time is answered from the session's memo of those entries
+//!   in one read step (a *whole-plan replay*, [`runtime`]'s module docs).
 //!   Cloning a session handle — or calling [`rmal::Engine::session`] —
 //!   attaches another session to the same pool; `Recycler::new` keeps the
 //!   one-session case a one-liner.

@@ -4,7 +4,8 @@
 //! index at once — the resident byte total, and the one [lineage
 //! graph](crate::lineage) over the entry ids, all behind **one** `RwLock`.
 //! Every read — an exact-match probe, an admission's lineage resolution, a
-//! subsumption attempt — is one step under its read guard
+//! subsumption attempt, a whole-plan replay — is one step under its read
+//! guard
 //! ([`PoolReadView`]); every step that changes the pool — an admission
 //! together with the room it makes, a commit's invalidation, maintenance —
 //! is one step under its write guard ([`PoolWriteView`]). This module owns
@@ -156,8 +157,8 @@ impl State {
 ///
 /// All methods take `&self`; locking is internal, and there is one lock.
 /// Probes (`lookup`, [`Self::probe`]), id-based reads ([`Self::entry`]),
-/// an admission's lineage resolution and a subsumption attempt take its
-/// **read** guard, [`PoolReadView`], once. Every step that changes the
+/// an admission's lineage resolution, a subsumption attempt and a
+/// whole-plan replay take its **read** guard, [`PoolReadView`], once. Every step that changes the
 /// pool — [`Self::insert`] with the room it makes, the removal paths,
 /// `clear`, a registration, a commit — holds the one write guard,
 /// [`PoolWriteView`], for the whole step. A step that panics empties the
@@ -249,7 +250,7 @@ impl RecyclePool {
 
     /// Number of entries ("cache lines"), under the read lock.
     pub fn len(&self) -> usize {
-        self.read_view().state.table.len()
+        self.read_view().len()
     }
 
     /// Is the pool empty?
@@ -709,7 +710,8 @@ impl RecyclePool {
 }
 
 /// The pool's one read guard, held for one step: an exact-match probe, an
-/// admission's lineage resolution, a subsumption attempt. What is read
+/// admission's lineage resolution, a subsumption attempt, a whole-plan
+/// replay (every entry a repeated all-hit query uses). What is read
 /// under it — entries, candidates, the subset relation — is one consistent
 /// image of the pool; anything a caller keeps past the step is a clone (a
 /// result `Value` is an `Arc`) or an id.
@@ -721,6 +723,11 @@ impl PoolReadView<'_> {
     /// The resident entry `id`.
     pub(crate) fn entry(&self, id: EntryId) -> Option<&PoolEntry> {
         self.state.entry(id)
+    }
+
+    /// Number of resident entries.
+    pub(crate) fn len(&self) -> usize {
+        self.state.table.len()
     }
 
     /// The entries with the given opcode and first-argument signature, in

@@ -11,12 +11,16 @@
 //! * [`Recycler`] (this module) — a cheap per-session handle implementing
 //!   [`rmal::ExecHook`]: the current invocation, the pins its query holds,
 //!   what the query still owes the shared accounts and statistics, and the
-//!   record of its last query. Cloning a `Recycler` attaches a *new*
-//!   session to the same shared service.
+//!   record of its last query, and its whole-plan memos. Cloning a
+//!   `Recycler` attaches a *new* session to the same shared service.
 //!
-//! The exact-match hit path — the hot path of every marked instruction —
-//! is one fingerprint over the borrowed arguments, one pool **read**
-//! lock, no allocation and one clock read of its own: probe, reuse
+//! The hot path is one pool **read** step per repeated all-hit query, and
+//! otherwise one per marked instruction. A query whose every marked
+//! instruction hit last time is answered by a *whole-plan replay* (below):
+//! one read step for all of them, with no per-instruction dispatch. Any
+//! other query walks its marked instructions one by one, and an
+//! exact-match hit is one fingerprint over the borrowed arguments, one
+//! read lock, no allocation and one clock read of its own: probe, reuse
 //! counters, pinning and result cloning are a single
 //! [`RecyclePool::probe`] call over per-entry atomics; what the hit owes
 //! the rest of the service is summed in the session and handed over
@@ -28,6 +32,43 @@
 //! [`crate::shared`]. A subsumption attempt is one more read of the
 //! pool, which pins and stamps its source in the same step
 //! ([`crate::subsume`]).
+//!
+//! # Whole-plan replay
+//!
+//! *Recording.* Every hit notes the id of the entry it hit. A walk in
+//! which every marked instruction hit (so nothing was admitted or
+//! subsumed) leaves a memo in the session at `query_end`: the template
+//! id, the parameters, the catalog's [generation](Catalog::generation)
+//! and the entry ids in pc order, keyed by a fingerprint of (template,
+//! parameters) and checked by equality.
+//!
+//! *Replay.* [`ExecHook::replay`] finds the memo of an equal query and
+//! takes one read step: if the generation matches and every id is still
+//! resident, it does for each entry, in pc order, exactly what a hit does
+//! — the tick, the local / global reuse counter, the credit flag, the
+//! pin, the account note, `saved`, the hit counters — and hands the
+//! results to the interpreter. The step's time is `overhead`. If a check
+//! fails, the memo goes and the query walks; the walk is the only path
+//! that records or admits.
+//!
+//! *Why a replay answers what the walk would.* Entry ids are never
+//! reused, and a resident entry never changes; at most one entry per
+//! signature is resident (a duplicate admission loses). Take a replay
+//! with the recording run's template (a template id names one program,
+//! and the memo holds one id per marked instruction), parameters and
+//! generation — so the same catalog content — and every memo'd entry
+//! resident. Induction over the pcs: the arguments the walk would
+//! evaluate at pc are built from constants, parameters, unmarked pure
+//! instructions over those, and the results of earlier marked
+//! instructions, which by induction are the memo'd entries' results, the
+//! very values the recording run used. So the walk's signature at pc is
+//! the recording run's, the one resident entry with it is the memo'd one,
+//! and the walk would hit exactly it.
+//!
+//! *Bounds.* No setting: a memo goes when a replay finds it stale, and
+//! before the map would outgrow the pool's entry count, stale memos are
+//! swept in one read step. No lock is added and the lock order is
+//! unchanged; the memos are the session's own.
 //!
 //! `Recycler::new` remains the one-line way to get a single-session
 //! engine: it creates a private `SharedRecycler` under the hood.
@@ -41,17 +82,18 @@ use rbat::{Catalog, Value};
 use rmal::{ExecHook, HookAction, Instr, Opcode, Program};
 
 use crate::config::{AdmissionPolicy, RecyclerConfig};
-use crate::entry::{charge_bytes, Admitter, Anchors, InstrKey, Lineage, Pin, PoolEntry};
+use crate::entry::{charge_bytes, Admitter, Anchors, EntryId, InstrKey, Lineage, Pin, PoolEntry};
 use crate::eviction::Caps;
 use crate::pool::{Admitted, RecyclePool};
 use crate::shared::{AccountNotes, SharedRecycler};
-use crate::signature::{Sig, SigRef};
+use crate::signature::{self, ArgSig, FingerprintMap, Sig, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 use crate::subsume::{self, Subsumption};
 
-/// What one exact-match probe observed (computed under the pool read
+/// What one reuse of a pool entry observed (computed under the pool read
 /// lock, consumed after it is released). The result is an `Arc` clone.
 struct HitOutcome {
+    id: EntryId,
     value: Value,
     saved: Duration,
     creator: InstrKey,
@@ -61,6 +103,102 @@ struct HitOutcome {
     pin: Pin,
 }
 
+impl HitOutcome {
+    /// Reuse `e` on behalf of `session`'s query `invocation`, under the
+    /// read guard the caller holds: the reuse counters, last-use stamp,
+    /// credit flag and pin are settled on the entry's atomics.
+    fn take(shared: &SharedRecycler, e: &PoolEntry, invocation: u64, session: u64) -> HitOutcome {
+        e.last_used.store(shared.next_tick(), Ordering::Relaxed);
+        let local = e.admitted_invocation == invocation;
+        if local {
+            e.local_reuses.fetch_add(1, Ordering::Relaxed);
+        } else {
+            e.global_reuses.fetch_add(1, Ordering::Relaxed);
+        }
+        // first *local* reuse returns the admission credit; the CAS makes
+        // a racing pair of hits return it exactly once
+        let return_credit = local
+            && e.credit_returned
+                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok();
+        HitOutcome {
+            id: e.id,
+            value: e.value().clone(),
+            saved: e.cpu,
+            creator: e.creator,
+            local,
+            cross_session: e.admitted_session != session,
+            return_credit,
+            pin: Pin::take(e),
+        }
+    }
+
+    /// Hand the reuse to the session: the pin to the query's pins, what
+    /// the accounts are owed to its notes, the counts to its record.
+    /// Returns the result.
+    fn book(
+        self,
+        pins: &mut Vec<Pin>,
+        notes: &mut AccountNotes,
+        record: &mut QueryRecord,
+    ) -> Value {
+        pins.push(self.pin);
+        notes.reuses.push((self.creator, self.return_credit));
+        record.saved += self.saved;
+        record.hits += 1;
+        if self.local {
+            record.local_hits += 1;
+        } else {
+            record.global_hits += 1;
+        }
+        record.cross_session_hits += self.cross_session as u64;
+        self.value
+    }
+}
+
+/// What an all-hit run of a template over some parameters found: the
+/// entry each marked instruction hit, in pc order, and the catalog
+/// generation it ran against.
+struct PlanMemo {
+    template: u64,
+    /// Signatures, not values: a BAT parameter is remembered by identity
+    /// and not kept alive.
+    params: Vec<ArgSig>,
+    generation: u64,
+    ids: Vec<EntryId>,
+}
+
+impl PlanMemo {
+    /// Is this the memo of `template` run over `params`?
+    fn answers(&self, template: u64, params: &[Value]) -> bool {
+        let same = |(memo, param): (&ArgSig, &Value)| memo.matches(param);
+        self.template == template
+            && self.params.len() == params.len()
+            && self.params.iter().zip(params).all(same)
+    }
+}
+
+/// A session's whole-plan memos (module docs, *Whole-plan replay*).
+#[derive(Default)]
+struct PlanMemos {
+    /// Keyed by the fingerprint of (template, params); a memo answers only
+    /// a query equal in both.
+    memos: FingerprintMap<PlanMemo>,
+    /// The running query, when [`Recycler::replay`] did not answer it: its
+    /// key and catalog generation, for `query_end` to record under ...
+    pending: Option<(u64, u64)>,
+    /// ... its parameters ...
+    params: Vec<ArgSig>,
+    /// ... and the entries it hit, in pc order (buffers kept across
+    /// queries).
+    hit_ids: Vec<EntryId>,
+    /// Memos the map may hold before stale ones are swept: the pool's
+    /// entry count as last read — by a replay or a sweep, in the read step
+    /// each takes anyway — or, if more, the hits of the run being recorded
+    /// (every one of them was resident a moment ago).
+    room: usize,
+}
+
 #[cfg(test)]
 thread_local! {
     /// Test hook: runs on the admitting thread between the funnel's pins
@@ -68,6 +206,10 @@ thread_local! {
     /// racing commit orphans the candidate.
     static BEFORE_INSERT: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
         const { std::cell::RefCell::new(None) };
+    /// Test hook: while set, [`Recycler::replay`] never answers, so a
+    /// script runs instruction by instruction — the reference a replayed
+    /// run is compared with.
+    static NO_REPLAY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The columns a bind-family instruction anchors (paper §6.4): the bound
@@ -109,6 +251,9 @@ pub struct Recycler {
     /// One guard per use the current query made of a pool entry; dropping
     /// them at `query_end` unpins without touching the pool.
     pins: Vec<Pin>,
+    /// Whole-plan memos: how this session answers a repeated all-hit
+    /// query in one read step.
+    plans: PlanMemos,
     /// What the current query owes the shared accounts.
     notes: AccountNotes,
     /// The record of the last query that reached `query_end`.
@@ -143,6 +288,7 @@ impl Recycler {
             invocation: 0,
             in_query: false,
             pins: Vec::new(),
+            plans: PlanMemos::default(),
             notes: AccountNotes::default(),
             last_query: QueryRecord::default(),
             current: QueryRecord::default(),
@@ -211,50 +357,98 @@ impl Recycler {
     /// the reuse counters, last-use stamp, credit flag and pin are all
     /// settled inside the lock; what the accounts and the lifetime
     /// statistics are owed is noted in the session and handed over at query
-    /// end.
+    /// end. The entry's id is noted too, for a plan memo.
     ///
     /// Kept out of line: inlined into its one caller, `before`, the
     /// all-hit `sky_hot` workload measured ~3 % slower.
     #[inline(never)]
     fn try_hit(&mut self, sig: &SigRef<'_>) -> Option<Value> {
         let shared = &self.shared;
-        let (invocation, session_id) = (self.invocation, self.session_id);
-        let hit = shared.pool().probe(sig, |e| {
-            let tick = shared.next_tick();
-            e.last_used.store(tick, Ordering::Relaxed);
-            let local = e.admitted_invocation == invocation;
-            if local {
-                e.local_reuses.fetch_add(1, Ordering::Relaxed);
-            } else {
-                e.global_reuses.fetch_add(1, Ordering::Relaxed);
-            }
-            // first *local* reuse returns the admission credit; the
-            // CAS makes a racing pair of hits return it exactly once
-            let return_credit = local
-                && e.credit_returned
-                    .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok();
-            HitOutcome {
-                value: e.value().clone(),
-                saved: e.cpu,
-                creator: e.creator,
-                local,
-                cross_session: e.admitted_session != session_id,
-                return_credit,
-                pin: Pin::take(e),
-            }
-        })?;
-        self.pins.push(hit.pin);
-        self.notes.reuses.push((hit.creator, hit.return_credit));
-        self.current.saved += hit.saved;
-        self.current.hits += 1;
-        if hit.local {
-            self.current.local_hits += 1;
-        } else {
-            self.current.global_hits += 1;
+        let (invocation, session) = (self.invocation, self.session_id);
+        let hit = shared
+            .pool()
+            .probe(sig, |e| HitOutcome::take(shared, e, invocation, session))?;
+        self.plans.hit_ids.push(hit.id);
+        Some(hit.book(&mut self.pins, &mut self.notes, &mut self.current))
+    }
+
+    /// The whole-plan replay: the memo under `key` answers `program` over
+    /// `params` and a catalog of `generation` if it was made for both and
+    /// every entry it lists is still resident — then each is reused, in pc
+    /// order, exactly as [`Self::try_hit`] reuses it, all in one read
+    /// step. `None`, with nothing reused, if any check fails.
+    fn replay_memo(
+        &mut self,
+        key: u64,
+        generation: u64,
+        program: &Program,
+        params: &[Value],
+    ) -> Option<Vec<Value>> {
+        let Recycler {
+            shared,
+            pins,
+            notes,
+            current,
+            plans,
+            invocation,
+            session_id,
+            ..
+        } = self;
+        let memo = plans.memos.get(&key)?;
+        if !memo.answers(program.id, params)
+            || memo.generation != generation
+            || memo.ids.len() != program.marked_count()
+        {
+            return None;
         }
-        self.current.cross_session_hits += hit.cross_session as u64;
-        Some(hit.value)
+        let view = shared.pool().read_view();
+        // every entry is found before any is used: a failed check reuses
+        // nothing
+        let mut entries = Vec::with_capacity(memo.ids.len());
+        for id in &memo.ids {
+            entries.push(view.entry(*id)?);
+        }
+        let mut values = Vec::with_capacity(entries.len());
+        for e in entries {
+            let hit = HitOutcome::take(shared, e, *invocation, *session_id);
+            values.push(hit.book(pins, notes, current));
+        }
+        plans.room = view.len();
+        drop(view);
+        current.monitored += values.len() as u64;
+        current.replayed = true;
+        Some(values)
+    }
+
+    /// Record the plan memo of the query that just ended — every marked
+    /// instruction of it hit, [`PlanMemos::hit_ids`] lists them — under
+    /// the key and generation [`Self::replay`] left pending. A map that
+    /// would outgrow the pool's entry count ([`PlanMemos::room`]) is swept
+    /// first, in one read step: memos of another generation or naming an
+    /// entry no longer resident go, and if more than half the room is
+    /// still taken, all go — so a sweep is paid for by at least half a
+    /// room of recordings.
+    fn remember(&mut self, template: u64, key: u64, generation: u64) {
+        let plans = &mut self.plans;
+        plans.room = plans.room.max(plans.hit_ids.len());
+        if plans.memos.len() >= plans.room && !plans.memos.contains_key(&key) {
+            let view = self.shared.pool().read_view();
+            plans.memos.retain(|_, m| {
+                m.generation == generation && m.ids.iter().all(|id| view.entry(*id).is_some())
+            });
+            plans.room = view.len();
+            drop(view);
+            if plans.memos.len() * 2 > plans.room {
+                plans.memos.clear();
+            }
+        }
+        let memo = PlanMemo {
+            template,
+            params: plans.params.clone(),
+            generation,
+            ids: plans.hit_ids.clone(),
+        };
+        plans.memos.insert(key, memo);
     }
 
     /// Subsumption (paper §5), one more read of the pool: the source is
@@ -496,6 +690,39 @@ impl ExecHook for Recycler {
         self.invocation = self.shared.next_invocation();
         self.notes.invocation = Some(program.id);
         self.current.template = program.id;
+        self.plans.pending = None;
+        self.plans.hit_ids.clear();
+    }
+
+    /// One read step for a repeated all-hit query (module docs,
+    /// *Whole-plan replay*). With no memo for (template, params), or a
+    /// stale one — dropped here — the query runs instruction by
+    /// instruction, and is remembered at `query_end` if all of it hits.
+    fn replay(
+        &mut self,
+        catalog: &Catalog,
+        program: &Program,
+        params: &[Value],
+    ) -> Option<Vec<Value>> {
+        #[cfg(test)]
+        if NO_REPLAY.get() {
+            return None;
+        }
+        let key = signature::fingerprint((program.id, params));
+        let generation = catalog.generation();
+        if self.plans.memos.contains_key(&key) {
+            let t0 = Instant::now();
+            let values = self.replay_memo(key, generation, program, params);
+            self.current.overhead += t0.elapsed();
+            if values.is_some() {
+                return values;
+            }
+            self.plans.memos.remove(&key);
+        }
+        self.plans.pending = Some((key, generation));
+        self.plans.params.clear();
+        self.plans.params.extend(params.iter().map(ArgSig::of));
+        None
     }
 
     fn before(
@@ -546,8 +773,16 @@ impl ExecHook for Recycler {
         self.current.overhead += t0.elapsed();
     }
 
-    fn query_end(&mut self, _program: &Program) {
-        self.last_query = self.settle_query();
+    fn query_end(&mut self, program: &Program) {
+        let record = self.settle_query();
+        if let Some((key, generation)) = self.plans.pending.take() {
+            // a run that hit at every marked instruction admitted and
+            // subsumed nothing
+            if record.monitored > 0 && record.hits == record.monitored {
+                self.remember(program.id, key, generation);
+            }
+        }
+        self.last_query = record;
     }
 
     fn update_event(&mut self, report: &CommitReport, catalog: &Catalog) {
@@ -595,6 +830,7 @@ impl ExecHook for Recycler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbat::catalog::CatalogCell;
     use rbat::{LogicalType, TableBuilder};
     use rmal::{Engine, ProgramBuilder, P};
 
@@ -1090,6 +1326,239 @@ mod tests {
         e.run(&t, &p).unwrap();
         assert!(e.hook.last_query().hits > 0);
         assert!(e.hook.last_query().hit_ratio() > 0.9);
+    }
+
+    // ----- whole-plan replay ------------------------------------------------
+
+    /// Two sessions on one shared catalog and one pool.
+    fn sessions_on(cell: &Arc<CatalogCell>, config: RecyclerConfig) -> Vec<Engine<Recycler>> {
+        let shared = SharedRecycler::new(config);
+        let session = |_| {
+            let mut e = Engine::with_shared_catalog(cell, shared.session());
+            e.add_pass(Box::new(crate::mark::RecycleMark));
+            e
+        };
+        (0..2).map(session).collect()
+    }
+
+    /// `range_template` and a five-entry thread over both columns: a
+    /// selection on `y` semijoined into `x`, counted.
+    fn replay_templates() -> Vec<rmal::Program> {
+        let mut b = ProgramBuilder::new("y_into_x", 2);
+        let y = b.bind("t", "y");
+        let sel = b.select_closed(y, P(0), P(1));
+        let x = b.bind("t", "x");
+        let both = b.semijoin(x, sel);
+        let n = b.count(both);
+        b.export("n", n);
+        let e = engine(RecyclerConfig::default());
+        let mut templates = vec![range_template(), b.finish()];
+        templates.iter_mut().for_each(|t| e.optimize(t));
+        templates
+    }
+
+    /// A [`QueryRecord`]'s counts: template, monitored, hits, local,
+    /// global and cross-session hits, subsumed, admitted and its bytes.
+    type QueryCounts = [u64; 9];
+
+    /// What a script leaves behind, clock readings taken out: per query
+    /// the exports and the record's counts, per resident entry `(id,
+    /// local_reuses, global_reuses, last_used, pins)`, every template
+    /// instruction's credit balance, the accounts-mutex acquisitions and
+    /// account lookups the script made (one per reuse booked), and the
+    /// lifetime statistics.
+    #[derive(Debug, PartialEq)]
+    struct ScriptOutcome {
+        queries: Vec<(Vec<(String, Value)>, QueryCounts)>,
+        entries: Vec<(EntryId, u64, u64, u64, u32)>,
+        balances: Vec<i64>,
+        accounts: (u64, u64),
+        stats: RecyclerStats,
+    }
+
+    /// Two sessions alternate over `templates` with three parameter pairs
+    /// (so most queries repeat one seen before), under a ten-entry cap (so
+    /// admissions evict what memos name), with a commit half way. Returns
+    /// the outcome and how many queries were replayed.
+    fn run_replay_script(
+        config: RecyclerConfig,
+        templates: &[rmal::Program],
+        replay: bool,
+    ) -> (ScriptOutcome, usize) {
+        NO_REPLAY.set(!replay);
+        let locks = SharedRecycler::accounts_locks_on_this_thread();
+        let lookups = SharedRecycler::account_lookups_on_this_thread();
+        let cell = CatalogCell::new(catalog(1000));
+        let mut sessions = sessions_on(&cell, config.entry_limit(10));
+        let mut queries = Vec::new();
+        let mut replayed = 0;
+        for step in 0..96 {
+            if step == 48 {
+                let row = vec![Value::Int(150), Value::Int(150)];
+                sessions[1].update("t", vec![row], vec![]).unwrap();
+            }
+            let session = &mut sessions[step % 2];
+            let template = &templates[(step / 2) % templates.len()];
+            let lo = 100 * ((step / 8) % 3) as i64;
+            let out = session
+                .run(template, &[Value::Int(lo), Value::Int(lo + 400)])
+                .unwrap();
+            let r = session.hook.last_query();
+            replayed += r.replayed as usize;
+            let counts = [
+                r.template,
+                r.monitored,
+                r.hits,
+                r.local_hits,
+                r.global_hits,
+                r.cross_session_hits,
+                r.subsumed,
+                r.admitted,
+                r.bytes_admitted,
+            ];
+            queries.push((out.exports, counts));
+        }
+        NO_REPLAY.set(false);
+        let accounts = (
+            SharedRecycler::accounts_locks_on_this_thread() - locks,
+            SharedRecycler::account_lookups_on_this_thread() - lookups,
+        );
+        let shared = Arc::clone(sessions[0].hook.shared());
+        let pool = shared.pool();
+        pool.check_invariants().unwrap();
+        let mut entries = Vec::new();
+        pool.for_each_entry(|e| {
+            let pins = e.pins.load(Ordering::Relaxed);
+            entries.push((
+                e.id,
+                e.local_reuses(),
+                e.global_reuses(),
+                e.last_used(),
+                pins,
+            ));
+        });
+        entries.sort_unstable();
+        let keys = templates
+            .iter()
+            .flat_map(|t| (0..t.instrs.len()).map(|pc| (t.id, pc)));
+        let balances = keys.map(|key| shared.credit_balance(key)).collect();
+        let stats = RecyclerStats {
+            time_saved: Duration::ZERO,
+            overhead: Duration::ZERO,
+            subsume_search: Duration::ZERO,
+            ..shared.stats()
+        };
+        let outcome = ScriptOutcome {
+            queries,
+            entries,
+            balances,
+            accounts,
+            stats,
+        };
+        (outcome, replayed)
+    }
+
+    #[test]
+    fn a_replayed_script_leaves_what_the_walked_script_leaves() {
+        let templates = replay_templates();
+        for admission in [
+            AdmissionPolicy::Paced,
+            AdmissionPolicy::KeepAll,
+            AdmissionPolicy::Credit(3),
+        ] {
+            let config = RecyclerConfig::default().admission(admission);
+            let (walked, none) = run_replay_script(config, &templates, false);
+            let (replayed, some) = run_replay_script(config, &templates, true);
+            assert_eq!(none, 0, "{admission:?}: replay was suppressed");
+            assert!(some >= 8, "{admission:?}: only {some} queries replayed");
+            assert_eq!(walked.queries.len(), replayed.queries.len());
+            for (i, (w, r)) in walked.queries.iter().zip(&replayed.queries).enumerate() {
+                assert_eq!(w, r, "{admission:?}: query {i}");
+            }
+            assert_eq!(walked, replayed, "{admission:?}");
+            // the script did evict and invalidate what memos named
+            assert!(walked.stats.evictions > 0 && walked.stats.invalidated > 0);
+        }
+    }
+
+    /// Warm `template` over `params` in `e` until its runs are replayed.
+    fn warm_until_replayed(e: &mut Engine<Recycler>, t: &rmal::Program, p: &[Value]) {
+        e.run(t, p).unwrap(); // admits
+        e.run(t, p).unwrap(); // all hits: remembered
+        assert!(!e.hook.last_query().replayed);
+        e.run(t, p).unwrap();
+        assert!(e.hook.last_query().replayed, "the third run is replayed");
+    }
+
+    /// The answer of a database that never recycles.
+    fn naive_answer(cat: &Catalog, p: &[Value]) -> Option<Value> {
+        let mut naive = Engine::new(cat.clone());
+        let mut t = range_template();
+        naive.optimize(&mut t);
+        naive.run(&t, p).unwrap().export("n").cloned()
+    }
+
+    #[test]
+    fn replay_falls_back_across_a_commit() {
+        let cell = CatalogCell::new(catalog(1000));
+        let mut sessions = sessions_on(&cell, RecyclerConfig::default());
+        let mut t = range_template();
+        sessions[0].optimize(&mut t);
+        let p = [Value::Int(100), Value::Int(600)];
+        warm_until_replayed(&mut sessions[0], &t, &p);
+        let before = sessions[0].run(&t, &p).unwrap().export("n").cloned();
+
+        // the other session commits a row inside the range; a third
+        // session, still on the pre-commit snapshot, re-admits the whole
+        // thread after the commit's invalidation step — under new ids and
+        // the pre-commit bind version
+        let stale = cell.snapshot();
+        let row = vec![Value::Int(150), Value::Int(0)];
+        sessions[1].update("t", vec![row], vec![]).unwrap();
+        let shared = Arc::clone(sessions[0].hook.shared());
+        let mut late = Engine::with_hook((*stale).clone(), shared.session());
+        let late_answer = late.run(&t, &p).unwrap().export("n").cloned();
+        assert_eq!(late_answer, before, "the snapshot's answer");
+        assert_eq!(late.hook.last_query().admitted, 3, "the thread re-admitted");
+
+        let expect = naive_answer(&cell.snapshot(), &p);
+        assert_ne!(expect, before, "the commit moved the answer");
+        let after = sessions[0].run(&t, &p).unwrap();
+        assert!(!sessions[0].hook.last_query().replayed);
+        assert_eq!(after.export("n").cloned(), expect);
+        assert_eq!(after.stats.reused, 0, "the post-commit bind is new");
+        // the plan is remembered again, and replayed with the new answer
+        sessions[0].run(&t, &p).unwrap();
+        let again = sessions[0].run(&t, &p).unwrap();
+        assert!(sessions[0].hook.last_query().replayed);
+        assert_eq!(again.export("n").cloned(), expect);
+        shared.pool().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn replay_falls_back_when_a_memo_entry_was_evicted() {
+        let mut e = engine(RecyclerConfig::default());
+        let mut t = range_template();
+        e.optimize(&mut t);
+        let p = [Value::Int(100), Value::Int(600)];
+        warm_until_replayed(&mut e, &t, &p);
+        let expect = naive_answer(&e.catalog, &p);
+        // the count, the thread's one leaf, leaves the pool
+        let leaves = e.hook.pool().leaf_ids();
+        assert_eq!(leaves.len(), 1);
+        assert!(e.hook.pool().remove(leaves[0]).is_some());
+
+        let fallback = e.run(&t, &p).unwrap();
+        assert!(!e.hook.last_query().replayed);
+        assert_eq!(fallback.export("n").cloned(), expect);
+        assert_eq!(e.hook.last_query().admitted, 1, "the count, re-admitted");
+        let recording = e.run(&t, &p).unwrap();
+        assert!(!e.hook.last_query().replayed, "all hits: remembered again");
+        assert_eq!(recording.stats.reused, recording.stats.marked);
+        let replayed = e.run(&t, &p).unwrap();
+        assert!(e.hook.last_query().replayed);
+        assert_eq!(replayed.export("n").cloned(), expect);
+        e.hook.pool().check_invariants().unwrap();
     }
 
     // ----- shared-service behaviour ----------------------------------------

@@ -35,15 +35,20 @@
 //!    observes another half done. Every read is one hold of the read
 //!    guard: a probe, an admission's resolution, a subsumption attempt
 //!    (its search, and the pinning and stamping of its source), a
-//!    diagnostic such as `len`, `bytes` or `check_invariants`.
+//!    whole-plan replay, a diagnostic such as `len`, `bytes` or
+//!    `check_invariants`.
 //! 2. **An exact hit is one pool read lock — and no other lock.** A hit
 //!    is served entirely under the pool's *read* lock: the reuse
 //!    counters, last-use stamp, pin count and credit-return flag are
 //!    per-entry atomics ([`crate::entry`]). What the hit owes the accounts
 //!    waits in the session's [`AccountNotes`] (one accounts-mutex
 //!    acquisition per *query*), and its pin is given back at query end by
-//!    dropping a guard, not by finding the entry again. The pool's
-//!    write- and read-lock counters and
+//!    dropping a guard, not by finding the entry again. A whole-plan
+//!    replay ([`crate::runtime`]) serves the k hits of a repeated all-hit
+//!    query the same way under **one** hold of the read guard: it finds
+//!    all k entries first, then settles each as a hit does, before the
+//!    guard goes — one read lock for the query, and no other lock. The
+//!    pool's write- and read-lock counters and
 //!    [`SharedRecycler::accounts_locks_on_this_thread`] pin this down in
 //!    tests.
 //! 3. **Pins are race-free by lock polarity.** Pinning bumps the entry's

@@ -38,7 +38,7 @@ impl ArgSig {
     }
 
     /// `ArgSig::of(v) == *self`, without building one.
-    fn matches(&self, v: &Value) -> bool {
+    pub(crate) fn matches(&self, v: &Value) -> bool {
         match (self, v) {
             (ArgSig::Bat(id), Value::Bat(b)) => *id == b.id(),
             (ArgSig::Bat(_), _) | (ArgSig::Scalar(_), Value::Bat(_)) => false,
@@ -80,12 +80,24 @@ pub struct SigRef<'a> {
 }
 
 fn fingerprint_of<T: Hash>(op: Opcode, args: impl Iterator<Item = T>) -> u64 {
+    fingerprint_with(|h| {
+        op.hash(h);
+        args.for_each(|a| a.hash(h));
+    })
+}
+
+/// A 64-bit key over `parts`, made the way a signature's fingerprint is —
+/// fit to key a [`FingerprintMap`].
+pub(crate) fn fingerprint(parts: impl Hash) -> u64 {
+    fingerprint_with(|h| parts.hash(h))
+}
+
+fn fingerprint_with(feed: impl FnOnce(&mut FxHasher)) -> u64 {
     let mut h = FxHasher::default();
     // Fx maps a zero state and a zero word to a zero state: unseeded, the
     // leading zeros of `Bind` would vanish from the key.
     h.write_u64(0x9E37_79B9_7F4A_7C15);
-    op.hash(&mut h);
-    args.for_each(|a| a.hash(&mut h));
+    feed(&mut h);
     // Fx leaves the low bits weak, and the pool and its identity-hashed
     // tables use the bottom, middle and top of the word: mix full-width.
     let x = h.finish();

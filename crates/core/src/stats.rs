@@ -102,6 +102,10 @@ pub struct QueryRecord {
     pub admitted: u64,
     /// Time this invocation spent inside recycler bookkeeping.
     pub overhead: Duration,
+    /// Was this invocation answered by a whole-plan replay — every marked
+    /// instruction from the entries its last all-hit run found, in one
+    /// read step of the pool — rather than probe by probe?
+    pub replayed: bool,
 }
 
 impl QueryRecord {

@@ -85,6 +85,16 @@
 //!
 //! `tests/commit_props.rs` holds all four to a model after every commit of
 //! a random script, and eight threads to one build.
+//!
+//! # Generations
+//!
+//! Every change to what a catalog binds — [`Catalog::add_table`],
+//! [`Catalog::add_join_index`], a [`Catalog::commit`] that merges a
+//! non-empty delta — gives it a fresh [`Catalog::generation`], drawn from
+//! one process-wide counter; clones and [`CatalogCell`] snapshots copy it.
+//! So two catalogs with the same generation bind the same BATs: whoever
+//! remembers what a query found in one may trust it in the other, and
+//! nowhere else.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -262,6 +272,15 @@ pub struct Catalog {
     tables: BTreeMap<String, Table>,
     index_defs: Vec<JoinIndexDef>,
     indices: FxHashMap<String, JoinIndex>,
+    /// Names this catalog's content (module docs, *Generations*).
+    generation: u64,
+}
+
+/// The last generation handed out, process-wide (0: the empty catalog).
+static GENERATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn next_generation() -> u64 {
+    GENERATIONS.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 impl Catalog {
@@ -273,6 +292,14 @@ impl Catalog {
     /// Register a table (replacing any previous definition).
     pub fn add_table(&mut self, table: Table) {
         self.tables.insert(table.name().to_string(), table);
+        self.generation = next_generation();
+    }
+
+    /// The catalog's generation: equal in two catalogs only if they bind
+    /// the same BATs — a clone or snapshot of one, with no change since
+    /// (module docs, *Generations*).
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Look up a table.
@@ -299,6 +326,7 @@ impl Catalog {
         let index = build_index(&self.tables, &def)?;
         self.indices.insert(def.name.clone(), index);
         self.index_defs.push(def);
+        self.generation = next_generation();
         Ok(())
     }
 
@@ -350,7 +378,7 @@ impl Catalog {
     }
 
     /// Merge the staged deltas of `table` into its persistent columns,
-    /// bump the version, bring dependent join indices up to date and report
+    /// bump the version and the generation, bring dependent join indices up to date and report
     /// what changed. Deletions compact OIDs (documented engine policy).
     ///
     /// Cost: one bulk copy of each column of the table plus work
@@ -364,6 +392,7 @@ impl Catalog {
             tables,
             index_defs,
             indices,
+            generation,
         } = self;
         let t = tables
             .get_mut(table)
@@ -377,6 +406,9 @@ impl Catalog {
                 rebuilt_indices: Vec::new(),
             });
         }
+        // from here on the catalog binds other BATs, even should the
+        // index upkeep below fail half way
+        *generation = next_generation();
         let TableDelta {
             inserts,
             deletes: mut deleted,
@@ -874,10 +906,46 @@ mod tests {
     fn empty_commit_is_noop() {
         let mut cat = orders_lineitem();
         let before = cat.bind("orders", "o_orderkey").unwrap();
+        let generation = cat.generation();
         let report = cat.commit("orders").unwrap();
         assert_eq!(report.version, 0);
         let after = cat.bind("orders", "o_orderkey").unwrap();
         assert_eq!(before.id(), after.id());
+        assert_eq!(cat.generation(), generation, "nothing changed");
+    }
+
+    #[test]
+    fn a_generation_names_what_the_catalog_binds() {
+        let mut cat = orders_lineitem();
+        let copy = cat.clone();
+        assert_eq!(
+            copy.generation(),
+            cat.generation(),
+            "a clone binds the same"
+        );
+        assert_ne!(orders_lineitem().generation(), cat.generation());
+        cat.append("orders", vec![vec![Value::Int(400), Value::Float(4.0)]])
+            .unwrap();
+        assert_eq!(cat.generation(), copy.generation(), "staged, not merged");
+        cat.commit("orders").unwrap();
+        assert_ne!(cat.generation(), copy.generation());
+        // two catalogs diverging from one clone never meet again
+        let mut other = copy.clone();
+        other
+            .append("orders", vec![vec![Value::Int(400), Value::Float(4.0)]])
+            .unwrap();
+        other.commit("orders").unwrap();
+        assert_ne!(other.generation(), cat.generation());
+        // a snapshot copies it; a commit through the cell moves it
+        let cell = CatalogCell::new(copy.clone());
+        assert_eq!(cell.snapshot().generation(), copy.generation());
+        cell.update(
+            "orders",
+            vec![vec![Value::Int(500), Value::Float(5.0)]],
+            vec![],
+        )
+        .unwrap();
+        assert_ne!(cell.snapshot().generation(), copy.generation());
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! for recycling the hook's [`ExecHook::before`] plays the role of
 //! `recycleEntry()` (exact-match reuse or subsumption rewrite) and
 //! [`ExecHook::after`] the role of `recycleExit()` (admission into the pool).
+//! A hook that can vouch for a whole invocation at once answers
+//! [`ExecHook::replay`] instead, and the marked instructions are not
+//! dispatched one by one.
 
 use std::time::Instant;
 
@@ -39,6 +42,33 @@ pub enum HookAction {
 pub trait ExecHook {
     /// A query invocation is starting.
     fn query_start(&mut self, _program: &Program) {}
+
+    /// Asked once per invocation, right after [`Self::query_start`]: can
+    /// the hook answer every *marked* instruction of `program` over
+    /// `catalog` and `params` at once? `None` (the default) runs the
+    /// instructions one by one through [`Self::before`] / [`Self::after`].
+    ///
+    /// `Some(values)` must hold exactly one value per marked instruction,
+    /// in pc order — each the value [`Self::before`] would have answered
+    /// [`HookAction::Reuse`] with, had every marked instruction been
+    /// dispatched — and the hook must already have done, for each, the
+    /// bookkeeping such a reuse does. The interpreter then fills the
+    /// marked instructions' results from `values` without calling the
+    /// hook, resolving their arguments or reading the clock for them; it
+    /// still executes the unmarked instructions. [`ExecStats`] and the
+    /// profile count every replayed instruction as reused, with zero cpu.
+    ///
+    /// # Panics
+    /// The interpreter panics if `values` holds fewer values than
+    /// `program` has marked instructions.
+    fn replay(
+        &mut self,
+        _catalog: &Catalog,
+        _program: &Program,
+        _params: &[Value],
+    ) -> Option<Vec<Value>> {
+        None
+    }
 
     /// A *marked* instruction is about to execute with the given evaluated
     /// arguments; decide whether to reuse, rewrite or proceed. `now` is the
@@ -120,8 +150,28 @@ pub fn run<H: ExecHook>(
     // one argument buffer for the whole run, not one per instruction
     let mut args: Vec<Value> = Vec::new();
     hook.query_start(program);
+    let mut replayed = hook.replay(catalog, program, params).map(Vec::into_iter);
 
     for (pc, instr) in program.instrs.iter().enumerate() {
+        if let Some(values) = replayed.as_mut().filter(|_| instr.recycle) {
+            let result = values
+                .next()
+                .expect("replay: a value per marked instruction");
+            stats.instrs += 1;
+            stats.marked += 1;
+            stats.reused += 1;
+            stats.profile.push(InstrProfile {
+                pc,
+                op: instr.op.name(),
+                marked: true,
+                reused: true,
+                subsumed: false,
+                cpu: std::time::Duration::ZERO,
+                result_bytes: result.as_bat().map(|b| b.resident_bytes()).unwrap_or(0),
+            });
+            frame[instr.result.index()] = Some(result);
+            continue;
+        }
         args.clear();
         for a in &instr.args {
             args.push(resolve(&frame, params, a, pc)?);
@@ -329,5 +379,61 @@ mod tests {
         let out = run(&cat, &p, &[], &mut hook).unwrap();
         assert_eq!(out.export("n"), Some(&Value::Int(999)));
         assert_eq!(out.stats.reused, 1);
+    }
+
+    /// Replays marked instruction `pc` as the date `1996-0{pc + 1}-15`,
+    /// counting the calls a replay must not make.
+    #[derive(Default)]
+    struct ReplayHook {
+        before_calls: usize,
+        replays: usize,
+    }
+
+    impl ExecHook for ReplayHook {
+        fn replay(&mut self, _cat: &Catalog, p: &Program, _params: &[Value]) -> Option<Vec<Value>> {
+            self.replays += 1;
+            let marked = p.instrs.iter().enumerate().filter(|(_, i)| i.recycle);
+            Some(
+                marked
+                    .map(|(pc, _)| Value::date(&format!("1996-0{}-15", pc + 1)))
+                    .collect(),
+            )
+        }
+
+        fn before(
+            &mut self,
+            _cat: &Catalog,
+            _pc: usize,
+            _i: &Instr,
+            _a: &[Value],
+            _now: Instant,
+        ) -> HookAction {
+            self.before_calls += 1;
+            HookAction::Proceed
+        }
+    }
+
+    #[test]
+    fn a_replay_fills_the_marked_instructions_and_runs_the_rest() {
+        let cat = catalog();
+        let mut b = ProgramBuilder::new("replayed", 0);
+        let col = b.bind("t", "x");
+        let cnt = b.count(col);
+        let later = b.add_months(cnt, 1);
+        b.export("n", cnt);
+        b.export("later", later);
+        let mut p = b.finish();
+        p.instrs[0].recycle = true; // the bind
+        p.instrs[1].recycle = true; // the count
+        let mut hook = ReplayHook::default();
+        let out = run(&cat, &p, &[], &mut hook).unwrap();
+        assert_eq!((hook.replays, hook.before_calls), (1, 0));
+        assert_eq!(out.export("n"), Some(&Value::date("1996-02-15")), "pc 1");
+        // the unmarked instruction ran over the replayed value
+        assert_eq!(out.export("later"), Some(&Value::date("1996-03-15")));
+        assert_eq!((out.stats.marked, out.stats.reused), (2, 2));
+        let replayed: Vec<_> = out.stats.profile.iter().map(|i| i.reused).collect();
+        assert_eq!(replayed, [true, true, false], "exports are not profiled");
+        assert!(out.stats.profile[..2].iter().all(|i| i.cpu.is_zero()));
     }
 }

@@ -95,7 +95,10 @@ static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Process-unique template identity (stable across invocations — the
-    /// credit admission policy keys its accounts on `(id, pc)`).
+    /// credit admission policy keys its accounts on `(id, pc)`, and the
+    /// recycler remembers an all-hit run under `(id, params)`). One id
+    /// names one plan: a clone keeps the id, so a clone whose
+    /// instructions are edited after either has run needs a fresh one.
     pub id: u64,
     /// Human-readable name, e.g. `"tpch_q18"`.
     pub name: String,

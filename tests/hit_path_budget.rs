@@ -1,5 +1,6 @@
 //! The budget of the exact-hit path: what a warm, all-hit query may cost in
-//! heap allocations and in locks, held as exact counts — a counting global
+//! heap allocations and in locks — probe by probe the first time, one
+//! whole-plan replay for every repeat — held as exact counts — a counting global
 //! allocator for the former, the pool's and the accounts' per-thread lock
 //! probes for the latter — and, beside it, the budget of the miss path in
 //! the pool's one lock: what an admission, an admission that evicts, a
@@ -77,7 +78,8 @@ fn database(admission: AdmissionPolicy) -> Database {
 }
 
 /// Warm the pool with `template` and return how many instructions of a
-/// warm run are marked — all of them reused.
+/// warm run are marked — all of them reused. The warm run is remembered:
+/// the session replays the template's next runs.
 fn warm(session: &mut Session, template: &Program) -> u64 {
     session.query(template, &[]).unwrap();
     let reply = session.query(template, &[]).unwrap();
@@ -111,12 +113,13 @@ fn a_warm_query_allocates_a_constant_whatever_the_number_of_probes() {
     assert_eq!(warm(&mut session, &many), 30);
     let few_allocs = warm_query_allocations(&mut session, &few, 8);
     let many_allocs = warm_query_allocations(&mut session, &many, 8);
+    assert!(session.last_query().unwrap().replayed);
     assert_eq!(
         many_allocs, few_allocs,
-        "30 probes must allocate exactly what 3 probes do"
+        "30 replayed instructions must allocate exactly what 3 do"
     );
-    // the interpreter's frame, argument buffer (grown once) and profile,
-    // the export list and its one name
+    // the interpreter's frame, argument buffer and profile, the export
+    // list and its one name; the replay's entry list and its values
     assert!(few_allocs <= 8, "{few_allocs} allocations in a warm query");
 }
 
@@ -131,34 +134,41 @@ fn a_hit_is_one_table_read_lock_and_a_query_one_accounts_lock() {
         let db = database(admission);
         let template = db.prepare(chain("probes", 10));
         let mut session = db.session();
-        let marked = warm(&mut session, &template);
-        for _ in 0..5 {
+        let first = session.query(&template, &[]).unwrap();
+        assert_eq!(first.reused, 0, "{admission:?}: the first run admits");
+        let marked = first.marked;
+        // KEEPALL keeps no account to book a reuse in
+        let booked = if admission == AdmissionPolicy::KeepAll {
+            0
+        } else {
+            marked
+        };
+        // the first all-hit run probes instruction by instruction and is
+        // remembered; its repeats are replayed in one read step
+        for run in 0..6 {
             let writes = db.pool().write_lock_acquisitions();
             let reads = RecyclePool::read_locks_on_this_thread();
             let accounts = SharedRecycler::accounts_locks_on_this_thread();
             let lookups = SharedRecycler::account_lookups_on_this_thread();
             let reply = session.query(&template, &[]).unwrap();
             assert_eq!(reply.reused, marked);
+            let replayed = session.last_query().unwrap().replayed;
+            assert_eq!(replayed, run > 0, "{admission:?}, run {run}");
             assert_eq!(
                 RecyclePool::read_locks_on_this_thread() - reads,
-                marked,
-                "{admission:?}: one table read lock per reused instruction"
+                if replayed { 1 } else { marked },
+                "{admission:?}, run {run}: one table read lock per reused \
+                 instruction, or one for a replayed query"
             );
             assert_eq!(
                 SharedRecycler::accounts_locks_on_this_thread() - accounts,
                 1,
-                "{admission:?}: one accounts-mutex acquisition per query"
+                "{admission:?}, run {run}: one accounts-mutex acquisition per query"
             );
-            // KEEPALL keeps no account to book a reuse in
-            let booked = if admission == AdmissionPolicy::KeepAll {
-                0
-            } else {
-                marked
-            };
             assert_eq!(
                 SharedRecycler::account_lookups_on_this_thread() - lookups,
                 booked,
-                "{admission:?}: booking a reuse is one account lookup"
+                "{admission:?}, run {run}: booking a reuse is one account lookup"
             );
             assert_eq!(db.pool().write_lock_acquisitions(), writes);
         }

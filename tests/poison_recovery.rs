@@ -128,6 +128,43 @@ fn a_query_only_session_hits_again_after_a_torn_insert() {
         .expect("coherent after recovery");
 }
 
+/// A session replays a repeated all-hit query from the entries its last
+/// all-hit run found. When a torn insert of another session wipes the
+/// pool in between, none of them is resident: the replay declines, the
+/// query runs instruction by instruction against the empty pool and
+/// answers as before, and the plan is remembered and replayed again.
+#[test]
+fn a_pool_wipe_between_recording_and_replay_falls_back() {
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    fault::clear();
+    let db = db_with(RecyclerConfig::default());
+    let template = db.template("count_range").unwrap();
+    let mut session = db.session();
+    let warm = [Value::Int(300), Value::Int(700)];
+    let replayed = |s: &recycling::Session| s.last_query().unwrap().replayed;
+    for run in 0..3 {
+        let reply = session.query(&template, &warm).unwrap();
+        assert_eq!(reply.export("n"), Some(&Value::Int(401)));
+        assert_eq!(replayed(&session), run == 2, "run {run}");
+    }
+
+    let mut other = db.session();
+    tear_an_insert(&mut other, &template, 13);
+    assert_wiped(&db, 0, "pool.insert.wired");
+
+    let fallback = session.query(&template, &warm).unwrap();
+    assert!(!replayed(&session), "nothing the memo names is resident");
+    assert_eq!(fallback.export("n"), Some(&Value::Int(401)));
+    assert_eq!(fallback.reused, 0, "{fallback:?}");
+    let recording = session.query(&template, &warm).unwrap();
+    assert!(!replayed(&session));
+    assert_eq!(recording.reused, recording.marked, "{recording:?}");
+    let again = session.query(&template, &warm).unwrap();
+    assert!(replayed(&session), "the plan is replayed again");
+    assert_eq!(again.export("n"), Some(&Value::Int(401)));
+    db.pool().check_invariants().expect("coherent");
+}
+
 /// What a commit's write step does — retire the column, remove what
 /// derives from it — and then a panic, still under its write view.
 fn tear_a_commit(db: &Database) {
