@@ -149,9 +149,11 @@ pub struct PoolEntry {
     pub global_reuses: AtomicU64,
     /// Times this entry served as a subsumption source (§5).
     pub subsumption_uses: AtomicU64,
-    /// References running queries hold on this entry, one [`Pin`] per use.
-    /// A pinned entry is never evicted; invalidation may still remove it —
-    /// correctness beats retention. Taken under the pool read lock,
+    /// References running queries hold on this entry, one [`Pin`] per use
+    /// a walking query makes (a replayed query pins nothing: it admits
+    /// nothing that could hang on the entry). A pinned entry is never
+    /// evicted; invalidation may still remove it — correctness beats
+    /// retention. Taken under the pool read lock,
     /// checked under its write lock: the table `RwLock` makes
     /// pin-vs-evict races impossible. Pin state is deliberately NOT part
     /// of the pool's evictable-leaf index (it flips here, on the

@@ -26,7 +26,7 @@
 //! | `admission.reserve` | admission, before insert (Deny: no room) | Deny, Panic | a miss; a panic leaves the pool untouched |
 //! | `pool.insert`       | insert, lock held        | Panic            | pool wiped |
 //! | `pool.insert.wired` | insert, indexes half-wired | Panic          | pool wiped |
-//! | `evict.gather`      | insert about to make room, before the lock | Panic | pool untouched |
+//! | `evict.gather`      | insert about to make room, lock held | Panic | pool wiped |
 //! | `evict.remove`      | eviction round, lock held | Panic           | pool wiped |
 //! | `wire.read`         | server frame read        | Io, Panic        | Io: connection severed |
 //! | `wire.write`        | server frame write       | Io, Panic        | Io: connection severed |

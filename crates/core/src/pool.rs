@@ -429,11 +429,6 @@ impl RecyclePool {
     pub fn insert(&self, entry: PoolEntry, caps: Caps) -> (Admitted, Vec<PoolEntry>) {
         let mut evicted = Vec::new();
         let key = self.key(&entry.sig);
-        // Failpoint: an admission about to make room, before the lock.
-        #[cfg(feature = "failpoints")]
-        if !caps.hold(self.bytes() + entry.bytes(), self.len() + 1) {
-            let _ = crate::fault::fire("evict.gather");
-        }
         let mut view = self.write_view();
         #[cfg(feature = "failpoints")]
         let _ = crate::fault::fire("pool.insert");
@@ -514,6 +509,9 @@ impl RecyclePool {
         need: usize,
         evicted: &mut Vec<PoolEntry>,
     ) {
+        // Failpoint: an admission about to make room, lock held.
+        #[cfg(feature = "failpoints")]
+        let _ = crate::fault::fire("evict.gather");
         let mut freed = 0;
         while freed < need {
             let victims =

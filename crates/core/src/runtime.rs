@@ -44,12 +44,28 @@
 //!
 //! *Replay.* [`ExecHook::replay`] finds the memo of an equal query and
 //! takes one read step: if the generation matches and every id is still
-//! resident, it does for each entry, in pc order, exactly what a hit does
-//! — the tick, the local / global reuse counter, the credit flag, the
-//! pin, the account note, `saved`, the hit counters — and hands the
-//! results to the interpreter. The step's time is `overhead`. If a check
-//! fails, the memo goes and the query walks; the walk is the only path
-//! that records or admits.
+//! resident, it settles each entry, in pc order, and hands the results to
+//! the interpreter. The step's time is `overhead`. If a check fails, the
+//! memo goes and the query walks; the walk is the only path that records
+//! or admits.
+//!
+//! *Settlement.* Each entry gets what the walk's hit on it would leave
+//! behind, at the least cost that leaves it:
+//! - **one tick range:** the k ticks are reserved with one step of the
+//!   event clock and stamped `T + 1 ..= T + k` in pc order — with no other
+//!   session drawing ticks meanwhile, the very ticks the walk's k hits
+//!   draw one by one;
+//! - **every reuse global:** the invocation began just before the replay,
+//!   so it admitted none of the entries — each reuse bumps
+//!   `global_reuses`, and no credit flag is touched (only a first *local*
+//!   reuse returns a credit);
+//! - **no pin:** a pin keeps resident what a query's *later admissions*
+//!   hang their lineage on (the pin `resolve` takes — invariant 6 in
+//!   [`crate::shared`]). A replayed query admits nothing, and the values
+//!   it hands out are `Arc` clones that stay valid whatever is evicted
+//!   (invariant 4), so another session may evict a replayed entry before
+//!   this query ends and nothing is lost but a later hit;
+//! - **as a hit does:** the account note, `saved`, and the hit counters.
 //!
 //! *Why a replay answers what the walk would.* Entry ids are never
 //! reused, and a resident entry never changes; at most one entry per
@@ -89,72 +105,6 @@ use crate::shared::{AccountNotes, SharedRecycler};
 use crate::signature::{self, ArgSig, FingerprintMap, Sig, SigRef};
 use crate::stats::{PoolSnapshot, QueryRecord, RecyclerStats};
 use crate::subsume::{self, Subsumption};
-
-/// What one reuse of a pool entry observed (computed under the pool read
-/// lock, consumed after it is released). The result is an `Arc` clone.
-struct HitOutcome {
-    id: EntryId,
-    value: Value,
-    saved: Duration,
-    creator: InstrKey,
-    local: bool,
-    cross_session: bool,
-    return_credit: bool,
-    pin: Pin,
-}
-
-impl HitOutcome {
-    /// Reuse `e` on behalf of `session`'s query `invocation`, under the
-    /// read guard the caller holds: the reuse counters, last-use stamp,
-    /// credit flag and pin are settled on the entry's atomics.
-    fn take(shared: &SharedRecycler, e: &PoolEntry, invocation: u64, session: u64) -> HitOutcome {
-        e.last_used.store(shared.next_tick(), Ordering::Relaxed);
-        let local = e.admitted_invocation == invocation;
-        if local {
-            e.local_reuses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            e.global_reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        // first *local* reuse returns the admission credit; the CAS makes
-        // a racing pair of hits return it exactly once
-        let return_credit = local
-            && e.credit_returned
-                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok();
-        HitOutcome {
-            id: e.id,
-            value: e.value().clone(),
-            saved: e.cpu,
-            creator: e.creator,
-            local,
-            cross_session: e.admitted_session != session,
-            return_credit,
-            pin: Pin::take(e),
-        }
-    }
-
-    /// Hand the reuse to the session: the pin to the query's pins, what
-    /// the accounts are owed to its notes, the counts to its record.
-    /// Returns the result.
-    fn book(
-        self,
-        pins: &mut Vec<Pin>,
-        notes: &mut AccountNotes,
-        record: &mut QueryRecord,
-    ) -> Value {
-        pins.push(self.pin);
-        notes.reuses.push((self.creator, self.return_credit));
-        record.saved += self.saved;
-        record.hits += 1;
-        if self.local {
-            record.local_hits += 1;
-        } else {
-            record.global_hits += 1;
-        }
-        record.cross_session_hits += self.cross_session as u64;
-        self.value
-    }
-}
 
 /// What an all-hit run of a template over some parameters found: the
 /// entry each marked instruction hit, in pc order, and the catalog
@@ -248,8 +198,9 @@ pub struct Recycler {
     invocation: u64,
     /// Between `query_start` and the settling of that query.
     in_query: bool,
-    /// One guard per use the current query made of a pool entry; dropping
-    /// them at `query_end` unpins without touching the pool.
+    /// One guard per use the current query made of a pool entry while
+    /// walking (a replayed query holds none); dropping them at `query_end`
+    /// unpins without touching the pool.
     pins: Vec<Pin>,
     /// Whole-plan memos: how this session answers a repeated all-hit
     /// query in one read step.
@@ -363,20 +314,49 @@ impl Recycler {
     /// all-hit `sky_hot` workload measured ~3 % slower.
     #[inline(never)]
     fn try_hit(&mut self, sig: &SigRef<'_>) -> Option<Value> {
-        let shared = &self.shared;
-        let (invocation, session) = (self.invocation, self.session_id);
-        let hit = shared
-            .pool()
-            .probe(sig, |e| HitOutcome::take(shared, e, invocation, session))?;
-        self.plans.hit_ids.push(hit.id);
-        Some(hit.book(&mut self.pins, &mut self.notes, &mut self.current))
+        let Recycler {
+            shared,
+            pins,
+            notes,
+            current,
+            plans,
+            invocation,
+            session_id,
+            ..
+        } = self;
+        let (id, value) = shared.pool().probe(sig, |e| {
+            e.last_used.store(shared.next_tick(), Ordering::Relaxed);
+            let local = e.admitted_invocation == *invocation;
+            if local {
+                e.local_reuses.fetch_add(1, Ordering::Relaxed);
+                current.local_hits += 1;
+            } else {
+                e.global_reuses.fetch_add(1, Ordering::Relaxed);
+                current.global_hits += 1;
+            }
+            // first *local* reuse returns the admission credit; the CAS
+            // makes a racing pair of hits return it exactly once
+            let return_credit = local
+                && e.credit_returned
+                    .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok();
+            pins.push(Pin::take(e));
+            notes.reuses.push((e.creator, return_credit));
+            current.saved += e.cpu;
+            current.hits += 1;
+            current.cross_session_hits += (e.admitted_session != *session_id) as u64;
+            (e.id, e.value().clone())
+        })?;
+        plans.hit_ids.push(id);
+        Some(value)
     }
 
     /// The whole-plan replay: the memo under `key` answers `program` over
     /// `params` and a catalog of `generation` if it was made for both and
-    /// every entry it lists is still resident — then each is reused, in pc
-    /// order, exactly as [`Self::try_hit`] reuses it, all in one read
-    /// step. `None`, with nothing reused, if any check fails.
+    /// every entry it lists is still resident — then each is settled, in
+    /// pc order, as the walk's hit on it would be, all in one read step
+    /// (module docs, *Whole-plan replay*). `None`, with nothing reused, if
+    /// any check fails.
     fn replay_memo(
         &mut self,
         key: u64,
@@ -386,7 +366,6 @@ impl Recycler {
     ) -> Option<Vec<Value>> {
         let Recycler {
             shared,
-            pins,
             notes,
             current,
             plans,
@@ -408,14 +387,27 @@ impl Recycler {
         for id in &memo.ids {
             entries.push(view.entry(*id)?);
         }
+        // the k ticks the walk's k hits would draw, reserved in one step
+        let first = shared.next_ticks(entries.len() as u64);
         let mut values = Vec::with_capacity(entries.len());
-        for e in entries {
-            let hit = HitOutcome::take(shared, e, *invocation, *session_id);
-            values.push(hit.book(pins, notes, current));
+        for (tick, e) in (first..).zip(entries) {
+            // the invocation began just now: it admitted nothing, so every
+            // reuse is global and returns no credit; it admits nothing
+            // either, so nothing needs the entry resident — no pin
+            debug_assert_ne!(e.admitted_invocation, *invocation);
+            e.last_used.store(tick, Ordering::Relaxed);
+            e.global_reuses.fetch_add(1, Ordering::Relaxed);
+            notes.reuses.push((e.creator, false));
+            current.saved += e.cpu;
+            current.cross_session_hits += (e.admitted_session != *session_id) as u64;
+            values.push(e.value().clone());
         }
         plans.room = view.len();
         drop(view);
-        current.monitored += values.len() as u64;
+        let k = values.len() as u64;
+        current.monitored += k;
+        current.hits += k;
+        current.global_hits += k;
         current.replayed = true;
         Some(values)
     }
@@ -1559,6 +1551,108 @@ mod tests {
         assert!(e.hook.last_query().replayed);
         assert_eq!(replayed.export("n").cloned(), expect);
         e.hook.pool().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_replay_pins_nothing_and_stamps_one_tick_range() {
+        let mut e = engine(RecyclerConfig::default());
+        let mut t = range_template();
+        e.optimize(&mut t);
+        let p = [Value::Int(100), Value::Int(600)];
+        warm_until_replayed(&mut e, &t, &p);
+        let ids = e.hook.plans.memos.values().next().unwrap().ids.clone();
+        assert_eq!(ids.len(), t.marked_count());
+        let tick = e.hook.shared().current_tick();
+
+        e.hook.query_start(&t);
+        let values = e.hook.replay(&e.catalog, &t, &p).expect("replayed");
+        assert_eq!(values.len(), ids.len());
+        assert!(e.hook.pins.is_empty(), "a replayed query holds no pin");
+        let pool = e.hook.pool();
+        let settled: Vec<_> = ids
+            .iter()
+            .map(|id| pool.entry(*id, |en| (en.pin_count(), en.last_used())))
+            .collect::<Option<_>>()
+            .expect("every memo'd entry resident");
+        let stamps: Vec<_> = (tick + 1..).take(ids.len()).map(|t| (0, t)).collect();
+        assert_eq!(settled, stamps, "unpinned, stamped T+1..=T+k in pc order");
+        e.hook.query_end(&t);
+        assert_eq!(e.hook.last_query().global_hits, ids.len() as u64);
+        e.hook.pool().check_invariants().unwrap();
+    }
+
+    /// Runs `between` right after the wrapped session's replay answers —
+    /// inside the replayed query, before its `query_end`.
+    struct AfterReplay<'a> {
+        session: &'a mut Recycler,
+        between: Option<Box<dyn FnOnce() + 'a>>,
+    }
+
+    impl ExecHook for AfterReplay<'_> {
+        fn query_start(&mut self, program: &Program) {
+            self.session.query_start(program);
+        }
+
+        fn replay(
+            &mut self,
+            catalog: &Catalog,
+            program: &Program,
+            params: &[Value],
+        ) -> Option<Vec<Value>> {
+            let values = self.session.replay(catalog, program, params)?;
+            if let Some(between) = self.between.take() {
+                between();
+            }
+            Some(values)
+        }
+
+        fn query_end(&mut self, program: &Program) {
+            self.session.query_end(program);
+        }
+    }
+
+    #[test]
+    fn a_replayed_entry_may_be_evicted_before_its_query_ends() {
+        // a pool capped at the one thread A replays: bind, select, count
+        let cell = CatalogCell::new(catalog(1000));
+        let config = RecyclerConfig::default().subsumption(false).entry_limit(3);
+        let mut sessions = sessions_on(&cell, config);
+        let mut t = range_template();
+        sessions[0].optimize(&mut t);
+        let p = [Value::Int(100), Value::Int(600)];
+        warm_until_replayed(&mut sessions[0], &t, &p);
+        let shared = Arc::clone(sessions[0].hook.shared());
+        let before = shared.stats();
+        let expect = naive_answer(&cell.snapshot(), &p);
+
+        // B admits its own select and count in the middle of A's replayed
+        // query: both need room, and only A's entries are unpinned leaves
+        let (a, b) = sessions.split_at_mut(1);
+        let (a, b) = (&mut a[0], &mut b[0]);
+        let (b_template, b_params) = (&t, [Value::Int(700), Value::Int(800)]);
+        let out = {
+            let mut hook = AfterReplay {
+                session: &mut a.hook,
+                between: Some(Box::new(move || {
+                    b.run(b_template, &b_params).unwrap();
+                    assert_eq!(b.hook.last_query().admitted, 2, "B found room");
+                })),
+            };
+            rmal::interp::run(&a.catalog, &t, &p, &mut hook).unwrap()
+        };
+        assert!(a.hook.last_query().replayed);
+        let after = shared.stats();
+        let evicted = after.evictions - before.evictions;
+        assert_eq!(evicted, 2, "A's select and count");
+        assert_eq!(after.admission_rejects, before.admission_rejects);
+        assert_eq!(out.export("n").cloned(), expect);
+        shared.pool().check_invariants().unwrap();
+
+        // A's memo is stale now: the next run walks, and answers the same
+        let again = a.run(&t, &p).unwrap();
+        assert!(!a.hook.last_query().replayed);
+        assert_eq!(again.export("n").cloned(), expect);
+        shared.pool().check_invariants().unwrap();
     }
 
     // ----- shared-service behaviour ----------------------------------------

@@ -45,9 +45,10 @@
 //!    acquisition per *query*), and its pin is given back at query end by
 //!    dropping a guard, not by finding the entry again. A whole-plan
 //!    replay ([`crate::runtime`]) serves the k hits of a repeated all-hit
-//!    query the same way under **one** hold of the read guard: it finds
-//!    all k entries first, then settles each as a hit does, before the
-//!    guard goes — one read lock for the query, and no other lock. The
+//!    query under **one** hold of the read guard: it finds all k entries
+//!    first, then settles each — reuse counter, one stamp from a k-tick
+//!    range, account note — before the guard goes, and pins none of them
+//!    (invariant 3): one read lock for the query, and no other lock. The
 //!    pool's write- and read-lock counters and
 //!    [`SharedRecycler::accounts_locks_on_this_thread`] pin this down in
 //!    tests.
@@ -57,7 +58,11 @@
 //!    serialises the two, so an entry is either pinned before eviction
 //!    gathers (and skipped) or removed first (and the pinning probe
 //!    misses). Unpinning takes no lock: a late decrement can only make
-//!    eviction skip an entry once more.
+//!    eviction skip an entry once more. Only what a query may still hang
+//!    an admission on is pinned — its hits, its subsumption sources, the
+//!    parents its admissions resolve. A replayed query admits nothing, so
+//!    it pins nothing: its values are `Arc` clones (invariant 4), and an
+//!    entry it replayed is evictable at once.
 //! 4. **No lock across execution:** operator execution happens outside
 //!    every lock. A subsumption attempt clones its sources' `Arc`-shared
 //!    results in its read step; a rewritten instruction and
@@ -92,7 +97,8 @@
 //!    assertion checks it after every insert), and an admission evicts
 //!    for its own demand alone — nothing is reserved across steps, so no
 //!    other session's demand is in flight to count. An entry pinned by
-//!    *any* session is never evicted: when nothing evictable remains the
+//!    *any* session is never evicted (a replayed entry is not pinned, so
+//!    it may be — invariant 3): when nothing evictable remains the
 //!    admission fails instead ([`crate::pool::Admitted::NoRoom`],
 //!    `admission_rejects`). Updates override pins — correctness beats
 //!    retention. Eviction gathers from the lineage graph's evictable-leaf
@@ -458,7 +464,13 @@ impl SharedRecycler {
 
     /// Advance and return the event clock.
     pub(crate) fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
+        self.next_ticks(1)
+    }
+
+    /// Advance the event clock by `n` in one step and return the first of
+    /// the `n` ticks drawn: `T + 1` of `T + 1 ..= T + n`.
+    pub(crate) fn next_ticks(&self, n: u64) -> u64 {
+        self.tick.fetch_add(n, Ordering::Relaxed) + 1
     }
 
     pub(crate) fn current_tick(&self) -> u64 {

@@ -225,16 +225,17 @@ impl Session {
 
     /// Execute a prepared template and return the abstract machine's full
     /// [`rmal::QueryOutput`] — exports plus the per-instruction execution
-    /// profile. The experiment harness uses this to attribute time to
-    /// individual operators; prefer [`Self::query`] everywhere else.
+    /// profile ([`rmal::Engine::run_profiled`]). The experiment harness
+    /// uses this to attribute time to individual operators; prefer
+    /// [`Self::query`], which records no profile, everywhere else.
     pub fn query_output(
         &mut self,
         template: &Program,
         params: &[Value],
     ) -> Result<rmal::QueryOutput> {
         match &mut self.engine {
-            EngineKind::Recycled(e) => Ok(e.run(template, params)?),
-            EngineKind::Naive(e) => Ok(e.run(template, params)?),
+            EngineKind::Recycled(e) => Ok(e.run_profiled(template, params)?),
+            EngineKind::Naive(e) => Ok(e.run_profiled(template, params)?),
         }
     }
 
@@ -290,5 +291,56 @@ impl Session {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session").field("id", &self.id()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rbat::{Catalog, LogicalType, TableBuilder, Value};
+    use rmal::{Opcode, ProgramBuilder, P};
+
+    use crate::DatabaseBuilder;
+
+    fn builder() -> DatabaseBuilder {
+        let mut cat = Catalog::new();
+        let mut tb = TableBuilder::new("t").column("x", LogicalType::Int);
+        for i in 0..100 {
+            tb.push_row(&[Value::Int(i)]);
+        }
+        cat.add_table(tb.finish());
+        DatabaseBuilder::new(cat)
+    }
+
+    #[test]
+    fn query_output_profiles_every_executed_instruction() {
+        for db in [builder().build(), builder().naive().build()] {
+            let mut b = ProgramBuilder::new("count_range", 2);
+            let col = b.bind("t", "x");
+            let sel = b.select_closed(col, P(0), P(1));
+            let n = b.count(sel);
+            b.export("n", n);
+            let template = db.prepare(b.finish());
+            let executed: Vec<_> = (0..template.instrs.len())
+                .filter(|pc| template.instrs[*pc].op != Opcode::Export)
+                .collect();
+            let mut session = db.session();
+            let params = [Value::Int(10), Value::Int(40)];
+            // admitting, walked all-hit, replayed — on a naive database three
+            // plain runs
+            for run in 0..3 {
+                let out = session.query_output(&template, &params).unwrap();
+                let pcs: Vec<_> = out.stats.profile.iter().map(|i| i.pc).collect();
+                assert_eq!(pcs, executed, "run {run}");
+                let reused = out.stats.profile.iter().filter(|i| i.reused).count();
+                assert_eq!(reused, out.stats.reused, "run {run}");
+                assert_eq!(out.export("n"), Some(&Value::Int(31)));
+            }
+            let replayed = session.last_query().is_some_and(|r| r.replayed);
+            assert_eq!(
+                replayed,
+                session.id() != 0,
+                "the recycled third run replays"
+            );
+        }
     }
 }

@@ -132,10 +132,19 @@ impl<H: ExecHook> Engine<H> {
     /// Execute a (template) program with the given parameter values. With
     /// a shared catalog attached the whole query runs against one epoch
     /// snapshot: a commit landing mid-query is observed at the *next* run,
-    /// never halfway through this one.
+    /// never halfway through this one. No per-instruction profile is
+    /// recorded ([`crate::ExecStats::profile`] stays empty); use
+    /// [`Self::run_profiled`] for one.
     pub fn run(&mut self, program: &Program, params: &[Value]) -> Result<QueryOutput> {
         self.refresh_epoch();
         interp::run(&self.catalog, program, params, &mut self.hook)
+    }
+
+    /// [`Self::run`], recording the per-instruction profile: each executed
+    /// instruction's time, outcome and result bytes.
+    pub fn run_profiled(&mut self, program: &Program, params: &[Value]) -> Result<QueryOutput> {
+        self.refresh_epoch();
+        interp::run_profiled(&self.catalog, program, params, &mut self.hook)
     }
 
     /// Stage inserts, stage deletes, and commit — notifying the hook so the

@@ -8,7 +8,7 @@
 //! [`ExecHook::replay`] instead, and the marked instructions are not
 //! dispatched one by one.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rbat::catalog::CommitReport;
 use rbat::{Catalog, Value};
@@ -51,12 +51,15 @@ pub trait ExecHook {
     /// `Some(values)` must hold exactly one value per marked instruction,
     /// in pc order — each the value [`Self::before`] would have answered
     /// [`HookAction::Reuse`] with, had every marked instruction been
-    /// dispatched — and the hook must already have done, for each, the
-    /// bookkeeping such a reuse does. The interpreter then fills the
-    /// marked instructions' results from `values` without calling the
+    /// dispatched — and the hook must already have booked, for each, what
+    /// it books for such a reuse; it need not do what a reuse does only
+    /// for the instructions after it (the recycler pins nothing for a
+    /// replayed query, which admits nothing). The interpreter then fills
+    /// the marked instructions' results from `values` without calling the
     /// hook, resolving their arguments or reading the clock for them; it
-    /// still executes the unmarked instructions. [`ExecStats`] and the
-    /// profile count every replayed instruction as reused, with zero cpu.
+    /// still executes the unmarked instructions. [`ExecStats`] counts
+    /// every replayed instruction as reused, and the profile, when one is
+    /// recorded ([`run_profiled`]), with zero cpu.
     ///
     /// # Panics
     /// The interpreter panics if `values` holds fewer values than
@@ -133,20 +136,67 @@ fn resolve(frame: &[Option<Value>], params: &[Value], arg: &Arg, pc: usize) -> R
 }
 
 /// Interpret `program` against `catalog` with the given parameters,
-/// dispatching marked instructions through `hook`.
+/// dispatching marked instructions through `hook`. The returned
+/// [`ExecStats::profile`] is empty — [`run_profiled`] fills it — and an
+/// unmarked instruction takes no clock reading.
 pub fn run<H: ExecHook>(
     catalog: &Catalog,
     program: &Program,
     params: &[Value],
     hook: &mut H,
 ) -> Result<QueryOutput> {
+    interpret(catalog, program, params, hook, false)
+}
+
+/// [`run`], recording one [`InstrProfile`] per executed instruction
+/// (exports excepted) in [`ExecStats::profile`]; every other count is
+/// [`run`]'s.
+pub fn run_profiled<H: ExecHook>(
+    catalog: &Catalog,
+    program: &Program,
+    params: &[Value],
+    hook: &mut H,
+) -> Result<QueryOutput> {
+    interpret(catalog, program, params, hook, true)
+}
+
+/// The profile of instruction `pc`, which produced `result`.
+fn profile_of(
+    pc: usize,
+    instr: &Instr,
+    reused: bool,
+    subsumed: bool,
+    cpu: Duration,
+    result: &Value,
+) -> InstrProfile {
+    InstrProfile {
+        pc,
+        op: instr.op.name(),
+        marked: instr.recycle,
+        reused,
+        subsumed,
+        cpu,
+        result_bytes: result.as_bat().map(|b| b.resident_bytes()).unwrap_or(0),
+    }
+}
+
+/// The interpreter loop behind [`run`] and [`run_profiled`]: `profile`,
+/// set by the entry point, says whether to time every instruction and
+/// record its [`InstrProfile`].
+fn interpret<H: ExecHook>(
+    catalog: &Catalog,
+    program: &Program,
+    params: &[Value],
+    hook: &mut H,
+    profile: bool,
+) -> Result<QueryOutput> {
     let started = Instant::now();
     let mut frame: Vec<Option<Value>> = vec![None; program.nvars as usize];
     let mut exports: Vec<(String, Value)> = Vec::new();
-    let mut stats = ExecStats {
-        profile: Vec::with_capacity(program.instrs.len()),
-        ..ExecStats::default()
-    };
+    let mut stats = ExecStats::default();
+    if profile {
+        stats.profile.reserve_exact(program.instrs.len());
+    }
     // one argument buffer for the whole run, not one per instruction
     let mut args: Vec<Value> = Vec::new();
     hook.query_start(program);
@@ -160,15 +210,10 @@ pub fn run<H: ExecHook>(
             stats.instrs += 1;
             stats.marked += 1;
             stats.reused += 1;
-            stats.profile.push(InstrProfile {
-                pc,
-                op: instr.op.name(),
-                marked: true,
-                reused: true,
-                subsumed: false,
-                cpu: std::time::Duration::ZERO,
-                result_bytes: result.as_bat().map(|b| b.resident_bytes()).unwrap_or(0),
-            });
+            if profile {
+                let entry = profile_of(pc, instr, true, false, Duration::ZERO, &result);
+                stats.profile.push(entry);
+            }
             frame[instr.result.index()] = Some(result);
             continue;
         }
@@ -193,64 +238,60 @@ pub fn run<H: ExecHook>(
             continue;
         }
 
+        stats.instrs += 1;
+        if !instr.recycle {
+            let t0 = profile.then(Instant::now);
+            let result = execute_op(catalog, &instr.op, &args)?;
+            if let Some(t0) = t0 {
+                let entry = profile_of(pc, instr, false, false, t0.elapsed(), &result);
+                stats.profile.push(entry);
+            }
+            frame[instr.result.index()] = Some(result);
+            continue;
+        }
+
         let mut reused = false;
         let mut subsumed = false;
         let t0 = Instant::now();
-        let result = if instr.recycle {
-            match hook.before(catalog, pc, instr, &args, t0) {
-                HookAction::Reuse(v) => {
-                    reused = true;
-                    v
-                }
-                HookAction::Rewrite(new_args) => {
-                    subsumed = true;
-                    let v = execute_op(catalog, &instr.op, &new_args)?;
-                    let done = Instant::now();
-                    hook.after(catalog, pc, instr, &args, &v, done - t0, done);
-                    v
-                }
-                HookAction::Computed(v) => {
-                    subsumed = true;
-                    v
-                }
-                HookAction::Proceed => {
-                    let v = execute_op(catalog, &instr.op, &args)?;
-                    let done = Instant::now();
-                    hook.after(catalog, pc, instr, &args, &v, done - t0, done);
-                    v
-                }
+        let result = match hook.before(catalog, pc, instr, &args, t0) {
+            HookAction::Reuse(v) => {
+                reused = true;
+                v
             }
-        } else {
-            execute_op(catalog, &instr.op, &args)?
+            HookAction::Rewrite(new_args) => {
+                subsumed = true;
+                let v = execute_op(catalog, &instr.op, &new_args)?;
+                let done = Instant::now();
+                hook.after(catalog, pc, instr, &args, &v, done - t0, done);
+                v
+            }
+            HookAction::Computed(v) => {
+                subsumed = true;
+                v
+            }
+            HookAction::Proceed => {
+                let v = execute_op(catalog, &instr.op, &args)?;
+                let done = Instant::now();
+                hook.after(catalog, pc, instr, &args, &v, done - t0, done);
+                v
+            }
         };
-        let cpu = if reused {
-            std::time::Duration::ZERO
-        } else {
-            t0.elapsed()
-        };
+        let cpu = if reused { Duration::ZERO } else { t0.elapsed() };
 
-        let result_bytes = result.as_bat().map(|b| b.resident_bytes()).unwrap_or(0);
-        stats.instrs += 1;
-        if instr.recycle {
-            stats.marked += 1;
-            if reused {
-                stats.reused += 1;
-            } else {
-                stats.marked_cpu += cpu;
-            }
-            if subsumed {
-                stats.subsumed += 1;
-            }
+        stats.marked += 1;
+        if reused {
+            stats.reused += 1;
+        } else {
+            stats.marked_cpu += cpu;
         }
-        stats.profile.push(InstrProfile {
-            pc,
-            op: instr.op.name(),
-            marked: instr.recycle,
-            reused,
-            subsumed,
-            cpu,
-            result_bytes,
-        });
+        if subsumed {
+            stats.subsumed += 1;
+        }
+        if profile {
+            stats
+                .profile
+                .push(profile_of(pc, instr, reused, subsumed, cpu, &result));
+        }
         frame[instr.result.index()] = Some(result);
     }
 
@@ -426,7 +467,7 @@ mod tests {
         p.instrs[0].recycle = true; // the bind
         p.instrs[1].recycle = true; // the count
         let mut hook = ReplayHook::default();
-        let out = run(&cat, &p, &[], &mut hook).unwrap();
+        let out = run_profiled(&cat, &p, &[], &mut hook).unwrap();
         assert_eq!((hook.replays, hook.before_calls), (1, 0));
         assert_eq!(out.export("n"), Some(&Value::date("1996-02-15")), "pc 1");
         // the unmarked instruction ran over the replayed value
@@ -435,5 +476,68 @@ mod tests {
         let replayed: Vec<_> = out.stats.profile.iter().map(|i| i.reused).collect();
         assert_eq!(replayed, [true, true, false], "exports are not profiled");
         assert!(out.stats.profile[..2].iter().all(|i| i.cpu.is_zero()));
+    }
+
+    /// What two runs must agree on whatever the entry point: exports and
+    /// every count (the timings are the clock's).
+    fn counts(out: &QueryOutput) -> (Vec<(String, Value)>, [usize; 4]) {
+        let s = &out.stats;
+        (
+            out.exports.clone(),
+            [s.instrs, s.marked, s.reused, s.subsumed],
+        )
+    }
+
+    #[test]
+    fn run_records_no_profile_and_counts_what_run_profiled_counts() {
+        let cat = catalog();
+        let mut b = ProgramBuilder::new("profiled", 2);
+        let col = b.bind("t", "x");
+        let sel = b.select_half_open(col, crate::builder::P(0), crate::builder::P(1));
+        let cnt = b.count(sel);
+        let later = b.add_months(Value::date("1996-01-15"), 1);
+        b.export("n", cnt);
+        b.export("later", later);
+        let mut p = b.finish();
+        p.instrs[1].recycle = true; // the select
+        p.instrs[2].recycle = true; // the count
+        let params = [Value::Int(2), Value::Int(5)];
+        // walked: the hook executes every marked instruction
+        let walk = |profiled: bool| {
+            let mut hook = CountingHook {
+                before_calls: 0,
+                after_calls: 0,
+            };
+            let out = if profiled {
+                run_profiled(&cat, &p, &params, &mut hook)
+            } else {
+                run(&cat, &p, &params, &mut hook)
+            };
+            (out.unwrap(), (hook.before_calls, hook.after_calls))
+        };
+        let (plain, plain_calls) = walk(false);
+        let (profiled, profiled_calls) = walk(true);
+        assert!(plain.stats.profile.is_empty(), "run records no profile");
+        assert_eq!(counts(&plain), counts(&profiled));
+        assert_eq!(plain_calls, profiled_calls);
+        assert_eq!(counts(&plain).1, [6, 2, 0, 0]);
+        // one profile per executed instruction, exports excepted
+        let pcs: Vec<_> = profiled.stats.profile.iter().map(|i| i.pc).collect();
+        assert_eq!(pcs, [0, 1, 2, 3]);
+        // replayed: the same counts either way, and no profile from `run`
+        let replayed = |profiled: bool| {
+            let mut hook = ReplayHook::default();
+            let out = if profiled {
+                run_profiled(&cat, &p, &params, &mut hook)
+            } else {
+                run(&cat, &p, &params, &mut hook)
+            };
+            out.unwrap()
+        };
+        let (plain, profiled) = (replayed(false), replayed(true));
+        assert!(plain.stats.profile.is_empty());
+        assert_eq!(counts(&plain), counts(&profiled));
+        assert_eq!(counts(&plain).1, [6, 2, 2, 0]);
+        assert_eq!(profiled.stats.profile.len(), 4);
     }
 }

@@ -39,7 +39,10 @@ pub struct ExecStats {
     pub subsumed: usize,
     /// Sum of CPU time spent inside marked instructions that *executed*.
     pub marked_cpu: Duration,
-    /// Per-instruction details.
+    /// Per-instruction details, one per executed instruction (exports
+    /// excepted) in pc order — recorded only when asked for
+    /// ([`crate::interp::run_profiled`], [`crate::Engine::run_profiled`]);
+    /// empty otherwise. Every other field is filled either way.
     pub profile: Vec<InstrProfile>,
 }
 

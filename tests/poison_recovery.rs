@@ -187,7 +187,13 @@ fn tear_a_commit(db: &Database) {
 #[test]
 fn every_write_step_that_panics_empties_the_pool() {
     let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    let sites = ["pool.insert", "pool.insert.wired", "evict.remove", "commit"];
+    let sites = [
+        "pool.insert",
+        "pool.insert.wired",
+        "evict.gather",
+        "evict.remove",
+        "commit",
+    ];
     for site in sites {
         fault::clear();
         // a full pool: the next fresh range evicts in its own write step
@@ -311,7 +317,8 @@ fn a_commit_after_a_torn_insert_answers_like_a_naive_database() {
 }
 
 /// Eviction runs inline, on the admitting query: a round that panics
-/// unwinds out of that query. Eviction must keep working afterwards —
+/// unwinds out of that query, and — being a write step — empties the
+/// pool on its way out. Eviction must keep working afterwards —
 /// the full pool must keep admitting. (It once did not: a capacity
 /// reservation leaked by the unwind made the cap's gate refuse every later
 /// eviction. No reservation outlives its write step any more, and this
