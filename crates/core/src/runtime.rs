@@ -30,8 +30,10 @@
 //! pool is full — under one write lock; the new entry records its parents
 //! and copies nothing from them. See the locking invariants in
 //! [`crate::shared`]. A subsumption attempt is one more read of the
-//! pool, which pins and stamps its source in the same step
-//! ([`crate::subsume`]).
+//! pool, which pins and stamps its sources in the same step — the
+//! singleton, or the pieces a combined answer is gathered from there
+//! ([`crate::subsume`]); either answer is admitted by `after`, like any
+//! executed instruction's.
 //!
 //! # Whole-plan replay
 //!
@@ -443,27 +445,26 @@ impl Recycler {
         plans.memos.insert(key, memo);
     }
 
-    /// Subsumption (paper §5), one more read of the pool: the source is
+    /// Subsumption (paper §5), one more read of the pool: each source —
+    /// the singleton, or every piece of a combined answer (§5.2) — is
     /// pinned, stamped and cloned in the step that found it (`Arc`-shared
     /// BATs outlive its eviction). Under PACED a source is a reuse of its
     /// creator, noted like a hit's; the paper's policies count exact reuses
-    /// only. A pieced result (§5.2) is admitted here, under the original
-    /// signature.
+    /// only. A combined answer is admitted by `after`, as an executed
+    /// rewrite is.
     ///
     /// Kept out of line, like [`Self::try_hit`], so that `before` — the
     /// all-hit path's caller — stays small.
     #[inline(never)]
     fn try_subsume(
         &mut self,
-        catalog: &Catalog,
-        pc: usize,
         instr: &Instr,
         args: &[Value],
         config: RecyclerConfig,
     ) -> Option<HookAction> {
         let paced = config.admission == AdmissionPolicy::Paced;
         let (shared, pins, notes) = (&self.shared, &mut self.pins, &mut self.notes);
-        let mut use_source = |e: &PoolEntry| {
+        let use_source = |e: &PoolEntry| {
             e.last_used.store(shared.next_tick(), Ordering::Relaxed);
             e.subsumption_uses.fetch_add(1, Ordering::Relaxed);
             pins.push(Pin::take(e));
@@ -472,30 +473,18 @@ impl Recycler {
             }
         };
         let (pool, combined) = (shared.pool(), config.combined_subsumption);
-        match subsume::attempt(pool, instr.op, args, combined, &mut use_source)? {
-            Subsumption::Rewrite(new_args) => {
-                self.current.subsumed += 1;
-                Some(HookAction::Rewrite(new_args))
-            }
+        let action = match subsume::attempt(pool, instr.op, args, combined, use_source)? {
+            Subsumption::Rewrite(new_args) => HookAction::Rewrite(new_args),
             Subsumption::Combined {
-                segments,
+                result,
                 search_time,
             } => {
                 shared.add_subsume_search(search_time);
-                let exec0 = Instant::now();
-                let bat = subsume::execute_combined(&segments)?;
-                let cpu = exec0.elapsed();
-                // the pieces still resident are used in one more read
-                let view = pool.read_view();
-                let resident = segments.iter().filter_map(|(id, ..)| view.entry(*id));
-                resident.for_each(&mut use_source);
-                drop(view);
-                let result = Value::Bat(Arc::new(bat));
-                self.current.subsumed += 1;
-                self.admit(catalog, pc, instr.op, args, &result, cpu);
-                Some(HookAction::Computed(result))
+                HookAction::Computed(Value::Bat(Arc::new(result)))
             }
-        }
+        };
+        self.current.subsumed += 1;
+        Some(action)
     }
 
     /// Give the current query's pins back and hand its notes and counts to
@@ -720,7 +709,7 @@ impl ExecHook for Recycler {
     fn before(
         &mut self,
         catalog: &Catalog,
-        pc: usize,
+        _pc: usize,
         instr: &Instr,
         args: &[Value],
         t0: Instant,
@@ -740,10 +729,10 @@ impl ExecHook for Recycler {
         let config = self.shared.config();
 
         // Phase 2: subsumption (paper §5). Past the soft deadline the
-        // search (and any piecing) is optional work the query can no longer
-        // amortise; exact hits above still served.
+        // search (and a combined gather) is optional work the query can no
+        // longer amortise; exact hits above still served.
         let subsumed = if config.subsumption && !self.past_deadline() {
-            self.try_subsume(catalog, pc, instr, args, config)
+            self.try_subsume(instr, args, config)
         } else {
             None
         };

@@ -64,10 +64,13 @@
 //!    it pins nothing: its values are `Arc` clones (invariant 4), and an
 //!    entry it replayed is evictable at once.
 //! 4. **No lock across execution:** operator execution happens outside
-//!    every lock. A subsumption attempt clones its sources' `Arc`-shared
-//!    results in its read step; a rewritten instruction and
-//!    combined-subsumption piecing run on those clones, which stay valid
-//!    whatever is evicted meanwhile.
+//!    every lock. A subsumption attempt clones its source's `Arc`-shared
+//!    result in its read step; a rewritten instruction runs on that clone,
+//!    which stays valid whatever is evicted meanwhile. The one exception is
+//!    combined subsumption's gather ([`crate::subsume`]): one scan of the
+//!    chosen pieces and one gather over the operand, run under the
+//!    attempt's read guard so that a piece is handed over only for an
+//!    answer that exists; it clones nothing, and a writer waits for it.
 //! 5. **One funnel; first writer wins, atomically.** Every result is
 //!    admitted by one funnel ([`Recycler`]'s `admit`) and every exit of it
 //!    returns the credit it took. Racing duplicate admissions are

@@ -8,18 +8,24 @@
 //! opcode's test, picks the smallest result and hands that source to the
 //! caller to pin, stamp and clone before the guard is released: nothing
 //! read in the step needs revalidating. An instruction no rule applies to
-//! takes no read at all. The combined search (Algorithm 2) runs after the
-//! guard is released, over what the step gathered — ids, bounds, lengths
-//! and the `Arc`-shared results — so piecing ([`execute_combined`]) never
-//! touches the pool, and a piece evicted after the search still answers.
+//! takes no read at all.
+//!
+//! Combined subsumption (§5.2, Algorithm 2) is the same step. When no
+//! single selection contains a bounded target range, the overlapping ones
+//! are searched for the cheapest gap-free cover ([`cheapest_cover`], an
+//! exact sweep); the operand is then gathered at the rows the chosen
+//! pieces hold in the range ([`ops::select_pieced`]), which is the cold
+//! select's answer in tuples, order and `Props` whatever the pieces, and
+//! each piece is handed to the caller as a singleton source is.
 
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 use rbat::ops::{self, like_subsumes, SelectBounds};
 use rbat::{Bat, BatId, Value};
 use rmal::Opcode;
 
-use crate::entry::{EntryId, PoolEntry};
+use crate::entry::PoolEntry;
 use crate::pool::{PoolReadView, RecyclePool};
 use crate::signature::ArgSig;
 
@@ -52,21 +58,15 @@ pub enum Subsumption {
     /// arguments — the column operand replaced by the smallest resident
     /// superset, already handed to the caller as the source.
     Rewrite(Vec<Value>),
-    /// Combined subsumption (§5.2): select each segment from its piece and
-    /// concatenate ([`execute_combined`]). The pieces are not yet used as
-    /// sources.
+    /// Combined subsumption (§5.2): the answer, gathered from the operand
+    /// at the rows of pieces already handed to the caller as sources.
     Combined {
-        /// Disjoint segments covering the target range.
-        segments: Vec<Segment>,
-        /// Time spent inside the search algorithm (reported by Fig. 15).
+        /// The target's answer, equal to executing it.
+        result: Bat,
+        /// Time spent searching for the cover (reported by Fig. 15).
         search_time: Duration,
     },
 }
-
-/// One segment of a combined answer: the source entry, its result (an
-/// `Arc` clone taken in the attempt's read step) and the part of the target
-/// range it answers.
-pub type Segment = (EntryId, Value, SelectBounds);
 
 /// The test a resident entry passes to answer the target (§5.1).
 enum Rule<'a> {
@@ -138,17 +138,18 @@ fn result_len(e: &PoolEntry) -> usize {
 }
 
 /// One subsumption attempt for `op` over `args`, in one read step of
-/// `pool`. A singleton source is handed to `use_source` under the guard
-/// that found it (`use_source` must not call back into the pool). With
-/// `combined`, a bounded range select no single entry answers gathers the
-/// overlapping selections in the same step and is pieced together from
-/// them after it (Algorithm 2). No read is taken when no rule applies.
+/// `pool`. Every source used — the singleton, or each piece of a combined
+/// answer — is handed to `use_source` under the guard that found it
+/// (`use_source` must not call back into the pool). With `combined`, a
+/// bounded range select no single entry answers is pieced together from
+/// the overlapping selections in the same step (Algorithm 2). No read is
+/// taken when no rule applies.
 pub fn attempt(
     pool: &RecyclePool,
     op: Opcode,
     args: &[Value],
     combined: bool,
-    use_source: impl FnOnce(&PoolEntry),
+    mut use_source: impl FnMut(&PoolEntry),
 ) -> Option<Subsumption> {
     let operand = args.first()?.as_bat()?;
     let rule = Rule::of(op, args)?;
@@ -169,290 +170,110 @@ pub fn attempt(
         return None; // only bounded ranges are pieced together
     }
     let t_start = Instant::now();
-    // R: all overlapping candidates (line 6-9 of Algorithm 2).
-    let r: Vec<(EntryId, SelectBounds, usize, Value)> = candidates()
+    // R: the overlapping candidates (lines 6-9 of Algorithm 2), the
+    // smallest first
+    let mut r: Vec<_> = candidates()
         .filter_map(|e| {
             let (b, bat) = (bounds_of(e)?, e.value().as_bat()?);
-            b.overlaps(&target)
-                .then(|| (e.id, b, bat.len(), e.value().clone()))
+            b.overlaps(&target).then(|| (b, bat.len(), (e, &**bat)))
         })
         .collect();
-    drop(view);
-    let segments = piece_together(&target, operand.len(), r)?;
+    r.sort_by_key(|&(_, len, _)| len);
+    r.truncate(COMBINED_MAX_CANDIDATES);
+    let pieces = cheapest_cover(&target, operand.len(), r)?;
+    let search_time = t_start.elapsed();
+    let bats: Vec<&Bat> = pieces.iter().map(|&(_, bat)| bat).collect();
+    let result = ops::select_pieced(operand, &bats, &target)?;
+    pieces.into_iter().for_each(|(e, _)| use_source(e));
     Some(Subsumption::Combined {
-        segments,
-        search_time: t_start.elapsed(),
+        result,
+        search_time,
     })
 }
 
-/// Can `piece` (ending at `hi`, inclusivity `hi_incl`) connect to a range
+/// Does a range ending at `hi` (inclusivity `hi_incl`) reach a range
 /// starting at `lo` without a gap?
 fn connects(hi: &Value, hi_incl: bool, lo: &Value, lo_incl: bool) -> bool {
     if hi.is_nil() || lo.is_nil() {
         return true; // unbounded side always connects
     }
     match lo.cmp_same(hi) {
-        Some(std::cmp::Ordering::Less) => true,
-        Some(std::cmp::Ordering::Equal) => hi_incl || lo_incl,
+        Some(Ordering::Less) => true,
+        Some(Ordering::Equal) => hi_incl || lo_incl,
         _ => false,
     }
 }
 
-/// Does the sorted `pieces` list cover `target` without gaps?
-fn covers(target: &SelectBounds, pieces: &[(EntryId, SelectBounds)]) -> bool {
-    if pieces.is_empty() {
-        return false;
+/// The order of upper ends: by value, an exclusive end below an inclusive
+/// one, an unbounded end last.
+fn upper_end(a: &SelectBounds, b: &SelectBounds) -> Ordering {
+    match (a.hi.is_nil(), b.hi.is_nil()) {
+        (false, false) => a.hi.cmp_same(&b.hi).unwrap_or(Ordering::Equal),
+        (a_open, b_open) => a_open.cmp(&b_open),
     }
-    // first piece must cover the target's lower bound
-    let first = &pieces[0].1;
-    let lo_ok = first.lo.is_nil()
-        || (!target.lo.is_nil()
-            && SelectBounds {
-                lo: target.lo.clone(),
-                hi: target.lo.clone(),
-                lo_incl: target.lo_incl,
-                hi_incl: target.lo_incl,
-            }
-            .subsumed_by(first));
-    if !lo_ok {
-        return false;
-    }
-    // walk the chain
-    let mut cur_hi = first.hi.clone();
-    let mut cur_incl = first.hi_incl;
-    for (_, b) in &pieces[1..] {
-        if !connects(&cur_hi, cur_incl, &b.lo, b.lo_incl) {
-            return false;
-        }
-        // extend coverage
-        if cur_hi.is_nil() {
-            return true;
-        }
-        if b.hi.is_nil() {
-            cur_hi = Value::Nil;
-            cur_incl = true;
-        } else if matches!(b.hi.cmp_same(&cur_hi), Some(std::cmp::Ordering::Greater)) {
-            cur_hi = b.hi.clone();
-            cur_incl = b.hi_incl;
-        }
-    }
-    // final coverage of target's upper bound
-    if cur_hi.is_nil() || target.hi.is_nil() {
-        return cur_hi.is_nil();
-    }
-    match target.hi.cmp_same(&cur_hi) {
-        Some(std::cmp::Ordering::Less) => true,
-        Some(std::cmp::Ordering::Equal) => cur_incl || !target.hi_incl,
-        _ => false,
-    }
+    .then(a.hi_incl.cmp(&b.hi_incl))
 }
 
-/// Combined subsumption (Algorithm 2): find the cheapest set of the
-/// overlapping selections `r` — (id, range, length, result) — that
-/// together cover the target range, and cut the target into disjoint
-/// segments, one per chosen piece. Cheaper than scanning the base column
-/// means the sum of the pieces' sizes beats `base_cost`, the operand size
-/// (§5.2 cost model).
-fn piece_together(
+/// The cheapest of `ranges` — (range, cost, payload) — whose union covers
+/// `target` without a gap, if it costs less than `budget` (§5.2: piecing
+/// must beat scanning the operand, a piece costing its length). Exact:
+/// with the ranges sorted by upper end, `best[i]` is the cheapest chain
+/// from `target.lo` whose highest range is `i` — range `i` alone if it
+/// reaches down to `target.lo`, else `i` after the cheapest chain that
+/// reaches `i`'s lower end — and a cover is a chain whose highest range
+/// reaches `target.hi`; O(k²).
+fn cheapest_cover<T>(
     target: &SelectBounds,
-    base_cost: usize,
-    mut r: Vec<(EntryId, SelectBounds, usize, Value)>,
-) -> Option<Vec<Segment>> {
-    if r.is_empty() {
-        return None;
-    }
-    r.sort_by_key(|(_, _, len, _)| *len);
-    r.truncate(COMBINED_MAX_CANDIDATES);
-
-    // Cheap feasibility gate before the exponential search: if even the
-    // UNION of all candidates cannot cover the target range, no subset can
-    // — bail out in O(k log k). This keeps the per-miss overhead flat on
-    // workloads where overlapping-but-not-covering selections abound.
-    {
-        let mut all: Vec<(EntryId, SelectBounds)> =
-            r.iter().map(|(id, b, _, _)| (*id, b.clone())).collect();
-        all.sort_by(|a, b| {
-            if a.1.lo.is_nil() {
-                return std::cmp::Ordering::Less;
-            }
-            if b.1.lo.is_nil() {
-                return std::cmp::Ordering::Greater;
-            }
-            a.1.lo
-                .cmp_same(&b.1.lo)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        if !covers(target, &all) {
-            return None;
-        }
-    }
-
-    let k = r.len();
-    // DP over subsets with cost cutting: partial solutions P1 of size N are
-    // extended to size N+1; anything at or above the best known cost is
-    // pruned (line 16).
-    #[derive(Clone)]
-    struct Partial {
-        mask: u32,
-        cost: usize,
-    }
-    let piece_cost = |mask: u32| -> usize {
-        (0..k)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| r[i].2)
-            .sum()
-    };
-    let sorted_pieces = |mask: u32| -> Vec<(EntryId, SelectBounds)> {
-        let mut v: Vec<(EntryId, SelectBounds)> = (0..k)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| (r[i].0, r[i].1.clone()))
-            .collect();
-        v.sort_by(|a, b| {
-            if a.1.lo.is_nil() {
-                return std::cmp::Ordering::Less;
-            }
-            if b.1.lo.is_nil() {
-                return std::cmp::Ordering::Greater;
-            }
-            a.1.lo
-                .cmp_same(&b.1.lo)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        v
-    };
-
-    let mut best: Option<(u32, usize)> = None;
-    let mut p1: Vec<Partial> = (0..k)
-        .map(|i| Partial {
-            mask: 1 << i,
-            cost: r[i].2,
-        })
-        .collect();
-    // check singletons immediately
-    for p in &p1 {
-        if p.cost < best.map(|(_, c)| c).unwrap_or(base_cost)
-            && covers(target, &sorted_pieces(p.mask))
-        {
-            best = Some((p.mask, p.cost));
-        }
-    }
-    for _ in 1..k {
-        let mut p2: Vec<Partial> = Vec::new();
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for s in &p1 {
-            for (i, cand) in r.iter().enumerate() {
-                let bit = 1u32 << i;
-                if s.mask & bit != 0 {
-                    continue;
-                }
-                // the extension must overlap the partial solution's hull
-                let hull = sorted_pieces(s.mask);
-                let overlaps_hull = hull.iter().any(|(_, b)| b.overlaps(&cand.1));
-                if !overlaps_hull {
-                    continue;
-                }
-                let mask = s.mask | bit;
-                if !seen.insert(mask) {
-                    continue;
-                }
-                let cost = piece_cost(mask);
-                let bound = best.map(|(_, c)| c).unwrap_or(base_cost);
-                if cost >= bound {
-                    continue;
-                }
-                if covers(target, &sorted_pieces(mask)) {
-                    best = Some((mask, cost));
-                } else {
-                    p2.push(Partial { mask, cost });
-                }
-            }
-        }
-        if p2.is_empty() {
-            break;
-        }
-        // Bound the beam: keep the cheapest partial solutions. The greedy
-        // cost order preserves the optimum in practice while keeping the
-        // worst case polynomial (the paper reports sub-millisecond
-        // searches for k < 10; this cap maintains that at any k).
-        if p2.len() > 512 {
-            p2.sort_by_key(|p| p.cost);
-            p2.truncate(512);
-        }
-        p1 = p2;
-    }
-
-    let (mask, _) = best?;
-    let chosen = sorted_pieces(mask);
-    // Cut the target range into disjoint segments, each answered by one
-    // piece (overlap between pieces must not duplicate result tuples).
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut cur_lo = target.lo.clone();
-    let mut cur_incl = target.lo_incl;
-    for (id, b) in &chosen {
-        // segment upper bound: min(piece.hi, target.hi)
-        let (seg_hi, seg_hi_incl) = if b.hi.is_nil() {
-            (target.hi.clone(), target.hi_incl)
+    budget: usize,
+    mut ranges: Vec<(SelectBounds, usize, T)>,
+) -> Option<Vec<T>> {
+    // an end that does not compare with the target's (another type, NaN)
+    // reaches nothing; leaving its range out keeps the sort's order total
+    let compares = |v: &Value| v.is_nil() || v.cmp_same(&target.lo).is_some();
+    ranges.retain(|(r, ..)| compares(&r.lo) && compares(&r.hi));
+    ranges.sort_by(|a, b| upper_end(&a.0, &b.0));
+    // (cost, predecessor) of the cheapest chain ending at each range
+    let mut best: Vec<Option<(usize, Option<usize>)>> = Vec::with_capacity(ranges.len());
+    for (i, (r, cost, _)) in ranges.iter().enumerate() {
+        let from = if connects(&target.lo, !target.lo_incl, &r.lo, r.lo_incl) {
+            Some((0, None))
         } else {
-            match target.hi.cmp_same(&b.hi) {
-                Some(std::cmp::Ordering::Less) => (target.hi.clone(), target.hi_incl),
-                Some(std::cmp::Ordering::Equal) => (target.hi.clone(), target.hi_incl && b.hi_incl),
-                _ => (b.hi.clone(), b.hi_incl),
-            }
+            let reaching = (0..i).filter_map(|j| {
+                let (c, _) = best[j]?;
+                let p = &ranges[j].0;
+                connects(&p.hi, p.hi_incl, &r.lo, r.lo_incl).then_some((c, Some(j)))
+            });
+            reaching.min_by_key(|&(c, _)| c)
         };
-        // skip pieces that add nothing
-        let progress = match seg_hi.cmp_same(&cur_lo) {
-            Some(std::cmp::Ordering::Greater) => true,
-            Some(std::cmp::Ordering::Equal) => seg_hi_incl && cur_incl,
-            None => true,
-            _ => false,
-        };
-        if !progress {
-            continue;
-        }
-        let piece = r.iter().find(|p| p.0 == *id).map(|p| p.3.clone())?;
-        segments.push((
-            *id,
-            piece,
-            SelectBounds {
-                lo: cur_lo.clone(),
-                hi: seg_hi.clone(),
-                lo_incl: cur_incl,
-                hi_incl: seg_hi_incl,
-            },
-        ));
-        // next segment starts just above this one
-        cur_lo = seg_hi;
-        cur_incl = !seg_hi_incl;
-        // done?
-        if matches!(
-            target.hi.cmp_same(&cur_lo),
-            Some(std::cmp::Ordering::Less) | Some(std::cmp::Ordering::Equal)
-        ) && !(cur_incl && target.hi_incl)
-        {
-            break;
-        }
+        best.push(from.map(|(c, j)| (c + cost, j)));
     }
-    (!segments.is_empty()).then_some(segments)
-}
-
-/// Execute a combined-subsumption plan: select each segment from its piece
-/// and concatenate. The caller admits the result under the original
-/// instruction signature. The pieces were cloned out of the pool by the
-/// search, so a piece evicted since still answers.
-pub fn execute_combined(segments: &[Segment]) -> Option<Bat> {
-    let mut parts: Vec<Bat> = Vec::with_capacity(segments.len());
-    for (_, piece, seg) in segments {
-        parts.push(ops::select(piece.as_bat()?, seg).ok()?);
+    let reaches_hi = |&i: &usize| {
+        let r = &ranges[i].0;
+        connects(&r.hi, r.hi_incl, &target.hi, !target.hi_incl)
+    };
+    let covers = (0..ranges.len()).filter(reaches_hi);
+    let costs = covers.filter_map(|i| Some((best[i]?.0, i)));
+    let cheapest = costs.filter(|&(c, _)| c < budget).min_by_key(|&(c, _)| c);
+    let (mut last, mut chosen) = (cheapest.map(|(_, i)| i), vec![false; ranges.len()]);
+    while let Some(i) = last {
+        chosen[i] = true;
+        last = best[i].and_then(|(_, j)| j);
     }
-    let refs: Vec<&Bat> = parts.iter().collect();
-    ops::concat(&refs).ok()
+    let pieces: Vec<T> = ranges
+        .into_iter()
+        .zip(chosen)
+        .filter_map(|((.., t), c)| c.then_some(t))
+        .collect();
+    (!pieces.is_empty()).then_some(pieces)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{Admitter, Lineage};
+    use crate::entry::{Admitter, EntryId, Lineage};
     use crate::signature::Sig;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use rbat::Column;
     use std::sync::Arc;
 
@@ -507,9 +328,12 @@ mod tests {
         }
     }
 
-    fn combined(pool: &RecyclePool, args: &[Value]) -> Option<Vec<Segment>> {
-        match attempt(pool, Opcode::Select, args, true, |_| ())? {
-            Subsumption::Combined { segments, .. } => Some(segments),
+    /// A combined attempt: the answer and the pieces used, in the order
+    /// they were handed over.
+    fn combined(pool: &RecyclePool, args: &[Value]) -> Option<(Bat, Vec<EntryId>)> {
+        let mut pieces = Vec::new();
+        match attempt(pool, Opcode::Select, args, true, |e| pieces.push(e.id))? {
+            Subsumption::Combined { result, .. } => Some((result, pieces)),
             other => panic!("expected combined subsumption, got {other:?}"),
         }
     }
@@ -560,12 +384,14 @@ mod tests {
         admit_select(&pool, &base, 6, 40); // X3
                                            // the paper's example: target [4, 8]
         let args = select_args(&base, 4, 8);
-        let segments = combined(&pool, &args).expect("combined subsumption");
-        assert!(segments.len() >= 2);
-        let result = execute_combined(&segments).unwrap();
+        let (result, pieces) = combined(&pool, &args).expect("combined subsumption");
+        assert!(pieces.len() >= 2);
         let bounds = SelectBounds::closed(Value::Int(4), Value::Int(8));
         let regular = ops::select(&base, &bounds).unwrap();
-        assert_eq!(result.canonical_tuples(), regular.canonical_tuples());
+        // the cold answer itself, in its order, not only its tuple set
+        let in_order = |b: &Bat| (0..b.len()).map(|i| b.tuple(i)).collect::<Vec<_>>();
+        assert_eq!(in_order(&result), in_order(&regular));
+        assert_eq!(result.props(), regular.props());
     }
 
     #[test]
@@ -589,10 +415,9 @@ mod tests {
         // (a selection containing the whole target would answer alone)
         let big = admit_select(&pool, &base, 0, 7);
         let args = select_args(&base, 4, 8);
-        let segments = combined(&pool, &args).expect("combined subsumption");
-        let used: std::collections::HashSet<EntryId> = segments.iter().map(|s| s.0).collect();
-        assert!(!used.contains(&big), "piecing with {big} is costlier");
-        assert!(used.contains(&small_a) && used.contains(&small_b));
+        let (_, pieces) = combined(&pool, &args).expect("combined subsumption");
+        assert!(!pieces.contains(&big), "piecing with {big} is costlier");
+        assert_eq!(pieces, [small_a, small_b]);
     }
 
     #[test]
@@ -602,15 +427,87 @@ mod tests {
         let a = admit_select(&pool, &base, 3, 7);
         admit_select(&pool, &base, 5, 15);
         let args = select_args(&base, 4, 8);
-        let segments = combined(&pool, &args).expect("combined subsumption");
-        assert!(segments.iter().any(|s| s.0 == a));
-        // a piece is evicted between the search and the piecing: its result
-        // was cloned out by the search
+        let (result, pieces) = combined(&pool, &args).expect("combined subsumption");
+        assert!(pieces.contains(&a));
+        // the answer was gathered from the operand in the attempt's step:
+        // evicting a piece after it takes nothing from it
         assert!(pool.remove(a).is_some());
-        let result = execute_combined(&segments).expect("no fallback");
         let bounds = SelectBounds::closed(Value::Int(4), Value::Int(8));
         let regular = ops::select(&base, &bounds).unwrap();
         assert_eq!(result.canonical_tuples(), regular.canonical_tuples());
+    }
+
+    /// Small ranges over a float domain: ends in `0..=10` or unbounded,
+    /// each side open or closed.
+    fn random_range(rng: &mut SmallRng, nil_ends: bool) -> SelectBounds {
+        let mut end = || match rng.gen_range(0..12) {
+            11 if nil_ends => Value::Nil,
+            x => Value::Float((x % 11) as f64),
+        };
+        let (lo, hi) = (end(), end());
+        SelectBounds {
+            lo,
+            hi,
+            lo_incl: rng.gen_bool(0.5),
+            hi_incl: rng.gen_bool(0.5),
+        }
+    }
+
+    /// Does the union of `ranges` hold every point of `target`? Checked on
+    /// the half-step grid, which meets every interval the integer ends cut
+    /// the line into.
+    fn union_covers(target: &SelectBounds, ranges: &[&SelectBounds]) -> bool {
+        (-2..=22)
+            .map(|h| Value::Float(h as f64 / 2.0))
+            .filter(|p| target.contains(p))
+            .all(|p| ranges.iter().any(|r| r.contains(&p)))
+    }
+
+    #[test]
+    fn the_cover_sweep_is_as_cheap_as_every_subset() {
+        let mut rng = SmallRng::seed_from_u64(37);
+        let mut found = 0;
+        for _ in 0..3000 {
+            let k = rng.gen_range(0..=10);
+            let ranges: Vec<(SelectBounds, usize)> = (0..k)
+                .map(|_| (random_range(&mut rng, true), rng.gen_range(0..20)))
+                .collect();
+            // a target holding at least one point
+            let target = std::iter::repeat_with(|| random_range(&mut rng, false))
+                .find(|t| !union_covers(t, &[]))
+                .unwrap();
+            let budget = if rng.gen_bool(0.5) {
+                usize::MAX
+            } else {
+                rng.gen_range(0..60)
+            };
+            let cheapest = (0u32..1 << k)
+                .filter_map(|mask| {
+                    let subset: Vec<usize> = (0..k).filter(|i| mask & 1 << i != 0).collect();
+                    let bounds: Vec<&SelectBounds> = subset.iter().map(|&i| &ranges[i].0).collect();
+                    let cost: usize = subset.iter().map(|&i| ranges[i].1).sum();
+                    (!subset.is_empty() && cost < budget && union_covers(&target, &bounds))
+                        .then_some(cost)
+                })
+                .min();
+            let indexed = ranges
+                .iter()
+                .enumerate()
+                .map(|(i, (r, c))| (r.clone(), *c, i))
+                .collect();
+            let swept = cheapest_cover(&target, budget, indexed);
+            let swept_cost = swept.as_ref().map(|chosen| {
+                let bounds: Vec<&SelectBounds> = chosen.iter().map(|&i| &ranges[i].0).collect();
+                assert!(union_covers(&target, &bounds), "{target:?}: {chosen:?}");
+                chosen.iter().map(|&i| ranges[i].1).sum::<usize>()
+            });
+            assert_eq!(
+                swept_cost, cheapest,
+                "{target:?} under {budget} over {ranges:?}"
+            );
+            found += usize::from(swept.is_some_and(|c| c.len() > 1));
+        }
+        assert!(found > 100, "only {found} covers of two or more ranges");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`sort`] / [`topn`] — ordering
 //! * [`calc`] / [`calc_cmp`] — column arithmetic and comparisons
 //! * [`kunique`] — duplicate elimination
-//! * [`concat`] — tuple union (used by combined subsumption)
+//! * [`select_pieced`] — a range select read out of selections that cover
+//!   it (combined subsumption)
 //!
 //! # Which algorithm runs
 //!
@@ -43,15 +44,15 @@
 //! | | `Float` tail | two comparisons per row; exclusive bounds stepped to the next float inward |
 //! | | `Str` tail | byte comparison; equality by length, then bytes |
 //! | | `Int` tail, `Float` bound | [`SelectBounds::contains`] per row (an `i64` has no exact `f64`) |
+//! | [`select_pieced`] | operand head dense, tail not sorted-and-NULL-free (else `None`) | each piece's rows in the bounds (the same typed scan) marked at head OID − base in one bitmap over the operand, which is gathered at the marks — [`select`]'s answer, whatever the pieces' order or overlap |
 //! | [`calc`] / [`calc_cmp`] | (lhs type, rhs type or scalar, operator) | one typed loop per combination; validity merged a word at a time |
 //! | [`sort`] / [`topn`] | tail type | one typed comparison of two rows; `topn` selects its `n` rows, then sorts only those |
 //!
 //! Scans mark qualifying rows in a [`Bitmap`], a word of 64 rows at a time
 //! with no branch on the data (`Bitmap::from_slice`); NULLs are merged in
 //! with a word-wise AND; head and tail are then gathered at their exact
-//! size. [`grp_aggr`], [`grp_first`], [`kunique`] and [`concat()`] still
-//! handle one row (for `concat` and the min/max aggregates, one boxed
-//! [`crate::Value`]) at a time.
+//! size. [`grp_aggr`], [`grp_first`] and [`kunique`] still handle one row
+//! (for the min/max aggregates, one boxed [`crate::Value`]) at a time.
 //!
 //! # Key indexes
 //!
@@ -107,7 +108,7 @@ pub use calc::{calc, calc_cmp, CalcOp, CalcRhs, CmpOp};
 pub use group::{group, group_refine, grp_aggr, grp_first, num_groups, GrpFunc};
 pub use join::{diff, join, join_build, join_probe, semijoin, JoinBuild};
 pub use like::{like_match, like_select, like_subsumes};
-pub use select::{concat, select, select_not_nil, uselect, SelectBounds};
+pub use select::{select, select_not_nil, select_pieced, uselect, SelectBounds};
 pub use sort::{sort, topn};
 pub use unique::kunique;
 

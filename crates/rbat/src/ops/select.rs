@@ -1,15 +1,16 @@
 //! Selection operators: range select, equality select, NULL filtering,
-//! and tuple concatenation.
+//! and a range select read out of selections that cover it.
 
 use std::cmp::Ordering;
 
 use crate::bat::Bat;
 use crate::bitmap::Bitmap;
 use crate::buffer::TypedSlice;
-use crate::column::{Column, ColumnBuilder};
+use crate::column::Column;
 use crate::error::{BatError, Result};
 use crate::ops::{
-    clear_nulls, gather_selected, key_bias, key_word_of, select_keys, string_keys, KeyRange,
+    clear_nulls, for_each_u64_key, gather_selected, key_bias, key_word_of, select_keys,
+    string_keys, KeyRange,
 };
 use crate::props::Props;
 use crate::types::{Date, LogicalType, Oid, Value};
@@ -403,43 +404,39 @@ pub fn select_not_nil(b: &Bat) -> Result<Bat> {
     ))
 }
 
-/// Tuple union of BATs with identical schemas — used for piecing together
-/// combined-subsumption segments.
-pub fn concat(parts: &[&Bat]) -> Result<Bat> {
-    let first = parts
-        .first()
-        .ok_or_else(|| BatError::Internal("concat of zero parts".into()))?;
-    let (ht, tt) = (first.head_type(), first.tail_type());
-    for p in parts {
-        if p.head_type() != ht || p.tail_type() != tt {
-            return Err(BatError::type_mismatch(
-                "concat",
-                format!(
-                    "schema mismatch: [{},{}] vs [{},{}]",
-                    ht,
-                    tt,
-                    p.head_type(),
-                    p.tail_type()
-                ),
-            ));
+/// [`select`] over `b`, read out of `pieces`: selections over `b` whose
+/// ranges together cover `bounds` (combined subsumption). A piece's rows in
+/// `bounds` are marked at their position in `b` — head OID minus `b`'s
+/// base — and `b` is gathered at the marks as the scan gathers, so the
+/// answer is [`select`]'s in tuples, order and `Props`. `None` where the
+/// positions are unknown (a head that is not dense) or [`select`] answers
+/// with a view (a sorted, NULL-free tail).
+pub fn select_pieced(b: &Bat, pieces: &[&Bat], bounds: &SelectBounds) -> Option<Bat> {
+    let TypedSlice::Dense { start, len } = b.head().typed() else {
+        return None;
+    };
+    if b.props().tail_sorted && !b.tail().has_nulls() {
+        return None;
+    }
+    let mut sel = Bitmap::new(len, false);
+    if let Some(scan) = Scan::decode(b.tail().logical_type(), bounds) {
+        for piece in pieces {
+            let mut hit = scan.run(piece.tail());
+            clear_nulls(&mut hit, piece.tail());
+            for_each_u64_key(piece.head(), |row, oid| {
+                if hit.get(row) {
+                    sel.set((oid - start) as usize, true);
+                }
+            });
         }
     }
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut hb = ColumnBuilder::new(ht);
-    let mut tb = ColumnBuilder::new(tt);
-    for p in parts {
-        for i in 0..p.len() {
-            hb.push(&p.head().value(i));
-            tb.push(&p.tail().value(i));
-        }
-    }
-    debug_assert_eq!(hb.len(), total);
-    Ok(Bat::new(hb.finish(), tb.finish(), Props::default()))
+    Some(selected(b, &sel.ones()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnBuilder;
     use crate::types::{Date, Oid};
 
     fn int_bat(vals: Vec<i64>) -> Bat {
@@ -766,18 +763,5 @@ mod tests {
             !e.overlaps(&a),
             "half-open upper does not touch 3-closed lower"
         );
-    }
-
-    #[test]
-    fn concat_parts() {
-        let a = int_bat(vec![1, 2]);
-        let b = int_bat(vec![3]);
-        let c = concat(&[&a, &b]).unwrap();
-        assert_eq!(c.len(), 3);
-        assert_eq!(
-            c.tail().iter_values().collect::<Vec<_>>(),
-            vec![Value::Int(1), Value::Int(2), Value::Int(3)]
-        );
-        assert!(concat(&[]).is_err());
     }
 }

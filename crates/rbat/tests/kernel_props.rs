@@ -31,6 +31,8 @@
 //! would hold it, and require the same `Bat` as without a slot, from the
 //! probe that builds the index and from the ones that find it; `topn` is
 //! held to `sort` then `slice`, and `sort` to the oracle's order.
+//! `select_pieced`, which reads a range select out of selections that
+//! cover it, is held to `select` itself.
 
 // The oracles key sets and maps by `Value`, which hashes and compares a BAT
 // by its id: the accelerator slot inside one is no part of the key.
@@ -251,6 +253,38 @@ fn size(rng: &mut Rng) -> usize {
         2 => 64 + rng.below(3), // a word of the selection bitmap, or just over
         _ => rng.below(140),
     }
+}
+
+/// An operand for a range select, its head of the given kind: a dense
+/// tail (what `mirror` and `mark_t` make), scanned or, when it says it is
+/// sorted, cut as a view; a sorted, NULL-free tail (the view path); or a
+/// random tail — and a window of it a third of the time.
+fn select_operand(rng: &mut Rng, kind: HeadKind, ty: LogicalType) -> Bat {
+    let n = size(rng);
+    let b = match rng.below(8) {
+        0 => {
+            let (head, mut props) = head(rng, kind, n);
+            props.tail_sorted = rng.chance(50);
+            props.tail_nonil = true;
+            Bat::new(head, Column::dense(rng.below(9) as u64, n), props)
+        }
+        1 | 2 => {
+            let mut values: Vec<Value> = (0..n).map(|_| value(rng, ty)).collect();
+            values.sort_by(|a, b| a.partial_cmp_total(b));
+            let tail = column_of(rng, ty, &values);
+            let (head, mut props) = head(rng, kind, n);
+            // NaN sorts nowhere: claim order only when it is there
+            props.tail_sorted = tail.is_sorted();
+            props.tail_nonil = true;
+            Bat::new(head, tail, props)
+        }
+        _ => bat(rng, kind, ty, n),
+    };
+    if rng.chance(30) && n > 2 {
+        let from = rng.below(n / 2);
+        return b.slice(from, n - from - rng.below(n / 2));
+    }
+    b
 }
 
 /// `column` as the catalog holds a column: an owned, whole buffer with an
@@ -600,34 +634,8 @@ proptest! {
     #[test]
     fn select_agrees_with_contains(seed in 0u64..u64::MAX) {
         let rng = &mut Rng(seed);
-        let n = size(rng);
         let (ty, kind) = (rng.pick(&TYPES), rng.pick(&HEAD_KINDS));
-        let mut b = match rng.below(8) {
-            // a dense tail (what `mirror` and `mark_t` make), scanned or,
-            // when it says it is sorted, cut as a view
-            0 => {
-                let (head, mut props) = head(rng, kind, n);
-                props.tail_sorted = rng.chance(50);
-                props.tail_nonil = true;
-                Bat::new(head, Column::dense(rng.below(9) as u64, n), props)
-            }
-            // a sorted, NULL-free tail: the view path
-            1 | 2 => {
-                let mut values: Vec<Value> = (0..n).map(|_| value(rng, ty)).collect();
-                values.sort_by(|a, b| a.partial_cmp_total(b));
-                let tail = column_of(rng, ty, &values);
-                let (head, mut props) = head(rng, kind, n);
-                // NaN sorts nowhere: claim order only when it is there
-                props.tail_sorted = tail.is_sorted();
-                props.tail_nonil = true;
-                Bat::new(head, tail, props)
-            }
-            _ => bat(rng, kind, ty, n),
-        };
-        if rng.chance(30) && n > 2 {
-            let from = rng.below(n / 2);
-            b = b.slice(from, n - from - rng.below(n / 2));
-        }
+        let b = select_operand(rng, kind, ty);
         let bounds = bounds(rng, b.tail_type());
         same_bat(&ops::select(&b, &bounds).unwrap(), &oracle_select(&b, &bounds))?;
         // uselect is the closed point range
@@ -654,6 +662,62 @@ proptest! {
                 same_bat(&ops::uselect(&window, &probe).unwrap(), &oracle_select(&window, &point))?;
             }
             build_index(held.tail());
+        }
+    }
+
+    /// `select_pieced` ≡ `select`, read out of pieces that are selections
+    /// over the operand covering the bounds — split at a value of the
+    /// tail's type, each side widened outward or not, in any order, beside
+    /// selections that cover nothing — in tuples, order and `Props`; and
+    /// `None` over a head that is not dense or a sorted, NULL-free tail.
+    #[test]
+    fn a_pieced_select_is_the_select(seed in 0u64..u64::MAX) {
+        let rng = &mut Rng(seed);
+        let ty = rng.pick(&TYPES);
+        let kind = if rng.chance(70) { HeadKind::Dense } else { rng.pick(&HEAD_KINDS) };
+        let b = select_operand(rng, kind, ty);
+        let ty = b.tail_type();
+        // the pieces split the bounds at a cut that compares with every
+        // value of the tail; bounds unbounded on both sides hold NaN,
+        // which neither side of a cut holds, so they get an upper end
+        let cut = match value(rng, ty) {
+            Value::Float(f) if f.is_nan() => Value::Float(0.0),
+            v => v,
+        };
+        let extra: Vec<SelectBounds> = (0..rng.below(3)).map(|_| bounds(rng, ty)).collect();
+        let mut bounds = bounds(rng, ty);
+        if bounds.lo.is_nil() && bounds.hi.is_nil() {
+            bounds.hi = cut.clone();
+        }
+        let wide = |rng: &mut Rng, v: &Value| if rng.chance(30) { Value::Nil } else { v.clone() };
+        let mut ranges = vec![
+            SelectBounds {
+                lo: wide(rng, &bounds.lo),
+                hi: cut.clone(),
+                lo_incl: bounds.lo_incl || rng.chance(30),
+                hi_incl: true,
+            },
+            SelectBounds {
+                lo: cut,
+                hi: wide(rng, &bounds.hi),
+                lo_incl: true,
+                hi_incl: bounds.hi_incl || rng.chance(30),
+            },
+        ];
+        ranges.extend(extra);
+        for i in (1..ranges.len()).rev() {
+            ranges.swap(i, rng.below(i + 1));
+        }
+        let pieces: Vec<Bat> = ranges.iter().map(|r| ops::select(&b, r).unwrap()).collect();
+        let pieces: Vec<&Bat> = pieces.iter().collect();
+        let got = ops::select_pieced(&b, &pieces, &bounds);
+        let view = b.props().tail_sorted && !b.tail().has_nulls();
+        match got {
+            Some(got) => {
+                prop_assert!(kind == HeadKind::Dense && !view);
+                same_bat(&got, &ops::select(&b, &bounds).unwrap())?;
+            }
+            None => prop_assert!(kind != HeadKind::Dense || view),
         }
     }
 

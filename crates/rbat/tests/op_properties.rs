@@ -139,16 +139,4 @@ proptest! {
         let distinct: std::collections::HashSet<u64> = heads.into_iter().collect();
         prop_assert_eq!(u.len(), distinct.len());
     }
-
-    /// concat of a split equals the original.
-    #[test]
-    fn concat_roundtrip(vals in prop::collection::vec(-50i64..50, 2..100),
-                        cut_ratio in 0.1f64..0.9) {
-        let b = int_bat(vals);
-        let cut = ((b.len() as f64 * cut_ratio) as usize).clamp(1, b.len() - 1);
-        let front = b.slice(0, cut);
-        let back = b.slice(cut, b.len() - cut);
-        let merged = ops::concat(&[&front, &back]).unwrap();
-        prop_assert_eq!(merged.canonical_tuples(), b.canonical_tuples());
-    }
 }

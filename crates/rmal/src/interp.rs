@@ -30,10 +30,10 @@ pub enum HookAction {
     /// argument list (cheaper operands), then restore the original
     /// instruction (paper §5.1).
     Rewrite(Vec<Value>),
-    /// The hook computed the result itself (combined subsumption pieces a
-    /// result together from several intermediates, paper §5.2); counts as a
-    /// subsumed execution. The hook has already done its own admission
-    /// bookkeeping — `after` is not called.
+    /// The hook computed the result itself (combined subsumption gathers
+    /// it from several intermediates, paper §5.2); counts as a subsumed
+    /// execution, and [`ExecHook::after`] is called with it as with an
+    /// executed rewrite.
     Computed(Value),
 }
 
@@ -74,10 +74,11 @@ pub trait ExecHook {
     }
 
     /// A *marked* instruction is about to execute with the given evaluated
-    /// arguments; decide whether to reuse, rewrite or proceed. `now` is the
-    /// interpreter's clock reading from just before the call — the
-    /// instruction's start, and the start of the hook's own time, so a hook
-    /// that meters itself needs one clock read, not two.
+    /// arguments; decide whether to reuse, rewrite, compute or proceed
+    /// ([`HookAction`]). `now` is the interpreter's clock reading from just
+    /// before the call — the instruction's start, and the start of the
+    /// hook's own time, so a hook that meters itself needs one clock read,
+    /// not two.
     fn before(
         &mut self,
         _catalog: &Catalog,
@@ -89,11 +90,14 @@ pub trait ExecHook {
         HookAction::Proceed
     }
 
-    /// A *marked* instruction has executed (normally or rewritten); decide
-    /// whether to admit its result. `args` are the ORIGINAL arguments — the
-    /// pool stores the instruction as written, so future invocations match
-    /// it regardless of the rewrite applied this time. `now` is the clock
-    /// reading that ended `cpu`, taken just before the call.
+    /// A *marked* instruction has executed (normally, rewritten or
+    /// computed by [`Self::before`]); decide whether to admit its result.
+    /// `args` are the ORIGINAL arguments — the pool stores the instruction
+    /// as written, so future invocations match it regardless of the rewrite
+    /// applied this time. `cpu` runs from the `now` handed to `before` to
+    /// `now`, the clock reading taken just before this call: the
+    /// instruction's cost as [`ExecStats::marked_cpu`] and the profile
+    /// record it, which excludes this call.
     #[allow(clippy::too_many_arguments)]
     fn after(
         &mut self,
@@ -250,33 +254,23 @@ fn interpret<H: ExecHook>(
             continue;
         }
 
-        let mut reused = false;
-        let mut subsumed = false;
         let t0 = Instant::now();
-        let result = match hook.before(catalog, pc, instr, &args, t0) {
-            HookAction::Reuse(v) => {
-                reused = true;
-                v
-            }
+        let (reused, subsumed, result) = match hook.before(catalog, pc, instr, &args, t0) {
+            HookAction::Reuse(v) => (true, false, v),
             HookAction::Rewrite(new_args) => {
-                subsumed = true;
-                let v = execute_op(catalog, &instr.op, &new_args)?;
-                let done = Instant::now();
-                hook.after(catalog, pc, instr, &args, &v, done - t0, done);
-                v
+                (false, true, execute_op(catalog, &instr.op, &new_args)?)
             }
-            HookAction::Computed(v) => {
-                subsumed = true;
-                v
-            }
-            HookAction::Proceed => {
-                let v = execute_op(catalog, &instr.op, &args)?;
-                let done = Instant::now();
-                hook.after(catalog, pc, instr, &args, &v, done - t0, done);
-                v
-            }
+            HookAction::Computed(v) => (false, true, v),
+            HookAction::Proceed => (false, false, execute_op(catalog, &instr.op, &args)?),
         };
-        let cpu = if reused { Duration::ZERO } else { t0.elapsed() };
+        // an executed instruction's cost ends where `after` begins
+        let cpu = if reused {
+            Duration::ZERO
+        } else {
+            let done = Instant::now();
+            hook.after(catalog, pc, instr, &args, &result, done - t0, done);
+            done - t0
+        };
 
         stats.marked += 1;
         if reused {
@@ -420,6 +414,69 @@ mod tests {
         let out = run(&cat, &p, &[], &mut hook).unwrap();
         assert_eq!(out.export("n"), Some(&Value::Int(999)));
         assert_eq!(out.stats.reused, 1);
+    }
+
+    /// Walks pc 0, rewrites pc 1 over its own arguments and computes pc 2
+    /// itself; spins in `after` and records the `cpu` it was handed.
+    #[derive(Default)]
+    struct SpinningHook {
+        handed: Vec<(usize, Duration)>,
+    }
+
+    impl ExecHook for SpinningHook {
+        fn before(
+            &mut self,
+            _cat: &Catalog,
+            pc: usize,
+            _i: &Instr,
+            a: &[Value],
+            _now: Instant,
+        ) -> HookAction {
+            match pc {
+                1 => HookAction::Rewrite(a.to_vec()),
+                2 => HookAction::Computed(Value::Int(7)),
+                _ => HookAction::Proceed,
+            }
+        }
+        fn after(
+            &mut self,
+            _cat: &Catalog,
+            pc: usize,
+            _i: &Instr,
+            _a: &[Value],
+            _r: &Value,
+            cpu: Duration,
+            now: Instant,
+        ) {
+            self.handed.push((pc, cpu));
+            while now.elapsed() < Duration::from_millis(2) {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    #[test]
+    fn an_executed_instruction_costs_what_after_is_handed() {
+        let cat = catalog();
+        let mut b = ProgramBuilder::new("spin", 2);
+        let col = b.bind("t", "x");
+        let sel = b.select_half_open(col, crate::builder::P(0), crate::builder::P(1));
+        let cnt = b.count(sel);
+        b.export("n", cnt);
+        let mut p = b.finish();
+        p.instrs.iter_mut().take(3).for_each(|i| i.recycle = true);
+        let mut hook = SpinningHook::default();
+        let params = [Value::Int(2), Value::Int(5)];
+        let out = run_profiled(&cat, &p, &params, &mut hook).unwrap();
+        assert_eq!(out.export("n"), Some(&Value::Int(7)));
+        assert_eq!((out.stats.marked, out.stats.subsumed), (3, 2));
+        // walked, rewritten, computed: `after` is called for each, and its
+        // own time is in none of the costs
+        let profiled: Vec<_> = out.stats.profile.iter().map(|i| (i.pc, i.cpu)).collect();
+        assert_eq!(profiled, hook.handed);
+        let handed: Duration = hook.handed.iter().map(|&(_, cpu)| cpu).sum();
+        assert_eq!(out.stats.marked_cpu, handed);
+        assert!(handed < Duration::from_millis(2), "{handed:?}");
     }
 
     /// Replays marked instruction `pc` as the date `1996-0{pc + 1}-15`,

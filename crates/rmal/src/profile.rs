@@ -17,7 +17,8 @@ pub struct InstrProfile {
     pub reused: bool,
     /// Was the instruction executed in rewritten (subsumed) form?
     pub subsumed: bool,
-    /// CPU time spent executing (zero when reused).
+    /// Time spent executing (zero when reused): for a marked instruction,
+    /// from the hook's `before` up to, not including, its `after`.
     pub cpu: Duration,
     /// Resident bytes of the result (0 for scalars).
     pub result_bytes: usize,
@@ -37,7 +38,8 @@ pub struct ExecStats {
     pub reused: usize,
     /// Marked instructions executed in subsumed (rewritten) form.
     pub subsumed: usize,
-    /// Sum of CPU time spent inside marked instructions that *executed*.
+    /// Sum of the time spent inside marked instructions that *executed*
+    /// (their profiles' `cpu`, which excludes the hook's `after`).
     pub marked_cpu: Duration,
     /// Per-instruction details, one per executed instruction (exports
     /// excepted) in pc order — recorded only when asked for

@@ -2,7 +2,8 @@
 //! pool, shown on a script whose every query is fixed in advance.
 //!
 //! Four scripts — PACED and KEEPALL admission, each with and without a
-//! refresh block committed after every round — replay the TPC-H mix the
+//! refresh block committed after every round — and a naive database's
+//! run of each shape replay the TPC-H mix the
 //! way the repo benchmark's `tpch_mix` / `tpch_refresh` seed it (seed 42,
 //! SF 0.01, a 4 MiB pool; 64 rounds of `mixed_batch(&MIXED_QUERIES, 2, ·)`
 //! seeded from one `SmallRng`; refresh blocks from `seed ^ 0x5eed_b10c`,
@@ -11,7 +12,10 @@
 //! recycler's counters, the pool read and write locks its query and commit
 //! calls took, a hash of every export and a hash of the pool's
 //! `(invalidated, bytes, len)` after each commit — and must print exactly
-//! its section of `tests/golden/fixed_script.txt`.
+//! its section of `tests/golden/fixed_script.txt`. Each recycled script's
+//! export hash must also equal the naive run's of its shape: the hard
+//! contract, a recycled answer bit-identical to a cold one, on 1 200
+//! answers.
 //!
 //! The timed benchmark cannot show this: a faster build gets further into
 //! its script. A change that means to change behaviour regenerates the
@@ -91,13 +95,19 @@ fn refresh_block(db: &Database, rng: &mut SmallRng, block: usize) -> [Update; 2]
     }
 }
 
-/// Replay one script and render its section of the golden.
-fn replay(name: &str, admission: AdmissionPolicy, refreshes: bool) -> String {
-    let catalog = tpch::generate(tpch::TpchScale::new(SF));
-    let config = RecyclerConfig::default()
-        .admission(admission)
-        .mem_limit(POOL_BYTES);
-    let db = DatabaseBuilder::new(catalog).recycler(config).build();
+/// Replay one script — recycled under `admission`, or naive without one —
+/// and render its section of the golden.
+fn replay(name: &str, admission: Option<AdmissionPolicy>, refreshes: bool) -> String {
+    let builder = DatabaseBuilder::new(tpch::generate(tpch::TpchScale::new(SF)));
+    let db = match admission {
+        Some(admission) => builder.recycler(
+            RecyclerConfig::default()
+                .admission(admission)
+                .mem_limit(POOL_BYTES),
+        ),
+        None => builder.naive(),
+    }
+    .build();
     let mut round_seeds = SmallRng::seed_from_u64(SEED);
     let mut refresh_rng = SmallRng::seed_from_u64(SEED ^ 0x5eed_b10c);
     let mut templates = Vec::new();
@@ -167,40 +177,62 @@ fn replay(name: &str, admission: AdmissionPolicy, refreshes: bool) -> String {
     out
 }
 
-/// The golden's section for `name`: from its header to the blank line.
+/// The golden's section for `name`: from its header to the blank line
+/// (empty when there is none, so that the failure prints the new one).
 fn golden(name: &str) -> &'static str {
-    let header = format!("[{name}]\n");
-    let start = GOLDEN
-        .find(&header)
-        .unwrap_or_else(|| panic!("no {header} section"));
+    let Some(start) = GOLDEN.find(&format!("[{name}]\n")) else {
+        return "";
+    };
     let section = &GOLDEN[start..];
     section.find("\n\n").map_or(section, |end| &section[..=end])
 }
 
-fn check(name: &str, admission: AdmissionPolicy, refreshes: bool) {
+/// The `exports` line of a section.
+fn exports_of(section: &str) -> &str {
+    let line = section.lines().find(|l| l.starts_with("exports "));
+    line.expect("an exports line")
+}
+
+fn check(name: &str, admission: Option<AdmissionPolicy>, refreshes: bool) {
     let printed = replay(name, admission, refreshes);
     assert!(
         printed == golden(name),
         "{name} differs from tests/golden/fixed_script.txt; it printed\n{printed}"
     );
+    let naive = golden(if refreshes { "naive_refresh" } else { "naive" });
+    assert_eq!(
+        exports_of(&printed),
+        exports_of(naive),
+        "{name} answers what a naive database does not"
+    );
 }
 
 #[test]
 fn paced() {
-    check("paced", AdmissionPolicy::Paced, false);
+    check("paced", Some(AdmissionPolicy::Paced), false);
 }
 
 #[test]
 fn keepall() {
-    check("keepall", AdmissionPolicy::KeepAll, false);
+    check("keepall", Some(AdmissionPolicy::KeepAll), false);
 }
 
 #[test]
 fn paced_refresh() {
-    check("paced_refresh", AdmissionPolicy::Paced, true);
+    check("paced_refresh", Some(AdmissionPolicy::Paced), true);
 }
 
 #[test]
 fn keepall_refresh() {
-    check("keepall_refresh", AdmissionPolicy::KeepAll, true);
+    check("keepall_refresh", Some(AdmissionPolicy::KeepAll), true);
+}
+
+#[test]
+fn naive() {
+    check("naive", None, false);
+}
+
+#[test]
+fn naive_refresh() {
+    check("naive_refresh", None, true);
 }

@@ -300,7 +300,10 @@ fn a_subsumption_attempt_is_one_read_step() {
     // k resident range selections [400 i, 400 i + 300] over `t.x`: a target
     // inside the first is a singleton rewrite; one straddling its end
     // overlaps it and the gap behind it, which nothing covers — whatever k,
-    // a missed select is the exact probe and one attempt, and no write
+    // a missed select is the exact probe and one attempt, and no write.
+    // Beside them, [800, 1100] and [1000, 1500]: [900, 1200] is inside
+    // neither and pieced together from both (combined subsumption) in that
+    // same attempt; its admission is then `after`'s, as a rewrite's is
     let cat = catalog();
     let program = chain("attempt", 1);
     let (bind, select) = (&program.instrs[0], &program.instrs[1]);
@@ -318,39 +321,66 @@ fn a_subsumption_attempt_is_one_read_step() {
         ]
     };
     let cpu = Duration::from_micros(5);
-    for k in [0, 1, 8] {
-        for (lo, hi, rewrite) in [(10, 20, k > 0), (250, 350, false)] {
-            let config = RecyclerConfig::default().admission(AdmissionPolicy::KeepAll);
-            let mut session = SharedRecycler::new(config).session();
-            session.query_start(&program);
-            session.after(&cat, 0, bind, &bind_args, &col, cpu, Instant::now());
-            for i in 0..k {
-                let args = range(400 * i, 400 * i + 300);
-                let result = rmal::execute_op(&cat, &select.op, &args).unwrap();
-                session.after(&cat, 1, select, &args, &result, cpu, Instant::now());
-            }
-            assert_eq!(
-                session.pool().len() as i64,
-                k + 1,
-                "the bind and k selections"
-            );
-            let writes = session.pool().write_lock_acquisitions();
-            let reads = RecyclePool::read_locks_on_this_thread();
-            let action = session.before(&cat, 1, select, &range(lo, hi), Instant::now());
-            assert_eq!(
-                matches!(action, HookAction::Rewrite(_)),
-                rewrite,
-                "k = {k}, [{lo}, {hi}]: {action:?}"
-            );
+    let singles = |k: i64| (0..k).map(|i| (400 * i, 400 * i + 300)).collect::<Vec<_>>();
+    let cases = [0, 1, 8].into_iter().flat_map(|k| {
+        [(10, 20, k > 0), (250, 350, false)].map(|(lo, hi, rewrite)| {
+            let action = if rewrite { "rewrite" } else { "proceed" };
+            (singles(k), lo, hi, action)
+        })
+    });
+    let pieces = vec![(800, 1100), (1000, 1500)];
+    for (resident, lo, hi, expect) in cases.chain([(pieces, 900, 1200, "computed")]) {
+        let config = RecyclerConfig::default().admission(AdmissionPolicy::KeepAll);
+        let mut session = SharedRecycler::new(config).session();
+        session.query_start(&program);
+        session.after(&cat, 0, bind, &bind_args, &col, cpu, Instant::now());
+        for &(a, b) in &resident {
+            let args = range(a, b);
+            let result = rmal::execute_op(&cat, &select.op, &args).unwrap();
+            session.after(&cat, 1, select, &args, &result, cpu, Instant::now());
+        }
+        let k = resident.len();
+        assert_eq!(session.pool().len(), k + 1, "the bind and k selections");
+        let writes = session.pool().write_lock_acquisitions();
+        let reads = RecyclePool::read_locks_on_this_thread();
+        let action = session.before(&cat, 1, select, &range(lo, hi), Instant::now());
+        let got = match &action {
+            HookAction::Rewrite(_) => "rewrite",
+            HookAction::Computed(_) => "computed",
+            HookAction::Proceed => "proceed",
+            HookAction::Reuse(_) => "reuse",
+        };
+        assert_eq!(got, expect, "k = {k}, [{lo}, {hi}]");
+        assert_eq!(
+            RecyclePool::read_locks_on_this_thread() - reads,
+            2,
+            "k = {k}, [{lo}, {hi}]: the probe and one attempt"
+        );
+        assert_eq!(session.pool().write_lock_acquisitions(), writes);
+        if let HookAction::Computed(result) = &action {
+            // the cold select's answer, in its order
+            let cold = rmal::execute_op(&cat, &select.op, &range(lo, hi)).unwrap();
+            let tuples = |v: &Value| {
+                let b = v.as_bat().unwrap();
+                (0..b.len()).map(|i| b.tuple(i)).collect::<Vec<_>>()
+            };
+            assert_eq!(tuples(result), tuples(&cold));
+            let (reads, writes) = (RecyclePool::read_locks_on_this_thread(), writes);
+            session.after(&cat, 1, select, &range(lo, hi), result, cpu, Instant::now());
             assert_eq!(
                 RecyclePool::read_locks_on_this_thread() - reads,
-                2,
-                "k = {k}, [{lo}, {hi}]: the probe and one attempt"
+                1,
+                "resolve"
             );
-            assert_eq!(session.pool().write_lock_acquisitions(), writes);
-            session.query_end(&program);
-            session.pool().check_invariants().unwrap();
+            assert_eq!(
+                session.pool().write_lock_acquisitions() - writes,
+                1,
+                "insert"
+            );
+            assert_eq!(session.pool().len(), k + 2, "the pieced answer admitted");
         }
+        session.query_end(&program);
+        session.pool().check_invariants().unwrap();
     }
 }
 

@@ -1,12 +1,13 @@
 //! The central correctness gate: for every TPC-H query, a recycler-backed
 //! database must produce exactly the results of the naive database —
 //! across repeated instances (exact-match reuse), parameter variations
-//! (subsumption), and with subsumption disabled.
+//! (subsumption, combined subsumption included), and with subsumption
+//! disabled. Equal means equal to the bit: floats are compared exactly.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rbat::{Catalog, Value};
-use recycling::{DatabaseBuilder, RecyclerConfig};
+use recycling::{DatabaseBuilder, RecyclerConfig, RecyclerStats};
 use rmal::Program;
 
 fn catalog() -> Catalog {
@@ -19,7 +20,11 @@ fn run_pair(
     template: &Program,
     param_sets: &[Vec<Value>],
     config: RecyclerConfig,
-) -> (Vec<Vec<(String, Value)>>, Vec<Vec<(String, Value)>>, u64) {
+) -> (
+    Vec<Vec<(String, Value)>>,
+    Vec<Vec<(String, Value)>>,
+    RecyclerStats,
+) {
     let naive_db = DatabaseBuilder::new(cat.clone()).naive().build();
     let nt = naive_db.prepare(template.clone());
     let mut naive = naive_db.session();
@@ -34,7 +39,7 @@ fn run_pair(
         naive_out.push(naive.query(&nt, params).expect("naive").exports);
         rec_out.push(rec.query(&rt, params).expect("recycled").exports);
     }
-    (naive_out, rec_out, db.stats().hits)
+    (naive_out, rec_out, db.stats())
 }
 
 #[test]
@@ -47,7 +52,7 @@ fn all_queries_equal_naive_across_instances() {
         let p1 = (q.params)(&mut rng);
         let p2 = p1.clone();
         let p3 = (q.params)(&mut rng);
-        let (naive, rec, hits) =
+        let (naive, rec, stats) =
             run_pair(&cat, &q.template, &[p1, p2, p3], RecyclerConfig::default());
         for (i, (n, r)) in naive.iter().zip(&rec).enumerate() {
             assert_eq!(
@@ -58,7 +63,7 @@ fn all_queries_equal_naive_across_instances() {
                 i + 1
             );
         }
-        total_hits += hits;
+        total_hits += stats.hits;
     }
     assert!(total_hits > 100, "the recycler must actually reuse work");
 }
@@ -79,6 +84,34 @@ fn subsumption_disabled_still_correct() {
         );
         assert_eq!(naive, rec, "q{qno} with subsumption off");
     }
+}
+
+/// Q19 instance after instance, under the default configuration: its
+/// disjunctive ranges over `l_quantity` are answered by combined
+/// subsumption once a few instances are resident, and its float revenue
+/// — a sum in row order — must still be the naive one to the bit.
+#[test]
+fn combined_subsumption_answers_q19_to_the_bit() {
+    let cat = catalog();
+    let q = tpch::query(19);
+    let mut rng = SmallRng::seed_from_u64(19);
+    let params: Vec<Vec<Value>> = (0..40).map(|_| (q.params)(&mut rng)).collect();
+    let (naive, rec, stats) = run_pair(&cat, &q.template, &params, RecyclerConfig::default());
+    for (i, (n, r)) in naive.iter().zip(&rec).enumerate() {
+        assert_eq!(n, r, "q19 instance {} differs from naive", i + 1);
+    }
+    let (_, _, single) = run_pair(
+        &cat,
+        &q.template,
+        &params,
+        RecyclerConfig::default().combined(false),
+    );
+    assert!(
+        stats.subsumed > single.subsumed,
+        "combined subsumption must fire: {} subsumed, {} without it",
+        stats.subsumed,
+        single.subsumed
+    );
 }
 
 #[test]
